@@ -9,10 +9,9 @@
 //! completed flows.
 
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
-use softcell_types::{Error, PortNo, Result, SimTime};
+use softcell_types::{Error, FxHashMap, PortNo, Result, SimTime};
 
 use softcell_packet::FiveTuple;
 
@@ -66,7 +65,7 @@ pub struct MicroflowEntry {
 /// must not drop the moving UE's flows. Evictions are counted.
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct MicroflowTable {
-    entries: HashMap<FiveTuple, MicroflowEntry>,
+    entries: FxHashMap<FiveTuple, MicroflowEntry>,
     capacity: Option<usize>,
     evictions: u64,
 }

@@ -10,13 +10,14 @@
 //!    core switches drop.
 //!
 //! `process` applies the winning action to the packet bytes in place
-//! (rewrites, DSCP marking, TTL decrement) and returns where the packet
-//! goes next, so the simulator's per-hop loop is a single call.
+//! (rewrites, DSCP marking) and returns where the packet goes next, so
+//! the simulator's per-hop loop is a single call; the TTL decrement
+//! belongs to the link crossing and lives with the walker.
 
 use serde::{Deserialize, Serialize};
 
 use softcell_packet::{HeaderView, Ipv4Packet};
-use softcell_types::{Error, PortNo, Result, SimDuration, SimTime, SwitchId};
+use softcell_types::{PortNo, Result, SimDuration, SimTime, SwitchId};
 
 use crate::matcher::LookupKey;
 use crate::microflow::{MicroflowAction, MicroflowTable};
@@ -121,20 +122,6 @@ impl Switch {
             PipelineKind::Access => ForwardDecision::ToController,
             PipelineKind::Fabric => ForwardDecision::Drop,
         })
-    }
-
-    /// Decrements the packet's TTL in place; `Drop` when exhausted. The
-    /// simulator calls this once per switch hop — it is what turns a
-    /// forwarding loop from an infinite walk into a dropped packet.
-    pub fn decrement_ttl(buffer: &mut [u8]) -> Result<ForwardDecision> {
-        let mut ip = Ipv4Packet::new_checked(&mut buffer[..])?;
-        match ip.decrement_ttl() {
-            Some(_) => {
-                ip.fill_checksum();
-                Ok(ForwardDecision::Out(PortNo(0))) // placeholder: caller keeps port
-            }
-            None => Ok(ForwardDecision::Drop),
-        }
     }
 }
 
@@ -252,18 +239,6 @@ fn rewrite_dst(buffer: &mut [u8], addr: std::net::Ipv4Addr, port: u16) -> Result
     }
     ip.fill_checksum();
     Ok(())
-}
-
-/// Guards against `process` being called with a buffer that is not a
-/// packet at all (defensive: sim bugs should fail loudly, not corrupt).
-pub fn validate_packet(buffer: &[u8]) -> Result<()> {
-    if buffer.len() < 20 {
-        return Err(Error::Malformed(format!(
-            "{}-byte buffer cannot be a packet",
-            buffer.len()
-        )));
-    }
-    HeaderView::parse(buffer).map(|_| ())
 }
 
 #[cfg(test)]
@@ -432,6 +407,5 @@ mod tests {
         assert!(core
             .process(&mut junk, PortNo(1), 0, SimTime::ZERO)
             .is_err());
-        assert!(validate_packet(&junk).is_err());
     }
 }

@@ -7,7 +7,6 @@
 //! cheaper exact-match/LPM memories.
 
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 use softcell_types::{Error, Result};
 
@@ -19,8 +18,10 @@ use crate::rule::{Action, FlowRule, RuleId};
 pub struct FlowTable {
     /// Rules sorted by descending priority; ties preserve install order.
     rules: Vec<FlowRule>,
+    /// `hits[i]` is the match counter of `rules[i]`: kept beside the rule,
+    /// not keyed by id, so counting a hit is an indexed add.
+    hits: Vec<u64>,
     next_id: u64,
-    counters: HashMap<RuleId, u64>,
     capacity: Option<usize>,
 }
 
@@ -87,6 +88,7 @@ impl FlowTable {
         // insert after the last rule with priority >= ours (stable ties)
         let pos = self.rules.partition_point(|r| r.priority >= priority);
         self.rules.insert(pos, rule);
+        self.hits.insert(pos, 0);
         let m = crate::metrics::metrics();
         m.rule_installs.inc();
         m.table_occupancy_hwm.record_max(self.rules.len() as u64);
@@ -100,23 +102,24 @@ impl FlowTable {
             .iter()
             .position(|r| r.id == id)
             .ok_or_else(|| Error::NotFound(format!("rule {id:?}")))?;
-        self.counters.remove(&id);
+        self.hits.remove(pos);
         crate::metrics::metrics().rule_removals.inc();
         Ok(self.rules.remove(pos))
     }
 
     /// Removes every rule whose matcher satisfies `pred`; returns count.
     pub fn remove_where(&mut self, mut pred: impl FnMut(&FlowRule) -> bool) -> usize {
-        let before = self.rules.len();
-        let counters = &mut self.counters;
-        self.rules.retain(|r| {
-            let gone = pred(r);
-            if gone {
-                counters.remove(&r.id);
+        let mut kept = 0;
+        for i in 0..self.rules.len() {
+            if !pred(&self.rules[i]) {
+                self.rules[kept] = self.rules[i];
+                self.hits[kept] = self.hits[i];
+                kept += 1;
             }
-            !gone
-        });
-        let removed = before - self.rules.len();
+        }
+        let removed = self.rules.len() - kept;
+        self.rules.truncate(kept);
+        self.hits.truncate(kept);
         crate::metrics::metrics().rule_removals.add(removed as u64);
         removed
     }
@@ -128,30 +131,22 @@ impl FlowTable {
 
     /// Looks up a packet, bumping the winning rule's counter.
     pub fn lookup(&mut self, key: &LookupKey) -> Option<FlowRule> {
-        let rule = *self.rules.iter().find(|r| r.matcher.matches(key))?;
-        *self.counters.entry(rule.id).or_insert(0) += 1;
-        Some(rule)
+        let pos = self.rules.iter().position(|r| r.matcher.matches(key))?;
+        self.hits[pos] += 1;
+        Some(self.rules[pos])
     }
 
-    /// A rule's match counter.
+    /// A rule's match counter (0 for a rule that is not installed).
     pub fn counter(&self, id: RuleId) -> u64 {
-        self.counters.get(&id).copied().unwrap_or(0)
+        self.rules
+            .iter()
+            .position(|r| r.id == id)
+            .map_or(0, |pos| self.hits[pos])
     }
 
     /// Iterates rules in priority order.
     pub fn iter(&self) -> impl Iterator<Item = &FlowRule> {
         self.rules.iter()
-    }
-
-    /// Finds an installed rule by exact matcher equality.
-    pub fn find_by_match(&self, matcher: &Match) -> Option<&FlowRule> {
-        self.rules.iter().find(|r| &r.matcher == matcher)
-    }
-
-    /// Mutable handle to a rule (to repoint its action during
-    /// aggregation). The rule keeps its priority slot.
-    pub fn rule_mut(&mut self, id: RuleId) -> Option<&mut FlowRule> {
-        self.rules.iter_mut().find(|r| r.id == id)
     }
 
     /// Per-type occupancy.
@@ -329,18 +324,5 @@ mod tests {
             (1, 1, 1, 1)
         );
         assert_eq!(s.total(), 4);
-    }
-
-    #[test]
-    fn find_by_match_and_rule_mut() {
-        let mut t = FlowTable::new();
-        let m = Match::prefix(Direction::Downlink, "10.0.0.0/8".parse().unwrap());
-        let id = t.install(5, m, Action::Forward(PortNo(1))).unwrap();
-        assert_eq!(t.find_by_match(&m).unwrap().id, id);
-        t.rule_mut(id).unwrap().action = Action::Forward(PortNo(9));
-        assert_eq!(
-            t.find_by_match(&m).unwrap().action,
-            Action::Forward(PortNo(9))
-        );
     }
 }

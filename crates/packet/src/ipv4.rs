@@ -7,7 +7,8 @@
 //! receive. SoftCell access switches rewrite source/destination addresses
 //! in place, so setters deliberately do *not* auto-update the checksum
 //! (one final `fill_checksum` after a batch of edits is cheaper and makes
-//! the dirty window explicit).
+//! the dirty window explicit). The exception is `decrement_ttl`, the one
+//! edit every hop makes: it patches the checksum incrementally.
 
 use std::fmt;
 use std::net::Ipv4Addr;
@@ -193,11 +194,23 @@ impl<T: AsRef<[u8]> + AsMut<[u8]>> Ipv4Packet<T> {
         self.buffer.as_mut()[field::TTL] = ttl;
     }
 
-    /// Decrements TTL, returning the new value (`None` if already zero —
-    /// the packet must be dropped).
+    /// Decrements TTL, returning the new value (`None`, header untouched,
+    /// if already zero — the packet must be dropped). Unlike the setters
+    /// this keeps the checksum in step, since it runs once per hop and
+    /// re-summing the header there costs more than the forwarding
+    /// decision: the stored checksum is patched per RFC 1624 eqn. 3,
+    /// `HC' = ~(~HC + ~m + m')` with `m` the (TTL, protocol) word, and
+    /// `m' = m - 0x0100` makes `~m + m'` the constant `0xFEFF`. Summing
+    /// from `~HC` (not RFC 1141's `HC + m - m'`) is what yields `0x0000`,
+    /// not `0xFFFF`, when the new header sums to all-ones — exactly what
+    /// [`Self::fill_checksum`] would store.
     pub fn decrement_ttl(&mut self) -> Option<u8> {
         let ttl = self.ttl().checked_sub(1)?;
-        self.set_ttl(ttl);
+        let mut sum = u32::from(!self.checksum()) + 0xfeff;
+        sum = (sum & 0xffff) + (sum >> 16);
+        let data = self.buffer.as_mut();
+        data[field::TTL] = ttl;
+        data[field::CHECKSUM].copy_from_slice(&(!(sum as u16)).to_be_bytes());
         Some(ttl)
     }
 
@@ -361,7 +374,57 @@ mod tests {
         );
         let mut p = Ipv4Packet::new_unchecked(&mut buf[..]);
         assert_eq!(p.decrement_ttl(), Some(0));
+        let at_zero = p.buffer.to_vec();
         assert_eq!(p.decrement_ttl(), None);
+        assert_eq!(p.buffer, &at_zero[..], "a refused decrement edits nothing");
+    }
+
+    /// A header whose checksum is `0x0000` (its words sum to `0xFFFF`) at
+    /// TTL `corner`: the case RFC 1141's update gets wrong and RFC 1624
+    /// exists to fix. The ident field is the free 16 bits that steer it.
+    fn header_with_zero_checksum_at(corner: u8, proto: u8) -> Vec<u8> {
+        let mut buf = build_ipv4(
+            Ipv4Addr::new(10, 0, 0, 10),
+            Ipv4Addr::new(93, 184, 216, 34),
+            proto,
+            corner,
+            b"payload",
+        );
+        let mut p = Ipv4Packet::new_unchecked(&mut buf[..]);
+        let steered = (0..=u16::MAX).any(|ident| {
+            p.set_ident(ident);
+            p.fill_checksum();
+            p.checksum() == 0
+        });
+        assert!(steered, "some ident makes the header sum to 0xFFFF");
+        buf
+    }
+
+    #[test]
+    fn incremental_ttl_checksum_equals_full_recompute() {
+        for (corner, proto) in [(1u8, 6u8), (2, 17), (64, 6), (128, 17), (254, 6), (255, 17)] {
+            let mut buf = header_with_zero_checksum_at(corner, proto);
+            let mut p = Ipv4Packet::new_unchecked(&mut buf[..]);
+            p.set_ttl(255);
+            p.fill_checksum();
+            let mut crossed_corner = p.checksum() == 0;
+            for ttl in (0..255u8).rev() {
+                let mut full = p.buffer.to_vec();
+                let mut reference = Ipv4Packet::new_unchecked(&mut full[..]);
+                reference.set_ttl(ttl);
+                reference.fill_checksum();
+                assert_eq!(p.decrement_ttl(), Some(ttl));
+                assert_eq!(
+                    p.checksum(),
+                    reference.checksum(),
+                    "corner {corner}, proto {proto}, ttl {ttl}"
+                );
+                assert!(p.verify_checksum());
+                crossed_corner |= p.checksum() == 0;
+            }
+            assert!(crossed_corner, "the run must cross the 0x0000 checksum");
+            assert_eq!(p.decrement_ttl(), None);
+        }
     }
 
     #[test]

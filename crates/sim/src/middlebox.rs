@@ -17,7 +17,7 @@ use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 use softcell_packet::HeaderView;
-use softcell_types::{AddressingScheme, Error, MiddleboxId, PortEmbedding, Result};
+use softcell_types::{AddressingScheme, Error, FxHashMap, MiddleboxId, PortEmbedding, Result};
 
 /// The connection key a stateful middlebox tracks: the UE side (LocIP +
 /// flow slot) and the remote endpoint. Tag bits are deliberately
@@ -48,7 +48,7 @@ pub struct MiddleboxTracker {
     scheme: AddressingScheme,
     ports: PortEmbedding,
     /// (instance, connection) → counts.
-    seen: HashMap<(MiddleboxId, ConnKey), TraversalCount>,
+    seen: FxHashMap<(MiddleboxId, ConnKey), TraversalCount>,
     /// Traversal log: (walk id, key, instance, was_uplink). The walk id
     /// identifies one packet's journey, so chains never merge across
     /// packets.
@@ -62,7 +62,7 @@ impl Default for MiddleboxTracker {
         MiddleboxTracker {
             scheme: AddressingScheme::default_scheme(),
             ports: PortEmbedding::default_embedding(),
-            seen: HashMap::new(),
+            seen: FxHashMap::default(),
             log: Vec::new(),
             next_walk: 0,
             total: 0,

@@ -43,9 +43,31 @@ pub enum WalkOutcome {
     },
 }
 
+/// What hangs off one switch port.
+#[derive(Clone, Copy, Debug)]
+enum PortPeer {
+    /// Nothing: the CPU port 0, or a port number the switch never
+    /// allocated.
+    Unconnected,
+    /// The radio side of an access switch.
+    Radio,
+    /// A gateway's Internet uplink.
+    Internet,
+    /// A middlebox instance (it returns packets on the same port).
+    Middlebox(MiddleboxId),
+    /// A fabric link to `next`, arriving there on `in_port`.
+    Link { next: SwitchId, in_port: PortNo },
+}
+
 /// The running data plane.
 pub struct PhysicalNetwork {
     switches: Vec<Switch>,
+    /// Every port of every switch, flat (CSR): switch `sw`'s ports are
+    /// `ports[port_base[sw]..port_base[sw + 1]]`, indexed by port number,
+    /// so classifying an out-port is one load instead of a search through
+    /// the topology's stations, gateways, middleboxes and neighbours.
+    ports: Vec<PortPeer>,
+    port_base: Vec<u32>,
     /// Per-middlebox traversal records.
     pub middleboxes: MiddleboxTracker,
     /// Hop budget per walk (beyond TTL; guards against rule loops).
@@ -53,14 +75,16 @@ pub struct PhysicalNetwork {
     /// Print each hop decision to stderr (debugging aid).
     pub trace: bool,
     /// Number of switch-pipeline executions in the most recent walk
-    /// (path-stretch measurements: triangle routing vs shortcuts).
+    /// (path-stretch measurements: triangle routing vs shortcuts); the
+    /// length of [`Self::last_walk_trail`].
     pub last_walk_hops: usize,
     /// The switch sequence of the most recent walk.
     pub last_walk_trail: Vec<SwitchId>,
 }
 
 impl PhysicalNetwork {
-    /// Builds switches for every topology node.
+    /// Builds switches for every topology node and compiles the port
+    /// table.
     pub fn new(topo: &Topology) -> PhysicalNetwork {
         let switches = topo
             .switches()
@@ -70,8 +94,38 @@ impl PhysicalNetwork {
                 _ => Switch::fabric(s.id),
             })
             .collect();
+        let mut port_base = Vec::with_capacity(topo.switch_count() + 1);
+        let mut total = 0u32;
+        for s in topo.switches() {
+            port_base.push(total);
+            total += u32::from(s.port_count());
+        }
+        port_base.push(total);
+        let mut ports = vec![PortPeer::Unconnected; total as usize];
+        let mut attach = |sw: SwitchId, port: PortNo, peer| {
+            ports[port_base[sw.index()] as usize + usize::from(port.0)] = peer;
+        };
+        // Lowest precedence first, so that if two attachments ever claimed
+        // one port the winner is radio, then Internet, then middlebox, then
+        // link — the order the walker has always classified in.
+        for s in topo.switches() {
+            for &(next, out, in_port) in topo.neighbors(s.id) {
+                attach(s.id, out, PortPeer::Link { next, in_port });
+            }
+        }
+        for m in topo.middleboxes() {
+            attach(m.switch, m.port, PortPeer::Middlebox(m.id));
+        }
+        for g in topo.gateways() {
+            attach(g.switch, g.port, PortPeer::Internet);
+        }
+        for b in topo.base_stations() {
+            attach(b.access_switch, b.radio_port, PortPeer::Radio);
+        }
         PhysicalNetwork {
             switches,
+            ports,
+            port_base,
             middleboxes: MiddleboxTracker::default(),
             max_hops: 256,
             trace: false,
@@ -131,11 +185,21 @@ impl PhysicalNetwork {
         self.switches.iter().map(|s| s.table.len()).sum()
     }
 
+    fn peer(&self, sw: SwitchId, port: PortNo) -> PortPeer {
+        let slot = self.port_base[sw.index()] as usize + usize::from(port.0);
+        if slot < self.port_base[sw.index() + 1] as usize {
+            self.ports[slot]
+        } else {
+            PortPeer::Unconnected
+        }
+    }
+
     /// Walks a packet from an injection point until it leaves the
     /// fabric. `start`/`in_port` name where the packet enters (radio
     /// port for uplink, gateway Internet port for downlink); `version`
     /// is the consistent-update stamp (normally the ingress switch's
-    /// current version).
+    /// current version). `topo` is the topology this network was built
+    /// from; the walk itself reads only the port table compiled from it.
     pub fn walk(
         &mut self,
         topo: &Topology,
@@ -145,21 +209,19 @@ impl PhysicalNetwork {
         version: u32,
         now: SimTime,
     ) -> Result<WalkOutcome> {
-        let mut sw = start;
-        let mut port = in_port;
+        debug_assert_eq!(topo.switch_count(), self.switches.len());
+        let (mut sw, mut port) = (start, in_port);
         let walk_id = self.middleboxes.begin_walk();
         self.last_walk_trail.clear();
-        let mut trail: Vec<SwitchId> = Vec::new();
         for _ in 0..self.max_hops {
-            trail.push(sw);
-            self.last_walk_hops = trail.len();
             self.last_walk_trail.push(sw);
+            self.last_walk_hops = self.last_walk_trail.len();
             let decision = self.switches[sw.index()].process(buffer, port, version, now)?;
             if self.trace {
                 let v = softcell_packet::HeaderView::parse(buffer);
                 eprintln!("  walk {walk_id}: {sw} in {port} -> {decision:?} ({v:?})");
             }
-            match decision {
+            let out = match decision {
                 ForwardDecision::ToController => {
                     return Ok(WalkOutcome::PuntedToAgent {
                         switch: sw,
@@ -167,80 +229,49 @@ impl PhysicalNetwork {
                     })
                 }
                 ForwardDecision::Drop => return Ok(WalkOutcome::Dropped { switch: sw }),
-                ForwardDecision::Out(out) => {
-                    // classify the output port: radio? internet? mb? link?
-                    if let Some(bs) = topo.base_station_at(sw) {
-                        if topo.base_station(bs).radio_port == out {
-                            return Ok(WalkOutcome::DeliveredToRadio { switch: sw });
-                        }
-                    }
-                    if let Some(gw) = topo.gateways().iter().find(|g| g.switch == sw) {
-                        if gw.port == out {
-                            return Ok(WalkOutcome::ExitedGateway { switch: sw });
-                        }
-                    }
-                    if let Some(mb) = middlebox_on_port(topo, sw, out) {
-                        // detour: the middlebox sees the packet and sends
-                        // it straight back on the same port
-                        self.middleboxes.observe(mb, buffer, walk_id)?;
-                        decrement_ttl(buffer).map_err(|e| {
-                            Error::InvalidState(format!(
-                                "{e}; trail tail: {:?}",
-                                &trail[trail.len().saturating_sub(12)..]
-                            ))
-                        })?;
-                        port = out;
-                        continue;
-                    }
-                    // a fabric link: cross it
-                    let (next, next_port) = cross_link(topo, sw, out)?;
-                    decrement_ttl(buffer).map_err(|e| {
-                        Error::InvalidState(format!(
-                            "{e}; trail tail: {:?}",
-                            &trail[trail.len().saturating_sub(12)..]
-                        ))
-                    })?;
-                    sw = next;
-                    port = next_port;
+                ForwardDecision::Out(out) => out,
+            };
+            match self.peer(sw, out) {
+                PortPeer::Radio => return Ok(WalkOutcome::DeliveredToRadio { switch: sw }),
+                PortPeer::Internet => return Ok(WalkOutcome::ExitedGateway { switch: sw }),
+                PortPeer::Middlebox(mb) => {
+                    // detour: the middlebox sees the packet and sends
+                    // it straight back on the same port
+                    self.middleboxes.observe(mb, buffer, walk_id)?;
+                    port = out;
                 }
+                PortPeer::Link { next, in_port } => {
+                    sw = next;
+                    port = in_port;
+                }
+                PortPeer::Unconnected => {
+                    return Err(Error::InvalidState(format!(
+                        "{sw} forwarded out unconnected port {out}"
+                    )))
+                }
+            }
+            // one TTL tick per link or middlebox crossing
+            let mut ip = Ipv4Packet::new_checked(&mut buffer[..])?;
+            if ip.decrement_ttl().is_none() {
+                return Err(Error::InvalidState(format!(
+                    "TTL exhausted mid-walk ({} -> {}); trail tail: {:?}",
+                    ip.src_addr(),
+                    ip.dst_addr(),
+                    trail_tail(&self.last_walk_trail)
+                )));
             }
         }
         Err(Error::InvalidState(format!(
             "walk exceeded {} hops (rule loop?) at {sw}; trail tail: {:?}",
             self.max_hops,
-            &trail[trail.len().saturating_sub(12)..]
+            trail_tail(&self.last_walk_trail)
         )))
     }
 }
 
-fn middlebox_on_port(topo: &Topology, sw: SwitchId, port: PortNo) -> Option<MiddleboxId> {
-    topo.middleboxes()
-        .iter()
-        .find(|m| m.switch == sw && m.port == port)
-        .map(|m| m.id)
-}
-
-fn cross_link(topo: &Topology, sw: SwitchId, out: PortNo) -> Result<(SwitchId, PortNo)> {
-    topo.neighbors(sw)
-        .iter()
-        .find(|(_, p, _)| *p == out)
-        .map(|(n, _, in_p)| (*n, *in_p))
-        .ok_or_else(|| Error::InvalidState(format!("{sw} forwarded out unconnected port {out}")))
-}
-
-fn decrement_ttl(buffer: &mut [u8]) -> Result<()> {
-    let mut ip = Ipv4Packet::new_checked(&mut buffer[..])?;
-    match ip.decrement_ttl() {
-        Some(_) => {
-            ip.fill_checksum();
-            Ok(())
-        }
-        None => Err(Error::InvalidState(format!(
-            "TTL exhausted mid-walk ({} -> {})",
-            ip.src_addr(),
-            ip.dst_addr()
-        ))),
-    }
+/// The last dozen switches of a walk, for error messages.
+fn trail_tail(trail: &[SwitchId]) -> &[SwitchId] {
+    &trail[trail.len().saturating_sub(12)..]
 }
 
 #[cfg(test)]
@@ -249,7 +280,7 @@ mod tests {
     use softcell_dataplane::matcher::{conventional_priority, Direction, Match};
     use softcell_dataplane::Action;
     use softcell_packet::{build_flow_packet, FiveTuple, Protocol};
-    use softcell_topology::small_topology;
+    use softcell_topology::{small_topology, TopologyBuilder};
     use softcell_types::Ipv4Prefix;
     use std::net::Ipv4Addr;
 
@@ -445,6 +476,68 @@ mod tests {
             SimTime::ZERO,
         );
         assert!(r.is_err(), "loop must fail loudly, not spin");
+
+        // the same loop with a short TTL dies of that first: one crossing
+        // takes it to zero, the next is refused and leaves the header alone
+        buf[8] = 1;
+        Ipv4Packet::new_checked(&mut buf[..])
+            .unwrap()
+            .fill_checksum();
+        let err = net
+            .walk(
+                &topo,
+                &mut buf,
+                SwitchId(0),
+                topo.default_gateway().port,
+                0,
+                SimTime::ZERO,
+            )
+            .unwrap_err();
+        assert!(err.to_string().contains("TTL exhausted mid-walk"), "{err}");
+        assert_eq!(net.last_walk_trail, [SwitchId(0), SwitchId(1)]);
+        assert_eq!(net.last_walk_hops, 2);
+        let ip = Ipv4Packet::new_checked(&buf[..]).unwrap();
+        assert_eq!(ip.ttl(), 0);
+        assert!(ip.verify_checksum());
+    }
+
+    #[test]
+    fn every_uplink_of_a_gateway_switch_exits() {
+        // the walker used to know only a gateway switch's first uplink and
+        // called the second an unconnected port
+        let mut b = TopologyBuilder::new();
+        let gw = b.add_switch(SwitchRole::Gateway);
+        let acc = b.add_switch(SwitchRole::Access);
+        b.link(gw, acc).unwrap();
+        b.attach_base_station(acc).unwrap();
+        b.attach_gateway(gw).unwrap();
+        b.attach_gateway(gw).unwrap();
+        let topo = b.build().unwrap();
+        let mut net = PhysicalNetwork::new(&topo);
+        let from_acc = topo.port_towards(gw, acc).unwrap();
+        assert_eq!(topo.gateways().len(), 2);
+        for (version, uplink) in topo.gateways().iter().enumerate() {
+            let m = Match::ANY.with_version(version as u32);
+            net.switch_mut(gw)
+                .table
+                .install(1, m, Action::Forward(uplink.port))
+                .unwrap();
+            let mut buf = downlink_packet(Ipv4Addr::new(10, 0, 0, 7));
+            let out = net
+                .walk(&topo, &mut buf, gw, from_acc, version as u32, SimTime::ZERO)
+                .unwrap();
+            assert_eq!(out, WalkOutcome::ExitedGateway { switch: gw });
+        }
+        // a port nobody allocated is still an error, not a panic
+        net.switch_mut(gw)
+            .table
+            .install(1, Match::ANY.with_version(9), Action::Forward(PortNo(40)))
+            .unwrap();
+        let mut buf = downlink_packet(Ipv4Addr::new(10, 0, 0, 7));
+        let err = net
+            .walk(&topo, &mut buf, gw, from_acc, 9, SimTime::ZERO)
+            .unwrap_err();
+        assert!(err.to_string().contains("unconnected port"), "{err}");
     }
 
     #[test]

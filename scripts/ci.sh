@@ -40,6 +40,27 @@ timeout 180 cargo test -q --release --test shard_oracle --test shard_interleave
 echo "==> replicated recovery drill (180 s cap)"
 timeout 180 cargo test -q --release --test recovery
 
+# The performance yardstick (perf/, its own workspace and lock file, so
+# the steps above never compile it): build it offline against the crates
+# as they are now — its frozen surface must still compile — run its unit
+# tests, and drive one short fabric_forward run. A correctness smoke, not
+# a timing gate: a shared host cannot gate 2 s timings, but every round
+# trip of the run is verified, so a forwarding bug fails here.
+echo "==> softcell-perf build + unit tests + fabric_forward smoke (300 s cap)"
+timeout 300 cargo build --release --offline -q \
+  --manifest-path perf/Cargo.toml --target-dir target
+timeout 300 cargo test --offline -q \
+  --manifest-path perf/Cargo.toml --target-dir target
+timeout 60 ./target/release/softcell-perf \
+  --workload fabric_forward --seed 7 --seconds 2 --trace 0 \
+  | tail -n 1 > /tmp/softcell-perf-smoke.json
+python3 - /tmp/softcell-perf-smoke.json <<'PY'
+import json, sys
+result = json.load(open(sys.argv[1]))
+assert result["correct"] is True and result["failed"] == 0, result
+print(f"perf smoke ok: {result['attempted']} round trips verified, 0 failed")
+PY
+
 # Sharded packet-in throughput smoke: 4 domains must beat a single
 # domain by at least 1.5x (the acceptance floor is 2x on multicore; the
 # smoke bar is lower so a loaded 1-core CI box still passes honestly).
