@@ -2,14 +2,14 @@
 //!
 //! * `ctlchan_encode_*` / `ctlchan_decode_*` — pure codec cost for the
 //!   two dominant frame shapes: a classifier reply (attach answer, the
-//!   largest message) and a flow-mod batch (path answer).
+//!   largest message) and a 4-mod `FlowModBatch` (path answer).
 //! * `ctlchan_loopback_echo` — one full framed round trip through the
 //!   in-memory transport and serve loop: encode, queue, decode,
 //!   dispatch, reply, decode. The per-request floor the wire mode of
 //!   `tab2_agent_throughput` pays on top of the in-process path.
 //! * `ctlchan_loopback_path_request` — the same round trip carrying a
-//!   real path request through a running [`ControllerServer`] worker
-//!   pool, i.e. the §6.2 request path with the wire front-end attached.
+//!   real path request through a running [`ControllerServer`], i.e.
+//!   the §6.2 request path with the wire front-end attached.
 //! * `ctlchan_retry_path_request_*` — the same request issued through
 //!   `request_with_retry` (deadline arming + xid bookkeeping), over a
 //!   clean transport and over a `FaultTransport` dropping 10% of sent
@@ -23,7 +23,8 @@ use softcell_controller::server::ControllerServer;
 use softcell_controller::wire::ChannelController;
 use softcell_ctlchan::{
     loopback_pair, serve, CtlChannel, FaultConfig, FaultTransport, Frame, Loopback, Message,
-    RetryPolicy, Transport, WireClassifier, WireFlowMod, WirePathTags, WireUeRecord,
+    RetryPolicy, Transport, WireBatchGroup, WireClassifier, WireFlowMod, WirePathTags,
+    WireUeRecord,
 };
 use softcell_policy::clause::ClauseId;
 use softcell_policy::{AppClassifier, ServicePolicy, SubscriberAttributes, UeClassifier};
@@ -50,21 +51,27 @@ fn sample_classifier_reply() -> Message<'static> {
 }
 
 fn sample_flow_mod() -> Message<'static> {
-    Message::FlowMod(
-        (0..4u16)
-            .map(|i| WireFlowMod {
-                bs: BaseStationId(7),
-                clause: ClauseId(i),
-                tags: WirePathTags {
-                    uplink_entry: PolicyTag(i),
-                    uplink_exit: PolicyTag(i + 100),
-                    downlink_final: PolicyTag(i),
-                    access_out_port: PortNo(1),
-                    qos: None,
-                },
-            })
-            .collect(),
-    )
+    Message::FlowModBatch {
+        shard: 1,
+        seq: 7,
+        groups: vec![WireBatchGroup {
+            bs: BaseStationId(7),
+            barrier: true,
+            mods: (0..4u16)
+                .map(|i| WireFlowMod {
+                    bs: BaseStationId(7),
+                    clause: ClauseId(i),
+                    tags: WirePathTags {
+                        uplink_entry: PolicyTag(i),
+                        uplink_exit: PolicyTag(i + 100),
+                        downlink_final: PolicyTag(i),
+                        access_out_port: PortNo(1),
+                        qos: None,
+                    },
+                })
+                .collect(),
+        }],
+    }
 }
 
 fn bench_codec(c: &mut Criterion) {
@@ -108,8 +115,9 @@ fn bench_loopback(c: &mut Criterion) {
     let subscribers: Vec<_> = (0..4)
         .map(|i| SubscriberAttributes::default_home(UeImsi(i)))
         .collect();
-    let server = ControllerServer::start(ServicePolicy::example_carrier_a(1), subscribers, 2)
-        .expect("server");
+    let server =
+        ControllerServer::start_sharded(ServicePolicy::example_carrier_a(1), subscribers, 2)
+            .expect("server");
     let (agent_end, controller_end) = loopback_pair();
     let serving = server.serve(controller_end);
     let mut ctl = ChannelController::connect(agent_end, BaseStationId(0)).expect("connect");
@@ -177,8 +185,9 @@ fn bench_retry(c: &mut Criterion) {
     let subscribers: Vec<_> = (0..4)
         .map(|i| SubscriberAttributes::default_home(UeImsi(i)))
         .collect();
-    let server = ControllerServer::start(ServicePolicy::example_carrier_a(1), subscribers, 2)
-        .expect("server");
+    let server =
+        ControllerServer::start_sharded(ServicePolicy::example_carrier_a(1), subscribers, 2)
+            .expect("server");
     let mut serves = Vec::new();
 
     // clean transport: pure cost of the retry wrapper (deadline arming,

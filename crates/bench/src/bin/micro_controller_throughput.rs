@@ -5,11 +5,12 @@
 //! per second with 15 threads on an 8-core Xeon W5580.
 //!
 //! This bench floods the Rust [`ControllerServer`] with classifier
-//! requests from emulated local agents and sweeps the worker count.
-//! **Host note:** this reproduction machine has a single CPU core, so
-//! thread scaling flattens immediately — the per-core request rate is
-//! the comparable quantity (the paper's is ≈ 2.2 M / 8 ≈ 275 K/s/core
-//! on 2009-era silicon).
+//! requests from emulated local agents and sweeps the domain count
+//! (one worker and one queue per domain, requests routed by IMSI).
+//! **Host note:** the run prints the host's measured core count; on a
+//! host with fewer cores than domains the sweep flattens and the
+//! per-core request rate is the comparable quantity (the paper's is
+//! ≈ 2.2 M / 8 ≈ 275 K/s/core on 2009-era silicon).
 //!
 //! Usage: `micro_controller_throughput [--quick] [--json PATH]`
 
@@ -25,7 +26,7 @@ use softcell_types::UeImsi;
 
 #[derive(Serialize)]
 struct Row {
-    workers: usize,
+    domains: usize,
     clients: usize,
     requests: u64,
     seconds: f64,
@@ -39,18 +40,19 @@ struct Output {
     rows: Vec<Row>,
 }
 
-fn measure(workers: usize, clients: usize, duration: Duration) -> (Row, Snapshot) {
+fn measure(domains: usize, clients: usize, duration: Duration) -> (Row, Snapshot) {
     const SUBS: u64 = 1000;
     let subscribers: Vec<SubscriberAttributes> = (0..SUBS)
         .map(|i| SubscriberAttributes::default_home(UeImsi(i)))
         .collect();
-    let server = ControllerServer::start(ServicePolicy::example_carrier_a(1), subscribers, workers)
-        .expect("server");
+    let server =
+        ControllerServer::start_sharded(ServicePolicy::example_carrier_a(1), subscribers, domains)
+            .expect("server");
 
     let start = Instant::now();
     let handles: Vec<_> = (0..clients)
         .map(|c| {
-            let h = server.handle();
+            let router = server.router();
             std::thread::spawn(move || {
                 let (tx, rx) = bounded::<softcell_types::Result<softcell_policy::UeClassifier>>(1);
                 let mut sent = 0u64;
@@ -58,12 +60,13 @@ fn measure(workers: usize, clients: usize, duration: Duration) -> (Row, Snapshot
                 while t0.elapsed() < duration {
                     // emulate a batch of local agents pipelining requests
                     for i in 0..64u64 {
-                        h.send(Request::Classifier {
-                            imsi: UeImsi((c as u64 * 64 + i + sent) % SUBS),
-                            reply: tx.clone(),
-                            trace: softcell_telemetry::ReqTrace::NONE,
-                        })
-                        .expect("send");
+                        router
+                            .route(Request::Classifier {
+                                imsi: UeImsi((c as u64 * 64 + i + sent) % SUBS),
+                                reply: tx.clone(),
+                                trace: softcell_telemetry::ReqTrace::NONE,
+                            })
+                            .expect("send");
                     }
                     for _ in 0..64 {
                         rx.recv().expect("reply").expect("classifier");
@@ -84,7 +87,7 @@ fn measure(workers: usize, clients: usize, duration: Duration) -> (Row, Snapshot
     server.shutdown();
     (
         Row {
-            workers,
+            domains,
             clients,
             requests: served,
             seconds: secs,
@@ -102,22 +105,25 @@ fn main() {
         Duration::from_millis(1500)
     };
 
+    let host_cores = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1);
     println!("Central-controller classifier-request throughput");
-    println!("(paper: 2.2M req/s with 15 threads on 8 cores; this host: 1 core)");
+    println!("(paper: 2.2M req/s with 15 threads on 8 cores; this host: {host_cores} core(s))");
     let mut telemetry = Snapshot::default();
     let rows: Vec<Row> = [1usize, 2, 4, 8, 15]
         .iter()
-        .map(|&w| {
-            let (row, snap) = measure(w, 4, duration);
+        .map(|&d| {
+            let (row, snap) = measure(d, 4, duration);
             telemetry.merge(&snap);
             row
         })
         .collect();
 
-    let mut t = TextTable::new(&["workers", "clients", "requests", "secs", "req/s"]);
+    let mut t = TextTable::new(&["domains", "clients", "requests", "secs", "req/s"]);
     for r in &rows {
         t.row(&[
-            r.workers.to_string(),
+            r.domains.to_string(),
             r.clients.to_string(),
             r.requests.to_string(),
             format!("{:.2}", r.seconds),
@@ -130,9 +136,7 @@ fn main() {
         &args,
         &Output {
             experiment: "micro-controller".into(),
-            host_cores: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
+            host_cores,
             rows,
         },
     );

@@ -64,7 +64,7 @@ use softcell_bench::{
 };
 use softcell_controller::agent::{ControllerApi, LocalAgent};
 use softcell_controller::core::{AttachGrant, PathTags};
-use softcell_controller::server::{ControllerServer, Request};
+use softcell_controller::server::{ControllerServer, Request, RequestRouter};
 use softcell_controller::state::UeRecord;
 use softcell_controller::wire::ChannelController;
 use softcell_ctlchan::{loopback_pair, Loopback};
@@ -80,7 +80,7 @@ use softcell_types::{
 
 /// Channel-backed controller proxy with a simulated network RTT.
 struct RemoteController {
-    handle: crossbeam::channel::Sender<Request>,
+    router: RequestRouter,
     rtt: Duration,
     next_permanent: u32,
 }
@@ -102,13 +102,11 @@ impl ControllerApi for RemoteController {
     ) -> Result<AttachGrant> {
         self.round_trip();
         let (tx, rx) = bounded(1);
-        self.handle
-            .send(Request::Classifier {
-                imsi,
-                reply: tx,
-                trace: ReqTrace::NONE,
-            })
-            .map_err(|_| Error::InvalidState("controller gone".into()))?;
+        self.router.route(Request::Classifier {
+            imsi,
+            reply: tx,
+            trace: ReqTrace::NONE,
+        })?;
         let classifier = rx
             .recv()
             .map_err(|_| Error::InvalidState("controller gone".into()))??;
@@ -129,14 +127,12 @@ impl ControllerApi for RemoteController {
     fn request_policy_path(&mut self, bs: BaseStationId, clause: ClauseId) -> Result<PathTags> {
         self.round_trip();
         let (tx, rx) = bounded(1);
-        self.handle
-            .send(Request::PathTag {
-                bs,
-                clause,
-                reply: tx,
-                trace: ReqTrace::NONE,
-            })
-            .map_err(|_| Error::InvalidState("controller gone".into()))?;
+        self.router.route(Request::PathTag {
+            bs,
+            clause,
+            reply: tx,
+            trace: ReqTrace::NONE,
+        })?;
         let tag: PolicyTag = rx
             .recv()
             .map_err(|_| Error::InvalidState("controller gone".into()))??;
@@ -510,8 +506,9 @@ fn main() {
     let subscribers: Vec<SubscriberAttributes> = (0..200)
         .map(|i| SubscriberAttributes::default_home(UeImsi(i)))
         .collect();
-    let server = ControllerServer::start(ServicePolicy::example_carrier_a(1), subscribers, 2)
-        .expect("server");
+    let server =
+        ControllerServer::start_sharded(ServicePolicy::example_carrier_a(1), subscribers, 2)
+            .expect("server");
 
     println!("Table 2: local-agent throughput vs cache hit ratio");
     println!("(paper shape: monotone in hit ratio; ~1.8K flows/s at 0%)");
@@ -523,7 +520,7 @@ fn main() {
             .iter()
             .map(|&p| {
                 let mut ctl = RemoteController {
-                    handle: server.handle(),
+                    router: server.router(),
                     rtt,
                     next_permanent: 0,
                 };

@@ -1,8 +1,8 @@
 //! Control-plane failure handling (paper §5.2).
 //!
 //! The controller's slow-changing state (policy, subscriber attributes,
-//! policy paths) is replicated with strong consistency — every mutation
-//! is applied to all replicas before it is acknowledged. The fast-moving
+//! policy paths) is replicated with strong consistency — that is
+//! `softcell-replica`'s quorum log, not this module. The fast-moving
 //! state, UE location, is *not* synchronously replicated: "upon a
 //! controller failure, a replica can correctly rebuild the UE location
 //! state by querying local agents", which works because "a UE only
@@ -14,206 +14,11 @@
 //! failure").
 
 use softcell_policy::UeClassifier;
-use softcell_telemetry::Registry;
-use softcell_types::{BaseStationId, EpochFence, Error, Result, SimTime};
+use softcell_types::{BaseStationId, Error, Result, SimTime};
 
 use crate::agent::LocalAgent;
 use crate::core::CentralController;
 use crate::state::{ControllerState, UeRecord};
-
-/// A strongly consistent replica group of controller state.
-///
-/// `mutate` applies one closure to every replica and verifies they agree
-/// (same post-version); a failed replica can be dropped and a fresh one
-/// seeded from any survivor.
-#[derive(Clone, Debug)]
-pub struct ReplicaGroup {
-    replicas: Vec<ControllerState>,
-}
-
-impl ReplicaGroup {
-    /// A group of `n` replicas seeded from one state.
-    pub fn new(seed: ControllerState, n: usize) -> Result<Self> {
-        if n == 0 {
-            return Err(Error::Config(
-                "replica group needs at least one member".into(),
-            ));
-        }
-        Ok(ReplicaGroup {
-            replicas: vec![seed; n],
-        })
-    }
-
-    /// Number of live replicas.
-    pub fn len(&self) -> usize {
-        self.replicas.len()
-    }
-
-    /// Whether the group is empty (never true for a constructed group
-    /// until failures remove members).
-    pub fn is_empty(&self) -> bool {
-        self.replicas.is_empty()
-    }
-
-    /// Applies a mutation to every replica (strong consistency: all or
-    /// error). The closure must be deterministic.
-    pub fn mutate<R>(&mut self, mut f: impl FnMut(&mut ControllerState) -> Result<R>) -> Result<R> {
-        let mut out = None;
-        for r in &mut self.replicas {
-            out = Some(f(r)?);
-        }
-        let v0 = self.replicas[0].version();
-        if self.replicas.iter().any(|r| r.version() != v0) {
-            return Err(Error::InvalidState(
-                "replicas diverged after mutation (non-deterministic closure?)".into(),
-            ));
-        }
-        Ok(out.expect("group is non-empty"))
-    }
-
-    /// Read from the primary (index 0).
-    pub fn primary(&self) -> &ControllerState {
-        &self.replicas[0]
-    }
-
-    /// Simulates a replica crash.
-    pub fn fail_replica(&mut self, idx: usize) -> Result<()> {
-        if idx >= self.replicas.len() {
-            return Err(Error::NotFound(format!("replica {idx}")));
-        }
-        if self.replicas.len() == 1 {
-            return Err(Error::InvalidState("cannot fail the last replica".into()));
-        }
-        self.replicas.remove(idx);
-        Ok(())
-    }
-
-    /// Adds a fresh replica seeded from a survivor.
-    pub fn add_replica(&mut self) {
-        let seed = self.replicas[0].clone();
-        self.replicas.push(seed);
-    }
-}
-
-/// One warm-standby controller process contending for primaryship of a
-/// replica group.
-///
-/// Earlier versions kept primaryship in a per-process boolean, which
-/// left a split-brain window: a partitioned primary kept believing its
-/// local flag while a standby promoted itself, and both mutated state.
-/// Primaryship is now decided by the *replicated epoch* (an
-/// [`EpochFence`], the same term scheme `softcell-replica` fences log
-/// records with): promotion is a compare-and-swap epoch advance, so
-/// exactly one contender wins any transition, and every mutation
-/// re-consults the fence — a standby whose promotion epoch is no longer
-/// current has been fenced and refuses to act, whatever its local flag
-/// says. Promotions and demotions are counted in the global telemetry
-/// registry (`softcell_controller_promotions_total` /
-/// `softcell_controller_demotions_total`).
-#[derive(Debug)]
-pub struct WarmStandby {
-    state: ControllerState,
-    /// Local belief, advisory only — the fence is the authority. Kept
-    /// so a fenced standby can count its own demotion exactly once.
-    believes_primary: bool,
-    /// The epoch this standby's last successful promotion established.
-    promoted_epoch: u64,
-}
-
-impl WarmStandby {
-    /// A standby seeded with a state replica. It starts demoted.
-    pub fn new(state: ControllerState) -> WarmStandby {
-        WarmStandby {
-            state,
-            believes_primary: false,
-            promoted_epoch: 0,
-        }
-    }
-
-    /// Read access to the replica (allowed in any role).
-    pub fn state(&self) -> &ControllerState {
-        &self.state
-    }
-
-    /// The epoch this standby's current primaryship was established in
-    /// (0 if it never promoted).
-    pub fn promoted_epoch(&self) -> u64 {
-        self.promoted_epoch
-    }
-
-    /// Whether this standby is the acting primary *per the replicated
-    /// epoch* — true only if its promotion epoch is still the fence's
-    /// current epoch. A standby that merely believes it is primary but
-    /// has been fenced answers false.
-    pub fn is_primary(&self, fence: &EpochFence) -> bool {
-        self.believes_primary && fence.current() == self.promoted_epoch
-    }
-
-    /// Attempts to take primaryship by advancing the replicated epoch
-    /// from the fence's instantaneous value. Of contenders that observed
-    /// the *same* epoch, exactly one succeeds ([`Self::promote_from`]);
-    /// the losers stay (or become) demoted. Returns the epoch the new
-    /// primaryship was established in.
-    pub fn promote(&mut self, fence: &EpochFence) -> Result<u64> {
-        let observed = fence.current();
-        self.promote_from(fence, observed)
-    }
-
-    /// [`Self::promote`] with the observed epoch made explicit — the
-    /// form replication uses, where "current" comes from the standby's
-    /// replicated membership view rather than an instantaneous read. A
-    /// stale observation always loses: the CAS fails against any epoch
-    /// but `observed`.
-    pub fn promote_from(&mut self, fence: &EpochFence, observed: u64) -> Result<u64> {
-        match fence.advance(observed, observed + 1) {
-            Ok(epoch) => {
-                self.believes_primary = true;
-                self.promoted_epoch = epoch;
-                Registry::global()
-                    .counter("softcell_controller_promotions_total")
-                    .inc();
-                Ok(epoch)
-            }
-            Err(actual) => {
-                self.note_fenced(actual);
-                Err(Error::InvalidState(format!(
-                    "promotion lost: observed epoch {observed}, cluster already at {actual}"
-                )))
-            }
-        }
-    }
-
-    /// Applies a mutation as primary. Consults the replicated epoch
-    /// first: if the fence has moved past this standby's promotion
-    /// epoch, the standby demotes itself and the mutation is refused —
-    /// a fenced ex-primary can no longer change state.
-    pub fn mutate_as_primary<R>(
-        &mut self,
-        fence: &EpochFence,
-        f: impl FnOnce(&mut ControllerState) -> Result<R>,
-    ) -> Result<R> {
-        let current = fence.current();
-        if !self.believes_primary || current != self.promoted_epoch {
-            let promoted = self.promoted_epoch;
-            self.note_fenced(current);
-            return Err(Error::InvalidState(format!(
-                "not primary: promoted at epoch {promoted}, cluster at {current}"
-            )));
-        }
-        f(&mut self.state)
-    }
-
-    /// Records that the fence has moved past us; counts the demotion
-    /// once per lost primaryship.
-    fn note_fenced(&mut self, current_epoch: u64) {
-        if self.believes_primary && current_epoch != self.promoted_epoch {
-            Registry::global()
-                .counter("softcell_controller_demotions_total")
-                .inc();
-        }
-        self.believes_primary = false;
-    }
-}
 
 /// What a local agent reports when a recovering controller queries it
 /// (§5.2: "a replica can correctly rebuild the UE location state by
@@ -314,135 +119,7 @@ mod tests {
     use crate::core::ControllerConfig;
     use softcell_policy::{ServicePolicy, SubscriberAttributes};
     use softcell_topology::small_topology;
-    use softcell_types::{Ipv4Prefix, UeId, UeImsi};
-
-    fn seed_state() -> ControllerState {
-        let mut s = ControllerState::new(
-            ServicePolicy::example_carrier_a(1),
-            "100.64.0.0/10".parse::<Ipv4Prefix>().unwrap(),
-        );
-        for i in 0..4 {
-            s.put_subscriber(SubscriberAttributes::default_home(UeImsi(i)));
-        }
-        s
-    }
-
-    #[test]
-    fn replicas_apply_mutations_in_lockstep() {
-        let mut g = ReplicaGroup::new(seed_state(), 3).unwrap();
-        g.mutate(|s| s.attach(UeImsi(0), BaseStationId(0), UeId(0), SimTime::ZERO))
-            .unwrap();
-        assert_eq!(g.primary().attached_count(), 1);
-        // every replica answers identically
-        let v = g.primary().version();
-        g.mutate(|s| {
-            assert_eq!(s.version(), v);
-            Ok(())
-        })
-        .unwrap();
-    }
-
-    #[test]
-    fn failover_to_surviving_replica_keeps_slow_state() {
-        let mut g = ReplicaGroup::new(seed_state(), 3).unwrap();
-        g.mutate(|s| s.attach(UeImsi(1), BaseStationId(2), UeId(7), SimTime::ZERO))
-            .unwrap();
-        g.fail_replica(0).unwrap();
-        assert_eq!(g.len(), 2);
-        // the survivor has the subscribers and the attachment
-        assert_eq!(g.primary().subscriber_count(), 4);
-        assert_eq!(g.primary().attached_count(), 1);
-        g.add_replica();
-        assert_eq!(g.len(), 3);
-    }
-
-    #[test]
-    fn cannot_fail_last_replica() {
-        let mut g = ReplicaGroup::new(seed_state(), 1).unwrap();
-        assert!(g.fail_replica(0).is_err());
-        assert!(ReplicaGroup::new(seed_state(), 0).is_err());
-    }
-
-    /// Promotion racing and fencing live in one test because both count
-    /// into the process-global promotion/demotion counters — parallel
-    /// test threads would race the delta assertions otherwise.
-    #[test]
-    fn promotion_is_epoch_fenced() {
-        let promotions = Registry::global().counter("softcell_controller_promotions_total");
-        let demotions = Registry::global().counter("softcell_controller_demotions_total");
-        let (p0, d0) = (promotions.get(), demotions.get());
-
-        // Exactly one of N contenders that observed the same epoch wins
-        // the CAS promotion.
-        let fence = std::sync::Arc::new(EpochFence::new(1));
-        let handles: Vec<_> = (0..4)
-            .map(|_| {
-                let fence = std::sync::Arc::clone(&fence);
-                std::thread::spawn(move || {
-                    let mut sb = WarmStandby::new(seed_state());
-                    // every contender's replicated view said "epoch 1"
-                    let won = sb.promote_from(&fence, 1).is_ok();
-                    (won, sb.is_primary(&fence))
-                })
-            })
-            .collect();
-        let results: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-        let winners = results.iter().filter(|(won, _)| *won).count();
-        assert_eq!(winners, 1, "CAS promotion admits exactly one primary");
-        for (won, primary_after) in results {
-            assert_eq!(won, primary_after, "losers must not believe they lead");
-        }
-        assert_eq!(fence.current(), 2);
-        assert_eq!(promotions.get() - p0, 1);
-        assert_eq!(
-            demotions.get() - d0,
-            0,
-            "never-promoted losers aren't demotions"
-        );
-
-        // A fenced ex-primary cannot mutate, and the demotion is counted.
-        let fence = EpochFence::new(1);
-        let mut old_primary = WarmStandby::new(seed_state());
-        old_primary.promote(&fence).unwrap();
-        assert!(old_primary.is_primary(&fence));
-        old_primary
-            .mutate_as_primary(&fence, |s| {
-                s.attach(UeImsi(0), BaseStationId(0), UeId(0), SimTime::ZERO)
-            })
-            .unwrap();
-
-        // A standby promotes while the primary is partitioned away. The
-        // old primary's local flag still says "primary" — the seed
-        // behavior that opened the split-brain window — but the
-        // replicated epoch has moved on.
-        let mut standby = WarmStandby::new(old_primary.state().clone());
-        let epoch = standby.promote(&fence).unwrap();
-        assert_eq!(epoch, 3);
-        assert!(standby.is_primary(&fence));
-        assert!(
-            !old_primary.is_primary(&fence),
-            "fence overrides the stale local flag"
-        );
-
-        // Consulting the epoch refuses the fenced mutation...
-        let err = old_primary
-            .mutate_as_primary(&fence, |s| {
-                s.attach(UeImsi(1), BaseStationId(0), UeId(1), SimTime::ZERO)
-            })
-            .unwrap_err();
-        assert!(matches!(err, Error::InvalidState(_)), "got {err}");
-        // ...and the old primary's state shows no second attach.
-        assert_eq!(old_primary.state().attached_count(), 1);
-
-        // Re-promotion heals: the ex-primary rejoins by winning a fresh
-        // epoch, not by trusting its flag.
-        old_primary.promote(&fence).unwrap();
-        assert!(old_primary.is_primary(&fence));
-        assert!(!standby.is_primary(&fence));
-
-        assert_eq!(promotions.get() - p0, 4, "race winner + three promotions");
-        assert_eq!(demotions.get() - d0, 1, "one fenced demotion counted");
-    }
+    use softcell_types::UeImsi;
 
     #[test]
     fn location_rebuild_from_agents() {

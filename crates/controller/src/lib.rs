@@ -29,9 +29,9 @@
 //!   tunnels, microflow-rule copying, shortcut paths (§5.1).
 //! * [`offline`] — the §3.2 offline recompute: replay all live paths in
 //!   chain-grouped order into a fresh rule set, migrating the fabric.
-//! * [`failover`] — replicated control state and recovery: controller
-//!   replicas rebuild UE locations from agents; agents refetch from the
-//!   controller (§5.2).
+//! * [`failover`] — recovery of the unreplicated state: a controller
+//!   replica rebuilds UE locations from agents; agents refetch from the
+//!   controller (§5.2). Replication itself is `softcell-replica`.
 //! * [`sharded`] — the UE-partitioned controller core: N worker shards
 //!   over a ticket-sequenced shared path engine, cross-shard rendezvous
 //!   for handoffs, batched flow-mod emission; differentially verified

@@ -4,23 +4,19 @@
 //! emulated switches (= local agents) flood packet-in events and the
 //! controller answers with packet classifiers, reaching 2.2 M
 //! requests/second with 15 threads. [`ControllerServer`] is the Rust
-//! analogue: a worker pool over a crossbeam channel computing per-UE
-//! classifiers (attach handling) and policy-tag answers (path requests)
-//! against shared, mostly-read state.
+//! analogue: N single-worker domains, one bounded queue each, computing
+//! per-UE classifiers (attach handling) and policy-tag answers (path
+//! requests).
 //!
-//! Two pool shapes are supported:
-//!
-//! * **Classic** ([`ControllerServer::start`]): one request queue fanned
-//!   out to M workers sharing all mutable state (the path map behind a
-//!   mutex, permanent addresses from an atomic counter).
-//! * **Sharded** ([`ControllerServer::start_sharded`]): N single-worker
-//!   domains, one queue each. The [`RequestRouter`] sends every request
-//!   to the domain owning its key — UE-scoped requests by
-//!   [`shard_of_ue`], station-scoped ones by [`shard_of_station`] — so
-//!   each domain's path map needs no lock at all, and the finite
-//!   identifier spaces (policy tags, permanent addresses) are split into
-//!   per-domain [`ShardRange`]s over shared [`RangePool`]s, with
-//!   exhausted domains stealing ranges other domains spilled.
+//! The one invariant: every piece of mutable front-end state lives in
+//! the domain its key routes to. The [`RequestRouter`] sends every
+//! request to the domain owning its key — UE-scoped requests by
+//! [`shard_of_ue`], station-scoped ones by [`shard_of_station`] — so a
+//! domain's UE map and path map need no lock at all, and the finite
+//! identifier spaces (policy tags, permanent addresses) are split into
+//! per-domain [`ShardRange`]s over shared [`RangePool`]s, with exhausted
+//! domains stealing ranges other domains spilled. What stays shared is
+//! read-mostly (policy, subscriber base) or telemetry.
 
 use std::net::Ipv4Addr;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -28,14 +24,14 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 
 use softcell_policy::clause::ClauseId;
 use softcell_policy::{AppClassifier, ServicePolicy, SubscriberAttributes, UeClassifier};
 use softcell_telemetry::{trace, Counter, Gauge, Histogram, Registry, ReqTrace, Stopwatch};
 use softcell_types::{
     shard_of_station, shard_of_ue, BaseStationId, Error, PolicyTag, RangePool, Result, ShardRange,
-    SimTime, Striped, UeId, UeImsi,
+    SimTime, UeId, UeImsi,
 };
 
 use crate::core::AttachGrant;
@@ -51,11 +47,11 @@ pub const DEFAULT_QUEUE_DEPTH: usize = 4096;
 /// (100.64.0.0/10, matching [`crate::core::ControllerConfig::simulation`]).
 pub(crate) const PERMANENT_POOL_BASE: u32 = 0x6440_0000;
 
-/// Size of the permanent-address offset space a sharded server splits
-/// into per-domain ranges.
+/// Size of the permanent-address offset space the domains split into
+/// per-domain ranges.
 const PERMANENT_SPACE: u32 = 1 << 20;
 
-/// Size of the policy-tag space (mirrors the classic pool's `% 1024`).
+/// Size of the policy-tag space the domains split.
 const TAG_SPACE: u32 = 1024;
 
 /// Identifier block handed to a domain at a time; small enough that the
@@ -93,9 +89,8 @@ pub enum Request {
         /// Trace context + enqueue stamp.
         trace: ReqTrace,
     },
-    /// A UE detached over the wire: drop its record (returning it) and,
-    /// in sharded mode, release its permanent address to the owning
-    /// domain's range.
+    /// A UE detached over the wire: drop its record (returning it) and
+    /// release its permanent address to the owning domain's range.
     Detach {
         /// The subscriber.
         imsi: UeImsi,
@@ -145,8 +140,7 @@ impl Request {
 /// Routes requests to the domain owning their key: UE-scoped requests
 /// ([`Request::Classifier`], [`Request::Attach`], [`Request::Detach`])
 /// by [`shard_of_ue`], station-scoped ones ([`Request::PathTag`]) by
-/// [`shard_of_station`]. Over a classic server (one queue) every request
-/// lands on the single queue, so callers can use the router uniformly.
+/// [`shard_of_station`]. The only way into a [`ControllerServer`].
 #[derive(Clone)]
 pub struct RequestRouter {
     txs: Arc<[Sender<Request>]>,
@@ -170,8 +164,8 @@ impl RequestRouter {
         }
     }
 
-    /// Sends a request to its owning domain (blocking on a full queue,
-    /// like the classic handle).
+    /// Sends a request to its owning domain, blocking while that
+    /// domain's queue is full.
     pub fn route(&self, req: Request) -> Result<()> {
         let i = self.shard_of(&req);
         self.txs[i]
@@ -195,36 +189,32 @@ impl RequestRouter {
     }
 }
 
-/// One sharded domain's private state: its path map (no lock — routing
-/// guarantees single ownership of every (bs, clause) key) and its slices
-/// of the shared tag and permanent-address spaces.
+/// One domain's private state: its UE and path maps (no lock — routing
+/// guarantees single ownership of every IMSI and every (bs, clause) key)
+/// and its slices of the shared tag and permanent-address spaces.
 struct Domain {
+    /// UE records registered over the wire front-end ([`crate::wire`]).
+    ues: std::collections::HashMap<UeImsi, UeRecord>,
+    /// (bs, clause) → tag. Path installation stand-in: allocate a tag and
+    /// record the path. (The full Algorithm 1 runs in
+    /// [`crate::sharded`]; this server measures control-plane request
+    /// throughput, where the paper's bottleneck is the request fan-in,
+    /// not the argmin.)
     paths: std::collections::HashMap<(BaseStationId, ClauseId), PolicyTag>,
     tags: ShardRange,
     permanent: ShardRange,
 }
 
-/// Shared controller state behind the worker pool.
+/// Controller state every domain reads: configuration and telemetry.
 pub(crate) struct Shared {
     policy: RwLock<ServicePolicy>,
     apps: AppClassifier,
     subscribers: RwLock<std::collections::HashMap<UeImsi, SubscriberAttributes>>,
-    /// (bs, clause) → tag; the path-installation critical section.
-    paths: Mutex<std::collections::HashMap<(BaseStationId, ClauseId), PolicyTag>>,
-    next_tag: AtomicU64,
     /// This server's metric registry — per instance, so tests running
     /// many servers in parallel never see each other's numbers.
     pub(crate) telemetry: Arc<Registry>,
     /// Packet-in requests served (`softcell_controller_packet_in_total`).
     pub(crate) served: Arc<Counter>,
-    /// UE records registered over the wire front-end ([`crate::wire`]),
-    /// striped by IMSI so domains touching different UEs never contend
-    /// (one global mutex here serialized every attach/detach across the
-    /// whole pool and flattened throughput past ~8 shards).
-    pub(crate) ues: Striped<std::collections::HashMap<UeImsi, crate::state::UeRecord>>,
-    /// Permanent-address allocator for wire attaches (offsets into the
-    /// carrier-grade NAT pool 100.64/10, like the simulation config).
-    pub(crate) next_permanent: std::sync::atomic::AtomicU32,
     /// Wire connections currently being served ([`crate::wire`]).
     pub(crate) active_connections: Arc<Gauge>,
     /// Wire connections that ended, cleanly or not.
@@ -237,8 +227,8 @@ pub(crate) struct Shared {
     /// ([`crate::wire`] front-end; the queue-full path replies with an
     /// error instead of discarding invisibly).
     pub(crate) queue_rejected: Arc<Counter>,
-    /// Ticket counter stamped onto `flow_mod_batch` replies in sharded
-    /// mode ([`crate::wire`]).
+    /// Ticket counter stamped onto `flow_mod_batch` replies
+    /// ([`crate::wire`]).
     pub(crate) batch_seq: AtomicU64,
     /// Simulated southbound install fence, in microseconds (benchmark
     /// knob, default 0). When set, a worker blocks this long wherever
@@ -272,66 +262,20 @@ impl Shared {
     }
 }
 
-/// A running worker pool — classic (one queue, M workers) or sharded
-/// (N single-worker domains).
+/// A running front-end: N single-worker domains.
 pub struct ControllerServer {
     txs: Arc<[Sender<Request>]>,
     workers: Vec<JoinHandle<()>>,
     shared: Arc<Shared>,
-    sharded: bool,
 }
 
 impl ControllerServer {
-    /// Starts `threads` workers over the given policy and subscriber
-    /// base, with the default request-queue depth
-    /// ([`DEFAULT_QUEUE_DEPTH`]).
-    pub fn start(
-        policy: ServicePolicy,
-        subscribers: impl IntoIterator<Item = SubscriberAttributes>,
-        threads: usize,
-    ) -> Result<ControllerServer> {
-        Self::start_with_depth(policy, subscribers, threads, DEFAULT_QUEUE_DEPTH)
-    }
-
-    /// Starts `threads` workers with an explicit request-queue depth.
-    /// Senders block once `depth` requests are in flight.
-    pub fn start_with_depth(
-        policy: ServicePolicy,
-        subscribers: impl IntoIterator<Item = SubscriberAttributes>,
-        threads: usize,
-        depth: usize,
-    ) -> Result<ControllerServer> {
-        if threads == 0 {
-            return Err(Error::Config("server needs at least one worker".into()));
-        }
-        if depth == 0 {
-            return Err(Error::Config("request queue needs depth >= 1".into()));
-        }
-        let shared = Self::new_shared(policy, subscribers, threads);
-        let (tx, rx) = bounded::<Request>(depth);
-        let workers = (0..threads)
-            .map(|_| {
-                let rx: Receiver<Request> = rx.clone();
-                let shared = Arc::clone(&shared);
-                // classic workers share one queue, so they share the
-                // shard=0 metric family too
-                let wm = WorkerMetrics::new(&shared.telemetry, 0);
-                std::thread::spawn(move || worker_loop(rx, shared, None, wm))
-            })
-            .collect();
-        Ok(ControllerServer {
-            txs: Arc::from(vec![tx]),
-            workers,
-            shared,
-            sharded: false,
-        })
-    }
-
-    /// Starts a sharded pool: `shards` single-worker domains, one
-    /// request queue each, with per-domain path maps and per-domain
-    /// ranges of the tag and permanent-address spaces. Requests must be
-    /// submitted through the [`RequestRouter`] ([`Self::router`]) so
-    /// every key reaches its owning domain.
+    /// Starts `shards` single-worker domains over the given policy and
+    /// subscriber base, one request queue ([`DEFAULT_QUEUE_DEPTH`]) each,
+    /// with per-domain UE and path maps and per-domain ranges of the tag
+    /// and permanent-address spaces. Requests are submitted through the
+    /// [`RequestRouter`] ([`Self::router`]) so every key reaches its
+    /// owning domain.
     pub fn start_sharded(
         policy: ServicePolicy,
         subscribers: impl IntoIterator<Item = SubscriberAttributes>,
@@ -340,48 +284,12 @@ impl ControllerServer {
         if shards == 0 {
             return Err(Error::Config("server needs at least one shard".into()));
         }
-        let shared = Self::new_shared(policy, subscribers, shards);
-        let tag_pool = RangePool::new(TAG_SPACE, RANGE_BLOCK);
-        let perm_pool = RangePool::new(PERMANENT_SPACE, RANGE_BLOCK);
-        let mut txs = Vec::with_capacity(shards);
-        let mut workers = Vec::with_capacity(shards);
-        for shard in 0..shards {
-            let (tx, rx) = bounded::<Request>(DEFAULT_QUEUE_DEPTH);
-            let shared = Arc::clone(&shared);
-            let domain = Domain {
-                paths: std::collections::HashMap::new(),
-                tags: ShardRange::new(Arc::clone(&tag_pool)),
-                permanent: ShardRange::new(Arc::clone(&perm_pool)),
-            };
-            let wm = WorkerMetrics::new(&shared.telemetry, shard);
-            txs.push(tx);
-            workers.push(std::thread::spawn(move || {
-                worker_loop(rx, shared, Some(domain), wm)
-            }));
-        }
-        Ok(ControllerServer {
-            txs: Arc::from(txs),
-            workers,
-            shared,
-            sharded: true,
-        })
-    }
-
-    fn new_shared(
-        policy: ServicePolicy,
-        subscribers: impl IntoIterator<Item = SubscriberAttributes>,
-        stripes: usize,
-    ) -> Arc<Shared> {
         let telemetry = Registry::new();
-        Arc::new(Shared {
+        let shared = Arc::new(Shared {
             policy: RwLock::new(policy),
             apps: AppClassifier::default(),
             subscribers: RwLock::new(subscribers.into_iter().map(|a| (a.imsi, a)).collect()),
-            paths: Mutex::new(std::collections::HashMap::new()),
-            next_tag: AtomicU64::new(0),
             served: telemetry.counter("softcell_controller_packet_in_total"),
-            ues: Striped::new(stripes),
-            next_permanent: std::sync::atomic::AtomicU32::new(0),
             active_connections: telemetry.gauge("softcell_controller_active_connections"),
             disconnects: telemetry.counter("softcell_controller_disconnects_total"),
             connection_errors: telemetry.counter("softcell_controller_connection_errors_total"),
@@ -390,6 +298,30 @@ impl ControllerServer {
             install_latency_us: AtomicU64::new(0),
             dedup_window: AtomicU64::new(softcell_ctlchan::DEDUP_WINDOW as u64),
             telemetry,
+        });
+        let tag_pool = RangePool::new(TAG_SPACE, RANGE_BLOCK);
+        let perm_pool = RangePool::new(PERMANENT_SPACE, RANGE_BLOCK);
+        let mut txs = Vec::with_capacity(shards);
+        let mut workers = Vec::with_capacity(shards);
+        for shard in 0..shards {
+            let (tx, rx) = bounded::<Request>(DEFAULT_QUEUE_DEPTH);
+            let shared = Arc::clone(&shared);
+            let domain = Domain {
+                ues: std::collections::HashMap::new(),
+                paths: std::collections::HashMap::new(),
+                tags: ShardRange::new(Arc::clone(&tag_pool)),
+                permanent: ShardRange::new(Arc::clone(&perm_pool)),
+            };
+            let wm = WorkerMetrics::new(&shared.telemetry, shard);
+            txs.push(tx);
+            workers.push(std::thread::spawn(move || {
+                worker_loop(rx, shared, domain, wm)
+            }));
+        }
+        Ok(ControllerServer {
+            txs: Arc::from(txs),
+            workers,
+            shared,
         })
     }
 
@@ -415,29 +347,15 @@ impl ControllerServer {
             .store(window as u64, Ordering::Relaxed);
     }
 
-    /// A handle for submitting requests (cloneable across client
-    /// threads). On a sharded server this reaches only domain 0 — use
-    /// [`Self::router`] instead.
-    pub fn handle(&self) -> Sender<Request> {
-        self.txs[0].clone()
-    }
-
-    /// A router sending each request to its owning domain. Over a
-    /// classic server the router degenerates to the single queue, so
-    /// front-ends can use it unconditionally.
+    /// A router sending each request to its owning domain (cloneable
+    /// across client threads).
     pub fn router(&self) -> RequestRouter {
         RequestRouter {
             txs: Arc::clone(&self.txs),
         }
     }
 
-    /// Whether this server runs in sharded mode (and thus answers path
-    /// requests with `flow_mod_batch` messages over the wire).
-    pub fn is_sharded(&self) -> bool {
-        self.sharded
-    }
-
-    /// Number of domains (sharded) or 1 (classic).
+    /// Number of domains.
     pub fn domains(&self) -> usize {
         self.txs.len()
     }
@@ -490,17 +408,10 @@ impl ControllerServer {
     }
 
     /// Stops the workers and waits for them. Robust against outstanding
-    /// cloned handles: one shutdown sentinel is sent per worker (classic
-    /// workers share one queue; sharded domains get one each).
+    /// cloned routers: every domain gets one shutdown sentinel.
     pub fn shutdown(self) {
-        if self.txs.len() == 1 {
-            for _ in 0..self.workers.len() {
-                let _ = self.txs[0].send(Request::Shutdown);
-            }
-        } else {
-            for tx in self.txs.iter() {
-                let _ = tx.send(Request::Shutdown);
-            }
+        for tx in self.txs.iter() {
+            let _ = tx.send(Request::Shutdown);
         }
         drop(self.txs);
         for w in self.workers {
@@ -510,8 +421,7 @@ impl ControllerServer {
 }
 
 /// Per-worker telemetry handles, interned once at spawn so the request
-/// loop touches only atomics. Classic workers share the `shard=0`
-/// family (they share one queue); sharded domains get one family each.
+/// loop touches only atomics; one family per domain.
 struct WorkerMetrics {
     /// `softcell_controller_shard_served_total{shard=i}`.
     served: Arc<Counter>,
@@ -558,12 +468,7 @@ fn compile_classifier(shared: &Shared, imsi: UeImsi) -> Result<UeClassifier> {
     Ok(UeClassifier::compile(&policy, &shared.apps, attrs))
 }
 
-fn worker_loop(
-    rx: Receiver<Request>,
-    shared: Arc<Shared>,
-    mut domain: Option<Domain>,
-    wm: WorkerMetrics,
-) {
+fn worker_loop(rx: Receiver<Request>, shared: Arc<Shared>, mut domain: Domain, wm: WorkerMetrics) {
     while let Ok(req) = rx.recv() {
         // requests still queued behind the one just taken
         wm.queue_hwm.record_max(rx.len() as u64);
@@ -590,9 +495,8 @@ fn worker_loop(
             Request::Shutdown => {
                 // the domain's ranges die with the worker; bank their
                 // steal counts first
-                if let Some(d) = domain.as_ref() {
-                    wm.steals.add(d.tags.steals() + d.permanent.steals());
-                }
+                wm.steals
+                    .add(domain.tags.steals() + domain.permanent.steals());
                 return;
             }
             Request::Classifier { imsi, reply, .. } => {
@@ -614,28 +518,19 @@ fn worker_loop(
             } => {
                 let out = (|| {
                     let classifier = compile_classifier(&shared, imsi)?;
-                    let mut ues = shared.ues.for_ue(imsi);
                     // permanent addresses never change (§3.1): a
                     // re-attach keeps the one first assigned
-                    let permanent_ip = match ues.get(&imsi) {
+                    let permanent_ip = match domain.ues.get(&imsi) {
                         Some(r) => r.permanent_ip,
-                        None => match domain.as_mut() {
-                            // sharded: draw from this domain's range —
-                            // routing by imsi guarantees the matching
-                            // detach releases to the same range
-                            Some(d) => {
-                                let off = d.permanent.allocate().ok_or_else(|| {
-                                    Error::Exhausted("permanent-address space".into())
-                                })?;
-                                Ipv4Addr::from(PERMANENT_POOL_BASE + 1 + off)
-                            }
-                            // classic: a shared monotone counter
-                            None => {
-                                // softcell-lint: allow(atomics-order) -- pure counter: fetch_add uniqueness is ordering-independent
-                                let n = shared.next_permanent.fetch_add(1, Ordering::Relaxed) + 1;
-                                Ipv4Addr::from(PERMANENT_POOL_BASE + n)
-                            }
-                        },
+                        // draw from this domain's range — routing by
+                        // imsi guarantees the matching detach releases
+                        // to the same range
+                        None => {
+                            let off = domain.permanent.allocate().ok_or_else(|| {
+                                Error::Exhausted("permanent-address space".into())
+                            })?;
+                            Ipv4Addr::from(PERMANENT_POOL_BASE + 1 + off)
+                        }
                     };
                     let record = UeRecord {
                         imsi,
@@ -644,8 +539,7 @@ fn worker_loop(
                         ue_id,
                         since: now,
                     };
-                    ues.insert(imsi, record);
-                    drop(ues);
+                    domain.ues.insert(imsi, record);
                     // the classifier install at the access station fences
                     shared.install_fence();
                     Ok(AttachGrant { record, classifier })
@@ -656,14 +550,13 @@ fn worker_loop(
                 let _ = reply.send(out);
             }
             Request::Detach { imsi, reply, .. } => {
-                let out = shared
+                let out = domain
                     .ues
-                    .for_ue(imsi)
                     .remove(&imsi)
                     .ok_or_else(|| Error::NotFound(format!("{imsi} not attached")));
-                if let (Ok(record), Some(d)) = (&out, domain.as_mut()) {
+                if let Ok(record) = &out {
                     let off = u32::from(record.permanent_ip) - PERMANENT_POOL_BASE - 1;
-                    d.permanent.release(off);
+                    domain.permanent.release(off);
                 }
                 shared.served.inc();
                 wm.served.inc();
@@ -673,51 +566,26 @@ fn worker_loop(
             Request::PathTag {
                 bs, clause, reply, ..
             } => {
-                let out = match domain.as_mut() {
-                    // sharded: this domain owns every (bs, clause) it is
-                    // ever asked about, so its map needs no lock and the
-                    // tag comes from its private range
-                    Some(d) => match d.paths.get(&(bs, clause)) {
-                        Some(t) => {
-                            wm.path_hits.inc();
-                            Ok(*t)
-                        }
-                        None => d
-                            .tags
-                            .allocate()
-                            .map(|v| {
-                                wm.path_misses.inc();
-                                let t = PolicyTag(v as u16);
-                                d.paths.insert((bs, clause), t);
-                                // the path's fabric rules fence
-                                shared.install_fence();
-                                t
-                            })
-                            .ok_or_else(|| Error::Exhausted("policy-tag space".into())),
-                    },
-                    None => {
-                        let mut paths = shared.paths.lock();
-                        if let Some(t) = paths.get(&(bs, clause)) {
-                            wm.path_hits.inc();
-                            Ok(*t)
-                        } else {
-                            wm.path_misses.inc();
-                            // Path installation stand-in: allocate a tag
-                            // and record the path. (The full Algorithm 1
-                            // runs in the single-threaded controller;
-                            // this server measures control-plane request
-                            // throughput, where the paper's bottleneck is
-                            // the request fan-in, not the argmin.)
-                            let t = PolicyTag(
-                                // softcell-lint: allow(atomics-order) -- pure counter: fetch_add uniqueness is ordering-independent
-                                (shared.next_tag.fetch_add(1, Ordering::Relaxed)
-                                    % u64::from(TAG_SPACE)) as u16,
-                            );
-                            paths.insert((bs, clause), t);
-                            shared.install_fence();
-                            Ok(t)
-                        }
+                // this domain owns every (bs, clause) it is ever asked
+                // about, so its map needs no lock and the tag comes from
+                // its private range
+                let out = match domain.paths.get(&(bs, clause)) {
+                    Some(t) => {
+                        wm.path_hits.inc();
+                        Ok(*t)
                     }
+                    None => domain
+                        .tags
+                        .allocate()
+                        .map(|v| {
+                            wm.path_misses.inc();
+                            let t = PolicyTag(v as u16);
+                            domain.paths.insert((bs, clause), t);
+                            // the path's fabric rules fence
+                            shared.install_fence();
+                            t
+                        })
+                        .ok_or_else(|| Error::Exhausted("policy-tag space".into())),
                 };
                 shared.served.inc();
                 wm.served.inc();
@@ -739,19 +607,27 @@ mod tests {
             .collect()
     }
 
+    fn server(subs: u64, shards: usize) -> ControllerServer {
+        ControllerServer::start_sharded(
+            ServicePolicy::example_carrier_a(1),
+            subscribers(subs),
+            shards,
+        )
+        .unwrap()
+    }
+
     #[test]
     fn classifier_requests_round_trip() {
-        let server =
-            ControllerServer::start(ServicePolicy::example_carrier_a(1), subscribers(10), 2)
-                .unwrap();
-        let h = server.handle();
+        let server = server(10, 2);
         let (tx, rx) = bounded(1);
-        h.send(Request::Classifier {
-            imsi: UeImsi(3),
-            reply: tx,
-            trace: ReqTrace::NONE,
-        })
-        .unwrap();
+        server
+            .router()
+            .route(Request::Classifier {
+                imsi: UeImsi(3),
+                reply: tx,
+                trace: ReqTrace::NONE,
+            })
+            .unwrap();
         let classifier = rx.recv().unwrap().unwrap();
         assert!(!classifier.entries().is_empty());
         assert_eq!(server.served(), 1);
@@ -760,9 +636,7 @@ mod tests {
 
     #[test]
     fn dedup_window_defaults_and_reconfigures() {
-        let server =
-            ControllerServer::start(ServicePolicy::example_carrier_a(1), subscribers(1), 1)
-                .unwrap();
+        let server = server(1, 1);
         assert_eq!(
             server.shared_state().dedup_window(),
             softcell_ctlchan::DEDUP_WINDOW
@@ -774,13 +648,11 @@ mod tests {
 
     #[test]
     fn unknown_subscriber_errors() {
-        let server =
-            ControllerServer::start(ServicePolicy::example_carrier_a(1), subscribers(1), 1)
-                .unwrap();
+        let server = server(1, 1);
         let (tx, rx) = bounded(1);
         server
-            .handle()
-            .send(Request::Classifier {
+            .router()
+            .route(Request::Classifier {
                 imsi: UeImsi(99),
                 reply: tx,
                 trace: ReqTrace::NONE,
@@ -792,19 +664,18 @@ mod tests {
 
     #[test]
     fn path_tags_are_stable_per_station_clause() {
-        let server =
-            ControllerServer::start(ServicePolicy::example_carrier_a(1), subscribers(1), 4)
-                .unwrap();
-        let h = server.handle();
+        let server = server(1, 4);
+        let router = server.router();
         let ask = |bs: u32, clause: u16| {
             let (tx, rx) = bounded(1);
-            h.send(Request::PathTag {
-                bs: BaseStationId(bs),
-                clause: ClauseId(clause),
-                reply: tx,
-                trace: ReqTrace::NONE,
-            })
-            .unwrap();
+            router
+                .route(Request::PathTag {
+                    bs: BaseStationId(bs),
+                    clause: ClauseId(clause),
+                    reply: tx,
+                    trace: ReqTrace::NONE,
+                })
+                .unwrap();
             rx.recv().unwrap().unwrap()
         };
         let t1 = ask(5, 0);
@@ -817,22 +688,21 @@ mod tests {
 
     #[test]
     fn many_threads_many_requests() {
-        let server =
-            ControllerServer::start(ServicePolicy::example_carrier_a(1), subscribers(100), 4)
-                .unwrap();
-        let h = server.handle();
+        let server = server(100, 4);
+        let router = server.router();
         let clients: Vec<_> = (0..4)
             .map(|c| {
-                let h = h.clone();
+                let router = router.clone();
                 std::thread::spawn(move || {
                     let (tx, rx) = bounded(1);
                     for i in 0..250u64 {
-                        h.send(Request::Classifier {
-                            imsi: UeImsi((c * 25 + i) % 100),
-                            reply: tx.clone(),
-                            trace: ReqTrace::NONE,
-                        })
-                        .unwrap();
+                        router
+                            .route(Request::Classifier {
+                                imsi: UeImsi((c * 25 + i) % 100),
+                                reply: tx.clone(),
+                                trace: ReqTrace::NONE,
+                            })
+                            .unwrap();
                         rx.recv().unwrap().unwrap();
                     }
                 })
@@ -847,13 +717,7 @@ mod tests {
 
     #[test]
     fn sharded_server_routes_by_key_and_round_trips() {
-        let server = ControllerServer::start_sharded(
-            ServicePolicy::example_carrier_a(1),
-            subscribers(32),
-            4,
-        )
-        .unwrap();
-        assert!(server.is_sharded());
+        let server = server(32, 4);
         assert_eq!(server.domains(), 4);
         let router = server.router();
 
@@ -924,12 +788,7 @@ mod tests {
         // attach/detach churn across many UEs drives the per-domain
         // ranges through release, spill and steal; no two concurrently
         // attached UEs may ever share a permanent address
-        let server = ControllerServer::start_sharded(
-            ServicePolicy::example_carrier_a(1),
-            subscribers(256),
-            4,
-        )
-        .unwrap();
+        let server = server(256, 4);
         let router = server.router();
         let (atx, arx) = bounded(1);
         let (dtx, drx) = bounded(1);
@@ -973,40 +832,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_concurrent_clients_spread_across_domains() {
-        let server = ControllerServer::start_sharded(
-            ServicePolicy::example_carrier_a(1),
-            subscribers(100),
-            4,
-        )
-        .unwrap();
-        let router = server.router();
-        let clients: Vec<_> = (0..4u64)
-            .map(|c| {
-                let router = router.clone();
-                std::thread::spawn(move || {
-                    let (tx, rx) = bounded(1);
-                    for i in 0..250u64 {
-                        router
-                            .route(Request::Classifier {
-                                imsi: UeImsi((c * 25 + i) % 100),
-                                reply: tx.clone(),
-                                trace: ReqTrace::NONE,
-                            })
-                            .unwrap();
-                        rx.recv().unwrap().unwrap();
-                    }
-                })
-            })
-            .collect();
-        for c in clients {
-            c.join().unwrap();
-        }
-        assert_eq!(server.served(), 1000);
-        server.shutdown();
-    }
-
-    #[test]
     fn zero_shards_rejected() {
         assert!(ControllerServer::start_sharded(
             ServicePolicy::example_carrier_a(1),
@@ -1017,45 +842,41 @@ mod tests {
     }
 
     #[test]
-    fn zero_workers_rejected() {
-        assert!(
-            ControllerServer::start(ServicePolicy::example_carrier_a(1), subscribers(1), 0)
-                .is_err()
-        );
-    }
-
-    #[test]
-    fn zero_depth_rejected() {
-        assert!(ControllerServer::start_with_depth(
-            ServicePolicy::example_carrier_a(1),
-            subscribers(1),
-            1,
-            0
-        )
-        .is_err());
-    }
-
-    #[test]
-    fn shallow_queue_still_serves() {
-        let server = ControllerServer::start_with_depth(
-            ServicePolicy::example_carrier_a(1),
-            subscribers(10),
-            1,
-            1,
-        )
-        .unwrap();
-        let h = server.handle();
-        let (tx, rx) = bounded(1);
-        for i in 0..20u64 {
-            h.send(Request::Classifier {
-                imsi: UeImsi(i % 10),
-                reply: tx.clone(),
-                trace: ReqTrace::NONE,
-            })
-            .unwrap();
-            rx.recv().unwrap().unwrap();
+    fn full_domain_queue_sheds_then_recovers() {
+        let server = server(1, 1);
+        server.set_install_latency(std::time::Duration::from_millis(200));
+        let router = server.router();
+        let (tx, rx) = bounded(DEFAULT_QUEUE_DEPTH + 1);
+        let ask = || Request::PathTag {
+            bs: BaseStationId(5),
+            clause: ClauseId(0),
+            reply: tx.clone(),
+            trace: ReqTrace::NONE,
+        };
+        // the miss parks the only worker in the install fence; once it
+        // has been taken the queue is empty and nothing drains it
+        router.route(ask()).unwrap();
+        while !router.txs[0].is_empty() {
+            std::thread::yield_now();
         }
-        assert_eq!(server.served(), 20);
+        for i in 0..DEFAULT_QUEUE_DEPTH {
+            assert!(router.try_route(ask()).unwrap(), "request {i} fits");
+        }
+        assert!(!router.try_route(ask()).unwrap(), "queue full: shed");
+
+        // after the fence every accepted request is answered, all alike
+        let tag = rx.recv().unwrap().unwrap();
+        for _ in 0..DEFAULT_QUEUE_DEPTH {
+            assert_eq!(rx.recv().unwrap().unwrap(), tag);
+        }
+        assert!(rx.try_recv().is_err(), "the shed request got no answer");
+        let hwm = server
+            .telemetry()
+            .gauge_with("softcell_controller_shard_queue_depth_hwm", "shard=0")
+            .get();
+        assert!(hwm >= DEFAULT_QUEUE_DEPTH as u64 - 1, "hwm {hwm}");
+        assert!(router.try_route(ask()).unwrap(), "drained queue accepts");
+        assert_eq!(rx.recv().unwrap().unwrap(), tag);
         server.shutdown();
     }
 }

@@ -95,13 +95,12 @@ pub fn classifier_from_wire(w: WireClassifier) -> UeClassifier {
 
 impl ControllerServer {
     /// Serves one agent connection over `transport` on a dedicated
-    /// thread, translating packet-in events to worker-pool requests.
+    /// thread, translating packet-in events to domain requests.
     /// Returns when the agent disconnects. Spawn once per connection —
     /// concurrency across agents comes from one serve thread each, all
-    /// feeding the same worker pool.
+    /// feeding the same domains.
     pub fn serve<T: Transport + 'static>(&self, transport: T) -> JoinHandle<Result<()>> {
         let router = self.router();
-        let sharded = self.is_sharded();
         let shared = self.shared_state();
         std::thread::spawn(move || {
             // One reply pair per kind, reused across requests: the serve
@@ -171,7 +170,7 @@ impl ControllerServer {
                                 },
                             )?;
                             let tag = tag_rx.recv().map_err(|_| pool_gone())??;
-                            // same path stand-in as the worker pool: one tag
+                            // same path stand-in as the domains: one tag
                             // end to end, first fabric port, no QoS
                             let tags = PathTags {
                                 uplink_entry: tag,
@@ -185,35 +184,30 @@ impl ControllerServer {
                                 clause,
                                 tags: tags.into(),
                             }];
-                            // a sharded server answers with the ticketed,
-                            // barrier-delimited batch form
-                            Ok(if sharded {
-                                let shard = shard_of_station(bs, router.domains()) as u16;
-                                let mut batch_sp =
-                                    Registry::global().tracer().span_in(ctx, "flow_mod_batch");
-                                batch_sp.set_shard(shard as usize);
-                                // AcqRel: the batch sequence number orders
-                                // flow-mod batches across serve threads, so
-                                // stamping it must not be reorderable against
-                                // the batch contents it numbers.
-                                let seq = shared.batch_seq.fetch_add(1, Ordering::AcqRel) as u32;
-                                batch_sp.set_label(u64::from(seq));
-                                shared.telemetry.journal().record(
-                                    "flow_mod_batch",
-                                    u64::from(shard),
-                                    u64::from(seq),
-                                );
-                                Message::FlowModBatch {
-                                    shard,
-                                    seq,
-                                    groups: vec![WireBatchGroup {
-                                        bs,
-                                        barrier: true,
-                                        mods,
-                                    }],
-                                }
-                            } else {
-                                Message::FlowMod(mods)
+                            // the ticketed, barrier-delimited batch form
+                            let shard = shard_of_station(bs, router.domains()) as u16;
+                            let mut batch_sp =
+                                Registry::global().tracer().span_in(ctx, "flow_mod_batch");
+                            batch_sp.set_shard(shard as usize);
+                            // AcqRel: the batch sequence number orders
+                            // flow-mod batches across serve threads, so
+                            // stamping it must not be reorderable against
+                            // the batch contents it numbers.
+                            let seq = shared.batch_seq.fetch_add(1, Ordering::AcqRel) as u32;
+                            batch_sp.set_label(u64::from(seq));
+                            shared.telemetry.journal().record(
+                                "flow_mod_batch",
+                                u64::from(shard),
+                                u64::from(seq),
+                            );
+                            Ok(Message::FlowModBatch {
+                                shard,
+                                seq,
+                                groups: vec![WireBatchGroup {
+                                    bs,
+                                    barrier: true,
+                                    mods,
+                                }],
                             })
                         })(),
                         PacketIn::Detach { imsi } => (|| {
@@ -436,18 +430,14 @@ impl<T: Transport> ControllerApi for ChannelController<T> {
     }
 
     fn request_policy_path(&mut self, bs: BaseStationId, clause: ClauseId) -> Result<PathTags> {
-        // a classic server answers `flow_mod`, a sharded one the
-        // ticketed `flow_mod_batch` — the agent accepts both
-        let mods: Vec<WireFlowMod> = match self.round_trip(PacketIn::PathRequest { bs, clause })? {
-            Message::FlowMod(mods) => mods,
-            Message::FlowModBatch { groups, .. } => groups
-                .into_iter()
-                .filter(|g| g.bs == bs)
-                .flat_map(|g| g.mods)
-                .collect(),
+        let groups = match self.round_trip(PacketIn::PathRequest { bs, clause })? {
+            Message::FlowModBatch { groups, .. } => groups,
             other => Err(softcell_ctlchan::channel::unexpected("flow mod", &other))?,
         };
-        mods.iter()
+        groups
+            .iter()
+            .filter(|g| g.bs == bs)
+            .flat_map(|g| &g.mods)
             .find(|m| m.bs == bs && m.clause == clause)
             .map(|m| m.tags.into())
             .ok_or_else(|| {
@@ -487,7 +477,7 @@ mod tests {
     #[test]
     fn attach_detach_over_the_wire() {
         let server =
-            ControllerServer::start(ServicePolicy::example_carrier_a(1), subscribers(4), 2)
+            ControllerServer::start_sharded(ServicePolicy::example_carrier_a(1), subscribers(4), 2)
                 .unwrap();
         let (agent_end, controller_end) = loopback_pair();
         let serve = server.serve(controller_end);
@@ -521,7 +511,7 @@ mod tests {
     #[test]
     fn unknown_subscriber_error_crosses_the_wire() {
         let server =
-            ControllerServer::start(ServicePolicy::example_carrier_a(1), subscribers(1), 1)
+            ControllerServer::start_sharded(ServicePolicy::example_carrier_a(1), subscribers(1), 1)
                 .unwrap();
         let (agent_end, controller_end) = loopback_pair();
         let serve = server.serve(controller_end);
@@ -538,7 +528,7 @@ mod tests {
     #[test]
     fn path_request_returns_stable_tags() {
         let server =
-            ControllerServer::start(ServicePolicy::example_carrier_a(1), subscribers(1), 4)
+            ControllerServer::start_sharded(ServicePolicy::example_carrier_a(1), subscribers(1), 4)
                 .unwrap();
         let (agent_end, controller_end) = loopback_pair();
         let serve = server.serve(controller_end);
@@ -563,7 +553,7 @@ mod tests {
         use softcell_types::{AddressingScheme, PortEmbedding, SwitchId};
 
         let server =
-            ControllerServer::start(ServicePolicy::example_carrier_a(1), subscribers(4), 2)
+            ControllerServer::start_sharded(ServicePolicy::example_carrier_a(1), subscribers(4), 2)
                 .unwrap();
         let (agent_end, controller_end) = loopback_pair();
         let serve = server.serve(controller_end);
@@ -689,11 +679,42 @@ mod tests {
     }
 
     #[test]
+    fn non_batch_reply_to_a_path_request_is_unexpected() {
+        // a peer that answers every packet-in with a detach-style reply
+        let wrong = || Message::ClassifierReply {
+            record: WireUeRecord {
+                imsi: UeImsi(1),
+                permanent_ip: Ipv4Addr::new(100, 64, 0, 1),
+                bs: BaseStationId(2),
+                ue_id: UeId(0),
+                since: SimTime::ZERO,
+            },
+            classifier: None,
+        };
+        let (agent_end, controller_end) = loopback_pair();
+        let peer = std::thread::spawn(move || {
+            softcell_ctlchan::serve(
+                controller_end,
+                || 0,
+                |msg, _ctx| matches!(msg, Message::PacketIn(_)).then(wrong),
+            )
+        });
+        let mut ctl = ChannelController::connect(agent_end, BaseStationId(2)).unwrap();
+        assert_eq!(
+            ctl.request_policy_path(BaseStationId(2), ClauseId(5))
+                .unwrap_err(),
+            softcell_ctlchan::channel::unexpected("flow mod", &wrong())
+        );
+        drop(ctl);
+        peer.join().unwrap().unwrap();
+    }
+
+    #[test]
     fn server_survives_midframe_disconnect_and_accepts_reregistration() {
         use softcell_ctlchan::{FaultConfig, FaultTransport};
 
         let server =
-            ControllerServer::start(ServicePolicy::example_carrier_a(1), subscribers(4), 2)
+            ControllerServer::start_sharded(ServicePolicy::example_carrier_a(1), subscribers(4), 2)
                 .unwrap();
         let (agent_end, controller_end) = loopback_pair();
         let serve = server.serve(controller_end);
@@ -750,7 +771,7 @@ mod tests {
         use softcell_types::{AddressingScheme, PortEmbedding, SwitchId};
 
         let server =
-            ControllerServer::start(ServicePolicy::example_carrier_a(1), subscribers(4), 2)
+            ControllerServer::start_sharded(ServicePolicy::example_carrier_a(1), subscribers(4), 2)
                 .unwrap();
         let (agent_end, controller_end) = loopback_pair();
         let serve = server.serve(controller_end);

@@ -440,7 +440,6 @@ impl Message<'_> {
             Message::ClassifierReply { record, classifier } => {
                 Message::ClassifierReply { record, classifier }
             }
-            Message::FlowMod(mods) => Message::FlowMod(mods),
             Message::FlowModBatch { shard, seq, groups } => {
                 Message::FlowModBatch { shard, seq, groups }
             }

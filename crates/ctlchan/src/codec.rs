@@ -258,7 +258,10 @@ pub mod msg_type {
     pub const PACKET_IN: u8 = 4;
     /// Controller → agent: UE record plus optional packet classifier.
     pub const CLASSIFIER_REPLY: u8 = 5;
-    /// Controller → agent: batch of tag-cache programming entries.
+    /// Retired (was the unticketed flow-mod batch; every flow-mod now
+    /// travels as [`FLOW_MOD_BATCH`]). The number stays reserved so it is
+    /// never reassigned; a type-6 frame decodes to `Error::Malformed`
+    /// like any unknown type.
     pub const FLOW_MOD: u8 = 6;
     /// Fence: process everything before this, then reply.
     pub const BARRIER_REQUEST: u8 = 7;
@@ -516,8 +519,6 @@ pub enum Message<'a> {
         /// The compiled classifier (absent on detach replies).
         classifier: Option<WireClassifier>,
     },
-    /// A batch of tag-cache programming entries.
-    FlowMod(Vec<WireFlowMod>),
     /// Ticket-stamped, barrier-delimited per-station groups of
     /// tag-cache entries emitted by one sharded-controller ticket.
     /// `(shard, seq)` orders batches globally: receivers apply batches
@@ -615,7 +616,6 @@ impl Message<'_> {
             Message::Error { .. } => msg_type::ERROR,
             Message::PacketIn(_) => msg_type::PACKET_IN,
             Message::ClassifierReply { .. } => msg_type::CLASSIFIER_REPLY,
-            Message::FlowMod(_) => msg_type::FLOW_MOD,
             Message::FlowModBatch { .. } => msg_type::FLOW_MOD_BATCH,
             Message::BarrierRequest => msg_type::BARRIER_REQUEST,
             Message::BarrierReply => msg_type::BARRIER_REPLY,
@@ -701,15 +701,6 @@ impl Message<'_> {
                         w.classifier(c);
                     }
                     None => w.u8(0),
-                }
-            }
-            Message::FlowMod(mods) => {
-                debug_assert!(mods.len() <= u16::MAX as usize, "flow-mod batch too large");
-                w.u16(mods.len() as u16);
-                for m in mods {
-                    w.u32(m.bs.0);
-                    w.u16(m.clause.0);
-                    w.tags(&m.tags);
                 }
             }
             Message::FlowModBatch { shard, seq, groups } => {
@@ -858,18 +849,6 @@ impl Message<'_> {
                     }
                 };
                 Message::ClassifierReply { record, classifier }
-            }
-            msg_type::FLOW_MOD => {
-                let n = r.u16()? as usize;
-                let mut mods = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    mods.push(WireFlowMod {
-                        bs: BaseStationId(r.u32()?),
-                        clause: ClauseId(r.u16()?),
-                        tags: r.tags()?,
-                    });
-                }
-                Message::FlowMod(mods)
             }
             msg_type::FLOW_MOD_BATCH => {
                 let shard = r.u16()?;
@@ -1400,6 +1379,32 @@ mod tests {
         buf[flag_at] = 2;
         let frame = Frame::new_checked(&buf[..]).unwrap();
         assert!(frame.message().is_err(), "barrier flag 2 must be rejected");
+    }
+
+    #[test]
+    fn retired_flow_mod_type_is_malformed_not_a_panic() {
+        // the retired payload: u16 count, then bs/clause/tags per entry
+        let payload = [0, 1, 0, 0, 0, 7, 0, 2, 0, 1, 0, 1, 0, 1, 0, 3, 0];
+        let mut plain = vec![VERSION, msg_type::FLOW_MOD, 0, 0];
+        plain.extend_from_slice(&((HEADER_LEN + payload.len()) as u32).to_be_bytes());
+        plain.extend_from_slice(&9u32.to_be_bytes());
+        plain.extend_from_slice(&payload);
+
+        let mut traced = plain.clone();
+        traced[field::RESERVED].copy_from_slice(&FLAG_TRACED.to_be_bytes());
+        traced.extend_from_slice(&[0x11; TRACE_TRAILER_LEN]);
+        let len = (traced.len() as u32).to_be_bytes();
+        traced[field::LENGTH].copy_from_slice(&len);
+
+        for buf in [plain, traced] {
+            let frame = Frame::new_checked(&buf[..]).expect("well framed");
+            assert_eq!(frame.msg_type(), msg_type::FLOW_MOD);
+            assert_eq!(frame.payload(), &payload[..]);
+            assert_eq!(
+                frame.message().unwrap_err(),
+                Error::Malformed("unknown message type 6".into())
+            );
+        }
     }
 
     #[test]

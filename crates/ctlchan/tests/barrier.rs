@@ -8,7 +8,9 @@
 
 use std::sync::{Arc, Mutex};
 
-use softcell_ctlchan::{loopback_pair, serve, CtlChannel, Message, WireFlowMod, WirePathTags};
+use softcell_ctlchan::{
+    loopback_pair, serve, CtlChannel, Message, WireBatchGroup, WireFlowMod, WirePathTags,
+};
 use softcell_policy::clause::ClauseId;
 use softcell_types::{BaseStationId, PolicyTag, PortNo};
 
@@ -37,9 +39,9 @@ fn flow_mods_before_barrier_are_applied_before_the_reply() {
             server_end,
             || 0,
             move |msg, _ctx| {
-                if let Message::FlowMod(mods) = msg {
+                if let Message::FlowModBatch { groups, .. } = msg {
                     let mut state = applied_in_handler.lock().unwrap();
-                    for m in mods {
+                    for m in groups.iter().flat_map(|g| &g.mods) {
                         state.push(m.clause.0);
                     }
                 }
@@ -56,8 +58,16 @@ fn flow_mods_before_barrier_are_applied_before_the_reply() {
         // a burst of fire-and-forget flow-mod batches...
         for batch in 0..PER_BATCH {
             let base = round * PER_BATCH * 2 + batch * 2;
-            chan.send(&Message::FlowMod(vec![flow_mod(base), flow_mod(base + 1)]))
-                .unwrap();
+            chan.send(&Message::FlowModBatch {
+                shard: 0,
+                seq: u32::from(round * PER_BATCH + batch),
+                groups: vec![WireBatchGroup {
+                    bs: BaseStationId(7),
+                    barrier: true,
+                    mods: vec![flow_mod(base), flow_mod(base + 1)],
+                }],
+            })
+            .unwrap();
         }
         // ...then the fence: returning means everything above is applied
         chan.barrier().unwrap();

@@ -20,7 +20,9 @@ use softcell_policy::{AccessControl, ApplicationType, ClassifierEntry};
 use softcell_types::{BaseStationId, Error, PolicyTag, PortNo, SimTime, UeId, UeImsi};
 
 /// Deterministically expands a few random scalars into one message of
-/// the requested kind, exercising every variant and option arm.
+/// the requested kind, exercising every variant and option arm. `kind`
+/// indexes the 15 live message types; the arms below are numbered by
+/// type code, so indices from the retired type 6 up shift by one.
 fn build_message(
     kind: u8,
     a: u64,
@@ -51,7 +53,7 @@ fn build_message(
             })
         },
     };
-    match kind {
+    match if kind >= 6 { kind + 1 } else { kind } {
         0 => Message::Hello {
             version: d,
             peer: b,
@@ -112,15 +114,6 @@ fn build_message(
             };
             Message::ClassifierReply { record, classifier }
         }
-        6 => Message::FlowMod(
-            (0..batch)
-                .map(|i| WireFlowMod {
-                    bs: BaseStationId(b.wrapping_add(i as u32)),
-                    clause: softcell_policy::clause::ClauseId(c.wrapping_mul(i as u16 | 1)),
-                    tags: tags(i as u16),
-                })
-                .collect(),
-        ),
         7 => Message::BarrierRequest,
         8 => Message::BarrierReply,
         9 => Message::StatsRequest,
@@ -182,7 +175,7 @@ fn build_message(
 proptest! {
     #[test]
     fn every_variant_round_trips(
-        kind in 0u8..16,
+        kind in 0u8..15,
         a in any::<u64>(),
         b in any::<u32>(),
         c in any::<u16>(),
@@ -203,7 +196,7 @@ proptest! {
 
     #[test]
     fn truncated_frames_are_rejected_not_panicking(
-        kind in 0u8..16,
+        kind in 0u8..15,
         a in any::<u64>(),
         b in any::<u32>(),
         c in any::<u16>(),
@@ -221,7 +214,7 @@ proptest! {
 
     #[test]
     fn payload_corruption_never_panics(
-        kind in 0u8..16,
+        kind in 0u8..15,
         a in any::<u64>(),
         b in any::<u32>(),
         c in any::<u16>(),

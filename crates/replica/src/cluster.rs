@@ -463,7 +463,7 @@ mod tests {
         assert_eq!(c.node(0).commit_index(), 1, "nothing new committed");
 
         // The agent-facing path is equally dead: a path request on the
-        // stale leader yields an error, never a FlowMod — commit-gated
+        // stale leader yields an error, never a flow-mod — commit-gated
         // release means a fenced leader cannot program the network.
         let bs = station_led_by(&c.node(0).membership(), 0);
         let reply = c
@@ -535,10 +535,17 @@ mod tests {
                 clause: ClauseId(0),
             }))
             .unwrap();
-        let Message::FlowMod(mods) = &reply else {
-            panic!("expected FlowMod, got {reply:?}");
+        // the one flow-mod frame: (shard, seq) = (answering seat, its
+        // commit watermark at release), one barrier-fenced group
+        let Message::FlowModBatch { shard, seq, groups } = &reply else {
+            panic!("expected FlowModBatch, got {reply:?}");
         };
-        let tag = mods[0].tags.uplink_entry;
+        assert_eq!(*shard, 1, "answered by seat 1");
+        assert_eq!(u64::from(*seq), c.node(1).commit_index());
+        assert_eq!(groups.len(), 1);
+        assert!(groups[0].barrier);
+        assert_eq!(groups[0].bs, bs);
+        let tag = groups[0].mods[0].tags.uplink_entry;
         assert_eq!(tag.0 / 256, 1, "tag from seat 1's slab");
         for seat in 0..3 {
             let p = c.node(seat).applied(ControllerId(1));
@@ -552,10 +559,16 @@ mod tests {
                 clause: ClauseId(0),
             }))
             .unwrap();
-        let Message::FlowMod(mods2) = &again else {
-            panic!("expected FlowMod");
+        let Message::FlowModBatch {
+            seq: seq2,
+            groups: groups2,
+            ..
+        } = &again
+        else {
+            panic!("expected FlowModBatch, got {again:?}");
         };
-        assert_eq!(mods2[0].tags.uplink_entry, tag);
+        assert_eq!(groups2[0].mods[0].tags.uplink_entry, tag);
+        assert!(seq2 >= seq, "seq never runs backwards on a seat");
 
         // Detach replicates too, leaving a tombstone everywhere.
         agent.handle_detach(UeImsi(4), &mut ctl).unwrap();

@@ -38,7 +38,8 @@ use std::time::Duration;
 
 use parking_lot::Mutex;
 use softcell_ctlchan::{
-    CtlChannel, Frame, Message, PacketIn, Transport, WireFlowMod, WirePathTags, WireUeRecord,
+    CtlChannel, Frame, Message, PacketIn, Transport, WireBatchGroup, WireFlowMod, WirePathTags,
+    WireUeRecord,
 };
 use softcell_policy::clause::ClauseId;
 use softcell_policy::{AppClassifier, ServicePolicy, SubscriberAttributes, UeClassifier};
@@ -1090,19 +1091,29 @@ impl<T: Transport> ReplicaNode<T> {
                 return Err(e);
             }
         }
-        // Same one-tag end-to-end stand-in as the single-controller
-        // wire front-end.
-        Ok(Message::FlowMod(vec![WireFlowMod {
-            bs,
-            clause,
-            tags: WirePathTags {
-                uplink_entry: tag,
-                uplink_exit: tag,
-                downlink_final: tag,
-                access_out_port: PortNo(1),
-                qos: None,
-            },
-        }]))
+        // Same frame and one-tag end-to-end stand-in as the
+        // single-controller wire front-end. (seat, commit watermark at
+        // release) is this cluster's (shard, seq): `propose` is still
+        // held, so a seat's batches leave in non-decreasing commit order.
+        Ok(Message::FlowModBatch {
+            shard: self.cfg.id.0 as u16,
+            seq: self.commit_index() as u32,
+            groups: vec![WireBatchGroup {
+                bs,
+                barrier: true,
+                mods: vec![WireFlowMod {
+                    bs,
+                    clause,
+                    tags: WirePathTags {
+                        uplink_entry: tag,
+                        uplink_exit: tag,
+                        downlink_final: tag,
+                        access_out_port: PortNo(1),
+                        qos: None,
+                    },
+                }],
+            }],
+        })
     }
 }
 

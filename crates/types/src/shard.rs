@@ -217,48 +217,6 @@ impl ShardRange {
     }
 }
 
-/// Lock striping for UE-keyed shared state: `stripes` independent
-/// mutexes, each guarding the slice of keys that hash to it. Turns one
-/// global mutex (every shard serializes) into per-stripe contention —
-/// two workers collide only when their UEs share a stripe. The stripe
-/// function is [`shard_of_ue`], so a deployment striping by its shard
-/// count gets zero cross-worker contention on UE-local operations.
-#[derive(Debug)]
-pub struct Striped<T> {
-    stripes: Vec<Mutex<T>>,
-}
-
-impl<T: Default> Striped<T> {
-    /// Creates `stripes` default-initialized stripes (at least one).
-    pub fn new(stripes: usize) -> Striped<T> {
-        Striped {
-            stripes: (0..stripes.max(1))
-                .map(|_| Mutex::new(T::default()))
-                .collect(),
-        }
-    }
-}
-
-impl<T> Striped<T> {
-    /// Locks the stripe owning `imsi`'s state.
-    pub fn for_ue(&self, imsi: UeImsi) -> std::sync::MutexGuard<'_, T> {
-        let stripe = &self.stripes[shard_of_ue(imsi, self.stripes.len())];
-        stripe.lock().expect("stripe poisoned")
-    }
-
-    /// Locks each stripe in turn and folds `f` over the guarded values —
-    /// for whole-map queries (counts, dumps) off the hot path. Never
-    /// holds two stripes at once.
-    pub fn fold<A>(&self, init: A, mut f: impl FnMut(A, &T) -> A) -> A {
-        let mut acc = init;
-        for stripe in &self.stripes {
-            let guard = stripe.lock().expect("stripe poisoned");
-            acc = f(acc, &guard);
-        }
-        acc
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -277,19 +235,6 @@ mod tests {
                 assert!(shard_of_station(BaseStationId(b), n) < n);
             }
         }
-    }
-
-    #[test]
-    fn striped_map_routes_by_ue_and_folds_all() {
-        let striped: Striped<std::collections::HashMap<u64, u32>> = Striped::new(4);
-        for i in 0..32u64 {
-            striped.for_ue(UeImsi(i)).insert(i, i as u32 * 2);
-        }
-        for i in 0..32u64 {
-            assert_eq!(striped.for_ue(UeImsi(i)).get(&i), Some(&(i as u32 * 2)));
-        }
-        let total = striped.fold(0usize, |acc, m| acc + m.len());
-        assert_eq!(total, 32);
     }
 
     #[test]

@@ -20,12 +20,13 @@ use softcell_policy::{ServicePolicy, SubscriberAttributes};
 use softcell_types::{BaseStationId, SimTime, UeId, UeImsi};
 
 fn main() {
-    // controller side: worker pool + a TCP accept loop for one agent
+    // controller side: two domains + a TCP accept loop for one agent
     let subscribers: Vec<SubscriberAttributes> = (0..4)
         .map(|i| SubscriberAttributes::default_home(UeImsi(i)))
         .collect();
-    let server = ControllerServer::start(ServicePolicy::example_carrier_a(1), subscribers, 2)
-        .expect("server");
+    let server =
+        ControllerServer::start_sharded(ServicePolicy::example_carrier_a(1), subscribers, 2)
+            .expect("server");
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().expect("addr");
     println!("controller listening on {addr}");

@@ -43,23 +43,27 @@ timeout 180 cargo test -q --release --test recovery
 # The performance yardstick (perf/, its own workspace and lock file, so
 # the steps above never compile it): build it offline against the crates
 # as they are now — its frozen surface must still compile — run its unit
-# tests, and drive one short fabric_forward run. A correctness smoke, not
-# a timing gate: a shared host cannot gate 2 s timings, but every round
-# trip of the run is verified, so a forwarding bug fails here.
-echo "==> softcell-perf build + unit tests + fabric_forward smoke (300 s cap)"
+# tests, and drive one short run each of fabric_forward (data plane) and
+# wire_flow_setup (ctlchan + controller::wire + server queue). A
+# correctness smoke, not a timing gate: a shared host cannot gate 2 s
+# timings, but every operation of a run is verified, so a forwarding or
+# flow-setup bug fails here.
+echo "==> softcell-perf build + unit tests + fabric_forward / wire_flow_setup smokes (300 s cap)"
 timeout 300 cargo build --release --offline -q \
   --manifest-path perf/Cargo.toml --target-dir target
 timeout 300 cargo test --offline -q \
   --manifest-path perf/Cargo.toml --target-dir target
-timeout 60 ./target/release/softcell-perf \
-  --workload fabric_forward --seed 7 --seconds 2 --trace 0 \
-  | tail -n 1 > /tmp/softcell-perf-smoke.json
-python3 - /tmp/softcell-perf-smoke.json <<'PY'
+for workload in fabric_forward wire_flow_setup; do
+  timeout 60 ./target/release/softcell-perf \
+    --workload "$workload" --seed 7 --seconds 2 --trace 0 \
+    | tail -n 1 > /tmp/softcell-perf-smoke.json
+  python3 - "$workload" /tmp/softcell-perf-smoke.json <<'PY'
 import json, sys
-result = json.load(open(sys.argv[1]))
+result = json.load(open(sys.argv[2]))
 assert result["correct"] is True and result["failed"] == 0, result
-print(f"perf smoke ok: {result['attempted']} round trips verified, 0 failed")
+print(f"perf smoke ok: {sys.argv[1]}: {result['attempted']} operations verified, 0 failed")
 PY
+done
 
 # Sharded packet-in throughput smoke: 4 domains must beat a single
 # domain by at least 1.5x (the acceptance floor is 2x on multicore; the
@@ -78,7 +82,7 @@ python3 scripts/check_trace.py /tmp/softcell-trace.json
 # Wide-shard smoke: 16 domains through the concurrent engine (optimistic
 # plan + validate/commit). The speedup floor stays modest — CI boxes may
 # have few cores — but the run itself gates the partitioned-lock paths
-# (per-switch cells, residue, striped UE map) under real contention.
+# (per-switch cells, residue) under real contention.
 echo "==> 16-shard concurrent-engine smoke (120 s cap)"
 timeout 120 cargo run --release -q -p softcell-bench --bin tab2_agent_throughput -- \
   --quick --shards 16 --min-speedup 1.5

@@ -1,6 +1,6 @@
 //! Control-plane failure drills across the full stack (paper §5.2).
 
-use softcell::controller::failover::{rebuild_locations, AgentLocationReport, ReplicaGroup};
+use softcell::controller::failover::{rebuild_locations, AgentLocationReport};
 use softcell::packet::Protocol;
 use softcell::policy::{ServicePolicy, SubscriberAttributes};
 use softcell::sim::SimWorld;
@@ -30,19 +30,16 @@ fn controller_replica_rebuilds_locations_from_live_agents() {
     // a handoff so one UE's location is "fresh"
     w.handoff(UeImsi(0), BaseStationId(2)).unwrap();
 
-    // the replica group mirrors the primary's slow state
-    let mut group = ReplicaGroup::new(w.controller.state().clone(), 3).unwrap();
-    group.fail_replica(0).unwrap();
-
-    // the surviving replica lost nothing slow...
-    assert_eq!(group.primary().subscriber_count(), 6);
+    // the surviving replica mirrors the failed primary's slow state and
+    // lost none of it...
+    let mut recovered = w.controller.state().clone();
+    assert_eq!(recovered.subscriber_count(), 6);
     // ...and rebuilds the fast (location) state from the agents
     let reports: Vec<AgentLocationReport> = topo
         .base_stations()
         .iter()
         .map(|bs| AgentLocationReport::from_agent(w.agent(bs.id), SimTime::from_secs(1)))
         .collect();
-    let mut recovered = group.primary().clone();
     recovered.clear_locations();
     rebuild_locations(&mut recovered, &reports);
 

@@ -114,7 +114,7 @@ fn wire_churn_converges_under_faults() {
     const ROUNDS: u32 = 120;
     let bs = BaseStationId(0);
 
-    let server = ControllerServer::start(
+    let server = ControllerServer::start_sharded(
         ServicePolicy::example_carrier_a(1),
         (0..UES).map(|i| SubscriberAttributes::default_home(UeImsi(i))),
         2,

@@ -19,8 +19,8 @@ use softcell_policy::{ServicePolicy, SubscriberAttributes};
 use softcell_replica::{rehome_agent, Cluster, Link, ReplicaStore};
 use softcell_telemetry::Registry;
 use softcell_types::{
-    AddressingScheme, BaseStationId, ControllerId, Membership, PortEmbedding, PortNo, SimTime,
-    UeImsi,
+    AddressingScheme, BaseStationId, ControllerId, Membership, PolicyTag, PortEmbedding, PortNo,
+    SimTime, UeImsi,
 };
 
 use softcell_controller::agent::LocalAgent;
@@ -73,6 +73,28 @@ fn handoff(cells: &mut [Cell], from: usize, to: usize, imsi: UeImsi, now: SimTim
         .expect("re-attach at target");
 }
 
+/// Asks `seat` for the clause-0 path of `bs` and checks the reply is the
+/// one flow-mod frame — a batch stamped with the answering seat, one
+/// barrier-fenced group for the station. Returns `(seq, tag)`.
+fn ask_path(cluster: &Cluster, seat: usize, bs: BaseStationId) -> (u32, PolicyTag) {
+    let reply = cluster
+        .node(seat)
+        .handle_agent(&Message::PacketIn(PacketIn::PathRequest {
+            bs,
+            clause: ClauseId(0),
+        }))
+        .expect("path request");
+    let Message::FlowModBatch { shard, seq, groups } = &reply else {
+        panic!("expected FlowModBatch, got {reply:?}");
+    };
+    assert_eq!(usize::from(*shard), seat, "stamped with the answering seat");
+    assert_eq!(groups.len(), 1);
+    assert!(groups[0].barrier);
+    assert_eq!(groups[0].bs, bs);
+    assert_eq!(groups[0].mods.len(), 1);
+    (*seq, groups[0].mods[0].tags.uplink_entry)
+}
+
 #[test]
 fn leader_kill_mid_handoff_storm_leaves_zero_residue() {
     let cluster = Cluster::start(
@@ -102,16 +124,11 @@ fn leader_kill_mid_handoff_storm_leaves_zero_residue() {
             .expect("attach");
         ip_of.insert(UeImsi(i), rec.permanent_ip);
     }
-    for (seat, &bs) in bss.iter().enumerate() {
-        let reply = cluster
-            .node(seat)
-            .handle_agent(&Message::PacketIn(PacketIn::PathRequest {
-                bs,
-                clause: ClauseId(0),
-            }))
-            .expect("path request");
-        assert!(matches!(reply, Message::FlowMod(_)), "leader installs path");
-    }
+    let installed: Vec<PolicyTag> = bss
+        .iter()
+        .enumerate()
+        .map(|(seat, &bs)| ask_path(&cluster, seat, bs).1)
+        .collect();
 
     // Act two: a cross-region handoff ring (every UE moves one region
     // over) plus a few permanent detaches, leaving tombstones that the
@@ -174,21 +191,16 @@ fn leader_kill_mid_handoff_storm_leaves_zero_residue() {
     }
     // The successor reuses the committed path tag rather than minting a
     // fresh one — installed paths are part of the replicated slow state.
-    let reply = cluster
-        .node(successor.seat())
-        .handle_agent(&Message::PacketIn(PacketIn::PathRequest {
-            bs: bss[0],
-            clause: ClauseId(0),
-        }))
-        .expect("path re-request after fail-over");
-    let Message::FlowMod(mods) = &reply else {
-        panic!("expected FlowMod, got {reply:?}");
-    };
+    let (seq, tag) = ask_path(&cluster, successor.seat(), bss[0]);
+    assert_eq!(tag, installed[0], "re-asked path keeps its tag");
     assert_eq!(
-        u32::from(mods[0].tags.uplink_entry.0) / 256,
+        u32::from(tag.0) / 256,
         0,
         "tag still from the dead seat's slab: committed installs survive"
     );
+    let (seq_again, tag_again) = ask_path(&cluster, successor.seat(), bss[0]);
+    assert_eq!(tag_again, tag);
+    assert!(seq_again >= seq, "a seat's seq never runs backwards");
 
     // Zero residue, checked on the parsed stores of both survivors:
     // exactly the live UEs, original permanent IPs, tombstones intact.
