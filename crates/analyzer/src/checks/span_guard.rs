@@ -6,8 +6,10 @@
 //! check flags any *call* to a `span_start` or `span_end` function in
 //! non-test code: manually paired span bookkeeping reintroduces exactly
 //! the leak the guard design removed. The RAII forms — `span(..)`,
-//! `span_in(..)`, `root(..)` — and the single-call cross-thread form
-//! `record_span(..)` (one atomic record, nothing left open) stay clean.
+//! `span_in(..)`, `root(..)` — and the single-call forms
+//! `record_span(..)` (a cross-thread wait) and `instant(..)` (a
+//! lifecycle event): one atomic record each, nothing left open — stay
+//! clean.
 
 use crate::lexer::TokKind;
 use crate::parse::FileModel;

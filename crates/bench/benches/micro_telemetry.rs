@@ -78,7 +78,7 @@ fn bench_registry(c: &mut Criterion) {
             h.record(i * 97);
         }
     }
-    populated.journal().record("attach", 1, 2);
+    populated.tracer().instant("attach", 1);
     c.bench_function("telemetry_snapshot", |b| {
         b.iter(|| black_box(populated.snapshot()))
     });

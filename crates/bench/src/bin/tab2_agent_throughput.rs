@@ -43,7 +43,7 @@
 //!          [--telemetry PATH] [--trace PATH]`
 //!
 //! `--telemetry PATH` prints the run's telemetry report (counters,
-//! latency percentiles, journal) and writes the full snapshot — the
+//! latency percentiles, span ring) and writes the full snapshot — the
 //! server's per-instance registry merged with the process-global one —
 //! as JSON to `PATH`.
 //!

@@ -15,6 +15,15 @@
 //! The controller is reached through [`ControllerApi`] so the same agent
 //! code runs against a direct in-process controller (simulator) or a
 //! channel-backed threaded one (the §6.2 micro-benchmarks).
+//!
+//! The agent's per-station bookkeeping is three small pieces, each
+//! defined here once: [`UeIdPool`] (the local UE-id allocator behind
+//! LocIP), [`FlowSlots`] (the per-UE flow slots embedded in the source
+//! port) and [`microflow_pair`] (the two access-switch entries of a
+//! flow). [`LocalAgent`] runs them against its `Switch`; the sharded
+//! controller ([`crate::sharded`]) runs the same three on the shard
+//! that owns the station or the UE, which is why the two can never
+//! disagree about an id or a slot.
 
 use std::collections::{HashMap, HashSet};
 use std::net::Ipv4Addr;
@@ -24,12 +33,149 @@ use softcell_packet::{FiveTuple, HeaderView};
 use softcell_policy::clause::{AccessControl, ClauseId};
 use softcell_policy::UeClassifier;
 use softcell_types::{
-    AddressingScheme, BaseStationId, Error, LocIp, PortEmbedding, PortNo, Result, SimTime, UeId,
-    UeImsi,
+    AddressingScheme, BaseStationId, Error, LocIp, PortEmbedding, PortNo, Result, SimDuration,
+    SimTime, UeId, UeImsi,
 };
 
 use crate::core::{AttachGrant, PathTags};
+use crate::mobility::FlowRecord;
 use crate::state::UeRecord;
+
+/// Idle timeout a new agent hands to its microflow entries.
+pub(crate) const MICROFLOW_IDLE: SimDuration = SimDuration::from_secs(30);
+
+/// A base station's local UE-id allocator (§3.1/§4.2: the id is the low
+/// bits of the LocIP). Ids come off the free list LIFO, then fresh in
+/// ascending order. An id is *held* from the moment it is reserved or
+/// adopted until it is released — including while the UE that used it
+/// has moved away and the location is still reserved for its old flows
+/// (§5.1).
+#[derive(Clone, Debug, Default)]
+pub struct UeIdPool {
+    next: u16,
+    free: Vec<UeId>,
+}
+
+impl UeIdPool {
+    /// Hands out an id below `max`: the most recently released one, or
+    /// else the next never-used one. `None` when all `max` are held.
+    pub fn reserve(&mut self, max: u32) -> Option<UeId> {
+        if let Some(id) = self.free.pop() {
+            return Some(id);
+        }
+        if u32::from(self.next) >= max {
+            return None;
+        }
+        let id = UeId(self.next);
+        self.next += 1;
+        Some(id)
+    }
+
+    /// Marks an id chosen elsewhere (handoff arrival, restart refetch)
+    /// as held, so `reserve` never hands it out.
+    pub fn adopt(&mut self, id: UeId) {
+        if id.0 >= self.next {
+            self.next = id.0 + 1;
+        }
+        self.free.retain(|f| *f != id);
+    }
+
+    /// Returns a held id to the pool. Releasing an id that is not held
+    /// (already free, or never handed out) changes nothing and returns
+    /// `false`, so a repeated release cannot put one id in the pool
+    /// twice.
+    pub fn release(&mut self, id: UeId) -> bool {
+        let held = id.0 < self.next && !self.free.contains(&id);
+        if held {
+            self.free.push(id);
+        }
+        held
+    }
+}
+
+/// One UE's flow slots (§4.1: the slot rides in the source port beside
+/// the policy tag, so concurrent flows of one UE stay distinguishable).
+#[derive(Clone, Debug, Default)]
+pub struct FlowSlots {
+    next: u16,
+    active: HashSet<u16>,
+}
+
+impl FlowSlots {
+    /// Claims a slot below `slots`: scans upward from just past the last
+    /// one claimed, wrapping around, skipping active slots. `None` when
+    /// all `slots` are active.
+    pub fn allocate(&mut self, slots: u16) -> Option<u16> {
+        let mut slot = self.next % slots;
+        for _ in 0..slots {
+            if self.active.insert(slot) {
+                self.next = slot + 1;
+                return Some(slot);
+            }
+            slot = (slot + 1) % slots;
+        }
+        None
+    }
+
+    /// Marks a slot chosen elsewhere (a flow carried in by a handoff)
+    /// as active.
+    pub fn occupy(&mut self, slot: u16) {
+        self.active.insert(slot);
+    }
+
+    /// Frees a slot whose flow ended.
+    pub fn release(&mut self, slot: u16) {
+        self.active.remove(&slot);
+    }
+
+    /// Frees every slot and restarts the scan at slot 0 (the set keeps
+    /// its capacity: a handoff clears and refills it in one go).
+    pub fn clear(&mut self) {
+        self.next = 0;
+        self.active.clear();
+    }
+}
+
+/// Builds the two access-switch entries of a new flow (§4.2). Uplink:
+/// the tuple as the UE sends it, rewritten to source from `(loc_addr,
+/// uplink tag | slot)` with the clause's QoS marking applied at the
+/// edge (§2.2). Downlink: the tuple as it arrives from the fabric (the
+/// server echoes the embedding; downlink swaps may have changed the
+/// tag bits), restored to the permanent endpoint and sent out the
+/// radio port.
+pub fn microflow_pair(
+    ports: &PortEmbedding,
+    tags: &PathTags,
+    loc_addr: Ipv4Addr,
+    permanent_ip: Ipv4Addr,
+    radio_port: PortNo,
+    tuple: FiveTuple,
+    slot: u16,
+) -> Result<FlowRecord> {
+    let downlink = FiveTuple {
+        src: tuple.dst,
+        dst: loc_addr,
+        src_port: tuple.dst_port,
+        dst_port: ports.encode(tags.downlink_final, slot)?,
+        proto: tuple.proto,
+    };
+    Ok(FlowRecord {
+        uplink: tuple,
+        downlink,
+        downlink_original: downlink,
+        up_action: MicroflowAction::RewriteSrc {
+            addr: loc_addr,
+            port: ports.encode(tags.uplink_entry, slot)?,
+            out: tags.access_out_port,
+            dscp: tags.qos.map(|q| q.dscp),
+        },
+        down_action: MicroflowAction::RewriteDst {
+            addr: permanent_ip,
+            port: tuple.src_port,
+            out: radio_port,
+        },
+    })
+}
 
 /// The controller operations an agent needs. Implemented directly by
 /// [`crate::core::CentralController`] and by channel-backed proxies.
@@ -83,8 +229,7 @@ pub struct AgentUe {
     pub permanent_ip: Ipv4Addr,
     /// The cached classifier.
     pub classifier: UeClassifier,
-    next_slot: u16,
-    active_slots: HashSet<u16>,
+    slots: FlowSlots,
     /// Active flows — needed for handoff rule copying (§5.1).
     pub flows: Vec<AgentFlow>,
 }
@@ -143,13 +288,12 @@ pub struct LocalAgent {
     ports: PortEmbedding,
     ues: HashMap<UeImsi, AgentUe>,
     by_permanent: HashMap<Ipv4Addr, UeImsi>,
-    next_ue_id: u16,
-    free_ue_ids: Vec<UeId>,
+    ids: UeIdPool,
     /// Cached policy tags per clause — "the current policy tags" of §4.2.
     tag_cache: HashMap<ClauseId, PathTags>,
     stats: AgentStats,
     /// Idle timeout handed to microflow entries.
-    pub microflow_idle: softcell_types::SimDuration,
+    pub microflow_idle: SimDuration,
 }
 
 impl LocalAgent {
@@ -167,11 +311,10 @@ impl LocalAgent {
             ports,
             ues: HashMap::new(),
             by_permanent: HashMap::new(),
-            next_ue_id: 0,
-            free_ue_ids: Vec::new(),
+            ids: UeIdPool::default(),
             tag_cache: HashMap::new(),
             stats: AgentStats::default(),
-            microflow_idle: softcell_types::SimDuration::from_secs(30),
+            microflow_idle: MICROFLOW_IDLE,
         }
     }
 
@@ -226,28 +369,24 @@ impl LocalAgent {
 
     /// Reserves the next local UE id this agent would hand out —
     /// exposed for handoff drivers that must pick the arriving UE's id
-    /// with the same discipline as an attach (free-list LIFO, then the
-    /// next fresh id), and for the sharded controller's station-owner
-    /// mirror of that discipline. The id is allocated: pass it to
-    /// [`adopt`](Self::adopt) (which keeps it out of the free list) or
-    /// hand it back via a later detach.
+    /// with the same discipline as an attach ([`UeIdPool::reserve`]).
+    /// The id is held from here on: pass it to [`adopt`](Self::adopt),
+    /// or hand it back with [`release_ue_id`](Self::release_ue_id) if
+    /// the handoff fails.
     pub fn reserve_ue_id(&mut self) -> Result<UeId> {
-        self.allocate_ue_id()
+        self.ids
+            .reserve(self.scheme.max_ues_per_station())
+            .ok_or_else(|| Error::Exhausted(format!("base station {} out of UE ids", self.bs)))
     }
 
-    fn allocate_ue_id(&mut self) -> Result<UeId> {
-        if let Some(id) = self.free_ue_ids.pop() {
-            return Ok(id);
-        }
-        if u32::from(self.next_ue_id) >= self.scheme.max_ues_per_station() {
-            return Err(Error::Exhausted(format!(
-                "base station {} out of UE ids",
-                self.bs
-            )));
-        }
-        let id = UeId(self.next_ue_id);
-        self.next_ue_id += 1;
-        Ok(id)
+    /// Returns a UE id to this station's pool once the controller has
+    /// released the location it names — the id a UE left behind when it
+    /// handed off away ([`evict`](Self::evict) keeps it held, §5.1),
+    /// after its transition expired or was aborted. Returns whether the
+    /// id was held; a repeated release, or one for an id this agent
+    /// forgot across a restart, is dropped rather than double-freed.
+    pub fn release_ue_id(&mut self, id: UeId) -> bool {
+        self.ids.release(id)
     }
 
     /// Handles a UE attach: assigns a local id, registers with the
@@ -261,11 +400,11 @@ impl LocalAgent {
         if self.ues.contains_key(&imsi) {
             return Err(Error::InvalidState(format!("{imsi} already attached")));
         }
-        let ue_id = self.allocate_ue_id()?;
+        let ue_id = self.reserve_ue_id()?;
         let grant = match ctl.attach_ue(imsi, self.bs, ue_id, now) {
             Ok(g) => g,
             Err(e) => {
-                self.free_ue_ids.push(ue_id);
+                self.ids.release(ue_id);
                 return Err(e);
             }
         };
@@ -278,8 +417,7 @@ impl LocalAgent {
                 ue_id,
                 permanent_ip: record.permanent_ip,
                 classifier: grant.classifier,
-                next_slot: 0,
-                active_slots: HashSet::new(),
+                slots: FlowSlots::default(),
                 flows: Vec::new(),
             },
         );
@@ -297,11 +435,7 @@ impl LocalAgent {
             )));
         }
         self.by_permanent.insert(record.permanent_ip, record.imsi);
-        // the adopted id must not be handed out again
-        if record.ue_id.0 >= self.next_ue_id {
-            self.next_ue_id = record.ue_id.0 + 1;
-        }
-        self.free_ue_ids.retain(|id| *id != record.ue_id);
+        self.ids.adopt(record.ue_id);
         self.ues.insert(
             record.imsi,
             AgentUe {
@@ -309,8 +443,7 @@ impl LocalAgent {
                 ue_id: record.ue_id,
                 permanent_ip: record.permanent_ip,
                 classifier,
-                next_slot: 0,
-                active_slots: HashSet::new(),
+                slots: FlowSlots::default(),
                 flows: Vec::new(),
             },
         );
@@ -326,8 +459,7 @@ impl LocalAgent {
             .get_mut(&imsi)
             .ok_or_else(|| Error::NotFound(format!("{imsi} not attached here")))?;
         for f in &flows {
-            let (_, slot) = self.ports.decode(f.downlink.dst_port);
-            ue.active_slots.insert(slot);
+            ue.slots.occupy(self.ports.decode(f.downlink.dst_port).1);
         }
         ue.flows.extend(flows);
         Ok(())
@@ -335,9 +467,11 @@ impl LocalAgent {
 
     /// Removes a UE locally without touching the controller — the UE
     /// moved away (handoff); the controller's record already points at
-    /// the new station. The local UE id is *not* recycled immediately:
-    /// the old location-dependent address stays reserved until the
-    /// mobility transition expires (§5.1).
+    /// the new station. The local UE id stays held: the old
+    /// location-dependent address is reserved until the mobility
+    /// transition ends (§5.1), and comes back through
+    /// [`release_ue_id`](Self::release_ue_id) when the controller
+    /// releases it.
     pub fn evict(&mut self, imsi: UeImsi) -> Result<()> {
         let ue = self
             .ues
@@ -364,7 +498,7 @@ impl LocalAgent {
         }
         let ue = self.ues.remove(&imsi).expect("checked above");
         self.by_permanent.remove(&ue.permanent_ip);
-        self.free_ue_ids.push(ue.ue_id);
+        self.ids.release(ue.ue_id);
         Ok(())
     }
 
@@ -425,67 +559,36 @@ impl LocalAgent {
         let loc = LocIp::new(self.bs, ue.ue_id);
         let loc_addr = self.scheme.encode(loc)?;
 
-        // allocate a flow slot unique among this UE's active flows
+        // a flow slot unique among this UE's active flows
         let slots = self.ports.flow_slots();
-        let mut slot = ue.next_slot % slots;
-        let mut tries = 0;
-        while ue.active_slots.contains(&slot) {
-            slot = (slot + 1) % slots;
-            tries += 1;
-            if tries >= slots {
-                return Err(Error::Exhausted(format!(
-                    "UE {imsi} has all {slots} flow slots active"
-                )));
-            }
-        }
-        ue.next_slot = slot + 1;
-        ue.active_slots.insert(slot);
-
-        let up_port = self.ports.encode(tags.uplink_entry, slot)?;
-        let down_port = self.ports.encode(tags.downlink_final, slot)?;
-        let deadline = now + self.microflow_idle;
-
-        // uplink: permanent tuple → rewrite source to (LocIP, tag|slot),
-        // applying the clause's QoS marking (paper §2.2) at the edge
-        switch.microflow.install(
+        let slot = ue.slots.allocate(slots).ok_or_else(|| {
+            Error::Exhausted(format!("UE {imsi} has all {slots} flow slots active"))
+        })?;
+        let flow = microflow_pair(
+            &self.ports,
+            &tags,
+            loc_addr,
+            ue.permanent_ip,
+            self.radio_port,
             view.tuple,
-            MicroflowAction::RewriteSrc {
-                addr: loc_addr,
-                port: up_port,
-                out: tags.access_out_port,
-                dscp: tags.qos.map(|q| q.dscp),
-            },
-            deadline,
+            slot,
         )?;
-
-        // downlink: as arriving from the fabric (server echoes the
-        // embedding; downlink swaps may have changed the tag bits)
-        let down_tuple = FiveTuple {
-            src: view.dst(),
-            dst: loc_addr,
-            src_port: view.dst_port(),
-            dst_port: down_port,
-            proto: view.tuple.proto,
-        };
-        switch.microflow.install(
-            down_tuple,
-            MicroflowAction::RewriteDst {
-                addr: ue.permanent_ip,
-                port: view.src_port(),
-                out: self.radio_port,
-            },
-            deadline,
-        )?;
-
+        let deadline = now + self.microflow_idle;
+        switch
+            .microflow
+            .install(flow.uplink, flow.up_action, deadline)?;
+        switch
+            .microflow
+            .install(flow.downlink, flow.down_action, deadline)?;
         ue.flows.push(AgentFlow {
-            uplink: view.tuple,
-            downlink: down_tuple,
-            downlink_original: down_tuple,
+            uplink: flow.uplink,
+            downlink: flow.downlink,
+            downlink_original: flow.downlink_original,
         });
 
         Ok(FlowSetup::Allowed {
             clause,
-            loc_source: (loc_addr, up_port),
+            loc_source: (loc_addr, self.ports.encode(tags.uplink_entry, slot)?),
             cache_hit,
         })
     }
@@ -503,8 +606,8 @@ impl LocalAgent {
             .ok_or_else(|| Error::NotFound(format!("{imsi} not attached here")))?;
         if let Some(pos) = ue.flows.iter().position(|f| f.uplink == *uplink) {
             let flow = ue.flows.remove(pos);
-            let (_, slot) = self.ports.decode(flow.downlink.dst_port);
-            ue.active_slots.remove(&slot);
+            ue.slots
+                .release(self.ports.decode(flow.downlink.dst_port).1);
         }
         Ok(())
     }
@@ -534,8 +637,8 @@ impl LocalAgent {
                     i += 1;
                 } else {
                     let flow = ue.flows.remove(i);
-                    let (_, slot) = self.ports.decode(flow.downlink.dst_port);
-                    ue.active_slots.remove(&slot);
+                    ue.slots
+                        .release(self.ports.decode(flow.downlink.dst_port).1);
                     retired += 1;
                 }
             }
@@ -734,6 +837,27 @@ mod tests {
     }
 
     #[test]
+    fn vacated_id_stays_held_until_released() {
+        let topo = small_topology();
+        let (mut ctl, mut agent, _sw) = setup(&topo);
+        let r0 = agent
+            .handle_attach(UeImsi(0), &mut ctl, SimTime::ZERO)
+            .unwrap();
+        // the UE hands off away: its id must not be handed out (§5.1)
+        agent.evict(UeImsi(0)).unwrap();
+        let r1 = agent
+            .handle_attach(UeImsi(1), &mut ctl, SimTime::ZERO)
+            .unwrap();
+        assert_ne!(r1.ue_id, r0.ue_id, "vacated id is still reserved");
+        // the controller releases the location: the id is reusable,
+        // and a second release of it is dropped
+        assert!(agent.release_ue_id(r0.ue_id));
+        assert!(!agent.release_ue_id(r0.ue_id), "double release");
+        assert_eq!(agent.reserve_ue_id().unwrap(), r0.ue_id);
+        assert_ne!(agent.reserve_ue_id().unwrap(), r0.ue_id, "handed out once");
+    }
+
+    #[test]
     fn adopt_respects_foreign_ue_ids() {
         let topo = small_topology();
         let (mut ctl, mut agent, _sw) = setup(&topo);
@@ -799,5 +923,105 @@ mod tests {
         assert_eq!(agent.flows_of(UeImsi(0)).unwrap().len(), 1);
         // live flows are never retired
         assert_eq!(agent.retire_expired_flows(&sw), 0);
+    }
+
+    mod props {
+        use super::*;
+        use proptest::prelude::*;
+        use std::collections::BTreeSet;
+
+        proptest! {
+            /// `UeIdPool` against a set model: an id is never handed
+            /// out twice while held, released ids come back LIFO before
+            /// any fresh id, and `reserve` refuses exactly when all
+            /// `max` ids are held.
+            #[test]
+            fn ue_id_pool_matches_set_model(
+                max in 1u32..24,
+                ops in proptest::collection::vec((0u8..4, 0u16..32), 1..200),
+            ) {
+                let mut pool = UeIdPool::default();
+                let mut held: BTreeSet<u16> = BTreeSet::new();
+                let mut free: Vec<u16> = Vec::new(); // model free list
+                let mut fresh = 0u16; // next never-used id
+                for (op, pick) in ops {
+                    match op {
+                        0 | 1 => match pool.reserve(max) {
+                            Some(id) => {
+                                prop_assert!(u32::from(id.0) < max);
+                                prop_assert!(held.insert(id.0), "{} handed out twice", id);
+                                match free.pop() {
+                                    Some(last) => prop_assert_eq!(id.0, last, "LIFO reuse"),
+                                    None => {
+                                        prop_assert_eq!(id.0, fresh, "fresh ids ascend");
+                                        fresh += 1;
+                                    }
+                                }
+                            }
+                            None => prop_assert_eq!(held.len() as u32, max, "early refusal"),
+                        },
+                        2 => {
+                            // adopt an id that is already held: a no-op
+                            if let Some(&id) = held.iter().nth(pick as usize % held.len().max(1)) {
+                                pool.adopt(UeId(id));
+                            }
+                        }
+                        _ => {
+                            let id = pick % (max as u16 + 2);
+                            let was_held = held.remove(&id);
+                            prop_assert_eq!(pool.release(UeId(id)), was_held);
+                            if was_held {
+                                free.push(id);
+                            }
+                        }
+                    }
+                }
+                // everything released is reservable again, nothing else
+                let mut rest = BTreeSet::new();
+                while let Some(id) = pool.reserve(max) {
+                    prop_assert!(rest.insert(id.0) && !held.contains(&id.0));
+                }
+                prop_assert_eq!(rest.len() + held.len(), max as usize);
+            }
+
+            /// `FlowSlots` against a set model: the scan wraps around
+            /// and skips occupied slots, never returns an active slot,
+            /// and refuses only when every slot is active.
+            #[test]
+            fn flow_slots_scan_skips_active_and_wraps(
+                slots in 1u16..17,
+                ops in proptest::collection::vec((0u8..4, 0u16..16), 1..200),
+            ) {
+                let mut fs = FlowSlots::default();
+                let mut active: BTreeSet<u16> = BTreeSet::new();
+                let mut cursor = 0u16; // model: where the next scan starts
+                for (op, pick) in ops {
+                    let pick = pick % slots;
+                    match op {
+                        0 | 1 => match fs.allocate(slots) {
+                            Some(slot) => {
+                                let expect = (0..slots)
+                                    .map(|i| (cursor + i) % slots)
+                                    .find(|s| !active.contains(s));
+                                prop_assert_eq!(Some(slot), expect, "first free from cursor");
+                                active.insert(slot);
+                                cursor = (slot + 1) % slots;
+                            }
+                            None => prop_assert_eq!(active.len(), slots as usize),
+                        },
+                        2 => {
+                            fs.occupy(pick);
+                            active.insert(pick);
+                        }
+                        _ => {
+                            fs.release(pick);
+                            active.remove(&pick);
+                        }
+                    }
+                }
+                fs.clear();
+                prop_assert_eq!(fs.allocate(slots), Some(0), "cleared: scan restarts at 0");
+            }
+        }
     }
 }

@@ -143,6 +143,9 @@ pub struct CentralController<'t> {
     rng: u64,
     /// Rule operations awaiting application to the physical network.
     pending_ops: Vec<RuleOp>,
+    /// Locations released since the last drain, awaiting return to
+    /// their stations' UE-id pools.
+    released_locations: Vec<(BaseStationId, UeId)>,
     /// Mobility bookkeeping (tunnels, transitions — see [`crate::mobility`]).
     mobility: crate::mobility::MobilityManager,
 }
@@ -172,6 +175,7 @@ impl<'t> CentralController<'t> {
             rr_counters: HashMap::new(),
             rng: seed,
             pending_ops: Vec::new(),
+            released_locations: Vec::new(),
             mobility: crate::mobility::MobilityManager::default(),
         }
     }
@@ -250,6 +254,27 @@ impl<'t> CentralController<'t> {
     /// test for this invariant.
     pub fn drain_ops(&mut self) -> Vec<RuleOp> {
         std::mem::take(&mut self.pending_ops)
+    }
+
+    /// Drains the locations released since the last drain — the ones
+    /// UEs vacated by handing off, released when their transition
+    /// expired or was aborted (§5.1). Whoever drives the local agents
+    /// hands each id back with
+    /// [`LocalAgent::release_ue_id`](crate::agent::LocalAgent::release_ue_id);
+    /// until then the station's pool keeps the id held.
+    pub fn drain_released_locations(&mut self) -> Vec<(BaseStationId, UeId)> {
+        std::mem::take(&mut self.released_locations)
+    }
+
+    /// Ends a transition's hold on the locations it kept reserved: each
+    /// is assignable again here and queued for
+    /// [`drain_released_locations`](Self::drain_released_locations).
+    pub(crate) fn release_locations(&mut self, locs: Vec<(BaseStationId, UeId)>) {
+        for (bs, ue_id) in locs {
+            if self.state.release_location(bs, ue_id) {
+                self.released_locations.push((bs, ue_id));
+            }
+        }
     }
 
     /// Drains the pending ops as barrier-delimited per-switch batches

@@ -45,7 +45,10 @@ use crate::state::UeRecord;
 /// redirected before normal forwarding sees it.
 pub const MOBILITY_PRIORITY: u16 = 60_000;
 
-/// One active flow being handed over, as reported by the old local agent.
+/// One active flow with its two access-switch entries — what
+/// [`microflow_pair`](crate::agent::microflow_pair) builds for a new
+/// flow and what the old local agent reports when the flow is handed
+/// over.
 #[derive(Clone, Copy, Debug)]
 pub struct FlowRecord {
     /// The uplink five-tuple as the UE sends it (permanent source).
@@ -558,14 +561,14 @@ impl<'t> CentralController<'t> {
 
     /// Aborts a UE's transition immediately (detach): its anchored flows
     /// are dead, so the per-UE mobility rules come down now and the
-    /// reserved locations are released. Returns the teardown ops.
+    /// reserved locations are released (see
+    /// [`drain_released_locations`](Self::drain_released_locations)).
+    /// Returns the teardown ops.
     pub fn abort_transition(&mut self, imsi: UeImsi) -> Vec<RuleOp> {
         let Some(t) = self.mobility_mut().transitions.remove(&imsi) else {
             return Vec::new();
         };
-        for (bs, ue_id) in &t.reserved_locs {
-            self.state_mut().release_location(*bs, *ue_id);
-        }
+        self.release_locations(t.reserved_locs);
         let mut ops = t.teardown;
         for pair in t.tunnels {
             self.release_tunnel_ref(pair, &mut ops);
@@ -576,7 +579,8 @@ impl<'t> CentralController<'t> {
     /// Expires finished transitions: returns the teardown rule ops and
     /// releases the old location-dependent addresses ("during the
     /// transition, the controller does not assign the old
-    /// location-dependent address to any new UEs" — after it, it may).
+    /// location-dependent address to any new UEs" — after it, it may;
+    /// see [`drain_released_locations`](Self::drain_released_locations)).
     pub fn expire_transitions(&mut self, now: SimTime) -> Vec<RuleOp> {
         let expired: Vec<UeImsi> = self
             .mobility()
@@ -593,9 +597,7 @@ impl<'t> CentralController<'t> {
                 .remove(&imsi)
                 .expect("listed above");
             ops.extend(t.teardown);
-            for (bs, ue_id) in t.reserved_locs {
-                self.state_mut().release_location(bs, ue_id);
-            }
+            self.release_locations(t.reserved_locs);
             for pair in t.tunnels {
                 self.release_tunnel_ref(pair, &mut ops);
             }
@@ -873,6 +875,41 @@ mod tests {
         assert!(!ops.is_empty(), "teardown removes per-UE rules");
         assert!(ops.iter().all(|o| matches!(o, RuleOp::Remove { .. })));
         assert_eq!(ctl.mobility().transitions_active(), 0);
+    }
+
+    #[test]
+    fn ended_transitions_surface_their_released_locations() {
+        // both ways a transition ends — expiry and detach — hand the
+        // vacated location to `drain_released_locations`, exactly once
+        let topo = small_topology();
+        let mut ctl = controller(&topo);
+        for i in 0..2u16 {
+            ctl.attach_ue(UeImsi(i.into()), BaseStationId(0), UeId(i), SimTime::ZERO)
+                .unwrap();
+            ctl.handoff(
+                UeImsi(i.into()),
+                BaseStationId(1),
+                UeId(i),
+                &[],
+                SimTime::ZERO,
+            )
+            .unwrap();
+        }
+        assert!(ctl.drain_released_locations().is_empty(), "still reserved");
+        ctl.detach_ue(UeImsi(0)).unwrap();
+        assert_eq!(
+            ctl.drain_released_locations(),
+            vec![(BaseStationId(0), UeId(0))],
+            "aborted by detach"
+        );
+        ctl.expire_transitions(SimTime::from_secs(500));
+        assert_eq!(
+            ctl.drain_released_locations(),
+            vec![(BaseStationId(0), UeId(1))],
+            "expired"
+        );
+        assert!(ctl.drain_released_locations().is_empty(), "drained once");
+        assert_eq!(ctl.state().reserved_count(), 0);
     }
 
     #[test]

@@ -5,12 +5,18 @@
 //! microflow decisions and detaches touch only one UE's state, so the
 //! controller partitions its UE records across N worker shards keyed by
 //! `fxhash(imsi) mod N` ([`softcell_types::shard_of_ue`]). Station-scoped
-//! state — the local UE-id allocator and per-station attachment set a
-//! real deployment keeps at the base station's local agent — shards by
-//! `fxhash(bs) mod N` instead; an operation spanning both domains (an
-//! attach allocating a UE id, a handoff between stations owned by two
-//! different shards) crosses the boundary through an explicit
-//! **rendezvous** message served by the owning shard.
+//! state — the local UE-id allocator a real deployment keeps at the base
+//! station's local agent — shards by `fxhash(bs) mod N` instead; an
+//! operation spanning both domains (an attach allocating a UE id, a
+//! handoff into a station owned by another shard) crosses the boundary
+//! through an explicit **rendezvous** message served by the owning
+//! shard.
+//!
+//! The bookkeeping on both sides is the local agent's own
+//! ([`crate::agent`]): a station's owner holds its [`UeIdPool`], a UE's
+//! owner holds its [`FlowSlots`] and [`FlowRecord`]s, and flow entries
+//! come from [`microflow_pair`] — the types a `LocalAgent` runs, not
+//! copies of them, so the two cannot drift in id or slot discipline.
 //!
 //! # What stays shared, and why the result is deterministic
 //!
@@ -39,7 +45,7 @@
 //! Coordinated events are rare by design: attach, detach, handoff, and
 //! only the *first* flow demanding a (clause, station) policy path; all
 //! later flows of that pair read the published tags from a read-mostly
-//! map, exactly mirroring the local agents' tag caches (§4.2).
+//! map, the shared form of the local agents' tag caches (§4.2).
 //!
 //! # Liveness
 //!
@@ -71,6 +77,7 @@ use softcell_types::{
     ShardRange, SimDuration, SimTime, SwitchId, UeId, UeImsi,
 };
 
+use crate::agent::{microflow_pair, FlowSlots, UeIdPool, MICROFLOW_IDLE};
 use crate::core::{
     select_nearest_instances, AttachGrant, CentralController, CommitTier, ControllerConfig,
     InstanceSelection, PathTags,
@@ -82,10 +89,6 @@ use crate::state::UeRecord;
 
 /// Block size of the per-shard permanent-address ranges.
 const PERM_BLOCK: u32 = 64;
-
-/// Idle deadline given to flow microflow entries — mirrors
-/// [`crate::agent::LocalAgent::microflow_idle`]'s default.
-const MICROFLOW_IDLE: SimDuration = SimDuration::from_secs(30);
 
 /// One input event, the sharded controller's unit of work. Mirrors the
 /// workload generator's trace events, with the flow endpoints made
@@ -176,7 +179,8 @@ pub struct FlowDecision {
     /// Whether the policy path was already published (the agent
     /// tag-cache-hit equivalent).
     pub cache_hit: bool,
-    /// Entries to install, with [`MICROFLOW_IDLE`] from `time`.
+    /// Entries to install, with [`ShardedController::microflow_idle`]
+    /// from `time`.
     pub installs: Vec<(FiveTuple, MicroflowAction)>,
     /// Event time (deadline base).
     pub time: SimTime,
@@ -307,70 +311,29 @@ pub struct ShardedController<'t> {
 // ---------------------------------------------------------------------
 // rendezvous plumbing
 
+/// What a UE's shard asks of a station's [`UeIdPool`], held by the
+/// station's owner shard.
 enum Rdv {
-    /// Allocate a UE id at a station (attach or handoff arrival),
-    /// free-list LIFO then next fresh id — the local-agent discipline.
-    Reserve {
-        bs: BaseStationId,
-        reply: Sender<Result<UeId>>,
-    },
-    /// Mark a UE attached at a station under a reserved id.
-    Adopt {
-        bs: BaseStationId,
-        imsi: UeImsi,
-        id: UeId,
-        reply: Sender<()>,
-    },
-    /// Return a reserved id that was never adopted (failed attach).
-    Return {
-        bs: BaseStationId,
-        id: UeId,
-        reply: Sender<()>,
-    },
-    /// Remove a UE that moved away; its id is *not* recycled (the old
-    /// location stays reserved until the transition expires, §5.1).
-    Evict {
-        bs: BaseStationId,
-        imsi: UeImsi,
-        reply: Sender<()>,
-    },
-    /// Remove a detached UE, recycling its id.
-    Free {
-        bs: BaseStationId,
-        imsi: UeImsi,
-        id: UeId,
-        reply: Sender<()>,
-    },
+    /// Hand out an id (attach, or handoff arrival).
+    Reserve,
+    /// Mark a reserved id as taken by an attached UE.
+    Adopt(UeId),
+    /// Return an id: a reservation that was never adopted (failed
+    /// attach or handoff), or a detached UE's. The id a handoff vacates
+    /// is *not* released — the old location stays reserved (§5.1).
+    Release(UeId),
 }
 
-/// Station-owner mirror of a local agent's allocator + attachment set.
-#[derive(Default)]
-struct StationMirror {
-    next: u16,
-    free: Vec<UeId>,
-    attached: HashSet<UeImsi>,
-}
-
-impl StationMirror {
-    fn reserve(&mut self, max: u32) -> Result<UeId> {
-        if let Some(id) = self.free.pop() {
-            return Ok(id);
-        }
-        if u32::from(self.next) >= max {
-            return Err(Error::Exhausted("station out of UE ids".into()));
-        }
-        let id = UeId(self.next);
-        self.next += 1;
-        Ok(id)
-    }
-
-    fn adopt(&mut self, imsi: UeImsi, id: UeId) {
-        if id.0 >= self.next {
-            self.next = id.0 + 1;
-        }
-        self.free.retain(|f| *f != id);
-        self.attached.insert(imsi);
-    }
+/// One cross-shard rendezvous in flight. The answer goes to shard
+/// `from`'s reply queue: a shard blocks on its one outstanding request,
+/// so whatever arrives there next is the answer. (One queue per shard
+/// for the whole run, not one per message: a per-message channel is a
+/// small heap block allocated on one thread and freed on the other,
+/// which measured ~10 % off 2-shard `metro_churn` throughput.)
+struct RdvMsg {
+    from: usize,
+    bs: BaseStationId,
+    op: Rdv,
 }
 
 // ---------------------------------------------------------------------
@@ -403,22 +366,14 @@ struct Annotation {
 // ---------------------------------------------------------------------
 // shard worker
 
-struct UeMirror {
+/// One attached UE on its owner shard — what its local agent would
+/// hold for it.
+struct ShardUe {
     ue_id: UeId,
     permanent_ip: Ipv4Addr,
     bs: BaseStationId,
-    next_slot: u16,
-    active_slots: HashSet<u16>,
-    flows: Vec<MirrorFlow>,
-}
-
-#[derive(Clone, Copy)]
-struct MirrorFlow {
-    uplink: FiveTuple,
-    downlink: FiveTuple,
-    downlink_original: FiveTuple,
-    up_action: MicroflowAction,
-    down_action: MicroflowAction,
+    slots: FlowSlots,
+    flows: Vec<FlowRecord>,
 }
 
 /// Contention histograms for the sharded engine, interned once on the
@@ -463,10 +418,12 @@ struct Worker<'t, 'c> {
     coord: &'c Coordinator<'t>,
     cfg: ControllerConfig,
     topo: &'t Topology,
-    rdv_rx: Receiver<Rdv>,
-    rdv_txs: Vec<Sender<Rdv>>,
-    stations: HashMap<BaseStationId, StationMirror>,
-    ues: HashMap<UeImsi, UeMirror>,
+    rdv_rx: Receiver<RdvMsg>,
+    rdv_txs: Vec<Sender<RdvMsg>>,
+    reply_rx: Receiver<Option<UeId>>,
+    reply_txs: Vec<Sender<Option<UeId>>>,
+    stations: HashMap<BaseStationId, UeIdPool>,
+    ues: HashMap<UeImsi, ShardUe>,
     perm: ShardRange,
     perm_base: u32,
     batches: Vec<SeqBatches>,
@@ -505,70 +462,44 @@ impl<'t> Worker<'t, '_> {
     /// Serves every rendezvous currently queued at this shard.
     fn serve_rdv(&mut self) {
         while let Ok(msg) = self.rdv_rx.try_recv() {
-            self.handle_rdv(msg);
+            let r = self.station_op(msg.bs, msg.op);
+            let _ = self.reply_txs[msg.from].send(r);
         }
     }
 
-    fn handle_rdv(&mut self, msg: Rdv) {
-        let max = self.cfg.scheme.max_ues_per_station();
-        match msg {
-            Rdv::Reserve { bs, reply } => {
-                let r = self.stations.entry(bs).or_default().reserve(max);
-                let _ = reply.send(r);
+    /// Applies `op` to the id pool of a station this shard owns.
+    fn station_op(&mut self, bs: BaseStationId, op: Rdv) -> Option<UeId> {
+        let pool = self.stations.entry(bs).or_default();
+        match op {
+            Rdv::Reserve => pool.reserve(self.cfg.scheme.max_ues_per_station()),
+            Rdv::Adopt(id) => {
+                pool.adopt(id);
+                None
             }
-            Rdv::Adopt {
-                bs,
-                imsi,
-                id,
-                reply,
-            } => {
-                self.stations.entry(bs).or_default().adopt(imsi, id);
-                let _ = reply.send(());
-            }
-            Rdv::Return { bs, id, reply } => {
-                self.stations.entry(bs).or_default().free.push(id);
-                let _ = reply.send(());
-            }
-            Rdv::Evict { bs, imsi, reply } => {
-                // the id stays out of the free list (location reserved)
-                self.stations.entry(bs).or_default().attached.remove(&imsi);
-                let _ = reply.send(());
-            }
-            Rdv::Free {
-                bs,
-                imsi,
-                id,
-                reply,
-            } => {
-                let st = self.stations.entry(bs).or_default();
-                st.attached.remove(&imsi);
-                st.free.push(id);
-                let _ = reply.send(());
+            Rdv::Release(id) => {
+                pool.release(id);
+                None
             }
         }
     }
 
-    /// Sends a rendezvous to a station's owner shard and waits for the
-    /// reply, serving this shard's own queue while blocked. Same-shard
-    /// messages are handled inline.
-    fn rendezvous<R>(
-        &mut self,
-        bs: BaseStationId,
-        make: impl FnOnce(Sender<R>) -> Rdv,
-        local: impl FnOnce(&mut Self) -> R,
-    ) -> R {
+    /// Runs `op` on a station's id pool: inline when this shard owns the
+    /// station, otherwise as a message to the owner, serving this
+    /// shard's own queue while waiting for the reply. Only `Reserve`
+    /// answers with an id.
+    fn rendezvous(&mut self, bs: BaseStationId, op: Rdv) -> Option<UeId> {
         let owner = shard_of_station(bs, self.shards);
         if owner == self.id {
-            return local(self);
+            return self.station_op(bs, op);
         }
         self.stats.rendezvous_messages += 1;
-        let (tx, rx) = unbounded();
+        let from = self.id;
         self.rdv_txs[owner]
-            .send(make(tx))
+            .send(RdvMsg { from, bs, op })
             .unwrap_or_else(|_| panic!("shard {owner} rendezvous queue closed"));
         let sw = Stopwatch::start();
         loop {
-            if let Ok(r) = rx.try_recv() {
+            if let Ok(r) = self.reply_rx.try_recv() {
                 sw.record(&metrics().rendezvous_wait);
                 return r;
             }
@@ -577,61 +508,9 @@ impl<'t> Worker<'t, '_> {
         }
     }
 
-    fn rdv_reserve(&mut self, bs: BaseStationId) -> Result<UeId> {
-        let max = self.cfg.scheme.max_ues_per_station();
-        self.rendezvous(
-            bs,
-            |reply| Rdv::Reserve { bs, reply },
-            |w| w.stations.entry(bs).or_default().reserve(max),
-        )
-    }
-
-    fn rdv_adopt(&mut self, bs: BaseStationId, imsi: UeImsi, id: UeId) {
-        self.rendezvous(
-            bs,
-            |reply| Rdv::Adopt {
-                bs,
-                imsi,
-                id,
-                reply,
-            },
-            |w| w.stations.entry(bs).or_default().adopt(imsi, id),
-        )
-    }
-
-    fn rdv_return(&mut self, bs: BaseStationId, id: UeId) {
-        self.rendezvous(
-            bs,
-            |reply| Rdv::Return { bs, id, reply },
-            |w| w.stations.entry(bs).or_default().free.push(id),
-        )
-    }
-
-    fn rdv_evict(&mut self, bs: BaseStationId, imsi: UeImsi) {
-        self.rendezvous(
-            bs,
-            |reply| Rdv::Evict { bs, imsi, reply },
-            |w| {
-                w.stations.entry(bs).or_default().attached.remove(&imsi);
-            },
-        )
-    }
-
-    fn rdv_free(&mut self, bs: BaseStationId, imsi: UeImsi, id: UeId) {
-        self.rendezvous(
-            bs,
-            |reply| Rdv::Free {
-                bs,
-                imsi,
-                id,
-                reply,
-            },
-            |w| {
-                let st = w.stations.entry(bs).or_default();
-                st.attached.remove(&imsi);
-                st.free.push(id);
-            },
-        )
+    fn reserve_ue_id(&mut self, bs: BaseStationId) -> Result<UeId> {
+        self.rendezvous(bs, Rdv::Reserve)
+            .ok_or_else(|| Error::Exhausted(format!("base station {bs} out of UE ids")))
     }
 
     /// Waits for this event's ticket, runs `f` against the engine, and
@@ -764,17 +643,17 @@ impl<'t> Worker<'t, '_> {
         };
         let ip = Ipv4Addr::from(self.cfg.permanent_pool.raw_bits() + self.perm_base + off);
         let granted: Result<AttachGrant> = self.with_ticket(seq, |w, engine| {
-            let id = match w.rdv_reserve(bs) {
+            let id = match w.reserve_ue_id(bs) {
                 Ok(id) => id,
                 Err(e) => return (Err(e), Vec::new()),
             };
             match engine.attach_ue_with_ip(ev.imsi, bs, id, ev.time, Some(ip)) {
                 Ok(grant) => {
-                    w.rdv_adopt(bs, ev.imsi, id);
+                    w.rendezvous(bs, Rdv::Adopt(id));
                     (Ok(grant), Vec::new())
                 }
                 Err(e) => {
-                    w.rdv_return(bs, id);
+                    w.rendezvous(bs, Rdv::Release(id));
                     (Err(e), Vec::new())
                 }
             }
@@ -783,12 +662,11 @@ impl<'t> Worker<'t, '_> {
             Ok(grant) => {
                 self.ues.insert(
                     ev.imsi,
-                    UeMirror {
+                    ShardUe {
                         ue_id: grant.record.ue_id,
                         permanent_ip: ip,
                         bs,
-                        next_slot: 0,
-                        active_slots: HashSet::new(),
+                        slots: FlowSlots::default(),
                         flows: Vec::new(),
                     },
                 );
@@ -953,55 +831,22 @@ impl<'t> Worker<'t, '_> {
             Ok(a) => a,
             Err(e) => return self.skip(idx, format!("loc encode failed: {e}")),
         };
-        // flow-slot allocation, exactly the local agent's scan
-        let slots = self.cfg.ports.flow_slots();
-        let mut slot = ue.next_slot % slots;
-        let mut tries = 0;
-        while ue.active_slots.contains(&slot) {
-            slot = (slot + 1) % slots;
-            tries += 1;
-            if tries >= slots {
-                return self.skip(idx, "all flow slots active");
-            }
-        }
-        ue.next_slot = slot + 1;
-        ue.active_slots.insert(slot);
-
-        let up_port = self
-            .cfg
-            .ports
-            .encode(tags.uplink_entry, slot)
-            .expect("tag fits");
-        let down_port = self
-            .cfg
-            .ports
-            .encode(tags.downlink_final, slot)
-            .expect("tag fits");
-        let up_action = MicroflowAction::RewriteSrc {
-            addr: loc_addr,
-            port: up_port,
-            out: tags.access_out_port,
-            dscp: tags.qos.map(|q| q.dscp),
+        let Some(slot) = ue.slots.allocate(self.cfg.ports.flow_slots()) else {
+            return self.skip(idx, "all flow slots active");
         };
-        let down_tuple = FiveTuple {
-            src: dst,
-            dst: loc_addr,
-            src_port: dst_port,
-            dst_port: down_port,
-            proto,
+        let flow = match microflow_pair(
+            &self.cfg.ports,
+            &tags,
+            loc_addr,
+            ue.permanent_ip,
+            radio,
+            tuple,
+            slot,
+        ) {
+            Ok(f) => f,
+            Err(e) => return self.skip(idx, format!("port encode failed: {e}")),
         };
-        let down_action = MicroflowAction::RewriteDst {
-            addr: ue.permanent_ip,
-            port: src_port,
-            out: radio,
-        };
-        ue.flows.push(MirrorFlow {
-            uplink: tuple,
-            downlink: down_tuple,
-            downlink_original: down_tuple,
-            up_action,
-            down_action,
-        });
+        ue.flows.push(flow);
         self.outcomes.push((
             idx,
             EventOutcome::Flow(FlowDecision {
@@ -1010,7 +855,10 @@ impl<'t> Worker<'t, '_> {
                 clause: entry.clause,
                 denied: false,
                 cache_hit,
-                installs: vec![(tuple, up_action), (down_tuple, down_action)],
+                installs: vec![
+                    (flow.uplink, flow.up_action),
+                    (flow.downlink, flow.down_action),
+                ],
                 time: ev.time,
             }),
         ));
@@ -1031,58 +879,39 @@ impl<'t> Worker<'t, '_> {
             self.with_ticket(seq, |_, _| ((), Vec::new()));
             return self.skip(idx, format!("{} not attached", ev.imsi));
         };
-        // the station actually being vacated is the mirror's (the trace's
-        // `from` matches it on consistent traces)
+        // the station actually being vacated is the one this shard has
+        // the UE at (the trace's `from` matches it on consistent traces)
         let from = if current == from { from } else { current };
         if from == to {
             self.with_ticket(seq, |_, _| ((), Vec::new()));
             return self.skip(idx, "handoff to the same station");
         }
-        let flows: Vec<FlowRecord> = self.ues[&ev.imsi]
-            .flows
-            .iter()
-            .map(|f| FlowRecord {
-                uplink: f.uplink,
-                downlink: f.downlink,
-                downlink_original: f.downlink_original,
-                up_action: f.up_action,
-                down_action: f.down_action,
-            })
-            .collect();
+        let flows = self.ues[&ev.imsi].flows.clone();
         if shard_of_station(from, self.shards) != shard_of_station(to, self.shards) {
             self.stats.cross_shard_handoffs += 1;
         }
 
-        // The two station-owner interactions commute (they touch
-        // different stations); the seeded scheduler permutes their order
-        // and injects yields so the concurrency test can drive every
-        // interleaving. The reservation always precedes the engine call
-        // (the plan needs the new id).
-        let evict_early = self.next_rand() & 1 == 0;
+        // Reserve at the target's owner, run the engine plan, adopt at
+        // the target's owner; the vacated station is not told (its id
+        // stays held, §5.1). The seeded scheduler injects yields around
+        // each step so the concurrency test can drive the interleavings
+        // of the two-shard exchange.
         let plan = self.with_ticket(seq, |w, engine| {
             w.jitter();
-            let new_id = match w.rdv_reserve(to) {
+            let new_id = match w.reserve_ue_id(to) {
                 Ok(id) => id,
                 Err(e) => return (Err(e), Vec::new()),
             };
-            if evict_early {
-                w.jitter();
-                w.rdv_evict(from, ev.imsi);
-            }
             w.jitter();
             match engine.handoff(ev.imsi, to, new_id, &flows, ev.time) {
                 Ok(plan) => {
-                    if !evict_early {
-                        w.jitter();
-                        w.rdv_evict(from, ev.imsi);
-                    }
                     w.jitter();
-                    w.rdv_adopt(to, ev.imsi, new_id);
+                    w.rendezvous(to, Rdv::Adopt(new_id));
                     let ops = plan.ops.clone();
                     (Ok(plan), ops)
                 }
                 Err(e) => {
-                    w.rdv_return(to, new_id);
+                    w.rendezvous(to, Rdv::Release(new_id));
                     (Err(e), Vec::new())
                 }
             }
@@ -1092,38 +921,32 @@ impl<'t> Worker<'t, '_> {
             Err(e) => return self.skip(idx, format!("handoff failed: {e}")),
         };
 
-        // re-key the mirror exactly as the arriving agent adopts flows
+        // re-key the flows exactly as the arriving agent adopts them
         let installed: HashMap<FiveTuple, MicroflowAction> =
             plan.new_microflow_installs.iter().copied().collect();
         let ue = self.ues.get_mut(&ev.imsi).expect("checked above");
         ue.bs = to;
         ue.ue_id = plan.new.ue_id;
-        ue.next_slot = 0;
-        ue.active_slots.clear();
+        ue.slots.clear();
         ue.flows = plan
             .carried_flows
             .iter()
             .filter_map(|f| {
-                let up_action = *installed.get(&f.uplink)?;
-                let down_action = *installed.get(&f.downlink)?;
-                Some(MirrorFlow {
+                Some(FlowRecord {
                     uplink: f.uplink,
                     downlink: f.downlink,
                     downlink_original: f.downlink_original,
-                    up_action,
-                    down_action,
+                    up_action: *installed.get(&f.uplink)?,
+                    down_action: *installed.get(&f.downlink)?,
                 })
             })
             .collect();
         for f in &ue.flows {
-            let (_, slot) = self.cfg.ports.decode(f.downlink.dst_port);
-            ue.active_slots.insert(slot);
+            ue.slots
+                .occupy(self.cfg.ports.decode(f.downlink.dst_port).1);
         }
 
         self.stats.handoffs += 1;
-        Registry::global()
-            .journal()
-            .record("handoff", ev.imsi.0, u64::from(to.0));
         self.outcomes.push((
             idx,
             EventOutcome::HandedOff(HandoffOutcome {
@@ -1144,15 +967,15 @@ impl<'t> Worker<'t, '_> {
         }
         let record = self.with_ticket(seq, |w, engine| match engine.detach_ue(ev.imsi) {
             Ok(record) => {
-                w.rdv_free(record.bs, ev.imsi, record.ue_id);
+                w.rendezvous(record.bs, Rdv::Release(record.ue_id));
                 (Ok(record), Vec::new())
             }
             Err(e) => (Err(e), Vec::new()),
         });
         match record {
             Ok(record) => {
-                let mirror = self.ues.remove(&ev.imsi).expect("checked above");
-                let off = u32::from(mirror.permanent_ip)
+                let ue = self.ues.remove(&ev.imsi).expect("checked above");
+                let off = u32::from(ue.permanent_ip)
                     - self.cfg.permanent_pool.raw_bits()
                     - self.perm_base;
                 self.perm.release(off);
@@ -1205,8 +1028,8 @@ impl<'t> ShardedController<'t> {
         }
     }
 
-    /// Sets the rendezvous-scheduler seed (permutes cross-shard message
-    /// order and injects yields; the result must not depend on it).
+    /// Sets the rendezvous-scheduler seed (injects yields around each
+    /// cross-shard message; the result must not depend on it).
     pub fn with_sched_seed(mut self, seed: u64) -> Self {
         self.sched_seed = seed;
         self
@@ -1341,6 +1164,8 @@ impl<'t> ShardedController<'t> {
         let mut event_rxs = Vec::with_capacity(self.shards);
         let mut rdv_txs = Vec::with_capacity(self.shards);
         let mut rdv_rxs = Vec::with_capacity(self.shards);
+        let mut reply_txs = Vec::with_capacity(self.shards);
+        let mut reply_rxs = Vec::with_capacity(self.shards);
         for _ in 0..self.shards {
             let (tx, rx) = unbounded();
             event_txs.push(tx);
@@ -1348,6 +1173,9 @@ impl<'t> ShardedController<'t> {
             let (tx, rx) = unbounded();
             rdv_txs.push(tx);
             rdv_rxs.push(rx);
+            let (tx, rx) = unbounded();
+            reply_txs.push(tx);
+            reply_rxs.push(rx);
         }
         for (idx, (ev, ann)) in events.iter().zip(&annotations).enumerate() {
             let shard = shard_of_ue(ev.imsi, self.shards);
@@ -1357,7 +1185,8 @@ impl<'t> ShardedController<'t> {
 
         let outputs: Vec<WorkerOutput> = std::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(self.shards);
-            for (id, (events_rx, rdv_rx)) in event_rxs.into_iter().zip(rdv_rxs).enumerate() {
+            let queues = event_rxs.into_iter().zip(rdv_rxs).zip(reply_rxs);
+            for (id, ((events_rx, rdv_rx), reply_rx)) in queues.enumerate() {
                 let worker = Worker {
                     id,
                     shards: self.shards,
@@ -1366,6 +1195,8 @@ impl<'t> ShardedController<'t> {
                     topo: self.topo,
                     rdv_rx,
                     rdv_txs: rdv_txs.clone(),
+                    reply_rx,
+                    reply_txs: reply_txs.clone(),
                     stations: HashMap::new(),
                     ues: HashMap::new(),
                     perm: ShardRange::new(RangePool::new(slice, PERM_BLOCK)),
@@ -1443,7 +1274,7 @@ impl<'t> ShardedController<'t> {
     }
 
     /// The idle deadline the materializer must give flow microflow
-    /// entries (mirrors the local agent's default).
+    /// entries: the one a new local agent gives them.
     pub fn microflow_idle() -> SimDuration {
         MICROFLOW_IDLE
     }

@@ -238,14 +238,16 @@ impl ControllerState {
                 .unwrap_or(true)
     }
 
-    /// Releases a reserved location once its transition has expired. A
+    /// Releases a reserved location once its transition has ended. A
     /// location the subscriber has since reclaimed (returned home) stays
-    /// live.
-    pub fn release_location(&mut self, bs: BaseStationId, ue_id: UeId) {
-        if !self.by_loc.contains_key(&(bs, ue_id)) {
+    /// live. Returns whether the location was released.
+    pub fn release_location(&mut self, bs: BaseStationId, ue_id: UeId) -> bool {
+        let vacant = !self.by_loc.contains_key(&(bs, ue_id));
+        if vacant {
             self.reserved.remove(&(bs, ue_id));
             self.version += 1;
         }
+        vacant
     }
 
     /// Number of reserved (in-transition) locations.

@@ -131,10 +131,6 @@ impl ControllerServer {
                             ue_id,
                             now,
                         } => (|| {
-                            shared
-                                .telemetry
-                                .journal()
-                                .record("attach", imsi.0, u64::from(bs.0));
                             route_packet_in(
                                 &router,
                                 &shared,
@@ -154,11 +150,6 @@ impl ControllerServer {
                             })
                         })(),
                         PacketIn::PathRequest { bs, clause } => (|| {
-                            shared.telemetry.journal().record(
-                                "policy_path",
-                                u64::from(bs.0),
-                                u64::from(clause.0),
-                            );
                             route_packet_in(
                                 &router,
                                 &shared,
@@ -195,11 +186,6 @@ impl ControllerServer {
                             // the batch contents it numbers.
                             let seq = shared.batch_seq.fetch_add(1, Ordering::AcqRel) as u32;
                             batch_sp.set_label(u64::from(seq));
-                            shared.telemetry.journal().record(
-                                "flow_mod_batch",
-                                u64::from(shard),
-                                u64::from(seq),
-                            );
                             Ok(Message::FlowModBatch {
                                 shard,
                                 seq,
@@ -211,7 +197,6 @@ impl ControllerServer {
                             })
                         })(),
                         PacketIn::Detach { imsi } => (|| {
-                            shared.telemetry.journal().record("detach", imsi.0, 0);
                             route_packet_in(
                                 &router,
                                 &shared,
@@ -336,7 +321,7 @@ impl<T: Transport> ChannelController<T> {
         // runs, so they land on the process-global registry
         let reg = softcell_telemetry::Registry::global();
         reg.counter("softcell_controller_reconnects_total").inc();
-        reg.journal().record("reconnect", u64::from(self.bs.0), 0);
+        reg.tracer().instant("reconnect", u64::from(self.bs.0));
         Ok(())
     }
 
@@ -367,7 +352,7 @@ impl<T: Transport> ChannelController<T> {
         }
         let reg = softcell_telemetry::Registry::global();
         reg.counter("softcell_controller_resyncs_total").inc();
-        reg.journal().record("resync", u64::from(bs.0), n as u64);
+        reg.tracer().instant("resync", u64::from(bs.0));
         Ok(n)
     }
 

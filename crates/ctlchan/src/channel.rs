@@ -385,11 +385,6 @@ where
             Message::BarrierRequest => {
                 // let the handler observe the fence too (tests hook this)
                 let _ = handler(&msg, sp.ctx());
-                softcell_telemetry::Registry::global().journal().record(
-                    "barrier_ack",
-                    u64::from(xid),
-                    0,
-                );
                 Some(Message::BarrierReply)
             }
             Message::StatsRequest => {

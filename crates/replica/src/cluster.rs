@@ -235,8 +235,8 @@ impl Cluster {
         // Release pairs with Killable::killed's Acquire load.
         self.kills[seat].store(true, Ordering::Release);
         Registry::global()
-            .journal()
-            .record("controller_killed", seat as u64, 0);
+            .tracer()
+            .instant("controller_killed", seat as u64);
     }
 
     /// Partitions `seat`: all its links stop carrying traffic but stay
@@ -293,8 +293,7 @@ impl Cluster {
         let reg = Registry::global();
         reg.histogram("softcell_replica_recovery_time_us")
             .record(started.elapsed().as_micros() as u64);
-        reg.journal()
-            .record("fail_over", view.epoch(), initiator as u64);
+        reg.tracer().instant("fail_over", view.epoch());
         Ok(view)
     }
 
@@ -358,8 +357,7 @@ pub fn rehome_agent(
     ctl.resync(agent, now)?;
     let reg = Registry::global();
     reg.counter("softcell_replica_rehomes_total").inc();
-    reg.journal()
-        .record("rehome", u64::from(bs.0), u64::from(leader.0));
+    reg.tracer().instant("rehome", u64::from(bs.0));
     Ok(leader)
 }
 

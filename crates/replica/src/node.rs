@@ -245,8 +245,7 @@ impl<T: Transport> ReplicaNode<T> {
             let reg = Registry::global();
             reg.counter("softcell_replica_epoch_changes_total").inc();
             reg.gauge("softcell_replica_current_epoch").set(epoch);
-            reg.journal()
-                .record("epoch_change", epoch, u64::from(self.cfg.id.0));
+            reg.tracer().instant("epoch_change", epoch);
         }
     }
 
@@ -784,8 +783,7 @@ impl<T: Transport> ReplicaNode<T> {
             // deposed leader can never act.
             reg.counter("softcell_replica_stale_epoch_rejections_total")
                 .inc();
-            reg.journal()
-                .record("stale_epoch_reject", epoch, u64::from(origin));
+            reg.tracer().instant("stale_epoch_reject", epoch);
             return reject(&core, my_epoch);
         }
         if epoch > core.membership.epoch() {
@@ -800,8 +798,7 @@ impl<T: Transport> ReplicaNode<T> {
             // declares dead — not a stale-epoch case, its own signal.
             reg.counter("softcell_replica_dead_origin_rejections_total")
                 .inc();
-            reg.journal()
-                .record("dead_origin_reject", epoch, u64::from(origin));
+            reg.tracer().instant("dead_origin_reject", epoch);
             return reject(&core, my_epoch);
         }
         match core.store.apply(&record) {
@@ -856,8 +853,7 @@ impl<T: Transport> ReplicaNode<T> {
         let had_more = core.store.ahead_of(&incoming);
         core.store.merge(&incoming);
         reg.counter("softcell_replica_snapshots_total").inc();
-        reg.journal()
-            .record("snapshot_merged", epoch, u64::from(origin));
+        reg.tracer().instant("snapshot_merged", epoch);
         let _ = applied; // sender watermarks are carried by the store image itself
         if had_more {
             // We hold records the sender lacks: hand the merged image
@@ -894,8 +890,7 @@ impl<T: Transport> ReplicaNode<T> {
                     let reg = Registry::global();
                     reg.counter("softcell_replica_epoch_changes_total").inc();
                     reg.gauge("softcell_replica_current_epoch").set(epoch);
-                    reg.journal()
-                        .record("epoch_change", epoch, u64::from(self.cfg.id.0));
+                    reg.tracer().instant("epoch_change", epoch);
                 }
                 Err(e) => return Message::from_error(&e),
             }

@@ -827,8 +827,7 @@ impl Driver<'_> {
 
     fn housekeeping(&mut self, w: &mut SimWorld) -> Result<()> {
         let now = w.now();
-        let ops = w.controller.expire_transitions(now);
-        w.net.apply_all(&ops)?;
+        w.expire_transitions()?;
         for sw in w.net.switches_mut() {
             sw.microflow.expire_idle(now);
         }

@@ -129,11 +129,33 @@ impl<'t> SimWorld<'t> {
     }
 
     /// Detaches a UE (through its current station's agent). Mobility
-    /// teardown rules queued by the controller are applied immediately.
+    /// teardown rules queued by the controller are applied immediately,
+    /// and the ids of locations an aborted transition freed go back to
+    /// their stations' agents.
     pub fn detach(&mut self, imsi: UeImsi) -> Result<()> {
         let bs = self.controller.state().ue(imsi)?.bs;
         self.agents[bs.index()].handle_detach(imsi, &mut self.controller)?;
-        self.apply_pending_ops()
+        self.apply_pending_ops()?;
+        self.return_released_ue_ids();
+        Ok(())
+    }
+
+    /// Mobility housekeeping: expires the transitions whose soft timeout
+    /// has passed, applies their teardown to the data plane, and hands
+    /// each released location's id back to its station's agent (§5.1:
+    /// the old address is assignable again only now). Returns the number
+    /// of rules torn down.
+    pub fn expire_transitions(&mut self) -> Result<usize> {
+        let ops = self.controller.expire_transitions(self.now);
+        self.net.apply_all(&ops)?;
+        self.return_released_ue_ids();
+        Ok(ops.len())
+    }
+
+    fn return_released_ue_ids(&mut self) {
+        for (bs, ue_id) in self.controller.drain_released_locations() {
+            self.agents[bs.index()].release_ue_id(ue_id);
+        }
     }
 
     /// Opens a connection from a UE towards an Internet endpoint.
@@ -1037,13 +1059,12 @@ mod tests {
         // the home transition's rules were already torn down mid-chain
         // (each handoff supersedes the previous transition), so expiry
         // may produce no ops — its job here is releasing reservations
-        let ops = w.controller.expire_transitions(now);
-        w.net.apply_all(&ops).unwrap();
+        w.expire_transitions().unwrap();
         assert_eq!(w.controller.mobility().transitions_active(), 0);
         assert_eq!(w.controller.state().reserved_count(), 0, "released once");
 
         // released exactly once: a second expiry pass finds nothing
-        assert!(w.controller.expire_transitions(now).is_empty());
+        assert_eq!(w.expire_transitions().unwrap(), 0);
         assert_eq!(w.controller.state().reserved_count(), 0);
 
         // re-attach at a released location succeeds: the exact slot the
@@ -1168,8 +1189,7 @@ mod chain_tests {
         let ttl = w.controller.mobility().transition_ttl;
         w.advance(ttl + SimDuration::from_secs(1));
         let now = w.now();
-        let ops = w.controller.expire_transitions(now);
-        w.net.apply_all(&ops).unwrap();
+        w.expire_transitions().unwrap();
         for sw in w.net.switches_mut() {
             sw.microflow.expire_idle(now);
         }

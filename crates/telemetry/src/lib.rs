@@ -1,7 +1,7 @@
 //! Telemetry substrate for the SoftCell reproduction: lock-free
 //! counters/gauges, log2 latency histograms, a labeled-family metric
-//! [`Registry`], and a ring-buffer [`EventJournal`] for control-plane
-//! lifecycle tracing.
+//! [`Registry`], and a sampled causal [`Tracer`] whose one span ring
+//! also holds the control plane's lifecycle instants.
 //!
 //! The paper's evaluation (§6) hinges on quantities the runtime itself
 //! is best placed to measure — packet-in service latency, per-shard
@@ -15,9 +15,6 @@
 //!   once and touched lock-free thereafter; a process-wide
 //!   [`Registry::global`] plus per-instance registries where isolation
 //!   matters.
-//! * [`journal`] — [`EventJournal`], a bounded ring of timestamped
-//!   lifecycle events (attach → policy path → flow-mod batch → barrier
-//!   ack, reconnect/resync) with explicit drop accounting.
 //! * [`snapshot`] — [`Snapshot`]: typed point-in-time export, merged
 //!   across registries, rendered to JSON (via serde), Prometheus text
 //!   exposition, or a human-readable report table.
@@ -25,25 +22,25 @@
 //!   propagated across threads and the wire, RAII [`Span`] guards, a
 //!   bounded record ring) feeding the snapshot's critical-path
 //!   attribution and Chrome `trace_event` export (DESIGN.md §15).
+//!   Rare lifecycle events (reconnect, fail-over, re-home…) land in
+//!   the same ring as zero-duration spans via [`Tracer::instant`].
 //!
 //! Building with the `telemetry-off` feature compiles every primitive
 //! to a zero-sized no-op — no atomics, no clock reads — while keeping
 //! the registration and snapshot API intact (all values read as zero),
 //! so instrumented code needs no feature gates of its own.
 
-pub mod journal;
 pub mod metrics;
 pub mod registry;
 pub mod snapshot;
 pub mod trace;
 
-pub use journal::{Event, EventJournal, DEFAULT_JOURNAL_CAP};
 pub use metrics::{
     bucket_index, bucket_upper_bound, quantile_from_buckets, Counter, Gauge, Histogram, Stopwatch,
     BUCKETS,
 };
 pub use registry::Registry;
 pub use snapshot::{
-    CounterSample, EventSample, GaugeSample, HistogramSample, KindAttribution, Snapshot, SpanSample,
+    CounterSample, GaugeSample, HistogramSample, KindAttribution, Snapshot, SpanSample,
 };
 pub use trace::{ReqTrace, Span, SpanRecord, TraceContext, Tracer, DEFAULT_SLOW_US};

@@ -17,23 +17,18 @@
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
-use crate::journal::EventJournal;
 use crate::metrics::{Counter, Gauge, Histogram};
-use crate::snapshot::{
-    CounterSample, EventSample, GaugeSample, HistogramSample, Snapshot, SpanSample,
-};
+use crate::snapshot::{CounterSample, GaugeSample, HistogramSample, Snapshot, SpanSample};
 use crate::trace::Tracer;
 
 type Family<T> = Mutex<BTreeMap<(String, String), Arc<T>>>;
 
-/// A set of named metric families plus one event journal and one span
-/// tracer.
+/// A set of named metric families plus one span tracer.
 #[derive(Debug, Default)]
 pub struct Registry {
     counters: Family<Counter>,
     gauges: Family<Gauge>,
     histograms: Family<Histogram>,
-    journal: EventJournal,
     tracer: Tracer,
 }
 
@@ -88,20 +83,15 @@ impl Registry {
         intern(&self.histograms, name, label)
     }
 
-    /// This registry's event journal.
-    pub fn journal(&self) -> &EventJournal {
-        &self.journal
-    }
-
     /// This registry's span tracer (disarmed by default).
     pub fn tracer(&self) -> &Tracer {
         &self.tracer
     }
 
     /// A point-in-time copy of every registered metric and the retained
-    /// journal, ready for JSON/Prometheus export or merging.
+    /// spans, ready for JSON/Prometheus export or merging.
     pub fn snapshot(&self) -> Snapshot {
-        let mut counters: Vec<CounterSample> = self
+        let counters = self
             .counters
             .lock()
             .expect("registry poisoned")
@@ -112,14 +102,6 @@ impl Registry {
                 value: c.get(),
             })
             .collect();
-        // Journal overflow is otherwise silent: surface the eviction
-        // count as a first-class counter so exports and merges see it.
-        counters.push(CounterSample {
-            name: "softcell_telemetry_journal_dropped_total".to_string(),
-            label: String::new(),
-            value: self.journal.dropped(),
-        });
-        counters.sort_by(|a, b| (&a.name, &a.label).cmp(&(&b.name, &b.label)));
         let gauges = self
             .gauges
             .lock()
@@ -146,17 +128,6 @@ impl Registry {
                 )
             })
             .collect();
-        let events = self
-            .journal
-            .events()
-            .into_iter()
-            .map(|e| EventSample {
-                ts_us: e.ts_us,
-                kind: e.kind.to_string(),
-                a: e.a,
-                b: e.b,
-            })
-            .collect();
         let spans = self
             .tracer
             .records()
@@ -176,8 +147,6 @@ impl Registry {
             counters,
             gauges,
             histograms,
-            events,
-            events_dropped: self.journal.dropped(),
             spans,
             spans_dropped: self.tracer.dropped(),
         }
@@ -206,30 +175,6 @@ mod tests {
             assert_eq!(snap.counter("softcell_test_total"), 3, "family sums");
             assert_eq!(snap.counter_labeled("softcell_test_total", "shard=1"), 1);
         }
-    }
-
-    #[cfg(not(feature = "telemetry-off"))]
-    #[test]
-    fn journal_overflow_surfaces_as_dropped_counter() {
-        let r = Registry::default();
-        let clean = r.snapshot();
-        assert_eq!(
-            clean.counter("softcell_telemetry_journal_dropped_total"),
-            0,
-            "present even before any eviction"
-        );
-        for i in 0..(crate::journal::DEFAULT_JOURNAL_CAP as u64 + 3) {
-            r.journal().record("e", i, 0);
-        }
-        let snap = r.snapshot();
-        assert_eq!(snap.counter("softcell_telemetry_journal_dropped_total"), 3);
-        assert_eq!(snap.events_dropped, 3);
-        // The ring kept the newest entries.
-        assert_eq!(
-            snap.events.last().map(|e| e.a),
-            Some(crate::journal::DEFAULT_JOURNAL_CAP as u64 + 2)
-        );
-        assert_eq!(snap.events.first().map(|e| e.a), Some(3));
     }
 
     #[cfg(not(feature = "telemetry-off"))]
@@ -267,7 +212,6 @@ mod tests {
         r.counter("softcell_test_c_total").add(5);
         r.gauge_with("softcell_test_g", "sw=2").record_max(9);
         r.histogram("softcell_test_h_ns").record(1000);
-        r.journal().record("attach", 7, 0);
         let snap = r.snapshot();
         assert_eq!(snap.counter("softcell_test_c_total"), 5);
         assert_eq!(snap.gauges.len(), 1);
@@ -275,7 +219,5 @@ mod tests {
         let h = snap.histogram("softcell_test_h_ns").unwrap();
         assert_eq!(h.count, 1);
         assert_eq!(h.max, 1000);
-        assert_eq!(snap.events.len(), 1);
-        assert_eq!(snap.events[0].kind, "attach");
     }
 }

@@ -94,20 +94,6 @@ impl HistogramSample {
     }
 }
 
-/// One journal event, with the kind owned so snapshots are
-/// self-contained.
-#[derive(Debug, Clone, Serialize)]
-pub struct EventSample {
-    /// Microseconds since the source journal's creation.
-    pub ts_us: u64,
-    /// Event kind tag.
-    pub kind: String,
-    /// First per-kind operand.
-    pub a: u64,
-    /// Second per-kind operand.
-    pub b: u64,
-}
-
 /// One completed trace span, with the kind owned so snapshots are
 /// self-contained (see [`crate::trace::SpanRecord`]).
 #[derive(Debug, Clone, Serialize)]
@@ -155,10 +141,6 @@ pub struct Snapshot {
     pub gauges: Vec<GaugeSample>,
     /// Histogram readings, sorted by (name, label).
     pub histograms: Vec<HistogramSample>,
-    /// Retained journal events, oldest first.
-    pub events: Vec<EventSample>,
-    /// Journal events evicted before this snapshot.
-    pub events_dropped: u64,
     /// Retained trace spans, oldest first.
     pub spans: Vec<SpanSample>,
     /// Trace spans evicted before this snapshot.
@@ -198,9 +180,9 @@ impl Snapshot {
 
     /// Folds `other` into `self`: counters add, gauges keep the larger
     /// reading (they track high-water marks across instances),
-    /// histograms merge bucket-wise with percentiles recomputed, events
-    /// concatenate in merge order (timestamps from different registries
-    /// share no epoch, so cross-registry order is not meaningful).
+    /// histograms merge bucket-wise with percentiles recomputed, spans
+    /// concatenate (every tracer stamps from the one process trace
+    /// epoch, so spans of different registries order by `start_us`).
     pub fn merge(&mut self, other: &Snapshot) {
         let mut counters: BTreeMap<(String, String), u64> = self
             .counters
@@ -262,8 +244,6 @@ impl Snapshot {
         }
         self.histograms = hists.into_values().collect();
 
-        self.events.extend(other.events.iter().cloned());
-        self.events_dropped += other.events_dropped;
         self.spans.extend(other.spans.iter().cloned());
         self.spans_dropped += other.spans_dropped;
     }
@@ -394,13 +374,6 @@ impl Snapshot {
                     h.max
                 ));
             }
-        }
-        if !self.events.is_empty() || self.events_dropped > 0 {
-            out.push_str(&format!(
-                "journal: {} events retained, {} dropped\n",
-                self.events.len(),
-                self.events_dropped
-            ));
         }
         if !self.spans.is_empty() || self.spans_dropped > 0 {
             out.push_str(&format!(

@@ -1,8 +1,8 @@
 //! Low-overhead causal tracing with cross-layer context propagation
 //! (DESIGN.md §15).
 //!
-//! Aggregates (counters, histograms) say *how much*; the journal says
-//! *in what order*; traces say *why this one was slow*. A trace is a
+//! Aggregates (counters, histograms) say *how much*; traces say *why
+//! this one was slow* and *in what order things happened*. A trace is a
 //! tree of [`SpanRecord`]s sharing one `trace_id`: the root is opened
 //! where an operation enters the system (an agent round-trip, a replica
 //! proposal, a campaign slice), children hang off it through every
@@ -30,7 +30,9 @@
 //! `span-guard` check rejects manual `span_start`/`span_end` pairing.
 //! For intervals whose start happened on another thread (queue waits),
 //! [`Tracer::record_span`] records a completed interval in one call —
-//! a single call has nothing to leak.
+//! a single call has nothing to leak. [`Tracer::instant`] is the same
+//! single call for a rare lifecycle event (reconnect, fail-over,
+//! re-home…): a zero-duration span on the same clock in the same ring.
 //!
 //! Context flows two ways: explicitly ([`Span::ctx`] into a frame
 //! trailer or a queued request, adopted by [`Tracer::span_in`]) and
@@ -356,6 +358,38 @@ impl Tracer {
         let _ = (ctx, kind, start_us, end_us, shard, label);
     }
 
+    /// Records a lifecycle instant — a zero-duration span on the
+    /// process trace clock: a child of the calling thread's current
+    /// context when one is live, otherwise a complete one-span trace of
+    /// its own. Recorded whether or not sampling is armed, so it is for
+    /// rare events only (reconnects, epoch changes, fail-over steps),
+    /// never the per-request path. Like [`record_span`](Self::record_span)
+    /// it is one call and cannot leave a span open.
+    pub fn instant(&self, kind: &'static str, label: u64) {
+        #[cfg(not(feature = "telemetry-off"))]
+        {
+            let ctx = current();
+            let (trace_id, parent) = if ctx.is_active() {
+                (ctx.trace_id, ctx.parent)
+            } else {
+                (next_id(), 0)
+            };
+            let now = now_us();
+            self.push(SpanRecord {
+                trace_id,
+                span_id: next_id(),
+                parent,
+                kind,
+                start_us: now,
+                end_us: now,
+                shard: -1,
+                label,
+            });
+        }
+        #[cfg(feature = "telemetry-off")]
+        let _ = (kind, label);
+    }
+
     #[cfg(not(feature = "telemetry-off"))]
     fn push(&self, rec: SpanRecord) {
         let mut inner = self.inner.lock().expect("tracer poisoned");
@@ -628,7 +662,9 @@ mod tests {
     #[test]
     fn slow_shadow_roots_record_alone() {
         let t = Tracer::default();
-        t.set_sampling(u64::MAX, 1); // only the first root samples, 1 µs threshold
+        // only the first root samples; 1 ms threshold, so a `fast_op`
+        // delayed a few µs by a busy host is still fast
+        t.set_sampling(u64::MAX, 1_000);
         {
             let first = t.root("sampled_root");
             assert!(first.is_sampled(), "arrival 0 always samples");
@@ -686,6 +722,36 @@ mod tests {
         // Inactive contexts record nothing.
         t.record_span(TraceContext::NONE, "queue_wait", 0, 1, 0, 0);
         assert_eq!(t.dropped(), 7);
+    }
+
+    #[test]
+    fn instant_records_disarmed_and_nests_under_a_live_span() {
+        let t = Tracer::default();
+        // disarmed, outside any span: a complete one-span trace
+        t.instant("reconnect", 7);
+        let recs = t.records();
+        assert_eq!(recs.len(), 1, "recorded although sampling is off");
+        let lone = recs[0];
+        assert_eq!((lone.kind, lone.label, lone.parent), ("reconnect", 7, 0));
+        assert_eq!(lone.start_us, lone.end_us, "zero duration");
+        assert_ne!(lone.trace_id, 0);
+
+        // under a live sampled span: its child, in its trace
+        t.set_sampling(1, 0);
+        let root_ctx = {
+            let root = t.root("drill");
+            t.instant("fail_over", 2);
+            root.ctx()
+        };
+        let recs = t.records();
+        let inst = recs.iter().find(|r| r.kind == "fail_over").expect("kept");
+        assert_eq!(inst.trace_id, root_ctx.trace_id);
+        assert_eq!(inst.parent, root_ctx.parent);
+        assert_ne!(
+            inst.trace_id, lone.trace_id,
+            "the lone instant stands alone"
+        );
+        assert!(lone.start_us <= inst.start_us, "one clock orders both");
     }
 
     #[test]

@@ -83,11 +83,7 @@ fn main() {
 
     // transition state is transient: expire it and count the teardowns
     world.advance(softcell::types::SimDuration::from_secs(600));
-    let now = world.now();
-    let teardown = world.controller.expire_transitions(now);
-    println!(
-        "transition expired after its soft timeout: {} per-UE rules torn down",
-        teardown.len()
-    );
+    let torn_down = world.expire_transitions().expect("teardown applies");
+    println!("transition expired after its soft timeout: {torn_down} per-UE rules torn down");
     println!("\nmobility walkthrough complete.");
 }

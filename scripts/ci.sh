@@ -43,17 +43,18 @@ timeout 180 cargo test -q --release --test recovery
 # The performance yardstick (perf/, its own workspace and lock file, so
 # the steps above never compile it): build it offline against the crates
 # as they are now — its frozen surface must still compile — run its unit
-# tests, and drive one short run each of fabric_forward (data plane) and
-# wire_flow_setup (ctlchan + controller::wire + server queue). A
-# correctness smoke, not a timing gate: a shared host cannot gate 2 s
-# timings, but every operation of a run is verified, so a forwarding or
-# flow-setup bug fails here.
-echo "==> softcell-perf build + unit tests + fabric_forward / wire_flow_setup smokes (300 s cap)"
+# tests, and drive one short run each of fabric_forward (data plane),
+# wire_flow_setup (ctlchan + controller::wire + server queue) and
+# metro_churn (controller::sharded + mobility, written to the data
+# plane). A correctness smoke, not a timing gate: a shared host cannot
+# gate 2 s timings, but every operation of a run is verified, so a
+# forwarding, flow-setup or sharded-engine bug fails here.
+echo "==> softcell-perf build + unit tests + fabric_forward / wire_flow_setup / metro_churn smokes (300 s cap)"
 timeout 300 cargo build --release --offline -q \
   --manifest-path perf/Cargo.toml --target-dir target
 timeout 300 cargo test --offline -q \
   --manifest-path perf/Cargo.toml --target-dir target
-for workload in fabric_forward wire_flow_setup; do
+for workload in fabric_forward wire_flow_setup metro_churn; do
   timeout 60 ./target/release/softcell-perf \
     --workload "$workload" --seed 7 --seconds 2 --trace 0 \
     | tail -n 1 > /tmp/softcell-perf-smoke.json

@@ -170,12 +170,50 @@ fn transitions_expire_and_rules_come_down() {
 
     // after the soft timeout, per-UE mobility rules disappear
     w.advance(SimDuration::from_secs(600));
-    let now = w.now();
-    let teardown = w.controller.expire_transitions(now);
-    w.net.apply_all(&teardown).unwrap();
+    w.expire_transitions().unwrap();
     assert_eq!(w.controller.mobility().transitions_active(), 0);
     // the pair tunnel (shared, long-lived) stays; per-UE rules are gone
     assert!(w.net.total_rules() < rules_before + 10);
+}
+
+#[test]
+fn ue_ids_vacated_by_handoff_return_when_the_reservation_is_released() {
+    // Regression: an id vacated by a handoff was never returned to its
+    // station's pool when the controller released the reservation, so a
+    // station ran out of UE ids after `max_ues_per_station()` UEs had
+    // handed off away from it — with nobody attached there.
+    let topo = small_topology();
+    let mut w = SimWorld::new(&topo, ServicePolicy::example_carrier_a(1));
+    let max = u64::from(w.controller.config().scheme.max_ues_per_station());
+    provision_home(&mut w, max);
+    let (bs0, bs1) = (BaseStationId(0), BaseStationId(1));
+    let ttl = w.controller.mobility().transition_ttl;
+    for cycle in 0..2 * max {
+        let imsi = UeImsi(cycle % 2);
+        w.attach(imsi, bs0)
+            .unwrap_or_else(|e| panic!("cycle {cycle}: {e}"));
+        w.handoff(imsi, bs1).unwrap();
+        if cycle % 2 == 0 {
+            // the transition expires, then the UE leaves...
+            w.advance(ttl + SimDuration::from_secs(1));
+            w.expire_transitions().unwrap();
+            w.detach(imsi).unwrap();
+        } else {
+            // ...or it leaves first and the detach aborts the transition
+            w.detach(imsi).unwrap();
+        }
+        assert_eq!(w.controller.state().reserved_count(), 0);
+    }
+    // the pool is back to its initial reservable set: the station takes
+    // a full house again, every id below the maximum exactly once
+    let mut ids = std::collections::BTreeSet::new();
+    for i in 0..max {
+        w.attach(UeImsi(i), bs0)
+            .unwrap_or_else(|e| panic!("refill {i}: {e}"));
+        ids.insert(w.controller.state().ue(UeImsi(i)).unwrap().ue_id.0);
+    }
+    assert_eq!(ids.len() as u64, max);
+    assert!(ids.iter().all(|id| u64::from(*id) < max));
 }
 
 #[test]

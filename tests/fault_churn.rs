@@ -243,6 +243,13 @@ fn wire_churn_converges_under_faults() {
         }
     }
 
+    // every replaced channel's agent end is gone, so its serve thread
+    // ends; join them so the counts below cannot race one still exiting
+    let live = serves.pop().expect("the clean channel's serve thread");
+    for handle in serves {
+        let _ = handle.join().unwrap();
+    }
+
     // every fault class actually fired, and the server survived them all
     assert!(stats.dropped > 0, "no drops injected: {stats:?}");
     assert!(stats.duplicated > 0, "no duplicates injected: {stats:?}");
@@ -253,9 +260,7 @@ fn wire_churn_converges_under_faults() {
     assert_eq!(server.active_connections(), 1, "exactly the live channel");
 
     drop(ctl);
-    for handle in serves {
-        let _ = handle.join().unwrap();
-    }
+    let _ = live.join().unwrap();
     server.shutdown();
 }
 
@@ -281,8 +286,7 @@ fn sim_churn_leaves_no_fabric_residue() {
     }
     w.advance(SimDuration::from_secs(1_000));
     let now = w.now();
-    let ops = w.controller.expire_transitions(now);
-    w.net.apply_all(&ops).unwrap();
+    w.expire_transitions().unwrap();
     for sw in w.net.switches_mut() {
         sw.microflow.expire_idle(now);
     }
@@ -339,8 +343,7 @@ fn sim_churn_leaves_no_fabric_residue() {
     }
     w.advance(SimDuration::from_secs(10_000));
     let now = w.now();
-    let ops = w.controller.expire_transitions(now);
-    w.net.apply_all(&ops).unwrap();
+    w.expire_transitions().unwrap();
     for sw in w.net.switches_mut() {
         sw.microflow.expire_idle(now);
     }

@@ -231,4 +231,25 @@ fn leader_kill_mid_handoff_storm_leaves_zero_residue() {
         snap.report().contains("softcell_replica_recovery_time_us"),
         "recovery histogram missing from the telemetry report"
     );
+
+    // The drill's lifecycle instants sit in the one span ring, on the
+    // one trace clock, so their order is readable from one snapshot:
+    // the kill precedes the fail-over, which precedes the first re-home.
+    let first = |kind: &str| {
+        snap.spans
+            .iter()
+            .filter(|s| s.kind == kind)
+            .map(|s| s.start_us)
+            .min()
+            .unwrap_or_else(|| panic!("no {kind:?} instant in the snapshot"))
+    };
+    let (killed, failed_over, rehomed) = (
+        first("controller_killed"),
+        first("fail_over"),
+        first("rehome"),
+    );
+    assert!(
+        killed <= failed_over && failed_over <= rehomed,
+        "lifecycle out of order: killed@{killed} fail_over@{failed_over} rehome@{rehomed}"
+    );
 }

@@ -1,13 +1,15 @@
 //! Cross-shard handoff under seeded interleavings.
 //!
-//! A handoff between stations owned by two different shards is the only
-//! operation that spans shard boundaries: the moving UE's owner shard
-//! must rendezvous with the target station's owner (reserve a UE id),
-//! run the engine plan, then rendezvous with both the old station's
-//! owner (evict) and the target again (adopt). The scheduler seed
-//! permutes the evict relative to the engine call and injects yields
-//! around every rendezvous, so sweeping seeds drives the distinct
-//! interleavings of the two-shard exchange.
+//! A handoff into a station owned by another shard spans shard
+//! boundaries: the moving UE's owner shard must rendezvous with the
+//! target station's owner (reserve a UE id), run the engine plan, then
+//! rendezvous with the target's owner again (adopt). The scheduler seed
+//! injects yields around every rendezvous, so sweeping seeds drives the
+//! distinct interleavings of the two-shard exchange.
+//!
+//! The message count is pinned, not just nonzero: the budget is
+//! computed from the trace, so a rendezvous that changes no state
+//! cannot creep back in unnoticed.
 //!
 //! Every interleaving must converge to the single-threaded result, and
 //! — reusing the fault-churn residue discipline — after detaching every
@@ -23,7 +25,7 @@ use common::{
 use softcell::controller::sharded::{ShardEvent, ShardEventKind, ShardedController};
 use softcell::controller::ControllerConfig;
 use softcell::topology::small_topology;
-use softcell::types::{shard_of_station, BaseStationId, SimDuration, SimTime, UeImsi};
+use softcell::types::{shard_of_station, shard_of_ue, BaseStationId, SimDuration, SimTime, UeImsi};
 
 const SHARDS: usize = 4;
 const UES: u64 = 8;
@@ -117,10 +119,36 @@ fn build_trace(shards: usize) -> Vec<ShardEvent> {
     events
 }
 
+/// The cross-shard messages a clean trace needs: an event talks to a
+/// station's owner only when that is not the UE's own shard — an attach
+/// twice (reserve, adopt), a handoff twice at the *target* station only
+/// (reserve, adopt; the vacated station is not told), a detach once
+/// (release).
+fn rendezvous_budget(events: &[ShardEvent], shards: usize) -> u64 {
+    events
+        .iter()
+        .map(|ev| {
+            let (bs, messages) = match ev.kind {
+                ShardEventKind::Attach { bs } => (bs, 2),
+                ShardEventKind::Handoff { to, .. } => (to, 2),
+                ShardEventKind::Detach { bs } => (bs, 1),
+                ShardEventKind::NewFlow { .. } => return 0,
+            };
+            if shard_of_station(bs, shards) == shard_of_ue(ev.imsi, shards) {
+                0
+            } else {
+                messages
+            }
+        })
+        .sum()
+}
+
 fn interleave_sweep(shards: usize, sched_seeds: std::ops::Range<u64>) {
     let topo = small_topology();
     let events = build_trace(shards);
     let sessions = session_port_groups(&events);
+    let budget = rendezvous_budget(&events, shards);
+    assert!(budget > 0, "the trace must cross shards");
 
     let (reference, mut ref_ctl, mut ref_net) = reference_run_full(&topo, UES, &events);
     assert_sessions_refine(&sessions, &reference, "reference");
@@ -157,9 +185,9 @@ fn interleave_sweep(shards: usize, sched_seeds: std::ops::Range<u64>) {
             run.stats.cross_shard_handoffs == 2 * UES,
             "seed {sched_seed}: the station pair spans shards"
         );
-        assert!(
-            run.stats.rendezvous_messages > 0,
-            "seed {sched_seed}: rendezvous actually crossed threads"
+        assert_eq!(
+            run.stats.rendezvous_messages, budget,
+            "seed {sched_seed}: exactly the messages the trace needs"
         );
 
         let dump = materialize(&topo, &run);
@@ -222,7 +250,7 @@ fn sixteen_shard_interleavings_converge() {
 fn same_shard_handoff_needs_no_rendezvous_messages() {
     // a single UE bouncing between two stations owned by the same shard
     // (shards=1 collapses all station owners) must complete with zero
-    // cross-thread rendezvous messages — the mirror is updated inline
+    // cross-thread rendezvous messages — the id pools are updated inline
     let topo = small_topology();
     let events = build_trace(SHARDS);
     let sc = ShardedController::new(&topo, ControllerConfig::simulation(), 1).with_sched_seed(3);
