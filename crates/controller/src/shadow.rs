@@ -2,8 +2,9 @@
 //!
 //! Algorithm 1 needs three primitives per switch (paper §3.2):
 //! `getNextHop(tag, prefix)`, `canAggregate(tag, prefix, nexthop)` and
-//! rule installation with contiguous-prefix merging. [`ShadowSwitch`]
-//! provides them over a per-tag structure:
+//! rule installation with contiguous-prefix merging. The planner asks the
+//! first two together, once per table, as [`ShadowSwitch::probe`];
+//! [`ShadowSwitch`] provides them over a per-tag structure:
 //!
 //! * a **default** next hop per tag — a Type 2 (tag-only, exact match)
 //!   rule;
@@ -19,6 +20,8 @@
 //! physical switches through [`crate::ops`].
 
 use serde::{Deserialize, Serialize};
+use std::collections::hash_map::Entry as MapEntry;
+
 use softcell_types::{FxHashMap, Ipv4Prefix, MiddleboxId, PolicyTag, SwitchId};
 
 /// How traffic arrived at the switch — part of the rule key, realized as
@@ -70,26 +73,50 @@ struct TagTable {
 }
 
 impl TagTable {
-    fn lookup(&self, prefix: Ipv4Prefix) -> Option<NextHop> {
-        if !self.prefixes.is_empty() {
-            let mut p = prefix;
-            loop {
-                if let Some(nh) = self.prefixes.get(&p) {
-                    return Some(*nh);
-                }
-                if p.len() <= self.min_len {
-                    break;
-                }
-                p = p.parent()?;
-            }
+    /// The longest Type 1 rule covering `prefix`, and the prefix it
+    /// matches on.
+    fn longest_match(&self, prefix: Ipv4Prefix) -> Option<(Ipv4Prefix, NextHop)> {
+        if self.prefixes.is_empty() {
+            return None;
         }
-        self.default
+        let mut p = prefix;
+        loop {
+            if let Some(nh) = self.prefixes.get(&p) {
+                return Some((p, *nh));
+            }
+            if p.len() <= self.min_len {
+                return None;
+            }
+            p = p.parent()?;
+        }
     }
 
-    #[cfg(test)]
-    #[allow(dead_code)]
-    fn rule_count(&self) -> usize {
-        self.prefixes.len() + usize::from(self.default.is_some())
+    fn lookup(&self, prefix: Ipv4Prefix) -> Option<NextHop> {
+        self.longest_match(prefix)
+            .map(|(_, nh)| nh)
+            .or(self.default)
+    }
+
+    /// `lookup(prefix)` and the rule cost of making it answer `nh`, from
+    /// one longest-prefix walk.
+    fn probe(&self, prefix: Ipv4Prefix, nh: NextHop) -> (Option<NextHop>, Option<usize>) {
+        let hit = self.longest_match(prefix);
+        let current = hit.map(|(_, cur)| cur).or(self.default);
+        let cost = match (current, hit) {
+            (Some(cur), _) if cur == nh => Some(0),
+            // an exact-prefix rule sends this traffic elsewhere, and
+            // nothing more specific can override it
+            (_, Some((at, _))) if at == prefix => None,
+            (None, _) => Some(1), // the table's first rule
+            // a Type 1 override, free when it merges into its sibling
+            (Some(_), _) => {
+                let merges = prefix
+                    .sibling()
+                    .is_some_and(|sib| self.prefixes.get(&sib) == Some(&nh));
+                Some(usize::from(!merges))
+            }
+        };
+        (current, cost)
     }
 }
 
@@ -178,6 +205,23 @@ pub struct Divergence {
     pub kind: DivergenceKind,
 }
 
+/// What one `(entry, tag)` table says about forwarding `prefix` to a
+/// wanted next hop — the answer of [`ShadowSwitch::probe`].
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct Probe {
+    /// Whether the table holds any rule. A non-empty qualified table
+    /// shadows unqualified rules for traffic arriving that way, so the
+    /// installer must place its rule there.
+    pub present: bool,
+    /// `getNextHop`: what the table does with the prefix now.
+    pub current: Option<NextHop>,
+    /// The incremental rule cost of making it forward as wanted:
+    /// `None` — infeasible (an exact-prefix rule disagrees); `Some(0)` —
+    /// already does, or a sibling merge absorbs the rule; `Some(1)` —
+    /// one new rule.
+    pub cost: Option<usize>,
+}
+
 impl ShadowSwitch {
     /// An empty shadow.
     pub fn new() -> Self {
@@ -196,68 +240,28 @@ impl ShadowSwitch {
         self.tables.get(&(entry, tag))?.lookup(prefix)
     }
 
-    /// Whether installing `(tag, prefix) -> nh` would *conflict* with an
-    /// existing rule: an exact-prefix entry, or the tag default, already
-    /// sends this traffic elsewhere and a more-specific override is
-    /// impossible (exact same match). Conflicts make a candidate tag
-    /// infeasible for this path.
-    pub fn conflicts(&self, entry: Entry, tag: PolicyTag, prefix: Ipv4Prefix, nh: NextHop) -> bool {
+    /// `getNextHop` and `canAggregate` of Algorithm 1 in one table lookup
+    /// and one longest-prefix walk: what `(entry, tag)` does with `prefix`
+    /// now, and what making it forward to `nh` would cost.
+    pub fn probe(&self, entry: Entry, tag: PolicyTag, prefix: Ipv4Prefix, nh: NextHop) -> Probe {
         match self.tables.get(&(entry, tag)) {
-            None => false,
-            Some(t) => matches!(t.prefixes.get(&prefix), Some(other) if *other != nh),
+            None => Probe {
+                present: false,
+                current: None,
+                cost: Some(1),
+            },
+            Some(t) => {
+                let (current, cost) = t.probe(prefix, nh);
+                Probe {
+                    present: t.default.is_some() || !t.prefixes.is_empty(),
+                    current,
+                    cost,
+                }
+            }
         }
     }
 
-    /// `canAggregate` of Algorithm 1: a new `(tag, prefix) -> nh` rule
-    /// merges with an existing sibling rule carrying the same next hop.
-    pub fn can_aggregate(
-        &self,
-        entry: Entry,
-        tag: PolicyTag,
-        prefix: Ipv4Prefix,
-        nh: NextHop,
-    ) -> bool {
-        let Some(t) = self.tables.get(&(entry, tag)) else {
-            return false;
-        };
-        let Some(sib) = prefix.sibling() else {
-            return false;
-        };
-        t.prefixes.get(&sib) == Some(&nh)
-    }
-
-    /// The incremental rule cost of making `(entry, tag, prefix)` forward
-    /// to `nh`:
-    ///
-    /// * `None` — infeasible (exact conflict);
-    /// * `Some(0)` — already does (or a sibling merge absorbs the rule);
-    /// * `Some(1)` — one new rule.
-    pub fn rule_cost(
-        &self,
-        entry: Entry,
-        tag: PolicyTag,
-        prefix: Ipv4Prefix,
-        nh: NextHop,
-    ) -> Option<usize> {
-        if self.conflicts(entry, tag, prefix, nh) {
-            return None;
-        }
-        match self.next_hop(entry, tag, prefix) {
-            Some(cur) if cur == nh => Some(0),
-            None => Some(1), // becomes the tag default (Type 2)
-            Some(_) if self.can_aggregate(entry, tag, prefix, nh) => Some(0),
-            Some(_) => Some(1), // a Type 1 override
-        }
-    }
-
-    /// Installs `(entry, tag, prefix) -> nh`, preferring the cheapest
-    /// representation: no-op if the lookup already agrees, a tag default
-    /// (Type 2) when the tag has none, otherwise a Type 1 prefix rule
-    /// merged upward with contiguous siblings. Returns the deltas.
-    ///
-    /// # Panics
-    /// Debug-panics on exact conflicts — the tag-selection phase must
-    /// have filtered those (`rule_cost` returned `None`).
+    /// [`ShadowSwitch::install_with`], collecting the deltas.
     pub fn install(
         &mut self,
         entry: Entry,
@@ -265,19 +269,46 @@ impl ShadowSwitch {
         prefix: Ipv4Prefix,
         nh: NextHop,
     ) -> Vec<ShadowDelta> {
+        let mut deltas = Vec::new();
+        self.install_with(entry, tag, prefix, nh, |d| deltas.push(d));
+        deltas
+    }
+
+    /// Installs `(entry, tag, prefix) -> nh`, preferring the cheapest
+    /// representation: no-op if the lookup already agrees, a tag default
+    /// (Type 2) when the tag has none, otherwise a Type 1 prefix rule
+    /// merged upward with contiguous siblings. Hands each delta to `emit`
+    /// in application order.
+    ///
+    /// # Panics
+    /// Debug-panics on exact conflicts — the tag-selection phase must
+    /// have filtered those (`probe` returned no cost).
+    pub fn install_with(
+        &mut self,
+        entry: Entry,
+        tag: PolicyTag,
+        prefix: Ipv4Prefix,
+        nh: NextHop,
+        mut emit: impl FnMut(ShadowDelta),
+    ) {
         debug_assert!(
-            !self.conflicts(entry, tag, prefix, nh),
+            self.probe(entry, tag, prefix, nh).cost.is_some(),
             "install of conflicting rule (tag {tag}, {prefix})"
         );
-        if !self.tables.contains_key(&(entry, tag)) && !self.tag_order.contains(&tag) {
-            self.tag_order.push(tag);
-        }
-        let table = self.tables.entry((entry, tag)).or_default();
+        let table = match self.tables.entry((entry, tag)) {
+            MapEntry::Occupied(e) => e.into_mut(),
+            MapEntry::Vacant(e) => {
+                // only a tag's first table on this switch scans the order
+                if !self.tag_order.contains(&tag) {
+                    self.tag_order.push(tag);
+                }
+                e.insert(TagTable::default())
+            }
+        };
         // already correct?
         if table.lookup(prefix) == Some(nh) {
-            return Vec::new();
+            return;
         }
-        let mut deltas = Vec::new();
         // A Type 2 (tag-only) default is only safe in tables that cannot
         // shadow other traffic: the unqualified Ingress table (defaults
         // there are the aggregation win of Fig. 3c) and middlebox-return
@@ -289,8 +320,8 @@ impl ShadowSwitch {
         if default_ok && table.default.is_none() && table.prefixes.is_empty() {
             table.default = Some(nh);
             self.rule_count += 1;
-            deltas.push(ShadowDelta::SetDefault { entry, tag, nh });
-            return deltas;
+            emit(ShadowDelta::SetDefault { entry, tag, nh });
+            return;
         }
         // Type 1 rule with upward aggregation. Invariant maintained by the
         // loop: the range of `p` is entirely meant to forward to `nh`
@@ -305,7 +336,7 @@ impl ShadowSwitch {
             }
             table.prefixes.remove(&sib);
             self.rule_count -= 1;
-            deltas.push(ShadowDelta::RemovePrefix {
+            emit(ShadowDelta::RemovePrefix {
                 entry,
                 tag,
                 prefix: sib,
@@ -313,7 +344,7 @@ impl ShadowSwitch {
             p = p.parent().expect("sibling exists, so parent does");
             if table.prefixes.remove(&p).is_some() {
                 self.rule_count -= 1;
-                deltas.push(ShadowDelta::RemovePrefix {
+                emit(ShadowDelta::RemovePrefix {
                     entry,
                     tag,
                     prefix: p,
@@ -323,7 +354,7 @@ impl ShadowSwitch {
         // If the covering lookup now already yields nh (parent rule or
         // default with the same hop), no rule is needed at all.
         if table.lookup(p) == Some(nh) {
-            return deltas;
+            return;
         }
         let prev = table.prefixes.insert(p, nh);
         debug_assert!(prev.is_none(), "promotion sweep removed entries at p");
@@ -333,13 +364,12 @@ impl ShadowSwitch {
         } else {
             table.min_len = table.min_len.min(p.len());
         }
-        deltas.push(ShadowDelta::AddPrefix {
+        emit(ShadowDelta::AddPrefix {
             entry,
             tag,
             prefix: p,
             nh,
         });
-        deltas
     }
 
     /// Tags present on this switch (the per-switch contribution to
@@ -347,16 +377,6 @@ impl ShadowSwitch {
     /// first (recent tags are the likeliest reuse candidates).
     pub fn tags(&self) -> impl Iterator<Item = PolicyTag> + '_ {
         self.tag_order.iter().rev().copied()
-    }
-
-    /// Whether any rule exists for `(entry, tag)` — a non-empty qualified
-    /// table shadows unqualified rules for traffic arriving that way, so
-    /// the installer must place its rule in the qualified table.
-    pub fn has_table(&self, entry: Entry, tag: PolicyTag) -> bool {
-        self.tables
-            .get(&(entry, tag))
-            .map(|t| t.default.is_some() || !t.prefixes.is_empty())
-            .unwrap_or(false)
     }
 
     /// Iterates every installed rule as `(entry, tag, prefix, next_hop)`
@@ -513,6 +533,74 @@ impl ShadowTables {
     }
 }
 
+/// The primitives [`ShadowSwitch::probe`] fuses, as Algorithm 1 names
+/// them: the reference the probe (here) and the bounded planner
+/// (`install.rs`) are tested against.
+#[cfg(test)]
+impl ShadowSwitch {
+    /// Whether installing `(tag, prefix) -> nh` would *conflict* with an
+    /// existing rule: an exact-prefix entry already sends this traffic
+    /// elsewhere and a more-specific override is impossible.
+    pub(crate) fn conflicts(
+        &self,
+        entry: Entry,
+        tag: PolicyTag,
+        prefix: Ipv4Prefix,
+        nh: NextHop,
+    ) -> bool {
+        match self.tables.get(&(entry, tag)) {
+            None => false,
+            Some(t) => matches!(t.prefixes.get(&prefix), Some(other) if *other != nh),
+        }
+    }
+
+    /// `canAggregate` of Algorithm 1: a new `(tag, prefix) -> nh` rule
+    /// merges with an existing sibling rule carrying the same next hop.
+    pub(crate) fn can_aggregate(
+        &self,
+        entry: Entry,
+        tag: PolicyTag,
+        prefix: Ipv4Prefix,
+        nh: NextHop,
+    ) -> bool {
+        let Some(t) = self.tables.get(&(entry, tag)) else {
+            return false;
+        };
+        let Some(sib) = prefix.sibling() else {
+            return false;
+        };
+        t.prefixes.get(&sib) == Some(&nh)
+    }
+
+    /// The incremental rule cost of making `(entry, tag, prefix)` forward
+    /// to `nh`: `None` infeasible, `Some(0)` free, `Some(1)` one rule.
+    pub(crate) fn rule_cost(
+        &self,
+        entry: Entry,
+        tag: PolicyTag,
+        prefix: Ipv4Prefix,
+        nh: NextHop,
+    ) -> Option<usize> {
+        if self.conflicts(entry, tag, prefix, nh) {
+            return None;
+        }
+        match self.next_hop(entry, tag, prefix) {
+            Some(cur) if cur == nh => Some(0),
+            None => Some(1), // becomes the tag default (Type 2)
+            Some(_) if self.can_aggregate(entry, tag, prefix, nh) => Some(0),
+            Some(_) => Some(1), // a Type 1 override
+        }
+    }
+
+    /// Whether any rule exists for `(entry, tag)`.
+    pub(crate) fn has_table(&self, entry: Entry, tag: PolicyTag) -> bool {
+        self.tables
+            .get(&(entry, tag))
+            .map(|t| t.default.is_some() || !t.prefixes.is_empty())
+            .unwrap_or(false)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -570,7 +658,7 @@ mod tests {
         let mut s = ShadowSwitch::new();
         s.install(IN, T, p("10.0.0.0/23"), NH1); // default
         s.install(IN, T, p("10.0.8.0/23"), NH2); // type 1
-        assert!(s.can_aggregate(IN, T, p("10.0.10.0/23"), NH2));
+        assert_eq!(s.probe(IN, T, p("10.0.10.0/23"), NH2).cost, Some(0));
         let d = s.install(IN, T, p("10.0.10.0/23"), NH2); // sibling of 10.0.8/23
                                                           // merge: remove 10.0.8.0/23, add 10.0.8.0/22
         assert!(d.contains(&ShadowDelta::RemovePrefix {
@@ -608,24 +696,29 @@ mod tests {
     fn idempotent_install_costs_nothing() {
         let mut s = ShadowSwitch::new();
         s.install(IN, T, p("10.0.0.0/23"), NH1);
-        assert_eq!(s.rule_cost(IN, T, p("10.0.0.0/23"), NH1), Some(0));
+        let probe = s.probe(IN, T, p("10.0.0.0/23"), NH1);
+        assert_eq!((probe.current, probe.cost), (Some(NH1), Some(0)));
         assert!(s.install(IN, T, p("10.0.0.0/23"), NH1).is_empty());
         assert_eq!(s.rule_count(), 1);
     }
 
     #[test]
-    fn rule_cost_matches_install_behaviour() {
+    fn probe_cost_matches_install_behaviour() {
         let mut s = ShadowSwitch::new();
-        assert_eq!(s.rule_cost(IN, T, p("10.0.0.0/23"), NH1), Some(1));
+        let cost = |s: &ShadowSwitch, prefix: &str, nh| s.probe(IN, T, p(prefix), nh).cost;
+        assert_eq!(cost(&s, "10.0.0.0/23", NH1), Some(1));
+        assert!(!s.probe(IN, T, p("10.0.0.0/23"), NH1).present);
         s.install(IN, T, p("10.0.0.0/23"), NH1);
+        assert!(s.probe(IN, T, p("10.0.0.0/23"), NH1).present);
         // different next hop for another prefix: +1 (type 1)
-        assert_eq!(s.rule_cost(IN, T, p("10.0.8.0/23"), NH2), Some(1));
+        assert_eq!(cost(&s, "10.0.8.0/23", NH2), Some(1));
         s.install(IN, T, p("10.0.8.0/23"), NH2);
         // its sibling with the same hop: 0 (aggregates)
-        assert_eq!(s.rule_cost(IN, T, p("10.0.10.0/23"), NH2), Some(0));
-        // exact conflict: infeasible
-        assert_eq!(s.rule_cost(IN, T, p("10.0.8.0/23"), NH1), None);
-        assert!(s.conflicts(IN, T, p("10.0.8.0/23"), NH1));
+        assert_eq!(cost(&s, "10.0.10.0/23", NH2), Some(0));
+        // exact conflict: infeasible, and the probe still says where the
+        // traffic goes now
+        let conflict = s.probe(IN, T, p("10.0.8.0/23"), NH1);
+        assert_eq!((conflict.current, conflict.cost), (Some(NH2), None));
     }
 
     #[test]
@@ -710,7 +803,7 @@ mod tests {
                     let nh = NextHop::Switch(SwitchId(hop as u32));
                     // mirror the installer's discipline: skip writes the
                     // cost model rejects (exact conflicts)
-                    if shadow.rule_cost(IN, T, prefix, nh).is_none() {
+                    if shadow.probe(IN, T, prefix, nh).cost.is_none() {
                         continue;
                     }
                     shadow.install(IN, T, prefix, nh);
@@ -735,7 +828,7 @@ mod tests {
                 for (station, hop) in installs {
                     let prefix = Ipv4Prefix::from_bits(0x0A00_0000 | (station << 9), 23);
                     let nh = NextHop::Switch(SwitchId(hop as u32));
-                    if shadow.rule_cost(IN, T, prefix, nh).is_none() {
+                    if shadow.probe(IN, T, prefix, nh).cost.is_none() {
                         continue;
                     }
                     shadow.install(IN, T, prefix, nh);
@@ -772,7 +865,7 @@ mod tests {
                     let tag = if station % 3 == 0 { PolicyTag(9) } else { T };
                     let prefix = Ipv4Prefix::from_bits(0x0A00_0000 | (station << 9), 23);
                     let nh = NextHop::Switch(SwitchId(hop as u32));
-                    if shadow.rule_cost(entry, tag, prefix, nh).is_none() {
+                    if shadow.probe(entry, tag, prefix, nh).cost.is_none() {
                         continue;
                     }
                     for delta in shadow.install(entry, tag, prefix, nh) {
@@ -819,21 +912,52 @@ mod tests {
                 prop_assert_eq!(live, replayed, "delta replay diverged from the table");
             }
 
+            /// The fused probe is the composition it replaced
+            /// (`getNextHop`, the conflict test, `canAggregate`), table
+            /// by table, and its cost forecasts the install that
+            /// follows: exactly for a plain install, an upper bound for
+            /// a merge (priced 0, or 1 where the table has no covering
+            /// answer yet), which never grows the table.
             #[test]
-            fn prop_cost_is_an_exact_forecast(installs in arb_installs()) {
+            fn prop_probe_matches_primitives_and_install(
+                installs in proptest::collection::vec((0u32..64, 0u8..3, 0u8..3), 1..120),
+            ) {
                 let mut shadow = ShadowSwitch::new();
-                for (station, hop) in installs {
+                for (station, hop, table) in installs {
+                    let entry = match table {
+                        0 => IN,
+                        1 => Entry::FromMb(MiddleboxId(1)),
+                        _ => Entry::FromSwitch(SwitchId(4)),
+                    };
+                    let tag = if station % 5 == 0 { PolicyTag(9) } else { T };
                     let prefix = Ipv4Prefix::from_bits(0x0A00_0000 | (station << 9), 23);
                     let nh = NextHop::Switch(SwitchId(hop as u32));
-                    let Some(cost) = shadow.rule_cost(IN, T, prefix, nh) else {
-                        continue;
+                    let probe = shadow.probe(entry, tag, prefix, nh);
+                    prop_assert_eq!(probe.present, shadow.has_table(entry, tag));
+                    prop_assert_eq!(probe.current, shadow.next_hop(entry, tag, prefix));
+                    prop_assert_eq!(probe.cost, shadow.rule_cost(entry, tag, prefix, nh));
+                    prop_assert_eq!(
+                        probe.cost.is_none(),
+                        shadow.conflicts(entry, tag, prefix, nh)
+                    );
+                    let Some(cost) = probe.cost else {
+                        continue; // `install` would debug-panic
                     };
-                    let before = shadow.rule_count();
-                    shadow.install(IN, T, prefix, nh);
-                    let added = shadow.rule_count() as i64 - before as i64;
-                    // an exact forecast for plain installs, an upper
-                    // bound when a merge cascades
-                    prop_assert!(added <= cost as i64, "cost {} but added {}", cost, added);
+                    let before = shadow.rule_count() as i64;
+                    let deltas = shadow.install(entry, tag, prefix, nh);
+                    let added = shadow.rule_count() as i64 - before;
+                    let removed = deltas
+                        .iter()
+                        .filter(|d| matches!(d, ShadowDelta::RemovePrefix { .. }))
+                        .count();
+                    if removed == 0 {
+                        prop_assert_eq!(added, cost as i64);
+                    } else {
+                        prop_assert!(
+                            added <= 0 && added <= cost as i64,
+                            "cost {} but added {}", cost, added
+                        );
+                    }
                 }
             }
         }

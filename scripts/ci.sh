@@ -44,17 +44,19 @@ timeout 180 cargo test -q --release --test recovery
 # the steps above never compile it): build it offline against the crates
 # as they are now — its frozen surface must still compile — run its unit
 # tests, and drive one short run each of fabric_forward (data plane),
-# wire_flow_setup (ctlchan + controller::wire + server queue) and
+# wire_flow_setup (ctlchan + controller::wire + server queue),
 # metro_churn (controller::sharded + mobility, written to the data
-# plane). A correctness smoke, not a timing gate: a shared host cannot
-# gate 2 s timings, but every operation of a run is verified, so a
-# forwarding, flow-setup or sharded-engine bug fails here.
-echo "==> softcell-perf build + unit tests + fabric_forward / wire_flow_setup / metro_churn smokes (300 s cap)"
+# plane) and path_install_storm (cold Algorithm 1; a run fails if its
+# rule, tag or swap counts differ between iterations). A correctness
+# smoke, not a timing gate: a shared host cannot gate 2 s timings, but
+# every operation of a run is verified, so a forwarding, flow-setup,
+# sharded-engine or tag-selection bug fails here.
+echo "==> softcell-perf build + unit tests + fabric_forward / wire_flow_setup / metro_churn / path_install_storm smokes (300 s cap)"
 timeout 300 cargo build --release --offline -q \
   --manifest-path perf/Cargo.toml --target-dir target
 timeout 300 cargo test --offline -q \
   --manifest-path perf/Cargo.toml --target-dir target
-for workload in fabric_forward wire_flow_setup metro_churn; do
+for workload in fabric_forward wire_flow_setup metro_churn path_install_storm; do
   timeout 60 ./target/release/softcell-perf \
     --workload "$workload" --seed 7 --seconds 2 --trace 0 \
     | tail -n 1 > /tmp/softcell-perf-smoke.json
