@@ -141,9 +141,10 @@ pub fn maybe_dump_trace(args: &[String], snapshot: &softcell_telemetry::Snapshot
 /// One real over-the-wire exchange against a freshly started sharded
 /// controller, run with every root sampled: the exported trace is
 /// guaranteed to contain spans that crossed the framed transport — the
-/// agent-side `wire_rtt` and the server-side `serve_frame`,
-/// `queue_wait`, and worker spans share one trace id, and the path
-/// request produces a `flow_mod_batch` + barrier leg. Benches call this
+/// agent-side `wire_rtt` and the server-side `serve_frame` and
+/// `handle_*` spans (plus `queue_wait`, had the request found its
+/// domain busy) share one trace id, and the path request produces a
+/// `flow_mod_batch` + barrier leg. Benches call this
 /// at the end of a `--trace` run, regardless of where the sweep left
 /// the 1-in-N arrival counter.
 pub fn wire_trace_capture(shards: usize) {
@@ -214,6 +215,34 @@ pub fn arg_str<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn wire_trace_capture_yields_one_trace_across_the_wire() {
+        wire_trace_capture(2);
+        let snapshot = softcell_telemetry::Registry::global().snapshot();
+        let traces = snapshot.complete_traces();
+        let install = traces
+            .values()
+            .find(|spans| spans.iter().any(|s| s.kind == "flow_install"))
+            .expect("the flow_install root is a complete trace");
+        let kinds: Vec<&str> = install.iter().map(|s| s.kind.as_str()).collect();
+        for kind in [
+            "wire_rtt",
+            "serve_frame",
+            "handle_path_tag",
+            "flow_mod_batch",
+        ] {
+            assert!(kinds.contains(&kind), "{kind} missing from {kinds:?}");
+        }
+        // the domain was free, so the serve thread ran the request itself
+        assert!(!kinds.contains(&"queue_wait"), "{kinds:?}");
+        let handle = install
+            .iter()
+            .find(|s| s.kind == "handle_path_tag")
+            .unwrap();
+        let parent = install.iter().find(|s| s.span_id == handle.parent).unwrap();
+        assert_eq!(parent.kind, "serve_frame", "the handler nests in its frame");
+    }
 
     #[test]
     fn table_renders_aligned() {

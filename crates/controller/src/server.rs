@@ -4,27 +4,31 @@
 //! emulated switches (= local agents) flood packet-in events and the
 //! controller answers with packet classifiers, reaching 2.2 M
 //! requests/second with 15 threads. [`ControllerServer`] is the Rust
-//! analogue: N single-worker domains, one bounded queue each, computing
-//! per-UE classifiers (attach handling) and policy-tag answers (path
-//! requests).
+//! analogue: N domains computing per-UE classifiers (attach handling)
+//! and policy-tag answers (path requests).
 //!
-//! The one invariant: every piece of mutable front-end state lives in
-//! the domain its key routes to. The [`RequestRouter`] sends every
-//! request to the domain owning its key — UE-scoped requests by
-//! [`shard_of_ue`], station-scoped ones by [`shard_of_station`] — so a
-//! domain's UE map and path map need no lock at all, and the finite
-//! identifier spaces (policy tags, permanent addresses) are split into
-//! per-domain [`ShardRange`]s over shared [`RangePool`]s, with exhausted
-//! domains stealing ranges other domains spilled. What stays shared is
-//! read-mostly (policy, subscriber base) or telemetry.
+//! A domain is a *lock*, not a thread. The one invariant: every piece
+//! of mutable front-end state lives in the domain its key routes to, one
+//! writer at a time. The [`RequestRouter`] sends every request to the
+//! domain owning its key — UE-scoped requests by [`shard_of_ue`],
+//! station-scoped ones by [`shard_of_station`] — and the routing thread
+//! serves it there and then when that domain is free: nothing queued
+//! ahead, nobody holding the lock. Otherwise the request waits in the
+//! domain's bounded queue, whose worker takes the same lock per request.
+//! Either way the answer is computed under the lock and delivered after
+//! it is released. The finite identifier spaces (policy tags, permanent
+//! addresses) are split into per-domain [`ShardRange`]s over shared
+//! [`RangePool`]s, with exhausted domains stealing ranges other domains
+//! spilled. What stays shared is read-mostly (policy, subscriber base)
+//! or telemetry.
 
 use std::net::Ipv4Addr;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
-use parking_lot::RwLock;
+use parking_lot::{Mutex, MutexGuard, RwLock};
 
 use softcell_policy::clause::ClauseId;
 use softcell_policy::{AppClassifier, ServicePolicy, SubscriberAttributes, UeClassifier};
@@ -60,17 +64,13 @@ const RANGE_BLOCK: u32 = 64;
 
 /// A request from a local agent.
 pub enum Request {
-    /// Worker-shutdown sentinel (sent by [`ControllerServer::shutdown`];
-    /// each worker consumes exactly one and exits).
-    Shutdown,
     /// A UE attached: compute and return its packet classifiers.
     Classifier {
         /// The subscriber.
         imsi: UeImsi,
         /// Where to send the answer.
         reply: Sender<Result<UeClassifier>>,
-        /// Trace context + enqueue stamp ([`ReqTrace::NONE`] when
-        /// untraced).
+        /// Trace context + enqueue stamp ([`ReqTrace::NONE`]: untraced).
         trace: ReqTrace,
     },
     /// A UE attached over the wire: allocate (or keep) its permanent
@@ -113,28 +113,14 @@ pub enum Request {
     },
 }
 
-impl Request {
-    /// The span kind a worker opens while serving this request.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            Request::Shutdown => "shutdown",
-            Request::Classifier { .. } => "handle_classifier",
-            Request::Attach { .. } => "handle_attach",
-            Request::Detach { .. } => "handle_detach",
-            Request::PathTag { .. } => "handle_path_tag",
-        }
-    }
-
-    /// The trace carried by this request.
-    pub fn trace(&self) -> ReqTrace {
-        match self {
-            Request::Shutdown => ReqTrace::NONE,
-            Request::Classifier { trace, .. }
-            | Request::Attach { trace, .. }
-            | Request::Detach { trace, .. }
-            | Request::PathTag { trace, .. } => *trace,
-        }
-    }
+/// What waits in a domain's queue.
+enum Job {
+    Serve(Request),
+    /// The send of an answer a routing thread computed and found its
+    /// reply channel full for: only the worker may block on it.
+    Deliver(Box<dyn FnOnce() + Send>),
+    /// Sent by [`ControllerServer::shutdown`]; the worker exits on it.
+    Shutdown,
 }
 
 /// Routes requests to the domain owning their key: UE-scoped requests
@@ -143,20 +129,20 @@ impl Request {
 /// [`shard_of_station`]. The only way into a [`ControllerServer`].
 #[derive(Clone)]
 pub struct RequestRouter {
-    txs: Arc<[Sender<Request>]>,
+    /// Per domain: its queue's sending end, and the domain itself.
+    cells: Arc<[(Sender<Job>, Arc<DomainCell>)]>,
 }
 
 impl RequestRouter {
     /// Number of domains this router spreads requests over.
     pub fn domains(&self) -> usize {
-        self.txs.len()
+        self.cells.len()
     }
 
     /// The domain a request belongs to.
     pub fn shard_of(&self, req: &Request) -> usize {
-        let n = self.txs.len();
+        let n = self.cells.len();
         match req {
-            Request::Shutdown => 0,
             Request::Classifier { imsi, .. }
             | Request::Attach { imsi, .. }
             | Request::Detach { imsi, .. } => shard_of_ue(*imsi, n),
@@ -164,45 +150,74 @@ impl RequestRouter {
         }
     }
 
-    /// Sends a request to its owning domain, blocking while that
-    /// domain's queue is full.
-    pub fn route(&self, req: Request) -> Result<()> {
-        let i = self.shard_of(&req);
-        self.txs[i]
-            .send(req)
-            .map_err(|_| Error::InvalidState("controller worker pool gone".into()))
+    /// Serves `req` on the calling thread if its domain is free, else
+    /// enqueues it, waiting for room when `block`. `Ok(false)`: the
+    /// queue was full and `req` was shed.
+    fn submit(&self, req: Request, block: bool) -> Result<bool> {
+        let (queue, cell) = &self.cells[self.shard_of(&req)];
+        // free: nothing queued ahead (Acquire pairs with `worker_loop`'s
+        // Release, after an answer is out), nobody holding the lock
+        let idle = cell.pending.load(Ordering::Acquire) == 0;
+        let (job, block) = match idle.then(|| cell.domain.try_lock()).flatten() {
+            None => (Job::Serve(req), block),
+            // no room in the reply channel: the worker's to send, never shed
+            Some(domain) => match serve(domain, req, false) {
+                None => return Ok(true),
+                Some(deliver) => (deliver, true),
+            },
+        };
+        cell.pending.fetch_add(1, Ordering::AcqRel);
+        let sent = match block {
+            true => queue.send(job).map_err(|e| TrySendError::Disconnected(e.0)),
+            false => queue.try_send(job),
+        };
+        if let Err(TrySendError::Full(_)) = sent {
+            cell.pending.fetch_sub(1, Ordering::Release);
+            return Ok(false);
+        }
+        let gone = |_| Error::InvalidState("controller worker pool gone".into());
+        sent.map(|()| true).map_err(gone)
     }
 
-    /// Non-blocking route: `Ok(true)` enqueued, `Ok(false)` the owning
-    /// domain's queue is full and the request was shed (the caller must
-    /// account for it — see the wire front-end's
+    /// Sends a request to its owning domain: served before this returns
+    /// if that domain is free, else enqueued, blocking while its queue
+    /// is full.
+    pub fn route(&self, req: Request) -> Result<()> {
+        self.submit(req, true).map(drop)
+    }
+
+    /// Non-blocking route: `Ok(true)` served or enqueued, `Ok(false)` the
+    /// owning domain is busy and its queue full, so the request was shed
+    /// (the caller must account for it — see the wire front-end's
     /// `server_queue_rejected` counter), `Err` the pool is gone.
     pub fn try_route(&self, req: Request) -> Result<bool> {
-        let i = self.shard_of(&req);
-        match self.txs[i].try_send(req) {
-            Ok(()) => Ok(true),
-            Err(TrySendError::Full(_)) => Ok(false),
-            Err(TrySendError::Disconnected(_)) => {
-                Err(Error::InvalidState("controller worker pool gone".into()))
-            }
-        }
+        self.submit(req, false)
     }
 }
 
-/// One domain's private state: its UE and path maps (no lock — routing
-/// guarantees single ownership of every IMSI and every (bs, clause) key)
-/// and its slices of the shared tag and permanent-address spaces.
+/// One domain as its routers and its queue's worker share it.
+struct DomainCell {
+    domain: Mutex<Domain>,
+    /// Jobs queued and not done yet. While non-zero, later requests
+    /// queue behind them, so one caller's requests are answered in the
+    /// order it routed them. The shutdown sentinel is never subtracted.
+    pending: AtomicUsize,
+}
+
+/// One domain's state: its UE and path maps (routing gives it every
+/// IMSI and (bs, clause) key it is ever asked about, the lock one writer
+/// at a time) and its slices of the tag and permanent-address spaces.
 struct Domain {
     /// UE records registered over the wire front-end ([`crate::wire`]).
     ues: std::collections::HashMap<UeImsi, UeRecord>,
     /// (bs, clause) → tag. Path installation stand-in: allocate a tag and
-    /// record the path. (The full Algorithm 1 runs in
-    /// [`crate::sharded`]; this server measures control-plane request
-    /// throughput, where the paper's bottleneck is the request fan-in,
-    /// not the argmin.)
+    /// record the path. (Algorithm 1 runs in [`crate::sharded`]; this
+    /// server measures request fan-in, the paper's bottleneck here.)
     paths: std::collections::HashMap<(BaseStationId, ClauseId), PolicyTag>,
     tags: ShardRange,
     permanent: ShardRange,
+    shared: Arc<Shared>,
+    wm: WorkerMetrics,
 }
 
 /// Controller state every domain reads: configuration and telemetry.
@@ -262,20 +277,18 @@ impl Shared {
     }
 }
 
-/// A running front-end: N single-worker domains.
+/// A running front-end: N domains, one queue worker each.
 pub struct ControllerServer {
-    txs: Arc<[Sender<Request>]>,
+    router: RequestRouter,
     workers: Vec<JoinHandle<()>>,
     shared: Arc<Shared>,
 }
 
 impl ControllerServer {
-    /// Starts `shards` single-worker domains over the given policy and
-    /// subscriber base, one request queue ([`DEFAULT_QUEUE_DEPTH`]) each,
-    /// with per-domain UE and path maps and per-domain ranges of the tag
-    /// and permanent-address spaces. Requests are submitted through the
-    /// [`RequestRouter`] ([`Self::router`]) so every key reaches its
-    /// owning domain.
+    /// Starts `shards` domains over the given policy and subscriber
+    /// base, one request queue ([`DEFAULT_QUEUE_DEPTH`]) and queue worker
+    /// each. Requests are submitted through the [`RequestRouter`]
+    /// ([`Self::router`]) so every key reaches its owning domain.
     pub fn start_sharded(
         policy: ServicePolicy,
         subscribers: impl IntoIterator<Item = SubscriberAttributes>,
@@ -301,25 +314,26 @@ impl ControllerServer {
         });
         let tag_pool = RangePool::new(TAG_SPACE, RANGE_BLOCK);
         let perm_pool = RangePool::new(PERMANENT_SPACE, RANGE_BLOCK);
-        let mut txs = Vec::with_capacity(shards);
+        let mut cells = Vec::with_capacity(shards);
         let mut workers = Vec::with_capacity(shards);
         for shard in 0..shards {
-            let (tx, rx) = bounded::<Request>(DEFAULT_QUEUE_DEPTH);
-            let shared = Arc::clone(&shared);
+            let (tx, rx) = bounded::<Job>(DEFAULT_QUEUE_DEPTH);
             let domain = Domain {
                 ues: std::collections::HashMap::new(),
                 paths: std::collections::HashMap::new(),
                 tags: ShardRange::new(Arc::clone(&tag_pool)),
                 permanent: ShardRange::new(Arc::clone(&perm_pool)),
+                shared: Arc::clone(&shared),
+                wm: WorkerMetrics::new(&shared.telemetry, shard),
             };
-            let wm = WorkerMetrics::new(&shared.telemetry, shard);
-            txs.push(tx);
-            workers.push(std::thread::spawn(move || {
-                worker_loop(rx, shared, domain, wm)
-            }));
+            let (domain, pending) = (Mutex::new(domain), AtomicUsize::new(0));
+            let cell = Arc::new(DomainCell { domain, pending });
+            cells.push((tx, Arc::clone(&cell)));
+            workers.push(std::thread::spawn(move || worker_loop(rx, &cell)));
         }
+        let cells = Arc::from(cells);
         Ok(ControllerServer {
-            txs: Arc::from(txs),
+            router: RequestRouter { cells },
             workers,
             shared,
         })
@@ -350,14 +364,12 @@ impl ControllerServer {
     /// A router sending each request to its owning domain (cloneable
     /// across client threads).
     pub fn router(&self) -> RequestRouter {
-        RequestRouter {
-            txs: Arc::clone(&self.txs),
-        }
+        self.router.clone()
     }
 
     /// Number of domains.
     pub fn domains(&self) -> usize {
-        self.txs.len()
+        self.router.domains()
     }
 
     /// The shared state, for the wire front-end ([`crate::wire`]).
@@ -410,23 +422,27 @@ impl ControllerServer {
     /// Stops the workers and waits for them. Robust against outstanding
     /// cloned routers: every domain gets one shutdown sentinel.
     pub fn shutdown(self) {
-        for tx in self.txs.iter() {
-            let _ = tx.send(Request::Shutdown);
+        for (queue, cell) in self.router.cells.iter() {
+            cell.pending.fetch_add(1, Ordering::AcqRel);
+            let _ = queue.send(Job::Shutdown);
         }
-        drop(self.txs);
+        drop(self.router);
         for w in self.workers {
             let _ = w.join();
         }
     }
 }
 
-/// Per-worker telemetry handles, interned once at spawn so the request
-/// loop touches only atomics; one family per domain.
+/// Per-domain telemetry handles, interned once at start so serving a
+/// request touches only atomics; one family per domain.
 struct WorkerMetrics {
     /// `softcell_controller_shard_served_total{shard=i}`.
     served: Arc<Counter>,
-    /// `softcell_controller_packet_in_latency_ns` — service time from
-    /// dequeue to reply, all workers into one histogram.
+    /// `softcell_controller_shard_queued_total{shard=i}` — of those, the
+    /// ones that waited in the queue (a routing thread served the rest).
+    queued: Arc<Counter>,
+    /// `softcell_controller_packet_in_latency_ns` — service time under
+    /// the domain lock, all domains into one histogram.
     latency: Arc<Histogram>,
     /// `softcell_controller_shard_queue_depth_hwm{shard=i}` — high-water
     /// mark of requests waiting behind the one being served.
@@ -449,6 +465,7 @@ impl WorkerMetrics {
         WorkerMetrics {
             shard,
             served: registry.counter_with("softcell_controller_shard_served_total", &label),
+            queued: registry.counter_with("softcell_controller_shard_queued_total", &label),
             latency: registry.histogram("softcell_controller_packet_in_latency_ns"),
             queue_hwm: registry.gauge_with("softcell_controller_shard_queue_depth_hwm", &label),
             path_hits: registry.counter_with("softcell_controller_path_cache_hits_total", &label),
@@ -461,139 +478,171 @@ impl WorkerMetrics {
 
 fn compile_classifier(shared: &Shared, imsi: UeImsi) -> Result<UeClassifier> {
     let subs = shared.subscribers.read();
-    let attrs = subs
-        .get(&imsi)
-        .ok_or_else(|| Error::NotFound(format!("unknown subscriber {imsi}")))?;
+    let unknown = || Error::NotFound(format!("unknown subscriber {imsi}"));
+    let attrs = subs.get(&imsi).ok_or_else(unknown)?;
     let policy = shared.policy.read();
     Ok(UeClassifier::compile(&policy, &shared.apps, attrs))
 }
 
-fn worker_loop(rx: Receiver<Request>, shared: Arc<Shared>, mut domain: Domain, wm: WorkerMetrics) {
-    while let Ok(req) = rx.recv() {
-        // requests still queued behind the one just taken
-        wm.queue_hwm.record_max(rx.len() as u64);
-        let sw = Stopwatch::start();
-        // Traced requests: close the cross-thread queue_wait interval
-        // stamped at enqueue, then serve under a per-kind span (the
-        // handler's own spans — engine tiers, install fences — nest in
-        // it via the thread-local context).
-        let rt = req.trace();
-        let tracer = Registry::global().tracer();
+/// Serves one request under `domain`'s lock: the per-kind span (the
+/// handler's own spans — install fences — nest in it via the
+/// thread-local context), the handler `f`, the counters. A request that
+/// `waited` in the queue is counted as such and, when traced, closes
+/// the cross-thread queue_wait interval stamped at enqueue. The answer
+/// leaves once the domain is released, and only the worker waits for
+/// room in `reply`: a routing thread may be the one draining that
+/// channel, so it gets the send back as a job for the worker instead.
+fn run<R: Send + 'static>(
+    mut domain: MutexGuard<'_, Domain>,
+    kind: &'static str,
+    rt: ReqTrace,
+    waited: bool,
+    reply: Sender<R>,
+    f: impl FnOnce(&mut Domain) -> R,
+) -> Option<Job> {
+    let sw = Stopwatch::start();
+    let tracer = Registry::global().tracer();
+    let shard = domain.wm.shard;
+    if waited {
+        domain.wm.queued.inc();
         if rt.ctx.is_active() {
-            tracer.record_span(
-                rt.ctx,
-                "queue_wait",
-                rt.enqueued_us,
-                trace::now_us(),
-                wm.shard as i64,
-                0,
-            );
-        }
-        let mut sp = tracer.span_in(rt.ctx, req.kind());
-        sp.set_shard(wm.shard);
-        match req {
-            Request::Shutdown => {
-                // the domain's ranges die with the worker; bank their
-                // steal counts first
-                wm.steals
-                    .add(domain.tags.steals() + domain.permanent.steals());
-                return;
-            }
-            Request::Classifier { imsi, reply, .. } => {
-                let out = compile_classifier(&shared, imsi);
-                // count before replying so a client that has its answer
-                // never observes a stale served() total
-                shared.served.inc();
-                wm.served.inc();
-                sw.record(&wm.latency);
-                let _ = reply.send(out);
-            }
-            Request::Attach {
-                imsi,
-                bs,
-                ue_id,
-                now,
-                reply,
-                ..
-            } => {
-                let out = (|| {
-                    let classifier = compile_classifier(&shared, imsi)?;
-                    // permanent addresses never change (§3.1): a
-                    // re-attach keeps the one first assigned
-                    let permanent_ip = match domain.ues.get(&imsi) {
-                        Some(r) => r.permanent_ip,
-                        // draw from this domain's range — routing by
-                        // imsi guarantees the matching detach releases
-                        // to the same range
-                        None => {
-                            let off = domain.permanent.allocate().ok_or_else(|| {
-                                Error::Exhausted("permanent-address space".into())
-                            })?;
-                            Ipv4Addr::from(PERMANENT_POOL_BASE + 1 + off)
-                        }
-                    };
-                    let record = UeRecord {
-                        imsi,
-                        permanent_ip,
-                        bs,
-                        ue_id,
-                        since: now,
-                    };
-                    domain.ues.insert(imsi, record);
-                    // the classifier install at the access station fences
-                    shared.install_fence();
-                    Ok(AttachGrant { record, classifier })
-                })();
-                shared.served.inc();
-                wm.served.inc();
-                sw.record(&wm.latency);
-                let _ = reply.send(out);
-            }
-            Request::Detach { imsi, reply, .. } => {
-                let out = domain
-                    .ues
-                    .remove(&imsi)
-                    .ok_or_else(|| Error::NotFound(format!("{imsi} not attached")));
-                if let Ok(record) = &out {
-                    let off = u32::from(record.permanent_ip) - PERMANENT_POOL_BASE - 1;
-                    domain.permanent.release(off);
-                }
-                shared.served.inc();
-                wm.served.inc();
-                sw.record(&wm.latency);
-                let _ = reply.send(out);
-            }
-            Request::PathTag {
-                bs, clause, reply, ..
-            } => {
-                // this domain owns every (bs, clause) it is ever asked
-                // about, so its map needs no lock and the tag comes from
-                // its private range
-                let out = match domain.paths.get(&(bs, clause)) {
-                    Some(t) => {
-                        wm.path_hits.inc();
-                        Ok(*t)
-                    }
-                    None => domain
-                        .tags
-                        .allocate()
-                        .map(|v| {
-                            wm.path_misses.inc();
-                            let t = PolicyTag(v as u16);
-                            domain.paths.insert((bs, clause), t);
-                            // the path's fabric rules fence
-                            shared.install_fence();
-                            t
-                        })
-                        .ok_or_else(|| Error::Exhausted("policy-tag space".into())),
-                };
-                shared.served.inc();
-                wm.served.inc();
-                sw.record(&wm.latency);
-                let _ = reply.send(out);
-            }
+            let now = trace::now_us();
+            tracer.record_span(rt.ctx, "queue_wait", rt.enqueued_us, now, shard as i64, 0);
         }
     }
+    let mut sp = tracer.span_in(rt.ctx, kind);
+    sp.set_shard(shard);
+    let out = f(&mut domain);
+    // count before the answer leaves so a client that has it never
+    // observes a stale served() total
+    domain.shared.served.inc();
+    domain.wm.served.inc();
+    sw.record(&domain.wm.latency);
+    drop((sp, domain));
+    match reply.try_send(out) {
+        Err(TrySendError::Full(out)) if waited => drop(reply.send(out)),
+        Err(TrySendError::Full(out)) => {
+            return Some(Job::Deliver(Box::new(move || drop(reply.send(out)))))
+        }
+        _ => {}
+    }
+    None
+}
+
+impl Domain {
+    fn attach(
+        &mut self,
+        imsi: UeImsi,
+        bs: BaseStationId,
+        ue_id: UeId,
+        now: SimTime,
+    ) -> Result<AttachGrant> {
+        let classifier = compile_classifier(&self.shared, imsi)?;
+        // permanent addresses never change (§3.1): a re-attach keeps the
+        // one first assigned
+        let permanent_ip = match self.ues.get(&imsi) {
+            Some(r) => r.permanent_ip,
+            // draw from this domain's range — routing by imsi guarantees
+            // the matching detach releases to the same range
+            None => {
+                let full = || Error::Exhausted("permanent-address space".into());
+                let off = self.permanent.allocate().ok_or_else(full)?;
+                Ipv4Addr::from(PERMANENT_POOL_BASE + 1 + off)
+            }
+        };
+        let record = UeRecord {
+            imsi,
+            permanent_ip,
+            bs,
+            ue_id,
+            since: now,
+        };
+        self.ues.insert(imsi, record);
+        // the classifier install at the access station fences
+        self.shared.install_fence();
+        Ok(AttachGrant { record, classifier })
+    }
+
+    fn detach(&mut self, imsi: UeImsi) -> Result<UeRecord> {
+        let unknown = || Error::NotFound(format!("{imsi} not attached"));
+        let record = self.ues.remove(&imsi).ok_or_else(unknown)?;
+        let off = u32::from(record.permanent_ip) - PERMANENT_POOL_BASE - 1;
+        self.permanent.release(off);
+        Ok(record)
+    }
+
+    fn path_tag(&mut self, bs: BaseStationId, clause: ClauseId) -> Result<PolicyTag> {
+        // this domain owns every (bs, clause) it is ever asked about, so
+        // the tag comes from its private range
+        if let Some(t) = self.paths.get(&(bs, clause)) {
+            self.wm.path_hits.inc();
+            return Ok(*t);
+        }
+        let full = || Error::Exhausted("policy-tag space".into());
+        let v = self.tags.allocate().ok_or_else(full)?;
+        self.wm.path_misses.inc();
+        let t = PolicyTag(v as u16);
+        self.paths.insert((bs, clause), t);
+        // the path's fabric rules fence
+        self.shared.install_fence();
+        Ok(t)
+    }
+}
+
+/// Serves `req` under its domain's lock, on whichever thread holds it.
+fn serve(domain: MutexGuard<'_, Domain>, req: Request, waited: bool) -> Option<Job> {
+    match req {
+        Request::Classifier { imsi, reply, trace } => {
+            let f = |d: &mut Domain| compile_classifier(&d.shared, imsi);
+            run(domain, "handle_classifier", trace, waited, reply, f)
+        }
+        Request::Attach {
+            imsi,
+            bs,
+            ue_id,
+            now,
+            reply,
+            trace,
+        } => {
+            let f = |d: &mut Domain| d.attach(imsi, bs, ue_id, now);
+            run(domain, "handle_attach", trace, waited, reply, f)
+        }
+        Request::Detach { imsi, reply, trace } => {
+            let f = |d: &mut Domain| d.detach(imsi);
+            run(domain, "handle_detach", trace, waited, reply, f)
+        }
+        Request::PathTag {
+            bs,
+            clause,
+            reply,
+            trace,
+        } => {
+            let f = |d: &mut Domain| d.path_tag(bs, clause);
+            run(domain, "handle_path_tag", trace, waited, reply, f)
+        }
+    }
+}
+
+/// Drains one domain's queue, taking the domain's lock per request.
+fn worker_loop(rx: Receiver<Job>, cell: &DomainCell) {
+    while let Ok(job) = rx.recv() {
+        match job {
+            Job::Serve(req) => {
+                let domain = cell.domain.lock();
+                // requests still queued behind the one just taken
+                domain.wm.queue_hwm.record_max(rx.len() as u64);
+                serve(domain, req, true);
+            }
+            Job::Deliver(send) => send(),
+            Job::Shutdown => break,
+        }
+        cell.pending.fetch_sub(1, Ordering::Release);
+    }
+    // the domain serves nothing after this (a shutdown leaves `pending`
+    // up); bank its ranges' steal counts
+    let domain = cell.domain.lock();
+    let steals = domain.tags.steals() + domain.permanent.steals();
+    domain.wm.steals.add(steals);
 }
 
 #[cfg(test)]
@@ -832,6 +881,81 @@ mod tests {
     }
 
     #[test]
+    fn pipelining_onto_a_small_reply_channel_never_blocks_the_caller() {
+        // three requests routed before any answer is read, one slot to
+        // answer into: this thread serves the first two, finds no room
+        // for the second answer and leaves it to the worker — blocking
+        // on a channel only this thread reads would be the end of it
+        let server = server(4, 1);
+        let router = server.router();
+        let (tx, rx) = bounded(1);
+        for i in 0..3 {
+            router
+                .route(Request::Classifier {
+                    imsi: UeImsi(i),
+                    reply: tx.clone(),
+                    trace: ReqTrace::NONE,
+                })
+                .unwrap();
+        }
+        for _ in 0..3 {
+            rx.recv().unwrap().unwrap();
+        }
+        let queued = shard_counter(&server, "softcell_controller_shard_queued_total", 0);
+        assert_eq!((server.served(), queued), (3, 1), "the third queued");
+        server.shutdown();
+    }
+
+    #[test]
+    fn an_answer_from_another_domain_never_blocks_the_routing_thread() {
+        // One caller, one slot to answer into, two requests outstanding
+        // on two domains. The first queues behind a fenced miss; while
+        // this thread sits in a longer fence serving the second on the
+        // free domain, the first one's worker fills the slot. A routing
+        // thread that waited for room would wait for itself, for ever
+        // (scripts/ci.sh runs this suite under `timeout`).
+        let server = server(1, 2);
+        server.set_install_latency(std::time::Duration::from_millis(50));
+        let router = server.router();
+        let station = |shard| {
+            let bs = (100..).find(|bs| shard_of_station(BaseStationId(*bs), 2) == shard);
+            BaseStationId(bs.unwrap())
+        };
+        let (tx, rx) = bounded(1);
+        let ask = |bs| Request::PathTag {
+            bs,
+            clause: ClauseId(99),
+            reply: tx.clone(),
+            trace: ReqTrace::NONE,
+        };
+        let parked = park_domain(&server, station(0), 0);
+        router.route(ask(station(0))).unwrap();
+        server.set_install_latency(std::time::Duration::from_millis(150));
+        router.route(ask(station(1))).unwrap();
+        assert_eq!(rx.recv().unwrap().unwrap(), parked.join().unwrap());
+        rx.recv().unwrap().unwrap();
+        const QUEUED: &str = "softcell_controller_shard_queued_total";
+        let queued = [0, 1].map(|shard| shard_counter(&server, QUEUED, shard));
+        assert_eq!((server.served(), queued), (3, [1, 0]));
+        server.shutdown();
+    }
+
+    #[test]
+    fn dropping_the_server_and_its_routers_stops_the_workers() {
+        let server = server(1, 2);
+        let router = server.router();
+        let cell = Arc::downgrade(&router.cells[0].1);
+        drop(server);
+        assert!(cell.upgrade().is_some(), "a router keeps the domains up");
+        drop(router);
+        // the queues disconnect, each worker returns and lets go of its
+        // domain (a worker that never did would hang this test)
+        while cell.upgrade().is_some() {
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
     fn zero_shards_rejected() {
         assert!(ControllerServer::start_sharded(
             ServicePolicy::example_carrier_a(1),
@@ -839,6 +963,44 @@ mod tests {
             0
         )
         .is_err());
+    }
+
+    fn shard_counter(server: &ControllerServer, name: &str, shard: usize) -> u64 {
+        server
+            .telemetry()
+            .counter_with(name, &format!("shard={shard}"))
+            .get()
+    }
+
+    /// Parks domain `shard` from another thread: a path-tag miss for
+    /// `bs`, served on that thread, asleep in the install fence with the
+    /// domain held. Returns once the miss is counted, which happens
+    /// under the lock just ahead of the fence.
+    fn park_domain(
+        server: &ControllerServer,
+        bs: BaseStationId,
+        shard: usize,
+    ) -> std::thread::JoinHandle<PolicyTag> {
+        const MISSES: &str = "softcell_controller_path_cache_misses_total";
+        let before = shard_counter(server, MISSES, shard);
+        let router = server.router();
+        assert_eq!(shard_of_station(bs, router.domains()), shard);
+        let parked = std::thread::spawn(move || {
+            let (tx, rx) = bounded(1);
+            router
+                .route(Request::PathTag {
+                    bs,
+                    clause: ClauseId(99),
+                    reply: tx,
+                    trace: ReqTrace::NONE,
+                })
+                .unwrap();
+            rx.recv().unwrap().unwrap()
+        });
+        while shard_counter(server, MISSES, shard) == before {
+            std::thread::yield_now();
+        }
+        parked
     }
 
     #[test]
@@ -849,24 +1011,26 @@ mod tests {
         let (tx, rx) = bounded(DEFAULT_QUEUE_DEPTH + 1);
         let ask = || Request::PathTag {
             bs: BaseStationId(5),
-            clause: ClauseId(0),
+            clause: ClauseId(99),
             reply: tx.clone(),
             trace: ReqTrace::NONE,
         };
-        // the miss parks the only worker in the install fence; once it
-        // has been taken the queue is empty and nothing drains it
-        router.route(ask()).unwrap();
-        while !router.txs[0].is_empty() {
+        // a second thread's miss holds the only domain through the
+        // install fence; the worker takes the first request off the
+        // queue and waits for the lock, and nothing drains the rest
+        let parked = park_domain(&server, BaseStationId(5), 0);
+        assert!(router.try_route(ask()).unwrap(), "busy domain: queued");
+        while !router.cells[0].0.is_empty() {
             std::thread::yield_now();
         }
-        for i in 0..DEFAULT_QUEUE_DEPTH {
+        for i in 1..=DEFAULT_QUEUE_DEPTH {
             assert!(router.try_route(ask()).unwrap(), "request {i} fits");
         }
         assert!(!router.try_route(ask()).unwrap(), "queue full: shed");
 
         // after the fence every accepted request is answered, all alike
-        let tag = rx.recv().unwrap().unwrap();
-        for _ in 0..DEFAULT_QUEUE_DEPTH {
+        let tag = parked.join().unwrap();
+        for _ in 0..=DEFAULT_QUEUE_DEPTH {
             assert_eq!(rx.recv().unwrap().unwrap(), tag);
         }
         assert!(rx.try_recv().is_err(), "the shed request got no answer");
@@ -875,8 +1039,174 @@ mod tests {
             .gauge_with("softcell_controller_shard_queue_depth_hwm", "shard=0")
             .get();
         assert!(hwm >= DEFAULT_QUEUE_DEPTH as u64 - 1, "hwm {hwm}");
+        let queued = shard_counter(&server, "softcell_controller_shard_queued_total", 0);
+        assert_eq!(queued, DEFAULT_QUEUE_DEPTH as u64 + 1);
+        assert_eq!(
+            server.served(),
+            queued + 1,
+            "all but the parking miss queued"
+        );
         assert!(router.try_route(ask()).unwrap(), "drained queue accepts");
         assert_eq!(rx.recv().unwrap().unwrap(), tag);
+        server.shutdown();
+    }
+
+    #[test]
+    fn inline_and_queued_requests_agree() {
+        // One request sequence, answered once on the routing thread
+        // (every domain free) and once through the queues (every domain
+        // held by a fenced miss while the whole sequence is routed).
+        fn run(queued: bool) -> (Vec<String>, Vec<u64>) {
+            let server = server(16, 2);
+            server.set_install_latency(std::time::Duration::from_millis(50));
+            let router = server.router();
+            // two subscribers of one domain, so the second attach draws
+            // from the range the first one's detach released into
+            let mut same = (0..16).filter(|i| shard_of_ue(UeImsi(*i), 2) == 0);
+            let (ue_a, ue_b) = (same.next().unwrap(), same.next().unwrap());
+            let holders: Vec<BaseStationId> = (0..2)
+                .map(|shard| {
+                    let bs = (100..).find(|bs| shard_of_station(BaseStationId(*bs), 2) == shard);
+                    BaseStationId(bs.unwrap())
+                })
+                .collect();
+            let hold = || -> Vec<_> {
+                let parked = holders.iter().enumerate();
+                parked
+                    .map(|(shard, bs)| park_domain(&server, *bs, shard))
+                    .collect()
+            };
+            let mut held = hold();
+            if !queued {
+                held.drain(..).for_each(|h| h.join().map(drop).unwrap());
+            }
+
+            let (atx, arx) = bounded(8);
+            let (ttx, trx) = bounded(8);
+            let (dtx, drx) = bounded(8);
+            let attach = |imsi: u64, bs: u32, now: u64| Request::Attach {
+                imsi: UeImsi(imsi),
+                bs: BaseStationId(bs),
+                ue_id: UeId(7),
+                now: SimTime(now),
+                reply: atx.clone(),
+                trace: ReqTrace::NONE,
+            };
+            let path = |bs: u32, clause: u16| Request::PathTag {
+                bs: BaseStationId(bs),
+                clause: ClauseId(clause),
+                reply: ttx.clone(),
+                trace: ReqTrace::NONE,
+            };
+            let detach = |imsi: u64| Request::Detach {
+                imsi: UeImsi(imsi),
+                reply: dtx.clone(),
+                trace: ReqTrace::NONE,
+            };
+            let got_attach = || format!("{:?}", arx.recv().unwrap());
+            let got_path = || format!("{:?}", trx.recv().unwrap());
+            let got_detach = || format!("{:?}", drx.recv().unwrap());
+            let sequence: [(Request, &dyn Fn() -> String); 8] = [
+                (attach(ue_a, 3, 10), &got_attach),
+                (attach(ue_a, 4, 20), &got_attach),
+                (path(5, 0), &got_path),
+                (path(5, 1), &got_path),
+                (path(5, 0), &got_path),
+                (detach(ue_a), &got_detach),
+                (detach(ue_a), &got_detach),
+                (attach(ue_b, 3, 30), &got_attach),
+            ];
+            // answers in routing order: each reply channel here is fed
+            // by one domain, and a domain is FIFO whichever thread
+            // serves it
+            let (mut answers, mut later) = (Vec::new(), Vec::new());
+            for (req, got) in sequence {
+                router.route(req).unwrap();
+                match queued {
+                    true => later.push(got),
+                    false => answers.push(got()),
+                }
+            }
+            for h in held {
+                h.join().unwrap();
+            }
+            answers.extend(later.into_iter().map(|got| got()));
+
+            let mut counts = vec![server.served()];
+            for shard in 0..2 {
+                for name in [
+                    "softcell_controller_shard_served_total",
+                    "softcell_controller_path_cache_hits_total",
+                    "softcell_controller_path_cache_misses_total",
+                ] {
+                    counts.push(shard_counter(&server, name, shard));
+                }
+            }
+            let went_queued: u64 = (0..2)
+                .map(|s| shard_counter(&server, "softcell_controller_shard_queued_total", s))
+                .sum();
+            assert_eq!(went_queued, if queued { 8 } else { 0 });
+            server.shutdown();
+            (answers, counts)
+        }
+        let (inline, queued) = (run(false), run(true));
+        assert_eq!(inline, queued);
+        assert_eq!(inline.1[0], 10, "two holders and the sequence");
+        assert!(inline.0[6].contains("NotFound"), "double detach fails");
+        let ip = |answer: &str| -> Option<String> {
+            let rest = answer.split("permanent_ip: ").nth(1)?;
+            Some(rest.split(',').next()?.to_string())
+        };
+        assert!(ip(&inline.0[0]).is_some());
+        assert_eq!(
+            ip(&inline.0[1]),
+            ip(&inline.0[0]),
+            "re-attach keeps the address"
+        );
+        assert_eq!(
+            ip(&inline.0[7]),
+            ip(&inline.0[0]),
+            "released address is drawn again"
+        );
+    }
+
+    #[test]
+    fn queue_wait_is_recorded_only_for_a_request_that_queued() {
+        let tracer = Registry::global().tracer();
+        tracer.set_sampling(1, softcell_telemetry::DEFAULT_SLOW_US);
+        let server = server(1, 1);
+        server.set_install_latency(std::time::Duration::from_millis(50));
+        let router = server.router();
+        let (tx, rx) = bounded(1);
+        let traced = |held: bool| {
+            let parked = held.then(|| park_domain(&server, BaseStationId(6), 0));
+            let root = tracer.root("test_path_request");
+            let trace_id = root.ctx().trace_id;
+            router
+                .route(Request::PathTag {
+                    bs: BaseStationId(5),
+                    clause: ClauseId(0),
+                    reply: tx.clone(),
+                    trace: ReqTrace::at_enqueue(root.ctx()),
+                })
+                .unwrap();
+            rx.recv().unwrap().unwrap();
+            drop(root);
+            parked.map(|p| p.join().unwrap());
+            let kinds: Vec<_> = tracer
+                .records()
+                .iter()
+                .filter(|r| r.trace_id == trace_id)
+                .map(|r| r.kind)
+                .collect();
+            assert!(kinds.contains(&"handle_path_tag"), "{kinds:?}");
+            kinds.contains(&"queue_wait")
+        };
+        assert!(
+            !traced(false),
+            "served on the routing thread: no queue_wait"
+        );
+        assert!(traced(true), "queued behind the fenced miss: queue_wait");
         server.shutdown();
     }
 }

@@ -3,8 +3,9 @@
 //! This is where the southbound protocol (`softcell-ctlchan`) meets the
 //! domain types. [`ControllerServer::serve`] runs one connection's
 //! dispatch loop on its own thread: packet-in events are translated to
-//! worker-pool [`Request`]s, and the answers go back as classifier
-//! replies and flow-mod batches under the request's xid.
+//! domain [`Request`]s — served on this very thread when the owning
+//! domain is free — and the answers go back as classifier replies and
+//! flow-mod batches under the request's xid.
 //! [`ChannelController`] is the other end — a [`ControllerApi`]
 //! implementation the unchanged [`crate::agent::LocalAgent`] can run
 //! against, so the same agent code drives an in-process controller or
@@ -14,7 +15,7 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use crossbeam::channel::bounded;
+use crossbeam::channel::{bounded, Receiver};
 
 use softcell_ctlchan::{
     CtlChannel, Message, PacketIn, RetryPolicy, Transport, WireBatchGroup, WireClassifier,
@@ -104,7 +105,7 @@ impl ControllerServer {
         let shared = self.shared_state();
         std::thread::spawn(move || {
             // One reply pair per kind, reused across requests: the serve
-            // loop keeps at most one worker request outstanding.
+            // loop keeps at most one request outstanding.
             let (att_tx, att_rx) = bounded(1);
             let (det_tx, det_rx) = bounded(1);
             let (tag_tx, tag_rx) = bounded(1);
@@ -131,36 +132,28 @@ impl ControllerServer {
                             ue_id,
                             now,
                         } => (|| {
-                            route_packet_in(
-                                &router,
-                                &shared,
-                                Request::Attach {
-                                    imsi,
-                                    bs,
-                                    ue_id,
-                                    now,
-                                    reply: att_tx.clone(),
-                                    trace: ReqTrace::at_enqueue(ctx),
-                                },
-                            )?;
-                            let grant = att_rx.recv().map_err(|_| pool_gone())??;
+                            let req = Request::Attach {
+                                imsi,
+                                bs,
+                                ue_id,
+                                now,
+                                reply: att_tx.clone(),
+                                trace: ReqTrace::at_enqueue(ctx),
+                            };
+                            let grant = route_packet_in(&router, &shared, req, &att_rx)?;
                             Ok(Message::ClassifierReply {
                                 record: grant.record.into(),
                                 classifier: Some(classifier_to_wire(&grant.classifier)),
                             })
                         })(),
                         PacketIn::PathRequest { bs, clause } => (|| {
-                            route_packet_in(
-                                &router,
-                                &shared,
-                                Request::PathTag {
-                                    bs,
-                                    clause,
-                                    reply: tag_tx.clone(),
-                                    trace: ReqTrace::at_enqueue(ctx),
-                                },
-                            )?;
-                            let tag = tag_rx.recv().map_err(|_| pool_gone())??;
+                            let req = Request::PathTag {
+                                bs,
+                                clause,
+                                reply: tag_tx.clone(),
+                                trace: ReqTrace::at_enqueue(ctx),
+                            };
+                            let tag = route_packet_in(&router, &shared, req, &tag_rx)?;
                             // same path stand-in as the domains: one tag
                             // end to end, first fabric port, no QoS
                             let tags = PathTags {
@@ -197,16 +190,12 @@ impl ControllerServer {
                             })
                         })(),
                         PacketIn::Detach { imsi } => (|| {
-                            route_packet_in(
-                                &router,
-                                &shared,
-                                Request::Detach {
-                                    imsi,
-                                    reply: det_tx.clone(),
-                                    trace: ReqTrace::at_enqueue(ctx),
-                                },
-                            )?;
-                            let record = det_rx.recv().map_err(|_| pool_gone())??;
+                            let req = Request::Detach {
+                                imsi,
+                                reply: det_tx.clone(),
+                                trace: ReqTrace::at_enqueue(ctx),
+                            };
+                            let record = route_packet_in(&router, &shared, req, &det_rx)?;
                             Ok(Message::ClassifierReply {
                                 record: record.into(),
                                 classifier: None,
@@ -231,23 +220,20 @@ impl ControllerServer {
     }
 }
 
-fn pool_gone() -> Error {
-    Error::InvalidState("controller worker pool gone".into())
-}
-
-/// Routes a packet-in without blocking the serve loop: a full domain
-/// queue sheds the request — counted in `server_queue_rejected` and
-/// answered with an error the agent can retry — instead of stalling
-/// this connection's barrier and echo traffic behind the backlog (and
-/// instead of the pre-telemetry behavior of discarding the overload
-/// signal invisibly).
-fn route_packet_in(
+/// Routes a packet-in and takes its answer off the reply pair's `rx`,
+/// never waiting on a full domain queue: that sheds the request —
+/// counted in `server_queue_rejected` and answered with an error the
+/// agent can retry — instead of stalling this connection's barrier and
+/// echo traffic behind the backlog.
+fn route_packet_in<R>(
     router: &RequestRouter,
     shared: &crate::server::Shared,
     req: Request,
-) -> Result<()> {
+    rx: &Receiver<Result<R>>,
+) -> Result<R> {
     if router.try_route(req)? {
-        return Ok(());
+        let gone = |_| Error::InvalidState("controller worker pool gone".into());
+        return rx.recv().map_err(gone)?;
     }
     shared.queue_rejected.inc();
     // rate-limited operator warning: the first shed request logs, then

@@ -62,6 +62,23 @@ pub(crate) mod field {
     pub const XID: std::ops::Range<usize> = 8..12;
 }
 
+/// The frame length a header declares, once its version and the
+/// `HEADER_LEN..=MAX_FRAME` range have checked out. The stream reader
+/// sizes its buffer by this and nothing earlier.
+pub(crate) fn checked_frame_len(header: &[u8]) -> Result<usize> {
+    let version = header_u8(header, field::VERSION)?;
+    if version != VERSION {
+        return Err(Error::Malformed(format!(
+            "ctlchan version {version} != {VERSION}"
+        )));
+    }
+    let len = header_u32(header, field::LENGTH)? as usize;
+    if !(HEADER_LEN..=MAX_FRAME).contains(&len) {
+        return Err(Error::Malformed(format!("frame length {len} out of range")));
+    }
+    Ok(len)
+}
+
 /// A control-channel frame backed by a byte buffer.
 #[derive(Clone, PartialEq, Eq)]
 pub struct Frame<T: AsRef<[u8]>> {
@@ -112,16 +129,7 @@ impl<T: AsRef<[u8]>> Frame<T> {
                 data.len()
             )));
         }
-        let version = header_u8(data, field::VERSION)?;
-        if version != VERSION {
-            return Err(Error::Malformed(format!(
-                "ctlchan version {version} != {VERSION}"
-            )));
-        }
-        let len = header_u32(data, field::LENGTH)? as usize;
-        if !(HEADER_LEN..=MAX_FRAME).contains(&len) {
-            return Err(Error::Malformed(format!("frame length {len} out of range")));
-        }
+        let len = checked_frame_len(data)?;
         if len != data.len() {
             return Err(Error::Malformed(format!(
                 "frame length {len} != buffer {}",

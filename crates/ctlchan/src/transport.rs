@@ -32,7 +32,7 @@ use rand::{Rng, SeedableRng};
 
 use softcell_types::{Error, Result};
 
-use crate::codec::{HEADER_LEN, MAX_FRAME, VERSION};
+use crate::codec::{checked_frame_len, HEADER_LEN};
 
 /// Per-connection send/receive counters.
 #[derive(Debug, Default)]
@@ -202,7 +202,16 @@ impl Transport for Loopback {
 pub struct TcpTransport {
     stream: TcpStream,
     counters: Arc<ChannelCounters>,
+    /// `buf[head..tail]`: bytes read off the socket and not yet returned
+    /// as frames, so one `read` brings in a whole frame and what follows.
+    buf: Vec<u8>,
+    head: usize,
+    tail: usize,
 }
+
+/// Initial size of a connection's read buffer; it grows, up to
+/// `MAX_FRAME`, only for a frame whose header has passed validation.
+const READ_BUF: usize = 4096;
 
 impl TcpTransport {
     /// Connects to a listening controller.
@@ -219,6 +228,9 @@ impl TcpTransport {
         TcpTransport {
             stream,
             counters: Arc::new(ChannelCounters::default()),
+            buf: vec![0; READ_BUF],
+            head: 0,
+            tail: 0,
         }
     }
 }
@@ -247,61 +259,53 @@ impl Transport for TcpTransport {
     }
 
     fn recv(&mut self) -> Result<Option<Vec<u8>>> {
-        // Length-delimited framing driven by the frame's own header:
-        // read the fixed header, validate, then read the payload.
-        let mut header = [0u8; HEADER_LEN];
-        let mut filled = 0;
-        while filled < HEADER_LEN {
-            // softcell-lint: allow(wire-panic) -- filled < HEADER_LEN by the loop bound; fixed stack array
-            match self.stream.read(&mut header[filled..]) {
-                // EOF before any byte of a frame = clean close; EOF
-                // mid-header = truncated frame.
-                Ok(0) if filled == 0 => return Ok(None),
-                Ok(0) => {
-                    return Err(Error::Malformed(format!(
-                        "connection closed mid-header ({filled}/{HEADER_LEN} bytes)"
-                    )))
+        // Length-delimited framing driven by the frame's own header: cut
+        // the next frame out of the buffer, reading while it is incomplete.
+        loop {
+            let buffered = self.buf.get(self.head..self.tail).unwrap_or_default();
+            let have = buffered.len();
+            let len = (have >= HEADER_LEN)
+                .then(|| checked_frame_len(buffered))
+                .transpose()?;
+            if let Some(frame) = len.and_then(|len| buffered.get(..len)) {
+                let frame = frame.to_vec();
+                self.head += frame.len();
+                if self.head == self.tail {
+                    (self.head, self.tail) = (0, 0);
                 }
-                Ok(n) => filled += n,
+                self.counters.received(&frame);
+                return Ok(Some(frame));
+            }
+            // Room for the rest of the frame (its header, until that is
+            // in): slide it to the front, grow only by a validated length.
+            let need = len.unwrap_or(HEADER_LEN);
+            if self.buf.len() - self.head < need {
+                self.buf.copy_within(self.head..self.tail, 0);
+                (self.head, self.tail) = (0, have);
+                if self.buf.len() < need {
+                    self.buf.resize(need, 0);
+                }
+            }
+            let part = if len.is_some() { "payload" } else { "header" };
+            let torn = |how| Error::Malformed(format!("{how} mid-{part} ({have}/{need} bytes)"));
+            // never empty: the frame is incomplete, so tail < head + need
+            let space = self.buf.get_mut(self.tail..).unwrap_or_default();
+            match self.stream.read(space) {
+                // EOF on a frame boundary = clean close; EOF inside a
+                // frame = truncated frame.
+                Ok(0) if have == 0 => return Ok(None),
+                Ok(0) => return Err(torn("connection closed")),
+                Ok(n) => self.tail += n,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                 // a timeout before the first byte leaves the stream on a
                 // frame boundary — recoverable, the caller may retry
-                Err(e) if is_io_timeout(&e) && filled == 0 => {
+                Err(e) if is_io_timeout(&e) && have == 0 => {
                     return Err(Error::Timeout("tcp recv deadline elapsed".into()))
                 }
-                Err(e) if is_io_timeout(&e) => {
-                    return Err(Error::Malformed(format!(
-                        "timed out mid-header ({filled}/{HEADER_LEN} bytes); stream desynced"
-                    )))
-                }
+                Err(e) if is_io_timeout(&e) => return Err(torn("stream desynced: timed out")),
                 Err(e) => return Err(Error::InvalidState(format!("tcp recv: {e}"))),
             }
         }
-        // softcell-lint: allow(wire-panic) -- const index into fixed [u8; HEADER_LEN] array
-        let version = header[0];
-        if version != VERSION {
-            return Err(Error::Malformed(format!(
-                "ctlchan version {version} != {VERSION}"
-            )));
-        }
-        let len = header
-            .get(4..8)
-            .and_then(|b| b.try_into().ok())
-            .map(u32::from_be_bytes)
-            .ok_or_else(|| Error::Malformed("header too short for length field".into()))?
-            as usize;
-        if !(HEADER_LEN..=MAX_FRAME).contains(&len) {
-            return Err(Error::Malformed(format!("frame length {len} out of range")));
-        }
-        let mut frame = vec![0u8; len];
-        // softcell-lint: allow(wire-panic) -- len >= HEADER_LEN validated just above
-        frame[..HEADER_LEN].copy_from_slice(&header);
-        self.stream
-            // softcell-lint: allow(wire-panic) -- len >= HEADER_LEN validated just above
-            .read_exact(&mut frame[HEADER_LEN..])
-            .map_err(|e| Error::Malformed(format!("truncated frame payload: {e}")))?;
-        self.counters.received(&frame);
-        Ok(Some(frame))
     }
 
     fn counters(&self) -> Arc<ChannelCounters> {
@@ -484,7 +488,7 @@ impl<T: Transport> Transport for FaultTransport<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::Message;
+    use crate::codec::{Message, MAX_FRAME, VERSION};
     use std::borrow::Cow;
 
     #[test]
@@ -537,6 +541,134 @@ mod tests {
         let server_counters = server.join().unwrap();
         assert_eq!(server_counters.rx_msgs, 10);
         assert_eq!(server_counters.tx_msgs, 10);
+    }
+
+    /// A connected socket pair: the raw writing end and the transport
+    /// reading from it.
+    fn tcp_reader() -> (TcpStream, TcpTransport) {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        let writer = TcpStream::connect(listener.local_addr().unwrap()).expect("connect");
+        writer.set_nodelay(true).unwrap();
+        let (stream, _) = listener.accept().expect("accept");
+        (writer, TcpTransport::from_stream(stream))
+    }
+
+    fn echo_frame(xid: u32, payload_len: usize) -> Vec<u8> {
+        Message::EchoRequest(Cow::Owned(vec![xid as u8; payload_len])).encode(xid)
+    }
+
+    fn assert_counted(t: &TcpTransport, frames: &[&Vec<u8>]) {
+        let c = t.counters().snapshot();
+        assert_eq!(c.rx_msgs, frames.len() as u64);
+        assert_eq!(
+            c.rx_bytes,
+            frames.iter().map(|f| f.len() as u64).sum::<u64>()
+        );
+    }
+
+    #[test]
+    fn tcp_reader_assembles_a_frame_written_byte_by_byte() {
+        let (mut writer, mut t) = tcp_reader();
+        let frame = echo_frame(1, 40);
+        let sent = frame.clone();
+        let peer = std::thread::spawn(move || {
+            for b in sent {
+                writer.write_all(&[b]).unwrap();
+            }
+            writer
+        });
+        assert_eq!(t.recv().unwrap().unwrap(), frame);
+        assert_counted(&t, &[&frame]);
+        drop(peer.join().unwrap());
+        assert_eq!(t.recv().unwrap(), None, "close on a frame boundary");
+    }
+
+    #[test]
+    fn tcp_reader_cuts_frames_that_arrive_together() {
+        let (mut writer, mut t) = tcp_reader();
+        let frames = [echo_frame(1, 0), echo_frame(2, 7), echo_frame(3, 300)];
+        writer.write_all(&frames[..2].concat()).unwrap();
+        assert_eq!(t.recv().unwrap().unwrap(), frames[0]);
+        assert_counted(&t, &[&frames[0]]);
+        assert_eq!(t.recv().unwrap().unwrap(), frames[1]);
+        writer.write_all(&frames.concat()).unwrap();
+        for f in &frames {
+            assert_eq!(&t.recv().unwrap().unwrap(), f);
+        }
+        let [a, b, c] = &frames;
+        assert_counted(&t, &[a, b, a, b, c]);
+        drop(writer);
+        assert_eq!(t.recv().unwrap(), None);
+    }
+
+    #[test]
+    fn tcp_reader_grows_for_a_frame_larger_than_its_buffer() {
+        let (mut writer, mut t) = tcp_reader();
+        let (small, big) = (echo_frame(1, 3), echo_frame(2, 5 * READ_BUF));
+        // the big frame starts mid-buffer, behind a small one
+        let sent = [small.clone(), big.clone(), small.clone()].concat();
+        let peer = std::thread::spawn(move || writer.write_all(&sent).map(|()| writer));
+        assert_eq!(t.recv().unwrap().unwrap(), small);
+        assert_eq!(t.recv().unwrap().unwrap(), big);
+        assert_eq!(t.recv().unwrap().unwrap(), small);
+        assert_counted(&t, &[&small, &big, &small]);
+        drop(peer.join().unwrap().unwrap());
+        assert_eq!(t.recv().unwrap(), None);
+    }
+
+    #[test]
+    fn tcp_reader_reports_a_close_inside_a_frame_as_malformed() {
+        let frame = echo_frame(1, 64);
+        for cut in [5, HEADER_LEN, HEADER_LEN + 20] {
+            let (mut writer, mut t) = tcp_reader();
+            writer.write_all(&frame).unwrap();
+            writer.write_all(&frame[..cut]).unwrap();
+            drop(writer);
+            assert_eq!(t.recv().unwrap().unwrap(), frame);
+            let err = t.recv().unwrap_err();
+            assert!(matches!(err, Error::Malformed(_)), "cut {cut}: {err}");
+            assert_counted(&t, &[&frame]);
+        }
+    }
+
+    #[test]
+    fn tcp_reader_rejects_a_bad_length_or_version_without_allocating_for_it() {
+        for (version, len) in [
+            (VERSION, MAX_FRAME as u32 + 1),
+            (VERSION, HEADER_LEN as u32 - 1),
+            (VERSION + 1, HEADER_LEN as u32),
+        ] {
+            let (mut writer, mut t) = tcp_reader();
+            let mut header = echo_frame(1, 0);
+            header[0] = version;
+            header[4..8].copy_from_slice(&len.to_be_bytes());
+            writer.write_all(&header).unwrap();
+            let err = t.recv().unwrap_err();
+            assert!(matches!(err, Error::Malformed(_)), "{version}/{len}: {err}");
+            assert_eq!(t.buf.len(), READ_BUF);
+            assert_counted(&t, &[]);
+        }
+    }
+
+    #[test]
+    fn tcp_deadline_before_a_frame_is_recoverable_and_inside_one_is_not() {
+        let (mut writer, mut t) = tcp_reader();
+        t.set_deadline(Some(Duration::from_millis(30))).unwrap();
+        let err = t.recv().unwrap_err();
+        assert!(err.is_timeout(), "got {err}");
+        // still on a frame boundary: the same transport keeps working
+        let frame = echo_frame(1, 9);
+        writer.write_all(&frame).unwrap();
+        assert_eq!(t.recv().unwrap().unwrap(), frame);
+        assert!(t.recv().unwrap_err().is_timeout());
+
+        for cut in [3, HEADER_LEN + 4] {
+            let (mut writer, mut t) = tcp_reader();
+            t.set_deadline(Some(Duration::from_millis(30))).unwrap();
+            writer.write_all(&frame[..cut]).unwrap();
+            let err = t.recv().unwrap_err();
+            assert!(matches!(err, Error::Malformed(_)), "cut {cut}: {err}");
+        }
     }
 
     #[test]

@@ -17,6 +17,19 @@ cargo build --release --workspace
 echo "==> softcell-analyzer (static analysis gate)"
 ./target/release/softcell-analyzer --root .
 
+# The southbound path's concurrency lives in four crates: the domain
+# locks and queues (controller), the serve loop and frame reader
+# (ctlchan), and the channel and lock stand-ins under them. A lost
+# wake-up or a lock held across a blocking send is a hang, not a red
+# assert, so these suites run first, optimised and time-capped.
+echo "==> controller / ctlchan / channel + lock shim suites (180 s cap)"
+timeout 180 cargo test -q --release \
+  -p softcell-controller -p softcell-ctlchan -p crossbeam -p parking_lot
+# ... and so does the one in-repo caller that pipelines: four clients,
+# 64 requests each in flight over up to 15 domains, one reply slot per
+# client. A routing thread that waits on its own reply channel hangs it.
+timeout 60 ./target/release/micro_controller_throughput --quick > /dev/null
+
 echo "==> cargo test -q"
 cargo test -q --workspace
 

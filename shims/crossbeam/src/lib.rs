@@ -13,13 +13,19 @@
 /// Multi-producer multi-consumer channels.
 pub mod channel {
     use std::collections::VecDeque;
-    use std::sync::{Arc, Condvar, Mutex};
+    use std::sync::{Arc, Condvar, Mutex, MutexGuard};
     use std::time::{Duration, Instant};
 
     struct State<T> {
         queue: VecDeque<T>,
         senders: usize,
         receivers: usize,
+        /// Threads parked on `not_empty` / `not_full`, counted under
+        /// the state mutex around each wait. `notify_one` is a `futex`
+        /// syscall whether or not anyone waits, so a push or pop
+        /// notifies only when its count is non-zero.
+        recv_waiting: usize,
+        send_waiting: usize,
     }
 
     struct Chan<T> {
@@ -123,12 +129,43 @@ pub mod channel {
         }
     }
 
+    impl<T> Chan<T> {
+        /// Queues `msg` and wakes one parked receiver, if there is one.
+        fn push(&self, mut state: MutexGuard<'_, State<T>>, msg: T) {
+            state.queue.push_back(msg);
+            let wake = state.recv_waiting > 0;
+            drop(state);
+            if wake {
+                self.not_empty.notify_one();
+            }
+        }
+
+        /// Takes the oldest message and wakes one parked sender, if
+        /// there is one.
+        fn pop<'a>(
+            &self,
+            mut state: MutexGuard<'a, State<T>>,
+        ) -> Result<T, MutexGuard<'a, State<T>>> {
+            let Some(msg) = state.queue.pop_front() else {
+                return Err(state);
+            };
+            let wake = state.send_waiting > 0;
+            drop(state);
+            if wake {
+                self.not_full.notify_one();
+            }
+            Ok(msg)
+        }
+    }
+
     fn new_channel<T>(cap: Option<usize>) -> (Sender<T>, Receiver<T>) {
         let chan = Arc::new(Chan {
             state: Mutex::new(State {
                 queue: VecDeque::new(),
                 senders: 1,
                 receivers: 1,
+                recv_waiting: 0,
+                send_waiting: 0,
             }),
             cap,
             not_empty: Condvar::new(),
@@ -165,14 +202,14 @@ pub mod channel {
                 }
                 match self.chan.cap {
                     Some(cap) if state.queue.len() >= cap => {
+                        state.send_waiting += 1;
                         state = self.chan.not_full.wait(state).unwrap();
+                        state.send_waiting -= 1;
                     }
                     _ => break,
                 }
             }
-            state.queue.push_back(msg);
-            drop(state);
-            self.chan.not_empty.notify_one();
+            self.chan.push(state, msg);
             Ok(())
         }
 
@@ -192,8 +229,10 @@ pub mod channel {
                         if left.is_zero() {
                             return Err(SendTimeoutError::Timeout(msg));
                         }
+                        state.send_waiting += 1;
                         let (guard, res) = self.chan.not_full.wait_timeout(state, left).unwrap();
                         state = guard;
+                        state.send_waiting -= 1;
                         if res.timed_out()
                             && self.chan.cap.is_some_and(|c| state.queue.len() >= c)
                             && state.receivers > 0
@@ -204,15 +243,13 @@ pub mod channel {
                     _ => break,
                 }
             }
-            state.queue.push_back(msg);
-            drop(state);
-            self.chan.not_empty.notify_one();
+            self.chan.push(state, msg);
             Ok(())
         }
 
         /// Non-blocking send.
         pub fn try_send(&self, msg: T) -> Result<(), TrySendError<T>> {
-            let mut state = self.chan.state.lock().unwrap();
+            let state = self.chan.state.lock().unwrap();
             if state.receivers == 0 {
                 return Err(TrySendError::Disconnected(msg));
             }
@@ -221,9 +258,7 @@ pub mod channel {
                     return Err(TrySendError::Full(msg));
                 }
             }
-            state.queue.push_back(msg);
-            drop(state);
-            self.chan.not_empty.notify_one();
+            self.chan.push(state, msg);
             Ok(())
         }
 
@@ -244,15 +279,16 @@ pub mod channel {
         pub fn recv(&self) -> Result<T, RecvError> {
             let mut state = self.chan.state.lock().unwrap();
             loop {
-                if let Some(msg) = state.queue.pop_front() {
-                    drop(state);
-                    self.chan.not_full.notify_one();
-                    return Ok(msg);
-                }
+                state = match self.chan.pop(state) {
+                    Ok(msg) => return Ok(msg),
+                    Err(state) => state,
+                };
                 if state.senders == 0 {
                     return Err(RecvError);
                 }
+                state.recv_waiting += 1;
                 state = self.chan.not_empty.wait(state).unwrap();
+                state.recv_waiting -= 1;
             }
         }
 
@@ -263,11 +299,10 @@ pub mod channel {
             let deadline = Instant::now() + timeout;
             let mut state = self.chan.state.lock().unwrap();
             loop {
-                if let Some(msg) = state.queue.pop_front() {
-                    drop(state);
-                    self.chan.not_full.notify_one();
-                    return Ok(msg);
-                }
+                state = match self.chan.pop(state) {
+                    Ok(msg) => return Ok(msg),
+                    Err(state) => state,
+                };
                 if state.senders == 0 {
                     return Err(RecvTimeoutError::Disconnected);
                 }
@@ -275,8 +310,10 @@ pub mod channel {
                 if left.is_zero() {
                     return Err(RecvTimeoutError::Timeout);
                 }
+                state.recv_waiting += 1;
                 let (guard, res) = self.chan.not_empty.wait_timeout(state, left).unwrap();
                 state = guard;
+                state.recv_waiting -= 1;
                 if res.timed_out() && state.queue.is_empty() && state.senders > 0 {
                     return Err(RecvTimeoutError::Timeout);
                 }
@@ -285,16 +322,10 @@ pub mod channel {
 
         /// Non-blocking receive.
         pub fn try_recv(&self) -> Result<T, TryRecvError> {
-            let mut state = self.chan.state.lock().unwrap();
-            if let Some(msg) = state.queue.pop_front() {
-                drop(state);
-                self.chan.not_full.notify_one();
-                return Ok(msg);
-            }
-            if state.senders == 0 {
-                Err(TryRecvError::Disconnected)
-            } else {
-                Err(TryRecvError::Empty)
+            match self.chan.pop(self.chan.state.lock().unwrap()) {
+                Ok(msg) => Ok(msg),
+                Err(state) if state.senders == 0 => Err(TryRecvError::Disconnected),
+                Err(_) => Err(TryRecvError::Empty),
             }
         }
 
@@ -348,6 +379,119 @@ pub mod channel {
                 // wake senders blocked on a full queue
                 self.chan.not_full.notify_all();
             }
+        }
+    }
+
+    /// Wake-up tests: each one waits until the peer thread is counted
+    /// as parked (so the notify, not a lucky schedule, is what lets it
+    /// finish) and a lost wake-up shows as a hang.
+    #[cfg(test)]
+    mod tests {
+        use super::*;
+
+        /// Spins until exactly `recv` receivers and `send` senders are
+        /// parked on `chan`.
+        fn until_parked<T>(chan: &Chan<T>, recv: usize, send: usize) {
+            loop {
+                let state = chan.state.lock().unwrap();
+                if (state.recv_waiting, state.send_waiting) == (recv, send) {
+                    return;
+                }
+                drop(state);
+                std::thread::yield_now();
+            }
+        }
+
+        #[test]
+        fn parked_recv_is_woken_by_send() {
+            let (tx, rx) = bounded::<u32>(1);
+            let plain = {
+                let rx = rx.clone();
+                std::thread::spawn(move || rx.recv())
+            };
+            until_parked(&tx.chan, 1, 0);
+            tx.send(1).unwrap();
+            assert_eq!(plain.join().unwrap(), Ok(1));
+
+            let timed = std::thread::spawn(move || rx.recv_timeout(Duration::from_secs(60)));
+            until_parked(&tx.chan, 1, 0);
+            tx.try_send(2).unwrap();
+            assert_eq!(timed.join().unwrap(), Ok(2));
+            until_parked(&tx.chan, 0, 0);
+        }
+
+        #[test]
+        fn parked_send_is_woken_by_recv() {
+            let (tx, rx) = bounded::<u32>(1);
+            tx.send(1).unwrap();
+            let plain = {
+                let tx = tx.clone();
+                std::thread::spawn(move || tx.send(2))
+            };
+            until_parked(&rx.chan, 0, 1);
+            assert_eq!(rx.recv(), Ok(1));
+            plain.join().unwrap().unwrap();
+
+            let timed = std::thread::spawn(move || tx.send_timeout(3, Duration::from_secs(60)));
+            until_parked(&rx.chan, 0, 1);
+            assert_eq!(rx.try_recv(), Ok(2));
+            timed.join().unwrap().unwrap();
+            assert_eq!(rx.recv(), Ok(3));
+            until_parked(&rx.chan, 0, 0);
+        }
+
+        #[test]
+        fn two_parked_receivers_each_get_a_wake_up() {
+            let (tx, rx) = unbounded::<u32>();
+            let waiters: Vec<_> = (0..2)
+                .map(|_| {
+                    let rx = rx.clone();
+                    std::thread::spawn(move || rx.recv())
+                })
+                .collect();
+            until_parked(&tx.chan, 2, 0);
+            tx.send(1).unwrap();
+            tx.send(2).unwrap();
+            let mut got: Vec<u32> = waiters
+                .into_iter()
+                .map(|w| w.join().unwrap().unwrap())
+                .collect();
+            got.sort_unstable();
+            assert_eq!(got, [1, 2]);
+        }
+
+        #[test]
+        fn last_peer_dropping_wakes_parked_threads() {
+            let (tx, rx) = bounded::<u32>(1);
+            let receiver = {
+                let rx = rx.clone();
+                std::thread::spawn(move || rx.recv())
+            };
+            until_parked(&tx.chan, 1, 0);
+            drop(tx);
+            assert_eq!(receiver.join().unwrap(), Err(RecvError));
+
+            let (tx, rx) = bounded::<u32>(1);
+            tx.send(1).unwrap();
+            let sender = std::thread::spawn(move || tx.send(2));
+            until_parked(&rx.chan, 0, 1);
+            drop(rx);
+            assert_eq!(sender.join().unwrap(), Err(SendError(2)));
+        }
+
+        #[test]
+        fn timed_waits_still_time_out_and_uncount_themselves() {
+            let (tx, rx) = bounded::<u32>(1);
+            assert_eq!(
+                rx.recv_timeout(Duration::from_millis(10)),
+                Err(RecvTimeoutError::Timeout)
+            );
+            tx.send(1).unwrap();
+            assert!(matches!(
+                tx.send_timeout(2, Duration::from_millis(10)),
+                Err(SendTimeoutError::Timeout(2))
+            ));
+            until_parked(&tx.chan, 0, 0);
         }
     }
 }

@@ -5,7 +5,8 @@
 
 #![forbid(unsafe_code)]
 
-use std::sync::{self, MutexGuard, RwLockReadGuard, RwLockWriteGuard};
+pub use std::sync::MutexGuard;
+use std::sync::{self, RwLockReadGuard, RwLockWriteGuard, TryLockError};
 
 /// A mutual-exclusion lock returning guards directly (no poisoning).
 #[derive(Debug, Default)]
@@ -20,6 +21,16 @@ impl<T> Mutex<T> {
     /// Acquires the lock, blocking until available.
     pub fn lock(&self) -> MutexGuard<'_, T> {
         self.0.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Acquires the lock if it is free; `None` while another thread
+    /// holds it. Never blocks.
+    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
+        match self.0.try_lock() {
+            Ok(guard) => Some(guard),
+            Err(TryLockError::Poisoned(e)) => Some(e.into_inner()),
+            Err(TryLockError::WouldBlock) => None,
+        }
     }
 
     /// Consumes the mutex, returning the inner value.
@@ -77,5 +88,21 @@ mod tests {
         assert_eq!(*rw.read(), 10);
         *rw.write() = 11;
         assert_eq!(*rw.read(), 11);
+    }
+
+    #[test]
+    fn try_lock_fails_only_while_held_and_ignores_poison() {
+        let m = std::sync::Arc::new(Mutex::new(1));
+        let held = m.lock();
+        assert!(m.try_lock().is_none());
+        drop(held);
+        *m.try_lock().expect("free") += 1;
+        let m2 = std::sync::Arc::clone(&m);
+        let _ = std::thread::spawn(move || {
+            let _guard = m2.lock();
+            panic!("poison the std mutex underneath");
+        })
+        .join();
+        assert_eq!(*m.try_lock().expect("a panicked holder does not poison"), 2);
     }
 }
