@@ -42,8 +42,17 @@ const BLOCKING_METHODS: &[&str] = &[
     "park_timeout",
 ];
 
-/// Free/path functions that block (`thread::sleep(d)` etc.).
-const BLOCKING_CALLS: &[&str] = &["sleep", "sleep_ms", "park", "park_timeout"];
+/// Free/path functions that block (`thread::sleep(d)` etc.). A yield or
+/// a spin hint is the body of a hand-rolled wait — a `try_recv` loop
+/// that yields between polls blocks on its peer as surely as `recv`.
+const BLOCKING_CALLS: &[&str] = &[
+    "sleep",
+    "sleep_ms",
+    "park",
+    "park_timeout",
+    "yield_now",
+    "spin_loop",
+];
 
 #[derive(Debug)]
 struct Guard {

@@ -94,6 +94,11 @@ fn seq_block_on_sleep_and_nested_lock() {
 }
 
 #[test]
+fn seq_block_on_yield_and_spin_polling() {
+    expect("seq_yield.rs", &[("seq-block", 13), ("seq-block", 14)]);
+}
+
+#[test]
 fn wire_unwrap_and_expect_in_scope_only() {
     expect("wire_unwrap.rs", &[("wire-panic", 4), ("wire-panic", 5)]);
 }

@@ -1,5 +1,5 @@
 // Fixture: regression corpus — nothing here may produce a finding.
-// try_recv under the sequencer guard (the rendezvous idiom), blocking
+// try_recv under the sequencer guard (a drain that never waits), blocking
 // after drop(engine), back-to-back temporary guards, unwrap_or[_else],
 // vec!/attribute brackets, and SeqCst atomics.
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -33,8 +33,9 @@
 //!   replica rebuilds UE locations from agents; agents refetch from the
 //!   controller (§5.2). Replication itself is `softcell-replica`.
 //! * [`sharded`] — the UE-partitioned controller core: N worker shards
-//!   over a ticket-sequenced shared path engine, cross-shard rendezvous
-//!   for handoffs, batched flow-mod emission; differentially verified
+//!   over a ticket-sequenced shared path engine (station id pools
+//!   beside it, under the same ticket), batched flow-mod emission;
+//!   differentially verified
 //!   against the single-threaded controller (`tests/shard_oracle.rs`).
 //! * [`server`] — a threaded controller front-end processing
 //!   packet-in/classifier requests, used by the §6.2 micro-benchmarks.

@@ -4,19 +4,19 @@
 //! SoftCell's control load divides cleanly by subscriber: attaches,
 //! microflow decisions and detaches touch only one UE's state, so the
 //! controller partitions its UE records across N worker shards keyed by
-//! `fxhash(imsi) mod N` ([`softcell_types::shard_of_ue`]). Station-scoped
-//! state — the local UE-id allocator a real deployment keeps at the base
-//! station's local agent — shards by `fxhash(bs) mod N` instead; an
-//! operation spanning both domains (an attach allocating a UE id, a
-//! handoff into a station owned by another shard) crosses the boundary
-//! through an explicit **rendezvous** message served by the owning
-//! shard.
+//! `fxhash(imsi) mod N` ([`softcell_types::shard_of_ue`]). A UE's owner
+//! holds its [`FlowSlots`] and [`FlowRecord`]s, and flow entries come
+//! from [`microflow_pair`] — the types a `LocalAgent` runs
+//! ([`crate::agent`]), not copies of them, so the two cannot drift in
+//! id or slot discipline.
 //!
-//! The bookkeeping on both sides is the local agent's own
-//! ([`crate::agent`]): a station's owner holds its [`UeIdPool`], a UE's
-//! owner holds its [`FlowSlots`] and [`FlowRecord`]s, and flow entries
-//! come from [`microflow_pair`] — the types a `LocalAgent` runs, not
-//! copies of them, so the two cannot drift in id or slot discipline.
+//! Station-scoped state — the [`UeIdPool`] a real deployment keeps at
+//! the base station's local agent (§4.2) — is *not* sharded. Every pool
+//! operation (attach, handoff arrival, detach) belongs to a coordinated
+//! event and so already runs under that event's ticket; the pools
+//! therefore live beside the engine, inside the value the engine mutex
+//! guards ([`Sequenced`]), and are reached in ticket order with no
+//! second lock and no message to another thread.
 //!
 //! # What stays shared, and why the result is deterministic
 //!
@@ -49,21 +49,21 @@
 //!
 //! # Liveness
 //!
-//! Every blocking wait (ticket turn, unpublished tags, rendezvous reply)
-//! services this shard's own rendezvous queue while spinning, so the
-//! shard that owns a station can always answer even when it is itself
-//! blocked. Deadlock freedom follows by induction over the trace order:
-//! the earliest globally-unprocessed event is always at the head of its
-//! shard's queue, and everything *it* can wait on (a smaller ticket, a
-//! tag demanded by an earlier event, a rendezvous served by a spinning
-//! peer) has already happened or is answerable immediately.
+//! A ticket holder never waits on another thread: between taking the
+//! engine and handing the ticket on it runs only the engine, the id
+//! pools and the published-tags write (`with_ticket` hands its closure
+//! the guarded value and nothing of the worker; the analyzer's
+//! `seq-block` rule flags a wait, spin or yield written under the
+//! guard). So the earliest unprocessed ticket is always runnable: it is
+//! at the head of its shard's queue — every earlier event of that shard
+//! is done — and the only other wait, for tags a flow did not demand
+//! itself, is on a demand with a smaller ticket.
 
 use std::collections::{HashMap, HashSet};
 use std::net::Ipv4Addr;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::{Mutex, RwLock};
 
 use softcell_dataplane::MicroflowAction;
@@ -73,8 +73,8 @@ use softcell_policy::{ServicePolicy, SubscriberAttributes, UeClassifier};
 use softcell_telemetry::{Counter, Histogram, Registry, Stopwatch};
 use softcell_topology::{ShortestPaths, Topology};
 use softcell_types::{
-    shard_of_station, shard_of_ue, BaseStationId, Error, LocIp, MiddleboxKind, RangePool, Result,
-    ShardRange, SimDuration, SimTime, SwitchId, UeId, UeImsi,
+    shard_of_ue, BaseStationId, Error, LocIp, MiddleboxKind, RangePool, Result, ShardRange,
+    SimDuration, SimTime, SwitchId, UeId, UeImsi,
 };
 
 use crate::agent::{microflow_pair, FlowSlots, UeIdPool, MICROFLOW_IDLE};
@@ -213,9 +213,10 @@ pub struct ShardedStats {
     pub detaches: u64,
     /// Successful handoffs.
     pub handoffs: u64,
-    /// Handoffs whose two stations hash to different shards.
-    pub cross_shard_handoffs: u64,
-    /// Rendezvous messages that actually crossed a shard boundary.
+    /// Always 0: no message crosses a shard boundary since the id pools
+    /// moved under the ticket. Kept because the frozen `perf/` harness
+    /// reads it; the next benchmark-kind PR drops the field and its
+    /// `sharded.rendezvous_messages` metric together.
     pub rendezvous_messages: u64,
     /// Flows processed.
     pub flows: u64,
@@ -250,8 +251,6 @@ impl ShardedStats {
         self.attaches += o.attaches;
         self.detaches += o.detaches;
         self.handoffs += o.handoffs;
-        self.cross_shard_handoffs += o.cross_shard_handoffs;
-        self.rendezvous_messages += o.rendezvous_messages;
         self.flows += o.flows;
         self.cache_hits += o.cache_hits;
         self.cache_misses += o.cache_misses;
@@ -305,42 +304,42 @@ pub struct ShardedController<'t> {
     topo: &'t Topology,
     cfg: ControllerConfig,
     shards: usize,
-    sched_seed: u64,
-}
-
-// ---------------------------------------------------------------------
-// rendezvous plumbing
-
-/// What a UE's shard asks of a station's [`UeIdPool`], held by the
-/// station's owner shard.
-enum Rdv {
-    /// Hand out an id (attach, or handoff arrival).
-    Reserve,
-    /// Mark a reserved id as taken by an attached UE.
-    Adopt(UeId),
-    /// Return an id: a reservation that was never adopted (failed
-    /// attach or handoff), or a detached UE's. The id a handoff vacates
-    /// is *not* released — the old location stays reserved (§5.1).
-    Release(UeId),
-}
-
-/// One cross-shard rendezvous in flight. The answer goes to shard
-/// `from`'s reply queue: a shard blocks on its one outstanding request,
-/// so whatever arrives there next is the answer. (One queue per shard
-/// for the whole run, not one per message: a per-message channel is a
-/// small heap block allocated on one thread and freed on the other,
-/// which measured ~10 % off 2-shard `metro_churn` throughput.)
-struct RdvMsg {
-    from: usize,
-    bs: BaseStationId,
-    op: Rdv,
+    sched_seed: Option<u64>,
 }
 
 // ---------------------------------------------------------------------
 // shared read-mostly state
 
+/// What a ticket serialises: the Algorithm-1 engine and the stations'
+/// UE-id pools, one value under one mutex.
+struct Sequenced<'t> {
+    engine: CentralController<'t>,
+    pools: HashMap<BaseStationId, UeIdPool>,
+}
+
+impl Sequenced<'_> {
+    /// Hands out an id at `bs`, held until it is released. The id a
+    /// handoff vacates is *not* released — the old location stays
+    /// reserved (§5.1).
+    fn reserve_ue_id(&mut self, bs: BaseStationId, max: u32) -> Result<UeId> {
+        self.pools
+            .entry(bs)
+            .or_default()
+            .reserve(max)
+            .ok_or_else(|| Error::Exhausted(format!("base station {bs} out of UE ids")))
+    }
+
+    /// Returns an id: a reservation whose attach or handoff failed, or a
+    /// detached UE's.
+    fn release_ue_id(&mut self, bs: BaseStationId, id: UeId) {
+        if let Some(pool) = self.pools.get_mut(&bs) {
+            pool.release(id);
+        }
+    }
+}
+
 struct Coordinator<'t> {
-    engine: Mutex<CentralController<'t>>,
+    engine: Mutex<Sequenced<'t>>,
     /// The ticket counter: the seq of the next coordinated event allowed
     /// into the engine.
     next_seq: AtomicU64,
@@ -352,8 +351,6 @@ struct Coordinator<'t> {
     /// Allow-clause middlebox chains (read-only), so workers can plan
     /// policy paths outside the sequencer without touching the engine.
     chains: HashMap<ClauseId, Vec<MiddleboxKind>>,
-    /// Workers done with their event queues.
-    done: AtomicUsize,
 }
 
 /// Per-event annotation from the sequential pre-pass.
@@ -389,8 +386,6 @@ struct ShardedMetrics {
     /// Time the shared Algorithm-1 engine stays occupied per ticket
     /// (lock hold: plan/validate + op drain; batching happens outside).
     engine_busy: Arc<Histogram>,
-    /// Time a cross-shard rendezvous waits for the owner's reply.
-    rendezvous_wait: Arc<Histogram>,
     /// Ticketed demands committed from a still-current optimistic plan.
     commit_fast: Arc<Counter>,
     /// Ticketed demands re-planned under the ticket (stale plan).
@@ -405,7 +400,6 @@ fn metrics() -> &'static ShardedMetrics {
             ticket_wait: r.histogram("softcell_controller_ticket_wait_ns"),
             engine_lock_wait: r.histogram("softcell_controller_engine_lock_wait_ns"),
             engine_busy: r.histogram("softcell_controller_engine_busy_ns"),
-            rendezvous_wait: r.histogram("softcell_controller_rendezvous_wait_ns"),
             commit_fast: r.counter("softcell_controller_commit_fast_total"),
             commit_replanned: r.counter("softcell_controller_commit_replanned_total"),
         }
@@ -414,22 +408,17 @@ fn metrics() -> &'static ShardedMetrics {
 
 struct Worker<'t, 'c> {
     id: usize,
-    shards: usize,
     coord: &'c Coordinator<'t>,
     cfg: ControllerConfig,
     topo: &'t Topology,
-    rdv_rx: Receiver<RdvMsg>,
-    rdv_txs: Vec<Sender<RdvMsg>>,
-    reply_rx: Receiver<Option<UeId>>,
-    reply_txs: Vec<Sender<Option<UeId>>>,
-    stations: HashMap<BaseStationId, UeIdPool>,
     ues: HashMap<UeImsi, ShardUe>,
     perm: ShardRange,
     perm_base: u32,
     batches: Vec<SeqBatches>,
     outcomes: Vec<(usize, EventOutcome)>,
     stats: ShardedStats,
-    rng: u64,
+    /// Interleaving-test scheduler state; `None` (no seed) never yields.
+    rng: Option<u64>,
     /// Handle for planning policy paths outside the sequencer. `Some`
     /// only under [`InstanceSelection::Nearest`] — the one selection
     /// mode a worker can model without the engine's private cursors.
@@ -441,99 +430,38 @@ struct Worker<'t, 'c> {
 }
 
 impl<'t> Worker<'t, '_> {
-    fn next_rand(&mut self) -> u64 {
-        let mut x = self.rng;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.rng = x;
-        x
-    }
-
-    /// Seeded jitter: a few yields to perturb thread interleaving (the
-    /// concurrency test sweeps seeds through here).
+    /// Seeded jitter: up to three yields, to perturb which shard reaches
+    /// its ticket or finishes its optimistic plan first (the concurrency
+    /// test sweeps seeds through here). Never called by a ticket holder.
     fn jitter(&mut self) {
-        let n = self.next_rand() % 4;
-        for _ in 0..n {
+        let Some(x) = self.rng.as_mut() else { return };
+        *x ^= *x << 13;
+        *x ^= *x >> 7;
+        *x ^= *x << 17;
+        for _ in 0..*x % 4 {
             std::thread::yield_now();
         }
     }
 
-    /// Serves every rendezvous currently queued at this shard.
-    fn serve_rdv(&mut self) {
-        while let Ok(msg) = self.rdv_rx.try_recv() {
-            let r = self.station_op(msg.bs, msg.op);
-            let _ = self.reply_txs[msg.from].send(r);
-        }
-    }
-
-    /// Applies `op` to the id pool of a station this shard owns.
-    fn station_op(&mut self, bs: BaseStationId, op: Rdv) -> Option<UeId> {
-        let pool = self.stations.entry(bs).or_default();
-        match op {
-            Rdv::Reserve => pool.reserve(self.cfg.scheme.max_ues_per_station()),
-            Rdv::Adopt(id) => {
-                pool.adopt(id);
-                None
-            }
-            Rdv::Release(id) => {
-                pool.release(id);
-                None
-            }
-        }
-    }
-
-    /// Runs `op` on a station's id pool: inline when this shard owns the
-    /// station, otherwise as a message to the owner, serving this
-    /// shard's own queue while waiting for the reply. Only `Reserve`
-    /// answers with an id.
-    fn rendezvous(&mut self, bs: BaseStationId, op: Rdv) -> Option<UeId> {
-        let owner = shard_of_station(bs, self.shards);
-        if owner == self.id {
-            return self.station_op(bs, op);
-        }
-        self.stats.rendezvous_messages += 1;
-        let from = self.id;
-        self.rdv_txs[owner]
-            .send(RdvMsg { from, bs, op })
-            .unwrap_or_else(|_| panic!("shard {owner} rendezvous queue closed"));
-        let sw = Stopwatch::start();
-        loop {
-            if let Ok(r) = self.reply_rx.try_recv() {
-                sw.record(&metrics().rendezvous_wait);
-                return r;
-            }
-            self.serve_rdv();
-            std::thread::yield_now();
-        }
-    }
-
-    fn reserve_ue_id(&mut self, bs: BaseStationId) -> Result<UeId> {
-        self.rendezvous(bs, Rdv::Reserve)
-            .ok_or_else(|| Error::Exhausted(format!("base station {bs} out of UE ids")))
-    }
-
-    /// Waits for this event's ticket, runs `f` against the engine, and
-    /// drains the engine's rule ops into this shard's batch stream under
-    /// the ticket number. `extra_ops` (handoff plans return their ops
-    /// out-of-band) are batched ahead of the drained ops, matching where
-    /// a single-threaded driver applies them.
+    /// Waits for this event's ticket, runs `f` against the engine and
+    /// the id pools, and drains the engine's rule ops into this shard's
+    /// batch stream under the ticket number. The ops `f` returns (handoff
+    /// plans carry theirs out-of-band) are batched ahead of the drained
+    /// ones, matching where a single-threaded driver applies them. `f`
+    /// gets no worker: what runs under the ticket is ordered work only.
     fn with_ticket<R>(
         &mut self,
         seq: u64,
-        f: impl FnOnce(&mut Self, &mut CentralController<'t>) -> (R, Vec<crate::ops::RuleOp>),
+        f: impl FnOnce(&mut Sequenced<'t>) -> (R, Vec<crate::ops::RuleOp>),
     ) -> R {
+        self.jitter();
         let tracer = Registry::global().tracer();
         let sw = Stopwatch::start();
         {
             let mut sp = tracer.span("ticket_wait");
             sp.set_shard(self.id);
             sp.set_label(seq);
-            loop {
-                if self.coord.next_seq.load(Ordering::Acquire) == seq {
-                    break;
-                }
-                self.serve_rdv();
+            while self.coord.next_seq.load(Ordering::Acquire) != seq {
                 std::thread::yield_now();
             }
         }
@@ -548,12 +476,12 @@ impl<'t> Worker<'t, '_> {
             let mut sp = tracer.span("validate_commit");
             sp.set_shard(self.id);
             sp.set_label(seq);
-            let mut engine = self.coord.engine.lock();
+            let mut held = self.coord.engine.lock();
             lock_sw.record(&metrics().engine_lock_wait);
             let sw = Stopwatch::start();
-            let (result, mut ops) = f(self, &mut engine);
-            ops.extend(engine.drain_ops());
-            drop(engine);
+            let (result, mut ops) = f(&mut held);
+            ops.extend(held.engine.drain_ops());
+            drop(held);
             sw.record(&metrics().engine_busy);
             (result, ops)
         };
@@ -634,29 +562,22 @@ impl<'t> Worker<'t, '_> {
         let seq = ann.seq.expect("attach is coordinated");
         if self.ues.contains_key(&ev.imsi) {
             // still consume the ticket: later events' seqs depend on it
-            self.with_ticket(seq, |_, _| ((), Vec::new()));
+            self.with_ticket(seq, |_| ((), Vec::new()));
             return self.skip(idx, format!("{} already attached", ev.imsi));
         }
         let Some(off) = self.perm.allocate() else {
-            self.with_ticket(seq, |_, _| ((), Vec::new()));
+            self.with_ticket(seq, |_| ((), Vec::new()));
             return self.skip(idx, "permanent range exhausted");
         };
         let ip = Ipv4Addr::from(self.cfg.permanent_pool.raw_bits() + self.perm_base + off);
-        let granted: Result<AttachGrant> = self.with_ticket(seq, |w, engine| {
-            let id = match w.reserve_ue_id(bs) {
-                Ok(id) => id,
-                Err(e) => return (Err(e), Vec::new()),
-            };
-            match engine.attach_ue_with_ip(ev.imsi, bs, id, ev.time, Some(ip)) {
-                Ok(grant) => {
-                    w.rendezvous(bs, Rdv::Adopt(id));
-                    (Ok(grant), Vec::new())
-                }
-                Err(e) => {
-                    w.rendezvous(bs, Rdv::Release(id));
-                    (Err(e), Vec::new())
-                }
-            }
+        let max_ids = self.cfg.scheme.max_ues_per_station();
+        let granted: Result<AttachGrant> = self.with_ticket(seq, |held| {
+            let granted = held.reserve_ue_id(bs, max_ids).and_then(|id| {
+                held.engine
+                    .attach_ue_with_ip(ev.imsi, bs, id, ev.time, Some(ip))
+                    .inspect_err(|_| held.release_ue_id(bs, id))
+            });
+            (granted, Vec::new())
         });
         match granted {
             Ok(grant) => {
@@ -701,13 +622,13 @@ impl<'t> Worker<'t, '_> {
         let proto = if udp { Protocol::Udp } else { Protocol::Tcp };
         let Some(classifier) = self.coord.classifiers.get(&ev.imsi) else {
             if let Some(seq) = ann.seq {
-                self.with_ticket(seq, |_, _| ((), Vec::new()));
+                self.with_ticket(seq, |_| ((), Vec::new()));
             }
             return self.skip(idx, "unknown subscriber");
         };
         let Some(entry) = classifier.classify(proto, dst_port) else {
             if let Some(seq) = ann.seq {
-                self.with_ticket(seq, |_, _| ((), Vec::new()));
+                self.with_ticket(seq, |_| ((), Vec::new()));
             }
             return self.skip(idx, "policy matches nothing for this flow");
         };
@@ -720,8 +641,9 @@ impl<'t> Worker<'t, '_> {
             // flows of the same (bs, clause) do not wait forever
             if let Some(seq) = ann.seq {
                 self.stats.flow_demands += 1;
-                self.with_ticket(seq, |w, _| {
-                    w.coord
+                let coord = self.coord;
+                self.with_ticket(seq, |_| {
+                    coord
                         .published
                         .write()
                         .entry(key)
@@ -767,16 +689,20 @@ impl<'t> Worker<'t, '_> {
             // clears any earlier poison (`Err`) left by a failed one.
             Some(seq) => {
                 self.stats.flow_demands += 1;
+                self.jitter();
                 let plan = {
                     let mut sp = Registry::global().tracer().span("plan_policy_path");
                     sp.set_shard(self.id);
                     sp.set_label(seq);
                     self.optimistic_plan(bs, entry.clause)
                 };
-                let tags = self.with_ticket(seq, |w, engine| {
-                    let r = engine.request_policy_path_planned(bs, entry.clause, plan.as_ref());
+                let coord = self.coord;
+                let tags = self.with_ticket(seq, |held| {
+                    let r =
+                        held.engine
+                            .request_policy_path_planned(bs, entry.clause, plan.as_ref());
                     let published = r.as_ref().map(|(t, _)| *t).map_err(|e| e.to_string());
-                    w.coord.published.write().insert(key, published);
+                    coord.published.write().insert(key, published);
                     (r, Vec::new())
                 });
                 match tags {
@@ -807,13 +733,12 @@ impl<'t> Worker<'t, '_> {
                 }
             }
             // published by an earlier event (possibly on another shard):
-            // wait for it, serving rendezvous meanwhile
+            // wait for it
             None => {
                 let tags = loop {
                     if let Some(r) = self.coord.published.read().get(&key) {
                         break r.clone();
                     }
-                    self.serve_rdv();
                     std::thread::yield_now();
                 };
                 match tags {
@@ -876,44 +801,34 @@ impl<'t> Worker<'t, '_> {
             return self.skip(idx, "handoff to the same station");
         };
         let Some(current) = self.ues.get(&ev.imsi).map(|u| u.bs) else {
-            self.with_ticket(seq, |_, _| ((), Vec::new()));
+            self.with_ticket(seq, |_| ((), Vec::new()));
             return self.skip(idx, format!("{} not attached", ev.imsi));
         };
         // the station actually being vacated is the one this shard has
         // the UE at (the trace's `from` matches it on consistent traces)
         let from = if current == from { from } else { current };
         if from == to {
-            self.with_ticket(seq, |_, _| ((), Vec::new()));
+            self.with_ticket(seq, |_| ((), Vec::new()));
             return self.skip(idx, "handoff to the same station");
         }
         let flows = self.ues[&ev.imsi].flows.clone();
-        if shard_of_station(from, self.shards) != shard_of_station(to, self.shards) {
-            self.stats.cross_shard_handoffs += 1;
-        }
 
-        // Reserve at the target's owner, run the engine plan, adopt at
-        // the target's owner; the vacated station is not told (its id
-        // stays held, §5.1). The seeded scheduler injects yields around
-        // each step so the concurrency test can drive the interleavings
-        // of the two-shard exchange.
-        let plan = self.with_ticket(seq, |w, engine| {
-            w.jitter();
-            let new_id = match w.reserve_ue_id(to) {
-                Ok(id) => id,
-                Err(e) => return (Err(e), Vec::new()),
-            };
-            w.jitter();
-            match engine.handoff(ev.imsi, to, new_id, &flows, ev.time) {
-                Ok(plan) => {
-                    w.jitter();
-                    w.rendezvous(to, Rdv::Adopt(new_id));
-                    let ops = plan.ops.clone();
+        // Reserve an id at the target station and run the engine plan;
+        // the vacated station's pool is not touched (its id stays held,
+        // §5.1).
+        let max_ids = self.cfg.scheme.max_ues_per_station();
+        let plan = self.with_ticket(seq, |held| {
+            let plan = held.reserve_ue_id(to, max_ids).and_then(|new_id| {
+                held.engine
+                    .handoff(ev.imsi, to, new_id, &flows, ev.time)
+                    .inspect_err(|_| held.release_ue_id(to, new_id))
+            });
+            match plan {
+                Ok(mut plan) => {
+                    let ops = std::mem::take(&mut plan.ops);
                     (Ok(plan), ops)
                 }
-                Err(e) => {
-                    w.rendezvous(to, Rdv::Release(new_id));
-                    (Err(e), Vec::new())
-                }
+                Err(e) => (Err(e), Vec::new()),
             }
         });
         let plan = match plan {
@@ -962,15 +877,15 @@ impl<'t> Worker<'t, '_> {
     fn handle_detach(&mut self, idx: usize, ev: ShardEvent, ann: Annotation) {
         let seq = ann.seq.expect("detach is coordinated");
         if !self.ues.contains_key(&ev.imsi) {
-            self.with_ticket(seq, |_, _| ((), Vec::new()));
+            self.with_ticket(seq, |_| ((), Vec::new()));
             return self.skip(idx, format!("{} not attached", ev.imsi));
         }
-        let record = self.with_ticket(seq, |w, engine| match engine.detach_ue(ev.imsi) {
-            Ok(record) => {
-                w.rendezvous(record.bs, Rdv::Release(record.ue_id));
-                (Ok(record), Vec::new())
-            }
-            Err(e) => (Err(e), Vec::new()),
+        let record = self.with_ticket(seq, |held| {
+            let record = held
+                .engine
+                .detach_ue(ev.imsi)
+                .inspect(|record| held.release_ue_id(record.bs, record.ue_id));
+            (record, Vec::new())
         });
         match record {
             Ok(record) => {
@@ -986,19 +901,10 @@ impl<'t> Worker<'t, '_> {
         }
     }
 
-    fn run(mut self, events: Receiver<(usize, ShardEvent, Annotation)>) -> WorkerOutput {
-        while let Ok((idx, ev, ann)) = events.try_recv() {
-            self.serve_rdv();
+    fn run(mut self, events: Vec<(usize, ShardEvent, Annotation)>) -> WorkerOutput {
+        for (idx, ev, ann) in events {
             self.handle_event(idx, ev, ann);
         }
-        // linger until every shard is done with its events: a peer may
-        // still need this shard's stations
-        self.coord.done.fetch_add(1, Ordering::AcqRel);
-        while self.coord.done.load(Ordering::Acquire) < self.shards {
-            self.serve_rdv();
-            std::thread::yield_now();
-        }
-        self.serve_rdv();
         WorkerOutput {
             outcomes: self.outcomes,
             batches: self.batches,
@@ -1024,14 +930,16 @@ impl<'t> ShardedController<'t> {
             topo,
             cfg,
             shards,
-            sched_seed: 0,
+            sched_seed: None,
         }
     }
 
-    /// Sets the rendezvous-scheduler seed (injects yields around each
-    /// cross-shard message; the result must not depend on it).
+    /// Seeds the interleaving-test scheduler: each worker yields a
+    /// seeded number of times before every ticket wait and optimistic
+    /// plan (the result must not depend on it). Without a seed a run
+    /// never yields for jitter.
     pub fn with_sched_seed(mut self, seed: u64) -> Self {
-        self.sched_seed = seed;
+        self.sched_seed = Some(seed);
         self
     }
 
@@ -1146,12 +1054,14 @@ impl<'t> ShardedController<'t> {
             .then(|| engine.installer().planner_handle());
 
         let coord = Coordinator {
-            engine: Mutex::new(engine),
+            engine: Mutex::new(Sequenced {
+                engine,
+                pools: HashMap::new(),
+            }),
             next_seq: AtomicU64::new(0),
             published: RwLock::new(HashMap::new()),
             classifiers,
             chains,
-            done: AtomicUsize::new(0),
         };
 
         // static per-shard slices of the permanent pool: deterministic
@@ -1160,57 +1070,33 @@ impl<'t> ShardedController<'t> {
         let pool_size = self.cfg.permanent_pool.size();
         let slice = (((pool_size - 1) / self.shards as u64) as u32).max(1);
 
-        let mut event_txs = Vec::with_capacity(self.shards);
-        let mut event_rxs = Vec::with_capacity(self.shards);
-        let mut rdv_txs = Vec::with_capacity(self.shards);
-        let mut rdv_rxs = Vec::with_capacity(self.shards);
-        let mut reply_txs = Vec::with_capacity(self.shards);
-        let mut reply_rxs = Vec::with_capacity(self.shards);
-        for _ in 0..self.shards {
-            let (tx, rx) = unbounded();
-            event_txs.push(tx);
-            event_rxs.push(rx);
-            let (tx, rx) = unbounded();
-            rdv_txs.push(tx);
-            rdv_rxs.push(rx);
-            let (tx, rx) = unbounded();
-            reply_txs.push(tx);
-            reply_rxs.push(rx);
-        }
+        let mut queues = vec![Vec::new(); self.shards];
         for (idx, (ev, ann)) in events.iter().zip(&annotations).enumerate() {
-            let shard = shard_of_ue(ev.imsi, self.shards);
-            event_txs[shard].send((idx, *ev, *ann)).expect("queue open");
+            queues[shard_of_ue(ev.imsi, self.shards)].push((idx, *ev, *ann));
         }
-        drop(event_txs);
 
         let outputs: Vec<WorkerOutput> = std::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(self.shards);
-            let queues = event_rxs.into_iter().zip(rdv_rxs).zip(reply_rxs);
-            for (id, ((events_rx, rdv_rx), reply_rx)) in queues.enumerate() {
+            for (id, queue) in queues.into_iter().enumerate() {
                 let worker = Worker {
                     id,
-                    shards: self.shards,
                     coord: &coord,
                     cfg: self.cfg,
                     topo: self.topo,
-                    rdv_rx,
-                    rdv_txs: rdv_txs.clone(),
-                    reply_rx,
-                    reply_txs: reply_txs.clone(),
-                    stations: HashMap::new(),
                     ues: HashMap::new(),
                     perm: ShardRange::new(RangePool::new(slice, PERM_BLOCK)),
                     perm_base: 1 + id as u32 * slice,
                     batches: Vec::new(),
                     outcomes: Vec::new(),
                     stats: ShardedStats::default(),
-                    rng: (self.sched_seed ^ (id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)) | 1,
+                    rng: self
+                        .sched_seed
+                        .map(|seed| (seed ^ (id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)) | 1),
                     planner: planner.clone(),
                     sp: ShortestPaths::new(self.topo),
                 };
-                handles.push(scope.spawn(move || worker.run(events_rx)));
+                handles.push(scope.spawn(move || worker.run(queue)));
             }
-            drop(rdv_txs);
             handles
                 .into_iter()
                 .map(|h| h.join().expect("shard worker panicked"))
@@ -1234,14 +1120,6 @@ impl<'t> ShardedController<'t> {
             ("softcell_controller_sharded_attaches_total", stats.attaches),
             ("softcell_controller_sharded_detaches_total", stats.detaches),
             ("softcell_controller_sharded_handoffs_total", stats.handoffs),
-            (
-                "softcell_controller_sharded_cross_shard_handoffs_total",
-                stats.cross_shard_handoffs,
-            ),
-            (
-                "softcell_controller_sharded_rendezvous_messages_total",
-                stats.rendezvous_messages,
-            ),
             ("softcell_controller_sharded_flows_total", stats.flows),
             (
                 "softcell_controller_sharded_cache_hits_total",
@@ -1266,7 +1144,7 @@ impl<'t> ShardedController<'t> {
         }
 
         ShardedRun {
-            engine: coord.engine.into_inner(),
+            engine: coord.engine.into_inner().engine,
             outcomes,
             shard_batches,
             stats,
@@ -1455,7 +1333,7 @@ mod tests {
     }
 
     #[test]
-    fn handoff_crosses_shards() {
+    fn handoff_rekeys_flows_and_reserves_the_old_slot() {
         let topo = small_topology();
         let sc =
             ShardedController::new(&topo, ControllerConfig::simulation(), 4).with_sched_seed(7);

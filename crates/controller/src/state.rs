@@ -43,6 +43,12 @@ pub struct ControllerState {
     /// any new UEs" until the transition ends (§5.1). Maps to the owning
     /// subscriber so a returning UE may reclaim its own address.
     reserved: HashMap<(BaseStationId, UeId), UeImsi>,
+    /// Owner → the locations it vacated, so `detach` visits only the
+    /// detaching UE's reservations instead of every live one. Holds
+    /// every location `reserved` maps to the owner, and possibly some it
+    /// no longer does (re-claimed by the owner's return, or released):
+    /// `reserved` is the truth, this only says where to look.
+    reserved_by: HashMap<UeImsi, Vec<(BaseStationId, UeId)>>,
     /// DHCP pool for permanent addresses.
     permanent_pool: Ipv4Prefix,
     next_permanent: u32,
@@ -60,6 +66,7 @@ impl ControllerState {
             ues: HashMap::new(),
             by_loc: HashMap::new(),
             reserved: HashMap::new(),
+            reserved_by: HashMap::new(),
             permanent_pool,
             next_permanent: 1, // .0 reserved
             freed_permanent: Vec::new(),
@@ -187,8 +194,13 @@ impl ControllerState {
         // old flows still use it (§5.1): it moves into the reserved set
         // until the mobility transition expires.
         self.by_loc.remove(&(old.bs, old.ue_id));
-        self.reserved.insert((old.bs, old.ue_id), imsi);
         self.reserved.remove(&(new_bs, new_ue_id));
+        // stale entries are dropped here, so the list never outgrows the
+        // UE's live reservations however long it stays attached
+        let vacated = self.reserved_by.entry(imsi).or_default();
+        vacated.retain(|loc| self.reserved.get(loc) == Some(&imsi));
+        vacated.push((old.bs, old.ue_id));
+        self.reserved.insert((old.bs, old.ue_id), imsi);
         let new = UeRecord {
             bs: new_bs,
             ue_id: new_ue_id,
@@ -209,7 +221,11 @@ impl ControllerState {
             .ok_or_else(|| Error::NotFound(format!("{imsi} not attached")))?;
         self.by_loc.remove(&(rec.bs, rec.ue_id));
         // a detached UE's anchored flows are dead: its reservations lapse
-        self.reserved.retain(|_, owner| *owner != imsi);
+        for loc in self.reserved_by.remove(&imsi).unwrap_or_default() {
+            if self.reserved.get(&loc) == Some(&imsi) {
+                self.reserved.remove(&loc);
+            }
+        }
         self.freed_permanent.push(rec.permanent_ip);
         self.version += 1;
         Ok(rec)
@@ -389,5 +405,96 @@ mod tests {
         assert!(s
             .move_ue(UeImsi(0), BaseStationId(1), UeId(0), SimTime::ZERO)
             .is_err());
+    }
+
+    #[test]
+    fn detach_lapses_only_the_detaching_ues_reservations() {
+        let (a, b) = (BaseStationId(0), BaseStationId(1));
+        let mut s = state();
+        s.attach(UeImsi(0), a, UeId(0), SimTime::ZERO).unwrap();
+        s.attach(UeImsi(1), a, UeId(1), SimTime::ZERO).unwrap();
+        // ue1 leaves (a,1) reserved; ue0 leaves (a,0) reserved, returns
+        // to re-claim it, and leaves it reserved a second time
+        s.move_ue(UeImsi(1), b, UeId(1), SimTime::ZERO).unwrap();
+        s.move_ue(UeImsi(0), b, UeId(0), SimTime::ZERO).unwrap();
+        s.move_ue(UeImsi(0), a, UeId(0), SimTime::ZERO).unwrap();
+        assert_eq!(s.reserved_count(), 2, "(a,1) and (b,0)");
+        s.move_ue(UeImsi(0), b, UeId(2), SimTime::ZERO).unwrap();
+        assert_eq!(s.reserved_count(), 3, "(a,1), (b,0) and (a,0) again");
+
+        s.detach(UeImsi(0)).unwrap();
+        assert_eq!(s.reserved_count(), 1, "ue0's two lapse, ue1's stays");
+        assert!(!s.location_available(a, UeId(1), UeImsi(2)));
+        assert!(s.location_available(a, UeId(1), UeImsi(1)));
+        assert!(s.location_available(a, UeId(0), UeImsi(2)));
+        assert!(s.location_available(b, UeId(0), UeImsi(2)));
+
+        // a location ue1 vacated and the transition expiry released is
+        // someone else's by the time ue1 detaches: it must survive
+        s.move_ue(UeImsi(1), b, UeId(3), SimTime::ZERO).unwrap();
+        assert!(s.release_location(b, UeId(1)));
+        s.attach(UeImsi(2), b, UeId(1), SimTime::ZERO).unwrap();
+        s.move_ue(UeImsi(2), a, UeId(2), SimTime::ZERO).unwrap();
+        s.detach(UeImsi(1)).unwrap();
+        assert_eq!(s.reserved_count(), 1);
+        assert!(!s.location_available(b, UeId(1), UeImsi(3)), "ue2's");
+    }
+
+    mod props {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            /// The owner index against the scan it replaced: after any
+            /// attach / move / release / detach sequence the reserved
+            /// set is the one `retain(|_, owner| owner != imsi)` leaves.
+            #[test]
+            fn reserved_index_matches_retain_model(
+                ops in proptest::collection::vec((0u8..6, 0u64..4, 0u32..2, 0u16..3), 1..300),
+            ) {
+                let mut s = state();
+                let mut model: HashMap<(BaseStationId, UeId), UeImsi> = HashMap::new();
+                for (op, imsi, bs, id) in ops {
+                    let (imsi, bs, id) = (UeImsi(imsi), BaseStationId(bs), UeId(id));
+                    match op {
+                        0 => {
+                            if s.attach(imsi, bs, id, SimTime::ZERO).is_ok() {
+                                model.remove(&(bs, id));
+                            }
+                        }
+                        1..=3 => {
+                            if let Ok((old, _)) = s.move_ue(imsi, bs, id, SimTime::ZERO) {
+                                model.remove(&(bs, id));
+                                model.insert((old.bs, old.ue_id), imsi);
+                            }
+                        }
+                        4 => {
+                            if s.release_location(bs, id) {
+                                model.remove(&(bs, id));
+                            }
+                        }
+                        _ => {
+                            if s.detach(imsi).is_ok() {
+                                model.retain(|_, owner| *owner != imsi);
+                            }
+                        }
+                    }
+                    prop_assert_eq!(s.reserved_count(), model.len());
+                    for b in 0..2 {
+                        for i in 0..3 {
+                            let loc = (BaseStationId(b), UeId(i));
+                            for who in 0..4 {
+                                let free = s.at_location(loc.0, loc.1).is_none()
+                                    && model.get(&loc).is_none_or(|o| *o == UeImsi(who));
+                                prop_assert_eq!(
+                                    s.location_available(loc.0, loc.1, UeImsi(who)),
+                                    free
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 }

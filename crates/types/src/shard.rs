@@ -3,10 +3,11 @@
 //! SoftCell's control load is shardable by UE: every per-subscriber
 //! operation (attach, detach, microflow decisions) touches only that
 //! UE's state, so partitioning by a hash of the IMSI lets N worker
-//! shards run without coordination. Station-scoped state (local UE-id
-//! counters, tag caches) shards by a hash of the base-station id
-//! instead; an operation spanning both domains (a handoff between
-//! stations owned by different shards) uses an explicit rendezvous.
+//! shards run without coordination. Station-scoped front-end state (a
+//! `ControllerServer` domain's path-tag map) shards by a hash of the
+//! base-station id instead. The sharded engine's station id pools do
+//! not: every operation on them is ticketed, so they sit under the
+//! ticket beside the engine rather than on an owner shard.
 //!
 //! Finite identifier spaces shared by all shards — policy tags, the
 //! permanent-address pool — are split into per-shard *ranges* by

@@ -39,9 +39,9 @@ cargo test -q --workspace
 echo "==> fault-injection churn (120 s cap)"
 timeout 120 cargo test -q --release --test fault_churn
 
-# Sharded-controller differential oracle + cross-shard interleavings,
-# also time-capped: a lost rendezvous or a burned-but-unserved ticket is
-# a deadlock, and the timeout surfaces it as a red build.
+# Sharded-controller differential oracle + seeded interleavings, also
+# time-capped: a ticket that is never handed on, or tags that are never
+# published, is a deadlock, and the timeout surfaces it as a red build.
 echo "==> shard oracle + interleaving sweep (180 s cap)"
 timeout 180 cargo test -q --release --test shard_oracle --test shard_interleave
 
