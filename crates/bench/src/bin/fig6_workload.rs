@@ -13,7 +13,7 @@
 //! Usage: `fig6_workload [--quick] [--seed N] [--json PATH]`
 
 use serde::Serialize;
-use softcell_bench::{arg_usize, is_quick, maybe_dump_json, timed, TextTable};
+use softcell_bench::{arg_value, is_quick, maybe_dump_json, timed, TextTable};
 use softcell_workload::{Cdf, MetroModel};
 
 #[derive(Serialize)]
@@ -50,7 +50,7 @@ fn summarize(name: &str, paper: f64, cdf: &Cdf) -> SeriesSummary {
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let seed = arg_usize(&args, "--seed").unwrap_or(42) as u64;
+    let seed: u64 = arg_value(&args, "--seed").unwrap_or(42);
     let model = if is_quick(&args) {
         MetroModel::small(seed)
     } else {

@@ -141,9 +141,9 @@ fn main() {
     if which == "point" {
         // a single configurable data point: fig7_simulation point --k 8 --n 500 --m 5
         let cfg = Figure7Config {
-            k: softcell_bench::arg_usize(&args, "--k").unwrap_or(8),
-            n_clauses: softcell_bench::arg_usize(&args, "--n").unwrap_or(1000),
-            m_chain: softcell_bench::arg_usize(&args, "--m").unwrap_or(5),
+            k: softcell_bench::arg_value(&args, "--k").unwrap_or(8),
+            n_clauses: softcell_bench::arg_value(&args, "--n").unwrap_or(1000),
+            m_chain: softcell_bench::arg_value(&args, "--m").unwrap_or(5),
             ..base(false)
         };
         let (r, secs) = timed(|| run(cfg).expect("run"));

@@ -27,7 +27,7 @@
 //! if any scenario records a violation.
 
 use softcell_bench::{
-    arg_str, arg_usize, is_quick, maybe_arm_tracing, maybe_dump_telemetry, maybe_dump_trace,
+    arg_value, is_quick, maybe_arm_tracing, maybe_dump_telemetry, maybe_dump_trace,
     wire_trace_capture,
 };
 use softcell_scenario::{overlays_for, CampaignConfig, CampaignReport, SCENARIOS};
@@ -36,9 +36,9 @@ use softcell_types::SimDuration;
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let tracing = maybe_arm_tracing(&args);
-    let names: Vec<String> = arg_str(&args, "--scenarios")
-        .or_else(|| arg_str(&args, "--scenario"))
-        .unwrap_or("all")
+    let names: Vec<String> = arg_value::<String>(&args, "--scenarios")
+        .or_else(|| arg_value(&args, "--scenario"))
+        .unwrap_or_else(|| "all".into())
         .split(',')
         .map(str::to_string)
         .collect();
@@ -58,20 +58,20 @@ fn main() {
         } else {
             CampaignConfig::metro(name, overlays)
         };
-        if let Some(ues) = arg_usize(&args, "--ues") {
-            cfg.ues = ues as u64;
+        if let Some(ues) = arg_value(&args, "--ues") {
+            cfg.ues = ues;
         }
-        if let Some(c) = arg_usize(&args, "--compress") {
-            cfg.compress = c as u64;
+        if let Some(c) = arg_value(&args, "--compress") {
+            cfg.compress = c;
         }
-        if let Some(c) = arg_usize(&args, "--cohort") {
-            cfg.cohort_cap = c as u64;
+        if let Some(c) = arg_value(&args, "--cohort") {
+            cfg.cohort_cap = c;
         }
-        if let Some(s) = arg_usize(&args, "--seed") {
-            cfg.seed = s as u64;
+        if let Some(s) = arg_value(&args, "--seed") {
+            cfg.seed = s;
         }
-        if let Some(s) = arg_usize(&args, "--slice") {
-            cfg.slice = SimDuration::from_secs(s as u64);
+        if let Some(s) = arg_value(&args, "--slice") {
+            cfg.slice = SimDuration::from_secs(s);
         }
         cfg.capture_fabric_dump = args.iter().any(|a| a == "--fabric-dump");
 
@@ -103,8 +103,8 @@ fn main() {
     }
 
     let campaign = CampaignReport { scenarios: reports };
-    if let Some(path) = arg_str(&args, "--report") {
-        std::fs::write(path, campaign.to_json()).expect("write report");
+    if let Some(path) = arg_value::<String>(&args, "--report") {
+        std::fs::write(&path, campaign.to_json()).expect("write report");
         eprintln!("wrote {path}");
     }
     for (name, dump) in &dumps {

@@ -21,7 +21,7 @@ use std::net::Ipv4Addr;
 use std::time::{Duration, Instant};
 
 use serde::Serialize;
-use softcell_bench::{arg_usize, is_quick, maybe_dump_json, TextTable};
+use softcell_bench::{arg_value, is_quick, maybe_dump_json, TextTable};
 use softcell_policy::{ServicePolicy, SubscriberAttributes};
 use softcell_replica::{Cluster, LogRecord, ReplicatedOp, ReplicationLog};
 use softcell_types::{BaseStationId, ControllerId, SimTime, UeId, UeImsi};
@@ -122,9 +122,9 @@ fn main() {
     let ops: u64 = if is_quick(&args) { 2_000 } else { 20_000 };
 
     println!("Replication-path microbench (log append / quorum commit / lag)");
-    let rows: Vec<Row> = match arg_usize(&args, "--replicas") {
+    let rows: Vec<Row> = match arg_value::<usize>(&args, "--replicas") {
         Some(n) => {
-            let quorum = arg_usize(&args, "--quorum").unwrap_or(n / 2 + 1);
+            let quorum = arg_value(&args, "--quorum").unwrap_or(n / 2 + 1);
             vec![bench_cluster(n, quorum, ops)]
         }
         None => [1usize, 2, 4]

@@ -8,29 +8,21 @@
 //! every flow needs the controller.
 //!
 //! This bench runs the *real* [`LocalAgent`] against a real access
-//! switch; the controller sits behind a channel-backed proxy whose
-//! round trip includes a simulated 500 µs base-station↔controller RTT
-//! (the paper's 0 %-hit floor of 1.8 K/s implies ≈ 550 µs per round
-//! trip). The hit ratio is forced exactly: before each flow, with
-//! probability `1 − p` the flow's clause is evicted from the agent's tag
-//! cache.
+//! switch; its requests are framed by `softcell-ctlchan`, cross the
+//! loopback transport, and are served by the controller's southbound
+//! front-end, each round trip paying the full encode/decode cost plus a
+//! simulated 500 µs base-station↔controller RTT (the paper's 0 %-hit
+//! floor of 1.8 K/s implies ≈ 550 µs per round trip). The hit ratio is
+//! forced exactly: before each flow, with probability `1 − p` the flow's
+//! clause is evicted from the agent's tag cache.
 //!
-//! Two controller transports (the Cbench-style comparison of §6.2):
-//!
-//! * `--transport inproc` (default) — the agent talks straight to the
-//!   worker pool over the in-process request channel.
-//! * `--transport wire` — the agent's requests are framed by
-//!   `softcell-ctlchan`, cross the loopback transport, and are served
-//!   by the controller's southbound front-end; both directions pay the
-//!   full encode/decode cost on top of the same simulated RTT.
-//!
-//! A third mode benchmarks the *controller* side instead of the agent:
+//! A second mode benchmarks the *controller* side instead of the agent:
 //!
 //! * `--shards N` — packet-in throughput of the sharded worker pool
 //!   ([`ControllerServer::start_sharded`]) swept over shard counts
 //!   1, 2, 4, … up to N. Sixteen concurrent agents flood attach/detach
-//!   packet-ins through the [`RequestRouter`]; every attach blocks its
-//!   domain worker on a simulated 200 µs switch install fence (the
+//!   packet-ins through the server's `RequestRouter`; every attach blocks
+//!   its domain worker on a simulated 200 µs switch install fence (the
 //!   classifier landing at the access station), so the measured scaling
 //!   is the concurrency a sharded control plane buys when its
 //!   bottleneck is fabric round trips — the deployment regime — rather
@@ -38,7 +30,7 @@
 //!   exit nonzero unless the largest shard count reaches `X×` the
 //!   single-shard rate.
 //!
-//! Usage: `tab2_agent_throughput [--quick] [--transport inproc|wire]
+//! Usage: `tab2_agent_throughput [--quick]
 //!          [--shards N [--min-speedup X]] [--json PATH]
 //!          [--telemetry PATH] [--trace PATH]`
 //!
@@ -55,16 +47,18 @@
 //! ack across the framed transport.
 
 use std::net::Ipv4Addr;
+use std::num::NonZeroUsize;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::bounded;
 use serde::Serialize;
 use softcell_bench::{
-    is_quick, maybe_arm_tracing, maybe_dump_json, maybe_dump_telemetry, maybe_dump_trace, TextTable,
+    arg_value, is_quick, maybe_arm_tracing, maybe_dump_json, maybe_dump_telemetry,
+    maybe_dump_trace, TextTable,
 };
 use softcell_controller::agent::{ControllerApi, LocalAgent};
 use softcell_controller::core::{AttachGrant, PathTags};
-use softcell_controller::server::{ControllerServer, Request, RequestRouter};
+use softcell_controller::server::{ControllerServer, Request};
 use softcell_controller::state::UeRecord;
 use softcell_controller::wire::ChannelController;
 use softcell_ctlchan::{loopback_pair, Loopback};
@@ -74,85 +68,11 @@ use softcell_policy::clause::ClauseId;
 use softcell_policy::{ServicePolicy, SubscriberAttributes};
 use softcell_telemetry::{Registry, ReqTrace, Snapshot};
 use softcell_types::{
-    AddressingScheme, BaseStationId, Error, PolicyTag, PortEmbedding, PortNo, Result, SimTime,
-    SwitchId, UeId, UeImsi,
+    AddressingScheme, BaseStationId, PortEmbedding, PortNo, Result, SimTime, SwitchId, UeId, UeImsi,
 };
 
-/// Channel-backed controller proxy with a simulated network RTT.
-struct RemoteController {
-    router: RequestRouter,
-    rtt: Duration,
-    next_permanent: u32,
-}
-
-impl RemoteController {
-    fn round_trip(&self) {
-        // the base-station <-> controller network distance
-        std::thread::sleep(self.rtt);
-    }
-}
-
-impl ControllerApi for RemoteController {
-    fn attach_ue(
-        &mut self,
-        imsi: UeImsi,
-        bs: BaseStationId,
-        ue_id: UeId,
-        now: SimTime,
-    ) -> Result<AttachGrant> {
-        self.round_trip();
-        let (tx, rx) = bounded(1);
-        self.router.route(Request::Classifier {
-            imsi,
-            reply: tx,
-            trace: ReqTrace::NONE,
-        })?;
-        let classifier = rx
-            .recv()
-            .map_err(|_| Error::InvalidState("controller gone".into()))??;
-        self.next_permanent += 1;
-        let permanent_ip = Ipv4Addr::from(0x6440_0000u32 + self.next_permanent);
-        Ok(AttachGrant {
-            record: UeRecord {
-                imsi,
-                permanent_ip,
-                bs,
-                ue_id,
-                since: now,
-            },
-            classifier,
-        })
-    }
-
-    fn request_policy_path(&mut self, bs: BaseStationId, clause: ClauseId) -> Result<PathTags> {
-        self.round_trip();
-        let (tx, rx) = bounded(1);
-        self.router.route(Request::PathTag {
-            bs,
-            clause,
-            reply: tx,
-            trace: ReqTrace::NONE,
-        })?;
-        let tag: PolicyTag = rx
-            .recv()
-            .map_err(|_| Error::InvalidState("controller gone".into()))??;
-        Ok(PathTags {
-            uplink_entry: tag,
-            uplink_exit: tag,
-            downlink_final: tag,
-            access_out_port: PortNo(1),
-            qos: None,
-        })
-    }
-
-    fn detach_ue(&mut self, imsi: UeImsi) -> Result<UeRecord> {
-        Err(Error::NotFound(format!("{imsi} (bench proxy)")))
-    }
-}
-
-/// The wire-mode proxy: a real [`ChannelController`] over the framed
-/// loopback transport, with the same simulated RTT added per request so
-/// the two modes differ only in serialization + channel cost.
+/// The agent's controller: a real [`ChannelController`] over the framed
+/// loopback transport, with the simulated network RTT added per request.
 struct WireController {
     chan: ChannelController<Loopback>,
     rtt: Duration,
@@ -160,6 +80,7 @@ struct WireController {
 
 impl WireController {
     fn round_trip(&self) {
+        // the base-station <-> controller network distance
         std::thread::sleep(self.rtt);
     }
 }
@@ -200,7 +121,6 @@ struct Row {
 #[derive(Serialize)]
 struct Output {
     experiment: String,
-    transport: String,
     simulated_rtt_us: u64,
     rows: Vec<Row>,
 }
@@ -268,41 +188,6 @@ fn measure(hit_ratio: f64, duration: Duration, ctl: &mut impl ControllerApi) -> 
         cache_hits: stats.cache_hits - base_stats.cache_hits,
         cache_misses: stats.cache_misses - base_stats.cache_misses,
     }
-}
-
-/// `--transport inproc|wire` (default `inproc`).
-fn transport_arg(args: &[String]) -> String {
-    match args.iter().position(|a| a == "--transport") {
-        Some(i) => args.get(i + 1).cloned().unwrap_or_else(|| "inproc".into()),
-        None => "inproc".into(),
-    }
-}
-
-/// `--shards N`: run the sharded packet-in throughput sweep instead.
-fn shards_arg(args: &[String]) -> Option<usize> {
-    let i = args.iter().position(|a| a == "--shards")?;
-    Some(
-        args.get(i + 1)
-            .and_then(|s| s.parse().ok())
-            .filter(|&n| n >= 1)
-            .unwrap_or_else(|| {
-                eprintln!("--shards needs a positive integer");
-                std::process::exit(2);
-            }),
-    )
-}
-
-/// `--min-speedup X`: fail unless max-shards reaches X× single-shard.
-fn min_speedup_arg(args: &[String]) -> Option<f64> {
-    let i = args.iter().position(|a| a == "--min-speedup")?;
-    Some(
-        args.get(i + 1)
-            .and_then(|s| s.parse().ok())
-            .unwrap_or_else(|| {
-                eprintln!("--min-speedup needs a number");
-                std::process::exit(2);
-            }),
-    )
 }
 
 #[derive(Serialize, Clone)]
@@ -465,7 +350,7 @@ fn run_shard_sweep(max_shards: usize, duration: Duration, args: &[String]) {
     // with --trace, end on a wire-crossing exchange so the exported
     // trace demonstrates packet-in -> plan -> commit -> batch -> barrier
     // across the framed transport (the sweep itself stays in-process)
-    if softcell_bench::arg_str(args, "--trace").is_some() {
+    if arg_value::<String>(args, "--trace").is_some() {
         softcell_bench::wire_trace_capture(*counts.last().expect("at least one shard count"));
     }
 
@@ -473,7 +358,8 @@ fn run_shard_sweep(max_shards: usize, duration: Duration, args: &[String]) {
     maybe_dump_telemetry(args, &telemetry);
     maybe_dump_trace(args, &telemetry);
 
-    if let Some(min) = min_speedup_arg(args) {
+    // --min-speedup X: fail unless max-shards reaches X× single-shard
+    if let Some(min) = arg_value::<f64>(args, "--min-speedup") {
         let last = rows.last().expect("at least one row");
         if last.speedup_vs_one < min {
             eprintln!(
@@ -497,11 +383,11 @@ fn main() {
     } else {
         Duration::from_millis(1500)
     };
-    if let Some(max_shards) = shards_arg(&args) {
-        run_shard_sweep(max_shards, duration, &args);
+    // --shards N: run the sharded packet-in throughput sweep instead
+    if let Some(max_shards) = arg_value::<NonZeroUsize>(&args, "--shards") {
+        run_shard_sweep(max_shards.get(), duration, &args);
         return;
     }
-    let transport = transport_arg(&args);
 
     let subscribers: Vec<SubscriberAttributes> = (0..200)
         .map(|i| SubscriberAttributes::default_home(UeImsi(i)))
@@ -512,44 +398,22 @@ fn main() {
 
     println!("Table 2: local-agent throughput vs cache hit ratio");
     println!("(paper shape: monotone in hit ratio; ~1.8K flows/s at 0%)");
-    println!("transport: {transport}");
     let ratios = [1.0, 0.999, 0.99, 0.95, 0.90, 0.80, 0.50, 0.0];
-    let rtt = Duration::from_micros(500);
-    let rows: Vec<Row> = match transport.as_str() {
-        "inproc" => ratios
-            .iter()
-            .map(|&p| {
-                let mut ctl = RemoteController {
-                    router: server.router(),
-                    rtt,
-                    next_permanent: 0,
-                };
-                measure(p, duration, &mut ctl)
-            })
-            .collect(),
-        "wire" => {
-            let (agent_end, controller_end) = loopback_pair();
-            let serving = server.serve(controller_end);
-            let mut ctl = WireController {
-                chan: ChannelController::connect(agent_end, BaseStationId(0)).expect("hello"),
-                rtt,
-            };
-            let rows = ratios
-                .iter()
-                .map(|&p| measure(p, duration, &mut ctl))
-                .collect();
-            drop(ctl);
-            serving
-                .join()
-                .expect("serve thread")
-                .expect("serve loop exits cleanly");
-            rows
-        }
-        other => {
-            eprintln!("unknown --transport {other:?} (expected inproc or wire)");
-            std::process::exit(2);
-        }
+    let (agent_end, controller_end) = loopback_pair();
+    let serving = server.serve(controller_end);
+    let mut ctl = WireController {
+        chan: ChannelController::connect(agent_end, BaseStationId(0)).expect("hello"),
+        rtt: Duration::from_micros(500),
     };
+    let rows: Vec<Row> = ratios
+        .iter()
+        .map(|&p| measure(p, duration, &mut ctl))
+        .collect();
+    drop(ctl);
+    serving
+        .join()
+        .expect("serve thread")
+        .expect("serve loop exits cleanly");
 
     let mut t = TextTable::new(&["hit ratio %", "flows", "secs", "flows/s", "hits", "misses"]);
     for r in &rows {
@@ -568,7 +432,6 @@ fn main() {
         &args,
         &Output {
             experiment: "tab2".into(),
-            transport,
             simulated_rtt_us: 500,
             rows,
         },

@@ -11,6 +11,7 @@
 use std::fmt::Display;
 use std::fs::File;
 use std::io::Write as _;
+use std::str::FromStr;
 use std::time::Instant;
 
 /// A simple aligned-column table printer.
@@ -79,29 +80,24 @@ pub fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
 /// Writes a serializable result to a JSON file if `--json PATH` was
 /// passed on the command line.
 pub fn maybe_dump_json<T: serde::Serialize>(args: &[String], value: &T) {
-    if let Some(pos) = args.iter().position(|a| a == "--json") {
-        if let Some(path) = args.get(pos + 1) {
-            let mut f = File::create(path).expect("create json output");
-            let s = serde_json::to_string_pretty(value).expect("serialize");
-            f.write_all(s.as_bytes()).expect("write json");
-            eprintln!("wrote {path}");
-        }
-    }
+    let Some(path) = arg_value::<String>(args, "--json") else {
+        return;
+    };
+    let mut f = File::create(&path).expect("create json output");
+    let s = serde_json::to_string_pretty(value).expect("serialize");
+    f.write_all(s.as_bytes()).expect("write json");
+    eprintln!("wrote {path}");
 }
 
 /// Writes a telemetry snapshot to the path given by `--telemetry PATH`
 /// (JSON) and prints its human-readable report. No flag, no output —
 /// callers can merge and pass their snapshot unconditionally.
 pub fn maybe_dump_telemetry(args: &[String], snapshot: &softcell_telemetry::Snapshot) {
-    let Some(pos) = args.iter().position(|a| a == "--telemetry") else {
+    let Some(path) = arg_value::<String>(args, "--telemetry") else {
         return;
     };
-    let Some(path) = args.get(pos + 1) else {
-        eprintln!("--telemetry needs a file path");
-        std::process::exit(2);
-    };
     println!("{}", snapshot.report());
-    let mut f = File::create(path).expect("create telemetry output");
+    let mut f = File::create(&path).expect("create telemetry output");
     let s = serde_json::to_string_pretty(snapshot).expect("serialize telemetry");
     f.write_all(s.as_bytes()).expect("write telemetry");
     eprintln!("wrote {path}");
@@ -112,7 +108,7 @@ pub fn maybe_dump_telemetry(args: &[String], snapshot: &softcell_telemetry::Snap
 /// the default outlier bound. Returns whether tracing is on so callers
 /// can add a dedicated capture phase.
 pub fn maybe_arm_tracing(args: &[String]) -> bool {
-    if arg_str(args, "--trace").is_none() {
+    if arg_value::<String>(args, "--trace").is_none() {
         return false;
     }
     softcell_telemetry::Registry::global()
@@ -125,10 +121,10 @@ pub fn maybe_arm_tracing(args: &[String]) -> bool {
 /// the `--trace PATH` argument (loadable in Perfetto or
 /// `chrome://tracing`). No flag, no output.
 pub fn maybe_dump_trace(args: &[String], snapshot: &softcell_telemetry::Snapshot) {
-    let Some(path) = arg_str(args, "--trace") else {
+    let Some(path) = arg_value::<String>(args, "--trace") else {
         return;
     };
-    let mut f = File::create(path).expect("create trace output");
+    let mut f = File::create(&path).expect("create trace output");
     f.write_all(snapshot.to_chrome_trace().as_bytes())
         .expect("write trace");
     eprintln!(
@@ -200,16 +196,32 @@ pub fn is_quick(args: &[String]) -> bool {
     args.iter().any(|a| a == "--quick")
 }
 
-/// Parses `--flag N` style integer arguments.
-pub fn arg_usize(args: &[String], flag: &str) -> Option<usize> {
-    let pos = args.iter().position(|a| a == flag)?;
-    args.get(pos + 1)?.parse().ok()
+/// Parses `--flag VALUE`: `Ok(None)` when the flag is absent, `Err` with
+/// a usage message when its value is missing (end of line, or another
+/// `--flag` where the value belongs) or does not parse as a `T`.
+fn parse_arg<T: FromStr>(args: &[String], flag: &str) -> Result<Option<T>, String> {
+    let Some(pos) = args.iter().position(|a| a == flag) else {
+        return Ok(None);
+    };
+    let value = args
+        .get(pos + 1)
+        .filter(|v| !v.starts_with("--"))
+        .ok_or_else(|| format!("{flag} needs a value"))?;
+    value
+        .parse()
+        .map(Some)
+        .map_err(|_| format!("{flag}: cannot read {value:?}"))
 }
 
-/// Parses `--flag VALUE` style string arguments.
-pub fn arg_str<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
-    let pos = args.iter().position(|a| a == flag)?;
-    args.get(pos + 1).map(String::as_str)
+/// The value of a `--flag VALUE` argument, `None` when the flag is
+/// absent. A flag given with a missing or unparsable value is a usage
+/// error: it is printed and the process exits with status 2, so a typo
+/// never silently runs the default.
+pub fn arg_value<T: FromStr>(args: &[String], flag: &str) -> Option<T> {
+    parse_arg(args, flag).unwrap_or_else(|usage| {
+        eprintln!("{usage}");
+        std::process::exit(2);
+    })
 }
 
 #[cfg(test)]
@@ -277,7 +289,25 @@ mod tests {
             .map(|s| s.to_string())
             .collect();
         assert!(is_quick(&args));
-        assert_eq!(arg_usize(&args, "--n"), Some(500));
-        assert_eq!(arg_usize(&args, "--k"), None);
+        assert_eq!(parse_arg::<usize>(&args, "--n"), Ok(Some(500)));
+        assert_eq!(parse_arg::<usize>(&args, "--k"), Ok(None));
+        assert_eq!(parse_arg::<String>(&args, "--n"), Ok(Some("500".into())));
+    }
+
+    #[test]
+    fn a_flag_without_a_usable_value_is_a_usage_error() {
+        let args: Vec<String> = ["prog", "--replicas", "x", "--telemetry", "--json"]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
+        assert!(
+            parse_arg::<usize>(&args, "--replicas").is_err(),
+            "unparsable"
+        );
+        assert!(
+            parse_arg::<String>(&args, "--telemetry").is_err(),
+            "a flag follows"
+        );
+        assert!(parse_arg::<String>(&args, "--json").is_err(), "end of line");
     }
 }

@@ -39,23 +39,6 @@ pub enum CommitTier {
     Unplanned,
 }
 
-/// How the controller picks a concrete middlebox instance for each kind
-/// in a clause's chain.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum InstanceSelection {
-    /// Greedy nearest instance from the current path cursor (minimizes
-    /// path stretch — the production default).
-    Nearest,
-    /// Round-robin across instances of the kind (load balancing).
-    RoundRobin,
-    /// Uniformly random instance (the paper's §6.3 simulation
-    /// methodology: "m randomly chosen middlebox instances").
-    Random {
-        /// Deterministic seed.
-        seed: u64,
-    },
-}
-
 /// Static controller configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct ControllerConfig {
@@ -63,10 +46,8 @@ pub struct ControllerConfig {
     pub scheme: AddressingScheme,
     /// Tag-in-port layout.
     pub ports: PortEmbedding,
-    /// Tag selection tunables.
+    /// Tag-space size.
     pub tag_policy: TagPolicy,
-    /// Middlebox instance selection.
-    pub selection: InstanceSelection,
     /// DHCP pool for permanent UE addresses.
     pub permanent_pool: Ipv4Prefix,
     /// Install uplink rules too (the end-to-end mode); rule-counting
@@ -80,11 +61,7 @@ impl ControllerConfig {
         ControllerConfig {
             scheme: AddressingScheme::default_scheme(),
             ports: PortEmbedding::default_embedding(),
-            tag_policy: TagPolicy {
-                capacity: 1024, // the Fig. 4 embodiment: 10 tag bits
-                ..TagPolicy::default()
-            },
-            selection: InstanceSelection::Nearest,
+            tag_policy: TagPolicy { capacity: 1024 }, // the Fig. 4 embodiment: 10 tag bits
             permanent_pool: Ipv4Prefix::from_bits(0x6440_0000, 10), // 100.64/10
             bidirectional: true,
         }
@@ -139,8 +116,6 @@ pub struct CentralController<'t> {
     routed_m2m: HashMap<(ClauseId, BaseStationId, BaseStationId), PolicyPath>,
     /// The routed path objects (mobility shortcuts need them).
     routed: HashMap<(ClauseId, BaseStationId), PolicyPath>,
-    rr_counters: HashMap<MiddleboxKind, usize>,
-    rng: u64,
     /// Rule operations awaiting application to the physical network.
     pending_ops: Vec<RuleOp>,
     /// Locations released since the last drain, awaiting return to
@@ -157,10 +132,6 @@ impl<'t> CentralController<'t> {
         cfg: ControllerConfig,
         policy: softcell_policy::ServicePolicy,
     ) -> Self {
-        let seed = match cfg.selection {
-            InstanceSelection::Random { seed } => seed | 1,
-            _ => 1,
-        };
         CentralController {
             topo,
             cfg,
@@ -172,8 +143,6 @@ impl<'t> CentralController<'t> {
             m2m: HashMap::new(),
             routed_m2m: HashMap::new(),
             routed: HashMap::new(),
-            rr_counters: HashMap::new(),
-            rng: seed,
             pending_ops: Vec::new(),
             released_locations: Vec::new(),
             mobility: crate::mobility::MobilityManager::default(),
@@ -339,11 +308,6 @@ impl<'t> CentralController<'t> {
     /// plan's version stamps prove nothing it read has changed. A stale
     /// or mode-mismatched plan is discarded and the sequential path
     /// re-plans under the caller's exclusivity (the fallback tier).
-    ///
-    /// The fast tier is gated on [`InstanceSelection::Nearest`]: it is
-    /// the only selection mode that is a pure function of the topology
-    /// (round-robin and random advance engine-private cursors, which an
-    /// outside planner cannot model).
     pub fn request_policy_path_planned(
         &mut self,
         bs: BaseStationId,
@@ -367,8 +331,7 @@ impl<'t> CentralController<'t> {
         let chain = clause_def.action.chain.clone();
 
         if let Some(plan) = planned {
-            if self.cfg.selection == InstanceSelection::Nearest
-                && plan.path.origin == bs
+            if plan.path.origin == bs
                 && plan.matches_mode(self.cfg.bidirectional)
                 && self.installer.plan_is_current(&plan.stamps)
             {
@@ -636,46 +599,15 @@ impl<'t> CentralController<'t> {
     }
 
     /// Picks concrete instances for a chain of kinds, walking the path
-    /// cursor forward (paths are routed access → ... → gateway).
+    /// cursor forward (paths are routed access → ... → gateway). Shared
+    /// with the sharded workers' optimistic planners, so an outside plan
+    /// picks exactly the instances the engine would.
     fn select_instances(
         &mut self,
         bs: BaseStationId,
         chain: &[MiddleboxKind],
     ) -> Result<Vec<MiddleboxId>> {
-        if self.cfg.selection == InstanceSelection::Nearest {
-            // shared with the sharded workers' optimistic planners, so
-            // an outside plan picks exactly the instances the engine
-            // would
-            return select_nearest_instances(self.topo, &mut self.paths, bs, chain);
-        }
-        let mut out = Vec::with_capacity(chain.len());
-        for &kind in chain {
-            let instances = self.topo.instances_of(kind);
-            if instances.is_empty() {
-                return Err(Error::NoPath(format!("no instance of {kind} deployed")));
-            }
-            let chosen = match self.cfg.selection {
-                InstanceSelection::Nearest => unreachable!("handled above"),
-                InstanceSelection::RoundRobin => {
-                    let c = self.rr_counters.entry(kind).or_insert(0);
-                    let mb = instances[*c % instances.len()];
-                    *c += 1;
-                    mb
-                }
-                InstanceSelection::Random { .. } => {
-                    // xorshift64*: deterministic given the seed
-                    let mut x = self.rng;
-                    x ^= x >> 12;
-                    x ^= x << 25;
-                    x ^= x >> 27;
-                    self.rng = x;
-                    let r = x.wrapping_mul(0x2545F4914F6CDD1D);
-                    instances[(r % instances.len() as u64) as usize]
-                }
-            };
-            out.push(chosen);
-        }
-        Ok(out)
+        select_nearest_instances(self.topo, &mut self.paths, bs, chain)
     }
 }
 
@@ -794,40 +726,6 @@ mod tests {
             .select_instances(BaseStationId(0), &[MiddleboxKind::EchoCanceller])
             .unwrap();
         assert_eq!(topo.middlebox(mbs[0]).switch, SwitchId(3));
-    }
-
-    #[test]
-    fn round_robin_cycles_instances() {
-        let topo = small_topology();
-        let mut cfg = ControllerConfig::simulation();
-        cfg.selection = InstanceSelection::RoundRobin;
-        let mut c = CentralController::new(&topo, cfg, ServicePolicy::example_carrier_a(1));
-        // only one firewall instance in the small topology: cycling is a
-        // fixed point; this exercises the counter path
-        let a = c
-            .select_instances(BaseStationId(0), &[MiddleboxKind::Firewall])
-            .unwrap();
-        let b = c
-            .select_instances(BaseStationId(0), &[MiddleboxKind::Firewall])
-            .unwrap();
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn random_selection_is_deterministic_per_seed() {
-        let topo = small_topology();
-        let mut cfg = ControllerConfig::simulation();
-        cfg.selection = InstanceSelection::Random { seed: 9 };
-        let mut c1 = CentralController::new(&topo, cfg, ServicePolicy::example_carrier_a(1));
-        let mut c2 = CentralController::new(&topo, cfg, ServicePolicy::example_carrier_a(1));
-        for _ in 0..5 {
-            assert_eq!(
-                c1.select_instances(BaseStationId(0), &[MiddleboxKind::Firewall])
-                    .unwrap(),
-                c2.select_instances(BaseStationId(0), &[MiddleboxKind::Firewall])
-                    .unwrap()
-            );
-        }
     }
 
     #[test]

@@ -61,7 +61,7 @@
 //!
 //! A path is decomposed once into flat decision vectors (a few dozen
 //! entries: scans, not hash maps) and its segments move into the plan.
-//! Per segment at most [`TagPolicy::max_candidates`] tags are costed,
+//! Per segment at most `MAX_CANDIDATES` (8) tags are costed,
 //! each front to back, one probe per decision: one cell lock, and per
 //! table one lookup and one longest-prefix walk
 //! ([`ShadowSwitch::probe`]; a link arrival may consult its qualified
@@ -111,34 +111,23 @@ pub use softcell_dataplane::matcher::Direction;
 /// was allocated (see [`PathInstaller::release_raw_tag`]).
 pub const TAG_RELEASE_UNDERFLOW: &str = "softcell_controller_tag_release_underflow_total";
 
-/// Tunables for tag selection.
+/// The tag space tag selection allocates from.
 #[derive(Clone, Copy, Debug)]
 pub struct TagPolicy {
     /// Total tag space (the paper's Fig. 4 embodiment has 2^10; the
     /// large-scale simulations use a wider space).
     pub capacity: u16,
-    /// Maximum candidate tags evaluated per segment (the argmin is exact
-    /// over this set).
-    pub max_candidates: usize,
-    /// Prefer allocating a fresh tag over reusing a candidate whose cost
-    /// is no better than `fresh_cost * fresh_bias_num / fresh_bias_den`,
-    /// as long as less than half the tag space is used. Fresh tags buy
-    /// cheap Type 2 rules; reuse buys a smaller tag space footprint.
-    pub fresh_bias_num: usize,
-    /// See `fresh_bias_num`.
-    pub fresh_bias_den: usize,
 }
 
 impl Default for TagPolicy {
     fn default() -> Self {
-        TagPolicy {
-            capacity: u16::MAX,
-            max_candidates: 8,
-            fresh_bias_num: 1,
-            fresh_bias_den: 1,
-        }
+        TagPolicy { capacity: u16::MAX }
     }
 }
+
+/// Maximum candidate tags evaluated per segment (the argmin is exact
+/// over this set).
+const MAX_CANDIDATES: usize = 8;
 
 /// One forwarding decision a path requires.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -593,11 +582,13 @@ impl Planner<'_> {
 
             let fresh_cost = seg.decisions.len() + usize::from(swap_to.is_some());
             let allocated = self.residue.allocator.allocated() + ctx.fresh_taken;
+            // A fresh tag beats reuse that costs more than it, while
+            // less than half the tag space is used: fresh tags buy cheap
+            // Type 2 rules, reuse buys a smaller tag-space footprint.
             let use_fresh = match best {
                 None => true,
                 Some((cost, _)) => {
-                    cost * self.policy.fresh_bias_den > fresh_cost * self.policy.fresh_bias_num
-                        && (allocated * 2) < self.policy.capacity as usize
+                    cost > fresh_cost && (allocated * 2) < self.policy.capacity as usize
                 }
             };
             if use_fresh {
@@ -638,8 +629,7 @@ impl Planner<'_> {
     /// its gateway-side switch — the busiest rule table on the path and
     /// a cheap, high-yield sample of the paper's candTag set.
     fn candidates(&self, ctx: &mut PlanCtx, key: ChainKey, job: &Costing) -> Vec<PolicyTag> {
-        let max = self.policy.max_candidates;
-        let mut candidates: Vec<PolicyTag> = Vec::with_capacity(max.max(4));
+        let mut candidates: Vec<PolicyTag> = Vec::with_capacity(MAX_CANDIDATES);
         if let Some(slot) = self.residue.chain_index.get(&key) {
             candidates.extend_from_slice(slot);
         }
@@ -649,12 +639,12 @@ impl Planner<'_> {
             }
         }
         candidates.reverse();
-        if candidates.len() < max {
+        if candidates.len() < MAX_CANDIDATES {
             if let Some(d) = job.seg.gateway_side(job.dir) {
                 let cell = self.shadows.lock(d.sw);
                 ctx.stamps.cells.push((d.sw, cell.version));
                 for t in cell.dir(job.dir).tags() {
-                    if candidates.len() >= max {
+                    if candidates.len() >= MAX_CANDIDATES {
                         break;
                     }
                     if !candidates.contains(&t) {
@@ -663,7 +653,7 @@ impl Planner<'_> {
                 }
             }
         }
-        candidates.truncate(max);
+        candidates.truncate(MAX_CANDIDATES);
         candidates
     }
 
@@ -1600,10 +1590,7 @@ mod tests {
         let mut ins = PathInstaller::new(
             &topo,
             AddressingScheme::default_scheme(),
-            TagPolicy {
-                capacity: 1,
-                ..TagPolicy::default()
-            },
+            TagPolicy { capacity: 1 },
         );
         let pa = route(&topo, 0, &[MiddleboxKind::Firewall]);
         let pb = route(&topo, 0, &[MiddleboxKind::Transcoder]);
@@ -1621,10 +1608,7 @@ mod tests {
         let mut ins = PathInstaller::new(
             &topo,
             AddressingScheme::default_scheme(),
-            TagPolicy {
-                capacity: 1,
-                ..TagPolicy::default()
-            },
+            TagPolicy { capacity: 1 },
         );
         let pa = route(&topo, 0, &[MiddleboxKind::Firewall]);
         let pb = route(&topo, 0, &[MiddleboxKind::Transcoder]);
@@ -1938,7 +1922,7 @@ mod tests {
             fn failed_installs_leave_no_trace(requests in arb_requests()) {
                 let topo = small_topology();
                 // a tiny tag space makes exhaustion failures common
-                let tight = TagPolicy { capacity: 3, ..TagPolicy::default() };
+                let tight = TagPolicy { capacity: 3 };
                 let mut live = PathInstaller::new(
                     &topo, AddressingScheme::default_scheme(), tight);
                 let mut succeeded: Vec<(PolicyPath, Direction)> = Vec::new();
@@ -2023,7 +2007,7 @@ mod tests {
                 } else {
                     small_topology()
                 };
-                let tight = TagPolicy { capacity, ..TagPolicy::default() };
+                let tight = TagPolicy { capacity };
                 let scheme = AddressingScheme::default_scheme();
                 let mut bounded = PathInstaller::new(&topo, scheme, tight);
                 let mut exhaustive = PathInstaller::new(&topo, scheme, tight);

@@ -64,7 +64,7 @@ pub mod update;
 pub mod wire;
 
 pub use agent::LocalAgent;
-pub use core::{CentralController, ControllerConfig, InstanceSelection};
+pub use core::{CentralController, ControllerConfig};
 pub use install::{InstallReport, PathInstaller, TagPolicy};
 pub use ops::{RuleOp, RuleSink};
 pub use shadow::{Divergence, DivergenceKind, Entry, NextHop, ShadowSwitch, ShadowTables};

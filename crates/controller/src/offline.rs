@@ -28,7 +28,7 @@ use softcell_topology::PolicyPath;
 use softcell_types::Result;
 
 use crate::core::{CentralController, PathTags};
-use crate::install::{Direction, PathInstaller, TagPolicy};
+use crate::install::{Direction, PathInstaller};
 use crate::ops::{lower_delta, RuleOp};
 use crate::shadow::ShadowDelta;
 
@@ -119,8 +119,7 @@ impl<'t> CentralController<'t> {
         }
 
         // ---- fresh installer, replay in grouped order ----------------
-        let mut fresh =
-            PathInstaller::new(self.topology(), cfg.scheme, TagPolicy { ..cfg.tag_policy });
+        let mut fresh = PathInstaller::new(self.topology(), cfg.scheme, cfg.tag_policy);
         let mut new_internet_tags = Vec::with_capacity(internet.len());
         let mut replayed = 0usize;
         for (clause, bs, path) in &internet {

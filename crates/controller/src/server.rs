@@ -254,20 +254,9 @@ pub(crate) struct Shared {
     /// control plane buys when its bottleneck is fabric round trips,
     /// not CPU.
     install_latency_us: AtomicU64,
-    /// Per-connection xid-dedup window for the wire front-end's serve
-    /// loops (see `softcell_ctlchan::ServeOptions`). Defaults to the
-    /// protocol default; widened for deployments where a re-homing
-    /// storm can replay more in-flight xids than the default covers.
-    dedup_window: AtomicU64,
 }
 
 impl Shared {
-    /// The xid-dedup window new serve loops start with.
-    pub(crate) fn dedup_window(&self) -> usize {
-        // softcell-lint: allow(atomics-order) -- pure config knob: readers snapshot it once per connection
-        self.dedup_window.load(Ordering::Relaxed) as usize
-    }
-
     fn install_fence(&self) {
         // softcell-lint: allow(atomics-order) -- pure config knob: a stale read only mistimes the simulated fence
         let us = self.install_latency_us.load(Ordering::Relaxed);
@@ -309,7 +298,6 @@ impl ControllerServer {
             queue_rejected: telemetry.counter("softcell_controller_server_queue_rejected_total"),
             batch_seq: AtomicU64::new(0),
             install_latency_us: AtomicU64::new(0),
-            dedup_window: AtomicU64::new(softcell_ctlchan::DEDUP_WINDOW as u64),
             telemetry,
         });
         let tag_pool = RangePool::new(TAG_SPACE, RANGE_BLOCK);
@@ -346,19 +334,6 @@ impl ControllerServer {
             .install_latency_us
             // softcell-lint: allow(atomics-order) -- pure config knob: no reader orders other memory against it
             .store(d.as_micros() as u64, Ordering::Relaxed);
-    }
-
-    /// Sets the per-connection xid-dedup window used by serve loops
-    /// started *after* this call (live connections keep the window they
-    /// started with). `window` must cover the largest burst of retried
-    /// xids a client can replay — size it to at least the in-flight
-    /// request budget of a re-homing storm. Values are clamped to 1 at
-    /// the serve loop; see `softcell_ctlchan::ServeOptions`.
-    pub fn set_dedup_window(&self, window: usize) {
-        self.shared
-            .dedup_window
-            // softcell-lint: allow(atomics-order) -- pure config knob: no reader orders other memory against it
-            .store(window as u64, Ordering::Relaxed);
     }
 
     /// A router sending each request to its owning domain (cloneable
@@ -680,18 +655,6 @@ mod tests {
         let classifier = rx.recv().unwrap().unwrap();
         assert!(!classifier.entries().is_empty());
         assert_eq!(server.served(), 1);
-        server.shutdown();
-    }
-
-    #[test]
-    fn dedup_window_defaults_and_reconfigures() {
-        let server = server(1, 1);
-        assert_eq!(
-            server.shared_state().dedup_window(),
-            softcell_ctlchan::DEDUP_WINDOW
-        );
-        server.set_dedup_window(4096);
-        assert_eq!(server.shared_state().dedup_window(), 4096);
         server.shutdown();
     }
 

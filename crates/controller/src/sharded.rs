@@ -80,7 +80,7 @@ use softcell_types::{
 use crate::agent::{microflow_pair, FlowSlots, UeIdPool, MICROFLOW_IDLE};
 use crate::core::{
     select_nearest_instances, AttachGrant, CentralController, CommitTier, ControllerConfig,
-    InstanceSelection, PathTags,
+    PathTags,
 };
 use crate::install::{PlannerHandle, PolicyPathPlan};
 use crate::mobility::FlowRecord;
@@ -419,10 +419,8 @@ struct Worker<'t, 'c> {
     stats: ShardedStats,
     /// Interleaving-test scheduler state; `None` (no seed) never yields.
     rng: Option<u64>,
-    /// Handle for planning policy paths outside the sequencer. `Some`
-    /// only under [`InstanceSelection::Nearest`] — the one selection
-    /// mode a worker can model without the engine's private cursors.
-    planner: Option<PlannerHandle>,
+    /// Handle for planning policy paths outside the sequencer.
+    planner: PlannerHandle,
     /// Worker-local shortest-path cache feeding the optimistic planner
     /// (BFS over the shared immutable topology — identical distances on
     /// every shard).
@@ -515,12 +513,11 @@ impl<'t> Worker<'t, '_> {
 
     /// Plans a (station, clause) policy path outside the sequencer: pure
     /// reads against the shared installer cells plus this worker's own
-    /// shortest-path cache. Returns `None` when planning is unavailable
-    /// (non-Nearest selection), pointless (tags already published — the
-    /// engine will serve its cache), or failed (the ticketed path will
-    /// fail identically and report the error).
+    /// shortest-path cache. Returns `None` when planning is pointless
+    /// (tags already published — the engine will serve its cache) or
+    /// failed (the ticketed path will fail identically and report the
+    /// error).
     fn optimistic_plan(&mut self, bs: BaseStationId, clause: ClauseId) -> Option<PolicyPathPlan> {
-        let planner = self.planner.clone()?;
         if self.coord.published.read().contains_key(&(bs, clause)) {
             return None;
         }
@@ -528,7 +525,9 @@ impl<'t> Worker<'t, '_> {
         let instances = select_nearest_instances(self.topo, &mut self.sp, bs, chain).ok()?;
         let gateway = self.topo.default_gateway().switch;
         let path = self.sp.route_policy_path(bs, &instances, gateway).ok()?;
-        planner.plan_policy_path(path, self.cfg.bidirectional).ok()
+        self.planner
+            .plan_policy_path(path, self.cfg.bidirectional)
+            .ok()
     }
 
     fn handle_event(&mut self, idx: usize, ev: ShardEvent, ann: Annotation) {
@@ -1047,11 +1046,7 @@ impl<'t> ShardedController<'t> {
             .filter(|(_, c)| c.action.access == AccessControl::Allow)
             .map(|(i, c)| (ClauseId(i as u16), c.action.chain.clone()))
             .collect();
-        // Optimistic planning is sound only under Nearest selection (the
-        // other modes advance engine-private cursors a worker cannot
-        // model); the engine gates the fast tier on the same condition.
-        let planner = (self.cfg.selection == InstanceSelection::Nearest)
-            .then(|| engine.installer().planner_handle());
+        let planner = engine.installer().planner_handle();
 
         let coord = Coordinator {
             engine: Mutex::new(Sequenced {

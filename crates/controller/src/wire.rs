@@ -115,97 +115,89 @@ impl ControllerServer {
                 move || shared.served.get()
             };
             let shared_for_exit = Arc::clone(&shared);
-            let options = softcell_ctlchan::ServeOptions {
-                dedup_window: shared.dedup_window(),
-            };
-            let result = softcell_ctlchan::serve_with_options(
-                transport,
-                served,
-                move |msg, ctx| {
-                    let Message::PacketIn(pi) = msg else {
-                        return None;
-                    };
-                    let reply = match *pi {
-                        PacketIn::Attach {
+            let result = softcell_ctlchan::serve(transport, served, move |msg, ctx| {
+                let Message::PacketIn(pi) = msg else {
+                    return None;
+                };
+                let reply = match *pi {
+                    PacketIn::Attach {
+                        imsi,
+                        bs,
+                        ue_id,
+                        now,
+                    } => (|| {
+                        let req = Request::Attach {
                             imsi,
                             bs,
                             ue_id,
                             now,
-                        } => (|| {
-                            let req = Request::Attach {
-                                imsi,
+                            reply: att_tx.clone(),
+                            trace: ReqTrace::at_enqueue(ctx),
+                        };
+                        let grant = route_packet_in(&router, &shared, req, &att_rx)?;
+                        Ok(Message::ClassifierReply {
+                            record: grant.record.into(),
+                            classifier: Some(classifier_to_wire(&grant.classifier)),
+                        })
+                    })(),
+                    PacketIn::PathRequest { bs, clause } => (|| {
+                        let req = Request::PathTag {
+                            bs,
+                            clause,
+                            reply: tag_tx.clone(),
+                            trace: ReqTrace::at_enqueue(ctx),
+                        };
+                        let tag = route_packet_in(&router, &shared, req, &tag_rx)?;
+                        // same path stand-in as the domains: one tag
+                        // end to end, first fabric port, no QoS
+                        let tags = PathTags {
+                            uplink_entry: tag,
+                            uplink_exit: tag,
+                            downlink_final: tag,
+                            access_out_port: PortNo(1),
+                            qos: None,
+                        };
+                        let mods = vec![WireFlowMod {
+                            bs,
+                            clause,
+                            tags: tags.into(),
+                        }];
+                        // the ticketed, barrier-delimited batch form
+                        let shard = shard_of_station(bs, router.domains()) as u16;
+                        let mut batch_sp =
+                            Registry::global().tracer().span_in(ctx, "flow_mod_batch");
+                        batch_sp.set_shard(shard as usize);
+                        // AcqRel: the batch sequence number orders
+                        // flow-mod batches across serve threads, so
+                        // stamping it must not be reorderable against
+                        // the batch contents it numbers.
+                        let seq = shared.batch_seq.fetch_add(1, Ordering::AcqRel) as u32;
+                        batch_sp.set_label(u64::from(seq));
+                        Ok(Message::FlowModBatch {
+                            shard,
+                            seq,
+                            groups: vec![WireBatchGroup {
                                 bs,
-                                ue_id,
-                                now,
-                                reply: att_tx.clone(),
-                                trace: ReqTrace::at_enqueue(ctx),
-                            };
-                            let grant = route_packet_in(&router, &shared, req, &att_rx)?;
-                            Ok(Message::ClassifierReply {
-                                record: grant.record.into(),
-                                classifier: Some(classifier_to_wire(&grant.classifier)),
-                            })
-                        })(),
-                        PacketIn::PathRequest { bs, clause } => (|| {
-                            let req = Request::PathTag {
-                                bs,
-                                clause,
-                                reply: tag_tx.clone(),
-                                trace: ReqTrace::at_enqueue(ctx),
-                            };
-                            let tag = route_packet_in(&router, &shared, req, &tag_rx)?;
-                            // same path stand-in as the domains: one tag
-                            // end to end, first fabric port, no QoS
-                            let tags = PathTags {
-                                uplink_entry: tag,
-                                uplink_exit: tag,
-                                downlink_final: tag,
-                                access_out_port: PortNo(1),
-                                qos: None,
-                            };
-                            let mods = vec![WireFlowMod {
-                                bs,
-                                clause,
-                                tags: tags.into(),
-                            }];
-                            // the ticketed, barrier-delimited batch form
-                            let shard = shard_of_station(bs, router.domains()) as u16;
-                            let mut batch_sp =
-                                Registry::global().tracer().span_in(ctx, "flow_mod_batch");
-                            batch_sp.set_shard(shard as usize);
-                            // AcqRel: the batch sequence number orders
-                            // flow-mod batches across serve threads, so
-                            // stamping it must not be reorderable against
-                            // the batch contents it numbers.
-                            let seq = shared.batch_seq.fetch_add(1, Ordering::AcqRel) as u32;
-                            batch_sp.set_label(u64::from(seq));
-                            Ok(Message::FlowModBatch {
-                                shard,
-                                seq,
-                                groups: vec![WireBatchGroup {
-                                    bs,
-                                    barrier: true,
-                                    mods,
-                                }],
-                            })
-                        })(),
-                        PacketIn::Detach { imsi } => (|| {
-                            let req = Request::Detach {
-                                imsi,
-                                reply: det_tx.clone(),
-                                trace: ReqTrace::at_enqueue(ctx),
-                            };
-                            let record = route_packet_in(&router, &shared, req, &det_rx)?;
-                            Ok(Message::ClassifierReply {
-                                record: record.into(),
-                                classifier: None,
-                            })
-                        })(),
-                    };
-                    Some(reply.unwrap_or_else(|e| Message::from_error(&e)))
-                },
-                options,
-            );
+                                barrier: true,
+                                mods,
+                            }],
+                        })
+                    })(),
+                    PacketIn::Detach { imsi } => (|| {
+                        let req = Request::Detach {
+                            imsi,
+                            reply: det_tx.clone(),
+                            trace: ReqTrace::at_enqueue(ctx),
+                        };
+                        let record = route_packet_in(&router, &shared, req, &det_rx)?;
+                        Ok(Message::ClassifierReply {
+                            record: record.into(),
+                            classifier: None,
+                        })
+                    })(),
+                };
+                Some(reply.unwrap_or_else(|e| Message::from_error(&e)))
+            });
             // Slot accounting: a dead agent frees its serve slot whether
             // it closed cleanly or tore the connection mid-frame, and the
             // server keeps accepting (re-)registrations on fresh

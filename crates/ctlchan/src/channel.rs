@@ -30,32 +30,12 @@ use softcell_types::{Error, Result};
 use crate::codec::{ChannelStats, Frame, Message, VERSION};
 use crate::transport::Transport;
 
-/// Default for how many application replies [`serve`] remembers (per
-/// connection, by xid) for retransmission dedup. A client retries a
-/// request at most a handful of times with one request outstanding, so a
-/// small window is ample; it only needs to cover xids that can still
-/// plausibly be retransmitted. Deployments where many requests can be in
-/// flight or replayed at once — e.g. a re-homing storm after a
-/// controller failure — should widen it via [`ServeOptions`].
+/// How many application replies [`serve`] remembers (per connection, by
+/// xid) for retransmission dedup. A client retries a request at most a
+/// handful of times with one request outstanding, so a small window is
+/// ample; it only needs to cover xids that can still plausibly be
+/// retransmitted.
 pub const DEDUP_WINDOW: usize = 128;
-
-/// Tuning knobs for [`serve`], with [`serve_with_options`] as the entry
-/// point that accepts them.
-#[derive(Clone, Copy, Debug)]
-pub struct ServeOptions {
-    /// Replies remembered by xid for retransmission dedup. Must be at
-    /// least 1: a window of 0 would re-apply every retried request,
-    /// breaking the at-most-once guarantee the retry machinery assumes.
-    pub dedup_window: usize,
-}
-
-impl Default for ServeOptions {
-    fn default() -> ServeOptions {
-        ServeOptions {
-            dedup_window: DEDUP_WINDOW,
-        }
-    }
-}
 
 /// Retry schedule for [`CtlChannel::request_with_retry`]: per-attempt
 /// deadline plus truncated exponential backoff between attempts.
@@ -309,31 +289,12 @@ pub fn unexpected(wanted: &str, got: &Message<'_>) -> Error {
 ///
 /// `served` is reported in stats replies (pass the application's request
 /// counter snapshot via the closure's environment and return it here).
-pub fn serve<T, F, S>(transport: T, served: S, handler: F) -> Result<()>
+pub fn serve<T, F, S>(mut transport: T, mut served: S, mut handler: F) -> Result<()>
 where
     T: Transport,
     F: FnMut(&Message<'_>, TraceContext) -> Option<Message<'static>>,
     S: FnMut() -> u64,
 {
-    serve_with_options(transport, served, handler, ServeOptions::default())
-}
-
-/// [`serve`] with explicit tuning: currently the xid-dedup window size,
-/// which re-homing replay storms may need wider than the default (every
-/// re-sent in-flight request of every re-homed agent lands in the same
-/// window).
-pub fn serve_with_options<T, F, S>(
-    mut transport: T,
-    mut served: S,
-    mut handler: F,
-    options: ServeOptions,
-) -> Result<()>
-where
-    T: Transport,
-    F: FnMut(&Message<'_>, TraceContext) -> Option<Message<'static>>,
-    S: FnMut() -> u64,
-{
-    let dedup_window = options.dedup_window.max(1);
     let counters = transport.counters();
     // Retransmission dedup: remembers the encoded reply (or deliberate
     // non-reply) of the last DEDUP_WINDOW application requests by xid. A
@@ -405,7 +366,7 @@ where
             transport.send(encoded)?;
         }
         if !is_protocol && xid != 0 {
-            while replay_order.len() >= dedup_window {
+            while replay_order.len() >= DEDUP_WINDOW {
                 if let Some(evicted) = replay_order.pop_front() {
                     replay.remove(&evicted);
                 } else {
@@ -616,18 +577,18 @@ mod tests {
     }
 
     #[test]
-    fn dedup_window_size_is_configurable() {
+    fn dedup_window_holds_the_last_xids() {
         use std::sync::atomic::{AtomicU64, Ordering};
         use std::sync::Arc;
 
         // Sends `distinct` requests under xids 1..=distinct, then
         // retransmits xid 1, and reports how many times the handler ran.
-        fn run(window: usize, distinct: u32) -> u64 {
+        fn run(distinct: u32) -> u64 {
             let (client_end, server_end) = loopback_pair();
             let applied = Arc::new(AtomicU64::new(0));
             let applied_in_handler = Arc::clone(&applied);
             let server = std::thread::spawn(move || {
-                let _ = serve_with_options(
+                let _ = serve(
                     server_end,
                     || 0,
                     move |msg, _ctx| {
@@ -637,9 +598,6 @@ mod tests {
                             applied_in_handler.fetch_add(1, Ordering::SeqCst);
                         }
                         None
-                    },
-                    ServeOptions {
-                        dedup_window: window,
                     },
                 );
             });
@@ -667,21 +625,15 @@ mod tests {
             count
         }
 
-        // Window smaller than the burst: xid 1 has been evicted by the
-        // time it is retransmitted, so the handler re-runs — the replay
-        // storm "falls out of the window".
-        assert_eq!(run(2, 3), 4, "evicted xid must re-apply");
         // Window covering the burst: the retransmission is deduped.
-        assert_eq!(run(8, 3), 3, "covered xid must be deduped");
-        // A re-homing-storm-sized burst overflows the default window...
+        assert_eq!(run(3), 3, "covered xid must be deduped");
+        // A burst one larger than the window: xid 1 has been evicted by
+        // the time it is retransmitted, so the handler re-runs.
+        let burst = DEDUP_WINDOW as u32 + 1;
         assert_eq!(
-            run(DEDUP_WINDOW, DEDUP_WINDOW as u32 + 1),
-            u64::from(DEDUP_WINDOW as u32 + 1) + 1
-        );
-        // ...and a widened window restores at-most-once application.
-        assert_eq!(
-            run(DEDUP_WINDOW * 4, DEDUP_WINDOW as u32 + 1),
-            u64::from(DEDUP_WINDOW as u32 + 1)
+            run(burst),
+            u64::from(burst) + 1,
+            "evicted xid must re-apply"
         );
     }
 

@@ -29,7 +29,7 @@ pub mod codec;
 pub mod metrics;
 pub mod transport;
 
-pub use channel::{serve, serve_with_options, CtlChannel, RetryPolicy, ServeOptions, DEDUP_WINDOW};
+pub use channel::{serve, CtlChannel, RetryPolicy, DEDUP_WINDOW};
 pub use codec::{
     ChannelStats, ErrorCode, Frame, Message, PacketIn, WireBatchGroup, WireClassifier, WireFlowMod,
     WirePathTags, WireUeRecord, HEADER_LEN, MAX_FRAME, VERSION,

@@ -127,7 +127,6 @@ pub fn run_on(topo: &Topology, config: Figure7Config) -> Result<Figure7Result> {
         scheme,
         TagPolicy {
             capacity: config.tag_capacity,
-            ..TagPolicy::default()
         },
     );
     let mut sp = ShortestPaths::new(topo);
@@ -169,21 +168,6 @@ pub fn run_on(topo: &Topology, config: Figure7Config) -> Result<Figure7Result> {
         all_max = all_max.max(rules);
         if sw.role != SwitchRole::Access {
             fabric.push(rules);
-        }
-    }
-    if std::env::var("FIG7_DUMP_TOP").is_ok() {
-        let mut by_rules: Vec<_> = topo
-            .switches()
-            .iter()
-            .map(|sw| {
-                let sh = shadows.switch(sw.id);
-                let (t1, t2) = sh.occupancy();
-                (sh.rule_count(), sw.id, sw.role, t1, t2)
-            })
-            .collect();
-        by_rules.sort_unstable_by_key(|r| std::cmp::Reverse(r.0));
-        for (rules, id, role, t1, t2) in by_rules.iter().take(8) {
-            eprintln!("  top: {id} {role:?} rules={rules} type1={t1} type2={t2}");
         }
     }
     fabric.sort_unstable();

@@ -24,11 +24,6 @@
 //!   attribution and Chrome `trace_event` export (DESIGN.md §15).
 //!   Rare lifecycle events (reconnect, fail-over, re-home…) land in
 //!   the same ring as zero-duration spans via [`Tracer::instant`].
-//!
-//! Building with the `telemetry-off` feature compiles every primitive
-//! to a zero-sized no-op — no atomics, no clock reads — while keeping
-//! the registration and snapshot API intact (all values read as zero),
-//! so instrumented code needs no feature gates of its own.
 
 pub mod metrics;
 pub mod registry;

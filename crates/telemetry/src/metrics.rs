@@ -2,14 +2,9 @@
 //!
 //! Every primitive is a handful of `Relaxed` atomic operations on the
 //! hot path — no locks, no allocation, no clock reads except where the
-//! caller explicitly starts a [`Stopwatch`]. Under the `telemetry-off`
-//! feature all of them compile to empty inline functions over zero-sized
-//! storage, so instrumented call sites cost nothing (the bench suite's
-//! `micro_telemetry` pins the enabled cost below 10 ns per increment).
+//! caller explicitly starts a [`Stopwatch`].
 
-#[cfg(not(feature = "telemetry-off"))]
 use std::sync::atomic::{AtomicU64, Ordering};
-#[cfg(not(feature = "telemetry-off"))]
 use std::time::Instant;
 
 /// Number of histogram buckets: bucket 0 holds the value 0, bucket
@@ -21,7 +16,6 @@ pub const BUCKETS: usize = 64;
 /// A monotonically increasing event count.
 #[derive(Debug, Default)]
 pub struct Counter {
-    #[cfg(not(feature = "telemetry-off"))]
     value: AtomicU64,
 }
 
@@ -40,23 +34,13 @@ impl Counter {
     /// Adds `n`.
     #[inline]
     pub fn add(&self, n: u64) {
-        #[cfg(not(feature = "telemetry-off"))]
         self.value.fetch_add(n, Ordering::Relaxed);
-        #[cfg(feature = "telemetry-off")]
-        let _ = n;
     }
 
-    /// Current value (always zero under `telemetry-off`).
+    /// Current value.
     #[inline]
     pub fn get(&self) -> u64 {
-        #[cfg(not(feature = "telemetry-off"))]
-        {
-            self.value.load(Ordering::Relaxed)
-        }
-        #[cfg(feature = "telemetry-off")]
-        {
-            0
-        }
+        self.value.load(Ordering::Relaxed)
     }
 }
 
@@ -64,7 +48,6 @@ impl Counter {
 /// track a high-water mark via [`Gauge::record_max`].
 #[derive(Debug, Default)]
 pub struct Gauge {
-    #[cfg(not(feature = "telemetry-off"))]
     value: AtomicU64,
 }
 
@@ -77,19 +60,13 @@ impl Gauge {
     /// Overwrites the value.
     #[inline]
     pub fn set(&self, v: u64) {
-        #[cfg(not(feature = "telemetry-off"))]
         self.value.store(v, Ordering::Relaxed);
-        #[cfg(feature = "telemetry-off")]
-        let _ = v;
     }
 
     /// Adds `n`.
     #[inline]
     pub fn add(&self, n: u64) {
-        #[cfg(not(feature = "telemetry-off"))]
         self.value.fetch_add(n, Ordering::Relaxed);
-        #[cfg(feature = "telemetry-off")]
-        let _ = n;
     }
 
     /// Subtracts `n` (saturating at zero would cost a CAS loop; the
@@ -97,33 +74,20 @@ impl Gauge {
     /// subtraction is exact in practice).
     #[inline]
     pub fn sub(&self, n: u64) {
-        #[cfg(not(feature = "telemetry-off"))]
         self.value.fetch_sub(n, Ordering::Relaxed);
-        #[cfg(feature = "telemetry-off")]
-        let _ = n;
     }
 
     /// Raises the gauge to `v` if `v` is larger — a lock-free
     /// high-water mark.
     #[inline]
     pub fn record_max(&self, v: u64) {
-        #[cfg(not(feature = "telemetry-off"))]
         self.value.fetch_max(v, Ordering::Relaxed);
-        #[cfg(feature = "telemetry-off")]
-        let _ = v;
     }
 
-    /// Current value (always zero under `telemetry-off`).
+    /// Current value.
     #[inline]
     pub fn get(&self) -> u64 {
-        #[cfg(not(feature = "telemetry-off"))]
-        {
-            self.value.load(Ordering::Relaxed)
-        }
-        #[cfg(feature = "telemetry-off")]
-        {
-            0
-        }
+        self.value.load(Ordering::Relaxed)
     }
 }
 
@@ -134,26 +98,18 @@ impl Gauge {
 /// which is all a p50/p95/p99 latency readout needs.
 #[derive(Debug)]
 pub struct Histogram {
-    #[cfg(not(feature = "telemetry-off"))]
     buckets: [AtomicU64; BUCKETS],
-    #[cfg(not(feature = "telemetry-off"))]
     count: AtomicU64,
-    #[cfg(not(feature = "telemetry-off"))]
     sum: AtomicU64,
-    #[cfg(not(feature = "telemetry-off"))]
     max: AtomicU64,
 }
 
 impl Default for Histogram {
     fn default() -> Histogram {
         Histogram {
-            #[cfg(not(feature = "telemetry-off"))]
             buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            #[cfg(not(feature = "telemetry-off"))]
             count: AtomicU64::new(0),
-            #[cfg(not(feature = "telemetry-off"))]
             sum: AtomicU64::new(0),
-            #[cfg(not(feature = "telemetry-off"))]
             max: AtomicU64::new(0),
         }
     }
@@ -208,69 +164,36 @@ impl Histogram {
     /// one nanosecond granularity is ~584 years of accumulated latency.
     #[inline]
     pub fn record(&self, v: u64) {
-        #[cfg(not(feature = "telemetry-off"))]
-        {
-            self.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
-            self.count.fetch_add(1, Ordering::Relaxed);
-            self.sum.fetch_add(v, Ordering::Relaxed);
-            self.max.fetch_max(v, Ordering::Relaxed);
-        }
-        #[cfg(feature = "telemetry-off")]
-        let _ = v;
+        self.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
+        self.count.fetch_add(1, Ordering::Relaxed);
+        self.sum.fetch_add(v, Ordering::Relaxed);
+        self.max.fetch_max(v, Ordering::Relaxed);
     }
 
     /// Number of samples recorded.
     #[inline]
     pub fn count(&self) -> u64 {
-        #[cfg(not(feature = "telemetry-off"))]
-        {
-            self.count.load(Ordering::Relaxed)
-        }
-        #[cfg(feature = "telemetry-off")]
-        {
-            0
-        }
+        self.count.load(Ordering::Relaxed)
     }
 
     /// Sum of all samples.
     #[inline]
     pub fn sum(&self) -> u64 {
-        #[cfg(not(feature = "telemetry-off"))]
-        {
-            self.sum.load(Ordering::Relaxed)
-        }
-        #[cfg(feature = "telemetry-off")]
-        {
-            0
-        }
+        self.sum.load(Ordering::Relaxed)
     }
 
     /// Largest sample recorded.
     #[inline]
     pub fn max(&self) -> u64 {
-        #[cfg(not(feature = "telemetry-off"))]
-        {
-            self.max.load(Ordering::Relaxed)
-        }
-        #[cfg(feature = "telemetry-off")]
-        {
-            0
-        }
+        self.max.load(Ordering::Relaxed)
     }
 
-    /// Raw bucket counts (all zero under `telemetry-off`).
+    /// Raw bucket counts.
     pub fn buckets(&self) -> Vec<u64> {
-        #[cfg(not(feature = "telemetry-off"))]
-        {
-            self.buckets
-                .iter()
-                .map(|b| b.load(Ordering::Relaxed))
-                .collect()
-        }
-        #[cfg(feature = "telemetry-off")]
-        {
-            vec![0; BUCKETS]
-        }
+        self.buckets
+            .iter()
+            .map(|b| b.load(Ordering::Relaxed))
+            .collect()
     }
 
     /// Quantile `q` in `[0, 1]`; zero when no samples were recorded.
@@ -280,21 +203,17 @@ impl Histogram {
 }
 
 /// A started clock that records its elapsed nanoseconds into a
-/// [`Histogram`]. Zero-sized — and never reads the clock — under
-/// `telemetry-off`, so timing instrumentation compiles out with the
-/// metrics it feeds.
+/// [`Histogram`].
 #[derive(Debug, Clone, Copy)]
 pub struct Stopwatch {
-    #[cfg(not(feature = "telemetry-off"))]
     start: Instant,
 }
 
 impl Stopwatch {
-    /// Reads the monotonic clock (a no-op under `telemetry-off`).
+    /// Reads the monotonic clock.
     #[inline]
     pub fn start() -> Stopwatch {
         Stopwatch {
-            #[cfg(not(feature = "telemetry-off"))]
             start: Instant::now(),
         }
     }
@@ -302,14 +221,7 @@ impl Stopwatch {
     /// Nanoseconds since [`Stopwatch::start`], saturating at `u64::MAX`.
     #[inline]
     pub fn elapsed_ns(&self) -> u64 {
-        #[cfg(not(feature = "telemetry-off"))]
-        {
-            u64::try_from(self.start.elapsed().as_nanos()).unwrap_or(u64::MAX)
-        }
-        #[cfg(feature = "telemetry-off")]
-        {
-            0
-        }
+        u64::try_from(self.start.elapsed().as_nanos()).unwrap_or(u64::MAX)
     }
 
     /// Records the elapsed nanoseconds into `hist`.
@@ -319,7 +231,7 @@ impl Stopwatch {
     }
 }
 
-#[cfg(all(test, not(feature = "telemetry-off")))]
+#[cfg(test)]
 mod tests {
     use super::*;
 

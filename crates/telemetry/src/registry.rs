@@ -167,17 +167,13 @@ mod tests {
         b.inc();
         other.inc();
         assert!(Arc::ptr_eq(&a, &b));
-        #[cfg(not(feature = "telemetry-off"))]
-        {
-            assert_eq!(a.get(), 2);
-            assert_eq!(other.get(), 1);
-            let snap = r.snapshot();
-            assert_eq!(snap.counter("softcell_test_total"), 3, "family sums");
-            assert_eq!(snap.counter_labeled("softcell_test_total", "shard=1"), 1);
-        }
+        assert_eq!(a.get(), 2);
+        assert_eq!(other.get(), 1);
+        let snap = r.snapshot();
+        assert_eq!(snap.counter("softcell_test_total"), 3, "family sums");
+        assert_eq!(snap.counter_labeled("softcell_test_total", "shard=1"), 1);
     }
 
-    #[cfg(not(feature = "telemetry-off"))]
     #[test]
     fn snapshot_carries_tracer_spans() {
         let r = Registry::default();
@@ -205,7 +201,6 @@ mod tests {
         assert_eq!(a, b);
     }
 
-    #[cfg(not(feature = "telemetry-off"))]
     #[test]
     fn snapshot_captures_all_metric_kinds() {
         let r = Registry::new();

@@ -19,11 +19,6 @@
 //!   threshold, so tail latency is never invisible.
 //! * Records land in a bounded ring (oldest evicted, eviction counted)
 //!   — a day-long run cannot grow without bound.
-//! * Under the `telemetry-off` feature every primitive here compiles
-//!   to a no-op: [`Span`] is a ZST, clocks are never read, and
-//!   [`TraceContext`]s are always [`TraceContext::NONE`] (frames stay
-//!   untraced). Only the context *struct* survives, because it is wire
-//!   data.
 //!
 //! Spans are **RAII-only**: [`Span`] records itself on drop, so an
 //! early return or panic cannot leak an open span, and the analyzer's
@@ -40,17 +35,11 @@
 //! synchronous call chains — the sharded engine under a worker span —
 //! nest without threading a context through every signature.
 
-#[cfg(not(feature = "telemetry-off"))]
 use std::cell::RefCell;
-#[cfg(not(feature = "telemetry-off"))]
 use std::collections::VecDeque;
-#[cfg(not(feature = "telemetry-off"))]
 use std::sync::atomic::{AtomicU64, Ordering};
-#[cfg(not(feature = "telemetry-off"))]
 use std::sync::Mutex;
-#[cfg(not(feature = "telemetry-off"))]
 use std::sync::OnceLock;
-#[cfg(not(feature = "telemetry-off"))]
 use std::time::Instant;
 
 /// Default span-ring capacity: enough for several thousand sampled
@@ -64,9 +53,6 @@ pub const DEFAULT_SLOW_US: u64 = 5_000;
 /// queued requests and on the wire. `trace_id == 0` means "not traced"
 /// ([`TraceContext::NONE`]); `parent` is the span id the next span
 /// should hang off.
-///
-/// This struct is real even under `telemetry-off` (it is wire data),
-/// but no code path produces an active one there.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TraceContext {
     /// Trace this operation belongs to (0 = none).
@@ -146,23 +132,15 @@ pub struct SpanRecord {
 
 /// Microseconds since the process-wide trace epoch. All tracers share
 /// one epoch, so spans recorded by different registries merge onto one
-/// timeline. Returns 0 under `telemetry-off` (no clock read).
+/// timeline.
 #[inline]
 pub fn now_us() -> u64 {
-    #[cfg(not(feature = "telemetry-off"))]
-    {
-        static EPOCH: OnceLock<Instant> = OnceLock::new();
-        let e = EPOCH.get_or_init(Instant::now);
-        u64::try_from(e.elapsed().as_micros()).unwrap_or(u64::MAX)
-    }
-    #[cfg(feature = "telemetry-off")]
-    {
-        0
-    }
+    static EPOCH: OnceLock<Instant> = OnceLock::new();
+    let e = EPOCH.get_or_init(Instant::now);
+    u64::try_from(e.elapsed().as_micros()).unwrap_or(u64::MAX)
 }
 
 /// Process-wide id allocator for trace and span ids (never hands out 0).
-#[cfg(not(feature = "telemetry-off"))]
 #[inline]
 fn next_id() -> u64 {
     static NEXT: AtomicU64 = AtomicU64::new(1);
@@ -170,7 +148,6 @@ fn next_id() -> u64 {
     NEXT.fetch_add(1, Ordering::Relaxed)
 }
 
-#[cfg(not(feature = "telemetry-off"))]
 thread_local! {
     /// Innermost live span's child context on this thread.
     static CURRENT: RefCell<Vec<TraceContext>> = const { RefCell::new(Vec::new()) };
@@ -180,17 +157,9 @@ thread_local! {
 /// [`TraceContext::NONE`] outside any span.
 #[inline]
 pub fn current() -> TraceContext {
-    #[cfg(not(feature = "telemetry-off"))]
-    {
-        CURRENT.with(|c| c.borrow().last().copied().unwrap_or(TraceContext::NONE))
-    }
-    #[cfg(feature = "telemetry-off")]
-    {
-        TraceContext::NONE
-    }
+    CURRENT.with(|c| c.borrow().last().copied().unwrap_or(TraceContext::NONE))
 }
 
-#[cfg(not(feature = "telemetry-off"))]
 #[derive(Debug)]
 struct TracerInner {
     ring: VecDeque<SpanRecord>,
@@ -204,16 +173,12 @@ struct TracerInner {
 /// and server-side spans of one process land in one ring.
 #[derive(Debug)]
 pub struct Tracer {
-    #[cfg(not(feature = "telemetry-off"))]
     inner: Mutex<TracerInner>,
     /// Sample 1 root in N (0 = tracing disabled).
-    #[cfg(not(feature = "telemetry-off"))]
     sample_every: AtomicU64,
     /// Unsampled roots slower than this still record (µs).
-    #[cfg(not(feature = "telemetry-off"))]
     slow_us: AtomicU64,
     /// Root arrival counter driving the 1-in-N decision.
-    #[cfg(not(feature = "telemetry-off"))]
     arrivals: AtomicU64,
 }
 
@@ -226,20 +191,14 @@ impl Default for Tracer {
 impl Tracer {
     /// Creates a disabled tracer whose ring holds at most `cap` spans.
     pub fn with_capacity(cap: usize) -> Tracer {
-        #[cfg(feature = "telemetry-off")]
-        let _ = cap;
         Tracer {
-            #[cfg(not(feature = "telemetry-off"))]
             inner: Mutex::new(TracerInner {
                 ring: VecDeque::new(),
                 cap: cap.max(1),
                 dropped: 0,
             }),
-            #[cfg(not(feature = "telemetry-off"))]
             sample_every: AtomicU64::new(0),
-            #[cfg(not(feature = "telemetry-off"))]
             slow_us: AtomicU64::new(DEFAULT_SLOW_US),
-            #[cfg(not(feature = "telemetry-off"))]
             arrivals: AtomicU64::new(0),
         }
     }
@@ -247,54 +206,34 @@ impl Tracer {
     /// Arms tracing: sample one root in `every` (0 disarms), and record
     /// any unsampled root slower than `slow_us` microseconds.
     pub fn set_sampling(&self, every: u64, slow_us: u64) {
-        #[cfg(not(feature = "telemetry-off"))]
-        {
-            // softcell-lint: allow(atomics-order) -- pure config cell, readers tolerate staleness
-            self.slow_us.store(slow_us, Ordering::Relaxed);
-            // softcell-lint: allow(atomics-order) -- pure config cell, readers tolerate staleness
-            self.sample_every.store(every, Ordering::Relaxed);
-        }
-        #[cfg(feature = "telemetry-off")]
-        let _ = (every, slow_us);
+        // softcell-lint: allow(atomics-order) -- pure config cell, readers tolerate staleness
+        self.slow_us.store(slow_us, Ordering::Relaxed);
+        // softcell-lint: allow(atomics-order) -- pure config cell, readers tolerate staleness
+        self.sample_every.store(every, Ordering::Relaxed);
     }
 
     /// Whether any root could currently record.
     #[inline]
     pub fn is_armed(&self) -> bool {
-        #[cfg(not(feature = "telemetry-off"))]
-        {
-            // softcell-lint: allow(atomics-order) -- pure config cell, readers tolerate staleness
-            self.sample_every.load(Ordering::Relaxed) != 0
-        }
-        #[cfg(feature = "telemetry-off")]
-        {
-            false
-        }
+        // softcell-lint: allow(atomics-order) -- pure config cell, readers tolerate staleness
+        self.sample_every.load(Ordering::Relaxed) != 0
     }
 
     /// Opens a root span: makes the 1-in-N sampling decision and, when
     /// unsampled but armed, arms the slow-outlier shadow capture.
     #[inline]
     pub fn root(&self, kind: &'static str) -> Span<'_> {
-        #[cfg(not(feature = "telemetry-off"))]
-        {
-            // softcell-lint: allow(atomics-order) -- pure config cell, readers tolerate staleness
-            let every = self.sample_every.load(Ordering::Relaxed);
-            if every == 0 {
-                return Span::disabled();
-            }
-            // softcell-lint: allow(atomics-order) -- pure counter, only sampled modulo matters
-            let n = self.arrivals.fetch_add(1, Ordering::Relaxed);
-            if n.is_multiple_of(every) {
-                Span::open(self, kind, next_id(), 0, SpanMode::Sampled)
-            } else {
-                Span::open(self, kind, next_id(), 0, SpanMode::Shadow)
-            }
+        // softcell-lint: allow(atomics-order) -- pure config cell, readers tolerate staleness
+        let every = self.sample_every.load(Ordering::Relaxed);
+        if every == 0 {
+            return Span::disabled();
         }
-        #[cfg(feature = "telemetry-off")]
-        {
-            let _ = kind;
-            Span::disabled()
+        // softcell-lint: allow(atomics-order) -- pure counter, only sampled modulo matters
+        let n = self.arrivals.fetch_add(1, Ordering::Relaxed);
+        if n.is_multiple_of(every) {
+            Span::open(self, kind, next_id(), 0, SpanMode::Sampled)
+        } else {
+            Span::open(self, kind, next_id(), 0, SpanMode::Shadow)
         }
     }
 
@@ -303,18 +242,10 @@ impl Tracer {
     /// sampling decision made at the root propagates for free.
     #[inline]
     pub fn span_in(&self, ctx: TraceContext, kind: &'static str) -> Span<'_> {
-        #[cfg(not(feature = "telemetry-off"))]
-        {
-            if !ctx.is_active() {
-                return Span::disabled();
-            }
-            Span::open_in(self, kind, ctx)
+        if !ctx.is_active() {
+            return Span::disabled();
         }
-        #[cfg(feature = "telemetry-off")]
-        {
-            let _ = (ctx, kind);
-            Span::disabled()
-        }
+        Span::open_in(self, kind, ctx)
     }
 
     /// Opens a child span under the thread's current context (the
@@ -338,24 +269,19 @@ impl Tracer {
         shard: i64,
         label: u64,
     ) {
-        #[cfg(not(feature = "telemetry-off"))]
-        {
-            if !ctx.is_active() {
-                return;
-            }
-            self.push(SpanRecord {
-                trace_id: ctx.trace_id,
-                span_id: next_id(),
-                parent: ctx.parent,
-                kind,
-                start_us,
-                end_us: end_us.max(start_us),
-                shard,
-                label,
-            });
+        if !ctx.is_active() {
+            return;
         }
-        #[cfg(feature = "telemetry-off")]
-        let _ = (ctx, kind, start_us, end_us, shard, label);
+        self.push(SpanRecord {
+            trace_id: ctx.trace_id,
+            span_id: next_id(),
+            parent: ctx.parent,
+            kind,
+            start_us,
+            end_us: end_us.max(start_us),
+            shard,
+            label,
+        });
     }
 
     /// Records a lifecycle instant — a zero-duration span on the
@@ -366,31 +292,25 @@ impl Tracer {
     /// never the per-request path. Like [`record_span`](Self::record_span)
     /// it is one call and cannot leave a span open.
     pub fn instant(&self, kind: &'static str, label: u64) {
-        #[cfg(not(feature = "telemetry-off"))]
-        {
-            let ctx = current();
-            let (trace_id, parent) = if ctx.is_active() {
-                (ctx.trace_id, ctx.parent)
-            } else {
-                (next_id(), 0)
-            };
-            let now = now_us();
-            self.push(SpanRecord {
-                trace_id,
-                span_id: next_id(),
-                parent,
-                kind,
-                start_us: now,
-                end_us: now,
-                shard: -1,
-                label,
-            });
-        }
-        #[cfg(feature = "telemetry-off")]
-        let _ = (kind, label);
+        let ctx = current();
+        let (trace_id, parent) = if ctx.is_active() {
+            (ctx.trace_id, ctx.parent)
+        } else {
+            (next_id(), 0)
+        };
+        let now = now_us();
+        self.push(SpanRecord {
+            trace_id,
+            span_id: next_id(),
+            parent,
+            kind,
+            start_us: now,
+            end_us: now,
+            shard: -1,
+            label,
+        });
     }
 
-    #[cfg(not(feature = "telemetry-off"))]
     fn push(&self, rec: SpanRecord) {
         let mut inner = self.inner.lock().expect("tracer poisoned");
         if inner.ring.len() == inner.cap {
@@ -402,31 +322,16 @@ impl Tracer {
 
     /// The retained spans, oldest first.
     pub fn records(&self) -> Vec<SpanRecord> {
-        #[cfg(not(feature = "telemetry-off"))]
-        {
-            let inner = self.inner.lock().expect("tracer poisoned");
-            inner.ring.iter().copied().collect()
-        }
-        #[cfg(feature = "telemetry-off")]
-        {
-            Vec::new()
-        }
+        let inner = self.inner.lock().expect("tracer poisoned");
+        inner.ring.iter().copied().collect()
     }
 
     /// Spans evicted from the ring since creation.
     pub fn dropped(&self) -> u64 {
-        #[cfg(not(feature = "telemetry-off"))]
-        {
-            self.inner.lock().expect("tracer poisoned").dropped
-        }
-        #[cfg(feature = "telemetry-off")]
-        {
-            0
-        }
+        self.inner.lock().expect("tracer poisoned").dropped
     }
 }
 
-#[cfg(not(feature = "telemetry-off"))]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum SpanMode {
     /// Records unconditionally; children propagate.
@@ -441,13 +346,9 @@ enum SpanMode {
 /// context, so nested spans parent correctly without plumbing.
 #[must_use = "a span records on drop; binding it to _ ends it immediately"]
 pub struct Span<'a> {
-    #[cfg(not(feature = "telemetry-off"))]
     live: Option<LiveSpan<'a>>,
-    #[cfg(feature = "telemetry-off")]
-    _tracer: std::marker::PhantomData<&'a Tracer>,
 }
 
-#[cfg(not(feature = "telemetry-off"))]
 struct LiveSpan<'a> {
     tracer: &'a Tracer,
     trace_id: u64,
@@ -466,15 +367,9 @@ impl<'a> Span<'a> {
     /// A span that records nothing and exposes an inactive context.
     #[inline]
     pub fn disabled() -> Span<'a> {
-        Span {
-            #[cfg(not(feature = "telemetry-off"))]
-            live: None,
-            #[cfg(feature = "telemetry-off")]
-            _tracer: std::marker::PhantomData,
-        }
+        Span { live: None }
     }
 
-    #[cfg(not(feature = "telemetry-off"))]
     fn open(
         tracer: &'a Tracer,
         kind: &'static str,
@@ -508,7 +403,6 @@ impl<'a> Span<'a> {
         }
     }
 
-    #[cfg(not(feature = "telemetry-off"))]
     fn open_in(tracer: &'a Tracer, kind: &'static str, ctx: TraceContext) -> Span<'a> {
         Span::open(tracer, kind, ctx.trace_id, ctx.parent, SpanMode::Sampled)
     }
@@ -518,19 +412,12 @@ impl<'a> Span<'a> {
     /// shadow spans.
     #[inline]
     pub fn ctx(&self) -> TraceContext {
-        #[cfg(not(feature = "telemetry-off"))]
-        {
-            match &self.live {
-                Some(l) if l.mode == SpanMode::Sampled => TraceContext {
-                    trace_id: l.trace_id,
-                    parent: l.span_id,
-                },
-                _ => TraceContext::NONE,
-            }
-        }
-        #[cfg(feature = "telemetry-off")]
-        {
-            TraceContext::NONE
+        match &self.live {
+            Some(l) if l.mode == SpanMode::Sampled => TraceContext {
+                trace_id: l.trace_id,
+                parent: l.span_id,
+            },
+            _ => TraceContext::NONE,
         }
     }
 
@@ -543,29 +430,22 @@ impl<'a> Span<'a> {
     /// Labels the span with the shard it ran on.
     #[inline]
     pub fn set_shard(&mut self, shard: usize) {
-        #[cfg(not(feature = "telemetry-off"))]
         if let Some(l) = &mut self.live {
             l.shard = shard as i64;
         }
-        #[cfg(feature = "telemetry-off")]
-        let _ = shard;
     }
 
     /// Attaches the free-form operand (switch id, peer seat, count…).
     #[inline]
     pub fn set_label(&mut self, label: u64) {
-        #[cfg(not(feature = "telemetry-off"))]
         if let Some(l) = &mut self.live {
             l.label = label;
         }
-        #[cfg(feature = "telemetry-off")]
-        let _ = label;
     }
 }
 
 impl Drop for Span<'_> {
     fn drop(&mut self) {
-        #[cfg(not(feature = "telemetry-off"))]
         if let Some(l) = self.live.take() {
             if l.pushed {
                 CURRENT.with(|c| {
@@ -602,7 +482,7 @@ impl Drop for Span<'_> {
     }
 }
 
-#[cfg(all(test, not(feature = "telemetry-off")))]
+#[cfg(test)]
 mod tests {
     use super::*;
 

@@ -1,8 +1,6 @@
 //! Histogram edge cases: empty snapshots, top-bucket saturation, and
 //! concurrent recording agreeing with sequential totals.
 
-#![cfg(not(feature = "telemetry-off"))]
-
 use std::sync::Arc;
 
 use proptest::prelude::*;

@@ -163,10 +163,14 @@ print(f"telemetry ok: packet_in_total={total}, "
       f"p50={lat['p50']}ns p99={lat['p99']}ns")
 PY
 
-# The kill switch must still compile everything it touches: with
-# telemetry-off the substrate is no-ops, not missing symbols.
-echo "==> build with --features telemetry-off"
-cargo build --release -q -p softcell-bench --features telemetry-off
+# Configuration-space gate: the workspace builds and configures one
+# way — the way every gate above ran it. A cargo feature, an environment
+# switch in non-test code, or a bench target under crates/ is a
+# configuration no test, campaign or softcell-perf workload sees.
+echo "==> configuration-space gate (features / env switches / benches under crates/)"
+if grep -n '^\[features\]' crates/*/Cargo.toml; then echo "cargo feature under crates/"; exit 1; fi
+if awk '/#\[cfg\(test\)\]/ { nextfile } /env::var/ { print FILENAME ":" FNR ": " $0; bad = 1 } END { exit !bad }' $(find crates/*/src -name '*.rs'); then echo "environment switch in non-test code"; exit 1; fi
+if find crates -type d -name benches | grep .; then echo "bench target under crates/"; exit 1; fi
 
 echo "==> cargo fmt --check"
 cargo fmt --check
