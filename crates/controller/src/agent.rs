@@ -25,7 +25,6 @@
 //! that owns the station or the UE, which is why the two can never
 //! disagree about an id or a slot.
 
-use std::collections::{HashMap, HashSet};
 use std::net::Ipv4Addr;
 
 use softcell_dataplane::{MicroflowAction, Switch};
@@ -33,8 +32,8 @@ use softcell_packet::{FiveTuple, HeaderView};
 use softcell_policy::clause::{AccessControl, ClauseId};
 use softcell_policy::UeClassifier;
 use softcell_types::{
-    AddressingScheme, BaseStationId, Error, LocIp, PortEmbedding, PortNo, Result, SimDuration,
-    SimTime, UeId, UeImsi,
+    AddressingScheme, BaseStationId, Error, FxHashMap, LocIp, PortEmbedding, PortNo, Result,
+    SimDuration, SimTime, UeId, UeImsi,
 };
 
 use crate::core::{AttachGrant, PathTags};
@@ -98,17 +97,25 @@ impl UeIdPool {
 #[derive(Clone, Debug, Default)]
 pub struct FlowSlots {
     next: u16,
-    active: HashSet<u16>,
+    /// Bit `s % 64` of word `s / 64` is set while slot `s` is active;
+    /// grown on demand (one word at the default 64 slots).
+    active: Vec<u64>,
 }
 
 impl FlowSlots {
+    fn is_active(&self, slot: u16) -> bool {
+        let word = self.active.get(usize::from(slot / 64));
+        word.is_some_and(|w| w & (1 << (slot % 64)) != 0)
+    }
+
     /// Claims a slot below `slots`: scans upward from just past the last
     /// one claimed, wrapping around, skipping active slots. `None` when
     /// all `slots` are active.
     pub fn allocate(&mut self, slots: u16) -> Option<u16> {
         let mut slot = self.next % slots;
         for _ in 0..slots {
-            if self.active.insert(slot) {
+            if !self.is_active(slot) {
+                self.occupy(slot);
                 self.next = slot + 1;
                 return Some(slot);
             }
@@ -120,16 +127,22 @@ impl FlowSlots {
     /// Marks a slot chosen elsewhere (a flow carried in by a handoff)
     /// as active.
     pub fn occupy(&mut self, slot: u16) {
-        self.active.insert(slot);
+        let word = usize::from(slot / 64);
+        if word >= self.active.len() {
+            self.active.resize(word + 1, 0);
+        }
+        self.active[word] |= 1 << (slot % 64);
     }
 
     /// Frees a slot whose flow ended.
     pub fn release(&mut self, slot: u16) {
-        self.active.remove(&slot);
+        if let Some(w) = self.active.get_mut(usize::from(slot / 64)) {
+            *w &= !(1 << (slot % 64));
+        }
     }
 
-    /// Frees every slot and restarts the scan at slot 0 (the set keeps
-    /// its capacity: a handoff clears and refills it in one go).
+    /// Frees every slot and restarts the scan at slot 0 (the words keep
+    /// their capacity: a handoff clears and refills them in one go).
     pub fn clear(&mut self) {
         self.next = 0;
         self.active.clear();
@@ -286,11 +299,11 @@ pub struct LocalAgent {
     radio_port: PortNo,
     scheme: AddressingScheme,
     ports: PortEmbedding,
-    ues: HashMap<UeImsi, AgentUe>,
-    by_permanent: HashMap<Ipv4Addr, UeImsi>,
+    ues: FxHashMap<UeImsi, AgentUe>,
+    by_permanent: FxHashMap<Ipv4Addr, UeImsi>,
     ids: UeIdPool,
     /// Cached policy tags per clause — "the current policy tags" of §4.2.
-    tag_cache: HashMap<ClauseId, PathTags>,
+    tag_cache: FxHashMap<ClauseId, PathTags>,
     stats: AgentStats,
     /// Idle timeout handed to microflow entries.
     pub microflow_idle: SimDuration,
@@ -309,10 +322,10 @@ impl LocalAgent {
             radio_port,
             scheme,
             ports,
-            ues: HashMap::new(),
-            by_permanent: HashMap::new(),
+            ues: FxHashMap::default(),
+            by_permanent: FxHashMap::default(),
             ids: UeIdPool::default(),
-            tag_cache: HashMap::new(),
+            tag_cache: FxHashMap::default(),
             stats: AgentStats::default(),
             microflow_idle: MICROFLOW_IDLE,
         }
@@ -520,18 +533,14 @@ impl LocalAgent {
             .ok_or_else(|| Error::NotFound(format!("no attached UE owns {}", view.src())))?;
 
         // classify against the cached per-UE classifier
-        let (clause, access) = {
-            let ue = self.ues.get(&imsi).expect("by_permanent is consistent");
-            let entry = ue
-                .classifier
-                .classify(view.tuple.proto, view.dst_port())
-                .ok_or_else(|| {
-                    Error::InvalidState("policy matches nothing for this flow".into())
-                })?;
-            (entry.clause, entry.access)
-        };
+        let ue = self.ues.get_mut(&imsi).expect("by_permanent is consistent");
+        let entry = ue
+            .classifier
+            .classify(view.tuple.proto, view.dst_port())
+            .ok_or_else(|| Error::InvalidState("policy matches nothing for this flow".into()))?;
+        let clause = entry.clause;
 
-        if access == AccessControl::Deny {
+        if entry.access == AccessControl::Deny {
             self.stats.denied += 1;
             let deadline = now + self.microflow_idle;
             switch
@@ -555,7 +564,6 @@ impl LocalAgent {
             }
         };
 
-        let ue = self.ues.get_mut(&imsi).expect("checked above");
         let loc = LocIp::new(self.bs, ue.ue_id);
         let loc_addr = self.scheme.encode(loc)?;
 
@@ -795,7 +803,7 @@ mod tests {
         let rec = agent
             .handle_attach(UeImsi(0), &mut ctl, SimTime::ZERO)
             .unwrap();
-        let mut seen = HashSet::new();
+        let mut seen = std::collections::HashSet::new();
         let mut first_tuple = None;
         for i in 0..10 {
             let t = FiveTuple {
@@ -984,41 +992,64 @@ mod tests {
                 prop_assert_eq!(rest.len() + held.len(), max as usize);
             }
 
-            /// `FlowSlots` against a set model: the scan wraps around
-            /// and skips occupied slots, never returns an active slot,
-            /// and refuses only when every slot is active.
+            /// The bitmap `FlowSlots` against the `HashSet` one it
+            /// replaced, operation for operation: same slot from every
+            /// `allocate` (the scan wraps around and skips occupied
+            /// slots), same refusal when every slot is active, same
+            /// restart after `clear` — at one word, across a word
+            /// boundary and at the widest embedding.
             #[test]
-            fn flow_slots_scan_skips_active_and_wraps(
-                slots in 1u16..17,
-                ops in proptest::collection::vec((0u8..4, 0u16..16), 1..200),
+            fn flow_slots_match_the_hash_set_they_replaced(
+                size in 0usize..9,
+                ops in proptest::collection::vec((0u8..9, any::<u16>()), 1..200),
             ) {
-                let mut fs = FlowSlots::default();
-                let mut active: BTreeSet<u16> = BTreeSet::new();
-                let mut cursor = 0u16; // model: where the next scan starts
+                #[derive(Default)]
+                struct SetSlots {
+                    next: u16,
+                    active: std::collections::HashSet<u16>,
+                }
+                impl SetSlots {
+                    fn allocate(&mut self, slots: u16) -> Option<u16> {
+                        let mut slot = self.next % slots;
+                        for _ in 0..slots {
+                            if self.active.insert(slot) {
+                                self.next = slot + 1;
+                                return Some(slot);
+                            }
+                            slot = (slot + 1) % slots;
+                        }
+                        None
+                    }
+                }
+                let slots = [1u16, 2, 3, 16, 63, 64, 65, 1_024, 32_768][size];
+                let (mut fs, mut model) = (FlowSlots::default(), SetSlots::default());
                 for (op, pick) in ops {
                     let pick = pick % slots;
                     match op {
-                        0 | 1 => match fs.allocate(slots) {
-                            Some(slot) => {
-                                let expect = (0..slots)
-                                    .map(|i| (cursor + i) % slots)
-                                    .find(|s| !active.contains(s));
-                                prop_assert_eq!(Some(slot), expect, "first free from cursor");
-                                active.insert(slot);
-                                cursor = (slot + 1) % slots;
-                            }
-                            None => prop_assert_eq!(active.len(), slots as usize),
-                        },
-                        2 => {
+                        0..=3 => prop_assert_eq!(fs.allocate(slots), model.allocate(slots)),
+                        4 | 5 => {
                             fs.occupy(pick);
-                            active.insert(pick);
+                            model.active.insert(pick);
+                        }
+                        6 | 7 => {
+                            fs.release(pick);
+                            model.active.remove(&pick);
                         }
                         _ => {
-                            fs.release(pick);
-                            active.remove(&pick);
+                            fs.clear();
+                            model.next = 0;
+                            model.active.clear();
                         }
                     }
                 }
+                // fill the table: every remaining slot, then `None`
+                while let Some(slot) = model.allocate(slots) {
+                    prop_assert_eq!(fs.allocate(slots), Some(slot));
+                }
+                prop_assert_eq!(model.active.len(), usize::from(slots));
+                prop_assert_eq!(fs.allocate(slots), None);
+                fs.release(slots / 2);
+                prop_assert_eq!(fs.allocate(slots), Some(slots / 2), "the one free slot");
                 fs.clear();
                 prop_assert_eq!(fs.allocate(slots), Some(0), "cleared: scan restarts at 0");
             }

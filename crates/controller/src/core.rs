@@ -279,9 +279,14 @@ impl<'t> CentralController<'t> {
         let record = self
             .state
             .attach_with_ip(imsi, bs, ue_id, now, permanent_ip)?;
-        let attrs = self.state.subscriber(imsi)?;
-        let classifier = UeClassifier::compile(&self.state.policy, &self.apps, attrs);
+        let classifier = self.classifier_of(imsi)?;
         Ok(AttachGrant { record, classifier })
+    }
+
+    /// The subscriber's compiled classifier (see
+    /// [`ControllerState::classifier`]).
+    pub(crate) fn classifier_of(&mut self, imsi: UeImsi) -> Result<UeClassifier> {
+        self.state.classifier(imsi, &self.apps)
     }
 
     /// Detaches a UE. Any in-flight mobility transition is aborted: the
@@ -319,7 +324,7 @@ impl<'t> CentralController<'t> {
         }
         let clause_def = self
             .state
-            .policy
+            .policy()
             .clause(clause)
             .ok_or_else(|| Error::NotFound(format!("clause {clause:?}")))?;
         if clause_def.action.access == AccessControl::Deny {
@@ -461,7 +466,7 @@ impl<'t> CentralController<'t> {
         }
         let clause_def = self
             .state
-            .policy
+            .policy()
             .clause(clause)
             .ok_or_else(|| Error::NotFound(format!("clause {clause:?}")))?;
         if clause_def.action.access == AccessControl::Deny {
@@ -543,9 +548,11 @@ impl<'t> CentralController<'t> {
         self.installer = fresh;
         self.pending_ops.extend(ops);
         self.installed.clear();
+        let policy = self.state.policy();
+        let qos_of = |clause| policy.clause(clause).and_then(|c| c.action.qos);
         for ((clause, bs), mut tags, path) in internet {
             tags.access_out_port = self.access_out_port(&path)?;
-            tags.qos = self.state.policy.clause(clause).and_then(|c| c.action.qos);
+            tags.qos = qos_of(clause);
             self.installed.insert((clause, bs), tags);
         }
         self.m2m.clear();
@@ -556,7 +563,6 @@ impl<'t> CentralController<'t> {
                 .topo
                 .port_towards(from_access, next)
                 .ok_or_else(|| Error::NotFound(format!("{from_access} unlinked from {next}")))?;
-            let qos = self.state.policy.clause(clause).and_then(|c| c.action.qos);
             self.m2m.insert(
                 (clause, from, to),
                 PathTags {
@@ -564,7 +570,7 @@ impl<'t> CentralController<'t> {
                     uplink_exit: report.entry_tag(),
                     downlink_final: report.exit_tag(),
                     access_out_port,
-                    qos,
+                    qos: qos_of(clause),
                 },
             );
         }

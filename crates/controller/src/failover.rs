@@ -69,7 +69,7 @@ impl<'t> CentralController<'t> {
         for rec in self.state().attached() {
             if rec.bs == bs {
                 let attrs = self.state().subscriber(rec.imsi)?;
-                let classifier = UeClassifier::compile(&self.state().policy, self.apps(), attrs);
+                let classifier = UeClassifier::compile(self.state().policy(), self.apps(), attrs);
                 out.push((*rec, classifier));
             }
         }

@@ -26,14 +26,15 @@
 //! ends, the tunnel is garbage-collected and its tag returns to the
 //! pool.
 
-use std::collections::HashMap;
+use std::net::Ipv4Addr;
 
 use softcell_dataplane::matcher::{conventional_priority, Direction, Match};
 use softcell_dataplane::{Action, MicroflowAction};
 use softcell_packet::FiveTuple;
 use softcell_policy::UeClassifier;
 use softcell_types::{
-    BaseStationId, Error, Ipv4Prefix, PolicyTag, Result, SimTime, SwitchId, UeId, UeImsi,
+    BaseStationId, Error, FxHashMap, Ipv4Prefix, PolicyTag, PortNo, Result, SimTime, SwitchId,
+    UeId, UeImsi,
 };
 
 use crate::core::CentralController;
@@ -85,10 +86,46 @@ pub struct HandoffPlan {
     pub carried_flows: Vec<crate::agent::AgentFlow>,
 }
 
+impl HandoffPlan {
+    /// The carried flows as the arriving agent records them, each with
+    /// the actions of its two new microflow copies. `handoff` pushes a
+    /// flow's copies in flow order, so a copy is read at the position
+    /// its flow's says — checked by key, and searched for if some flow
+    /// had only one. A flow missing a copy is left out.
+    pub fn carried_records(&self) -> impl Iterator<Item = FlowRecord> + '_ {
+        let installs = &self.new_microflow_installs;
+        let action_of = move |key: &FiveTuple, at: usize| {
+            let here = installs.get(at).filter(|(k, _)| k == key);
+            let copy = here.or_else(|| installs.iter().find(|(k, _)| k == key));
+            copy.map(|(_, action)| *action)
+        };
+        self.carried_flows
+            .iter()
+            .enumerate()
+            .filter_map(move |(i, f)| {
+                Some(FlowRecord {
+                    uplink: f.uplink,
+                    downlink: f.downlink,
+                    downlink_original: f.downlink_original,
+                    up_action: action_of(&f.uplink, 2 * i)?,
+                    down_action: action_of(&f.downlink, 2 * i + 1)?,
+                })
+            })
+    }
+}
+
+/// The stations a tunnel joins: `(anchor, current)`.
+type StationPair = (BaseStationId, BaseStationId);
+
+/// How an anchored flow is launched back onto its old policy path:
+/// `(flow slot, original policy tag, original out-port at the anchor's
+/// access switch)`.
+type LaunchSpec = (u16, PolicyTag, PortNo);
+
 /// A base-station-pair tunnel. Long-lived while any transition uses it;
 /// garbage-collected (legs removed, tag released) once the last
 /// referencing transition ends, so churn cannot exhaust the tag space.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 struct Tunnel {
     tag: PolicyTag,
     /// Switch sequence from the old access switch to the new one.
@@ -100,7 +137,7 @@ struct Tunnel {
 }
 
 /// Per-UE transition state, expiring after a soft timeout.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 struct Transition {
     teardown: Vec<RuleOp>,
     /// Every location this UE's anchored flows still occupy; all are
@@ -108,23 +145,23 @@ struct Transition {
     reserved_locs: Vec<(BaseStationId, UeId)>,
     /// Tunnels this transition holds a reference on; released (possibly
     /// garbage-collecting the tunnel) when the transition ends.
-    tunnels: Vec<(BaseStationId, BaseStationId)>,
+    tunnels: Vec<StationPair>,
     deadline: SimTime,
-    /// Per anchor LocIP: per-flow launch specs `(flow slot, original
-    /// policy tag, original out-port at the anchor's access switch)`.
-    /// Needed to re-anchor the same flows after a further move, and to
-    /// restore the original tag when anchored uplink traffic (which
-    /// rides the tunnel under the *tunnel* tag) is launched back onto
-    /// its old policy path. Keyed by anchor *address*: a UE revisiting
-    /// a station can hold a different local id there.
-    launch_specs: HashMap<std::net::Ipv4Addr, Vec<(u16, PolicyTag, softcell_types::PortNo)>>,
+    /// Per anchor LocIP, the launch specs of its flows. Needed to
+    /// re-anchor the same flows after a further move, and to restore
+    /// the original tag when anchored uplink traffic (which rides the
+    /// tunnel under the *tunnel* tag) is launched back onto its old
+    /// policy path. Keyed by anchor *address*: a UE revisiting a station
+    /// can hold a different local id there. A UE has a handful of
+    /// anchors, so this is a vector, in address order.
+    launch_specs: Vec<(Ipv4Addr, Vec<LaunchSpec>)>,
 }
 
 /// Mobility bookkeeping inside the central controller.
 #[derive(Debug)]
 pub struct MobilityManager {
-    tunnels: HashMap<(BaseStationId, BaseStationId), Tunnel>,
-    transitions: HashMap<UeImsi, Transition>,
+    tunnels: FxHashMap<StationPair, Tunnel>,
+    transitions: FxHashMap<UeImsi, Transition>,
     /// How long transition rules live without renewal (the §5.1 "soft
     /// timeout ... indicating that the old flow has ended").
     pub transition_ttl: softcell_types::SimDuration,
@@ -133,8 +170,8 @@ pub struct MobilityManager {
 impl Default for MobilityManager {
     fn default() -> Self {
         MobilityManager {
-            tunnels: HashMap::new(),
-            transitions: HashMap::new(),
+            tunnels: FxHashMap::default(),
+            transitions: FxHashMap::default(),
             transition_ttl: softcell_types::SimDuration::from_secs(120),
         }
     }
@@ -160,6 +197,12 @@ impl<'t> CentralController<'t> {
     /// traffic always arrives at the anchor via the old policy path and
     /// is tunneled from there straight to the UE's *current* station.
     /// `flows` is the departing agent's active flow list.
+    ///
+    /// All-or-nothing: everything that can fail runs before anything is
+    /// recorded. The previous transition is lifted out while the plan
+    /// that supersedes it is built; a failure puts it back and removes
+    /// the tunnels the attempt created, so the UE, its reservations, its
+    /// transition and the tag pool are as they were.
     pub fn handoff(
         &mut self,
         imsi: UeImsi,
@@ -168,78 +211,112 @@ impl<'t> CentralController<'t> {
         flows: &[FlowRecord],
         now: SimTime,
     ) -> Result<HandoffPlan> {
-        let (old, new) = self.state_mut().move_ue(imsi, new_bs, new_ue_id, now)?;
-        let attrs = *self.state().subscriber(imsi)?;
-        let classifier = UeClassifier::compile(&self.state().policy, self.apps(), &attrs);
+        let (old, new) = self.state().check_move(imsi, new_bs, new_ue_id, now)?;
+        let classifier = self.classifier_of(imsi)?;
+        let prev = self.mobility_mut().transitions.remove(&imsi);
+        let mut created = Vec::new();
+        let planned = self.plan_handoff(old, new, classifier, flows, prev.as_ref(), &mut created);
+        let (mut plan, transition) = match planned {
+            Ok(planned) => planned,
+            Err(e) => {
+                for pair in created {
+                    if let Some(t) = self.mobility_mut().tunnels.remove(&pair) {
+                        self.installer_mut().release_raw_tag(t.tag);
+                    }
+                }
+                if let Some(prev) = prev {
+                    self.mobility_mut().transitions.insert(imsi, prev);
+                }
+                return Err(e);
+            }
+        };
 
+        self.state_mut().commit_move(old, new);
+        // take the new transition's tunnel references *before* dropping
+        // the previous transition's, so a pair both transitions use is
+        // never torn down and immediately recreated
+        for pair in &transition.tunnels {
+            if let Some(t) = self.mobility_mut().tunnels.get_mut(pair) {
+                t.refs += 1;
+            }
+        }
+        self.mobility_mut().transitions.insert(imsi, transition);
+        for pair in prev.map(|p| p.tunnels).unwrap_or_default() {
+            self.release_tunnel_ref(pair, &mut plan.ops);
+        }
+        Ok(plan)
+    }
+
+    /// The fallible part of [`handoff`](Self::handoff): the plan and the
+    /// transition that will record it. Touches no UE, reservation or
+    /// transition state; a tunnel it has to create is listed in
+    /// `created` so the caller can undo it.
+    fn plan_handoff(
+        &mut self,
+        old: UeRecord,
+        new: UeRecord,
+        classifier: UeClassifier,
+        flows: &[FlowRecord],
+        prev: Option<&Transition>,
+        created: &mut Vec<StationPair>,
+    ) -> Result<(HandoffPlan, Transition)> {
         let scheme = self.config().scheme;
         let ports = self.config().ports;
+        let topo = self.topology();
+        let new_bs = new.bs;
 
-        let mut ops: Vec<RuleOp> = Vec::new();
-        let mut teardown: Vec<RuleOp> = Vec::new();
+        // per anchor a redirect, a rule per tunnel hop and a launch rule
+        // per flow; a move without flows produces no rules at all
+        let room = flows.len() + if flows.is_empty() { 0 } else { 16 };
+        let prev_teardown = prev.map_or(&[][..], |p| &p.teardown);
+        let mut ops: Vec<RuleOp> = Vec::with_capacity(prev_teardown.len() + room);
+        let mut teardown: Vec<RuleOp> = Vec::with_capacity(room);
 
         // 0. a previous transition's per-UE rules are superseded: tear
         //    them down now (the anchors get fresh rules below)
-        let prev = self.mobility_mut().transitions.remove(&imsi);
-        let mut prev_launch_specs = HashMap::new();
-        let mut reserved_locs: Vec<(BaseStationId, UeId)> = Vec::new();
-        let mut prev_tunnels: Vec<(BaseStationId, BaseStationId)> = Vec::new();
-        if let Some(prev) = prev {
-            ops.extend(prev.teardown);
-            prev_launch_specs = prev.launch_specs;
-            reserved_locs = prev.reserved_locs;
-            prev_tunnels = prev.tunnels;
-        }
+        ops.extend_from_slice(prev_teardown);
+        let mut reserved_locs = prev.map_or_else(Vec::new, |p| p.reserved_locs.clone());
         if !reserved_locs.contains(&(old.bs, old.ue_id)) {
             reserved_locs.push((old.bs, old.ue_id));
         }
         // the location we are moving to is live again, not reserved
         reserved_locs.retain(|loc| *loc != (new.bs, new.ue_id));
+        let prev_specs = |addr: Ipv4Addr| {
+            let (_, specs) = prev?.launch_specs.iter().find(|(a, _)| *a == addr)?;
+            Some(specs.clone())
+        };
 
-        // group flows by their anchor LocIP (the downlink destination):
-        // each distinct location-dependent address needs its own
-        // redirect/launch rules, even when two addresses share a station
-        // (a UE that revisited the station under a different local id)
-        let mut groups: Vec<(std::net::Ipv4Addr, Vec<&FlowRecord>)> = Vec::new();
-        for f in flows {
-            let anchor_addr = f.downlink.dst;
-            match groups.iter_mut().find(|(a, _)| *a == anchor_addr) {
-                Some((_, g)) => g.push(f),
-                None => groups.push((anchor_addr, vec![f])),
-            }
-        }
-        groups.sort_by_key(|(a, _)| *a);
-
-        let new_access = self.topology().base_station(new_bs).access_switch;
-        let new_radio = self.topology().base_station(new_bs).radio_port;
+        let new_access = topo.base_station(new_bs).access_switch;
+        let new_radio = topo.base_station(new_bs).radio_port;
         let mut old_microflow_removals = Vec::with_capacity(flows.len());
         let mut new_microflow_installs = Vec::with_capacity(flows.len() * 2);
         let mut carried_flows = Vec::with_capacity(flows.len());
-        let mut launch_specs: HashMap<
-            std::net::Ipv4Addr,
-            Vec<(u16, PolicyTag, softcell_types::PortNo)>,
-        > = HashMap::new();
-        let mut used_tunnels: Vec<(BaseStationId, BaseStationId)> = Vec::new();
+        let mut launch_specs: Vec<(Ipv4Addr, Vec<LaunchSpec>)> = Vec::new();
+        let mut used_tunnels: Vec<StationPair> = Vec::new();
 
+        // Flows are handled by anchor LocIP (the downlink destination),
+        // in address order: each distinct location-dependent address
+        // needs its own redirect/launch rules, even when two addresses
+        // share a station (a UE that revisited the station under a
+        // different local id).
         let old_loc_addr = scheme.encode(softcell_types::LocIp::new(old.bs, old.ue_id))?;
-        for (anchor_addr, group) in groups {
+        let anchors = || flows.iter().map(|f| f.downlink.dst);
+        let mut next_anchor = anchors().min();
+        while let Some(anchor_addr) = next_anchor {
+            next_anchor = anchors().filter(|a| *a > anchor_addr).min();
+            let group = || flows.iter().filter(move |f| f.downlink.dst == anchor_addr);
             let anchor_loc = scheme.decode(anchor_addr)?;
             let anchor = anchor_loc.base_station;
             // Returning to the anchor *station* (same or fresh local id —
             // the anchored flows keep their old address either way): no
             // tunnel, plain local delivery under the original keys.
             if anchor == new_bs {
-                // The UE returned home: anchored flows revert to plain
-                // local delivery under their original keys; no tunnel.
-                let specs = prev_launch_specs
-                    .get(&anchor_addr)
-                    .cloned()
-                    .ok_or_else(|| {
-                        Error::InvalidState(format!(
-                            "returning to {anchor} without recorded launch specs"
-                        ))
-                    })?;
-                for f in &group {
+                let specs = prev_specs(anchor_addr).ok_or_else(|| {
+                    Error::InvalidState(format!(
+                        "returning to {anchor} without recorded launch specs"
+                    ))
+                })?;
+                for f in group() {
                     old_microflow_removals.push(f.downlink);
                     if let MicroflowAction::RewriteSrc {
                         addr, port, dscp, ..
@@ -278,16 +355,17 @@ impl<'t> CentralController<'t> {
                         downlink_original: f.downlink_original,
                     });
                 }
-                launch_specs.insert(anchor_addr, specs);
+                launch_specs.push((anchor_addr, specs));
                 continue;
             }
             let anchor_host = Ipv4Prefix::host(anchor_addr);
-            let tunnel = self.ensure_tunnel(anchor, new_bs, &mut ops)?;
+            self.ensure_tunnel(anchor, new_bs, &mut ops, created)?;
             if !used_tunnels.contains(&(anchor, new_bs)) {
                 used_tunnels.push((anchor, new_bs));
             }
+            let tunnel = &self.mobility().tunnels[&(anchor, new_bs)];
             let tunnel_tag = tunnel.tag;
-            let tunnel_path = tunnel.path.clone();
+            let tunnel_path = &tunnel.path;
             let anchor_access = tunnel_path[0];
             debug_assert_eq!(*tunnel_path.last().expect("two ends"), new_access);
 
@@ -295,8 +373,7 @@ impl<'t> CentralController<'t> {
             //    tunnel — one per-UE rule matching the anchor LocIP host
             let (tvalue, tmask) = ports.tag_match(tunnel_tag);
             let redirect_match = Match::prefix(Direction::Downlink, anchor_host);
-            let out = self
-                .topology()
+            let tunnel_in = topo
                 .port_towards(anchor_access, tunnel_path[1])
                 .ok_or_else(|| Error::NotFound("tunnel first hop unlinked".into()))?;
             ops.push(RuleOp::Install {
@@ -307,7 +384,7 @@ impl<'t> CentralController<'t> {
                     field: tag_field(Direction::Downlink),
                     value: tvalue,
                     mask: tmask,
-                    out,
+                    out: tunnel_in,
                 },
             });
             teardown.push(RuleOp::Remove {
@@ -329,12 +406,10 @@ impl<'t> CentralController<'t> {
                 }
                 let from_new_side = tunnel_path[i + 1];
                 let towards_anchor = tunnel_path[i - 1];
-                let in_port = self
-                    .topology()
+                let in_port = topo
                     .port_towards(sw, from_new_side)
                     .ok_or_else(|| Error::NotFound("tunnel hop unlinked".into()))?;
-                let out = self
-                    .topology()
+                let out = topo
                     .port_towards(sw, towards_anchor)
                     .ok_or_else(|| Error::NotFound("tunnel hop unlinked".into()))?;
                 let m = Match::tag_and_prefix(Direction::Uplink, tunnel_tag, anchor_host, &ports)
@@ -356,11 +431,9 @@ impl<'t> CentralController<'t> {
             //    flow's *original* policy tag before forwarding onto the
             //    old path. (Per-flow state at an access switch is cheap
             //    and transient — §5.1 copies per-flow rules anyway.)
-            let specs: Vec<(u16, PolicyTag, softcell_types::PortNo)> = if anchor_addr
-                == old_loc_addr
-            {
-                let mut specs = Vec::new();
-                for f in &group {
+            let specs: Vec<LaunchSpec> = if anchor_addr == old_loc_addr {
+                let mut specs = Vec::with_capacity(flows.len());
+                for f in group() {
                     if let MicroflowAction::RewriteSrc { port, out, .. } = f.up_action {
                         let (tag, slot) = ports.decode(port);
                         if !specs.iter().any(|(sl, _, _)| *sl == slot) {
@@ -370,16 +443,13 @@ impl<'t> CentralController<'t> {
                 }
                 specs
             } else {
-                prev_launch_specs.get(&anchor_addr).cloned().ok_or_else(|| {
-                        Error::InvalidState(format!(
-                            "no launch specs for anchor {anchor_addr}                              (flows older than the transition?)"
-                        ))
-                    })?
+                prev_specs(anchor_addr).ok_or_else(|| {
+                    Error::InvalidState(format!(
+                        "no launch specs for anchor {anchor_addr} \
+                         (flows older than the transition?)"
+                    ))
+                })?
             };
-            let tunnel_in = self
-                .topology()
-                .port_towards(anchor_access, tunnel_path[1])
-                .expect("checked above");
             for &(slot, orig_tag, out) in &specs {
                 let tunneled_src = ports.encode(tunnel_tag, slot)?;
                 let (ovalue, omask) = ports.tag_match(orig_tag);
@@ -405,15 +475,14 @@ impl<'t> CentralController<'t> {
                     matcher: m,
                 });
             }
-            launch_specs.insert(anchor_addr, specs);
+            launch_specs.push((anchor_addr, specs));
 
             // 4. microflow surgery: remove delivery at the departing
             //    station, install copies at the new one
-            let reverse_out = self
-                .topology()
+            let reverse_out = topo
                 .port_towards(new_access, tunnel_path[tunnel_path.len() - 2])
                 .ok_or_else(|| Error::NotFound("tunnel last hop unlinked".into()))?;
-            for f in &group {
+            for f in group() {
                 old_microflow_removals.push(f.downlink);
 
                 // uplink copy: the anchor LocIP with the *tunnel* tag in
@@ -461,30 +530,17 @@ impl<'t> CentralController<'t> {
             }
         }
 
-        // take the new transition's tunnel references *before* dropping
-        // the previous transition's, so a pair both transitions use is
-        // never torn down and immediately recreated
-        for pair in &used_tunnels {
-            if let Some(t) = self.mobility_mut().tunnels.get_mut(pair) {
-                t.refs += 1;
-            }
-        }
-        let ttl = self.mobility().transition_ttl;
-        self.mobility_mut().transitions.insert(
-            imsi,
-            Transition {
-                teardown,
-                reserved_locs,
-                tunnels: used_tunnels,
-                deadline: now + ttl,
-                launch_specs,
-            },
-        );
-        for pair in prev_tunnels {
-            self.release_tunnel_ref(pair, &mut ops);
-        }
-
-        Ok(HandoffPlan {
+        // the transition outlives the call by minutes: give back the
+        // room `teardown` did not need
+        teardown.shrink_to_fit();
+        let transition = Transition {
+            teardown,
+            reserved_locs,
+            tunnels: used_tunnels,
+            deadline: new.since + self.mobility().transition_ttl,
+            launch_specs,
+        };
+        let plan = HandoffPlan {
             old,
             new,
             classifier,
@@ -492,7 +548,8 @@ impl<'t> CentralController<'t> {
             old_microflow_removals,
             new_microflow_installs,
             carried_flows,
-        })
+        };
+        Ok((plan, transition))
     }
 
     /// Installs a shortcut for one long-lived downlink flow: per-flow
@@ -609,7 +666,7 @@ impl<'t> CentralController<'t> {
     /// garbage-collects it: the forward legs come down and the raw tag
     /// returns to the pool, so base-station-pair churn cannot exhaust
     /// the tag space.
-    fn release_tunnel_ref(&mut self, pair: (BaseStationId, BaseStationId), ops: &mut Vec<RuleOp>) {
+    fn release_tunnel_ref(&mut self, pair: StationPair, ops: &mut Vec<RuleOp>) {
         let Some(t) = self.mobility_mut().tunnels.get_mut(&pair) else {
             return;
         };
@@ -627,18 +684,20 @@ impl<'t> CentralController<'t> {
     }
 
     /// Ensures the (from → to) tunnel exists, appending its rule ops on
-    /// first creation.
+    /// first creation and listing the pair in `created`.
     fn ensure_tunnel(
         &mut self,
         from: BaseStationId,
         to: BaseStationId,
         ops: &mut Vec<RuleOp>,
-    ) -> Result<Tunnel> {
-        if let Some(t) = self.mobility().tunnels.get(&(from, to)) {
-            return Ok(t.clone());
+        created: &mut Vec<StationPair>,
+    ) -> Result<()> {
+        if self.mobility().tunnels.contains_key(&(from, to)) {
+            return Ok(());
         }
-        let from_sw = self.topology().base_station(from).access_switch;
-        let to_sw = self.topology().base_station(to).access_switch;
+        let topo = self.topology();
+        let from_sw = topo.base_station(from).access_switch;
+        let to_sw = topo.base_station(to).access_switch;
         let path = self.paths_mut().path(from_sw, to_sw)?;
         let tag = self
             .installer_mut()
@@ -648,19 +707,22 @@ impl<'t> CentralController<'t> {
         // forward legs: tag rules (with the carrier-prefix guard — see
         // ops::lower_delta) from each intermediate switch towards the
         // new access switch
-        let ports = self.config().ports;
-        let carrier = self.config().scheme.carrier();
-        let mut teardown = Vec::new();
+        let m = Match::tag_and_prefix(
+            Direction::Downlink,
+            tag,
+            self.config().scheme.carrier(),
+            &self.config().ports,
+        );
+        let mut teardown = Vec::with_capacity(path.len());
         for w in path.windows(2) {
             let (sw, next) = (w[0], w[1]);
             if sw == from_sw {
                 continue; // the per-UE redirect rule is the entry point
             }
-            let out = self
-                .topology()
-                .port_towards(sw, next)
-                .ok_or_else(|| Error::NotFound("tunnel hop unlinked".into()))?;
-            let m = Match::tag_and_prefix(Direction::Downlink, tag, carrier, &ports);
+            let Some(out) = topo.port_towards(sw, next) else {
+                self.installer_mut().release_raw_tag(tag);
+                return Err(Error::NotFound("tunnel hop unlinked".into()));
+            };
             ops.push(RuleOp::Install {
                 switch: sw,
                 priority: conventional_priority(&m),
@@ -673,14 +735,15 @@ impl<'t> CentralController<'t> {
             });
         }
 
-        let t = Tunnel {
+        let tunnel = Tunnel {
             tag,
             path,
             teardown,
             refs: 0,
         };
-        self.mobility_mut().tunnels.insert((from, to), t.clone());
-        Ok(t)
+        self.mobility_mut().tunnels.insert((from, to), tunnel);
+        created.push((from, to));
+        Ok(())
     }
 }
 
@@ -691,8 +754,6 @@ mod tests {
     use softcell_policy::clause::ClauseId;
     use softcell_policy::{ServicePolicy, SubscriberAttributes};
     use softcell_topology::small_topology;
-    use softcell_types::PortNo;
-    use std::net::Ipv4Addr;
 
     fn controller(topo: &softcell_topology::Topology) -> CentralController<'_> {
         let mut c = CentralController::new(
@@ -1030,6 +1091,655 @@ mod tests {
                 panic!("shortcut only installs")
             };
             assert_eq!(matcher.dst_port, Some((flow.downlink.dst_port, u16::MAX)));
+        }
+    }
+
+    /// Controller state a handoff can touch, for before/after comparison.
+    fn snapshot(ctl: &CentralController<'_>, imsi: UeImsi) -> impl PartialEq + std::fmt::Debug {
+        let rec = *ctl.state().ue(imsi).unwrap();
+        (
+            rec,
+            ctl.state().at_location(rec.bs, rec.ue_id),
+            ctl.state().reserved_count(),
+            ctl.mobility().transitions.clone(),
+            ctl.mobility().tunnels.clone(),
+            ctl.installer().tags_in_use(),
+        )
+    }
+
+    #[test]
+    fn failed_handoff_changes_nothing() {
+        // regression: `handoff` moved the UE and dropped its previous
+        // transition *before* the steps that can fail, so running out of
+        // tunnel tags left the UE recorded at the new station with its
+        // old transition's teardown ops and tunnel references lost
+        let topo = small_topology();
+        let mut ctl = controller(&topo);
+        let grant = ctl
+            .attach_ue(UeImsi(0), BaseStationId(0), UeId(0), SimTime::ZERO)
+            .unwrap();
+        let tags = ctl
+            .request_policy_path(BaseStationId(0), ClauseId(5))
+            .unwrap();
+        let flow = sample_flow(&ctl, tags, grant.record.permanent_ip, UeId(0));
+        let mut hoard = Vec::new();
+        while let Some(tag) = ctl.installer_mut().allocate_raw_tag() {
+            hoard.push(tag);
+        }
+
+        // no previous transition: nothing may be left behind
+        let before = snapshot(&ctl, UeImsi(0));
+        let err = ctl
+            .handoff(UeImsi(0), BaseStationId(3), UeId(0), &[flow], SimTime::ZERO)
+            .unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "resource exhausted: no tag left for tunnel"
+        );
+        assert_eq!(ctl.state().ue(UeImsi(0)).unwrap().bs, BaseStationId(0));
+        assert_eq!(ctl.state().at_location(BaseStationId(3), UeId(0)), None);
+        assert_eq!(ctl.mobility().transitions_active(), 0);
+        assert!(before == snapshot(&ctl, UeImsi(0)), "{before:?}");
+
+        // a retry after a tag is freed succeeds
+        ctl.installer_mut().release_raw_tag(hoard.pop().unwrap());
+        let plan = ctl
+            .handoff(UeImsi(0), BaseStationId(3), UeId(0), &[flow], SimTime::ZERO)
+            .unwrap();
+        let moved: Vec<FlowRecord> = plan.carried_records().collect();
+
+        // a previous transition: it survives a failed second move whole —
+        // its tunnel keeps its reference and its teardown still comes
+        let before = snapshot(&ctl, UeImsi(0));
+        let err = ctl
+            .handoff(UeImsi(0), BaseStationId(2), UeId(0), &moved, SimTime::ZERO)
+            .unwrap_err();
+        assert!(matches!(err, Error::Exhausted(_)), "{err}");
+        assert!(before == snapshot(&ctl, UeImsi(0)), "{before:?}");
+        assert_eq!(ctl.mobility().transitions_active(), 1);
+        assert_eq!(ctl.mobility().tunnel_count(), 1);
+        assert!(!ctl.expire_transitions(SimTime::from_secs(500)).is_empty());
+        assert_eq!(ctl.mobility().tunnel_count(), 0);
+    }
+
+    #[test]
+    fn flows_older_than_the_transition_are_refused_in_full() {
+        // a flow anchored at a station the UE is not leaving, with no
+        // transition recording how to launch it: nothing to plan from
+        let topo = small_topology();
+        let mut ctl = controller(&topo);
+        let grant = ctl
+            .attach_ue(UeImsi(0), BaseStationId(1), UeId(0), SimTime::ZERO)
+            .unwrap();
+        let tags = ctl
+            .request_policy_path(BaseStationId(0), ClauseId(5))
+            .unwrap();
+        // `sample_flow` anchors at station 0; the UE sits at station 1
+        let flow = sample_flow(&ctl, tags, grant.record.permanent_ip, UeId(0));
+        let before = snapshot(&ctl, UeImsi(0));
+        let err = ctl
+            .handoff(UeImsi(0), BaseStationId(2), UeId(0), &[flow], SimTime::ZERO)
+            .unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            format!(
+                "invalid state: no launch specs for anchor {} \
+                 (flows older than the transition?)",
+                flow.downlink.dst
+            )
+        );
+        assert!(before == snapshot(&ctl, UeImsi(0)), "{before:?}");
+        assert_eq!(ctl.mobility().tunnel_count(), 0, "the tunnel is undone");
+    }
+
+    #[test]
+    fn classifier_is_compiled_once_per_put_subscriber() {
+        use softcell_policy::{BillingPlan, DeviceType, Provider};
+        let topo = small_topology();
+        let mut ctl = controller(&topo);
+        // the four kinds of the benchmark's subscriber mix
+        let mix: Vec<SubscriberAttributes> = (0..4u64)
+            .map(|i| {
+                let mut a = SubscriberAttributes::default_home(UeImsi(i));
+                match i {
+                    0 => {}
+                    1 => a.provider = Provider::Partner(1),
+                    2 => (a.device, a.plan) = (DeviceType::M2mFleetTracker, BillingPlan::M2m),
+                    _ => a.plan = BillingPlan::Gold,
+                }
+                a
+            })
+            .collect();
+        // a compile allocates its entries afresh; a memoised classifier
+        // shares them, so counting distinct tables counts compiles
+        let mut tables = std::collections::HashSet::new();
+        for attrs in &mix {
+            ctl.put_subscriber(*attrs);
+            let imsi = attrs.imsi;
+            let id = UeId(imsi.0 as u16);
+            let fresh = UeClassifier::compile(ctl.state().policy(), ctl.apps(), attrs);
+            let grant = ctl
+                .attach_ue(imsi, BaseStationId(0), id, SimTime::ZERO)
+                .unwrap();
+            assert_eq!(grant.classifier, fresh);
+            tables.insert(grant.classifier.entries().as_ptr());
+            for bs in [1, 2, 0] {
+                let plan = ctl
+                    .handoff(imsi, BaseStationId(bs), id, &[], SimTime::ZERO)
+                    .unwrap();
+                assert_eq!(plan.classifier, fresh);
+                tables.insert(plan.classifier.entries().as_ptr());
+            }
+            ctl.detach_ue(imsi).unwrap();
+            let again = ctl
+                .attach_ue(imsi, BaseStationId(0), id, SimTime::ZERO)
+                .unwrap();
+            tables.insert(again.classifier.entries().as_ptr());
+        }
+        assert_eq!(tables.len(), mix.len(), "one compile per subscriber");
+
+        // changed attributes reach the next handoff *and* the next attach
+        let mut roaming = mix[0];
+        roaming.provider = Provider::Foreign(3);
+        ctl.put_subscriber(roaming);
+        let fresh = UeClassifier::compile(ctl.state().policy(), ctl.apps(), &roaming);
+        assert_ne!(
+            fresh,
+            UeClassifier::compile(ctl.state().policy(), ctl.apps(), &mix[0])
+        );
+        let plan = ctl
+            .handoff(UeImsi(0), BaseStationId(3), UeId(0), &[], SimTime::ZERO)
+            .unwrap();
+        assert_eq!(plan.classifier, fresh);
+        ctl.detach_ue(UeImsi(0)).unwrap();
+        let grant = ctl
+            .attach_ue(UeImsi(0), BaseStationId(0), UeId(0), SimTime::ZERO)
+            .unwrap();
+        assert_eq!(grant.classifier, fresh);
+        assert_eq!(
+            grant.classifier.entries().as_ptr(),
+            plan.classifier.entries().as_ptr(),
+            "and is compiled once for both"
+        );
+    }
+
+    /// The handoff this module shipped before it planned in place, kept
+    /// as the reference the property test compares against (its state
+    /// updates come first, so it is only comparable on moves that
+    /// succeed).
+    mod equivalence {
+        use super::*;
+        use crate::agent::{microflow_pair, FlowSlots};
+        use proptest::prelude::*;
+        use std::collections::HashMap;
+
+        impl CentralController<'_> {
+            fn handoff_reference(
+                &mut self,
+                imsi: UeImsi,
+                new_bs: BaseStationId,
+                new_ue_id: UeId,
+                flows: &[FlowRecord],
+                now: SimTime,
+            ) -> Result<HandoffPlan> {
+                let (old, new) = self.state_mut().move_ue(imsi, new_bs, new_ue_id, now)?;
+                let attrs = *self.state().subscriber(imsi)?;
+                let classifier = UeClassifier::compile(self.state().policy(), self.apps(), &attrs);
+
+                let scheme = self.config().scheme;
+                let ports = self.config().ports;
+
+                let mut ops: Vec<RuleOp> = Vec::new();
+                let mut teardown: Vec<RuleOp> = Vec::new();
+
+                // 0. a previous transition's per-UE rules are superseded: tear
+                //    them down now (the anchors get fresh rules below)
+                let prev = self.mobility_mut().transitions.remove(&imsi);
+                let mut prev_launch_specs: HashMap<Ipv4Addr, Vec<LaunchSpec>> = HashMap::new();
+                let mut reserved_locs: Vec<(BaseStationId, UeId)> = Vec::new();
+                let mut prev_tunnels: Vec<(BaseStationId, BaseStationId)> = Vec::new();
+                if let Some(prev) = prev {
+                    ops.extend(prev.teardown);
+                    prev_launch_specs = prev.launch_specs.into_iter().collect();
+                    reserved_locs = prev.reserved_locs;
+                    prev_tunnels = prev.tunnels;
+                }
+                if !reserved_locs.contains(&(old.bs, old.ue_id)) {
+                    reserved_locs.push((old.bs, old.ue_id));
+                }
+                // the location we are moving to is live again, not reserved
+                reserved_locs.retain(|loc| *loc != (new.bs, new.ue_id));
+
+                // group flows by their anchor LocIP (the downlink destination):
+                // each distinct location-dependent address needs its own
+                // redirect/launch rules, even when two addresses share a station
+                // (a UE that revisited the station under a different local id)
+                let mut groups: Vec<(std::net::Ipv4Addr, Vec<&FlowRecord>)> = Vec::new();
+                for f in flows {
+                    let anchor_addr = f.downlink.dst;
+                    match groups.iter_mut().find(|(a, _)| *a == anchor_addr) {
+                        Some((_, g)) => g.push(f),
+                        None => groups.push((anchor_addr, vec![f])),
+                    }
+                }
+                groups.sort_by_key(|(a, _)| *a);
+
+                let new_access = self.topology().base_station(new_bs).access_switch;
+                let new_radio = self.topology().base_station(new_bs).radio_port;
+                let mut old_microflow_removals = Vec::with_capacity(flows.len());
+                let mut new_microflow_installs = Vec::with_capacity(flows.len() * 2);
+                let mut carried_flows = Vec::with_capacity(flows.len());
+                let mut launch_specs: HashMap<
+                    std::net::Ipv4Addr,
+                    Vec<(u16, PolicyTag, softcell_types::PortNo)>,
+                > = HashMap::new();
+                let mut used_tunnels: Vec<(BaseStationId, BaseStationId)> = Vec::new();
+
+                let old_loc_addr = scheme.encode(softcell_types::LocIp::new(old.bs, old.ue_id))?;
+                for (anchor_addr, group) in groups {
+                    let anchor_loc = scheme.decode(anchor_addr)?;
+                    let anchor = anchor_loc.base_station;
+                    // Returning to the anchor *station* (same or fresh local id —
+                    // the anchored flows keep their old address either way): no
+                    // tunnel, plain local delivery under the original keys.
+                    if anchor == new_bs {
+                        // The UE returned home: anchored flows revert to plain
+                        // local delivery under their original keys; no tunnel.
+                        let specs =
+                            prev_launch_specs
+                                .get(&anchor_addr)
+                                .cloned()
+                                .ok_or_else(|| {
+                                    Error::InvalidState(format!(
+                                        "returning to {anchor} without recorded launch specs"
+                                    ))
+                                })?;
+                        for f in &group {
+                            old_microflow_removals.push(f.downlink);
+                            if let MicroflowAction::RewriteSrc {
+                                addr, port, dscp, ..
+                            } = f.up_action
+                            {
+                                let (_, slot) = ports.decode(port);
+                                let (_, orig_tag, out) = *specs
+                                    .iter()
+                                    .find(|(sl, _, _)| *sl == slot)
+                                    .ok_or_else(|| {
+                                        Error::InvalidState(format!(
+                                            "no launch spec for slot {slot} at {anchor}"
+                                        ))
+                                    })?;
+                                new_microflow_installs.push((
+                                    f.uplink,
+                                    MicroflowAction::RewriteSrc {
+                                        addr,
+                                        port: ports.encode(orig_tag, slot)?,
+                                        out,
+                                        dscp,
+                                    },
+                                ));
+                            }
+                            if let MicroflowAction::RewriteDst { addr, port, .. } = f.down_action {
+                                new_microflow_installs.push((
+                                    f.downlink_original,
+                                    MicroflowAction::RewriteDst {
+                                        addr,
+                                        port,
+                                        out: new_radio,
+                                    },
+                                ));
+                            }
+                            carried_flows.push(crate::agent::AgentFlow {
+                                uplink: f.uplink,
+                                downlink: f.downlink_original,
+                                downlink_original: f.downlink_original,
+                            });
+                        }
+                        launch_specs.insert(anchor_addr, specs);
+                        continue;
+                    }
+                    let anchor_host = Ipv4Prefix::host(anchor_addr);
+                    self.ensure_tunnel(anchor, new_bs, &mut ops, &mut Vec::new())?;
+                    let tunnel = self.mobility().tunnels[&(anchor, new_bs)].clone();
+                    if !used_tunnels.contains(&(anchor, new_bs)) {
+                        used_tunnels.push((anchor, new_bs));
+                    }
+                    let tunnel_tag = tunnel.tag;
+                    let tunnel_path = tunnel.path.clone();
+                    let anchor_access = tunnel_path[0];
+                    debug_assert_eq!(*tunnel_path.last().expect("two ends"), new_access);
+
+                    // 1. anchor access: redirect the UE's downlink into the
+                    //    tunnel — one per-UE rule matching the anchor LocIP host
+                    let (tvalue, tmask) = ports.tag_match(tunnel_tag);
+                    let redirect_match = Match::prefix(Direction::Downlink, anchor_host);
+                    let out = self
+                        .topology()
+                        .port_towards(anchor_access, tunnel_path[1])
+                        .ok_or_else(|| Error::NotFound("tunnel first hop unlinked".into()))?;
+                    ops.push(RuleOp::Install {
+                        switch: anchor_access,
+                        priority: MOBILITY_PRIORITY,
+                        matcher: redirect_match,
+                        action: Action::RewritePortBitsForward {
+                            field: tag_field(Direction::Downlink),
+                            value: tvalue,
+                            mask: tmask,
+                            out,
+                        },
+                    });
+                    teardown.push(RuleOp::Remove {
+                        switch: anchor_access,
+                        matcher: redirect_match,
+                    });
+
+                    // 2. uplink anchor rules along the reverse tunnel path:
+                    //    per-UE, input-port qualified, and scoped to the tunnel
+                    //    tag — anchored uplink rides the tunnel under the tunnel
+                    //    tag precisely so these rules can never capture the same
+                    //    UE's traffic travelling its old policy path where the
+                    //    two paths share a directed edge (a forwarding loop
+                    //    found by the randomized churn test at k=4).
+                    for i in (1..tunnel_path.len()).rev() {
+                        let sw = tunnel_path[i];
+                        if sw == new_access {
+                            continue; // microflow copies name their out-port
+                        }
+                        let from_new_side = tunnel_path[i + 1];
+                        let towards_anchor = tunnel_path[i - 1];
+                        let in_port = self
+                            .topology()
+                            .port_towards(sw, from_new_side)
+                            .ok_or_else(|| Error::NotFound("tunnel hop unlinked".into()))?;
+                        let out = self
+                            .topology()
+                            .port_towards(sw, towards_anchor)
+                            .ok_or_else(|| Error::NotFound("tunnel hop unlinked".into()))?;
+                        let m = Match::tag_and_prefix(
+                            Direction::Uplink,
+                            tunnel_tag,
+                            anchor_host,
+                            &ports,
+                        )
+                        .from_port(in_port);
+                        ops.push(RuleOp::Install {
+                            switch: sw,
+                            priority: MOBILITY_PRIORITY,
+                            matcher: m,
+                            action: Action::Forward(out),
+                        });
+                        teardown.push(RuleOp::Remove {
+                            switch: sw,
+                            matcher: m,
+                        });
+                    }
+
+                    // 3. launch rules at the anchor access: per flow, matching
+                    //    the exact tunnel-tagged source port and restoring the
+                    //    flow's *original* policy tag before forwarding onto the
+                    //    old path. (Per-flow state at an access switch is cheap
+                    //    and transient — §5.1 copies per-flow rules anyway.)
+                    let specs: Vec<(u16, PolicyTag, softcell_types::PortNo)> =
+                        if anchor_addr == old_loc_addr {
+                            let mut specs = Vec::new();
+                            for f in &group {
+                                if let MicroflowAction::RewriteSrc { port, out, .. } = f.up_action {
+                                    let (tag, slot) = ports.decode(port);
+                                    if !specs.iter().any(|(sl, _, _)| *sl == slot) {
+                                        specs.push((slot, tag, out));
+                                    }
+                                }
+                            }
+                            specs
+                        } else {
+                            prev_launch_specs
+                                .get(&anchor_addr)
+                                .cloned()
+                                .ok_or_else(|| {
+                                    Error::InvalidState(format!(
+                                        "no launch specs for anchor {anchor_addr} \
+                                 (flows older than the transition?)"
+                                    ))
+                                })?
+                        };
+                    let tunnel_in = self
+                        .topology()
+                        .port_towards(anchor_access, tunnel_path[1])
+                        .expect("checked above");
+                    for &(slot, orig_tag, out) in &specs {
+                        let tunneled_src = ports.encode(tunnel_tag, slot)?;
+                        let (ovalue, omask) = ports.tag_match(orig_tag);
+                        let m = Match {
+                            src_prefix: Some(anchor_host),
+                            src_port: Some((tunneled_src, u16::MAX)),
+                            in_port: Some(tunnel_in),
+                            ..Match::ANY
+                        };
+                        ops.push(RuleOp::Install {
+                            switch: anchor_access,
+                            priority: MOBILITY_PRIORITY,
+                            matcher: m,
+                            action: Action::RewritePortBitsForward {
+                                field: tag_field(Direction::Uplink),
+                                value: ovalue,
+                                mask: omask,
+                                out,
+                            },
+                        });
+                        teardown.push(RuleOp::Remove {
+                            switch: anchor_access,
+                            matcher: m,
+                        });
+                    }
+                    launch_specs.insert(anchor_addr, specs);
+
+                    // 4. microflow surgery: remove delivery at the departing
+                    //    station, install copies at the new one
+                    let reverse_out = self
+                        .topology()
+                        .port_towards(new_access, tunnel_path[tunnel_path.len() - 2])
+                        .ok_or_else(|| Error::NotFound("tunnel last hop unlinked".into()))?;
+                    for f in &group {
+                        old_microflow_removals.push(f.downlink);
+
+                        // uplink copy: the anchor LocIP with the *tunnel* tag in
+                        // the source port (the launch rule at the anchor swaps
+                        // the original tag back), out via the reverse tunnel
+                        if let MicroflowAction::RewriteSrc {
+                            addr, port, dscp, ..
+                        } = f.up_action
+                        {
+                            let (_, slot) = ports.decode(port);
+                            new_microflow_installs.push((
+                                f.uplink,
+                                MicroflowAction::RewriteSrc {
+                                    addr,
+                                    port: ports.encode(tunnel_tag, slot)?,
+                                    out: reverse_out,
+                                    dscp,
+                                },
+                            ));
+                        }
+
+                        // downlink copy: re-keyed under this tunnel's tag (slot
+                        // bits survive); delivery restores the permanent endpoint
+                        let (_, slot) = ports.decode(f.downlink.dst_port);
+                        let tunneled_port = ports.encode(tunnel_tag, slot)?;
+                        let rekeyed = FiveTuple {
+                            dst_port: tunneled_port,
+                            ..f.downlink
+                        };
+                        if let MicroflowAction::RewriteDst { addr, port, .. } = f.down_action {
+                            new_microflow_installs.push((
+                                rekeyed,
+                                MicroflowAction::RewriteDst {
+                                    addr,
+                                    port,
+                                    out: new_radio,
+                                },
+                            ));
+                        }
+                        carried_flows.push(crate::agent::AgentFlow {
+                            uplink: f.uplink,
+                            downlink: rekeyed,
+                            downlink_original: f.downlink_original,
+                        });
+                    }
+                }
+
+                // take the new transition's tunnel references *before* dropping
+                // the previous transition's, so a pair both transitions use is
+                // never torn down and immediately recreated
+                for pair in &used_tunnels {
+                    if let Some(t) = self.mobility_mut().tunnels.get_mut(pair) {
+                        t.refs += 1;
+                    }
+                }
+                let ttl = self.mobility().transition_ttl;
+                self.mobility_mut().transitions.insert(
+                    imsi,
+                    Transition {
+                        teardown,
+                        reserved_locs,
+                        tunnels: used_tunnels,
+                        deadline: now + ttl,
+                        launch_specs: {
+                            let mut specs: Vec<_> = launch_specs.into_iter().collect();
+                            specs.sort_by_key(|(addr, _)| *addr);
+                            specs
+                        },
+                    },
+                );
+                for pair in prev_tunnels {
+                    self.release_tunnel_ref(pair, &mut ops);
+                }
+
+                Ok(HandoffPlan {
+                    old,
+                    new,
+                    classifier,
+                    ops,
+                    old_microflow_removals,
+                    new_microflow_installs,
+                    carried_flows,
+                })
+            }
+        }
+
+        /// One UE as the agent at its current station holds it.
+        struct Ue {
+            imsi: UeImsi,
+            bs: BaseStationId,
+            ue_id: UeId,
+            permanent: Ipv4Addr,
+            slots: FlowSlots,
+            flows: Vec<FlowRecord>,
+        }
+
+        proptest! {
+            /// Random move chains of two UEs over the four stations —
+            /// A→B→C→A, returns to an anchor under the old or a fresh
+            /// id, up to 12 flows over up to three anchors, moves inside
+            /// a live transition, tunnels shared and collected — plan
+            /// for plan, transition for transition and refcount for
+            /// refcount what the previous implementation produced.
+            #[test]
+            fn handoff_matches_the_reference(
+                steps in proptest::collection::vec((0u8..2, 0u8..6, 0u8..4, any::<bool>()), 1..40),
+            ) {
+                let topo = small_topology();
+                let (mut new, mut old) = (controller(&topo), controller(&topo));
+                let ports = new.config().ports;
+                let scheme = new.config().scheme;
+                let mut next_id = [0u16; 4];
+                let mut ues = Vec::new();
+                for i in 0..2u64 {
+                    let bs = BaseStationId(i as u32);
+                    let ue_id = UeId(next_id[bs.index()]);
+                    next_id[bs.index()] += 1;
+                    let grant = new.attach_ue(UeImsi(i), bs, ue_id, SimTime::ZERO).unwrap();
+                    old.attach_ue(UeImsi(i), bs, ue_id, SimTime::ZERO).unwrap();
+                    ues.push(Ue {
+                        imsi: UeImsi(i),
+                        bs,
+                        ue_id,
+                        permanent: grant.record.permanent_ip,
+                        slots: FlowSlots::default(),
+                        flows: Vec::new(),
+                    });
+                }
+                let mut src_port = 40_000;
+                for (t, (who, what, arg, reuse)) in steps.into_iter().enumerate() {
+                    let now = SimTime::from_secs(t as u64);
+                    let ue = &mut ues[usize::from(who)];
+                    if what < 2 {
+                        // open `arg + 1` flows where the UE is
+                        let clause = ClauseId(if reuse { 5 } else { 4 });
+                        let tags = new.request_policy_path(ue.bs, clause).unwrap();
+                        prop_assert_eq!(tags, old.request_policy_path(ue.bs, clause).unwrap());
+                        prop_assert_eq!(new.drain_ops(), old.drain_ops());
+                        let loc = scheme.encode(softcell_types::LocIp::new(ue.bs, ue.ue_id)).unwrap();
+                        for _ in 0..=arg {
+                            if ue.flows.len() == 12 {
+                                break;
+                            }
+                            src_port += 1;
+                            let tuple = FiveTuple {
+                                src: ue.permanent,
+                                dst: Ipv4Addr::new(93, 184, 216, 34),
+                                src_port,
+                                dst_port: 443,
+                                proto: softcell_packet::Protocol::Tcp,
+                            };
+                            let slot = ue.slots.allocate(ports.flow_slots()).unwrap();
+                            let radio = topo.base_station(ue.bs).radio_port;
+                            ue.flows.push(
+                                microflow_pair(&ports, &tags, loc, ue.permanent, radio, tuple, slot)
+                                    .unwrap(),
+                            );
+                        }
+                        continue;
+                    }
+                    let to = BaseStationId(u32::from(arg));
+                    if to == ue.bs {
+                        continue;
+                    }
+                    // arrive under the id this UE still has reserved
+                    // there, or under a fresh one
+                    let mut id = UeId(next_id[to.index()]);
+                    let held = (0..id.0).map(UeId).find(|held| {
+                        new.state().at_location(to, *held).is_none()
+                            && !new.state().location_available(to, *held, UeImsi(99))
+                            && new.state().location_available(to, *held, ue.imsi)
+                    });
+                    match held {
+                        Some(held) if reuse => id = held,
+                        _ => next_id[to.index()] += 1,
+                    }
+                    let plan = new.handoff(ue.imsi, to, id, &ue.flows, now).unwrap();
+                    let reference = old.handoff_reference(ue.imsi, to, id, &ue.flows, now).unwrap();
+                    prop_assert_eq!(plan.old, reference.old);
+                    prop_assert_eq!(plan.new, reference.new);
+                    prop_assert_eq!(&plan.classifier, &reference.classifier);
+                    prop_assert_eq!(&plan.ops, &reference.ops);
+                    prop_assert_eq!(&plan.old_microflow_removals, &reference.old_microflow_removals);
+                    prop_assert_eq!(&plan.new_microflow_installs, &reference.new_microflow_installs);
+                    prop_assert_eq!(&plan.carried_flows, &reference.carried_flows);
+                    prop_assert_eq!(&new.mobility().transitions, &old.mobility().transitions);
+                    prop_assert_eq!(&new.mobility().tunnels, &old.mobility().tunnels);
+                    prop_assert_eq!(new.installer().tags_in_use(), old.installer().tags_in_use());
+                    prop_assert_eq!(new.state().reserved_count(), old.state().reserved_count());
+                    prop_assert_eq!(new.state().ue(ue.imsi).unwrap(), old.state().ue(ue.imsi).unwrap());
+
+                    ue.bs = to;
+                    ue.ue_id = id;
+                    ue.flows = plan.carried_records().collect();
+                    ue.slots.clear();
+                    for f in &ue.flows {
+                        ue.slots.occupy(ports.decode(f.downlink.dst_port).1);
+                    }
+                }
+            }
         }
     }
 }

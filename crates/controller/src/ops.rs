@@ -79,21 +79,35 @@ pub struct SwitchBatch {
 #[derive(Debug, Default)]
 pub struct OpJournal {
     lanes: Vec<SwitchBatch>,
-    /// switch -> lane index (the linear scan in the original grouping
-    /// was O(switches) per op; drains of large merges made that visible)
+    /// switch -> lane index, kept only once the lanes outnumber
+    /// [`SCANNED_LANES`] (one ticket's ops touch a handful of switches
+    /// and never build it; a whole run's drain touches hundreds, where
+    /// the linear scan was visible)
     index: softcell_types::FxHashMap<SwitchId, usize>,
 }
+
+/// Up to this many lanes, a switch's lane is found by scanning them.
+const SCANNED_LANES: usize = 8;
 
 impl OpJournal {
     /// Appends one op to its switch's lane.
     pub fn push(&mut self, op: RuleOp) {
         let sw = op.switch();
-        match self.index.entry(sw) {
-            std::collections::hash_map::Entry::Occupied(e) => {
-                self.lanes[*e.get()].ops.push(op);
+        let lane = if self.lanes.len() <= SCANNED_LANES {
+            self.lanes.iter().position(|l| l.switch == sw)
+        } else {
+            if self.index.is_empty() {
+                let lanes = self.lanes.iter().enumerate();
+                self.index = lanes.map(|(i, l)| (l.switch, i)).collect();
             }
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert(self.lanes.len());
+            self.index.get(&sw).copied()
+        };
+        match lane {
+            Some(lane) => self.lanes[lane].ops.push(op),
+            None => {
+                if !self.index.is_empty() {
+                    self.index.insert(sw, self.lanes.len());
+                }
                 self.lanes.push(SwitchBatch {
                     switch: sw,
                     ops: vec![op],
@@ -486,6 +500,45 @@ mod tests {
         assert!(!journal.is_empty());
         let flat: Vec<RuleOp> = tickets.into_iter().flatten().collect();
         assert_eq!(journal.into_batches(), batch_by_switch(flat));
+    }
+
+    #[test]
+    fn journal_groups_like_a_linear_scan_at_every_width() {
+        // below, at and past the width where the journal stops scanning
+        // its lanes and starts indexing them
+        for switches in [1u32, 8, 9, 200] {
+            let mut x = u64::from(switches);
+            let ops: Vec<RuleOp> = (0..switches * 5)
+                .map(|i| {
+                    x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                    // every switch appears, in a scrambled interleaving
+                    let sw = if i < switches {
+                        i
+                    } else {
+                        (x >> 33) as u32 % switches
+                    };
+                    RuleOp::Install {
+                        switch: SwitchId(sw),
+                        priority: i as u16,
+                        matcher: Match::ANY,
+                        action: Action::Drop,
+                    }
+                })
+                .collect();
+            let mut scanned: Vec<SwitchBatch> = Vec::new();
+            for op in &ops {
+                match scanned.iter_mut().find(|b| b.switch == op.switch()) {
+                    Some(b) => b.ops.push(*op),
+                    None => scanned.push(SwitchBatch {
+                        switch: op.switch(),
+                        ops: vec![*op],
+                        barrier: true,
+                    }),
+                }
+            }
+            assert_eq!(scanned.len(), switches as usize);
+            assert_eq!(batch_by_switch(ops), scanned, "{switches} switches");
+        }
     }
 
     #[test]

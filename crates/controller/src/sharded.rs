@@ -59,7 +59,6 @@
 //! is done — and the only other wait, for tags a flow did not demand
 //! itself, is on a demand with a smaller ticket.
 
-use std::collections::{HashMap, HashSet};
 use std::net::Ipv4Addr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -73,8 +72,8 @@ use softcell_policy::{ServicePolicy, SubscriberAttributes, UeClassifier};
 use softcell_telemetry::{Counter, Histogram, Registry, Stopwatch};
 use softcell_topology::{ShortestPaths, Topology};
 use softcell_types::{
-    shard_of_ue, BaseStationId, Error, LocIp, MiddleboxKind, RangePool, Result, ShardRange,
-    SimDuration, SimTime, SwitchId, UeId, UeImsi,
+    shard_of_ue, BaseStationId, Error, FxHashMap, FxHashSet, LocIp, MiddleboxKind, RangePool,
+    Result, ShardRange, SimDuration, SimTime, SwitchId, UeId, UeImsi,
 };
 
 use crate::agent::{microflow_pair, FlowSlots, UeIdPool, MICROFLOW_IDLE};
@@ -314,7 +313,7 @@ pub struct ShardedController<'t> {
 /// UE-id pools, one value under one mutex.
 struct Sequenced<'t> {
     engine: CentralController<'t>,
-    pools: HashMap<BaseStationId, UeIdPool>,
+    pools: FxHashMap<BaseStationId, UeIdPool>,
 }
 
 impl Sequenced<'_> {
@@ -345,12 +344,13 @@ struct Coordinator<'t> {
     next_seq: AtomicU64,
     /// Published policy tags per (station, clause); `Err` poisons the
     /// key so waiters do not spin forever after an engine failure.
-    published: RwLock<HashMap<(BaseStationId, ClauseId), std::result::Result<PathTags, String>>>,
-    /// Precompiled per-subscriber classifiers (read-only).
-    classifiers: HashMap<UeImsi, Arc<UeClassifier>>,
+    published: RwLock<FxHashMap<(BaseStationId, ClauseId), std::result::Result<PathTags, String>>>,
+    /// Every subscriber's classifier (read-only): the engine's compiled
+    /// copies, shared by pointer.
+    classifiers: FxHashMap<UeImsi, UeClassifier>,
     /// Allow-clause middlebox chains (read-only), so workers can plan
     /// policy paths outside the sequencer without touching the engine.
-    chains: HashMap<ClauseId, Vec<MiddleboxKind>>,
+    chains: FxHashMap<ClauseId, Vec<MiddleboxKind>>,
 }
 
 /// Per-event annotation from the sequential pre-pass.
@@ -406,16 +406,20 @@ fn metrics() -> &'static ShardedMetrics {
     })
 }
 
+/// A shard's attached UEs. Held by [`Worker::run`] beside the worker,
+/// not inside it, so a handler keeps its UE borrowed across the ticket.
+type Ues = FxHashMap<UeImsi, ShardUe>;
+
 struct Worker<'t, 'c> {
     id: usize,
     coord: &'c Coordinator<'t>,
     cfg: ControllerConfig,
     topo: &'t Topology,
-    ues: HashMap<UeImsi, ShardUe>,
     perm: ShardRange,
     perm_base: u32,
     batches: Vec<SeqBatches>,
-    outcomes: Vec<(usize, EventOutcome)>,
+    /// One outcome per event of this shard's queue, in queue order.
+    outcomes: Vec<EventOutcome>,
     stats: ShardedStats,
     /// Interleaving-test scheduler state; `None` (no seed) never yields.
     rng: Option<u64>,
@@ -501,14 +505,11 @@ impl<'t> Worker<'t, '_> {
         result
     }
 
-    fn skip(&mut self, idx: usize, reason: impl Into<String>) {
+    fn skip(&mut self, reason: impl Into<String>) {
         self.stats.skipped += 1;
-        self.outcomes.push((
-            idx,
-            EventOutcome::Skipped {
-                reason: reason.into(),
-            },
-        ));
+        self.outcomes.push(EventOutcome::Skipped {
+            reason: reason.into(),
+        });
     }
 
     /// Plans a (station, clause) policy path outside the sequencer: pure
@@ -530,7 +531,7 @@ impl<'t> Worker<'t, '_> {
             .ok()
     }
 
-    fn handle_event(&mut self, idx: usize, ev: ShardEvent, ann: Annotation) {
+    fn handle_event(&mut self, ues: &mut Ues, idx: usize, ev: ShardEvent, ann: Annotation) {
         self.stats.events += 1;
         // Trace root per event: the ticket/plan/commit/batch spans below
         // nest under it via the thread-local context. Disarmed sampling
@@ -544,29 +545,29 @@ impl<'t> Worker<'t, '_> {
         root.set_shard(self.id);
         root.set_label(idx as u64);
         match ev.kind {
-            ShardEventKind::Attach { bs } => self.handle_attach(idx, ev, bs, ann),
+            ShardEventKind::Attach { bs } => self.handle_attach(ues, ev, bs, ann),
             ShardEventKind::NewFlow {
                 bs,
                 dst,
                 src_port,
                 dst_port,
                 udp,
-            } => self.handle_flow(idx, ev, bs, dst, src_port, dst_port, udp, ann),
-            ShardEventKind::Handoff { from, to } => self.handle_handoff(idx, ev, from, to, ann),
-            ShardEventKind::Detach { bs: _ } => self.handle_detach(idx, ev, ann),
+            } => self.handle_flow(ues, ev, bs, dst, src_port, dst_port, udp, ann),
+            ShardEventKind::Handoff { from, to } => self.handle_handoff(ues, ev, from, to, ann),
+            ShardEventKind::Detach { bs: _ } => self.handle_detach(ues, ev, ann),
         }
     }
 
-    fn handle_attach(&mut self, idx: usize, ev: ShardEvent, bs: BaseStationId, ann: Annotation) {
+    fn handle_attach(&mut self, ues: &mut Ues, ev: ShardEvent, bs: BaseStationId, ann: Annotation) {
         let seq = ann.seq.expect("attach is coordinated");
-        if self.ues.contains_key(&ev.imsi) {
+        if ues.contains_key(&ev.imsi) {
             // still consume the ticket: later events' seqs depend on it
             self.with_ticket(seq, |_| ((), Vec::new()));
-            return self.skip(idx, format!("{} already attached", ev.imsi));
+            return self.skip(format!("{} already attached", ev.imsi));
         }
         let Some(off) = self.perm.allocate() else {
             self.with_ticket(seq, |_| ((), Vec::new()));
-            return self.skip(idx, "permanent range exhausted");
+            return self.skip("permanent range exhausted");
         };
         let ip = Ipv4Addr::from(self.cfg.permanent_pool.raw_bits() + self.perm_base + off);
         let max_ids = self.cfg.scheme.max_ues_per_station();
@@ -580,7 +581,7 @@ impl<'t> Worker<'t, '_> {
         });
         match granted {
             Ok(grant) => {
-                self.ues.insert(
+                ues.insert(
                     ev.imsi,
                     ShardUe {
                         ue_id: grant.record.ue_id,
@@ -591,16 +592,13 @@ impl<'t> Worker<'t, '_> {
                     },
                 );
                 self.stats.attaches += 1;
-                self.outcomes.push((
-                    idx,
-                    EventOutcome::Attached {
-                        record: grant.record,
-                    },
-                ));
+                self.outcomes.push(EventOutcome::Attached {
+                    record: grant.record,
+                });
             }
             Err(e) => {
                 self.perm.release(off);
-                self.skip(idx, format!("attach failed: {e}"));
+                self.skip(format!("attach failed: {e}"));
             }
         }
     }
@@ -608,7 +606,7 @@ impl<'t> Worker<'t, '_> {
     #[allow(clippy::too_many_arguments)]
     fn handle_flow(
         &mut self,
-        idx: usize,
+        ues: &mut Ues,
         ev: ShardEvent,
         bs: BaseStationId,
         dst: Ipv4Addr,
@@ -623,17 +621,16 @@ impl<'t> Worker<'t, '_> {
             if let Some(seq) = ann.seq {
                 self.with_ticket(seq, |_| ((), Vec::new()));
             }
-            return self.skip(idx, "unknown subscriber");
+            return self.skip("unknown subscriber");
         };
         let Some(entry) = classifier.classify(proto, dst_port) else {
             if let Some(seq) = ann.seq {
                 self.with_ticket(seq, |_| ((), Vec::new()));
             }
-            return self.skip(idx, "policy matches nothing for this flow");
+            return self.skip("policy matches nothing for this flow");
         };
         let key = (bs, entry.clause);
-        let attached_here = self.ues.get(&ev.imsi).map(|u| u.bs);
-        if attached_here != Some(bs) {
+        let Some(ue) = ues.get_mut(&ev.imsi).filter(|u| u.bs == bs) else {
             // the annotator's replay assumed this UE reached `bs`; if a
             // prior attach/handoff failed at runtime we must still burn
             // the ticket AND poison the published key so non-coordinated
@@ -650,10 +647,10 @@ impl<'t> Worker<'t, '_> {
                     ((), Vec::new())
                 });
             }
-            return self.skip(idx, format!("{} not attached at {bs}", ev.imsi));
-        }
+            return self.skip(format!("{} not attached at {bs}", ev.imsi));
+        };
         let tuple = FiveTuple {
-            src: self.ues[&ev.imsi].permanent_ip,
+            src: ue.permanent_ip,
             dst,
             src_port,
             dst_port,
@@ -664,18 +661,15 @@ impl<'t> Worker<'t, '_> {
 
         if entry.access == AccessControl::Deny {
             self.stats.denied += 1;
-            self.outcomes.push((
-                idx,
-                EventOutcome::Flow(FlowDecision {
-                    bs,
-                    access,
-                    clause: entry.clause,
-                    denied: true,
-                    cache_hit: true,
-                    installs: vec![(tuple, MicroflowAction::Drop)],
-                    time: ev.time,
-                }),
-            ));
+            self.outcomes.push(EventOutcome::Flow(FlowDecision {
+                bs,
+                access,
+                clause: entry.clause,
+                denied: true,
+                cache_hit: true,
+                installs: vec![(tuple, MicroflowAction::Drop)],
+                time: ev.time,
+            }));
             return;
         }
 
@@ -728,7 +722,7 @@ impl<'t> Worker<'t, '_> {
                         self.stats.cache_misses += 1;
                         (t, false)
                     }
-                    Err(e) => return self.skip(idx, format!("path request failed: {e}")),
+                    Err(e) => return self.skip(format!("path request failed: {e}")),
                 }
             }
             // published by an earlier event (possibly on another shard):
@@ -745,18 +739,17 @@ impl<'t> Worker<'t, '_> {
                         self.stats.cache_hits += 1;
                         (t, true)
                     }
-                    Err(e) => return self.skip(idx, format!("path request failed: {e}")),
+                    Err(e) => return self.skip(format!("path request failed: {e}")),
                 }
             }
         };
 
-        let ue = self.ues.get_mut(&ev.imsi).expect("checked above");
         let loc_addr = match self.cfg.scheme.encode(LocIp::new(bs, ue.ue_id)) {
             Ok(a) => a,
-            Err(e) => return self.skip(idx, format!("loc encode failed: {e}")),
+            Err(e) => return self.skip(format!("loc encode failed: {e}")),
         };
         let Some(slot) = ue.slots.allocate(self.cfg.ports.flow_slots()) else {
-            return self.skip(idx, "all flow slots active");
+            return self.skip("all flow slots active");
         };
         let flow = match microflow_pair(
             &self.cfg.ports,
@@ -768,58 +761,55 @@ impl<'t> Worker<'t, '_> {
             slot,
         ) {
             Ok(f) => f,
-            Err(e) => return self.skip(idx, format!("port encode failed: {e}")),
+            Err(e) => return self.skip(format!("port encode failed: {e}")),
         };
         ue.flows.push(flow);
-        self.outcomes.push((
-            idx,
-            EventOutcome::Flow(FlowDecision {
-                bs,
-                access,
-                clause: entry.clause,
-                denied: false,
-                cache_hit,
-                installs: vec![
-                    (flow.uplink, flow.up_action),
-                    (flow.downlink, flow.down_action),
-                ],
-                time: ev.time,
-            }),
-        ));
+        self.outcomes.push(EventOutcome::Flow(FlowDecision {
+            bs,
+            access,
+            clause: entry.clause,
+            denied: false,
+            cache_hit,
+            installs: vec![
+                (flow.uplink, flow.up_action),
+                (flow.downlink, flow.down_action),
+            ],
+            time: ev.time,
+        }));
     }
 
     fn handle_handoff(
         &mut self,
-        idx: usize,
+        ues: &mut Ues,
         ev: ShardEvent,
         from: BaseStationId,
         to: BaseStationId,
         ann: Annotation,
     ) {
         let Some(seq) = ann.seq else {
-            return self.skip(idx, "handoff to the same station");
+            return self.skip("handoff to the same station");
         };
-        let Some(current) = self.ues.get(&ev.imsi).map(|u| u.bs) else {
+        let Some(ue) = ues.get_mut(&ev.imsi) else {
             self.with_ticket(seq, |_| ((), Vec::new()));
-            return self.skip(idx, format!("{} not attached", ev.imsi));
+            return self.skip(format!("{} not attached", ev.imsi));
         };
         // the station actually being vacated is the one this shard has
         // the UE at (the trace's `from` matches it on consistent traces)
-        let from = if current == from { from } else { current };
+        let from = if ue.bs == from { from } else { ue.bs };
         if from == to {
             self.with_ticket(seq, |_| ((), Vec::new()));
-            return self.skip(idx, "handoff to the same station");
+            return self.skip("handoff to the same station");
         }
-        let flows = self.ues[&ev.imsi].flows.clone();
 
         // Reserve an id at the target station and run the engine plan;
         // the vacated station's pool is not touched (its id stays held,
         // §5.1).
         let max_ids = self.cfg.scheme.max_ues_per_station();
+        let flows = &ue.flows;
         let plan = self.with_ticket(seq, |held| {
             let plan = held.reserve_ue_id(to, max_ids).and_then(|new_id| {
                 held.engine
-                    .handoff(ev.imsi, to, new_id, &flows, ev.time)
+                    .handoff(ev.imsi, to, new_id, flows, ev.time)
                     .inspect_err(|_| held.release_ue_id(to, new_id))
             });
             match plan {
@@ -832,52 +822,35 @@ impl<'t> Worker<'t, '_> {
         });
         let plan = match plan {
             Ok(p) => p,
-            Err(e) => return self.skip(idx, format!("handoff failed: {e}")),
+            Err(e) => return self.skip(format!("handoff failed: {e}")),
         };
 
         // re-key the flows exactly as the arriving agent adopts them
-        let installed: HashMap<FiveTuple, MicroflowAction> =
-            plan.new_microflow_installs.iter().copied().collect();
-        let ue = self.ues.get_mut(&ev.imsi).expect("checked above");
         ue.bs = to;
         ue.ue_id = plan.new.ue_id;
         ue.slots.clear();
-        ue.flows = plan
-            .carried_flows
-            .iter()
-            .filter_map(|f| {
-                Some(FlowRecord {
-                    uplink: f.uplink,
-                    downlink: f.downlink,
-                    downlink_original: f.downlink_original,
-                    up_action: *installed.get(&f.uplink)?,
-                    down_action: *installed.get(&f.downlink)?,
-                })
-            })
-            .collect();
+        ue.flows.clear();
+        ue.flows.extend(plan.carried_records());
         for f in &ue.flows {
             ue.slots
                 .occupy(self.cfg.ports.decode(f.downlink.dst_port).1);
         }
 
         self.stats.handoffs += 1;
-        self.outcomes.push((
-            idx,
-            EventOutcome::HandedOff(HandoffOutcome {
-                old_access: self.topo.base_station(from).access_switch,
-                new_access: self.topo.base_station(to).access_switch,
-                removals: plan.old_microflow_removals,
-                installs: plan.new_microflow_installs,
-                time: ev.time,
-            }),
-        ));
+        self.outcomes.push(EventOutcome::HandedOff(HandoffOutcome {
+            old_access: self.topo.base_station(from).access_switch,
+            new_access: self.topo.base_station(to).access_switch,
+            removals: plan.old_microflow_removals,
+            installs: plan.new_microflow_installs,
+            time: ev.time,
+        }));
     }
 
-    fn handle_detach(&mut self, idx: usize, ev: ShardEvent, ann: Annotation) {
+    fn handle_detach(&mut self, ues: &mut Ues, ev: ShardEvent, ann: Annotation) {
         let seq = ann.seq.expect("detach is coordinated");
-        if !self.ues.contains_key(&ev.imsi) {
+        if !ues.contains_key(&ev.imsi) {
             self.with_ticket(seq, |_| ((), Vec::new()));
-            return self.skip(idx, format!("{} not attached", ev.imsi));
+            return self.skip(format!("{} not attached", ev.imsi));
         }
         let record = self.with_ticket(seq, |held| {
             let record = held
@@ -888,21 +861,22 @@ impl<'t> Worker<'t, '_> {
         });
         match record {
             Ok(record) => {
-                let ue = self.ues.remove(&ev.imsi).expect("checked above");
+                let ue = ues.remove(&ev.imsi).expect("checked above");
                 let off = u32::from(ue.permanent_ip)
                     - self.cfg.permanent_pool.raw_bits()
                     - self.perm_base;
                 self.perm.release(off);
                 self.stats.detaches += 1;
-                self.outcomes.push((idx, EventOutcome::Detached { record }));
+                self.outcomes.push(EventOutcome::Detached { record });
             }
-            Err(e) => self.skip(idx, format!("detach failed: {e}")),
+            Err(e) => self.skip(format!("detach failed: {e}")),
         }
     }
 
     fn run(mut self, events: Vec<(usize, ShardEvent, Annotation)>) -> WorkerOutput {
+        let mut ues = Ues::default();
         for (idx, ev, ann) in events {
-            self.handle_event(idx, ev, ann);
+            self.handle_event(&mut ues, idx, ev, ann);
         }
         WorkerOutput {
             outcomes: self.outcomes,
@@ -913,7 +887,7 @@ impl<'t> Worker<'t, '_> {
 }
 
 struct WorkerOutput {
-    outcomes: Vec<(usize, EventOutcome)>,
+    outcomes: Vec<EventOutcome>,
     batches: Vec<SeqBatches>,
     stats: ShardedStats,
 }
@@ -954,9 +928,9 @@ impl<'t> ShardedController<'t> {
     fn annotate(
         &self,
         events: &[ShardEvent],
-        classifiers: &HashMap<UeImsi, Arc<UeClassifier>>,
+        classifiers: &FxHashMap<UeImsi, UeClassifier>,
     ) -> Vec<Annotation> {
-        let mut attached: HashMap<UeImsi, BaseStationId> = HashMap::new();
+        let mut attached: FxHashMap<UeImsi, BaseStationId> = FxHashMap::default();
         // Demands are tracked per (UE, station, clause), not per
         // (station, clause): each UE's first flow for a key gets its own
         // ticket. Later tickets for an already-installed key are served
@@ -965,7 +939,7 @@ impl<'t> ShardedController<'t> {
         // which is what un-poisons a key whose original demander failed
         // (a dead UE would otherwise permanently kill the key for
         // everyone). See `poisoned_key_recovers_when_another_ue_demands`.
-        let mut demanded: HashSet<(UeImsi, BaseStationId, ClauseId)> = HashSet::new();
+        let mut demanded: FxHashSet<(UeImsi, BaseStationId, ClauseId)> = FxHashSet::default();
         let mut next_seq = 0u64;
         let mut take = || {
             let s = next_seq;
@@ -1029,17 +1003,16 @@ impl<'t> ShardedController<'t> {
         for attrs in subscribers {
             engine.put_subscriber(*attrs);
         }
-        let classifiers: HashMap<UeImsi, Arc<UeClassifier>> = subscribers
+        // compiled here once per subscriber: the attaches and handoffs
+        // under the ticket hand out these same copies
+        let classifiers: FxHashMap<UeImsi, UeClassifier> = subscribers
             .iter()
-            .map(|attrs| {
-                let c = UeClassifier::compile(&engine.state().policy, engine.apps(), attrs);
-                (attrs.imsi, Arc::new(c))
-            })
+            .filter_map(|attrs| Some((attrs.imsi, engine.classifier_of(attrs.imsi).ok()?)))
             .collect();
         let annotations = self.annotate(events, &classifiers);
-        let chains: HashMap<ClauseId, Vec<MiddleboxKind>> = engine
+        let chains: FxHashMap<ClauseId, Vec<MiddleboxKind>> = engine
             .state()
-            .policy
+            .policy()
             .clauses()
             .iter()
             .enumerate()
@@ -1051,10 +1024,10 @@ impl<'t> ShardedController<'t> {
         let coord = Coordinator {
             engine: Mutex::new(Sequenced {
                 engine,
-                pools: HashMap::new(),
+                pools: FxHashMap::default(),
             }),
             next_seq: AtomicU64::new(0),
-            published: RwLock::new(HashMap::new()),
+            published: RwLock::new(FxHashMap::default()),
             classifiers,
             chains,
         };
@@ -1078,7 +1051,6 @@ impl<'t> ShardedController<'t> {
                     coord: &coord,
                     cfg: self.cfg,
                     topo: self.topo,
-                    ues: HashMap::new(),
                     perm: ShardRange::new(RangePool::new(slice, PERM_BLOCK)),
                     perm_base: 1 + id as u32 * slice,
                     batches: Vec::new(),
@@ -1099,15 +1071,20 @@ impl<'t> ShardedController<'t> {
         });
 
         let mut stats = ShardedStats::default();
-        let mut indexed: Vec<(usize, EventOutcome)> = Vec::with_capacity(events.len());
+        let mut by_shard = Vec::with_capacity(self.shards);
         let mut shard_batches = Vec::with_capacity(self.shards);
         for out in outputs {
             stats.merge(&out.stats);
-            indexed.extend(out.outcomes);
+            by_shard.push(out.outcomes.into_iter());
             shard_batches.push(out.batches);
         }
-        indexed.sort_by_key(|(idx, _)| *idx);
-        let outcomes = indexed.into_iter().map(|(_, o)| o).collect();
+        // each shard's outcomes are in its queue's order: an event's is
+        // the next one of the shard that owns its UE
+        let outcomes = events
+            .iter()
+            .map(|ev| by_shard[shard_of_ue(ev.imsi, self.shards)].next())
+            .map(|o| o.expect("every event leaves exactly one outcome"))
+            .collect();
 
         let g = Registry::global();
         for (name, v) in [
@@ -1357,5 +1334,75 @@ mod tests {
             BaseStationId(3)
         );
         assert_eq!(run.engine.state().reserved_count(), 1, "old slot reserved");
+    }
+
+    #[test]
+    fn handoff_failing_under_the_ticket_leaves_the_ue_where_it_was() {
+        // regression: the engine recorded a handoff that then failed, so
+        // the engine had the UE at the new station and its shard at the
+        // old one. The pre-pass assumes the move succeeded; the UE's
+        // later events must be served where it really is, identically
+        // at one and two shards.
+        let topo = small_topology();
+        let on_shard = |shard| (0..).find(|i| shard_of_ue(UeImsi(*i), 2) == shard).unwrap();
+        let (a, b) = (on_shard(0), on_shard(1));
+        let handoff = ShardEvent {
+            time: SimTime(2),
+            imsi: UeImsi(a),
+            kind: ShardEventKind::Handoff {
+                from: BaseStationId(0),
+                to: BaseStationId(3),
+            },
+        };
+        let events = vec![
+            attach(0, a, 0),
+            attach(0, b, 1),
+            flow(1, a, 0, 40_000, 443),
+            flow(1, b, 1, 40_001, 443),
+            handoff,                    // needs a tunnel tag: none is left
+            flow(3, a, 0, 40_002, 443), // never left station 0: served there
+            flow(4, a, 3, 40_003, 443), // and is not at station 3
+            flow(5, b, 1, 40_004, 443),
+        ];
+        let subscribers = subs(a.max(b) + 1);
+        let run = |cfg, shards, events: &[ShardEvent]| {
+            let sc = ShardedController::new(&topo, cfg, shards);
+            sc.run(ServicePolicy::example_carrier_a(1), &subscribers, events)
+        };
+        // a tag space the two policy paths use up
+        let mut cfg = ControllerConfig::simulation();
+        let paths_only = run(cfg, 1, &events[..4]);
+        cfg.tag_policy.capacity = paths_only.engine.installer().tags_in_use() as u16;
+
+        let (one, two) = (run(cfg, 1, &events), run(cfg, 2, &events));
+        for r in [&one, &two] {
+            assert!(
+                matches!(&r.outcomes[4], EventOutcome::Skipped { reason }
+                    if reason == "handoff failed: resource exhausted: no tag left for tunnel"),
+                "{:?}",
+                r.outcomes[4]
+            );
+            let EventOutcome::Flow(served) = &r.outcomes[5] else {
+                panic!("served at the old station: {:?}", r.outcomes[5]);
+            };
+            assert!(served.bs == BaseStationId(0) && served.cache_hit);
+            assert!(
+                matches!(&r.outcomes[6], EventOutcome::Skipped { reason }
+                    if reason.contains("not attached at")),
+                "{:?}",
+                r.outcomes[6]
+            );
+            let engine = r.engine.state();
+            assert_eq!(engine.ue(UeImsi(a)).unwrap().bs, BaseStationId(0));
+            assert_eq!(engine.reserved_count(), 0);
+            assert_eq!(r.engine.mobility().transitions_active(), 0);
+            assert_eq!(r.engine.mobility().tunnel_count(), 0);
+        }
+        // `a` draws its address from shard 0's range either way
+        for i in [0, 2, 4, 5, 6] {
+            let (o, t) = (&one.outcomes[i], &two.outcomes[i]);
+            assert_eq!(format!("{o:?}"), format!("{t:?}"), "event {i}");
+        }
+        assert_eq!(one.merged_batches(), two.merged_batches());
     }
 }

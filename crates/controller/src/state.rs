@@ -7,12 +7,11 @@
 //! local agents. [`ControllerState`] holds both, versioned so the
 //! replication layer ([`crate::failover`]) can ship deltas.
 
-use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 use serde::{Deserialize, Serialize};
-use softcell_policy::{ServicePolicy, SubscriberAttributes};
-use softcell_types::{BaseStationId, Error, Ipv4Prefix, Result, SimTime, UeId, UeImsi};
+use softcell_policy::{AppClassifier, ServicePolicy, SubscriberAttributes, UeClassifier};
+use softcell_types::{BaseStationId, Error, FxHashMap, Ipv4Prefix, Result, SimTime, UeId, UeImsi};
 
 /// One attached UE as the controller sees it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -33,22 +32,27 @@ pub struct UeRecord {
 /// The central controller's replicated state.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct ControllerState {
-    /// The service policy (slow-changing).
-    pub policy: ServicePolicy,
-    subscribers: HashMap<UeImsi, SubscriberAttributes>,
-    ues: HashMap<UeImsi, UeRecord>,
-    by_loc: HashMap<(BaseStationId, UeId), UeImsi>,
+    /// The service policy: fixed at construction, so a compiled
+    /// classifier can only go stale through `put_subscriber`.
+    policy: ServicePolicy,
+    subscribers: FxHashMap<UeImsi, SubscriberAttributes>,
+    /// Each subscriber's classifier, compiled on first use and handed
+    /// out by pointer copy from then on. One writer invalidates it:
+    /// [`put_subscriber`](Self::put_subscriber).
+    classifiers: FxHashMap<UeImsi, UeClassifier>,
+    ues: FxHashMap<UeImsi, UeRecord>,
+    by_loc: FxHashMap<(BaseStationId, UeId), UeImsi>,
     /// Locations still carrying anchored traffic after a handoff: "the
     /// controller does not assign the old location-dependent address to
     /// any new UEs" until the transition ends (§5.1). Maps to the owning
     /// subscriber so a returning UE may reclaim its own address.
-    reserved: HashMap<(BaseStationId, UeId), UeImsi>,
+    reserved: FxHashMap<(BaseStationId, UeId), UeImsi>,
     /// Owner → the locations it vacated, so `detach` visits only the
     /// detaching UE's reservations instead of every live one. Holds
     /// every location `reserved` maps to the owner, and possibly some it
     /// no longer does (re-claimed by the owner's return, or released):
     /// `reserved` is the truth, this only says where to look.
-    reserved_by: HashMap<UeImsi, Vec<(BaseStationId, UeId)>>,
+    reserved_by: FxHashMap<UeImsi, Vec<(BaseStationId, UeId)>>,
     /// DHCP pool for permanent addresses.
     permanent_pool: Ipv4Prefix,
     next_permanent: u32,
@@ -62,11 +66,12 @@ impl ControllerState {
     pub fn new(policy: ServicePolicy, permanent_pool: Ipv4Prefix) -> Self {
         ControllerState {
             policy,
-            subscribers: HashMap::new(),
-            ues: HashMap::new(),
-            by_loc: HashMap::new(),
-            reserved: HashMap::new(),
-            reserved_by: HashMap::new(),
+            subscribers: FxHashMap::default(),
+            classifiers: FxHashMap::default(),
+            ues: FxHashMap::default(),
+            by_loc: FxHashMap::default(),
+            reserved: FxHashMap::default(),
+            reserved_by: FxHashMap::default(),
             permanent_pool,
             next_permanent: 1, // .0 reserved
             freed_permanent: Vec::new(),
@@ -79,10 +84,28 @@ impl ControllerState {
         self.version
     }
 
-    /// Registers (or updates) a subscriber's attributes.
+    /// The service policy (slow-changing; immutable after construction).
+    pub fn policy(&self) -> &ServicePolicy {
+        &self.policy
+    }
+
+    /// Registers (or updates) a subscriber's attributes; a classifier
+    /// compiled from the previous ones is dropped.
     pub fn put_subscriber(&mut self, attrs: SubscriberAttributes) {
         self.subscribers.insert(attrs.imsi, attrs);
+        self.classifiers.remove(&attrs.imsi);
         self.version += 1;
+    }
+
+    /// The subscriber's classifier (§4.2): compiled once per
+    /// `put_subscriber`, a pointer copy afterwards.
+    pub fn classifier(&mut self, imsi: UeImsi, apps: &AppClassifier) -> Result<UeClassifier> {
+        if let Some(c) = self.classifiers.get(&imsi) {
+            return Ok(c.clone());
+        }
+        let c = UeClassifier::compile(&self.policy, apps, self.subscriber(imsi)?);
+        self.classifiers.insert(imsi, c.clone());
+        Ok(c)
     }
 
     /// A subscriber's attributes.
@@ -181,36 +204,52 @@ impl ControllerState {
         new_ue_id: UeId,
         now: SimTime,
     ) -> Result<(UeRecord, UeRecord)> {
-        let old = *self
-            .ues
-            .get(&imsi)
-            .ok_or_else(|| Error::NotFound(format!("{imsi} not attached")))?;
+        let (old, new) = self.check_move(imsi, new_bs, new_ue_id, now)?;
+        self.commit_move(old, new);
+        Ok((old, new))
+    }
+
+    /// Everything that can refuse a move, without moving: the UE's
+    /// records before and after it, if it may take the new location.
+    pub(crate) fn check_move(
+        &self,
+        imsi: UeImsi,
+        new_bs: BaseStationId,
+        new_ue_id: UeId,
+        now: SimTime,
+    ) -> Result<(UeRecord, UeRecord)> {
+        let old = *self.ue(imsi)?;
         if !self.location_available(new_bs, new_ue_id, imsi) {
             return Err(Error::InvalidState(format!(
                 "location ({new_bs},{new_ue_id}) already occupied or reserved"
             )));
         }
-        // The old location-dependent address must not be reassigned while
-        // old flows still use it (§5.1): it moves into the reserved set
-        // until the mobility transition expires.
-        self.by_loc.remove(&(old.bs, old.ue_id));
-        self.reserved.remove(&(new_bs, new_ue_id));
-        // stale entries are dropped here, so the list never outgrows the
-        // UE's live reservations however long it stays attached
-        let vacated = self.reserved_by.entry(imsi).or_default();
-        vacated.retain(|loc| self.reserved.get(loc) == Some(&imsi));
-        vacated.push((old.bs, old.ue_id));
-        self.reserved.insert((old.bs, old.ue_id), imsi);
         let new = UeRecord {
             bs: new_bs,
             ue_id: new_ue_id,
             since: now,
             ..old
         };
-        self.ues.insert(imsi, new);
-        self.by_loc.insert((new_bs, new_ue_id), imsi);
-        self.version += 1;
         Ok((old, new))
+    }
+
+    /// Performs a move [`check_move`](Self::check_move) allowed.
+    pub(crate) fn commit_move(&mut self, old: UeRecord, new: UeRecord) {
+        let imsi = old.imsi;
+        // The old location-dependent address must not be reassigned while
+        // old flows still use it (§5.1): it moves into the reserved set
+        // until the mobility transition expires.
+        self.by_loc.remove(&(old.bs, old.ue_id));
+        self.reserved.remove(&(new.bs, new.ue_id));
+        // stale entries are dropped here, so the list never outgrows the
+        // UE's live reservations however long it stays attached
+        let vacated = self.reserved_by.entry(imsi).or_default();
+        vacated.retain(|loc| self.reserved.get(loc) == Some(&imsi));
+        vacated.push((old.bs, old.ue_id));
+        self.reserved.insert((old.bs, old.ue_id), imsi);
+        self.ues.insert(imsi, new);
+        self.by_loc.insert((new.bs, new.ue_id), imsi);
+        self.version += 1;
     }
 
     /// Detaches a UE, releasing its permanent address.
@@ -453,7 +492,8 @@ mod tests {
                 ops in proptest::collection::vec((0u8..6, 0u64..4, 0u32..2, 0u16..3), 1..300),
             ) {
                 let mut s = state();
-                let mut model: HashMap<(BaseStationId, UeId), UeImsi> = HashMap::new();
+                let mut model: std::collections::HashMap<(BaseStationId, UeId), UeImsi> =
+                    Default::default();
                 for (op, imsi, bs, id) in ops {
                     let (imsi, bs, id) = (UeImsi(imsi), BaseStationId(bs), UeId(id));
                     match op {

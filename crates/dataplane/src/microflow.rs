@@ -104,6 +104,7 @@ impl MicroflowTable {
         action: MicroflowAction,
         idle_deadline: SimTime,
     ) -> Result<()> {
+        let m = crate::metrics::metrics();
         if let Some(cap) = self.capacity {
             if self.entries.len() >= cap && !self.entries.contains_key(&tuple) {
                 let victim = self
@@ -129,7 +130,7 @@ impl MicroflowTable {
                 };
                 self.entries.remove(&victim);
                 self.evictions += 1;
-                crate::metrics::metrics().microflow_evictions.inc();
+                m.microflow_evictions.inc();
             }
         }
         self.entries.insert(
@@ -140,7 +141,6 @@ impl MicroflowTable {
                 idle_deadline,
             },
         );
-        let m = crate::metrics::metrics();
         m.microflow_installs.inc();
         m.microflow_occupancy_hwm
             .record_max(self.entries.len() as u64);

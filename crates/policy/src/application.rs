@@ -119,12 +119,17 @@ impl AppClassifier {
     /// All signatures mapping to a given application — used to compile a
     /// per-UE classifier entry into concrete port matches for the access
     /// switch.
-    pub fn signatures_of(&self, app: ApplicationType) -> Vec<PortSignature> {
+    pub fn signatures_of(&self, app: ApplicationType) -> impl Iterator<Item = PortSignature> + '_ {
         self.signatures
             .iter()
-            .filter(|(_, a)| *a == app)
+            .filter(move |(_, a)| *a == app)
             .map(|(sig, _)| *sig)
-            .collect()
+    }
+
+    /// Number of signatures in the table — the most entries a compiled
+    /// per-UE classifier can hold.
+    pub fn signature_count(&self) -> usize {
+        self.signatures.len()
     }
 }
 
@@ -160,7 +165,7 @@ mod tests {
                 assert_eq!(c.classify(sig.proto, sig.dst_port), app);
             }
         }
-        assert!(c.signatures_of(ApplicationType::Unknown).is_empty());
+        assert!(c.signatures_of(ApplicationType::Unknown).next().is_none());
     }
 
     #[test]

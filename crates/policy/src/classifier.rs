@@ -10,6 +10,8 @@
 //! paper's example. The local agent consults this table for every new
 //! flow without touching the controller.
 
+use std::sync::Arc;
+
 use serde::{Deserialize, Serialize};
 
 use softcell_packet::Protocol;
@@ -33,10 +35,12 @@ pub struct ClassifierEntry {
     pub access: AccessControl,
 }
 
-/// The policy specialized to one subscriber.
+/// The policy specialized to one subscriber. The entries are shared:
+/// cloning a classifier — the controller hands its compiled copy to
+/// every grant and handoff plan — copies a pointer, not the table.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct UeClassifier {
-    entries: Vec<ClassifierEntry>,
+    entries: Arc<[ClassifierEntry]>,
     /// The clause for flows matching no signature (the `Unknown`
     /// application), if the policy has one for this subscriber.
     fallback: Option<(ClauseId, AccessControl)>,
@@ -51,7 +55,7 @@ impl UeClassifier {
         apps: &AppClassifier,
         attrs: &SubscriberAttributes,
     ) -> UeClassifier {
-        let mut entries = Vec::new();
+        let mut entries = Vec::with_capacity(apps.signature_count());
         let mut fallback = None;
         for app in ApplicationType::ALL {
             let Some((clause_id, clause)) = policy.match_clause(attrs, app) else {
@@ -71,7 +75,7 @@ impl UeClassifier {
                 });
             }
         }
-        UeClassifier { entries, fallback }
+        UeClassifier::from_parts(entries, fallback)
     }
 
     /// Reassembles a classifier from its parts — the receive side of a
@@ -81,7 +85,10 @@ impl UeClassifier {
         entries: Vec<ClassifierEntry>,
         fallback: Option<(ClauseId, AccessControl)>,
     ) -> UeClassifier {
-        UeClassifier { entries, fallback }
+        UeClassifier {
+            entries: entries.into(),
+            fallback,
+        }
     }
 
     /// Looks up the clause governing a flow.

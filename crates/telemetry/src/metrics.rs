@@ -78,10 +78,14 @@ impl Gauge {
     }
 
     /// Raises the gauge to `v` if `v` is larger — a lock-free
-    /// high-water mark.
+    /// high-water mark. A mark is passed rarely and read on every call
+    /// (each table install reports its occupancy), so the
+    /// read-modify-write runs only when a plain load says `v` passes it.
     #[inline]
     pub fn record_max(&self, v: u64) {
-        self.value.fetch_max(v, Ordering::Relaxed);
+        if v > self.value.load(Ordering::Relaxed) {
+            self.value.fetch_max(v, Ordering::Relaxed);
+        }
     }
 
     /// Current value.

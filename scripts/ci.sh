@@ -81,6 +81,15 @@ print(f"perf smoke ok: {sys.argv[1]}: {result['attempted']} operations verified,
 PY
 done
 
+# Allocation budget of the mobility event path (tests/alloc_budget.rs):
+# heap allocations of a handoff with 0 / 1 / 8 carried flows, of agent
+# tag-cache hits and of sharded cache-hit flows, counted by a test-only
+# global allocator on fixed scenarios. Counts repeat exactly, so unlike
+# the timings above this *is* a gate on a shared host: a change that
+# brings back a per-event compile, clone or regrowing vector fails it.
+echo "==> allocation budget: handoff / agent hit / sharded hit (60 s cap)"
+timeout 60 cargo test -q --release --test alloc_budget
+
 # Sharded packet-in throughput smoke: 4 domains must beat a single
 # domain by at least 1.5x (the acceptance floor is 2x on multicore; the
 # smoke bar is lower so a loaded 1-core CI box still passes honestly).
