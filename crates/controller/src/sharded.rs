@@ -289,11 +289,12 @@ impl ShardedRun<'_> {
     /// sequence (ordered by ticket) a single-threaded controller would
     /// have emitted. Within a ticket, per-switch order is the engine's
     /// emission order; the per-batch barrier makes cross-batch ordering
-    /// on one switch explicit (see [`crate::ops::batch_by_switch`]).
-    pub fn merged_batches(&self) -> Vec<SwitchBatch> {
+    /// on one switch explicit (see [`crate::ops::batch_by_switch`]). The
+    /// batches are borrowed from `shard_batches`, not cloned.
+    pub fn merged_batches(&self) -> Vec<&SwitchBatch> {
         let mut all: Vec<&SeqBatches> = self.shard_batches.iter().flatten().collect();
         all.sort_by_key(|s| s.seq);
-        all.iter().flat_map(|s| s.batches.iter().cloned()).collect()
+        all.iter().flat_map(|s| &s.batches).collect()
     }
 }
 

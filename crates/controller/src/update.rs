@@ -107,9 +107,7 @@ impl TwoPhaseUpdate {
         let mut removed = 0;
         for op in &self.staged {
             if let RuleOp::Remove { switch, matcher } = op {
-                removed += switch_mut(network, *switch)?
-                    .table
-                    .remove_where(|r| r.matcher == *matcher);
+                removed += switch_mut(network, *switch)?.table.remove_matching(matcher);
             }
         }
         Ok(removed)

@@ -7,8 +7,9 @@
 //! cheaper exact-match/LPM memories.
 
 use serde::{Deserialize, Serialize};
+use std::hash::{BuildHasher, BuildHasherDefault};
 
-use softcell_types::{Error, Result};
+use softcell_types::{Error, FxHasher, Result};
 
 use crate::matcher::{LookupKey, Match, RuleType};
 use crate::rule::{Action, FlowRule, RuleId};
@@ -21,8 +22,19 @@ pub struct FlowTable {
     /// `hits[i]` is the match counter of `rules[i]`: kept beside the rule,
     /// not keyed by id, so counting a hit is an indexed add.
     hits: Vec<u64>,
+    /// `keys[i]` is [`fingerprint`] of `rules[i].matcher`: removal by
+    /// matcher scans these 8 bytes a rule, not the 72-byte rules. Written
+    /// only where `rules` and `hits` are (`install` and the three
+    /// removals); lookups never read it.
+    keys: Vec<u64>,
     next_id: u64,
     capacity: Option<usize>,
+}
+
+/// The Fx hash of a matcher. Collisions are allowed: a key hit is always
+/// confirmed with the full `==`.
+fn fingerprint(matcher: &Match) -> u64 {
+    BuildHasherDefault::<FxHasher>::default().hash_one(matcher)
 }
 
 /// Occupancy statistics by rule type.
@@ -89,6 +101,7 @@ impl FlowTable {
         let pos = self.rules.partition_point(|r| r.priority >= priority);
         self.rules.insert(pos, rule);
         self.hits.insert(pos, 0);
+        self.keys.insert(pos, fingerprint(&matcher));
         let m = crate::metrics::metrics();
         m.rule_installs.inc();
         m.table_occupancy_hwm.record_max(self.rules.len() as u64);
@@ -103,23 +116,52 @@ impl FlowTable {
             .position(|r| r.id == id)
             .ok_or_else(|| Error::NotFound(format!("rule {id:?}")))?;
         self.hits.remove(pos);
+        self.keys.remove(pos);
         crate::metrics::metrics().rule_removals.inc();
         Ok(self.rules.remove(pos))
     }
 
-    /// Removes every rule whose matcher satisfies `pred`; returns count.
+    /// Removes every rule that satisfies `pred`; returns the count. Kept
+    /// rules move only past a removed one, so removing nothing writes
+    /// nothing. To remove by matcher use [`Self::remove_matching`].
     pub fn remove_where(&mut self, mut pred: impl FnMut(&FlowRule) -> bool) -> usize {
         let mut kept = 0;
         for i in 0..self.rules.len() {
-            if !pred(&self.rules[i]) {
+            if pred(&self.rules[i]) {
+                continue;
+            }
+            if kept != i {
                 self.rules[kept] = self.rules[i];
                 self.hits[kept] = self.hits[i];
-                kept += 1;
+                self.keys[kept] = self.keys[i];
             }
+            kept += 1;
         }
         let removed = self.rules.len() - kept;
         self.rules.truncate(kept);
         self.hits.truncate(kept);
+        self.keys.truncate(kept);
+        crate::metrics::metrics().rule_removals.add(removed as u64);
+        removed
+    }
+
+    /// Removes every rule whose matcher equals `matcher` — what
+    /// `remove_where(|r| r.matcher == *matcher)` does, finding the rules
+    /// through `keys` instead of comparing every matcher.
+    pub fn remove_matching(&mut self, matcher: &Match) -> usize {
+        let key = fingerprint(matcher);
+        let (mut at, mut removed) = (0, 0);
+        while let Some(hit) = self.keys[at..].iter().position(|&k| k == key) {
+            at += hit;
+            if self.rules[at].matcher == *matcher {
+                self.rules.remove(at);
+                self.hits.remove(at);
+                self.keys.remove(at);
+                removed += 1;
+            } else {
+                at += 1;
+            }
+        }
         crate::metrics::metrics().rule_removals.add(removed as u64);
         removed
     }
@@ -284,6 +326,56 @@ mod tests {
         assert!(t.remove(a).is_err());
         assert_eq!(t.remove_where(|r| r.matcher.location().is_some()), 1);
         assert!(t.is_empty());
+    }
+
+    /// The three parallel columns are in step: same length, and every key
+    /// is the fingerprint of the rule beside it.
+    fn assert_in_step(t: &FlowTable) {
+        assert_eq!(t.hits.len(), t.rules.len());
+        let keys: Vec<u64> = t.rules.iter().map(|r| fingerprint(&r.matcher)).collect();
+        assert_eq!(t.keys, keys);
+    }
+
+    #[test]
+    fn keys_stay_in_step_with_rules_through_every_mutator() {
+        let pref = |s: &str| Match::prefix(Direction::Downlink, s.parse().unwrap());
+        let (a, b, c) = (pref("10.0.0.0/8"), pref("10.0.0.0/23"), Match::ANY);
+        let mut t = FlowTable::new();
+        let mut ids = Vec::new();
+        for (priority, m) in [(10, a), (30, b), (20, c), (30, a), (10, b), (20, a)] {
+            ids.push(t.install(priority, m, Action::Drop).unwrap());
+            assert_in_step(&t);
+        }
+        t.remove(ids[2]).unwrap();
+        assert_in_step(&t);
+        assert_eq!(t.remove_where(|r| r.priority == 10), 2);
+        assert_in_step(&t);
+        // every priority of one matcher goes, the rules between stay put
+        assert_eq!(t.remove_matching(&a), 2);
+        assert_in_step(&t);
+        assert_eq!(t.iter().map(|r| r.id).collect::<Vec<_>>(), [ids[1]]);
+        assert_eq!(t.remove_matching(&a), 0);
+        assert_eq!(t.remove_where(|_| false), 0);
+        assert_in_step(&t);
+    }
+
+    #[test]
+    fn a_fingerprint_collision_removes_only_the_equal_matcher() {
+        let a = Match::prefix(Direction::Uplink, "10.0.0.0/8".parse().unwrap());
+        let b = Match::prefix(Direction::Downlink, "10.0.0.0/8".parse().unwrap());
+        let mut t = FlowTable::new();
+        let ids: Vec<RuleId> = [b, a, b, a]
+            .iter()
+            .map(|m| t.install(10, *m, Action::Drop).unwrap())
+            .collect();
+        // forge the collision: `b`'s rules carry `a`'s key
+        t.keys = vec![fingerprint(&a); 4];
+        let hit = t.lookup(&key_to(Ipv4Addr::new(10, 0, 0, 1), 80)).unwrap();
+        assert_eq!(hit.id, ids[0]);
+        assert_eq!(t.remove_matching(&a), 2);
+        assert_eq!(t.iter().map(|r| r.id).collect::<Vec<_>>(), [ids[0], ids[2]]);
+        assert_eq!((t.counter(ids[0]), t.counter(ids[2])), (1, 0));
+        assert_eq!((t.hits.len(), t.keys.len()), (2, 2));
     }
 
     #[test]

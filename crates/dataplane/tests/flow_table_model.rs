@@ -1,8 +1,11 @@
 //! Model test for [`FlowTable`]: random interleavings of install, remove,
-//! remove_where and lookup against the two things a table promises —
-//! `lookup` is "first match in `iter()` order", and hit counters follow
-//! rule *ids* (the model is a map keyed by id) however rules shift
-//! position underneath them.
+//! remove_where, remove_matching and lookup against what a table
+//! promises — `lookup` is "first match in `iter()` order", hit counters
+//! follow rule *ids* (the model is a map keyed by id) however rules shift
+//! position underneath them, `remove_matching(&m)` is
+//! `remove_where(|r| r.matcher == m)`, and the private fingerprint column
+//! stays in step with the rules (seen from outside: every installed
+//! matcher is still found through it).
 
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
@@ -70,7 +73,7 @@ fn key(bits: u32) -> LookupKey {
 proptest! {
     #[test]
     fn prop_lookup_is_first_match_and_counters_follow_ids(
-        ops in proptest::collection::vec((0u8..8, any::<u32>(), any::<u32>()), 1..120),
+        ops in proptest::collection::vec((0u8..9, any::<u32>(), any::<u32>()), 1..120),
     ) {
         let mut table = FlowTable::new();
         // every id ever issued -> expected counter; `None` once removed
@@ -95,11 +98,26 @@ proptest! {
                     }
                 }
                 4 => {
-                    // by exact matcher, as `RuleOp::Remove` does
+                    // by exact matcher, as `RuleOp::Remove` does: the same
+                    // table — ids, order, counters, keys — and the same
+                    // count as the predicate form leaves on a clone
                     let gone = matcher(a);
                     let doomed: Vec<RuleId> =
                         table.iter().filter(|r| r.matcher == gone).map(|r| r.id).collect();
-                    prop_assert_eq!(table.remove_where(|r| r.matcher == gone), doomed.len());
+                    let mut twin = table.clone();
+                    prop_assert_eq!(twin.remove_where(|r| r.matcher == gone), doomed.len());
+                    prop_assert_eq!(table.remove_matching(&gone), doomed.len());
+                    prop_assert_eq!(format!("{table:?}"), format!("{twin:?}"));
+                    for id in doomed {
+                        model.insert(id, None);
+                    }
+                }
+                5 => {
+                    // by a predicate that is not a matcher comparison
+                    let priority = PRIORITIES[a as usize % 3];
+                    let doomed: Vec<RuleId> =
+                        table.iter().filter(|r| r.priority == priority).map(|r| r.id).collect();
+                    prop_assert_eq!(table.remove_where(|r| r.priority == priority), doomed.len());
                     for id in doomed {
                         model.insert(id, None);
                     }
@@ -122,6 +140,12 @@ proptest! {
             // only the winner's counter moved; a removed rule reads 0
             for (id, hits) in &model {
                 prop_assert_eq!(table.counter(*id), hits.unwrap_or(0), "counter of {:?}", id);
+            }
+            // keys in step: whatever the step moved, each rule is still
+            // found through its key, at every priority it sits at
+            for rule in table.iter() {
+                let same = table.iter().filter(|r| r.matcher == rule.matcher).count();
+                prop_assert_eq!(table.clone().remove_matching(&rule.matcher), same);
             }
         }
     }

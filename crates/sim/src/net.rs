@@ -149,27 +149,28 @@ impl PhysicalNetwork {
         &mut self.switches
     }
 
-    /// Applies one controller rule operation.
+    /// Applies one controller rule operation. An op naming a switch the
+    /// topology does not have is an error, not a panic.
     pub fn apply(&mut self, op: &RuleOp) -> Result<()> {
+        let switch = op.switch();
+        let table = match self.switches.get_mut(switch.index()) {
+            Some(sw) => &mut sw.table,
+            None => return Err(Error::NotFound(format!("{switch} not in network"))),
+        };
         match op {
             RuleOp::Install {
-                switch,
                 priority,
                 matcher,
                 action,
+                ..
             } => {
-                self.switches[switch.index()]
-                    .table
-                    .install(*priority, *matcher, *action)?;
-                Ok(())
+                table.install(*priority, *matcher, *action)?;
             }
-            RuleOp::Remove { switch, matcher } => {
-                self.switches[switch.index()]
-                    .table
-                    .remove_where(|r| r.matcher == *matcher);
-                Ok(())
+            RuleOp::Remove { matcher, .. } => {
+                table.remove_matching(matcher);
             }
         }
+        Ok(())
     }
 
     /// Applies a batch of operations.
@@ -559,5 +560,37 @@ mod tests {
         })
         .unwrap();
         assert_eq!(net.total_rules(), 0);
+    }
+
+    #[test]
+    fn rule_op_for_a_switch_outside_the_topology_is_an_error() {
+        let topo = small_topology();
+        let mut net = PhysicalNetwork::new(&topo);
+        let m = Match::prefix(Direction::Downlink, "10.0.0.0/23".parse().unwrap());
+        let install = |switch| RuleOp::Install {
+            switch,
+            priority: 10,
+            matcher: m,
+            action: Action::Drop,
+        };
+        net.apply(&install(SwitchId(0))).unwrap();
+        let outside = SwitchId::from_index(topo.switch_count());
+        let remove = RuleOp::Remove {
+            switch: outside,
+            matcher: m,
+        };
+        for op in [install(outside), remove] {
+            let err = net.apply(&op).unwrap_err();
+            assert!(matches!(err, Error::NotFound(_)), "{err}");
+            assert!(err.to_string().contains("not in network"), "{err}");
+            assert_eq!(net.total_rules(), 1, "no table touched");
+        }
+        // a batch stops at the bad op; a following valid op still applies
+        assert!(net
+            .apply_all(&[install(outside), install(SwitchId(1))])
+            .is_err());
+        assert_eq!(net.total_rules(), 1);
+        net.apply(&install(SwitchId(1))).unwrap();
+        assert_eq!(net.total_rules(), 2);
     }
 }

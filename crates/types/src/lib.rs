@@ -28,7 +28,7 @@ pub mod time;
 pub use addr::{AddressingScheme, LocIp, PortEmbedding};
 pub use epoch::{ControllerId, EpochFence, Membership};
 pub use error::{Error, Result};
-pub use fxhash::{FxHashMap, FxHashSet};
+pub use fxhash::{FxHashMap, FxHashSet, FxHasher};
 pub use ids::{
     BaseStationId, FlowId, GatewayId, LinkId, MiddleboxId, MiddleboxKind, PortNo, SwitchId, UeId,
     UeImsi,

@@ -90,6 +90,14 @@ done
 echo "==> allocation budget: handoff / agent hit / sharded hit (60 s cap)"
 timeout 60 cargo test -q --release --test alloc_budget
 
+# Layout budget (tests/layout_budget.rs): size and alignment of the
+# values the data-plane write path copies — the 16-byte FiveTuple, the
+# 48-byte microflow bucket, FlowRule, Match, RuleOp, FlowRecord,
+# EventOutcome. Numbers again, so a gate: a field that brings back an
+# odd-sized key (and the store-forwarding stall with it) fails here.
+echo "==> layout budget: hot-path value sizes (60 s cap)"
+timeout 60 cargo test -q --release --test layout_budget
+
 # Sharded packet-in throughput smoke: 4 domains must beat a single
 # domain by at least 1.5x (the acceptance floor is 2x on multicore; the
 # smoke bar is lower so a loaded 1-core CI box still passes honestly).

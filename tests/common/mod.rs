@@ -263,6 +263,12 @@ pub fn reference_run(topo: &Topology, n_subs: u64, events: &[ShardEvent]) -> Run
 
 /// Replays a sharded run's merged batch stream and per-event outcomes
 /// onto a fresh data plane.
+///
+/// The same forty lines as `materialize` in
+/// `perf/src/workloads/metro_churn.rs`. That copy is the frozen reference
+/// (the benchmark's files do not change with the code they measure) and
+/// must keep compiling against `ShardedRun` unchanged; this one adds the
+/// stream-shape asserts and may follow the API.
 pub fn materialize_net(topo: &Topology, run: &ShardedRun<'_>) -> PhysicalNetwork {
     let mut net = PhysicalNetwork::new(topo);
     for stream in &run.shard_batches {

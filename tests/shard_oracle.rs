@@ -26,7 +26,10 @@ use common::{
     assert_sessions_refine, compare, materialize, policy, reference_run, session_port_groups,
     subscribers, SERVER,
 };
-use softcell::controller::sharded::{ShardEvent, ShardEventKind, ShardedController};
+use softcell::controller::ops::SwitchBatch;
+use softcell::controller::sharded::{
+    SeqBatches, ShardEvent, ShardEventKind, ShardedController, ShardedRun,
+};
 use softcell::controller::ControllerConfig;
 use softcell::topology::small_topology;
 use softcell::workload::{EventKind, EventStream, EventStreamConfig};
@@ -63,6 +66,15 @@ fn convert(events: &[softcell::workload::TraceEvent]) -> Vec<ShardEvent> {
         .collect()
 }
 
+/// `merged_batches()` as it was when it returned owned batches: every
+/// batch cloned, in ticket order. The borrowed merge is checked against
+/// it element for element.
+fn merged_batches_cloned(run: &ShardedRun<'_>) -> Vec<SwitchBatch> {
+    let mut all: Vec<&SeqBatches> = run.shard_batches.iter().flatten().collect();
+    all.sort_by_key(|s| s.seq);
+    all.iter().flat_map(|s| s.batches.iter().cloned()).collect()
+}
+
 fn oracle(workload_seed: u64) {
     let topo = small_topology();
     let stream = EventStream::generate(&EventStreamConfig::busy(4, UES, workload_seed));
@@ -83,6 +95,12 @@ fn oracle(workload_seed: u64) {
             "{shards} shards: clean trace must not skip events"
         );
         assert_eq!(run.outcomes.len(), events.len());
+        let (merged, cloned) = (run.merged_batches(), merged_batches_cloned(&run));
+        assert!(!merged.is_empty());
+        assert!(
+            merged.iter().copied().eq(&cloned),
+            "{shards} shards: borrowed merge differs from the cloned one"
+        );
         let dump = materialize(&topo, &run);
         compare(&reference, &dump, &format!("{shards} shards"));
         assert_sessions_refine(&sessions, &dump, &format!("{shards} shards"));
