@@ -18,26 +18,9 @@ use softcell_types::{
     PortEmbedding, PortNo, Result, SimTime, SwitchId, UeId, UeImsi,
 };
 
-use crate::install::{Direction, PathInstaller, PolicyPathPlan, TagPolicy};
+use crate::install::{Direction, PathInstaller, TagPolicy};
 use crate::ops::{lower_delta, RuleOp};
 use crate::state::{ControllerState, UeRecord};
-
-/// How a policy-path request was satisfied — the sharded controller's
-/// telemetry and cache accounting are derived from this.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CommitTier {
-    /// Already installed: served from the `(clause, station)` cache.
-    Cached,
-    /// An optimistic plan computed outside the sequencer validated
-    /// against current state and was committed as-is.
-    Fast,
-    /// An optimistic plan was offered but had gone stale (or did not
-    /// match the engine's mode); the path was re-planned under the
-    /// ticket.
-    Replanned,
-    /// No plan was offered; the ordinary sequential path ran.
-    Unplanned,
-}
 
 /// Static controller configuration.
 #[derive(Clone, Copy, Debug)]
@@ -106,7 +89,7 @@ pub struct CentralController<'t> {
     cfg: ControllerConfig,
     state: ControllerState,
     apps: AppClassifier,
-    installer: PathInstaller<'t>,
+    installer: PathInstaller,
     paths: ShortestPaths<'t>,
     /// Installed policy paths by (clause, origin station).
     installed: HashMap<(ClauseId, BaseStationId), PathTags>,
@@ -175,12 +158,12 @@ impl<'t> CentralController<'t> {
     }
 
     /// The path installer (rule counts, tags in use).
-    pub fn installer(&self) -> &PathInstaller<'t> {
+    pub fn installer(&self) -> &PathInstaller {
         &self.installer
     }
 
     /// Mutable installer access (tunnel tag allocation).
-    pub fn installer_mut(&mut self) -> &mut PathInstaller<'t> {
+    pub fn installer_mut(&mut self) -> &mut PathInstaller {
         &mut self.installer
     }
 
@@ -262,23 +245,7 @@ impl<'t> CentralController<'t> {
         ue_id: UeId,
         now: SimTime,
     ) -> Result<AttachGrant> {
-        self.attach_ue_with_ip(imsi, bs, ue_id, now, None)
-    }
-
-    /// [`attach_ue`](Self::attach_ue) with an externally allocated
-    /// permanent address (the sharded controller's per-shard address
-    /// ranges; `None` uses the state's own pool).
-    pub fn attach_ue_with_ip(
-        &mut self,
-        imsi: UeImsi,
-        bs: BaseStationId,
-        ue_id: UeId,
-        now: SimTime,
-        permanent_ip: Option<std::net::Ipv4Addr>,
-    ) -> Result<AttachGrant> {
-        let record = self
-            .state
-            .attach_with_ip(imsi, bs, ue_id, now, permanent_ip)?;
+        let record = self.state.attach(imsi, bs, ue_id, now)?;
         let classifier = self.classifier_of(imsi)?;
         Ok(AttachGrant { record, classifier })
     }
@@ -302,25 +269,8 @@ impl<'t> CentralController<'t> {
     /// its tag cache misses (§4.2: "the local agent only contacts the
     /// controller if no policy tag exists for this flow").
     pub fn request_policy_path(&mut self, bs: BaseStationId, clause: ClauseId) -> Result<PathTags> {
-        self.request_policy_path_planned(bs, clause, None)
-            .map(|(tags, _)| tags)
-    }
-
-    /// [`request_policy_path`](Self::request_policy_path), optionally
-    /// seeded with an optimistic plan computed outside the sequencer.
-    /// A still-current plan commits directly (the fast tier) — byte-
-    /// identical to re-planning here, because planning is pure and the
-    /// plan's version stamps prove nothing it read has changed. A stale
-    /// or mode-mismatched plan is discarded and the sequential path
-    /// re-plans under the caller's exclusivity (the fallback tier).
-    pub fn request_policy_path_planned(
-        &mut self,
-        bs: BaseStationId,
-        clause: ClauseId,
-        planned: Option<&PolicyPathPlan>,
-    ) -> Result<(PathTags, CommitTier)> {
         if let Some(tags) = self.installed.get(&(clause, bs)) {
-            return Ok((*tags, CommitTier::Cached));
+            return Ok(*tags);
         }
         let clause_def = self
             .state
@@ -335,30 +285,6 @@ impl<'t> CentralController<'t> {
         let qos = clause_def.action.qos;
         let chain = clause_def.action.chain.clone();
 
-        if let Some(plan) = planned {
-            if plan.path.origin == bs
-                && plan.matches_mode(self.cfg.bidirectional)
-                && self.installer.plan_is_current(&plan.stamps)
-            {
-                let path = plan.path.clone();
-                let tags = self.apply_planned(plan)?;
-                let access_out_port = self.access_out_port(&path)?;
-                let tags = PathTags {
-                    qos,
-                    access_out_port,
-                    ..tags
-                };
-                self.installed.insert((clause, bs), tags);
-                self.routed.insert((clause, bs), path);
-                return Ok((tags, CommitTier::Fast));
-            }
-        }
-        let tier = if planned.is_some() {
-            CommitTier::Replanned
-        } else {
-            CommitTier::Unplanned
-        };
-
         let instances = self.select_instances(bs, &chain)?;
         let gateway = self.topo.default_gateway().switch;
         let path = self.paths.route_policy_path(bs, &instances, gateway)?;
@@ -372,38 +298,7 @@ impl<'t> CentralController<'t> {
         };
         self.installed.insert((clause, bs), tags);
         self.routed.insert((clause, bs), path);
-        Ok((tags, tier))
-    }
-
-    /// Commits a validated optimistic plan, mirroring [`Self::install`]
-    /// exactly: uplink rules lowered first, then the downlink (whose
-    /// planned entry tag is the uplink's planned exit).
-    fn apply_planned(&mut self, plan: &PolicyPathPlan) -> Result<PathTags> {
-        let bidirectional = plan.uplink.is_some();
-        let (uplink_entry, uplink_exit) = if let Some(up) = &plan.uplink {
-            let rep = self.installer.apply_path_plan(up);
-            self.lower_last(Direction::Uplink)?;
-            (rep.entry_tag(), rep.exit_tag())
-        } else {
-            (PolicyTag(0), PolicyTag(0))
-        };
-        let down = self.installer.apply_path_plan(&plan.downlink);
-        self.lower_last(Direction::Downlink)?;
-        Ok(PathTags {
-            uplink_entry: if bidirectional {
-                uplink_entry
-            } else {
-                down.entry_tag()
-            },
-            uplink_exit: if bidirectional {
-                uplink_exit
-            } else {
-                down.entry_tag()
-            },
-            downlink_final: down.exit_tag(),
-            access_out_port: PortNo(0), // filled by the caller
-            qos: None,
-        })
+        Ok(tags)
     }
 
     /// The routed policy path of an installed (clause, station) pair.
@@ -536,7 +431,7 @@ impl<'t> CentralController<'t> {
     /// records; queues the migration operations.
     pub(crate) fn adopt_reoptimized(
         &mut self,
-        fresh: PathInstaller<'t>,
+        fresh: PathInstaller,
         internet: Vec<((ClauseId, BaseStationId), PathTags, PolicyPath)>,
         m2m: Vec<(
             (ClauseId, BaseStationId, BaseStationId),
@@ -604,54 +499,40 @@ impl<'t> CentralController<'t> {
         Ok(())
     }
 
-    /// Picks concrete instances for a chain of kinds, walking the path
-    /// cursor forward (paths are routed access → ... → gateway). Shared
-    /// with the sharded workers' optimistic planners, so an outside plan
-    /// picks exactly the instances the engine would.
+    /// Picks concrete instances for a chain of kinds, greedily nearest:
+    /// walks the path cursor forward from the station's access switch
+    /// (paths are routed access → ... → gateway), picking the closest
+    /// instance of each kind.
     fn select_instances(
         &mut self,
         bs: BaseStationId,
         chain: &[MiddleboxKind],
     ) -> Result<Vec<MiddleboxId>> {
-        select_nearest_instances(self.topo, &mut self.paths, bs, chain)
-    }
-}
-
-/// Greedy nearest-instance selection: walks the path cursor forward from
-/// the station's access switch, picking the closest instance of each
-/// kind. A pure function of the topology and BFS distances — the engine
-/// and the sharded workers' optimistic planners both call this, which is
-/// what lets a plan computed outside the sequencer name exactly the
-/// instances the engine would have picked.
-pub(crate) fn select_nearest_instances(
-    topo: &Topology,
-    paths: &mut ShortestPaths<'_>,
-    bs: BaseStationId,
-    chain: &[MiddleboxKind],
-) -> Result<Vec<MiddleboxId>> {
-    let mut cursor: SwitchId = topo.base_station(bs).access_switch;
-    let mut out = Vec::with_capacity(chain.len());
-    for &kind in chain {
-        let instances = topo.instances_of(kind);
-        if instances.is_empty() {
-            return Err(Error::NoPath(format!("no instance of {kind} deployed")));
-        }
-        let mut best: Option<(u32, MiddleboxId)> = None;
-        for &mb in instances {
-            let host = topo.middlebox(mb).switch;
-            if let Some(d) = paths.distance(cursor, host) {
-                if best.map(|(bd, _)| d < bd).unwrap_or(true) {
-                    best = Some((d, mb));
+        let topo = self.topo;
+        let mut cursor: SwitchId = topo.base_station(bs).access_switch;
+        let mut out = Vec::with_capacity(chain.len());
+        for &kind in chain {
+            let instances = topo.instances_of(kind);
+            if instances.is_empty() {
+                return Err(Error::NoPath(format!("no instance of {kind} deployed")));
+            }
+            let mut best: Option<(u32, MiddleboxId)> = None;
+            for &mb in instances {
+                let host = topo.middlebox(mb).switch;
+                if let Some(d) = self.paths.distance(cursor, host) {
+                    if best.map(|(bd, _)| d < bd).unwrap_or(true) {
+                        best = Some((d, mb));
+                    }
                 }
             }
+            let chosen = best
+                .ok_or_else(|| Error::NoPath(format!("no reachable instance of {kind}")))?
+                .1;
+            cursor = topo.middlebox(chosen).switch;
+            out.push(chosen);
         }
-        let chosen = best
-            .ok_or_else(|| Error::NoPath(format!("no reachable instance of {kind}")))?
-            .1;
-        cursor = topo.middlebox(chosen).switch;
-        out.push(chosen);
+        Ok(out)
     }
-    Ok(out)
 }
 
 #[cfg(test)]

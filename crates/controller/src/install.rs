@@ -28,46 +28,34 @@
 //! (their rules would be indistinguishable — the generalization of the
 //! paper's footnote 2).
 //!
-//! # Partitioned state and optimistic planning
+//! # State: one owner, plan then commit
 //!
-//! Algorithm 1's state is split along its natural contention boundary:
+//! [`PathInstaller`] owns Algorithm 1's state outright: one
+//! [`ShadowTables`] per direction, the tag allocator, the chain-shape
+//! candidate index and the per-station claimed-tag sets. Algorithm 1
+//! runs once per (clause, station) path — local agents ask only on a
+//! tag-cache miss (§4.2) — so it runs wherever its owner runs: the
+//! single-threaded controller, or the sharded engine under its ticket.
+//! Nothing here locks.
 //!
-//! * **Per-switch cells** ([`ShadowCells`]) — each switch's uplink and
-//!   downlink shadow tables behind its own mutex, plus a version stamp
-//!   bumped on every mutation. All probes and rule commits touch
-//!   exactly one cell at a time.
-//! * **Residue** ([`Residue`] internally) — the cross-switch remainder:
-//!   the tag allocator, the chain-shape candidate index, the per-station
-//!   claimed-tag sets and the prefix map, behind one `RwLock` with its
-//!   own version stamp.
-//!
-//! Planning is *pure*: [`PlannerHandle::plan_policy_path`] runs the full
-//! tag-selection argmin under a residue **read** lock, previewing
-//! allocator state with [`TagAllocator::peek`] and buffering its own
-//! chain-index/claimed updates in overlays, recording the version of
-//! every state it read. Committing ([`PathInstaller::apply_path_plan`])
-//! replays the buffered residue updates and writes the rules — the only
-//! phase that takes write locks. A plan whose recorded versions still
-//! match current state commits byte-identically to what a sequential
-//! plan-then-commit would have produced; a stale plan is discarded and
-//! re-planned under the sequencer ticket (the sequential path *is* the
-//! fallback — both tiers share this one implementation, which is what
-//! makes the merged op stream provably identical to the single-threaded
-//! reference).
-//!
-//! Lock order: residue before cell; never two cells at once.
+//! An install plans first and commits second. Planning is pure: it
+//! previews fresh tags with [`TagAllocator::peek`] and buffers its
+//! chain-index pushes in the plan. The commit replays them and writes
+//! the rules; every feasibility question was answered while planning,
+//! so the commit cannot fail, and a path that fails to plan leaves no
+//! trace.
 //!
 //! # Planning cost model
 //!
 //! A path is decomposed once into flat decision vectors (a few dozen
 //! entries: scans, not hash maps) and its segments move into the plan.
 //! Per segment at most `MAX_CANDIDATES` (8) tags are costed,
-//! each front to back, one probe per decision: one cell lock, and per
-//! table one lookup and one longest-prefix walk
-//! ([`ShadowSwitch::probe`]; a link arrival may consult its qualified
-//! table and the unqualified one). The argmin is a branch-and-bound with
-//! three cuts, all exact because a candidate replaces the best only by
-//! costing strictly less and a running cost only grows:
+//! each front to back, one probe per decision: per table one lookup and
+//! one longest-prefix walk ([`ShadowSwitch::probe`]; a link arrival may
+//! consult its qualified table and the unqualified one). The argmin is
+//! a branch-and-bound with three cuts, all exact because a candidate
+//! replaces the best only by costing strictly less and a running cost
+//! only grows:
 //!
 //! 1. the search ends at the first candidate that costs nothing;
 //! 2. a candidate is abandoned at the decision where its running cost
@@ -80,17 +68,8 @@
 //! `path_install_storm` the cuts take the decisions costed per path from
 //! 198 to 41; the gateway-side sample is mostly tags the origin itself
 //! claimed under earlier clauses, which cut 3 drops after one probe.
-//!
-//! A candidate that was cut stamps only the cells it read. That is still
-//! sufficient for validation: the plan is a function of exactly those
-//! reads — a sequential re-plan over unchanged values reads the same
-//! cells in the same order and leaves every loop at the same point — so
-//! a cell no probe reached cannot have influenced it.
 
 use softcell_types::{FxHashMap, FxHashSet};
-use std::sync::{Arc, MutexGuard};
-
-use parking_lot::{Mutex, RwLock};
 
 use softcell_telemetry::Registry;
 use softcell_topology::{PolicyPath, Topology};
@@ -205,73 +184,6 @@ impl InstallReport {
     }
 }
 
-/// One switch's shadow state, both directions, behind its own lock.
-/// Uplink and downlink rules match different header fields, so they are
-/// separate tables even when they share a tag — but they share a cell
-/// (and a version stamp) because a path install touches the switch, not
-/// a direction, and one stamp keeps validation cheap.
-#[derive(Debug, Default)]
-pub struct SwitchCell {
-    up: ShadowSwitch,
-    down: ShadowSwitch,
-    version: u64,
-}
-
-impl SwitchCell {
-    /// The shadow serving one direction.
-    pub fn dir(&self, dir: Direction) -> &ShadowSwitch {
-        match dir {
-            Direction::Uplink => &self.up,
-            Direction::Downlink => &self.down,
-        }
-    }
-
-    fn dir_mut(&mut self, dir: Direction) -> &mut ShadowSwitch {
-        match dir {
-            Direction::Uplink => &mut self.up,
-            Direction::Downlink => &mut self.down,
-        }
-    }
-
-    /// Mutation stamp; optimistic plans validate against it.
-    pub fn version(&self) -> u64 {
-        self.version
-    }
-}
-
-/// The per-switch partition of Algorithm 1's state: one mutex per
-/// switch. Callers lock exactly one cell at a time (enforced by
-/// convention and the analyzer's lock-order gate), so any set of
-/// switch-disjoint probes and commits proceeds in parallel.
-#[derive(Debug)]
-pub struct ShadowCells {
-    cells: Vec<Mutex<SwitchCell>>,
-}
-
-impl ShadowCells {
-    fn new(n: usize) -> Self {
-        ShadowCells {
-            cells: (0..n).map(|_| Mutex::new(SwitchCell::default())).collect(),
-        }
-    }
-
-    /// Locks one switch's cell.
-    pub fn lock(&self, sw: SwitchId) -> MutexGuard<'_, SwitchCell> {
-        let cell = &self.cells[sw.index()];
-        cell.lock()
-    }
-
-    /// Number of switches.
-    pub fn len(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// Whether there are no switches.
-    pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
-    }
-}
-
 /// A chain-index slot: direction plus [`Segment::chain_key`].
 type ChainKey = (Direction, u64);
 
@@ -286,173 +198,31 @@ fn push_chain_slot(slot: &mut Vec<PolicyTag>, tag: PolicyTag) {
     }
 }
 
-/// The cross-switch remainder of Algorithm 1's state — everything that
-/// is not naturally per-switch. Guarded by one `RwLock`: planners hold
-/// it for read, commits for write.
-#[derive(Debug)]
-struct Residue {
-    allocator: TagAllocator,
-    /// chain-shape → recently used tags (candidate source).
-    chain_index: FxHashMap<ChainKey, Vec<PolicyTag>>,
-    /// Tags already serving some path of a given base station (paper
-    /// footnote 2, generalized): `claimed[bs]` is the set of tags in use
-    /// by that station's installed paths.
-    claimed: FxHashMap<BaseStationId, FxHashSet<PolicyTag>>,
-    /// Optional topology-aligned prefix per station, overriding the
-    /// scheme's dense numbering. Operators "align IP prefixes with the
-    /// topology to enable aggregation" (paper §3.1): padding clusters
-    /// and pods to power-of-two boundaries turns every dispatch block
-    /// into a single prefix.
-    prefix_map: Option<Vec<Ipv4Prefix>>,
-    /// Bumped once per mutation batch (a committed path, a raw tag
-    /// operation, a prefix-map change).
-    version: u64,
-}
-
-/// Versions of everything a plan read. A plan whose stamps still match
-/// commits exactly what a sequential plan would produce now.
-#[derive(Clone, Debug)]
-pub(crate) struct PlanStamps {
-    residue: u64,
-    /// The version of every cell read, as of the first read through each
-    /// decision (a cell may appear more than once).
-    cells: Vec<(SwitchId, u64)>,
-}
-
-/// Mutable scratch state threaded through one planning pass: buffered
-/// residue updates (never written back — the commit replays them from
-/// the plan) and the version stamps of everything read.
+/// Scratch state of planning one path: what the commit will replay,
+/// visible to the path's later segments before it is.
+#[derive(Default)]
 struct PlanCtx {
-    stamps: PlanStamps,
-    /// How many leading decisions of the segment being planned already
-    /// have their cell stamped. Candidates are costed front to back, so
-    /// what a segment has read is always a prefix of its decisions.
-    stamped: usize,
     /// Planned-but-uncommitted chain-index pushes, in planning order;
-    /// replayed over the shared slot so later segments (and the downlink
-    /// of a pair) see earlier planned tags.
+    /// replayed over the installed slot so later segments see earlier
+    /// planned tags.
     chain_pushes: Vec<(ChainKey, PolicyTag)>,
-    /// Planned-but-uncommitted claimed tags of the path's origin (the
-    /// uplink plan's tags, visible to the downlink plan of the same
-    /// pair).
-    claimed_overlay: Vec<PolicyTag>,
-    /// Number of fresh tags this pass has reserved via
+    /// Number of fresh tags this path has reserved via
     /// [`TagAllocator::peek`].
     fresh_taken: usize,
 }
 
-impl PlanCtx {
-    fn new(residue_version: u64) -> Self {
-        PlanCtx {
-            stamps: PlanStamps {
-                residue: residue_version,
-                cells: Vec::new(),
-            },
-            stamped: 0,
-            chain_pushes: Vec::new(),
-            claimed_overlay: Vec::new(),
-            fresh_taken: 0,
-        }
-    }
-}
-
 /// A fully planned single-direction path: everything `apply_path_plan`
 /// needs to commit without re-running tag selection.
-#[derive(Clone, Debug)]
-pub(crate) struct PathPlan {
+struct PathPlan {
     dir: Direction,
     origin: BaseStationId,
     prefix: Ipv4Prefix,
     /// Forward (traversal) order. Replays happen in *planning* order —
-    /// back to front — for the residue, then forward for the rules.
+    /// back to front — for the allocator and chain index, then forward
+    /// for the rules.
     plans: Vec<SegmentPlan>,
     segment_tags: Vec<PolicyTag>,
     reused_segments: usize,
-}
-
-/// A planned bidirectional (or single-direction) policy path, produced
-/// outside the sequencer by [`PlannerHandle::plan_policy_path`] and
-/// offered to the engine, which fast-commits it when still current.
-#[derive(Clone, Debug)]
-pub struct PolicyPathPlan {
-    pub(crate) path: PolicyPath,
-    pub(crate) uplink: Option<PathPlan>,
-    pub(crate) downlink: PathPlan,
-    pub(crate) stamps: PlanStamps,
-}
-
-impl PolicyPathPlan {
-    /// Whether this plan has the shape the engine's config expects.
-    pub(crate) fn matches_mode(&self, bidirectional: bool) -> bool {
-        self.uplink.is_some() == bidirectional
-    }
-}
-
-/// A cloneable handle onto the installer's shared state, for planning
-/// policy paths optimistically outside the sequencer. Planning takes
-/// only read/cell locks and mutates nothing.
-///
-/// Handles are snapshots of the installer's state *identity*: after
-/// [`crate::core::CentralController::adopt_reoptimized`] swaps in a
-/// fresh installer, plans from old handles always fail validation.
-#[derive(Clone)]
-pub struct PlannerHandle {
-    scheme: AddressingScheme,
-    policy: TagPolicy,
-    shadows: Arc<ShadowCells>,
-    residue: Arc<RwLock<Residue>>,
-}
-
-impl PlannerHandle {
-    /// Plans a policy path (both directions when `bidirectional`)
-    /// against current shared state, without mutating anything. The
-    /// result carries version stamps; the engine commits it only if
-    /// they still match.
-    pub fn plan_policy_path(
-        &self,
-        path: PolicyPath,
-        bidirectional: bool,
-    ) -> Result<PolicyPathPlan> {
-        let residue = self.residue.read();
-        let planner = Planner {
-            scheme: &self.scheme,
-            policy: self.policy,
-            shadows: &self.shadows,
-            residue: &residue,
-        };
-        let mut ctx = PlanCtx::new(residue.version);
-        let (uplink, forced) = if bidirectional {
-            let up = planner.plan_path(&mut ctx, &path, Direction::Uplink, None)?;
-            // The sequential reference commits the uplink before planning
-            // the downlink; its claimed-tag inserts become an overlay
-            // here. (Chain-index and shadow couplings are direction-keyed
-            // and so invisible to the downlink plan; the allocator
-            // coupling is `fresh_taken` continuing across both plans.)
-            ctx.claimed_overlay.extend_from_slice(&up.segment_tags);
-            let exit = *up.segment_tags.last().expect("at least one segment");
-            (Some(up), Some(exit))
-        } else {
-            (None, None)
-        };
-        let downlink = planner.plan_path(&mut ctx, &path, Direction::Downlink, forced)?;
-        Ok(PolicyPathPlan {
-            path,
-            uplink,
-            downlink,
-            stamps: ctx.stamps,
-        })
-    }
-}
-
-/// The pure planning engine: borrows a residue snapshot (the caller's
-/// read or write guard) and probes cells one at a time, recording
-/// stamps. Shared by the sequential install path and the optimistic
-/// planners — there is exactly one tag-selection implementation.
-struct Planner<'a> {
-    scheme: &'a AddressingScheme,
-    policy: TagPolicy,
-    shadows: &'a ShadowCells,
-    residue: &'a Residue,
 }
 
 /// What every candidate tag of one segment is costed against.
@@ -464,21 +234,258 @@ struct Costing<'a> {
     swap_to: Option<PolicyTag>,
 }
 
-impl Planner<'_> {
+/// Where a decision's rule would be written and what writing it costs
+/// (`None` inside: infeasible), or `None` when the switch already
+/// forwards the decision's traffic to `nh`.
+///
+/// Middlebox returns are always port-qualified; loop-marked decisions
+/// and decisions whose arrival already has a qualified table for this
+/// tag must be qualified too (an unqualified rule would be shadowed).
+/// Until such a rule exists the switch answers from the unqualified
+/// table, honoring the qualified-over-unqualified priority.
+fn rule_slot(
+    sw: &ShadowSwitch,
+    d: &Decision,
+    tag: PolicyTag,
+    prefix: Ipv4Prefix,
+    nh: NextHop,
+) -> Option<(Entry, Option<usize>)> {
+    let plain = |entry| {
+        let p = sw.probe(entry, tag, prefix, nh);
+        (entry, p.current, p.cost)
+    };
+    let (entry, current, cost) = match d.arrival {
+        Arrival::External => plain(Entry::Ingress),
+        Arrival::FromMb(mb) => plain(Entry::FromMb(mb)),
+        Arrival::FromSwitch(prev) => {
+            let q = sw.probe(Entry::FromSwitch(prev), tag, prefix, nh);
+            if q.current.is_some() {
+                (Entry::FromSwitch(prev), q.current, q.cost)
+            } else {
+                let u = sw.probe(Entry::Ingress, tag, prefix, nh);
+                if d.qualified || q.present {
+                    (Entry::FromSwitch(prev), u.current, q.cost)
+                } else {
+                    (Entry::Ingress, u.current, u.cost)
+                }
+            }
+        }
+    };
+    (current != Some(nh)).then_some((entry, cost))
+}
+
+/// Applies a segment plan to one direction's tables. Returns (net rule
+/// change, swap rules added).
+fn commit_segment(
+    tables: &mut ShadowTables,
+    last_deltas: &mut Vec<(SwitchId, ShadowDelta)>,
+    prefix: Ipv4Prefix,
+    plan: &SegmentPlan,
+) -> (isize, usize) {
+    let mut net = 0isize;
+    let mut swaps = 0usize;
+    for (i, d) in plan.decisions.iter().enumerate() {
+        let (nh, is_swap) = wanted(&plan.decisions, i, plan.swap_to);
+        let sw = tables.switch_mut(d.sw);
+        let Some((entry, _)) = rule_slot(sw, d, plan.tag, prefix, nh) else {
+            continue;
+        };
+        sw.install_with(entry, plan.tag, prefix, nh, |delta| {
+            match delta {
+                ShadowDelta::SetDefault { .. } | ShadowDelta::AddPrefix { .. } => {
+                    net += 1;
+                    swaps += usize::from(is_swap);
+                }
+                // emitted before the add of the merge that consumed it
+                ShadowDelta::RemovePrefix { .. } => net -= 1,
+            }
+            last_deltas.push((d.sw, delta));
+        });
+    }
+    (net, swaps)
+}
+
+/// The next hop decision `i` of a segment must forward to, and whether
+/// that is the segment's tag-swap junction (its last decision, when
+/// another segment follows).
+fn wanted(decisions: &[Decision], i: usize, swap_to: Option<PolicyTag>) -> (NextHop, bool) {
+    let want = decisions[i].want;
+    match swap_to {
+        Some(to) if i + 1 == decisions.len() => (want.swap_next_hop(to), true),
+        _ => (want.next_hop(), false),
+    }
+}
+
+/// The online path installer: the sole owner of Algorithm 1's state.
+pub struct PathInstaller {
+    scheme: AddressingScheme,
+    policy: TagPolicy,
+    up: ShadowTables,
+    down: ShadowTables,
+    allocator: TagAllocator,
+    /// chain-shape → recently used tags (candidate source).
+    chain_index: FxHashMap<ChainKey, Vec<PolicyTag>>,
+    /// Tags already serving some path of a given base station (paper
+    /// footnote 2, generalized): `claimed[bs]` is the set of tags in use
+    /// by that station's installed paths.
+    claimed: FxHashMap<BaseStationId, FxHashSet<PolicyTag>>,
+    /// Deltas of the last installation, for lowering to physical rules.
+    last_deltas: Vec<(SwitchId, ShadowDelta)>,
+    paths_installed: usize,
+}
+
+impl PathInstaller {
+    /// Creates an installer over a topology.
+    pub fn new(topo: &Topology, scheme: AddressingScheme, policy: TagPolicy) -> Self {
+        PathInstaller {
+            scheme,
+            policy,
+            up: ShadowTables::new(topo.switch_count()),
+            down: ShadowTables::new(topo.switch_count()),
+            allocator: TagAllocator::new(policy.capacity),
+            chain_index: FxHashMap::default(),
+            claimed: FxHashMap::default(),
+            last_deltas: Vec::new(),
+            paths_installed: 0,
+        }
+    }
+
+    /// One direction's network shadow (rule counts etc.).
+    pub fn shadows(&self, dir: Direction) -> &ShadowTables {
+        match dir {
+            Direction::Uplink => &self.up,
+            Direction::Downlink => &self.down,
+        }
+    }
+
+    /// The addressing scheme in use.
+    pub fn scheme(&self) -> &AddressingScheme {
+        &self.scheme
+    }
+
+    /// Number of tags currently allocated.
+    pub fn tags_in_use(&self) -> usize {
+        self.allocator.allocated()
+    }
+
+    /// Allocates a tag outside the policy-path machinery (base-station
+    /// tunnels, §5.1). Returns `None` when the tag space is exhausted.
+    pub fn allocate_raw_tag(&mut self) -> Option<PolicyTag> {
+        self.allocator.allocate()
+    }
+
+    /// Returns a raw tag to the pool (tunnel garbage collection).
+    ///
+    /// Raw tags are refcounted by their tunnel owners, so an unbalanced
+    /// release here means a corrupted refcount upstream — freeing the
+    /// tag anyway could hand a tag still carrying traffic to a new path.
+    /// Debug builds assert; release builds saturate (the release is
+    /// dropped) and bump [`TAG_RELEASE_UNDERFLOW`].
+    pub fn release_raw_tag(&mut self, tag: PolicyTag) {
+        let released = self.allocator.try_release(tag);
+        if !released {
+            // literal (not [`TAG_RELEASE_UNDERFLOW`]) so the metrics
+            // manifest extractor sees the registration
+            Registry::global()
+                .counter("softcell_controller_tag_release_underflow_total")
+                .add(1);
+        }
+        debug_assert!(released, "unbalanced raw release of {tag}");
+    }
+
+    /// Number of paths installed so far.
+    pub fn paths_installed(&self) -> usize {
+        self.paths_installed
+    }
+
+    /// Shadow deltas produced by the most recent `install_path` call, as
+    /// `(switch, delta)` pairs in application order.
+    ///
+    /// **Order dependence.** Application order matters *per switch*: a
+    /// path's deltas at one switch may refine each other (a Type 2
+    /// tag-only default followed by a Type 1 override, a child prefix
+    /// merged into its parent), so replaying a switch's deltas out of
+    /// order reconstructs a different table. Deltas for *different*
+    /// switches are independent and may be applied in any interleaving —
+    /// which is exactly the freedom `ops::batch_by_switch` exploits when
+    /// the sharded controller ships per-switch, barrier-fenced batches
+    /// (see `tests/drain_order.rs` for the regression lock).
+    pub fn last_deltas(&self) -> &[(SwitchId, ShadowDelta)] {
+        &self.last_deltas
+    }
+
+    /// Installs a policy path in one direction. Returns the per-segment
+    /// tags and rule accounting.
+    pub fn install_path(&mut self, path: &PolicyPath, dir: Direction) -> Result<InstallReport> {
+        let plan = self.plan_path(path, dir, None)?;
+        Ok(self.apply_path_plan(plan))
+    }
+
+    /// Installs the downlink of a path whose uplink already fixed the
+    /// tag the return traffic carries (the Internet echoes the uplink
+    /// exit tag into the downlink's entry tag).
+    pub fn install_path_forced(
+        &mut self,
+        path: &PolicyPath,
+        dir: Direction,
+        entry_tag: PolicyTag,
+    ) -> Result<InstallReport> {
+        let plan = self.plan_path(path, dir, Some(entry_tag))?;
+        Ok(self.apply_path_plan(plan))
+    }
+
+    /// Commits a plan: replays its allocator and chain-index updates
+    /// (fresh-tag claims and chain-slot pushes, in planning order) and
+    /// writes its rules. Infallible by construction: every feasibility
+    /// question was answered at planning time, against this same state.
+    fn apply_path_plan(&mut self, plan: PathPlan) -> InstallReport {
+        self.last_deltas.clear();
+        // Planning order is back to front; the allocator pops and the
+        // chain-slot pushes must replay in that order (slot order
+        // feeds future candidate sampling).
+        for sp in plan.plans.iter().rev() {
+            if !sp.reused {
+                let got = self.allocator.allocate();
+                debug_assert_eq!(
+                    got,
+                    Some(sp.tag),
+                    "allocator drifted from its planned preview"
+                );
+            }
+            push_chain_slot(self.chain_index.entry(sp.chain_key).or_default(), sp.tag);
+        }
+        let tables = match plan.dir {
+            Direction::Uplink => &mut self.up,
+            Direction::Downlink => &mut self.down,
+        };
+        let claimed = self.claimed.entry(plan.origin).or_default();
+        let mut new_rules = 0isize;
+        let mut swap_rules = 0usize;
+        for sp in &plan.plans {
+            let (net, swaps) = commit_segment(tables, &mut self.last_deltas, plan.prefix, sp);
+            new_rules += net;
+            swap_rules += swaps;
+            claimed.insert(sp.tag);
+        }
+        self.paths_installed += 1;
+        InstallReport {
+            segment_tags: plan.segment_tags,
+            new_rules,
+            swap_rules,
+            reused_segments: plan.reused_segments,
+        }
+    }
+
+    /// Plans a path against current state without mutating anything.
     fn plan_path(
         &self,
-        ctx: &mut PlanCtx,
         path: &PolicyPath,
         dir: Direction,
         forced_entry: Option<PolicyTag>,
     ) -> Result<PathPlan> {
-        let prefix = match &self.residue.prefix_map {
-            Some(map) => *map.get(path.origin.index()).ok_or_else(|| {
-                Error::NotFound(format!("{} missing from prefix map", path.origin))
-            })?,
-            None => self.scheme.base_station_prefix(path.origin)?,
-        };
+        let prefix = self.scheme.base_station_prefix(path.origin)?;
         let segments = split_segments(&build_decisions(path, dir));
+        let mut ctx = PlanCtx::default();
 
         let mut segment_tags = vec![PolicyTag(0); segments.len()];
         let mut reused = 0usize;
@@ -501,7 +508,7 @@ impl Planner<'_> {
         for (idx, seg) in segments.into_iter().enumerate().rev() {
             let forced = if idx == 0 { forced_entry } else { None };
             let plan = self.plan_segment(
-                ctx,
+                &mut ctx,
                 path.origin,
                 prefix,
                 seg,
@@ -552,16 +559,12 @@ impl Planner<'_> {
             seg: &seg,
             swap_to,
         };
-        ctx.stamped = 0;
 
         let (tag, reused) = if let Some(tag) = forced {
             // Downlink entry tag dictated by the uplink: must be usable;
             // if it conflicts we cannot reroute here (the swap machinery
             // of the *caller* handles gateway-side swaps).
-            if self
-                .segment_cost(ctx, &job, tag, usize::MAX, false)
-                .is_none()
-            {
+            if self.segment_cost(&job, tag, usize::MAX, false).is_none() {
                 return Err(Error::InvalidState(format!(
                     "forced entry tag {tag} conflicts with existing rules"
                 )));
@@ -578,10 +581,10 @@ impl Planner<'_> {
             };
             #[cfg(not(test))]
             let argmin = Self::best_candidate;
-            let best = argmin(self, ctx, &job, &candidates, excluded);
+            let best = argmin(self, &job, &candidates, excluded);
 
             let fresh_cost = seg.decisions.len() + usize::from(swap_to.is_some());
-            let allocated = self.residue.allocator.allocated() + ctx.fresh_taken;
+            let allocated = self.allocator.allocated() + ctx.fresh_taken;
             // A fresh tag beats reuse that costs more than it, while
             // less than half the tag space is used: fresh tags buy cheap
             // Type 2 rules, reuse buys a smaller tag-space footprint.
@@ -592,7 +595,7 @@ impl Planner<'_> {
                 }
             };
             if use_fresh {
-                match self.residue.allocator.peek(ctx.fresh_taken) {
+                match self.allocator.peek(ctx.fresh_taken) {
                     Some(t) => {
                         ctx.fresh_taken += 1;
                         (t, false)
@@ -628,9 +631,9 @@ impl Planner<'_> {
     /// chain-index slot (most recent first), then the tags present at
     /// its gateway-side switch — the busiest rule table on the path and
     /// a cheap, high-yield sample of the paper's candTag set.
-    fn candidates(&self, ctx: &mut PlanCtx, key: ChainKey, job: &Costing) -> Vec<PolicyTag> {
+    fn candidates(&self, ctx: &PlanCtx, key: ChainKey, job: &Costing) -> Vec<PolicyTag> {
         let mut candidates: Vec<PolicyTag> = Vec::with_capacity(MAX_CANDIDATES);
-        if let Some(slot) = self.residue.chain_index.get(&key) {
+        if let Some(slot) = self.chain_index.get(&key) {
             candidates.extend_from_slice(slot);
         }
         for &(k, tag) in &ctx.chain_pushes {
@@ -641,9 +644,7 @@ impl Planner<'_> {
         candidates.reverse();
         if candidates.len() < MAX_CANDIDATES {
             if let Some(d) = job.seg.gateway_side(job.dir) {
-                let cell = self.shadows.lock(d.sw);
-                ctx.stamps.cells.push((d.sw, cell.version));
-                for t in cell.dir(job.dir).tags() {
+                for t in self.shadows(job.dir).switch(d.sw).tags() {
                     if candidates.len() >= MAX_CANDIDATES {
                         break;
                     }
@@ -657,28 +658,26 @@ impl Planner<'_> {
         candidates
     }
 
-    /// The argmin of [`Planner::segment_cost`] over `candidates`, first
-    /// wins ties, as an exact branch-and-bound: a candidate replaces
-    /// `best` only by costing strictly less, and a running cost only
-    /// grows, so each candidate is costed only while it can still win
-    /// and the search ends at the first free one.
+    /// The argmin of [`PathInstaller::segment_cost`] over `candidates`,
+    /// first wins ties, as an exact branch-and-bound: a candidate
+    /// replaces `best` only by costing strictly less, and a running cost
+    /// only grows, so each candidate is costed only while it can still
+    /// win and the search ends at the first free one.
     fn best_candidate(
         &self,
-        ctx: &mut PlanCtx,
         job: &Costing,
         candidates: &[PolicyTag],
         excluded: &[PolicyTag],
     ) -> Option<(usize, PolicyTag)> {
-        let claimed = self.residue.claimed.get(&job.origin);
+        let claimed = self.claimed.get(&job.origin);
         let mut best: Option<(usize, PolicyTag)> = None;
         for &t in candidates {
             if excluded.contains(&t) {
                 continue;
             }
-            let is_claimed =
-                claimed.is_some_and(|c| c.contains(&t)) || ctx.claimed_overlay.contains(&t);
+            let is_claimed = claimed.is_some_and(|c| c.contains(&t));
             let limit = best.map_or(usize::MAX, |(cost, _)| cost);
-            if let Some(cost) = self.segment_cost(ctx, job, t, limit, is_claimed) {
+            if let Some(cost) = self.segment_cost(job, t, limit, is_claimed) {
                 best = Some((cost, t));
                 if cost == 0 {
                     break;
@@ -700,28 +699,21 @@ impl Planner<'_> {
     /// claiming path's behaviour.
     fn segment_cost(
         &self,
-        ctx: &mut PlanCtx,
         job: &Costing,
         tag: PolicyTag,
         limit: usize,
         claimed: bool,
     ) -> Option<usize> {
+        let tables = self.shadows(job.dir);
         let mut cost = 0usize;
         for (i, d) in job.seg.decisions.iter().enumerate() {
             let (nh, _) = wanted(&job.seg.decisions, i, job.swap_to);
             #[cfg(test)]
             tests::PROBES.with(|n| n.set(n.get() + 1));
-            let slot = {
-                let cell = self.shadows.lock(d.sw);
-                if i >= ctx.stamped {
-                    ctx.stamps.cells.push((d.sw, cell.version));
-                    ctx.stamped = i + 1;
-                }
-                rule_slot(cell.dir(job.dir), d, tag, job.prefix, nh)
-            };
             // A correct answer from a higher-priority qualified table, or
             // from the table we'd write to, costs nothing.
-            let Some((_, rule_cost)) = slot else {
+            let Some((_, rule_cost)) = rule_slot(tables.switch(d.sw), d, tag, job.prefix, nh)
+            else {
                 continue;
             };
             if claimed {
@@ -733,335 +725,6 @@ impl Planner<'_> {
             }
         }
         Some(cost)
-    }
-}
-
-/// Where a decision's rule would be written and what writing it costs
-/// (`None` inside: infeasible), or `None` when the switch already
-/// forwards the decision's traffic to `nh`.
-///
-/// Middlebox returns are always port-qualified; loop-marked decisions
-/// and decisions whose arrival already has a qualified table for this
-/// tag must be qualified too (an unqualified rule would be shadowed).
-/// Until such a rule exists the switch answers from the unqualified
-/// table, honoring the qualified-over-unqualified priority.
-fn rule_slot(
-    sw: &ShadowSwitch,
-    d: &Decision,
-    tag: PolicyTag,
-    prefix: Ipv4Prefix,
-    nh: NextHop,
-) -> Option<(Entry, Option<usize>)> {
-    let plain = |entry| {
-        let p = sw.probe(entry, tag, prefix, nh);
-        (entry, p.current, p.cost)
-    };
-    let (entry, current, cost) = match d.arrival {
-        Arrival::External => plain(Entry::Ingress),
-        Arrival::FromMb(mb) => plain(Entry::FromMb(mb)),
-        Arrival::FromSwitch(prev) => {
-            let q = sw.probe(Entry::FromSwitch(prev), tag, prefix, nh);
-            if q.current.is_some() {
-                (Entry::FromSwitch(prev), q.current, q.cost)
-            } else {
-                let u = sw.probe(Entry::Ingress, tag, prefix, nh);
-                if d.qualified || q.present {
-                    (Entry::FromSwitch(prev), u.current, q.cost)
-                } else {
-                    (Entry::Ingress, u.current, u.cost)
-                }
-            }
-        }
-    };
-    (current != Some(nh)).then_some((entry, cost))
-}
-
-/// Applies a segment plan to one switch cell at a time. Returns (net
-/// rule change, swap rules added).
-fn commit_segment(
-    shadows: &ShadowCells,
-    last_deltas: &mut Vec<(SwitchId, ShadowDelta)>,
-    dir: Direction,
-    prefix: Ipv4Prefix,
-    plan: &SegmentPlan,
-) -> (isize, usize) {
-    let mut net = 0isize;
-    let mut swaps = 0usize;
-    for (i, d) in plan.decisions.iter().enumerate() {
-        let (nh, is_swap) = wanted(&plan.decisions, i, plan.swap_to);
-        let mut cell = shadows.lock(d.sw);
-        let Some((entry, _)) = rule_slot(cell.dir(dir), d, plan.tag, prefix, nh) else {
-            continue;
-        };
-        let before = last_deltas.len();
-        cell.dir_mut(dir)
-            .install_with(entry, plan.tag, prefix, nh, |delta| {
-                match delta {
-                    ShadowDelta::SetDefault { .. } | ShadowDelta::AddPrefix { .. } => {
-                        net += 1;
-                        swaps += usize::from(is_swap);
-                    }
-                    // emitted before the add of the merge that consumed it
-                    ShadowDelta::RemovePrefix { .. } => net -= 1,
-                }
-                last_deltas.push((d.sw, delta));
-            });
-        if last_deltas.len() != before {
-            cell.version = cell.version.wrapping_add(1);
-        }
-    }
-    (net, swaps)
-}
-
-/// The next hop decision `i` of a segment must forward to, and whether
-/// that is the segment's tag-swap junction (its last decision, when
-/// another segment follows).
-fn wanted(decisions: &[Decision], i: usize, swap_to: Option<PolicyTag>) -> (NextHop, bool) {
-    let want = decisions[i].want;
-    match swap_to {
-        Some(to) if i + 1 == decisions.len() => (want.swap_next_hop(to), true),
-        _ => (want.next_hop(), false),
-    }
-}
-
-/// The online path installer: owns the shared per-switch cells and the
-/// cross-switch residue, and is the only component that commits.
-pub struct PathInstaller<'t> {
-    /// Held for lifetime anchoring and future validation hooks; shadow
-    /// sizing derives from it at construction.
-    #[allow(dead_code)]
-    topo: &'t Topology,
-    scheme: AddressingScheme,
-    policy: TagPolicy,
-    shadows: Arc<ShadowCells>,
-    residue: Arc<RwLock<Residue>>,
-    /// Deltas of the last installation, for lowering to physical rules.
-    last_deltas: Vec<(SwitchId, ShadowDelta)>,
-    paths_installed: usize,
-}
-
-impl<'t> PathInstaller<'t> {
-    /// Creates an installer over a topology.
-    pub fn new(topo: &'t Topology, scheme: AddressingScheme, policy: TagPolicy) -> Self {
-        PathInstaller {
-            topo,
-            scheme,
-            policy,
-            shadows: Arc::new(ShadowCells::new(topo.switch_count())),
-            residue: Arc::new(RwLock::new(Residue {
-                allocator: TagAllocator::new(policy.capacity),
-                chain_index: FxHashMap::default(),
-                claimed: FxHashMap::default(),
-                prefix_map: None,
-                version: 0,
-            })),
-            last_deltas: Vec::new(),
-            paths_installed: 0,
-        }
-    }
-
-    /// Overrides the per-station location prefixes with a
-    /// topology-aligned assignment (index = station id).
-    pub fn set_prefix_map(&mut self, prefixes: Vec<Ipv4Prefix>) {
-        let mut residue = self.residue.write();
-        residue.prefix_map = Some(prefixes);
-        residue.version = residue.version.wrapping_add(1);
-    }
-
-    /// A snapshot of one direction's network shadow (rule counts etc.),
-    /// assembled cell by cell. Reporting-path only — it clones every
-    /// switch's tables.
-    pub fn shadows(&self, dir: Direction) -> ShadowTables {
-        let switches = self
-            .shadows
-            .cells
-            .iter()
-            .map(|cell| cell.lock().dir(dir).clone())
-            .collect();
-        ShadowTables::from_switches(switches)
-    }
-
-    /// The shared per-switch cells (live, lock-per-switch view).
-    pub fn cells(&self) -> &Arc<ShadowCells> {
-        &self.shadows
-    }
-
-    /// The addressing scheme in use.
-    pub fn scheme(&self) -> &AddressingScheme {
-        &self.scheme
-    }
-
-    /// Number of tags currently allocated.
-    pub fn tags_in_use(&self) -> usize {
-        self.residue.read().allocator.allocated()
-    }
-
-    /// Allocates a tag outside the policy-path machinery (base-station
-    /// tunnels, §5.1). Returns `None` when the tag space is exhausted.
-    pub fn allocate_raw_tag(&mut self) -> Option<PolicyTag> {
-        let mut residue = self.residue.write();
-        let tag = residue.allocator.allocate();
-        if tag.is_some() {
-            residue.version = residue.version.wrapping_add(1);
-        }
-        tag
-    }
-
-    /// Returns a raw tag to the pool (tunnel garbage collection).
-    ///
-    /// Raw tags are refcounted by their tunnel owners, so an unbalanced
-    /// release here means a corrupted refcount upstream — freeing the
-    /// tag anyway could hand a tag still carrying traffic to a new path.
-    /// Debug builds assert; release builds saturate (the release is
-    /// dropped) and bump [`TAG_RELEASE_UNDERFLOW`].
-    pub fn release_raw_tag(&mut self, tag: PolicyTag) {
-        let mut residue = self.residue.write();
-        let released = residue.allocator.try_release(tag);
-        if released {
-            residue.version = residue.version.wrapping_add(1);
-        } else {
-            drop(residue);
-            // literal (not [`TAG_RELEASE_UNDERFLOW`]) so the metrics
-            // manifest extractor sees the registration
-            Registry::global()
-                .counter("softcell_controller_tag_release_underflow_total")
-                .add(1);
-            debug_assert!(released, "unbalanced raw release of {tag}");
-        }
-    }
-
-    /// Number of paths installed so far.
-    pub fn paths_installed(&self) -> usize {
-        self.paths_installed
-    }
-
-    /// Shadow deltas produced by the most recent `install_path` call, as
-    /// `(switch, delta)` pairs in application order.
-    ///
-    /// **Order dependence.** Application order matters *per switch*: a
-    /// path's deltas at one switch may refine each other (a Type 2
-    /// tag-only default followed by a Type 1 override, a child prefix
-    /// merged into its parent), so replaying a switch's deltas out of
-    /// order reconstructs a different table. Deltas for *different*
-    /// switches are independent and may be applied in any interleaving —
-    /// which is exactly the freedom `ops::batch_by_switch` exploits when
-    /// the sharded controller ships per-switch, barrier-fenced batches
-    /// (see `tests/drain_order.rs` for the regression lock).
-    pub fn last_deltas(&self) -> &[(SwitchId, ShadowDelta)] {
-        &self.last_deltas
-    }
-
-    /// A cloneable handle for planning outside the sequencer.
-    pub fn planner_handle(&self) -> PlannerHandle {
-        PlannerHandle {
-            scheme: self.scheme,
-            policy: self.policy,
-            shadows: Arc::clone(&self.shadows),
-            residue: Arc::clone(&self.residue),
-        }
-    }
-
-    /// Whether an optimistic plan's recorded versions still match shared
-    /// state — if so, committing it is byte-identical to re-planning
-    /// now. Callers must hold the sequencer ticket across this check and
-    /// the subsequent applies (nothing else commits concurrently).
-    pub(crate) fn plan_is_current(&self, stamps: &PlanStamps) -> bool {
-        if self.residue.read().version != stamps.residue {
-            return false;
-        }
-        stamps
-            .cells
-            .iter()
-            .all(|&(sw, v)| self.shadows.lock(sw).version == v)
-    }
-
-    /// Installs a policy path in one direction. Returns the per-segment
-    /// tags and rule accounting.
-    pub fn install_path(&mut self, path: &PolicyPath, dir: Direction) -> Result<InstallReport> {
-        self.install_path_inner(path, dir, None)
-    }
-
-    /// Installs the downlink of a path whose uplink already fixed the
-    /// tag the return traffic carries (the Internet echoes the uplink
-    /// exit tag into the downlink's entry tag).
-    pub fn install_path_forced(
-        &mut self,
-        path: &PolicyPath,
-        dir: Direction,
-        entry_tag: PolicyTag,
-    ) -> Result<InstallReport> {
-        self.install_path_inner(path, dir, Some(entry_tag))
-    }
-
-    fn install_path_inner(
-        &mut self,
-        path: &PolicyPath,
-        dir: Direction,
-        forced_entry: Option<PolicyTag>,
-    ) -> Result<InstallReport> {
-        let plan = {
-            let residue = self.residue.read();
-            let planner = Planner {
-                scheme: &self.scheme,
-                policy: self.policy,
-                shadows: &self.shadows,
-                residue: &residue,
-            };
-            let mut ctx = PlanCtx::new(residue.version);
-            planner.plan_path(&mut ctx, path, dir, forced_entry)?
-        };
-        Ok(self.apply_path_plan(&plan))
-    }
-
-    /// Commits a plan: replays its residue updates (fresh-tag claims and
-    /// chain-slot pushes, in planning order) and writes its rules. The
-    /// caller guarantees the plan is current — either it was just
-    /// produced under the same exclusivity, or its stamps were
-    /// validated. Infallible by construction: every feasibility question
-    /// was answered at planning time.
-    pub(crate) fn apply_path_plan(&mut self, plan: &PathPlan) -> InstallReport {
-        self.last_deltas.clear();
-        let mut new_rules = 0isize;
-        let mut swap_rules = 0usize;
-        {
-            let mut residue = self.residue.write();
-            // Planning order is back to front; the allocator pops and the
-            // chain-slot pushes must replay in that order (slot order
-            // feeds future candidate sampling).
-            for sp in plan.plans.iter().rev() {
-                if !sp.reused {
-                    let got = residue.allocator.allocate();
-                    debug_assert_eq!(
-                        got,
-                        Some(sp.tag),
-                        "allocator drifted from its planned preview"
-                    );
-                    let _ = got;
-                }
-                push_chain_slot(residue.chain_index.entry(sp.chain_key).or_default(), sp.tag);
-            }
-            let claimed = residue.claimed.entry(plan.origin).or_default();
-            for sp in &plan.plans {
-                let (net, swaps) = commit_segment(
-                    &self.shadows,
-                    &mut self.last_deltas,
-                    plan.dir,
-                    plan.prefix,
-                    sp,
-                );
-                new_rules += net;
-                swap_rules += swaps;
-                claimed.insert(sp.tag);
-            }
-            residue.version = residue.version.wrapping_add(1);
-        }
-        self.paths_installed += 1;
-        InstallReport {
-            segment_tags: plan.segment_tags.clone(),
-            new_rules,
-            swap_rules,
-            reused_segments: plan.reused_segments,
-        }
     }
 }
 
@@ -1258,16 +921,14 @@ fn mark_qualified(decisions: &mut [Decision]) {
                 .any(|o| o.sw == d.sw && o.want != d.want && fabric(o));
     }
 }
-
 /// The unbounded evaluation the branch-and-bound replaces, built from
 /// the primitives `ShadowSwitch::probe` replaces: every candidate costed
 /// over every decision. The tests hold the shipped planner to it, tag
 /// for tag and delta for delta.
 #[cfg(test)]
-impl Planner<'_> {
+impl PathInstaller {
     fn best_candidate_exhaustive(
         &self,
-        ctx: &mut PlanCtx,
         job: &Costing,
         candidates: &[PolicyTag],
         excluded: &[PolicyTag],
@@ -1280,9 +941,7 @@ impl Planner<'_> {
             let Some((cost, changes)) = self.segment_cost_unbounded(job, t) else {
                 continue;
             };
-            let is_claimed = (self.residue.claimed.get(&job.origin))
-                .is_some_and(|c| c.contains(&t))
-                || ctx.claimed_overlay.contains(&t);
+            let is_claimed = (self.claimed.get(&job.origin)).is_some_and(|c| c.contains(&t));
             if changes != 0 && is_claimed {
                 continue;
             }
@@ -1305,8 +964,7 @@ impl Planner<'_> {
         let mut changes = 0usize;
         for (i, d) in job.seg.decisions.iter().enumerate() {
             let (nh, _) = wanted(&job.seg.decisions, i, job.swap_to);
-            let cell = self.shadows.lock(d.sw);
-            let sw = cell.dir(job.dir);
+            let sw = self.shadows(job.dir).switch(d.sw);
             let (entry, current) = match d.arrival {
                 Arrival::FromMb(mb) => {
                     let e = Entry::FromMb(mb);
@@ -1360,7 +1018,7 @@ mod tests {
         out
     }
 
-    fn installer(topo: &Topology) -> PathInstaller<'_> {
+    fn installer(topo: &Topology) -> PathInstaller {
         PathInstaller::new(
             topo,
             AddressingScheme::default_scheme(),
@@ -1715,131 +1373,13 @@ mod tests {
     /// count). FxHashMap iteration order is a deterministic function of
     /// insertion history, so equal strings mean the two installers are
     /// byte-equivalent for every future planning decision.
-    fn fingerprint(ins: &PathInstaller<'_>) -> String {
+    fn fingerprint(ins: &PathInstaller) -> String {
         format!(
             "up={:?} down={:?} tags={}",
             ins.shadows(Direction::Uplink),
             ins.shadows(Direction::Downlink),
             ins.tags_in_use(),
         )
-    }
-
-    #[test]
-    fn optimistic_pair_plan_commits_identically_to_sequential() {
-        // The fast tier: plan a bidirectional pair outside any lock,
-        // apply it — state and reports must be byte-identical to the
-        // sequential install_path + install_path_forced reference.
-        let topo = small_topology();
-        let mut seq = installer(&topo);
-        let mut opt = installer(&topo);
-
-        // warm both with a shared-suffix path so candidate sampling,
-        // claimed sets and the chain index are non-trivial
-        let warm = route(&topo, 1, &[MiddleboxKind::Firewall]);
-        for ins in [&mut seq, &mut opt] {
-            let up = ins.install_path(&warm, Direction::Uplink).unwrap();
-            ins.install_path_forced(&warm, Direction::Downlink, up.exit_tag())
-                .unwrap();
-        }
-
-        let path = route(&topo, 0, &[MiddleboxKind::Firewall]);
-        let up_s = seq.install_path(&path, Direction::Uplink).unwrap();
-        let down_s = seq
-            .install_path_forced(&path, Direction::Downlink, up_s.exit_tag())
-            .unwrap();
-
-        let plan = opt
-            .planner_handle()
-            .plan_policy_path(path.clone(), true)
-            .unwrap();
-        assert!(opt.plan_is_current(&plan.stamps), "nothing moved");
-        let up_o = opt.apply_path_plan(plan.uplink.as_ref().unwrap());
-        let down_o = opt.apply_path_plan(&plan.downlink);
-
-        assert_eq!(up_s, up_o);
-        assert_eq!(down_s, down_o);
-        assert_eq!(fingerprint(&seq), fingerprint(&opt));
-    }
-
-    #[test]
-    fn stale_plans_fail_validation() {
-        let topo = small_topology();
-        let mut ins = installer(&topo);
-        let pa = route(&topo, 0, &[MiddleboxKind::Firewall]);
-        let pb = route(&topo, 1, &[MiddleboxKind::Firewall]);
-
-        let plan = ins.planner_handle().plan_policy_path(pa, true).unwrap();
-        assert!(ins.plan_is_current(&plan.stamps));
-
-        // a conflicting commit (shares the chain suffix) bumps versions
-        ins.install_path(&pb, Direction::Uplink).unwrap();
-        assert!(
-            !ins.plan_is_current(&plan.stamps),
-            "conflicting install must invalidate the plan"
-        );
-    }
-
-    /// Writes an unrelated rule straight into one switch's downlink
-    /// shadow, as a concurrent commit that leaves the residue alone would.
-    fn touch_cell(ins: &PathInstaller<'_>, sw: SwitchId) {
-        let mut cell = ins.shadows.lock(sw);
-        let deltas = cell.dir_mut(Direction::Downlink).install(
-            Entry::Ingress,
-            PolicyTag(999),
-            Ipv4Prefix::from_bits(0x0A00_0000, 23),
-            NextHop::Uplink,
-        );
-        assert!(!deltas.is_empty());
-        cell.version += 1;
-    }
-
-    #[test]
-    fn plans_depend_on_exactly_the_cells_they_read() {
-        // Station 0 already runs the firewall path under t0. Its
-        // transcoder path samples t0 at the gateway, finds it claimed and
-        // abandons it at the first decision that would change — the
-        // gateway's — then takes a fresh tag: c2 and agg1 are never read.
-        let topo = small_topology();
-        let warm = route(&topo, 0, &[MiddleboxKind::Firewall]);
-        let path = route(&topo, 0, &[MiddleboxKind::Transcoder]);
-        let gw = path.gateway_switch();
-        let unread = path.hops[1].switch;
-        let setup = || {
-            let mut ins = installer(&topo);
-            ins.install_path(&warm, Direction::Downlink).unwrap();
-            ins
-        };
-
-        let mut opt = setup();
-        let plan = opt
-            .planner_handle()
-            .plan_policy_path(path.clone(), false)
-            .unwrap();
-        let read: Vec<SwitchId> = plan.stamps.cells.iter().map(|&(sw, _)| sw).collect();
-        assert_eq!(
-            read,
-            [gw, gw],
-            "the sample and the cut candidate's one probe"
-        );
-
-        // a cell read before the cut changes: the plan is stale
-        // (`setup()` twins share every version stamp)
-        let stale = setup();
-        touch_cell(&stale, gw);
-        assert!(!stale.plan_is_current(&plan.stamps));
-
-        // only a never-read cell changes: still current, and the commit
-        // is what a sequential plan from the changed state produces
-        let mut seq = setup();
-        for ins in [&seq, &opt] {
-            touch_cell(ins, unread);
-        }
-        assert!(opt.plan_is_current(&plan.stamps));
-        let down_o = opt.apply_path_plan(&plan.downlink);
-        let down_s = seq.install_path(&path, Direction::Downlink).unwrap();
-        assert_eq!(down_o, down_s);
-        assert_eq!(opt.last_deltas(), seq.last_deltas());
-        assert_eq!(fingerprint(&opt), fingerprint(&seq));
     }
 
     #[test]
@@ -1940,59 +1480,6 @@ mod tests {
                 prop_assert_eq!(fingerprint(&live), fingerprint(&scratch));
             }
 
-            /// The pure pair planner agrees with the sequential engine
-            /// from any reachable warm state, not just the cold one.
-            #[test]
-            fn pair_plans_match_sequential_from_any_state(
-                warm in arb_requests(), bs in 0u32..4, kind in 0u8..3, touch in 0usize..9,
-            ) {
-                let topo = small_topology();
-                let mut seq = installer(&topo);
-                let mut opt = installer(&topo);
-                for (wbs, wkind) in warm {
-                    let path = route(&topo, wbs, chain_of(wkind));
-                    for ins in [&mut seq, &mut opt] {
-                        if let Ok(up) = ins.install_path(&path, Direction::Uplink) {
-                            let _ = ins.install_path_forced(
-                                &path, Direction::Downlink, up.exit_tag());
-                        }
-                    }
-                }
-                let path = route(&topo, bs, chain_of(kind));
-                let planned = opt.planner_handle().plan_policy_path(path.clone(), true);
-                // a switch the plan never read may change under it
-                if let Ok(plan) = &planned {
-                    let unread: Vec<SwitchId> = (0..topo.switch_count())
-                        .map(SwitchId::from_index)
-                        .filter(|sw| plan.stamps.cells.iter().all(|(read, _)| read != sw))
-                        .collect();
-                    if !unread.is_empty() {
-                        for ins in [&seq, &opt] {
-                            touch_cell(ins, unread[touch % unread.len()]);
-                        }
-                    }
-                }
-                let up_s = seq.install_path(&path, Direction::Uplink);
-                match (planned, up_s) {
-                    (Ok(plan), Ok(up_s)) => {
-                        let down_s = seq
-                            .install_path_forced(&path, Direction::Downlink, up_s.exit_tag())
-                            .expect("sequential downlink");
-                        prop_assert!(opt.plan_is_current(&plan.stamps));
-                        let up_o = opt.apply_path_plan(plan.uplink.as_ref().expect("pair"));
-                        let down_o = opt.apply_path_plan(&plan.downlink);
-                        prop_assert_eq!(up_s, up_o);
-                        prop_assert_eq!(down_s, down_o);
-                    }
-                    (Err(_), Err(_)) => {} // both refuse identically
-                    (p, s) => prop_assert!(
-                        false, "planner/sequential disagree: {:?} vs {:?}",
-                        p.map(|_| ()), s.map(|_| ())
-                    ),
-                }
-                prop_assert_eq!(fingerprint(&seq), fingerprint(&opt));
-            }
-
             /// The branch-and-bound picks what the exhaustive argmin
             /// picks: same reports (or refusals), same delta streams,
             /// same final state — on chains long enough to loop and
@@ -2022,7 +1509,7 @@ mod tests {
                     if junction_shares_unqualified_slot(&path) {
                         continue;
                     }
-                    let mut both = |f: &dyn Fn(&mut PathInstaller<'_>) -> Result<InstallReport>| {
+                    let mut both = |f: &dyn Fn(&mut PathInstaller) -> Result<InstallReport>| {
                         let b = f(&mut bounded).map_err(|e| e.to_string());
                         let x = exhaustively(|| f(&mut exhaustive)).map_err(|e| e.to_string());
                         prop_assert_eq!(&b, &x);

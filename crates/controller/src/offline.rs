@@ -179,7 +179,7 @@ impl<'t> CentralController<'t> {
 /// Installs one Internet-bound path pair (uplink + forced downlink, or
 /// downlink only), appending the lowered ops.
 fn install_pair(
-    fresh: &mut PathInstaller<'_>,
+    fresh: &mut PathInstaller,
     path: &PolicyPath,
     bidirectional: bool,
     ops: &mut Vec<RuleOp>,

@@ -482,13 +482,6 @@ impl ShadowTables {
         }
     }
 
-    /// Assembles a snapshot from per-switch shadows (index = switch id).
-    /// Used by the partitioned installer, whose live state is one cell
-    /// per switch rather than a single table vector.
-    pub fn from_switches(switches: Vec<ShadowSwitch>) -> Self {
-        ShadowTables { switches }
-    }
-
     /// The shadow of one switch.
     pub fn switch(&self, id: SwitchId) -> &ShadowSwitch {
         &self.switches[id.index()]

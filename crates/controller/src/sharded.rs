@@ -16,7 +16,10 @@
 //! event and so already runs under that event's ticket; the pools
 //! therefore live beside the engine, inside the value the engine mutex
 //! guards ([`Sequenced`]), and are reached in ticket order with no
-//! second lock and no message to another thread.
+//! second lock and no message to another thread. Permanent addresses
+//! likewise: an attach runs under its ticket, so the engine's own
+//! address pool assigns them in ticket order — every UE gets the
+//! address the single-threaded controller gives it, at any shard count.
 //!
 //! # What stays shared, and why the result is deterministic
 //!
@@ -69,25 +72,18 @@ use softcell_dataplane::MicroflowAction;
 use softcell_packet::{FiveTuple, Protocol};
 use softcell_policy::clause::{AccessControl, ClauseId};
 use softcell_policy::{ServicePolicy, SubscriberAttributes, UeClassifier};
-use softcell_telemetry::{Counter, Histogram, Registry, Stopwatch};
-use softcell_topology::{ShortestPaths, Topology};
+use softcell_telemetry::{Histogram, Registry, Stopwatch};
+use softcell_topology::Topology;
 use softcell_types::{
-    shard_of_ue, BaseStationId, Error, FxHashMap, FxHashSet, LocIp, MiddleboxKind, RangePool,
-    Result, ShardRange, SimDuration, SimTime, SwitchId, UeId, UeImsi,
+    shard_of_ue, BaseStationId, Error, FxHashMap, FxHashSet, LocIp, Result, SimDuration, SimTime,
+    SwitchId, UeId, UeImsi,
 };
 
 use crate::agent::{microflow_pair, FlowSlots, UeIdPool, MICROFLOW_IDLE};
-use crate::core::{
-    select_nearest_instances, AttachGrant, CentralController, CommitTier, ControllerConfig,
-    PathTags,
-};
-use crate::install::{PlannerHandle, PolicyPathPlan};
+use crate::core::{AttachGrant, CentralController, ControllerConfig, PathTags};
 use crate::mobility::FlowRecord;
 use crate::ops::{OpJournal, SwitchBatch};
 use crate::state::UeRecord;
-
-/// Block size of the per-shard permanent-address ranges.
-const PERM_BLOCK: u32 = 64;
 
 /// One input event, the sharded controller's unit of work. Mirrors the
 /// workload generator's trace events, with the flow endpoints made
@@ -230,11 +226,10 @@ pub struct ShardedStats {
     /// installed already. `coordinated == attaches + detaches +
     /// handoffs + flow_demands` on clean runs.
     pub flow_demands: u64,
-    /// Ticketed demands committed from a validated optimistic plan (the
-    /// fast tier).
-    pub commit_fast: u64,
-    /// Ticketed demands whose optimistic plan went stale and were
-    /// re-planned under the ticket (the fallback tier).
+    /// Always 0: every path is planned and committed under its ticket
+    /// since the optimistic pre-ticket planner went. Kept because the
+    /// frozen `perf/` harness reads it; the next benchmark-kind PR drops
+    /// the field and its `sharded.commit_replanned` metric together.
     pub commit_replanned: u64,
     /// Flows denied by policy.
     pub denied: u64,
@@ -254,8 +249,6 @@ impl ShardedStats {
         self.cache_hits += o.cache_hits;
         self.cache_misses += o.cache_misses;
         self.flow_demands += o.flow_demands;
-        self.commit_fast += o.commit_fast;
-        self.commit_replanned += o.commit_replanned;
         self.denied += o.denied;
         self.skipped += o.skipped;
         self.coordinated += o.coordinated;
@@ -349,9 +342,6 @@ struct Coordinator<'t> {
     /// Every subscriber's classifier (read-only): the engine's compiled
     /// copies, shared by pointer.
     classifiers: FxHashMap<UeImsi, UeClassifier>,
-    /// Allow-clause middlebox chains (read-only), so workers can plan
-    /// policy paths outside the sequencer without touching the engine.
-    chains: FxHashMap<ClauseId, Vec<MiddleboxKind>>,
 }
 
 /// Per-event annotation from the sequential pre-pass.
@@ -380,17 +370,13 @@ struct ShardUe {
 struct ShardedMetrics {
     /// Time a coordinated event spends waiting for its ticket.
     ticket_wait: Arc<Histogram>,
-    /// Time a ticket holder then waits to acquire the engine mutex —
-    /// previously folded invisibly into neither histogram, which hid
-    /// exactly the contention the concurrent engine removes.
+    /// Time a ticket holder then waits to acquire the engine mutex, kept
+    /// apart so contention is not misread as engine work.
     engine_lock_wait: Arc<Histogram>,
     /// Time the shared Algorithm-1 engine stays occupied per ticket
-    /// (lock hold: plan/validate + op drain; batching happens outside).
+    /// (lock hold: the event's engine work + op drain; batching happens
+    /// outside).
     engine_busy: Arc<Histogram>,
-    /// Ticketed demands committed from a still-current optimistic plan.
-    commit_fast: Arc<Counter>,
-    /// Ticketed demands re-planned under the ticket (stale plan).
-    commit_replanned: Arc<Counter>,
 }
 
 fn metrics() -> &'static ShardedMetrics {
@@ -401,8 +387,6 @@ fn metrics() -> &'static ShardedMetrics {
             ticket_wait: r.histogram("softcell_controller_ticket_wait_ns"),
             engine_lock_wait: r.histogram("softcell_controller_engine_lock_wait_ns"),
             engine_busy: r.histogram("softcell_controller_engine_busy_ns"),
-            commit_fast: r.counter("softcell_controller_commit_fast_total"),
-            commit_replanned: r.counter("softcell_controller_commit_replanned_total"),
         }
     })
 }
@@ -416,26 +400,18 @@ struct Worker<'t, 'c> {
     coord: &'c Coordinator<'t>,
     cfg: ControllerConfig,
     topo: &'t Topology,
-    perm: ShardRange,
-    perm_base: u32,
     batches: Vec<SeqBatches>,
     /// One outcome per event of this shard's queue, in queue order.
     outcomes: Vec<EventOutcome>,
     stats: ShardedStats,
     /// Interleaving-test scheduler state; `None` (no seed) never yields.
     rng: Option<u64>,
-    /// Handle for planning policy paths outside the sequencer.
-    planner: PlannerHandle,
-    /// Worker-local shortest-path cache feeding the optimistic planner
-    /// (BFS over the shared immutable topology — identical distances on
-    /// every shard).
-    sp: ShortestPaths<'t>,
 }
 
 impl<'t> Worker<'t, '_> {
     /// Seeded jitter: up to three yields, to perturb which shard reaches
-    /// its ticket or finishes its optimistic plan first (the concurrency
-    /// test sweeps seeds through here). Never called by a ticket holder.
+    /// its ticket first (the concurrency test sweeps seeds through
+    /// here). Never called by a ticket holder.
     fn jitter(&mut self) {
         let Some(x) = self.rng.as_mut() else { return };
         *x ^= *x << 13;
@@ -476,7 +452,7 @@ impl<'t> Worker<'t, '_> {
         // would misattribute contention as work
         let lock_sw = Stopwatch::start();
         let (result, ops) = {
-            let mut sp = tracer.span("validate_commit");
+            let mut sp = tracer.span("engine_hold");
             sp.set_shard(self.id);
             sp.set_label(seq);
             let mut held = self.coord.engine.lock();
@@ -513,28 +489,9 @@ impl<'t> Worker<'t, '_> {
         });
     }
 
-    /// Plans a (station, clause) policy path outside the sequencer: pure
-    /// reads against the shared installer cells plus this worker's own
-    /// shortest-path cache. Returns `None` when planning is pointless
-    /// (tags already published — the engine will serve its cache) or
-    /// failed (the ticketed path will fail identically and report the
-    /// error).
-    fn optimistic_plan(&mut self, bs: BaseStationId, clause: ClauseId) -> Option<PolicyPathPlan> {
-        if self.coord.published.read().contains_key(&(bs, clause)) {
-            return None;
-        }
-        let chain = self.coord.chains.get(&clause)?;
-        let instances = select_nearest_instances(self.topo, &mut self.sp, bs, chain).ok()?;
-        let gateway = self.topo.default_gateway().switch;
-        let path = self.sp.route_policy_path(bs, &instances, gateway).ok()?;
-        self.planner
-            .plan_policy_path(path, self.cfg.bidirectional)
-            .ok()
-    }
-
     fn handle_event(&mut self, ues: &mut Ues, idx: usize, ev: ShardEvent, ann: Annotation) {
         self.stats.events += 1;
-        // Trace root per event: the ticket/plan/commit/batch spans below
+        // Trace root per event: the ticket/engine/batch spans below
         // nest under it via the thread-local context. Disarmed sampling
         // makes this a single atomic load.
         let mut root = Registry::global().tracer().root(match ev.kind {
@@ -566,16 +523,11 @@ impl<'t> Worker<'t, '_> {
             self.with_ticket(seq, |_| ((), Vec::new()));
             return self.skip(format!("{} already attached", ev.imsi));
         }
-        let Some(off) = self.perm.allocate() else {
-            self.with_ticket(seq, |_| ((), Vec::new()));
-            return self.skip("permanent range exhausted");
-        };
-        let ip = Ipv4Addr::from(self.cfg.permanent_pool.raw_bits() + self.perm_base + off);
         let max_ids = self.cfg.scheme.max_ues_per_station();
         let granted: Result<AttachGrant> = self.with_ticket(seq, |held| {
             let granted = held.reserve_ue_id(bs, max_ids).and_then(|id| {
                 held.engine
-                    .attach_ue_with_ip(ev.imsi, bs, id, ev.time, Some(ip))
+                    .attach_ue(ev.imsi, bs, id, ev.time)
                     .inspect_err(|_| held.release_ue_id(bs, id))
             });
             (granted, Vec::new())
@@ -586,7 +538,7 @@ impl<'t> Worker<'t, '_> {
                     ev.imsi,
                     ShardUe {
                         ue_id: grant.record.ue_id,
-                        permanent_ip: ip,
+                        permanent_ip: grant.record.permanent_ip,
                         bs,
                         slots: FlowSlots::default(),
                         flows: Vec::new(),
@@ -597,10 +549,7 @@ impl<'t> Worker<'t, '_> {
                     record: grant.record,
                 });
             }
-            Err(e) => {
-                self.perm.release(off);
-                self.skip(format!("attach failed: {e}"));
-            }
+            Err(e) => self.skip(format!("attach failed: {e}")),
         }
     }
 
@@ -675,53 +624,31 @@ impl<'t> Worker<'t, '_> {
         }
 
         let (tags, cache_hit) = match ann.seq {
-            // This flow demands the path: plan it optimistically BEFORE
-            // taking the ticket (pure reads against the shared installer
-            // state), then enter the engine, which fast-commits the plan
-            // if still current and re-plans otherwise. The publish
-            // unconditionally overwrites the key, so a successful demand
-            // clears any earlier poison (`Err`) left by a failed one.
+            // This flow demands the path: the engine installs it under
+            // the ticket, or finds it installed already — the engine's own
+            // (clause, station) cache answers when another UE demanded the
+            // key first, a hit in every sense that matters (no rules are
+            // produced). The publish unconditionally overwrites the key,
+            // so a successful demand clears any earlier poison (`Err`)
+            // left by a failed one.
             Some(seq) => {
                 self.stats.flow_demands += 1;
-                self.jitter();
-                let plan = {
-                    let mut sp = Registry::global().tracer().span("plan_policy_path");
-                    sp.set_shard(self.id);
-                    sp.set_label(seq);
-                    self.optimistic_plan(bs, entry.clause)
-                };
                 let coord = self.coord;
                 let tags = self.with_ticket(seq, |held| {
-                    let r =
-                        held.engine
-                            .request_policy_path_planned(bs, entry.clause, plan.as_ref());
-                    let published = r.as_ref().map(|(t, _)| *t).map_err(|e| e.to_string());
+                    let cached = held.engine.routed_path(bs, entry.clause).is_some();
+                    let r = held.engine.request_policy_path(bs, entry.clause);
+                    let published = r.as_ref().copied().map_err(|e| e.to_string());
                     coord.published.write().insert(key, published);
-                    (r, Vec::new())
+                    (r.map(|t| (t, cached)), Vec::new())
                 });
                 match tags {
-                    // the engine's own (clause, station) cache answered:
-                    // this was a hit in every sense that matters (no
-                    // rules were produced); per-UE tickets make this
-                    // reachable when another UE demanded the key first
-                    Ok((t, CommitTier::Cached)) => {
-                        self.stats.cache_hits += 1;
-                        (t, true)
-                    }
-                    Ok((t, tier)) => {
-                        match tier {
-                            CommitTier::Fast => {
-                                self.stats.commit_fast += 1;
-                                metrics().commit_fast.add(1);
-                            }
-                            CommitTier::Replanned => {
-                                self.stats.commit_replanned += 1;
-                                metrics().commit_replanned.add(1);
-                            }
-                            CommitTier::Cached | CommitTier::Unplanned => {}
+                    Ok((t, cached)) => {
+                        if cached {
+                            self.stats.cache_hits += 1;
+                        } else {
+                            self.stats.cache_misses += 1;
                         }
-                        self.stats.cache_misses += 1;
-                        (t, false)
+                        (t, cached)
                     }
                     Err(e) => return self.skip(format!("path request failed: {e}")),
                 }
@@ -862,11 +789,7 @@ impl<'t> Worker<'t, '_> {
         });
         match record {
             Ok(record) => {
-                let ue = ues.remove(&ev.imsi).expect("checked above");
-                let off = u32::from(ue.permanent_ip)
-                    - self.cfg.permanent_pool.raw_bits()
-                    - self.perm_base;
-                self.perm.release(off);
+                ues.remove(&ev.imsi);
                 self.stats.detaches += 1;
                 self.outcomes.push(EventOutcome::Detached { record });
             }
@@ -909,9 +832,8 @@ impl<'t> ShardedController<'t> {
     }
 
     /// Seeds the interleaving-test scheduler: each worker yields a
-    /// seeded number of times before every ticket wait and optimistic
-    /// plan (the result must not depend on it). Without a seed a run
-    /// never yields for jitter.
+    /// seeded number of times before every ticket wait (the result must
+    /// not depend on it). Without a seed a run never yields for jitter.
     pub fn with_sched_seed(mut self, seed: u64) -> Self {
         self.sched_seed = Some(seed);
         self
@@ -1011,16 +933,6 @@ impl<'t> ShardedController<'t> {
             .filter_map(|attrs| Some((attrs.imsi, engine.classifier_of(attrs.imsi).ok()?)))
             .collect();
         let annotations = self.annotate(events, &classifiers);
-        let chains: FxHashMap<ClauseId, Vec<MiddleboxKind>> = engine
-            .state()
-            .policy()
-            .clauses()
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.action.access == AccessControl::Allow)
-            .map(|(i, c)| (ClauseId(i as u16), c.action.chain.clone()))
-            .collect();
-        let planner = engine.installer().planner_handle();
 
         let coord = Coordinator {
             engine: Mutex::new(Sequenced {
@@ -1030,14 +942,7 @@ impl<'t> ShardedController<'t> {
             next_seq: AtomicU64::new(0),
             published: RwLock::new(FxHashMap::default()),
             classifiers,
-            chains,
         };
-
-        // static per-shard slices of the permanent pool: deterministic
-        // per shard count (the oracle canonicalizes addresses by flow
-        // identity, so slice placement never leaks into the comparison)
-        let pool_size = self.cfg.permanent_pool.size();
-        let slice = (((pool_size - 1) / self.shards as u64) as u32).max(1);
 
         let mut queues = vec![Vec::new(); self.shards];
         for (idx, (ev, ann)) in events.iter().zip(&annotations).enumerate() {
@@ -1052,16 +957,12 @@ impl<'t> ShardedController<'t> {
                     coord: &coord,
                     cfg: self.cfg,
                     topo: self.topo,
-                    perm: ShardRange::new(RangePool::new(slice, PERM_BLOCK)),
-                    perm_base: 1 + id as u32 * slice,
                     batches: Vec::new(),
                     outcomes: Vec::new(),
                     stats: ShardedStats::default(),
                     rng: self
                         .sched_seed
                         .map(|seed| (seed ^ (id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)) | 1),
-                    planner: planner.clone(),
-                    sp: ShortestPaths::new(self.topo),
                 };
                 handles.push(scope.spawn(move || worker.run(queue)));
             }
@@ -1214,9 +1115,9 @@ mod tests {
         // poison — after which waiters serve cache hits again.
         let topo = small_topology();
         let mut cfg = ControllerConfig::simulation();
-        // a two-address pool: one shard slice of exactly one address, so
-        // the second attach fails after its annotation already assumed
-        // success
+        // a two-address pool with one assignable address (.0 is
+        // reserved), so the second attach fails after its annotation
+        // already assumed success
         cfg.permanent_pool =
             softcell_types::Ipv4Prefix::from_bits(u32::from(Ipv4Addr::new(100, 64, 0, 0)), 31);
         let sc = ShardedController::new(&topo, cfg, 1);
@@ -1281,28 +1182,6 @@ mod tests {
         );
         assert_eq!(run.stats.cache_hits, 0);
         assert_eq!(run.stats.cache_misses, 0, "nothing installed");
-    }
-
-    #[test]
-    fn optimistic_plans_fast_commit_on_single_shard() {
-        // with one shard nothing can invalidate a plan between planning
-        // and its ticket, so every installing demand commits fast
-        let topo = small_topology();
-        let sc = ShardedController::new(&topo, ControllerConfig::simulation(), 1);
-        let events = vec![
-            attach(0, 0, 0),
-            attach(0, 1, 1),
-            flow(1, 0, 0, 40_000, 443),
-            flow(2, 1, 1, 40_001, 443),
-            flow(3, 0, 0, 40_002, 80),
-        ];
-        let run = sc.run(ServicePolicy::example_carrier_a(1), &subs(2), &events);
-        assert_eq!(run.stats.cache_misses, 2);
-        assert_eq!(
-            run.stats.commit_fast, 2,
-            "single shard: every install came from its optimistic plan"
-        );
-        assert_eq!(run.stats.commit_replanned, 0);
     }
 
     #[test]
@@ -1399,11 +1278,8 @@ mod tests {
             assert_eq!(r.engine.mobility().transitions_active(), 0);
             assert_eq!(r.engine.mobility().tunnel_count(), 0);
         }
-        // `a` draws its address from shard 0's range either way
-        for i in [0, 2, 4, 5, 6] {
-            let (o, t) = (&one.outcomes[i], &two.outcomes[i]);
-            assert_eq!(format!("{o:?}"), format!("{t:?}"), "event {i}");
-        }
+        // the engine assigns addresses in ticket order at any shard count
+        assert_eq!(format!("{:?}", one.outcomes), format!("{:?}", two.outcomes));
         assert_eq!(one.merged_batches(), two.merged_batches());
     }
 }

@@ -18,8 +18,8 @@ use softcell_types::{BaseStationId, Error, FxHashMap, Ipv4Prefix, Result, SimTim
 pub struct UeRecord {
     /// Subscriber identity.
     pub imsi: UeImsi,
-    /// The permanent address (DHCP-assigned on first attach; never
-    /// changes, paper §3.1).
+    /// The permanent address (DHCP-assigned at attach; it does not change
+    /// while the UE stays attached, handoffs included — paper §3.1).
     pub permanent_ip: Ipv4Addr,
     /// Current base station.
     pub bs: BaseStationId,
@@ -120,12 +120,9 @@ impl ControllerState {
         self.subscribers.len()
     }
 
-    /// Allocates a permanent address (idempotent per subscriber: an
-    /// already-attached or re-attaching UE keeps its address).
-    fn permanent_ip_for(&mut self, imsi: UeImsi) -> Result<Ipv4Addr> {
-        if let Some(r) = self.ues.get(&imsi) {
-            return Ok(r.permanent_ip);
-        }
+    /// Allocates a permanent address: the most recently freed one, else
+    /// the next never-used one.
+    fn allocate_permanent_ip(&mut self) -> Result<Ipv4Addr> {
         if let Some(ip) = self.freed_permanent.pop() {
             return Ok(ip);
         }
@@ -141,30 +138,14 @@ impl ControllerState {
     }
 
     /// Records a UE attachment (or re-attachment after detach). The UE id
-    /// comes from the local agent. Returns the record.
+    /// comes from the local agent; the permanent address from this
+    /// state's pool. Returns the record.
     pub fn attach(
         &mut self,
         imsi: UeImsi,
         bs: BaseStationId,
         ue_id: UeId,
         now: SimTime,
-    ) -> Result<UeRecord> {
-        self.attach_with_ip(imsi, bs, ue_id, now, None)
-    }
-
-    /// [`attach`](Self::attach) with an externally allocated permanent
-    /// address. The sharded controller draws permanent addresses from
-    /// per-shard ranges ([`softcell_types::ShardRange`]) so shards never
-    /// contend on this state's pool; `None` falls back to the pool. A
-    /// re-attach keeps the address first assigned either way (§3.1:
-    /// permanent addresses never change).
-    pub fn attach_with_ip(
-        &mut self,
-        imsi: UeImsi,
-        bs: BaseStationId,
-        ue_id: UeId,
-        now: SimTime,
-        preallocated: Option<Ipv4Addr>,
     ) -> Result<UeRecord> {
         self.subscriber(imsi)?;
         if let Some(existing) = self.ues.get(&imsi) {
@@ -178,10 +159,7 @@ impl ControllerState {
                 "location ({bs},{ue_id}) already occupied or reserved"
             )));
         }
-        let permanent_ip = match preallocated {
-            Some(ip) => ip,
-            None => self.permanent_ip_for(imsi)?,
-        };
+        let permanent_ip = self.allocate_permanent_ip()?;
         self.reserved.remove(&(bs, ue_id));
         let rec = UeRecord {
             imsi,

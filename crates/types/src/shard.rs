@@ -1,4 +1,4 @@
-//! Shard keys and per-shard range allocation for the sharded controller.
+//! Shard keys, and per-shard range allocation for the server front-end.
 //!
 //! SoftCell's control load is shardable by UE: every per-subscriber
 //! operation (attach, detach, microflow decisions) touches only that
@@ -9,15 +9,15 @@
 //! not: every operation on them is ticketed, so they sit under the
 //! ticket beside the engine rather than on an owner shard.
 //!
-//! Finite identifier spaces shared by all shards — policy tags, the
-//! permanent-address pool — are split into per-shard *ranges* by
-//! [`RangePool`]/[`ShardRange`] so the allocation hot path never takes a
-//! cross-shard lock: each shard draws from a private block and returns
-//! to the shared pool only when a block is exhausted (refill) or fully
-//! freed (spill). Exhaustion in one shard is served from blocks other
-//! shards have spilled back — "range stealing" — and the pool hands
-//! every value out at most once, so two shards can never hold the same
-//! value concurrently.
+//! Finite identifier spaces a `ControllerServer`'s domains share —
+//! policy tags, the permanent-address pool — are split into per-shard
+//! *ranges* by [`RangePool`]/[`ShardRange`] so the allocation hot path
+//! never takes a cross-shard lock: each shard draws from a private
+//! block and returns to the shared pool only when a block is exhausted
+//! (refill) or fully freed (spill). Exhaustion in one shard is served
+//! from blocks other shards have spilled back — "range stealing" — and
+//! the pool hands every value out at most once, so two shards can never
+//! hold the same value concurrently.
 
 use std::sync::{Arc, Mutex};
 

@@ -105,8 +105,8 @@ impl TagAllocator {
     }
 
     /// The tag `allocate` would return after `taken` further allocations,
-    /// without mutating the allocator. Lets an optimistic planner reserve
-    /// a sequence of tags it will only claim at commit time; `None` when
+    /// without mutating the allocator. Lets a pure planner reserve a
+    /// sequence of tags it will only claim at commit time; `None` when
     /// the space would be exhausted at that depth.
     pub fn peek(&self, taken: usize) -> Option<PolicyTag> {
         if taken < self.free.len() {

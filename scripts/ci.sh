@@ -112,11 +112,12 @@ timeout 120 cargo run --release -q -p softcell-bench --bin tab2_agent_throughput
   --trace /tmp/softcell-trace.json
 python3 scripts/check_trace.py /tmp/softcell-trace.json
 
-# Wide-shard smoke: 16 domains through the concurrent engine (optimistic
-# plan + validate/commit). The speedup floor stays modest — CI boxes may
-# have few cores — but the run itself gates the partitioned-lock paths
-# (per-switch cells, residue) under real contention.
-echo "==> 16-shard concurrent-engine smoke (120 s cap)"
+# Wide-domain smoke: the same ControllerServer run with 16 front-end
+# domains — the domain locks, queues and per-domain tag and address
+# ranges at their widest. Its path requests never reach Algorithm 1 (a
+# domain hands out a tag from its range); the sharded engine is gated by
+# the shard oracle and interleaving sweep above and the metro_churn smoke.
+echo "==> 16-domain server smoke (120 s cap)"
 timeout 120 cargo run --release -q -p softcell-bench --bin tab2_agent_throughput -- \
   --quick --shards 16 --min-speedup 1.5
 

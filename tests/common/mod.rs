@@ -2,7 +2,7 @@
 //! single-threaded reference driver (real `CentralController` + real
 //! per-station `LocalAgent`s, applied the way the simulator applies
 //! them), a materializer replaying a `ShardedRun` onto a fresh data
-//! plane, and canonicalized state dumps for byte-level comparison.
+//! plane, and verbatim state dumps for byte-level comparison.
 #![allow(dead_code)]
 
 use std::collections::{BTreeSet, HashMap};
@@ -17,7 +17,7 @@ use softcell::packet::{build_flow_packet, FiveTuple, HeaderView, Protocol};
 use softcell::policy::{ServicePolicy, SubscriberAttributes};
 use softcell::sim::PhysicalNetwork;
 use softcell::topology::Topology;
-use softcell::types::{Ipv4Prefix, SimDuration, UeImsi};
+use softcell::types::{SimDuration, UeImsi};
 
 /// Remote endpoint all test flows target.
 pub const SERVER: Ipv4Addr = Ipv4Addr::new(93, 184, 216, 34);
@@ -39,10 +39,8 @@ pub struct RunDump {
     /// Per-switch fabric flow tables, verbatim (no canonicalization —
     /// these hold LocIP prefixes and tags only, never permanent IPs).
     pub fabric: String,
-    /// Sorted canonicalized microflow entries across all switches.
+    /// Sorted microflow entries across all switches, verbatim.
     pub microflow: Vec<String>,
-    /// The partition of flow source ports into same-permanent-IP groups.
-    pub ip_groups: BTreeSet<BTreeSet<u16>>,
     /// Controller state (locations, reservations, tags, transitions).
     pub state: String,
     /// (flows, cache_hits, cache_misses, denied).
@@ -61,46 +59,19 @@ pub fn fabric_dump(topo: &Topology, net: &PhysicalNetwork) -> String {
     s
 }
 
-/// Dumps all microflow entries with permanent addresses canonicalized
-/// through the owning flow's globally-unique source port, plus the
-/// partition of ports into same-address groups.
-pub fn microflow_dump(
-    topo: &Topology,
-    net: &PhysicalNetwork,
-    pool: Ipv4Prefix,
-) -> (Vec<String>, BTreeSet<BTreeSet<u16>>) {
+/// Dumps all microflow entries verbatim, sorted.
+pub fn microflow_dump(topo: &Topology, net: &PhysicalNetwork) -> Vec<String> {
     let mut lines = Vec::new();
-    let mut groups: HashMap<Ipv4Addr, BTreeSet<u16>> = HashMap::new();
     for sw in topo.switches() {
         for (tuple, entry) in net.switch(sw.id).microflow.iter() {
-            let mut t = *tuple;
-            let mut action = entry.action;
-            if pool.contains(t.src) {
-                // uplink or drop entry: src is the UE's permanent IP and
-                // src_port is the flow's unique identity
-                groups.entry(t.src).or_default().insert(t.src_port);
-                t.src = Ipv4Addr::UNSPECIFIED;
-            }
-            if let MicroflowAction::RewriteDst { addr, port, out } = action {
-                if pool.contains(addr) {
-                    // downlink entry: the restored destination is the
-                    // permanent IP, the restored port the flow identity
-                    groups.entry(addr).or_default().insert(port);
-                    action = MicroflowAction::RewriteDst {
-                        addr: Ipv4Addr::UNSPECIFIED,
-                        port,
-                        out,
-                    };
-                }
-            }
             lines.push(format!(
-                "{:?} {t:?} {action:?} deadline={:?} packets={}",
-                sw.id, entry.idle_deadline, entry.packets
+                "{:?} {tuple:?} {:?} deadline={:?} packets={}",
+                sw.id, entry.action, entry.idle_deadline, entry.packets
             ));
         }
     }
     lines.sort();
-    (lines, groups.into_values().collect())
+    lines
 }
 
 /// Dumps controller state: per-UE locations, reservation and tag
@@ -245,20 +216,13 @@ pub fn reference_run_full<'t>(
         flow_stats.2 += s.cache_misses;
         flow_stats.3 += s.denied;
     }
-    let (microflow, ip_groups) = microflow_dump(topo, &net, cfg.permanent_pool);
     let dump = RunDump {
         fabric: fabric_dump(topo, &net),
-        microflow,
-        ip_groups,
+        microflow: microflow_dump(topo, &net),
         state: state_dump(&ctl),
         flow_stats,
     };
     (dump, ctl, net)
-}
-
-/// [`reference_run_full`] when only the dump is needed.
-pub fn reference_run(topo: &Topology, n_subs: u64, events: &[ShardEvent]) -> RunDump {
-    reference_run_full(topo, n_subs, events).0
 }
 
 /// Replays a sharded run's merged batch stream and per-event outcomes
@@ -320,13 +284,10 @@ pub fn materialize_net(topo: &Topology, run: &ShardedRun<'_>) -> PhysicalNetwork
 
 /// Materializes and dumps a sharded run.
 pub fn materialize(topo: &Topology, run: &ShardedRun<'_>) -> RunDump {
-    let cfg = ControllerConfig::simulation();
     let net = materialize_net(topo, run);
-    let (microflow, ip_groups) = microflow_dump(topo, &net, cfg.permanent_pool);
     RunDump {
         fabric: fabric_dump(topo, &net),
-        microflow,
-        ip_groups,
+        microflow: microflow_dump(topo, &net),
         state: state_dump(&run.engine),
         flow_stats: (
             run.stats.flows,
@@ -337,9 +298,7 @@ pub fn materialize(topo: &Topology, run: &ShardedRun<'_>) -> RunDump {
     }
 }
 
-/// Asserts the comparable parts of two dumps are identical. Address
-/// *placement* is excluded by construction (canonicalized); address
-/// *sharing* is checked separately via [`assert_sessions_refine`].
+/// Asserts two dumps are identical, permanent addresses included.
 pub fn compare(reference: &RunDump, sharded: &RunDump, label: &str) {
     assert_eq!(
         reference.fabric, sharded.fabric,
@@ -347,7 +306,7 @@ pub fn compare(reference: &RunDump, sharded: &RunDump, label: &str) {
     );
     assert_eq!(
         reference.microflow, sharded.microflow,
-        "{label}: canonicalized microflow tables must match"
+        "{label}: microflow tables must match"
     );
     assert_eq!(reference.state, sharded.state, "{label}: controller state");
     assert_eq!(
@@ -357,13 +316,7 @@ pub fn compare(reference: &RunDump, sharded: &RunDump, label: &str) {
 }
 
 /// The ports of each attachment session (one UE, attach→detach span),
-/// straight from the trace. Within a session every flow uses the UE's
-/// one permanent address, so each session's ports must land in a single
-/// same-address group — in *both* implementations. The partitions
-/// themselves may differ: the reference reuses freed addresses across
-/// any UE (shared LIFO pool) while the sharded controller reuses within
-/// a shard's range, so the groups are different coarsenings of the same
-/// session partition.
+/// straight from the trace.
 pub fn session_port_groups(events: &[ShardEvent]) -> Vec<BTreeSet<u16>> {
     let mut session_of: HashMap<u64, u32> = HashMap::new();
     let mut groups: HashMap<(u64, u32), BTreeSet<u16>> = HashMap::new();
@@ -383,27 +336,34 @@ pub fn session_port_groups(events: &[ShardEvent]) -> Vec<BTreeSet<u16>> {
 }
 
 /// Asserts that every attachment session's flows share exactly one
-/// permanent address in the dump.
-pub fn assert_sessions_refine(sessions: &[BTreeSet<u16>], dump: &RunDump, label: &str) {
+/// permanent address in `net`'s microflow tables. Every microflow entry
+/// names its flow by the UE-side source port: an uplink or drop entry
+/// carries it as `src_port` beside the permanent address in `src`, a
+/// downlink entry restores both in its `RewriteDst`.
+pub fn assert_sessions_refine(topo: &Topology, net: &PhysicalNetwork, sessions: &[BTreeSet<u16>]) {
+    let pool = ControllerConfig::simulation().permanent_pool;
+    let mut groups: HashMap<Ipv4Addr, BTreeSet<u16>> = HashMap::new();
+    for sw in topo.switches() {
+        for (t, entry) in net.switch(sw.id).microflow.iter() {
+            if pool.contains(t.src) {
+                groups.entry(t.src).or_default().insert(t.src_port);
+            }
+            if let MicroflowAction::RewriteDst { addr, port, .. } = entry.action {
+                if pool.contains(addr) {
+                    groups.entry(addr).or_default().insert(port);
+                }
+            }
+        }
+    }
     for session in sessions {
-        let hits = dump
-            .ip_groups
-            .iter()
+        let hits: Vec<&BTreeSet<u16>> = groups
+            .values()
             .filter(|g| !g.is_disjoint(session))
-            .count();
-        assert_eq!(
-            hits, 1,
-            "{label}: a session's flows must share exactly one permanent address \
-             (session ports {session:?})"
-        );
-        let group = dump
-            .ip_groups
-            .iter()
-            .find(|g| !g.is_disjoint(session))
-            .unwrap();
+            .collect();
         assert!(
-            session.is_subset(group),
-            "{label}: session ports {session:?} split across addresses"
+            hits.len() == 1 && session.is_subset(hits[0]),
+            "a session's flows must share exactly one permanent address \
+             (session ports {session:?})"
         );
     }
 }

@@ -11,19 +11,16 @@
 //!
 //! The final fabric flow tables must be **byte-identical** (rule ids
 //! included: the merged batch stream reproduces the exact global op
-//! order). Microflow tables and controller state must be identical
-//! modulo permanent-address placement: the sharded controller carves
-//! the permanent pool into static per-shard ranges, so each UE's
-//! address differs between runs, but every microflow entry carries its
-//! flow's globally-unique UE source port, which names the flow across
-//! runs. Entries are compared with permanent addresses canonicalized
-//! through that port, and each attachment session's flows are checked
-//! to share exactly one address so sharing cannot silently diverge.
+//! order), and so must the microflow tables and controller state,
+//! permanent addresses included: the engine assigns them from its own
+//! pool under each attach's ticket, in trace order at any shard count.
+//! The reference itself is checked to give each attachment session's
+//! flows exactly one permanent address.
 
 mod common;
 
 use common::{
-    assert_sessions_refine, compare, materialize, policy, reference_run, session_port_groups,
+    assert_sessions_refine, compare, materialize, policy, reference_run_full, session_port_groups,
     subscribers, SERVER,
 };
 use softcell::controller::ops::SwitchBatch;
@@ -37,8 +34,8 @@ use softcell::workload::{EventKind, EventStream, EventStreamConfig};
 const UES: u64 = 24;
 
 /// Converts the generated trace, giving every flow a globally-unique
-/// source port (40000 + event index) — the cross-run flow identity the
-/// canonicalization leans on.
+/// source port (40000 + event index) — the flow identity the session
+/// check leans on.
 fn convert(events: &[softcell::workload::TraceEvent]) -> Vec<ShardEvent> {
     assert!(events.len() < 25_000, "source ports must stay unique");
     events
@@ -80,11 +77,9 @@ fn oracle(workload_seed: u64) {
     let stream = EventStream::generate(&EventStreamConfig::busy(4, UES, workload_seed));
     let events = convert(stream.events());
     assert!(!events.is_empty());
-    let sessions = session_port_groups(&events);
-
-    let reference = reference_run(&topo, UES, &events);
+    let (reference, _, ref_net) = reference_run_full(&topo, UES, &events);
     assert!(reference.flow_stats.0 > 0, "workload produced flows");
-    assert_sessions_refine(&sessions, &reference, "reference");
+    assert_sessions_refine(&topo, &ref_net, &session_port_groups(&events));
 
     for shards in [1usize, 2, 4, 8, 16] {
         let sc = ShardedController::new(&topo, ControllerConfig::simulation(), shards)
@@ -103,7 +98,6 @@ fn oracle(workload_seed: u64) {
         );
         let dump = materialize(&topo, &run);
         compare(&reference, &dump, &format!("{shards} shards"));
-        assert_sessions_refine(&sessions, &dump, &format!("{shards} shards"));
         // ticketed flow demands are exactly the coordinated flow events
         // (per-UE tickets: a later UE may re-demand a key its waiter peers
         // already resolved, so demands can exceed cache misses)
