@@ -16,14 +16,14 @@
 //! code runs against a direct in-process controller (simulator) or a
 //! channel-backed threaded one (the §6.2 micro-benchmarks).
 //!
-//! The agent's per-station bookkeeping is three small pieces, each
-//! defined here once: [`UeIdPool`] (the local UE-id allocator behind
-//! LocIP), [`FlowSlots`] (the per-UE flow slots embedded in the source
-//! port) and [`microflow_pair`] (the two access-switch entries of a
-//! flow). [`LocalAgent`] runs them against its `Switch`; the sharded
-//! controller ([`crate::sharded`]) runs the same three on the shard
-//! that owns the station or the UE, which is why the two can never
-//! disagree about an id or a slot.
+//! The agent's per-station bookkeeping is three small pieces: an
+//! [`IdPool`] of local UE ids (the low bits of LocIP), [`FlowSlots`]
+//! (the per-UE flow slots embedded in the source port) and
+//! [`microflow_pair`] (the two access-switch entries of a flow).
+//! [`LocalAgent`] runs them against its `Switch`; the sharded
+//! controller ([`crate::sharded`]) runs the same three — station id
+//! pools under the ticket, slots and flow pairs on the UE's shard —
+//! which is why the two can never disagree about an id or a slot.
 
 use std::net::Ipv4Addr;
 
@@ -32,8 +32,8 @@ use softcell_packet::{FiveTuple, HeaderView};
 use softcell_policy::clause::{AccessControl, ClauseId};
 use softcell_policy::UeClassifier;
 use softcell_types::{
-    AddressingScheme, BaseStationId, Error, FxHashMap, LocIp, PortEmbedding, PortNo, Result,
-    SimDuration, SimTime, UeId, UeImsi,
+    AddressingScheme, BaseStationId, Error, FxHashMap, IdPool, LocIp, PortEmbedding, PortNo,
+    Result, SimDuration, SimTime, UeId, UeImsi,
 };
 
 use crate::core::{AttachGrant, PathTags};
@@ -42,55 +42,6 @@ use crate::state::UeRecord;
 
 /// Idle timeout a new agent hands to its microflow entries.
 pub(crate) const MICROFLOW_IDLE: SimDuration = SimDuration::from_secs(30);
-
-/// A base station's local UE-id allocator (§3.1/§4.2: the id is the low
-/// bits of the LocIP). Ids come off the free list LIFO, then fresh in
-/// ascending order. An id is *held* from the moment it is reserved or
-/// adopted until it is released — including while the UE that used it
-/// has moved away and the location is still reserved for its old flows
-/// (§5.1).
-#[derive(Clone, Debug, Default)]
-pub struct UeIdPool {
-    next: u16,
-    free: Vec<UeId>,
-}
-
-impl UeIdPool {
-    /// Hands out an id below `max`: the most recently released one, or
-    /// else the next never-used one. `None` when all `max` are held.
-    pub fn reserve(&mut self, max: u32) -> Option<UeId> {
-        if let Some(id) = self.free.pop() {
-            return Some(id);
-        }
-        if u32::from(self.next) >= max {
-            return None;
-        }
-        let id = UeId(self.next);
-        self.next += 1;
-        Some(id)
-    }
-
-    /// Marks an id chosen elsewhere (handoff arrival, restart refetch)
-    /// as held, so `reserve` never hands it out.
-    pub fn adopt(&mut self, id: UeId) {
-        if id.0 >= self.next {
-            self.next = id.0 + 1;
-        }
-        self.free.retain(|f| *f != id);
-    }
-
-    /// Returns a held id to the pool. Releasing an id that is not held
-    /// (already free, or never handed out) changes nothing and returns
-    /// `false`, so a repeated release cannot put one id in the pool
-    /// twice.
-    pub fn release(&mut self, id: UeId) -> bool {
-        let held = id.0 < self.next && !self.free.contains(&id);
-        if held {
-            self.free.push(id);
-        }
-        held
-    }
-}
 
 /// One UE's flow slots (§4.1: the slot rides in the source port beside
 /// the policy tag, so concurrent flows of one UE stay distinguishable).
@@ -301,7 +252,11 @@ pub struct LocalAgent {
     ports: PortEmbedding,
     ues: FxHashMap<UeImsi, AgentUe>,
     by_permanent: FxHashMap<Ipv4Addr, UeImsi>,
-    ids: UeIdPool,
+    /// Local UE ids (§3.1/§4.2). An id is held from the moment it is
+    /// reserved or adopted until it is released — including while the UE
+    /// that used it has moved away and the location is still reserved
+    /// for its old flows (§5.1).
+    ids: IdPool,
     /// Cached policy tags per clause — "the current policy tags" of §4.2.
     tag_cache: FxHashMap<ClauseId, PathTags>,
     stats: AgentStats,
@@ -324,7 +279,7 @@ impl LocalAgent {
             ports,
             ues: FxHashMap::default(),
             by_permanent: FxHashMap::default(),
-            ids: UeIdPool::default(),
+            ids: IdPool::new(scheme.max_ues_per_station()),
             tag_cache: FxHashMap::default(),
             stats: AgentStats::default(),
             microflow_idle: MICROFLOW_IDLE,
@@ -382,13 +337,14 @@ impl LocalAgent {
 
     /// Reserves the next local UE id this agent would hand out —
     /// exposed for handoff drivers that must pick the arriving UE's id
-    /// with the same discipline as an attach ([`UeIdPool::reserve`]).
+    /// with the same discipline as an attach ([`IdPool::allocate`]).
     /// The id is held from here on: pass it to [`adopt`](Self::adopt),
     /// or hand it back with [`release_ue_id`](Self::release_ue_id) if
     /// the handoff fails.
     pub fn reserve_ue_id(&mut self) -> Result<UeId> {
         self.ids
-            .reserve(self.scheme.max_ues_per_station())
+            .allocate()
+            .map(|id| UeId(id as u16))
             .ok_or_else(|| Error::Exhausted(format!("base station {} out of UE ids", self.bs)))
     }
 
@@ -399,7 +355,12 @@ impl LocalAgent {
     /// id was held; a repeated release, or one for an id this agent
     /// forgot across a restart, is dropped rather than double-freed.
     pub fn release_ue_id(&mut self, id: UeId) -> bool {
-        self.ids.release(id)
+        self.ids.release(u32::from(id.0))
+    }
+
+    /// Marks an id chosen elsewhere as held (see [`IdPool::adopt`]).
+    pub(crate) fn hold_ue_id(&mut self, id: UeId) {
+        self.ids.adopt(u32::from(id.0));
     }
 
     /// Handles a UE attach: assigns a local id, registers with the
@@ -417,7 +378,7 @@ impl LocalAgent {
         let grant = match ctl.attach_ue(imsi, self.bs, ue_id, now) {
             Ok(g) => g,
             Err(e) => {
-                self.ids.release(ue_id);
+                self.release_ue_id(ue_id);
                 return Err(e);
             }
         };
@@ -448,7 +409,7 @@ impl LocalAgent {
             )));
         }
         self.by_permanent.insert(record.permanent_ip, record.imsi);
-        self.ids.adopt(record.ue_id);
+        self.hold_ue_id(record.ue_id);
         self.ues.insert(
             record.imsi,
             AgentUe {
@@ -511,7 +472,7 @@ impl LocalAgent {
         }
         let ue = self.ues.remove(&imsi).expect("checked above");
         self.by_permanent.remove(&ue.permanent_ip);
-        self.ids.release(ue.ue_id);
+        self.release_ue_id(ue.ue_id);
         Ok(())
     }
 
@@ -874,11 +835,14 @@ mod tests {
             .attach_ue(UeImsi(2), BaseStationId(0), UeId(5), SimTime::ZERO)
             .unwrap();
         agent.adopt(grant.record, grant.classifier).unwrap();
-        // the next locally assigned id must skip past 5
+        // locally assigned ids fill the gap below 5, then skip past it
         let r = agent
             .handle_attach(UeImsi(3), &mut ctl, SimTime::ZERO)
             .unwrap();
-        assert_eq!(r.ue_id, UeId(6));
+        assert_eq!(r.ue_id, UeId(0));
+        let rest: Vec<UeId> = std::iter::from_fn(|| agent.reserve_ue_id().ok()).collect();
+        assert_eq!(&rest[..5], &[1, 2, 3, 4, 6].map(UeId));
+        assert!(!rest.contains(&UeId(5)), "adopted id is held");
     }
 
     #[test]
@@ -936,62 +900,8 @@ mod tests {
     mod props {
         use super::*;
         use proptest::prelude::*;
-        use std::collections::BTreeSet;
 
         proptest! {
-            /// `UeIdPool` against a set model: an id is never handed
-            /// out twice while held, released ids come back LIFO before
-            /// any fresh id, and `reserve` refuses exactly when all
-            /// `max` ids are held.
-            #[test]
-            fn ue_id_pool_matches_set_model(
-                max in 1u32..24,
-                ops in proptest::collection::vec((0u8..4, 0u16..32), 1..200),
-            ) {
-                let mut pool = UeIdPool::default();
-                let mut held: BTreeSet<u16> = BTreeSet::new();
-                let mut free: Vec<u16> = Vec::new(); // model free list
-                let mut fresh = 0u16; // next never-used id
-                for (op, pick) in ops {
-                    match op {
-                        0 | 1 => match pool.reserve(max) {
-                            Some(id) => {
-                                prop_assert!(u32::from(id.0) < max);
-                                prop_assert!(held.insert(id.0), "{} handed out twice", id);
-                                match free.pop() {
-                                    Some(last) => prop_assert_eq!(id.0, last, "LIFO reuse"),
-                                    None => {
-                                        prop_assert_eq!(id.0, fresh, "fresh ids ascend");
-                                        fresh += 1;
-                                    }
-                                }
-                            }
-                            None => prop_assert_eq!(held.len() as u32, max, "early refusal"),
-                        },
-                        2 => {
-                            // adopt an id that is already held: a no-op
-                            if let Some(&id) = held.iter().nth(pick as usize % held.len().max(1)) {
-                                pool.adopt(UeId(id));
-                            }
-                        }
-                        _ => {
-                            let id = pick % (max as u16 + 2);
-                            let was_held = held.remove(&id);
-                            prop_assert_eq!(pool.release(UeId(id)), was_held);
-                            if was_held {
-                                free.push(id);
-                            }
-                        }
-                    }
-                }
-                // everything released is reservable again, nothing else
-                let mut rest = BTreeSet::new();
-                while let Some(id) = pool.reserve(max) {
-                    prop_assert!(rest.insert(id.0) && !held.contains(&id.0));
-                }
-                prop_assert_eq!(rest.len() + held.len(), max as usize);
-            }
-
             /// The bitmap `FlowSlots` against the `HashSet` one it
             /// replaced, operation for operation: same slot from every
             /// `allocate` (the scan wraps around and skips occupied

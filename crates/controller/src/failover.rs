@@ -14,7 +14,7 @@
 //! failure").
 
 use softcell_policy::UeClassifier;
-use softcell_types::{BaseStationId, Error, Result, SimTime};
+use softcell_types::{BaseStationId, Error, Result, SimTime, UeId};
 
 use crate::agent::LocalAgent;
 use crate::core::CentralController;
@@ -80,13 +80,27 @@ impl<'t> CentralController<'t> {
 impl LocalAgent {
     /// Restart recovery: drop everything and refetch from the controller
     /// (the agent's state is read-only derived state, §5.2). `grants` is
-    /// the controller's answer for this base station.
-    pub fn restart_from(&mut self, grants: Vec<(UeRecord, UeClassifier)>) -> Result<usize> {
+    /// the controller's answer for this base station; `reserved` the ids
+    /// it still reserves here for in-transition flows (§5.1), held until
+    /// [`CentralController::drain_released_locations`] hands them back.
+    /// Every other id is free again, the gaps between them included.
+    pub fn restart_from(
+        &mut self,
+        grants: Vec<(UeRecord, UeClassifier)>,
+        reserved: impl IntoIterator<Item = UeId>,
+    ) -> Result<usize> {
         let bs = self.base_station();
         let radio = self.radio_port();
         let scheme = *self.scheme();
         let ports = *self.ports();
         *self = LocalAgent::new(bs, radio, scheme, ports);
+        // highest first, so the gaps come back ascending
+        let mut held: Vec<UeId> = reserved.into_iter().collect();
+        held.extend(grants.iter().map(|(rec, _)| rec.ue_id));
+        held.sort_unstable_by(|a, b| b.cmp(a));
+        for id in held {
+            self.hold_ue_id(id);
+        }
         let n = grants.len();
         for (rec, classifier) in grants {
             self.adopt(rec, classifier)?;
@@ -196,10 +210,40 @@ mod tests {
 
         // crash + restart: refetch from the controller
         let grants = ctl.grants_for_station(BaseStationId(0)).unwrap();
-        let n = agent.restart_from(grants).unwrap();
+        let n = agent.restart_from(grants, []).unwrap();
         assert_eq!(n, 2);
         verify_agent_matches_controller(&agent, &ctl).unwrap();
         // recovered agents keep serving flows: classifiers are intact
         assert!(!agent.ue(UeImsi(0)).unwrap().classifier.entries().is_empty());
+    }
+
+    #[test]
+    fn agent_restart_keeps_the_ids_between_survivors() {
+        let topo = small_topology();
+        let mut ctl = CentralController::new(
+            &topo,
+            ControllerConfig::simulation(),
+            ServicePolicy::example_carrier_a(1),
+        );
+        let cfg = *ctl.config();
+        let bs = BaseStationId(0);
+        let mut agent =
+            LocalAgent::new(bs, topo.base_station(bs).radio_port, cfg.scheme, cfg.ports);
+        // survivors at ids 0 and 5; ids 1–4 were free at the crash
+        for (imsi, id) in [(0, 0), (1, 5)] {
+            ctl.put_subscriber(SubscriberAttributes::default_home(UeImsi(imsi)));
+            ctl.attach_ue(UeImsi(imsi), bs, UeId(id), SimTime::ZERO)
+                .unwrap();
+        }
+        agent
+            .restart_from(ctl.grants_for_station(bs).unwrap(), [])
+            .unwrap();
+        let mut handed_out = Vec::new();
+        while let Ok(id) = agent.reserve_ue_id() {
+            handed_out.push(id);
+        }
+        let max = cfg.scheme.max_ues_per_station() as usize;
+        assert_eq!(handed_out.len(), max - 2, "every id but the survivors'");
+        assert_eq!(&handed_out[..4], &[1, 2, 3, 4].map(UeId));
     }
 }

@@ -31,7 +31,7 @@
 //! # State: one owner, plan then commit
 //!
 //! [`PathInstaller`] owns Algorithm 1's state outright: one
-//! [`ShadowTables`] per direction, the tag allocator, the chain-shape
+//! [`ShadowTables`] per direction, the tag pool, the chain-shape
 //! candidate index and the per-station claimed-tag sets. Algorithm 1
 //! runs once per (clause, station) path — local agents ask only on a
 //! tag-cache miss (§4.2) — so it runs wherever its owner runs: the
@@ -39,7 +39,7 @@
 //! Nothing here locks.
 //!
 //! An install plans first and commits second. Planning is pure: it
-//! previews fresh tags with [`TagAllocator::peek`] and buffers its
+//! previews fresh tags with [`IdPool::peek`] and buffers its
 //! chain-index pushes in the plan. The commit replays them and writes
 //! the rules; every feasibility question was answered while planning,
 //! so the commit cannot fail, and a path that fails to plan leaves no
@@ -74,8 +74,8 @@ use softcell_types::{FxHashMap, FxHashSet};
 use softcell_telemetry::Registry;
 use softcell_topology::{PolicyPath, Topology};
 use softcell_types::{
-    AddressingScheme, BaseStationId, Error, Ipv4Prefix, MiddleboxId, PolicyTag, Result, SwitchId,
-    TagAllocator,
+    AddressingScheme, BaseStationId, Error, IdPool, Ipv4Prefix, MiddleboxId, PolicyTag, Result,
+    SwitchId,
 };
 
 use crate::shadow::{Entry, NextHop, ShadowDelta, ShadowSwitch, ShadowTables};
@@ -207,7 +207,7 @@ struct PlanCtx {
     /// planned tags.
     chain_pushes: Vec<(ChainKey, PolicyTag)>,
     /// Number of fresh tags this path has reserved via
-    /// [`TagAllocator::peek`].
+    /// [`IdPool::peek`].
     fresh_taken: usize,
 }
 
@@ -218,7 +218,7 @@ struct PathPlan {
     origin: BaseStationId,
     prefix: Ipv4Prefix,
     /// Forward (traversal) order. Replays happen in *planning* order —
-    /// back to front — for the allocator and chain index, then forward
+    /// back to front — for the tag pool and chain index, then forward
     /// for the rules.
     plans: Vec<SegmentPlan>,
     segment_tags: Vec<PolicyTag>,
@@ -322,7 +322,7 @@ pub struct PathInstaller {
     policy: TagPolicy,
     up: ShadowTables,
     down: ShadowTables,
-    allocator: TagAllocator,
+    tags: IdPool,
     /// chain-shape → recently used tags (candidate source).
     chain_index: FxHashMap<ChainKey, Vec<PolicyTag>>,
     /// Tags already serving some path of a given base station (paper
@@ -342,7 +342,7 @@ impl PathInstaller {
             policy,
             up: ShadowTables::new(topo.switch_count()),
             down: ShadowTables::new(topo.switch_count()),
-            allocator: TagAllocator::new(policy.capacity),
+            tags: IdPool::new(u32::from(policy.capacity)),
             chain_index: FxHashMap::default(),
             claimed: FxHashMap::default(),
             last_deltas: Vec::new(),
@@ -365,13 +365,13 @@ impl PathInstaller {
 
     /// Number of tags currently allocated.
     pub fn tags_in_use(&self) -> usize {
-        self.allocator.allocated()
+        self.tags.allocated()
     }
 
     /// Allocates a tag outside the policy-path machinery (base-station
     /// tunnels, §5.1). Returns `None` when the tag space is exhausted.
     pub fn allocate_raw_tag(&mut self) -> Option<PolicyTag> {
-        self.allocator.allocate()
+        self.tags.allocate().map(|t| PolicyTag(t as u16))
     }
 
     /// Returns a raw tag to the pool (tunnel garbage collection).
@@ -382,7 +382,7 @@ impl PathInstaller {
     /// Debug builds assert; release builds saturate (the release is
     /// dropped) and bump [`TAG_RELEASE_UNDERFLOW`].
     pub fn release_raw_tag(&mut self, tag: PolicyTag) {
-        let released = self.allocator.try_release(tag);
+        let released = self.tags.release(u32::from(tag.0));
         if !released {
             // literal (not [`TAG_RELEASE_UNDERFLOW`]) so the metrics
             // manifest extractor sees the registration
@@ -434,22 +434,22 @@ impl PathInstaller {
         Ok(self.apply_path_plan(plan))
     }
 
-    /// Commits a plan: replays its allocator and chain-index updates
+    /// Commits a plan: replays its tag-pool and chain-index updates
     /// (fresh-tag claims and chain-slot pushes, in planning order) and
     /// writes its rules. Infallible by construction: every feasibility
     /// question was answered at planning time, against this same state.
     fn apply_path_plan(&mut self, plan: PathPlan) -> InstallReport {
         self.last_deltas.clear();
-        // Planning order is back to front; the allocator pops and the
+        // Planning order is back to front; the pool's pops and the
         // chain-slot pushes must replay in that order (slot order
         // feeds future candidate sampling).
         for sp in plan.plans.iter().rev() {
             if !sp.reused {
-                let got = self.allocator.allocate();
+                let got = self.tags.allocate();
                 debug_assert_eq!(
                     got,
-                    Some(sp.tag),
-                    "allocator drifted from its planned preview"
+                    Some(u32::from(sp.tag.0)),
+                    "tag pool drifted from its planned preview"
                 );
             }
             push_chain_slot(self.chain_index.entry(sp.chain_key).or_default(), sp.tag);
@@ -584,7 +584,7 @@ impl PathInstaller {
             let best = argmin(self, &job, &candidates, excluded);
 
             let fresh_cost = seg.decisions.len() + usize::from(swap_to.is_some());
-            let allocated = self.allocator.allocated() + ctx.fresh_taken;
+            let allocated = self.tags.allocated() + ctx.fresh_taken;
             // A fresh tag beats reuse that costs more than it, while
             // less than half the tag space is used: fresh tags buy cheap
             // Type 2 rules, reuse buys a smaller tag-space footprint.
@@ -595,10 +595,10 @@ impl PathInstaller {
                 }
             };
             if use_fresh {
-                match self.allocator.peek(ctx.fresh_taken) {
+                match self.tags.peek(ctx.fresh_taken) {
                     Some(t) => {
                         ctx.fresh_taken += 1;
-                        (t, false)
+                        (PolicyTag(t as u16), false)
                     }
                     None => {
                         let (_, t) = best.ok_or_else(|| {
@@ -1395,9 +1395,9 @@ mod tests {
     #[cfg(debug_assertions)]
     #[should_panic(expected = "unbalanced raw release")]
     fn raw_tag_double_release_panics_in_debug() {
-        // Release builds saturate instead (allocator untouched) and bump
-        // TAG_RELEASE_UNDERFLOW — `TagAllocator::try_release` unit tests
-        // cover the saturation semantics.
+        // Release builds saturate instead (pool untouched) and bump
+        // TAG_RELEASE_UNDERFLOW — `IdPool`'s model test covers the
+        // refusal.
         let topo = small_topology();
         let mut ins = installer(&topo);
         let t = ins.allocate_raw_tag().unwrap();

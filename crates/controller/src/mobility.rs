@@ -974,6 +974,25 @@ mod tests {
     }
 
     #[test]
+    fn a_reclaimed_home_stays_live_when_its_transition_ends() {
+        // a UE returning home under its old id reclaims the location it
+        // vacated: expiry releases only the station it passed through
+        let topo = small_topology();
+        let mut ctl = controller(&topo);
+        let (home, away) = (BaseStationId(0), BaseStationId(1));
+        ctl.attach_ue(UeImsi(0), home, UeId(0), SimTime::ZERO)
+            .unwrap();
+        ctl.handoff(UeImsi(0), away, UeId(0), &[], SimTime::ZERO)
+            .unwrap();
+        ctl.handoff(UeImsi(0), home, UeId(0), &[], SimTime::ZERO)
+            .unwrap();
+        ctl.expire_transitions(SimTime::from_secs(500));
+        assert_eq!(ctl.drain_released_locations(), vec![(away, UeId(0))]);
+        assert_eq!(ctl.state().at_location(home, UeId(0)), Some(UeImsi(0)));
+        assert_eq!(ctl.state().reserved_count(), 0);
+    }
+
+    #[test]
     fn shortcut_extension_follows_configured_ttl() {
         // regression: install_shortcut used to extend the transition by a
         // hardcoded 120 s instead of the configured transition_ttl

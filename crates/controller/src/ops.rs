@@ -51,9 +51,9 @@ impl RuleOp {
 /// The sharded controller and the `flow_mod_batch` wire message group a
 /// drained op stream per target switch. Within one batch the ops keep
 /// their original relative order (the per-switch ordering invariant of
-/// [`crate::core::CentralController::drain_ops`]), and `barrier` marks
-/// the batch boundary: a switch must fully apply the batch before
-/// touching any op of a later batch. Because ops for *different*
+/// [`crate::core::CentralController::drain_ops`]), and every batch ends
+/// with a barrier: a switch must fully apply the batch before touching
+/// any op of a later batch. Because ops for *different*
 /// switches are never order-dependent (each op names exactly one
 /// switch, and switch state is disjoint), per-switch batches with
 /// barriers are sufficient for consistency — no cross-switch fence is
@@ -64,10 +64,6 @@ pub struct SwitchBatch {
     pub switch: SwitchId,
     /// The ops, in drain order.
     pub ops: Vec<RuleOp>,
-    /// Whether the batch ends with a barrier (always true for batches
-    /// built by [`batch_by_switch`]; the field exists so a future
-    /// streaming path can split one logical batch across messages).
-    pub barrier: bool,
 }
 
 /// An order-preserving per-switch op journal: ops append into one lane
@@ -111,7 +107,6 @@ impl OpJournal {
                 self.lanes.push(SwitchBatch {
                     switch: sw,
                     ops: vec![op],
-                    barrier: true,
                 });
             }
         }
@@ -469,7 +464,6 @@ mod tests {
         assert_eq!(batches[0].switch, SwitchId(2), "first-appearance order");
         assert_eq!(batches[0].ops, vec![inst(2, 1), rm(2), inst(2, 2)]);
         assert_eq!(batches[1].ops, vec![inst(1, 1), rm(1)]);
-        assert!(batches.iter().all(|b| b.barrier));
     }
 
     #[test]
@@ -532,7 +526,6 @@ mod tests {
                     None => scanned.push(SwitchBatch {
                         switch: op.switch(),
                         ops: vec![*op],
-                        barrier: true,
                     }),
                 }
             }

@@ -17,10 +17,10 @@
 //! domain's bounded queue, whose worker takes the same lock per request.
 //! Either way the answer is computed under the lock and delivered after
 //! it is released. The finite identifier spaces (policy tags, permanent
-//! addresses) are split into per-domain [`ShardRange`]s over shared
-//! [`RangePool`]s, with exhausted domains stealing ranges other domains
-//! spilled. What stays shared is read-mostly (policy, subscriber base)
-//! or telemetry.
+//! addresses) are split statically: domain d of N draws from its own
+//! slice `[d·S/N, (d+1)·S/N)` of each, through an [`IdPool`] it owns.
+//! What stays shared is immutable (policy, subscriber base) or
+//! telemetry.
 
 use std::net::Ipv4Addr;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -28,14 +28,14 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
-use parking_lot::{Mutex, MutexGuard, RwLock};
+use parking_lot::{Mutex, MutexGuard};
 
 use softcell_policy::clause::ClauseId;
 use softcell_policy::{AppClassifier, ServicePolicy, SubscriberAttributes, UeClassifier};
 use softcell_telemetry::{trace, Counter, Gauge, Histogram, Registry, ReqTrace, Stopwatch};
 use softcell_types::{
-    shard_of_station, shard_of_ue, BaseStationId, Error, PolicyTag, RangePool, Result, ShardRange,
-    SimTime, UeId, UeImsi,
+    shard_of_station, shard_of_ue, BaseStationId, Error, IdPool, PolicyTag, Result, SimTime, UeId,
+    UeImsi,
 };
 
 use crate::core::AttachGrant;
@@ -51,16 +51,18 @@ pub const DEFAULT_QUEUE_DEPTH: usize = 4096;
 /// (100.64.0.0/10, matching [`crate::core::ControllerConfig::simulation`]).
 pub(crate) const PERMANENT_POOL_BASE: u32 = 0x6440_0000;
 
-/// Size of the permanent-address offset space the domains split into
-/// per-domain ranges.
+/// Size of the permanent-address offset space the domains split.
 const PERMANENT_SPACE: u32 = 1 << 20;
 
 /// Size of the policy-tag space the domains split.
 const TAG_SPACE: u32 = 1024;
 
-/// Identifier block handed to a domain at a time; small enough that the
-/// stealing path is exercised under modest churn.
-const RANGE_BLOCK: u32 = 64;
+/// Domain `d` of `n`'s static slice `[d·S/n, (d+1)·S/n)` of an id space
+/// of size `S`: its first id, and a pool over its width.
+fn slice(space: u32, d: usize, n: usize) -> (u32, IdPool) {
+    let bound = |i: usize| (u64::from(space) * i as u64 / n as u64) as u32;
+    (bound(d), IdPool::new(bound(d + 1) - bound(d)))
+}
 
 /// A request from a local agent.
 pub enum Request {
@@ -90,7 +92,7 @@ pub enum Request {
         trace: ReqTrace,
     },
     /// A UE detached over the wire: drop its record (returning it) and
-    /// release its permanent address to the owning domain's range.
+    /// release its permanent address to the owning domain's pool.
     Detach {
         /// The subscriber.
         imsi: UeImsi,
@@ -214,17 +216,23 @@ struct Domain {
     /// record the path. (Algorithm 1 runs in [`crate::sharded`]; this
     /// server measures request fan-in, the paper's bottleneck here.)
     paths: std::collections::HashMap<(BaseStationId, ClauseId), PolicyTag>,
-    tags: ShardRange,
-    permanent: ShardRange,
+    /// First tag of this domain's slice, and the pool over the slice.
+    tag_base: u32,
+    tags: IdPool,
+    /// First permanent-address offset of this domain's slice, and the
+    /// pool over the slice.
+    permanent_base: u32,
+    permanent: IdPool,
     shared: Arc<Shared>,
     wm: WorkerMetrics,
 }
 
-/// Controller state every domain reads: configuration and telemetry.
+/// Controller state every domain reads: configuration (fixed at start)
+/// and telemetry.
 pub(crate) struct Shared {
-    policy: RwLock<ServicePolicy>,
+    policy: ServicePolicy,
     apps: AppClassifier,
-    subscribers: RwLock<std::collections::HashMap<UeImsi, SubscriberAttributes>>,
+    subscribers: std::collections::HashMap<UeImsi, SubscriberAttributes>,
     /// This server's metric registry — per instance, so tests running
     /// many servers in parallel never see each other's numbers.
     pub(crate) telemetry: Arc<Registry>,
@@ -283,14 +291,16 @@ impl ControllerServer {
         subscribers: impl IntoIterator<Item = SubscriberAttributes>,
         shards: usize,
     ) -> Result<ControllerServer> {
-        if shards == 0 {
-            return Err(Error::Config("server needs at least one shard".into()));
+        if shards == 0 || shards > TAG_SPACE as usize {
+            // every domain needs at least one tag of its own
+            let msg = format!("server takes 1 to {TAG_SPACE} shards, got {shards}");
+            return Err(Error::Config(msg));
         }
         let telemetry = Registry::new();
         let shared = Arc::new(Shared {
-            policy: RwLock::new(policy),
+            policy,
             apps: AppClassifier::default(),
-            subscribers: RwLock::new(subscribers.into_iter().map(|a| (a.imsi, a)).collect()),
+            subscribers: subscribers.into_iter().map(|a| (a.imsi, a)).collect(),
             served: telemetry.counter("softcell_controller_packet_in_total"),
             active_connections: telemetry.gauge("softcell_controller_active_connections"),
             disconnects: telemetry.counter("softcell_controller_disconnects_total"),
@@ -300,17 +310,19 @@ impl ControllerServer {
             install_latency_us: AtomicU64::new(0),
             telemetry,
         });
-        let tag_pool = RangePool::new(TAG_SPACE, RANGE_BLOCK);
-        let perm_pool = RangePool::new(PERMANENT_SPACE, RANGE_BLOCK);
         let mut cells = Vec::with_capacity(shards);
         let mut workers = Vec::with_capacity(shards);
         for shard in 0..shards {
             let (tx, rx) = bounded::<Job>(DEFAULT_QUEUE_DEPTH);
+            let (tag_base, tags) = slice(TAG_SPACE, shard, shards);
+            let (permanent_base, permanent) = slice(PERMANENT_SPACE, shard, shards);
             let domain = Domain {
                 ues: std::collections::HashMap::new(),
                 paths: std::collections::HashMap::new(),
-                tags: ShardRange::new(Arc::clone(&tag_pool)),
-                permanent: ShardRange::new(Arc::clone(&perm_pool)),
+                tag_base,
+                tags,
+                permanent_base,
+                permanent,
                 shared: Arc::clone(&shared),
                 wm: WorkerMetrics::new(&shared.telemetry, shard),
             };
@@ -389,11 +401,6 @@ impl ControllerServer {
         self.shared.queue_rejected.get()
     }
 
-    /// Registers another subscriber while running.
-    pub fn put_subscriber(&self, attrs: SubscriberAttributes) {
-        self.shared.subscribers.write().insert(attrs.imsi, attrs);
-    }
-
     /// Stops the workers and waits for them. Robust against outstanding
     /// cloned routers: every domain gets one shutdown sentinel.
     pub fn shutdown(self) {
@@ -426,10 +433,6 @@ struct WorkerMetrics {
     path_hits: Arc<Counter>,
     /// `softcell_controller_path_cache_misses_total{shard=i}`.
     path_misses: Arc<Counter>,
-    /// `softcell_controller_range_steals_total{shard=i}` — identifier
-    /// blocks this domain stole from other domains' spills (recorded at
-    /// shutdown; see [`ShardRange::steals`]).
-    steals: Arc<Counter>,
     /// The shard index, stamped onto trace spans.
     shard: usize,
 }
@@ -446,17 +449,14 @@ impl WorkerMetrics {
             path_hits: registry.counter_with("softcell_controller_path_cache_hits_total", &label),
             path_misses: registry
                 .counter_with("softcell_controller_path_cache_misses_total", &label),
-            steals: registry.counter_with("softcell_controller_range_steals_total", &label),
         }
     }
 }
 
 fn compile_classifier(shared: &Shared, imsi: UeImsi) -> Result<UeClassifier> {
-    let subs = shared.subscribers.read();
     let unknown = || Error::NotFound(format!("unknown subscriber {imsi}"));
-    let attrs = subs.get(&imsi).ok_or_else(unknown)?;
-    let policy = shared.policy.read();
-    Ok(UeClassifier::compile(&policy, &shared.apps, attrs))
+    let attrs = shared.subscribers.get(&imsi).ok_or_else(unknown)?;
+    Ok(UeClassifier::compile(&shared.policy, &shared.apps, attrs))
 }
 
 /// Serves one request under `domain`'s lock: the per-kind span (the
@@ -517,12 +517,12 @@ impl Domain {
         // one first assigned
         let permanent_ip = match self.ues.get(&imsi) {
             Some(r) => r.permanent_ip,
-            // draw from this domain's range — routing by imsi guarantees
-            // the matching detach releases to the same range
+            // draw from this domain's slice — routing by imsi guarantees
+            // the matching detach releases to the same pool
             None => {
                 let full = || Error::Exhausted("permanent-address space".into());
                 let off = self.permanent.allocate().ok_or_else(full)?;
-                Ipv4Addr::from(PERMANENT_POOL_BASE + 1 + off)
+                Ipv4Addr::from(PERMANENT_POOL_BASE + 1 + self.permanent_base + off)
             }
         };
         let record = UeRecord {
@@ -541,14 +541,14 @@ impl Domain {
     fn detach(&mut self, imsi: UeImsi) -> Result<UeRecord> {
         let unknown = || Error::NotFound(format!("{imsi} not attached"));
         let record = self.ues.remove(&imsi).ok_or_else(unknown)?;
-        let off = u32::from(record.permanent_ip) - PERMANENT_POOL_BASE - 1;
+        let off = u32::from(record.permanent_ip) - PERMANENT_POOL_BASE - 1 - self.permanent_base;
         self.permanent.release(off);
         Ok(record)
     }
 
     fn path_tag(&mut self, bs: BaseStationId, clause: ClauseId) -> Result<PolicyTag> {
         // this domain owns every (bs, clause) it is ever asked about, so
-        // the tag comes from its private range
+        // the tag comes from its own slice
         if let Some(t) = self.paths.get(&(bs, clause)) {
             self.wm.path_hits.inc();
             return Ok(*t);
@@ -556,7 +556,7 @@ impl Domain {
         let full = || Error::Exhausted("policy-tag space".into());
         let v = self.tags.allocate().ok_or_else(full)?;
         self.wm.path_misses.inc();
-        let t = PolicyTag(v as u16);
+        let t = PolicyTag((self.tag_base + v) as u16);
         self.paths.insert((bs, clause), t);
         // the path's fabric rules fence
         self.shared.install_fence();
@@ -613,11 +613,6 @@ fn worker_loop(rx: Receiver<Job>, cell: &DomainCell) {
         }
         cell.pending.fetch_sub(1, Ordering::Release);
     }
-    // the domain serves nothing after this (a shutdown leaves `pending`
-    // up); bank its ranges' steal counts
-    let domain = cell.domain.lock();
-    let steals = domain.tags.steals() + domain.permanent.steals();
-    domain.wm.steals.add(steals);
 }
 
 #[cfg(test)]
@@ -735,7 +730,7 @@ mod tests {
 
         // attach every subscriber through the router; addresses must be
         // pairwise distinct even though four domains allocate them from
-        // private ranges
+        // their own slices
         let (tx, rx) = bounded(1);
         let mut ips = std::collections::HashSet::new();
         for i in 0..32u64 {
@@ -798,8 +793,8 @@ mod tests {
     #[test]
     fn sharded_addresses_stay_unique_under_churn() {
         // attach/detach churn across many UEs drives the per-domain
-        // ranges through release, spill and steal; no two concurrently
-        // attached UEs may ever share a permanent address
+        // pools through release and reuse; no two concurrently attached
+        // UEs may ever share a permanent address
         let server = server(256, 4);
         let router = server.router();
         let (atx, arx) = bounded(1);
@@ -928,6 +923,17 @@ mod tests {
         .is_err());
     }
 
+    #[test]
+    fn more_shards_than_tags_rejected() {
+        // a domain's static slice of the tag space must not be empty
+        let err = ControllerServer::start_sharded(
+            ServicePolicy::example_carrier_a(1),
+            subscribers(1),
+            TAG_SPACE as usize + 1,
+        );
+        assert!(matches!(err, Err(Error::Config(_))));
+    }
+
     fn shard_counter(server: &ControllerServer, name: &str, shard: usize) -> u64 {
         server
             .telemetry()
@@ -1024,7 +1030,7 @@ mod tests {
             server.set_install_latency(std::time::Duration::from_millis(50));
             let router = server.router();
             // two subscribers of one domain, so the second attach draws
-            // from the range the first one's detach released into
+            // from the pool the first one's detach released into
             let mut same = (0..16).filter(|i| shard_of_ue(UeImsi(*i), 2) == 0);
             let (ue_a, ue_b) = (same.next().unwrap(), same.next().unwrap());
             let holders: Vec<BaseStationId> = (0..2)

@@ -19,7 +19,7 @@
 //! The shadow is the controller's source of truth; deltas stream to the
 //! physical switches through [`crate::ops`].
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::hash_map::Entry as MapEntry;
 
 use softcell_types::{FxHashMap, Ipv4Prefix, MiddleboxId, PolicyTag, SwitchId};
@@ -30,7 +30,7 @@ use softcell_types::{FxHashMap, Ipv4Prefix, MiddleboxId, PolicyTag, SwitchId};
 /// unqualified [`Entry::Ingress`] rules, mirroring the input-port
 /// disambiguation of paper §3.1 (middlebox returns) and §3.2 (loops
 /// entering a switch through different links).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize)]
 pub enum Entry {
     /// Arrived from anywhere (no input-port qualifier).
     Ingress,
@@ -43,7 +43,7 @@ pub enum Entry {
 
 /// Where a rule sends traffic next (logical; ports are resolved when the
 /// delta is lowered to a physical rule).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize)]
 pub enum NextHop {
     /// To an adjacent switch.
     Switch(SwitchId),
@@ -62,7 +62,7 @@ pub enum NextHop {
 }
 
 /// Per-(entry, tag) forwarding state.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, Serialize)]
 struct TagTable {
     /// The Type 2 (tag-only) rule, if installed.
     default: Option<NextHop>,
@@ -121,7 +121,7 @@ impl TagTable {
 }
 
 /// The shadow of one switch's flow table.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, Serialize)]
 pub struct ShadowSwitch {
     tables: FxHashMap<(Entry, PolicyTag), TagTable>,
     /// Tags in first-installation order — candidate enumeration must be
@@ -469,7 +469,7 @@ impl ShadowSwitch {
 }
 
 /// The shadow of the whole network, indexed by switch.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, Serialize)]
 pub struct ShadowTables {
     switches: Vec<ShadowSwitch>,
 }

@@ -9,12 +9,14 @@
 
 use std::net::Ipv4Addr;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use softcell_policy::{AppClassifier, ServicePolicy, SubscriberAttributes, UeClassifier};
-use softcell_types::{BaseStationId, Error, FxHashMap, Ipv4Prefix, Result, SimTime, UeId, UeImsi};
+use softcell_types::{
+    BaseStationId, Error, FxHashMap, IdPool, Ipv4Prefix, Result, SimTime, UeId, UeImsi,
+};
 
 /// One attached UE as the controller sees it.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
 pub struct UeRecord {
     /// Subscriber identity.
     pub imsi: UeImsi,
@@ -30,7 +32,7 @@ pub struct UeRecord {
 }
 
 /// The central controller's replicated state.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct ControllerState {
     /// The service policy: fixed at construction, so a compiled
     /// classifier can only go stale through `put_subscriber`.
@@ -55,8 +57,8 @@ pub struct ControllerState {
     reserved_by: FxHashMap<UeImsi, Vec<(BaseStationId, UeId)>>,
     /// DHCP pool for permanent addresses.
     permanent_pool: Ipv4Prefix,
-    next_permanent: u32,
-    freed_permanent: Vec<Ipv4Addr>,
+    /// Host offsets into `permanent_pool`, less one (`.0` is reserved).
+    permanent: IdPool,
     /// Monotonic version for replication.
     version: u64,
 }
@@ -73,8 +75,7 @@ impl ControllerState {
             reserved: FxHashMap::default(),
             reserved_by: FxHashMap::default(),
             permanent_pool,
-            next_permanent: 1, // .0 reserved
-            freed_permanent: Vec::new(),
+            permanent: IdPool::new((permanent_pool.size() - 1) as u32),
             version: 0,
         }
     }
@@ -123,18 +124,13 @@ impl ControllerState {
     /// Allocates a permanent address: the most recently freed one, else
     /// the next never-used one.
     fn allocate_permanent_ip(&mut self) -> Result<Ipv4Addr> {
-        if let Some(ip) = self.freed_permanent.pop() {
-            return Ok(ip);
-        }
-        if u64::from(self.next_permanent) >= self.permanent_pool.size() {
-            return Err(Error::Exhausted(format!(
+        let off = self.permanent.allocate().ok_or_else(|| {
+            Error::Exhausted(format!(
                 "permanent address pool {} exhausted",
                 self.permanent_pool
-            )));
-        }
-        let ip = Ipv4Addr::from(self.permanent_pool.raw_bits() + self.next_permanent);
-        self.next_permanent += 1;
-        Ok(ip)
+            ))
+        })?;
+        Ok(Ipv4Addr::from(self.permanent_pool.raw_bits() + 1 + off))
     }
 
     /// Records a UE attachment (or re-attachment after detach). The UE id
@@ -243,7 +239,8 @@ impl ControllerState {
                 self.reserved.remove(&loc);
             }
         }
-        self.freed_permanent.push(rec.permanent_ip);
+        let off = u32::from(rec.permanent_ip).wrapping_sub(self.permanent_pool.raw_bits() + 1);
+        self.permanent.release(off);
         self.version += 1;
         Ok(rec)
     }
@@ -286,6 +283,14 @@ impl ControllerState {
     /// Number of reserved (in-transition) locations.
     pub fn reserved_count(&self) -> usize {
         self.reserved.len()
+    }
+
+    /// The ids reserved at one station for in-transition flows.
+    pub fn reserved_at(&self, bs: BaseStationId) -> impl Iterator<Item = UeId> + '_ {
+        self.reserved
+            .keys()
+            .filter(move |(b, _)| *b == bs)
+            .map(|(_, id)| *id)
     }
 
     /// All attached UEs (iteration order unspecified).

@@ -322,7 +322,8 @@ impl<T: Transport> ChannelController<T> {
             let grant = self.attach_ue(*imsi, bs, *ue_id, now)?;
             grants.push((grant.record, grant.classifier));
         }
-        let n = agent.restart_from(grants)?;
+        // no handoff crosses the wire, so no location is reserved here
+        let n = agent.restart_from(grants, [])?;
         for (imsi, _, flows) in snapshot {
             if !flows.is_empty() {
                 agent.adopt_flows(imsi, flows)?;

@@ -14,7 +14,7 @@
 //! the type from a match's shape so tables can report how much of each
 //! (scarce) memory technology a rule set would consume.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 use softcell_packet::{HeaderView, Protocol};
@@ -23,7 +23,7 @@ use softcell_types::{Ipv4Prefix, PolicyTag, PortEmbedding, PortNo};
 /// Direction of the fields a rule matches on. Uplink rules classify on
 /// *source* fields (the access edge embedded state there); downlink rules
 /// classify on *destination* fields (the Internet echoed the state back).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize)]
 pub enum Direction {
     /// UE → Internet: match source address/port.
     Uplink,
@@ -35,7 +35,7 @@ pub enum Direction {
 pub type PortMask = (u16, u16);
 
 /// An OpenFlow-style wildcard match.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default, Serialize)]
 pub struct Match {
     /// Input port the packet arrived on (middlebox return traffic is
     /// identified this way, paper §3.1 footnote).
@@ -229,7 +229,7 @@ impl fmt::Display for Match {
 }
 
 /// The paper's three entry types (§7), derived from a match's shape.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize)]
 pub enum RuleType {
     /// Tag + prefix: needs TCAM. Highest priority class.
     TagAndPrefix,

@@ -8,7 +8,7 @@
 //! address. Entries carry an idle deadline so the local agent can expire
 //! completed flows.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::net::Ipv4Addr;
 
 use softcell_types::{Error, FxHashMap, PortNo, Result, SimTime};
@@ -16,7 +16,7 @@ use softcell_types::{Error, FxHashMap, PortNo, Result, SimTime};
 use softcell_packet::FiveTuple;
 
 /// What a microflow entry does to its packets.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize)]
 pub enum MicroflowAction {
     /// Uplink: rewrite source to (LocIP, embedded port), optionally mark
     /// the DSCP field (the clause's QoS action), and forward.
@@ -47,7 +47,7 @@ pub enum MicroflowAction {
 }
 
 /// One microflow entry.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
 pub struct MicroflowEntry {
     /// The action.
     pub action: MicroflowAction,
@@ -63,7 +63,7 @@ pub struct MicroflowEntry {
 /// entry whose idle deadline is soonest (the flow closest to expiring
 /// anyway) rather than failing — a handoff burst at a crowded station
 /// must not drop the moving UE's flows. Evictions are counted.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, Serialize)]
 pub struct MicroflowTable {
     entries: FxHashMap<FiveTuple, MicroflowEntry>,
     capacity: Option<usize>,

@@ -1,6 +1,6 @@
 //! Flow rules and actions.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 use std::net::Ipv4Addr;
 
@@ -9,12 +9,12 @@ use softcell_types::PortNo;
 use crate::matcher::Match;
 
 /// A rule identifier, unique within one switch.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize)]
 pub struct RuleId(pub u64);
 
 /// Which transport port field an action rewrites (the tag lives in the
 /// source port on the uplink and the destination port on the downlink).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize)]
 pub enum PortField {
     /// Source port.
     Src,
@@ -23,7 +23,7 @@ pub enum PortField {
 }
 
 /// What a matching rule does with the packet.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize)]
 pub enum Action {
     /// Forward out a port.
     Forward(PortNo),
@@ -118,7 +118,7 @@ impl fmt::Display for Action {
 }
 
 /// A prioritized flow rule.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
 pub struct FlowRule {
     /// Identifier assigned by the table at install time.
     pub id: RuleId,

@@ -14,7 +14,7 @@
 //! the simulator's per-hop loop is a single call; the TTL decrement
 //! belongs to the link crossing and lives with the walker.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use softcell_packet::{HeaderView, Ipv4Packet};
 use softcell_types::{PortNo, Result, SimDuration, SimTime, SwitchId};
@@ -36,7 +36,7 @@ pub enum ForwardDecision {
 }
 
 /// Whether a switch runs a microflow table (access edge) or not (core).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize)]
 pub enum PipelineKind {
     /// Access switch: microflow table first, table-miss punts to agent.
     Access,
@@ -45,7 +45,7 @@ pub enum PipelineKind {
 }
 
 /// A switch data plane.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct Switch {
     /// This switch's identity.
     pub id: SwitchId,

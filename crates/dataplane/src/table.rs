@@ -6,7 +6,7 @@
 //! Figure 7 measures is TCAM (Type 1) entries, while Type 2/3 can live in
 //! cheaper exact-match/LPM memories.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::hash::{BuildHasher, BuildHasherDefault};
 
 use softcell_types::{Error, FxHasher, Result};
@@ -15,7 +15,7 @@ use crate::matcher::{LookupKey, Match, RuleType};
 use crate::rule::{Action, FlowRule, RuleId};
 
 /// A switch flow table: rules in priority order, with match counters.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, Serialize)]
 pub struct FlowTable {
     /// Rules sorted by descending priority; ties preserve install order.
     rules: Vec<FlowRule>,
@@ -38,7 +38,7 @@ fn fingerprint(matcher: &Match) -> u64 {
 }
 
 /// Occupancy statistics by rule type.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize)]
 pub struct TableStats {
     /// Type 1 (tag+prefix, TCAM) entries.
     pub tag_and_prefix: usize,

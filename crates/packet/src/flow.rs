@@ -8,7 +8,7 @@
 //! its *destination* fields, mirroring what the access edge put in the
 //! *source* fields (paper §4.1).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 use std::net::Ipv4Addr;
 
@@ -19,7 +19,7 @@ use crate::transport::{TcpSegment, UdpDatagram};
 
 /// Transport protocol, restricted to what cellular service policies
 /// classify on.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord, Serialize)]
 pub enum Protocol {
     /// TCP (IP protocol 6).
     Tcp,
@@ -66,7 +66,7 @@ impl fmt::Display for Protocol {
 /// miss, so every microflow write queues behind the last one
 /// (EXPERIMENTS.md "PR 20"). `align(8)` times the same and costs 3 % more
 /// resident memory on `metro_churn`.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize)]
 #[repr(align(4))]
 pub struct FiveTuple {
     /// Source address.
@@ -118,7 +118,7 @@ impl fmt::Display for FiveTuple {
 
 /// The parsed header summary of one packet: everything any SoftCell table
 /// (microflow, TCAM, exact-tag, LPM) can match on.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize)]
 pub struct HeaderView {
     /// The five-tuple.
     pub tuple: FiveTuple,

@@ -8,13 +8,13 @@
 //! table, which is also how classifier entries are expressed to access
 //! switches (§4.2 example matches on `dst_port=80`).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 use softcell_packet::Protocol;
 
 /// Application classes a policy can name.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord, Serialize)]
 pub enum ApplicationType {
     /// Web browsing (HTTP/HTTPS).
     Web,
@@ -61,7 +61,7 @@ impl fmt::Display for ApplicationType {
 }
 
 /// One (protocol, destination port) signature.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize)]
 pub struct PortSignature {
     /// Transport protocol.
     pub proto: Protocol,
@@ -70,7 +70,7 @@ pub struct PortSignature {
 }
 
 /// Classifies flows into application types by port signature.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct AppClassifier {
     signatures: Vec<(PortSignature, ApplicationType)>,
 }

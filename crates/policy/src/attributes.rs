@@ -7,13 +7,13 @@
 //! *mostly static* facts the controller holds per subscriber and feeds to
 //! predicate evaluation; they are never visible to switches.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 use softcell_types::UeImsi;
 
 /// The carrier a subscriber belongs to.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize)]
 pub enum Provider {
     /// Our own subscriber.
     Home,
@@ -34,7 +34,7 @@ impl fmt::Display for Provider {
 }
 
 /// Billing plan tiers (Table 1 uses "silver").
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize)]
 pub enum BillingPlan {
     /// Premium tier.
     Gold,
@@ -50,7 +50,7 @@ pub enum BillingPlan {
 
 /// Coarse device classes (paper §1 motivates M2M fleets, smart meters,
 /// old phones needing echo cancellation).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize)]
 pub enum DeviceType {
     /// A modern smartphone.
     Smartphone,
@@ -65,7 +65,7 @@ pub enum DeviceType {
 }
 
 /// Everything the controller knows about one subscriber.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize)]
 pub struct SubscriberAttributes {
     /// Permanent subscriber identity.
     pub imsi: UeImsi,

@@ -12,7 +12,7 @@
 
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use softcell_packet::Protocol;
 
@@ -21,7 +21,7 @@ use crate::attributes::SubscriberAttributes;
 use crate::clause::{AccessControl, ClauseId, ServicePolicy};
 
 /// One classifier entry: a concrete flow signature → clause binding.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize)]
 pub struct ClassifierEntry {
     /// Transport protocol to match (`None` = any — catch-all entry).
     pub proto: Option<Protocol>,
@@ -38,7 +38,7 @@ pub struct ClassifierEntry {
 /// The policy specialized to one subscriber. The entries are shared:
 /// cloning a classifier — the controller hands its compiled copy to
 /// every grant and handoff plan — copies a pointer, not the table.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Serialize)]
 pub struct UeClassifier {
     entries: Arc<[ClassifierEntry]>,
     /// The clause for flows matching no signature (the `Unknown`

@@ -6,7 +6,7 @@
 //! §2.2). [`ServicePolicy::example_carrier_a`] reproduces the paper's
 //! Table 1 verbatim.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 use softcell_types::{Error, MiddleboxKind, Result};
@@ -16,11 +16,11 @@ use crate::attributes::{BillingPlan, Provider, SubscriberAttributes};
 use crate::predicate::Predicate;
 
 /// Index of a clause within its policy (stable across lookups).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize)]
 pub struct ClauseId(pub u16);
 
 /// Allow or deny traffic (access-control part of an action).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize)]
 pub enum AccessControl {
     /// Forward through the middlebox chain.
     Allow,
@@ -29,7 +29,7 @@ pub enum AccessControl {
 }
 
 /// A QoS specification: DSCP marking and a scheduling priority hint.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize)]
 pub struct QosClass {
     /// DSCP codepoint to mark (e.g. 46 = expedited forwarding).
     pub dscp: u8,
@@ -52,7 +52,7 @@ impl QosClass {
 }
 
 /// The action half of a clause.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug, Serialize)]
 pub struct ServiceAction {
     /// Ordered middlebox *kinds* to traverse (instance selection is the
     /// controller's job).
@@ -90,7 +90,7 @@ impl ServiceAction {
 }
 
 /// One prioritized clause.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug, Serialize)]
 pub struct Clause {
     /// Priority; higher wins among matching predicates.
     pub priority: u16,
@@ -123,7 +123,7 @@ impl fmt::Display for Clause {
 }
 
 /// A complete service policy: clauses sorted by descending priority.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, Serialize)]
 pub struct ServicePolicy {
     clauses: Vec<Clause>,
 }

@@ -5,14 +5,14 @@
 //! under negation, conjunction and disjunction; evaluation takes the
 //! subscriber's attributes and the flow's application type.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 use crate::application::ApplicationType;
 use crate::attributes::{BillingPlan, DeviceType, Provider, SubscriberAttributes};
 
 /// A boolean predicate over (subscriber attributes, application type).
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug, Serialize)]
 pub enum Predicate {
     /// Always true (catch-all clauses).
     Any,

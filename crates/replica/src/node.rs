@@ -45,8 +45,8 @@ use softcell_policy::clause::ClauseId;
 use softcell_policy::{AppClassifier, ServicePolicy, SubscriberAttributes, UeClassifier};
 use softcell_telemetry::{Registry, Stopwatch, TraceContext};
 use softcell_types::{
-    BaseStationId, ControllerId, EpochFence, Error, Membership, PolicyTag, PortNo, Result, SimTime,
-    UeId, UeImsi,
+    BaseStationId, ControllerId, EpochFence, Error, IdPool, Membership, PolicyTag, PortNo, Result,
+    SimTime, UeId, UeImsi,
 };
 
 use crate::log::{LogRecord, ReplicatedOp, ReplicationLog};
@@ -94,10 +94,10 @@ struct NodeCore {
     /// A proposal that missed quorum: must commit (under its original
     /// index) before any new proposal is accepted.
     pending: Option<LogRecord>,
-    /// Next permanent-IP slab offset (1-based).
-    next_ip: u32,
-    /// Next tag slab offset (1-based).
-    next_tag: u16,
+    /// Permanent-IP slab offsets, less one (offset 0 is never used).
+    ips: IdPool,
+    /// Tag slab offsets, less one (offset 0 is never used).
+    tags: IdPool,
     /// Own commit watermark (highest own index that reached quorum).
     commit: u64,
 }
@@ -171,8 +171,8 @@ impl<T: Transport> ReplicaNode<T> {
                 store: ReplicaStore::new(),
                 membership,
                 pending: None,
-                next_ip: 0,
-                next_tag: 0,
+                ips: IdPool::new(0xFFFF),
+                tags: IdPool::new(u32::from(TAG_SLAB) - 1),
                 commit: 0,
             }),
             peers: Mutex::new(peers),
@@ -969,14 +969,13 @@ impl<T: Transport> ReplicaNode<T> {
                 // single-controller wire path.
                 Some(e) => (e.permanent_ip, false),
                 None => {
-                    if core.next_ip >= 0xFFFF {
-                        return Err(Error::Exhausted(format!(
+                    let off = core.ips.allocate().ok_or_else(|| {
+                        Error::Exhausted(format!(
                             "permanent-IP slab of seat {} exhausted",
                             self.cfg.id
-                        )));
-                    }
-                    core.next_ip += 1;
-                    let raw = IP_SLAB_BASE | ((self.cfg.id.0 & 0x3F) << 16) | core.next_ip;
+                        ))
+                    })?;
+                    let raw = IP_SLAB_BASE | ((self.cfg.id.0 & 0x3F) << 16) | (off + 1);
                     (std::net::Ipv4Addr::from(raw), true)
                 }
             }
@@ -999,7 +998,7 @@ impl<T: Transport> ReplicaNode<T> {
                 let mut core = self.core.lock();
                 let retained = matches!(&core.pending, Some(r) if r.op == op);
                 if !retained {
-                    core.next_ip -= 1;
+                    core.ips.release((u32::from(permanent_ip) & 0xFFFF) - 1);
                 }
             }
             return Err(e);
@@ -1054,17 +1053,11 @@ impl<T: Transport> ReplicaNode<T> {
             match core.store.path(bs, clause) {
                 Some(p) => (p.tag, true),
                 None => {
-                    if core.next_tag >= TAG_SLAB - 1 {
-                        return Err(Error::Exhausted(format!(
-                            "tag slab of seat {} exhausted",
-                            self.cfg.id
-                        )));
-                    }
-                    core.next_tag += 1;
-                    (
-                        PolicyTag(self.cfg.id.0 as u16 * TAG_SLAB + core.next_tag),
-                        false,
-                    )
+                    let off = core.tags.allocate().ok_or_else(|| {
+                        Error::Exhausted(format!("tag slab of seat {} exhausted", self.cfg.id))
+                    })?;
+                    let tag = self.cfg.id.0 as u16 * TAG_SLAB + off as u16 + 1;
+                    (PolicyTag(tag), false)
                 }
             }
         };
@@ -1081,7 +1074,7 @@ impl<T: Transport> ReplicaNode<T> {
                 let mut core = self.core.lock();
                 let retained = matches!(&core.pending, Some(r) if r.op == op);
                 if !retained {
-                    core.next_tag -= 1;
+                    core.tags.release(u32::from(tag.0 % TAG_SLAB) - 1);
                 }
                 return Err(e);
             }

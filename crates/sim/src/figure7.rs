@@ -24,7 +24,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use softcell_controller::install::Direction;
 use softcell_controller::{PathInstaller, TagPolicy};
@@ -34,7 +34,7 @@ use softcell_types::{
 };
 
 /// How middlebox instances are assigned to a clause's paths.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize)]
 pub enum InstanceChoice {
     /// Each clause names `m` random middlebox *kinds*; every station
     /// uses the nearest instance of each kind, walked greedily from its
@@ -51,7 +51,7 @@ pub enum InstanceChoice {
 }
 
 /// One Figure 7 data point's configuration.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Serialize)]
 pub struct Figure7Config {
     /// Topology parameter (10k³/4 base stations).
     pub k: usize,
@@ -82,7 +82,7 @@ impl Figure7Config {
 }
 
 /// The measured outcome of one configuration.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct Figure7Result {
     /// The configuration.
     pub config: Figure7Config,

@@ -16,7 +16,7 @@ use softcell_controller::{CentralController, ControllerConfig};
 use softcell_packet::{build_flow_packet, FiveTuple, FlowNat, HeaderView, Protocol};
 use softcell_policy::{ServicePolicy, SubscriberAttributes};
 use softcell_topology::Topology;
-use softcell_types::{BaseStationId, Error, Result, SimDuration, SimTime, UeId, UeImsi};
+use softcell_types::{BaseStationId, Error, Result, SimDuration, SimTime, UeImsi};
 
 use crate::middlebox::{ConnKey, MiddleboxTracker};
 use crate::net::{PhysicalNetwork, WalkOutcome};
@@ -376,11 +376,19 @@ impl<'t> SimWorld<'t> {
                 .collect()
         };
 
-        // a free UE id at the target station
-        let new_ue_id = self.free_ue_id(imsi, to)?;
-        let plan = self
+        // a UE id from the target station's pool, back to it if the
+        // controller refuses the move
+        let new_ue_id = self.agents[to.index()].reserve_ue_id()?;
+        let plan = match self
             .controller
-            .handoff(imsi, to, new_ue_id, &flows, self.now)?;
+            .handoff(imsi, to, new_ue_id, &flows, self.now)
+        {
+            Ok(plan) => plan,
+            Err(e) => {
+                self.agents[to.index()].release_ue_id(new_ue_id);
+                return Err(e);
+            }
+        };
 
         // apply: fabric rules, microflow surgery, agent bookkeeping
         self.net.apply_all(&plan.ops)?;
@@ -786,7 +794,8 @@ impl<'t> SimWorld<'t> {
     /// crash); the agent's caches are rebuilt.
     pub fn restart_agent(&mut self, bs: BaseStationId) -> Result<usize> {
         let grants = self.controller.grants_for_station(bs)?;
-        self.agents[bs.index()].restart_from(grants)
+        let reserved = self.controller.state().reserved_at(bs);
+        self.agents[bs.index()].restart_from(grants, reserved)
     }
 
     /// Retires agent-side flow records whose microflow entries have
@@ -815,23 +824,11 @@ impl<'t> SimWorld<'t> {
         Ok(())
     }
 
-    fn free_ue_id(&self, imsi: UeImsi, bs: BaseStationId) -> Result<UeId> {
-        // lowest id neither occupied nor reserved at the station
-        for cand in 0..self.controller.config().scheme.max_ues_per_station() {
-            let id = UeId(cand as u16);
-            if self.controller.state().location_available(bs, id, imsi) {
-                return Ok(id);
-            }
-        }
-        Err(Error::Exhausted(format!("{bs} has no free UE ids")))
-    }
-
     fn apply_pending_ops(&mut self) -> Result<()> {
         // drain through the per-switch batched form — the same path the
         // sharded controller ships over the wire as `flow_mod_batch` —
-        // so every simulation run exercises batching + barrier framing
+        // so every simulation run exercises batching
         for batch in self.controller.drain_op_batches() {
-            debug_assert!(batch.barrier, "controller batches are barrier-fenced");
             self.net.apply_all(&batch.ops)?;
         }
         Ok(())
@@ -842,6 +839,7 @@ impl<'t> SimWorld<'t> {
 mod tests {
     use super::*;
     use softcell_topology::small_topology;
+    use softcell_types::UeId;
 
     fn world(topo: &Topology) -> SimWorld<'_> {
         let mut w = SimWorld::new(topo, ServicePolicy::example_carrier_a(1));
@@ -1045,9 +1043,10 @@ mod tests {
             w.handoff(UeImsi(0), BaseStationId(bs)).unwrap();
             w.round_trip(c).unwrap();
         }
-        // stations 1 and 2 were vacated mid-chain; the home slot at 0 is
-        // live again (the UE returned), so exactly two reservations hold
-        assert_eq!(w.controller.state().reserved_count(), 2);
+        // every station was vacated once: the UE came home on a fresh id
+        // from station 0's pool (its old one is still held there), so
+        // three reservations hold
+        assert_eq!(w.controller.state().reserved_count(), 3);
         assert!(!w
             .controller
             .state()

@@ -27,14 +27,14 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use softcell_types::{Error, MiddleboxKind, Result};
 
 use crate::graph::{SwitchRole, Topology, TopologyBuilder};
 
 /// Parameters of the synthetic three-layer cellular topology.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Serialize)]
 pub struct CellularParams {
     /// The pod parameter `k` (even, ≥ 2). The network has `10k³/4` base
     /// stations.

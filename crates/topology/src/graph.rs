@@ -6,7 +6,7 @@
 //! instances and the Internet uplink are *attachments* on switch ports,
 //! not graph nodes, mirroring how the data plane sees them.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::HashMap;
 
 use softcell_types::{
@@ -14,7 +14,7 @@ use softcell_types::{
 };
 
 /// The role a switch plays in the fabric.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize)]
 pub enum SwitchRole {
     /// Software switch at a base station; runs the microflow table and
     /// hosts the local agent.
@@ -28,7 +28,7 @@ pub enum SwitchRole {
 }
 
 /// A switch node.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct SwitchNode {
     /// This switch's identifier (== its index in [`Topology::switches`]).
     pub id: SwitchId,
@@ -53,7 +53,7 @@ impl SwitchNode {
 }
 
 /// An undirected link between two switch ports.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Serialize)]
 pub struct Link {
     /// Link identifier (== index in [`Topology::links`]).
     pub id: LinkId,
@@ -77,7 +77,7 @@ impl Link {
 }
 
 /// A middlebox instance attached to a switch port.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Serialize)]
 pub struct Middlebox {
     /// Instance identifier.
     pub id: MiddleboxId,
@@ -90,7 +90,7 @@ pub struct Middlebox {
 }
 
 /// A base station and its access switch (1:1 in SoftCell).
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Serialize)]
 pub struct BaseStation {
     /// Base-station identifier.
     pub id: BaseStationId,
@@ -101,7 +101,7 @@ pub struct BaseStation {
 }
 
 /// A gateway's Internet-facing attachment.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Serialize)]
 pub struct GatewayUplink {
     /// Gateway identifier.
     pub id: GatewayId,
@@ -112,7 +112,7 @@ pub struct GatewayUplink {
 }
 
 /// An immutable, validated network topology.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct Topology {
     switches: Vec<SwitchNode>,
     links: Vec<Link>,

@@ -15,14 +15,14 @@
 
 use std::collections::{HashMap, VecDeque};
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use softcell_types::{BaseStationId, Error, MiddleboxId, Result, SwitchId};
 
 use crate::graph::Topology;
 
 /// One hop of a policy path: arrive at `switch`, optionally divert through
 /// a middlebox attached to it, then continue towards the next hop.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize)]
 pub struct Hop {
     /// The switch this hop occupies.
     pub switch: SwitchId,
@@ -43,7 +43,7 @@ pub enum PathElement {
 }
 
 /// A fully-routed policy path from an access switch to a gateway.
-#[derive(Clone, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug, Serialize)]
 pub struct PolicyPath {
     /// The base station this path originates from.
     pub origin: BaseStationId,

@@ -18,7 +18,7 @@
 //! encode/decode; [`PortEmbedding`] does the same for the tag-in-port
 //! layout.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 use std::net::Ipv4Addr;
 
@@ -29,7 +29,7 @@ use crate::tag::PolicyTag;
 
 /// A location-dependent address: the (base station, UE) pair a LocIP
 /// encodes, before being serialized into an `Ipv4Addr` by a scheme.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize)]
 pub struct LocIp {
     /// The base station the UE is currently attached to.
     pub base_station: BaseStationId,
@@ -59,7 +59,7 @@ impl fmt::Display for LocIp {
 ///  |   e.g. 10/8          | base station  |    UE ID      |
 ///  +----------------------+---------------+---------------+
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize)]
 pub struct AddressingScheme {
     carrier: Ipv4Prefix,
     bs_bits: u8,
@@ -210,7 +210,7 @@ impl AddressingScheme {
 ///
 /// "UEs do not have many active flows, leaving plenty of room for carrying
 /// the policy tag in the port-number field."
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize)]
 pub struct PortEmbedding {
     tag_bits: u8,
 }

@@ -7,14 +7,14 @@
 //! underneath, `Copy`, ordered and hashable, so they can key dense `Vec`
 //! tables as well as hash maps.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 macro_rules! id_type {
     ($(#[$doc:meta])* $name:ident($inner:ty), $prefix:literal) => {
         $(#[$doc])*
         #[derive(
-            Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
+            Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize,
         )]
         pub struct $name(pub $inner);
 
@@ -117,7 +117,7 @@ id_type!(
 /// The *function* a middlebox performs. Service-policy actions name kinds;
 /// the controller picks concrete [`MiddleboxId`] instances (paper §2.2:
 /// "the action does not indicate a specific instance").
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize)]
 pub enum MiddleboxKind {
     /// Stateful firewall.
     Firewall,

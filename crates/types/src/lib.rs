@@ -34,6 +34,6 @@ pub use ids::{
     UeImsi,
 };
 pub use prefix::Ipv4Prefix;
-pub use shard::{shard_of_station, shard_of_ue, RangePool, ShardRange};
-pub use tag::{PolicyTag, TagAllocator};
+pub use shard::{shard_of_station, shard_of_ue};
+pub use tag::{IdPool, PolicyTag};
 pub use time::{SimDuration, SimTime};

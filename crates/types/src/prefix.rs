@@ -6,7 +6,7 @@
 //! exactly those operations: containment, sibling/parent navigation and
 //! pairwise aggregation.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 use std::net::Ipv4Addr;
 use std::str::FromStr;
@@ -15,7 +15,7 @@ use crate::error::Error;
 
 /// An IPv4 prefix (`address/length`), always stored in canonical form with
 /// all host bits cleared.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub struct Ipv4Prefix {
     bits: u32,
     len: u8,

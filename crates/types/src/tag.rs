@@ -1,17 +1,21 @@
-//! Policy tags and tag allocation.
+//! Policy tags, and the identifier pool every finite id space draws from.
 //!
 //! A policy tag names a *policy path* equivalence class: all flows that
 //! must traverse the same sequence of middlebox instances may share a tag,
 //! letting core switches forward on a single exact-match rule instead of
 //! per-flow state (paper §3.1, "aggregation by policy"). Tags are carried
 //! in the transport source port (see [`crate::addr::PortEmbedding`]).
+//!
+//! Tags are one of three finite identifier spaces SoftCell hands out; the
+//! station-local UE ids behind LocIPs (§4.2) and the permanent addresses
+//! (§3.1) are the other two. [`IdPool`] allocates all three.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// A policy tag. The number of usable tags is bounded by the port
 /// embedding in use (default 10 bits → 1024 tags).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize)]
 pub struct PolicyTag(pub u16);
 
 impl PolicyTag {
@@ -33,159 +37,185 @@ impl fmt::Display for PolicyTag {
     }
 }
 
-/// Allocates tags from the finite tag space, recycling released tags.
+/// A finite identifier space `0..capacity`: policy tags (Algorithm 1's
+/// `tag* = new tag`, line 10), a base station's local UE ids, permanent
+/// addresses (callers add their own base).
 ///
-/// The controller allocates a fresh tag whenever Algorithm 1 finds no
-/// reusable candidate (`tag* = new tag`, line 10), and releases tags when
-/// the last policy path using them is torn down.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct TagAllocator {
-    capacity: u16,
-    next: u16,
-    free: Vec<PolicyTag>,
+/// Ids come off the free list last-in first-out, then fresh in ascending
+/// order. An id is *held* from the moment it is allocated or adopted
+/// until it is released; a release of an id that is not held is refused,
+/// so no id is ever in the pool twice.
+#[derive(Clone, Debug, Serialize)]
+pub struct IdPool {
+    capacity: u32,
+    /// Every id below `next` is either held or on `free`, once.
+    next: u32,
+    free: Vec<u32>,
+    /// Bit `id % 64` of word `id / 64` is set while `id` is held; grown
+    /// on demand up to the high-water mark.
+    held: Vec<u64>,
 }
 
-impl TagAllocator {
-    /// Creates an allocator over tags `0..capacity`.
-    pub fn new(capacity: u16) -> Self {
-        TagAllocator {
+impl IdPool {
+    /// Creates a pool over `0..capacity`, nothing held.
+    pub fn new(capacity: u32) -> IdPool {
+        IdPool {
             capacity,
             next: 0,
             free: Vec::new(),
+            held: Vec::new(),
         }
     }
 
-    /// Total tag space size.
-    pub fn capacity(&self) -> u16 {
-        self.capacity
-    }
-
-    /// Number of tags currently allocated.
+    /// Number of ids currently held.
     pub fn allocated(&self) -> usize {
         self.next as usize - self.free.len()
     }
 
-    /// Allocates a tag, preferring recycled ones. Returns `None` when the
-    /// tag space is exhausted — the caller must then fall back to flat
-    /// (per-flow) rules or reject the policy path.
-    pub fn allocate(&mut self) -> Option<PolicyTag> {
-        if let Some(tag) = self.free.pop() {
-            return Some(tag);
-        }
-        if self.next < self.capacity {
-            let tag = PolicyTag(self.next);
-            self.next += 1;
-            Some(tag)
-        } else {
-            None
-        }
+    fn is_held(&self, id: u32) -> bool {
+        let word = self.held.get((id / 64) as usize);
+        word.is_some_and(|w| w & (1 << (id % 64)) != 0)
     }
 
-    /// Returns a tag to the pool.
-    ///
-    /// # Panics
-    /// Panics (in debug builds) if the tag was never allocated or is
-    /// released twice — both indicate controller-state corruption.
-    pub fn release(&mut self, tag: PolicyTag) {
-        debug_assert!(tag.0 < self.next, "releasing never-allocated {tag}");
-        debug_assert!(!self.free.contains(&tag), "double release of {tag}");
-        self.free.push(tag);
+    fn hold(&mut self, id: u32) {
+        let word = (id / 64) as usize;
+        if word >= self.held.len() {
+            self.held.resize(word + 1, 0);
+        }
+        self.held[word] |= 1 << (id % 64);
     }
 
-    /// Returns a tag to the pool, reporting instead of corrupting on an
-    /// unbalanced release: `false` (and no state change) when the tag was
-    /// never allocated or is already free. Callers that cannot prove
-    /// balance (raw tunnel-tag refcounts) use this and count failures.
-    pub fn try_release(&mut self, tag: PolicyTag) -> bool {
-        if tag.0 >= self.next || self.free.contains(&tag) {
+    /// Hands out an id: the most recently released one, else the next
+    /// never-used one. `None` when all `capacity` ids are held.
+    pub fn allocate(&mut self) -> Option<u32> {
+        let id = match self.free.pop() {
+            Some(id) => id,
+            None if self.next < self.capacity => {
+                self.next += 1;
+                self.next - 1
+            }
+            None => return None,
+        };
+        self.hold(id);
+        Some(id)
+    }
+
+    /// Returns a held id to the pool. An id that is not held (already
+    /// free, or never handed out) is refused — `false`, nothing changes.
+    pub fn release(&mut self, id: u32) -> bool {
+        if !self.is_held(id) {
             return false;
         }
-        self.free.push(tag);
+        self.held[(id / 64) as usize] &= !(1 << (id % 64));
+        self.free.push(id);
         true
     }
 
-    /// The tag `allocate` would return after `taken` further allocations,
-    /// without mutating the allocator. Lets a pure planner reserve a
-    /// sequence of tags it will only claim at commit time; `None` when
-    /// the space would be exhausted at that depth.
-    pub fn peek(&self, taken: usize) -> Option<PolicyTag> {
-        if taken < self.free.len() {
-            return Some(self.free[self.free.len() - 1 - taken]);
+    /// Marks an id chosen elsewhere (a handoff arrival, a restart's
+    /// survivors) as held, so `allocate` never hands it out. The fresh
+    /// ids it jumps over go onto the free list, to come back ascending
+    /// before any id above it. Ids outside `0..capacity` are ignored.
+    pub fn adopt(&mut self, id: u32) {
+        if id >= self.capacity || self.is_held(id) {
+            return;
         }
-        let fresh = (taken - self.free.len()) as u64 + self.next as u64;
-        if fresh < self.capacity as u64 {
-            Some(PolicyTag(fresh as u16))
+        if id >= self.next {
+            self.free.extend((self.next..id).rev());
+            self.next = id + 1;
         } else {
-            None
+            self.free.retain(|f| *f != id);
         }
+        self.hold(id);
+    }
+
+    /// The id `allocate` would return after `taken` further allocations,
+    /// without allocating: Algorithm 1 previews the fresh tags it will
+    /// claim only at commit. `None` when the space runs out first.
+    pub fn peek(&self, taken: usize) -> Option<u32> {
+        if let Some(i) = self.free.len().checked_sub(taken + 1) {
+            return Some(self.free[i]);
+        }
+        let fresh = u64::from(self.next) + (taken - self.free.len()) as u64;
+        (fresh < u64::from(self.capacity)).then_some(fresh as u32)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeSet;
 
-    #[test]
-    fn allocates_sequentially_then_recycles() {
-        let mut a = TagAllocator::new(4);
-        let t0 = a.allocate().unwrap();
-        let t1 = a.allocate().unwrap();
-        assert_eq!((t0, t1), (PolicyTag(0), PolicyTag(1)));
-        assert_eq!(a.allocated(), 2);
-        a.release(t0);
-        assert_eq!(a.allocated(), 1);
-        assert_eq!(a.allocate().unwrap(), t0);
-    }
-
-    #[test]
-    fn exhaustion_returns_none() {
-        let mut a = TagAllocator::new(2);
-        assert!(a.allocate().is_some());
-        assert!(a.allocate().is_some());
-        assert!(a.allocate().is_none());
-        a.release(PolicyTag(1));
-        assert_eq!(a.allocate(), Some(PolicyTag(1)));
-        assert!(a.allocate().is_none());
-    }
-
-    #[test]
-    fn peek_previews_allocation_order() {
-        let mut a = TagAllocator::new(4);
-        let t0 = a.allocate().unwrap();
-        let t1 = a.allocate().unwrap();
-        a.release(t0);
-        a.release(t1);
-        // free list pops LIFO, then fresh space, then exhaustion
-        for taken in 0..4 {
-            let peeked = a.peek(taken);
-            assert!(peeked.is_some(), "peek({taken}) within capacity");
+    proptest! {
+        /// `IdPool` against a set model: no held id is handed out twice,
+        /// reuse is LIFO and fresh ids ascend, `allocate` refuses exactly
+        /// at capacity, a release of an id that is not held is refused
+        /// and changes nothing, `peek(k)` is the k-th next `allocate`, and
+        /// an `adopt` past the cursor loses no id.
+        #[test]
+        fn id_pool_matches_set_model(
+            capacity in 1u32..150,
+            ops in proptest::collection::vec((0u8..6, 0u32..160), 1..300),
+        ) {
+            let mut pool = IdPool::new(capacity);
+            let mut held: BTreeSet<u32> = BTreeSet::new();
+            let mut free: Vec<u32> = Vec::new(); // model free list
+            let mut fresh = 0u32; // next never-used id
+            for (op, pick) in ops {
+                match op {
+                    0 | 1 => match pool.allocate() {
+                        Some(id) => {
+                            prop_assert!(id < capacity);
+                            prop_assert!(held.insert(id), "{} handed out twice", id);
+                            match free.pop() {
+                                Some(last) => prop_assert_eq!(id, last, "LIFO reuse"),
+                                None => {
+                                    prop_assert_eq!(id, fresh, "fresh ids ascend");
+                                    fresh += 1;
+                                }
+                            }
+                        }
+                        None => prop_assert_eq!(held.len() as u32, capacity, "early refusal"),
+                    },
+                    2 => {
+                        let id = pick % (capacity + 2);
+                        let was_held = held.remove(&id);
+                        let before = pool.clone();
+                        prop_assert_eq!(pool.release(id), was_held);
+                        if was_held {
+                            free.push(id);
+                        } else {
+                            let (after, before) = (format!("{pool:?}"), format!("{before:?}"));
+                            prop_assert_eq!(after, before, "a refused release changes nothing");
+                        }
+                    }
+                    3 => {
+                        let id = pick % capacity;
+                        pool.adopt(id);
+                        if held.insert(id) {
+                            if id >= fresh {
+                                free.extend((fresh..id).rev());
+                                fresh = id + 1;
+                            } else {
+                                free.retain(|f| *f != id);
+                            }
+                        }
+                    }
+                    _ => {
+                        let k = pick as usize % 5;
+                        let mut ahead = pool.clone();
+                        let kth = (0..=k).map(|_| ahead.allocate()).last().flatten();
+                        prop_assert_eq!(pool.peek(k), kth, "peek({})", k);
+                    }
+                }
+                prop_assert_eq!(pool.allocated(), held.len());
+            }
+            // everything not held is allocatable again, each id once
+            let mut rest = BTreeSet::new();
+            while let Some(id) = pool.allocate() {
+                prop_assert!(rest.insert(id) && !held.contains(&id));
+            }
+            prop_assert_eq!(rest.len() + held.len(), capacity as usize);
         }
-        assert_eq!(a.peek(0), Some(t1));
-        assert_eq!(a.peek(1), Some(t0));
-        assert_eq!(a.peek(2), Some(PolicyTag(2)));
-        assert_eq!(a.peek(4), None, "exhausted at depth 4");
-        // peek is consistent with actually allocating
-        assert_eq!(a.allocate(), Some(t1));
-        assert_eq!(a.peek(0), Some(t0));
-    }
-
-    #[test]
-    fn try_release_rejects_unbalanced() {
-        let mut a = TagAllocator::new(4);
-        let t = a.allocate().unwrap();
-        assert!(!a.try_release(PolicyTag(3)), "never allocated");
-        assert!(a.try_release(t));
-        assert!(!a.try_release(t), "already free");
-        assert_eq!(a.allocated(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "double release")]
-    #[cfg(debug_assertions)]
-    fn double_release_panics() {
-        let mut a = TagAllocator::new(2);
-        let t = a.allocate().unwrap();
-        a.release(t);
-        a.release(t);
     }
 }

@@ -15,13 +15,13 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::diurnal::DiurnalShape;
 use softcell_types::{BaseStationId, SimDuration, SimTime, UeImsi};
 
 /// What happened.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize)]
 pub enum EventKind {
     /// UE powers on / attaches at a station.
     Attach {
@@ -52,7 +52,7 @@ pub enum EventKind {
 }
 
 /// One trace event.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize)]
 pub struct TraceEvent {
     /// When.
     pub time: SimTime,

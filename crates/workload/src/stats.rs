@@ -1,9 +1,9 @@
 //! Empirical CDFs and percentiles — what Figure 6 plots.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// An empirical CDF over `f64` samples.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct Cdf {
     sorted: Vec<f64>,
 }

@@ -63,11 +63,13 @@ timeout 180 cargo test -q --release --test recovery
 # rule, tag or swap counts differ between iterations). A correctness
 # smoke, not a timing gate: a shared host cannot gate 2 s timings, but
 # every operation of a run is verified, so a forwarding, flow-setup,
-# sharded-engine or tag-selection bug fails here.
+# sharded-engine or tag-selection bug fails here. `--locked`: perf/'s lock
+# file is frozen with the harness, so a dependency edge changed in a crate
+# it builds against fails here instead of silently rewriting that file.
 echo "==> softcell-perf build + unit tests + fabric_forward / wire_flow_setup / metro_churn / path_install_storm smokes (300 s cap)"
-timeout 300 cargo build --release --offline -q \
+timeout 300 cargo build --release --offline --locked -q \
   --manifest-path perf/Cargo.toml --target-dir target
-timeout 300 cargo test --offline -q \
+timeout 300 cargo test --offline --locked -q \
   --manifest-path perf/Cargo.toml --target-dir target
 for workload in fabric_forward wire_flow_setup metro_churn path_install_storm; do
   timeout 60 ./target/release/softcell-perf \
@@ -113,10 +115,11 @@ timeout 120 cargo run --release -q -p softcell-bench --bin tab2_agent_throughput
 python3 scripts/check_trace.py /tmp/softcell-trace.json
 
 # Wide-domain smoke: the same ControllerServer run with 16 front-end
-# domains — the domain locks, queues and per-domain tag and address
-# ranges at their widest. Its path requests never reach Algorithm 1 (a
-# domain hands out a tag from its range); the sharded engine is gated by
-# the shard oracle and interleaving sweep above and the metro_churn smoke.
+# domains — the domain locks and queues at their widest, each domain's
+# static slice of the tag and address spaces at its narrowest (64 tags,
+# 65 536 addresses). Its path requests never reach Algorithm 1 (a domain
+# hands out a tag from its own slice); the sharded engine is gated by the
+# shard oracle and interleaving sweep above and the metro_churn smoke.
 echo "==> 16-domain server smoke (120 s cap)"
 timeout 120 cargo run --release -q -p softcell-bench --bin tab2_agent_throughput -- \
   --quick --shards 16 --min-speedup 1.5

@@ -3,13 +3,12 @@
 //! crates.io is unreachable in this build environment, so this crate
 //! provides the minimal surface the workspace uses: a [`Serialize`]
 //! trait producing a JSON-like [`Value`] tree (rendered by the sibling
-//! `serde_json` shim), a marker [`Deserialize`] trait, and re-exports of
-//! the shim derive macros. The `Value` encoding follows serde_json's
-//! conventions (newtype structs transparent, unit enum variants as
-//! strings, externally-tagged data variants) so regenerated result files
-//! keep their existing shape.
+//! `serde_json` shim) and a re-export of the shim derive macro. The
+//! `Value` encoding follows serde_json's conventions (newtype structs
+//! transparent, unit enum variants as strings, externally-tagged data
+//! variants) so regenerated result files keep their existing shape.
 
-pub use serde_derive::{Deserialize, Serialize};
+pub use serde_derive::Serialize;
 
 /// A JSON value tree — the target of [`Serialize::to_value`].
 #[derive(Clone, Debug, PartialEq)]
@@ -38,11 +37,6 @@ pub trait Serialize {
     /// Converts `self` into a JSON value tree.
     fn to_value(&self) -> Value;
 }
-
-/// Marker trait: the workspace derives `Deserialize` on its types for
-/// API parity with real serde but never deserializes, so no methods are
-/// required.
-pub trait Deserialize {}
 
 macro_rules! ser_uint {
     ($($t:ty),*) => {$(

@@ -2,14 +2,13 @@
 //!
 //! The build environment has no access to crates.io, so the real serde
 //! proc-macro stack (`syn`/`quote`/`proc-macro2`) is unavailable. This
-//! crate re-implements `#[derive(Serialize)]` / `#[derive(Deserialize)]`
-//! against the sibling shim `serde` crate using only the compiler's
-//! built-in `proc_macro` API: it walks the raw token stream of the type
-//! definition (no generics are supported — none of this workspace's
-//! types need them) and emits a `to_value` implementation producing the
-//! shim's JSON `Value` tree, matching serde_json's externally-tagged
-//! conventions (unit variants as strings, newtype fields transparent,
-//! tuple payloads as arrays).
+//! crate re-implements `#[derive(Serialize)]` against the sibling shim
+//! `serde` crate using only the compiler's built-in `proc_macro` API: it
+//! walks the raw token stream of the type definition (no generics are
+//! supported — none of this workspace's types need them) and emits a
+//! `to_value` implementation producing the shim's JSON `Value` tree,
+//! matching serde_json's externally-tagged conventions (unit variants as
+//! strings, newtype fields transparent, tuple payloads as arrays).
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
@@ -231,13 +230,4 @@ fn named_fields_expr(fields: &[String], accessor: &dyn Fn(&str) -> String) -> St
         })
         .collect();
     format!("::serde::Value::Map(vec![{}])", entries.join(", "))
-}
-
-#[proc_macro_derive(Deserialize)]
-pub fn derive_deserialize(input: TokenStream) -> TokenStream {
-    let parsed = parse_input(input);
-    let name = &parsed.name;
-    format!("impl ::serde::Deserialize for {name} {{}}")
-        .parse()
-        .expect("serde_derive shim: generated impl must parse")
 }

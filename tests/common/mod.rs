@@ -246,7 +246,6 @@ pub fn materialize_net(topo: &Topology, run: &ShardedRun<'_>) -> PhysicalNetwork
         }
     }
     for batch in run.merged_batches() {
-        assert!(batch.barrier, "every emitted batch is barrier-delimited");
         for op in &batch.ops {
             assert_eq!(op.switch(), batch.switch, "batch is single-switch");
         }

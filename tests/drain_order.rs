@@ -14,7 +14,6 @@
 //! `batch_by_switch`:
 //!  * preserves the per-switch subsequence exactly,
 //!  * orders groups by first appearance,
-//!  * marks every group as a barrier point,
 //!
 //! and that replaying the batches yields a byte-identical fabric to
 //! applying the raw stream directly.
@@ -69,9 +68,8 @@ fn drained_ops_preserve_per_switch_order_and_batch_replay_is_identical() {
 
     let batches = batch_by_switch(ops.clone());
 
-    // 1. every batch is single-switch and barrier-delimited
+    // 1. every batch is single-switch
     for b in &batches {
-        assert!(b.barrier, "flow-mod batches always end with a barrier");
         assert!(!b.ops.is_empty());
         for op in &b.ops {
             assert_eq!(op.switch(), b.switch, "batch mixes switches");

@@ -5,7 +5,7 @@ use softcell::packet::Protocol;
 use softcell::policy::{ServicePolicy, SubscriberAttributes};
 use softcell::sim::SimWorld;
 use softcell::topology::small_topology;
-use softcell::types::{BaseStationId, SimTime, UeImsi};
+use softcell::types::{BaseStationId, SimDuration, SimTime, UeId, UeImsi};
 use std::net::Ipv4Addr;
 
 const SERVER: Ipv4Addr = Ipv4Addr::new(198, 51, 100, 80);
@@ -77,5 +77,44 @@ fn agent_restart_preserves_service() {
         .start_connection(UeImsi(1), SERVER, 554, Protocol::Tcp)
         .unwrap();
     w.round_trip(c2).unwrap();
+    w.assert_policy_consistency().unwrap();
+}
+
+#[test]
+fn agent_restart_keeps_reserved_ids_held() {
+    // a location vacated by a handoff with a live flow stays reserved
+    // for that flow (§5.1) across a restart of its station's agent
+    let topo = small_topology();
+    let mut w = SimWorld::new(&topo, ServicePolicy::example_carrier_a(1));
+    for i in 0..6 {
+        w.provision(SubscriberAttributes::default_home(UeImsi(i)));
+    }
+    let (bs0, bs1) = (BaseStationId(0), BaseStationId(1));
+    for i in 0..3 {
+        w.attach(UeImsi(i), bs0).unwrap();
+    }
+    w.attach(UeImsi(3), bs1).unwrap();
+    let c = w
+        .start_connection(UeImsi(1), SERVER, 443, Protocol::Tcp)
+        .unwrap();
+    w.round_trip(c).unwrap();
+    w.handoff(UeImsi(1), bs1).unwrap();
+    assert_eq!(w.controller.state().reserved_count(), 1, "(bs0, ue1)");
+
+    w.restart_agent(bs0).unwrap();
+    let ue_id = |w: &SimWorld<'_>, i| w.controller.state().ue(UeImsi(i)).unwrap().ue_id;
+    // neither an attach nor a handoff arrival draws the reserved id
+    w.attach(UeImsi(4), bs0).unwrap();
+    assert_eq!(ue_id(&w, 4), UeId(3));
+    w.handoff(UeImsi(3), bs0).unwrap();
+    assert_eq!(ue_id(&w, 3), UeId(4));
+    w.round_trip(c).unwrap();
+
+    // once the transition ends the id comes back to the rebuilt agent
+    let ttl = w.controller.mobility().transition_ttl;
+    w.advance(ttl + SimDuration::from_secs(1));
+    w.expire_transitions().unwrap();
+    w.attach(UeImsi(5), bs0).unwrap();
+    assert_eq!(ue_id(&w, 5), UeId(1));
     w.assert_policy_consistency().unwrap();
 }
