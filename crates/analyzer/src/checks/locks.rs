@@ -3,10 +3,13 @@
 //! Both run over the same per-function guard-liveness simulation:
 //!
 //! * an acquisition is a zero-argument `.lock()` / `.read()` /
-//!   `.write()` method call; the guard's *name* is the receiver's last
-//!   path segment (`self.coord.engine.lock()` → `engine`);
+//!   `.write()` / `.try_lock()` method call; the guard's *name* is the
+//!   receiver's last path segment (`self.coord.engine.lock()` →
+//!   `engine`);
 //! * a guard bound by `let [mut] var = <recv>.lock()[.expect(…)];`
-//!   lives until its enclosing block closes or `drop(var)`;
+//!   (or `.unwrap()`, or `.unwrap_or_else(…)`, which a `try_lock` falls
+//!   back through) lives until its enclosing block closes or
+//!   `drop(var)`;
 //! * any other acquisition is a temporary that lives to the end of the
 //!   statement (which, as in real Rust, extends through `if let` /
 //!   `match` bodies whose scrutinee holds the guard);
@@ -26,8 +29,9 @@ use crate::lexer::{TokKind, Token};
 use crate::parse::FileModel;
 use crate::{Finding, CHECK_LOCK_ORDER, CHECK_SEQ_BLOCK};
 
-/// Method names whose zero-arg call takes a guard.
-const ACQUIRE: &[&str] = &["lock", "read", "write"];
+/// Method names whose zero-arg call takes a guard (`try_lock` may not,
+/// but when it does the guard is as live as `lock`'s).
+const ACQUIRE: &[&str] = &["lock", "read", "write", "try_lock"];
 
 /// Method names that block the calling thread (any arity).
 const BLOCKING_METHODS: &[&str] = &[
@@ -230,7 +234,10 @@ fn let_binding(toks: &[Token], stmt_start: usize, call: usize) -> (bool, Option<
             Some(TokKind::Punct(';')) => return (true, Some(var.to_string())),
             Some(TokKind::Punct('.')) => {
                 let adapter = toks.get(k + 1).and_then(|t| t.ident());
-                if !matches!(adapter, Some("expect") | Some("unwrap")) {
+                if !matches!(
+                    adapter,
+                    Some("expect") | Some("unwrap") | Some("unwrap_or_else")
+                ) {
                     return (false, None);
                 }
                 // Skip the adapter's balanced parens.

@@ -99,6 +99,11 @@ fn seq_block_on_yield_and_spin_polling() {
 }
 
 #[test]
+fn seq_block_under_a_guard_taken_with_try_lock() {
+    expect("seq_try_lock.rs", &[("seq-block", 11)]);
+}
+
+#[test]
 fn wire_unwrap_and_expect_in_scope_only() {
     expect("wire_unwrap.rs", &[("wire-panic", 4), ("wire-panic", 5)]);
 }

@@ -245,9 +245,19 @@ impl<'t> CentralController<'t> {
         ue_id: UeId,
         now: SimTime,
     ) -> Result<AttachGrant> {
+        self.check_station(bs)?;
         let record = self.state.attach(imsi, bs, ue_id, now)?;
         let classifier = self.classifier_of(imsi)?;
         Ok(AttachGrant { record, classifier })
+    }
+
+    /// `NotFound` for a station the topology lacks: a UE placed there
+    /// would panic the first lookup of its station.
+    pub(crate) fn check_station(&self, bs: BaseStationId) -> Result<()> {
+        let known = bs.index() < self.topo.base_stations().len();
+        known
+            .then_some(())
+            .ok_or_else(|| Error::NotFound(format!("base station {bs}")))
     }
 
     /// The subscriber's compiled classifier (see

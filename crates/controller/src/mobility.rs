@@ -211,6 +211,7 @@ impl<'t> CentralController<'t> {
         flows: &[FlowRecord],
         now: SimTime,
     ) -> Result<HandoffPlan> {
+        self.check_station(new_bs)?;
         let (old, new) = self.state().check_move(imsi, new_bs, new_ue_id, now)?;
         let classifier = self.classifier_of(imsi)?;
         let prev = self.mobility_mut().transitions.remove(&imsi);

@@ -6,6 +6,13 @@
 //! the end-to-end simulator applies it to real [`softcell_dataplane`]
 //! switches, while the large-scale rule-counting experiments use
 //! [`NullSink`] (the shadow itself carries the counts).
+//!
+//! Ops for different switches never depend on each other, so a stream
+//! may be regrouped per switch as long as each switch's ops keep their
+//! order. `SwitchGrouper` is the one routine that does it: it appends
+//! a stream to a flat log, switch by switch. [`batch_by_switch`] cuts a
+//! whole drain into owned [`SwitchBatch`]es with it, and the sharded
+//! controller groups every ticket's ops into its shard's log with it.
 
 use softcell_dataplane::matcher::{conventional_priority, Direction};
 use softcell_dataplane::{Action, Match, PortField};
@@ -48,8 +55,9 @@ impl RuleOp {
 
 /// A barrier-delimited batch of operations for one switch.
 ///
-/// The sharded controller and the `flow_mod_batch` wire message group a
-/// drained op stream per target switch. Within one batch the ops keep
+/// The `flow_mod_batch` wire message groups a drained op stream per
+/// target switch (the sharded controller's borrowed views of its shard
+/// logs follow the same rules). Within one batch the ops keep
 /// their original relative order (the per-switch ordering invariant of
 /// [`crate::core::CentralController::drain_ops`]), and every batch ends
 /// with a barrier: a switch must fully apply the batch before touching
@@ -66,68 +74,78 @@ pub struct SwitchBatch {
     pub ops: Vec<RuleOp>,
 }
 
-/// An order-preserving per-switch op journal: ops append into one lane
-/// per switch, lanes ordered by first appearance. This is the canonical
-/// incremental form of [`batch_by_switch`] — a journal fed one op at a
-/// time produces exactly the batches a one-shot grouping of the full
-/// stream would, so the sharded controller can journal each ticket's
-/// ops outside the engine lock without perturbing the merged stream.
+/// The one grouping routine: appends an op stream to a flat log with
+/// each switch's ops together, in stream order, the switches in order
+/// of first appearance. [`batch_by_switch`] groups a whole drain with
+/// it; the sharded controller groups each ticket's ops into its shard's
+/// log. Kept between streams, so its scratch is allocated once.
 #[derive(Debug, Default)]
-pub struct OpJournal {
-    lanes: Vec<SwitchBatch>,
-    /// switch -> lane index, kept only once the lanes outnumber
-    /// [`SCANNED_LANES`] (one ticket's ops touch a handful of switches
-    /// and never build it; a whole run's drain touches hundreds, where
-    /// the linear scan was visible)
+pub(crate) struct SwitchGrouper {
+    /// The stream's switches, first appearance first, each with its
+    /// first and (so far) last op.
+    groups: Vec<(SwitchId, usize, usize)>,
+    /// Per op, the next op of the same switch ([`CHAIN_END`] if none).
+    next: Vec<usize>,
+    /// switch -> group, built only once a stream touches more than
+    /// [`SCANNED_GROUPS`] switches (one ticket's ops touch a handful; a
+    /// whole run's drain touches hundreds, where the scan was visible)
     index: softcell_types::FxHashMap<SwitchId, usize>,
 }
 
-/// Up to this many lanes, a switch's lane is found by scanning them.
-const SCANNED_LANES: usize = 8;
+/// Up to this many groups, a switch's group is found by scanning them.
+const SCANNED_GROUPS: usize = 8;
 
-impl OpJournal {
-    /// Appends one op to its switch's lane.
-    pub fn push(&mut self, op: RuleOp) {
-        let sw = op.switch();
-        let lane = if self.lanes.len() <= SCANNED_LANES {
-            self.lanes.iter().position(|l| l.switch == sw)
-        } else {
-            if self.index.is_empty() {
-                let lanes = self.lanes.iter().enumerate();
-                self.index = lanes.map(|(i, l)| (l.switch, i)).collect();
-            }
-            self.index.get(&sw).copied()
-        };
-        match lane {
-            Some(lane) => self.lanes[lane].ops.push(op),
-            None => {
-                if !self.index.is_empty() {
-                    self.index.insert(sw, self.lanes.len());
+const CHAIN_END: usize = usize::MAX;
+
+impl SwitchGrouper {
+    /// Appends `ops` to `log` grouped per switch and hands each group's
+    /// switch and range in `log` to `group`, first appearance first.
+    pub(crate) fn group(
+        &mut self,
+        ops: &[RuleOp],
+        log: &mut Vec<RuleOp>,
+        mut group: impl FnMut(SwitchId, std::ops::Range<usize>),
+    ) {
+        self.groups.clear();
+        self.next.clear();
+        self.index.clear();
+        for (i, op) in ops.iter().enumerate() {
+            self.next.push(CHAIN_END);
+            let sw = op.switch();
+            match self.find(sw) {
+                Some(g) => {
+                    let last = std::mem::replace(&mut self.groups[g].2, i);
+                    self.next[last] = i;
                 }
-                self.lanes.push(SwitchBatch {
-                    switch: sw,
-                    ops: vec![op],
-                });
+                None => {
+                    if !self.index.is_empty() {
+                        self.index.insert(sw, self.groups.len());
+                    }
+                    self.groups.push((sw, i, i));
+                }
             }
         }
-    }
-
-    /// Appends a sequence of ops (drain order preserved).
-    pub fn extend(&mut self, ops: impl IntoIterator<Item = RuleOp>) {
-        for op in ops {
-            self.push(op);
+        log.reserve(ops.len());
+        for &(sw, first, _) in &self.groups {
+            let start = log.len();
+            let mut i = first;
+            while i != CHAIN_END {
+                log.push(ops[i]);
+                i = self.next[i];
+            }
+            group(sw, start..log.len());
         }
     }
 
-    /// Whether the journal holds no ops.
-    pub fn is_empty(&self) -> bool {
-        self.lanes.is_empty()
-    }
-
-    /// Finishes the journal into barrier-delimited batches, lanes in
-    /// first-appearance order.
-    pub fn into_batches(self) -> Vec<SwitchBatch> {
-        self.lanes
+    fn find(&mut self, sw: SwitchId) -> Option<usize> {
+        if self.groups.len() <= SCANNED_GROUPS {
+            return self.groups.iter().position(|g| g.0 == sw);
+        }
+        if self.index.is_empty() {
+            let groups = self.groups.iter().enumerate();
+            self.index.extend(groups.map(|(g, &(s, ..))| (s, g)));
+        }
+        self.index.get(&sw).copied()
     }
 }
 
@@ -136,9 +154,13 @@ impl OpJournal {
 /// appearance in the stream, so replaying batches in sequence applies
 /// every per-switch subsequence exactly as drained.
 pub fn batch_by_switch(ops: Vec<RuleOp>) -> Vec<SwitchBatch> {
-    let mut journal = OpJournal::default();
-    journal.extend(ops);
-    journal.into_batches()
+    let (mut log, mut groups) = (Vec::new(), Vec::new());
+    SwitchGrouper::default().group(&ops, &mut log, |switch, range| groups.push((switch, range)));
+    let batch = |(switch, range): (SwitchId, std::ops::Range<usize>)| SwitchBatch {
+        switch,
+        ops: log[range].to_vec(),
+    };
+    groups.into_iter().map(batch).collect()
 }
 
 /// Receives the controller's rule operations.
@@ -466,59 +488,70 @@ mod tests {
         assert_eq!(batches[1].ops, vec![inst(1, 1), rm(1)]);
     }
 
+    /// `switches * 5` installs in which every switch appears, in a
+    /// scrambled interleaving.
+    fn scrambled(switches: u32) -> Vec<RuleOp> {
+        let mut x = u64::from(switches);
+        (0..switches * 5)
+            .map(|i| {
+                x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                let sw = if i < switches {
+                    i
+                } else {
+                    (x >> 33) as u32 % switches
+                };
+                RuleOp::Install {
+                    switch: SwitchId(sw),
+                    priority: i as u16,
+                    matcher: Match::ANY,
+                    action: Action::Drop,
+                }
+            })
+            .collect()
+    }
+
     #[test]
-    fn incremental_journal_matches_one_shot_batching() {
-        // feeding a journal op-by-op across many "tickets" must produce
-        // the same batches as grouping the concatenated stream at once
+    fn a_reused_grouper_groups_each_stream_on_its_own() {
+        // one log across many "tickets", as a shard keeps it: every
+        // ticket's groups are the batches of that ticket alone, also
+        // after a stream wide enough to build the index
         let rm = |sw: u32| RuleOp::Remove {
             switch: SwitchId(sw),
             matcher: Match::ANY,
         };
-        let inst = |sw: u32, prio: u16| RuleOp::Install {
-            switch: SwitchId(sw),
-            priority: prio,
-            matcher: Match::ANY,
-            action: Action::Drop,
-        };
         let tickets = vec![
-            vec![inst(2, 1), inst(1, 1)],
+            scrambled(3),
             vec![],
-            vec![rm(2), inst(3, 1)],
-            vec![inst(2, 2), rm(1), rm(3)],
+            scrambled(200),
+            vec![rm(2), rm(7), rm(2)],
+            scrambled(9),
+            vec![rm(1)],
         ];
-        let mut journal = OpJournal::default();
-        assert!(journal.is_empty());
+        let (mut grouper, mut log) = (SwitchGrouper::default(), Vec::new());
         for ticket in &tickets {
-            journal.extend(ticket.iter().cloned());
+            let mut groups = Vec::new();
+            let start = log.len();
+            grouper.group(ticket, &mut log, |switch, range| {
+                groups.push((switch, range))
+            });
+            assert_eq!(log.len() - start, ticket.len(), "every op logged once");
+            let batches: Vec<SwitchBatch> = groups
+                .into_iter()
+                .map(|(switch, range)| SwitchBatch {
+                    switch,
+                    ops: log[range].to_vec(),
+                })
+                .collect();
+            assert_eq!(batches, batch_by_switch(ticket.clone()));
         }
-        assert!(!journal.is_empty());
-        let flat: Vec<RuleOp> = tickets.into_iter().flatten().collect();
-        assert_eq!(journal.into_batches(), batch_by_switch(flat));
     }
 
     #[test]
-    fn journal_groups_like_a_linear_scan_at_every_width() {
-        // below, at and past the width where the journal stops scanning
-        // its lanes and starts indexing them
+    fn grouping_matches_a_linear_scan_at_every_width() {
+        // below, at and past the width where the grouper stops scanning
+        // its groups and starts indexing them
         for switches in [1u32, 8, 9, 200] {
-            let mut x = u64::from(switches);
-            let ops: Vec<RuleOp> = (0..switches * 5)
-                .map(|i| {
-                    x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
-                    // every switch appears, in a scrambled interleaving
-                    let sw = if i < switches {
-                        i
-                    } else {
-                        (x >> 33) as u32 % switches
-                    };
-                    RuleOp::Install {
-                        switch: SwitchId(sw),
-                        priority: i as u16,
-                        matcher: Match::ANY,
-                        action: Action::Drop,
-                    }
-                })
-                .collect();
+            let ops = scrambled(switches);
             let mut scanned: Vec<SwitchBatch> = Vec::new();
             for op in &ops {
                 match scanned.iter_mut().find(|b| b.switch == op.switch()) {

@@ -32,13 +32,26 @@
 //! sequencer: every state-mutating ("coordinated") event is assigned a
 //! global sequence number *in trace order* by a cheap sequential
 //! pre-pass, and a shard may only enter the engine when the global
-//! ticket counter reaches its event's number. Engine outputs are drained
-//! per ticket into barrier-delimited per-switch batches
-//! ([`crate::ops::SwitchBatch`]) stamped with the ticket number, so
-//! merging all shards' batch streams by ticket reproduces exactly the
-//! rule-op sequence a single-threaded controller emits — byte-identical,
-//! rule ids included. The differential oracle test
+//! ticket counter reaches its event's number. Each ticket's rule ops are
+//! grouped per switch into the shard's [`ShardLog`] — one flat op vector,
+//! every group stamped with its ticket — so merging all shards' groups
+//! by ticket reproduces exactly the rule-op sequence a single-threaded
+//! controller emits, each event's ops grouped the same way —
+//! byte-identical, rule ids included. The differential oracle test
 //! (`tests/shard_oracle.rs`) checks precisely this.
+//!
+//! # What a ticket costs besides its engine work
+//!
+//! About two events in five take a ticket on a mobility-heavy trace, and
+//! tickets pass one at a time, so their bookkeeping is kept off shared
+//! state. A ticket reads the clock twice — when it is ours and after the
+//! engine work and the drain — plus once when its worker must wait for
+//! it (a blocked engine mutex, which the ticket rules out during a run,
+//! adds one more). The wait, lock-wait and engine-busy times go into the
+//! worker's own [`LocalHistogram`]s, absorbed into the global
+//! `softcell_controller_*_ns` histograms once, when the worker ends.
+//! Grouping appends to the shard's log through one reused
+//! `SwitchGrouper`, so a ticket allocates nothing the engine does not.
 //!
 //! Everything else — classification against precompiled per-subscriber
 //! classifiers, flow-slot allocation, microflow rule synthesis for
@@ -55,24 +68,30 @@
 //! A ticket holder never waits on another thread: between taking the
 //! engine and handing the ticket on it runs only the engine, the id
 //! pools and the published-tags write (`with_ticket` hands its closure
-//! the guarded value and nothing of the worker; the analyzer's
-//! `seq-block` rule flags a wait, spin or yield written under the
-//! guard). So the earliest unprocessed ticket is always runnable: it is
+//! the guarded value and an op buffer, nothing else of the worker; the
+//! analyzer's `seq-block` rule flags a wait, spin or yield written under
+//! the guard). So the earliest unprocessed ticket is always runnable: it is
 //! at the head of its shard's queue — every earlier event of that shard
 //! is done — and the only other wait, for tags a flow did not demand
-//! itself, is on a demand with a smaller ticket.
+//! itself, is on a demand with a smaller ticket — and it ends, skipped,
+//! once every smaller ticket has passed without publishing (a move the
+//! pre-pass counted on was refused). A worker that panics cannot take or
+//! hand on its tickets, so it marks the coordinator failed as it
+//! unwinds, and both waits panic when they see the mark: `run` then
+//! panics instead of hanging.
 
 use std::net::Ipv4Addr;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::ops::{Deref, Range};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::time::Instant;
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::{Mutex, MutexGuard, RwLock};
 
 use softcell_dataplane::MicroflowAction;
 use softcell_packet::{FiveTuple, Protocol};
 use softcell_policy::clause::{AccessControl, ClauseId};
 use softcell_policy::{ServicePolicy, SubscriberAttributes, UeClassifier};
-use softcell_telemetry::{Histogram, Registry, Stopwatch};
+use softcell_telemetry::{LocalHistogram, Registry};
 use softcell_topology::Topology;
 use softcell_types::{
     shard_of_ue, BaseStationId, Error, FxHashMap, FxHashSet, IdPool, LocIp, Result, SimDuration,
@@ -82,7 +101,7 @@ use softcell_types::{
 use crate::agent::{microflow_pair, FlowSlots, MICROFLOW_IDLE};
 use crate::core::{AttachGrant, CentralController, ControllerConfig, PathTags};
 use crate::mobility::FlowRecord;
-use crate::ops::{OpJournal, SwitchBatch};
+use crate::ops::{RuleOp, SwitchGrouper};
 use crate::state::UeRecord;
 
 /// One input event, the sharded controller's unit of work. Mirrors the
@@ -176,9 +195,43 @@ pub struct FlowDecision {
     pub cache_hit: bool,
     /// Entries to install, with [`ShardedController::microflow_idle`]
     /// from `time`.
-    pub installs: Vec<(FiveTuple, MicroflowAction)>,
+    pub installs: FlowInstalls,
     /// Event time (deadline base).
     pub time: SimTime,
+}
+
+/// One microflow entry: the flow key at the access switch and what it
+/// does.
+type MicroflowInstall = (FiveTuple, MicroflowAction);
+
+/// A flow's microflow entries, held inline (so `Debug` and `PartialEq`
+/// see only these) and borrowed as a slice.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum FlowInstalls {
+    /// A denied flow's drop.
+    One(MicroflowInstall),
+    /// The uplink and the downlink entry.
+    Two([MicroflowInstall; 2]),
+}
+
+impl Deref for FlowInstalls {
+    type Target = [MicroflowInstall];
+
+    fn deref(&self) -> &[MicroflowInstall] {
+        match self {
+            FlowInstalls::One(entry) => std::slice::from_ref(entry),
+            FlowInstalls::Two(pair) => pair,
+        }
+    }
+}
+
+impl<'a> IntoIterator for &'a FlowInstalls {
+    type Item = &'a MicroflowInstall;
+    type IntoIter = std::slice::Iter<'a, MicroflowInstall>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
 }
 
 /// Microflow surgery of one handoff.
@@ -255,13 +308,34 @@ impl ShardedStats {
     }
 }
 
-/// One ticket's worth of rule operations, batched per switch.
-#[derive(Clone, Debug)]
-pub struct SeqBatches {
-    /// Global ticket number (trace order of coordinated events).
-    pub seq: u64,
-    /// Barrier-delimited per-switch batches, in engine emission order.
-    pub batches: Vec<SwitchBatch>,
+/// One switch's ops of one ticket, borrowed from a [`ShardLog`]: a
+/// barrier-delimited batch in the sense of [`crate::ops::SwitchBatch`].
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct SwitchOps<'a> {
+    /// The target switch.
+    pub switch: SwitchId,
+    /// Its ops, in engine emission order.
+    pub ops: &'a [RuleOp],
+}
+
+/// One shard's rule ops: every ticket's ops grouped per switch (see
+/// `SwitchGrouper`) in one flat vector, each group stamped with its
+/// ticket.
+#[derive(Debug, Default)]
+pub struct ShardLog {
+    ops: Vec<RuleOp>,
+    /// (ticket, switch, its ops in `ops`), in ticket order.
+    groups: Vec<(u64, SwitchId, Range<usize>)>,
+}
+
+impl ShardLog {
+    /// The log's per-switch groups in ticket order, each with its ticket.
+    pub fn batches(&self) -> impl Iterator<Item = (u64, SwitchOps<'_>)> + '_ {
+        self.groups.iter().map(|&(seq, switch, ref range)| {
+            let ops = &self.ops[range.clone()];
+            (seq, SwitchOps { switch, ops })
+        })
+    }
 }
 
 /// Everything a sharded run produced.
@@ -271,23 +345,24 @@ pub struct ShardedRun<'t> {
     pub engine: CentralController<'t>,
     /// Per-event outcomes, indexed like the input events.
     pub outcomes: Vec<EventOutcome>,
-    /// Per-shard ticket-stamped batch streams.
-    pub shard_batches: Vec<Vec<SeqBatches>>,
+    /// Per-shard ticket-stamped op logs.
+    pub shard_logs: Vec<ShardLog>,
     /// Merged counters.
     pub stats: ShardedStats,
 }
 
 impl ShardedRun<'_> {
-    /// Merges the per-shard batch streams into the single global batch
-    /// sequence (ordered by ticket) a single-threaded controller would
-    /// have emitted. Within a ticket, per-switch order is the engine's
+    /// Merges the shard logs into the single global batch sequence
+    /// (ordered by ticket) a single-threaded controller would have
+    /// emitted. Within a ticket, per-switch order is the engine's
     /// emission order; the per-batch barrier makes cross-batch ordering
     /// on one switch explicit (see [`crate::ops::batch_by_switch`]). The
-    /// batches are borrowed from `shard_batches`, not cloned.
-    pub fn merged_batches(&self) -> Vec<&SwitchBatch> {
-        let mut all: Vec<&SeqBatches> = self.shard_batches.iter().flatten().collect();
-        all.sort_by_key(|s| s.seq);
-        all.iter().flat_map(|s| &s.batches).collect()
+    /// batches are borrowed from `shard_logs`, not cloned.
+    pub fn merged_batches(&self) -> Vec<SwitchOps<'_>> {
+        let mut all: Vec<(u64, SwitchOps<'_>)> =
+            self.shard_logs.iter().flat_map(ShardLog::batches).collect();
+        all.sort_by_key(|&(seq, _)| seq);
+        all.into_iter().map(|(_, batch)| batch).collect()
     }
 }
 
@@ -343,6 +418,70 @@ struct Coordinator<'t> {
     /// Every subscriber's classifier (read-only): the engine's compiled
     /// copies, shared by pointer.
     classifiers: FxHashMap<UeImsi, UeClassifier>,
+    /// Set by a worker that panicked ([`FailOnPanic`]); the waits panic
+    /// on it, as what they wait for may be the dead worker's to produce.
+    failed: AtomicBool,
+}
+
+impl<'t> Coordinator<'t> {
+    /// Waits until it is ticket `seq`'s turn. Returns when the wait
+    /// began, or `None` (and reads no clock) if it already was.
+    fn await_ticket(&self, seq: u64) -> Option<Instant> {
+        let mut from = None;
+        while self.next_seq.load(Ordering::Acquire) != seq {
+            from.get_or_insert_with(Instant::now);
+            self.check_alive();
+            std::thread::yield_now();
+        }
+        from
+    }
+
+    /// Waits for the tags an earlier event — one holding a ticket below
+    /// `before` — publishes for `key`. Once those tickets have all passed
+    /// with no tags there, none are coming: the pre-pass counted on a
+    /// move that failed.
+    fn await_published(
+        &self,
+        key: (BaseStationId, ClauseId),
+        before: u64,
+    ) -> std::result::Result<PathTags, String> {
+        loop {
+            // read before the tags: a ticket is handed on after its publish
+            let passed = self.next_seq.load(Ordering::Acquire) >= before;
+            if let Some(r) = self.published.read().get(&key) {
+                return r.clone();
+            }
+            if passed {
+                return Err("no earlier event demanded the path".into());
+            }
+            self.check_alive();
+            std::thread::yield_now();
+        }
+    }
+
+    fn check_alive(&self) {
+        if self.failed.load(Ordering::Acquire) {
+            panic!("another shard worker panicked");
+        }
+    }
+
+    /// Takes the engine after `try_lock` found it held, and notes when.
+    fn take_engine(&self, taken: &mut Instant) -> MutexGuard<'_, Sequenced<'t>> {
+        let held = self.engine.lock();
+        *taken = Instant::now();
+        held
+    }
+}
+
+/// Marks the coordinator failed when the worker holding it unwinds.
+struct FailOnPanic<'a>(&'a AtomicBool);
+
+impl Drop for FailOnPanic<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.store(true, Ordering::Release);
+        }
+    }
 }
 
 /// Per-event annotation from the sequential pre-pass.
@@ -350,6 +489,8 @@ struct Coordinator<'t> {
 struct Annotation {
     /// Global ticket, for events that must enter the engine.
     seq: Option<u64>,
+    /// Tickets handed out before this event.
+    before: u64,
 }
 
 // ---------------------------------------------------------------------
@@ -365,31 +506,23 @@ struct ShardUe {
     flows: Vec<FlowRecord>,
 }
 
-/// Contention histograms for the sharded engine, interned once on the
-/// process-global registry (workers are rebuilt per run, so per-instance
-/// handles would churn the registry's family maps).
-struct ShardedMetrics {
+/// One worker's ticket timings in nanoseconds, kept by the worker alone
+/// and absorbed into the global histograms when it ends.
+#[derive(Default)]
+struct TicketTimes {
     /// Time a coordinated event spends waiting for its ticket.
-    ticket_wait: Arc<Histogram>,
+    wait: LocalHistogram,
     /// Time a ticket holder then waits to acquire the engine mutex, kept
     /// apart so contention is not misread as engine work.
-    engine_lock_wait: Arc<Histogram>,
-    /// Time the shared Algorithm-1 engine stays occupied per ticket
-    /// (lock hold: the event's engine work + op drain; batching happens
-    /// outside).
-    engine_busy: Arc<Histogram>,
+    lock_wait: LocalHistogram,
+    /// Time the engine stays taken per ticket: the event's engine work
+    /// and the op drain (grouping happens outside).
+    busy: LocalHistogram,
 }
 
-fn metrics() -> &'static ShardedMetrics {
-    static METRICS: OnceLock<ShardedMetrics> = OnceLock::new();
-    METRICS.get_or_init(|| {
-        let r = Registry::global();
-        ShardedMetrics {
-            ticket_wait: r.histogram("softcell_controller_ticket_wait_ns"),
-            engine_lock_wait: r.histogram("softcell_controller_engine_lock_wait_ns"),
-            engine_busy: r.histogram("softcell_controller_engine_busy_ns"),
-        }
-    })
+/// Nanoseconds from `from` to `to`, saturating.
+fn nanos(from: Instant, to: Instant) -> u64 {
+    u64::try_from(to.duration_since(from).as_nanos()).unwrap_or(u64::MAX)
 }
 
 /// A shard's attached UEs. Held by [`Worker::run`] beside the worker,
@@ -401,7 +534,11 @@ struct Worker<'t, 'c> {
     coord: &'c Coordinator<'t>,
     cfg: ControllerConfig,
     topo: &'t Topology,
-    batches: Vec<SeqBatches>,
+    log: ShardLog,
+    grouper: SwitchGrouper,
+    /// The current ticket's ops, reused from ticket to ticket.
+    ticket_ops: Vec<RuleOp>,
+    times: TicketTimes,
     /// One outcome per event of this shard's queue, in queue order.
     outcomes: Vec<EventOutcome>,
     stats: ShardedStats,
@@ -424,60 +561,64 @@ impl<'t> Worker<'t, '_> {
     }
 
     /// Waits for this event's ticket, runs `f` against the engine and
-    /// the id pools, and drains the engine's rule ops into this shard's
-    /// batch stream under the ticket number. The ops `f` returns (handoff
-    /// plans carry theirs out-of-band) are batched ahead of the drained
-    /// ones, matching where a single-threaded driver applies them. `f`
-    /// gets no worker: what runs under the ticket is ordered work only.
+    /// the id pools, and groups the ticket's rule ops into this shard's
+    /// log under the ticket number: first the ops `f` puts in the buffer
+    /// it is handed (handoff plans carry theirs out-of-band), then the
+    /// drained ones, where a single-threaded driver applies them. `f`
+    /// gets nothing else of the worker: what runs under the ticket is
+    /// ordered work only.
     fn with_ticket<R>(
         &mut self,
         seq: u64,
-        f: impl FnOnce(&mut Sequenced<'t>) -> (R, Vec<crate::ops::RuleOp>),
+        f: impl FnOnce(&mut Sequenced<'t>, &mut Vec<RuleOp>) -> R,
     ) -> R {
         self.jitter();
+        let coord = self.coord;
         let tracer = Registry::global().tracer();
-        let sw = Stopwatch::start();
-        {
+        let ours = {
             let mut sp = tracer.span("ticket_wait");
             sp.set_shard(self.id);
             sp.set_label(seq);
-            while self.coord.next_seq.load(Ordering::Acquire) != seq {
-                std::thread::yield_now();
-            }
-        }
-        sw.record(&metrics().ticket_wait);
+            let waited_from = coord.await_ticket(seq);
+            let ours = Instant::now();
+            let waited = waited_from.map_or(0, |from| nanos(from, ours));
+            self.times.wait.record(waited);
+            ours
+        };
         self.stats.coordinated += 1;
-        // engine-mutex acquisition measured separately: the ticket
-        // serializes coordinated events, but mobility/offline paths can
-        // still hold the engine, and folding that wait into engine_busy
-        // would misattribute contention as work
-        let lock_sw = Stopwatch::start();
-        let (result, ops) = {
+        let ops = &mut self.ticket_ops;
+        ops.clear();
+        let result = {
             let mut sp = tracer.span("engine_hold");
             sp.set_shard(self.id);
             sp.set_label(seq);
-            let mut held = self.coord.engine.lock();
-            lock_sw.record(&metrics().engine_lock_wait);
-            let sw = Stopwatch::start();
-            let (result, mut ops) = f(&mut held);
+            // engine-mutex acquisition measured separately: only ticket
+            // holders take the engine during a run, so it is free, but a
+            // caller holding it would otherwise be misread as engine work
+            let mut taken = ours;
+            let mut held = coord
+                .engine
+                .try_lock()
+                .unwrap_or_else(|| coord.take_engine(&mut taken));
+            let result = f(&mut held, ops);
             ops.extend(held.engine.drain_ops());
             drop(held);
-            sw.record(&metrics().engine_busy);
-            (result, ops)
+            let done = Instant::now();
+            self.times.lock_wait.record(nanos(ours, taken));
+            self.times.busy.record(nanos(taken, done));
+            result
         };
-        // hand the ticket on before batching: per-ticket batching needs
-        // neither the engine nor the sequencer, so the next coordinated
-        // event overlaps with this shard's journaling
-        self.coord.next_seq.store(seq + 1, Ordering::Release);
-        let mut journal = OpJournal::default();
-        journal.extend(ops);
-        if !journal.is_empty() {
+        // hand the ticket on before grouping: it needs neither the
+        // engine nor the sequencer, so the next coordinated event
+        // overlaps with it
+        coord.next_seq.store(seq + 1, Ordering::Release);
+        if !ops.is_empty() {
             let mut sp = tracer.span("batch_by_switch");
             sp.set_shard(self.id);
             sp.set_label(seq);
-            self.batches.push(SeqBatches {
-                seq,
-                batches: journal.into_batches(),
+            let groups = &mut self.log.groups;
+            self.grouper.group(ops, &mut self.log.ops, |switch, range| {
+                groups.push((seq, switch, range));
             });
         }
         result
@@ -521,17 +662,16 @@ impl<'t> Worker<'t, '_> {
         let seq = ann.seq.expect("attach is coordinated");
         if ues.contains_key(&ev.imsi) {
             // still consume the ticket: later events' seqs depend on it
-            self.with_ticket(seq, |_| ((), Vec::new()));
+            self.with_ticket(seq, |_, _| ());
             return self.skip(format!("{} already attached", ev.imsi));
         }
         let max_ids = self.cfg.scheme.max_ues_per_station();
-        let granted: Result<AttachGrant> = self.with_ticket(seq, |held| {
-            let granted = held.reserve_ue_id(bs, max_ids).and_then(|id| {
+        let granted: Result<AttachGrant> = self.with_ticket(seq, |held, _| {
+            held.reserve_ue_id(bs, max_ids).and_then(|id| {
                 held.engine
                     .attach_ue(ev.imsi, bs, id, ev.time)
                     .inspect_err(|_| held.release_ue_id(bs, id))
-            });
-            (granted, Vec::new())
+            })
         });
         match granted {
             Ok(grant) => {
@@ -570,13 +710,13 @@ impl<'t> Worker<'t, '_> {
         let proto = if udp { Protocol::Udp } else { Protocol::Tcp };
         let Some(classifier) = self.coord.classifiers.get(&ev.imsi) else {
             if let Some(seq) = ann.seq {
-                self.with_ticket(seq, |_| ((), Vec::new()));
+                self.with_ticket(seq, |_, _| ());
             }
             return self.skip("unknown subscriber");
         };
         let Some(entry) = classifier.classify(proto, dst_port) else {
             if let Some(seq) = ann.seq {
-                self.with_ticket(seq, |_| ((), Vec::new()));
+                self.with_ticket(seq, |_, _| ());
             }
             return self.skip("policy matches nothing for this flow");
         };
@@ -589,13 +729,12 @@ impl<'t> Worker<'t, '_> {
             if let Some(seq) = ann.seq {
                 self.stats.flow_demands += 1;
                 let coord = self.coord;
-                self.with_ticket(seq, |_| {
+                self.with_ticket(seq, |_, _| {
                     coord
                         .published
                         .write()
                         .entry(key)
                         .or_insert_with(|| Err("path demander was skipped".into()));
-                    ((), Vec::new())
                 });
             }
             return self.skip(format!("{} not attached at {bs}", ev.imsi));
@@ -618,7 +757,7 @@ impl<'t> Worker<'t, '_> {
                 clause: entry.clause,
                 denied: true,
                 cache_hit: true,
-                installs: vec![(tuple, MicroflowAction::Drop)],
+                installs: FlowInstalls::One((tuple, MicroflowAction::Drop)),
                 time: ev.time,
             }));
             return;
@@ -635,12 +774,12 @@ impl<'t> Worker<'t, '_> {
             Some(seq) => {
                 self.stats.flow_demands += 1;
                 let coord = self.coord;
-                let tags = self.with_ticket(seq, |held| {
+                let tags = self.with_ticket(seq, |held, _| {
                     let cached = held.engine.routed_path(bs, entry.clause).is_some();
                     let r = held.engine.request_policy_path(bs, entry.clause);
                     let published = r.as_ref().copied().map_err(|e| e.to_string());
                     coord.published.write().insert(key, published);
-                    (r.map(|t| (t, cached)), Vec::new())
+                    r.map(|t| (t, cached))
                 });
                 match tags {
                     Ok((t, cached)) => {
@@ -656,21 +795,13 @@ impl<'t> Worker<'t, '_> {
             }
             // published by an earlier event (possibly on another shard):
             // wait for it
-            None => {
-                let tags = loop {
-                    if let Some(r) = self.coord.published.read().get(&key) {
-                        break r.clone();
-                    }
-                    std::thread::yield_now();
-                };
-                match tags {
-                    Ok(t) => {
-                        self.stats.cache_hits += 1;
-                        (t, true)
-                    }
-                    Err(e) => return self.skip(format!("path request failed: {e}")),
+            None => match self.coord.await_published(key, ann.before) {
+                Ok(t) => {
+                    self.stats.cache_hits += 1;
+                    (t, true)
                 }
-            }
+                Err(e) => return self.skip(format!("path request failed: {e}")),
+            },
         };
 
         let loc_addr = match self.cfg.scheme.encode(LocIp::new(bs, ue.ue_id)) {
@@ -699,10 +830,10 @@ impl<'t> Worker<'t, '_> {
             clause: entry.clause,
             denied: false,
             cache_hit,
-            installs: vec![
+            installs: FlowInstalls::Two([
                 (flow.uplink, flow.up_action),
                 (flow.downlink, flow.down_action),
-            ],
+            ]),
             time: ev.time,
         }));
     }
@@ -719,14 +850,14 @@ impl<'t> Worker<'t, '_> {
             return self.skip("handoff to the same station");
         };
         let Some(ue) = ues.get_mut(&ev.imsi) else {
-            self.with_ticket(seq, |_| ((), Vec::new()));
+            self.with_ticket(seq, |_, _| ());
             return self.skip(format!("{} not attached", ev.imsi));
         };
         // the station actually being vacated is the one this shard has
         // the UE at (the trace's `from` matches it on consistent traces)
         let from = if ue.bs == from { from } else { ue.bs };
         if from == to {
-            self.with_ticket(seq, |_| ((), Vec::new()));
+            self.with_ticket(seq, |_, _| ());
             return self.skip("handoff to the same station");
         }
 
@@ -735,19 +866,16 @@ impl<'t> Worker<'t, '_> {
         // §5.1).
         let max_ids = self.cfg.scheme.max_ues_per_station();
         let flows = &ue.flows;
-        let plan = self.with_ticket(seq, |held| {
+        let plan = self.with_ticket(seq, |held, ops| {
             let plan = held.reserve_ue_id(to, max_ids).and_then(|new_id| {
                 held.engine
                     .handoff(ev.imsi, to, new_id, flows, ev.time)
                     .inspect_err(|_| held.release_ue_id(to, new_id))
             });
-            match plan {
-                Ok(mut plan) => {
-                    let ops = std::mem::take(&mut plan.ops);
-                    (Ok(plan), ops)
-                }
-                Err(e) => (Err(e), Vec::new()),
-            }
+            plan.map(|mut plan| {
+                ops.append(&mut plan.ops);
+                plan
+            })
         });
         let plan = match plan {
             Ok(p) => p,
@@ -778,15 +906,13 @@ impl<'t> Worker<'t, '_> {
     fn handle_detach(&mut self, ues: &mut Ues, ev: ShardEvent, ann: Annotation) {
         let seq = ann.seq.expect("detach is coordinated");
         if !ues.contains_key(&ev.imsi) {
-            self.with_ticket(seq, |_| ((), Vec::new()));
+            self.with_ticket(seq, |_, _| ());
             return self.skip(format!("{} not attached", ev.imsi));
         }
-        let record = self.with_ticket(seq, |held| {
-            let record = held
-                .engine
+        let record = self.with_ticket(seq, |held, _| {
+            held.engine
                 .detach_ue(ev.imsi)
-                .inspect(|record| held.release_ue_id(record.bs, record.ue_id));
-            (record, Vec::new())
+                .inspect(|record| held.release_ue_id(record.bs, record.ue_id))
         });
         match record {
             Ok(record) => {
@@ -799,13 +925,26 @@ impl<'t> Worker<'t, '_> {
     }
 
     fn run(mut self, events: Vec<(usize, ShardEvent, Annotation)>) -> WorkerOutput {
+        let coord = self.coord;
+        let _mark = FailOnPanic(&coord.failed);
         let mut ues = Ues::default();
+        self.outcomes.reserve_exact(events.len());
         for (idx, ev, ann) in events {
             self.handle_event(&mut ues, idx, ev, ann);
         }
+        for (name, times) in [
+            ("softcell_controller_ticket_wait_ns", &self.times.wait),
+            (
+                "softcell_controller_engine_lock_wait_ns",
+                &self.times.lock_wait,
+            ),
+            ("softcell_controller_engine_busy_ns", &self.times.busy),
+        ] {
+            Registry::global().histogram(name).absorb(times);
+        }
         WorkerOutput {
             outcomes: self.outcomes,
-            batches: self.batches,
+            log: self.log,
             stats: self.stats,
         }
     }
@@ -813,7 +952,7 @@ impl<'t> Worker<'t, '_> {
 
 struct WorkerOutput {
     outcomes: Vec<EventOutcome>,
-    batches: Vec<SeqBatches>,
+    log: ShardLog,
     stats: ShardedStats,
 }
 
@@ -865,58 +1004,49 @@ impl<'t> ShardedController<'t> {
         // everyone). See `poisoned_key_recovers_when_another_ue_demands`.
         let mut demanded: FxHashSet<(UeImsi, BaseStationId, ClauseId)> = FxHashSet::default();
         let mut next_seq = 0u64;
-        let mut take = || {
-            let s = next_seq;
-            next_seq += 1;
-            Some(s)
-        };
         events
             .iter()
             .map(|ev| {
-                let seq = match ev.kind {
+                let coordinated = match ev.kind {
                     ShardEventKind::Attach { bs } => {
                         attached.insert(ev.imsi, bs);
-                        take()
+                        true
                     }
                     ShardEventKind::Detach { .. } => {
                         attached.remove(&ev.imsi);
-                        take()
+                        true
                     }
                     ShardEventKind::Handoff { from, to } => {
-                        if from == to {
-                            None
-                        } else {
+                        if from != to {
                             attached.insert(ev.imsi, to);
-                            take()
                         }
+                        from != to
                     }
                     ShardEventKind::NewFlow {
                         bs, dst_port, udp, ..
                     } => {
                         let proto = if udp { Protocol::Udp } else { Protocol::Tcp };
-                        match classifiers
+                        let entry = classifiers
                             .get(&ev.imsi)
-                            .and_then(|c| c.classify(proto, dst_port))
-                        {
-                            Some(e)
-                                if e.access == AccessControl::Allow
-                                    && attached.get(&ev.imsi) == Some(&bs)
-                                    && demanded.insert((ev.imsi, bs, e.clause)) =>
-                            {
-                                take()
-                            }
-                            _ => None,
-                        }
+                            .and_then(|c| c.classify(proto, dst_port));
+                        entry.is_some_and(|e| {
+                            e.access == AccessControl::Allow
+                                && attached.get(&ev.imsi) == Some(&bs)
+                                && demanded.insert((ev.imsi, bs, e.clause))
+                        })
                     }
                 };
-                Annotation { seq }
+                let before = next_seq;
+                next_seq += u64::from(coordinated);
+                let seq = coordinated.then_some(before);
+                Annotation { seq, before }
             })
             .collect()
     }
 
     /// Runs a trace to completion: routes every event to its UE's owner
     /// shard, runs the shards concurrently, and returns the outcomes,
-    /// the ticket-stamped batch streams and the engine.
+    /// the shard logs and the engine.
     pub fn run(
         &self,
         policy: ServicePolicy,
@@ -943,6 +1073,7 @@ impl<'t> ShardedController<'t> {
             next_seq: AtomicU64::new(0),
             published: RwLock::new(FxHashMap::default()),
             classifiers,
+            failed: AtomicBool::new(false),
         };
 
         let mut queues = vec![Vec::new(); self.shards];
@@ -958,7 +1089,10 @@ impl<'t> ShardedController<'t> {
                     coord: &coord,
                     cfg: self.cfg,
                     topo: self.topo,
-                    batches: Vec::new(),
+                    log: ShardLog::default(),
+                    grouper: SwitchGrouper::default(),
+                    ticket_ops: Vec::new(),
+                    times: TicketTimes::default(),
                     outcomes: Vec::new(),
                     stats: ShardedStats::default(),
                     rng: self
@@ -975,11 +1109,11 @@ impl<'t> ShardedController<'t> {
 
         let mut stats = ShardedStats::default();
         let mut by_shard = Vec::with_capacity(self.shards);
-        let mut shard_batches = Vec::with_capacity(self.shards);
+        let mut shard_logs = Vec::with_capacity(self.shards);
         for out in outputs {
             stats.merge(&out.stats);
             by_shard.push(out.outcomes.into_iter());
-            shard_batches.push(out.batches);
+            shard_logs.push(out.log);
         }
         // each shard's outcomes are in its queue's order: an event's is
         // the next one of the shard that owns its UE
@@ -1021,7 +1155,7 @@ impl<'t> ShardedController<'t> {
         ShardedRun {
             engine: coord.engine.into_inner().engine,
             outcomes,
-            shard_batches,
+            shard_logs,
             stats,
         }
     }
@@ -1068,6 +1202,56 @@ mod tests {
                 bs: BaseStationId(bs),
             },
         }
+    }
+
+    fn coordinator(topo: &Topology) -> Coordinator<'_> {
+        let policy = ServicePolicy::example_carrier_a(1);
+        let engine = CentralController::new(topo, ControllerConfig::simulation(), policy);
+        Coordinator {
+            engine: Mutex::new(Sequenced {
+                engine,
+                pools: FxHashMap::default(),
+            }),
+            next_seq: AtomicU64::new(0),
+            published: RwLock::new(FxHashMap::default()),
+            classifiers: FxHashMap::default(),
+            failed: AtomicBool::new(false),
+        }
+    }
+
+    #[test]
+    fn a_panicking_worker_marks_the_coordinator_failed() {
+        let topo = small_topology();
+        let coord = coordinator(&topo);
+        let finish = || drop(FailOnPanic(&coord.failed));
+        std::thread::scope(|s| s.spawn(finish).join()).unwrap();
+        assert!(!coord.failed.load(Ordering::Acquire), "a worker that ends");
+        let die = || {
+            let _mark = FailOnPanic(&coord.failed);
+            panic!("engine failure");
+        };
+        assert!(std::thread::scope(|s| s.spawn(die).join()).is_err());
+        assert!(coord.failed.load(Ordering::Acquire), "a worker that dies");
+    }
+
+    #[test]
+    #[should_panic(expected = "another shard worker panicked")]
+    fn the_ticket_wait_panics_once_the_coordinator_is_marked_failed() {
+        let topo = small_topology();
+        let coord = coordinator(&topo);
+        coord.failed.store(true, Ordering::Release);
+        assert_eq!(coord.await_ticket(0), None, "ticket 0's turn: no wait");
+        coord.await_ticket(1);
+    }
+
+    #[test]
+    #[should_panic(expected = "another shard worker panicked")]
+    fn the_published_tags_wait_panics_once_the_coordinator_is_marked_failed() {
+        let topo = small_topology();
+        let coord = coordinator(&topo);
+        coord.failed.store(true, Ordering::Release);
+        // ticket 0 has not passed, so its tags could still come
+        let _ = coord.await_published((BaseStationId(0), ClauseId(0)), 1);
     }
 
     #[test]

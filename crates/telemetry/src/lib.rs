@@ -9,7 +9,8 @@
 //! channel. This crate gives every layer one cheap way to emit them:
 //!
 //! * [`metrics`] — [`Counter`]/[`Gauge`]/[`Histogram`], each a few
-//!   `Relaxed` atomics on the hot path, plus [`Stopwatch`] for timing.
+//!   `Relaxed` atomics on the hot path, plus [`Stopwatch`] for timing and
+//!   [`LocalHistogram`] for one thread's samples, absorbed once.
 //! * [`registry`] — [`Registry`]: named, optionally labeled families
 //!   (`softcell_<crate>_<name>` naming, `key=value` labels) interned
 //!   once and touched lock-free thereafter; a process-wide
@@ -31,8 +32,8 @@ pub mod snapshot;
 pub mod trace;
 
 pub use metrics::{
-    bucket_index, bucket_upper_bound, quantile_from_buckets, Counter, Gauge, Histogram, Stopwatch,
-    BUCKETS,
+    bucket_index, bucket_upper_bound, quantile_from_buckets, Counter, Gauge, Histogram,
+    LocalHistogram, Stopwatch, BUCKETS,
 };
 pub use registry::Registry;
 pub use snapshot::{

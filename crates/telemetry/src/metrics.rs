@@ -2,7 +2,8 @@
 //!
 //! Every primitive is a handful of `Relaxed` atomic operations on the
 //! hot path — no locks, no allocation, no clock reads except where the
-//! caller explicitly starts a [`Stopwatch`].
+//! caller explicitly starts a [`Stopwatch`]. A thread that records many
+//! samples alone keeps a [`LocalHistogram`] and absorbs it once.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -204,6 +205,51 @@ impl Histogram {
     pub fn quantile(&self, q: f64) -> u64 {
         quantile_from_buckets(&self.buckets(), self.count(), q)
     }
+
+    /// Adds every sample `local` recorded, as if each had been recorded
+    /// here: one atomic per bucket instead of four per sample.
+    pub fn absorb(&self, local: &LocalHistogram) {
+        for (b, &n) in self.buckets.iter().zip(&local.buckets) {
+            b.fetch_add(n, Ordering::Relaxed);
+        }
+        self.count.fetch_add(local.count, Ordering::Relaxed);
+        self.sum.fetch_add(local.sum, Ordering::Relaxed);
+        self.max.fetch_max(local.max, Ordering::Relaxed);
+    }
+}
+
+/// A [`Histogram`] one thread keeps in plain integers — the same
+/// buckets, count, wrapping sum and max — and hands to
+/// [`Histogram::absorb`] once, instead of writing shared atomics per
+/// sample.
+#[derive(Clone, Debug)]
+pub struct LocalHistogram {
+    buckets: [u64; BUCKETS],
+    count: u64,
+    sum: u64,
+    max: u64,
+}
+
+impl Default for LocalHistogram {
+    fn default() -> LocalHistogram {
+        LocalHistogram {
+            buckets: [0; BUCKETS],
+            count: 0,
+            sum: 0,
+            max: 0,
+        }
+    }
+}
+
+impl LocalHistogram {
+    /// Records one sample.
+    #[inline]
+    pub fn record(&mut self, v: u64) {
+        self.buckets[bucket_index(v)] += 1;
+        self.count += 1;
+        self.sum = self.sum.wrapping_add(v);
+        self.max = self.max.max(v);
+    }
 }
 
 /// A started clock that records its elapsed nanoseconds into a
@@ -285,6 +331,26 @@ mod tests {
         assert_eq!(h.quantile(0.90), 127);
         assert_eq!(h.quantile(0.95), 16_383);
         assert_eq!(h.quantile(0.99), 16_383);
+    }
+
+    #[test]
+    fn absorbing_a_local_histogram_equals_recording_straight() {
+        let samples = [0, 0, 1, 3, 100, 10_000, 1 << 40, u64::MAX, u64::MAX];
+        let (straight, absorbed) = (Histogram::new(), Histogram::new());
+        absorbed.record(7); // absorb adds to what is there
+        straight.record(7);
+        let mut local = LocalHistogram::default();
+        for v in samples {
+            straight.record(v);
+            local.record(v);
+        }
+        absorbed.absorb(&local);
+        absorbed.absorb(&LocalHistogram::default());
+        assert_eq!(absorbed.buckets(), straight.buckets());
+        assert_eq!(absorbed.count(), straight.count());
+        assert_eq!(absorbed.sum(), straight.sum(), "both sums wrap");
+        assert_eq!(absorbed.max(), u64::MAX);
+        assert_eq!(absorbed.max(), straight.max());
     }
 
     #[test]

@@ -85,18 +85,22 @@ done
 
 # Allocation budget of the mobility event path (tests/alloc_budget.rs):
 # heap allocations of a handoff with 0 / 1 / 8 carried flows, of agent
-# tag-cache hits and of sharded cache-hit flows, counted by a test-only
-# global allocator on fixed scenarios. Counts repeat exactly, so unlike
-# the timings above this *is* a gate on a shared host: a change that
-# brings back a per-event compile, clone or regrowing vector fails it.
-echo "==> allocation budget: handoff / agent hit / sharded hit (60 s cap)"
+# tag-cache hits, of sharded cache-hit flows (a flow's entries inline in
+# its outcome) and of 16 handoff tickets on a 2-shard run beyond the
+# engine's own handoffs (a ticket's ops go into the shard's one log),
+# counted by a test-only global allocator on fixed scenarios. Counts
+# repeat exactly, so unlike the timings above this *is* a gate on a
+# shared host: a change that brings back a per-event compile, clone or
+# regrowing vector fails it.
+echo "==> allocation budget: handoff / agent hit / sharded hit / handoff ticket (60 s cap)"
 timeout 60 cargo test -q --release --test alloc_budget
 
 # Layout budget (tests/layout_budget.rs): size and alignment of the
 # values the data-plane write path copies — the 16-byte FiveTuple, the
 # 48-byte microflow bucket, FlowRule, Match, RuleOp, FlowRecord,
-# EventOutcome. Numbers again, so a gate: a field that brings back an
-# odd-sized key (and the store-forwarding stall with it) fails here.
+# EventOutcome and the FlowInstalls it holds inline. Numbers again, so a
+# gate: a field that brings back an odd-sized key (and the
+# store-forwarding stall with it) fails here.
 echo "==> layout budget: hot-path value sizes (60 s cap)"
 timeout 60 cargo test -q --release --test layout_budget
 

@@ -1,15 +1,17 @@
-//! Heap-allocation budgets for the three operations a mobility-heavy
+//! Heap-allocation budgets for the operations a mobility-heavy
 //! signalling mix is made of: a cache-hit flow on the sharded engine, a
-//! tag-cache hit at a local agent, and a handoff at the central
-//! controller.
+//! tag-cache hit at a local agent, a handoff at the central controller,
+//! and the ticket a handoff takes on the sharded engine.
 //!
 //! Counts, not timings: every scenario is a fixed sequence on a fixed
 //! topology, so the number of allocator calls repeats exactly and the
 //! gate does not flake on a loaded host. Each budget is written down
 //! from what the tree achieves, beside the count the same scenario gave
-//! at the commit before the event path stopped recompiling classifiers,
-//! cloning tunnels and regrowing its vectors — a change that brings
-//! that work back fails here.
+//! before the change that set the budget — before the event path
+//! stopped recompiling classifiers, cloning tunnels and regrowing its
+//! vectors, or before a sharded flow's entries moved inline and a
+//! ticket's ops into its shard's one log. A change that brings that
+//! work back fails here.
 //!
 //! One `#[test]` on purpose: the counter is process-wide, and a second
 //! test running (or the harness reporting one) beside the measured
@@ -21,7 +23,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use softcell::controller::agent::microflow_pair;
 use softcell::controller::mobility::FlowRecord;
-use softcell::controller::sharded::{ShardEvent, ShardEventKind, ShardedController};
+use softcell::controller::sharded::{ShardEvent, ShardEventKind, ShardedController, ShardedStats};
 use softcell::controller::{CentralController, ControllerConfig, LocalAgent};
 use softcell::dataplane::Switch;
 use softcell::packet::{build_flow_packet, FiveTuple, HeaderView, Protocol};
@@ -80,7 +82,7 @@ fn controller(topo: &Topology) -> CentralController<'_> {
         ControllerConfig::simulation(),
         ServicePolicy::example_carrier_a(1),
     );
-    for i in 0..8 {
+    for i in 0..64 {
         ctl.put_subscriber(SubscriberAttributes::default_home(UeImsi(i)));
     }
     ctl
@@ -96,10 +98,11 @@ fn uplink(src: Ipv4Addr, src_port: u16) -> FiveTuple {
     }
 }
 
-/// `CentralController::handoff` of a UE with `k` live flows, station 0 →
-/// station 3, after another UE's move has built the (0 → 3) tunnel and
-/// warmed the path cache: what is counted is the per-handoff work alone.
-fn handoff_allocations(k: u16) -> u64 {
+/// `CentralController::handoff` of `movers` UEs with `k` live flows each,
+/// station 0 → station 3, after another UE's move has built the (0 → 3)
+/// tunnel and warmed the path cache: what is counted is the per-handoff
+/// work alone.
+fn handoff_allocations(k: u16, movers: u64) -> u64 {
     let topo = small_topology();
     let mut ctl = controller(&topo);
     let cfg = *ctl.config();
@@ -121,11 +124,20 @@ fn handoff_allocations(k: u16) -> u64 {
             .collect()
     };
     let warm = flows_of(&mut ctl, 0, 1);
-    let flows = flows_of(&mut ctl, 1, k);
+    let flows: Vec<_> = (1..=movers)
+        .map(|imsi| flows_of(&mut ctl, imsi, k))
+        .collect();
     ctl.handoff(UeImsi(0), to, UeId(0), &warm, SimTime::ZERO)
         .unwrap();
-    let (n, plan) = allocations(|| ctl.handoff(UeImsi(1), to, UeId(1), &flows, SimTime::ZERO));
-    assert_eq!(plan.unwrap().carried_flows.len(), usize::from(k));
+    let (n, plans) = allocations(|| {
+        let mut moves = (1..=movers).zip(&flows);
+        moves.try_for_each(|(imsi, flows)| {
+            let plan = ctl.handoff(UeImsi(imsi), to, UeId(imsi as u16), flows, SimTime::ZERO)?;
+            assert_eq!(plan.carried_flows.len(), usize::from(k));
+            Ok::<_, softcell::types::Error>(())
+        })
+    });
+    plans.unwrap();
     n
 }
 
@@ -161,47 +173,86 @@ fn agent_hit_allocations() -> u64 {
     n
 }
 
-/// 400 cache-hit flows (8 UEs × 50) through a 2-shard
-/// `ShardedController`: a run with them minus the same run without.
-fn sharded_hit_allocations() -> u64 {
-    let topo = small_topology();
-    let subscribers: Vec<_> = (0..8)
-        .map(|i| SubscriberAttributes::default_home(UeImsi(i)))
-        .collect();
-    let event = |imsi, kind| ShardEvent {
+fn event(imsi: u64, kind: ShardEventKind) -> ShardEvent {
+    ShardEvent {
         time: SimTime::ZERO,
         imsi: UeImsi(imsi),
         kind,
+    }
+}
+
+fn flow(imsi: u64, src_port: u16) -> ShardEvent {
+    let kind = ShardEventKind::NewFlow {
+        bs: BaseStationId(0),
+        dst: SERVER,
+        src_port,
+        dst_port: 443,
+        udp: false,
     };
-    let bs = BaseStationId(0);
-    let flow = |imsi, src_port| {
-        let kind = ShardEventKind::NewFlow {
-            bs,
-            dst: SERVER,
-            src_port,
-            dst_port: 443,
-            udp: false,
-        };
-        event(imsi, kind)
-    };
-    // every UE's first flow is ticketed (its demand for the path)
-    let mut events: Vec<ShardEvent> = (0..8)
-        .map(|i| event(i, ShardEventKind::Attach { bs }))
-        .chain((0..8).map(|i| flow(i, 30_000)))
+    event(imsi, kind)
+}
+
+/// Allocations of a 2-shard run of `events` plus `extra` minus those of
+/// the same run without `extra`, and the difference in `stats` by `stat`.
+fn sharded_extra_allocations(
+    events: &[ShardEvent],
+    extra: &[ShardEvent],
+    stat: impl Fn(&ShardedStats) -> u64,
+) -> (u64, u64) {
+    let topo = small_topology();
+    let subscribers: Vec<_> = (0..64)
+        .map(|i| SubscriberAttributes::default_home(UeImsi(i)))
         .collect();
     let run = |events: &[ShardEvent]| {
         let sc = ShardedController::new(&topo, ControllerConfig::simulation(), 2);
         let (n, run) =
             allocations(|| sc.run(ServicePolicy::example_carrier_a(1), &subscribers, events));
         assert_eq!(run.stats.skipped, 0);
-        (n, run.stats.cache_hits)
+        (n, stat(&run.stats))
     };
-    run(&events); // registers the engine's metrics, once per process
-    let (without, hits_without) = run(&events);
-    events.extend((0..400).map(|i| flow(u64::from(i % 8), 40_000 + i)));
-    let (with, hits_with) = run(&events);
-    assert_eq!(hits_with - hits_without, 400);
-    with - without
+    run(events); // registers the engine's metrics, once per process
+    let (without, stat_without) = run(events);
+    let (with, stat_with) = run(&[events, extra].concat());
+    (with - without, stat_with - stat_without)
+}
+
+/// `ues` UEs attached at station 0, each with its first flow there (the
+/// ticketed demand for the path).
+fn attached_with_a_flow(ues: u64) -> Vec<ShardEvent> {
+    let bs = BaseStationId(0);
+    (0..ues)
+        .map(|i| event(i, ShardEventKind::Attach { bs }))
+        .chain((0..ues).map(|i| flow(i, 30_000)))
+        .collect()
+}
+
+/// 400 cache-hit flows (8 UEs × 50) through a 2-shard
+/// `ShardedController`: a run with them minus the same run without.
+fn sharded_hit_allocations() -> u64 {
+    let hits: Vec<ShardEvent> = (0..400)
+        .map(|i| flow(u64::from(i % 8), 40_000 + i))
+        .collect();
+    let (n, more_hits) =
+        sharded_extra_allocations(&attached_with_a_flow(8), &hits, |s| s.cache_hits);
+    assert_eq!(more_hits, 400);
+    n
+}
+
+/// `n` handoff tickets through a 2-shard `ShardedController`, each a UE
+/// with one flow moving station 0 → 3 after another UE's move built the
+/// tunnel — the scenario `handoff_allocations(1)` times on the engine
+/// alone: a run with them minus the same run without.
+fn sharded_handoff_allocations(n: u64) -> u64 {
+    let handoff = |imsi| {
+        let (from, to) = (BaseStationId(0), BaseStationId(3));
+        event(imsi, ShardEventKind::Handoff { from, to })
+    };
+    let mut events = attached_with_a_flow(n + 1);
+    events.push(handoff(0));
+    let moves: Vec<ShardEvent> = (1..=n).map(handoff).collect();
+    let (allocs, more_handoffs) = sharded_extra_allocations(&events, &moves, |s| s.handoffs);
+    assert_eq!(more_handoffs, n);
+    allocs
 }
 
 #[test]
@@ -214,18 +265,32 @@ fn allocations_per_operation_stay_within_budget() {
         // parent's 26 at k = 1 grew to 31 at k = 8 and on from there as
         // its vectors doubled). With no flows only the reservation
         // bookkeeping allocates.
-        ("handoff, 0 flows", handoff_allocations(0), 2, 11),
-        ("handoff, 1 flow", handoff_allocations(1), 11, 26),
-        ("handoff, 8 flows", handoff_allocations(8), 11, 31),
+        ("handoff, 0 flows", handoff_allocations(0, 1), 2, 11),
+        ("handoff, 1 flow", handoff_allocations(1, 1), 11, 26),
+        ("handoff, 8 flows", handoff_allocations(8, 1), 11, 31),
         // the flow list, the slot words and the microflow table growing
         ("32 agent tag-cache hits", agent_hit_allocations(), 9, 12),
-        // one `installs` vector per flow is the outcome's shape; the
-        // rest is the per-UE flow list and the outcome vector growing
+        // the per-UE flow lists and the shard queues growing: a flow's
+        // entries sit inline in its outcome (the parent allocated a
+        // vector for them), and a worker sizes its outcomes to its queue
         (
             "400 sharded cache-hit flows",
             sharded_hit_allocations(),
+            42,
             452,
-            477,
+        ),
+        // What 16 handoff tickets on 2 shards allocate beyond the engine's
+        // own 16 handoffs. Nothing per ticket: a ticket's ops pass through
+        // a reused buffer into the shard's one log. What is left is per
+        // run — each worker's first use of its buffer and grouping
+        // scratch, and the doubling of its queue and log — and grows with
+        // log N. The parent made a vector per ticket and one per switch
+        // it touched, regrowing.
+        (
+            "16 handoff tickets, beyond the engine's own",
+            sharded_handoff_allocations(16) - handoff_allocations(1, 16),
+            18,
+            102,
         ),
     ];
     for (what, n, budget, parent) in measured {

@@ -10,8 +10,9 @@ use std::fmt::Write as _;
 use std::net::Ipv4Addr;
 
 use softcell::controller::mobility::FlowRecord;
+use softcell::controller::ops::{batch_by_switch, SwitchBatch};
 use softcell::controller::sharded::{EventOutcome, ShardEvent, ShardEventKind, ShardedRun};
-use softcell::controller::{CentralController, ControllerConfig, LocalAgent};
+use softcell::controller::{CentralController, ControllerConfig, LocalAgent, RuleOp};
 use softcell::dataplane::MicroflowAction;
 use softcell::packet::{build_flow_packet, FiveTuple, HeaderView, Protocol};
 use softcell::policy::{ServicePolicy, SubscriberAttributes};
@@ -45,6 +46,8 @@ pub struct RunDump {
     pub state: String,
     /// (flows, cache_hits, cache_misses, denied).
     pub flow_stats: (u64, u64, u64, u64),
+    /// Every rule op, each event's grouped per switch, in event order.
+    pub batches: Vec<SwitchBatch>,
 }
 
 /// Dumps every switch's fabric flow table verbatim.
@@ -108,6 +111,11 @@ pub fn reference_run_full<'t>(
         ctl.put_subscriber(attrs);
     }
     let mut net = PhysicalNetwork::new(topo);
+    let mut batches = Vec::new();
+    let mut apply = |net: &mut PhysicalNetwork, ops: Vec<RuleOp>, what: &str| {
+        net.apply_all(&ops).expect(what);
+        batches.extend(batch_by_switch(ops));
+    };
     let mut agents: Vec<LocalAgent> = topo
         .base_stations()
         .iter()
@@ -120,8 +128,7 @@ pub fn reference_run_full<'t>(
                 agents[bs.index()]
                     .handle_attach(ev.imsi, &mut ctl, ev.time)
                     .expect("reference attach");
-                let ops = ctl.drain_ops();
-                net.apply_all(&ops).expect("attach ops");
+                apply(&mut net, ctl.drain_ops(), "attach ops");
             }
             ShardEventKind::NewFlow {
                 bs,
@@ -145,8 +152,7 @@ pub fn reference_run_full<'t>(
                 agents[bs.index()]
                     .handle_new_flow(&view, &mut ctl, net.switch_mut(access), ev.time)
                     .expect("reference flow");
-                let ops = ctl.drain_ops();
-                net.apply_all(&ops).expect("flow ops");
+                apply(&mut net, ctl.drain_ops(), "flow ops");
             }
             ShardEventKind::Handoff { from, to } => {
                 let rec = *ctl.state().ue(ev.imsi).expect("handoff for attached UE");
@@ -175,9 +181,9 @@ pub fn reference_run_full<'t>(
                 let plan = ctl
                     .handoff(ev.imsi, to, new_id, &flows, ev.time)
                     .expect("reference handoff");
-                net.apply_all(&plan.ops).expect("handoff ops");
-                let ops = ctl.drain_ops();
-                net.apply_all(&ops).expect("handoff pending ops");
+                let mut ops = plan.ops.clone();
+                ops.extend(ctl.drain_ops());
+                apply(&mut net, ops, "handoff ops");
                 for t in &plan.old_microflow_removals {
                     net.switch_mut(old_access).microflow.remove(t);
                 }
@@ -202,8 +208,7 @@ pub fn reference_run_full<'t>(
                 agents[bs.index()]
                     .handle_detach(ev.imsi, &mut ctl)
                     .expect("reference detach");
-                let ops = ctl.drain_ops();
-                net.apply_all(&ops).expect("detach ops");
+                apply(&mut net, ctl.drain_ops(), "detach ops");
             }
         }
     }
@@ -221,6 +226,7 @@ pub fn reference_run_full<'t>(
         microflow: microflow_dump(topo, &net),
         state: state_dump(&ctl),
         flow_stats,
+        batches,
     };
     (dump, ctl, net)
 }
@@ -235,21 +241,22 @@ pub fn reference_run_full<'t>(
 /// stream-shape asserts and may follow the API.
 pub fn materialize_net(topo: &Topology, run: &ShardedRun<'_>) -> PhysicalNetwork {
     let mut net = PhysicalNetwork::new(topo);
-    for stream in &run.shard_batches {
+    for log in &run.shard_logs {
         let mut last = None;
-        for sb in stream {
+        for (seq, batch) in log.batches() {
             assert!(
-                last.is_none_or(|p| p < sb.seq),
-                "per-shard streams are seq-ascending"
+                last.is_none_or(|p| p <= seq),
+                "per-shard logs are ticket-ascending"
             );
-            last = Some(sb.seq);
+            assert!(!batch.ops.is_empty(), "no empty group is logged");
+            last = Some(seq);
         }
     }
     for batch in run.merged_batches() {
-        for op in &batch.ops {
+        for op in batch.ops {
             assert_eq!(op.switch(), batch.switch, "batch is single-switch");
         }
-        net.apply_all(&batch.ops).expect("sharded fabric ops");
+        net.apply_all(batch.ops).expect("sharded fabric ops");
     }
     for out in &run.outcomes {
         match out {
@@ -294,6 +301,14 @@ pub fn materialize(topo: &Topology, run: &ShardedRun<'_>) -> RunDump {
             run.stats.cache_misses,
             run.stats.denied,
         ),
+        batches: run
+            .merged_batches()
+            .into_iter()
+            .map(|b| SwitchBatch {
+                switch: b.switch,
+                ops: b.ops.to_vec(),
+            })
+            .collect(),
     }
 }
 
@@ -308,6 +323,10 @@ pub fn compare(reference: &RunDump, sharded: &RunDump, label: &str) {
         "{label}: microflow tables must match"
     );
     assert_eq!(reference.state, sharded.state, "{label}: controller state");
+    assert!(
+        reference.batches == sharded.batches,
+        "{label}: the merged op stream must equal the single-threaded drain, op for op"
+    );
     assert_eq!(
         reference.flow_stats, sharded.flow_stats,
         "{label}: flow / cache-hit / cache-miss / denied counters"
