@@ -252,7 +252,7 @@ impl<'t> CentralController<'t> {
     }
 
     /// `NotFound` for a station the topology lacks: a UE placed there
-    /// would panic the first lookup of its station.
+    /// or a path from it would panic the first lookup of its station.
     pub(crate) fn check_station(&self, bs: BaseStationId) -> Result<()> {
         let known = bs.index() < self.topo.base_stations().len();
         known
@@ -282,6 +282,7 @@ impl<'t> CentralController<'t> {
         if let Some(tags) = self.installed.get(&(clause, bs)) {
             return Ok(*tags);
         }
+        self.check_station(bs)?;
         let clause_def = self
             .state
             .policy()
@@ -369,6 +370,8 @@ impl<'t> CentralController<'t> {
         if let Some(tags) = self.m2m.get(&(clause, from, to)) {
             return Ok(*tags);
         }
+        self.check_station(from)?;
+        self.check_station(to)?;
         let clause_def = self
             .state
             .policy()
@@ -392,7 +395,7 @@ impl<'t> CentralController<'t> {
         let path = self.paths.route_policy_path(to, &reversed, from_access)?;
         if path.hops.last().and_then(|h| h.mb_after).is_some() {
             return Err(Error::InvalidState(
-                "m2m chains ending in a middlebox on the sender's access switch                  are not supported"
+                "m2m chains ending in a middlebox on the sender's access switch are not supported"
                     .into(),
             ));
         }
@@ -634,6 +637,59 @@ mod tests {
             .unwrap();
         // with no downlink swaps the echoed tag is delivered unchanged
         assert_eq!(tags.uplink_exit, tags.downlink_final);
+    }
+
+    #[test]
+    fn path_request_at_an_unknown_station_is_not_found() {
+        let topo = small_topology();
+        let mut c = controller(&topo);
+        let err = c
+            .request_policy_path(BaseStationId(9999), ClauseId(5))
+            .unwrap_err();
+        assert!(matches!(err, Error::NotFound(_)), "{err}");
+        assert!(c.drain_ops().is_empty());
+    }
+
+    #[test]
+    fn m2m_request_with_an_unknown_end_is_not_found() {
+        let topo = small_topology();
+        let mut c = controller(&topo);
+        let (known, missing) = (BaseStationId(0), BaseStationId(9999));
+        for (from, to) in [(missing, known), (known, missing)] {
+            let err = c.request_m2m_path(from, to, ClauseId(5)).unwrap_err();
+            assert!(matches!(err, Error::NotFound(_)), "{from} -> {to}: {err}");
+        }
+        assert!(c.drain_ops().is_empty());
+    }
+
+    #[test]
+    fn m2m_chain_ending_at_the_senders_access_switch_is_refused_in_words() {
+        // gw — core — {acc0 (firewall), acc1}: the sender's nearest
+        // firewall is on its own access switch
+        use softcell_topology::{SwitchRole, TopologyBuilder};
+        let mut b = TopologyBuilder::new();
+        let gw = b.add_switch(SwitchRole::Gateway);
+        let core = b.add_switch(SwitchRole::Core);
+        let acc0 = b.add_switch(SwitchRole::Access);
+        let acc1 = b.add_switch(SwitchRole::Access);
+        b.link(gw, core).unwrap();
+        b.link(core, acc0).unwrap();
+        b.link(core, acc1).unwrap();
+        b.attach_middlebox(MiddleboxKind::Firewall, acc0).unwrap();
+        let bs0 = b.attach_base_station(acc0).unwrap();
+        let bs1 = b.attach_base_station(acc1).unwrap();
+        b.attach_gateway(gw).unwrap();
+        let topo = b.build().unwrap();
+        let mut c = controller(&topo);
+        // the catch-all clause: through a firewall
+        let err = c.request_m2m_path(bs0, bs1, ClauseId(5)).unwrap_err();
+        let Error::InvalidState(text) = err else {
+            panic!("expected InvalidState, got {err}");
+        };
+        assert_eq!(
+            text,
+            "m2m chains ending in a middlebox on the sender's access switch are not supported"
+        );
     }
 
     #[test]

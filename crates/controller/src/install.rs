@@ -39,16 +39,30 @@
 //! Nothing here locks.
 //!
 //! An install plans first and commits second. Planning is pure: it
-//! previews fresh tags with [`IdPool::peek`] and buffers its
-//! chain-index pushes in the plan. The commit replays them and writes
-//! the rules; every feasibility question was answered while planning,
-//! so the commit cannot fail, and a path that fails to plan leaves no
-//! trace.
+//! previews fresh tags with [`IdPool::peek`], and a segment reads the
+//! tags and chain-index pushes of those planned before it from their
+//! plans. The commit replays both and writes the rules; every
+//! feasibility question was answered while planning, so the commit
+//! cannot fail, and a path that fails to plan leaves no trace.
+//!
+//! **The commit writes the slots its plan probed.** Costing a tag
+//! records each decision that needs a rule and the table it goes to;
+//! the winner's record travels in the segment's plan, and the commit
+//! writes those slots without probing again — except a **stale**
+//! decision, which reads its switch's unqualified table (an `External`
+//! or `FromSwitch` arrival) after the segment has written that table,
+//! and the decisions of a fresh tag, which were never probed. Nothing
+//! else can go stale: a `(switch, arrival)` pair occurs once per
+//! segment, so a qualified table is read and written by one decision;
+//! a path's segments carry distinct tags; nothing else writes between
+//! plan and commit. So the deltas are those of re-probing every
+//! decision (a test reference), ROADMAP item 1 (b)'s overwrite included.
 //!
 //! # Planning cost model
 //!
 //! A path is decomposed once into flat decision vectors (a few dozen
-//! entries: scans, not hash maps) and its segments move into the plan.
+//! entries) and its segments move into the plan, in linear time: a
+//! per-switch index chains each switch's kept decisions.
 //! Per segment at most `MAX_CANDIDATES` (8) tags are costed,
 //! each front to back, one probe per decision: per table one lookup and
 //! one longest-prefix walk ([`ShadowSwitch::probe`]; a link arrival may
@@ -68,6 +82,7 @@
 //! `path_install_storm` the cuts take the decisions costed per path from
 //! 198 to 41; the gateway-side sample is mostly tags the origin itself
 //! claimed under earlier clauses, which cut 3 drops after one probe.
+//! Its commit probes 0.1 times per path, not 48 (EXPERIMENTS.md).
 
 use softcell_types::{FxHashMap, FxHashSet};
 
@@ -198,17 +213,103 @@ fn push_chain_slot(slot: &mut Vec<PolicyTag>, tag: PolicyTag) {
     }
 }
 
-/// Scratch state of planning one path: what the commit will replay,
-/// visible to the path's later segments before it is.
+/// A rule the commit must write: the decision's index in its segment and
+/// the table the rule goes to.
+type Slot = (usize, Entry);
+
+/// Buffers an install reuses from the last one.
 #[derive(Default)]
-struct PlanCtx {
-    /// Planned-but-uncommitted chain-index pushes, in planning order;
-    /// replayed over the installed slot so later segments see earlier
-    /// planned tags.
-    chain_pushes: Vec<(ChainKey, PolicyTag)>,
-    /// Number of fresh tags this path has reserved via
-    /// [`IdPool::peek`].
-    fresh_taken: usize,
+struct Scratch {
+    /// Per switch: 1 + the segment index of its latest kept decision, 0
+    /// for none; all 0 between calls.
+    head: Vec<u32>,
+    /// Per kept decision: its offset in the path, 1 + the index of the
+    /// previous kept decision on its switch (0: none), and whether a
+    /// later pass repeated it (a swap there would alter that pass too).
+    kept: Vec<(usize, u32, bool)>,
+    /// The records of the candidate being costed and of the best so far.
+    costing: Vec<Slot>,
+    best: Vec<Slot>,
+    /// Switches whose unqualified table the segment's commit has written.
+    written: Vec<SwitchId>,
+}
+
+impl Scratch {
+    /// The kept decisions on `sw`, latest first.
+    fn chain(&self, sw: SwitchId) -> impl Iterator<Item = usize> + '_ {
+        let link = |at: u32| (at != 0).then(|| at as usize - 1);
+        std::iter::successors(link(self.head[sw.index()]), move |&k| link(self.kept[k].1))
+    }
+
+    /// Splits decisions into tag segments and marks input-port-qualified
+    /// decisions.
+    ///
+    /// * Same `(switch, arrival)` with the same next hop → duplicate rule,
+    ///   dropped.
+    /// * Same switch, different arrivals, different next hops → both rules
+    ///   become input-port qualified (no new tag needed).
+    /// * Same `(switch, arrival)` with different next hops → same-link loop
+    ///   (§3.2): the path is split and the remainder uses a fresh tag. The
+    ///   swap rule is placed as *late* as possible — on the last
+    ///   uniquely-keyed decision before the re-entry — so that for paths
+    ///   sharing a suffix (one clause, many stations) the junction falls in
+    ///   the shared portion and the swap rule aggregates across stations.
+    fn split_segments(&mut self, decisions: &[Decision]) -> Vec<Segment> {
+        let mut segments = Vec::new();
+        let mut start = 0usize;
+        loop {
+            let mut seg: Vec<Decision> = Vec::with_capacity(decisions.len() - start);
+            self.kept.clear();
+            // index in `seg` to swap at, when a same-link loop cuts it short
+            let mut split: Option<usize> = None;
+            for (offset, d) in decisions.iter().enumerate().skip(start) {
+                let Some(first) = self.chain(d.sw).find(|&k| seg[k].arrival == d.arrival) else {
+                    self.kept.push((offset, self.head[d.sw.index()], false));
+                    self.head[d.sw.index()] = self.kept.len() as u32;
+                    seg.push(*d);
+                    continue;
+                };
+                if seg[first].want == d.want {
+                    // identical rule; mark the original as shared and skip
+                    self.kept[first].2 = true;
+                    continue;
+                }
+                // Same-link loop. Swap as late as possible: the last
+                // decision whose rule serves exactly one pass.
+                split = Some(self.kept.iter().rposition(|k| !k.2).unwrap_or(first));
+                break;
+            }
+
+            let len = split.map_or(seg.len(), |k| k + 1);
+            self.mark_qualified(&mut seg, len);
+            for d in &seg {
+                self.head[d.sw.index()] = 0;
+            }
+            seg.truncate(len);
+            segments.push(Segment { decisions: seg });
+            match split {
+                None => break,
+                Some(k) => start = self.kept[k].0 + 1,
+            }
+        }
+        segments
+    }
+
+    /// Marks the first `len` decisions needing input-port qualification:
+    /// switches entered from different links with differing next hops.
+    /// Only fabric arrivals count (middlebox arrivals are inherently
+    /// qualified by their own entry), and external arrivals cannot be
+    /// port-qualified: they keep the unqualified slot while the link
+    /// arrivals move out of its way.
+    fn mark_qualified(&self, seg: &mut [Decision], len: usize) {
+        let fabric = |d: &Decision| !matches!(d.arrival, Arrival::FromMb(_));
+        for i in 0..len {
+            let d = seg[i];
+            let qualified = matches!(d.arrival, Arrival::FromSwitch(_))
+                && (self.chain(d.sw)).any(|k| k < len && seg[k].want != d.want && fabric(&seg[k]));
+            seg[i].qualified = qualified;
+        }
+    }
 }
 
 /// A fully planned single-direction path: everything `apply_path_plan`
@@ -221,8 +322,6 @@ struct PathPlan {
     /// back to front — for the tag pool and chain index, then forward
     /// for the rules.
     plans: Vec<SegmentPlan>,
-    segment_tags: Vec<PolicyTag>,
-    reused_segments: usize,
 }
 
 /// What every candidate tag of one segment is costed against.
@@ -232,6 +331,19 @@ struct Costing<'a> {
     prefix: Ipv4Prefix,
     seg: &'a Segment,
     swap_to: Option<PolicyTag>,
+    key: ChainKey,
+    /// The path's segments planned so far (the later ones).
+    planned: &'a [SegmentPlan],
+    forced_entry: Option<PolicyTag>,
+}
+
+impl Costing<'_> {
+    /// Another segment's tag — sharing it would recreate the ambiguity
+    /// segmentation removes — or the forced entry tag, which segment 0
+    /// takes though it is planned last.
+    fn excluded(&self, tag: PolicyTag) -> bool {
+        self.forced_entry == Some(tag) || self.planned.iter().any(|p| p.tag == tag)
+    }
 }
 
 /// Where a decision's rule would be written and what writing it costs
@@ -274,23 +386,41 @@ fn rule_slot(
     (current != Some(nh)).then_some((entry, cost))
 }
 
-/// Applies a segment plan to one direction's tables. Returns (net rule
-/// change, swap rules added).
+/// Applies a segment plan to one direction's tables: its record's
+/// slots, probing only stale and fresh-tag decisions (module doc).
+/// Returns (net rule change, swap rules added).
 fn commit_segment(
     tables: &mut ShadowTables,
     last_deltas: &mut Vec<(SwitchId, ShadowDelta)>,
+    written: &mut Vec<SwitchId>,
     prefix: Ipv4Prefix,
     plan: &SegmentPlan,
 ) -> (isize, usize) {
     let mut net = 0isize;
     let mut swaps = 0usize;
+    written.clear();
+    let mut record = plan.record.as_ref().map(|r| r.iter().peekable());
     for (i, d) in plan.decisions.iter().enumerate() {
         let (nh, is_swap) = wanted(&plan.decisions, i, plan.swap_to);
-        let sw = tables.switch_mut(d.sw);
-        let Some((entry, _)) = rule_slot(sw, d, plan.tag, prefix, nh) else {
+        // `Some(None)`: the plan found this decision already in place
+        let planned = (record.as_mut()).map(|r| r.next_if(|s| s.0 == i).map(|&(_, entry)| entry));
+        let stale = matches!(d.arrival, Arrival::External | Arrival::FromSwitch(_))
+            && written.contains(&d.sw);
+        let entry = match planned {
+            Some(planned) if !stale => planned,
+            _ => {
+                #[cfg(test)]
+                tests::COMMIT_PROBES.with(|n| n.set(n.get() + 1));
+                rule_slot(tables.switch(d.sw), d, plan.tag, prefix, nh).map(|(entry, _)| entry)
+            }
+        };
+        let Some(entry) = entry else {
             continue;
         };
-        sw.install_with(entry, plan.tag, prefix, nh, |delta| {
+        if entry == Entry::Ingress {
+            written.push(d.sw);
+        }
+        (tables.switch_mut(d.sw)).write_probed(entry, plan.tag, prefix, nh, |delta| {
             match delta {
                 ShadowDelta::SetDefault { .. } | ShadowDelta::AddPrefix { .. } => {
                     net += 1;
@@ -332,6 +462,7 @@ pub struct PathInstaller {
     /// Deltas of the last installation, for lowering to physical rules.
     last_deltas: Vec<(SwitchId, ShadowDelta)>,
     paths_installed: usize,
+    scratch: Scratch,
 }
 
 impl PathInstaller {
@@ -347,6 +478,10 @@ impl PathInstaller {
             claimed: FxHashMap::default(),
             last_deltas: Vec::new(),
             paths_installed: 0,
+            scratch: Scratch {
+                head: vec![0; topo.switch_count()],
+                ..Scratch::default()
+            },
         }
     }
 
@@ -417,8 +552,7 @@ impl PathInstaller {
     /// Installs a policy path in one direction. Returns the per-segment
     /// tags and rule accounting.
     pub fn install_path(&mut self, path: &PolicyPath, dir: Direction) -> Result<InstallReport> {
-        let plan = self.plan_path(path, dir, None)?;
-        Ok(self.apply_path_plan(plan))
+        self.install(path, dir, None)
     }
 
     /// Installs the downlink of a path whose uplink already fixed the
@@ -430,21 +564,35 @@ impl PathInstaller {
         dir: Direction,
         entry_tag: PolicyTag,
     ) -> Result<InstallReport> {
-        let plan = self.plan_path(path, dir, Some(entry_tag))?;
-        Ok(self.apply_path_plan(plan))
+        self.install(path, dir, Some(entry_tag))
+    }
+
+    /// Decomposes, plans and commits, lending the scratch buffers out.
+    fn install(
+        &mut self,
+        path: &PolicyPath,
+        dir: Direction,
+        forced_entry: Option<PolicyTag>,
+    ) -> Result<InstallReport> {
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let segments = scratch.split_segments(&build_decisions(path, dir));
+        let plan = self.plan_path(&mut scratch, path.origin, segments, dir, forced_entry);
+        let report = plan.map(|plan| self.apply_path_plan(plan, &mut scratch));
+        self.scratch = scratch;
+        report
     }
 
     /// Commits a plan: replays its tag-pool and chain-index updates
     /// (fresh-tag claims and chain-slot pushes, in planning order) and
     /// writes its rules. Infallible by construction: every feasibility
     /// question was answered at planning time, against this same state.
-    fn apply_path_plan(&mut self, plan: PathPlan) -> InstallReport {
+    fn apply_path_plan(&mut self, plan: PathPlan, scratch: &mut Scratch) -> InstallReport {
         self.last_deltas.clear();
         // Planning order is back to front; the pool's pops and the
         // chain-slot pushes must replay in that order (slot order
         // feeds future candidate sampling).
         for sp in plan.plans.iter().rev() {
-            if !sp.reused {
+            if sp.record.is_none() {
                 let got = self.tags.allocate();
                 debug_assert_eq!(
                     got,
@@ -458,188 +606,141 @@ impl PathInstaller {
             Direction::Uplink => &mut self.up,
             Direction::Downlink => &mut self.down,
         };
+        #[cfg(test)]
+        let commit = if tests::REPROBING.with(std::cell::Cell::get) {
+            tests::commit_segment_reprobing
+        } else {
+            commit_segment
+        };
+        #[cfg(not(test))]
+        let commit = commit_segment;
         let claimed = self.claimed.entry(plan.origin).or_default();
-        let mut new_rules = 0isize;
-        let mut swap_rules = 0usize;
+        let (mut new_rules, mut swap_rules, deltas) = (0isize, 0usize, &mut self.last_deltas);
         for sp in &plan.plans {
-            let (net, swaps) = commit_segment(tables, &mut self.last_deltas, plan.prefix, sp);
+            let (net, swaps) = commit(tables, deltas, &mut scratch.written, plan.prefix, sp);
             new_rules += net;
             swap_rules += swaps;
             claimed.insert(sp.tag);
         }
         self.paths_installed += 1;
         InstallReport {
-            segment_tags: plan.segment_tags,
+            segment_tags: plan.plans.iter().map(|sp| sp.tag).collect(),
             new_rules,
             swap_rules,
-            reused_segments: plan.reused_segments,
+            reused_segments: plan.plans.iter().filter(|sp| sp.record.is_some()).count(),
         }
     }
 
-    /// Plans a path against current state without mutating anything.
+    /// Plans a path's segments without mutating state.
     fn plan_path(
         &self,
-        path: &PolicyPath,
+        scratch: &mut Scratch,
+        origin: BaseStationId,
+        segments: Vec<Segment>,
         dir: Direction,
         forced_entry: Option<PolicyTag>,
     ) -> Result<PathPlan> {
-        let prefix = self.scheme.base_station_prefix(path.origin)?;
-        let segments = split_segments(&build_decisions(path, dir));
-        let mut ctx = PlanCtx::default();
-
-        let mut segment_tags = vec![PolicyTag(0); segments.len()];
-        let mut reused = 0usize;
-
+        let prefix = self.scheme.base_station_prefix(origin)?;
         // Segments are resolved back-to-front so a segment's swap-in rule
-        // (owned by the previous segment) can name its tag. Tags already
-        // chosen for other segments of this same path are excluded — two
-        // segments sharing a tag would recreate exactly the ambiguity
-        // segmentation exists to remove.
-        let mut next_tag: Option<PolicyTag> = None;
-        let mut path_tags: Vec<PolicyTag> = Vec::with_capacity(segments.len() + 1);
-        // A forced entry tag belongs to segment 0, which is planned
-        // *last* — exclude it from every other segment's candidates up
-        // front, or a later segment may independently pick the same tag
-        // and recreate the loop ambiguity segmentation removes.
-        if segments.len() > 1 {
-            path_tags.extend(forced_entry);
-        }
+        // (owned by the previous segment) can name its tag.
         let mut plans: Vec<SegmentPlan> = Vec::with_capacity(segments.len());
         for (idx, seg) in segments.into_iter().enumerate().rev() {
-            let forced = if idx == 0 { forced_entry } else { None };
-            let plan = self.plan_segment(
-                &mut ctx,
-                path.origin,
-                prefix,
-                seg,
+            let job = Costing {
+                origin,
                 dir,
-                next_tag,
-                forced,
-                &path_tags,
-            )?;
-            next_tag = Some(plan.tag);
-            path_tags.push(plan.tag);
-            segment_tags[idx] = plan.tag;
-            if plan.reused {
-                reused += 1;
-            }
-            plans.push(plan);
+                prefix,
+                seg: &seg,
+                swap_to: plans.last().map(|p| p.tag),
+                key: (dir, seg.chain_key(dir)),
+                planned: &plans,
+                forced_entry,
+            };
+            let forced = if idx == 0 { forced_entry } else { None };
+            let (tag, record) = self.plan_segment(scratch, &job, forced)?;
+            let (chain_key, swap_to) = (job.key, job.swap_to);
+            plans.push(SegmentPlan {
+                tag,
+                record,
+                chain_key,
+                decisions: seg.decisions,
+                swap_to,
+            });
         }
         plans.reverse();
-
         Ok(PathPlan {
             dir,
-            origin: path.origin,
+            origin,
             prefix,
             plans,
-            segment_tags,
-            reused_segments: reused,
         })
     }
 
-    /// Chooses a tag for one segment and freezes the per-decision
-    /// placement. Mutates only the planning context.
-    #[allow(clippy::too_many_arguments)]
+    /// Chooses a segment's tag, with a reused tag's record (`None`: a
+    /// fresh tag).
     fn plan_segment(
         &self,
-        ctx: &mut PlanCtx,
-        origin: BaseStationId,
-        prefix: Ipv4Prefix,
-        seg: Segment,
-        dir: Direction,
-        swap_to: Option<PolicyTag>,
+        scratch: &mut Scratch,
+        job: &Costing,
         forced: Option<PolicyTag>,
-        excluded: &[PolicyTag],
-    ) -> Result<SegmentPlan> {
-        let key = (dir, seg.chain_key(dir));
-        let job = Costing {
-            origin,
-            dir,
-            prefix,
-            seg: &seg,
-            swap_to,
-        };
-
-        let (tag, reused) = if let Some(tag) = forced {
+    ) -> Result<(PolicyTag, Option<Vec<Slot>>)> {
+        if let Some(tag) = forced {
             // Downlink entry tag dictated by the uplink: must be usable;
             // if it conflicts we cannot reroute here (the swap machinery
             // of the *caller* handles gateway-side swaps).
-            if self.segment_cost(&job, tag, usize::MAX, false).is_none() {
+            if (self.segment_cost(job, tag, usize::MAX, false, &mut scratch.best)).is_none() {
                 return Err(Error::InvalidState(format!(
                     "forced entry tag {tag} conflicts with existing rules"
                 )));
             }
-
-            (tag, true)
+            return Ok((tag, Some(scratch.best.clone())));
+        }
+        let candidates = self.candidates(job);
+        #[cfg(test)]
+        let argmin = if tests::EXHAUSTIVE.with(std::cell::Cell::get) {
+            Self::best_candidate_exhaustive
         } else {
-            let candidates = self.candidates(ctx, key, &job);
-            #[cfg(test)]
-            let argmin = if tests::EXHAUSTIVE.with(std::cell::Cell::get) {
-                Self::best_candidate_exhaustive
-            } else {
-                Self::best_candidate
-            };
-            #[cfg(not(test))]
-            let argmin = Self::best_candidate;
-            let best = argmin(self, &job, &candidates, excluded);
-
-            let fresh_cost = seg.decisions.len() + usize::from(swap_to.is_some());
-            let allocated = self.tags.allocated() + ctx.fresh_taken;
-            // A fresh tag beats reuse that costs more than it, while
-            // less than half the tag space is used: fresh tags buy cheap
-            // Type 2 rules, reuse buys a smaller tag-space footprint.
-            let use_fresh = match best {
-                None => true,
-                Some((cost, _)) => {
-                    cost > fresh_cost && (allocated * 2) < self.policy.capacity as usize
-                }
-            };
-            if use_fresh {
-                match self.tags.peek(ctx.fresh_taken) {
-                    Some(t) => {
-                        ctx.fresh_taken += 1;
-                        (PolicyTag(t as u16), false)
-                    }
-                    None => {
-                        let (_, t) = best.ok_or_else(|| {
-                            Error::Exhausted(format!(
-                                "tag space exhausted and no feasible candidate ({} tags)",
-                                self.policy.capacity
-                            ))
-                        })?;
-                        (t, true)
-                    }
-                }
-            } else {
-                (best.expect("checked").1, true)
-            }
+            Self::best_candidate
         };
+        #[cfg(not(test))]
+        let argmin = Self::best_candidate;
+        let best = argmin(self, job, &candidates, scratch);
 
-        // remember this tag for future same-shape segments — buffered;
-        // the commit replays the same push against the real index
-        ctx.chain_pushes.push((key, tag));
-        Ok(SegmentPlan {
-            tag,
-            reused,
-            chain_key: key,
-            decisions: seg.decisions,
-            swap_to,
-        })
+        let fresh_cost = job.seg.decisions.len() + usize::from(job.swap_to.is_some());
+        let fresh_taken = job.planned.iter().filter(|p| p.record.is_none()).count();
+        let allocated = self.tags.allocated() + fresh_taken;
+        // A fresh tag beats reuse that costs more than it, while less
+        // than half the tag space is used: fresh tags buy cheap Type 2
+        // rules, reuse buys a smaller tag-space footprint.
+        let use_fresh = match best {
+            None => true,
+            Some((cost, _)) => cost > fresh_cost && (allocated * 2) < self.policy.capacity as usize,
+        };
+        if use_fresh {
+            if let Some(t) = self.tags.peek(fresh_taken) {
+                return Ok((PolicyTag(t as u16), None));
+            }
+        }
+        let (_, tag) = best.ok_or_else(|| {
+            Error::Exhausted(format!(
+                "tag space exhausted and no feasible candidate ({} tags)",
+                self.policy.capacity
+            ))
+        })?;
+        Ok((tag, Some(scratch.best.clone())))
     }
 
     /// The tags worth costing for a segment, likeliest first: its
     /// chain-index slot (most recent first), then the tags present at
     /// its gateway-side switch — the busiest rule table on the path and
     /// a cheap, high-yield sample of the paper's candTag set.
-    fn candidates(&self, ctx: &PlanCtx, key: ChainKey, job: &Costing) -> Vec<PolicyTag> {
+    fn candidates(&self, job: &Costing) -> Vec<PolicyTag> {
         let mut candidates: Vec<PolicyTag> = Vec::with_capacity(MAX_CANDIDATES);
-        if let Some(slot) = self.chain_index.get(&key) {
+        if let Some(slot) = self.chain_index.get(&job.key) {
             candidates.extend_from_slice(slot);
         }
-        for &(k, tag) in &ctx.chain_pushes {
-            if k == key {
-                push_chain_slot(&mut candidates, tag);
-            }
+        // the pushes the commit will replay, seen by later segments first
+        for p in job.planned.iter().filter(|p| p.chain_key == job.key) {
+            push_chain_slot(&mut candidates, p.tag);
         }
         candidates.reverse();
         if candidates.len() < MAX_CANDIDATES {
@@ -662,23 +763,25 @@ impl PathInstaller {
     /// first wins ties, as an exact branch-and-bound: a candidate
     /// replaces `best` only by costing strictly less, and a running cost
     /// only grows, so each candidate is costed only while it can still
-    /// win and the search ends at the first free one.
+    /// win and the search ends at the first free one. A new best swaps
+    /// its record into `scratch.best`.
     fn best_candidate(
         &self,
         job: &Costing,
         candidates: &[PolicyTag],
-        excluded: &[PolicyTag],
+        scratch: &mut Scratch,
     ) -> Option<(usize, PolicyTag)> {
         let claimed = self.claimed.get(&job.origin);
         let mut best: Option<(usize, PolicyTag)> = None;
         for &t in candidates {
-            if excluded.contains(&t) {
+            if job.excluded(t) {
                 continue;
             }
             let is_claimed = claimed.is_some_and(|c| c.contains(&t));
             let limit = best.map_or(usize::MAX, |(cost, _)| cost);
-            if let Some(cost) = self.segment_cost(job, t, limit, is_claimed) {
+            if let Some(cost) = self.segment_cost(job, t, limit, is_claimed, &mut scratch.costing) {
                 best = Some((cost, t));
+                std::mem::swap(&mut scratch.costing, &mut scratch.best);
                 if cost == 0 {
                     break;
                 }
@@ -689,7 +792,7 @@ impl PathInstaller {
 
     /// The exact new-rule count of realizing a segment under `tag`, if
     /// the tag is usable and that count is below `limit`; `None` as soon
-    /// as either fails. Mirrors `commit_segment` without mutating.
+    /// as either fails, recording the slots of the rules it needs.
     ///
     /// A tag `claimed` by another path of the same base station may only
     /// be shared when installing would change *nothing* — identical
@@ -703,7 +806,9 @@ impl PathInstaller {
         tag: PolicyTag,
         limit: usize,
         claimed: bool,
+        record: &mut Vec<Slot>,
     ) -> Option<usize> {
+        record.clear();
         let tables = self.shadows(job.dir);
         let mut cost = 0usize;
         for (i, d) in job.seg.decisions.iter().enumerate() {
@@ -712,7 +817,7 @@ impl PathInstaller {
             tests::PROBES.with(|n| n.set(n.get() + 1));
             // A correct answer from a higher-priority qualified table, or
             // from the table we'd write to, costs nothing.
-            let Some((_, rule_cost)) = rule_slot(tables.switch(d.sw), d, tag, job.prefix, nh)
+            let Some((entry, rule_cost)) = rule_slot(tables.switch(d.sw), d, tag, job.prefix, nh)
             else {
                 continue;
             };
@@ -723,6 +828,7 @@ impl PathInstaller {
             if cost >= limit {
                 return None;
             }
+            record.push((i, entry));
         }
         Some(cost)
     }
@@ -732,7 +838,8 @@ impl PathInstaller {
 #[derive(Clone, Debug)]
 struct SegmentPlan {
     tag: PolicyTag,
-    reused: bool,
+    /// A reused tag's record, in decision order; `None`: a fresh tag.
+    record: Option<Vec<Slot>>,
     /// The chain-index slot this segment's tag was recorded under (the
     /// commit replays the push).
     chain_key: ChainKey,
@@ -743,7 +850,7 @@ struct SegmentPlan {
 }
 
 /// A maximal run of decisions served by a single tag.
-#[derive(Clone, Debug)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 struct Segment {
     decisions: Vec<Decision>,
 }
@@ -839,88 +946,6 @@ fn build_decisions(path: &PolicyPath, dir: Direction) -> Vec<Decision> {
     decisions
 }
 
-/// Splits decisions into tag segments and marks input-port-qualified
-/// decisions.
-///
-/// * Same `(switch, arrival)` with the same next hop → duplicate rule,
-///   dropped.
-/// * Same switch, different arrivals, different next hops → both rules
-///   become input-port qualified (no new tag needed).
-/// * Same `(switch, arrival)` with different next hops → same-link loop
-///   (§3.2): the path is split and the remainder uses a fresh tag. The
-///   swap rule is placed as *late* as possible — on the last
-///   uniquely-keyed decision before the re-entry — so that for paths
-///   sharing a suffix (one clause, many stations) the junction falls in
-///   the shared portion and the swap rule aggregates across stations.
-fn split_segments(decisions: &[Decision]) -> Vec<Segment> {
-    let mut segments = Vec::new();
-    // per kept decision: (original offset, shared with a duplicate)
-    let mut kept: Vec<(usize, bool)> = Vec::with_capacity(decisions.len());
-    let mut start = 0usize;
-
-    loop {
-        // A path has a few dozen decisions: scanning the ones kept so far
-        // is cheaper than hashing them.
-        let mut seg: Vec<Decision> = Vec::with_capacity(decisions.len() - start);
-        kept.clear();
-        // index in `seg` to swap at, when a same-link loop cuts it short
-        let mut split: Option<usize> = None;
-
-        for (off, d) in decisions.iter().enumerate().skip(start) {
-            let Some(first) = seg
-                .iter()
-                .position(|k| k.sw == d.sw && k.arrival == d.arrival)
-            else {
-                seg.push(*d);
-                kept.push((off, false));
-                continue;
-            };
-            if seg[first].want == d.want {
-                // identical rule; mark the original as shared (a swap
-                // there would alter this pass too) and skip
-                kept[first].1 = true;
-                continue;
-            }
-            // Same-link loop. Swap as late as possible: the last decision
-            // whose rule serves exactly one pass.
-            split = Some(
-                kept.iter()
-                    .rposition(|&(_, shared)| !shared)
-                    .unwrap_or(first),
-            );
-            break;
-        }
-
-        if let Some(k) = split {
-            seg.truncate(k + 1);
-        }
-        mark_qualified(&mut seg);
-        segments.push(Segment { decisions: seg });
-        match split {
-            None => break,
-            Some(k) => {
-                start = kept[k].0 + 1;
-            }
-        }
-    }
-    segments
-}
-
-/// Marks decisions needing input-port qualification: switches entered
-/// from different links with differing next hops. Only fabric arrivals
-/// count (middlebox arrivals are inherently qualified by their own
-/// entry), and external arrivals cannot be port-qualified: they keep the
-/// unqualified slot while the link arrivals move out of its way.
-fn mark_qualified(decisions: &mut [Decision]) {
-    let fabric = |d: &Decision| !matches!(d.arrival, Arrival::FromMb(_));
-    for i in 0..decisions.len() {
-        let d = decisions[i];
-        decisions[i].qualified = matches!(d.arrival, Arrival::FromSwitch(_))
-            && decisions
-                .iter()
-                .any(|o| o.sw == d.sw && o.want != d.want && fabric(o));
-    }
-}
 /// The unbounded evaluation the branch-and-bound replaces, built from
 /// the primitives `ShadowSwitch::probe` replaces: every candidate costed
 /// over every decision. The tests hold the shipped planner to it, tag
@@ -931,14 +956,15 @@ impl PathInstaller {
         &self,
         job: &Costing,
         candidates: &[PolicyTag],
-        excluded: &[PolicyTag],
+        scratch: &mut Scratch,
     ) -> Option<(usize, PolicyTag)> {
         let mut best: Option<(usize, PolicyTag)> = None;
         for &t in candidates {
-            if excluded.contains(&t) {
+            if job.excluded(t) {
                 continue;
             }
-            let Some((cost, changes)) = self.segment_cost_unbounded(job, t) else {
+            let Some((cost, changes)) = self.segment_cost_unbounded(job, t, &mut scratch.costing)
+            else {
                 continue;
             };
             let is_claimed = (self.claimed.get(&job.origin)).is_some_and(|c| c.contains(&t));
@@ -947,6 +973,7 @@ impl PathInstaller {
             }
             if best.map(|(c, _)| cost < c).unwrap_or(true) {
                 best = Some((cost, t));
+                std::mem::swap(&mut scratch.costing, &mut scratch.best);
                 if cost == 0 && changes == 0 {
                     break;
                 }
@@ -956,9 +983,15 @@ impl PathInstaller {
     }
 
     /// (new rules, decisions whose forwarding would change), `None` =
-    /// infeasible.
-    fn segment_cost_unbounded(&self, job: &Costing, tag: PolicyTag) -> Option<(usize, usize)> {
+    /// infeasible; `record` gets the slot of every change.
+    fn segment_cost_unbounded(
+        &self,
+        job: &Costing,
+        tag: PolicyTag,
+        record: &mut Vec<Slot>,
+    ) -> Option<(usize, usize)> {
         tests::PROBES.with(|n| n.set(n.get() + job.seg.decisions.len()));
+        record.clear();
         let prefix = job.prefix;
         let mut cost = 0usize;
         let mut changes = 0usize;
@@ -989,6 +1022,7 @@ impl PathInstaller {
             }
             changes += 1;
             cost += sw.rule_cost(entry, tag, prefix, nh)?;
+            record.push((i, entry));
         }
         Some((cost, changes))
     }
@@ -1005,17 +1039,130 @@ mod tests {
         /// Decisions costed by tag selection on this thread (shipped and
         /// reference planner alike).
         pub(super) static PROBES: Cell<usize> = const { Cell::new(0) };
+        /// Decisions the commit probed on this thread (shipped and
+        /// reference commit alike).
+        pub(super) static COMMIT_PROBES: Cell<usize> = const { Cell::new(0) };
         /// Makes tag selection on this thread use the unbounded
         /// reference argmin.
         pub(super) static EXHAUSTIVE: Cell<bool> = const { Cell::new(false) };
+        /// Makes the commit on this thread re-probe every decision
+        /// ([`commit_segment_reprobing`]).
+        pub(super) static REPROBING: Cell<bool> = const { Cell::new(false) };
+    }
+
+    /// Runs `f` with `mode` set on this thread.
+    fn with_mode<T>(mode: &'static std::thread::LocalKey<Cell<bool>>, f: impl FnOnce() -> T) -> T {
+        mode.with(|e| e.set(true));
+        let out = f();
+        mode.with(|e| e.set(false));
+        out
     }
 
     /// Runs `f` with tag selection switched to the exhaustive reference.
     fn exhaustively<T>(f: impl FnOnce() -> T) -> T {
-        EXHAUSTIVE.with(|e| e.set(true));
-        let out = f();
-        EXHAUSTIVE.with(|e| e.set(false));
-        out
+        with_mode(&EXHAUSTIVE, f)
+    }
+
+    /// The commit the recorded one replaces: every decision probed again
+    /// and written through the checking `install_with`. The tests hold
+    /// [`commit_segment`] to it, delta for delta.
+    pub(super) fn commit_segment_reprobing(
+        tables: &mut ShadowTables,
+        last_deltas: &mut Vec<(SwitchId, ShadowDelta)>,
+        _written: &mut Vec<SwitchId>,
+        prefix: Ipv4Prefix,
+        plan: &SegmentPlan,
+    ) -> (isize, usize) {
+        let mut net = 0isize;
+        let mut swaps = 0usize;
+        for (i, d) in plan.decisions.iter().enumerate() {
+            let (nh, is_swap) = wanted(&plan.decisions, i, plan.swap_to);
+            let sw = tables.switch_mut(d.sw);
+            COMMIT_PROBES.with(|n| n.set(n.get() + 1));
+            let Some((entry, _)) = rule_slot(sw, d, plan.tag, prefix, nh) else {
+                continue;
+            };
+            sw.install_with(entry, plan.tag, prefix, nh, |delta| {
+                match delta {
+                    ShadowDelta::SetDefault { .. } | ShadowDelta::AddPrefix { .. } => {
+                        net += 1;
+                        swaps += usize::from(is_swap);
+                    }
+                    ShadowDelta::RemovePrefix { .. } => net -= 1,
+                }
+                last_deltas.push((d.sw, delta));
+            });
+        }
+        (net, swaps)
+    }
+
+    /// The quadratic decomposition [`Scratch::split_segments`] replaces:
+    /// each decision scans the ones kept so far, and each segment's
+    /// qualification scans the whole segment per decision.
+    fn split_segments_quadratic(decisions: &[Decision]) -> Vec<Segment> {
+        let mut segments = Vec::new();
+        // per kept decision: (original offset, shared with a duplicate)
+        let mut kept: Vec<(usize, bool)> = Vec::with_capacity(decisions.len());
+        let mut start = 0usize;
+        loop {
+            let mut seg: Vec<Decision> = Vec::with_capacity(decisions.len() - start);
+            kept.clear();
+            let mut split: Option<usize> = None;
+            for (off, d) in decisions.iter().enumerate().skip(start) {
+                let Some(first) = seg
+                    .iter()
+                    .position(|k| k.sw == d.sw && k.arrival == d.arrival)
+                else {
+                    seg.push(*d);
+                    kept.push((off, false));
+                    continue;
+                };
+                if seg[first].want == d.want {
+                    kept[first].1 = true;
+                    continue;
+                }
+                split = Some(
+                    kept.iter()
+                        .rposition(|&(_, shared)| !shared)
+                        .unwrap_or(first),
+                );
+                break;
+            }
+            if let Some(k) = split {
+                seg.truncate(k + 1);
+            }
+            mark_qualified_quadratic(&mut seg);
+            segments.push(Segment { decisions: seg });
+            match split {
+                None => break,
+                Some(k) => start = kept[k].0 + 1,
+            }
+        }
+        segments
+    }
+
+    fn mark_qualified_quadratic(decisions: &mut [Decision]) {
+        let fabric = |d: &Decision| !matches!(d.arrival, Arrival::FromMb(_));
+        for i in 0..decisions.len() {
+            let d = decisions[i];
+            decisions[i].qualified = matches!(d.arrival, Arrival::FromSwitch(_))
+                && decisions
+                    .iter()
+                    .any(|o| o.sw == d.sw && o.want != d.want && fabric(o));
+        }
+    }
+
+    /// Both decompositions of `decisions` on a fabric of `switches`,
+    /// which must agree; the shipped one's scratch must end all zero.
+    fn split_both(switches: usize, decisions: &[Decision]) -> Vec<Segment> {
+        let mut scratch = Scratch {
+            head: vec![0; switches],
+            ..Scratch::default()
+        };
+        let linear = scratch.split_segments(decisions);
+        assert_eq!(linear, split_segments_quadratic(decisions));
+        assert!(scratch.head.iter().all(|&h| h == 0), "index left dirty");
+        linear
     }
 
     fn installer(topo: &Topology) -> PathInstaller {
@@ -1169,7 +1316,7 @@ mod tests {
             d(7, 3, 9), // junction, same arrival, now to 9 → conflict
             d(9, 7, 1),
         ];
-        let segs = split_segments(&decisions);
+        let segs = split_both(10, &decisions);
         assert_eq!(segs.len(), 2, "same-link loop splits the path");
         // the swap lands as late as possible: on the loop-body decision
         // just before the conflicting re-entry
@@ -1196,7 +1343,7 @@ mod tests {
             d(5, 8, 7), // re-feed (unique: different arrival)
             d(7, 5, 9), // junction, same arrival (from 5), conflict
         ];
-        let segs = split_segments(&decisions);
+        let segs = split_both(10, &decisions);
         assert_eq!(segs.len(), 2);
         // swap on d(5,8,7) — the last unique decision before re-entry
         let last = segs[0].decisions.last().unwrap();
@@ -1226,7 +1373,7 @@ mod tests {
                 qualified: false,
             },
         ];
-        let segs = split_segments(&decisions);
+        let segs = split_both(10, &decisions);
         assert_eq!(segs.len(), 1, "different links need no tag swap");
         assert_eq!(
             segs[0]
@@ -1368,6 +1515,62 @@ mod tests {
         );
     }
 
+    #[test]
+    fn commit_probes_only_stale_and_fresh_decisions() {
+        // twelve two-middlebox chains from every station, committed from
+        // the plans' records and by re-probing every decision
+        let topo = CellularParams::paper(2).build().unwrap();
+        let run = |reprobing: bool| {
+            let mut ins = installer(&topo);
+            let mut seen: FxHashSet<PolicyTag> = FxHashSet::default();
+            let (mut decisions, mut fresh, mut stale) = (0, 0, 0);
+            COMMIT_PROBES.with(|p| p.set(0));
+            for mbs in mb_pairs() {
+                for bs in 0..topo.base_stations().len() as u32 {
+                    let path = route_ids(&topo, bs, &mbs).unwrap();
+                    let mut install = || ins.install_path(&path, Direction::Downlink).unwrap();
+                    let report = match reprobing {
+                        true => with_mode(&REPROBING, install),
+                        false => install(),
+                    };
+                    let built = build_decisions(&path, Direction::Downlink);
+                    let segments = split_segments_quadratic(&built);
+                    for (seg, tag) in segments.iter().zip(&report.segment_tags) {
+                        decisions += seg.decisions.len();
+                        if seen.insert(*tag) {
+                            fresh += seg.decisions.len();
+                        } else {
+                            stale += stale_bound(&seg.decisions);
+                        }
+                    }
+                }
+            }
+            let probes = COMMIT_PROBES.with(|p| p.get());
+            (probes, decisions, fresh, stale, fingerprint(&ins))
+        };
+        let (probes, decisions, fresh, stale, state) = run(false);
+        let (every, _, _, _, reference) = run(true);
+        assert_eq!(state, reference);
+        assert_eq!(every, decisions, "the reference probes every decision");
+        // no segment here re-enters a switch whose unqualified table it
+        // may have written, so none of its decisions can go stale
+        assert_eq!(stale, 0);
+        assert_eq!(probes, stale + fresh, "of {decisions} decisions");
+    }
+
+    /// Decisions of a reused tag's segment that may go stale: those that
+    /// read their switch's unqualified table after an earlier decision
+    /// of the segment on that switch that may write it (an upper bound on
+    /// the ones that do, exact at 0).
+    fn stale_bound(seg: &[Decision]) -> usize {
+        let reads = |d: &Decision| !matches!(d.arrival, Arrival::FromMb(_));
+        let may_write = |d: &Decision| reads(d) && !d.qualified;
+        let stale = |(j, d): (usize, &Decision)| {
+            reads(d) && seg[..j].iter().any(|e| e.sw == d.sw && may_write(e))
+        };
+        seg.iter().enumerate().filter(|&x| stale(x)).count()
+    }
+
     /// A canonical rendering of one installer's complete Algorithm-1
     /// state (both directions' tables including tag order, plus the tag
     /// count). FxHashMap iteration order is a deterministic function of
@@ -1433,7 +1636,7 @@ mod tests {
             [Direction::Uplink, Direction::Downlink]
                 .into_iter()
                 .any(|dir| {
-                    let segments = split_segments(&build_decisions(path, dir));
+                    let segments = split_segments_quadratic(&build_decisions(path, dir));
                     let unqualified =
                         |d: &Decision| !d.qualified && !matches!(d.arrival, Arrival::FromMb(_));
                     segments[..segments.len() - 1].iter().any(|seg| {
@@ -1442,6 +1645,87 @@ mod tests {
                             && before.iter().any(|d| d.sw == junction.sw && unqualified(d))
                     })
                 })
+        }
+
+        /// Runs `requests` on two installers, the second with `mode` set,
+        /// and requires the same reports (or refusals), the same delta
+        /// streams and the same final state — on chains long enough to
+        /// loop and swap tags, in both directions including forced
+        /// downlinks, in a tag space small enough to exhaust.
+        fn twins_agree(
+            requests: Vec<(u32, Vec<u8>, u8)>,
+            capacity: u16,
+            paper: bool,
+            mode: &'static std::thread::LocalKey<Cell<bool>>,
+        ) -> std::result::Result<(), TestCaseError> {
+            let topo = if paper {
+                CellularParams::paper(2).build().expect("paper(2)")
+            } else {
+                small_topology()
+            };
+            let tight = TagPolicy { capacity };
+            let scheme = AddressingScheme::default_scheme();
+            let mut shipped = PathInstaller::new(&topo, scheme, tight);
+            let mut twin = PathInstaller::new(&topo, scheme, tight);
+            let stations = topo.base_stations().len() as u32;
+            let mbs = topo.middlebox_count() as u32;
+            for (bs, chain, dirs) in requests {
+                let chain: Vec<MiddleboxId> =
+                    chain.iter().map(|&m| MiddleboxId(m as u32 % mbs)).collect();
+                let Ok(path) = route_ids(&topo, bs % stations, &chain) else {
+                    continue;
+                };
+                if junction_shares_unqualified_slot(&path) {
+                    continue;
+                }
+                let mut both = |f: &dyn Fn(&mut PathInstaller) -> Result<InstallReport>| {
+                    let s = f(&mut shipped).map_err(|e| e.to_string());
+                    let t = with_mode(mode, || f(&mut twin)).map_err(|e| e.to_string());
+                    prop_assert_eq!(&s, &t);
+                    prop_assert_eq!(shipped.last_deltas(), twin.last_deltas());
+                    Ok(s.ok())
+                };
+                match dirs {
+                    0 => {
+                        both(&|ins| ins.install_path(&path, Direction::Downlink))?;
+                    }
+                    dirs => {
+                        let up = both(&|ins| ins.install_path(&path, Direction::Uplink))?;
+                        if let (2, Some(up)) = (dirs, up) {
+                            both(&|ins| {
+                                ins.install_path_forced(&path, Direction::Downlink, up.exit_tag())
+                            })?;
+                        }
+                    }
+                }
+            }
+            prop_assert_eq!(fingerprint(&shipped), fingerprint(&twin));
+            Ok(())
+        }
+
+        /// Decision lists on six switches drawn from five arrivals and
+        /// five next hops, so that `(switch, arrival)` pairs repeat.
+        fn arb_decisions() -> impl Strategy<Value = Vec<(u32, u8, u8)>> {
+            proptest::collection::vec((0u32..6, 0u8..5, 0u8..5), 1..30)
+        }
+
+        fn decision((sw, arrival, want): (u32, u8, u8)) -> Decision {
+            let arrival = match arrival {
+                0 => Arrival::External,
+                1 => Arrival::FromMb(MiddleboxId(0)),
+                a => Arrival::FromSwitch(SwitchId(u32::from(a - 2))),
+            };
+            let want = match want {
+                0 => Want::Exit,
+                1 => Want::ToMb(MiddleboxId(0)),
+                w => Want::ToSwitch(SwitchId(u32::from(w - 2))),
+            };
+            Decision {
+                sw: SwitchId(sw),
+                arrival,
+                want,
+                qualified: false,
+            }
         }
 
         fn chain_of(k: u8) -> &'static [MiddleboxKind] {
@@ -1481,57 +1765,40 @@ mod tests {
             }
 
             /// The branch-and-bound picks what the exhaustive argmin
-            /// picks: same reports (or refusals), same delta streams,
-            /// same final state — on chains long enough to loop and
-            /// swap tags, in both directions, in a tag space small
-            /// enough to exhaust.
+            /// picks.
             #[test]
             fn bounded_argmin_matches_exhaustive(
                 requests in arb_chain_requests(), capacity in 2u16..14, paper in any::<bool>(),
             ) {
-                let topo = if paper {
-                    CellularParams::paper(2).build().expect("paper(2)")
-                } else {
-                    small_topology()
+                twins_agree(requests, capacity, paper, &EXHAUSTIVE)?;
+            }
+
+            /// The commit that writes its plan's slots writes what
+            /// probing every decision again writes: the staleness rule
+            /// catches every decision an earlier write of the segment
+            /// reaches.
+            #[test]
+            fn recorded_commit_matches_reprobing(
+                requests in arb_chain_requests(), capacity in 2u16..14, paper in any::<bool>(),
+            ) {
+                twins_agree(requests, capacity, paper, &REPROBING)?;
+            }
+
+            /// The linear decomposition cuts the segments, and marks the
+            /// qualified decisions, the quadratic one does — on lists
+            /// whose `(switch, arrival)` pairs repeat with the same next
+            /// hop and with another.
+            #[test]
+            fn linear_split_matches_quadratic(raw in arb_decisions()) {
+                let decisions: Vec<Decision> = raw.into_iter().map(decision).collect();
+                let mut scratch = Scratch {
+                    head: vec![0; 6],
+                    ..Scratch::default()
                 };
-                let tight = TagPolicy { capacity };
-                let scheme = AddressingScheme::default_scheme();
-                let mut bounded = PathInstaller::new(&topo, scheme, tight);
-                let mut exhaustive = PathInstaller::new(&topo, scheme, tight);
-                let stations = topo.base_stations().len() as u32;
-                let mbs = topo.middlebox_count() as u32;
-                for (bs, chain, mode) in requests {
-                    let chain: Vec<MiddleboxId> =
-                        chain.iter().map(|&m| MiddleboxId(m as u32 % mbs)).collect();
-                    let Ok(path) = route_ids(&topo, bs % stations, &chain) else {
-                        continue;
-                    };
-                    if junction_shares_unqualified_slot(&path) {
-                        continue;
-                    }
-                    let mut both = |f: &dyn Fn(&mut PathInstaller) -> Result<InstallReport>| {
-                        let b = f(&mut bounded).map_err(|e| e.to_string());
-                        let x = exhaustively(|| f(&mut exhaustive)).map_err(|e| e.to_string());
-                        prop_assert_eq!(&b, &x);
-                        prop_assert_eq!(bounded.last_deltas(), exhaustive.last_deltas());
-                        Ok(b.ok())
-                    };
-                    match mode {
-                        0 => {
-                            both(&|ins| ins.install_path(&path, Direction::Downlink))?;
-                        }
-                        mode => {
-                            let up = both(&|ins| ins.install_path(&path, Direction::Uplink))?;
-                            if let (2, Some(up)) = (mode, up) {
-                                both(&|ins| {
-                                    ins.install_path_forced(
-                                        &path, Direction::Downlink, up.exit_tag())
-                                })?;
-                            }
-                        }
-                    }
-                }
-                prop_assert_eq!(fingerprint(&bounded), fingerprint(&exhaustive));
+                let linear = scratch.split_segments(&decisions);
+                prop_assert_eq!(&linear, &split_segments_quadratic(&decisions));
+                prop_assert!(scratch.head.iter().all(|&h| h == 0), "index left dirty");
+                prop_assert_eq!(scratch.split_segments(&decisions), linear);
             }
         }
     }

@@ -120,10 +120,33 @@ impl TagTable {
     }
 }
 
+/// A table's key in one word, so a probe hashes and compares a `u64`:
+/// entry kind, then its id, then the tag, ordered as `(Entry, PolicyTag)`.
+fn table_key(entry: Entry, tag: PolicyTag) -> u64 {
+    let (kind, id) = match entry {
+        Entry::Ingress => (0u64, 0u32),
+        Entry::FromMb(mb) => (1, mb.0),
+        Entry::FromSwitch(sw) => (2, sw.0),
+    };
+    kind << 48 | u64::from(id) << 16 | u64::from(tag.0)
+}
+
+/// The `(Entry, PolicyTag)` pair [`table_key`] packed.
+fn unpack_key(key: u64) -> (Entry, PolicyTag) {
+    let id = (key >> 16) as u32;
+    let entry = match key >> 48 {
+        0 => Entry::Ingress,
+        1 => Entry::FromMb(MiddleboxId(id)),
+        _ => Entry::FromSwitch(SwitchId(id)),
+    };
+    (entry, PolicyTag(key as u16))
+}
+
 /// The shadow of one switch's flow table.
 #[derive(Clone, Debug, Default, Serialize)]
 pub struct ShadowSwitch {
-    tables: FxHashMap<(Entry, PolicyTag), TagTable>,
+    /// Keyed by [`table_key`].
+    tables: FxHashMap<u64, TagTable>,
     /// Tags in first-installation order — candidate enumeration must be
     /// deterministic for reproducible experiments.
     tag_order: Vec<PolicyTag>,
@@ -237,14 +260,14 @@ impl ShadowSwitch {
     /// `getNextHop(t, prefix)` of Algorithm 1: what the switch currently
     /// does with `tag`-tagged traffic for `prefix` arriving via `entry`.
     pub fn next_hop(&self, entry: Entry, tag: PolicyTag, prefix: Ipv4Prefix) -> Option<NextHop> {
-        self.tables.get(&(entry, tag))?.lookup(prefix)
+        self.tables.get(&table_key(entry, tag))?.lookup(prefix)
     }
 
     /// `getNextHop` and `canAggregate` of Algorithm 1 in one table lookup
     /// and one longest-prefix walk: what `(entry, tag)` does with `prefix`
     /// now, and what making it forward to `nh` would cost.
     pub fn probe(&self, entry: Entry, tag: PolicyTag, prefix: Ipv4Prefix, nh: NextHop) -> Probe {
-        match self.tables.get(&(entry, tag)) {
+        match self.tables.get(&table_key(entry, tag)) {
             None => Probe {
                 present: false,
                 current: None,
@@ -289,13 +312,35 @@ impl ShadowSwitch {
         tag: PolicyTag,
         prefix: Ipv4Prefix,
         nh: NextHop,
+        emit: impl FnMut(ShadowDelta),
+    ) {
+        // already correct?
+        if self.next_hop(entry, tag, prefix) != Some(nh) {
+            self.write_probed(entry, tag, prefix, nh, emit);
+        }
+    }
+
+    /// [`ShadowSwitch::install_with`] for a caller that has probed the
+    /// slot: `(entry, tag)` must not already answer `nh` for `prefix`
+    /// (debug-asserted, with the conflict check), so the write skips the
+    /// "already correct?" walk, and after the merge loop walks only if a
+    /// merge happened — otherwise the answer at `prefix` is the caller's.
+    pub(crate) fn write_probed(
+        &mut self,
+        entry: Entry,
+        tag: PolicyTag,
+        prefix: Ipv4Prefix,
+        nh: NextHop,
         mut emit: impl FnMut(ShadowDelta),
     ) {
         debug_assert!(
-            self.probe(entry, tag, prefix, nh).cost.is_some(),
-            "install of conflicting rule (tag {tag}, {prefix})"
+            {
+                let p = self.probe(entry, tag, prefix, nh);
+                p.cost.is_some() && p.current != Some(nh)
+            },
+            "write of a conflicting or present rule (tag {tag}, {prefix})"
         );
-        let table = match self.tables.entry((entry, tag)) {
+        let table = match self.tables.entry(table_key(entry, tag)) {
             MapEntry::Occupied(e) => e.into_mut(),
             MapEntry::Vacant(e) => {
                 // only a tag's first table on this switch scans the order
@@ -305,10 +350,6 @@ impl ShadowSwitch {
                 e.insert(TagTable::default())
             }
         };
-        // already correct?
-        if table.lookup(prefix) == Some(nh) {
-            return;
-        }
         // A Type 2 (tag-only) default is only safe in tables that cannot
         // shadow other traffic: the unqualified Ingress table (defaults
         // there are the aggregation win of Fig. 3c) and middlebox-return
@@ -351,9 +392,9 @@ impl ShadowSwitch {
                 });
             }
         }
-        // If the covering lookup now already yields nh (parent rule or
+        // If a merge made the covering lookup yield nh (parent rule or
         // default with the same hop), no rule is needed at all.
-        if table.lookup(p) == Some(nh) {
+        if p != prefix && table.lookup(p) == Some(nh) {
             return;
         }
         let prev = table.prefixes.insert(p, nh);
@@ -385,7 +426,8 @@ impl ShadowSwitch {
     pub fn iter_rules(
         &self,
     ) -> impl Iterator<Item = (Entry, PolicyTag, Option<Ipv4Prefix>, NextHop)> + '_ {
-        self.tables.iter().flat_map(|(&(entry, tag), table)| {
+        self.tables.iter().flat_map(|(&key, table)| {
+            let (entry, tag) = unpack_key(key);
             table
                 .default
                 .iter()
@@ -404,19 +446,21 @@ impl ShadowSwitch {
     /// `(entry, tag, prefix)` order. Empty iff the two shadows encode
     /// identical forwarding behaviour rule-for-rule.
     pub fn diff(&self, replica: &ShadowSwitch) -> Vec<Divergence> {
-        let mut keys: Vec<(Entry, PolicyTag)> = self
+        let mut keys: Vec<u64> = self
             .tables
             .keys()
             .chain(replica.tables.keys())
             .copied()
             .collect();
+        // packed keys sort as their (entry, tag) pairs
         keys.sort_unstable();
         keys.dedup();
         let empty = TagTable::default();
         let mut out = Vec::new();
-        for (entry, tag) in keys {
-            let ours = self.tables.get(&(entry, tag)).unwrap_or(&empty);
-            let theirs = replica.tables.get(&(entry, tag)).unwrap_or(&empty);
+        for key in keys {
+            let (entry, tag) = unpack_key(key);
+            let ours = self.tables.get(&key).unwrap_or(&empty);
+            let theirs = replica.tables.get(&key).unwrap_or(&empty);
             let mut slots: Vec<Option<Ipv4Prefix>> = ours
                 .prefixes
                 .keys()
@@ -541,7 +585,7 @@ impl ShadowSwitch {
         prefix: Ipv4Prefix,
         nh: NextHop,
     ) -> bool {
-        match self.tables.get(&(entry, tag)) {
+        match self.tables.get(&table_key(entry, tag)) {
             None => false,
             Some(t) => matches!(t.prefixes.get(&prefix), Some(other) if *other != nh),
         }
@@ -556,7 +600,7 @@ impl ShadowSwitch {
         prefix: Ipv4Prefix,
         nh: NextHop,
     ) -> bool {
-        let Some(t) = self.tables.get(&(entry, tag)) else {
+        let Some(t) = self.tables.get(&table_key(entry, tag)) else {
             return false;
         };
         let Some(sib) = prefix.sibling() else {
@@ -588,7 +632,7 @@ impl ShadowSwitch {
     /// Whether any rule exists for `(entry, tag)`.
     pub(crate) fn has_table(&self, entry: Entry, tag: PolicyTag) -> bool {
         self.tables
-            .get(&(entry, tag))
+            .get(&table_key(entry, tag))
             .map(|t| t.default.is_some() || !t.prefixes.is_empty())
             .unwrap_or(false)
     }
@@ -712,6 +756,25 @@ mod tests {
         // traffic goes now
         let conflict = s.probe(IN, T, p("10.0.8.0/23"), NH1);
         assert_eq!((conflict.current, conflict.cost), (Some(NH2), None));
+    }
+
+    #[test]
+    fn packed_keys_round_trip_and_sort_as_pairs() {
+        let pairs = [
+            (IN, PolicyTag(7)),
+            (IN, PolicyTag(u16::MAX)),
+            (Entry::FromMb(MiddleboxId(0)), PolicyTag(0)),
+            (Entry::FromMb(MiddleboxId(u32::MAX)), T),
+            (Entry::FromSwitch(SwitchId(3)), T),
+            (Entry::FromSwitch(SwitchId(u32::MAX)), PolicyTag(u16::MAX)),
+        ];
+        for a in pairs {
+            assert_eq!(unpack_key(table_key(a.0, a.1)), a);
+            for b in pairs {
+                let packed = table_key(a.0, a.1).cmp(&table_key(b.0, b.1));
+                assert_eq!(packed, a.cmp(&b), "{a:?} vs {b:?}");
+            }
+        }
     }
 
     #[test]

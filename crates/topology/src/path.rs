@@ -13,10 +13,10 @@
 //! caches it, so routing a million policy paths costs one tree per
 //! middlebox/gateway plus O(path length) per path.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use serde::Serialize;
-use softcell_types::{BaseStationId, Error, MiddleboxId, Result, SwitchId};
+use softcell_types::{BaseStationId, Error, FxHashMap, MiddleboxId, Result, SwitchId};
 
 use crate::graph::Topology;
 
@@ -96,12 +96,13 @@ impl PolicyPath {
     /// * the path starts at the origin's access switch.
     ///
     /// The terminal may be a gateway (Internet-bound paths) or another
-    /// access switch (mobile-to-mobile paths, paper §7).
+    /// access switch (mobile-to-mobile paths, paper §7). A station or
+    /// middlebox the topology lacks is `NotFound`.
     pub fn validate(&self, topo: &Topology) -> Result<()> {
         if self.hops.is_empty() {
             return Err(Error::InvalidState("empty policy path".into()));
         }
-        let access = topo.base_station(self.origin).access_switch;
+        let access = station(topo, self.origin)?.access_switch;
         if self.access_switch() != access {
             return Err(Error::InvalidState(format!(
                 "path starts at {} but {}'s access switch is {}",
@@ -120,11 +121,10 @@ impl PolicyPath {
         }
         for (i, h) in self.hops.iter().enumerate() {
             if let Some(mb) = h.mb_after {
-                if topo.middlebox(mb).switch != h.switch {
+                let host = host(topo, mb)?;
+                if host != h.switch {
                     return Err(Error::InvalidState(format!(
-                        "{} is hosted on {} but hop {i} is {}",
-                        mb,
-                        topo.middlebox(mb).switch,
+                        "{mb} is hosted on {host} but hop {i} is {}",
                         h.switch
                     )));
                 }
@@ -212,7 +212,7 @@ impl BfsTree {
 /// routing that produces [`PolicyPath`]s.
 pub struct ShortestPaths<'a> {
     topo: &'a Topology,
-    trees: HashMap<SwitchId, BfsTree>,
+    trees: FxHashMap<SwitchId, BfsTree>,
 }
 
 impl<'a> ShortestPaths<'a> {
@@ -220,7 +220,7 @@ impl<'a> ShortestPaths<'a> {
     pub fn new(topo: &'a Topology) -> Self {
         ShortestPaths {
             topo,
-            trees: HashMap::new(),
+            trees: FxHashMap::default(),
         }
     }
 
@@ -254,24 +254,41 @@ impl<'a> ShortestPaths<'a> {
     }
 
     /// Routes a policy path: origin base station → the given middlebox
-    /// instances in order → the given gateway switch.
+    /// instances in order → the given gateway switch. A station,
+    /// middlebox or terminal the topology lacks is `NotFound`. One pass
+    /// sizes the hop list from the trees, the next walks their parent
+    /// pointers into it.
     pub fn route_policy_path(
         &mut self,
         origin: BaseStationId,
         middleboxes: &[MiddleboxId],
         gateway: SwitchId,
     ) -> Result<PolicyPath> {
-        let access = self.topo.base_station(origin).access_switch;
-        let mut hops: Vec<Hop> = Vec::new();
+        let access = station(self.topo, origin)?.access_switch;
+        if gateway.index() >= self.topo.switch_count() {
+            return Err(Error::NotFound(format!("switch {gateway}")));
+        }
+        // one hop per switch stepped onto, plus one per middlebox that
+        // chains onto a hop already diverting
+        let mut len = 1 + middleboxes.len();
         let mut cursor = access;
+        for &mb in middleboxes {
+            let host = host(self.topo, mb)?;
+            len += self.leg_len(cursor, host)?;
+            cursor = host;
+        }
+        len += self.leg_len(cursor, gateway)?;
 
+        let mut hops = Vec::with_capacity(len);
+        hops.push(Hop {
+            switch: access,
+            mb_after: None,
+        });
         for &mb in middleboxes {
             let host = self.topo.middlebox(mb).switch;
-            let segment = self.path(cursor, host)?;
-            append_segment(&mut hops, &segment);
+            self.walk_leg(&mut hops, host);
             // mark the middlebox traversal on the (single) host hop
-            let last = hops.last_mut().expect("segment is non-empty");
-            debug_assert_eq!(last.switch, host);
+            let last = hops.last_mut().expect("a path has its access hop");
             if last.mb_after.is_some() {
                 // chaining two middleboxes on one switch: add another hop
                 // on the same switch
@@ -282,37 +299,46 @@ impl<'a> ShortestPaths<'a> {
             } else {
                 last.mb_after = Some(mb);
             }
-            cursor = host;
         }
-
-        let segment = self.path(cursor, gateway)?;
-        append_segment(&mut hops, &segment);
+        self.walk_leg(&mut hops, gateway);
+        debug_assert!(hops.len() <= len, "the hop list never regrows");
 
         let path = PolicyPath { origin, hops };
         debug_assert!(path.validate(self.topo).is_ok());
         Ok(path)
     }
-}
 
-/// Appends a switch segment to a hop list, merging the joint switch (the
-/// segment starts where the hop list currently ends).
-fn append_segment(hops: &mut Vec<Hop>, segment: &[SwitchId]) {
-    let mut iter = segment.iter();
-    if let Some(&first) = iter.next() {
-        match hops.last() {
-            Some(last) if last.switch == first => {}
-            _ => hops.push(Hop {
-                switch: first,
+    /// Hops from `from` to `to`, building `to`'s tree if needed.
+    fn leg_len(&mut self, from: SwitchId, to: SwitchId) -> Result<usize> {
+        let d = self.tree(to).distance(from).map(|d| d as usize);
+        d.ok_or_else(|| Error::NoPath(format!("{from} cannot reach {to}")))
+    }
+
+    /// Appends the switches after the hop list's last one up to `to`,
+    /// following `to`'s tree (built and checked by [`Self::leg_len`]).
+    fn walk_leg(&self, hops: &mut Vec<Hop>, to: SwitchId) {
+        let tree = &self.trees[&to];
+        let mut cur = hops.last().expect("a path has its access hop").switch;
+        while cur != to {
+            cur = tree.parent[cur.index()].expect("reachable node has parent chain");
+            hops.push(Hop {
+                switch: cur,
                 mb_after: None,
-            }),
+            });
         }
     }
-    for &sw in iter {
-        hops.push(Hop {
-            switch: sw,
-            mb_after: None,
-        });
-    }
+}
+
+/// A base station, or `NotFound` when the topology lacks it.
+fn station(topo: &Topology, id: BaseStationId) -> Result<&crate::graph::BaseStation> {
+    let found = topo.base_stations().get(id.index());
+    found.ok_or_else(|| Error::NotFound(format!("base station {id}")))
+}
+
+/// A middlebox's host switch, or `NotFound` when the topology lacks it.
+fn host(topo: &Topology, mb: MiddleboxId) -> Result<SwitchId> {
+    let found = topo.middleboxes().get(mb.index()).map(|m| m.switch);
+    found.ok_or_else(|| Error::NotFound(format!("middlebox {mb}")))
 }
 
 #[cfg(test)]
@@ -491,6 +517,41 @@ mod tests {
         let mut bad = good;
         bad.hops.pop();
         assert!(bad.validate(&t).is_err());
+    }
+
+    #[test]
+    fn routing_to_or_from_ids_outside_the_topology_is_not_found() {
+        let (t, mbs) = diamond();
+        let mut sp = ShortestPaths::new(&t);
+        let requests = [
+            (BaseStationId(9), mbs[0], SwitchId(0)),
+            (BaseStationId(0), MiddleboxId(99), SwitchId(0)),
+            (BaseStationId(0), mbs[0], SwitchId(99)),
+        ];
+        for (origin, mb, terminal) in requests {
+            let r = sp.route_policy_path(origin, &[mb], terminal);
+            assert!(
+                matches!(r, Err(Error::NotFound(_))),
+                "{origin} via {mb} to {terminal}: {r:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn validate_refuses_ids_outside_the_topology() {
+        let (t, mbs) = diamond();
+        let mut sp = ShortestPaths::new(&t);
+        let good = sp
+            .route_policy_path(BaseStationId(0), &[mbs[0]], SwitchId(0))
+            .unwrap();
+        let mut origin = good.clone();
+        origin.origin = BaseStationId(9);
+        let mut mb = good;
+        mb.hops[2].mb_after = Some(MiddleboxId(99));
+        for bad in [origin, mb] {
+            let r = bad.validate(&t);
+            assert!(matches!(r, Err(Error::NotFound(_))), "{bad:?}: {r:?}");
+        }
     }
 
     #[test]

@@ -86,14 +86,23 @@ done
 # Allocation budget of the mobility event path (tests/alloc_budget.rs):
 # heap allocations of a handoff with 0 / 1 / 8 carried flows, of agent
 # tag-cache hits, of sharded cache-hit flows (a flow's entries inline in
-# its outcome) and of 16 handoff tickets on a 2-shard run beyond the
-# engine's own handoffs (a ticket's ops go into the shard's one log),
-# counted by a test-only global allocator on fixed scenarios. Counts
-# repeat exactly, so unlike the timings above this *is* a gate on a
-# shared host: a change that brings back a per-event compile, clone or
-# regrowing vector fails it.
-echo "==> allocation budget: handoff / agent hit / sharded hit / handoff ticket (60 s cap)"
+# its outcome), of 16 handoff tickets on a 2-shard run beyond the
+# engine's own handoffs (a ticket's ops go into the shard's one log), of
+# routing a five-middlebox chain (one hop list) and of 240 cold
+# Algorithm 1 installs, counted by a test-only global allocator on fixed
+# scenarios. Counts repeat exactly, so unlike the timings above this
+# *is* a gate on a shared host: a change that brings back a per-event
+# compile, clone or regrowing vector fails it.
+echo "==> allocation budget: handoff / agent hit / sharded hit / handoff ticket / route / install (60 s cap)"
 timeout 60 cargo test -q --release --test alloc_budget
+
+# Figure 7's counts (tests/figure7_counts.rs): one k = 6, 60-clause point
+# of the §6.3 sweep must give exactly its median, max, total rules, tags
+# and swap rules. Algorithm 1's speed-ups must not move a rule; the one
+# change allowed to re-baseline these counts is ROADMAP item 1 (the two
+# Algorithm 1 defects), which re-runs Figure 7 and the ablation with it.
+echo "==> Figure 7 counts (60 s cap)"
+timeout 60 cargo test -q --release --test figure7_counts
 
 # Layout budget (tests/layout_budget.rs): size and alignment of the
 # values the data-plane write path copies — the 16-byte FiveTuple, the

@@ -1,7 +1,9 @@
 //! Heap-allocation budgets for the operations a mobility-heavy
 //! signalling mix is made of: a cache-hit flow on the sharded engine, a
 //! tag-cache hit at a local agent, a handoff at the central controller,
-//! and the ticket a handoff takes on the sharded engine.
+//! and the ticket a handoff takes on the sharded engine; and for the two
+//! halves of a tag-cache miss, routing a policy path and installing it
+//! through Algorithm 1.
 //!
 //! Counts, not timings: every scenario is a fixed sequence on a fixed
 //! topology, so the number of allocator calls repeats exactly and the
@@ -9,9 +11,11 @@
 //! from what the tree achieves, beside the count the same scenario gave
 //! before the change that set the budget — before the event path
 //! stopped recompiling classifiers, cloning tunnels and regrowing its
-//! vectors, or before a sharded flow's entries moved inline and a
-//! ticket's ops into its shard's one log. A change that brings that
-//! work back fails here.
+//! vectors, before a sharded flow's entries moved inline and a ticket's
+//! ops into its shard's one log, or before routing walked its trees
+//! straight into one hop list and Algorithm 1 stopped keeping a scan
+//! list and a copy of its plans' tags and chain pushes per path. A change
+//! that brings that work back fails here.
 //!
 //! One `#[test]` on purpose: the counter is process-wide, and a second
 //! test running (or the harness reporting one) beside the measured
@@ -22,15 +26,18 @@ use std::net::Ipv4Addr;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use softcell::controller::agent::microflow_pair;
+use softcell::controller::install::Direction;
 use softcell::controller::mobility::FlowRecord;
 use softcell::controller::sharded::{ShardEvent, ShardEventKind, ShardedController, ShardedStats};
-use softcell::controller::{CentralController, ControllerConfig, LocalAgent};
+use softcell::controller::{
+    CentralController, ControllerConfig, LocalAgent, PathInstaller, TagPolicy,
+};
 use softcell::dataplane::Switch;
 use softcell::packet::{build_flow_packet, FiveTuple, HeaderView, Protocol};
 use softcell::policy::clause::ClauseId;
 use softcell::policy::{ServicePolicy, SubscriberAttributes};
-use softcell::topology::{small_topology, Topology};
-use softcell::types::{BaseStationId, LocIp, SimTime, UeId, UeImsi};
+use softcell::topology::{small_topology, CellularParams, PolicyPath, ShortestPaths, Topology};
+use softcell::types::{AddressingScheme, BaseStationId, LocIp, MiddleboxId, SimTime, UeId, UeImsi};
 
 /// Counts every call that obtains memory: `alloc`, `alloc_zeroed` (the
 /// default forwards to `alloc`) and `realloc` — a vector that regrows is
@@ -255,8 +262,49 @@ fn sharded_handoff_allocations(n: u64) -> u64 {
     allocs
 }
 
+/// One `route_policy_path` of a five-middlebox chain on `paper(2)`, once
+/// an earlier route of the chain has built its six BFS trees.
+fn route_allocations() -> u64 {
+    let topo = CellularParams::paper(2).build().unwrap();
+    let chain: Vec<MiddleboxId> = (0..5).map(MiddleboxId).collect();
+    let gw = topo.default_gateway().switch;
+    let mut sp = ShortestPaths::new(&topo);
+    sp.route_policy_path(BaseStationId(0), &chain, gw).unwrap();
+    let (n, path) = allocations(|| sp.route_policy_path(BaseStationId(1), &chain, gw));
+    assert_eq!(path.unwrap().middleboxes(), chain);
+    n
+}
+
+/// The cold downlink install, into one fresh `PathInstaller`, of every
+/// station's path through each of the twelve ordered pairs of the first
+/// four middleboxes on `paper(2)` (routed beforehand): allocations, and
+/// how many installs made them.
+fn install_allocations() -> (u64, usize) {
+    let topo = CellularParams::paper(2).build().unwrap();
+    let gw = topo.default_gateway().switch;
+    let mut sp = ShortestPaths::new(&topo);
+    let pairs = (0..4).flat_map(|a| (0..4).filter(move |&b| b != a).map(move |b| [a, b]));
+    let paths: Vec<PolicyPath> = pairs
+        .flat_map(|pair| (0..topo.base_stations().len() as u32).map(move |bs| (pair, bs)))
+        .map(|([a, b], bs)| {
+            let chain = [MiddleboxId(a), MiddleboxId(b)];
+            sp.route_policy_path(BaseStationId(bs), &chain, gw).unwrap()
+        })
+        .collect();
+    let scheme = AddressingScheme::default_scheme();
+    let mut installer = PathInstaller::new(&topo, scheme, TagPolicy::default());
+    let (n, ()) = allocations(|| {
+        for path in &paths {
+            installer.install_path(path, Direction::Downlink).unwrap();
+        }
+    });
+    (n, paths.len())
+}
+
 #[test]
 fn allocations_per_operation_stay_within_budget() {
+    let (installs, paths) = install_allocations();
+    assert_eq!(paths, 240);
     // (scenario, allocations now, budget, allocations at the parent)
     let measured = [
         // A handoff with k ≥ 1 carried flows costs `a + b·k` allocations
@@ -292,6 +340,17 @@ fn allocations_per_operation_stay_within_budget() {
             18,
             102,
         ),
+        // The hop list, allocated once at its final length: the first
+        // pass sums the legs' lengths from the trees. The parent made a
+        // vector per leg and regrew the hop list.
+        ("route a five-middlebox chain", route_allocations(), 1, 9),
+        // The per-path vectors left (decisions, segments, a segment's
+        // decisions, candidates, plans, a reused tag's record, the
+        // report's tags) and the tables growing. Decomposition's index
+        // and the two costing records are reused between installs; the
+        // parent also allocated a scan list, the excluded tags and the
+        // chain-index pushes per path.
+        ("240 cold install_path calls", installs, 2228, 2700),
     ];
     for (what, n, budget, parent) in measured {
         println!("{what}: {n} allocations (budget {budget}, parent {parent})");

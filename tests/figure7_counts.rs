@@ -1,0 +1,36 @@
+//! Figure 7's counts, pinned: one small data point of the §6.3 sweep
+//! (`PerClause` instances, the binary's seed) must give exactly these
+//! rule, tag and swap counts. Algorithm 1's tag choice and rule
+//! placement decide every one of them, so a change that moves any rule
+//! anywhere fails here — in a debug build, in seconds, where the full
+//! `fig7_simulation` sweep takes minutes in release.
+//!
+//! Only a change that means to re-baseline Figure 7 (ROADMAP item 1
+//! re-baselines `rules_total`, `tags_used` and `install.swap_rules`)
+//! may edit the numbers below, and it re-runs `fig7_simulation` and the
+//! ablation and records what moved in EXPERIMENTS.md.
+
+use softcell::sim::figure7::{run, Figure7Config, InstanceChoice};
+
+#[test]
+fn a_small_figure7_point_keeps_its_counts() {
+    let r = run(Figure7Config {
+        k: 6,
+        n_clauses: 60,
+        m_chain: 5,
+        choice: InstanceChoice::PerClause,
+        seed: 2013,
+        tag_capacity: u16::MAX,
+    })
+    .expect("figure 7 point");
+    let counts = (
+        r.paths_installed,
+        r.median_rules,
+        r.max_rules,
+        r.total_rules,
+        r.tags_used,
+        r.swap_rules,
+    );
+    // (paths, median, max, total rules, tags, swap rules)
+    assert_eq!(counts, (32_400, 159, 1_857, 43_183, 73, 12_996));
+}
