@@ -7,15 +7,18 @@
 //! middlebox instances and network paths that minimize latency and
 //! load"), and the lowering of shadow deltas into concrete rule
 //! operations for the data plane.
-
-use std::collections::HashMap;
+//!
+//! Every installed policy path is one `InstalledPath` record under its
+//! `PathKey`, and `install_path` is the one routine that installs it:
+//! for the online requests here and for the offline replay
+//! ([`crate::offline`]).
 
 use softcell_policy::clause::{AccessControl, ClauseId};
 use softcell_policy::{AppClassifier, QosClass, SubscriberAttributes, UeClassifier};
 use softcell_topology::{PolicyPath, ShortestPaths, Topology};
 use softcell_types::{
-    AddressingScheme, BaseStationId, Error, Ipv4Prefix, MiddleboxId, MiddleboxKind, PolicyTag,
-    PortEmbedding, PortNo, Result, SimTime, SwitchId, UeId, UeImsi,
+    AddressingScheme, BaseStationId, Error, FxHashMap, Ipv4Prefix, MiddleboxId, MiddleboxKind,
+    PolicyTag, PortEmbedding, PortNo, Result, SimTime, SwitchId, UeId, UeImsi,
 };
 
 use crate::install::{Direction, PathInstaller, TagPolicy};
@@ -33,9 +36,6 @@ pub struct ControllerConfig {
     pub tag_policy: TagPolicy,
     /// DHCP pool for permanent UE addresses.
     pub permanent_pool: Ipv4Prefix,
-    /// Install uplink rules too (the end-to-end mode); rule-counting
-    /// experiments install downlink only, like the paper's Fig. 3 view.
-    pub bidirectional: bool,
 }
 
 impl ControllerConfig {
@@ -46,7 +46,6 @@ impl ControllerConfig {
             ports: PortEmbedding::default_embedding(),
             tag_policy: TagPolicy { capacity: 1024 }, // the Fig. 4 embodiment: 10 tag bits
             permanent_pool: Ipv4Prefix::from_bits(0x6440_0000, 10), // 100.64/10
-            bidirectional: true,
         }
     }
 }
@@ -83,24 +82,40 @@ pub struct PathTags {
     pub qos: Option<QosClass>,
 }
 
+/// What an installed policy path is installed for. The derived order is
+/// the offline pass's replay order: Internet paths by (clause, station)
+/// — same-clause paths together, so adjacent station prefixes arrive
+/// consecutively and merge — then the m2m paths.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub(crate) enum PathKey {
+    /// An Internet-bound path: (clause, origin station).
+    Internet(ClauseId, BaseStationId),
+    /// A mobile-to-mobile path (§7): (clause, sender, peer).
+    M2m(ClauseId, BaseStationId, BaseStationId),
+}
+
+/// One installed policy path: the tags its requests are answered with
+/// and the routed path (mobility shortcuts and the offline replay read
+/// it).
+pub(crate) struct InstalledPath {
+    pub(crate) tags: PathTags,
+    pub(crate) path: PolicyPath,
+}
+
 /// The central SoftCell controller.
 pub struct CentralController<'t> {
     topo: &'t Topology,
     cfg: ControllerConfig,
     state: ControllerState,
     apps: AppClassifier,
-    installer: PathInstaller,
+    /// Algorithm 1's state, holding every path in `installed` (the
+    /// offline pass swaps the two together).
+    pub(crate) installer: PathInstaller,
     paths: ShortestPaths<'t>,
-    /// Installed policy paths by (clause, origin station).
-    installed: HashMap<(ClauseId, BaseStationId), PathTags>,
-    /// Installed mobile-to-mobile paths by (clause, from, to) — §7.
-    m2m: HashMap<(ClauseId, BaseStationId, BaseStationId), PathTags>,
-    /// The routed m2m path objects (offline recompute replays them).
-    routed_m2m: HashMap<(ClauseId, BaseStationId, BaseStationId), PolicyPath>,
-    /// The routed path objects (mobility shortcuts need them).
-    routed: HashMap<(ClauseId, BaseStationId), PolicyPath>,
+    /// Every installed policy path.
+    pub(crate) installed: FxHashMap<PathKey, InstalledPath>,
     /// Rule operations awaiting application to the physical network.
-    pending_ops: Vec<RuleOp>,
+    pub(crate) pending_ops: Vec<RuleOp>,
     /// Locations released since the last drain, awaiting return to
     /// their stations' UE-id pools.
     released_locations: Vec<(BaseStationId, UeId)>,
@@ -122,10 +137,7 @@ impl<'t> CentralController<'t> {
             apps: AppClassifier::default(),
             installer: PathInstaller::new(topo, cfg.scheme, cfg.tag_policy),
             paths: ShortestPaths::new(topo),
-            installed: HashMap::new(),
-            m2m: HashMap::new(),
-            routed_m2m: HashMap::new(),
-            routed: HashMap::new(),
+            installed: FxHashMap::default(),
             pending_ops: Vec::new(),
             released_locations: Vec::new(),
             mobility: crate::mobility::MobilityManager::default(),
@@ -279,78 +291,22 @@ impl<'t> CentralController<'t> {
     /// its tag cache misses (§4.2: "the local agent only contacts the
     /// controller if no policy tag exists for this flow").
     pub fn request_policy_path(&mut self, bs: BaseStationId, clause: ClauseId) -> Result<PathTags> {
-        if let Some(tags) = self.installed.get(&(clause, bs)) {
-            return Ok(*tags);
+        let key = PathKey::Internet(clause, bs);
+        if let Some(rec) = self.installed.get(&key) {
+            return Ok(rec.tags);
         }
         self.check_station(bs)?;
-        let clause_def = self
-            .state
-            .policy()
-            .clause(clause)
-            .ok_or_else(|| Error::NotFound(format!("clause {clause:?}")))?;
-        if clause_def.action.access == AccessControl::Deny {
-            return Err(Error::InvalidState(format!(
-                "clause {clause:?} denies traffic; no path to install"
-            )));
-        }
-        let qos = clause_def.action.qos;
-        let chain = clause_def.action.chain.clone();
-
+        let (chain, qos) = self.clause_chain(clause)?;
         let instances = self.select_instances(bs, &chain)?;
         let gateway = self.topo.default_gateway().switch;
         let path = self.paths.route_policy_path(bs, &instances, gateway)?;
-
-        let tags = self.install(&path)?;
-        let access_out_port = self.access_out_port(&path)?;
-        let tags = PathTags {
-            qos,
-            access_out_port,
-            ..tags
-        };
-        self.installed.insert((clause, bs), tags);
-        self.routed.insert((clause, bs), path);
-        Ok(tags)
+        self.install_new(key, path, qos)
     }
 
     /// The routed policy path of an installed (clause, station) pair.
     pub fn routed_path(&self, bs: BaseStationId, clause: ClauseId) -> Option<&PolicyPath> {
-        self.routed.get(&(clause, bs))
-    }
-
-    /// Installs a path (downlink always; uplink too in bidirectional
-    /// mode), lowering deltas into pending rule operations.
-    fn install(&mut self, path: &PolicyPath) -> Result<PathTags> {
-        let (uplink_entry, uplink_exit) = if self.cfg.bidirectional {
-            let up = self.installer.install_path(path, Direction::Uplink)?;
-            self.lower_last(Direction::Uplink)?;
-            (up.entry_tag(), up.exit_tag())
-        } else {
-            (PolicyTag(0), PolicyTag(0))
-        };
-
-        let down = if self.cfg.bidirectional {
-            self.installer
-                .install_path_forced(path, Direction::Downlink, uplink_exit)?
-        } else {
-            self.installer.install_path(path, Direction::Downlink)?
-        };
-        self.lower_last(Direction::Downlink)?;
-
-        Ok(PathTags {
-            uplink_entry: if self.cfg.bidirectional {
-                uplink_entry
-            } else {
-                down.entry_tag()
-            },
-            uplink_exit: if self.cfg.bidirectional {
-                uplink_exit
-            } else {
-                down.entry_tag()
-            },
-            downlink_final: down.exit_tag(),
-            access_out_port: PortNo(0), // filled by the caller
-            qos: None,
-        })
+        let rec = self.installed.get(&PathKey::Internet(clause, bs))?;
+        Some(&rec.path)
     }
 
     /// Returns the tags for a mobile-to-mobile policy path (paper §7:
@@ -367,23 +323,13 @@ impl<'t> CentralController<'t> {
         to: BaseStationId,
         clause: ClauseId,
     ) -> Result<PathTags> {
-        if let Some(tags) = self.m2m.get(&(clause, from, to)) {
-            return Ok(*tags);
+        let key = PathKey::M2m(clause, from, to);
+        if let Some(rec) = self.installed.get(&key) {
+            return Ok(rec.tags);
         }
         self.check_station(from)?;
         self.check_station(to)?;
-        let clause_def = self
-            .state
-            .policy()
-            .clause(clause)
-            .ok_or_else(|| Error::NotFound(format!("clause {clause:?}")))?;
-        if clause_def.action.access == AccessControl::Deny {
-            return Err(Error::InvalidState(format!(
-                "clause {clause:?} denies traffic; no path to install"
-            )));
-        }
-        let qos = clause_def.action.qos;
-        let chain = clause_def.action.chain.clone();
+        let (chain, qos) = self.clause_chain(clause)?;
         let instances = self.select_instances(from, &chain)?;
 
         // Route with the *peer* as the path origin and the sender's
@@ -399,117 +345,35 @@ impl<'t> CentralController<'t> {
                     .into(),
             ));
         }
-
-        let report = self.installer.install_path(&path, Direction::Downlink)?;
-        self.lower_last(Direction::Downlink)?;
-
-        // the sender-side out port: towards the hop before its access
-        // switch in the (to-rooted) path
-        let access_out_port = if path.hops.len() >= 2 {
-            let next = path.hops[path.hops.len() - 2].switch;
-            self.topo
-                .port_towards(from_access, next)
-                .ok_or_else(|| Error::NotFound(format!("{from_access} unlinked from {next}")))?
-        } else {
-            return Err(Error::InvalidState("degenerate m2m path".into()));
-        };
-
-        let tags = PathTags {
-            uplink_entry: report.entry_tag(),
-            uplink_exit: report.entry_tag(),
-            downlink_final: report.exit_tag(),
-            access_out_port,
-            qos,
-        };
-        self.m2m.insert((clause, from, to), tags);
-        self.routed_m2m.insert((clause, from, to), path);
-        Ok(tags)
+        self.install_new(key, path, qos)
     }
 
-    /// All routed Internet-bound policy paths (offline recompute input).
-    pub(crate) fn routed_entries(
-        &self,
-    ) -> impl Iterator<Item = ((ClauseId, BaseStationId), &PolicyPath)> {
-        self.routed.iter().map(|(k, v)| (*k, v))
+    /// A permitted clause's middlebox chain and QoS class.
+    fn clause_chain(&self, clause: ClauseId) -> Result<(Vec<MiddleboxKind>, Option<QosClass>)> {
+        let def = self
+            .state
+            .policy()
+            .clause(clause)
+            .ok_or_else(|| Error::NotFound(format!("clause {clause:?}")))?;
+        if def.action.access == AccessControl::Deny {
+            return Err(Error::InvalidState(format!(
+                "clause {clause:?} denies traffic; no path to install"
+            )));
+        }
+        Ok((def.action.chain.clone(), def.action.qos))
     }
 
-    /// All routed m2m policy paths (offline recompute input).
-    pub(crate) fn m2m_entries(
-        &self,
-    ) -> impl Iterator<Item = ((ClauseId, BaseStationId, BaseStationId), &PolicyPath)> {
-        self.routed_m2m.iter().map(|(k, v)| (*k, v))
-    }
-
-    /// Swaps in a freshly recomputed installer and the re-tagged path
-    /// records; queues the migration operations.
-    pub(crate) fn adopt_reoptimized(
+    /// Installs a newly routed path and records it under its key.
+    fn install_new(
         &mut self,
-        fresh: PathInstaller,
-        internet: Vec<((ClauseId, BaseStationId), PathTags, PolicyPath)>,
-        m2m: Vec<(
-            (ClauseId, BaseStationId, BaseStationId),
-            crate::install::InstallReport,
-            PolicyPath,
-        )>,
-        ops: Vec<RuleOp>,
-    ) -> Result<()> {
-        self.installer = fresh;
-        self.pending_ops.extend(ops);
-        self.installed.clear();
-        let policy = self.state.policy();
-        let qos_of = |clause| policy.clause(clause).and_then(|c| c.action.qos);
-        for ((clause, bs), mut tags, path) in internet {
-            tags.access_out_port = self.access_out_port(&path)?;
-            tags.qos = qos_of(clause);
-            self.installed.insert((clause, bs), tags);
-        }
-        self.m2m.clear();
-        for ((clause, from, to), report, path) in m2m {
-            let from_access = self.topo.base_station(from).access_switch;
-            let next = path.hops[path.hops.len() - 2].switch;
-            let access_out_port = self
-                .topo
-                .port_towards(from_access, next)
-                .ok_or_else(|| Error::NotFound(format!("{from_access} unlinked from {next}")))?;
-            self.m2m.insert(
-                (clause, from, to),
-                PathTags {
-                    uplink_entry: report.entry_tag(),
-                    uplink_exit: report.entry_tag(),
-                    downlink_final: report.exit_tag(),
-                    access_out_port,
-                    qos: qos_of(clause),
-                },
-            );
-        }
-        Ok(())
-    }
-
-    /// The access switch's out-port for a path's first uplink step.
-    fn access_out_port(&self, path: &PolicyPath) -> Result<PortNo> {
-        let first = &path.hops[0];
-        if let Some(mb) = first.mb_after {
-            return Ok(self.topo.middlebox(mb).port);
-        }
-        let next = path.hops[1].switch;
-        self.topo
-            .port_towards(first.switch, next)
-            .ok_or_else(|| Error::NotFound(format!("{} has no link to {next}", first.switch)))
-    }
-
-    fn lower_last(&mut self, dir: Direction) -> Result<()> {
-        let carrier = self.cfg.scheme.carrier();
-        for (sw, delta) in self.installer.last_deltas() {
-            self.pending_ops.push(lower_delta(
-                self.topo,
-                &self.cfg.ports,
-                carrier,
-                dir,
-                *sw,
-                delta,
-            )?);
-        }
-        Ok(())
+        key: PathKey,
+        path: PolicyPath,
+        qos: Option<QosClass>,
+    ) -> Result<PathTags> {
+        let (topo, cfg, ops) = (self.topo, &self.cfg, &mut self.pending_ops);
+        let tags = install_path(topo, cfg, &mut self.installer, key, &path, qos, ops)?;
+        self.installed.insert(key, InstalledPath { tags, path });
+        Ok(tags)
     }
 
     /// Picks concrete instances for a chain of kinds, greedily nearest:
@@ -546,6 +410,69 @@ impl<'t> CentralController<'t> {
         }
         Ok(out)
     }
+}
+
+/// Installs one policy path and appends its lowered rule operations to
+/// `ops`: for an Internet key the uplink, then the downlink forced to
+/// the uplink's exit tag (the Internet echoes it back); for an m2m key
+/// the one downlink-direction leg from the sender to the peer. The
+/// online requests and the offline replay both install through here.
+pub(crate) fn install_path(
+    topo: &Topology,
+    cfg: &ControllerConfig,
+    installer: &mut PathInstaller,
+    key: PathKey,
+    path: &PolicyPath,
+    qos: Option<QosClass>,
+    ops: &mut Vec<RuleOp>,
+) -> Result<PathTags> {
+    let access_out_port = access_out_port(topo, key, path)?;
+    let carrier = cfg.scheme.carrier();
+    let mut lower = |installer: &PathInstaller, dir| -> Result<()> {
+        for (sw, delta) in installer.last_deltas() {
+            ops.push(lower_delta(topo, &cfg.ports, carrier, dir, *sw, delta)?);
+        }
+        Ok(())
+    };
+    let (uplink_entry, uplink_exit, downlink_final) = match key {
+        PathKey::Internet(..) => {
+            let up = installer.install_path(path, Direction::Uplink)?;
+            lower(installer, Direction::Uplink)?;
+            let down = installer.install_path_forced(path, Direction::Downlink, up.exit_tag())?;
+            lower(installer, Direction::Downlink)?;
+            (up.entry_tag(), up.exit_tag(), down.exit_tag())
+        }
+        PathKey::M2m(..) => {
+            let down = installer.install_path(path, Direction::Downlink)?;
+            lower(installer, Direction::Downlink)?;
+            (down.entry_tag(), down.entry_tag(), down.exit_tag())
+        }
+    };
+    Ok(PathTags {
+        uplink_entry,
+        uplink_exit,
+        downlink_final,
+        access_out_port,
+        qos,
+    })
+}
+
+/// The sender's access-switch out port for a path's first step: the
+/// first uplink hop of an Internet path (a middlebox there, or the link
+/// to the second hop); for an m2m path, routed from the peer to the
+/// sender, the link back from its last hop to the one before.
+fn access_out_port(topo: &Topology, key: PathKey, path: &PolicyPath) -> Result<PortNo> {
+    let hops = path.hops.as_slice();
+    if let (PathKey::Internet(..), Some(mb)) = (key, hops.first().and_then(|h| h.mb_after)) {
+        return Ok(topo.middlebox(mb).port);
+    }
+    let (at, next) = match (key, hops) {
+        (PathKey::Internet(..), [first, second, ..]) => (first.switch, second.switch),
+        (PathKey::M2m(..), [.., next, last]) => (last.switch, next.switch),
+        _ => return Err(Error::InvalidState("degenerate policy path".into())),
+    };
+    topo.port_towards(at, next)
+        .ok_or_else(|| Error::NotFound(format!("{at} has no link to {next}")))
 }
 
 #[cfg(test)]

@@ -509,6 +509,12 @@ impl PathInstaller {
         self.tags.allocate().map(|t| PolicyTag(t as u16))
     }
 
+    /// Holds a raw tag allocated elsewhere: a live tunnel's, across the
+    /// offline pass's fresh installer.
+    pub(crate) fn adopt_raw_tag(&mut self, tag: PolicyTag) {
+        self.tags.adopt(u32::from(tag.0));
+    }
+
     /// Returns a raw tag to the pool (tunnel garbage collection).
     ///
     /// Raw tags are refcounted by their tunnel owners, so an unbalanced

@@ -16,19 +16,20 @@
 //!   aggregation, and loop disambiguation via tag swapping.
 //! * [`ops`] — the concrete rule operations (install/remove on a switch)
 //!   the controller emits towards the data plane.
-//! * [`state`] — central controller state: subscriber attributes, UE
-//!   registry, installed policy paths (the slow-changing, strongly
-//!   consistent part of §5.2).
+//! * [`state`] — central controller state: the service policy,
+//!   subscriber attributes and the UE registry (§5.2).
 //! * [`core`] — the central controller façade: attach/detach/handoff,
 //!   classifier computation, policy-path requests, middlebox instance
-//!   selection.
+//!   selection, and the installed policy paths (one record per path,
+//!   one routine installing it).
 //! * [`agent`] — the local agent at each base station: classifier cache,
 //!   UE-ID allocation, microflow rule installation, controller escalation
 //!   on cache miss.
 //! * [`mobility`] — policy consistency under handoff: base-station
 //!   tunnels, microflow-rule copying, shortcut paths (§5.1).
-//! * [`offline`] — the §3.2 offline recompute: replay all live paths in
-//!   chain-grouped order into a fresh rule set, migrating the fabric.
+//! * [`offline`] — the §3.2 offline recompute: replay every installed
+//!   path record through the online install routine, in key order, into
+//!   a fresh rule set, migrating the fabric.
 //! * [`failover`] — recovery of the unreplicated state: a controller
 //!   replica rebuilds UE locations from agents; agents refetch from the
 //!   controller (§5.2). Replication itself is `softcell-replica`.
@@ -66,7 +67,7 @@ pub mod wire;
 pub use agent::LocalAgent;
 pub use core::{CentralController, ControllerConfig};
 pub use install::{InstallReport, PathInstaller, TagPolicy};
-pub use ops::{RuleOp, RuleSink};
+pub use ops::RuleOp;
 pub use shadow::{Divergence, DivergenceKind, Entry, NextHop, ShadowSwitch, ShadowTables};
 pub use sharded::{ShardEvent, ShardEventKind, ShardedController, ShardedRun, ShardedStats};
 pub use state::ControllerState;

@@ -187,6 +187,11 @@ impl MobilityManager {
     pub fn transitions_active(&self) -> usize {
         self.transitions.len()
     }
+
+    /// The raw tags the live tunnels hold.
+    pub(crate) fn tunnel_tags(&self) -> impl Iterator<Item = PolicyTag> + '_ {
+        self.tunnels.values().map(|t| t.tag)
+    }
 }
 
 impl<'t> CentralController<'t> {

@@ -7,11 +7,15 @@
 //!
 //! The online installer's results depend on arrival order: interleaved
 //! clauses fragment tag reuse and sibling merges. The offline pass
-//! replays every live policy path into a *fresh* installer in
-//! chain-grouped, station-sorted order — the order that maximizes
+//! replays every installed path record, in `PathKey` order, through the
+//! online install routine into a *fresh* installer. That order puts
+//! Internet paths chain-grouped and station-sorted — it maximizes
 //! chain-index hits and lets contiguous station prefixes merge as they
-//! arrive — and emits a migration (full removals of the old rule set,
-//! installs of the new one).
+//! arrive — and the m2m paths after them. The pass emits a migration
+//! (full removals of the old rule set, installs of the new one). Before
+//! the replay the fresh installer holds the tags of the live §5.1
+//! tunnels: their rules are not the installer's and stay up across the
+//! pass, and their tags go back to the pool when their transitions end.
 //!
 //! This also closes the dynamic-removal story: dropping a policy path is
 //! "forget it, recompute" — exactly the paper's suggested division of
@@ -24,10 +28,10 @@
 //! would phase the two rule sets through
 //! [`crate::update::TwoPhaseUpdate`].
 
-use softcell_topology::PolicyPath;
-use softcell_types::Result;
+use softcell_topology::Topology;
+use softcell_types::{PolicyTag, Result, SwitchId};
 
-use crate::core::{CentralController, PathTags};
+use crate::core::{install_path, CentralController, ControllerConfig};
 use crate::install::{Direction, PathInstaller};
 use crate::ops::{lower_delta, RuleOp};
 use crate::shadow::ShadowDelta;
@@ -55,212 +59,160 @@ impl<'t> CentralController<'t> {
     /// new ones) for [`CentralController::drain_ops`].
     ///
     /// Local agents must refetch policy tags afterwards (their cached
-    /// [`PathTags`] name retired tags); see
+    /// [`PathTags`](crate::core::PathTags) name retired tags); see
     /// `SimWorld::apply_reoptimization` for the full choreography.
     pub fn reoptimize_paths(&mut self) -> Result<OfflineOutcome> {
-        let cfg = *self.config();
-        let carrier = cfg.scheme.carrier();
+        let (topo, cfg) = (self.topology(), *self.config());
+        let rules_before = rule_total(&self.installer);
+        let tags_before = self.installer.tags_in_use();
+        let mut ops = removals(topo, &cfg, &self.installer)?;
 
-        // ---- collect the live intents, chain-grouped ----------------
-        let mut internet: Vec<(softcell_policy::clause::ClauseId, _, PolicyPath)> = self
-            .routed_entries()
-            .map(|((clause, bs), path)| (clause, bs, path.clone()))
-            .collect();
-        // group same-clause paths together, stations in numeric order:
-        // adjacent prefixes arrive consecutively and merge immediately
-        internet.sort_by_key(|(clause, bs, _)| (*clause, *bs));
-        let m2m: Vec<(_, PolicyPath)> = self
-            .m2m_entries()
-            .map(|(k, path)| (k, path.clone()))
-            .collect();
-
-        let old_rules: usize = [Direction::Uplink, Direction::Downlink]
-            .iter()
-            .map(|d| {
-                self.installer()
-                    .shadows(*d)
-                    .rule_counts()
-                    .iter()
-                    .sum::<usize>()
-            })
-            .sum();
-        let old_tags = self.installer().tags_in_use();
-
-        // ---- removals: every rule the old shadows hold ---------------
-        let mut ops: Vec<RuleOp> = Vec::new();
-        for dir in [Direction::Uplink, Direction::Downlink] {
-            let shadows = self.installer().shadows(dir);
-            for idx in 0..shadows.len() {
-                let sw = softcell_types::SwitchId(idx as u32);
-                for (entry, tag, prefix, _nh) in shadows.switch(sw).iter_rules() {
-                    let delta = match prefix {
-                        Some(prefix) => ShadowDelta::RemovePrefix { entry, tag, prefix },
-                        None => {
-                            // a default has no Remove delta form; lower
-                            // the matcher via the Install form and flip
-                            ShadowDelta::SetDefault {
-                                entry,
-                                tag,
-                                nh: _nh,
-                            }
-                        }
-                    };
-                    let op = lower_delta(self.topology(), &cfg.ports, carrier, dir, sw, &delta)?;
-                    let matcher = match op {
-                        RuleOp::Install { matcher, .. } => matcher,
-                        RuleOp::Remove { matcher, .. } => matcher,
-                    };
-                    ops.push(RuleOp::Remove {
-                        switch: sw,
-                        matcher,
-                    });
-                }
-            }
+        let mut fresh = PathInstaller::new(topo, cfg.scheme, cfg.tag_policy);
+        let mut held: Vec<PolicyTag> = self.mobility().tunnel_tags().collect();
+        held.sort_unstable();
+        for tag in held {
+            fresh.adopt_raw_tag(tag);
+        }
+        let mut records: Vec<_> = self.installed.iter_mut().collect();
+        records.sort_unstable_by_key(|(key, _)| **key);
+        let mut replayed = Vec::with_capacity(records.len());
+        for (key, rec) in &records {
+            let (path, qos) = (&rec.path, rec.tags.qos);
+            let tags = install_path(topo, &cfg, &mut fresh, **key, path, qos, &mut ops)?;
+            replayed.push(tags);
         }
 
-        // ---- fresh installer, replay in grouped order ----------------
-        let mut fresh = PathInstaller::new(self.topology(), cfg.scheme, cfg.tag_policy);
-        let mut new_internet_tags = Vec::with_capacity(internet.len());
-        let mut replayed = 0usize;
-        for (clause, bs, path) in &internet {
-            let tags = install_pair(&mut fresh, path, cfg.bidirectional, &mut ops, self, carrier)?;
-            new_internet_tags.push(((*clause, *bs), tags, path.clone()));
-            replayed += 1;
-        }
-        let mut new_m2m_tags = Vec::with_capacity(m2m.len());
-        for (key, path) in &m2m {
-            let report = fresh.install_path(path, Direction::Downlink)?;
-            for (sw, delta) in fresh.last_deltas() {
-                ops.push(lower_delta(
-                    self.topology(),
-                    &cfg.ports,
-                    carrier,
-                    Direction::Downlink,
-                    *sw,
-                    delta,
-                )?);
-            }
-            new_m2m_tags.push((*key, report, path.clone()));
-            replayed += 1;
-        }
-
-        let new_rules: usize = [Direction::Uplink, Direction::Downlink]
-            .iter()
-            .map(|d| fresh.shadows(*d).rule_counts().iter().sum::<usize>())
-            .sum();
-        let new_tags = fresh.tags_in_use();
-
+        let outcome = OfflineOutcome {
+            rules_before,
+            rules_after: rule_total(&fresh),
+            tags_before,
+            tags_after: fresh.tags_in_use(),
+            paths_replayed: records.len(),
+        };
         // Only migrate when the recompute actually wins — order effects
         // can occasionally favour the organic arrival order, and a
         // migration that isn't an improvement is pure churn.
-        if new_rules >= old_rules {
+        if outcome.rules_after >= rules_before {
             return Ok(OfflineOutcome {
-                rules_before: old_rules,
-                rules_after: old_rules,
-                tags_before: old_tags,
-                tags_after: old_tags,
-                paths_replayed: replayed,
+                rules_after: rules_before,
+                tags_after: tags_before,
+                ..outcome
             });
         }
-
-        // ---- swap in the fresh state ---------------------------------
-        self.adopt_reoptimized(fresh, new_internet_tags, new_m2m_tags, ops)?;
-
-        Ok(OfflineOutcome {
-            rules_before: old_rules,
-            rules_after: new_rules,
-            tags_before: old_tags,
-            tags_after: new_tags,
-            paths_replayed: replayed,
-        })
+        for ((_, rec), tags) in records.into_iter().zip(replayed) {
+            rec.tags = tags;
+        }
+        self.installer = fresh;
+        self.pending_ops.extend(ops);
+        Ok(outcome)
     }
 }
 
-/// Installs one Internet-bound path pair (uplink + forced downlink, or
-/// downlink only), appending the lowered ops.
-fn install_pair(
-    fresh: &mut PathInstaller,
-    path: &PolicyPath,
-    bidirectional: bool,
-    ops: &mut Vec<RuleOp>,
-    ctl: &CentralController<'_>,
-    carrier: softcell_types::Ipv4Prefix,
-) -> Result<PathTags> {
-    let cfg = ctl.config();
-    let (entry, exit) = if bidirectional {
-        let up = fresh.install_path(path, Direction::Uplink)?;
-        for (sw, delta) in fresh.last_deltas() {
-            ops.push(lower_delta(
-                ctl.topology(),
-                &cfg.ports,
-                carrier,
-                Direction::Uplink,
-                *sw,
-                delta,
-            )?);
+/// Rules (both directions) an installer's shadows hold.
+fn rule_total(installer: &PathInstaller) -> usize {
+    let dirs = [Direction::Uplink, Direction::Downlink];
+    let count = |dir| installer.shadows(dir).rule_counts().iter().sum::<usize>();
+    dirs.into_iter().map(count).sum()
+}
+
+/// A removal for every rule an installer's shadows hold: each rule is
+/// lowered in its install form, and its matcher kept.
+fn removals(
+    topo: &Topology,
+    cfg: &ControllerConfig,
+    installer: &PathInstaller,
+) -> Result<Vec<RuleOp>> {
+    let carrier = cfg.scheme.carrier();
+    let mut ops = Vec::new();
+    for dir in [Direction::Uplink, Direction::Downlink] {
+        let shadows = installer.shadows(dir);
+        for sw in (0..shadows.len() as u32).map(SwitchId) {
+            for (entry, tag, prefix, nh) in shadows.switch(sw).iter_rules() {
+                let delta = match prefix {
+                    Some(prefix) => ShadowDelta::AddPrefix {
+                        entry,
+                        tag,
+                        prefix,
+                        nh,
+                    },
+                    None => ShadowDelta::SetDefault { entry, tag, nh },
+                };
+                let (RuleOp::Install { matcher, .. } | RuleOp::Remove { matcher, .. }) =
+                    lower_delta(topo, &cfg.ports, carrier, dir, sw, &delta)?;
+                ops.push(RuleOp::Remove {
+                    switch: sw,
+                    matcher,
+                });
+            }
         }
-        (up.entry_tag(), up.exit_tag())
-    } else {
-        (softcell_types::PolicyTag(0), softcell_types::PolicyTag(0))
-    };
-    let down = if bidirectional {
-        fresh.install_path_forced(path, Direction::Downlink, exit)?
-    } else {
-        fresh.install_path(path, Direction::Downlink)?
-    };
-    for (sw, delta) in fresh.last_deltas() {
-        ops.push(lower_delta(
-            ctl.topology(),
-            &cfg.ports,
-            carrier,
-            Direction::Downlink,
-            *sw,
-            delta,
-        )?);
     }
-    Ok(PathTags {
-        uplink_entry: if bidirectional {
-            entry
-        } else {
-            down.entry_tag()
-        },
-        uplink_exit: if bidirectional {
-            exit
-        } else {
-            down.entry_tag()
-        },
-        downlink_final: down.exit_tag(),
-        access_out_port: softcell_types::PortNo(0), // recomputed by adopt
-        qos: None,
-    })
+    Ok(ops)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::core::ControllerConfig;
+    use crate::core::PathTags;
     use softcell_policy::clause::ClauseId;
     use softcell_policy::{ServicePolicy, SubscriberAttributes};
     use softcell_topology::small_topology;
     use softcell_types::{BaseStationId, UeImsi};
 
-    #[test]
-    fn reoptimize_never_increases_rules() {
-        let topo = small_topology();
+    fn controller(topo: &Topology) -> CentralController<'_> {
         let mut ctl = CentralController::new(
-            &topo,
+            topo,
             ControllerConfig::simulation(),
             ServicePolicy::example_carrier_a(1),
         );
         for i in 0..4 {
             ctl.put_subscriber(SubscriberAttributes::default_home(UeImsi(i)));
         }
-        // pessimal order: interleave clauses across stations
-        for clause in [5u16, 3, 4] {
-            for bs in [3u32, 0, 2, 1] {
-                ctl.request_policy_path(BaseStationId(bs), ClauseId(clause))
-                    .unwrap();
-            }
+        ctl
+    }
+
+    /// An Internet arrival order the pass improves on: each station in
+    /// turn requests three clauses, so no clause's paths arrive together.
+    const STATION_MAJOR: [(u16, u32); 12] = [
+        (2, 0),
+        (3, 0),
+        (5, 0),
+        (2, 1),
+        (3, 1),
+        (5, 1),
+        (2, 2),
+        (3, 2),
+        (5, 2),
+        (2, 3),
+        (3, 3),
+        (5, 3),
+    ];
+
+    /// 16 m2m paths: every ordered pair of distinct stations under the
+    /// catch-all clause, and four of them under the VoIP clause.
+    fn m2m_requests() -> Vec<(u16, u32, u32)> {
+        let pairs = (0..4).flat_map(|f| (0..4).map(move |t| (f, t)));
+        let pairs: Vec<(u32, u32)> = pairs.filter(|(f, t)| f != t).collect();
+        let catch_all = pairs.iter().map(|&(f, t)| (5, f, t));
+        let voip = pairs.iter().take(4).map(|&(f, t)| (3, f, t));
+        catch_all.chain(voip).collect()
+    }
+
+    fn request_internet(ctl: &mut CentralController<'_>, (clause, bs): (u16, u32)) -> PathTags {
+        let tags = ctl.request_policy_path(BaseStationId(bs), ClauseId(clause));
+        tags.unwrap()
+    }
+
+    fn request_m2m(ctl: &mut CentralController<'_>, (clause, f, t): (u16, u32, u32)) -> PathTags {
+        let (from, to) = (BaseStationId(f), BaseStationId(t));
+        ctl.request_m2m_path(from, to, ClauseId(clause)).unwrap()
+    }
+
+    #[test]
+    fn reoptimize_never_increases_rules() {
+        let topo = small_topology();
+        let mut ctl = controller(&topo);
+        for req in STATION_MAJOR {
+            request_internet(&mut ctl, req);
         }
         ctl.drain_ops();
 
@@ -275,31 +227,67 @@ mod tests {
         // whether or not a migration happened, cached path requests keep
         // working without reinstalling
         let _ = ctl.drain_ops();
-        let t = ctl
-            .request_policy_path(BaseStationId(0), ClauseId(5))
-            .unwrap();
+        request_internet(&mut ctl, (5, 0));
         assert!(ctl.drain_ops().is_empty(), "cached after reopt");
-        let _ = t;
     }
 
     #[test]
     fn reoptimize_is_idempotent() {
         let topo = small_topology();
-        let mut ctl = CentralController::new(
-            &topo,
-            ControllerConfig::simulation(),
-            ServicePolicy::example_carrier_a(1),
-        );
-        for i in 0..2 {
-            ctl.put_subscriber(SubscriberAttributes::default_home(UeImsi(i)));
-        }
+        let mut ctl = controller(&topo);
         for bs in 0..4u32 {
-            ctl.request_policy_path(BaseStationId(bs), ClauseId(5))
-                .unwrap();
+            request_internet(&mut ctl, (5, bs));
+        }
+        for req in m2m_requests() {
+            request_m2m(&mut ctl, req);
         }
         let first = ctl.reoptimize_paths().unwrap();
         let second = ctl.reoptimize_paths().unwrap();
+        assert_eq!(first.paths_replayed, 4 + 16);
         assert_eq!(second.rules_before, first.rules_after);
         assert_eq!(second.rules_after, first.rules_after, "fixed point");
+    }
+
+    /// What the pass is: after a win, every path answers with the tags a
+    /// fresh controller gives when the same paths are requested in the
+    /// replay order (Internet paths by clause and station, then m2m
+    /// paths by clause, sender and peer), and both directions hold the
+    /// same rules per switch. The m2m paths replay in that order too, not
+    /// in the order a hash map happens to hold them.
+    #[test]
+    fn a_winning_pass_equals_a_fresh_controller_fed_in_replay_order() {
+        let topo = small_topology();
+        let mut ctl = controller(&topo);
+        let mut m2m = m2m_requests();
+        m2m.reverse();
+        for req in STATION_MAJOR {
+            request_internet(&mut ctl, req);
+        }
+        for &req in &m2m {
+            request_m2m(&mut ctl, req);
+        }
+        let outcome = ctl.reoptimize_paths().unwrap();
+        assert!(outcome.rules_after < outcome.rules_before, "{outcome:?}");
+        assert_eq!(outcome.paths_replayed, 12 + 16);
+        ctl.drain_ops();
+
+        let mut internet = STATION_MAJOR.to_vec();
+        internet.sort_unstable();
+        m2m.sort_unstable();
+        let mut fresh = controller(&topo);
+        for &req in &internet {
+            let want = request_internet(&mut fresh, req);
+            assert_eq!(request_internet(&mut ctl, req), want, "{req:?}");
+        }
+        for &req in &m2m {
+            let want = request_m2m(&mut fresh, req);
+            assert_eq!(request_m2m(&mut ctl, req), want, "m2m {req:?}");
+        }
+        assert!(ctl.drain_ops().is_empty(), "every request is a cache hit");
+        for dir in [Direction::Uplink, Direction::Downlink] {
+            let counts = |c: &CentralController<'_>| c.installer().shadows(dir).rule_counts();
+            assert_eq!(counts(&ctl), counts(&fresh), "{dir:?}");
+        }
+        assert_eq!(ctl.installer().tags_in_use(), outcome.tags_after);
     }
 }

@@ -2,10 +2,9 @@
 //!
 //! Algorithm 1 computes on the shadow tables; every shadow delta is
 //! lowered to a [`RuleOp`] — a concrete install/remove of a prioritized
-//! match/action rule on one switch. A [`RuleSink`] receives the stream:
-//! the end-to-end simulator applies it to real [`softcell_dataplane`]
-//! switches, while the large-scale rule-counting experiments use
-//! [`NullSink`] (the shadow itself carries the counts).
+//! match/action rule on one switch — which the end-to-end simulator
+//! applies to real [`softcell_dataplane`] switches. The rule-counting
+//! experiments lower nothing: the shadow itself carries the counts.
 //!
 //! Ops for different switches never depend on each other, so a stream
 //! may be regrouped per switch as long as each switch's ops keep their
@@ -163,36 +162,6 @@ pub fn batch_by_switch(ops: Vec<RuleOp>) -> Vec<SwitchBatch> {
     groups.into_iter().map(batch).collect()
 }
 
-/// Receives the controller's rule operations.
-pub trait RuleSink {
-    /// Applies one operation.
-    fn apply(&mut self, op: RuleOp);
-}
-
-/// Discards operations (rule-counting experiments).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullSink;
-
-impl RuleSink for NullSink {
-    fn apply(&mut self, _op: RuleOp) {}
-}
-
-/// Buffers operations (tests and batch application).
-#[derive(Debug, Default, Clone)]
-pub struct VecSink(pub Vec<RuleOp>);
-
-impl RuleSink for VecSink {
-    fn apply(&mut self, op: RuleOp) {
-        self.0.push(op);
-    }
-}
-
-impl<F: FnMut(RuleOp)> RuleSink for F {
-    fn apply(&mut self, op: RuleOp) {
-        self(op);
-    }
-}
-
 /// Lowers one shadow delta to a concrete rule operation.
 ///
 /// The shadow speaks in logical terms (entries, tags, next hops); the
@@ -248,12 +217,6 @@ pub fn lower_delta(
                     .find(|g| g.switch == sw)
                     .ok_or_else(|| Error::NotFound(format!("{sw} is not a gateway")))?;
                 Action::Forward(gw.port)
-            }
-            NextHop::Radio => {
-                let bs = topo
-                    .base_station_at(sw)
-                    .ok_or_else(|| Error::NotFound(format!("{sw} hosts no base station")))?;
-                Action::Forward(topo.base_station(bs).radio_port)
             }
             NextHop::SwapTag(to, next) => {
                 let (value, mask) = ports.tag_match(*to);
@@ -457,18 +420,6 @@ mod tests {
     }
 
     #[test]
-    fn vec_sink_buffers_in_order() {
-        let mut sink = VecSink::default();
-        let op = RuleOp::Remove {
-            switch: SwitchId(1),
-            matcher: Match::ANY,
-        };
-        sink.apply(op);
-        assert_eq!(sink.0.len(), 1);
-        assert_eq!(sink.0[0], op);
-    }
-
-    #[test]
     fn batching_preserves_per_switch_order() {
         let rm = |sw: u32| RuleOp::Remove {
             switch: SwitchId(sw),
@@ -565,18 +516,5 @@ mod tests {
             assert_eq!(scanned.len(), switches as usize);
             assert_eq!(batch_by_switch(ops), scanned, "{switches} switches");
         }
-    }
-
-    #[test]
-    fn closures_are_sinks() {
-        let mut count = 0usize;
-        {
-            let mut sink = |_op: RuleOp| count += 1;
-            sink.apply(RuleOp::Remove {
-                switch: SwitchId(0),
-                matcher: Match::ANY,
-            });
-        }
-        assert_eq!(count, 1);
     }
 }

@@ -51,8 +51,6 @@ pub enum NextHop {
     Middlebox(MiddleboxId),
     /// Out the Internet uplink (gateway) — uplink direction.
     Uplink,
-    /// Deliver towards the base station radio — downlink direction.
-    Radio,
     /// Rewrite the packet's tag to the given value, then forward to the
     /// adjacent switch — the loop-disambiguation swap rule (§3.2).
     SwapTag(PolicyTag, SwitchId),

@@ -4,8 +4,9 @@
 //! strong consistency across replicas — "the service policy, the
 //! subscriber attributes, the policy paths" — and the one fast-moving
 //! part, UE location, which a recovering replica can rebuild by querying
-//! local agents. [`ControllerState`] holds both, versioned so the
-//! replication layer ([`crate::failover`]) can ship deltas.
+//! local agents. [`ControllerState`] holds the policy, the subscribers
+//! and the UE locations; the installed policy paths live in
+//! [`crate::core`], and location rebuild in [`crate::failover`].
 
 use std::net::Ipv4Addr;
 
@@ -59,8 +60,6 @@ pub struct ControllerState {
     permanent_pool: Ipv4Prefix,
     /// Host offsets into `permanent_pool`, less one (`.0` is reserved).
     permanent: IdPool,
-    /// Monotonic version for replication.
-    version: u64,
 }
 
 impl ControllerState {
@@ -76,13 +75,7 @@ impl ControllerState {
             reserved_by: FxHashMap::default(),
             permanent_pool,
             permanent: IdPool::new((permanent_pool.size() - 1) as u32),
-            version: 0,
         }
-    }
-
-    /// Current replication version (bumps on every mutation).
-    pub fn version(&self) -> u64 {
-        self.version
     }
 
     /// The service policy (slow-changing; immutable after construction).
@@ -95,7 +88,6 @@ impl ControllerState {
     pub fn put_subscriber(&mut self, attrs: SubscriberAttributes) {
         self.subscribers.insert(attrs.imsi, attrs);
         self.classifiers.remove(&attrs.imsi);
-        self.version += 1;
     }
 
     /// The subscriber's classifier (§4.2): compiled once per
@@ -166,7 +158,6 @@ impl ControllerState {
         };
         self.ues.insert(imsi, rec);
         self.by_loc.insert((bs, ue_id), imsi);
-        self.version += 1;
         Ok(rec)
     }
 
@@ -223,7 +214,6 @@ impl ControllerState {
         self.reserved.insert((old.bs, old.ue_id), imsi);
         self.ues.insert(imsi, new);
         self.by_loc.insert((new.bs, new.ue_id), imsi);
-        self.version += 1;
     }
 
     /// Detaches a UE, releasing its permanent address.
@@ -241,7 +231,6 @@ impl ControllerState {
         }
         let off = u32::from(rec.permanent_ip).wrapping_sub(self.permanent_pool.raw_bits() + 1);
         self.permanent.release(off);
-        self.version += 1;
         Ok(rec)
     }
 
@@ -275,7 +264,6 @@ impl ControllerState {
         let vacant = !self.by_loc.contains_key(&(bs, ue_id));
         if vacant {
             self.reserved.remove(&(bs, ue_id));
-            self.version += 1;
         }
         vacant
     }
@@ -308,14 +296,12 @@ impl ControllerState {
     pub fn clear_locations(&mut self) {
         self.ues.clear();
         self.by_loc.clear();
-        self.version += 1;
     }
 
     /// Restores one UE record during location rebuild.
     pub fn restore_location(&mut self, rec: UeRecord) {
         self.by_loc.insert((rec.bs, rec.ue_id), rec.imsi);
         self.ues.insert(rec.imsi, rec);
-        self.version += 1;
     }
 }
 
@@ -389,15 +375,6 @@ mod tests {
             .attach(UeImsi(1), BaseStationId(0), UeId(0), SimTime::ZERO)
             .unwrap();
         assert_eq!(again.permanent_ip, rec.permanent_ip);
-    }
-
-    #[test]
-    fn version_bumps_on_mutation() {
-        let mut s = state();
-        let v0 = s.version();
-        s.attach(UeImsi(0), BaseStationId(0), UeId(0), SimTime::ZERO)
-            .unwrap();
-        assert!(s.version() > v0);
     }
 
     #[test]

@@ -587,9 +587,13 @@ impl Driver<'_> {
         Ok(())
     }
 
+    /// Pins the residue baseline. A live tunnel's tag is not part of it:
+    /// the tag goes back to the pool when the tunnel's last transition
+    /// expires, and the offline pass keeps holding it across a recovery.
     fn rebaseline(&mut self, w: &SimWorld) {
         self.baseline_rules = w.net.total_rules();
-        self.baseline_tags = w.controller.installer().tags_in_use();
+        let tunnels = w.controller.mobility().tunnel_count();
+        self.baseline_tags = w.controller.installer().tags_in_use() - tunnels;
     }
 
     // ---- overlay schedule -----------------------------------------

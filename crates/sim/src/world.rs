@@ -1134,6 +1134,62 @@ mod tests {
             .start_connection(UeImsi(0), SERVER, 443, Protocol::Tcp)
             .is_err());
     }
+
+    /// Regression: the offline pass replayed the paths into an installer
+    /// with an empty tag pool, so a live tunnel's tag was free in it: a
+    /// replayed path could take it, and the tunnel, once its transition
+    /// expired, released a tag it no longer held.
+    #[test]
+    fn offline_pass_keeps_live_tunnel_tags_held() {
+        use softcell_policy::clause::ClauseId;
+        let topo = small_topology();
+        let mut w = world(&topo);
+        // each station in turn requests three clauses: an arrival order
+        // the pass improves on
+        let per_station = |bs| [2, 3, 5].map(|clause| (ClauseId(clause), BaseStationId(bs)));
+        let mut paths: Vec<_> = (0..4).flat_map(per_station).collect();
+        for &(clause, bs) in &paths {
+            w.controller.request_policy_path(bs, clause).unwrap();
+        }
+        // the same paths requested afresh in replay order hold this many
+        // tags, with no tunnel beside them
+        let cfg = ControllerConfig::simulation();
+        let mut reference = CentralController::new(&topo, cfg, ServicePolicy::example_carrier_a(1));
+        paths.sort_unstable();
+        for (clause, bs) in paths {
+            reference.request_policy_path(bs, clause).unwrap();
+        }
+        let path_tags = reference.installer().tags_in_use();
+
+        w.attach(UeImsi(0), BaseStationId(0)).unwrap();
+        let c = w
+            .start_connection(UeImsi(0), SERVER, 443, Protocol::Tcp)
+            .unwrap();
+        w.round_trip(c).unwrap();
+        w.handoff(UeImsi(0), BaseStationId(3)).unwrap();
+        assert_eq!(w.controller.mobility().tunnel_count(), 1);
+
+        let outcome = w.apply_reoptimization().unwrap();
+        assert!(outcome.rules_after < outcome.rules_before, "{outcome:?}");
+        assert_eq!(
+            outcome.tags_after,
+            path_tags + 1,
+            "the tunnel's tag is held"
+        );
+        assert_eq!(w.controller.installer().tags_in_use(), path_tags + 1);
+
+        let ttl = w.controller.mobility().transition_ttl;
+        w.advance(ttl + SimDuration::from_secs(1));
+        w.expire_transitions().unwrap();
+        assert_eq!(w.controller.mobility().tunnel_count(), 0);
+        assert_eq!(w.controller.installer().tags_in_use(), path_tags);
+
+        let c = w
+            .start_connection(UeImsi(0), SERVER, 443, Protocol::Tcp)
+            .unwrap();
+        w.round_trip(c).unwrap();
+        w.assert_policy_consistency().unwrap();
+    }
 }
 
 #[cfg(test)]

@@ -138,14 +138,15 @@ timeout 120 cargo run --release -q -p softcell-bench --bin tab2_agent_throughput
   --quick --shards 16 --min-speedup 1.5
 
 # Metro scenario campaign (DESIGN.md §14): a reduced regression matrix
-# — plain diurnal day, flash crowd, controller kill -9 — at 10k modeled
-# UEs over the compressed virtual day. Deterministic (fixed seed), so
+# — plain diurnal day, flash crowd, gateway flap (whose recovery runs the
+# §3.2 offline pass), controller kill -9 — at 10k modeled UEs over the
+# compressed virtual day. Deterministic (fixed seed), so
 # any violation is replayable from the coordinates in the report. The
 # gate is zero violations AND live per-scenario telemetry; time-capped
 # because a stuck drain or drill is a hang, not a red assert.
 echo "==> metro scenario campaign smoke (240 s cap)"
 timeout 240 ./target/release/metro_campaign \
-  --ues 10000 --scenarios diurnal,flash-crowd,controller-kill \
+  --ues 10000 --scenarios diurnal,flash-crowd,gateway-flap,controller-kill \
   --report /tmp/softcell-scenario.json \
   --telemetry /tmp/softcell-scenario-telemetry.json \
   --trace /tmp/softcell-scenario-trace.json
@@ -154,7 +155,7 @@ python3 - /tmp/softcell-scenario.json /tmp/softcell-scenario-telemetry.json <<'P
 import json, sys
 report = json.load(open(sys.argv[1]))
 names = [s["scenario"] for s in report["scenarios"]]
-assert names == ["diurnal", "flash-crowd", "controller-kill"], names
+assert names == ["diurnal", "flash-crowd", "gateway-flap", "controller-kill"], names
 for s in report["scenarios"]:
     assert s["violations"] == [], \
         f"{s['scenario']}: violations {s['violations']}"
@@ -162,7 +163,7 @@ for s in report["scenarios"]:
         f"{s['scenario']}: cohort tier idle"
     q = s["quiesce"]
     assert all(v == 0 for v in q.values()), f"{s['scenario']}: residue {q}"
-assert report["scenarios"][2]["overlay"]["drills_converged"] == 1, \
+assert report["scenarios"][3]["overlay"]["drills_converged"] == 1, \
     "controller-kill drill did not converge"
 snap = json.load(open(sys.argv[2]))
 counters = {(c["name"], c["label"]): c["value"] for c in snap["counters"]}

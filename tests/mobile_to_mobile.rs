@@ -5,6 +5,7 @@
 //! efficient."
 
 use softcell::packet::Protocol;
+use softcell::policy::clause::ClauseId;
 use softcell::policy::{ServicePolicy, SubscriberAttributes};
 use softcell::sim::{SimWorld, WalkOutcome};
 use softcell::topology::{small_topology, CellularParams};
@@ -67,6 +68,45 @@ fn m2m_works_in_both_directions() {
     let conn = w.connection(c);
     assert_eq!(conn.uplink_sent, 3);
     assert_eq!(conn.downlink_delivered, 3);
+}
+
+#[test]
+fn m2m_connection_opened_after_the_offline_pass_delivers_both_ways() {
+    let topo = small_topology();
+    let mut w = world(&topo);
+    w.attach(UeImsi(0), BaseStationId(1)).unwrap();
+    w.attach(UeImsi(1), BaseStationId(2)).unwrap();
+    let before = w
+        .start_m2m_connection(UeImsi(0), UeImsi(1), 443, Protocol::Tcp)
+        .unwrap();
+    w.send_m2m(before, true, b"before").unwrap();
+    // Internet paths arriving station by station: an order the pass
+    // improves on, so it migrates the m2m paths with them
+    for bs in 0..4 {
+        for clause in [2, 3, 5] {
+            w.controller
+                .request_policy_path(BaseStationId(bs), ClauseId(clause))
+                .unwrap();
+        }
+    }
+    let outcome = w.apply_reoptimization().unwrap();
+    assert!(outcome.rules_after < outcome.rules_before, "{outcome:?}");
+
+    let c = w
+        .start_m2m_connection(UeImsi(0), UeImsi(1), 5060, Protocol::Udp)
+        .unwrap();
+    for _ in 0..3 {
+        assert!(matches!(
+            w.send_m2m(c, true, b"invite").unwrap(),
+            WalkOutcome::DeliveredToRadio { .. }
+        ));
+        assert!(matches!(
+            w.send_m2m(c, false, b"ok").unwrap(),
+            WalkOutcome::DeliveredToRadio { .. }
+        ));
+    }
+    let gw = topo.default_gateway().switch;
+    assert!(!w.net.last_walk_trail.contains(&gw));
 }
 
 #[test]
