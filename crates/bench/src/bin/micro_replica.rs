@@ -1,12 +1,10 @@
-//! Replication-path micro-benchmark: log append, ship/ack commit
-//! latency, and replication lag at 1/2/4 replicas.
+//! Replication-path micro-benchmark: ship/ack commit latency and
+//! replication lag at 1/2/4 replicas.
 //!
 //! The paper (§5) argues controller fault tolerance is "standard
 //! replication techniques" over SoftCell's two state classes; this
-//! bench prices those techniques in our implementation. Three numbers:
+//! bench prices those techniques in our implementation. Two numbers:
 //!
-//! * **append** — pure in-memory log append+encode, the floor every
-//!   replicated op pays even alone.
 //! * **commit** — full `propose` round trip: encode, ship to every live
 //!   peer over the loopback ctlchan mesh, quorum ack, apply. This is
 //!   the latency an attach/handoff/path-install adds before its reply
@@ -23,7 +21,7 @@ use std::time::{Duration, Instant};
 use serde::Serialize;
 use softcell_bench::{arg_value, is_quick, maybe_dump_json, TextTable};
 use softcell_policy::{ServicePolicy, SubscriberAttributes};
-use softcell_replica::{Cluster, LogRecord, ReplicatedOp, ReplicationLog};
+use softcell_replica::{Cluster, ReplicatedOp};
 use softcell_types::{BaseStationId, ControllerId, SimTime, UeId, UeImsi};
 
 #[derive(Serialize)]
@@ -31,7 +29,6 @@ struct Row {
     replicas: usize,
     quorum: usize,
     ops: u64,
-    append_ns: f64,
     commit_us_p50: f64,
     commit_us_p99: f64,
     commit_us_mean: f64,
@@ -52,24 +49,6 @@ fn op(i: u64) -> ReplicatedOp {
         since: SimTime(i),
         permanent_ip: Ipv4Addr::new(100, 64, (i >> 8) as u8, i as u8),
     }
-}
-
-/// ns per pure log append (encode + sequential-index append).
-fn bench_append(ops: u64) -> f64 {
-    let mut log = ReplicationLog::new();
-    let start = Instant::now();
-    for i in 0..ops {
-        let record = LogRecord {
-            origin: ControllerId(0),
-            epoch: 1,
-            index: log.next_index(),
-            op: op(i),
-        };
-        let encoded = record.encode();
-        assert!(!encoded.is_empty());
-        log.append(record).expect("sequential append");
-    }
-    start.elapsed().as_nanos() as f64 / ops as f64
 }
 
 fn percentile(sorted: &[u64], p: f64) -> f64 {
@@ -109,7 +88,6 @@ fn bench_cluster(replicas: usize, quorum: usize, ops: u64) -> Row {
         replicas,
         quorum,
         ops,
-        append_ns: bench_append(ops),
         commit_us_p50: percentile(&commit_ns, 0.50),
         commit_us_p99: percentile(&commit_ns, 0.99),
         commit_us_mean: mean_us,
@@ -121,7 +99,7 @@ fn main() {
     let args: Vec<String> = std::env::args().collect();
     let ops: u64 = if is_quick(&args) { 2_000 } else { 20_000 };
 
-    println!("Replication-path microbench (log append / quorum commit / lag)");
+    println!("Replication-path microbench (quorum commit / lag)");
     let rows: Vec<Row> = match arg_value::<usize>(&args, "--replicas") {
         Some(n) => {
             let quorum = arg_value(&args, "--quorum").unwrap_or(n / 2 + 1);
@@ -137,7 +115,6 @@ fn main() {
         "replicas",
         "quorum",
         "ops",
-        "append ns",
         "commit p50 us",
         "commit p99 us",
         "commit mean us",
@@ -148,7 +125,6 @@ fn main() {
             r.replicas.to_string(),
             r.quorum.to_string(),
             r.ops.to_string(),
-            format!("{:.0}", r.append_ns),
             format!("{:.1}", r.commit_us_p50),
             format!("{:.1}", r.commit_us_p99),
             format!("{:.1}", r.commit_us_mean),

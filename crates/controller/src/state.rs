@@ -292,14 +292,20 @@ impl ControllerState {
     }
 
     /// Drops all UE-location state (used when a recovering replica is
-    /// about to rebuild it from the local agents, §5.2).
+    /// about to rebuild it from the local agents, §5.2). The address
+    /// pool starts over: the rebuild holds exactly the restored UEs'
+    /// addresses.
     pub fn clear_locations(&mut self) {
         self.ues.clear();
         self.by_loc.clear();
+        self.permanent = IdPool::new((self.permanent_pool.size() - 1) as u32);
     }
 
-    /// Restores one UE record during location rebuild.
+    /// Restores one UE record during location rebuild, holding its
+    /// permanent address so no later attach is handed the same one.
     pub fn restore_location(&mut self, rec: UeRecord) {
+        let off = u32::from(rec.permanent_ip).wrapping_sub(self.permanent_pool.raw_bits() + 1);
+        self.permanent.adopt(off);
         self.by_loc.insert((rec.bs, rec.ue_id), rec.imsi);
         self.ues.insert(rec.imsi, rec);
     }
@@ -392,6 +398,29 @@ mod tests {
         }
         assert_eq!(s.attached_count(), 2);
         assert_eq!(s.at_location(BaseStationId(1), UeId(3)), Some(UeImsi(1)));
+    }
+
+    #[test]
+    fn a_restored_address_is_not_handed_out_again() {
+        let mut s = state();
+        let restored = UeRecord {
+            imsi: UeImsi(0),
+            permanent_ip: Ipv4Addr::new(100, 64, 0, 1),
+            bs: BaseStationId(0),
+            ue_id: UeId(0),
+            since: SimTime::ZERO,
+        };
+        s.restore_location(restored);
+        let fresh = s
+            .attach(UeImsi(1), BaseStationId(0), UeId(1), SimTime::ZERO)
+            .unwrap();
+        assert_ne!(fresh.permanent_ip, restored.permanent_ip);
+        // detaching the restored UE hands its address back
+        s.detach(UeImsi(0)).unwrap();
+        let again = s
+            .attach(UeImsi(2), BaseStationId(0), UeId(2), SimTime::ZERO)
+            .unwrap();
+        assert_eq!(again.permanent_ip, restored.permanent_ip);
     }
 
     #[test]

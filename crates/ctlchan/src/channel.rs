@@ -417,28 +417,17 @@ impl Message<'_> {
                 payload: payload.into_owned().into(),
             },
             Message::ReplicateAck {
-                origin,
                 epoch,
-                index,
                 accepted,
                 have_index,
             } => Message::ReplicateAck {
-                origin,
                 epoch,
-                index,
                 accepted,
                 have_index,
             },
             Message::EpochChange { epoch, live } => Message::EpochChange { epoch, live },
-            Message::SnapshotTransfer {
-                origin,
+            Message::SnapshotTransfer { epoch, payload } => Message::SnapshotTransfer {
                 epoch,
-                applied,
-                payload,
-            } => Message::SnapshotTransfer {
-                origin,
-                epoch,
-                applied,
                 payload: payload.into_owned().into(),
             },
         }

@@ -571,12 +571,8 @@ pub enum Message<'a> {
     /// with the receiver's view so the sender can fence or catch the
     /// receiver up.
     ReplicateAck {
-        /// Seat of the *acknowledging* controller.
-        origin: u32,
         /// The acknowledging controller's current epoch.
         epoch: u64,
-        /// Index being acknowledged (echoes the request).
-        index: u64,
         /// Whether the record was accepted and applied.
         accepted: bool,
         /// Highest contiguous index the receiver holds from the
@@ -601,15 +597,10 @@ pub enum Message<'a> {
     /// sender lacks replies with this same frame carrying its merged
     /// image.
     SnapshotTransfer {
-        /// Seat of the sending controller.
-        origin: u32,
         /// Epoch the snapshot was taken under (fencing key).
         epoch: u64,
-        /// Per-seat applied-index watermarks the snapshot covers, seat
-        /// order (advisory; the store image itself carries per-origin
-        /// watermarks).
-        applied: Vec<u64>,
-        /// Encoded store image (opaque to this crate).
+        /// Encoded store image (opaque to this crate); it carries its
+        /// own per-origin applied watermarks.
         payload: Cow<'a, [u8]>,
     },
 }
@@ -755,15 +746,11 @@ impl Message<'_> {
                 w.bytes(payload);
             }
             Message::ReplicateAck {
-                origin,
                 epoch,
-                index,
                 accepted,
                 have_index,
             } => {
-                w.u32(*origin);
                 w.u64(*epoch);
-                w.u64(*index);
                 w.u8(u8::from(*accepted));
                 w.u64(*have_index);
             }
@@ -775,20 +762,9 @@ impl Message<'_> {
                     w.u8(u8::from(*l));
                 }
             }
-            Message::SnapshotTransfer {
-                origin,
-                epoch,
-                applied,
-                payload,
-            } => {
-                debug_assert!(applied.len() <= u16::MAX as usize, "ring too large");
+            Message::SnapshotTransfer { epoch, payload } => {
                 debug_assert!(payload.len() <= u32::MAX as usize, "snapshot too large");
-                w.u32(*origin);
                 w.u64(*epoch);
-                w.u16(applied.len() as u16);
-                for a in applied {
-                    w.u64(*a);
-                }
                 w.u32(payload.len() as u32);
                 w.bytes(payload);
             }
@@ -909,9 +885,7 @@ impl Message<'_> {
                 }
             }
             msg_type::REPLICATE_ACK => {
-                let origin = r.u32()?;
                 let epoch = r.u64()?;
-                let index = r.u64()?;
                 let accepted = match r.u8()? {
                     0 => false,
                     1 => true,
@@ -919,9 +893,7 @@ impl Message<'_> {
                 };
                 let have_index = r.u64()?;
                 Message::ReplicateAck {
-                    origin,
                     epoch,
-                    index,
                     accepted,
                     have_index,
                 }
@@ -940,21 +912,10 @@ impl Message<'_> {
                 Message::EpochChange { epoch, live }
             }
             msg_type::SNAPSHOT_TRANSFER => {
-                let origin = r.u32()?;
                 let epoch = r.u64()?;
-                let seats = r.u16()? as usize;
-                let mut applied = Vec::with_capacity(seats.min(1024));
-                for _ in 0..seats {
-                    applied.push(r.u64()?);
-                }
                 let len = r.u32()? as usize;
                 let payload = Cow::Borrowed(r.take(len)?);
-                Message::SnapshotTransfer {
-                    origin,
-                    epoch,
-                    applied,
-                    payload,
-                }
+                Message::SnapshotTransfer { epoch, payload }
             }
             other => return Err(Error::Malformed(format!("unknown message type {other}"))),
         };
@@ -1142,7 +1103,8 @@ impl<'a> Reader<'a> {
         let dscp = self.u8()?;
         let priority = self.u8()?;
         let qos = match qos_present {
-            0 => None,
+            0 if dscp == 0 && priority == 0 => None,
+            0 => return Err(Error::Malformed("QoS bytes set under an absent QoS".into())),
             1 => Some(QosClass { dscp, priority }),
             other => return Err(Error::Malformed(format!("qos-present flag {other}"))),
         };
@@ -1165,6 +1127,16 @@ impl<'a> Reader<'a> {
             let app = app_from_code(self.u8()?)?;
             let clause = ClauseId(self.u16()?);
             let access = access_from_code(self.u8()?)?;
+            // one encoding per entry: no unknown flag bits, and a field
+            // whose flag is clear must be zero
+            if flags & !3 != 0
+                || (flags & 1 == 0 && proto_num != 0)
+                || (flags & 2 == 0 && port != 0)
+            {
+                return Err(Error::Malformed(format!(
+                    "classifier entry flags {flags:#04x} disagree with its fields"
+                )));
+            }
             entries.push(ClassifierEntry {
                 proto: if flags & 1 != 0 {
                     Some(Protocol::from_number(proto_num)?)
@@ -1427,16 +1399,12 @@ mod tests {
                 payload: Cow::Owned(record.clone()),
             },
             Message::ReplicateAck {
-                origin: 1,
                 epoch: 7,
-                index: 4242,
                 accepted: true,
                 have_index: 4242,
             },
             Message::ReplicateAck {
-                origin: 1,
                 epoch: 9,
-                index: 4242,
                 accepted: false,
                 have_index: 4100,
             },
@@ -1445,9 +1413,7 @@ mod tests {
                 live: vec![true, false, true],
             },
             Message::SnapshotTransfer {
-                origin: 0,
                 epoch: 8,
-                applied: vec![10, 0, 77],
                 payload: Cow::Owned(b"store-image".to_vec()),
             },
         ];
@@ -1479,14 +1445,12 @@ mod tests {
     fn replication_family_rejects_malformed_flags_and_truncation() {
         // bad accepted flag
         let mut buf = Message::ReplicateAck {
-            origin: 0,
             epoch: 1,
-            index: 1,
             accepted: false,
             have_index: 0,
         }
         .encode(1);
-        let flag_at = HEADER_LEN + 4 + 8 + 8;
+        let flag_at = HEADER_LEN + 8;
         assert_eq!(buf[flag_at], 0);
         buf[flag_at] = 3;
         assert!(Frame::new_checked(&buf[..]).unwrap().message().is_err());
@@ -1515,16 +1479,14 @@ mod tests {
         buf[len_at..len_at + 4].copy_from_slice(&100u32.to_be_bytes());
         assert!(Frame::new_checked(&buf[..]).unwrap().message().is_err());
 
-        // snapshot applied-count pointing past the frame
+        // snapshot payload length pointing past the frame
         let mut buf = Message::SnapshotTransfer {
-            origin: 0,
             epoch: 1,
-            applied: vec![1, 2],
-            payload: Cow::Owned(vec![]),
+            payload: Cow::Owned(vec![0xbb; 2]),
         }
         .encode(1);
-        let count_at = HEADER_LEN + 4 + 8;
-        buf[count_at..count_at + 2].copy_from_slice(&999u16.to_be_bytes());
+        let len_at = HEADER_LEN + 8;
+        buf[len_at..len_at + 4].copy_from_slice(&999u32.to_be_bytes());
         assert!(Frame::new_checked(&buf[..]).unwrap().message().is_err());
     }
 

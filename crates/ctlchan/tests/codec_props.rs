@@ -4,7 +4,9 @@
 //! boundary values the generators bias towards: zero, max, empty and
 //! near-limit payload lengths), must encode to a frame that validates
 //! and parses back to an equal message under its original xid — and a
-//! frame corrupted by truncation must be rejected, never panic.
+//! frame corrupted by truncation must be rejected, never panic. A frame
+//! with a corrupted payload byte either fails to decode or re-encodes to
+//! exactly its own bytes: one message, one encoding.
 
 use std::borrow::Cow;
 
@@ -149,9 +151,7 @@ fn build_message(
             payload: Cow::Owned(payload.to_vec()),
         },
         13 => Message::ReplicateAck {
-            origin: b,
             epoch: a,
-            index: a ^ u64::from(b),
             accepted: d & 1 == 0,
             have_index: u64::from(c),
         },
@@ -162,11 +162,7 @@ fn build_message(
                 .collect(),
         },
         _ => Message::SnapshotTransfer {
-            origin: b,
             epoch: a | 1,
-            applied: (0..batch.min(16))
-                .map(|i| a.wrapping_add(i as u64))
-                .collect(),
             payload: Cow::Owned(payload.to_vec()),
         },
     }
@@ -230,8 +226,11 @@ proptest! {
             buf[at] ^= flip;
         }
         if let Ok(frame) = Frame::new_checked(buf.as_slice()) {
-            // decoding corrupt payloads may fail, but must not panic
-            let _ = frame.message();
+            // decoding corrupt payloads may fail, but must not panic, and
+            // what does decode is the one message those bytes encode
+            if let Ok(decoded) = frame.message() {
+                prop_assert_eq!(decoded.encode(1), buf);
+            }
         }
     }
 }

@@ -156,12 +156,6 @@ fn rewrite_dst(buffer: &mut [u8], addr: Ipv4Addr, port: u16) -> Result<()> {
     Ok(())
 }
 
-/// Validation helper shared by rewriters: a packet too short to carry its
-/// transport header must be rejected, not silently truncated.
-pub fn validate_wire_packet(buffer: &[u8]) -> Result<()> {
-    HeaderView::parse(buffer).map(|_| ())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -37,7 +37,7 @@ use parking_lot::Mutex;
 use softcell_controller::agent::LocalAgent;
 use softcell_controller::wire::ChannelController;
 use softcell_ctlchan::{loopback_pair, ChannelCounters, Loopback, Transport};
-use softcell_policy::{AppClassifier, ServicePolicy, SubscriberAttributes};
+use softcell_policy::{ServicePolicy, SubscriberAttributes};
 use softcell_telemetry::Registry;
 use softcell_types::{BaseStationId, ControllerId, Error, Membership, Result, SimTime};
 
@@ -195,7 +195,6 @@ impl Cluster {
                 quorum,
                 peer_deadline,
                 policy: policy.clone(),
-                apps: AppClassifier::default(),
                 subscribers: subs.clone(),
             };
             nodes.push(ReplicaNode::new(cfg, membership.clone(), peers)?);
@@ -673,7 +672,6 @@ mod tests {
             bs: BaseStationId(3),
             clause: ClauseId(0),
             tag: PolicyTag(5),
-            port: PortNo(1),
         };
         c.node(0).propose(op).unwrap_err();
         // Seat 1 applied the epoch-1 copy; seat 2 never saw it.

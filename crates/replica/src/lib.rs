@@ -24,16 +24,21 @@
 //!   partitioned by region over the membership ring, `kill -9`-style
 //!   link severance for crash testing, deterministic fail-over, and
 //!   agent re-homing to the successor leader with `resync` replay.
+//! * **The `kill -9` drill** ([`drill`]) — the one recovery scenario,
+//!   run by the recovery test and the campaign's `controller-kill`
+//!   overlay.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cluster;
+pub mod drill;
 pub mod log;
 pub mod node;
 pub mod store;
 
 pub use cluster::{rehome_agent, Cluster, Killable, Link};
-pub use log::{LogRecord, ReplicatedOp, ReplicationLog};
+pub use drill::controller_kill_drill;
+pub use log::{LogRecord, ReplicatedOp};
 pub use node::{ReplicaConfig, ReplicaNode};
 pub use store::{PathEntry, ReplicaStore, UeEntry, UeSlot};

@@ -1,4 +1,4 @@
-//! The append-only replicated operation log.
+//! The records of the replicated operation log.
 //!
 //! Every state-mutating controller operation — UE attach (which also
 //! covers handoff, as an upsert by IMSI), detach, and policy-path
@@ -7,10 +7,12 @@
 //! permanent IP and the policy tag are chosen by the originating node
 //! and carried in the record, so replaying the same records in the same
 //! per-origin order reconstructs byte-for-byte identical state on every
-//! replica ([`crate::store::ReplicaStore`]).
+//! replica ([`crate::store::ReplicaStore`]). The store is the only
+//! place a record lives once applied; no node keeps the records
+//! themselves.
 //!
 //! Records are indexed per origin: each controller numbers its own
-//! proposals `1, 2, 3, …` within its current epoch, and followers track
+//! proposals `1, 2, 3, …` (its commit index plus one), and followers track
 //! one applied watermark per origin seat. A record whose index is not
 //! exactly `watermark + 1` is a gap (the follower missed traffic and
 //! needs a snapshot) or a duplicate (a leader retry after a partial
@@ -24,7 +26,7 @@ use std::net::Ipv4Addr;
 
 use softcell_policy::clause::ClauseId;
 use softcell_types::{
-    BaseStationId, ControllerId, Error, PolicyTag, PortNo, Result, SimTime, UeId, UeImsi,
+    BaseStationId, ControllerId, Error, PolicyTag, Result, SimTime, UeId, UeImsi,
 };
 
 /// A state-mutating controller operation, fully resolved by the leader.
@@ -69,8 +71,6 @@ pub enum ReplicatedOp {
         clause: ClauseId,
         /// The tag realizing the path end to end.
         tag: PolicyTag,
-        /// Access-switch output port for the path's first hop.
-        port: PortNo,
     },
 }
 
@@ -121,17 +121,11 @@ impl LogRecord {
                 out.extend_from_slice(&imsi.0.to_be_bytes());
                 out.extend_from_slice(&since.0.to_be_bytes());
             }
-            ReplicatedOp::PathInstall {
-                bs,
-                clause,
-                tag,
-                port,
-            } => {
+            ReplicatedOp::PathInstall { bs, clause, tag } => {
                 out.push(OP_PATH_INSTALL);
                 out.extend_from_slice(&bs.0.to_be_bytes());
                 out.extend_from_slice(&clause.0.to_be_bytes());
                 out.extend_from_slice(&tag.0.to_be_bytes());
-                out.extend_from_slice(&port.0.to_be_bytes());
             }
         }
         out
@@ -161,7 +155,6 @@ impl LogRecord {
                 bs: BaseStationId(r.take_u32()?),
                 clause: ClauseId(r.take_u16()?),
                 tag: PolicyTag(r.take_u16()?),
-                port: PortNo(r.take_u16()?),
             },
             other => {
                 return Err(Error::Malformed(format!(
@@ -246,96 +239,6 @@ impl<'a> Cursor<'a> {
     }
 }
 
-/// A node's own origination sequence: the records it has proposed and
-/// committed, in index order, possibly compacted from the front after a
-/// snapshot superseded the prefix.
-#[derive(Clone, Debug)]
-pub struct ReplicationLog {
-    /// `records[i]` has index `first_index + i`.
-    records: Vec<LogRecord>,
-    first_index: u64,
-}
-
-impl Default for ReplicationLog {
-    fn default() -> ReplicationLog {
-        ReplicationLog::new()
-    }
-}
-
-impl ReplicationLog {
-    /// An empty log whose first record will be index 1.
-    pub fn new() -> ReplicationLog {
-        ReplicationLog::starting_at(1)
-    }
-
-    /// An empty log continuing after a snapshot: the next append must
-    /// carry `first_index`.
-    pub fn starting_at(first_index: u64) -> ReplicationLog {
-        ReplicationLog {
-            records: Vec::new(),
-            first_index: first_index.max(1),
-        }
-    }
-
-    /// Index the next appended record must carry.
-    pub fn next_index(&self) -> u64 {
-        self.first_index + self.records.len() as u64
-    }
-
-    /// Index of the newest record, 0 when empty since compaction start.
-    pub fn last_index(&self) -> u64 {
-        self.next_index() - 1
-    }
-
-    /// Number of records currently retained.
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// Whether no records are retained.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-
-    /// Appends the next record; its index must be exactly
-    /// [`next_index`](Self::next_index).
-    pub fn append(&mut self, record: LogRecord) -> Result<()> {
-        if record.index != self.next_index() {
-            return Err(Error::InvalidState(format!(
-                "log append out of order: record index {} but next is {}",
-                record.index,
-                self.next_index()
-            )));
-        }
-        self.records.push(record);
-        Ok(())
-    }
-
-    /// The record at `index`, if retained.
-    pub fn get(&self, index: u64) -> Option<&LogRecord> {
-        let i = index.checked_sub(self.first_index)?;
-        self.records.get(usize::try_from(i).ok()?)
-    }
-
-    /// Records with index `>= from`, in order.
-    pub fn iter_from(&self, from: u64) -> impl Iterator<Item = &LogRecord> {
-        let skip = from
-            .saturating_sub(self.first_index)
-            .min(self.records.len() as u64) as usize;
-        self.records.iter().skip(skip)
-    }
-
-    /// Drops every record with index `<= through` (snapshot compaction).
-    pub fn compact_through(&mut self, through: u64) {
-        if through < self.first_index {
-            return;
-        }
-        let drop = (through - self.first_index + 1).min(self.records.len() as u64) as usize;
-        self.records.drain(..drop);
-        self.first_index += drop as u64;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -365,7 +268,6 @@ mod tests {
             bs: BaseStationId(11),
             clause: ClauseId(5),
             tag: PolicyTag(300),
-            port: PortNo(1),
         },
     ];
 
@@ -395,25 +297,5 @@ mod tests {
         let mut bad = buf;
         bad[20] = 0xEE;
         assert!(LogRecord::decode(&bad).is_err());
-    }
-
-    #[test]
-    fn log_enforces_sequential_indexes_and_compacts() {
-        let mut log = ReplicationLog::new();
-        assert_eq!(log.next_index(), 1);
-        log.append(rec(1, OPS[0])).unwrap();
-        log.append(rec(2, OPS[1])).unwrap();
-        assert!(log.append(rec(4, OPS[2])).is_err(), "gap rejected");
-        assert!(log.append(rec(2, OPS[2])).is_err(), "duplicate rejected");
-        log.append(rec(3, OPS[2])).unwrap();
-        assert_eq!(log.last_index(), 3);
-        assert_eq!(log.get(2).unwrap().op, OPS[1]);
-        assert_eq!(log.iter_from(2).count(), 2);
-
-        log.compact_through(2);
-        assert_eq!(log.len(), 1);
-        assert_eq!(log.get(2), None, "compacted away");
-        assert_eq!(log.get(3).unwrap().op, OPS[2]);
-        assert_eq!(log.next_index(), 4, "indexes keep counting");
     }
 }

@@ -3,8 +3,8 @@
 //!
 //! ## Commit protocol
 //!
-//! A node *proposes* an operation by appending it (provisionally) as the
-//! next record of its own origin sequence and shipping it to every live
+//! A node *proposes* an operation as the next record of its own origin
+//! sequence (index = its commit index + 1) and ships it to every live
 //! peer as a `Replicate` frame. Followers apply on receipt and
 //! acknowledge; the proposal **commits** — and only then is the
 //! agent-facing reply (classifier grant or flow-mod) released — once
@@ -49,7 +49,7 @@ use softcell_types::{
     SimTime, UeId, UeImsi,
 };
 
-use crate::log::{LogRecord, ReplicatedOp, ReplicationLog};
+use crate::log::{LogRecord, ReplicatedOp};
 use crate::store::{ReplicaStore, UeEntry};
 
 /// Base of the permanent-IP slab (100.64.0.0/10, carrier-grade NAT
@@ -75,8 +75,6 @@ pub struct ReplicaConfig {
     pub peer_deadline: Duration,
     /// The operator policy agents' classifiers are compiled from.
     pub policy: ServicePolicy,
-    /// Application signatures for classifier compilation.
-    pub apps: AppClassifier,
     /// Known subscribers; unknown IMSIs fall back to
     /// [`SubscriberAttributes::default_home`].
     pub subscribers: HashMap<UeImsi, SubscriberAttributes>,
@@ -85,8 +83,6 @@ pub struct ReplicaConfig {
 /// Replicated + local mutable state, guarded by one mutex (`core` in
 /// the lock order). Never held across a network wait.
 struct NodeCore {
-    /// Own-originated committed records.
-    log: ReplicationLog,
     /// Materialized replicated state (all origins).
     store: ReplicaStore,
     /// Current membership view.
@@ -98,7 +94,8 @@ struct NodeCore {
     ips: IdPool,
     /// Tag slab offsets, less one (offset 0 is never used).
     tags: IdPool,
-    /// Own commit watermark (highest own index that reached quorum).
+    /// Own commit watermark (highest own index that reached quorum);
+    /// the next proposal takes `commit + 1`.
     commit: u64,
 }
 
@@ -120,6 +117,8 @@ enum ShipOutcome {
 /// loopback (or kill-switchable) links and deployments use TCP.
 pub struct ReplicaNode<T: Transport> {
     cfg: ReplicaConfig,
+    /// Application signatures for classifier compilation.
+    apps: AppClassifier,
     fence: EpochFence,
     /// Serializes proposals (and the allocation decisions they embed).
     propose: Mutex<()>,
@@ -164,10 +163,10 @@ impl<T: Transport> ReplicaNode<T> {
             .gauge("softcell_replica_current_epoch")
             .set(epoch);
         Ok(Arc::new(ReplicaNode {
+            apps: AppClassifier::default(),
             fence: EpochFence::new(epoch),
             propose: Mutex::new(()),
             core: Mutex::new(NodeCore {
-                log: ReplicationLog::new(),
                 store: ReplicaStore::new(),
                 membership,
                 pending: None,
@@ -195,11 +194,6 @@ impl<T: Transport> ReplicaNode<T> {
         self.core.lock().membership.clone()
     }
 
-    /// Whether this node leads `bs`'s region under its current view.
-    pub fn is_leader_for(&self, bs: BaseStationId) -> bool {
-        self.core.lock().membership.leader_of_station(bs) == Some(self.cfg.id)
-    }
-
     /// The deterministic byte image of the replicated store (the
     /// recovery oracle).
     pub fn snapshot_bytes(&self) -> Vec<u8> {
@@ -221,32 +215,34 @@ impl<T: Transport> ReplicaNode<T> {
         self.core.lock().commit
     }
 
-    /// Replaces the outbound channel for `seat` (used when re-wiring
-    /// links after a failure).
-    pub fn set_peer(&self, seat: usize, chan: Option<CtlChannel<T>>) -> Result<()> {
-        let mut peers = self.peers.lock();
-        let slot = peers
-            .get_mut(seat)
-            .ok_or_else(|| Error::Range(format!("no peer slot {seat}")))?;
-        *slot = chan;
-        Ok(())
-    }
-
     /// Locally adopts a newer membership view (the fail-over initiator
     /// calls this before broadcasting). Older or equal views are
     /// ignored.
     pub fn adopt_membership(&self, view: Membership) {
-        let mut core = self.core.lock();
-        if view.epoch() > core.membership.epoch() {
-            let epoch = view.epoch();
-            core.membership = view;
-            drop(core);
-            self.fence.observe(epoch);
-            let reg = Registry::global();
-            reg.counter("softcell_replica_epoch_changes_total").inc();
-            reg.gauge("softcell_replica_current_epoch").set(epoch);
-            reg.tracer().instant("epoch_change", epoch);
+        self.adopt(&mut self.core.lock(), view);
+    }
+
+    /// The one place a view is adopted: a view newer than `core`'s
+    /// replaces it and raises the fence; older or equal views are
+    /// ignored.
+    fn adopt(&self, core: &mut NodeCore, view: Membership) {
+        let epoch = view.epoch();
+        if epoch <= core.membership.epoch() {
+            return;
         }
+        core.membership = view;
+        self.fence.observe(epoch);
+        let reg = Registry::global();
+        reg.counter("softcell_replica_epoch_changes_total").inc();
+        reg.gauge("softcell_replica_current_epoch").set(epoch);
+        reg.tracer().instant("epoch_change", epoch);
+    }
+
+    /// Seats of the peers live under `view`, this node excluded.
+    fn live_peers(&self, view: &Membership) -> Vec<usize> {
+        (0..view.seats())
+            .filter(|&s| s != self.cfg.id.seat() && view.is_live(ControllerId(s as u32)))
+            .collect()
     }
 
     /// Pushes the current membership view to every live peer; returns
@@ -254,55 +250,42 @@ impl<T: Transport> ReplicaNode<T> {
     /// newer* epoch did not adopt ours — it kept its own view — so that
     /// is a fencing signal: this node adopts the newer view and the
     /// broadcast fails, forcing the caller to abort (or retry under)
-    /// the fresher view instead of fail-ing over on a stale one.
+    /// the fresher view instead of fail-ing over on a stale one. A peer
+    /// that does not answer is skipped.
     pub fn broadcast_epoch_change(&self) -> Result<usize> {
-        let (epoch, live) = {
+        let (epoch, msg, seats) = {
             let core = self.core.lock();
-            (
-                core.membership.epoch(),
-                core.membership.live_flags().to_vec(),
-            )
-        };
-        let msg = Message::EpochChange {
-            epoch,
-            live: live.clone(),
+            let view = &core.membership;
+            let msg = Message::EpochChange {
+                epoch: view.epoch(),
+                live: view.live_flags().to_vec(),
+            };
+            (view.epoch(), msg, self.live_peers(view))
         };
         let mut adopted = 0;
-        let mut newer: Option<(u64, Vec<bool>)> = None;
+        let mut newer = None;
         {
             let mut peers = self.peers.lock();
-            for (seat, &alive) in live.iter().enumerate() {
-                if seat == self.cfg.id.seat() || !alive {
-                    continue;
-                }
+            for seat in seats {
                 let Some(chan) = peers.get_mut(seat).and_then(|s| s.as_mut()) else {
                     continue;
                 };
-                chan.set_deadline(Some(self.cfg.peer_deadline))?;
-                let res = chan.request(&msg);
-                let _ = chan.set_deadline(None);
-                if let Ok(raw) = res {
-                    if let Ok(frame) = Frame::new_checked(raw.as_slice()) {
-                        if let Ok(Message::EpochChange {
-                            epoch: got,
-                            live: peer_live,
-                        }) = frame.message()
-                        {
-                            if got > epoch {
-                                newer = Some((got, peer_live));
-                                break;
-                            }
-                            if got == epoch {
-                                adopted += 1;
-                            }
-                        }
+                if let Ok(Message::EpochChange { epoch: got, live }) =
+                    Self::ask(chan, &msg, self.cfg.peer_deadline)
+                {
+                    if got > epoch {
+                        newer = Some((got, live));
+                        break;
+                    }
+                    if got == epoch {
+                        adopted += 1;
                     }
                 }
             }
         }
-        if let Some((got, peer_live)) = newer {
+        if let Some((got, live)) = newer {
             self.fence.observe(got);
-            if let Ok(view) = Membership::from_parts(got, peer_live) {
+            if let Ok(view) = Membership::from_parts(got, live) {
                 self.adopt_membership(view);
             }
             return Err(Error::InvalidState(format!(
@@ -323,58 +306,75 @@ impl<T: Transport> ReplicaNode<T> {
     pub fn push_snapshot(&self) -> Result<usize> {
         let mut adopted = 0;
         for _round in 0..2 {
-            let (payload, applied, epoch, live) = {
-                let core = self.core.lock();
-                let seats = core.membership.seats();
-                (
-                    core.store.snapshot_bytes(),
-                    (0..seats)
-                        .map(|s| core.store.applied(ControllerId(s as u32)))
-                        .collect::<Vec<u64>>(),
-                    core.membership.epoch(),
-                    core.membership.live_flags().to_vec(),
-                )
-            };
-            let mut returned: Vec<ReplicaStore> = Vec::new();
-            adopted = 0;
-            {
-                let mut peers = self.peers.lock();
-                for (seat, &alive) in live.iter().enumerate() {
-                    if seat == self.cfg.id.seat() || !alive {
-                        continue;
-                    }
-                    let Some(chan) = peers.get_mut(seat).and_then(|s| s.as_mut()) else {
-                        continue;
-                    };
-                    match Self::send_snapshot(
-                        chan,
-                        self.cfg.id,
-                        epoch,
-                        &applied,
-                        &payload,
-                        self.cfg.peer_deadline,
-                    ) {
-                        Ok(None) => adopted += 1,
-                        Ok(Some(store)) => {
-                            adopted += 1;
-                            returned.push(store);
-                        }
-                        Err(_) => {}
-                    }
-                }
-            }
-            let mut changed = false;
-            if !returned.is_empty() {
-                let mut core = self.core.lock();
-                for store in &returned {
-                    changed |= core.store.merge(store);
-                }
-            }
+            let seats = self.live_peers(&self.core.lock().membership);
+            let (took, changed) = self.exchange_snapshot(&seats);
+            adopted = took.len();
             if !changed {
                 break;
             }
         }
         Ok(adopted)
+    }
+
+    /// The one snapshot exchange: sends this node's store image to each
+    /// of `seats` and merges back every image a peer returns (it held
+    /// records this node lacked). Returns the seats that took the image
+    /// and whether a returned image changed this node's store.
+    fn exchange_snapshot(&self, seats: &[usize]) -> (Vec<usize>, bool) {
+        let msg = {
+            let core = self.core.lock();
+            Message::SnapshotTransfer {
+                epoch: core.membership.epoch(),
+                payload: Cow::Owned(core.store.snapshot_bytes()),
+            }
+        };
+        let mut took = Vec::new();
+        let mut returned: Vec<ReplicaStore> = Vec::new();
+        {
+            let mut peers = self.peers.lock();
+            for &seat in seats {
+                let Some(chan) = peers.get_mut(seat).and_then(|s| s.as_mut()) else {
+                    continue;
+                };
+                match Self::ask(chan, &msg, self.cfg.peer_deadline) {
+                    Ok(Message::ReplicateAck { accepted: true, .. }) => took.push(seat),
+                    Ok(Message::SnapshotTransfer { payload, .. }) => {
+                        if let Ok(store) = ReplicaStore::restore(&payload) {
+                            took.push(seat);
+                            returned.push(store);
+                        }
+                    }
+                    // refused (stale epoch), unreachable or unexpected
+                    _ => {}
+                }
+            }
+        }
+        let mut changed = false;
+        if !returned.is_empty() {
+            let mut core = self.core.lock();
+            for store in &returned {
+                changed |= core.store.merge(store);
+            }
+        }
+        (took, changed)
+    }
+
+    /// The one peer call: `msg` to one peer under `deadline`, its reply
+    /// decoded, and an error reply turned into the error it carries.
+    fn ask(
+        chan: &mut CtlChannel<T>,
+        msg: &Message<'_>,
+        deadline: Duration,
+    ) -> Result<Message<'static>> {
+        chan.set_deadline(Some(deadline))?;
+        let res = chan.request(msg);
+        let _ = chan.set_deadline(None);
+        let raw = res?;
+        let reply = Frame::new_checked(raw.as_slice())?.message()?.into_static();
+        match reply.as_error() {
+            Some(e) => Err(e),
+            None => Ok(reply),
+        }
     }
 
     // ------------------------------------------------------------------
@@ -400,13 +400,38 @@ impl<T: Transport> ReplicaNode<T> {
             let record = LogRecord {
                 origin: self.cfg.id,
                 epoch: core.membership.epoch(),
-                index: core.log.next_index(),
+                index: core.commit + 1,
                 op,
             };
             core.pending = Some(record);
             record
         };
         self.ship_and_commit(record)
+    }
+
+    /// Proposes `op`, which carries a slab id this proposal drew fresh,
+    /// and gives the id back if the proposal fails — unless the pending
+    /// record holds it (a quorum miss or fence keeps the record pending;
+    /// it must commit under this allocation). A failure *before* the
+    /// record was created — a stuck earlier proposal, a raised fence —
+    /// must not burn a slot per retry until the slab runs dry.
+    fn propose_fresh(&self, op: ReplicatedOp) -> Result<u64> {
+        let committed = self.propose_inner(op);
+        if committed.is_err() {
+            let mut core = self.core.lock();
+            if !matches!(&core.pending, Some(r) if r.op == op) {
+                match op {
+                    ReplicatedOp::Attach { permanent_ip, .. } => {
+                        core.ips.release((u32::from(permanent_ip) & 0xFFFF) - 1);
+                    }
+                    ReplicatedOp::PathInstall { tag, .. } => {
+                        core.tags.release(u32::from(tag.0 % TAG_SLAB) - 1);
+                    }
+                    ReplicatedOp::Detach { .. } => {}
+                }
+            }
+        }
+        committed
     }
 
     /// Re-ships a proposal stuck from an earlier failed quorum round —
@@ -450,15 +475,15 @@ impl<T: Transport> ReplicaNode<T> {
     }
 
     /// Ships `record` to every live peer, gathers acknowledgements
-    /// (snapshot-healing gapped peers), and commits locally once quorum
-    /// is reached.
+    /// (catching gapped peers up with a snapshot, then re-shipping),
+    /// and commits locally once quorum is reached.
     fn ship_and_commit(&self, record: LogRecord) -> Result<u64> {
         let reg = Registry::global();
         let payload = record.encode();
-        let (live, commit_before, fence_epoch) = {
+        let (seats, commit_before, fence_epoch) = {
             let core = self.core.lock();
             (
-                core.membership.live_flags().to_vec(),
+                self.live_peers(&core.membership),
                 core.commit,
                 core.membership.epoch(),
             )
@@ -467,10 +492,7 @@ impl<T: Transport> ReplicaNode<T> {
         let mut gapped: Vec<usize> = Vec::new();
         {
             let mut peers = self.peers.lock();
-            for (seat, &alive) in live.iter().enumerate() {
-                if seat == self.cfg.id.seat() || !alive {
-                    continue;
-                }
+            for &seat in &seats {
                 let Some(chan) = peers.get_mut(seat).and_then(|s| s.as_mut()) else {
                     continue;
                 };
@@ -483,14 +505,7 @@ impl<T: Transport> ReplicaNode<T> {
                     let mut sp = reg.tracer().span("replicate_ack");
                     sp.set_shard(seat);
                     chan.set_trace(sp.ctx());
-                    let r = Self::ship_one(
-                        chan,
-                        &record,
-                        &payload,
-                        commit_before,
-                        fence_epoch,
-                        self.cfg.peer_deadline,
-                    );
+                    let r = self.ship_one(chan, &record, &payload, commit_before, fence_epoch);
                     chan.set_trace(TraceContext::NONE);
                     r
                 };
@@ -515,20 +530,33 @@ impl<T: Transport> ReplicaNode<T> {
             }
         }
         if !gapped.is_empty() {
-            acks += self.heal_gapped_peers(&gapped, &record, &payload, commit_before)?;
+            // A gapped peer can still be *ahead* on other origins; the
+            // exchange keeps whatever its merged image taught us.
+            let (healed, _) = self.exchange_snapshot(&gapped);
+            let epoch = self.core.lock().membership.epoch();
+            let mut peers = self.peers.lock();
+            for seat in healed {
+                let Some(chan) = peers.get_mut(seat).and_then(|s| s.as_mut()) else {
+                    continue;
+                };
+                if let Ok(ShipOutcome::Acked) =
+                    self.ship_one(chan, &record, &payload, commit_before, epoch)
+                {
+                    reg.counter("softcell_replica_acks_total").inc();
+                    acks += 1;
+                }
+            }
         }
         if acks >= self.cfg.quorum {
             let _sp = reg.tracer().span("release");
             let mut core = self.core.lock();
-            core.log.append(record)?;
             core.store.apply(&record)?;
             core.commit = record.index;
             core.pending = None;
-            reg.counter("softcell_replica_log_appends_total").inc();
             reg.counter("softcell_replica_commits_total").inc();
             // lag = live peers that did not acknowledge this round
             reg.gauge("softcell_replica_replication_lag")
-                .set((self.live_targets(&live) + 1).saturating_sub(acks) as u64);
+                .set((seats.len() + 1).saturating_sub(acks) as u64);
             Ok(record.index)
         } else {
             // The record stays pending; the next proposal (or explicit
@@ -540,79 +568,6 @@ impl<T: Transport> ReplicaNode<T> {
         }
     }
 
-    /// Number of live peers a proposal is shipped to.
-    fn live_targets(&self, live: &[bool]) -> usize {
-        live.iter()
-            .enumerate()
-            .filter(|(seat, l)| **l && *seat != self.cfg.id.seat())
-            .count()
-    }
-
-    /// Sends the peers that gap-rejected `record` a store snapshot,
-    /// then re-ships the record. Returns how many converted to acks.
-    fn heal_gapped_peers(
-        &self,
-        gapped: &[usize],
-        record: &LogRecord,
-        payload: &[u8],
-        commit_before: u64,
-    ) -> Result<usize> {
-        let reg = Registry::global();
-        let (snapshot, applied, epoch) = {
-            let core = self.core.lock();
-            let seats = core.membership.seats();
-            (
-                core.store.snapshot_bytes(),
-                (0..seats)
-                    .map(|s| core.store.applied(ControllerId(s as u32)))
-                    .collect::<Vec<u64>>(),
-                core.membership.epoch(),
-            )
-        };
-        let mut converted = 0;
-        let mut returned: Vec<ReplicaStore> = Vec::new();
-        {
-            let mut peers = self.peers.lock();
-            for &seat in gapped {
-                let Some(chan) = peers.get_mut(seat).and_then(|s| s.as_mut()) else {
-                    continue;
-                };
-                match Self::send_snapshot(
-                    chan,
-                    self.cfg.id,
-                    epoch,
-                    &applied,
-                    &snapshot,
-                    self.cfg.peer_deadline,
-                ) {
-                    Ok(None) => {}
-                    Ok(Some(store)) => returned.push(store),
-                    Err(_) => continue,
-                }
-                if let Ok(ShipOutcome::Acked) = Self::ship_one(
-                    chan,
-                    record,
-                    payload,
-                    commit_before,
-                    epoch,
-                    self.cfg.peer_deadline,
-                ) {
-                    reg.counter("softcell_replica_acks_total").inc();
-                    converted += 1;
-                }
-            }
-        }
-        if !returned.is_empty() {
-            // A gapped peer can still be *ahead* on other origins; keep
-            // whatever its merged image taught us.
-            let mut core = self.core.lock();
-            for store in &returned {
-                core.store.merge(store);
-            }
-        }
-        Ok(converted)
-    }
-
     /// One replicate/ack round trip with a single peer. `fence_epoch`
     /// is the sender's *current* epoch and rides in the frame header as
     /// the fencing key; the payload record keeps the epoch it was
@@ -621,12 +576,12 @@ impl<T: Transport> ReplicaNode<T> {
     /// — re-stamping the record itself would make replicas that deduped
     /// the first copy diverge from replicas that only saw the re-ship.
     fn ship_one(
+        &self,
         chan: &mut CtlChannel<T>,
         record: &LogRecord,
         payload: &[u8],
         commit: u64,
         fence_epoch: u64,
-        deadline: Duration,
     ) -> Result<ShipOutcome> {
         let msg = Message::Replicate {
             origin: record.origin.0,
@@ -635,21 +590,11 @@ impl<T: Transport> ReplicaNode<T> {
             commit,
             payload: Cow::Borrowed(payload),
         };
-        chan.set_deadline(Some(deadline))?;
-        let res = chan.request(&msg);
-        let _ = chan.set_deadline(None);
-        let raw = res?;
-        let frame = Frame::new_checked(raw.as_slice())?;
-        let reply = frame.message()?;
-        if let Some(e) = reply.as_error() {
-            return Err(e);
-        }
-        match reply {
+        match Self::ask(chan, &msg, self.cfg.peer_deadline)? {
             Message::ReplicateAck {
                 epoch,
                 accepted,
                 have_index,
-                ..
             } => Ok(if accepted {
                 ShipOutcome::Acked
             } else if epoch > fence_epoch {
@@ -663,46 +608,6 @@ impl<T: Transport> ReplicaNode<T> {
             }),
             other => Err(softcell_ctlchan::channel::unexpected(
                 "replicate-ack",
-                &other,
-            )),
-        }
-    }
-
-    /// One snapshot-transfer round trip with a single peer. A plain ack
-    /// means the peer absorbed our image; a `SnapshotTransfer` reply
-    /// carries the peer's merged store — it held records we lack — for
-    /// the caller to merge back.
-    fn send_snapshot(
-        chan: &mut CtlChannel<T>,
-        origin: ControllerId,
-        epoch: u64,
-        applied: &[u64],
-        payload: &[u8],
-        deadline: Duration,
-    ) -> Result<Option<ReplicaStore>> {
-        let msg = Message::SnapshotTransfer {
-            origin: origin.0,
-            epoch,
-            applied: applied.to_vec(),
-            payload: Cow::Borrowed(payload),
-        };
-        chan.set_deadline(Some(deadline))?;
-        let res = chan.request(&msg);
-        let _ = chan.set_deadline(None);
-        let raw = res?;
-        let frame = Frame::new_checked(raw.as_slice())?;
-        let reply = frame.message()?;
-        if let Some(e) = reply.as_error() {
-            return Err(e);
-        }
-        match reply {
-            Message::ReplicateAck { accepted: true, .. } => Ok(None),
-            Message::ReplicateAck { .. } => Err(Error::InvalidState(
-                "peer refused snapshot (stale epoch?)".into(),
-            )),
-            Message::SnapshotTransfer { payload, .. } => Ok(Some(ReplicaStore::restore(&payload)?)),
-            other => Err(softcell_ctlchan::channel::unexpected(
-                "snapshot ack",
                 &other,
             )),
         }
@@ -723,12 +628,7 @@ impl<T: Transport> ReplicaNode<T> {
                 commit,
                 payload,
             } => Some(self.on_replicate(*origin, *epoch, *index, *commit, payload)),
-            Message::SnapshotTransfer {
-                origin,
-                epoch,
-                applied,
-                payload,
-            } => Some(self.on_snapshot(*origin, *epoch, applied, payload)),
+            Message::SnapshotTransfer { epoch, payload } => Some(self.on_snapshot(*epoch, payload)),
             Message::EpochChange { epoch, live } => Some(self.on_epoch_change(*epoch, live)),
             _ => None,
         }
@@ -770,9 +670,7 @@ impl<T: Transport> ReplicaNode<T> {
         let mut core = self.core.lock();
         let my_epoch = core.membership.epoch().max(self.fence.current());
         let reject = |core: &NodeCore, my_epoch| Message::ReplicateAck {
-            origin: self.cfg.id.0,
             epoch: my_epoch,
-            index,
             accepted: false,
             have_index: core.store.applied(record.origin),
         };
@@ -809,9 +707,7 @@ impl<T: Transport> ReplicaNode<T> {
                         .set(index.saturating_sub(commit));
                 }
                 Message::ReplicateAck {
-                    origin: self.cfg.id.0,
                     epoch: my_epoch.max(epoch),
-                    index,
                     accepted: true,
                     have_index: core.store.applied(record.origin),
                 }
@@ -820,13 +716,7 @@ impl<T: Transport> ReplicaNode<T> {
         }
     }
 
-    fn on_snapshot(
-        &self,
-        origin: u32,
-        epoch: u64,
-        applied: &[u64],
-        payload: &[u8],
-    ) -> Message<'static> {
+    fn on_snapshot(&self, epoch: u64, payload: &[u8]) -> Message<'static> {
         let reg = Registry::global();
         let incoming = match ReplicaStore::restore(payload) {
             Ok(s) => s,
@@ -838,9 +728,7 @@ impl<T: Transport> ReplicaNode<T> {
             reg.counter("softcell_replica_stale_epoch_rejections_total")
                 .inc();
             return Message::ReplicateAck {
-                origin: self.cfg.id.0,
                 epoch: my_epoch,
-                index: 0,
                 accepted: false,
                 have_index: 0,
             };
@@ -854,29 +742,19 @@ impl<T: Transport> ReplicaNode<T> {
         core.store.merge(&incoming);
         reg.counter("softcell_replica_snapshots_total").inc();
         reg.tracer().instant("snapshot_merged", epoch);
-        let _ = applied; // sender watermarks are carried by the store image itself
         if had_more {
             // We hold records the sender lacks: hand the merged image
             // back so the sender (the fail-over initiator) converges on
             // the union and can re-push it to the other survivors.
-            let seats = core.membership.seats();
-            let merged_applied: Vec<u64> = (0..seats)
-                .map(|s| core.store.applied(ControllerId(s as u32)))
-                .collect();
             return Message::SnapshotTransfer {
-                origin: self.cfg.id.0,
                 epoch: my_epoch.max(epoch),
-                applied: merged_applied,
                 payload: Cow::Owned(core.store.snapshot_bytes()),
             };
         }
-        let have = core.store.applied(ControllerId(origin));
         Message::ReplicateAck {
-            origin: self.cfg.id.0,
             epoch: my_epoch.max(epoch),
-            index: have,
             accepted: true,
-            have_index: have,
+            have_index: 0,
         }
     }
 
@@ -884,14 +762,7 @@ impl<T: Transport> ReplicaNode<T> {
         let mut core = self.core.lock();
         if epoch > core.membership.epoch() {
             match Membership::from_parts(epoch, live.to_vec()) {
-                Ok(view) => {
-                    core.membership = view;
-                    self.fence.observe(epoch);
-                    let reg = Registry::global();
-                    reg.counter("softcell_replica_epoch_changes_total").inc();
-                    reg.gauge("softcell_replica_current_epoch").set(epoch);
-                    reg.tracer().instant("epoch_change", epoch);
-                }
+                Ok(view) => self.adopt(&mut core, view),
                 Err(e) => return Message::from_error(&e),
             }
         }
@@ -987,21 +858,10 @@ impl<T: Transport> ReplicaNode<T> {
             since: now,
             permanent_ip,
         };
-        if let Err(e) = self.propose_inner(op) {
-            if fresh {
-                // Return the slab slot unless the pending record still
-                // carries it (a quorum miss or fence keeps the record
-                // pending; it must commit under this allocation). A
-                // failure *before* our record was created — a stuck
-                // earlier proposal, a raised fence — must not burn a
-                // slot per retry until the 65k slab runs dry.
-                let mut core = self.core.lock();
-                let retained = matches!(&core.pending, Some(r) if r.op == op);
-                if !retained {
-                    core.ips.release((u32::from(permanent_ip) & 0xFFFF) - 1);
-                }
-            }
-            return Err(e);
+        if fresh {
+            self.propose_fresh(op)?;
+        } else {
+            self.propose_inner(op)?;
         }
         let attrs = self
             .cfg
@@ -1009,7 +869,7 @@ impl<T: Transport> ReplicaNode<T> {
             .get(&imsi)
             .cloned()
             .unwrap_or_else(|| SubscriberAttributes::default_home(imsi));
-        let classifier = UeClassifier::compile(&self.cfg.policy, &self.cfg.apps, &attrs);
+        let classifier = UeClassifier::compile(&self.cfg.policy, &self.apps, &attrs);
         Ok(Message::ClassifierReply {
             record: WireUeRecord {
                 imsi,
@@ -1062,22 +922,7 @@ impl<T: Transport> ReplicaNode<T> {
             }
         };
         if !already_installed {
-            let op = ReplicatedOp::PathInstall {
-                bs,
-                clause,
-                tag,
-                port: PortNo(1),
-            };
-            if let Err(e) = self.propose_inner(op) {
-                // Same slab discipline as on_attach: give the tag back
-                // unless the pending record holds it.
-                let mut core = self.core.lock();
-                let retained = matches!(&core.pending, Some(r) if r.op == op);
-                if !retained {
-                    core.tags.release(u32::from(tag.0 % TAG_SLAB) - 1);
-                }
-                return Err(e);
-            }
+            self.propose_fresh(ReplicatedOp::PathInstall { bs, clause, tag })?;
         }
         // Same frame and one-tag end-to-end stand-in as the
         // single-controller wire front-end. (seat, commit watermark at

@@ -35,7 +35,7 @@ use std::net::Ipv4Addr;
 
 use softcell_policy::clause::ClauseId;
 use softcell_types::{
-    BaseStationId, ControllerId, Error, PolicyTag, PortNo, Result, SimTime, UeId, UeImsi,
+    BaseStationId, ControllerId, Error, PolicyTag, Result, SimTime, UeId, UeImsi,
 };
 
 use crate::log::{Cursor, LogRecord, ReplicatedOp};
@@ -69,8 +69,6 @@ pub struct UeSlot {
 pub struct PathEntry {
     /// The tag realizing the path.
     pub tag: PolicyTag,
-    /// Access-switch output port of the first hop.
-    pub port: PortNo,
     /// Epoch of the installing leadership (merge key, with `origin`).
     pub epoch: u64,
     /// The installing controller (merge tiebreak).
@@ -128,13 +126,6 @@ impl ReplicaStore {
         self.paths.len()
     }
 
-    /// Iterates attached UEs in IMSI order.
-    pub fn ues(&self) -> impl Iterator<Item = (UeImsi, &UeEntry)> {
-        self.ues
-            .iter()
-            .filter_map(|(imsi, s)| s.entry.as_ref().map(|e| (*imsi, e)))
-    }
-
     /// Applies one log record.
     ///
     /// * `Ok(true)` — the record advanced this origin's watermark. (The
@@ -186,17 +177,11 @@ impl ReplicaStore {
                     },
                 );
             }
-            ReplicatedOp::PathInstall {
-                bs,
-                clause,
-                tag,
-                port,
-            } => {
+            ReplicatedOp::PathInstall { bs, clause, tag } => {
                 self.merge_path(
                     (bs, clause),
                     PathEntry {
                         tag,
-                        port,
                         epoch: record.epoch,
                         origin: record.origin,
                     },
@@ -295,7 +280,7 @@ impl ReplicaStore {
     /// payload.
     pub fn snapshot_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(
-            13 + self.ues.len() * 31 + self.paths.len() * 22 + self.applied.len() * 12,
+            13 + self.ues.len() * 31 + self.paths.len() * 20 + self.applied.len() * 12,
         );
         out.push(SNAPSHOT_VERSION);
         out.extend_from_slice(&(self.ues.len() as u32).to_be_bytes());
@@ -318,7 +303,6 @@ impl ReplicaStore {
             out.extend_from_slice(&bs.0.to_be_bytes());
             out.extend_from_slice(&clause.0.to_be_bytes());
             out.extend_from_slice(&p.tag.0.to_be_bytes());
-            out.extend_from_slice(&p.port.0.to_be_bytes());
             out.extend_from_slice(&p.epoch.to_be_bytes());
             out.extend_from_slice(&p.origin.0.to_be_bytes());
         }
@@ -374,7 +358,6 @@ impl ReplicaStore {
             let key = (BaseStationId(r.take_u32()?), ClauseId(r.take_u16()?));
             let entry = PathEntry {
                 tag: PolicyTag(r.take_u16()?),
-                port: PortNo(r.take_u16()?),
                 epoch: r.take_u64()?,
                 origin: ControllerId(r.take_u32()?),
             };
@@ -431,7 +414,6 @@ mod tests {
                 bs: BaseStationId(bs),
                 clause: ClauseId(clause),
                 tag: PolicyTag(tag),
-                port: PortNo(2),
             },
         }
     }

@@ -25,7 +25,6 @@ use softcell_types::{BaseStationId, Error, Result, SimDuration, SimTime, UeId, U
 use softcell_workload::diurnal::DiurnalShape;
 use softcell_workload::{EventKind, EventStream, EventStreamConfig, TraceEvent};
 
-use crate::drill::controller_kill_drill;
 use crate::invariants::Violation;
 use crate::overlay::OverlayKind;
 use crate::report::{
@@ -772,11 +771,9 @@ impl Driver<'_> {
     /// running). Non-convergence is a campaign violation.
     fn controller_kill(&mut self, w: &mut SimWorld) {
         self.overlay.controller_kills += 1;
-        let out = controller_kill_drill(self.cfg.seed);
-        if out.converged {
-            self.overlay.drills_converged += 1;
-        } else {
-            self.violate(w, "replica-convergence", "controller-kill", out.detail);
+        match softcell_replica::controller_kill_drill() {
+            Ok(()) => self.overlay.drills_converged += 1,
+            Err(e) => self.violate(w, "replica-convergence", "controller-kill", e.to_string()),
         }
     }
 

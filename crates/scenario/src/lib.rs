@@ -44,7 +44,6 @@
 #![warn(missing_docs)]
 
 pub mod campaign;
-mod drill;
 pub mod invariants;
 pub mod overlay;
 pub mod report;

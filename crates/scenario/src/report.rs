@@ -182,18 +182,4 @@ impl CampaignReport {
     pub fn to_json(&self) -> String {
         serde_json::to_string_pretty(self).unwrap_or_else(|e| format!("{{\"error\":\"{e}\"}}"))
     }
-
-    /// Terminal summary, one line per scenario plus replay recipes for
-    /// any violations.
-    pub fn to_text(&self) -> String {
-        let mut s = String::new();
-        for r in &self.scenarios {
-            s.push_str(&r.summary_line());
-            s.push('\n');
-            for v in &r.violations {
-                s.push_str(&format!("    {v}\n    {}\n", v.replay_coordinates()));
-            }
-        }
-        s
-    }
 }

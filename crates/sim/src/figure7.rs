@@ -67,20 +67,6 @@ pub struct Figure7Config {
     pub tag_capacity: u16,
 }
 
-impl Figure7Config {
-    /// The paper's base configuration: k=8, n=1000, m=5.
-    pub fn paper_base() -> Self {
-        Figure7Config {
-            k: 8,
-            n_clauses: 1000,
-            m_chain: 5,
-            choice: InstanceChoice::NearestPerStation,
-            seed: 2013,
-            tag_capacity: u16::MAX,
-        }
-    }
-}
-
 /// The measured outcome of one configuration.
 #[derive(Clone, Debug, Serialize)]
 pub struct Figure7Result {

@@ -12,7 +12,7 @@ use std::collections::BTreeMap;
 
 use serde::Serialize;
 
-use crate::metrics::{bucket_upper_bound, quantile_from_buckets, BUCKETS};
+use crate::metrics::{quantile_from_buckets, BUCKETS};
 
 /// One counter reading.
 #[derive(Debug, Clone, Serialize)]
@@ -248,80 +248,6 @@ impl Snapshot {
         self.spans_dropped += other.spans_dropped;
     }
 
-    /// Prometheus text exposition (v0.0.4): `# TYPE` per family,
-    /// `key="value"` labels, cumulative `_bucket{le=...}` series with
-    /// `_sum`/`_count` for histograms.
-    pub fn to_prometheus(&self) -> String {
-        let mut out = String::new();
-        let mut last_type_line = String::new();
-        let mut type_line = |out: &mut String, name: &str, kind: &str| {
-            let line = format!("# TYPE {name} {kind}\n");
-            if line != last_type_line {
-                out.push_str(&line);
-                last_type_line = line;
-            }
-        };
-        for c in &self.counters {
-            let name = prom_sanitize_name(&c.name);
-            type_line(&mut out, &name, "counter");
-            out.push_str(&format!(
-                "{}{} {}\n",
-                name,
-                prom_label(&c.label, None),
-                c.value
-            ));
-        }
-        for g in &self.gauges {
-            let name = prom_sanitize_name(&g.name);
-            type_line(&mut out, &name, "gauge");
-            out.push_str(&format!(
-                "{}{} {}\n",
-                name,
-                prom_label(&g.label, None),
-                g.value
-            ));
-        }
-        for h in &self.histograms {
-            let name = prom_sanitize_name(&h.name);
-            type_line(&mut out, &name, "histogram");
-            let mut cum = 0u64;
-            let top = h
-                .buckets
-                .iter()
-                .rposition(|&b| b > 0)
-                .unwrap_or(0)
-                .min(BUCKETS - 2);
-            for (i, b) in h.buckets.iter().enumerate().take(top + 1) {
-                cum += b;
-                out.push_str(&format!(
-                    "{}_bucket{} {}\n",
-                    name,
-                    prom_label(&h.label, Some(&bucket_upper_bound(i).to_string())),
-                    cum
-                ));
-            }
-            out.push_str(&format!(
-                "{}_bucket{} {}\n",
-                name,
-                prom_label(&h.label, Some("+Inf")),
-                h.count
-            ));
-            out.push_str(&format!(
-                "{}_sum{} {}\n",
-                name,
-                prom_label(&h.label, None),
-                h.sum
-            ));
-            out.push_str(&format!(
-                "{}_count{} {}\n",
-                name,
-                prom_label(&h.label, None),
-                h.count
-            ));
-        }
-        out
-    }
-
     /// A plain-text table of every nonzero metric — what
     /// `tab2_agent_throughput` prints after a run.
     pub fn report(&self) -> String {
@@ -545,71 +471,6 @@ fn json_escape(s: &str) -> String {
     out
 }
 
-/// Escapes a Prometheus label *value*: the exposition format requires
-/// `\\`, `\"`, and literal newlines to be backslash-escaped inside the
-/// quoted value (everything else passes through verbatim).
-fn prom_escape(v: &str) -> String {
-    let mut out = String::with_capacity(v.len());
-    for c in v.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Sanitizes a metric name to the Prometheus charset
-/// `[a-zA-Z_:][a-zA-Z0-9_:]*`: invalid characters become `_`, and a
-/// leading digit gets an underscore prefix. Our own names already
-/// comply (DESIGN.md §11); this guards externally supplied ones.
-fn prom_sanitize_name(name: &str) -> String {
-    let mut out: String = name
-        .chars()
-        .map(|c| {
-            if c.is_ascii_alphanumeric() || c == '_' || c == ':' {
-                c
-            } else {
-                '_'
-            }
-        })
-        .collect();
-    if out.chars().next().is_none_or(|c| c.is_ascii_digit()) {
-        out.insert(0, '_');
-    }
-    out
-}
-
-/// Sanitizes a label *name* — like metric names but without `:`.
-fn prom_sanitize_label_key(key: &str) -> String {
-    prom_sanitize_name(key).replace(':', "_")
-}
-
-/// Renders the snapshot's single `key=value` label (plus an optional
-/// `le` bound) as a Prometheus label set, escaping values.
-fn prom_label(label: &str, le: Option<&str>) -> String {
-    let mut parts = Vec::new();
-    if let Some((k, v)) = label.split_once('=') {
-        parts.push(format!(
-            "{}=\"{}\"",
-            prom_sanitize_label_key(k),
-            prom_escape(v)
-        ));
-    } else if !label.is_empty() {
-        parts.push(format!("label=\"{}\"", prom_escape(label)));
-    }
-    if let Some(le) = le {
-        parts.push(format!("le=\"{le}\""));
-    }
-    if parts.is_empty() {
-        String::new()
-    } else {
-        format!("{{{}}}", parts.join(","))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -662,77 +523,6 @@ mod tests {
         assert_eq!(h.max, 10_000);
         assert_eq!(h.p50, 127);
         assert_eq!(h.p99, 16_383);
-    }
-
-    #[test]
-    fn prometheus_exposition_shape() {
-        let mut snap = Snapshot {
-            counters: vec![sample("softcell_x_total", "shard=2", 9)],
-            ..Default::default()
-        };
-        let mut buckets = vec![0u64; BUCKETS];
-        buckets[1] = 2;
-        buckets[2] = 1;
-        snap.histograms.push(HistogramSample::from_buckets(
-            "softcell_lat_ns".into(),
-            String::new(),
-            buckets,
-            7,
-            3,
-        ));
-        let text = snap.to_prometheus();
-        assert!(text.contains("# TYPE softcell_x_total counter\n"));
-        assert!(text.contains("softcell_x_total{shard=\"2\"} 9\n"));
-        assert!(text.contains("# TYPE softcell_lat_ns histogram\n"));
-        assert!(text.contains("softcell_lat_ns_bucket{le=\"1\"} 2\n"));
-        assert!(
-            text.contains("softcell_lat_ns_bucket{le=\"3\"} 3\n"),
-            "cumulative"
-        );
-        assert!(text.contains("softcell_lat_ns_bucket{le=\"+Inf\"} 3\n"));
-        assert!(text.contains("softcell_lat_ns_sum 7\n"));
-        assert!(text.contains("softcell_lat_ns_count 3\n"));
-    }
-
-    #[test]
-    fn prometheus_escapes_label_values_and_sanitizes_names() {
-        let snap = Snapshot {
-            counters: vec![
-                sample("softcell bad-metric_total", "site=a\"b\\c\nd", 1),
-                sample("9leading_total", "", 2),
-            ],
-            ..Default::default()
-        };
-        let text = snap.to_prometheus();
-        assert!(
-            text.contains("softcell_bad_metric_total{site=\"a\\\"b\\\\c\\nd\"} 1\n"),
-            "value escaped, name sanitized: {text}"
-        );
-        assert!(
-            text.contains("# TYPE softcell_bad_metric_total counter\n"),
-            "TYPE line uses the sanitized name"
-        );
-        assert!(
-            text.contains("_9leading_total 2\n"),
-            "leading digit guarded"
-        );
-        // the raw newline must not survive into the exposition: every
-        // sample line parses as `name{labels} value`
-        assert!(text
-            .lines()
-            .filter(|l| !l.starts_with('#') && !l.is_empty())
-            .all(|l| l
-                .rsplit_once(' ')
-                .is_some_and(|(_, v)| v.parse::<u64>().is_ok())));
-    }
-
-    #[test]
-    fn prom_label_escapes_and_sanitizes_keys() {
-        assert_eq!(prom_escape("a\\b\"c\nd"), "a\\\\b\\\"c\\nd");
-        assert_eq!(prom_sanitize_name("softcell_ok_total"), "softcell_ok_total");
-        assert_eq!(prom_sanitize_name("has space-dash"), "has_space_dash");
-        assert_eq!(prom_sanitize_name(""), "_");
-        assert_eq!(prom_label("bad key=v\"w", None), "{bad_key=\"v\\\"w\"}");
     }
 
     fn span(trace: u64, id: u64, parent: u64, kind: &str, s: u64, e: u64) -> SpanSample {

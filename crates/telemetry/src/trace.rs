@@ -212,13 +212,6 @@ impl Tracer {
         self.sample_every.store(every, Ordering::Relaxed);
     }
 
-    /// Whether any root could currently record.
-    #[inline]
-    pub fn is_armed(&self) -> bool {
-        // softcell-lint: allow(atomics-order) -- pure config cell, readers tolerate staleness
-        self.sample_every.load(Ordering::Relaxed) != 0
-    }
-
     /// Opens a root span: makes the 1-in-N sampling decision and, when
     /// unsampled but armed, arms the slow-outlier shadow capture.
     #[inline]

@@ -19,10 +19,7 @@ fn zero_samples_yield_zeroed_snapshot_without_division() {
     assert_eq!(h.max, 0);
     assert_eq!((h.p50, h.p95, h.p99), (0, 0, 0));
     assert_eq!(h.mean(), 0.0, "mean of empty histogram is 0, not NaN");
-    // exports of an empty histogram must not panic either
-    assert!(snap
-        .to_prometheus()
-        .contains("softcell_test_empty_ns_count 0"));
+    // the report of an empty histogram must not panic either
     let _ = snap.report();
 }
 

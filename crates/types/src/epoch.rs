@@ -42,15 +42,12 @@ impl fmt::Display for ControllerId {
     }
 }
 
-/// A compare-and-swap fenced epoch counter.
+/// A monotonic epoch counter.
 ///
 /// The fence is the single authority on "which term is current" within
-/// one process. Promotion is `advance(observed, observed + 1)`: exactly
-/// one contender can win any given transition, so two standbys racing
-/// to promote resolve without a split-brain window — the loser's CAS
-/// fails and it demotes itself. Orderings are `AcqRel`/`Acquire`: a
-/// winner's subsequent writes happen-after every reader's observation
-/// of the new epoch.
+/// one process: it only ever rises, to the newest epoch observed.
+/// Orderings are `AcqRel`/`Acquire`: writes made before raising the
+/// fence happen-before every reader's observation of the new epoch.
 #[derive(Debug)]
 pub struct EpochFence {
     current: AtomicU64,
@@ -67,24 +64,6 @@ impl EpochFence {
     /// The current epoch.
     pub fn current(&self) -> u64 {
         self.current.load(Ordering::Acquire)
-    }
-
-    /// Attempts to advance the fence from `from` to `to`
-    /// (`to > from`). Returns the new epoch on success; on failure the
-    /// actual current epoch, which the caller must adopt (it has been
-    /// fenced by a concurrent or later advance).
-    pub fn advance(&self, from: u64, to: u64) -> Result<u64, u64> {
-        if to <= from {
-            // A no-op or backwards advance is always a fencing failure.
-            return Err(self.current());
-        }
-        match self
-            .current
-            .compare_exchange(from, to, Ordering::AcqRel, Ordering::Acquire)
-        {
-            Ok(_) => Ok(to),
-            Err(actual) => Err(actual),
-        }
     }
 
     /// Raises the fence to `epoch` if it is higher than the current
@@ -165,11 +144,6 @@ impl Membership {
         self.live.get(id.seat()).copied().unwrap_or(false)
     }
 
-    /// Number of live seats.
-    pub fn live_count(&self) -> usize {
-        self.live.iter().filter(|l| **l).count()
-    }
-
     /// The successor view after declaring `dead` seats down: same ring,
     /// epoch advanced by one. Declaring an unknown seat is an error;
     /// declaring an already-dead seat is idempotent.
@@ -220,30 +194,6 @@ impl Membership {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
-
-    #[test]
-    fn fence_advances_once_per_transition() {
-        let fence = Arc::new(EpochFence::new(1));
-        let winners: Vec<_> = (0..8)
-            .map(|_| {
-                let f = Arc::clone(&fence);
-                std::thread::spawn(move || f.advance(1, 2).is_ok())
-            })
-            .map(|h| h.join().expect("no panic"))
-            .collect();
-        assert_eq!(winners.iter().filter(|w| **w).count(), 1);
-        assert_eq!(fence.current(), 2);
-    }
-
-    #[test]
-    fn fence_rejects_stale_and_backwards_advances() {
-        let fence = EpochFence::new(5);
-        assert_eq!(fence.advance(4, 6), Err(5));
-        assert_eq!(fence.advance(5, 5), Err(5));
-        assert_eq!(fence.advance(5, 4), Err(5));
-        assert_eq!(fence.advance(5, 6), Ok(6));
-    }
 
     #[test]
     fn fence_observe_is_monotonic() {

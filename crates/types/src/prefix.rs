@@ -73,11 +73,6 @@ impl Ipv4Prefix {
         self.len
     }
 
-    /// Whether this is the zero-length default prefix.
-    pub const fn is_default(&self) -> bool {
-        self.len == 0
-    }
-
     /// The raw big-endian network bits.
     pub const fn raw_bits(&self) -> u32 {
         self.bits

@@ -29,6 +29,9 @@ timeout 180 cargo test -q --release \
 # 64 requests each in flight over up to 15 domains, one reply slot per
 # client. A routing thread that waits on its own reply channel hangs it.
 timeout 60 ./target/release/micro_controller_throughput --quick > /dev/null
+# The one caller of a one-replica (quorum 1) cluster and of thousands of
+# back-to-back proposals: a quorum regression there is a hang.
+timeout 60 ./target/release/micro_replica --quick > /dev/null
 
 echo "==> cargo test -q"
 cargo test -q --workspace
