@@ -5,24 +5,24 @@
 //! replication techniques" over SoftCell's two state classes; this
 //! bench prices those techniques in our implementation. Two numbers:
 //!
-//! * **commit** — full `propose` round trip: encode, ship to every live
-//!   peer over the loopback ctlchan mesh, quorum ack, apply. This is
-//!   the latency an attach/handoff/path-install adds before its reply
+//! * **commit** — full `propose` round trip of one agent attach: apply
+//!   and append on the leader, ship to every live peer over the loopback
+//!   ctlchan mesh, each peer appends and applies, quorum ack. This is
+//!   the latency an attach/handoff/path request adds before its reply
 //!   (flow-mod release is commit-gated).
-//! * **lag** — committed index on the proposer minus the lowest applied
-//!   index across peers after the run: how far the slowest replica
-//!   trails once the storm stops (0 = fully synchronous).
+//! * **lag** — committed index on the leader minus the shortest log
+//!   across seats after the run: how far the slowest replica trails
+//!   once the storm stops (0 = fully synchronous).
 //!
 //! Usage: `micro_replica [--quick] [--json PATH] [--replicas N] [--quorum Q]`
 
-use std::net::Ipv4Addr;
 use std::time::{Duration, Instant};
 
 use serde::Serialize;
 use softcell_bench::{arg_value, is_quick, maybe_dump_json, TextTable};
 use softcell_policy::{ServicePolicy, SubscriberAttributes};
 use softcell_replica::{Cluster, ReplicatedOp};
-use softcell_types::{BaseStationId, ControllerId, SimTime, UeId, UeImsi};
+use softcell_types::{BaseStationId, SimTime, UeId, UeImsi};
 
 #[derive(Serialize)]
 struct Row {
@@ -46,8 +46,7 @@ fn op(i: u64) -> ReplicatedOp {
         imsi: UeImsi(i),
         bs: BaseStationId((i % 7) as u32),
         ue_id: UeId(1),
-        since: SimTime(i),
-        permanent_ip: Ipv4Addr::new(100, 64, (i >> 8) as u8, i as u8),
+        now: SimTime(i),
     }
 }
 
@@ -80,7 +79,7 @@ fn bench_cluster(replicas: usize, quorum: usize, ops: u64) -> Row {
 
     let committed = cluster.node(0).commit_index();
     let lag = (0..replicas)
-        .map(|seat| committed - cluster.node(seat).applied(ControllerId(0)))
+        .map(|seat| committed.saturating_sub(cluster.node(seat).applied()))
         .max()
         .unwrap_or(0);
 

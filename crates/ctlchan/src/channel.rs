@@ -27,7 +27,7 @@ use std::time::Duration;
 use softcell_telemetry::{Registry, TraceContext};
 use softcell_types::{Error, Result};
 
-use crate::codec::{ChannelStats, Frame, Message, VERSION};
+use crate::codec::{ChannelStats, Frame, Message, MAX_FRAME, VERSION};
 use crate::transport::Transport;
 
 /// How many application replies [`serve`] remembers (per connection, by
@@ -120,7 +120,9 @@ impl<T: Transport> CtlChannel<T> {
     /// Sends a message without waiting for an answer (unsolicited push;
     /// carried under xid 0).
     pub fn send(&mut self, msg: &Message<'_>) -> Result<()> {
-        self.transport.send(&msg.encode_traced(0, self.trace))
+        let frame = msg.encode_traced(0, self.trace);
+        check_frame_len(&frame)?;
+        self.transport.send(&frame)
     }
 
     /// Sends a request and blocks until the reply carrying its xid
@@ -177,6 +179,7 @@ impl<T: Transport> CtlChannel<T> {
 
     /// One send + receive-until-xid-matches pass.
     fn attempt(&mut self, xid: u32, encoded: &[u8]) -> Result<Vec<u8>> {
+        check_frame_len(encoded)?;
         self.transport.send(encoded)?;
         if let Some(frame) = self.stash.remove(&xid) {
             return Ok(frame);
@@ -263,6 +266,20 @@ impl<T: Transport> CtlChannel<T> {
             other => Err(unexpected("stats reply", &other)),
         }
     }
+}
+
+/// Refuses a frame longer than [`MAX_FRAME`] before it reaches the
+/// transport: written whole, it would fail the receiver's
+/// `Frame::new_checked`, and the receiver's serve loop would drop the
+/// connection.
+fn check_frame_len(frame: &[u8]) -> Result<()> {
+    if frame.len() > MAX_FRAME {
+        return Err(Error::Range(format!(
+            "frame of {} bytes exceeds the {MAX_FRAME}-byte limit",
+            frame.len()
+        )));
+    }
+    Ok(())
 }
 
 /// The error for a reply of the wrong type (an error reply surfaces as
@@ -360,7 +377,14 @@ where
             }
             other => handler(other, sp.ctx()).map(Message::into_static),
         };
-        let encoded = reply.map(|r| r.encode_traced(xid, ctx));
+        // a reply too long for a frame goes back as the error saying so
+        let encoded = reply.map(|r| {
+            let frame = r.encode_traced(xid, ctx);
+            match check_frame_len(&frame) {
+                Ok(()) => frame,
+                Err(e) => Message::from_error(&e).encode_traced(xid, ctx),
+            }
+        });
         drop(sp);
         if let Some(encoded) = &encoded {
             transport.send(encoded)?;
@@ -416,15 +440,7 @@ impl Message<'_> {
                 commit,
                 payload: payload.into_owned().into(),
             },
-            Message::ReplicateAck {
-                epoch,
-                accepted,
-                have_index,
-            } => Message::ReplicateAck {
-                epoch,
-                accepted,
-                have_index,
-            },
+            Message::ReplicateAck { epoch, accepted } => Message::ReplicateAck { epoch, accepted },
             Message::EpochChange { epoch, live } => Message::EpochChange { epoch, live },
             Message::SnapshotTransfer { epoch, payload } => Message::SnapshotTransfer {
                 epoch,
@@ -476,6 +492,42 @@ mod tests {
         let msg = Frame::new_checked(reply.as_slice()).unwrap();
         let err = msg.message().unwrap().as_error().unwrap();
         assert_eq!(err, Error::NotFound("nope".into()));
+        drop(chan);
+        server.join().unwrap();
+    }
+
+    #[test]
+    fn oversized_frames_are_refused_and_the_channel_survives() {
+        let (client_end, server_end) = loopback_pair();
+        let server = std::thread::spawn(move || {
+            serve(
+                server_end,
+                || 0,
+                |msg, _ctx| match msg {
+                    // a reply too long for a frame
+                    Message::PacketIn(_) => Some(Message::EchoReply(vec![0; MAX_FRAME].into())),
+                    _ => None,
+                },
+            )
+            .unwrap();
+        });
+        let mut chan = CtlChannel::new(client_end);
+        let err = chan.echo(&vec![0; MAX_FRAME]).unwrap_err();
+        assert!(matches!(err, Error::Range(_)), "got {err}");
+        assert_eq!(chan.echo(b"still up").unwrap(), b"still up");
+
+        let reply = chan
+            .request(&Message::PacketIn(PacketIn::Detach {
+                imsi: softcell_types::UeImsi(1),
+            }))
+            .unwrap();
+        let err = Frame::new_checked(reply.as_slice())
+            .unwrap()
+            .message()
+            .unwrap()
+            .as_error();
+        assert!(matches!(err, Some(Error::Range(_))), "got {err:?}");
+        assert_eq!(chan.echo(b"still up").unwrap(), b"still up");
         drop(chan);
         server.join().unwrap();
     }

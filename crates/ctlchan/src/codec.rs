@@ -548,23 +548,22 @@ pub enum Message<'a> {
     /// Counter answer.
     StatsReply(ChannelStats),
     /// Controller → controller: one replicated-log record. The payload
-    /// is opaque to this crate (the replica layer defines the record
-    /// encoding); this frame carries the ordering metadata peers need
-    /// to accept, reject or gap-detect the record.
+    /// is opaque to this crate (the replica layer defines the encoding:
+    /// the record behind the entry it follows); this frame carries the
+    /// ordering metadata peers need to accept or reject the record.
     Replicate {
-        /// Seat of the proposing controller.
+        /// Seat of the leader that appended the record.
         origin: u32,
         /// The sender's *current* epoch (fencing key). The payload
-        /// record carries the epoch it was originally proposed under,
-        /// which may trail this when a pending record is re-shipped
-        /// after the proposer survived an epoch change.
+        /// record carries the epoch it was appended under, which may
+        /// trail this after the leader survived an epoch change.
         epoch: u64,
-        /// Position in the origin's log (1-based, dense).
+        /// Position in the log (1-based, dense).
         index: u64,
-        /// The origin's commit watermark, piggybacked so followers can
-        /// advance their commit index without extra round trips.
+        /// The leader's commit index, piggybacked so followers can
+        /// advance theirs without extra round trips.
         commit: u64,
-        /// Encoded log record (zero-copy on decode).
+        /// Encoded log entries (zero-copy on decode).
         payload: Cow<'a, [u8]>,
     },
     /// The answer to a [`Message::Replicate`]: accepted, or rejected
@@ -575,10 +574,6 @@ pub enum Message<'a> {
         epoch: u64,
         /// Whether the record was accepted and applied.
         accepted: bool,
-        /// Highest contiguous index the receiver holds from the
-        /// record's origin — on a gap rejection this tells the sender
-        /// where the snapshot/backfill must start.
-        have_index: u64,
     },
     /// A membership view push. Requests and replies share this shape:
     /// the reply carries the receiver's view after merging, which is
@@ -589,18 +584,15 @@ pub enum Message<'a> {
         /// Per-seat liveness flags, seat order (ring size = length).
         live: Vec<bool>,
     },
-    /// A full-state snapshot, *merged into* the receiver's store (the
-    /// replica layer's point-wise join — a snapshot never erases
-    /// records the receiver holds that the sender lacks). Sent when a
-    /// gap rejection shows a peer is too far behind to replay, and
-    /// during fail-over convergence; a receiver holding state the
-    /// sender lacks replies with this same frame carrying its merged
-    /// image.
+    /// A replicated log: the state its compacted prefix replays to, and
+    /// the entries after it. The receiver adopts it if it is more up to
+    /// date than its own, and otherwise replies with this same frame
+    /// carrying its own log. Sent when a follower cannot append a
+    /// record, and during fail-over convergence.
     SnapshotTransfer {
-        /// Epoch the snapshot was taken under (fencing key).
+        /// The sender's epoch (fencing key).
         epoch: u64,
-        /// Encoded store image (opaque to this crate); it carries its
-        /// own per-origin applied watermarks.
+        /// Encoded log (opaque to this crate).
         payload: Cow<'a, [u8]>,
     },
 }
@@ -745,14 +737,9 @@ impl Message<'_> {
                 w.u32(payload.len() as u32);
                 w.bytes(payload);
             }
-            Message::ReplicateAck {
-                epoch,
-                accepted,
-                have_index,
-            } => {
+            Message::ReplicateAck { epoch, accepted } => {
                 w.u64(*epoch);
                 w.u8(u8::from(*accepted));
-                w.u64(*have_index);
             }
             Message::EpochChange { epoch, live } => {
                 debug_assert!(live.len() <= u16::MAX as usize, "ring too large");
@@ -891,12 +878,7 @@ impl Message<'_> {
                     1 => true,
                     other => return Err(Error::Malformed(format!("accepted flag {other}"))),
                 };
-                let have_index = r.u64()?;
-                Message::ReplicateAck {
-                    epoch,
-                    accepted,
-                    have_index,
-                }
+                Message::ReplicateAck { epoch, accepted }
             }
             msg_type::EPOCH_CHANGE => {
                 let epoch = r.u64()?;
@@ -1401,12 +1383,10 @@ mod tests {
             Message::ReplicateAck {
                 epoch: 7,
                 accepted: true,
-                have_index: 4242,
             },
             Message::ReplicateAck {
                 epoch: 9,
                 accepted: false,
-                have_index: 4100,
             },
             Message::EpochChange {
                 epoch: 8,
@@ -1447,7 +1427,6 @@ mod tests {
         let mut buf = Message::ReplicateAck {
             epoch: 1,
             accepted: false,
-            have_index: 0,
         }
         .encode(1);
         let flag_at = HEADER_LEN + 8;

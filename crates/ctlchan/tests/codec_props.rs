@@ -153,7 +153,6 @@ fn build_message(
         13 => Message::ReplicateAck {
             epoch: a,
             accepted: d & 1 == 0,
-            have_index: u64::from(c),
         },
         14 => Message::EpochChange {
             epoch: a | 1,

@@ -1,5 +1,4 @@
-//! Multi-controller cluster harness: killable links, fail-over, and
-//! agent re-homing.
+//! Cluster harness: killable links, fail-over, and agent re-homing.
 //!
 //! [`Cluster`] wires N [`ReplicaNode`]s into a full mesh of in-process
 //! loopback links wrapped in [`Killable`]: every link watches the
@@ -17,15 +16,14 @@
 //!
 //! Fail-over ([`Cluster::fail_over`]) is deliberately deterministic:
 //! the initiating survivor advances the membership ring (epoch + 1),
-//! broadcasts the view, then exchanges store images — pushed snapshots
-//! merge point-wise and a receiver holding records the sender lacks
-//! hands its merged image back — so all survivors converge
-//! byte-for-byte on the *union* of what they applied, even if the dead
-//! leader's final records reached only some of them and the initiator
-//! missed records others committed. Agents detect leader death by probe
-//! failure and re-home ([`rehome_agent`]) to the deterministic
-//! successor (`Membership::leader_of_station`), replaying their state
-//! through the controller-side `resync` upsert machinery.
+//! broadcasts the view, then exchanges logs with every survivor — the
+//! side holding the lower-ranked log adopts the other's and replays it —
+//! so all survivors end on one log, even if the dead leader's final
+//! records reached only some of them and the initiator missed records
+//! others hold. The new view's leader is its first live seat. Agents
+//! detect leader death by probe failure and re-home ([`rehome_agent`])
+//! to it, replaying their state through the controller-side `resync`
+//! upsert.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -150,8 +148,8 @@ pub struct Cluster {
 
 impl Cluster {
     /// Starts `n` controllers with the given commit quorum. Every node
-    /// gets the same policy and subscriber registry; regions partition
-    /// base stations across the seats via the membership ring.
+    /// gets the same policy and subscriber registry; seat 0 leads the
+    /// bootstrap view.
     pub fn start(
         n: usize,
         quorum: usize,
@@ -249,12 +247,15 @@ impl Cluster {
         self.cuts[seat].store(false, Ordering::Release);
     }
 
-    /// The current membership view, read from the first live seat.
+    /// The newest membership view any seat that is not killed holds. A
+    /// cut seat is alive but may be deposed; its older view must not
+    /// route agents.
     pub fn membership(&self) -> Result<Membership> {
-        let seat = self
-            .first_live()
-            .ok_or_else(|| Error::InvalidState("no live seat".into()))?;
-        Ok(self.nodes[seat].membership())
+        (0..self.nodes.len())
+            .filter(|&s| !self.is_killed(s))
+            .map(|s| self.nodes[s].membership())
+            .max_by_key(Membership::epoch)
+            .ok_or_else(|| Error::InvalidState("no live seat".into()))
     }
 
     fn first_live(&self) -> Option<usize> {
@@ -263,8 +264,10 @@ impl Cluster {
 
     /// Declares `dead` seats down and drives the deterministic
     /// fail-over: the first live survivor advances the ring, broadcasts
-    /// the epoch change, and pushes its store image so every survivor
-    /// converges. Returns the new view. Duration lands in the
+    /// the epoch change, and exchanges logs so every survivor holds the
+    /// highest-ranked one. Returns the new view. Fails when the exchange
+    /// reaches no quorum: the view stands, and its leader retries the
+    /// exchange before its first proposal. Duration lands in the
     /// `softcell_replica_recovery_time_us` histogram.
     pub fn fail_over(&self, dead: &[ControllerId]) -> Result<Membership> {
         let initiator = self
@@ -313,12 +316,11 @@ impl Cluster {
         Ok(Killable::new(a, watch_kills, watch_cuts))
     }
 
-    /// Connects an agent proxy for `bs` to the seat currently leading
-    /// its region.
+    /// Connects an agent proxy for `bs` to the current leader.
     pub fn connect_agent(&self, bs: BaseStationId) -> Result<ChannelController<Link>> {
         let leader = self
             .membership()?
-            .leader_of_station(bs)
+            .leader()
             .ok_or_else(|| Error::InvalidState("no live leader".into()))?;
         ChannelController::connect(self.agent_transport(leader.seat())?, bs)
     }
@@ -335,12 +337,10 @@ impl Drop for Cluster {
     }
 }
 
-/// Re-homes an agent whose controller died: looks up the deterministic
-/// successor for its station in the (post-fail-over) membership view,
-/// reconnects there, and replays the agent's state with `resync` — the
-/// controller upserts every UE, so permanent IPs survive and a UE that
-/// handed off across the controller boundary lands exactly once.
-/// Returns the new leader's seat.
+/// Re-homes an agent whose controller died: looks up the leader of the
+/// (post-fail-over) membership view, reconnects there, and replays the
+/// agent's state with `resync` — the controller upserts every UE, so
+/// permanent IPs survive. Returns the new leader's seat.
 pub fn rehome_agent(
     cluster: &Cluster,
     ctl: &mut ChannelController<Link>,
@@ -350,7 +350,7 @@ pub fn rehome_agent(
     let bs = ctl.base_station();
     let leader = cluster
         .membership()?
-        .leader_of_station(bs)
+        .leader()
         .ok_or_else(|| Error::InvalidState("no live leader to re-home to".into()))?;
     ctl.reconnect(cluster.agent_transport(leader.seat())?)?;
     ctl.resync(agent, now)?;
@@ -364,11 +364,9 @@ pub fn rehome_agent(
 mod tests {
     use super::*;
     use crate::log::ReplicatedOp;
-    use crate::store::ReplicaStore;
     use softcell_ctlchan::{Message, PacketIn};
     use softcell_policy::clause::ClauseId;
-    use softcell_types::{AddressingScheme, PolicyTag, PortEmbedding, PortNo, UeId, UeImsi};
-    use std::net::Ipv4Addr;
+    use softcell_types::{AddressingScheme, PortEmbedding, PortNo, UeId, UeImsi};
 
     fn subs(n: u64) -> Vec<SubscriberAttributes> {
         (0..n)
@@ -387,13 +385,12 @@ mod tests {
         .unwrap()
     }
 
-    fn attach_op(imsi: u64, bs: u32, since: u64) -> ReplicatedOp {
+    fn attach_op(imsi: u64, bs: u32, now: u64) -> ReplicatedOp {
         ReplicatedOp::Attach {
             imsi: UeImsi(imsi),
             bs: BaseStationId(bs),
             ue_id: UeId(1),
-            since: SimTime(since),
-            permanent_ip: Ipv4Addr::new(100, 64, 0, imsi as u8),
+            now: SimTime(now),
         }
     }
 
@@ -406,27 +403,32 @@ mod tests {
         )
     }
 
-    /// A station whose region `seat` leads under the bootstrap view.
-    fn station_led_by(view: &Membership, seat: u32) -> BaseStationId {
-        (0..1024u32)
-            .map(BaseStationId)
-            .find(|bs| view.leader_of_station(*bs) == Some(ControllerId(seat)))
-            .expect("every seat leads some station")
+    /// Every seat of `seats` holds the same log.
+    fn assert_one_log(c: &Cluster, seats: &[usize]) {
+        let log = c.node(seats[0]).log_bytes();
+        for &seat in seats {
+            assert_eq!(
+                c.node(seat).log_bytes(),
+                log,
+                "seat {seat} holds another log"
+            );
+        }
     }
 
     #[test]
     fn quorum_commit_applies_on_all_replicas() {
         let c = cluster(3, 2);
-        let index = c.node(0).propose(attach_op(1, 0, 5)).unwrap();
+        let (index, _) = c.node(0).propose(attach_op(1, 0, 5)).unwrap();
         assert_eq!(index, 1);
         for seat in 0..3 {
-            assert_eq!(c.node(seat).applied(ControllerId(0)), 1, "seat {seat}");
-            assert!(c.node(seat).store_ue(UeImsi(1)).is_some());
+            assert_eq!(c.node(seat).applied(), 1, "seat {seat}");
+            assert!(c.node(seat).state().ue(UeImsi(1)).is_some());
         }
-        let oracle = c.node(0).snapshot_bytes();
-        assert_eq!(c.node(1).snapshot_bytes(), oracle);
-        assert_eq!(c.node(2).snapshot_bytes(), oracle);
+        assert_one_log(&c, &[0, 1, 2]);
         assert_eq!(c.node(0).commit_index(), 1);
+        // only the view's leader proposes
+        let err = c.node(1).propose(attach_op(2, 0, 6)).unwrap_err();
+        assert!(err.to_string().contains("does not lead"), "got: {err}");
     }
 
     #[test]
@@ -451,10 +453,10 @@ mod tests {
             err.to_string().contains("fenced"),
             "stale proposal must be fenced, got: {err}"
         );
-        // The survivors rejected the record without applying it...
+        // The survivors rejected the record without appending it...
         assert!(rejections.get() > before);
-        assert_eq!(c.node(1).applied(ControllerId(0)), 1);
-        assert_eq!(c.node(2).applied(ControllerId(0)), 1);
+        assert_eq!(c.node(1).applied(), 1);
+        assert_eq!(c.node(2).applied(), 1);
         // ...and the rejection taught seat 0 the newer epoch.
         assert_eq!(c.node(0).current_epoch(), 2);
         assert_eq!(c.node(0).commit_index(), 1, "nothing new committed");
@@ -462,11 +464,10 @@ mod tests {
         // The agent-facing path is equally dead: a path request on the
         // stale leader yields an error, never a flow-mod — commit-gated
         // release means a fenced leader cannot program the network.
-        let bs = station_led_by(&c.node(0).membership(), 0);
         let reply = c
             .node(0)
             .handle_agent(&Message::PacketIn(PacketIn::PathRequest {
-                bs,
+                bs: BaseStationId(3),
                 clause: ClauseId(0),
             }))
             .unwrap();
@@ -488,27 +489,54 @@ mod tests {
         c.cut(2);
         c.node(0).propose(attach_op(1, 0, 5)).unwrap();
         c.node(0).propose(attach_op(2, 3, 6)).unwrap();
-        assert_eq!(c.node(2).applied(ControllerId(0)), 0, "partitioned");
+        assert_eq!(c.node(2).applied(), 0, "partitioned");
         c.heal(2);
 
         let reg = Registry::global();
         let snapshots = reg.counter("softcell_replica_snapshots_total");
         let before = snapshots.get();
-        // The next proposal gap-rejects at seat 2, which triggers a
-        // snapshot transfer followed by a re-ship of the record.
+        // Seat 2 cannot append the next record behind entries it lacks,
+        // so it is handed the leader's log and replays it.
         c.node(0).propose(attach_op(3, 6, 7)).unwrap();
-        assert!(snapshots.get() > before, "snapshot catch-up must run");
-        assert_eq!(c.node(2).applied(ControllerId(0)), 3, "fully caught up");
-        let oracle = c.node(0).snapshot_bytes();
-        assert_eq!(c.node(1).snapshot_bytes(), oracle);
-        assert_eq!(c.node(2).snapshot_bytes(), oracle);
+        assert!(snapshots.get() > before, "log catch-up must run");
+        assert_eq!(c.node(2).applied(), 3, "fully caught up");
+        assert!(c.node(2).state().ue(UeImsi(2)).is_some());
+        assert_one_log(&c, &[0, 1, 2]);
+    }
+
+    #[test]
+    fn missed_quorum_entry_commits_with_the_next_proposal() {
+        // Quorum 3: one cut peer makes a proposal miss quorum.
+        let c = cluster(3, 3);
+        c.cut(2);
+        let path = ReplicatedOp::PathRequest {
+            bs: BaseStationId(3),
+            clause: ClauseId(0),
+        };
+        c.node(0).propose(path).unwrap_err();
+        // The record stays in the logs that took it, uncommitted.
+        let held = (0..3).map(|s| c.node(s).applied()).collect::<Vec<_>>();
+        assert_eq!(held, [1, 1, 0]);
+        assert_eq!(c.node(0).commit_index(), 0);
+
+        // Seat 2 is handed the log for the next record, and that record
+        // commits with the stuck one beneath it.
+        c.heal(2);
+        let (index, _) = c.node(0).propose(attach_op(1, 0, 9)).unwrap();
+        assert_eq!(index, 2);
+        assert_eq!(c.node(0).commit_index(), 2);
+        assert_one_log(&c, &[0, 1, 2]);
+        assert!(c
+            .node(2)
+            .state()
+            .path(BaseStationId(3), ClauseId(0))
+            .is_some());
     }
 
     #[test]
     fn agent_attach_and_path_commit_before_reply() {
         let c = cluster(3, 2);
-        let view = c.membership().unwrap();
-        let bs = station_led_by(&view, 1);
+        let bs = BaseStationId(3);
         let mut ctl = c.connect_agent(bs).unwrap();
         let mut agent = agent_for(bs);
 
@@ -518,44 +546,33 @@ mod tests {
         // By the time the agent holds its grant, the attach is on every
         // replica (reply release is commit-gated).
         for seat in 0..3 {
-            let e = c.node(seat).store_ue(UeImsi(4)).expect("replicated");
+            let e = *c.node(seat).state().ue(UeImsi(4)).expect("replicated");
             assert_eq!(e.bs, bs);
             assert_eq!(e.permanent_ip, rec.permanent_ip, "seat {seat}");
         }
 
-        // A path request commits the install and yields a slab tag of
-        // the leading seat (seat 1 → tags 256..).
-        let reply = c
-            .node(1)
-            .handle_agent(&Message::PacketIn(PacketIn::PathRequest {
-                bs,
-                clause: ClauseId(0),
-            }))
-            .unwrap();
-        // the one flow-mod frame: (shard, seq) = (answering seat, its
-        // commit watermark at release), one barrier-fenced group
+        let path = Message::PacketIn(PacketIn::PathRequest {
+            bs,
+            clause: ClauseId(0),
+        });
+        let reply = c.node(0).handle_agent(&path).unwrap();
+        // the one flow-mod frame: (shard, seq) = (leader seat, the
+        // record's index), one barrier-fenced group
         let Message::FlowModBatch { shard, seq, groups } = &reply else {
             panic!("expected FlowModBatch, got {reply:?}");
         };
-        assert_eq!(*shard, 1, "answered by seat 1");
-        assert_eq!(u64::from(*seq), c.node(1).commit_index());
+        assert_eq!(*shard, 0, "answered by the leader");
+        assert_eq!(u64::from(*seq), c.node(0).commit_index());
         assert_eq!(groups.len(), 1);
         assert!(groups[0].barrier);
         assert_eq!(groups[0].bs, bs);
         let tag = groups[0].mods[0].tags.uplink_entry;
-        assert_eq!(tag.0 / 256, 1, "tag from seat 1's slab");
         for seat in 0..3 {
-            let p = c.node(seat).applied(ControllerId(1));
-            assert!(p >= 2, "path install replicated to seat {seat}");
+            let got = c.node(seat).state().path(bs, ClauseId(0));
+            assert_eq!(got, Some(tag), "path replicated to seat {seat}");
         }
-        // Re-requesting the same path reuses the committed tag.
-        let again = c
-            .node(1)
-            .handle_agent(&Message::PacketIn(PacketIn::PathRequest {
-                bs,
-                clause: ClauseId(0),
-            }))
-            .unwrap();
+        // Re-asking is one more input: the committed tag, a later seq.
+        let again = c.node(0).handle_agent(&path).unwrap();
         let Message::FlowModBatch {
             seq: seq2,
             groups: groups2,
@@ -565,24 +582,25 @@ mod tests {
             panic!("expected FlowModBatch, got {again:?}");
         };
         assert_eq!(groups2[0].mods[0].tags.uplink_entry, tag);
-        assert!(seq2 >= seq, "seq never runs backwards on a seat");
+        assert!(seq2 > seq, "seq never runs backwards");
 
-        // Detach replicates too, leaving a tombstone everywhere.
         agent.handle_detach(UeImsi(4), &mut ctl).unwrap();
         for seat in 0..3 {
-            assert!(c.node(seat).store_ue(UeImsi(4)).is_none(), "seat {seat}");
+            assert!(c.node(seat).state().ue(UeImsi(4)).is_none(), "seat {seat}");
         }
     }
 
     #[test]
     fn agent_rehomes_to_deterministic_successor_after_kill() {
         let c = cluster(3, 2);
-        let view = c.membership().unwrap();
-        let bs = station_led_by(&view, 0);
-        let successor = {
-            let after = view.advance(&[ControllerId(0)]).unwrap();
-            after.leader_of_station(bs).unwrap()
-        };
+        let successor = c
+            .membership()
+            .unwrap()
+            .advance(&[ControllerId(0)])
+            .unwrap()
+            .leader()
+            .unwrap();
+        let bs = BaseStationId(3);
         let mut ctl = c.connect_agent(bs).unwrap();
         let mut agent = agent_for(bs);
         let r5 = agent
@@ -592,7 +610,7 @@ mod tests {
             .handle_attach(UeImsi(6), &mut ctl, SimTime(11))
             .unwrap();
 
-        // kill -9 the region leader; the agent notices via probe.
+        // kill -9 the leader; the agent notices via probe.
         c.kill(0);
         assert!(
             ctl.channel().probe(Duration::from_millis(100)).is_err(),
@@ -607,138 +625,122 @@ mod tests {
         assert_eq!(new_home, successor, "re-home is deterministic");
         assert!(rehomes.get() > before);
 
-        // The resync re-attach upserted: same permanent IPs, new
-        // records on the survivors, byte-identical stores.
+        // The resync re-attach upserted: same permanent IPs, one log.
         for seat in [1usize, 2] {
-            let e5 = c.node(seat).store_ue(UeImsi(5)).expect("ue5 survives");
-            let e6 = c.node(seat).store_ue(UeImsi(6)).expect("ue6 survives");
+            let state = c.node(seat).state();
+            let e5 = state.ue(UeImsi(5)).expect("ue5 survives");
+            let e6 = state.ue(UeImsi(6)).expect("ue6 survives");
             assert_eq!(e5.permanent_ip, r5.permanent_ip);
             assert_eq!(e6.permanent_ip, r6.permanent_ip);
         }
-        assert_eq!(
-            c.node(1).snapshot_bytes(),
-            c.node(2).snapshot_bytes(),
-            "survivors converge byte-for-byte"
-        );
+        assert_one_log(&c, &[1, 2]);
         // And the agent can keep working against the new home.
         agent
             .handle_attach(UeImsi(7), &mut ctl, SimTime(21))
             .unwrap();
-        assert!(c.node(successor.seat()).store_ue(UeImsi(7)).is_some());
+        assert!(c.node(successor.seat()).state().ue(UeImsi(7)).is_some());
     }
 
     #[test]
-    fn snapshot_push_merges_instead_of_erasing_third_party_records() {
+    fn fail_over_adopts_the_newer_log() {
         let c = cluster(3, 2);
-        // Seat 0 is partitioned while seat 1 commits a record on {1, 2}.
-        c.cut(0);
-        c.node(1).propose(attach_op(1, 4, 5)).unwrap();
-        assert_eq!(c.node(0).applied(ControllerId(1)), 0, "partitioned");
-        assert_eq!(c.node(2).applied(ControllerId(1)), 1);
-        c.heal(0);
+        // Seat 1 is cut while the leader commits a record on {0, 2}.
+        c.cut(1);
+        c.node(0).propose(attach_op(1, 4, 5)).unwrap();
+        assert_eq!((c.node(1).applied(), c.node(2).applied()), (0, 1));
+        c.heal(1);
 
-        // Seat 1 dies; seat 0 — which never saw the record — initiates
-        // the fail-over and pushes its snapshot to seat 2. The merge
-        // must keep seat 2's copy of the committed, agent-acknowledged
-        // record (wholesale adoption used to erase it, leaving it on
-        // zero live replicas) and hand it back to seat 0 so both
-        // survivors converge on the union.
-        c.kill(1);
-        c.fail_over(&[ControllerId(1)]).unwrap();
-        for seat in [0usize, 2] {
-            assert_eq!(
-                c.node(seat).applied(ControllerId(1)),
-                1,
-                "seat {seat} must keep origin 1's watermark"
-            );
+        // The leader dies; seat 1 — which never saw the record —
+        // initiates the fail-over. Seat 2's log ranks higher, so seat 1
+        // adopts it rather than erasing the committed record.
+        c.kill(0);
+        let view = c.fail_over(&[ControllerId(0)]).unwrap();
+        assert_eq!(view.leader(), Some(ControllerId(1)));
+        for seat in [1usize, 2] {
             assert!(
-                c.node(seat).store_ue(UeImsi(1)).is_some(),
+                c.node(seat).state().ue(UeImsi(1)).is_some(),
                 "seat {seat} must keep the committed record"
             );
         }
-        assert_eq!(
-            c.node(0).snapshot_bytes(),
-            c.node(2).snapshot_bytes(),
-            "survivors converge on the union"
-        );
+        assert_one_log(&c, &[1, 2]);
     }
 
     #[test]
-    fn pending_reship_keeps_original_epoch_stamp() {
-        // Quorum 3: one cut peer makes every proposal miss quorum.
-        let c = cluster(3, 3);
+    fn fail_over_without_a_quorum_exchange_keeps_committed_records() {
+        let c = cluster(3, 2);
+        c.node(0).propose(attach_op(1, 0, 5)).unwrap();
+        // Seat 1 misses a record the leader commits with seat 2.
+        c.cut(1);
+        let (index, _) = c.node(0).propose(attach_op(2, 0, 6)).unwrap();
+        c.heal(1);
+
+        // The leader dies while seat 2 is cut off: the fail-over on seat
+        // 1 reaches no other seat, so it fails...
         c.cut(2);
-        let op = ReplicatedOp::PathInstall {
-            bs: BaseStationId(3),
-            clause: ClauseId(0),
-            tag: PolicyTag(5),
-        };
-        c.node(0).propose(op).unwrap_err();
-        // Seat 1 applied the epoch-1 copy; seat 2 never saw it.
-        assert_eq!(c.node(1).applied(ControllerId(0)), 1);
-        assert_eq!(c.node(2).applied(ControllerId(0)), 0);
+        c.kill(0);
+        let err = c.fail_over_from(1, &[ControllerId(0)]).unwrap_err();
+        assert!(err.is_timeout(), "got: {err}");
+        // ...and seat 1, which leads the new view, appends nothing until
+        // its log has been exchanged with a quorum.
+        let err = c.node(1).propose(attach_op(3, 0, 7)).unwrap_err();
+        assert!(err.to_string().contains("exchanged logs"), "got: {err}");
+        assert_eq!(c.node(1).applied(), 1);
 
-        // The proposer survives an epoch change, then flushes the stuck
-        // record. The re-ship must carry the *original* epoch in the
-        // record (only the frame-level fence epoch is current): seat 1
-        // dedups the first copy, seat 2 first sees the re-ship — both
-        // must materialize the same PathEntry or stores diverge.
+        // Seat 2 is back: the first proposal levels seat 1's log with
+        // seat 2's, which holds the committed record, then appends.
         c.heal(2);
-        let bumped = c.node(0).membership().advance(&[]).unwrap();
-        c.node(0).adopt_membership(bumped);
-        c.node(0).broadcast_epoch_change().unwrap();
-        c.node(0).propose(attach_op(1, 0, 9)).unwrap();
-
-        let oracle = c.node(0).snapshot_bytes();
-        for seat in 1..3 {
-            assert_eq!(
-                c.node(seat).snapshot_bytes(),
-                oracle,
-                "seat {seat} diverged after the re-ship"
-            );
+        let (next, _) = c.node(1).propose(attach_op(3, 0, 7)).unwrap();
+        assert_eq!(next, index + 1);
+        for seat in [1usize, 2] {
+            let state = c.node(seat).state();
+            assert!(state.ue(UeImsi(2)).is_some(), "seat {seat} kept the record");
+            assert!(state.ue(UeImsi(3)).is_some(), "seat {seat}");
         }
-        let store = ReplicaStore::restore(&oracle).unwrap();
-        let entry = store.path(BaseStationId(3), ClauseId(0)).unwrap();
-        assert_eq!(entry.epoch, 1, "record keeps its proposal-time epoch");
+        assert_one_log(&c, &[1, 2]);
     }
 
     #[test]
-    fn failed_proposals_return_slab_allocations() {
-        let c = cluster(3, 3);
-        let view = c.membership().unwrap();
-        let bs = station_led_by(&view, 0);
+    fn a_history_longer_than_a_frame_catches_up_and_fails_over() {
+        let c = cluster(3, 2);
+        // Seat 2 misses more attach records (39 bytes each) than one
+        // frame could carry as a list.
         c.cut(2);
-        let attach = |imsi: u64, at: u64| {
-            c.node(0)
-                .handle_agent(&Message::PacketIn(PacketIn::Attach {
-                    imsi: UeImsi(imsi),
-                    bs,
-                    ue_id: UeId(1),
-                    now: SimTime(at),
-                }))
-                .unwrap()
-        };
-        // IMSI 1 takes slab slot 1 and misses quorum: its record stays
-        // pending and rightly keeps the slot.
-        assert!(attach(1, 5).as_error().is_some());
-        // IMSI 2 takes slot 2, but the stuck flush fails before any
-        // record for it exists — the slot must be returned, not burned
-        // once per retry until the slab runs dry.
-        assert!(attach(2, 6).as_error().is_some());
-        assert!(attach(2, 7).as_error().is_some());
-
+        let n = softcell_ctlchan::MAX_FRAME as u64 / 39 + 1;
+        for i in 0..n {
+            c.node(0).propose(attach_op(i % 4, 0, i)).unwrap();
+        }
         c.heal(2);
-        // The flush commits IMSI 1 under slot 1; IMSI 2 then gets
-        // slot 2 — with the leak it would be slot 4 by now.
-        let reply = attach(2, 8);
-        let Message::ClassifierReply { record, .. } = reply else {
-            panic!("expected ClassifierReply, got {reply:?}");
-        };
-        assert_eq!(record.permanent_ip, Ipv4Addr::new(100, 64, 0, 2));
-        assert_eq!(
-            c.node(0).store_ue(UeImsi(1)).unwrap().permanent_ip,
-            Ipv4Addr::new(100, 64, 0, 1)
-        );
+        c.node(0).propose(attach_op(5, 1, n)).unwrap();
+        assert_eq!(c.node(2).applied(), n + 1, "caught up");
+        assert_one_log(&c, &[0, 1, 2]);
+        let image = c.node(2).log_bytes().len();
+        assert!(image < softcell_ctlchan::MAX_FRAME / 8, "{image} bytes");
+
+        c.kill(0);
+        c.fail_over(&[ControllerId(0)]).unwrap();
+        c.node(1).propose(attach_op(6, 1, n + 1)).unwrap();
+        assert_one_log(&c, &[1, 2]);
+    }
+
+    #[test]
+    fn membership_is_the_newest_view_after_a_partition_fail_over() {
+        let c = cluster(3, 2);
+        c.cut(0);
+        c.fail_over_from(1, &[ControllerId(0)]).unwrap();
+        // Seat 0 is cut, not killed, and still holds epoch 1; agents
+        // must be routed by the survivors' epoch 2.
+        let view = c.membership().unwrap();
+        assert_eq!(view.epoch(), 2);
+        assert_eq!(view.leader(), Some(ControllerId(1)));
+
+        c.heal(0);
+        let bs = BaseStationId(3);
+        let mut ctl = c.connect_agent(bs).unwrap();
+        let mut agent = agent_for(bs);
+        agent
+            .handle_attach(UeImsi(4), &mut ctl, SimTime(10))
+            .unwrap();
+        assert!(c.node(1).state().ue(UeImsi(4)).is_some());
     }
 
     #[test]
@@ -772,15 +774,15 @@ mod tests {
         assert_eq!(c.node(2).membership().epoch(), 2);
         assert_eq!(c.node(0).membership().epoch(), 1, "seat 0 skipped");
 
-        // Epoch 3 revives seat 0; only seat 0 has seen it so far (its
-        // broadcast is still in flight). Its proposal reaches receivers
-        // whose *stale* view declares the origin dead — liveness under
+        // Epoch 3 revives seat 0, which leads it; only seat 0 has seen
+        // it so far (its broadcast is still in flight). Its record
+        // reaches receivers whose *stale* view names another leader —
         // that view must not reject a record from a newer epoch.
         let v3 = Membership::from_parts(3, vec![true, true, true]).unwrap();
         c.node(0).adopt_membership(v3);
         c.node(0).propose(attach_op(1, 0, 5)).unwrap();
         for seat in 1..3 {
-            assert_eq!(c.node(seat).applied(ControllerId(0)), 1, "seat {seat}");
+            assert_eq!(c.node(seat).applied(), 1, "seat {seat}");
             assert_eq!(
                 c.node(seat).current_epoch(),
                 3,

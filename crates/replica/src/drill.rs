@@ -1,14 +1,14 @@
 //! The `kill -9` recovery drill for the replicated control plane.
 //!
 //! The scenario the replication design exists for: a three-controller
-//! cluster runs a cross-region handoff storm, the region leader is
-//! killed mid-storm with no teardown, survivors fail over, agents
-//! re-home to the deterministic successor, and the storm resumes. The
-//! drill demands *zero residue*: the survivors' state must match the
-//! dead leader's frozen pre-kill snapshot byte-for-byte, detached UEs
-//! must stay detached through the re-home replay, every surviving UE
-//! must keep its original permanent IP, and a re-asked path must keep
-//! the tag the dead seat committed. `tests/recovery.rs` and the
+//! cluster runs a handoff storm across three stations, the leader is
+//! killed mid-storm with no teardown, survivors fail over, every agent
+//! re-homes to the new leader, and the storm resumes. The drill demands
+//! *zero residue*: the survivors' logs must match the dead leader's
+//! frozen pre-kill log byte-for-byte, detached UEs must stay detached
+//! through the re-home replay, every surviving UE must keep its original
+//! permanent IP, a re-asked path must keep the tag committed before the
+//! kill, and `seq` must never decrease. `tests/recovery.rs` and the
 //! campaign's `controller-kill` overlay both run it.
 
 use std::collections::HashMap;
@@ -25,7 +25,6 @@ use softcell_types::{
 };
 
 use crate::cluster::{rehome_agent, Cluster, Link};
-use crate::store::ReplicaStore;
 
 const UES: u64 = 12;
 const DETACHED: [u64; 3] = [9, 10, 11];
@@ -40,7 +39,7 @@ fn check(holds: bool, what: impl FnOnce() -> String) -> Result<()> {
     holds.then_some(()).ok_or_else(|| diverged(what()))
 }
 
-/// One agent and its channel to the seat leading its station.
+/// One agent and its channel to the leader.
 struct Cell {
     agent: LocalAgent,
     ctl: ChannelController<Link>,
@@ -48,9 +47,7 @@ struct Cell {
 
 /// Moves `imsi` from cell `from` to cell `to`: the source agent forgets
 /// it locally (radio-level departure), the target attaches it — the
-/// controller upsert keeps the permanent IP, and the replicated
-/// last-writer-wins register makes the newer location stick on every
-/// replica regardless of arrival order.
+/// controller upsert keeps the permanent IP.
 fn handoff(cells: &mut [Cell], from: usize, to: usize, imsi: UeImsi, now: SimTime) -> Result<()> {
     cells[from].agent.evict(imsi)?;
     let c = &mut cells[to];
@@ -97,16 +94,12 @@ pub fn controller_kill_drill() -> Result<()> {
         &subscribers,
         Duration::from_millis(400),
     )?;
-    let view = cluster.membership()?;
-    // one base station per seat, each led by that seat
-    let bss = (0..3u32)
-        .map(|seat| {
-            (0..1024u32)
-                .map(BaseStationId)
-                .find(|bs| view.leader_of_station(*bs) == Some(ControllerId(seat)))
-                .ok_or_else(|| diverged(format!("seat {seat} leads no station")))
-        })
-        .collect::<Result<Vec<_>>>()?;
+    let leader = cluster
+        .membership()?
+        .leader()
+        .ok_or_else(|| diverged("the bootstrap view has no leader".into()))?
+        .seat();
+    let bss: Vec<BaseStationId> = (0..3).map(BaseStationId).collect();
     let mut cells = bss
         .iter()
         .map(|&bs| {
@@ -122,8 +115,8 @@ pub fn controller_kill_drill() -> Result<()> {
         })
         .collect::<Result<Vec<_>>>()?;
 
-    // Storm, act one: every UE attaches, spread across the regions, and
-    // each region leader installs a core path for its station.
+    // Storm, act one: every UE attaches, spread across the stations, and
+    // each station gets a core path.
     let mut clock = 0u64;
     let mut ip_of = HashMap::new();
     for i in 0..UES {
@@ -134,13 +127,18 @@ pub fn controller_kill_drill() -> Result<()> {
             .handle_attach(UeImsi(i), &mut c.ctl, SimTime(clock))?;
         ip_of.insert(UeImsi(i), rec.permanent_ip);
     }
-    let installed = (0..3)
-        .map(|seat| Ok(ask_path(&cluster, seat, bss[seat])?.1))
-        .collect::<Result<Vec<_>>>()?;
+    let mut seq = 0;
+    let mut installed = Vec::new();
+    for &bs in &bss {
+        let (s, tag) = ask_path(&cluster, leader, bs)?;
+        check(s > seq, || format!("seq {s} after {seq}"))?;
+        seq = s;
+        installed.push(tag);
+    }
 
-    // Act two: a cross-region handoff ring (every UE moves one region
-    // over) plus a few permanent detaches, leaving tombstones that the
-    // later re-home replay must NOT resurrect.
+    // Act two: a handoff ring (every UE moves one station over) plus a
+    // few permanent detaches, which the later re-home replay must NOT
+    // resurrect.
     for i in 0..UES {
         clock += 1;
         let from = (i % 3) as usize;
@@ -151,79 +149,81 @@ pub fn controller_kill_drill() -> Result<()> {
         c.agent.handle_detach(UeImsi(imsi), &mut c.ctl)?;
     }
 
-    // Quiesce point: every op above is quorum-committed (replies are
-    // commit-gated), so the leader's state right now is the recovery
+    // Quiesce point: every input above is committed (replies are
+    // commit-gated), so the leader's log right now is the recovery
     // oracle. Freeze it, then kill -9.
-    let oracle = cluster.node(0).snapshot_bytes();
-    cluster.kill(0);
+    let oracle = cluster.node(leader).log_bytes();
+    cluster.kill(leader);
     let probe = cells[0].ctl.channel().probe(Duration::from_millis(100));
     check(probe.is_err(), || {
         "the killed leader answered a probe".into()
     })?;
-    let after = cluster.fail_over(&[ControllerId(0)])?;
+    let after = cluster.fail_over(&[ControllerId(leader as u32)])?;
     check(after.epoch() == 2, || {
         format!("fail-over reached epoch {}", after.epoch())
     })?;
-    // The survivors' state matches the pre-kill oracle byte-for-byte —
-    // nothing lost, nothing extra.
-    for seat in [1, 2] {
-        check(cluster.node(seat).snapshot_bytes() == oracle, || {
+    let survivors: Vec<usize> = (0..3).filter(|&s| s != leader).collect();
+    // The survivors hold the pre-kill log byte-for-byte — nothing lost,
+    // nothing extra.
+    for &seat in &survivors {
+        check(cluster.node(seat).log_bytes() == oracle, || {
             format!("seat {seat} differs from the pre-kill oracle")
         })?;
     }
 
-    // The orphaned region's agent re-homes to the deterministic
-    // successor and replays its UEs through resync.
-    clock += 1;
+    // Every agent re-homes to the new leader and replays its UEs through
+    // resync.
     let successor = after
-        .leader_of_station(bss[0])
-        .ok_or_else(|| diverged("no successor leads the orphaned region".into()))?;
-    let cell0 = &mut cells[0];
-    let new_home = rehome_agent(&cluster, &mut cell0.ctl, &mut cell0.agent, SimTime(clock))?;
-    check(new_home == successor, || {
-        format!("agent re-homed to {new_home}, the deterministic successor is {successor}")
-    })?;
+        .leader()
+        .ok_or_else(|| diverged("the new view has no leader".into()))?;
+    for cell in &mut cells {
+        clock += 1;
+        let new_home = rehome_agent(&cluster, &mut cell.ctl, &mut cell.agent, SimTime(clock))?;
+        check(new_home == successor, || {
+            format!("agent re-homed to {new_home}, the new leader is {successor}")
+        })?;
+    }
 
-    // Act three: the storm resumes across the shrunken cluster,
-    // including handoffs back onto the re-homed region.
+    // Act three: the storm resumes across the shrunken cluster.
     for i in (0..UES).filter(|i| !DETACHED.contains(i)) {
         clock += 1;
         let from = ((i % 3) as usize + 1) % 3;
         handoff(&mut cells, from, (from + 1) % 3, UeImsi(i), SimTime(clock))?;
     }
-    // The successor reuses the committed path tag — from the dead
-    // seat's slab — rather than minting a fresh one: installed paths are
-    // part of the replicated slow state.
-    let (seq, tag) = ask_path(&cluster, successor.seat(), bss[0])?;
-    check(tag == installed[0] && tag.0 / 256 == 0, || {
-        format!(
-            "re-asked path got {tag:?}, the dead seat committed {:?}",
-            installed[0]
-        )
-    })?;
-    let (seq_again, tag_again) = ask_path(&cluster, successor.seat(), bss[0])?;
-    check(tag_again == tag && seq_again >= seq, || {
-        format!("second ask: {tag_again:?} at seq {seq_again} after {tag:?} at seq {seq}")
-    })?;
-
-    // Zero residue, checked on the parsed stores of both survivors:
-    // exactly the live UEs, original permanent IPs, tombstones intact.
-    let s1 = cluster.node(1).snapshot_bytes();
-    check(cluster.node(2).snapshot_bytes() == s1, || {
-        "survivors differ after the resumed storm".into()
-    })?;
-    let store = ReplicaStore::restore(&s1)?;
-    let (ues, paths) = (store.ue_count(), store.path_count());
-    check(ues == UES as usize - DETACHED.len() && paths == 3, || {
-        format!("survivors hold {ues} UEs and {paths} paths")
-    })?;
-    for i in 0..UES {
-        let imsi = UeImsi(i);
-        let ip = store.ue(imsi).map(|e| e.permanent_ip);
-        let want = (!DETACHED.contains(&i)).then(|| ip_of[&imsi]);
-        check(ip == want, || {
-            format!("{imsi} holds {ip:?}, expected {want:?}")
+    // The successor answers with the tags committed before the kill —
+    // installed paths are replicated slow state — and its seq continues
+    // the dead leader's log.
+    for (&bs, &tag) in bss.iter().zip(&installed) {
+        let (s, got) = ask_path(&cluster, successor.seat(), bs)?;
+        check(got == tag && s > seq, || {
+            format!(
+                "re-asked path of {bs} got {got:?} at seq {s}; committed {tag:?}, last seq {seq}"
+            )
         })?;
+        seq = s;
+    }
+
+    // Zero residue on both survivors: one log, exactly the live UEs,
+    // original permanent IPs.
+    let log = cluster.node(survivors[0]).log_bytes();
+    for &seat in &survivors {
+        check(cluster.node(seat).log_bytes() == log, || {
+            "survivors differ after the resumed storm".into()
+        })?;
+        let state = cluster.node(seat).state();
+        let (ues, paths) = (state.ue_count(), state.path_count());
+        check(
+            ues == UES as usize - DETACHED.len() && paths == bss.len(),
+            || format!("seat {seat} holds {ues} UEs and {paths} paths"),
+        )?;
+        for i in 0..UES {
+            let imsi = UeImsi(i);
+            let ip = state.ue(imsi).map(|e| e.permanent_ip);
+            let want = (!DETACHED.contains(&i)).then(|| ip_of[&imsi]);
+            check(ip == want, || {
+                format!("seat {seat}: {imsi} holds {ip:?}, expected {want:?}")
+            })?;
+        }
     }
     Ok(())
 }

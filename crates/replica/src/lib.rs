@@ -1,29 +1,30 @@
-//! Replicated multi-controller control plane for SoftCell.
+//! Replicated control plane for SoftCell.
 //!
 //! The paper (§5) keeps the controller logically centralized and defers
 //! fault tolerance to "standard replication techniques" over its two
 //! state classes: slow-changing strongly consistent state (subscriber
 //! policy, installed paths) and fast-moving UE location that agents can
-//! rebuild. This crate supplies those techniques, shaped to SoftCell's
-//! split:
+//! rebuild. This crate is state-machine replication of the agents'
+//! inputs:
 //!
-//! * **Log shipping** ([`log`]) — every state-mutating controller
-//!   operation (attach/handoff, detach, path install) becomes an
-//!   append-only record, fully resolved by its proposer (permanent IP
-//!   and tag chosen up front) so replay is deterministic.
-//! * **Replicated store** ([`store`]) — the materialized state, built
-//!   from last-writer-wins registers so replicas converge byte-for-byte
-//!   regardless of cross-origin arrival order; its snapshot bytes are
-//!   the recovery oracle.
-//! * **Replica nodes** ([`node`]) — quorum commit over the ctlchan
-//!   `Replicate`/`ReplicateAck` frames, epoch fencing (a deposed leader
-//!   can never get a flow-mod acknowledged), snapshot catch-up for
-//!   lagging peers, and the agent-facing front-end whose replies are
-//!   gated on commit.
-//! * **Cluster + re-homing** ([`cluster`]) — N active controllers
-//!   partitioned by region over the membership ring, `kill -9`-style
-//!   link severance for crash testing, deterministic fail-over, and
-//!   agent re-homing to the successor leader with `resync` replay.
+//! * **Log** ([`log`]) — every agent input (attach, detach, path
+//!   request) is a record `(epoch, index, op)` of one totally ordered
+//!   log.
+//! * **State** ([`store`]) — one deterministic `apply` per record, run
+//!   by every seat in index order. Addresses and tags are allocated
+//!   there, from one pool each, so equal logs give equal state.
+//! * **Replica nodes** ([`node`]) — one leader per membership view
+//!   appends and ships records over the ctlchan `Replicate` /
+//!   `ReplicateAck` frames and releases each reply at quorum commit;
+//!   epoch fencing; catch-up and fail-over hand logs over
+//!   `SnapshotTransfer` — the records older than the last thousand or so
+//!   folded into the state they replay to — and the seat holding the
+//!   lower-ranked log adopts the other and replays it. A view's leader
+//!   proposes only after its log exchange reached a quorum.
+//! * **Cluster + re-homing** ([`cluster`]) — N controllers over an
+//!   in-process mesh, `kill -9`-style link severance for crash testing,
+//!   deterministic fail-over, and agent re-homing to the new leader with
+//!   `resync` replay.
 //! * **The `kill -9` drill** ([`drill`]) — the one recovery scenario,
 //!   run by the recovery test and the campaign's `controller-kill`
 //!   overlay.
@@ -41,4 +42,4 @@ pub use cluster::{rehome_agent, Cluster, Killable, Link};
 pub use drill::controller_kill_drill;
 pub use log::{LogRecord, ReplicatedOp};
 pub use node::{ReplicaConfig, ReplicaNode};
-pub use store::{PathEntry, ReplicaStore, UeEntry, UeSlot};
+pub use store::{Applied, State, UeEntry};

@@ -1,44 +1,39 @@
-//! The records of the replicated operation log.
+//! The replicated log: the agents' inputs, in one order.
 //!
-//! Every state-mutating controller operation — UE attach (which also
-//! covers handoff, as an upsert by IMSI), detach, and policy-path
-//! install — is serialized as a [`LogRecord`] before any flow-mod is
-//! released. The *leader resolves all nondeterminism up front*: the
-//! permanent IP and the policy tag are chosen by the originating node
-//! and carried in the record, so replaying the same records in the same
-//! per-origin order reconstructs byte-for-byte identical state on every
-//! replica ([`crate::store::ReplicaStore`]). The store is the only
-//! place a record lives once applied; no node keeps the records
-//! themselves.
+//! A [`LogRecord`] is `(epoch, index, op)`, where `op` is exactly what an
+//! agent sent: an attach, a detach or a path request. Nothing in a record
+//! was decided by its proposer — addresses and tags are allocated when
+//! the record is *applied* ([`crate::store::State::apply`]), on every
+//! seat, in index order — so two seats holding the same log hold the
+//! same state.
 //!
-//! Records are indexed per origin: each controller numbers its own
-//! proposals `1, 2, 3, …` (its commit index plus one), and followers track
-//! one applied watermark per origin seat. A record whose index is not
-//! exactly `watermark + 1` is a gap (the follower missed traffic and
-//! needs a snapshot) or a duplicate (a leader retry after a partial
-//! quorum round) — both are detected, never silently applied.
+//! Indices are dense from 1 over the whole cluster (one leader per view
+//! appends). `epoch` is the view the record was appended under; the last
+//! entry's `(epoch, index)` ranks two logs, and the higher one is the
+//! one a seat adopts on catch-up or fail-over.
+//!
+//! A [`Log`] keeps its last `KEEP` (1 024) records and folds the older ones
+//! into a *base* state: the state they replay to. Where the fold falls
+//! depends on the log's length alone, so two seats
+//! holding the same records hold the same base and the same entries, and
+//! a log's encoding — what catch-up and fail-over send — grows with the
+//! live state, not with the history.
 //!
 //! The wire encoding is hand-rolled and panic-free in both directions:
-//! a malformed record from a peer must surface as
+//! a malformed record or log from a peer must surface as
 //! [`softcell_types::Error::Malformed`], never abort the controller.
 
-use std::net::Ipv4Addr;
+use std::collections::VecDeque;
 
 use softcell_policy::clause::ClauseId;
-use softcell_types::{
-    BaseStationId, ControllerId, Error, PolicyTag, Result, SimTime, UeId, UeImsi,
-};
+use softcell_types::{BaseStationId, Error, Result, SimTime, UeId, UeImsi};
 
-/// A state-mutating controller operation, fully resolved by the leader.
-///
-/// Every variant is an idempotent upsert (or removal) keyed by its
-/// natural identity, so applying the same record twice is harmless and
-/// follower replay needs no local decisions.
+use crate::store::State;
+
+/// One agent input, as the agent sent it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ReplicatedOp {
-    /// UE attach *or handoff*: an upsert by IMSI. The permanent IP was
-    /// resolved by the leader (reused for a known UE, slab-allocated
-    /// for a new one) so followers never allocate.
+    /// UE attach, handoff or re-home resync: an upsert by IMSI.
     Attach {
         /// Subscriber identity.
         imsi: UeImsi,
@@ -46,59 +41,60 @@ pub enum ReplicatedOp {
         bs: BaseStationId,
         /// Local UE id at that base station.
         ue_id: UeId,
-        /// Attach/handoff time.
-        since: SimTime,
-        /// The leader-resolved permanent address.
-        permanent_ip: Ipv4Addr,
+        /// The agent's clock at attach.
+        now: SimTime,
     },
-    /// UE detach: tombstones the IMSI's record. Carries the `since` of
-    /// the entry being removed so the store's last-writer-wins merge
-    /// can order the tombstone against concurrent attaches (a stale
-    /// attach arriving late must not resurrect the UE).
+    /// UE detach.
     Detach {
         /// Subscriber identity.
         imsi: UeImsi,
-        /// Attach time of the entry being detached (merge key).
-        since: SimTime,
     },
-    /// Policy-path install for `(bs, clause)` with the leader-chosen
-    /// tag (drawn from the origin seat's tag slab, so concurrent
-    /// region leaders never collide).
-    PathInstall {
+    /// Policy-path request for `(bs, clause)`.
+    PathRequest {
         /// Originating base station.
         bs: BaseStationId,
         /// Governing policy clause.
         clause: ClauseId,
-        /// The tag realizing the path end to end.
-        tag: PolicyTag,
     },
 }
 
 const OP_ATTACH: u8 = 1;
 const OP_DETACH: u8 = 2;
-const OP_PATH_INSTALL: u8 = 3;
+const OP_PATH_REQUEST: u8 = 3;
 
-/// One entry of the replicated log: an operation stamped with its
-/// origin seat, the epoch it was proposed under, and its per-origin
-/// index.
+/// Encoded length of the shortest record (a path request): epoch,
+/// index, op tag, station, clause. Bounds the entry count a log payload
+/// can claim.
+const MIN_RECORD_LEN: usize = 8 + 8 + 1 + 4 + 2;
+
+/// Records a [`Log`] keeps after its base: each append past `KEEP`
+/// folds the oldest record into the base.
+const KEEP: u64 = 1024;
+
+/// Index of the last record folded into the base of a log whose last
+/// index is `last`.
+fn base_for(last: u64) -> u64 {
+    last.saturating_sub(KEEP)
+}
+
+/// One entry of the replicated log.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct LogRecord {
-    /// The proposing controller.
-    pub origin: ControllerId,
-    /// Epoch the proposal was made under; receivers reject records from
-    /// epochs older than their membership view (fencing).
+    /// The membership epoch the leader appended the record under.
     pub epoch: u64,
-    /// Per-origin sequence number (first record is 1).
+    /// Position in the log (first record is 1).
     pub index: u64,
-    /// The operation itself.
+    /// The agent input.
     pub op: ReplicatedOp,
 }
 
 impl LogRecord {
-    /// Serializes the record for a `Replicate` payload.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(48);
-        out.extend_from_slice(&self.origin.0.to_be_bytes());
+    /// `(epoch, index)`: logs are ranked by their last entry's key.
+    pub fn key(&self) -> (u64, u64) {
+        (self.epoch, self.index)
+    }
+
+    fn write(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.epoch.to_be_bytes());
         out.extend_from_slice(&self.index.to_be_bytes());
         match self.op {
@@ -106,37 +102,27 @@ impl LogRecord {
                 imsi,
                 bs,
                 ue_id,
-                since,
-                permanent_ip,
+                now,
             } => {
                 out.push(OP_ATTACH);
                 out.extend_from_slice(&imsi.0.to_be_bytes());
                 out.extend_from_slice(&bs.0.to_be_bytes());
                 out.extend_from_slice(&ue_id.0.to_be_bytes());
-                out.extend_from_slice(&since.0.to_be_bytes());
-                out.extend_from_slice(&u32::from(permanent_ip).to_be_bytes());
+                out.extend_from_slice(&now.0.to_be_bytes());
             }
-            ReplicatedOp::Detach { imsi, since } => {
+            ReplicatedOp::Detach { imsi } => {
                 out.push(OP_DETACH);
                 out.extend_from_slice(&imsi.0.to_be_bytes());
-                out.extend_from_slice(&since.0.to_be_bytes());
             }
-            ReplicatedOp::PathInstall { bs, clause, tag } => {
-                out.push(OP_PATH_INSTALL);
+            ReplicatedOp::PathRequest { bs, clause } => {
+                out.push(OP_PATH_REQUEST);
                 out.extend_from_slice(&bs.0.to_be_bytes());
                 out.extend_from_slice(&clause.0.to_be_bytes());
-                out.extend_from_slice(&tag.0.to_be_bytes());
             }
         }
-        out
     }
 
-    /// Parses a record from a `Replicate` payload. Every malformed
-    /// input — truncation, trailing bytes, an unknown op tag — is an
-    /// [`Error::Malformed`], never a panic.
-    pub fn decode(buf: &[u8]) -> Result<LogRecord> {
-        let mut r = Cursor::new(buf);
-        let origin = ControllerId(r.take_u32()?);
+    fn read(r: &mut Cursor<'_>) -> Result<LogRecord> {
         let epoch = r.take_u64()?;
         let index = r.take_u64()?;
         let op = match r.take_u8()? {
@@ -144,17 +130,14 @@ impl LogRecord {
                 imsi: UeImsi(r.take_u64()?),
                 bs: BaseStationId(r.take_u32()?),
                 ue_id: UeId(r.take_u16()?),
-                since: SimTime(r.take_u64()?),
-                permanent_ip: Ipv4Addr::from(r.take_u32()?),
+                now: SimTime(r.take_u64()?),
             },
             OP_DETACH => ReplicatedOp::Detach {
                 imsi: UeImsi(r.take_u64()?),
-                since: SimTime(r.take_u64()?),
             },
-            OP_PATH_INSTALL => ReplicatedOp::PathInstall {
+            OP_PATH_REQUEST => ReplicatedOp::PathRequest {
                 bs: BaseStationId(r.take_u32()?),
                 clause: ClauseId(r.take_u16()?),
-                tag: PolicyTag(r.take_u16()?),
             },
             other => {
                 return Err(Error::Malformed(format!(
@@ -162,17 +145,164 @@ impl LogRecord {
                 )))
             }
         };
-        r.done()?;
-        Ok(LogRecord {
-            origin,
-            epoch,
-            index,
-            op,
-        })
+        Ok(LogRecord { epoch, index, op })
     }
 }
 
-/// Bounds-checked big-endian reader over a record or snapshot payload.
+/// Writes consecutive log entries: a `u32` count, then the records.
+fn write_entries<'a>(entries: impl ExactSizeIterator<Item = &'a LogRecord>, out: &mut Vec<u8>) {
+    out.extend_from_slice(&(entries.len() as u32).to_be_bytes());
+    for r in entries {
+        r.write(out);
+    }
+}
+
+/// Reads [`write_entries`] output. A count the payload cannot hold and
+/// indices that do not run consecutively are [`Error::Malformed`]; the
+/// preallocation a peer's count buys is capped.
+fn read_entries(r: &mut Cursor<'_>) -> Result<Vec<LogRecord>> {
+    let n = r.take_u32()? as usize;
+    if n > r.remaining() / MIN_RECORD_LEN {
+        return Err(Error::Malformed(format!(
+            "log claims {n} entries in {} bytes",
+            r.remaining()
+        )));
+    }
+    let mut entries: Vec<LogRecord> = Vec::with_capacity(n.min(1024));
+    for _ in 0..n {
+        let record = LogRecord::read(r)?;
+        if let Some(prev) = entries.last() {
+            if prev.index.checked_add(1) != Some(record.index) {
+                return Err(Error::Malformed(format!(
+                    "log index {} follows {}",
+                    record.index, prev.index
+                )));
+            }
+        }
+        entries.push(record);
+    }
+    Ok(entries)
+}
+
+/// Serializes consecutive log entries: the `Replicate` payload (the
+/// appended record behind the entry it follows).
+pub fn encode_log(entries: &[LogRecord]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(4 + entries.len() * 40);
+    write_entries(entries.iter(), &mut out);
+    out
+}
+
+/// Parses [`encode_log`] output. Truncation, trailing bytes, an unknown
+/// op tag, a count the payload cannot hold and indices that do not run
+/// consecutively are each an [`Error::Malformed`], never a panic.
+pub fn decode_log(buf: &[u8]) -> Result<Vec<LogRecord>> {
+    let mut r = Cursor::new(buf);
+    let entries = read_entries(&mut r)?;
+    r.done()?;
+    Ok(entries)
+}
+
+/// One seat's log: the state its folded prefix replays to, and the
+/// records after it.
+#[derive(Clone, Debug, Default)]
+pub struct Log {
+    /// `(epoch, index)` of the last folded record; `(0, 0)` before any.
+    base_key: (u64, u64),
+    /// What the folded records replay to.
+    base: State,
+    /// The records after the base, index `base_key.1 + 1` first.
+    entries: VecDeque<LogRecord>,
+}
+
+impl Log {
+    /// Index of the last record, which is the number of records.
+    pub fn last_index(&self) -> u64 {
+        self.base_key.1 + self.entries.len() as u64
+    }
+
+    /// The last record, if any. The base never swallows it.
+    pub fn last(&self) -> Option<LogRecord> {
+        self.entries.back().copied()
+    }
+
+    /// The key that ranks this log: its last record's `(epoch, index)`.
+    pub fn rank(&self) -> (u64, u64) {
+        self.last().map_or(self.base_key, |r| r.key())
+    }
+
+    /// The record at `index`, unless it is folded into the base or past
+    /// the end.
+    pub fn get(&self, index: u64) -> Option<LogRecord> {
+        let at = index.checked_sub(self.base_key.1 + 1)?;
+        self.entries.get(usize::try_from(at).ok()?).copied()
+    }
+
+    /// Appends the next record, folding the oldest into the base once
+    /// more than `KEEP` are held.
+    pub fn push(&mut self, record: LogRecord) {
+        self.entries.push_back(record);
+        if self.entries.len() as u64 > KEEP {
+            if let Some(r) = self.entries.pop_front() {
+                let _ = self.base.apply(&r.op);
+                self.base_key = r.key();
+            }
+        }
+    }
+
+    /// The state this log replays to. A record the leader appended
+    /// applied cleanly on the same prefix there, so it applies the same
+    /// way here.
+    pub fn replay(&self) -> State {
+        let mut state = self.base.clone();
+        for r in &self.entries {
+            let _ = state.apply(&r.op);
+        }
+        state
+    }
+
+    /// Serializes the log: the base key, the base state, the records.
+    /// This is the `SnapshotTransfer` payload, and equal on two seats
+    /// exactly when they hold the same records.
+    pub fn encode(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(64 + self.entries.len() * 40);
+        out.extend_from_slice(&self.base_key.0.to_be_bytes());
+        out.extend_from_slice(&self.base_key.1.to_be_bytes());
+        self.base.write(&mut out);
+        write_entries(self.entries.iter(), &mut out);
+        out
+    }
+
+    /// Parses [`Log::encode`] output. Besides what [`decode_log`]
+    /// refuses, a malformed base state, records that do not follow the
+    /// base, and a base other than the one the log's length puts there
+    /// are each an [`Error::Malformed`].
+    pub fn decode(buf: &[u8]) -> Result<Log> {
+        let mut r = Cursor::new(buf);
+        let base_key = (r.take_u64()?, r.take_u64()?);
+        let base = State::read(&mut r)?;
+        let entries = VecDeque::from(read_entries(&mut r)?);
+        r.done()?;
+        let log = Log {
+            base_key,
+            base,
+            entries,
+        };
+        let follows = log
+            .entries
+            .front()
+            .is_none_or(|e| base_key.1.checked_add(1) == Some(e.index) && e.epoch >= base_key.0);
+        if !follows || base_for(log.last_index()) != base_key.1 {
+            return Err(Error::Malformed(format!(
+                "log of {} records folded at {}",
+                log.last_index(),
+                base_key.1
+            )));
+        }
+        Ok(log)
+    }
+}
+
+/// Bounds-checked big-endian reader over a record, log or state payload.
 pub(crate) struct Cursor<'a> {
     buf: &'a [u8],
     pos: usize,
@@ -183,58 +313,47 @@ impl<'a> Cursor<'a> {
         Cursor { buf, pos: 0 }
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        let end = self.pos.checked_add(n).filter(|&e| e <= self.buf.len());
-        match end {
-            Some(end) => {
-                let s = self
-                    .buf
-                    .get(self.pos..end)
-                    .ok_or_else(|| Error::Malformed("log record cursor out of bounds".into()))?;
-                self.pos = end;
-                Ok(s)
-            }
-            None => Err(Error::Malformed(format!(
-                "log record truncated: wanted {n} bytes at offset {}, have {}",
-                self.pos,
-                self.buf.len()
-            ))),
-        }
+    pub(crate) fn remaining(&self) -> usize {
+        self.buf.len().saturating_sub(self.pos)
     }
 
-    pub(crate) fn take_u8(&mut self) -> Result<u8> {
-        Ok(self.take(1)?.first().copied().unwrap_or_default())
+    fn take<const N: usize>(&mut self) -> Result<[u8; N]> {
+        let bytes = self
+            .pos
+            .checked_add(N)
+            .and_then(|end| self.buf.get(self.pos..end))
+            .and_then(|s| <[u8; N]>::try_from(s).ok())
+            .ok_or_else(|| {
+                Error::Malformed(format!(
+                    "log truncated: wanted {N} bytes at offset {}, have {}",
+                    self.pos,
+                    self.buf.len()
+                ))
+            })?;
+        self.pos += N;
+        Ok(bytes)
+    }
+
+    fn take_u8(&mut self) -> Result<u8> {
+        self.take().map(u8::from_be_bytes)
     }
 
     pub(crate) fn take_u16(&mut self) -> Result<u16> {
-        let b = self.take(2)?;
-        b.try_into()
-            .map(u16::from_be_bytes)
-            .map_err(|_| Error::Malformed("u16 field truncated".into()))
+        self.take().map(u16::from_be_bytes)
     }
 
     pub(crate) fn take_u32(&mut self) -> Result<u32> {
-        let b = self.take(4)?;
-        b.try_into()
-            .map(u32::from_be_bytes)
-            .map_err(|_| Error::Malformed("u32 field truncated".into()))
+        self.take().map(u32::from_be_bytes)
     }
 
     pub(crate) fn take_u64(&mut self) -> Result<u64> {
-        let b = self.take(8)?;
-        b.try_into()
-            .map(u64::from_be_bytes)
-            .map_err(|_| Error::Malformed("u64 field truncated".into()))
+        self.take().map(u64::from_be_bytes)
     }
 
-    pub(crate) fn done(&self) -> Result<()> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(Error::Malformed(format!(
-                "{} trailing bytes after log record",
-                self.buf.len() - self.pos
-            )))
+    fn done(&self) -> Result<()> {
+        match self.remaining() {
+            0 => Ok(()),
+            n => Err(Error::Malformed(format!("{n} trailing bytes after log"))),
         }
     }
 }
@@ -243,59 +362,144 @@ impl<'a> Cursor<'a> {
 mod tests {
     use super::*;
 
-    fn rec(index: u64, op: ReplicatedOp) -> LogRecord {
-        LogRecord {
-            origin: ControllerId(2),
-            epoch: 3,
-            index,
-            op,
-        }
-    }
-
     const OPS: [ReplicatedOp; 3] = [
         ReplicatedOp::Attach {
             imsi: UeImsi(7),
             bs: BaseStationId(11),
             ue_id: UeId(4),
-            since: SimTime(99),
-            permanent_ip: Ipv4Addr::new(100, 64, 1, 2),
+            now: SimTime(99),
         },
-        ReplicatedOp::Detach {
-            imsi: UeImsi(7),
-            since: SimTime(99),
-        },
-        ReplicatedOp::PathInstall {
+        ReplicatedOp::Detach { imsi: UeImsi(7) },
+        ReplicatedOp::PathRequest {
             bs: BaseStationId(11),
             clause: ClauseId(5),
-            tag: PolicyTag(300),
         },
     ];
 
+    fn record(index: u64) -> LogRecord {
+        LogRecord {
+            epoch: 3,
+            index,
+            op: OPS[(index as usize - 1) % OPS.len()],
+        }
+    }
+
+    fn log() -> Vec<LogRecord> {
+        (1..=OPS.len() as u64).map(record).collect()
+    }
+
+    /// Offset of the op tag in an encoded record.
+    const OP_TAG_AT: usize = 16;
+
+    fn malformed<T: std::fmt::Debug>(r: Result<T>) -> bool {
+        matches!(r, Err(Error::Malformed(_)))
+    }
+
     #[test]
     fn records_round_trip() {
-        for (i, op) in OPS.iter().enumerate() {
-            let r = rec(i as u64 + 1, *op);
-            let buf = r.encode();
-            assert_eq!(LogRecord::decode(&buf).unwrap(), r);
+        for r in log() {
+            assert_eq!(decode_log(&encode_log(&[r])).unwrap(), vec![r]);
         }
+        assert_eq!(decode_log(&encode_log(&log())).unwrap(), log());
+        assert_eq!(decode_log(&encode_log(&[])).unwrap(), vec![]);
     }
 
     #[test]
     fn malformed_records_are_rejected_not_panicking() {
-        let buf = rec(1, OPS[0]).encode();
-        for cut in 0..buf.len() {
-            assert!(
-                LogRecord::decode(&buf[..cut]).is_err(),
-                "prefix of {cut} bytes must be malformed"
-            );
+        for r in log() {
+            let buf = encode_log(&[r]);
+            for cut in 0..buf.len() {
+                assert!(malformed(decode_log(&buf[..cut])), "prefix {cut}");
+            }
+            let mut long = buf.clone();
+            long.push(0);
+            assert!(malformed(decode_log(&long)), "trailing byte");
+            let mut bad = buf;
+            bad[4 + OP_TAG_AT] = 0xEE;
+            assert!(malformed(decode_log(&bad)), "unknown op tag");
         }
-        // trailing garbage
+    }
+
+    #[test]
+    fn malformed_logs_are_rejected_not_panicking() {
+        let buf = encode_log(&log());
+        for cut in 0..buf.len() {
+            assert!(malformed(decode_log(&buf[..cut])), "prefix of {cut} bytes");
+        }
         let mut long = buf.clone();
         long.push(0);
-        assert!(LogRecord::decode(&long).is_err());
-        // unknown op tag
-        let mut bad = buf;
-        bad[20] = 0xEE;
-        assert!(LogRecord::decode(&bad).is_err());
+        assert!(malformed(decode_log(&long)), "trailing byte");
+        // unknown op tag on the second entry (the first is an attach)
+        let mut bad = buf.clone();
+        bad[encode_log(&log()[..1]).len() + OP_TAG_AT] = 0xEE;
+        assert!(malformed(decode_log(&bad)), "unknown op tag");
+        // counts the payload cannot hold, up to u32::MAX: refused before
+        // anything is allocated for them
+        for count in [4u32, 1 << 20, u32::MAX] {
+            let mut big = buf.clone();
+            big[..4].copy_from_slice(&count.to_be_bytes());
+            assert!(malformed(decode_log(&big)), "count {count}");
+        }
+        let mut gap = log();
+        gap[2].index = 9;
+        assert!(malformed(decode_log(&encode_log(&gap))), "index gap");
+    }
+
+    #[test]
+    fn a_long_log_folds_into_a_base_that_replays_the_same() {
+        let mut long = Log::default();
+        let mut state = State::default();
+        let n = 5 * KEEP + 3;
+        for index in 1..=n {
+            let r = record(index);
+            let _ = state.apply(&r.op);
+            long.push(r);
+        }
+        assert_eq!(long.last_index(), n);
+        assert_eq!(long.rank(), (3, n));
+        assert_eq!(long.entries.len() as u64, KEEP);
+        assert_eq!(long.get(n - KEEP + 1), Some(record(n - KEEP + 1)));
+        assert_eq!(long.get(n - KEEP), None, "folded");
+        let (mut folded, mut full) = (Vec::new(), Vec::new());
+        long.replay().write(&mut folded);
+        state.write(&mut full);
+        assert_eq!(
+            folded, full,
+            "base + entries replay to the full log's state"
+        );
+
+        let buf = long.encode();
+        assert!(buf.len() < KEEP as usize * 40 + 64, "bounded by KEEP");
+        let back = Log::decode(&buf).unwrap();
+        assert_eq!(back.encode(), buf);
+    }
+
+    #[test]
+    fn malformed_log_images_are_rejected_not_panicking() {
+        let mut short = Log::default();
+        let mut long = Log::default();
+        for index in 1..=3 {
+            short.push(record(index));
+        }
+        for index in 1..=2 * KEEP {
+            long.push(record(index));
+        }
+        for image in [short.encode(), long.encode()] {
+            for cut in 0..image.len() {
+                assert!(malformed(Log::decode(&image[..cut])), "prefix {cut}");
+            }
+            let mut trailing = image.clone();
+            trailing.push(0);
+            assert!(malformed(Log::decode(&trailing)), "trailing byte");
+        }
+        // a base the length does not put there: no fold at 3 records...
+        let mut moved = short.clone();
+        moved.base_key = (3, 1);
+        moved.entries.pop_front();
+        assert!(malformed(Log::decode(&moved.encode())), "early fold");
+        // ...and records that do not follow the base
+        let mut gap = long.clone();
+        gap.entries.pop_front();
+        assert!(malformed(Log::decode(&gap.encode())), "gap after the base");
     }
 }

@@ -1,34 +1,56 @@
-//! One controller replica: quorum-committed proposals, follower-side
-//! record application, epoch fencing, and the agent-facing front-end.
+//! One controller replica: the leader's log, quorum commit, follower
+//! replay, epoch fencing, and the agent-facing front-end.
 //!
-//! ## Commit protocol
+//! ## One leader, one log
 //!
-//! A node *proposes* an operation as the next record of its own origin
-//! sequence (index = its commit index + 1) and ships it to every live
-//! peer as a `Replicate` frame. Followers apply on receipt and
-//! acknowledge; the proposal **commits** — and only then is the
-//! agent-facing reply (classifier grant or flow-mod) released — once
-//! `quorum` nodes (the proposer counts) hold it. A record that misses
-//! quorum stays *pending* and is re-shipped, under the same index,
-//! before the node accepts any new proposal: two different records can
-//! therefore never exist at the same `(origin, index)`, which is what
-//! keeps follower stores convergent.
+//! A membership view has one leader, its first live seat
+//! ([`Membership::leader`]). The leader takes each agent input, applies
+//! it to its state — which is where an address or tag is allocated —
+//! appends it as the next index of its log, and ships it to every live
+//! peer in a `Replicate` frame whose payload is the record behind the
+//! entry it follows. A follower appends only behind an identical entry,
+//! so its log is always a prefix of a leader's, and applies what it
+//! appends. The record **commits** — and only then is the agent's reply
+//! released — once `quorum` seats (the leader counts) hold it. A record
+//! that misses quorum stays in the leader's log and commits with the
+//! next record that reaches quorum.
+//!
+//! ## Catch-up and fail-over move log entries
+//!
+//! A follower that cannot append (it missed records, or holds records a
+//! deposed leader never committed) is sent the leader's log in a
+//! `SnapshotTransfer`: its folded prefix as the state it replays to, and
+//! the records after it ([`Log`]). Of two logs, the one whose last entry
+//! has the higher `(epoch, index)` ranks higher: the other side adopts it
+//! and rebuilds its state by replaying it. Nothing is merged. Fail-over
+//! runs the same two-way exchange from the initiator to every survivor,
+//! twice, so each survivor ends on the highest-ranked log among them.
+//!
+//! A view's leader proposes nothing until an exchange of its own has
+//! reached a quorum of seats, itself counted ([`ReplicaNode::push_snapshot`]).
+//! A committed record is held by a commit quorum, which shares a seat
+//! with the exchange's quorum; after the exchange the leader's log ranks
+//! at least as high as that seat's, and since every earlier leader
+//! started the same way, it holds the record. Without the rule, a leader
+//! that reached no one could append under its newer epoch and then
+//! outrank, and erase, a log holding a committed record. A fail-over
+//! that reaches no quorum fails, and the leader's first proposal retries
+//! the exchange.
 //!
 //! ## Fencing
 //!
-//! Every record carries the epoch it was proposed under. A follower
-//! whose membership view (or fence) is newer rejects the record and
-//! reports its epoch; the proposer observes the higher epoch in its own
-//! [`EpochFence`] and fails the proposal. Since flow-mod release is
-//! gated on quorum commit, **a fenced stale leader can never get a
-//! flow-mod acknowledged** — the partition test in this module proves
+//! Every `Replicate` frame carries the leader's epoch. A follower whose
+//! view (or fence) is newer rejects it and reports its epoch; the leader
+//! raises its own [`EpochFence`] and fails the proposal. Since a reply is
+//! released only at commit, **a fenced stale leader can never get a
+//! flow-mod acknowledged** — the partition test in `cluster.rs` proves
 //! it.
 //!
 //! ## Lock order
 //!
 //! `propose` → `core` → `peers`, and `core` is never held across a
-//! network wait: proposals capture what they need from the core, drop
-//! it, ship under `peers`, and re-acquire `core` only to commit.
+//! network wait: a proposal appends under `core`, drops it, ships under
+//! `peers`, and re-acquires `core` only to commit.
 
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -41,32 +63,19 @@ use softcell_ctlchan::{
     CtlChannel, Frame, Message, PacketIn, Transport, WireBatchGroup, WireFlowMod, WirePathTags,
     WireUeRecord,
 };
-use softcell_policy::clause::ClauseId;
 use softcell_policy::{AppClassifier, ServicePolicy, SubscriberAttributes, UeClassifier};
 use softcell_telemetry::{Registry, Stopwatch, TraceContext};
-use softcell_types::{
-    BaseStationId, ControllerId, EpochFence, Error, IdPool, Membership, PolicyTag, PortNo, Result,
-    SimTime, UeId, UeImsi,
-};
+use softcell_types::{ControllerId, EpochFence, Error, Membership, PortNo, Result, UeImsi};
 
-use crate::log::{LogRecord, ReplicatedOp};
-use crate::store::{ReplicaStore, UeEntry};
-
-/// Base of the permanent-IP slab (100.64.0.0/10, carrier-grade NAT
-/// space). Seat `s` allocates from `100.64.0.0 + (s << 16)`, so
-/// concurrent region leaders never hand out colliding addresses.
-const IP_SLAB_BASE: u32 = 0x6440_0000;
-
-/// Per-seat tag slab width: seat `s` allocates tags `s*256 + 1 ..
-/// s*256 + 255`, again collision-free across concurrent leaders.
-const TAG_SLAB: u16 = 256;
+use crate::log::{decode_log, encode_log, Log, LogRecord, ReplicatedOp};
+use crate::store::{Applied, State, UeEntry};
 
 /// Static configuration of one replica.
 #[derive(Clone)]
 pub struct ReplicaConfig {
     /// This node's seat.
     pub id: ControllerId,
-    /// Nodes (proposer included) that must hold a record before it
+    /// Nodes (leader included) that must hold a record before it
     /// commits. `1` disables replication waits; a majority tolerates
     /// minority failure.
     pub quorum: usize,
@@ -80,35 +89,44 @@ pub struct ReplicaConfig {
     pub subscribers: HashMap<UeImsi, SubscriberAttributes>,
 }
 
-/// Replicated + local mutable state, guarded by one mutex (`core` in
+/// The log and the state it replays to, guarded by one mutex (`core` in
 /// the lock order). Never held across a network wait.
 struct NodeCore {
-    /// Materialized replicated state (all origins).
-    store: ReplicaStore,
     /// Current membership view.
     membership: Membership,
-    /// A proposal that missed quorum: must commit (under its original
-    /// index) before any new proposal is accepted.
-    pending: Option<LogRecord>,
-    /// Permanent-IP slab offsets, less one (offset 0 is never used).
-    ips: IdPool,
-    /// Tag slab offsets, less one (offset 0 is never used).
-    tags: IdPool,
-    /// Own commit watermark (highest own index that reached quorum);
-    /// the next proposal takes `commit + 1`.
+    /// Every record this seat holds.
+    log: Log,
+    /// `log`, applied in order.
+    state: State,
+    /// Highest index known to have reached quorum.
     commit: u64,
+    /// The newest epoch in which this seat's log exchange reached a
+    /// quorum; it leads a view only once this reaches the view's epoch.
+    synced: u64,
+}
+
+impl NodeCore {
+    /// Adopts `log` when it outranks this seat's own: the log is
+    /// replaced and replayed into fresh state. Returns whether it was.
+    fn adopt_log(&mut self, log: Log) -> bool {
+        if log.rank() <= self.log.rank() {
+            return false;
+        }
+        self.state = log.replay();
+        self.commit = self.commit.min(log.last_index());
+        self.log = log;
+        true
+    }
 }
 
 /// How one peer answered a shipped record.
 enum ShipOutcome {
-    /// Applied and acknowledged (or already held — both count).
+    /// Appended, or already held.
     Acked,
-    /// Rejected: peer is missing earlier records and needs a snapshot.
-    Gap,
-    /// Rejected: peer's epoch is newer; the proposer is fenced.
+    /// Could not append: the peer needs the leader's log.
+    Behind,
+    /// Rejected: the peer's epoch is newer; the leader is fenced.
     Fenced(u64),
-    /// Rejected for another reason (origin not live in peer's view).
-    Rejected,
 }
 
 /// One controller replica.
@@ -120,7 +138,7 @@ pub struct ReplicaNode<T: Transport> {
     /// Application signatures for classifier compilation.
     apps: AppClassifier,
     fence: EpochFence,
-    /// Serializes proposals (and the allocation decisions they embed).
+    /// Serializes proposals: apply, append and ship in index order.
     propose: Mutex<()>,
     core: Mutex<NodeCore>,
     /// Outbound client channels, seat-indexed (`None` = self or not
@@ -167,12 +185,12 @@ impl<T: Transport> ReplicaNode<T> {
             fence: EpochFence::new(epoch),
             propose: Mutex::new(()),
             core: Mutex::new(NodeCore {
-                store: ReplicaStore::new(),
                 membership,
-                pending: None,
-                ips: IdPool::new(0xFFFF),
-                tags: IdPool::new(u32::from(TAG_SLAB) - 1),
+                log: Log::default(),
+                state: State::default(),
                 commit: 0,
+                // every seat starts on the same (empty) log
+                synced: epoch,
             }),
             peers: Mutex::new(peers),
             cfg,
@@ -194,23 +212,23 @@ impl<T: Transport> ReplicaNode<T> {
         self.core.lock().membership.clone()
     }
 
-    /// The deterministic byte image of the replicated store (the
-    /// recovery oracle).
-    pub fn snapshot_bytes(&self) -> Vec<u8> {
-        self.core.lock().store.snapshot_bytes()
+    /// The encoded log: equal on two seats exactly when they hold the
+    /// same records (the recovery oracle).
+    pub fn log_bytes(&self) -> Vec<u8> {
+        self.core.lock().log.encode()
     }
 
-    /// The live store entry for `imsi`, if attached.
-    pub fn store_ue(&self, imsi: UeImsi) -> Option<UeEntry> {
-        self.core.lock().store.ue(imsi).copied()
+    /// A copy of the state this seat's log replays to.
+    pub fn state(&self) -> State {
+        self.core.lock().state.clone()
     }
 
-    /// Highest index applied from `origin`.
-    pub fn applied(&self, origin: ControllerId) -> u64 {
-        self.core.lock().store.applied(origin)
+    /// Number of records this seat holds, every one applied.
+    pub fn applied(&self) -> u64 {
+        self.core.lock().log.last_index()
     }
 
-    /// This node's own commit watermark.
+    /// The highest index this seat knows reached quorum.
     pub fn commit_index(&self) -> u64 {
         self.core.lock().commit
     }
@@ -296,40 +314,51 @@ impl<T: Transport> ReplicaNode<T> {
         Ok(adopted)
     }
 
-    /// Pushes this node's store image to every live peer, converging
-    /// the cluster after an epoch change. Receivers *merge* the image
-    /// (point-wise LWW join), so no committed record is lost and no
-    /// watermark regresses; a receiver that held records this node
-    /// lacks hands its merged image back, which is merged here and
-    /// pushed again — after the second round every survivor holds the
-    /// union. Returns how many peers adopted in the final round.
+    /// Exchanges logs with every live peer, converging the cluster
+    /// after an epoch change: a peer holding a lower-ranked log adopts
+    /// this node's, and one holding a higher-ranked log hands it back
+    /// to be adopted here, after which a second round carries it to the
+    /// rest. Succeeds, returning how many peers answered, once a quorum
+    /// of seats (this one counted) took part in one round: this node's
+    /// log then ranks at least as high as theirs, and it may lead the
+    /// view. Fails with [`Error::Timeout`] otherwise.
     pub fn push_snapshot(&self) -> Result<usize> {
-        let mut adopted = 0;
+        let epoch = self.core.lock().membership.epoch();
+        let mut answered = 0;
         for _round in 0..2 {
             let seats = self.live_peers(&self.core.lock().membership);
             let (took, changed) = self.exchange_snapshot(&seats);
-            adopted = took.len();
+            answered = answered.max(took.len());
             if !changed {
                 break;
             }
         }
-        Ok(adopted)
+        if answered + 1 < self.cfg.quorum {
+            return Err(Error::Timeout(format!(
+                "{} exchanged logs with {}/{} seats in epoch {epoch}",
+                self.cfg.id,
+                answered + 1,
+                self.cfg.quorum
+            )));
+        }
+        let mut core = self.core.lock();
+        core.synced = core.synced.max(epoch);
+        Ok(answered)
     }
 
-    /// The one snapshot exchange: sends this node's store image to each
-    /// of `seats` and merges back every image a peer returns (it held
-    /// records this node lacked). Returns the seats that took the image
-    /// and whether a returned image changed this node's store.
+    /// The one log exchange: sends this node's log to each of `seats`
+    /// and adopts any higher-ranked log a peer hands back. Returns the
+    /// seats that answered and whether this node adopted.
     fn exchange_snapshot(&self, seats: &[usize]) -> (Vec<usize>, bool) {
         let msg = {
             let core = self.core.lock();
             Message::SnapshotTransfer {
                 epoch: core.membership.epoch(),
-                payload: Cow::Owned(core.store.snapshot_bytes()),
+                payload: Cow::Owned(core.log.encode()),
             }
         };
         let mut took = Vec::new();
-        let mut returned: Vec<ReplicaStore> = Vec::new();
+        let mut returned = Vec::new();
         {
             let mut peers = self.peers.lock();
             for &seat in seats {
@@ -339,12 +368,13 @@ impl<T: Transport> ReplicaNode<T> {
                 match Self::ask(chan, &msg, self.cfg.peer_deadline) {
                     Ok(Message::ReplicateAck { accepted: true, .. }) => took.push(seat),
                     Ok(Message::SnapshotTransfer { payload, .. }) => {
-                        if let Ok(store) = ReplicaStore::restore(&payload) {
+                        if let Ok(log) = Log::decode(&payload) {
                             took.push(seat);
-                            returned.push(store);
+                            returned.push(log);
                         }
                     }
-                    // refused (stale epoch), unreachable or unexpected
+                    // refused (stale epoch), unreachable, too long for a
+                    // frame, or unexpected
                     _ => {}
                 }
             }
@@ -352,8 +382,8 @@ impl<T: Transport> ReplicaNode<T> {
         let mut changed = false;
         if !returned.is_empty() {
             let mut core = self.core.lock();
-            for store in &returned {
-                changed |= core.store.merge(store);
+            for log in returned {
+                changed |= core.adopt_log(log);
             }
         }
         (took, changed)
@@ -381,81 +411,41 @@ impl<T: Transport> ReplicaNode<T> {
     // Proposal path (leader side)
     // ------------------------------------------------------------------
 
-    /// Proposes one operation and blocks until it commits (quorum) or
-    /// fails. Returns the committed record's own-origin index.
-    pub fn propose(&self, op: ReplicatedOp) -> Result<u64> {
+    /// Proposes one agent input — on the view's leader only — and blocks
+    /// until it commits or fails. Returns the record's index and what
+    /// applying it did.
+    pub fn propose(&self, op: ReplicatedOp) -> Result<(u64, Applied)> {
         // Trace root for the whole quorum round: per-peer replicate_ack
         // spans and the commit-side release span nest under it.
         let _sp = Registry::global().tracer().root("replica_propose");
         let _serial = self.propose.lock();
-        self.propose_inner(op)
-    }
-
-    /// Proposal body; caller must hold the `propose` lock.
-    fn propose_inner(&self, op: ReplicatedOp) -> Result<u64> {
-        self.flush_pending()?;
-        let record = {
+        let unsynced = {
+            let core = self.core.lock();
+            core.membership.leader() == Some(self.cfg.id) && core.synced < core.membership.epoch()
+        };
+        if unsynced {
+            // the view's first proposal here: level the log with a
+            // quorum's before appending to it
+            self.push_snapshot()?;
+        }
+        let (record, prev, applied) = {
             let mut core = self.core.lock();
             self.check_can_propose(&core)?;
+            let applied = core.state.apply(&op)?;
             let record = LogRecord {
-                origin: self.cfg.id,
                 epoch: core.membership.epoch(),
-                index: core.commit + 1,
+                index: core.log.last_index() + 1,
                 op,
             };
-            core.pending = Some(record);
-            record
+            let prev = core.log.last();
+            core.log.push(record);
+            (record, prev, applied)
         };
-        self.ship_and_commit(record)
+        self.ship_and_commit(record, prev)?;
+        Ok((record.index, applied))
     }
 
-    /// Proposes `op`, which carries a slab id this proposal drew fresh,
-    /// and gives the id back if the proposal fails — unless the pending
-    /// record holds it (a quorum miss or fence keeps the record pending;
-    /// it must commit under this allocation). A failure *before* the
-    /// record was created — a stuck earlier proposal, a raised fence —
-    /// must not burn a slot per retry until the slab runs dry.
-    fn propose_fresh(&self, op: ReplicatedOp) -> Result<u64> {
-        let committed = self.propose_inner(op);
-        if committed.is_err() {
-            let mut core = self.core.lock();
-            if !matches!(&core.pending, Some(r) if r.op == op) {
-                match op {
-                    ReplicatedOp::Attach { permanent_ip, .. } => {
-                        core.ips.release((u32::from(permanent_ip) & 0xFFFF) - 1);
-                    }
-                    ReplicatedOp::PathInstall { tag, .. } => {
-                        core.tags.release(u32::from(tag.0 % TAG_SLAB) - 1);
-                    }
-                    ReplicatedOp::Detach { .. } => {}
-                }
-            }
-        }
-        committed
-    }
-
-    /// Re-ships a proposal stuck from an earlier failed quorum round —
-    /// byte-identical to the first attempt (same index, content, *and*
-    /// epoch stamp, so followers that applied the old copy and
-    /// followers first seeing the re-ship materialize the same entry).
-    /// Only the transport-level fence epoch in the `Replicate` frame is
-    /// current, which is what lets followers with a newer view accept
-    /// it.
-    fn flush_pending(&self) -> Result<()> {
-        let stuck = {
-            let core = self.core.lock();
-            if core.pending.is_some() {
-                self.check_can_propose(&core)?;
-            }
-            core.pending
-        };
-        match stuck {
-            Some(r) => self.ship_and_commit(r).map(|_| ()),
-            None => Ok(()),
-        }
-    }
-
-    /// Fencing and liveness gate for proposals.
+    /// Fencing, leadership and log-exchange gate for proposals.
     fn check_can_propose(&self, core: &NodeCore) -> Result<()> {
         let epoch = core.membership.epoch();
         let fenced_at = self.fence.current();
@@ -465,22 +455,33 @@ impl<T: Transport> ReplicaNode<T> {
                 self.cfg.id
             )));
         }
-        if !core.membership.is_live(self.cfg.id) {
+        let leader = core.membership.leader();
+        if leader != Some(self.cfg.id) {
             return Err(Error::InvalidState(format!(
-                "{} is not live in epoch {epoch}",
+                "{} does not lead epoch {epoch} (leader: {})",
+                self.cfg.id,
+                leader.map_or_else(|| "none".into(), |l| l.to_string()),
+            )));
+        }
+        if core.synced < epoch {
+            return Err(Error::Timeout(format!(
+                "{} has not exchanged logs with a quorum in epoch {epoch}",
                 self.cfg.id
             )));
         }
         Ok(())
     }
 
-    /// Ships `record` to every live peer, gathers acknowledgements
-    /// (catching gapped peers up with a snapshot, then re-shipping),
-    /// and commits locally once quorum is reached.
-    fn ship_and_commit(&self, record: LogRecord) -> Result<u64> {
+    /// Ships `record` — behind `prev`, the entry it follows — to every
+    /// live peer, hands the log to peers that cannot append it, and
+    /// commits once quorum holds the record.
+    fn ship_and_commit(&self, record: LogRecord, prev: Option<LogRecord>) -> Result<()> {
         let reg = Registry::global();
-        let payload = record.encode();
-        let (seats, commit_before, fence_epoch) = {
+        let payload = match prev {
+            Some(prev) => encode_log(&[prev, record]),
+            None => encode_log(&[record]),
+        };
+        let (seats, commit_before, epoch) = {
             let core = self.core.lock();
             (
                 self.live_peers(&core.membership),
@@ -488,8 +489,8 @@ impl<T: Transport> ReplicaNode<T> {
                 core.membership.epoch(),
             )
         };
-        let mut acks = 1usize; // the proposer holds the record
-        let mut gapped: Vec<usize> = Vec::new();
+        let mut acks = 1usize; // the leader holds the record
+        let mut behind: Vec<usize> = Vec::new();
         {
             let mut peers = self.peers.lock();
             for &seat in &seats {
@@ -505,7 +506,7 @@ impl<T: Transport> ReplicaNode<T> {
                     let mut sp = reg.tracer().span("replicate_ack");
                     sp.set_shard(seat);
                     chan.set_trace(sp.ctx());
-                    let r = self.ship_one(chan, &record, &payload, commit_before, fence_epoch);
+                    let r = self.ship_one(chan, &record, &payload, commit_before, epoch);
                     chan.set_trace(TraceContext::NONE);
                     r
                 };
@@ -515,7 +516,7 @@ impl<T: Transport> ReplicaNode<T> {
                         reg.counter("softcell_replica_acks_total").inc();
                         acks += 1;
                     }
-                    Ok(ShipOutcome::Gap) => gapped.push(seat),
+                    Ok(ShipOutcome::Behind) => behind.push(seat),
                     Ok(ShipOutcome::Fenced(newer)) => {
                         self.fence.observe(newer);
                         return Err(Error::InvalidState(format!(
@@ -523,88 +524,71 @@ impl<T: Transport> ReplicaNode<T> {
                             self.cfg.id, record.index
                         )));
                     }
-                    Ok(ShipOutcome::Rejected) | Err(_) => {
-                        // unreachable or unwilling peer: simply no ack
-                    }
+                    // unreachable or unwilling peer: simply no ack
+                    Err(_) => {}
                 }
             }
         }
-        if !gapped.is_empty() {
-            // A gapped peer can still be *ahead* on other origins; the
-            // exchange keeps whatever its merged image taught us.
-            let (healed, _) = self.exchange_snapshot(&gapped);
-            let epoch = self.core.lock().membership.epoch();
-            let mut peers = self.peers.lock();
-            for seat in healed {
-                let Some(chan) = peers.get_mut(seat).and_then(|s| s.as_mut()) else {
-                    continue;
-                };
-                if let Ok(ShipOutcome::Acked) =
-                    self.ship_one(chan, &record, &payload, commit_before, epoch)
-                {
-                    reg.counter("softcell_replica_acks_total").inc();
-                    acks += 1;
-                }
-            }
+        if !behind.is_empty() {
+            // a peer that took the log holds the record with it
+            let (took, _) = self.exchange_snapshot(&behind);
+            reg.counter("softcell_replica_acks_total")
+                .add(took.len() as u64);
+            acks += took.len();
         }
-        if acks >= self.cfg.quorum {
-            let _sp = reg.tracer().span("release");
-            let mut core = self.core.lock();
-            core.store.apply(&record)?;
-            core.commit = record.index;
-            core.pending = None;
-            reg.counter("softcell_replica_commits_total").inc();
-            // lag = live peers that did not acknowledge this round
-            reg.gauge("softcell_replica_replication_lag")
-                .set((seats.len() + 1).saturating_sub(acks) as u64);
-            Ok(record.index)
-        } else {
-            // The record stays pending; the next proposal (or explicit
-            // retry) re-ships it under the same index.
-            Err(Error::Timeout(format!(
+        let mut core = self.core.lock();
+        if core.log.get(record.index) != Some(record) {
+            return Err(Error::InvalidState(format!(
+                "index {} was replaced by a higher-ranked log",
+                record.index
+            )));
+        }
+        if acks < self.cfg.quorum {
+            // The record stays in the log and commits with the next one
+            // that reaches quorum.
+            return Err(Error::Timeout(format!(
                 "index {} reached {acks}/{} quorum",
                 record.index, self.cfg.quorum
-            )))
+            )));
         }
+        let _sp = reg.tracer().span("release");
+        core.commit = core.commit.max(record.index);
+        reg.counter("softcell_replica_commits_total").inc();
+        // lag = live peers that do not hold this record
+        reg.gauge("softcell_replica_replication_lag")
+            .set((seats.len() + 1).saturating_sub(acks) as u64);
+        Ok(())
     }
 
-    /// One replicate/ack round trip with a single peer. `fence_epoch`
-    /// is the sender's *current* epoch and rides in the frame header as
-    /// the fencing key; the payload record keeps the epoch it was
-    /// originally proposed under, which may be older when a pending
-    /// record is re-shipped after the proposer survived an epoch change
-    /// — re-stamping the record itself would make replicas that deduped
-    /// the first copy diverge from replicas that only saw the re-ship.
+    /// One replicate/ack round trip with a single peer. `epoch` is the
+    /// leader's current epoch, the fencing key; a record appended under
+    /// an earlier view keeps its own epoch.
     fn ship_one(
         &self,
         chan: &mut CtlChannel<T>,
         record: &LogRecord,
         payload: &[u8],
         commit: u64,
-        fence_epoch: u64,
+        epoch: u64,
     ) -> Result<ShipOutcome> {
         let msg = Message::Replicate {
-            origin: record.origin.0,
-            epoch: fence_epoch,
+            origin: self.cfg.id.0,
+            epoch,
             index: record.index,
             commit,
             payload: Cow::Borrowed(payload),
         };
         match Self::ask(chan, &msg, self.cfg.peer_deadline)? {
             Message::ReplicateAck {
-                epoch,
+                epoch: theirs,
                 accepted,
-                have_index,
+                ..
             } => Ok(if accepted {
                 ShipOutcome::Acked
-            } else if epoch > fence_epoch {
-                ShipOutcome::Fenced(epoch)
-            } else if have_index >= record.index {
-                ShipOutcome::Acked
-            } else if have_index + 1 < record.index {
-                ShipOutcome::Gap
+            } else if theirs > epoch {
+                ShipOutcome::Fenced(theirs)
             } else {
-                ShipOutcome::Rejected
+                ShipOutcome::Behind
             }),
             other => Err(softcell_ctlchan::channel::unexpected(
                 "replicate-ack",
@@ -655,73 +639,76 @@ impl<T: Transport> ReplicaNode<T> {
         payload: &[u8],
     ) -> Message<'static> {
         let reg = Registry::global();
-        let record = match LogRecord::decode(payload) {
-            Ok(r) => r,
+        let entries = match decode_log(payload) {
+            Ok(entries) => entries,
             Err(e) => return Message::from_error(&e),
         };
-        // The frame epoch is the sender's *current* (fencing) epoch;
-        // the record keeps the epoch it was proposed under, which may
-        // trail the frame's after a pending re-ship — but never lead it.
-        if record.origin.0 != origin || record.epoch > epoch || record.index != index {
+        // the record, behind the entry it follows (none for the first)
+        let (prev, record) = match entries.as_slice() {
+            [first] if first.index == 1 => (None, *first),
+            [prev, record] => (Some(*prev), *record),
+            _ => {
+                return Message::from_error(&Error::Malformed(
+                    "replicate payload is not one record behind the entry it follows".into(),
+                ))
+            }
+        };
+        // The frame epoch is the leader's current (fencing) epoch; a
+        // record appended under an earlier view may trail it, never lead.
+        if record.index != index || record.epoch > epoch {
             return Message::from_error(&Error::Malformed(
                 "replicate header disagrees with its payload".into(),
             ));
         }
         let mut core = self.core.lock();
         let my_epoch = core.membership.epoch().max(self.fence.current());
-        let reject = |core: &NodeCore, my_epoch| Message::ReplicateAck {
-            epoch: my_epoch,
-            accepted: false,
-            have_index: core.store.applied(record.origin),
-        };
+        let ack = |epoch, accepted| Message::ReplicateAck { epoch, accepted };
         if epoch < my_epoch {
             // A stale leader's record: fence it. This is the property
             // the partition test pins down — rejection here, combined
-            // with commit-gated flow-mod release, is what guarantees a
+            // with commit-gated reply release, is what guarantees a
             // deposed leader can never act.
             reg.counter("softcell_replica_stale_epoch_rejections_total")
                 .inc();
             reg.tracer().instant("stale_epoch_reject", epoch);
-            return reject(&core, my_epoch);
+            return ack(my_epoch, false);
         }
         if epoch > core.membership.epoch() {
-            // The proposer is ahead of our view; the epoch-change
-            // broadcast is in flight. Raise the fence now, accept the
-            // record (it is from the newer term, not an older one).
-            // Liveness cannot be judged here: our stale view may well
-            // declare the origin dead when the newer view revived it.
+            // The leader is ahead of our view; its epoch-change
+            // broadcast is in flight. Raise the fence and take the
+            // record: our stale view cannot judge who leads the newer.
             self.fence.observe(epoch);
-        } else if !core.membership.is_live(record.origin) {
-            // A record at our own epoch from a seat this very view
-            // declares dead — not a stale-epoch case, its own signal.
-            reg.counter("softcell_replica_dead_origin_rejections_total")
-                .inc();
-            reg.tracer().instant("dead_origin_reject", epoch);
-            return reject(&core, my_epoch);
+        } else if core.membership.leader() != Some(ControllerId(origin)) {
+            return ack(my_epoch, false);
         }
-        match core.store.apply(&record) {
-            Ok(applied) => {
-                if applied {
-                    reg.counter("softcell_replica_acks_total").inc();
-                    reg.gauge("softcell_replica_replication_lag")
-                        .set(index.saturating_sub(commit));
-                }
-                Message::ReplicateAck {
-                    epoch: my_epoch.max(epoch),
-                    accepted: true,
-                    have_index: core.store.applied(record.origin),
-                }
+        // a record folded into the base cannot be compared: the leader
+        // then sends its log instead
+        let accepted = match core.log.get(index) {
+            Some(held) => held == record,
+            None if index == core.log.last_index() + 1 && core.log.last() == prev => {
+                // applies as it did on the leader's identical prefix
+                let _ = core.state.apply(&record.op);
+                core.log.push(record);
+                reg.counter("softcell_replica_acks_total").inc();
+                reg.gauge("softcell_replica_replication_lag")
+                    .set(index.saturating_sub(commit));
+                true
             }
-            Err(_) => reject(&core, my_epoch.max(epoch)),
+            None => false,
+        };
+        if accepted {
+            core.commit = core.commit.max(commit.min(index));
         }
+        ack(my_epoch.max(epoch), accepted)
     }
 
     fn on_snapshot(&self, epoch: u64, payload: &[u8]) -> Message<'static> {
         let reg = Registry::global();
-        let incoming = match ReplicaStore::restore(payload) {
-            Ok(s) => s,
+        let log = match Log::decode(payload) {
+            Ok(log) => log,
             Err(e) => return Message::from_error(&e),
         };
+        let theirs = log.rank();
         let mut core = self.core.lock();
         let my_epoch = core.membership.epoch().max(self.fence.current());
         if epoch < my_epoch {
@@ -730,31 +717,26 @@ impl<T: Transport> ReplicaNode<T> {
             return Message::ReplicateAck {
                 epoch: my_epoch,
                 accepted: false,
-                have_index: 0,
             };
         }
-        // Merge, never replace: the point-wise LWW join keeps every
-        // record either side applied — our own committed tail *and*
-        // third-party records the sender happens to be behind on — so a
-        // snapshot can never erase a committed record or regress an
-        // applied watermark.
-        let had_more = core.store.ahead_of(&incoming);
-        core.store.merge(&incoming);
-        reg.counter("softcell_replica_snapshots_total").inc();
-        reg.tracer().instant("snapshot_merged", epoch);
-        if had_more {
-            // We hold records the sender lacks: hand the merged image
-            // back so the sender (the fail-over initiator) converges on
-            // the union and can re-push it to the other survivors.
+        // The sender leads, or is bringing up, a view at least as new as
+        // ours: from here on, records of older views are refused.
+        self.fence.observe(epoch);
+        let epoch = my_epoch.max(epoch);
+        if core.adopt_log(log) {
+            reg.counter("softcell_replica_snapshots_total").inc();
+            reg.tracer().instant("log_adopted", epoch);
+        } else if core.log.rank() > theirs {
+            // Ours outranks the sender's: hand it back to be adopted
+            // there.
             return Message::SnapshotTransfer {
-                epoch: my_epoch.max(epoch),
-                payload: Cow::Owned(core.store.snapshot_bytes()),
+                epoch,
+                payload: Cow::Owned(core.log.encode()),
             };
         }
         Message::ReplicateAck {
-            epoch: my_epoch.max(epoch),
+            epoch,
             accepted: true,
-            have_index: 0,
         }
     }
 
@@ -776,25 +758,32 @@ impl<T: Transport> ReplicaNode<T> {
     // Agent-facing handler (the southbound front-end)
     // ------------------------------------------------------------------
 
-    /// Handles one agent message. Attach/detach/path-request all
-    /// propose through the replicated log; the reply — and with it the
-    /// agent's flow-mod or classifier — is only released after quorum
-    /// commit.
+    /// Handles one agent message: the input is proposed, and the reply
+    /// — the agent's classifier or flow-mod — is released only after it
+    /// commits.
     pub fn handle_agent(&self, msg: &Message<'_>) -> Option<Message<'static>> {
         let Message::PacketIn(pi) = msg else {
             return None;
         };
-        let result = match *pi {
+        let op = match *pi {
             PacketIn::Attach {
                 imsi,
                 bs,
                 ue_id,
                 now,
-            } => self.on_attach(imsi, bs, ue_id, now),
-            PacketIn::Detach { imsi } => self.on_detach(imsi),
-            PacketIn::PathRequest { bs, clause } => self.on_path_request(bs, clause),
+            } => ReplicatedOp::Attach {
+                imsi,
+                bs,
+                ue_id,
+                now,
+            },
+            PacketIn::Detach { imsi } => ReplicatedOp::Detach { imsi },
+            PacketIn::PathRequest { bs, clause } => ReplicatedOp::PathRequest { bs, clause },
         };
-        Some(result.unwrap_or_else(|e| Message::from_error(&e)))
+        let reply = self
+            .propose(op)
+            .map(|(index, applied)| self.reply(index, applied));
+        Some(reply.unwrap_or_else(|e| Message::from_error(&e)))
     }
 
     /// Spawns a thread serving one agent connection over `transport`.
@@ -808,152 +797,56 @@ impl<T: Transport> ReplicaNode<T> {
         })
     }
 
-    /// Refuses agent operations for stations this node does not lead —
-    /// the agent's cue to re-home to the deterministic successor.
-    fn check_leadership(&self, core: &NodeCore, bs: BaseStationId) -> Result<()> {
-        let leader = core.membership.leader_of_station(bs);
-        if leader != Some(self.cfg.id) {
-            return Err(Error::InvalidState(format!(
-                "{} does not lead {bs}'s region in epoch {} (leader: {})",
-                self.cfg.id,
-                core.membership.epoch(),
-                leader.map_or_else(|| "none".into(), |l| l.to_string()),
-            )));
-        }
-        Ok(())
-    }
-
-    fn on_attach(
-        &self,
-        imsi: UeImsi,
-        bs: BaseStationId,
-        ue_id: UeId,
-        now: SimTime,
-    ) -> Result<Message<'static>> {
-        let _serial = self.propose.lock();
-        let (permanent_ip, fresh) = {
-            let mut core = self.core.lock();
-            self.check_leadership(&core, bs)?;
-            match core.store.ue(imsi) {
-                // Re-attach (resync or handoff): the permanent address
-                // follows the subscriber, exactly as over the
-                // single-controller wire path.
-                Some(e) => (e.permanent_ip, false),
-                None => {
-                    let off = core.ips.allocate().ok_or_else(|| {
-                        Error::Exhausted(format!(
-                            "permanent-IP slab of seat {} exhausted",
-                            self.cfg.id
-                        ))
-                    })?;
-                    let raw = IP_SLAB_BASE | ((self.cfg.id.0 & 0x3F) << 16) | (off + 1);
-                    (std::net::Ipv4Addr::from(raw), true)
-                }
-            }
-        };
-        let op = ReplicatedOp::Attach {
+    /// The agent's reply to the committed record at `index`.
+    fn reply(&self, index: u64, applied: Applied) -> Message<'static> {
+        let record = |imsi: UeImsi, e: UeEntry| WireUeRecord {
             imsi,
-            bs,
-            ue_id,
-            since: now,
-            permanent_ip,
+            permanent_ip: e.permanent_ip,
+            bs: e.bs,
+            ue_id: e.ue_id,
+            since: e.since,
         };
-        if fresh {
-            self.propose_fresh(op)?;
-        } else {
-            self.propose_inner(op)?;
-        }
-        let attrs = self
-            .cfg
-            .subscribers
-            .get(&imsi)
-            .cloned()
-            .unwrap_or_else(|| SubscriberAttributes::default_home(imsi));
-        let classifier = UeClassifier::compile(&self.cfg.policy, &self.apps, &attrs);
-        Ok(Message::ClassifierReply {
-            record: WireUeRecord {
-                imsi,
-                permanent_ip,
-                bs,
-                ue_id,
-                since: now,
-            },
-            classifier: Some(softcell_controller::wire::classifier_to_wire(&classifier)),
-        })
-    }
-
-    fn on_detach(&self, imsi: UeImsi) -> Result<Message<'static>> {
-        let _serial = self.propose.lock();
-        let (entry, since) = {
-            let core = self.core.lock();
-            let (entry, since) = core
-                .ue_slot_attached(imsi)
-                .ok_or_else(|| Error::NotFound(format!("{imsi} is not attached")))?;
-            self.check_leadership(&core, entry.bs)?;
-            (entry, since)
-        };
-        self.propose_inner(ReplicatedOp::Detach { imsi, since })?;
-        Ok(Message::ClassifierReply {
-            record: WireUeRecord {
-                imsi,
-                permanent_ip: entry.permanent_ip,
-                bs: entry.bs,
-                ue_id: entry.ue_id,
-                since,
-            },
-            classifier: None,
-        })
-    }
-
-    fn on_path_request(&self, bs: BaseStationId, clause: ClauseId) -> Result<Message<'static>> {
-        let _serial = self.propose.lock();
-        let (tag, already_installed) = {
-            let mut core = self.core.lock();
-            self.check_leadership(&core, bs)?;
-            match core.store.path(bs, clause) {
-                Some(p) => (p.tag, true),
-                None => {
-                    let off = core.tags.allocate().ok_or_else(|| {
-                        Error::Exhausted(format!("tag slab of seat {} exhausted", self.cfg.id))
-                    })?;
-                    let tag = self.cfg.id.0 as u16 * TAG_SLAB + off as u16 + 1;
-                    (PolicyTag(tag), false)
+        match applied {
+            Applied::Attached(imsi, e) => {
+                let attrs = self
+                    .cfg
+                    .subscribers
+                    .get(&imsi)
+                    .cloned()
+                    .unwrap_or_else(|| SubscriberAttributes::default_home(imsi));
+                let classifier = UeClassifier::compile(&self.cfg.policy, &self.apps, &attrs);
+                Message::ClassifierReply {
+                    record: record(imsi, e),
+                    classifier: Some(softcell_controller::wire::classifier_to_wire(&classifier)),
                 }
             }
-        };
-        if !already_installed {
-            self.propose_fresh(ReplicatedOp::PathInstall { bs, clause, tag })?;
-        }
-        // Same frame and one-tag end-to-end stand-in as the
-        // single-controller wire front-end. (seat, commit watermark at
-        // release) is this cluster's (shard, seq): `propose` is still
-        // held, so a seat's batches leave in non-decreasing commit order.
-        Ok(Message::FlowModBatch {
-            shard: self.cfg.id.0 as u16,
-            seq: self.commit_index() as u32,
-            groups: vec![WireBatchGroup {
-                bs,
-                barrier: true,
-                mods: vec![WireFlowMod {
+            Applied::Detached(imsi, e) => Message::ClassifierReply {
+                record: record(imsi, e),
+                classifier: None,
+            },
+            // Same frame and one-tag end-to-end stand-in as the
+            // single-controller wire front-end. (leader seat, record
+            // index) is this cluster's (shard, seq): indices only grow,
+            // across leaders too.
+            Applied::Path(bs, clause, tag) => Message::FlowModBatch {
+                shard: self.cfg.id.0 as u16,
+                seq: index as u32,
+                groups: vec![WireBatchGroup {
                     bs,
-                    clause,
-                    tags: WirePathTags {
-                        uplink_entry: tag,
-                        uplink_exit: tag,
-                        downlink_final: tag,
-                        access_out_port: PortNo(1),
-                        qos: None,
-                    },
+                    barrier: true,
+                    mods: vec![WireFlowMod {
+                        bs,
+                        clause,
+                        tags: WirePathTags {
+                            uplink_entry: tag,
+                            uplink_exit: tag,
+                            downlink_final: tag,
+                            access_out_port: PortNo(1),
+                            qos: None,
+                        },
+                    }],
                 }],
-            }],
-        })
-    }
-}
-
-impl NodeCore {
-    /// The attached entry and its LWW timestamp for `imsi`.
-    fn ue_slot_attached(&self, imsi: UeImsi) -> Option<(UeEntry, SimTime)> {
-        let slot = self.store.ue_slot(imsi)?;
-        slot.entry.map(|e| (e, slot.since))
+            },
+        }
     }
 }

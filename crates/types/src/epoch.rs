@@ -9,19 +9,17 @@
 //! *fenced* — rejected by every peer — so a partitioned former leader
 //! can never get state (and therefore flow-mods) acknowledged.
 //!
-//! Leadership is a pure function of the membership view: region `r`'s
-//! home seat is `r` itself, and its leader is the first **live** seat
-//! scanning the ring from the home seat. Two nodes with the same
-//! [`Membership`] therefore always agree on every region's leader
-//! without any extra coordination — which is what lets agents re-home
+//! Leadership is a pure function of the membership view: one view has
+//! one leader, its first **live** seat ([`Membership::leader`]), which
+//! orders every agent input of the cluster into one log. Two nodes with
+//! the same [`Membership`] therefore always agree on the leader without
+//! any extra coordination — which is what lets agents re-home
 //! deterministically after a failure.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::error::{Error, Result};
-use crate::ids::BaseStationId;
-use crate::shard::shard_of_station;
 
 /// Identity of one controller replica: its *seat* in the membership
 /// ring. Seats are dense (`0..n`) and never renumbered; a dead seat
@@ -166,28 +164,14 @@ impl Membership {
         })
     }
 
-    /// The region a base station belongs to (its home seat index).
-    /// Regions partition stations across the full ring, dead seats
-    /// included, so region assignment never moves when liveness changes
-    /// — only leadership does.
-    pub fn region_of(&self, bs: BaseStationId) -> usize {
-        shard_of_station(bs, self.live.len())
-    }
-
-    /// The current leader of `region`: the first live seat scanning the
-    /// ring from the region's home seat. `None` only if no seat is live
-    /// (unreachable for views built through [`Membership::advance`]).
-    pub fn leader_of_region(&self, region: usize) -> Option<ControllerId> {
-        let n = self.live.len();
-        (0..n)
-            .map(|off| (region + off) % n)
-            .find(|&seat| self.live[seat])
+    /// The leader of this view: its first live seat. `None` only if no
+    /// seat is live (unreachable for views built through
+    /// [`Membership::advance`]).
+    pub fn leader(&self) -> Option<ControllerId> {
+        self.live
+            .iter()
+            .position(|live| *live)
             .map(|seat| ControllerId(seat as u32))
-    }
-
-    /// The leader responsible for `bs` under this view.
-    pub fn leader_of_station(&self, bs: BaseStationId) -> Option<ControllerId> {
-        self.leader_of_region(self.region_of(bs))
     }
 }
 
@@ -204,17 +188,16 @@ mod tests {
     }
 
     #[test]
-    fn leadership_moves_to_ring_successor_and_back() {
+    fn leader_is_the_first_live_seat() {
         let m = Membership::bootstrap(3).expect("3 seats");
-        assert_eq!(m.leader_of_region(1), Some(ControllerId(1)));
+        assert_eq!(m.leader(), Some(ControllerId(0)));
+        // A follower dying does not move the leader.
         let m2 = m.advance(&[ControllerId(1)]).expect("kill seat 1");
         assert_eq!(m2.epoch(), 2);
-        assert_eq!(m2.leader_of_region(1), Some(ControllerId(2)));
-        // Region 0's leader is unaffected by seat 1 dying.
-        assert_eq!(m2.leader_of_region(0), Some(ControllerId(0)));
-        // Wrap-around: kill seat 2 as well, region 1 wraps to seat 0.
-        let m3 = m2.advance(&[ControllerId(2)]).expect("kill seat 2");
-        assert_eq!(m3.leader_of_region(1), Some(ControllerId(0)));
+        assert_eq!(m2.leader(), Some(ControllerId(0)));
+        // The leader dying moves it to the next live seat.
+        let m3 = m2.advance(&[ControllerId(0)]).expect("kill seat 0");
+        assert_eq!(m3.leader(), Some(ControllerId(2)));
     }
 
     #[test]
@@ -226,23 +209,12 @@ mod tests {
     }
 
     #[test]
-    fn region_assignment_is_liveness_independent() {
-        let m = Membership::bootstrap(4).expect("4 seats");
-        let m2 = m.advance(&[ControllerId(3)]).expect("kill seat 3");
-        for bs in 0..64u32 {
-            let bs = BaseStationId(bs);
-            assert_eq!(m.region_of(bs), m2.region_of(bs));
-        }
-    }
-
-    #[test]
     fn equal_views_agree_on_every_leader() {
         let a = Membership::bootstrap(5)
-            .and_then(|m| m.advance(&[ControllerId(2)]))
+            .and_then(|m| m.advance(&[ControllerId(0), ControllerId(2)]))
             .expect("view");
         let b = Membership::from_parts(a.epoch(), a.live_flags().to_vec()).expect("clone");
-        for region in 0..5 {
-            assert_eq!(a.leader_of_region(region), b.leader_of_region(region));
-        }
+        assert_eq!(a.leader(), b.leader());
+        assert_eq!(a.leader(), Some(ControllerId(1)));
     }
 }

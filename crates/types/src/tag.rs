@@ -72,9 +72,37 @@ impl IdPool {
         self.next as usize - self.free.len()
     }
 
-    fn is_held(&self, id: u32) -> bool {
+    /// Whether `id` is held.
+    pub fn is_held(&self, id: u32) -> bool {
         let word = self.held.get((id / 64) as usize);
         word.is_some_and(|w| w & (1 << (id % 64)) != 0)
+    }
+
+    /// The fresh-id cursor and the free list, oldest release first: with
+    /// the capacity, all [`IdPool::from_parts`] needs to rebuild the pool.
+    pub fn parts(&self) -> (u32, &[u32]) {
+        (self.next, &self.free)
+    }
+
+    /// Rebuilds a pool from its [`parts`](IdPool::parts): every id below
+    /// `next` that is not on `free` is held. `None` when `next` exceeds
+    /// `capacity`, or an id on `free` is at or past `next` or listed
+    /// twice.
+    pub fn from_parts(capacity: u32, next: u32, free: &[u32]) -> Option<IdPool> {
+        if next > capacity {
+            return None;
+        }
+        let mut held = vec![u64::MAX; (next / 64) as usize];
+        if !next.is_multiple_of(64) {
+            held.push((1 << (next % 64)) - 1);
+        }
+        let mut pool = IdPool {
+            capacity,
+            next,
+            free: Vec::with_capacity(free.len()),
+            held,
+        };
+        free.iter().all(|&id| pool.release(id)).then_some(pool)
     }
 
     fn hold(&mut self, id: u32) {
@@ -210,12 +238,35 @@ mod tests {
                 }
                 prop_assert_eq!(pool.allocated(), held.len());
             }
+            // a pool rebuilt from its parts holds the same ids and hands
+            // out the rest in the same order
+            let (next, free_list) = pool.parts();
+            let mut rebuilt = IdPool::from_parts(capacity, next, free_list).unwrap();
+            prop_assert!((0..capacity).all(|id| rebuilt.is_held(id) == held.contains(&id)));
             // everything not held is allocatable again, each id once
             let mut rest = BTreeSet::new();
             while let Some(id) = pool.allocate() {
                 prop_assert!(rest.insert(id) && !held.contains(&id));
+                prop_assert_eq!(rebuilt.allocate(), Some(id));
             }
+            prop_assert_eq!(rebuilt.allocate(), None);
             prop_assert_eq!(rest.len() + held.len(), capacity as usize);
         }
+    }
+
+    #[test]
+    fn from_parts_refuses_inconsistent_parts() {
+        assert!(
+            IdPool::from_parts(8, 9, &[]).is_none(),
+            "cursor past capacity"
+        );
+        assert!(
+            IdPool::from_parts(8, 4, &[4]).is_none(),
+            "free id at the cursor"
+        );
+        assert!(IdPool::from_parts(8, 4, &[1, 1]).is_none(), "free id twice");
+        let pool = IdPool::from_parts(200, 130, &[3, 129]).unwrap();
+        assert_eq!(pool.allocated(), 128);
+        assert!(pool.is_held(128) && !pool.is_held(129) && !pool.is_held(130));
     }
 }

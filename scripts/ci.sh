@@ -48,11 +48,12 @@ timeout 120 cargo test -q --release --test fault_churn
 echo "==> shard oracle + interleaving sweep (180 s cap)"
 timeout 180 cargo test -q --release --test shard_oracle --test shard_interleave
 
-# Replicated control-plane recovery drill: 3-controller cluster, region
-# leader killed -9 mid-handoff-storm. Gate: survivors' log-replayed
-# state matches the pre-kill oracle byte-for-byte, zero residue after
-# agent re-homing, recovery-time histogram exported. Time-capped
-# because a quorum or fail-over regression shows up as a stall.
+# Replicated control-plane recovery drill: 3-controller cluster, the
+# leader killed -9 mid-handoff-storm. Gate: survivors' logs match the
+# pre-kill log byte-for-byte, zero residue after agent re-homing,
+# recovery-time histogram exported; plus a seeded sweep of cut / heal /
+# kill / fail-over schedules. Time-capped because a quorum or fail-over
+# regression shows up as a stall.
 echo "==> replicated recovery drill (180 s cap)"
 timeout 180 cargo test -q --release --test recovery
 
