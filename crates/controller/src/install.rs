@@ -182,8 +182,6 @@ pub struct InstallReport {
     pub new_rules: isize,
     /// Tag-swap rules among them.
     pub swap_rules: usize,
-    /// How many segments reused an existing tag.
-    pub reused_segments: usize,
 }
 
 impl InstallReport {
@@ -633,7 +631,6 @@ impl PathInstaller {
             segment_tags: plan.plans.iter().map(|sp| sp.tag).collect(),
             new_rules,
             swap_rules,
-            reused_segments: plan.plans.iter().filter(|sp| sp.record.is_some()).count(),
         }
     }
 
