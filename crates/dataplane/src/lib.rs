@@ -30,7 +30,7 @@ pub mod rule;
 pub mod switch;
 pub mod table;
 
-pub use matcher::{LookupKey, Match, RuleType};
+pub use matcher::{LookupKey, Match, RuleType, TcamEntry};
 pub use microflow::{MicroflowAction, MicroflowEntry, MicroflowTable};
 pub use rule::{Action, FlowRule, PortField, RuleId};
 pub use switch::{ForwardDecision, Switch};

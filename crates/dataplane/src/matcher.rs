@@ -13,6 +13,12 @@
 //! only (exact match), Type 3 `prefix` only (LPM). [`RuleType`] derives
 //! the type from a match's shape so tables can report how much of each
 //! (scarce) memory technology a rule set would consume.
+//!
+//! A TCAM matches one key, extracted once by the parser, against
+//! mask/value words. [`TcamEntry`] is a match compiled to those words and
+//! `LookupKey::words` is the key; `FlowTable::lookup` scans the first
+//! with the second. [`Match::matches`] stays the field-by-field
+//! reference the compiled form must agree with.
 
 use serde::Serialize;
 use std::fmt;
@@ -64,6 +70,78 @@ pub struct LookupKey {
     pub view: HeaderView,
     /// The configuration version stamped on the packet at ingress.
     pub version: u32,
+}
+
+impl LookupKey {
+    /// The key as the three words a [`TcamEntry`] matches: the address
+    /// pair; the ports, in-port and protocol; the version.
+    #[inline]
+    pub(crate) fn words(&self) -> [u64; 3] {
+        let t = &self.view.tuple;
+        [
+            u64::from(u32::from(t.src)) << 32 | u64::from(u32::from(t.dst)),
+            u64::from(t.src_port) << 48
+                | u64::from(t.dst_port) << 32
+                | u64::from(self.in_port.0) << 16
+                | u64::from(t.proto.number()),
+            u64::from(self.version),
+        ]
+    }
+}
+
+/// A [`Match`] compiled to mask/value words, laid out as
+/// `LookupKey::words`: a key matches when every bit under `mask`
+/// equals `value`. A wildcarded field is zero in both. A port match's
+/// value bits outside its mask stay in `value`, so, as in
+/// [`Match::matches`], such a match fires on nothing.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+pub struct TcamEntry {
+    mask: [u64; 3],
+    value: [u64; 3],
+}
+
+impl TcamEntry {
+    /// Compiles a match.
+    pub(crate) fn of(m: &Match) -> TcamEntry {
+        let mut e = TcamEntry::default();
+        let mut field = |word: usize, shift: u32, mask: u64, value: u64| {
+            e.mask[word] |= mask << shift;
+            e.value[word] |= value << shift;
+        };
+        let prefix = |p: Ipv4Prefix| (u64::from(p.netmask()), u64::from(p.raw_bits()));
+        if let Some((mask, value)) = m.src_prefix.map(prefix) {
+            field(0, 32, mask, value);
+        }
+        if let Some((mask, value)) = m.dst_prefix.map(prefix) {
+            field(0, 0, mask, value);
+        }
+        if let Some((value, mask)) = m.src_port {
+            field(1, 48, u64::from(mask), u64::from(value));
+        }
+        if let Some((value, mask)) = m.dst_port {
+            field(1, 32, u64::from(mask), u64::from(value));
+        }
+        if let Some(p) = m.in_port {
+            field(1, 16, 0xffff, u64::from(p.0));
+        }
+        if let Some(p) = m.proto {
+            field(1, 0, 0xff, u64::from(p.number()));
+        }
+        if let Some(v) = m.version {
+            field(2, 0, 0xffff_ffff, u64::from(v));
+        }
+        e
+    }
+
+    /// Whether the entry fires on a key's words: `(k & m) ^ v == 0` on
+    /// each word, without a branch.
+    #[inline]
+    pub(crate) fn matches(&self, key: &[u64; 3]) -> bool {
+        ((key[0] & self.mask[0]) ^ self.value[0])
+            | ((key[1] & self.mask[1]) ^ self.value[1])
+            | ((key[2] & self.mask[2]) ^ self.value[2])
+            == 0
+    }
 }
 
 impl Match {
@@ -135,6 +213,7 @@ impl Match {
     }
 
     /// Whether this match fires on the lookup key.
+    #[inline]
     pub fn matches(&self, key: &LookupKey) -> bool {
         if let Some(p) = self.in_port {
             if p != key.in_port {

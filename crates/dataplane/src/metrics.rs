@@ -1,8 +1,8 @@
 //! Process-global telemetry handles for the data plane.
 //!
-//! Tables are plain values (`Clone + Serialize`), cloned freely by the
-//! simulator and the sharded oracle, so they cannot carry `Arc`-backed
-//! metric handles themselves. Instead every table instance feeds one
+//! Tables are plain `Clone` values, cloned freely by the simulator and
+//! the sharded oracle, so they cannot carry `Arc`-backed metric handles
+//! themselves. Instead every table instance feeds one
 //! process-wide set of counters on [`Registry::global`]: totals across
 //! all switches, plus high-water-mark gauges for occupancy.
 

@@ -12,16 +12,20 @@
 //! `process` applies the winning action to the packet bytes in place
 //! (rewrites, DSCP marking) and returns where the packet goes next, so
 //! the simulator's per-hop loop is a single call; the TTL decrement
-//! belongs to the link crossing and lives with the walker.
+//! belongs to the link crossing and lives with the walker. `process` is
+//! a parse followed by [`Switch::process_view`], the one body: a walker
+//! parses once and carries the view from hop to hop, and every rewrite
+//! writes the bytes and the view together.
 
 use serde::Serialize;
+use std::net::Ipv4Addr;
 
-use softcell_packet::{HeaderView, Ipv4Packet};
+use softcell_packet::{HeaderView, Ipv4Packet, Protocol, TcpSegment, UdpDatagram};
 use softcell_types::{PortNo, Result, SimDuration, SimTime, SwitchId};
 
 use crate::matcher::LookupKey;
 use crate::microflow::{MicroflowAction, MicroflowTable};
-use crate::rule::Action;
+use crate::rule::{Action, PortField};
 use crate::table::FlowTable;
 
 /// Where a processed packet goes.
@@ -45,7 +49,7 @@ pub enum PipelineKind {
 }
 
 /// A switch data plane.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct Switch {
     /// This switch's identity.
     pub id: SwitchId,
@@ -98,23 +102,36 @@ impl Switch {
         version: u32,
         now: SimTime,
     ) -> Result<ForwardDecision> {
-        let view = HeaderView::parse(buffer)?;
+        let mut view = HeaderView::parse(buffer)?;
+        self.process_view(buffer, &mut view, in_port, version, now)
+    }
 
+    /// [`Switch::process`] on a packet already parsed: `view` must be
+    /// `HeaderView::parse(buffer)`, and a rewrite updates both, so the
+    /// caller can carry the view to the next hop.
+    pub fn process_view(
+        &mut self,
+        buffer: &mut [u8],
+        view: &mut HeaderView,
+        in_port: PortNo,
+        version: u32,
+        now: SimTime,
+    ) -> Result<ForwardDecision> {
         // 1. microflow table (access pipeline only)
         if self.kind == PipelineKind::Access {
             if let Some(action) = self.microflow.lookup(&view.tuple, now, self.microflow_idle) {
-                return apply_microflow(buffer, action);
+                return apply_microflow(buffer, view, action);
             }
         }
 
         // 2. wildcard flow table
         let key = LookupKey {
             in_port,
-            view,
+            view: *view,
             version,
         };
         if let Some(rule) = self.table.lookup(&key) {
-            return apply_rule(buffer, rule.action);
+            return apply_rule(buffer, view, rule.action);
         }
 
         // 3. miss
@@ -125,7 +142,11 @@ impl Switch {
     }
 }
 
-fn apply_microflow(buffer: &mut [u8], action: MicroflowAction) -> Result<ForwardDecision> {
+fn apply_microflow(
+    buffer: &mut [u8],
+    view: &mut HeaderView,
+    action: MicroflowAction,
+) -> Result<ForwardDecision> {
     match action {
         MicroflowAction::RewriteSrc {
             addr,
@@ -133,16 +154,11 @@ fn apply_microflow(buffer: &mut [u8], action: MicroflowAction) -> Result<Forward
             out,
             dscp,
         } => {
-            rewrite_src(buffer, addr, port)?;
-            if let Some(d) = dscp {
-                let mut ip = Ipv4Packet::new_checked(&mut buffer[..])?;
-                ip.set_dscp(d);
-                ip.fill_checksum();
-            }
+            rewrite_endpoint(buffer, view, PortField::Src, addr, port, dscp)?;
             Ok(ForwardDecision::Out(out))
         }
         MicroflowAction::RewriteDst { addr, port, out } => {
-            rewrite_dst(buffer, addr, port)?;
+            rewrite_endpoint(buffer, view, PortField::Dst, addr, port, None)?;
             Ok(ForwardDecision::Out(out))
         }
         MicroflowAction::Forward(out) => Ok(ForwardDecision::Out(out)),
@@ -150,20 +166,21 @@ fn apply_microflow(buffer: &mut [u8], action: MicroflowAction) -> Result<Forward
     }
 }
 
-fn apply_rule(buffer: &mut [u8], action: Action) -> Result<ForwardDecision> {
+fn apply_rule(buffer: &mut [u8], view: &mut HeaderView, action: Action) -> Result<ForwardDecision> {
     match action {
         Action::Forward(out) => Ok(ForwardDecision::Out(out)),
         Action::RewriteSrcForward { addr, port, out } => {
-            rewrite_src(buffer, addr, port)?;
+            rewrite_endpoint(buffer, view, PortField::Src, addr, port, None)?;
             Ok(ForwardDecision::Out(out))
         }
         Action::RewriteDstForward { addr, port, out } => {
-            rewrite_dst(buffer, addr, port)?;
+            rewrite_endpoint(buffer, view, PortField::Dst, addr, port, None)?;
             Ok(ForwardDecision::Out(out))
         }
         Action::SetDscpForward { dscp, out } => {
             let mut ip = Ipv4Packet::new_checked(&mut buffer[..])?;
             ip.set_dscp(dscp);
+            view.dscp = ip.dscp();
             ip.fill_checksum();
             Ok(ForwardDecision::Out(out))
         }
@@ -173,7 +190,13 @@ fn apply_rule(buffer: &mut [u8], action: Action) -> Result<ForwardDecision> {
             mask,
             out,
         } => {
-            rewrite_port_bits(buffer, field, value, mask)?;
+            let old = match field {
+                PortField::Src => view.tuple.src_port,
+                PortField::Dst => view.tuple.dst_port,
+            };
+            let mut ip = Ipv4Packet::new_checked(&mut buffer[..])?;
+            set_port(&mut ip, view, field, (old & !mask) | (value & mask))?;
+            ip.fill_checksum();
             Ok(ForwardDecision::Out(out))
         }
         Action::ToController => Ok(ForwardDecision::ToController),
@@ -181,63 +204,55 @@ fn apply_rule(buffer: &mut [u8], action: Action) -> Result<ForwardDecision> {
     }
 }
 
-fn rewrite_src(buffer: &mut [u8], addr: std::net::Ipv4Addr, port: u16) -> Result<()> {
-    use softcell_packet::{Protocol, TcpSegment, UdpDatagram};
-    let mut ip = Ipv4Packet::new_checked(&mut buffer[..])?;
-    ip.set_src_addr(addr);
-    match Protocol::from_number(ip.protocol())? {
-        Protocol::Tcp => TcpSegment::new_checked(ip.payload_mut())?.set_src_port(port),
-        Protocol::Udp => UdpDatagram::new_checked(ip.payload_mut())?.set_src_port(port),
-    }
-    ip.fill_checksum();
-    Ok(())
-}
-
-fn rewrite_port_bits(
+/// Rewrites one endpoint — address and port on the `field` side — and
+/// the DSCP when `dscp` is set, then sums the IP header once.
+fn rewrite_endpoint(
     buffer: &mut [u8],
-    field: crate::rule::PortField,
-    value: u16,
-    mask: u16,
+    view: &mut HeaderView,
+    field: PortField,
+    addr: Ipv4Addr,
+    port: u16,
+    dscp: Option<u8>,
 ) -> Result<()> {
-    use softcell_packet::{Protocol, TcpSegment, UdpDatagram};
     let mut ip = Ipv4Packet::new_checked(&mut buffer[..])?;
-    let proto = Protocol::from_number(ip.protocol())?;
-    let payload = ip.payload_mut();
-    match (proto, field) {
-        (Protocol::Tcp, crate::rule::PortField::Src) => {
-            let mut seg = TcpSegment::new_checked(payload)?;
-            let port = (seg.src_port() & !mask) | (value & mask);
-            seg.set_src_port(port);
+    match field {
+        PortField::Src => {
+            ip.set_src_addr(addr);
+            view.tuple.src = addr;
         }
-        (Protocol::Tcp, crate::rule::PortField::Dst) => {
-            let mut seg = TcpSegment::new_checked(payload)?;
-            let port = (seg.dst_port() & !mask) | (value & mask);
-            seg.set_dst_port(port);
-        }
-        (Protocol::Udp, crate::rule::PortField::Src) => {
-            let mut dg = UdpDatagram::new_checked(payload)?;
-            let port = (dg.src_port() & !mask) | (value & mask);
-            dg.set_src_port(port);
-        }
-        (Protocol::Udp, crate::rule::PortField::Dst) => {
-            let mut dg = UdpDatagram::new_checked(payload)?;
-            let port = (dg.dst_port() & !mask) | (value & mask);
-            dg.set_dst_port(port);
+        PortField::Dst => {
+            ip.set_dst_addr(addr);
+            view.tuple.dst = addr;
         }
     }
+    if let Some(d) = dscp {
+        ip.set_dscp(d);
+        view.dscp = ip.dscp();
+    }
+    set_port(&mut ip, view, field, port)?;
     ip.fill_checksum();
     Ok(())
 }
 
-fn rewrite_dst(buffer: &mut [u8], addr: std::net::Ipv4Addr, port: u16) -> Result<()> {
-    use softcell_packet::{Protocol, TcpSegment, UdpDatagram};
-    let mut ip = Ipv4Packet::new_checked(&mut buffer[..])?;
-    ip.set_dst_addr(addr);
-    match Protocol::from_number(ip.protocol())? {
-        Protocol::Tcp => TcpSegment::new_checked(ip.payload_mut())?.set_dst_port(port),
-        Protocol::Udp => UdpDatagram::new_checked(ip.payload_mut())?.set_dst_port(port),
+/// Writes a transport port into the segment and the view; the protocol
+/// is the view's, parsed from these bytes.
+fn set_port(
+    ip: &mut Ipv4Packet<&mut [u8]>,
+    view: &mut HeaderView,
+    field: PortField,
+    port: u16,
+) -> Result<()> {
+    let payload = ip.payload_mut();
+    match (view.tuple.proto, field) {
+        (Protocol::Tcp, PortField::Src) => TcpSegment::new_checked(payload)?.set_src_port(port),
+        (Protocol::Tcp, PortField::Dst) => TcpSegment::new_checked(payload)?.set_dst_port(port),
+        (Protocol::Udp, PortField::Src) => UdpDatagram::new_checked(payload)?.set_src_port(port),
+        (Protocol::Udp, PortField::Dst) => UdpDatagram::new_checked(payload)?.set_dst_port(port),
     }
-    ip.fill_checksum();
+    match field {
+        PortField::Src => view.tuple.src_port = port,
+        PortField::Dst => view.tuple.dst_port = port,
+    }
     Ok(())
 }
 
@@ -245,9 +260,8 @@ fn rewrite_dst(buffer: &mut [u8], addr: std::net::Ipv4Addr, port: u16) -> Result
 mod tests {
     use super::*;
     use crate::matcher::{conventional_priority, Direction, Match};
-    use softcell_packet::{build_flow_packet, FiveTuple, Protocol};
+    use softcell_packet::{build_flow_packet, FiveTuple};
     use softcell_types::{Ipv4Prefix, PolicyTag, PortEmbedding};
-    use std::net::Ipv4Addr;
 
     fn uplink_buf(sp: u16) -> Vec<u8> {
         build_flow_packet(
@@ -384,7 +398,7 @@ mod tests {
                 100,
                 m,
                 Action::RewritePortBitsForward {
-                    field: crate::rule::PortField::Src,
+                    field: PortField::Src,
                     value: new_val,
                     mask,
                     out: PortNo(5),

@@ -7,15 +7,16 @@
 //! cheaper exact-match/LPM memories.
 
 use serde::Serialize;
+use std::fmt;
 use std::hash::{BuildHasher, BuildHasherDefault};
 
 use softcell_types::{Error, FxHasher, Result};
 
-use crate::matcher::{LookupKey, Match, RuleType};
+use crate::matcher::{LookupKey, Match, RuleType, TcamEntry};
 use crate::rule::{Action, FlowRule, RuleId};
 
 /// A switch flow table: rules in priority order, with match counters.
-#[derive(Clone, Debug, Default, Serialize)]
+#[derive(Clone, Default)]
 pub struct FlowTable {
     /// Rules sorted by descending priority; ties preserve install order.
     rules: Vec<FlowRule>,
@@ -27,8 +28,27 @@ pub struct FlowTable {
     /// only where `rules` and `hits` are (`install` and the three
     /// removals); lookups never read it.
     keys: Vec<u64>,
+    /// Either empty or `compiled[i]` is [`TcamEntry::of`] `rules[i].matcher`:
+    /// the software TCAM `lookup` scans. Every mutator only clears it (O(1),
+    /// so a write-out of many rule ops pays nothing for it); only `lookup`
+    /// fills it, on its first call after a write.
+    compiled: Vec<TcamEntry>,
     next_id: u64,
     capacity: Option<usize>,
+}
+
+/// Everything but the derived `compiled` column, which depends on
+/// whether a lookup has run since the last write.
+impl fmt::Debug for FlowTable {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("FlowTable")
+            .field("rules", &self.rules)
+            .field("hits", &self.hits)
+            .field("keys", &self.keys)
+            .field("next_id", &self.next_id)
+            .field("capacity", &self.capacity)
+            .finish_non_exhaustive()
+    }
 }
 
 /// The Fx hash of a matcher. Collisions are allowed: a key hit is always
@@ -102,6 +122,7 @@ impl FlowTable {
         self.rules.insert(pos, rule);
         self.hits.insert(pos, 0);
         self.keys.insert(pos, fingerprint(&matcher));
+        self.compiled.clear();
         let m = crate::metrics::metrics();
         m.rule_installs.inc();
         m.table_occupancy_hwm.record_max(self.rules.len() as u64);
@@ -117,6 +138,7 @@ impl FlowTable {
             .ok_or_else(|| Error::NotFound(format!("rule {id:?}")))?;
         self.hits.remove(pos);
         self.keys.remove(pos);
+        self.compiled.clear();
         crate::metrics::metrics().rule_removals.inc();
         Ok(self.rules.remove(pos))
     }
@@ -141,6 +163,7 @@ impl FlowTable {
         self.rules.truncate(kept);
         self.hits.truncate(kept);
         self.keys.truncate(kept);
+        self.compiled.clear();
         crate::metrics::metrics().rule_removals.add(removed as u64);
         removed
     }
@@ -162,6 +185,7 @@ impl FlowTable {
                 at += 1;
             }
         }
+        self.compiled.clear();
         crate::metrics::metrics().rule_removals.add(removed as u64);
         removed
     }
@@ -171,9 +195,27 @@ impl FlowTable {
         self.rules.iter().find(|r| r.matcher.matches(key))
     }
 
-    /// Looks up a packet, bumping the winning rule's counter.
+    /// Looks up a packet, bumping the winning rule's counter: the key is
+    /// packed once and the compiled column scanned, after compiling it if
+    /// a write cleared it.
     pub fn lookup(&mut self, key: &LookupKey) -> Option<FlowRule> {
-        let pos = self.rules.iter().position(|r| r.matcher.matches(key))?;
+        if self.compiled.is_empty() {
+            let compiled = self.rules.iter().map(|r| TcamEntry::of(&r.matcher));
+            self.compiled.extend(compiled);
+        }
+        debug_assert_eq!(
+            self.compiled.len(),
+            self.rules.len(),
+            "a write left the column"
+        );
+        let words = key.words();
+        let pos = self.compiled.iter().position(|e| e.matches(&words));
+        debug_assert_eq!(
+            pos,
+            self.rules.iter().position(|r| r.matcher.matches(key)),
+            "compiled scan and `Match::matches` disagree on {key:?}"
+        );
+        let pos = pos?;
         self.hits[pos] += 1;
         Some(self.rules[pos])
     }
@@ -328,35 +370,41 @@ mod tests {
         assert!(t.is_empty());
     }
 
-    /// The three parallel columns are in step: same length, and every key
-    /// is the fingerprint of the rule beside it.
-    fn assert_in_step(t: &FlowTable) {
+    /// The parallel columns are in step: same length, every key is the
+    /// fingerprint of the rule beside it. A write left the compiled
+    /// column empty; a lookup after it leaves the column in step.
+    fn assert_in_step(t: &mut FlowTable) {
         assert_eq!(t.hits.len(), t.rules.len());
         let keys: Vec<u64> = t.rules.iter().map(|r| fingerprint(&r.matcher)).collect();
         assert_eq!(t.keys, keys);
+        assert!(t.compiled.is_empty(), "a write kept a stale column");
+        t.lookup(&key_to(Ipv4Addr::new(10, 0, 0, 1), 80));
+        let compiled: Vec<TcamEntry> = t.rules.iter().map(|r| TcamEntry::of(&r.matcher)).collect();
+        assert_eq!(t.compiled, compiled);
     }
 
     #[test]
-    fn keys_stay_in_step_with_rules_through_every_mutator() {
+    fn columns_stay_in_step_with_rules_through_every_mutator() {
         let pref = |s: &str| Match::prefix(Direction::Downlink, s.parse().unwrap());
         let (a, b, c) = (pref("10.0.0.0/8"), pref("10.0.0.0/23"), Match::ANY);
         let mut t = FlowTable::new();
         let mut ids = Vec::new();
         for (priority, m) in [(10, a), (30, b), (20, c), (30, a), (10, b), (20, a)] {
             ids.push(t.install(priority, m, Action::Drop).unwrap());
-            assert_in_step(&t);
+            assert_in_step(&mut t);
         }
         t.remove(ids[2]).unwrap();
-        assert_in_step(&t);
+        assert_in_step(&mut t);
         assert_eq!(t.remove_where(|r| r.priority == 10), 2);
-        assert_in_step(&t);
+        assert_in_step(&mut t);
         // every priority of one matcher goes, the rules between stay put
         assert_eq!(t.remove_matching(&a), 2);
-        assert_in_step(&t);
+        assert_in_step(&mut t);
         assert_eq!(t.iter().map(|r| r.id).collect::<Vec<_>>(), [ids[1]]);
         assert_eq!(t.remove_matching(&a), 0);
+        assert_in_step(&mut t);
         assert_eq!(t.remove_where(|_| false), 0);
-        assert_in_step(&t);
+        assert_in_step(&mut t);
     }
 
     #[test]

@@ -1,11 +1,14 @@
 //! Model test for [`FlowTable`]: random interleavings of install, remove,
 //! remove_where, remove_matching and lookup against what a table
-//! promises — `lookup` is "first match in `iter()` order", hit counters
-//! follow rule *ids* (the model is a map keyed by id) however rules shift
-//! position underneath them, `remove_matching(&m)` is
-//! `remove_where(|r| r.matcher == m)`, and the private fingerprint column
-//! stays in step with the rules (seen from outside: every installed
-//! matcher is still found through it).
+//! promises — `lookup` is "first match in `iter()` order" under
+//! [`Match::matches`] (the reference for the compiled words `lookup`
+//! scans), hit counters follow rule *ids* (the model is a map keyed by
+//! id) however rules shift position underneath them,
+//! `remove_matching(&m)` is `remove_where(|r| r.matcher == m)`, and the
+//! private fingerprint column stays in step with the rules (seen from
+//! outside: every installed matcher is still found through it). Every
+//! step ends with a lookup, so each mutator runs on a table whose
+//! compiled column is filled and is followed by a lookup that reads it.
 
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
@@ -18,62 +21,109 @@ use softcell_types::{Ipv4Prefix, PolicyTag, PortEmbedding, PortNo};
 
 /// Few priorities, so equal-priority neighbours are the common case.
 const PRIORITIES: [u16; 3] = [10, 20, 30];
-const PREFIXES: [&str; 3] = ["10.0.0.0/8", "10.0.0.0/23", "10.0.2.0/23"];
+/// /0 and /32 among them, the /32 on one of `ADDRS`.
+const PREFIXES: [&str; 5] = [
+    "0.0.0.0/0",
+    "10.0.0.0/8",
+    "10.0.0.0/23",
+    "10.0.2.0/23",
+    "10.0.0.5/32",
+];
 const ADDRS: [Ipv4Addr; 4] = [
     Ipv4Addr::new(10, 0, 0, 5),
     Ipv4Addr::new(10, 0, 2, 5),
     Ipv4Addr::new(10, 9, 0, 1),
     Ipv4Addr::new(11, 0, 0, 1),
 ];
+/// The flow slot of every key's ports: odd, so bit 0 is set.
+const SLOT: u16 = 3;
+
+/// Reads one random draw as mixed-radix digits.
+struct Draw(u64);
+
+impl Draw {
+    /// The next digit, in `0..n`.
+    fn pick(&mut self, n: u64) -> u64 {
+        let digit = self.0 % n;
+        self.0 /= n;
+        digit
+    }
+
+    fn proto(&mut self) -> Protocol {
+        [Protocol::Tcp, Protocol::Udp][self.pick(2) as usize]
+    }
+}
 
 /// Decodes a matcher from a small domain (so lookups often hit several
-/// rules): `ANY`, tag, prefix or tag+prefix, optionally in-port-qualified
-/// and/or version-gated.
-fn matcher(bits: u32) -> Match {
+/// rules): `ANY`, tag, prefix or tag+prefix, optionally with the other
+/// side's prefix too, a port value with a bit outside its mask (such a
+/// match fires on nothing), a protocol, an in-port and a version.
+fn matcher(bits: u64) -> Match {
     let e = PortEmbedding::default_embedding();
-    let dir = if bits & 1 == 0 {
-        Direction::Uplink
-    } else {
-        Direction::Downlink
-    };
-    let tag = PolicyTag((bits >> 1) as u16 % 3 + 1);
-    let prefix: Ipv4Prefix = PREFIXES[(bits >> 3) as usize % 3].parse().unwrap();
-    let mut m = match (bits >> 5) % 4 {
+    let mut d = Draw(bits);
+    let dir = [Direction::Uplink, Direction::Downlink][d.pick(2) as usize];
+    let tag = PolicyTag(d.pick(3) as u16 + 1);
+    let prefix = |d: &mut Draw| -> Ipv4Prefix { PREFIXES[d.pick(5) as usize].parse().unwrap() };
+    let mut m = match d.pick(4) {
         0 => Match::ANY,
         1 => Match::tag(dir, tag, &e),
-        2 => Match::prefix(dir, prefix),
-        _ => Match::tag_and_prefix(dir, tag, prefix, &e),
+        2 => Match::prefix(dir, prefix(&mut d)),
+        _ => Match::tag_and_prefix(dir, tag, prefix(&mut d), &e),
     };
-    if (bits >> 7).is_multiple_of(3) {
-        m = m.from_port(PortNo((bits >> 9) as u16 % 2 + 1));
+    if d.pick(3) == 0 {
+        let other = Some(prefix(&mut d));
+        match dir {
+            Direction::Uplink => m.dst_prefix = other,
+            Direction::Downlink => m.src_prefix = other,
+        }
     }
-    if (bits >> 10).is_multiple_of(3) {
-        m = m.with_version((bits >> 12) % 2);
+    if d.pick(8) == 0 {
+        // bit 0 lies outside the tag mask, and every key has it set
+        let (value, mask) = e.tag_match(tag);
+        assert_eq!(mask & 1, 0);
+        let stray = Some((value | 1, mask));
+        match d.pick(2) {
+            0 => m.src_port = stray,
+            _ => m.dst_port = stray,
+        }
+    }
+    if d.pick(3) == 0 {
+        m.proto = Some(d.proto());
+    }
+    if d.pick(3) == 0 {
+        m = m.from_port(PortNo(d.pick(2) as u16 + 1));
+    }
+    if d.pick(3) == 0 {
+        m = m.with_version(d.pick(2) as u32);
     }
     m
 }
 
-fn key(bits: u32) -> LookupKey {
+/// A TCP or UDP key over `ADDRS`, tagged ports, three in-ports and three
+/// versions.
+fn key(bits: u64) -> LookupKey {
     let e = PortEmbedding::default_embedding();
-    let port = |b: u32| e.encode(PolicyTag(b as u16 % 4 + 1), 3).unwrap();
+    let mut d = Draw(bits);
+    let port = |d: &mut Draw| e.encode(PolicyTag(d.pick(4) as u16 + 1), SLOT).unwrap();
     let tuple = FiveTuple {
-        src: ADDRS[bits as usize % 4],
-        dst: ADDRS[(bits >> 2) as usize % 4],
-        src_port: port(bits >> 4),
-        dst_port: port(bits >> 6),
-        proto: Protocol::Tcp,
+        src: ADDRS[d.pick(4) as usize],
+        dst: ADDRS[d.pick(4) as usize],
+        src_port: port(&mut d),
+        dst_port: port(&mut d),
+        proto: d.proto(),
     };
     LookupKey {
-        in_port: PortNo((bits >> 8) as u16 % 3 + 1),
+        in_port: PortNo(d.pick(3) as u16 + 1),
         view: HeaderView::parse(&build_flow_packet(tuple, 64, 0, &[])).unwrap(),
-        version: (bits >> 10) % 3,
+        // the third agrees with version 1 in its low 16 bits only
+        version: [0, 1, 0x1_0001][d.pick(3) as usize],
     }
 }
 
 proptest! {
     #[test]
     fn prop_lookup_is_first_match_and_counters_follow_ids(
-        ops in proptest::collection::vec((0u8..9, any::<u32>(), any::<u32>()), 1..120),
+        ops in proptest::collection::vec((0u8..7, any::<u64>(), any::<u64>()), 1..120),
     ) {
         let mut table = FlowTable::new();
         // every id ever issued -> expected counter; `None` once removed
@@ -89,7 +139,7 @@ proptest! {
                 3 => {
                     let live: Vec<RuleId> = table.iter().map(|r| r.id).collect();
                     if live.is_empty() {
-                        prop_assert!(table.remove(RuleId(u64::from(a))).is_err());
+                        prop_assert!(table.remove(RuleId(a)).is_err());
                     } else {
                         let id = live[a as usize % live.len()];
                         prop_assert_eq!(table.remove(id).unwrap().id, id);
@@ -122,14 +172,16 @@ proptest! {
                         model.insert(id, None);
                     }
                 }
-                _ => {
-                    let k = key(a);
-                    let expected = table.iter().find(|r| r.matcher.matches(&k)).copied();
-                    prop_assert_eq!(table.peek(&k).copied(), expected);
-                    prop_assert_eq!(table.lookup(&k), expected);
-                    if let Some(rule) = expected {
-                        *model.get_mut(&rule.id).unwrap().as_mut().unwrap() += 1;
-                    }
+                _ => {} // lookups only
+            }
+            // a lookup after every step: the compiled scan against
+            // `Match::matches`, on whatever the step left behind
+            for k in [key(a), key(b)] {
+                let expected = table.iter().find(|r| r.matcher.matches(&k)).copied();
+                prop_assert_eq!(table.peek(&k).copied(), expected);
+                prop_assert_eq!(table.lookup(&k), expected);
+                if let Some(rule) = expected {
+                    *model.get_mut(&rule.id).unwrap().as_mut().unwrap() += 1;
                 }
             }
             // priority order, ties to the earlier install

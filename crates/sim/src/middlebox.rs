@@ -121,10 +121,10 @@ impl MiddleboxTracker {
         id
     }
 
-    /// Records one packet (identified by its walk id) at one instance.
-    pub fn observe(&mut self, mb: MiddleboxId, buffer: &[u8], walk: u64) -> Result<()> {
-        let view = HeaderView::parse(buffer)?;
-        let (key, uplink) = self.key_of(&view)?;
+    /// Records one packet (identified by its walk id) at one instance,
+    /// from the headers the walk carries.
+    pub fn observe(&mut self, mb: MiddleboxId, view: &HeaderView, walk: u64) -> Result<()> {
+        let (key, uplink) = self.key_of(view)?;
         let counts = self.seen.entry((mb, key)).or_default();
         if uplink {
             counts.uplink += 1;
@@ -325,13 +325,13 @@ mod tests {
         MiddleboxTracker::default()
     }
 
-    fn up_packet(slot: u16) -> Vec<u8> {
+    fn up_packet(slot: u16) -> HeaderView {
         let scheme = AddressingScheme::default_scheme();
         let ports = PortEmbedding::default_embedding();
         let loc = scheme
             .encode(LocIp::new(BaseStationId(3), UeId(1)))
             .unwrap();
-        build_flow_packet(
+        let buf = build_flow_packet(
             FiveTuple {
                 src: loc,
                 dst: Ipv4Addr::new(93, 184, 216, 34),
@@ -342,16 +342,17 @@ mod tests {
             64,
             0,
             &[],
-        )
+        );
+        HeaderView::parse(&buf).unwrap()
     }
 
-    fn down_packet(slot: u16, tag: PolicyTag) -> Vec<u8> {
+    fn down_packet(slot: u16, tag: PolicyTag) -> HeaderView {
         let scheme = AddressingScheme::default_scheme();
         let ports = PortEmbedding::default_embedding();
         let loc = scheme
             .encode(LocIp::new(BaseStationId(3), UeId(1)))
             .unwrap();
-        build_flow_packet(
+        let buf = build_flow_packet(
             FiveTuple {
                 src: Ipv4Addr::new(93, 184, 216, 34),
                 dst: loc,
@@ -362,15 +363,16 @@ mod tests {
             64,
             0,
             &[],
-        )
+        );
+        HeaderView::parse(&buf).unwrap()
     }
 
     #[test]
     fn keys_unify_directions_and_ignore_tags() {
         let t = tracker();
-        let up = HeaderView::parse(&up_packet(9)).unwrap();
+        let up = up_packet(9);
         // downlink with a *different* tag (swapped in flight)
-        let down = HeaderView::parse(&down_packet(9, PolicyTag(700))).unwrap();
+        let down = down_packet(9, PolicyTag(700));
         let (ku, is_up) = t.key_of(&up).unwrap();
         let (kd, is_up2) = t.key_of(&down).unwrap();
         assert!(is_up && !is_up2);
@@ -409,10 +411,7 @@ mod tests {
         let w = t.begin_walk();
         t.observe(tc, &down_packet(4, PolicyTag(5)), w).unwrap();
         t.observe(fw, &down_packet(4, PolicyTag(5)), w).unwrap();
-        let key = t
-            .key_of(&HeaderView::parse(&up_packet(4)).unwrap())
-            .unwrap()
-            .0;
+        let key = t.key_of(&up_packet(4)).unwrap().0;
         t.assert_consistent(&key).unwrap();
         assert_eq!(t.chain_of(&key, true), vec![fw, tc]);
         assert_eq!(t.chain_of(&key, false), vec![tc, fw]);
@@ -429,10 +428,7 @@ mod tests {
     fn wrong_instance_fails_consistency() {
         let mut t = tracker();
         let (fw1, fw2) = (MiddleboxId(1), MiddleboxId(9));
-        let key = t
-            .key_of(&HeaderView::parse(&up_packet(4)).unwrap())
-            .unwrap()
-            .0;
+        let key = t.key_of(&up_packet(4)).unwrap().0;
         let w = t.begin_walk();
         t.observe(fw1, &up_packet(4), w).unwrap();
         // second packet hits a *different* firewall instance
@@ -452,10 +448,7 @@ mod tests {
         let w2 = t.begin_walk();
         t.observe(fw, &down_packet(4, PolicyTag(5)), w2).unwrap();
         t.observe(tc, &down_packet(4, PolicyTag(5)), w2).unwrap();
-        let key = t
-            .key_of(&HeaderView::parse(&up_packet(4)).unwrap())
-            .unwrap()
-            .0;
+        let key = t.key_of(&up_packet(4)).unwrap().0;
         assert!(t.assert_consistent(&key).is_err());
     }
 
@@ -541,10 +534,7 @@ mod tests {
             a.audit(&t).unwrap();
         }
         for slot in 0..3u16 {
-            let key = t
-                .key_of(&HeaderView::parse(&up_packet(slot)).unwrap())
-                .unwrap()
-                .0;
+            let key = t.key_of(&up_packet(slot)).unwrap().0;
             t.assert_consistent(&key).unwrap();
         }
         assert_eq!(a.references_held(), 6);

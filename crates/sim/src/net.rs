@@ -10,7 +10,7 @@
 
 use softcell_controller::RuleOp;
 use softcell_dataplane::{ForwardDecision, Switch};
-use softcell_packet::Ipv4Packet;
+use softcell_packet::{HeaderView, Ipv4Packet};
 use softcell_topology::{SwitchRole, Topology};
 use softcell_types::{Error, MiddleboxId, PortNo, Result, SimTime, SwitchId};
 
@@ -214,13 +214,22 @@ impl PhysicalNetwork {
         let (mut sw, mut port) = (start, in_port);
         let walk_id = self.middleboxes.begin_walk();
         self.last_walk_trail.clear();
+        self.last_walk_hops = 0;
+        // the walk's one parse: a switch's rewrites update the bytes and
+        // this view together, and the TTL tick changes no field it holds
+        let mut view = HeaderView::parse(buffer)?;
         for _ in 0..self.max_hops {
             self.last_walk_trail.push(sw);
             self.last_walk_hops = self.last_walk_trail.len();
-            let decision = self.switches[sw.index()].process(buffer, port, version, now)?;
+            let decision =
+                self.switches[sw.index()].process_view(buffer, &mut view, port, version, now)?;
+            debug_assert_eq!(
+                HeaderView::parse(buffer).ok(),
+                Some(view),
+                "carried view out of step with the bytes at {sw}"
+            );
             if self.trace {
-                let v = softcell_packet::HeaderView::parse(buffer);
-                eprintln!("  walk {walk_id}: {sw} in {port} -> {decision:?} ({v:?})");
+                eprintln!("  walk {walk_id}: {sw} in {port} -> {decision:?} ({view:?})");
             }
             let out = match decision {
                 ForwardDecision::ToController => {
@@ -238,7 +247,7 @@ impl PhysicalNetwork {
                 PortPeer::Middlebox(mb) => {
                     // detour: the middlebox sees the packet and sends
                     // it straight back on the same port
-                    self.middleboxes.observe(mb, buffer, walk_id)?;
+                    self.middleboxes.observe(mb, &view, walk_id)?;
                     port = out;
                 }
                 PortPeer::Link { next, in_port } => {
@@ -334,7 +343,7 @@ mod tests {
         }
         let dst = Ipv4Addr::new(10, 0, 0, 7);
         let mut buf = downlink_packet(dst);
-        let view = softcell_packet::HeaderView::parse(&buf).unwrap();
+        let view = HeaderView::parse(&buf).unwrap();
         let radio = topo
             .base_station(softcell_types::BaseStationId(0))
             .radio_port;
@@ -361,7 +370,7 @@ mod tests {
                 switch: SwitchId(5)
             }
         );
-        let after = softcell_packet::HeaderView::parse(&buf).unwrap();
+        let after = HeaderView::parse(&buf).unwrap();
         assert_eq!(after.dst(), Ipv4Addr::new(100, 64, 0, 9));
     }
 

@@ -78,6 +78,11 @@ impl Ipv4Prefix {
         self.bits
     }
 
+    /// The network mask: `len` leading one bits.
+    pub const fn netmask(&self) -> u32 {
+        Self::mask(self.len)
+    }
+
     /// Number of addresses covered by this prefix.
     pub const fn size(&self) -> u64 {
         1u64 << (32 - self.len)

@@ -86,6 +86,24 @@ assert result["correct"] is True and result["failed"] == 0, result
 print(f"perf smoke ok: {sys.argv[1]}: {result['attempted']} operations verified, 0 failed")
 PY
 done
+# The walks themselves, as counts a shared host cannot move: a traced
+# fabric_forward run on seed 7 must take 18.175 hops a round trip over
+# fabric tables of at most 30 and a median of 4 rules. A flow-table
+# scan that picked a different rule would change the walks.
+timeout 60 ./target/release/softcell-perf \
+  --workload fabric_forward --seed 7 --seconds 2 --trace 1 \
+  | tail -n 1 > /tmp/softcell-perf-walks.json
+python3 - /tmp/softcell-perf-walks.json <<'PY'
+import json, sys
+result = json.load(open(sys.argv[1]))
+assert result["correct"] is True and result["failed"] == 0, result
+want = {"sim.hops_per_round_trip": 18.175,
+        "dataplane.table_rules_max": 30,
+        "dataplane.table_rules_median": 4}
+got = {name: result["metrics"][name]["value"] for name in want}
+assert got == want, f"fabric_forward walks moved: {got}, want {want}"
+print(f"fabric_forward walks ok: {got}")
+PY
 
 # Allocation budget of the mobility event path (tests/alloc_budget.rs):
 # heap allocations of a handoff with 0 / 1 / 8 carried flows, of agent

@@ -1,7 +1,8 @@
 //! Size and alignment budgets for the values the hot paths copy: the
-//! microflow key and its bucket, a flow rule and its matcher, a rule
-//! operation, a carried flow's record, a sharded event's outcome and the
-//! flow entries it holds inline.
+//! microflow key and its bucket, a flow rule, its matcher and the
+//! compiled entry a lookup scans, a rule operation, a carried flow's
+//! record, a sharded event's outcome and the flow entries it holds
+//! inline.
 //!
 //! Numbers, not timings, so the gate repeats exactly on a shared host.
 //! Each row carries an earlier figure beside the one gated now — for
@@ -15,7 +16,7 @@ use std::mem::{align_of, size_of};
 use softcell::controller::mobility::FlowRecord;
 use softcell::controller::sharded::{EventOutcome, FlowInstalls};
 use softcell::controller::RuleOp;
-use softcell::dataplane::{FlowRule, Match, MicroflowEntry};
+use softcell::dataplane::{FlowRule, Match, MicroflowEntry, TcamEntry};
 use softcell::packet::FiveTuple;
 
 /// `(name, earlier (size, align), (size, align) now)` of one type.
@@ -35,6 +36,9 @@ fn hot_path_values_keep_their_size_and_alignment() {
         (row!((FiveTuple, MicroflowEntry), (48, 8)), (48, 8)),
         (row!(FlowRule, (72, 8)), (72, 8)),
         (row!(Match, (52, 4)), (52, 4)),
+        // a matcher compiled to three mask and three value words; the
+        // earlier figure is the matcher's
+        (row!(TcamEntry, (52, 4)), (48, 8)),
         (row!(RuleOp, (68, 4)), (68, 4)),
         (row!(FlowRecord, (62, 2)), (68, 4)),
         // 16 bytes more: a flow's two microflow entries moved inline
