@@ -413,10 +413,12 @@ impl<'t> CentralController<'t> {
 }
 
 /// Installs one policy path and appends its lowered rule operations to
-/// `ops`: for an Internet key the uplink, then the downlink forced to
-/// the uplink's exit tag (the Internet echoes it back); for an m2m key
-/// the one downlink-direction leg from the sender to the peer. The
-/// online requests and the offline replay both install through here.
+/// `ops`: for an Internet key one round trip, the uplink and the
+/// downlink entering with the uplink's exit tag (the Internet echoes it
+/// back), planned and committed together, then lowered uplink first;
+/// for an m2m key the one downlink-direction leg from the sender to the
+/// peer. The online requests and the offline replay both install
+/// through here.
 pub(crate) fn install_path(
     topo: &Topology,
     cfg: &ControllerConfig,
@@ -429,16 +431,15 @@ pub(crate) fn install_path(
     let access_out_port = access_out_port(topo, key, path)?;
     let carrier = cfg.scheme.carrier();
     let mut lower = |installer: &PathInstaller, dir| -> Result<()> {
-        for (sw, delta) in installer.last_deltas() {
+        for (sw, delta) in installer.last_deltas(dir) {
             ops.push(lower_delta(topo, &cfg.ports, carrier, dir, *sw, delta)?);
         }
         Ok(())
     };
     let (uplink_entry, uplink_exit, downlink_final) = match key {
         PathKey::Internet(..) => {
-            let up = installer.install_path(path, Direction::Uplink)?;
+            let [up, down] = installer.install_round_trip(path)?;
             lower(installer, Direction::Uplink)?;
-            let down = installer.install_path_forced(path, Direction::Downlink, up.exit_tag())?;
             lower(installer, Direction::Downlink)?;
             (up.entry_tag(), up.exit_tag(), down.exit_tag())
         }
@@ -617,6 +618,38 @@ mod tests {
             text,
             "m2m chains ending in a middlebox on the sender's access switch are not supported"
         );
+    }
+
+    #[test]
+    fn a_refused_round_trip_installs_nothing() {
+        use softcell_policy::clause::{Clause, ServiceAction};
+        use softcell_policy::Predicate;
+        // from station 0 this chain's uplink takes two tags and its
+        // downlink a third: a 2-tag space refuses the round trip
+        let topo = small_topology();
+        let cfg = ControllerConfig {
+            tag_policy: TagPolicy { capacity: 2 },
+            ..ControllerConfig::simulation()
+        };
+        let chain = vec![
+            MiddleboxKind::Firewall,
+            MiddleboxKind::Transcoder,
+            MiddleboxKind::EchoCanceller,
+        ];
+        let policy = ServicePolicy::from_clauses(vec![Clause {
+            priority: 1,
+            predicate: Predicate::Any,
+            action: ServiceAction::through(chain),
+        }])
+        .unwrap();
+        let mut c = CentralController::new(&topo, cfg, policy);
+        let err = c
+            .request_policy_path(BaseStationId(0), ClauseId(0))
+            .unwrap_err();
+        assert!(matches!(err, Error::Exhausted(_)), "{err}");
+        assert!(c.drain_ops().is_empty(), "the uplink's rules stayed");
+        assert_eq!(c.installer().tags_in_use(), 0);
+        assert!(c.routed_path(BaseStationId(0), ClauseId(0)).is_none());
     }
 
     #[test]

@@ -38,12 +38,17 @@
 //! single-threaded controller, or the sharded engine under its ticket.
 //! Nothing here locks.
 //!
-//! An install plans first and commits second. Planning is pure: it
-//! previews fresh tags with [`IdPool::peek`], and a segment reads the
-//! tags and chain-index pushes of those planned before it from their
-//! plans. The commit replays both and writes the rules; every
-//! feasibility question was answered while planning, so the commit
-//! cannot fail, and a path that fails to plan leaves no trace.
+//! An install plans first and commits second, once per path. Planning
+//! is pure: it previews fresh tags with [`IdPool::peek`], and a segment
+//! reads the tags and chain-index pushes of those planned before it from
+//! their plans. An Internet path is one round trip
+//! ([`PathInstaller::install_round_trip`]): its uplink is planned, then
+//! its downlink, whose entry is the uplink's exit tag (the Internet
+//! echoes it back), against the uplink plan's tags and fresh-tag
+//! previews; both are committed together. The commit replays the plans
+//! and writes the rules; every feasibility question was answered while
+//! planning, so the commit cannot fail, and a path that fails to plan —
+//! either direction — leaves no trace.
 //!
 //! **The commit writes the slots its plan probed.** Costing a tag
 //! records each decision that needs a rule and the table it goes to;
@@ -54,9 +59,9 @@
 //! and the decisions of a fresh tag, which were never probed. Nothing
 //! else can go stale: a `(switch, arrival)` pair occurs once per
 //! segment, so a qualified table is read and written by one decision;
-//! a path's segments carry distinct tags; nothing else writes between
-//! plan and commit. So the deltas are those of re-probing every
-//! decision (a test reference), ROADMAP item 1 (b)'s overwrite included.
+//! a path's segments carry distinct tags; the two directions write
+//! separate tables; nothing else writes between plan and commit. So the
+//! deltas are those of re-probing every decision (a test reference).
 //!
 //! # Planning cost model
 //!
@@ -279,7 +284,7 @@ impl Scratch {
             }
 
             let len = split.map_or(seg.len(), |k| k + 1);
-            self.mark_qualified(&mut seg, len);
+            self.mark_qualified(&mut seg, len, split.is_some());
             for d in &seg {
                 self.head[d.sw.index()] = 0;
             }
@@ -298,13 +303,15 @@ impl Scratch {
     /// Only fabric arrivals count (middlebox arrivals are inherently
     /// qualified by their own entry), and external arrivals cannot be
     /// port-qualified: they keep the unqualified slot while the link
-    /// arrivals move out of its way.
-    fn mark_qualified(&self, seg: &mut [Decision], len: usize) {
+    /// arrivals move out of its way. The tag-swap junction of a segment
+    /// that `swaps` (its last decision) differs from a plain decision
+    /// with the same next hop: the two rules would collide in one slot.
+    fn mark_qualified(&self, seg: &mut [Decision], len: usize, swaps: bool) {
         let fabric = |d: &Decision| !matches!(d.arrival, Arrival::FromMb(_));
         for i in 0..len {
-            let d = seg[i];
-            let qualified = matches!(d.arrival, Arrival::FromSwitch(_))
-                && (self.chain(d.sw)).any(|k| k < len && seg[k].want != d.want && fabric(&seg[k]));
+            let key = |k: usize| (seg[k].want, swaps && k + 1 == len);
+            let qualified = matches!(seg[i].arrival, Arrival::FromSwitch(_))
+                && (self.chain(seg[i].sw)).any(|k| k < len && key(k) != key(i) && fabric(&seg[k]));
             seg[i].qualified = qualified;
         }
     }
@@ -312,14 +319,21 @@ impl Scratch {
 
 /// A fully planned single-direction path: everything `apply_path_plan`
 /// needs to commit without re-running tag selection.
-struct PathPlan {
+struct PathPlan<'s> {
     dir: Direction,
     origin: BaseStationId,
     prefix: Ipv4Prefix,
     /// Forward (traversal) order. Replays happen in *planning* order —
     /// back to front — for the tag pool and chain index, then forward
     /// for the rules.
-    plans: Vec<SegmentPlan>,
+    plans: Vec<SegmentPlan<'s>>,
+}
+
+impl PathPlan<'_> {
+    /// The tag the packet carries after the last segment.
+    fn exit_tag(&self) -> PolicyTag {
+        self.plans.last().expect("at least one segment").tag
+    }
 }
 
 /// What every candidate tag of one segment is costed against.
@@ -331,16 +345,24 @@ struct Costing<'a> {
     swap_to: Option<PolicyTag>,
     key: ChainKey,
     /// The path's segments planned so far (the later ones).
-    planned: &'a [SegmentPlan],
-    forced_entry: Option<PolicyTag>,
+    planned: &'a [SegmentPlan<'a>],
+    /// A round trip's uplink plan, when this is its downlink: committed
+    /// first, so its tags count as the station's claims and its fresh
+    /// tags as taken, and its exit tag is the downlink's entry.
+    ahead: Option<&'a PathPlan<'a>>,
+    /// Tags this segment may not take: the exits of a round trip's
+    /// earlier uplink plans, whose downlink they would not admit.
+    refused: &'a [PolicyTag],
 }
 
 impl Costing<'_> {
     /// Another segment's tag — sharing it would recreate the ambiguity
-    /// segmentation removes — or the forced entry tag, which segment 0
-    /// takes though it is planned last.
+    /// segmentation removes — the forced entry tag, which segment 0
+    /// takes though it is planned last, or a refused tag.
     fn excluded(&self, tag: PolicyTag) -> bool {
-        self.forced_entry == Some(tag) || self.planned.iter().any(|p| p.tag == tag)
+        self.ahead.is_some_and(|up| up.exit_tag() == tag)
+            || self.refused.contains(&tag)
+            || self.planned.iter().any(|p| p.tag == tag)
     }
 }
 
@@ -399,7 +421,7 @@ fn commit_segment(
     written.clear();
     let mut record = plan.record.as_ref().map(|r| r.iter().peekable());
     for (i, d) in plan.decisions.iter().enumerate() {
-        let (nh, is_swap) = wanted(&plan.decisions, i, plan.swap_to);
+        let (nh, is_swap) = wanted(plan.decisions, i, plan.swap_to);
         // `Some(None)`: the plan found this decision already in place
         let planned = (record.as_mut()).map(|r| r.next_if(|s| s.0 == i).map(|&(_, entry)| entry));
         let stale = matches!(d.arrival, Arrival::External | Arrival::FromSwitch(_))
@@ -457,8 +479,10 @@ pub struct PathInstaller {
     /// footnote 2, generalized): `claimed[bs]` is the set of tags in use
     /// by that station's installed paths.
     claimed: FxHashMap<BaseStationId, FxHashSet<PolicyTag>>,
-    /// Deltas of the last installation, for lowering to physical rules.
+    /// Deltas of the last installation, for lowering to physical rules:
+    /// the first `up_deltas` the uplink's, the rest the downlink's.
     last_deltas: Vec<(SwitchId, ShadowDelta)>,
+    up_deltas: usize,
     paths_installed: usize,
     scratch: Scratch,
 }
@@ -475,6 +499,7 @@ impl PathInstaller {
             chain_index: FxHashMap::default(),
             claimed: FxHashMap::default(),
             last_deltas: Vec::new(),
+            up_deltas: 0,
             paths_installed: 0,
             scratch: Scratch {
                 head: vec![0; topo.switch_count()],
@@ -537,7 +562,9 @@ impl PathInstaller {
         self.paths_installed
     }
 
-    /// Shadow deltas produced by the most recent `install_path` call, as
+    /// One direction's shadow deltas produced by the most recent install
+    /// ([`install_path`](Self::install_path) or
+    /// [`install_round_trip`](Self::install_round_trip)), as
     /// `(switch, delta)` pairs in application order.
     ///
     /// **Order dependence.** Application order matters *per switch*: a
@@ -549,41 +576,79 @@ impl PathInstaller {
     /// which is exactly the freedom `ops::batch_by_switch` exploits when
     /// the sharded controller ships per-switch, barrier-fenced batches
     /// (see `tests/drain_order.rs` for the regression lock).
-    pub fn last_deltas(&self) -> &[(SwitchId, ShadowDelta)] {
-        &self.last_deltas
+    pub fn last_deltas(&self, dir: Direction) -> &[(SwitchId, ShadowDelta)] {
+        let (up, down) = self.last_deltas.split_at(self.up_deltas);
+        match dir {
+            Direction::Uplink => up,
+            Direction::Downlink => down,
+        }
     }
 
     /// Installs a policy path in one direction. Returns the per-segment
     /// tags and rule accounting.
     pub fn install_path(&mut self, path: &PolicyPath, dir: Direction) -> Result<InstallReport> {
-        self.install(path, dir, None)
-    }
-
-    /// Installs the downlink of a path whose uplink already fixed the
-    /// tag the return traffic carries (the Internet echoes the uplink
-    /// exit tag into the downlink's entry tag).
-    pub fn install_path_forced(
-        &mut self,
-        path: &PolicyPath,
-        dir: Direction,
-        entry_tag: PolicyTag,
-    ) -> Result<InstallReport> {
-        self.install(path, dir, Some(entry_tag))
-    }
-
-    /// Decomposes, plans and commits, lending the scratch buffers out.
-    fn install(
-        &mut self,
-        path: &PolicyPath,
-        dir: Direction,
-        forced_entry: Option<PolicyTag>,
-    ) -> Result<InstallReport> {
         let mut scratch = std::mem::take(&mut self.scratch);
         let segments = scratch.split_segments(&build_decisions(path, dir));
-        let plan = self.plan_path(&mut scratch, path.origin, segments, dir, forced_entry);
-        let report = plan.map(|plan| self.apply_path_plan(plan, &mut scratch));
+        let plan = self.plan_path(&mut scratch, path.origin, &segments, dir, None, &[]);
+        let reports = plan.map(|plan| self.commit([plan], &mut scratch));
         self.scratch = scratch;
-        report
+        reports.map(|[report]| report)
+    }
+
+    /// Installs an Internet path's uplink and downlink as one: the
+    /// downlink enters with the tag the uplink exits with (the Internet
+    /// echoes it back), both are planned before either is committed, and
+    /// a refusal of either direction leaves no trace. Returns the
+    /// uplink's report, then the downlink's.
+    pub fn install_round_trip(&mut self, path: &PolicyPath) -> Result<[InstallReport; 2]> {
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let up = scratch.split_segments(&build_decisions(path, Direction::Uplink));
+        let down = scratch.split_segments(&build_decisions(path, Direction::Downlink));
+        let plans = self.plan_round_trip(&mut scratch, path.origin, &up, &down);
+        let reports = plans.map(|plans| self.commit(plans, &mut scratch));
+        self.scratch = scratch;
+        reports
+    }
+
+    /// Plans a round trip: the uplink, then the downlink forced to the
+    /// uplink's exit tag. A forced segment is admitted by the claim rule
+    /// every segment is, against the station's claims before this path:
+    /// when it would change a path of the station that claims the exit
+    /// tag, that tag is refused and the uplink planned again without it
+    /// on its gateway-side segment. Each round refuses another of that
+    /// segment's at most `MAX_CANDIDATES` candidates, and a fresh exit
+    /// tag is admissible downstream, so this ends within
+    /// `MAX_CANDIDATES + 1` rounds; only tag exhaustion refuses.
+    fn plan_round_trip<'s>(
+        &self,
+        scratch: &mut Scratch,
+        origin: BaseStationId,
+        up: &'s [Segment],
+        down: &'s [Segment],
+    ) -> Result<[PathPlan<'s>; 2]> {
+        let mut refused = Vec::new();
+        loop {
+            let uplink = self.plan_path(scratch, origin, up, Direction::Uplink, None, &refused)?;
+            let (exit, ahead) = (uplink.exit_tag(), Some(&uplink));
+            match self.plan_path(scratch, origin, down, Direction::Downlink, ahead, &[]) {
+                Ok(downlink) => return Ok([uplink, downlink]),
+                Err(Error::InvalidState(_)) if !refused.contains(&exit) => refused.push(exit),
+                Err(e) => return Err(e),
+            }
+        }
+    }
+
+    /// Commits one path's plans, uplink first: the delta buffer is reset
+    /// once and [`last_deltas`](Self::last_deltas) splits it where the
+    /// uplink's deltas end.
+    fn commit<const N: usize>(
+        &mut self,
+        plans: [PathPlan; N],
+        scratch: &mut Scratch,
+    ) -> [InstallReport; N] {
+        self.last_deltas.clear();
+        self.up_deltas = 0;
+        plans.map(|plan| self.apply_path_plan(plan, scratch))
     }
 
     /// Commits a plan: replays its tag-pool and chain-index updates
@@ -591,7 +656,6 @@ impl PathInstaller {
     /// writes its rules. Infallible by construction: every feasibility
     /// question was answered at planning time, against this same state.
     fn apply_path_plan(&mut self, plan: PathPlan, scratch: &mut Scratch) -> InstallReport {
-        self.last_deltas.clear();
         // Planning order is back to front; the pool's pops and the
         // chain-slot pushes must replay in that order (slot order
         // feeds future candidate sampling).
@@ -626,6 +690,9 @@ impl PathInstaller {
             swap_rules += swaps;
             claimed.insert(sp.tag);
         }
+        if plan.dir == Direction::Uplink {
+            self.up_deltas = self.last_deltas.len();
+        }
         self.paths_installed += 1;
         InstallReport {
             segment_tags: plan.plans.iter().map(|sp| sp.tag).collect(),
@@ -634,38 +701,43 @@ impl PathInstaller {
         }
     }
 
-    /// Plans a path's segments without mutating state.
-    fn plan_path(
+    /// Plans a path's segments without mutating state: a round trip's
+    /// downlink behind the uplink plan `ahead`, the gateway-side segment
+    /// of an uplink without the `refused` tags.
+    fn plan_path<'s>(
         &self,
         scratch: &mut Scratch,
         origin: BaseStationId,
-        segments: Vec<Segment>,
+        segments: &'s [Segment],
         dir: Direction,
-        forced_entry: Option<PolicyTag>,
-    ) -> Result<PathPlan> {
+        ahead: Option<&PathPlan>,
+        refused: &[PolicyTag],
+    ) -> Result<PathPlan<'s>> {
         let prefix = self.scheme.base_station_prefix(origin)?;
         // Segments are resolved back-to-front so a segment's swap-in rule
         // (owned by the previous segment) can name its tag.
         let mut plans: Vec<SegmentPlan> = Vec::with_capacity(segments.len());
-        for (idx, seg) in segments.into_iter().enumerate().rev() {
+        for (idx, seg) in segments.iter().enumerate().rev() {
+            let gateway_side = idx + 1 == segments.len();
             let job = Costing {
                 origin,
                 dir,
                 prefix,
-                seg: &seg,
+                seg,
                 swap_to: plans.last().map(|p| p.tag),
                 key: (dir, seg.chain_key(dir)),
                 planned: &plans,
-                forced_entry,
+                ahead,
+                refused: if gateway_side { refused } else { &[] },
             };
-            let forced = if idx == 0 { forced_entry } else { None };
+            let forced = ahead.filter(|_| idx == 0).map(PathPlan::exit_tag);
             let (tag, record) = self.plan_segment(scratch, &job, forced)?;
             let (chain_key, swap_to) = (job.key, job.swap_to);
             plans.push(SegmentPlan {
                 tag,
                 record,
                 chain_key,
-                decisions: seg.decisions,
+                decisions: &seg.decisions,
                 swap_to,
             });
         }
@@ -687,10 +759,11 @@ impl PathInstaller {
         forced: Option<PolicyTag>,
     ) -> Result<(PolicyTag, Option<Vec<Slot>>)> {
         if let Some(tag) = forced {
-            // Downlink entry tag dictated by the uplink: must be usable;
-            // if it conflicts we cannot reroute here (the swap machinery
-            // of the *caller* handles gateway-side swaps).
-            if (self.segment_cost(job, tag, usize::MAX, false, &mut scratch.best)).is_none() {
+            // The downlink entry tag the uplink exits with, admitted as
+            // any tag is: a tag the station claimed before this path only
+            // unchanged. A refusal makes the round trip re-plan its uplink.
+            let claimed = (self.claimed.get(&job.origin)).is_some_and(|c| c.contains(&tag));
+            if (self.segment_cost(job, tag, usize::MAX, claimed, &mut scratch.best)).is_none() {
                 return Err(Error::InvalidState(format!(
                     "forced entry tag {tag} conflicts with existing rules"
                 )));
@@ -709,7 +782,12 @@ impl PathInstaller {
         let best = argmin(self, job, &candidates, scratch);
 
         let fresh_cost = job.seg.decisions.len() + usize::from(job.swap_to.is_some());
-        let fresh_taken = job.planned.iter().filter(|p| p.record.is_none()).count();
+        // fresh tags previewed before this one: the uplink ahead's, then
+        // this path's later segments'
+        let previewed = (job.ahead.into_iter())
+            .flat_map(|up| &up.plans)
+            .chain(job.planned);
+        let fresh_taken = previewed.filter(|p| p.record.is_none()).count();
         let allocated = self.tags.allocated() + fresh_taken;
         // A fresh tag beats reuse that costs more than it, while less
         // than half the tag space is used: fresh tags buy cheap Type 2
@@ -774,15 +852,14 @@ impl PathInstaller {
         candidates: &[PolicyTag],
         scratch: &mut Scratch,
     ) -> Option<(usize, PolicyTag)> {
-        let claimed = self.claimed.get(&job.origin);
         let mut best: Option<(usize, PolicyTag)> = None;
         for &t in candidates {
             if job.excluded(t) {
                 continue;
             }
-            let is_claimed = claimed.is_some_and(|c| c.contains(&t));
             let limit = best.map_or(usize::MAX, |(cost, _)| cost);
-            if let Some(cost) = self.segment_cost(job, t, limit, is_claimed, &mut scratch.costing) {
+            let claimed = self.is_claimed(job, t);
+            if let Some(cost) = self.segment_cost(job, t, limit, claimed, &mut scratch.costing) {
                 best = Some((cost, t));
                 std::mem::swap(&mut scratch.costing, &mut scratch.best);
                 if cost == 0 {
@@ -791,6 +868,14 @@ impl PathInstaller {
             }
         }
         best
+    }
+
+    /// Whether `tag` already serves the segment's station: on an
+    /// installed path, or on the uplink ahead of a round trip's downlink.
+    fn is_claimed(&self, job: &Costing, tag: PolicyTag) -> bool {
+        let ahead = job.ahead.map_or(&[][..], |up| &up.plans);
+        (self.claimed.get(&job.origin)).is_some_and(|c| c.contains(&tag))
+            || ahead.iter().any(|p| p.tag == tag)
     }
 
     /// The exact new-rule count of realizing a segment under `tag`, if
@@ -839,14 +924,14 @@ impl PathInstaller {
 
 /// A planned segment: decisions plus the chosen tag.
 #[derive(Clone, Debug)]
-struct SegmentPlan {
+struct SegmentPlan<'s> {
     tag: PolicyTag,
     /// A reused tag's record, in decision order; `None`: a fresh tag.
     record: Option<Vec<Slot>>,
     /// The chain-index slot this segment's tag was recorded under (the
     /// commit replays the push).
     chain_key: ChainKey,
-    decisions: Vec<Decision>,
+    decisions: &'s [Decision],
     /// If set, the segment's last decision swaps to this tag (it is the
     /// junction rule joining the next segment).
     swap_to: Option<PolicyTag>,
@@ -970,8 +1055,7 @@ impl PathInstaller {
             else {
                 continue;
             };
-            let is_claimed = (self.claimed.get(&job.origin)).is_some_and(|c| c.contains(&t));
-            if changes != 0 && is_claimed {
+            if changes != 0 && self.is_claimed(job, t) {
                 continue;
             }
             if best.map(|(c, _)| cost < c).unwrap_or(true) {
@@ -1079,7 +1163,7 @@ mod tests {
         let mut net = 0isize;
         let mut swaps = 0usize;
         for (i, d) in plan.decisions.iter().enumerate() {
-            let (nh, is_swap) = wanted(&plan.decisions, i, plan.swap_to);
+            let (nh, is_swap) = wanted(plan.decisions, i, plan.swap_to);
             let sw = tables.switch_mut(d.sw);
             COMMIT_PROBES.with(|n| n.set(n.get() + 1));
             let Some((entry, _)) = rule_slot(sw, d, plan.tag, prefix, nh) else {
@@ -1134,7 +1218,7 @@ mod tests {
             if let Some(k) = split {
                 seg.truncate(k + 1);
             }
-            mark_qualified_quadratic(&mut seg);
+            mark_qualified_quadratic(&mut seg, split.is_some());
             segments.push(Segment { decisions: seg });
             match split {
                 None => break,
@@ -1144,14 +1228,15 @@ mod tests {
         segments
     }
 
-    fn mark_qualified_quadratic(decisions: &mut [Decision]) {
+    fn mark_qualified_quadratic(decisions: &mut [Decision], swaps: bool) {
         let fabric = |d: &Decision| !matches!(d.arrival, Arrival::FromMb(_));
-        for i in 0..decisions.len() {
+        let n = decisions.len();
+        let key = |k: usize, d: &Decision| (d.want, swaps && k + 1 == n);
+        for i in 0..n {
             let d = decisions[i];
             decisions[i].qualified = matches!(d.arrival, Arrival::FromSwitch(_))
-                && decisions
-                    .iter()
-                    .any(|o| o.sw == d.sw && o.want != d.want && fabric(o));
+                && (decisions.iter().enumerate())
+                    .any(|(k, o)| o.sw == d.sw && key(k, o) != key(i, &d) && fabric(o));
         }
     }
 
@@ -1252,11 +1337,11 @@ mod tests {
         let topo = small_topology();
         let mut ins = installer(&topo);
         let path = route(&topo, 0, &[MiddleboxKind::Firewall]);
-        let up = ins.install_path(&path, Direction::Uplink).unwrap();
-        let down = ins
-            .install_path_forced(&path, Direction::Downlink, up.exit_tag())
-            .unwrap();
+        let [up, down] = ins.install_round_trip(&path).unwrap();
         assert_eq!(down.entry_tag(), up.exit_tag());
+        let deltas = |dir| ins.last_deltas(dir).len();
+        assert_eq!(deltas(Direction::Uplink) as isize, up.new_rules);
+        assert_eq!(deltas(Direction::Downlink) as isize, down.new_rules);
     }
 
     #[test]
@@ -1575,16 +1660,24 @@ mod tests {
     }
 
     /// A canonical rendering of one installer's complete Algorithm-1
-    /// state (both directions' tables including tag order, plus the tag
-    /// count). FxHashMap iteration order is a deterministic function of
-    /// insertion history, so equal strings mean the two installers are
-    /// byte-equivalent for every future planning decision.
+    /// state: both directions' tables including tag order, the tag
+    /// pool, the chain index and the claims. FxHashMap iteration order
+    /// is a deterministic function of insertion history, so equal
+    /// strings mean the two installers are byte-equivalent for every
+    /// future planning decision.
     fn fingerprint(ins: &PathInstaller) -> String {
+        let chains: std::collections::BTreeMap<_, _> = (ins.chain_index.iter())
+            .map(|((dir, key), tags)| ((*dir == Direction::Uplink, key), tags))
+            .collect();
+        let claims: std::collections::BTreeMap<_, std::collections::BTreeSet<_>> =
+            (ins.claimed.iter())
+                .map(|(bs, tags)| (bs, tags.iter().collect()))
+                .collect();
         format!(
-            "up={:?} down={:?} tags={}",
+            "up={:?} down={:?} pool={:?} chains={chains:?} claims={claims:?}",
             ins.shadows(Direction::Uplink),
             ins.shadows(Direction::Downlink),
-            ins.tags_in_use(),
+            ins.tags,
         )
     }
 
@@ -1615,46 +1708,24 @@ mod tests {
         use super::*;
         use proptest::prelude::*;
 
-        /// Random (station, chain) install requests; station ids stay in
-        /// the small topology's 0..4 range.
-        fn arb_requests() -> impl Strategy<Value = Vec<(u32, u8)>> {
-            proptest::collection::vec((0u32..4, 0u8..3), 1..24)
+        /// Random (station, chain, round trip or downlink) install
+        /// requests; station ids stay in the small topology's 0..4 range.
+        fn arb_requests() -> impl Strategy<Value = Vec<(u32, u8, bool)>> {
+            proptest::collection::vec((0u32..4, 0u8..4, any::<bool>()), 1..24)
         }
 
         /// (station, middlebox chain, 0 = downlink / 1 = uplink / 2 =
-        /// uplink then forced downlink); ids wrap to the topology's.
+        /// round trip); ids wrap to the topology's.
         fn arb_chain_requests() -> impl Strategy<Value = Vec<(u32, Vec<u8>, u8)>> {
             let chain = proptest::collection::vec(0u8..16, 1..6);
             proptest::collection::vec((0u32..20, chain, 0u8..3), 1..40)
         }
 
-        /// A known defect this comparison must step around (the parent
-        /// has it too): a segment's swap junction and an earlier visit
-        /// of the same switch with the same plain next hop both land in
-        /// the unqualified table, where the swap rule and the plain rule
-        /// are an exact conflict the cost model prices separately — the
-        /// commit debug-panics. Needs a path that re-crosses a switch
-        /// the same way just before a same-link loop.
-        fn junction_shares_unqualified_slot(path: &PolicyPath) -> bool {
-            [Direction::Uplink, Direction::Downlink]
-                .into_iter()
-                .any(|dir| {
-                    let segments = split_segments_quadratic(&build_decisions(path, dir));
-                    let unqualified =
-                        |d: &Decision| !d.qualified && !matches!(d.arrival, Arrival::FromMb(_));
-                    segments[..segments.len() - 1].iter().any(|seg| {
-                        let (junction, before) = seg.decisions.split_last().expect("non-empty");
-                        unqualified(junction)
-                            && before.iter().any(|d| d.sw == junction.sw && unqualified(d))
-                    })
-                })
-        }
-
         /// Runs `requests` on two installers, the second with `mode` set,
         /// and requires the same reports (or refusals), the same delta
         /// streams and the same final state — on chains long enough to
-        /// loop and swap tags, in both directions including forced
-        /// downlinks, in a tag space small enough to exhaust.
+        /// loop and swap tags, in either direction and as round trips,
+        /// in a tag space small enough to exhaust.
         fn twins_agree(
             requests: Vec<(u32, Vec<u8>, u8)>,
             capacity: u16,
@@ -1678,28 +1749,18 @@ mod tests {
                 let Ok(path) = route_ids(&topo, bs % stations, &chain) else {
                     continue;
                 };
-                if junction_shares_unqualified_slot(&path) {
-                    continue;
-                }
-                let mut both = |f: &dyn Fn(&mut PathInstaller) -> Result<InstallReport>| {
-                    let s = f(&mut shipped).map_err(|e| e.to_string());
-                    let t = with_mode(mode, || f(&mut twin)).map_err(|e| e.to_string());
-                    prop_assert_eq!(&s, &t);
-                    prop_assert_eq!(shipped.last_deltas(), twin.last_deltas());
-                    Ok(s.ok())
+                let install = |ins: &mut PathInstaller| match dirs {
+                    0 => ins
+                        .install_path(&path, Direction::Downlink)
+                        .map(|r| vec![r]),
+                    1 => ins.install_path(&path, Direction::Uplink).map(|r| vec![r]),
+                    _ => ins.install_round_trip(&path).map(Vec::from),
                 };
-                match dirs {
-                    0 => {
-                        both(&|ins| ins.install_path(&path, Direction::Downlink))?;
-                    }
-                    dirs => {
-                        let up = both(&|ins| ins.install_path(&path, Direction::Uplink))?;
-                        if let (2, Some(up)) = (dirs, up) {
-                            both(&|ins| {
-                                ins.install_path_forced(&path, Direction::Downlink, up.exit_tag())
-                            })?;
-                        }
-                    }
+                let s = install(&mut shipped).map_err(|e| e.to_string());
+                let t = with_mode(mode, || install(&mut twin)).map_err(|e| e.to_string());
+                prop_assert_eq!(s, t);
+                for dir in [Direction::Uplink, Direction::Downlink] {
+                    prop_assert_eq!(shipped.last_deltas(dir), twin.last_deltas(dir));
                 }
             }
             prop_assert_eq!(fingerprint(&shipped), fingerprint(&twin));
@@ -1735,7 +1796,14 @@ mod tests {
             match k {
                 0 => &[MiddleboxKind::Firewall],
                 1 => &[MiddleboxKind::Transcoder],
-                _ => &[MiddleboxKind::Firewall, MiddleboxKind::Transcoder],
+                2 => &[MiddleboxKind::Firewall, MiddleboxKind::Transcoder],
+                // loops back over one link: two uplink tags, a third
+                // on the downlink from station 0
+                _ => &[
+                    MiddleboxKind::Firewall,
+                    MiddleboxKind::Transcoder,
+                    MiddleboxKind::EchoCanceller,
+                ],
             }
         }
 
@@ -1743,26 +1811,33 @@ mod tests {
             /// Failed installs are fully transactional: state after a
             /// mixed success/failure sequence is byte-identical to a
             /// from-scratch replay of only the successful installs —
-            /// planning buffers everything, so an abort leaks neither
-            /// tags nor chain-index entries nor partial rules.
+            /// planning buffers everything, a round trip's two
+            /// directions included, so an abort leaks neither tags nor
+            /// chain-index entries nor claims nor partial rules.
             #[test]
             fn failed_installs_leave_no_trace(requests in arb_requests()) {
                 let topo = small_topology();
                 // a tiny tag space makes exhaustion failures common
                 let tight = TagPolicy { capacity: 3 };
+                let install = |ins: &mut PathInstaller, path: &PolicyPath, round_trip| {
+                    match round_trip {
+                        true => ins.install_round_trip(path).map(drop),
+                        false => ins.install_path(path, Direction::Downlink).map(drop),
+                    }
+                };
                 let mut live = PathInstaller::new(
                     &topo, AddressingScheme::default_scheme(), tight);
-                let mut succeeded: Vec<(PolicyPath, Direction)> = Vec::new();
-                for (bs, kind) in requests {
+                let mut succeeded: Vec<(PolicyPath, bool)> = Vec::new();
+                for (bs, kind, round_trip) in requests {
                     let path = route(&topo, bs, chain_of(kind));
-                    if live.install_path(&path, Direction::Downlink).is_ok() {
-                        succeeded.push((path, Direction::Downlink));
+                    if install(&mut live, &path, round_trip).is_ok() {
+                        succeeded.push((path, round_trip));
                     }
                 }
                 let mut scratch = PathInstaller::new(
                     &topo, AddressingScheme::default_scheme(), tight);
-                for (path, dir) in &succeeded {
-                    scratch.install_path(path, *dir).expect("replay of a success");
+                for (path, round_trip) in &succeeded {
+                    install(&mut scratch, path, *round_trip).expect("replay of a success");
                 }
                 prop_assert_eq!(fingerprint(&live), fingerprint(&scratch));
             }

@@ -128,13 +128,23 @@ impl<'t> SimWorld<'t> {
         self.apply_pending_ops()
     }
 
-    /// Detaches a UE (through its current station's agent). Mobility
-    /// teardown rules queued by the controller are applied immediately,
-    /// and the ids of locations an aborted transition freed go back to
-    /// their stations' agents.
+    /// Detaches a UE (through its current station's agent). Its flows'
+    /// microflow entries come down with it: left behind, one would catch
+    /// a later flow keyed the same (a freed location, a reused tunnel
+    /// tag and slot) and deliver it to this UE. Mobility teardown rules
+    /// queued by the controller are applied immediately, and the ids of
+    /// locations an aborted transition freed go back to their stations'
+    /// agents.
     pub fn detach(&mut self, imsi: UeImsi) -> Result<()> {
         let bs = self.controller.state().ue(imsi)?.bs;
+        let keys: Vec<FiveTuple> = (self.agents[bs.index()].flows_of(imsi)?.iter())
+            .flat_map(|f| [f.uplink, f.downlink])
+            .collect();
         self.agents[bs.index()].handle_detach(imsi, &mut self.controller)?;
+        let access = self.topo.base_station(bs).access_switch;
+        for key in &keys {
+            self.net.switch_mut(access).microflow.remove(key);
+        }
         self.apply_pending_ops()?;
         self.return_released_ue_ids();
         Ok(())
@@ -814,14 +824,36 @@ impl<'t> SimWorld<'t> {
     }
 
     /// Asserts policy consistency for every connection that has carried
-    /// traffic.
-    pub fn assert_policy_consistency(&self) -> Result<()> {
+    /// traffic, after one more round trip on each that is still live: a
+    /// path installed after a connection's last packet can change where
+    /// its packets go.
+    pub fn assert_policy_consistency(&mut self) -> Result<()> {
+        for id in 0..self.connections.len() {
+            if self.is_live(&self.connections[id]) {
+                self.round_trip(ConnId(id))?;
+            }
+        }
         for c in &self.connections {
             if let Some(key) = c.key {
                 self.net.middleboxes.assert_consistent(&key)?;
             }
         }
         Ok(())
+    }
+
+    /// Whether a connection that has carried traffic still does: the
+    /// agent of its UE's station holds the flow (a detach drops it), and
+    /// the flow's microflow entry at that station's access switch has
+    /// not idled out (a carried flow's dies with its transition).
+    fn is_live(&self, c: &Connection) -> bool {
+        let Ok(ue) = self.controller.state().ue(c.imsi) else {
+            return false;
+        };
+        let flows = self.agents[ue.bs.index()].flows_of(c.imsi);
+        let held = flows.is_ok_and(|flows| flows.iter().any(|f| f.uplink == c.ue_tuple));
+        let access = self.topo.base_station(ue.bs).access_switch;
+        let entry = self.net.switch(access).microflow.peek(&c.ue_tuple);
+        c.key.is_some() && held && entry.is_some_and(|e| e.idle_deadline > self.now)
     }
 
     fn apply_pending_ops(&mut self) -> Result<()> {

@@ -59,7 +59,7 @@ fn replayed_downlink_packets_follow_their_installed_paths() {
     for p in &paths {
         let report = installer.install_path(p, Direction::Downlink).unwrap();
         tags.push((report.entry_tag(), report.exit_tag()));
-        for (sw, delta) in installer.last_deltas() {
+        for (sw, delta) in installer.last_deltas(Direction::Downlink) {
             let op = lower_delta(&topo, &ports, carrier, Direction::Downlink, *sw, delta).unwrap();
             net.apply(&op).unwrap();
         }
@@ -154,7 +154,7 @@ fn rule_counts_match_between_shadow_and_physical() {
 
     for p in random_paths(&topo, 150, 7) {
         installer.install_path(&p, Direction::Downlink).unwrap();
-        for (sw, delta) in installer.last_deltas() {
+        for (sw, delta) in installer.last_deltas(Direction::Downlink) {
             let op = lower_delta(&topo, &ports, carrier, Direction::Downlink, *sw, delta).unwrap();
             net.apply(&op).unwrap();
         }
