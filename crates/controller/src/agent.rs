@@ -161,7 +161,7 @@ pub trait ControllerApi {
     fn detach_ue(&mut self, imsi: UeImsi) -> Result<UeRecord>;
 }
 
-impl ControllerApi for crate::core::CentralController<'_> {
+impl ControllerApi for crate::core::CentralController {
     fn attach_ue(
         &mut self,
         imsi: UeImsi,
@@ -625,7 +625,7 @@ mod tests {
     use softcell_topology::small_topology;
     use softcell_types::SwitchId;
 
-    fn setup(topo: &softcell_topology::Topology) -> (CentralController<'_>, LocalAgent, Switch) {
+    fn setup(topo: &softcell_topology::Topology) -> (CentralController, LocalAgent, Switch) {
         let mut ctl = CentralController::new(
             topo,
             ControllerConfig::simulation(),

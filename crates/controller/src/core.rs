@@ -103,15 +103,15 @@ pub(crate) struct InstalledPath {
 }
 
 /// The central SoftCell controller.
-pub struct CentralController<'t> {
-    topo: &'t Topology,
+pub struct CentralController {
+    topo: Topology,
     cfg: ControllerConfig,
     state: ControllerState,
     apps: AppClassifier,
     /// Algorithm 1's state, holding every path in `installed` (the
     /// offline pass swaps the two together).
     pub(crate) installer: PathInstaller,
-    paths: ShortestPaths<'t>,
+    paths: ShortestPaths,
     /// Every installed policy path.
     pub(crate) installed: FxHashMap<PathKey, InstalledPath>,
     /// Rule operations awaiting application to the physical network.
@@ -123,15 +123,15 @@ pub struct CentralController<'t> {
     mobility: crate::mobility::MobilityManager,
 }
 
-impl<'t> CentralController<'t> {
-    /// Creates a controller over a topology.
+impl CentralController {
+    /// Creates a controller over a topology, holding its own handle.
     pub fn new(
-        topo: &'t Topology,
+        topo: &Topology,
         cfg: ControllerConfig,
         policy: softcell_policy::ServicePolicy,
     ) -> Self {
         CentralController {
-            topo,
+            topo: topo.clone(),
             cfg,
             state: ControllerState::new(policy, cfg.permanent_pool),
             apps: AppClassifier::default(),
@@ -145,8 +145,8 @@ impl<'t> CentralController<'t> {
     }
 
     /// The topology this controller manages.
-    pub fn topology(&self) -> &'t Topology {
-        self.topo
+    pub fn topology(&self) -> &Topology {
+        &self.topo
     }
 
     /// The configuration.
@@ -180,7 +180,7 @@ impl<'t> CentralController<'t> {
     }
 
     /// The shortest-path cache (mobility meet-point searches).
-    pub fn paths_mut(&mut self) -> &mut ShortestPaths<'t> {
+    pub fn paths_mut(&mut self) -> &mut ShortestPaths {
         &mut self.paths
     }
 
@@ -370,7 +370,7 @@ impl<'t> CentralController<'t> {
         path: PolicyPath,
         qos: Option<QosClass>,
     ) -> Result<PathTags> {
-        let (topo, cfg, ops) = (self.topo, &self.cfg, &mut self.pending_ops);
+        let (topo, cfg, ops) = (&self.topo, &self.cfg, &mut self.pending_ops);
         let tags = install_path(topo, cfg, &mut self.installer, key, &path, qos, ops)?;
         self.installed.insert(key, InstalledPath { tags, path });
         Ok(tags)
@@ -385,7 +385,7 @@ impl<'t> CentralController<'t> {
         bs: BaseStationId,
         chain: &[MiddleboxKind],
     ) -> Result<Vec<MiddleboxId>> {
-        let topo = self.topo;
+        let topo = &self.topo;
         let mut cursor: SwitchId = topo.base_station(bs).access_switch;
         let mut out = Vec::with_capacity(chain.len());
         for &kind in chain {
@@ -482,7 +482,7 @@ mod tests {
     use softcell_policy::ServicePolicy;
     use softcell_topology::small_topology;
 
-    fn controller(topo: &Topology) -> CentralController<'_> {
+    fn controller(topo: &Topology) -> CentralController {
         let mut c = CentralController::new(
             topo,
             ControllerConfig::simulation(),
@@ -650,6 +650,65 @@ mod tests {
         assert!(c.drain_ops().is_empty(), "the uplink's rules stayed");
         assert_eq!(c.installer().tags_in_use(), 0);
         assert!(c.routed_path(BaseStationId(0), ClauseId(0)).is_none());
+    }
+
+    /// An engine holds its own handle on the topology: built over one
+    /// that has gone out of scope, it moves into another thread and
+    /// answers exactly as an engine built in place.
+    #[test]
+    fn engine_owns_its_topology() {
+        use crate::sharded::{ShardEvent, ShardEventKind, ShardedController};
+        let serve = |mut c: CentralController| {
+            c.attach_ue(UeImsi(0), BaseStationId(2), UeId(1), SimTime::ZERO)
+                .unwrap();
+            let tags = c.request_policy_path(BaseStationId(2), ClauseId(5));
+            (tags.unwrap(), c.drain_ops())
+        };
+        let engine = {
+            let topo = small_topology();
+            controller(&topo)
+        };
+        let moved = std::thread::spawn(move || serve(engine)).join().unwrap();
+        let topo = small_topology();
+        assert_eq!(moved, serve(controller(&topo)));
+
+        let subscribers: Vec<_> = (0..4)
+            .map(|i| SubscriberAttributes::default_home(UeImsi(i)))
+            .collect();
+        let mut events = Vec::new();
+        for i in 0..4 {
+            let (imsi, bs) = (UeImsi(i), BaseStationId(i as u32));
+            let flow = ShardEventKind::NewFlow {
+                bs,
+                dst: [93, 184, 216, 34].into(),
+                src_port: 40_000,
+                dst_port: [443, 80][i as usize % 2],
+                udp: false,
+            };
+            for (t, kind) in [(i, ShardEventKind::Attach { bs }), (i + 1, flow)] {
+                events.push(ShardEvent {
+                    time: SimTime(t),
+                    imsi,
+                    kind,
+                });
+            }
+        }
+        let run = move |sc: ShardedController| {
+            sc.run(ServicePolicy::example_carrier_a(1), &subscribers, &events)
+        };
+        let cfg = ControllerConfig::simulation();
+        let sharded = {
+            let topo = small_topology();
+            ShardedController::new(&topo, cfg, 2)
+        };
+        let moved = std::thread::spawn({
+            let run = run.clone();
+            move || run(sharded)
+        });
+        let moved = moved.join().unwrap();
+        let in_place = run(ShardedController::new(&topo, cfg, 2));
+        assert!(!in_place.merged_batches().is_empty());
+        assert_eq!(moved.merged_batches(), in_place.merged_batches());
     }
 
     #[test]

@@ -60,7 +60,7 @@ pub fn rebuild_locations(state: &mut ControllerState, reports: &[AgentLocationRe
     }
 }
 
-impl<'t> CentralController<'t> {
+impl CentralController {
     /// The grants a restarting local agent refetches: every UE the
     /// controller believes is attached at `bs`, with a freshly compiled
     /// classifier.
@@ -111,10 +111,7 @@ impl LocalAgent {
 
 /// Rebuilds the UE-location state of one agent's base station after the
 /// agent itself reattached everything (used in tests to close the loop).
-pub fn verify_agent_matches_controller(
-    agent: &LocalAgent,
-    ctl: &CentralController<'_>,
-) -> Result<()> {
+pub fn verify_agent_matches_controller(agent: &LocalAgent, ctl: &CentralController) -> Result<()> {
     for ue in agent.attached() {
         let rec = ctl.state().ue(ue.imsi)?;
         if rec.bs != agent.base_station() || rec.ue_id != ue.ue_id {

@@ -194,7 +194,7 @@ impl MobilityManager {
     }
 }
 
-impl<'t> CentralController<'t> {
+impl CentralController {
     /// Performs a handoff: moves the UE's controller state and computes
     /// the full plan. Flows are grouped by their **anchor** station (the
     /// one their location-dependent address decodes to — where they
@@ -268,7 +268,7 @@ impl<'t> CentralController<'t> {
     ) -> Result<(HandoffPlan, Transition)> {
         let scheme = self.config().scheme;
         let ports = self.config().ports;
-        let topo = self.topology();
+        let topo = &self.topology().clone();
         let new_bs = new.bs;
 
         // per anchor a redirect, a rule per tunnel hop and a launch rule
@@ -701,7 +701,7 @@ impl<'t> CentralController<'t> {
         if self.mobility().tunnels.contains_key(&(from, to)) {
             return Ok(());
         }
-        let topo = self.topology();
+        let topo = &self.topology().clone();
         let from_sw = topo.base_station(from).access_switch;
         let to_sw = topo.base_station(to).access_switch;
         let path = self.paths_mut().path(from_sw, to_sw)?;
@@ -761,7 +761,7 @@ mod tests {
     use softcell_policy::{ServicePolicy, SubscriberAttributes};
     use softcell_topology::small_topology;
 
-    fn controller(topo: &softcell_topology::Topology) -> CentralController<'_> {
+    fn controller(topo: &softcell_topology::Topology) -> CentralController {
         let mut c = CentralController::new(
             topo,
             ControllerConfig::simulation(),
@@ -774,7 +774,7 @@ mod tests {
     }
 
     fn sample_flow(
-        ctl: &CentralController<'_>,
+        ctl: &CentralController,
         tags: PathTags,
         permanent: Ipv4Addr,
         ue_id: UeId,
@@ -1120,7 +1120,7 @@ mod tests {
     }
 
     /// Controller state a handoff can touch, for before/after comparison.
-    fn snapshot(ctl: &CentralController<'_>, imsi: UeImsi) -> impl PartialEq + std::fmt::Debug {
+    fn snapshot(ctl: &CentralController, imsi: UeImsi) -> impl PartialEq + std::fmt::Debug {
         let rec = *ctl.state().ue(imsi).unwrap();
         (
             rec,
@@ -1298,7 +1298,7 @@ mod tests {
         use proptest::prelude::*;
         use std::collections::HashMap;
 
-        impl CentralController<'_> {
+        impl CentralController {
             fn handoff_reference(
                 &mut self,
                 imsi: UeImsi,

@@ -52,7 +52,7 @@ pub struct OfflineOutcome {
     pub paths_replayed: usize,
 }
 
-impl<'t> CentralController<'t> {
+impl CentralController {
     /// Recomputes every installed policy path from scratch in
     /// chain-grouped order, swaps in the fresh rule set, and queues the
     /// migration operations (removals of all old rules, installs of the
@@ -62,7 +62,7 @@ impl<'t> CentralController<'t> {
     /// [`PathTags`](crate::core::PathTags) name retired tags); see
     /// `SimWorld::apply_reoptimization` for the full choreography.
     pub fn reoptimize_paths(&mut self) -> Result<OfflineOutcome> {
-        let (topo, cfg) = (self.topology(), *self.config());
+        let (topo, cfg) = (&self.topology().clone(), *self.config());
         let rules_before = rule_total(&self.installer);
         let tags_before = self.installer.tags_in_use();
         let mut ops = removals(topo, &cfg, &self.installer)?;
@@ -158,7 +158,7 @@ mod tests {
     use softcell_topology::small_topology;
     use softcell_types::{BaseStationId, UeImsi};
 
-    fn controller(topo: &Topology) -> CentralController<'_> {
+    fn controller(topo: &Topology) -> CentralController {
         let mut ctl = CentralController::new(
             topo,
             ControllerConfig::simulation(),
@@ -197,12 +197,12 @@ mod tests {
         catch_all.chain(voip).collect()
     }
 
-    fn request_internet(ctl: &mut CentralController<'_>, (clause, bs): (u16, u32)) -> PathTags {
+    fn request_internet(ctl: &mut CentralController, (clause, bs): (u16, u32)) -> PathTags {
         let tags = ctl.request_policy_path(BaseStationId(bs), ClauseId(clause));
         tags.unwrap()
     }
 
-    fn request_m2m(ctl: &mut CentralController<'_>, (clause, f, t): (u16, u32, u32)) -> PathTags {
+    fn request_m2m(ctl: &mut CentralController, (clause, f, t): (u16, u32, u32)) -> PathTags {
         let (from, to) = (BaseStationId(f), BaseStationId(t));
         ctl.request_m2m_path(from, to, ClauseId(clause)).unwrap()
     }
@@ -285,7 +285,7 @@ mod tests {
         }
         assert!(ctl.drain_ops().is_empty(), "every request is a cache hit");
         for dir in [Direction::Uplink, Direction::Downlink] {
-            let counts = |c: &CentralController<'_>| c.installer().shadows(dir).rule_counts();
+            let counts = |c: &CentralController| c.installer().shadows(dir).rule_counts();
             assert_eq!(counts(&ctl), counts(&fresh), "{dir:?}");
         }
         assert_eq!(ctl.installer().tags_in_use(), outcome.tags_after);

@@ -342,13 +342,15 @@ impl ShardLog {
 pub struct ShardedRun<'t> {
     /// The engine after the run — its state, installer and mobility
     /// manager are exactly what a single-threaded run would hold.
-    pub engine: CentralController<'t>,
+    pub engine: CentralController,
     /// Per-event outcomes, indexed like the input events.
     pub outcomes: Vec<EventOutcome>,
     /// Per-shard ticket-stamped op logs.
     pub shard_logs: Vec<ShardLog>,
     /// Merged counters.
     pub stats: ShardedStats,
+    /// Borrows nothing: the parameter stays only because `perf/` names it.
+    marker: std::marker::PhantomData<&'t ()>,
 }
 
 impl ShardedRun<'_> {
@@ -368,8 +370,8 @@ impl ShardedRun<'_> {
 
 /// The sharded controller: configuration plus the [`run`](Self::run)
 /// driver. One instance can run many traces.
-pub struct ShardedController<'t> {
-    topo: &'t Topology,
+pub struct ShardedController {
+    topo: Topology,
     cfg: ControllerConfig,
     shards: usize,
     sched_seed: Option<u64>,
@@ -380,12 +382,12 @@ pub struct ShardedController<'t> {
 
 /// What a ticket serialises: the Algorithm-1 engine and the stations'
 /// UE-id pools, one value under one mutex.
-struct Sequenced<'t> {
-    engine: CentralController<'t>,
+struct Sequenced {
+    engine: CentralController,
     pools: FxHashMap<BaseStationId, IdPool>,
 }
 
-impl Sequenced<'_> {
+impl Sequenced {
     /// Hands out an id at `bs`, held until it is released. The id a
     /// handoff vacates is *not* released — the old location stays
     /// reserved (§5.1).
@@ -407,8 +409,8 @@ impl Sequenced<'_> {
     }
 }
 
-struct Coordinator<'t> {
-    engine: Mutex<Sequenced<'t>>,
+struct Coordinator {
+    engine: Mutex<Sequenced>,
     /// The ticket counter: the seq of the next coordinated event allowed
     /// into the engine.
     next_seq: AtomicU64,
@@ -423,7 +425,7 @@ struct Coordinator<'t> {
     failed: AtomicBool,
 }
 
-impl<'t> Coordinator<'t> {
+impl Coordinator {
     /// Waits until it is ticket `seq`'s turn. Returns when the wait
     /// began, or `None` (and reads no clock) if it already was.
     fn await_ticket(&self, seq: u64) -> Option<Instant> {
@@ -466,7 +468,7 @@ impl<'t> Coordinator<'t> {
     }
 
     /// Takes the engine after `try_lock` found it held, and notes when.
-    fn take_engine(&self, taken: &mut Instant) -> MutexGuard<'_, Sequenced<'t>> {
+    fn take_engine(&self, taken: &mut Instant) -> MutexGuard<'_, Sequenced> {
         let held = self.engine.lock();
         *taken = Instant::now();
         held
@@ -529,11 +531,11 @@ fn nanos(from: Instant, to: Instant) -> u64 {
 /// not inside it, so a handler keeps its UE borrowed across the ticket.
 type Ues = FxHashMap<UeImsi, ShardUe>;
 
-struct Worker<'t, 'c> {
+struct Worker<'c> {
     id: usize,
-    coord: &'c Coordinator<'t>,
+    coord: &'c Coordinator,
     cfg: ControllerConfig,
-    topo: &'t Topology,
+    topo: Topology,
     log: ShardLog,
     grouper: SwitchGrouper,
     /// The current ticket's ops, reused from ticket to ticket.
@@ -546,7 +548,7 @@ struct Worker<'t, 'c> {
     rng: Option<u64>,
 }
 
-impl<'t> Worker<'t, '_> {
+impl Worker<'_> {
     /// Seeded jitter: up to three yields, to perturb which shard reaches
     /// its ticket first (the concurrency test sweeps seeds through
     /// here). Never called by a ticket holder.
@@ -570,7 +572,7 @@ impl<'t> Worker<'t, '_> {
     fn with_ticket<R>(
         &mut self,
         seq: u64,
-        f: impl FnOnce(&mut Sequenced<'t>, &mut Vec<RuleOp>) -> R,
+        f: impl FnOnce(&mut Sequenced, &mut Vec<RuleOp>) -> R,
     ) -> R {
         self.jitter();
         let coord = self.coord;
@@ -959,12 +961,12 @@ struct WorkerOutput {
 // ---------------------------------------------------------------------
 // the driver
 
-impl<'t> ShardedController<'t> {
+impl ShardedController {
     /// Creates a sharded controller with `shards` workers.
-    pub fn new(topo: &'t Topology, cfg: ControllerConfig, shards: usize) -> Self {
+    pub fn new(topo: &Topology, cfg: ControllerConfig, shards: usize) -> Self {
         assert!(shards > 0, "need at least one shard");
         ShardedController {
-            topo,
+            topo: topo.clone(),
             cfg,
             shards,
             sched_seed: None,
@@ -1052,8 +1054,8 @@ impl<'t> ShardedController<'t> {
         policy: ServicePolicy,
         subscribers: &[SubscriberAttributes],
         events: &[ShardEvent],
-    ) -> ShardedRun<'t> {
-        let mut engine = CentralController::new(self.topo, self.cfg, policy);
+    ) -> ShardedRun<'static> {
+        let mut engine = CentralController::new(&self.topo, self.cfg, policy);
         for attrs in subscribers {
             engine.put_subscriber(*attrs);
         }
@@ -1088,7 +1090,7 @@ impl<'t> ShardedController<'t> {
                     id,
                     coord: &coord,
                     cfg: self.cfg,
-                    topo: self.topo,
+                    topo: self.topo.clone(),
                     log: ShardLog::default(),
                     grouper: SwitchGrouper::default(),
                     ticket_ops: Vec::new(),
@@ -1157,6 +1159,7 @@ impl<'t> ShardedController<'t> {
             outcomes,
             shard_logs,
             stats,
+            marker: std::marker::PhantomData,
         }
     }
 
@@ -1204,7 +1207,7 @@ mod tests {
         }
     }
 
-    fn coordinator(topo: &Topology) -> Coordinator<'_> {
+    fn coordinator(topo: &Topology) -> Coordinator {
         let policy = ServicePolicy::example_carrier_a(1);
         let engine = CentralController::new(topo, ControllerConfig::simulation(), policy);
         Coordinator {

@@ -233,7 +233,7 @@ fn random_kinds(rng: &mut StdRng, kinds: &[MiddleboxKind], m: usize) -> Vec<Midd
 /// order, the instance closest to the current path cursor.
 fn nearest_chain(
     topo: &Topology,
-    sp: &mut ShortestPaths<'_>,
+    sp: &mut ShortestPaths,
     origin: BaseStationId,
     kinds: &[MiddleboxKind],
 ) -> Vec<MiddleboxId> {

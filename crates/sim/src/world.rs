@@ -45,9 +45,10 @@ pub struct Connection {
 
 /// The simulated world.
 pub struct SimWorld<'t> {
+    /// Borrowed, not a held handle, because `perf/` names `SimWorld<'t>`.
     topo: &'t Topology,
     /// The central controller.
-    pub controller: CentralController<'t>,
+    pub controller: CentralController,
     agents: Vec<LocalAgent>,
     /// The data plane.
     pub net: PhysicalNetwork,

@@ -27,14 +27,13 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::Serialize;
 
 use softcell_types::{Error, MiddleboxKind, Result};
 
 use crate::graph::{SwitchRole, Topology, TopologyBuilder};
 
 /// Parameters of the synthetic three-layer cellular topology.
-#[derive(Clone, Copy, Debug, Serialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct CellularParams {
     /// The pod parameter `k` (even, ≥ 2). The network has `10k³/4` base
     /// stations.
@@ -200,36 +199,38 @@ impl CellularParams {
 ///    bs0     bs1     bs2     bs3
 /// ```
 pub fn small_topology() -> Topology {
-    let mut b = TopologyBuilder::new();
-    let gw = b.add_switch(SwitchRole::Gateway);
-    let c1 = b.add_switch(SwitchRole::Core);
-    let c2 = b.add_switch(SwitchRole::Core);
-    let agg1 = b.add_switch(SwitchRole::Aggregation);
-    let agg2 = b.add_switch(SwitchRole::Aggregation);
-    let accs: Vec<_> = (0..4).map(|_| b.add_switch(SwitchRole::Access)).collect();
+    let build = || -> Result<Topology> {
+        let mut b = TopologyBuilder::new();
+        let gw = b.add_switch(SwitchRole::Gateway);
+        let c1 = b.add_switch(SwitchRole::Core);
+        let c2 = b.add_switch(SwitchRole::Core);
+        let agg1 = b.add_switch(SwitchRole::Aggregation);
+        let agg2 = b.add_switch(SwitchRole::Aggregation);
+        let accs: Vec<_> = (0..4).map(|_| b.add_switch(SwitchRole::Access)).collect();
 
-    b.link(gw, c1).unwrap();
-    b.link(gw, c2).unwrap();
-    b.link(c1, agg1).unwrap();
-    b.link(c1, agg2).unwrap();
-    b.link(c2, agg1).unwrap();
-    b.link(c2, agg2).unwrap();
-    b.link(agg1, accs[0]).unwrap();
-    b.link(agg1, accs[1]).unwrap();
-    b.link(agg2, accs[2]).unwrap();
-    b.link(agg2, accs[3]).unwrap();
+        b.link(gw, c1)?;
+        b.link(gw, c2)?;
+        b.link(c1, agg1)?;
+        b.link(c1, agg2)?;
+        b.link(c2, agg1)?;
+        b.link(c2, agg2)?;
+        b.link(agg1, accs[0])?;
+        b.link(agg1, accs[1])?;
+        b.link(agg2, accs[2])?;
+        b.link(agg2, accs[3])?;
 
-    b.attach_middlebox(MiddleboxKind::Firewall, c1).unwrap();
-    b.attach_middlebox(MiddleboxKind::Transcoder, c2).unwrap();
-    b.attach_middlebox(MiddleboxKind::EchoCanceller, agg1)
-        .unwrap();
-    b.attach_middlebox(MiddleboxKind::WebCache, agg2).unwrap();
+        b.attach_middlebox(MiddleboxKind::Firewall, c1)?;
+        b.attach_middlebox(MiddleboxKind::Transcoder, c2)?;
+        b.attach_middlebox(MiddleboxKind::EchoCanceller, agg1)?;
+        b.attach_middlebox(MiddleboxKind::WebCache, agg2)?;
 
-    for acc in accs {
-        b.attach_base_station(acc).unwrap();
-    }
-    b.attach_gateway(gw).unwrap();
-    b.build().expect("small topology is valid by construction")
+        for acc in accs {
+            b.attach_base_station(acc)?;
+        }
+        b.attach_gateway(gw)?;
+        b.build()
+    };
+    build().expect("small topology is valid by construction")
 }
 
 #[cfg(test)]

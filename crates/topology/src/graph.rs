@@ -6,15 +6,15 @@
 //! instances and the Internet uplink are *attachments* on switch ports,
 //! not graph nodes, mirroring how the data plane sees them.
 
-use serde::Serialize;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use softcell_types::{
     BaseStationId, Error, GatewayId, LinkId, MiddleboxId, MiddleboxKind, PortNo, Result, SwitchId,
 };
 
 /// The role a switch plays in the fabric.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum SwitchRole {
     /// Software switch at a base station; runs the microflow table and
     /// hosts the local agent.
@@ -28,7 +28,7 @@ pub enum SwitchRole {
 }
 
 /// A switch node.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct SwitchNode {
     /// This switch's identifier (== its index in [`Topology::switches`]).
     pub id: SwitchId,
@@ -53,7 +53,7 @@ impl SwitchNode {
 }
 
 /// An undirected link between two switch ports.
-#[derive(Clone, Copy, Debug, Serialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct Link {
     /// Link identifier (== index in [`Topology::links`]).
     pub id: LinkId,
@@ -77,7 +77,7 @@ impl Link {
 }
 
 /// A middlebox instance attached to a switch port.
-#[derive(Clone, Copy, Debug, Serialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct Middlebox {
     /// Instance identifier.
     pub id: MiddleboxId,
@@ -90,7 +90,7 @@ pub struct Middlebox {
 }
 
 /// A base station and its access switch (1:1 in SoftCell).
-#[derive(Clone, Copy, Debug, Serialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct BaseStation {
     /// Base-station identifier.
     pub id: BaseStationId,
@@ -101,7 +101,7 @@ pub struct BaseStation {
 }
 
 /// A gateway's Internet-facing attachment.
-#[derive(Clone, Copy, Debug, Serialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct GatewayUplink {
     /// Gateway identifier.
     pub id: GatewayId,
@@ -111,9 +111,15 @@ pub struct GatewayUplink {
     pub port: PortNo,
 }
 
-/// An immutable, validated network topology.
-#[derive(Clone, Debug, Serialize)]
-pub struct Topology {
+/// An immutable, validated network topology: a shared handle to one
+/// graph, so a clone is a reference-count bump and every engine owns
+/// the topology it reads.
+#[derive(Clone, Debug)]
+pub struct Topology(Arc<Graph>);
+
+/// What a [`Topology`] handle points at.
+#[derive(Debug)]
+struct Graph {
     switches: Vec<SwitchNode>,
     links: Vec<Link>,
     /// adjacency\[sw\] = (neighbor switch, out port on sw, in port on neighbor)
@@ -128,34 +134,34 @@ pub struct Topology {
 impl Topology {
     /// All switches, indexed by [`SwitchId`].
     pub fn switches(&self) -> &[SwitchNode] {
-        &self.switches
+        &self.0.switches
     }
 
     /// Number of switches.
     pub fn switch_count(&self) -> usize {
-        self.switches.len()
+        self.0.switches.len()
     }
 
     /// One switch.
     pub fn switch(&self, id: SwitchId) -> &SwitchNode {
-        &self.switches[id.index()]
+        &self.0.switches[id.index()]
     }
 
     /// All links.
     pub fn links(&self) -> &[Link] {
-        &self.links
+        &self.0.links
     }
 
     /// Neighbors of a switch: `(neighbor, out_port_here, in_port_there)`,
     /// in deterministic (insertion) order — path computations rely on this
     /// determinism for reproducibility and for path sharing.
     pub fn neighbors(&self, sw: SwitchId) -> &[(SwitchId, PortNo, PortNo)] {
-        &self.adjacency[sw.index()]
+        &self.0.adjacency[sw.index()]
     }
 
     /// The output port on `from` that reaches `to`, if adjacent.
     pub fn port_towards(&self, from: SwitchId, to: SwitchId) -> Option<PortNo> {
-        self.adjacency[from.index()]
+        self.0.adjacency[from.index()]
             .iter()
             .find(|(n, _, _)| *n == to)
             .map(|(_, p, _)| *p)
@@ -163,52 +169,56 @@ impl Topology {
 
     /// All middlebox instances.
     pub fn middleboxes(&self) -> &[Middlebox] {
-        &self.middleboxes
+        &self.0.middleboxes
     }
 
     /// One middlebox instance.
     pub fn middlebox(&self, id: MiddleboxId) -> &Middlebox {
-        &self.middleboxes[id.index()]
+        &self.0.middleboxes[id.index()]
     }
 
     /// Instances of a given kind (possibly empty).
     pub fn instances_of(&self, kind: MiddleboxKind) -> &[MiddleboxId] {
-        self.mb_by_kind.get(&kind).map(Vec::as_slice).unwrap_or(&[])
+        self.0
+            .mb_by_kind
+            .get(&kind)
+            .map(Vec::as_slice)
+            .unwrap_or(&[])
     }
 
     /// All middlebox kinds present in this topology.
     pub fn middlebox_kinds(&self) -> impl Iterator<Item = MiddleboxKind> + '_ {
-        self.mb_by_kind.keys().copied()
+        self.0.mb_by_kind.keys().copied()
     }
 
     /// All base stations.
     pub fn base_stations(&self) -> &[BaseStation] {
-        &self.base_stations
+        &self.0.base_stations
     }
 
     /// One base station.
     pub fn base_station(&self, id: BaseStationId) -> &BaseStation {
-        &self.base_stations[id.index()]
+        &self.0.base_stations[id.index()]
     }
 
     /// The base station co-located with an access switch, if any.
     pub fn base_station_at(&self, sw: SwitchId) -> Option<BaseStationId> {
-        self.access_to_bs.get(&sw).copied()
+        self.0.access_to_bs.get(&sw).copied()
     }
 
     /// All gateway uplinks.
     pub fn gateways(&self) -> &[GatewayUplink] {
-        &self.gateways
+        &self.0.gateways
     }
 
     /// The default gateway (first registered).
     pub fn default_gateway(&self) -> &GatewayUplink {
-        &self.gateways[0]
+        &self.0.gateways[0]
     }
 
     /// Total number of middlebox instances.
     pub fn middlebox_count(&self) -> usize {
-        self.middleboxes.len()
+        self.0.middleboxes.len()
     }
 }
 
@@ -221,6 +231,7 @@ pub struct TopologyBuilder {
     middleboxes: Vec<Middlebox>,
     base_stations: Vec<BaseStation>,
     gateways: Vec<GatewayUplink>,
+    access_to_bs: HashMap<SwitchId, BaseStationId>,
 }
 
 impl TopologyBuilder {
@@ -291,7 +302,7 @@ impl TopologyBuilder {
                 "{sw} is not an access switch; base stations attach to access switches"
             )));
         }
-        if self.base_stations.iter().any(|b| b.access_switch == sw) {
+        if self.access_to_bs.contains_key(&sw) {
             return Err(Error::Config(format!("{sw} already hosts a base station")));
         }
         let port = self.switches[sw.index()].allocate_port();
@@ -301,6 +312,7 @@ impl TopologyBuilder {
             access_switch: sw,
             radio_port: port,
         });
+        self.access_to_bs.insert(sw, id);
         Ok(id)
     }
 
@@ -359,13 +371,7 @@ impl TopologyBuilder {
         for mb in &self.middleboxes {
             mb_by_kind.entry(mb.kind).or_default().push(mb.id);
         }
-        let access_to_bs = self
-            .base_stations
-            .iter()
-            .map(|b| (b.access_switch, b.id))
-            .collect();
-
-        Ok(Topology {
+        Ok(Topology(Arc::new(Graph {
             switches: self.switches,
             links: self.links,
             adjacency: self.adjacency,
@@ -373,8 +379,8 @@ impl TopologyBuilder {
             base_stations: self.base_stations,
             gateways: self.gateways,
             mb_by_kind,
-            access_to_bs,
-        })
+            access_to_bs: self.access_to_bs,
+        })))
     }
 }
 

@@ -15,14 +15,13 @@
 
 use std::collections::VecDeque;
 
-use serde::Serialize;
 use softcell_types::{BaseStationId, Error, FxHashMap, MiddleboxId, Result, SwitchId};
 
 use crate::graph::Topology;
 
 /// One hop of a policy path: arrive at `switch`, optionally divert through
 /// a middlebox attached to it, then continue towards the next hop.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct Hop {
     /// The switch this hop occupies.
     pub switch: SwitchId,
@@ -43,7 +42,7 @@ pub enum PathElement {
 }
 
 /// A fully-routed policy path from an access switch to a gateway.
-#[derive(Clone, PartialEq, Eq, Hash, Debug, Serialize)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct PolicyPath {
     /// The base station this path originates from.
     pub origin: BaseStationId,
@@ -210,30 +209,30 @@ impl BfsTree {
 
 /// Lazy, cached BFS shortest paths over a topology, plus the waypoint
 /// routing that produces [`PolicyPath`]s.
-pub struct ShortestPaths<'a> {
-    topo: &'a Topology,
+pub struct ShortestPaths {
+    topo: Topology,
     trees: FxHashMap<SwitchId, BfsTree>,
 }
 
-impl<'a> ShortestPaths<'a> {
-    /// Creates an empty cache over `topo`.
-    pub fn new(topo: &'a Topology) -> Self {
+impl ShortestPaths {
+    /// Creates an empty cache over `topo`, holding its own handle.
+    pub fn new(topo: &Topology) -> Self {
         ShortestPaths {
-            topo,
+            topo: topo.clone(),
             trees: FxHashMap::default(),
         }
     }
 
     /// The underlying topology.
-    pub fn topology(&self) -> &'a Topology {
-        self.topo
+    pub fn topology(&self) -> &Topology {
+        &self.topo
     }
 
     /// The BFS tree rooted at `root`, computing it on first use.
     pub fn tree(&mut self, root: SwitchId) -> &BfsTree {
         self.trees
             .entry(root)
-            .or_insert_with(|| BfsTree::build(self.topo, root))
+            .or_insert_with(|| BfsTree::build(&self.topo, root))
     }
 
     /// Number of cached trees (for capacity planning in benches).
@@ -264,7 +263,7 @@ impl<'a> ShortestPaths<'a> {
         middleboxes: &[MiddleboxId],
         gateway: SwitchId,
     ) -> Result<PolicyPath> {
-        let access = station(self.topo, origin)?.access_switch;
+        let access = station(&self.topo, origin)?.access_switch;
         if gateway.index() >= self.topo.switch_count() {
             return Err(Error::NotFound(format!("switch {gateway}")));
         }
@@ -273,7 +272,7 @@ impl<'a> ShortestPaths<'a> {
         let mut len = 1 + middleboxes.len();
         let mut cursor = access;
         for &mb in middleboxes {
-            let host = host(self.topo, mb)?;
+            let host = host(&self.topo, mb)?;
             len += self.leg_len(cursor, host)?;
             cursor = host;
         }
@@ -304,7 +303,7 @@ impl<'a> ShortestPaths<'a> {
         debug_assert!(hops.len() <= len, "the hop list never regrows");
 
         let path = PolicyPath { origin, hops };
-        debug_assert!(path.validate(self.topo).is_ok());
+        debug_assert!(path.validate(&self.topo).is_ok());
         Ok(path)
     }
 

@@ -110,12 +110,12 @@ PY
 # tag-cache hits, of sharded cache-hit flows (a flow's entries inline in
 # its outcome), of 16 handoff tickets on a 2-shard run beyond the
 # engine's own handoffs (a ticket's ops go into the shard's one log), of
-# routing a five-middlebox chain (one hop list) and of 240 cold
-# Algorithm 1 installs, counted by a test-only global allocator on fixed
-# scenarios. Counts repeat exactly, so unlike the timings above this
+# routing a five-middlebox chain (one hop list), of 240 cold
+# Algorithm 1 installs and of a topology clone (a shared handle: none),
+# counted by a test-only global allocator on fixed scenarios. Counts repeat exactly, so unlike the timings above this
 # *is* a gate on a shared host: a change that brings back a per-event
 # compile, clone or regrowing vector fails it.
-echo "==> allocation budget: handoff / agent hit / sharded hit / handoff ticket / route / install (60 s cap)"
+echo "==> allocation budget: handoff / agent hit / sharded hit / handoff ticket / route / install / topology clone (60 s cap)"
 timeout 60 cargo test -q --release --test alloc_budget
 
 # Figure 7's counts (tests/figure7_counts.rs): one k = 6, 60-clause point
@@ -238,14 +238,15 @@ cargo fmt --check
 
 # Curated lint set (DESIGN.md §12): -D warnings everywhere including
 # tests and benches, plus dbg!/todo! denied workspace-wide, plus
-# unwrap_used denied in the non-test code of the two crates whose
-# panics would take down the control plane (ctlchan, controller).
+# unwrap_used denied in the non-test code of the three crates whose
+# panics would take down the control plane (ctlchan, controller, and
+# topology, which every engine holds).
 echo "==> cargo clippy --workspace --all-targets (curated deny set)"
 cargo clippy --workspace --all-targets -- \
   -D warnings -D clippy::dbg_macro -D clippy::todo
 
-echo "==> cargo clippy -p softcell-ctlchan -p softcell-controller (deny unwrap_used)"
-cargo clippy --no-deps -p softcell-ctlchan -p softcell-controller -- \
+echo "==> cargo clippy -p softcell-ctlchan -p softcell-controller -p softcell-topology (deny unwrap_used)"
+cargo clippy --no-deps -p softcell-ctlchan -p softcell-controller -p softcell-topology -- \
   -D warnings -D clippy::unwrap_used -D clippy::dbg_macro -D clippy::todo
 
 echo "==> CI green"

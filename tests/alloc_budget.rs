@@ -1,9 +1,9 @@
 //! Heap-allocation budgets for the operations a mobility-heavy
 //! signalling mix is made of: a cache-hit flow on the sharded engine, a
 //! tag-cache hit at a local agent, a handoff at the central controller,
-//! and the ticket a handoff takes on the sharded engine; and for the two
+//! and the ticket a handoff takes on the sharded engine; for the two
 //! halves of a tag-cache miss, routing a policy path and installing it
-//! through Algorithm 1.
+//! through Algorithm 1; and for cloning the topology every engine holds.
 //!
 //! Counts, not timings: every scenario is a fixed sequence on a fixed
 //! topology, so the number of allocator calls repeats exactly and the
@@ -83,7 +83,7 @@ fn allocations<R>(f: impl FnOnce() -> R) -> (u64, R) {
 const SERVER: Ipv4Addr = Ipv4Addr::new(93, 184, 216, 34);
 const CATCH_ALL: ClauseId = ClauseId(5);
 
-fn controller(topo: &Topology) -> CentralController<'_> {
+fn controller(topo: &Topology) -> CentralController {
     let mut ctl = CentralController::new(
         topo,
         ControllerConfig::simulation(),
@@ -115,7 +115,7 @@ fn handoff_allocations(k: u16, movers: u64) -> u64 {
     let cfg = *ctl.config();
     let (from, to) = (BaseStationId(0), BaseStationId(3));
     let tags = ctl.request_policy_path(from, CATCH_ALL).unwrap();
-    let flows_of = |ctl: &mut CentralController<'_>, imsi: u64, n: u16| -> Vec<FlowRecord> {
+    let flows_of = |ctl: &mut CentralController, imsi: u64, n: u16| -> Vec<FlowRecord> {
         let id = UeId(imsi as u16);
         let grant = ctl
             .attach_ue(UeImsi(imsi), from, id, SimTime::ZERO)
@@ -301,6 +301,14 @@ fn install_allocations() -> (u64, usize) {
     (n, paths.len())
 }
 
+/// One clone of a `paper(4)` topology: the handle every engine holds.
+fn topology_clone_allocations() -> u64 {
+    let topo = CellularParams::paper(4).build().unwrap();
+    let (n, clone) = allocations(|| topo.clone());
+    assert_eq!(clone.switch_count(), topo.switch_count());
+    n
+}
+
 #[test]
 fn allocations_per_operation_stay_within_budget() {
     let (installs, paths) = install_allocations();
@@ -351,6 +359,14 @@ fn allocations_per_operation_stay_within_budget() {
         // parent also allocated a scan list, the excluded tags and the
         // chain-index pushes per path.
         ("240 cold install_path calls", installs, 2228, 2700),
+        // A reference-count bump: the graph is shared, not copied. The
+        // parent deep-copied its vectors and maps.
+        (
+            "clone a paper(4) topology",
+            topology_clone_allocations(),
+            0,
+            205,
+        ),
     ];
     for (what, n, budget, parent) in measured {
         println!("{what}: {n} allocations (budget {budget}, parent {parent})");

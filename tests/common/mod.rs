@@ -79,7 +79,7 @@ pub fn microflow_dump(topo: &Topology, net: &PhysicalNetwork) -> Vec<String> {
 
 /// Dumps controller state: per-UE locations, reservation and tag
 /// counters, mobility residue.
-pub fn state_dump(ctl: &CentralController<'_>) -> String {
+pub fn state_dump(ctl: &CentralController) -> String {
     let mut ues: Vec<_> = ctl
         .state()
         .attached()
@@ -100,11 +100,11 @@ pub fn state_dump(ctl: &CentralController<'_>) -> String {
 /// microflow installs at the access switch, handoff plan application).
 /// Returns the dump plus the live controller and network for follow-up
 /// checks (expiry, residue).
-pub fn reference_run_full<'t>(
-    topo: &'t Topology,
+pub fn reference_run_full(
+    topo: &Topology,
     n_subs: u64,
     events: &[ShardEvent],
-) -> (RunDump, CentralController<'t>, PhysicalNetwork) {
+) -> (RunDump, CentralController, PhysicalNetwork) {
     let cfg = ControllerConfig::simulation();
     let mut ctl = CentralController::new(topo, cfg, policy());
     for attrs in subscribers(n_subs) {
