@@ -216,8 +216,12 @@ impl CentralController {
     /// ops for different switches touch disjoint state and never need a
     /// cross-switch fence. `tests/drain_order.rs` holds the regression
     /// test for this invariant.
+    ///
+    /// The ops are copied out at their exact count and the stream keeps
+    /// its room, so the next event's ops (a handoff's dozens) land
+    /// without regrowing it.
     pub fn drain_ops(&mut self) -> Vec<RuleOp> {
-        std::mem::take(&mut self.pending_ops)
+        self.pending_ops.drain(..).collect()
     }
 
     /// Drains the locations released since the last drain — the ones

@@ -60,15 +60,16 @@
 //!
 //! Coordinated events are rare by design: attach, detach, handoff, and
 //! only the *first* flow demanding a (clause, station) policy path; all
-//! later flows of that pair read the published tags from a read-mostly
-//! map, the shared form of the local agents' tag caches (§4.2).
+//! later flows of that pair read the published tags: from the shard's
+//! own tag cache (the local agent's, §4.2) once the shard has seen
+//! them, else from a read-mostly shared map, under its read lock.
 //!
 //! # Liveness
 //!
 //! A ticket holder never waits on another thread: between taking the
 //! engine and handing the ticket on it runs only the engine, the id
 //! pools and the published-tags write (`with_ticket` hands its closure
-//! the guarded value and an op buffer, nothing else of the worker; the
+//! the guarded value, nothing else of the worker; the
 //! analyzer's `seq-block` rule flags a wait, spin or yield written under
 //! the guard). So the earliest unprocessed ticket is always runnable: it is
 //! at the head of its shard's queue — every earlier event of that shard
@@ -540,6 +541,12 @@ struct Worker<'c> {
     grouper: SwitchGrouper,
     /// The current ticket's ops, reused from ticket to ticket.
     ticket_ops: Vec<RuleOp>,
+    /// This shard's copy of the published tags it has read (the §4.2
+    /// local agent's tag cache; `Ok` tags only): a cache-hit flow reads
+    /// `published` only when its key is missing here. A key's tags never
+    /// change once published — a poisoned key is `Err` until its first
+    /// `Ok` — so the copy cannot go stale.
+    tags: FxHashMap<(BaseStationId, ClauseId), PathTags>,
     times: TicketTimes,
     /// One outcome per event of this shard's queue, in queue order.
     outcomes: Vec<EventOutcome>,
@@ -563,17 +570,11 @@ impl Worker<'_> {
     }
 
     /// Waits for this event's ticket, runs `f` against the engine and
-    /// the id pools, and groups the ticket's rule ops into this shard's
-    /// log under the ticket number: first the ops `f` puts in the buffer
-    /// it is handed (handoff plans carry theirs out-of-band), then the
-    /// drained ones, where a single-threaded driver applies them. `f`
-    /// gets nothing else of the worker: what runs under the ticket is
-    /// ordered work only.
-    fn with_ticket<R>(
-        &mut self,
-        seq: u64,
-        f: impl FnOnce(&mut Sequenced, &mut Vec<RuleOp>) -> R,
-    ) -> R {
+    /// the id pools, and groups the ticket's rule ops — the engine's
+    /// pending stream, where every mutation queues its ops — into this
+    /// shard's log under the ticket number. `f` gets nothing of the
+    /// worker: what runs under the ticket is ordered work only.
+    fn with_ticket<R>(&mut self, seq: u64, f: impl FnOnce(&mut Sequenced) -> R) -> R {
         self.jitter();
         let coord = self.coord;
         let tracer = Registry::global().tracer();
@@ -602,8 +603,9 @@ impl Worker<'_> {
                 .engine
                 .try_lock()
                 .unwrap_or_else(|| coord.take_engine(&mut taken));
-            let result = f(&mut held, ops);
-            ops.extend(held.engine.drain_ops());
+            let result = f(&mut held);
+            // moved, not drained: both vectors keep their room
+            ops.append(&mut held.engine.pending_ops);
             drop(held);
             let done = Instant::now();
             self.times.lock_wait.record(nanos(ours, taken));
@@ -664,11 +666,11 @@ impl Worker<'_> {
         let seq = ann.seq.expect("attach is coordinated");
         if ues.contains_key(&ev.imsi) {
             // still consume the ticket: later events' seqs depend on it
-            self.with_ticket(seq, |_, _| ());
+            self.with_ticket(seq, |_| ());
             return self.skip(format!("{} already attached", ev.imsi));
         }
         let max_ids = self.cfg.scheme.max_ues_per_station();
-        let granted: Result<AttachGrant> = self.with_ticket(seq, |held, _| {
+        let granted: Result<AttachGrant> = self.with_ticket(seq, |held| {
             held.reserve_ue_id(bs, max_ids).and_then(|id| {
                 held.engine
                     .attach_ue(ev.imsi, bs, id, ev.time)
@@ -712,13 +714,13 @@ impl Worker<'_> {
         let proto = if udp { Protocol::Udp } else { Protocol::Tcp };
         let Some(classifier) = self.coord.classifiers.get(&ev.imsi) else {
             if let Some(seq) = ann.seq {
-                self.with_ticket(seq, |_, _| ());
+                self.with_ticket(seq, |_| ());
             }
             return self.skip("unknown subscriber");
         };
         let Some(entry) = classifier.classify(proto, dst_port) else {
             if let Some(seq) = ann.seq {
-                self.with_ticket(seq, |_, _| ());
+                self.with_ticket(seq, |_| ());
             }
             return self.skip("policy matches nothing for this flow");
         };
@@ -731,7 +733,7 @@ impl Worker<'_> {
             if let Some(seq) = ann.seq {
                 self.stats.flow_demands += 1;
                 let coord = self.coord;
-                self.with_ticket(seq, |_, _| {
+                self.with_ticket(seq, |_| {
                     coord
                         .published
                         .write()
@@ -776,7 +778,7 @@ impl Worker<'_> {
             Some(seq) => {
                 self.stats.flow_demands += 1;
                 let coord = self.coord;
-                let tags = self.with_ticket(seq, |held, _| {
+                let tags = self.with_ticket(seq, |held| {
                     let cached = held.engine.routed_path(bs, entry.clause).is_some();
                     let r = held.engine.request_policy_path(bs, entry.clause);
                     let published = r.as_ref().copied().map_err(|e| e.to_string());
@@ -790,20 +792,33 @@ impl Worker<'_> {
                         } else {
                             self.stats.cache_misses += 1;
                         }
+                        self.tags.insert(key, t);
                         (t, cached)
                     }
                     Err(e) => return self.skip(format!("path request failed: {e}")),
                 }
             }
-            // published by an earlier event (possibly on another shard):
-            // wait for it
-            None => match self.coord.await_published(key, ann.before) {
-                Ok(t) => {
-                    self.stats.cache_hits += 1;
-                    (t, true)
+            // published by an earlier event: this shard's copy, or the
+            // shared map (possibly waiting for another shard to publish)
+            None => {
+                let tags = match self.tags.get(&key) {
+                    Some(t) => Ok(*t),
+                    None => {
+                        let r = self.coord.await_published(key, ann.before);
+                        if let Ok(t) = r {
+                            self.tags.insert(key, t);
+                        }
+                        r
+                    }
+                };
+                match tags {
+                    Ok(t) => {
+                        self.stats.cache_hits += 1;
+                        (t, true)
+                    }
+                    Err(e) => return self.skip(format!("path request failed: {e}")),
                 }
-                Err(e) => return self.skip(format!("path request failed: {e}")),
-            },
+            }
         };
 
         let loc_addr = match self.cfg.scheme.encode(LocIp::new(bs, ue.ue_id)) {
@@ -852,14 +867,14 @@ impl Worker<'_> {
             return self.skip("handoff to the same station");
         };
         let Some(ue) = ues.get_mut(&ev.imsi) else {
-            self.with_ticket(seq, |_, _| ());
+            self.with_ticket(seq, |_| ());
             return self.skip(format!("{} not attached", ev.imsi));
         };
         // the station actually being vacated is the one this shard has
         // the UE at (the trace's `from` matches it on consistent traces)
         let from = if ue.bs == from { from } else { ue.bs };
         if from == to {
-            self.with_ticket(seq, |_, _| ());
+            self.with_ticket(seq, |_| ());
             return self.skip("handoff to the same station");
         }
 
@@ -868,15 +883,11 @@ impl Worker<'_> {
         // §5.1).
         let max_ids = self.cfg.scheme.max_ues_per_station();
         let flows = &ue.flows;
-        let plan = self.with_ticket(seq, |held, ops| {
-            let plan = held.reserve_ue_id(to, max_ids).and_then(|new_id| {
+        let plan = self.with_ticket(seq, |held| {
+            held.reserve_ue_id(to, max_ids).and_then(|new_id| {
                 held.engine
                     .handoff(ev.imsi, to, new_id, flows, ev.time)
                     .inspect_err(|_| held.release_ue_id(to, new_id))
-            });
-            plan.map(|mut plan| {
-                ops.append(&mut plan.ops);
-                plan
             })
         });
         let plan = match plan {
@@ -908,10 +919,10 @@ impl Worker<'_> {
     fn handle_detach(&mut self, ues: &mut Ues, ev: ShardEvent, ann: Annotation) {
         let seq = ann.seq.expect("detach is coordinated");
         if !ues.contains_key(&ev.imsi) {
-            self.with_ticket(seq, |_, _| ());
+            self.with_ticket(seq, |_| ());
             return self.skip(format!("{} not attached", ev.imsi));
         }
-        let record = self.with_ticket(seq, |held, _| {
+        let record = self.with_ticket(seq, |held| {
             held.engine
                 .detach_ue(ev.imsi)
                 .inspect(|record| held.release_ue_id(record.bs, record.ue_id))
@@ -1094,6 +1105,7 @@ impl ShardedController {
                     log: ShardLog::default(),
                     grouper: SwitchGrouper::default(),
                     ticket_ops: Vec::new(),
+                    tags: FxHashMap::default(),
                     times: TicketTimes::default(),
                     outcomes: Vec::new(),
                     stats: ShardedStats::default(),

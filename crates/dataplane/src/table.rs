@@ -7,38 +7,44 @@
 //! cheaper exact-match/LPM memories.
 
 use serde::Serialize;
+use std::cmp::Reverse;
 use std::fmt;
 use std::hash::{BuildHasher, BuildHasherDefault};
 
-use softcell_types::{Error, FxHasher, Result};
+use softcell_types::{FxHasher, Result};
 
 use crate::matcher::{LookupKey, Match, RuleType, TcamEntry};
 use crate::rule::{Action, FlowRule, RuleId};
 
 /// A switch flow table: rules in priority order, with match counters.
+///
+/// Writes are O(1) besides the key scan of a removal: `install` pushes
+/// and `remove_matching` swap-removes, so the columns below are in no
+/// order after a write. The first `lookup` after writes sorts them back
+/// in place and compiles the column it scans.
 #[derive(Clone, Default)]
 pub struct FlowTable {
-    /// Rules sorted by descending priority; ties preserve install order.
+    /// The rules; by [`rank`] whenever `compiled` is filled.
     rules: Vec<FlowRule>,
     /// `hits[i]` is the match counter of `rules[i]`: kept beside the rule,
     /// not keyed by id, so counting a hit is an indexed add.
     hits: Vec<u64>,
     /// `keys[i]` is [`fingerprint`] of `rules[i].matcher`: removal by
     /// matcher scans these 8 bytes a rule, not the 72-byte rules. Written
-    /// only where `rules` and `hits` are (`install` and the three
-    /// removals); lookups never read it.
+    /// only where `rules` and `hits` are (`install`, `remove_matching` and
+    /// the sort); lookups never read it.
     keys: Vec<u64>,
-    /// Either empty or `compiled[i]` is [`TcamEntry::of`] `rules[i].matcher`:
-    /// the software TCAM `lookup` scans. Every mutator only clears it (O(1),
-    /// so a write-out of many rule ops pays nothing for it); only `lookup`
-    /// fills it, on its first call after a write.
+    /// Either empty or `compiled[i]` is [`TcamEntry::of`] `rules[i].matcher`
+    /// with the columns sorted: the software TCAM `lookup` scans. Every
+    /// write only clears it (O(1), so a write-out of many rule ops pays
+    /// nothing for it); only `lookup` fills it, on its first call after a
+    /// write.
     compiled: Vec<TcamEntry>,
     next_id: u64,
-    capacity: Option<usize>,
 }
 
-/// Everything but the derived `compiled` column, which depends on
-/// whether a lookup has run since the last write.
+/// The columns as stored — in rank order only if a lookup has run since
+/// the last write — without the derived `compiled` one.
 impl fmt::Debug for FlowTable {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("FlowTable")
@@ -46,7 +52,6 @@ impl fmt::Debug for FlowTable {
             .field("hits", &self.hits)
             .field("keys", &self.keys)
             .field("next_id", &self.next_id)
-            .field("capacity", &self.capacity)
             .finish_non_exhaustive()
     }
 }
@@ -55,6 +60,12 @@ impl fmt::Debug for FlowTable {
 /// confirmed with the full `==`.
 fn fingerprint(matcher: &Match) -> u64 {
     BuildHasherDefault::<FxHasher>::default().hash_one(matcher)
+}
+
+/// A rule's place in priority order: higher priority first, ties to the
+/// earlier install (ids are issued in install order). Unique per table.
+fn rank(rule: &FlowRule) -> (Reverse<u16>, RuleId) {
+    (Reverse(rule.priority), rule.id)
 }
 
 /// Occupancy statistics by rule type.
@@ -78,18 +89,9 @@ impl TableStats {
 }
 
 impl FlowTable {
-    /// An unbounded table.
+    /// An empty table.
     pub fn new() -> Self {
         FlowTable::default()
-    }
-
-    /// A table that rejects installs beyond `capacity` entries — models
-    /// the few-thousand-entry TCAM budget of commodity switches (§1).
-    pub fn with_capacity(capacity: usize) -> Self {
-        FlowTable {
-            capacity: Some(capacity),
-            ..FlowTable::default()
-        }
     }
 
     /// Number of installed rules.
@@ -102,26 +104,19 @@ impl FlowTable {
         self.rules.is_empty()
     }
 
-    /// Installs a rule, returning its id. Fails when at capacity.
+    /// Installs a rule, returning its id. The table is unbounded, so this
+    /// never fails.
     pub fn install(&mut self, priority: u16, matcher: Match, action: Action) -> Result<RuleId> {
-        if let Some(cap) = self.capacity {
-            if self.rules.len() >= cap {
-                return Err(Error::Exhausted(format!("flow table full ({cap} entries)")));
-            }
-        }
         let id = RuleId(self.next_id);
         self.next_id += 1;
-        let rule = FlowRule {
+        self.rules.push(FlowRule {
             id,
             priority,
             matcher,
             action,
-        };
-        // insert after the last rule with priority >= ours (stable ties)
-        let pos = self.rules.partition_point(|r| r.priority >= priority);
-        self.rules.insert(pos, rule);
-        self.hits.insert(pos, 0);
-        self.keys.insert(pos, fingerprint(&matcher));
+        });
+        self.hits.push(0);
+        self.keys.push(fingerprint(&matcher));
         self.compiled.clear();
         let m = crate::metrics::metrics();
         m.rule_installs.inc();
@@ -129,57 +124,19 @@ impl FlowTable {
         Ok(id)
     }
 
-    /// Removes a rule by id. Returns the removed rule.
-    pub fn remove(&mut self, id: RuleId) -> Result<FlowRule> {
-        let pos = self
-            .rules
-            .iter()
-            .position(|r| r.id == id)
-            .ok_or_else(|| Error::NotFound(format!("rule {id:?}")))?;
-        self.hits.remove(pos);
-        self.keys.remove(pos);
-        self.compiled.clear();
-        crate::metrics::metrics().rule_removals.inc();
-        Ok(self.rules.remove(pos))
-    }
-
-    /// Removes every rule that satisfies `pred`; returns the count. Kept
-    /// rules move only past a removed one, so removing nothing writes
-    /// nothing. To remove by matcher use [`Self::remove_matching`].
-    pub fn remove_where(&mut self, mut pred: impl FnMut(&FlowRule) -> bool) -> usize {
-        let mut kept = 0;
-        for i in 0..self.rules.len() {
-            if pred(&self.rules[i]) {
-                continue;
-            }
-            if kept != i {
-                self.rules[kept] = self.rules[i];
-                self.hits[kept] = self.hits[i];
-                self.keys[kept] = self.keys[i];
-            }
-            kept += 1;
-        }
-        let removed = self.rules.len() - kept;
-        self.rules.truncate(kept);
-        self.hits.truncate(kept);
-        self.keys.truncate(kept);
-        self.compiled.clear();
-        crate::metrics::metrics().rule_removals.add(removed as u64);
-        removed
-    }
-
-    /// Removes every rule whose matcher equals `matcher` — what
-    /// `remove_where(|r| r.matcher == *matcher)` does, finding the rules
-    /// through `keys` instead of comparing every matcher.
+    /// Removes every rule whose matcher equals `matcher`, finding them
+    /// through `keys`, and returns the count. Each goes by a swap with
+    /// the last rule.
     pub fn remove_matching(&mut self, matcher: &Match) -> usize {
         let key = fingerprint(matcher);
         let (mut at, mut removed) = (0, 0);
         while let Some(hit) = self.keys[at..].iter().position(|&k| k == key) {
             at += hit;
             if self.rules[at].matcher == *matcher {
-                self.rules.remove(at);
-                self.hits.remove(at);
-                self.keys.remove(at);
+                // the last rule moves here: look at `at` again
+                self.rules.swap_remove(at);
+                self.hits.swap_remove(at);
+                self.keys.swap_remove(at);
                 removed += 1;
             } else {
                 at += 1;
@@ -192,14 +149,18 @@ impl FlowTable {
 
     /// Finds the highest-priority matching rule without bumping counters.
     pub fn peek(&self, key: &LookupKey) -> Option<&FlowRule> {
-        self.rules.iter().find(|r| r.matcher.matches(key))
+        self.rules
+            .iter()
+            .filter(|r| r.matcher.matches(key))
+            .min_by_key(|r| rank(r))
     }
 
     /// Looks up a packet, bumping the winning rule's counter: the key is
-    /// packed once and the compiled column scanned, after compiling it if
-    /// a write cleared it.
+    /// packed once and the compiled column scanned, after sorting the
+    /// columns and compiling it if a write cleared it.
     pub fn lookup(&mut self, key: &LookupKey) -> Option<FlowRule> {
         if self.compiled.is_empty() {
+            self.sort();
             let compiled = self.rules.iter().map(|r| TcamEntry::of(&r.matcher));
             self.compiled.extend(compiled);
         }
@@ -220,6 +181,22 @@ impl FlowTable {
         Some(self.rules[pos])
     }
 
+    /// Puts the three columns in [`rank`] order, in place and without
+    /// allocating: an insertion sort, so after a few writes to a sorted
+    /// table only the rules they moved are shifted.
+    fn sort(&mut self) {
+        for i in 1..self.rules.len() {
+            let r = rank(&self.rules[i]);
+            if rank(&self.rules[i - 1]) < r {
+                continue;
+            }
+            let at = self.rules[..i].partition_point(|p| rank(p) < r);
+            self.rules[at..=i].rotate_right(1);
+            self.hits[at..=i].rotate_right(1);
+            self.keys[at..=i].rotate_right(1);
+        }
+    }
+
     /// A rule's match counter (0 for a rule that is not installed).
     pub fn counter(&self, id: RuleId) -> u64 {
         self.rules
@@ -228,9 +205,21 @@ impl FlowTable {
             .map_or(0, |pos| self.hits[pos])
     }
 
-    /// Iterates rules in priority order.
+    /// Iterates rules in priority order, ties to the earlier install.
+    /// The columns may be unsorted (a write since the last lookup), so
+    /// each step picks the next rule by rank: O(n) a rule, for dumps and
+    /// checks, not per packet.
     pub fn iter(&self) -> impl Iterator<Item = &FlowRule> {
-        self.rules.iter()
+        let mut last = None;
+        std::iter::from_fn(move || {
+            let next = self
+                .rules
+                .iter()
+                .filter(|r| last.is_none_or(|l| rank(r) > l))
+                .min_by_key(|r| rank(r))?;
+            last = Some(rank(next));
+            Some(next)
+        })
     }
 
     /// Per-type occupancy.
@@ -358,33 +347,38 @@ mod tests {
     }
 
     #[test]
-    fn remove_and_remove_where() {
+    fn remove_matching_takes_every_rule_of_the_matcher() {
         let mut t = FlowTable::new();
-        let a = t.install(10, Match::ANY, Action::Drop).unwrap();
+        t.install(10, Match::ANY, Action::Drop).unwrap();
         let m = Match::prefix(Direction::Downlink, "10.0.0.0/8".parse().unwrap());
         t.install(20, m, Action::Forward(PortNo(1))).unwrap();
-        assert_eq!(t.len(), 2);
-        t.remove(a).unwrap();
-        assert!(t.remove(a).is_err());
-        assert_eq!(t.remove_where(|r| r.matcher.location().is_some()), 1);
+        t.install(5, m, Action::Drop).unwrap();
+        assert_eq!(t.len(), 3);
+        assert_eq!(t.remove_matching(&m), 2);
+        assert_eq!(t.remove_matching(&m), 0);
+        assert_eq!(t.remove_matching(&Match::ANY), 1);
         assert!(t.is_empty());
     }
 
     /// The parallel columns are in step: same length, every key is the
     /// fingerprint of the rule beside it. A write left the compiled
-    /// column empty; a lookup after it leaves the column in step.
+    /// column empty; a lookup after it sorts the columns by rank and
+    /// leaves the compiled column in step.
     fn assert_in_step(t: &mut FlowTable) {
         assert_eq!(t.hits.len(), t.rules.len());
         let keys: Vec<u64> = t.rules.iter().map(|r| fingerprint(&r.matcher)).collect();
         assert_eq!(t.keys, keys);
         assert!(t.compiled.is_empty(), "a write kept a stale column");
         t.lookup(&key_to(Ipv4Addr::new(10, 0, 0, 1), 80));
+        assert!(t.rules.windows(2).all(|w| rank(&w[0]) < rank(&w[1])));
+        let keys: Vec<u64> = t.rules.iter().map(|r| fingerprint(&r.matcher)).collect();
+        assert_eq!(t.keys, keys, "the sort moved a key without its rule");
         let compiled: Vec<TcamEntry> = t.rules.iter().map(|r| TcamEntry::of(&r.matcher)).collect();
         assert_eq!(t.compiled, compiled);
     }
 
     #[test]
-    fn columns_stay_in_step_with_rules_through_every_mutator() {
+    fn columns_stay_in_step_with_rules_through_every_write() {
         let pref = |s: &str| Match::prefix(Direction::Downlink, s.parse().unwrap());
         let (a, b, c) = (pref("10.0.0.0/8"), pref("10.0.0.0/23"), Match::ANY);
         let mut t = FlowTable::new();
@@ -393,18 +387,18 @@ mod tests {
             ids.push(t.install(priority, m, Action::Drop).unwrap());
             assert_in_step(&mut t);
         }
-        t.remove(ids[2]).unwrap();
-        assert_in_step(&mut t);
-        assert_eq!(t.remove_where(|r| r.priority == 10), 2);
-        assert_in_step(&mut t);
         // every priority of one matcher goes, the rules between stay put
-        assert_eq!(t.remove_matching(&a), 2);
+        assert_eq!(t.remove_matching(&a), 3);
         assert_in_step(&mut t);
-        assert_eq!(t.iter().map(|r| r.id).collect::<Vec<_>>(), [ids[1]]);
+        assert_eq!(
+            t.iter().map(|r| r.id).collect::<Vec<_>>(),
+            [ids[1], ids[2], ids[4]]
+        );
         assert_eq!(t.remove_matching(&a), 0);
         assert_in_step(&mut t);
-        assert_eq!(t.remove_where(|_| false), 0);
+        assert_eq!(t.remove_matching(&b), 2);
         assert_in_step(&mut t);
+        assert_eq!(t.iter().map(|r| r.id).collect::<Vec<_>>(), [ids[2]]);
     }
 
     #[test]
@@ -424,18 +418,6 @@ mod tests {
         assert_eq!(t.iter().map(|r| r.id).collect::<Vec<_>>(), [ids[0], ids[2]]);
         assert_eq!((t.counter(ids[0]), t.counter(ids[2])), (1, 0));
         assert_eq!((t.hits.len(), t.keys.len()), (2, 2));
-    }
-
-    #[test]
-    fn capacity_is_enforced() {
-        let mut t = FlowTable::with_capacity(2);
-        t.install(1, Match::ANY, Action::Drop).unwrap();
-        t.install(1, Match::ANY, Action::Drop).unwrap();
-        assert!(t.install(1, Match::ANY, Action::Drop).is_err());
-        // freeing space allows installs again
-        let id = t.iter().next().unwrap().id;
-        t.remove(id).unwrap();
-        assert!(t.install(1, Match::ANY, Action::Drop).is_ok());
     }
 
     #[test]

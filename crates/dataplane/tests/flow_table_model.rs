@@ -1,21 +1,24 @@
-//! Model test for [`FlowTable`]: random interleavings of install, remove,
-//! remove_where, remove_matching and lookup against what a table
-//! promises — `lookup` is "first match in `iter()` order" under
-//! [`Match::matches`] (the reference for the compiled words `lookup`
-//! scans), hit counters follow rule *ids* (the model is a map keyed by
-//! id) however rules shift position underneath them,
-//! `remove_matching(&m)` is `remove_where(|r| r.matcher == m)`, and the
-//! private fingerprint column stays in step with the rules (seen from
-//! outside: every installed matcher is still found through it). Every
-//! step ends with a lookup, so each mutator runs on a table whose
-//! compiled column is filled and is followed by a lookup that reads it.
+//! Model test for [`FlowTable`]: random runs of install,
+//! remove_matching, peek and lookup against a reference table that
+//! keeps its rules in priority order on every write — inserted after
+//! the last rule of equal or higher priority, removed by a predicate —
+//! which is what `FlowTable` promises from outside while its own
+//! columns stay unordered between lookups. `iter()` is priority
+//! descending, ties by `RuleId` ascending; `peek` and `lookup` return
+//! the first match in that order under [`Match::matches`] (the
+//! reference for the compiled words `lookup` scans); hit counters follow
+//! rule *ids* (the model is keyed by id) however a re-sort moves rules
+//! underneath them; and the private fingerprint column stays in step
+//! with the rules (seen from outside: every installed matcher is still
+//! found through it). A step looks up only when its draw says so, so
+//! runs of writes meet the next lookup unsorted, and removals take the
+//! first, the last or a middle rule.
 
-use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 use proptest::prelude::*;
 use softcell_dataplane::matcher::Direction;
-use softcell_dataplane::{Action, FlowTable, LookupKey, Match, RuleId};
+use softcell_dataplane::{Action, FlowRule, FlowTable, LookupKey, Match, RuleId};
 use softcell_packet::{build_flow_packet, FiveTuple, HeaderView, Protocol};
 use softcell_types::{Ipv4Prefix, PolicyTag, PortEmbedding, PortNo};
 
@@ -120,85 +123,152 @@ fn key(bits: u64) -> LookupKey {
     }
 }
 
+/// The reference: rules in priority order, ties in install order (the
+/// layout `FlowTable` kept on every write before its writes became
+/// pushes and swap-removals), each with its hit counter.
+#[derive(Default)]
+struct Model {
+    rules: Vec<(FlowRule, u64)>,
+}
+
+impl Model {
+    fn install(&mut self, rule: FlowRule) {
+        let at = self
+            .rules
+            .partition_point(|(r, _)| r.priority >= rule.priority);
+        self.rules.insert(at, (rule, 0));
+    }
+
+    /// Removes every rule `pred` holds for; returns the removed ids.
+    fn remove_where(&mut self, pred: impl Fn(&FlowRule) -> bool) -> Vec<RuleId> {
+        let gone = self
+            .rules
+            .iter()
+            .filter(|(r, _)| pred(r))
+            .map(|(r, _)| r.id)
+            .collect();
+        self.rules.retain(|(r, _)| !pred(r));
+        gone
+    }
+
+    /// The first match in priority order, counted when `hit`.
+    fn lookup(&mut self, key: &LookupKey, hit: bool) -> Option<FlowRule> {
+        let (rule, hits) = self
+            .rules
+            .iter_mut()
+            .find(|(r, _)| r.matcher.matches(key))?;
+        *hits += u64::from(hit);
+        Some(*rule)
+    }
+}
+
+/// Both tables agree after a step: the same rules in the same order,
+/// strictly priority descending then id ascending, the same counters
+/// (0 for every id removed), and every matcher still found through its
+/// key.
+fn assert_agree(table: &FlowTable, model: &Model, issued: u64) -> Result<(), TestCaseError> {
+    let order: Vec<(u16, RuleId)> = table.iter().map(|r| (r.priority, r.id)).collect();
+    prop_assert!(
+        order
+            .windows(2)
+            .all(|w| w[0].0 > w[1].0 || (w[0].0 == w[1].0 && w[0].1 < w[1].1)),
+        "iter() out of order: {:?}",
+        order
+    );
+    let rules: Vec<FlowRule> = table.iter().copied().collect();
+    let expected: Vec<FlowRule> = model.rules.iter().map(|(r, _)| *r).collect();
+    prop_assert_eq!(rules, expected);
+    prop_assert_eq!(table.len(), order.len());
+    for id in (0..issued).map(RuleId) {
+        let hits = model
+            .rules
+            .iter()
+            .find(|(r, _)| r.id == id)
+            .map_or(0, |(_, h)| *h);
+        prop_assert_eq!(table.counter(id), hits, "counter of {:?}", id);
+    }
+    for rule in table.iter() {
+        let same = table.iter().filter(|r| r.matcher == rule.matcher).count();
+        prop_assert_eq!(table.clone().remove_matching(&rule.matcher), same);
+    }
+    Ok(())
+}
+
+#[test]
+fn a_counter_follows_its_rule_through_a_re_sort() {
+    let mut table = FlowTable::new();
+    let k = key(0);
+    let low = table.install(10, Match::ANY, Action::Drop).unwrap();
+    assert_eq!(table.lookup(&k).map(|r| r.id), Some(low));
+    // higher-priority rules that `k` misses are pushed behind `low`, and
+    // the next lookup sorts them in front of it
+    let stray = Match::ANY.with_version(7);
+    let high: Vec<RuleId> = (0..3)
+        .map(|_| table.install(30, stray, Action::Drop).unwrap())
+        .collect();
+    assert_eq!(table.lookup(&k).map(|r| r.id), Some(low));
+    let ids: Vec<RuleId> = table.iter().map(|r| r.id).collect();
+    assert_eq!(ids, [high[0], high[1], high[2], low]);
+    assert_eq!(table.counter(low), 2);
+    assert!(high.iter().all(|id| table.counter(*id) == 0));
+    // a swap-removal moves `low` again; its count goes with it
+    assert_eq!(table.remove_matching(&stray), 3);
+    assert_eq!(table.counter(low), 2);
+    assert_eq!(table.lookup(&k).map(|r| r.id), Some(low));
+    assert_eq!(table.counter(low), 3);
+}
+
 proptest! {
     #[test]
     fn prop_lookup_is_first_match_and_counters_follow_ids(
-        ops in proptest::collection::vec((0u8..7, any::<u64>(), any::<u64>()), 1..120),
+        ops in proptest::collection::vec((0u8..7, any::<u64>(), any::<u64>(), any::<bool>()), 1..120),
     ) {
         let mut table = FlowTable::new();
-        // every id ever issued -> expected counter; `None` once removed
-        let mut model: HashMap<RuleId, Option<u64>> = HashMap::new();
-        for (op, a, b) in ops {
+        let mut model = Model::default();
+        let mut issued = 0;
+        for (op, a, b, look) in ops {
             match op {
                 0..=2 => {
-                    let id = table
-                        .install(PRIORITIES[b as usize % 3], matcher(a), Action::Forward(PortNo(b as u16)))
-                        .unwrap();
-                    prop_assert!(model.insert(id, Some(0)).is_none(), "rule id reused");
+                    let (priority, matcher) = (PRIORITIES[b as usize % 3], matcher(a));
+                    let action = Action::Forward(PortNo(b as u16));
+                    let id = table.install(priority, matcher, action).unwrap();
+                    prop_assert_eq!(id, RuleId(issued), "ids are issued in install order");
+                    issued += 1;
+                    model.install(FlowRule { id, priority, matcher, action });
                 }
-                3 => {
-                    let live: Vec<RuleId> = table.iter().map(|r| r.id).collect();
-                    if live.is_empty() {
-                        prop_assert!(table.remove(RuleId(a)).is_err());
-                    } else {
-                        let id = live[a as usize % live.len()];
-                        prop_assert_eq!(table.remove(id).unwrap().id, id);
-                        prop_assert!(table.remove(id).is_err(), "removed twice");
-                        model.insert(id, None);
-                    }
-                }
-                4 => {
-                    // by exact matcher, as `RuleOp::Remove` does: the same
-                    // table — ids, order, counters, keys — and the same
-                    // count as the predicate form leaves on a clone
-                    let gone = matcher(a);
-                    let doomed: Vec<RuleId> =
-                        table.iter().filter(|r| r.matcher == gone).map(|r| r.id).collect();
-                    let mut twin = table.clone();
-                    prop_assert_eq!(twin.remove_where(|r| r.matcher == gone), doomed.len());
+                3 | 4 => {
+                    // the matcher of the first, the last or a middle rule
+                    // in priority order: right after a lookup that is its
+                    // place in the columns too, so the swap-removal takes
+                    // the first, the last or a middle slot
+                    let live: Vec<Match> = table.iter().map(|r| r.matcher).collect();
+                    let gone = match (live.len(), a % 3) {
+                        (0, _) => matcher(a),
+                        (_, 0) => live[0],
+                        (n, 1) => live[n - 1],
+                        (n, _) => live[n / 2],
+                    };
+                    let doomed = model.remove_where(|r| r.matcher == gone);
                     prop_assert_eq!(table.remove_matching(&gone), doomed.len());
-                    prop_assert_eq!(format!("{table:?}"), format!("{twin:?}"));
-                    for id in doomed {
-                        model.insert(id, None);
-                    }
                 }
                 5 => {
-                    // by a predicate that is not a matcher comparison
-                    let priority = PRIORITIES[a as usize % 3];
-                    let doomed: Vec<RuleId> =
-                        table.iter().filter(|r| r.priority == priority).map(|r| r.id).collect();
-                    prop_assert_eq!(table.remove_where(|r| r.priority == priority), doomed.len());
-                    for id in doomed {
-                        model.insert(id, None);
-                    }
+                    // by a matcher drawn from the domain: often absent
+                    let gone = matcher(b);
+                    let doomed = model.remove_where(|r| r.matcher == gone);
+                    prop_assert_eq!(table.remove_matching(&gone), doomed.len());
                 }
                 _ => {} // lookups only
             }
-            // a lookup after every step: the compiled scan against
-            // `Match::matches`, on whatever the step left behind
+            // `peek` after every step, sorted or not; `lookup` (which
+            // sorts) only when the step's draw says so
             for k in [key(a), key(b)] {
-                let expected = table.iter().find(|r| r.matcher.matches(&k)).copied();
+                let expected = model.lookup(&k, false);
                 prop_assert_eq!(table.peek(&k).copied(), expected);
-                prop_assert_eq!(table.lookup(&k), expected);
-                if let Some(rule) = expected {
-                    *model.get_mut(&rule.id).unwrap().as_mut().unwrap() += 1;
+                if look || op == 6 {
+                    prop_assert_eq!(table.lookup(&k), model.lookup(&k, true));
                 }
             }
-            // priority order, ties to the earlier install
-            let order: Vec<(u16, RuleId)> = table.iter().map(|r| (r.priority, r.id)).collect();
-            prop_assert!(order.windows(2).all(|w| w[0].0 > w[1].0 || (w[0].0 == w[1].0 && w[0].1 < w[1].1)));
-            prop_assert_eq!(order.len(), model.values().flatten().count());
-            prop_assert_eq!(table.len(), order.len());
-            // only the winner's counter moved; a removed rule reads 0
-            for (id, hits) in &model {
-                prop_assert_eq!(table.counter(*id), hits.unwrap_or(0), "counter of {:?}", id);
-            }
-            // keys in step: whatever the step moved, each rule is still
-            // found through its key, at every priority it sits at
-            for rule in table.iter() {
-                let same = table.iter().filter(|r| r.matcher == rule.matcher).count();
-                prop_assert_eq!(table.clone().remove_matching(&rule.matcher), same);
-            }
+            assert_agree(&table, &model, issued)?;
         }
     }
 }

@@ -402,7 +402,7 @@ impl<'t> SimWorld<'t> {
         };
 
         // apply: fabric rules, microflow surgery, agent bookkeeping
-        self.net.apply_all(&plan.ops)?;
+        self.apply_pending_ops()?;
         for t in &plan.old_microflow_removals {
             self.net.switch_mut(old_access).microflow.remove(t);
         }

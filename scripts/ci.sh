@@ -78,8 +78,8 @@ timeout 300 cargo test --offline --locked -q \
 for workload in fabric_forward wire_flow_setup metro_churn path_install_storm; do
   timeout 60 ./target/release/softcell-perf \
     --workload "$workload" --seed 7 --seconds 2 --trace 0 \
-    | tail -n 1 > /tmp/softcell-perf-smoke.json
-  python3 - "$workload" /tmp/softcell-perf-smoke.json <<'PY'
+    | tail -n 1 > "/tmp/softcell-perf-$workload.json"
+  python3 - "$workload" "/tmp/softcell-perf-$workload.json" <<'PY'
 import json, sys
 result = json.load(open(sys.argv[2]))
 assert result["correct"] is True and result["failed"] == 0, result
@@ -104,18 +104,33 @@ got = {name: result["metrics"][name]["value"] for name in want}
 assert got == want, f"fabric_forward walks moved: {got}, want {want}"
 print(f"fabric_forward walks ok: {got}")
 PY
+# And the fabric the write path builds: the seed-7 metro_churn smoke
+# above must have left 2 785 rules over 913 tags. Its flow tables are
+# written by pushes and swap-removals and sorted only for lookups, so a
+# write that lost or doubled a rule would move the count.
+python3 - /tmp/softcell-perf-metro_churn.json <<'PY'
+import json, sys
+result = json.load(open(sys.argv[1]))
+want = {"rules_total": 2785, "tags_used": 913}
+got = {name: result["metrics"][name]["value"] for name in want}
+assert got == want, f"metro_churn fabric moved: {got}, want {want}"
+print(f"metro_churn fabric ok: {got}")
+PY
 
 # Allocation budget of the mobility event path (tests/alloc_budget.rs):
-# heap allocations of a handoff with 0 / 1 / 8 carried flows, of agent
-# tag-cache hits, of sharded cache-hit flows (a flow's entries inline in
-# its outcome), of 16 handoff tickets on a 2-shard run beyond the
-# engine's own handoffs (a ticket's ops go into the shard's one log), of
+# heap allocations of a UE's first handoff with 0 / 1 / 8 carried flows
+# and of a second handoff with 8 that supersedes a live transition (the
+# plan's vectors; the ops join the engine's one stream, planning buffers
+# are reused), of agent tag-cache hits, of sharded cache-hit flows (a
+# flow's entries inline in its outcome), of 16 handoff tickets on a
+# 2-shard run beyond the engine's own handoffs (a ticket's ops go into
+# the shard's one log), of
 # routing a five-middlebox chain (one hop list), of 240 cold
 # Algorithm 1 installs and of a topology clone (a shared handle: none),
 # counted by a test-only global allocator on fixed scenarios. Counts repeat exactly, so unlike the timings above this
 # *is* a gate on a shared host: a change that brings back a per-event
 # compile, clone or regrowing vector fails it.
-echo "==> allocation budget: handoff / agent hit / sharded hit / handoff ticket / route / install / topology clone (60 s cap)"
+echo "==> allocation budget: handoff / second handoff / agent hit / sharded hit / handoff ticket / route / install / topology clone (60 s cap)"
 timeout 60 cargo test -q --release --test alloc_budget
 
 # Figure 7's counts (tests/figure7_counts.rs): one k = 6, 60-clause point

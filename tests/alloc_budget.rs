@@ -11,8 +11,10 @@
 //! from what the tree achieves, beside the count the same scenario gave
 //! before the change that set the budget — before the event path
 //! stopped recompiling classifiers, cloning tunnels and regrowing its
-//! vectors, before a sharded flow's entries moved inline and a ticket's
-//! ops into its shard's one log, or before routing walked its trees
+//! vectors, before a handoff's ops joined the engine's one stream and
+//! its planning buffers were reused, before a sharded flow's entries
+//! moved inline and a ticket's ops into its shard's one log, or before
+//! routing walked its trees
 //! straight into one hop list and Algorithm 1 stopped keeping a scan
 //! list and a copy of its plans' tags and chain pushes per path. A change
 //! that brings that work back fails here.
@@ -105,17 +107,19 @@ fn uplink(src: Ipv4Addr, src_port: u16) -> FiveTuple {
     }
 }
 
-/// `CentralController::handoff` of `movers` UEs with `k` live flows each,
-/// station 0 → station 3, after another UE's move has built the (0 → 3)
-/// tunnel and warmed the path cache: what is counted is the per-handoff
-/// work alone.
-fn handoff_allocations(k: u16, movers: u64) -> u64 {
+/// A controller on `small_topology` with the catch-all path installed at
+/// station 0, and a closure attaching UE `imsi` there with `n` live flows
+/// on that path.
+fn handoff_fixture() -> (
+    CentralController,
+    impl Fn(&mut CentralController, u64, u16) -> Vec<FlowRecord>,
+) {
     let topo = small_topology();
     let mut ctl = controller(&topo);
     let cfg = *ctl.config();
-    let (from, to) = (BaseStationId(0), BaseStationId(3));
+    let from = BaseStationId(0);
     let tags = ctl.request_policy_path(from, CATCH_ALL).unwrap();
-    let flows_of = |ctl: &mut CentralController, imsi: u64, n: u16| -> Vec<FlowRecord> {
+    let flows_of = move |ctl: &mut CentralController, imsi: u64, n: u16| -> Vec<FlowRecord> {
         let id = UeId(imsi as u16);
         let grant = ctl
             .attach_ue(UeImsi(imsi), from, id, SimTime::ZERO)
@@ -130,12 +134,23 @@ fn handoff_allocations(k: u16, movers: u64) -> u64 {
             })
             .collect()
     };
-    let warm = flows_of(&mut ctl, 0, 1);
+    (ctl, flows_of)
+}
+
+/// `CentralController::handoff` of `movers` UEs with `k` live flows each,
+/// station 0 → station 3, after another UE's move with `k` flows has
+/// built the (0 → 3) tunnel and warmed the path cache and the planning
+/// buffers: what is counted is the per-handoff work alone.
+fn handoff_allocations(k: u16, movers: u64) -> u64 {
+    let (mut ctl, flows_of) = handoff_fixture();
+    let to = BaseStationId(3);
+    let warm = flows_of(&mut ctl, 0, k.max(1));
     let flows: Vec<_> = (1..=movers)
         .map(|imsi| flows_of(&mut ctl, imsi, k))
         .collect();
     ctl.handoff(UeImsi(0), to, UeId(0), &warm, SimTime::ZERO)
         .unwrap();
+    ctl.drain_ops();
     let (n, plans) = allocations(|| {
         let mut moves = (1..=movers).zip(&flows);
         moves.try_for_each(|(imsi, flows)| {
@@ -145,6 +160,33 @@ fn handoff_allocations(k: u16, movers: u64) -> u64 {
         })
     });
     plans.unwrap();
+    n
+}
+
+/// The second handoff of a UE still in transition from its first, with
+/// `k` live flows: station 0 → 3, then 3 → 2. Other UEs' moves hold the
+/// (0 → 3) and (0 → 2) tunnels, so the counted move neither builds nor
+/// collects one; it supersedes the first move's transition. (Three of
+/// them, so the engine's map of reserved locations does not reach a
+/// growth step on the counted move: a map's amortised growth is not a
+/// move's own cost.)
+fn second_handoff_allocations(k: u16) -> u64 {
+    let (mut ctl, flows_of) = handoff_fixture();
+    let (first, second) = (BaseStationId(3), BaseStationId(2));
+    for (imsi, to) in [(0, first), (1, second), (3, second)] {
+        let warm = flows_of(&mut ctl, imsi, k);
+        ctl.handoff(UeImsi(imsi), to, UeId(imsi as u16), &warm, SimTime::ZERO)
+            .unwrap();
+    }
+    let flows = flows_of(&mut ctl, 2, k);
+    let plan = ctl
+        .handoff(UeImsi(2), first, UeId(2), &flows, SimTime::ZERO)
+        .unwrap();
+    let moved: Vec<FlowRecord> = plan.carried_records().collect();
+    ctl.drain_ops();
+    let (n, plan) = allocations(|| ctl.handoff(UeImsi(2), second, UeId(2), &moved, SimTime::ZERO));
+    assert_eq!(plan.unwrap().carried_flows.len(), usize::from(k));
+    assert_eq!(ctl.mobility().tunnel_count(), 2);
     n
 }
 
@@ -315,15 +357,26 @@ fn allocations_per_operation_stay_within_budget() {
     assert_eq!(paths, 240);
     // (scenario, allocations now, budget, allocations at the parent)
     let measured = [
-        // A handoff with k ≥ 1 carried flows costs `a + b·k` allocations
-        // with a = 11 and b = 0: the plan's and the transition's vectors
-        // are sized from k and nothing is allocated per flow (the
-        // parent's 26 at k = 1 grew to 31 at k = 8 and on from there as
-        // its vectors doubled). With no flows only the reservation
+        // A UE's first handoff with k ≥ 1 carried flows costs 8
+        // allocations whatever k: the plan's three microflow vectors,
+        // its transition's four at their exact size and the UE's first
+        // reservation record. Its rule ops join the engine's stream,
+        // which keeps its room across drains, and it plans into buffers
+        // the mobility manager reuses (the parent built both per move,
+        // and shrank the teardown). With no flows only the reservation
         // bookkeeping allocates.
         ("handoff, 0 flows", handoff_allocations(0, 1), 2, 11),
-        ("handoff, 1 flow", handoff_allocations(1, 1), 11, 26),
-        ("handoff, 8 flows", handoff_allocations(8, 1), 11, 31),
+        ("handoff, 1 flow", handoff_allocations(1, 1), 8, 11),
+        ("handoff, 8 flows", handoff_allocations(8, 1), 8, 11),
+        // A move that supersedes a live transition refills that
+        // transition's vectors: the plan's three, and the reserved
+        // locations growing by the one the first move vacated.
+        (
+            "second handoff of a UE in transition, 8 flows",
+            second_handoff_allocations(8),
+            4,
+            11,
+        ),
         // the flow list, the slot words and the microflow table growing
         ("32 agent tag-cache hits", agent_hit_allocations(), 9, 12),
         // the per-UE flow lists and the shard queues growing: a flow's
@@ -336,17 +389,18 @@ fn allocations_per_operation_stay_within_budget() {
             452,
         ),
         // What 16 handoff tickets on 2 shards allocate beyond the engine's
-        // own 16 handoffs. Nothing per ticket: a ticket's ops pass through
-        // a reused buffer into the shard's one log. What is left is per
-        // run — each worker's first use of its buffer and grouping
-        // scratch, and the doubling of its queue and log — and grows with
-        // log N. The parent made a vector per ticket and one per switch
-        // it touched, regrowing.
+        // own 16 handoffs. Nothing per ticket: a ticket's ops move from
+        // the engine's stream through a reused buffer into the shard's
+        // one log. What is left is per run — each worker's first use of
+        // its buffer and grouping scratch, and the doubling of its queue
+        // and log — and grows with log N. The parent took a handoff's
+        // ops out of its plan and the drained ones out of a fresh
+        // stream.
         (
             "16 handoff tickets, beyond the engine's own",
             sharded_handoff_allocations(16) - handoff_allocations(1, 16),
+            16,
             18,
-            102,
         ),
         // The hop list, allocated once at its final length: the first
         // pass sums the legs' lengths from the trees. The parent made a

@@ -181,9 +181,7 @@ pub fn reference_run_full(
                 let plan = ctl
                     .handoff(ev.imsi, to, new_id, &flows, ev.time)
                     .expect("reference handoff");
-                let mut ops = plan.ops.clone();
-                ops.extend(ctl.drain_ops());
-                apply(&mut net, ops, "handoff ops");
+                apply(&mut net, ctl.drain_ops(), "handoff ops");
                 for t in &plan.old_microflow_removals {
                     net.switch_mut(old_access).microflow.remove(t);
                 }
