@@ -4,8 +4,9 @@
 //! 1000 Cbench-emulated switches and reports 2.2 M classifier requests
 //! per second with 15 threads on an 8-core Xeon W5580.
 //!
-//! This bench floods the Rust [`ControllerServer`] with classifier
-//! requests from emulated local agents and sweeps the domain count
+//! This bench floods the Rust [`ControllerServer`] with attach
+//! requests (each answered with the UE's classifier) from emulated
+//! local agents and sweeps the domain count
 //! (one worker and one queue per domain, requests routed by IMSI).
 //! **Host note:** the run prints the host's measured core count; on a
 //! host with fewer cores than domains the sweep flattens and the
@@ -22,7 +23,7 @@ use softcell_bench::{is_quick, maybe_dump_json, maybe_dump_telemetry, TextTable}
 use softcell_controller::server::{ControllerServer, Request};
 use softcell_policy::{ServicePolicy, SubscriberAttributes};
 use softcell_telemetry::{Registry, Snapshot};
-use softcell_types::UeImsi;
+use softcell_types::{BaseStationId, SimTime, UeId, UeImsi};
 
 #[derive(Serialize)]
 struct Row {
@@ -54,22 +55,26 @@ fn measure(domains: usize, clients: usize, duration: Duration) -> (Row, Snapshot
         .map(|c| {
             let router = server.router();
             std::thread::spawn(move || {
-                let (tx, rx) = bounded::<softcell_types::Result<softcell_policy::UeClassifier>>(1);
+                let (tx, rx) = bounded(1);
                 let mut sent = 0u64;
                 let t0 = Instant::now();
                 while t0.elapsed() < duration {
                     // emulate a batch of local agents pipelining requests
                     for i in 0..64u64 {
+                        let imsi = (c as u64 * 64 + i + sent) % SUBS;
                         router
-                            .route(Request::Classifier {
-                                imsi: UeImsi((c as u64 * 64 + i + sent) % SUBS),
+                            .route(Request::Attach {
+                                imsi: UeImsi(imsi),
+                                bs: BaseStationId((imsi % 64) as u32),
+                                ue_id: UeId(0),
+                                now: SimTime::ZERO,
                                 reply: tx.clone(),
                                 trace: softcell_telemetry::ReqTrace::NONE,
                             })
                             .expect("send");
                     }
                     for _ in 0..64 {
-                        rx.recv().expect("reply").expect("classifier");
+                        rx.recv().expect("reply").expect("attach grant");
                     }
                     sent += 64;
                 }

@@ -20,8 +20,9 @@ use std::time::{Duration, Instant};
 
 use serde::Serialize;
 use softcell_bench::{arg_value, is_quick, maybe_dump_json, TextTable};
+use softcell_ctlchan::PacketIn;
 use softcell_policy::{ServicePolicy, SubscriberAttributes};
-use softcell_replica::{Cluster, ReplicatedOp};
+use softcell_replica::Cluster;
 use softcell_types::{BaseStationId, SimTime, UeId, UeImsi};
 
 #[derive(Serialize)]
@@ -41,8 +42,8 @@ struct Output {
     rows: Vec<Row>,
 }
 
-fn op(i: u64) -> ReplicatedOp {
-    ReplicatedOp::Attach {
+fn op(i: u64) -> PacketIn {
+    PacketIn::Attach {
         imsi: UeImsi(i),
         bs: BaseStationId((i % 7) as u32),
         ue_id: UeId(1),

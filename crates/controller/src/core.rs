@@ -106,21 +106,21 @@ pub(crate) struct InstalledPath {
 pub struct CentralController {
     topo: Topology,
     cfg: ControllerConfig,
-    state: ControllerState,
+    pub(crate) state: ControllerState,
     apps: AppClassifier,
     /// Algorithm 1's state, holding every path in `installed` (the
     /// offline pass swaps the two together).
     pub(crate) installer: PathInstaller,
-    paths: ShortestPaths,
+    pub(crate) paths: ShortestPaths,
     /// Every installed policy path.
     pub(crate) installed: FxHashMap<PathKey, InstalledPath>,
     /// Rule operations awaiting application to the physical network.
     pub(crate) pending_ops: Vec<RuleOp>,
     /// Locations released since the last drain, awaiting return to
     /// their stations' UE-id pools.
-    released_locations: Vec<(BaseStationId, UeId)>,
+    pub(crate) released_locations: Vec<(BaseStationId, UeId)>,
     /// Mobility bookkeeping (tunnels, transitions — see [`crate::mobility`]).
-    mobility: crate::mobility::MobilityManager,
+    pub(crate) mobility: crate::mobility::MobilityManager,
 }
 
 impl CentralController {
@@ -159,11 +159,6 @@ impl CentralController {
         &self.state
     }
 
-    /// Mutable state (failover rebuild and subscriber provisioning).
-    pub fn state_mut(&mut self) -> &mut ControllerState {
-        &mut self.state
-    }
-
     /// The application classifier in use.
     pub fn apps(&self) -> &AppClassifier {
         &self.apps
@@ -174,24 +169,9 @@ impl CentralController {
         &self.installer
     }
 
-    /// Mutable installer access (tunnel tag allocation).
-    pub fn installer_mut(&mut self) -> &mut PathInstaller {
-        &mut self.installer
-    }
-
-    /// The shortest-path cache (mobility meet-point searches).
-    pub fn paths_mut(&mut self) -> &mut ShortestPaths {
-        &mut self.paths
-    }
-
     /// Mobility bookkeeping.
     pub fn mobility(&self) -> &crate::mobility::MobilityManager {
         &self.mobility
-    }
-
-    /// Mutable mobility bookkeeping.
-    pub fn mobility_mut(&mut self) -> &mut crate::mobility::MobilityManager {
-        &mut self.mobility
     }
 
     /// Provisions a subscriber (HSS-style).
@@ -234,17 +214,6 @@ impl CentralController {
         std::mem::take(&mut self.released_locations)
     }
 
-    /// Ends a transition's hold on the locations it kept reserved: each
-    /// is assignable again here and queued for
-    /// [`drain_released_locations`](Self::drain_released_locations).
-    pub(crate) fn release_locations(&mut self, locs: Vec<(BaseStationId, UeId)>) {
-        for (bs, ue_id) in locs {
-            if self.state.release_location(bs, ue_id) {
-                self.released_locations.push((bs, ue_id));
-            }
-        }
-    }
-
     /// Drains the pending ops as barrier-delimited per-switch batches
     /// (see [`drain_ops`](Self::drain_ops) for the ordering invariant
     /// making this safe).
@@ -282,11 +251,11 @@ impl CentralController {
         self.state.classifier(imsi, &self.apps)
     }
 
-    /// Detaches a UE. Any in-flight mobility transition is aborted: the
-    /// per-UE anchor rules come down with the UE (its flows are dead).
+    /// Detaches a UE. Any in-flight mobility transition ends now: its
+    /// flows are dead, so the per-UE anchor rules come down with the UE
+    /// and its reserved locations are released.
     pub fn detach_ue(&mut self, imsi: UeImsi) -> Result<UeRecord> {
-        let teardown = self.abort_transition(imsi);
-        self.pending_ops.extend(teardown);
+        self.end_transition(imsi);
         self.state.detach(imsi)
     }
 
@@ -321,7 +290,7 @@ impl CentralController {
     /// *destination* fields (the sender's access switch rewrites the
     /// destination to the peer's LocIP with the tag in the port), so the
     /// fabric forwards it with ordinary downlink-direction rules.
-    pub fn request_m2m_path(
+    pub(crate) fn request_m2m_path(
         &mut self,
         from: BaseStationId,
         to: BaseStationId,

@@ -22,6 +22,8 @@
 //!   classifier computation, policy-path requests, middlebox instance
 //!   selection, and the installed policy paths (one record per path,
 //!   one routine installing it).
+//! * [`input`] — the engine's inputs written down once, and
+//!   [`CentralController::apply`], the one door they come through.
 //! * [`agent`] — the local agent at each base station: classifier cache,
 //!   UE-ID allocation, microflow rule installation, controller escalation
 //!   on cache miss.
@@ -53,6 +55,7 @@
 pub mod agent;
 pub mod core;
 pub mod failover;
+pub mod input;
 pub mod install;
 pub mod mobility;
 pub mod offline;
@@ -66,6 +69,7 @@ pub mod wire;
 
 pub use agent::LocalAgent;
 pub use core::{CentralController, ControllerConfig};
+pub use input::{Input, Output};
 pub use install::{InstallReport, PathInstaller, TagPolicy};
 pub use ops::RuleOp;
 pub use shadow::{Divergence, DivergenceKind, Entry, NextHop, ShadowSwitch, ShadowTables};

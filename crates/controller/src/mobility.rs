@@ -263,29 +263,27 @@ impl CentralController {
         self.check_station(new_bs)?;
         let (old, new) = self.state().check_move(imsi, new_bs, new_ue_id, now)?;
         let classifier = self.classifier_of(imsi)?;
-        let prev = self.mobility_mut().transitions.remove(&imsi);
-        let mut ops = std::mem::take(&mut self.pending_ops);
-        let (mut draft, mut created) = std::mem::take(&mut self.mobility_mut().draft);
+        let prev = self.mobility.transitions.remove(&imsi);
+        let (mut draft, mut created) = std::mem::take(&mut self.mobility.draft);
         draft.clear();
         created.clear();
-        let mark = ops.len();
+        let mark = self.pending_ops.len();
         let planned = self.plan_handoff(
             (old, new),
             classifier,
             flows,
             prev.as_ref(),
-            &mut ops,
             (&mut draft, &mut created),
         );
         match &planned {
             Ok(_) => {
-                self.state_mut().commit_move(old, new);
+                self.state.commit_move(old, new);
                 // take the new transition's tunnel references *before*
                 // dropping the previous transition's, so a pair both
                 // transitions use is never torn down and immediately
                 // recreated
                 for pair in &draft.tunnels {
-                    if let Some(t) = self.mobility_mut().tunnels.get_mut(pair) {
+                    if let Some(t) = self.mobility.tunnels.get_mut(pair) {
                         t.refs += 1;
                     }
                 }
@@ -293,7 +291,7 @@ impl CentralController {
                 let transition = match prev {
                     Some(mut t) => {
                         for &pair in &t.tunnels {
-                            self.release_tunnel_ref(pair, &mut ops);
+                            self.release_tunnel_ref(pair);
                         }
                         t.refill(&draft);
                         t
@@ -302,27 +300,26 @@ impl CentralController {
                     // outlives the call by minutes
                     None => draft.clone(),
                 };
-                self.mobility_mut().transitions.insert(imsi, transition);
+                self.mobility.transitions.insert(imsi, transition);
             }
             Err(_) => {
-                ops.truncate(mark);
+                self.pending_ops.truncate(mark);
                 for &pair in &created {
-                    if let Some(t) = self.mobility_mut().tunnels.remove(&pair) {
-                        self.installer_mut().release_raw_tag(t.tag);
+                    if let Some(t) = self.mobility.tunnels.remove(&pair) {
+                        self.installer.release_raw_tag(t.tag);
                     }
                 }
                 if let Some(prev) = prev {
-                    self.mobility_mut().transitions.insert(imsi, prev);
+                    self.mobility.transitions.insert(imsi, prev);
                 }
             }
         }
-        self.pending_ops = ops;
-        self.mobility_mut().draft = (draft, created);
+        self.mobility.draft = (draft, created);
         planned
     }
 
-    /// The fallible part of [`handoff`](Self::handoff): appends the rule
-    /// ops to `ops`, the transition that will record them (but its
+    /// The fallible part of [`handoff`](Self::handoff): queues the rule
+    /// ops, writes the transition that will record them (but its
     /// deadline) to `draft`, and returns the plan. Touches no UE,
     /// reservation or transition state; a tunnel it has to create is
     /// listed in `created` so the caller can undo it.
@@ -332,7 +329,6 @@ impl CentralController {
         classifier: UeClassifier,
         flows: &[FlowRecord],
         prev: Option<&Transition>,
-        ops: &mut Vec<RuleOp>,
         (draft, created): (&mut Transition, &mut Vec<StationPair>),
     ) -> Result<HandoffPlan> {
         let scheme = self.config().scheme;
@@ -343,6 +339,7 @@ impl CentralController {
         // per anchor a redirect, a rule per tunnel hop and a launch rule
         // per flow; a move without flows produces no rules at all
         let room = flows.len() + if flows.is_empty() { 0 } else { 16 };
+        let ops = &mut self.pending_ops;
         ops.reserve(prev.map_or(0, |p| p.teardown.len()) + room);
 
         // 0. a previous transition's per-UE rules are superseded: tear
@@ -432,11 +429,12 @@ impl CentralController {
                 continue;
             }
             let anchor_host = Ipv4Prefix::host(anchor_addr);
-            self.ensure_tunnel(anchor, new_bs, ops, created)?;
+            self.ensure_tunnel(anchor, new_bs, created)?;
             if !draft.tunnels.contains(&(anchor, new_bs)) {
                 draft.tunnels.push((anchor, new_bs));
             }
-            let tunnel = &self.mobility().tunnels[&(anchor, new_bs)];
+            let ops = &mut self.pending_ops;
+            let tunnel = &self.mobility.tunnels[&(anchor, new_bs)];
             let tunnel_tag = tunnel.tag;
             let tunnel_path = &tunnel.path;
             let anchor_access = tunnel_path[0];
@@ -616,31 +614,31 @@ impl CentralController {
         })
     }
 
-    /// Installs a shortcut for one long-lived downlink flow: per-flow
-    /// rules from the best meet point on the old path directly to the
-    /// new base station (§5.1 "temporary shortcut paths"). Returns the
-    /// rule ops; they share the transition's soft timeout.
-    pub fn install_shortcut(
+    /// Queues a shortcut for one long-lived downlink flow: per-flow rules
+    /// from the best meet point on the old path directly to the new base
+    /// station (§5.1 "temporary shortcut paths"), sharing the
+    /// transition's soft timeout. A shortcut that fails queues nothing.
+    pub(crate) fn install_shortcut(
         &mut self,
         imsi: UeImsi,
         old_path_switches: &[SwitchId],
         downlink: FiveTuple,
         now: SimTime,
-    ) -> Result<Vec<RuleOp>> {
-        let new_rec = *self.state().ue(imsi)?;
+    ) -> Result<()> {
+        let new_rec = *self.state.ue(imsi)?;
         let new_access = self.topology().base_station(new_rec.bs).access_switch;
 
         // meet point: the old-path switch closest to the new access
         let mut best: Option<(u32, SwitchId)> = None;
         for &sw in old_path_switches {
-            if let Some(d) = self.paths_mut().distance(sw, new_access) {
+            if let Some(d) = self.paths.distance(sw, new_access) {
                 if best.map(|(bd, _)| d < bd).unwrap_or(true) {
                     best = Some((d, sw));
                 }
             }
         }
         let (_, meet) = best.ok_or_else(|| Error::NoPath("no reachable meet point".into()))?;
-        let splice = self.paths_mut().path(meet, new_access)?;
+        let splice = self.paths.path(meet, new_access)?;
 
         let host = Ipv4Prefix::host(downlink.dst);
         let mut ops = Vec::new();
@@ -672,79 +670,63 @@ impl CentralController {
             });
         }
 
-        let ttl = self.mobility().transition_ttl;
-        if let Some(t) = self.mobility_mut().transitions.get_mut(&imsi) {
+        let ttl = self.mobility.transition_ttl;
+        if let Some(t) = self.mobility.transitions.get_mut(&imsi) {
             t.teardown.extend(teardown);
             t.deadline = t.deadline.max(now + ttl);
         }
-        Ok(ops)
+        self.pending_ops.extend(ops);
+        Ok(())
     }
 
-    /// Aborts a UE's transition immediately (detach): its anchored flows
-    /// are dead, so the per-UE mobility rules come down now and the
-    /// reserved locations are released (see
-    /// [`drain_released_locations`](Self::drain_released_locations)).
-    /// Returns the teardown ops.
-    pub fn abort_transition(&mut self, imsi: UeImsi) -> Vec<RuleOp> {
-        let Some(t) = self.mobility_mut().transitions.remove(&imsi) else {
-            return Vec::new();
+    /// Ends `imsi`'s transition, if any (expiry or detach): queues its
+    /// per-UE rules' removal, then that of any tunnel it held the last
+    /// reference on, and releases its reserved locations.
+    pub(crate) fn end_transition(&mut self, imsi: UeImsi) {
+        let Some(t) = self.mobility.transitions.remove(&imsi) else {
+            return;
         };
-        self.release_locations(t.reserved_locs);
-        let mut ops = t.teardown;
-        for pair in t.tunnels {
-            self.release_tunnel_ref(pair, &mut ops);
+        self.pending_ops.extend(t.teardown);
+        for (bs, ue_id) in t.reserved_locs {
+            if self.state.release_location(bs, ue_id) {
+                self.released_locations.push((bs, ue_id));
+            }
         }
-        ops
+        for pair in t.tunnels {
+            self.release_tunnel_ref(pair);
+        }
     }
 
-    /// Expires finished transitions: returns the teardown rule ops and
-    /// releases the old location-dependent addresses ("during the
-    /// transition, the controller does not assign the old
-    /// location-dependent address to any new UEs" — after it, it may;
-    /// see [`drain_released_locations`](Self::drain_released_locations)).
-    pub fn expire_transitions(&mut self, now: SimTime) -> Vec<RuleOp> {
-        let expired: Vec<UeImsi> = self
-            .mobility()
-            .transitions
-            .iter()
+    /// Ends the transitions whose soft timeout has passed by `now`;
+    /// returns the number of rule ops queued. Only now may their old
+    /// location-dependent addresses be assigned again (§5.1).
+    pub(crate) fn expire_transitions(&mut self, now: SimTime) -> usize {
+        let expired: Vec<UeImsi> = (self.mobility.transitions.iter())
             .filter(|(_, t)| t.deadline <= now)
             .map(|(imsi, _)| *imsi)
             .collect();
-        let mut ops = Vec::new();
+        let queued = self.pending_ops.len();
         for imsi in expired {
-            let t = self
-                .mobility_mut()
-                .transitions
-                .remove(&imsi)
-                .expect("listed above");
-            ops.extend(t.teardown);
-            self.release_locations(t.reserved_locs);
-            for pair in t.tunnels {
-                self.release_tunnel_ref(pair, &mut ops);
-            }
+            self.end_transition(imsi);
         }
-        ops
+        self.pending_ops.len() - queued
     }
 
     /// Drops one transition's reference on a tunnel. The last reference
     /// garbage-collects it: the forward legs come down and the raw tag
     /// returns to the pool, so base-station-pair churn cannot exhaust
     /// the tag space.
-    fn release_tunnel_ref(&mut self, pair: StationPair, ops: &mut Vec<RuleOp>) {
-        let Some(t) = self.mobility_mut().tunnels.get_mut(&pair) else {
+    fn release_tunnel_ref(&mut self, pair: StationPair) {
+        let Some(t) = self.mobility.tunnels.get_mut(&pair) else {
             return;
         };
         t.refs = t.refs.saturating_sub(1);
         if t.refs > 0 {
             return;
         }
-        let t = self
-            .mobility_mut()
-            .tunnels
-            .remove(&pair)
-            .expect("present above");
-        ops.extend(t.teardown);
-        self.installer_mut().release_raw_tag(t.tag);
+        let t = self.mobility.tunnels.remove(&pair).expect("present above");
+        self.pending_ops.extend(t.teardown);
+        self.installer.release_raw_tag(t.tag);
     }
 
     /// Ensures the (from → to) tunnel exists, appending its rule ops on
@@ -753,7 +735,6 @@ impl CentralController {
         &mut self,
         from: BaseStationId,
         to: BaseStationId,
-        ops: &mut Vec<RuleOp>,
         created: &mut Vec<StationPair>,
     ) -> Result<()> {
         if self.mobility().tunnels.contains_key(&(from, to)) {
@@ -762,9 +743,9 @@ impl CentralController {
         let topo = &self.topology().clone();
         let from_sw = topo.base_station(from).access_switch;
         let to_sw = topo.base_station(to).access_switch;
-        let path = self.paths_mut().path(from_sw, to_sw)?;
+        let path = self.paths.path(from_sw, to_sw)?;
         let tag = self
-            .installer_mut()
+            .installer
             .allocate_raw_tag()
             .ok_or_else(|| Error::Exhausted("no tag left for tunnel".into()))?;
 
@@ -784,10 +765,10 @@ impl CentralController {
                 continue; // the per-UE redirect rule is the entry point
             }
             let Some(out) = topo.port_towards(sw, next) else {
-                self.installer_mut().release_raw_tag(tag);
+                self.installer.release_raw_tag(tag);
                 return Err(Error::NotFound("tunnel hop unlinked".into()));
             };
-            ops.push(RuleOp::Install {
+            self.pending_ops.push(RuleOp::Install {
                 switch: sw,
                 priority: conventional_priority(&m),
                 matcher: m,
@@ -805,7 +786,7 @@ impl CentralController {
             teardown,
             refs: 0,
         };
-        self.mobility_mut().tunnels.insert((from, to), tunnel);
+        self.mobility.tunnels.insert((from, to), tunnel);
         created.push((from, to));
         Ok(())
     }
@@ -1000,9 +981,12 @@ mod tests {
         let flow = sample_flow(&ctl, tags, grant.record.permanent_ip, UeId(0));
         ctl.handoff(UeImsi(0), BaseStationId(1), UeId(0), &[flow], SimTime::ZERO)
             .unwrap();
-        assert!(ctl.expire_transitions(SimTime::from_secs(1)).is_empty());
-        let ops = ctl.expire_transitions(SimTime::from_secs(500));
+        ctl.drain_ops();
+        assert_eq!(ctl.expire_transitions(SimTime::from_secs(1)), 0);
+        let queued = ctl.expire_transitions(SimTime::from_secs(500));
+        let ops = ctl.drain_ops();
         assert!(!ops.is_empty(), "teardown removes per-UE rules");
+        assert_eq!(queued, ops.len());
         assert!(ops.iter().all(|o| matches!(o, RuleOp::Remove { .. })));
         assert_eq!(ctl.mobility().transitions_active(), 0);
     }
@@ -1067,7 +1051,7 @@ mod tests {
         // hardcoded 120 s instead of the configured transition_ttl
         let topo = small_topology();
         let mut ctl = controller(&topo);
-        ctl.mobility_mut().transition_ttl = softcell_types::SimDuration::from_secs(10);
+        ctl.mobility.transition_ttl = softcell_types::SimDuration::from_secs(10);
         let grant = ctl
             .attach_ue(UeImsi(0), BaseStationId(0), UeId(0), SimTime::ZERO)
             .unwrap();
@@ -1087,14 +1071,14 @@ mod tests {
         // renew at t=5: deadline moves to 5 + ttl = 15, not 5 + 120
         ctl.install_shortcut(UeImsi(0), &old_path, flow.downlink, SimTime::from_secs(5))
             .unwrap();
-        assert!(
-            ctl.expire_transitions(SimTime::from_secs(12)).is_empty(),
+        assert_eq!(
+            ctl.expire_transitions(SimTime::from_secs(12)),
+            0,
             "shortcut renewal keeps the transition alive past the original deadline"
         );
         assert_eq!(ctl.mobility().transitions_active(), 1);
-        let ops = ctl.expire_transitions(SimTime::from_secs(16));
         assert!(
-            !ops.is_empty(),
+            ctl.expire_transitions(SimTime::from_secs(16)) > 0,
             "expires at now + transition_ttl, not +120 s"
         );
         assert_eq!(ctl.mobility().transitions_active(), 0);
@@ -1117,7 +1101,7 @@ mod tests {
             .unwrap();
         let capacity = usize::from(ctl.config().tag_policy.capacity);
         while ctl.installer().tags_in_use() < capacity - 1 {
-            ctl.installer_mut().allocate_raw_tag().unwrap();
+            ctl.installer.allocate_raw_tag().unwrap();
         }
         let baseline = ctl.installer().tags_in_use();
         let flow = sample_flow(&ctl, tags, grant.record.permanent_ip, UeId(0));
@@ -1131,7 +1115,9 @@ mod tests {
             assert_eq!(ctl.mobility().tunnel_count(), 1);
             assert_eq!(ctl.installer().tags_in_use(), baseline + 1);
             now += softcell_types::SimDuration::from_secs(1_000);
-            let ops = ctl.expire_transitions(now);
+            ctl.drain_ops();
+            ctl.expire_transitions(now);
+            let ops = ctl.drain_ops();
             assert!(
                 ops.iter().all(|o| matches!(o, RuleOp::Remove { .. })),
                 "expiry only removes rules"
@@ -1169,9 +1155,10 @@ mod tests {
         let flow = sample_flow(&ctl, tags, grant.record.permanent_ip, UeId(0));
         ctl.handoff(UeImsi(0), BaseStationId(3), UeId(0), &[flow], SimTime::ZERO)
             .unwrap();
-        let ops = ctl
-            .install_shortcut(UeImsi(0), &old_path, flow.downlink, SimTime::ZERO)
+        ctl.drain_ops();
+        ctl.install_shortcut(UeImsi(0), &old_path, flow.downlink, SimTime::ZERO)
             .unwrap();
+        let ops = ctl.drain_ops();
         assert!(!ops.is_empty());
         // shortcut rules are per-flow: they match the exact dst port
         for op in &ops {
@@ -1211,7 +1198,7 @@ mod tests {
             .unwrap();
         let flow = sample_flow(&ctl, tags, grant.record.permanent_ip, UeId(0));
         let mut hoard = Vec::new();
-        while let Some(tag) = ctl.installer_mut().allocate_raw_tag() {
+        while let Some(tag) = ctl.installer.allocate_raw_tag() {
             hoard.push(tag);
         }
 
@@ -1230,7 +1217,7 @@ mod tests {
         assert!(before == snapshot(&ctl, UeImsi(0)), "{before:?}");
 
         // a retry after a tag is freed succeeds
-        ctl.installer_mut().release_raw_tag(hoard.pop().unwrap());
+        ctl.installer.release_raw_tag(hoard.pop().unwrap());
         let plan = ctl
             .handoff(UeImsi(0), BaseStationId(3), UeId(0), &[flow], SimTime::ZERO)
             .unwrap();
@@ -1246,7 +1233,7 @@ mod tests {
         assert!(before == snapshot(&ctl, UeImsi(0)), "{before:?}");
         assert_eq!(ctl.mobility().transitions_active(), 1);
         assert_eq!(ctl.mobility().tunnel_count(), 1);
-        assert!(!ctl.expire_transitions(SimTime::from_secs(500)).is_empty());
+        assert!(ctl.expire_transitions(SimTime::from_secs(500)) > 0);
         assert_eq!(ctl.mobility().tunnel_count(), 0);
     }
 
@@ -1370,7 +1357,8 @@ mod tests {
                 flows: &[FlowRecord],
                 now: SimTime,
             ) -> Result<HandoffPlan> {
-                let (old, new) = self.state_mut().move_ue(imsi, new_bs, new_ue_id, now)?;
+                let (old, new) = self.state.check_move(imsi, new_bs, new_ue_id, now)?;
+                self.state.commit_move(old, new);
                 let attrs = *self.state().subscriber(imsi)?;
                 let classifier = UeClassifier::compile(self.state().policy(), self.apps(), &attrs);
 
@@ -1382,7 +1370,7 @@ mod tests {
 
                 // 0. a previous transition's per-UE rules are superseded: tear
                 //    them down now (the anchors get fresh rules below)
-                let prev = self.mobility_mut().transitions.remove(&imsi);
+                let prev = self.mobility.transitions.remove(&imsi);
                 let mut prev_launch_specs: HashMap<Ipv4Addr, Vec<LaunchSpec>> = HashMap::new();
                 let mut reserved_locs: Vec<(BaseStationId, UeId)> = Vec::new();
                 let mut prev_tunnels: Vec<(BaseStationId, BaseStationId)> = Vec::new();
@@ -1489,7 +1477,8 @@ mod tests {
                         continue;
                     }
                     let anchor_host = Ipv4Prefix::host(anchor_addr);
-                    self.ensure_tunnel(anchor, new_bs, &mut ops, &mut Vec::new())?;
+                    self.ensure_tunnel(anchor, new_bs, &mut Vec::new())?;
+                    ops.append(&mut self.pending_ops);
                     let tunnel = self.mobility().tunnels[&(anchor, new_bs)].clone();
                     if !used_tunnels.contains(&(anchor, new_bs)) {
                         used_tunnels.push((anchor, new_bs));
@@ -1681,12 +1670,12 @@ mod tests {
                 // the previous transition's, so a pair both transitions use is
                 // never torn down and immediately recreated
                 for pair in &used_tunnels {
-                    if let Some(t) = self.mobility_mut().tunnels.get_mut(pair) {
+                    if let Some(t) = self.mobility.tunnels.get_mut(pair) {
                         t.refs += 1;
                     }
                 }
                 let ttl = self.mobility().transition_ttl;
-                self.mobility_mut().transitions.insert(
+                self.mobility.transitions.insert(
                     imsi,
                     Transition {
                         teardown,
@@ -1704,7 +1693,8 @@ mod tests {
                     },
                 );
                 for pair in prev_tunnels {
-                    self.release_tunnel_ref(pair, &mut ops);
+                    self.release_tunnel_ref(pair);
+                    ops.append(&mut self.pending_ops);
                 }
 
                 Ok(HandoffPlan {

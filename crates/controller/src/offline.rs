@@ -61,7 +61,7 @@ impl CentralController {
     /// Local agents must refetch policy tags afterwards (their cached
     /// [`PathTags`](crate::core::PathTags) name retired tags); see
     /// `SimWorld::apply_reoptimization` for the full choreography.
-    pub fn reoptimize_paths(&mut self) -> Result<OfflineOutcome> {
+    pub(crate) fn reoptimize_paths(&mut self) -> Result<OfflineOutcome> {
         let (topo, cfg) = (&self.topology().clone(), *self.config());
         let rules_before = rule_total(&self.installer);
         let tags_before = self.installer.tags_in_use();

@@ -66,17 +66,8 @@ fn slice(space: u32, d: usize, n: usize) -> (u32, IdPool) {
 
 /// A request from a local agent.
 pub enum Request {
-    /// A UE attached: compute and return its packet classifiers.
-    Classifier {
-        /// The subscriber.
-        imsi: UeImsi,
-        /// Where to send the answer.
-        reply: Sender<Result<UeClassifier>>,
-        /// Trace context + enqueue stamp ([`ReqTrace::NONE`]: untraced).
-        trace: ReqTrace,
-    },
-    /// A UE attached over the wire: allocate (or keep) its permanent
-    /// address, record its location and return the full grant.
+    /// A UE attached over the wire, an upsert by IMSI: allocate (or keep)
+    /// its permanent address, record its location, return the grant.
     Attach {
         /// The subscriber.
         imsi: UeImsi,
@@ -88,7 +79,7 @@ pub enum Request {
         now: SimTime,
         /// Where to send the answer.
         reply: Sender<Result<AttachGrant>>,
-        /// Trace context + enqueue stamp.
+        /// Trace context + enqueue stamp ([`ReqTrace::NONE`]: untraced).
         trace: ReqTrace,
     },
     /// A UE detached over the wire: drop its record (returning it) and
@@ -126,9 +117,9 @@ enum Job {
 }
 
 /// Routes requests to the domain owning their key: UE-scoped requests
-/// ([`Request::Classifier`], [`Request::Attach`], [`Request::Detach`])
-/// by [`shard_of_ue`], station-scoped ones ([`Request::PathTag`]) by
-/// [`shard_of_station`]. The only way into a [`ControllerServer`].
+/// ([`Request::Attach`], [`Request::Detach`]) by [`shard_of_ue`],
+/// station-scoped ones ([`Request::PathTag`]) by [`shard_of_station`].
+/// The only way into a [`ControllerServer`].
 #[derive(Clone)]
 pub struct RequestRouter {
     /// Per domain: its queue's sending end, and the domain itself.
@@ -145,9 +136,7 @@ impl RequestRouter {
     pub fn shard_of(&self, req: &Request) -> usize {
         let n = self.cells.len();
         match req {
-            Request::Classifier { imsi, .. }
-            | Request::Attach { imsi, .. }
-            | Request::Detach { imsi, .. } => shard_of_ue(*imsi, n),
+            Request::Attach { imsi, .. } | Request::Detach { imsi, .. } => shard_of_ue(*imsi, n),
             Request::PathTag { bs, .. } => shard_of_station(*bs, n),
         }
     }
@@ -453,12 +442,6 @@ impl WorkerMetrics {
     }
 }
 
-fn compile_classifier(shared: &Shared, imsi: UeImsi) -> Result<UeClassifier> {
-    let unknown = || Error::NotFound(format!("unknown subscriber {imsi}"));
-    let attrs = shared.subscribers.get(&imsi).ok_or_else(unknown)?;
-    Ok(UeClassifier::compile(&shared.policy, &shared.apps, attrs))
-}
-
 /// Serves one request under `domain`'s lock: the per-kind span (the
 /// handler's own spans — install fences — nest in it via the
 /// thread-local context), the handler `f`, the counters. A request that
@@ -512,7 +495,9 @@ impl Domain {
         ue_id: UeId,
         now: SimTime,
     ) -> Result<AttachGrant> {
-        let classifier = compile_classifier(&self.shared, imsi)?;
+        let unknown = || Error::NotFound(format!("unknown subscriber {imsi}"));
+        let attrs = self.shared.subscribers.get(&imsi).ok_or_else(unknown)?;
+        let classifier = UeClassifier::compile(&self.shared.policy, &self.shared.apps, attrs);
         // permanent addresses never change (§3.1): a re-attach keeps the
         // one first assigned
         let permanent_ip = match self.ues.get(&imsi) {
@@ -567,10 +552,6 @@ impl Domain {
 /// Serves `req` under its domain's lock, on whichever thread holds it.
 fn serve(domain: MutexGuard<'_, Domain>, req: Request, waited: bool) -> Option<Job> {
     match req {
-        Request::Classifier { imsi, reply, trace } => {
-            let f = |d: &mut Domain| compile_classifier(&d.shared, imsi);
-            run(domain, "handle_classifier", trace, waited, reply, f)
-        }
         Request::Attach {
             imsi,
             bs,
@@ -635,20 +616,25 @@ mod tests {
         .unwrap()
     }
 
+    /// An attach of `imsi` at a station of its own, answered into `reply`.
+    fn attach(imsi: u64, reply: &Sender<Result<AttachGrant>>) -> Request {
+        Request::Attach {
+            imsi: UeImsi(imsi),
+            bs: BaseStationId((imsi % 7) as u32),
+            ue_id: UeId(0),
+            now: SimTime::ZERO,
+            reply: reply.clone(),
+            trace: ReqTrace::NONE,
+        }
+    }
+
     #[test]
     fn classifier_requests_round_trip() {
         let server = server(10, 2);
         let (tx, rx) = bounded(1);
-        server
-            .router()
-            .route(Request::Classifier {
-                imsi: UeImsi(3),
-                reply: tx,
-                trace: ReqTrace::NONE,
-            })
-            .unwrap();
-        let classifier = rx.recv().unwrap().unwrap();
-        assert!(!classifier.entries().is_empty());
+        server.router().route(attach(3, &tx)).unwrap();
+        let grant = rx.recv().unwrap().unwrap();
+        assert!(!grant.classifier.entries().is_empty());
         assert_eq!(server.served(), 1);
         server.shutdown();
     }
@@ -657,14 +643,7 @@ mod tests {
     fn unknown_subscriber_errors() {
         let server = server(1, 1);
         let (tx, rx) = bounded(1);
-        server
-            .router()
-            .route(Request::Classifier {
-                imsi: UeImsi(99),
-                reply: tx,
-                trace: ReqTrace::NONE,
-            })
-            .unwrap();
+        server.router().route(attach(99, &tx)).unwrap();
         assert!(rx.recv().unwrap().is_err());
         server.shutdown();
     }
@@ -703,13 +682,10 @@ mod tests {
                 std::thread::spawn(move || {
                     let (tx, rx) = bounded(1);
                     for i in 0..250u64 {
-                        router
-                            .route(Request::Classifier {
-                                imsi: UeImsi((c * 25 + i) % 100),
-                                reply: tx.clone(),
-                                trace: ReqTrace::NONE,
-                            })
-                            .unwrap();
+                        let imsi = (c * 25 + i) % 100;
+                        let req = attach(imsi, &tx);
+                        assert_eq!(router.shard_of(&req), shard_of_ue(UeImsi(imsi), 4));
+                        router.route(req).unwrap();
                         rx.recv().unwrap().unwrap();
                     }
                 })
@@ -848,13 +824,7 @@ mod tests {
         let router = server.router();
         let (tx, rx) = bounded(1);
         for i in 0..3 {
-            router
-                .route(Request::Classifier {
-                    imsi: UeImsi(i),
-                    reply: tx.clone(),
-                    trace: ReqTrace::NONE,
-                })
-                .unwrap();
+            router.route(attach(i, &tx)).unwrap();
         }
         for _ in 0..3 {
             rx.recv().unwrap().unwrap();

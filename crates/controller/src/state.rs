@@ -161,19 +161,6 @@ impl ControllerState {
         Ok(rec)
     }
 
-    /// Moves a UE to a new location (handoff). Returns (old, new) records.
-    pub fn move_ue(
-        &mut self,
-        imsi: UeImsi,
-        new_bs: BaseStationId,
-        new_ue_id: UeId,
-        now: SimTime,
-    ) -> Result<(UeRecord, UeRecord)> {
-        let (old, new) = self.check_move(imsi, new_bs, new_ue_id, now)?;
-        self.commit_move(old, new);
-        Ok((old, new))
-    }
-
     /// Everything that can refuse a move, without moving: the UE's
     /// records before and after it, if it may take the new location.
     pub(crate) fn check_move(
@@ -315,6 +302,21 @@ impl ControllerState {
 mod tests {
     use super::*;
     use softcell_policy::ServicePolicy;
+
+    impl ControllerState {
+        /// A handoff's state half: check, then commit.
+        pub(crate) fn move_ue(
+            &mut self,
+            imsi: UeImsi,
+            new_bs: BaseStationId,
+            new_ue_id: UeId,
+            now: SimTime,
+        ) -> Result<(UeRecord, UeRecord)> {
+            let (old, new) = self.check_move(imsi, new_bs, new_ue_id, now)?;
+            self.commit_move(old, new);
+            Ok((old, new))
+        }
+    }
 
     fn state() -> ControllerState {
         let mut s = ControllerState::new(

@@ -409,6 +409,45 @@ pub enum PacketIn {
     },
 }
 
+impl PacketIn {
+    /// Appends the body of a `PACKET_IN` frame (and of a replica log
+    /// record's op): reason 0 / 1 / 2, then the fields big-endian.
+    #[inline]
+    pub fn write_to(&self, out: &mut Vec<u8>) {
+        match *self {
+            PacketIn::Attach {
+                imsi,
+                bs,
+                ue_id,
+                now,
+            } => {
+                out.push(0);
+                out.extend_from_slice(&imsi.0.to_be_bytes());
+                out.extend_from_slice(&bs.0.to_be_bytes());
+                out.extend_from_slice(&ue_id.0.to_be_bytes());
+                out.extend_from_slice(&now.0.to_be_bytes());
+            }
+            PacketIn::PathRequest { bs, clause } => {
+                out.push(1);
+                out.extend_from_slice(&bs.0.to_be_bytes());
+                out.extend_from_slice(&clause.0.to_be_bytes());
+            }
+            PacketIn::Detach { imsi } => {
+                out.push(2);
+                out.extend_from_slice(&imsi.0.to_be_bytes());
+            }
+        }
+    }
+
+    /// Reads a [`write_to`](Self::write_to) body off the front of `buf`:
+    /// it and the bytes it used, or [`Error::Malformed`].
+    pub fn read_prefix(buf: &[u8]) -> Result<(PacketIn, usize)> {
+        let mut r = Reader::new(buf);
+        let pi = r.packet_in()?;
+        Ok((pi, r.pos))
+    }
+}
+
 /// Wire form of a controller-side UE record.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct WireUeRecord {
@@ -661,29 +700,7 @@ impl Message<'_> {
                 w.u8(code.to_u8());
                 w.str16(message);
             }
-            Message::PacketIn(pi) => match pi {
-                PacketIn::Attach {
-                    imsi,
-                    bs,
-                    ue_id,
-                    now,
-                } => {
-                    w.u8(0);
-                    w.u64(imsi.0);
-                    w.u32(bs.0);
-                    w.u16(ue_id.0);
-                    w.u64(now.0);
-                }
-                PacketIn::PathRequest { bs, clause } => {
-                    w.u8(1);
-                    w.u32(bs.0);
-                    w.u16(clause.0);
-                }
-                PacketIn::Detach { imsi } => {
-                    w.u8(2);
-                    w.u64(imsi.0);
-                }
-            },
+            Message::PacketIn(pi) => pi.write_to(&mut w.buf),
             Message::ClassifierReply { record, classifier } => {
                 w.record(record);
                 match classifier {
@@ -790,26 +807,7 @@ impl Message<'_> {
                 code: ErrorCode::from_u8(r.u8()?)?,
                 message: Cow::Borrowed(r.str16()?),
             },
-            msg_type::PACKET_IN => Message::PacketIn(match r.u8()? {
-                0 => PacketIn::Attach {
-                    imsi: UeImsi(r.u64()?),
-                    bs: BaseStationId(r.u32()?),
-                    ue_id: UeId(r.u16()?),
-                    now: SimTime(r.u64()?),
-                },
-                1 => PacketIn::PathRequest {
-                    bs: BaseStationId(r.u32()?),
-                    clause: ClauseId(r.u16()?),
-                },
-                2 => PacketIn::Detach {
-                    imsi: UeImsi(r.u64()?),
-                },
-                other => {
-                    return Err(Error::Malformed(format!(
-                        "unknown packet-in reason {other}"
-                    )))
-                }
-            }),
+            msg_type::PACKET_IN => Message::PacketIn(r.packet_in()?),
             msg_type::CLASSIFIER_REPLY => {
                 let record = r.record()?;
                 let classifier = match r.u8()? {
@@ -1064,6 +1062,32 @@ impl<'a> Reader<'a> {
         let bytes = self.take(len)?;
         std::str::from_utf8(bytes)
             .map_err(|e| Error::Malformed(format!("invalid UTF-8 in string: {e}")))
+    }
+
+    // forced: `parse` is large enough that LLVM keeps this out of line,
+    // and a packet-in decode then costs about a third more
+    #[inline(always)]
+    fn packet_in(&mut self) -> Result<PacketIn> {
+        Ok(match self.u8()? {
+            0 => PacketIn::Attach {
+                imsi: UeImsi(self.u64()?),
+                bs: BaseStationId(self.u32()?),
+                ue_id: UeId(self.u16()?),
+                now: SimTime(self.u64()?),
+            },
+            1 => PacketIn::PathRequest {
+                bs: BaseStationId(self.u32()?),
+                clause: ClauseId(self.u16()?),
+            },
+            2 => PacketIn::Detach {
+                imsi: UeImsi(self.u64()?),
+            },
+            other => {
+                return Err(Error::Malformed(format!(
+                    "unknown packet-in reason {other}"
+                )))
+            }
+        })
     }
 
     fn record(&mut self) -> Result<WireUeRecord> {

@@ -363,7 +363,6 @@ pub fn rehome_agent(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::log::ReplicatedOp;
     use softcell_ctlchan::{Message, PacketIn};
     use softcell_policy::clause::ClauseId;
     use softcell_types::{AddressingScheme, PortEmbedding, PortNo, UeId, UeImsi};
@@ -385,8 +384,8 @@ mod tests {
         .unwrap()
     }
 
-    fn attach_op(imsi: u64, bs: u32, now: u64) -> ReplicatedOp {
-        ReplicatedOp::Attach {
+    fn attach_op(imsi: u64, bs: u32, now: u64) -> PacketIn {
+        PacketIn::Attach {
             imsi: UeImsi(imsi),
             bs: BaseStationId(bs),
             ue_id: UeId(1),
@@ -509,7 +508,7 @@ mod tests {
         // Quorum 3: one cut peer makes a proposal miss quorum.
         let c = cluster(3, 3);
         c.cut(2);
-        let path = ReplicatedOp::PathRequest {
+        let path = PacketIn::PathRequest {
             bs: BaseStationId(3),
             clause: ClauseId(0),
         };

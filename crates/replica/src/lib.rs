@@ -7,9 +7,8 @@
 //! rebuild. This crate is state-machine replication of the agents'
 //! inputs:
 //!
-//! * **Log** ([`log`]) — every agent input (attach, detach, path
-//!   request) is a record `(epoch, index, op)` of one totally ordered
-//!   log.
+//! * **Log** ([`log`]) — every agent input, the ctlchan `PacketIn` it
+//!   sent, is a record `(epoch, index, op)` of one totally ordered log.
 //! * **State** ([`store`]) — one deterministic `apply` per record, run
 //!   by every seat in index order. Addresses and tags are allocated
 //!   there, from one pool each, so equal logs give equal state.
@@ -40,6 +39,6 @@ pub mod store;
 
 pub use cluster::{rehome_agent, Cluster, Killable, Link};
 pub use drill::controller_kill_drill;
-pub use log::{LogRecord, ReplicatedOp};
+pub use log::LogRecord;
 pub use node::{ReplicaConfig, ReplicaNode};
 pub use store::{Applied, State, UeEntry};

@@ -1,7 +1,8 @@
 //! The replicated log: the agents' inputs, in one order.
 //!
 //! A [`LogRecord`] is `(epoch, index, op)`, where `op` is exactly what an
-//! agent sent: an attach, a detach or a path request. Nothing in a record
+//! agent sent, a ctlchan [`PacketIn`] (an attach, a detach or a path
+//! request) in its packet-in bytes. Nothing in a record
 //! was decided by its proposer — addresses and tags are allocated when
 //! the record is *applied* ([`crate::store::State::apply`]), on every
 //! seat, in index order — so two seats holding the same log hold the
@@ -25,42 +26,10 @@
 
 use std::collections::VecDeque;
 
-use softcell_policy::clause::ClauseId;
-use softcell_types::{BaseStationId, Error, Result, SimTime, UeId, UeImsi};
+use softcell_ctlchan::PacketIn;
+use softcell_types::{Error, Result};
 
 use crate::store::State;
-
-/// One agent input, as the agent sent it.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ReplicatedOp {
-    /// UE attach, handoff or re-home resync: an upsert by IMSI.
-    Attach {
-        /// Subscriber identity.
-        imsi: UeImsi,
-        /// Base station the UE is (now) at.
-        bs: BaseStationId,
-        /// Local UE id at that base station.
-        ue_id: UeId,
-        /// The agent's clock at attach.
-        now: SimTime,
-    },
-    /// UE detach.
-    Detach {
-        /// Subscriber identity.
-        imsi: UeImsi,
-    },
-    /// Policy-path request for `(bs, clause)`.
-    PathRequest {
-        /// Originating base station.
-        bs: BaseStationId,
-        /// Governing policy clause.
-        clause: ClauseId,
-    },
-}
-
-const OP_ATTACH: u8 = 1;
-const OP_DETACH: u8 = 2;
-const OP_PATH_REQUEST: u8 = 3;
 
 /// Encoded length of the shortest record (a path request): epoch,
 /// index, op tag, station, clause. Bounds the entry count a log payload
@@ -85,7 +54,7 @@ pub struct LogRecord {
     /// Position in the log (first record is 1).
     pub index: u64,
     /// The agent input.
-    pub op: ReplicatedOp,
+    pub op: PacketIn,
 }
 
 impl LogRecord {
@@ -97,54 +66,14 @@ impl LogRecord {
     fn write(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.epoch.to_be_bytes());
         out.extend_from_slice(&self.index.to_be_bytes());
-        match self.op {
-            ReplicatedOp::Attach {
-                imsi,
-                bs,
-                ue_id,
-                now,
-            } => {
-                out.push(OP_ATTACH);
-                out.extend_from_slice(&imsi.0.to_be_bytes());
-                out.extend_from_slice(&bs.0.to_be_bytes());
-                out.extend_from_slice(&ue_id.0.to_be_bytes());
-                out.extend_from_slice(&now.0.to_be_bytes());
-            }
-            ReplicatedOp::Detach { imsi } => {
-                out.push(OP_DETACH);
-                out.extend_from_slice(&imsi.0.to_be_bytes());
-            }
-            ReplicatedOp::PathRequest { bs, clause } => {
-                out.push(OP_PATH_REQUEST);
-                out.extend_from_slice(&bs.0.to_be_bytes());
-                out.extend_from_slice(&clause.0.to_be_bytes());
-            }
-        }
+        self.op.write_to(out);
     }
 
     fn read(r: &mut Cursor<'_>) -> Result<LogRecord> {
         let epoch = r.take_u64()?;
         let index = r.take_u64()?;
-        let op = match r.take_u8()? {
-            OP_ATTACH => ReplicatedOp::Attach {
-                imsi: UeImsi(r.take_u64()?),
-                bs: BaseStationId(r.take_u32()?),
-                ue_id: UeId(r.take_u16()?),
-                now: SimTime(r.take_u64()?),
-            },
-            OP_DETACH => ReplicatedOp::Detach {
-                imsi: UeImsi(r.take_u64()?),
-            },
-            OP_PATH_REQUEST => ReplicatedOp::PathRequest {
-                bs: BaseStationId(r.take_u32()?),
-                clause: ClauseId(r.take_u16()?),
-            },
-            other => {
-                return Err(Error::Malformed(format!(
-                    "unknown replicated-op tag {other}"
-                )))
-            }
-        };
+        let (op, used) = PacketIn::read_prefix(r.buf.get(r.pos..).unwrap_or_default())?;
+        r.pos += used;
         Ok(LogRecord { epoch, index, op })
     }
 }
@@ -193,8 +122,9 @@ pub fn encode_log(entries: &[LogRecord]) -> Vec<u8> {
 }
 
 /// Parses [`encode_log`] output. Truncation, trailing bytes, an unknown
-/// op tag, a count the payload cannot hold and indices that do not run
-/// consecutively are each an [`Error::Malformed`], never a panic.
+/// packet-in reason, a count the payload cannot hold and indices that
+/// do not run consecutively are each an [`Error::Malformed`], never a
+/// panic.
 pub fn decode_log(buf: &[u8]) -> Result<Vec<LogRecord>> {
     let mut r = Cursor::new(buf);
     let entries = read_entries(&mut r)?;
@@ -334,10 +264,6 @@ impl<'a> Cursor<'a> {
         Ok(bytes)
     }
 
-    fn take_u8(&mut self) -> Result<u8> {
-        self.take().map(u8::from_be_bytes)
-    }
-
     pub(crate) fn take_u16(&mut self) -> Result<u16> {
         self.take().map(u16::from_be_bytes)
     }
@@ -361,16 +287,20 @@ impl<'a> Cursor<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use softcell_ctlchan::{Message, HEADER_LEN};
+    use softcell_policy::clause::ClauseId;
+    use softcell_types::{BaseStationId, SimTime, UeId, UeImsi};
 
-    const OPS: [ReplicatedOp; 3] = [
-        ReplicatedOp::Attach {
+    const OPS: [PacketIn; 3] = [
+        PacketIn::Attach {
             imsi: UeImsi(7),
             bs: BaseStationId(11),
             ue_id: UeId(4),
             now: SimTime(99),
         },
-        ReplicatedOp::Detach { imsi: UeImsi(7) },
-        ReplicatedOp::PathRequest {
+        PacketIn::Detach { imsi: UeImsi(7) },
+        PacketIn::PathRequest {
             bs: BaseStationId(11),
             clause: ClauseId(5),
         },
@@ -388,7 +318,7 @@ mod tests {
         (1..=OPS.len() as u64).map(record).collect()
     }
 
-    /// Offset of the op tag in an encoded record.
+    /// Offset of the op's packet-in reason byte in an encoded record.
     const OP_TAG_AT: usize = 16;
 
     fn malformed<T: std::fmt::Debug>(r: Result<T>) -> bool {
@@ -501,5 +431,75 @@ mod tests {
         let mut gap = long.clone();
         gap.entries.pop_front();
         assert!(malformed(Log::decode(&gap.encode())), "gap after the base");
+    }
+
+    /// A packet-in of each reason, drawn from raw words.
+    fn packet_in((reason, a, b): (u8, u64, u64)) -> PacketIn {
+        match reason % 3 {
+            0 => PacketIn::Attach {
+                imsi: UeImsi(a),
+                bs: BaseStationId(b as u32),
+                ue_id: UeId((b >> 32) as u16),
+                now: SimTime(a ^ b),
+            },
+            1 => PacketIn::PathRequest {
+                bs: BaseStationId(a as u32),
+                clause: ClauseId(b as u16),
+            },
+            _ => PacketIn::Detach { imsi: UeImsi(a) },
+        }
+    }
+
+    /// `buf` with `(position, byte)` overwrites, positions taken modulo
+    /// its length.
+    fn bent(buf: &[u8], flips: &[(u32, u8)]) -> Vec<u8> {
+        let mut out = buf.to_vec();
+        for &(at, byte) in flips {
+            if let Some(b) = out.get_mut(at as usize % buf.len().max(1)) {
+                *b = byte;
+            }
+        }
+        out
+    }
+
+    proptest! {
+        /// The log's canonical form: every record round-trips, a
+        /// record's op bytes are ctlchan's packet-in payload, and any
+        /// bytes `decode_log` or `Log::decode` accepts — the encodings
+        /// themselves, or with bytes overwritten — re-encode identically.
+        #[test]
+        fn the_log_encoding_is_canonical(
+            ops in proptest::collection::vec((any::<u8>(), any::<u64>(), any::<u64>()), 0..12),
+            epoch in any::<u64>(),
+            first in 1u64..1 << 40,
+            fold in any::<bool>(),
+            flips in proptest::collection::vec((any::<u32>(), any::<u8>()), 0..4),
+        ) {
+            let ops: Vec<PacketIn> = ops.into_iter().map(packet_in).collect();
+            let records: Vec<LogRecord> = (first..).zip(&ops)
+                .map(|(index, op)| LogRecord { epoch, index, op: *op })
+                .collect();
+            let buf = encode_log(&records);
+            prop_assert_eq!(decode_log(&buf).unwrap(), records.clone());
+            for r in &records {
+                let payload = &Message::PacketIn(r.op).encode(0)[HEADER_LEN..];
+                prop_assert_eq!(&encode_log(&[*r])[4 + OP_TAG_AT..], payload);
+            }
+            if let Ok(back) = decode_log(&bent(&buf, &flips)) {
+                prop_assert_eq!(encode_log(&back), bent(&buf, &flips));
+            }
+
+            // a whole log, folded past `KEEP` records when `fold`
+            let len = ops.len() + if fold && !ops.is_empty() { KEEP as usize } else { 0 };
+            let mut log = Log::default();
+            for (index, op) in (1..).zip(ops.iter().cycle().take(len)) {
+                log.push(LogRecord { epoch, index, op: *op });
+            }
+            let image = log.encode();
+            prop_assert_eq!(Log::decode(&image).unwrap().encode(), image.clone());
+            if let Ok(back) = Log::decode(&bent(&image, &flips)) {
+                prop_assert_eq!(back.encode(), bent(&image, &flips));
+            }
+        }
     }
 }

@@ -67,7 +67,7 @@ use softcell_policy::{AppClassifier, ServicePolicy, SubscriberAttributes, UeClas
 use softcell_telemetry::{Registry, Stopwatch, TraceContext};
 use softcell_types::{ControllerId, EpochFence, Error, Membership, PortNo, Result, UeImsi};
 
-use crate::log::{decode_log, encode_log, Log, LogRecord, ReplicatedOp};
+use crate::log::{decode_log, encode_log, Log, LogRecord};
 use crate::store::{Applied, State, UeEntry};
 
 /// Static configuration of one replica.
@@ -414,7 +414,7 @@ impl<T: Transport> ReplicaNode<T> {
     /// Proposes one agent input — on the view's leader only — and blocks
     /// until it commits or fails. Returns the record's index and what
     /// applying it did.
-    pub fn propose(&self, op: ReplicatedOp) -> Result<(u64, Applied)> {
+    pub fn propose(&self, op: PacketIn) -> Result<(u64, Applied)> {
         // Trace root for the whole quorum round: per-peer replicate_ack
         // spans and the commit-side release span nest under it.
         let _sp = Registry::global().tracer().root("replica_propose");
@@ -765,23 +765,8 @@ impl<T: Transport> ReplicaNode<T> {
         let Message::PacketIn(pi) = msg else {
             return None;
         };
-        let op = match *pi {
-            PacketIn::Attach {
-                imsi,
-                bs,
-                ue_id,
-                now,
-            } => ReplicatedOp::Attach {
-                imsi,
-                bs,
-                ue_id,
-                now,
-            },
-            PacketIn::Detach { imsi } => ReplicatedOp::Detach { imsi },
-            PacketIn::PathRequest { bs, clause } => ReplicatedOp::PathRequest { bs, clause },
-        };
         let reply = self
-            .propose(op)
+            .propose(*pi)
             .map(|(index, applied)| self.reply(index, applied));
         Some(reply.unwrap_or_else(|e| Message::from_error(&e)))
     }

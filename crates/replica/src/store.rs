@@ -20,10 +20,11 @@ use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
+use softcell_ctlchan::PacketIn;
 use softcell_policy::clause::ClauseId;
 use softcell_types::{BaseStationId, Error, IdPool, PolicyTag, Result, SimTime, UeId, UeImsi};
 
-use crate::log::{Cursor, ReplicatedOp};
+use crate::log::Cursor;
 
 /// First permanent address, 100.64.0.1 (carrier-grade NAT space);
 /// address-pool id `n` is this address plus `n`.
@@ -145,9 +146,10 @@ impl State {
     }
 
     /// Parses [`State::write`] output. Truncation, a count the payload
-    /// cannot hold, an inconsistent pool, and an address or tag the pool
-    /// does not hold (or a pool holding one more) are each an
-    /// [`Error::Malformed`], never a panic.
+    /// cannot hold, keys out of ascending order (which would not
+    /// re-encode to the same bytes), an inconsistent pool, and an
+    /// address or tag the pool does not hold (or a pool holding one
+    /// more) are each an [`Error::Malformed`], never a panic.
     pub(crate) fn read(r: &mut Cursor<'_>) -> Result<State> {
         let mut ues = BTreeMap::new();
         for _ in 0..read_count(r, UE_LEN, "UEs")? {
@@ -158,11 +160,17 @@ impl State {
                 permanent_ip: Ipv4Addr::from(r.take_u32()?),
                 since: SimTime(r.take_u64()?),
             };
+            if ues.last_key_value().is_some_and(|(last, _)| *last >= imsi) {
+                return Err(Error::Malformed(format!("UE {imsi} out of order")));
+            }
             ues.insert(imsi, entry);
         }
         let mut paths = BTreeMap::new();
         for _ in 0..read_count(r, PATH_LEN, "paths")? {
             let key = (BaseStationId(r.take_u32()?), ClauseId(r.take_u16()?));
+            if paths.last_key_value().is_some_and(|(last, _)| *last >= key) {
+                return Err(Error::Malformed(format!("path {key:?} out of order")));
+            }
             paths.insert(key, PolicyTag(r.take_u16()?));
         }
         let addresses = read_pool(r, PERMANENT_SPACE, "address")?;
@@ -194,9 +202,9 @@ impl State {
     /// address, and a path request answers with the installed tag or
     /// draws the next. An error (an unknown IMSI, an exhausted pool)
     /// changes nothing.
-    pub fn apply(&mut self, op: &ReplicatedOp) -> Result<Applied> {
+    pub fn apply(&mut self, op: &PacketIn) -> Result<Applied> {
         match *op {
-            ReplicatedOp::Attach {
+            PacketIn::Attach {
                 imsi,
                 bs,
                 ue_id,
@@ -220,7 +228,7 @@ impl State {
                 self.ues.insert(imsi, entry);
                 Ok(Applied::Attached(imsi, entry))
             }
-            ReplicatedOp::Detach { imsi } => {
+            PacketIn::Detach { imsi } => {
                 let entry = self
                     .ues
                     .remove(&imsi)
@@ -229,7 +237,7 @@ impl State {
                     .release(u32::from(entry.permanent_ip).wrapping_sub(PERMANENT_BASE));
                 Ok(Applied::Detached(imsi, entry))
             }
-            ReplicatedOp::PathRequest { bs, clause } => {
+            PacketIn::PathRequest { bs, clause } => {
                 let tag = match self.paths.entry((bs, clause)) {
                     Entry::Occupied(o) => *o.get(),
                     Entry::Vacant(v) => {
@@ -270,8 +278,8 @@ impl State {
 mod tests {
     use super::*;
 
-    fn attach(imsi: u64, bs: u32) -> ReplicatedOp {
-        ReplicatedOp::Attach {
+    fn attach(imsi: u64, bs: u32) -> PacketIn {
+        PacketIn::Attach {
             imsi: UeImsi(imsi),
             bs: BaseStationId(bs),
             ue_id: UeId(1),
@@ -279,7 +287,7 @@ mod tests {
         }
     }
 
-    fn attached(s: &mut State, op: ReplicatedOp) -> UeEntry {
+    fn attached(s: &mut State, op: PacketIn) -> UeEntry {
         match s.apply(&op).unwrap() {
             Applied::Attached(_, e) => e,
             other => panic!("attach applied as {other:?}"),
@@ -297,8 +305,8 @@ mod tests {
 
         // A detach frees the address for the next new UE; detaching an
         // unknown IMSI is refused and changes nothing.
-        s.apply(&ReplicatedOp::Detach { imsi: UeImsi(7) }).unwrap();
-        assert!(s.apply(&ReplicatedOp::Detach { imsi: UeImsi(7) }).is_err());
+        s.apply(&PacketIn::Detach { imsi: UeImsi(7) }).unwrap();
+        assert!(s.apply(&PacketIn::Detach { imsi: UeImsi(7) }).is_err());
         assert_eq!(
             attached(&mut s, attach(8, 3)).permanent_ip,
             first.permanent_ip
@@ -318,10 +326,9 @@ mod tests {
             attached(&mut s, attach(imsi, 1));
         }
         for imsi in [3, 1] {
-            s.apply(&ReplicatedOp::Detach { imsi: UeImsi(imsi) })
-                .unwrap();
+            s.apply(&PacketIn::Detach { imsi: UeImsi(imsi) }).unwrap();
         }
-        s.apply(&ReplicatedOp::PathRequest {
+        s.apply(&PacketIn::PathRequest {
             bs: BaseStationId(1),
             clause: ClauseId(0),
         })
@@ -347,6 +354,22 @@ mod tests {
         }
         extra.extend_from_slice(&buf[free_at + 4 + 2 * 4..]);
         let got = State::read(&mut Cursor::new(&extra));
+        assert!(matches!(got, Err(Error::Malformed(_))), "got {got:?}");
+    }
+
+    #[test]
+    fn registry_entries_out_of_order_are_refused() {
+        // two entries swapped would read back into the same map and
+        // re-encode sorted: not the bytes that were read
+        let mut s = State::default();
+        for imsi in [1, 2] {
+            attached(&mut s, attach(imsi, 1));
+        }
+        let mut buf = bytes(&s);
+        let first = buf[4..4 + UE_LEN].to_vec();
+        buf.copy_within(4 + UE_LEN..4 + 2 * UE_LEN, 4);
+        buf[4 + UE_LEN..4 + 2 * UE_LEN].copy_from_slice(&first);
+        let got = State::read(&mut Cursor::new(&buf));
         assert!(matches!(got, Err(Error::Malformed(_))), "got {got:?}");
     }
 }

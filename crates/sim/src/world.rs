@@ -12,7 +12,7 @@ use std::net::Ipv4Addr;
 
 use softcell_controller::agent::{FlowSetup, LocalAgent};
 use softcell_controller::mobility::FlowRecord;
-use softcell_controller::{CentralController, ControllerConfig};
+use softcell_controller::{CentralController, ControllerConfig, Input, Output};
 use softcell_packet::{build_flow_packet, FiveTuple, FlowNat, HeaderView, Protocol};
 use softcell_policy::{ServicePolicy, SubscriberAttributes};
 use softcell_topology::Topology;
@@ -126,7 +126,7 @@ impl<'t> SimWorld<'t> {
     /// Attaches a UE at a base station (through that station's agent).
     pub fn attach(&mut self, imsi: UeImsi, bs: BaseStationId) -> Result<()> {
         self.agents[bs.index()].handle_attach(imsi, &mut self.controller, self.now)?;
-        self.apply_pending_ops()
+        self.apply_pending_ops().map(drop)
     }
 
     /// Detaches a UE (through its current station's agent). Its flows'
@@ -157,10 +157,10 @@ impl<'t> SimWorld<'t> {
     /// the old address is assignable again only now). Returns the number
     /// of rules torn down.
     pub fn expire_transitions(&mut self) -> Result<usize> {
-        let ops = self.controller.expire_transitions(self.now);
-        self.net.apply_all(&ops)?;
+        self.controller.apply(&Input::Expire { now: self.now })?;
+        let torn_down = self.apply_pending_ops()?;
         self.return_released_ue_ids();
-        Ok(ops.len())
+        Ok(torn_down)
     }
 
     fn return_released_ue_ids(&mut self) {
@@ -593,12 +593,14 @@ impl<'t> SimWorld<'t> {
             .ok_or_else(|| Error::NotFound("no clause for m2m flow".into()))?
             .clause;
 
-        let fwd = self
-            .controller
-            .request_m2m_path(rec_a.bs, rec_b.bs, clause)?;
-        let rev = self
-            .controller
-            .request_m2m_path(rec_b.bs, rec_a.bs, clause)?;
+        let mut m2m = |from, to| -> Result<_> {
+            let input = Input::M2mPath { from, to, clause };
+            let Output::Path(tags) = self.controller.apply(&input)? else {
+                unreachable!("an m2m request answers with its path")
+            };
+            Ok(tags)
+        };
+        let (fwd, rev) = (m2m(rec_a.bs, rec_b.bs)?, m2m(rec_b.bs, rec_a.bs)?);
         self.apply_pending_ops()?;
 
         let slot = (self.connections.len() % 32) as u16;
@@ -763,10 +765,13 @@ impl<'t> SimWorld<'t> {
             .map(|h| h.switch)
             .collect();
 
-        let ops =
-            self.controller
-                .install_shortcut(imsi, &old_path, flow.downlink_original, self.now)?;
-        self.net.apply_all(&ops)?;
+        self.controller.apply(&Input::Shortcut {
+            imsi,
+            old_path,
+            downlink: flow.downlink_original,
+            now: self.now,
+        })?;
+        self.apply_pending_ops()?;
 
         // shortcut packets arrive with the *original* tag (they bypass
         // the anchor's tunnel rewrite): the current station needs an
@@ -791,7 +796,9 @@ impl<'t> SimWorld<'t> {
     /// retired rules). Established connections must re-classify on
     /// their next flow; in-flight microflow entries drain naturally.
     pub fn apply_reoptimization(&mut self) -> Result<softcell_controller::offline::OfflineOutcome> {
-        let outcome = self.controller.reoptimize_paths()?;
+        let Output::Reoptimized(outcome) = self.controller.apply(&Input::Reoptimize)? else {
+            unreachable!("the offline pass answers with its outcome")
+        };
         self.apply_pending_ops()?;
         for agent in &mut self.agents {
             agent.clear_tag_cache();
@@ -857,14 +864,17 @@ impl<'t> SimWorld<'t> {
         c.key.is_some() && held && entry.is_some_and(|e| e.idle_deadline > self.now)
     }
 
-    fn apply_pending_ops(&mut self) -> Result<()> {
+    /// Applies the engine's pending rule ops; returns how many there were.
+    fn apply_pending_ops(&mut self) -> Result<usize> {
         // drain through the per-switch batched form — the same path the
         // sharded controller ships over the wire as `flow_mod_batch` —
         // so every simulation run exercises batching
+        let mut applied = 0;
         for batch in self.controller.drain_op_batches() {
             self.net.apply_all(&batch.ops)?;
+            applied += batch.ops.len();
         }
-        Ok(())
+        Ok(applied)
     }
 }
 

@@ -45,8 +45,12 @@ timeout 120 cargo test -q --release --test fault_churn
 # Sharded-controller differential oracle + seeded interleavings, also
 # time-capped: a ticket that is never handed on, or tags that are never
 # published, is a deadlock, and the timeout surfaces it as a red build.
-echo "==> shard oracle + interleaving sweep (180 s cap)"
-timeout 180 cargo test -q --release --test shard_oracle --test shard_interleave
+# With them, tests/input_replay.rs: seeded input logs replayed through
+# `CentralController::apply` on a fresh engine give byte-identical
+# outputs, rule ops and state (the oracle replays its reference's the
+# same way).
+echo "==> shard oracle + interleaving sweep + input replay (180 s cap)"
+timeout 180 cargo test -q --release --test shard_oracle --test shard_interleave --test input_replay
 
 # Replicated control-plane recovery drill: 3-controller cluster, the
 # leader killed -9 mid-handoff-storm. Gate: survivors' logs match the

@@ -1,24 +1,30 @@
 //! Shared harness for the sharded-controller differential tests: a
 //! single-threaded reference driver (real `CentralController` + real
 //! per-station `LocalAgent`s, applied the way the simulator applies
-//! them), a materializer replaying a `ShardedRun` onto a fresh data
-//! plane, and verbatim state dumps for byte-level comparison.
+//! them) that records the engine inputs it makes, a materializer
+//! replaying a `ShardedRun` onto a fresh data plane, and verbatim state
+//! dumps for byte-level comparison.
 #![allow(dead_code)]
 
 use std::collections::{BTreeSet, HashMap};
 use std::fmt::Write as _;
 use std::net::Ipv4Addr;
 
+use softcell::controller::agent::ControllerApi;
+use softcell::controller::core::{AttachGrant, PathTags};
 use softcell::controller::mobility::FlowRecord;
 use softcell::controller::ops::{batch_by_switch, SwitchBatch};
 use softcell::controller::sharded::{EventOutcome, ShardEvent, ShardEventKind, ShardedRun};
-use softcell::controller::{CentralController, ControllerConfig, LocalAgent, RuleOp};
+use softcell::controller::state::UeRecord;
+use softcell::controller::{CentralController, ControllerConfig, Input, LocalAgent, RuleOp};
+use softcell::ctlchan::PacketIn;
 use softcell::dataplane::MicroflowAction;
 use softcell::packet::{build_flow_packet, FiveTuple, HeaderView, Protocol};
+use softcell::policy::clause::ClauseId;
 use softcell::policy::{ServicePolicy, SubscriberAttributes};
 use softcell::sim::PhysicalNetwork;
 use softcell::topology::Topology;
-use softcell::types::{SimDuration, UeImsi};
+use softcell::types::{BaseStationId, Result, SimDuration, SimTime, UeId, UeImsi};
 
 /// Remote endpoint all test flows target.
 pub const SERVER: Ipv4Addr = Ipv4Addr::new(93, 184, 216, 34);
@@ -95,21 +101,82 @@ pub fn state_dump(ctl: &CentralController) -> String {
     )
 }
 
+/// The agents' side of an engine that records each call as the
+/// [`Input`] it is before making it.
+pub struct Recorder<'a> {
+    pub ctl: &'a mut CentralController,
+    pub inputs: &'a mut Vec<Input>,
+}
+
+impl ControllerApi for Recorder<'_> {
+    fn attach_ue(
+        &mut self,
+        imsi: UeImsi,
+        bs: BaseStationId,
+        ue_id: UeId,
+        now: SimTime,
+    ) -> Result<AttachGrant> {
+        let pi = PacketIn::Attach {
+            imsi,
+            bs,
+            ue_id,
+            now,
+        };
+        self.inputs.push(Input::Agent(pi));
+        self.ctl.attach_ue(imsi, bs, ue_id, now)
+    }
+
+    fn request_policy_path(&mut self, bs: BaseStationId, clause: ClauseId) -> Result<PathTags> {
+        let pi = PacketIn::PathRequest { bs, clause };
+        self.inputs.push(Input::Agent(pi));
+        self.ctl.request_policy_path(bs, clause)
+    }
+
+    fn detach_ue(&mut self, imsi: UeImsi) -> Result<UeRecord> {
+        self.inputs.push(Input::Agent(PacketIn::Detach { imsi }));
+        self.ctl.detach_ue(imsi)
+    }
+}
+
+/// A fresh engine with `n_subs` subscribers provisioned.
+pub fn engine(topo: &Topology, n_subs: u64) -> CentralController {
+    let mut ctl = CentralController::new(topo, ControllerConfig::simulation(), policy());
+    for attrs in subscribers(n_subs) {
+        ctl.put_subscriber(attrs);
+    }
+    ctl
+}
+
+/// Replays recorded inputs through `apply` on a fresh engine and
+/// asserts it reproduces the reference's op batches, drained after each
+/// input, and its state dump, byte for byte.
+pub fn assert_replay_matches(topo: &Topology, n_subs: u64, inputs: &[Input], reference: &RunDump) {
+    let mut ctl = engine(topo, n_subs);
+    let mut batches = Vec::new();
+    for input in inputs {
+        ctl.apply(input).expect("a recorded input applies");
+        batches.extend(batch_by_switch(ctl.drain_ops()));
+    }
+    assert!(
+        batches == reference.batches,
+        "replaying the recorded inputs must reproduce the reference's op batches"
+    );
+    assert_eq!(state_dump(&ctl), reference.state, "replayed state");
+}
+
 /// Drives the trace through the single-threaded controller + real local
 /// agents, the way `SimWorld` does (agent-side UE-id discipline,
 /// microflow installs at the access switch, handoff plan application).
-/// Returns the dump plus the live controller and network for follow-up
-/// checks (expiry, residue).
+/// Returns the dump, the engine inputs it made in order, and the live
+/// controller and network for follow-up checks (expiry, residue).
 pub fn reference_run_full(
     topo: &Topology,
     n_subs: u64,
     events: &[ShardEvent],
-) -> (RunDump, CentralController, PhysicalNetwork) {
+) -> (RunDump, Vec<Input>, CentralController, PhysicalNetwork) {
     let cfg = ControllerConfig::simulation();
-    let mut ctl = CentralController::new(topo, cfg, policy());
-    for attrs in subscribers(n_subs) {
-        ctl.put_subscriber(attrs);
-    }
+    let mut ctl = engine(topo, n_subs);
+    let mut inputs = Vec::new();
     let mut net = PhysicalNetwork::new(topo);
     let mut batches = Vec::new();
     let mut apply = |net: &mut PhysicalNetwork, ops: Vec<RuleOp>, what: &str| {
@@ -125,8 +192,12 @@ pub fn reference_run_full(
     for ev in events {
         match ev.kind {
             ShardEventKind::Attach { bs } => {
+                let mut rec = Recorder {
+                    ctl: &mut ctl,
+                    inputs: &mut inputs,
+                };
                 agents[bs.index()]
-                    .handle_attach(ev.imsi, &mut ctl, ev.time)
+                    .handle_attach(ev.imsi, &mut rec, ev.time)
                     .expect("reference attach");
                 apply(&mut net, ctl.drain_ops(), "attach ops");
             }
@@ -149,8 +220,12 @@ pub fn reference_run_full(
                 let buf = build_flow_packet(tuple, 64, 0, b"x");
                 let view = HeaderView::parse(&buf).expect("well-formed packet");
                 let access = topo.base_station(bs).access_switch;
+                let mut rec = Recorder {
+                    ctl: &mut ctl,
+                    inputs: &mut inputs,
+                };
                 agents[bs.index()]
-                    .handle_new_flow(&view, &mut ctl, net.switch_mut(access), ev.time)
+                    .handle_new_flow(&view, &mut rec, net.switch_mut(access), ev.time)
                     .expect("reference flow");
                 apply(&mut net, ctl.drain_ops(), "flow ops");
             }
@@ -181,6 +256,13 @@ pub fn reference_run_full(
                 let plan = ctl
                     .handoff(ev.imsi, to, new_id, &flows, ev.time)
                     .expect("reference handoff");
+                inputs.push(Input::Handoff {
+                    imsi: ev.imsi,
+                    to,
+                    new_id,
+                    flows,
+                    now: ev.time,
+                });
                 apply(&mut net, ctl.drain_ops(), "handoff ops");
                 for t in &plan.old_microflow_removals {
                     net.switch_mut(old_access).microflow.remove(t);
@@ -203,8 +285,12 @@ pub fn reference_run_full(
             }
             ShardEventKind::Detach { .. } => {
                 let bs = ctl.state().ue(ev.imsi).expect("detach of attached UE").bs;
+                let mut rec = Recorder {
+                    ctl: &mut ctl,
+                    inputs: &mut inputs,
+                };
                 agents[bs.index()]
-                    .handle_detach(ev.imsi, &mut ctl)
+                    .handle_detach(ev.imsi, &mut rec)
                     .expect("reference detach");
                 apply(&mut net, ctl.drain_ops(), "detach ops");
             }
@@ -226,7 +312,7 @@ pub fn reference_run_full(
         flow_stats,
         batches,
     };
-    (dump, ctl, net)
+    (dump, inputs, ctl, net)
 }
 
 /// Replays a sharded run's merged batch stream and per-event outcomes

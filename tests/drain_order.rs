@@ -21,7 +21,8 @@
 //! A second test pins a handoff's place in that stream: its ops join
 //! the pending stream in the order its plan used to return them, the
 //! superseded transition's teardown first and a collected tunnel's legs
-//! last.
+//! last. A third pins a shortcut's and an expiry's: each input's ops
+//! are what the engine's methods used to return instead of queueing.
 
 mod common;
 
@@ -29,7 +30,7 @@ use common::{fabric_dump, policy, subscribers, SERVER};
 use softcell::controller::agent::microflow_pair;
 use softcell::controller::mobility::FlowRecord;
 use softcell::controller::ops::batch_by_switch;
-use softcell::controller::{CentralController, ControllerConfig, RuleOp};
+use softcell::controller::{CentralController, ControllerConfig, Input, RuleOp};
 use softcell::packet::{FiveTuple, Protocol};
 use softcell::policy::clause::ClauseId;
 use softcell::sim::PhysicalNetwork;
@@ -229,4 +230,77 @@ fn a_handoff_drains_the_ops_its_plan_used_to_carry() {
     let [first, second] = two_moves();
     assert_eq!(first, FIRST_MOVE);
     assert_eq!(second, SECOND_MOVE);
+}
+
+/// The rule ops that `install_shortcut` and `expire_transitions`
+/// returned before they queued them: one UE with a live flow moves
+/// from station 0 to 3, a shortcut splices its downlink, and then its
+/// transition expires.
+const SHORTCUT: [&str; 2] = [
+    "install sw1 60100 dst=10.0.0.0/32,dst_port=0x0000/0xffff,proto=tcp -> forward(p3)",
+    "install sw4 60100 dst=10.0.0.0/32,dst_port=0x0000/0xffff,proto=tcp -> forward(p4)",
+];
+const EXPIRY: [&str; 10] = [
+    "remove sw5 dst=10.0.0.0/32",
+    "remove sw4 in_port=p4,src=10.0.0.0/32,src_port=0x0040/0xffc0",
+    "remove sw1 in_port=p3,src=10.0.0.0/32,src_port=0x0040/0xffc0",
+    "remove sw3 in_port=p1,src=10.0.0.0/32,src_port=0x0040/0xffc0",
+    "remove sw5 in_port=p1,src=10.0.0.0/32,src_port=0x0040/0xffff",
+    "remove sw1 dst=10.0.0.0/32,dst_port=0x0000/0xffff,proto=tcp",
+    "remove sw4 dst=10.0.0.0/32,dst_port=0x0000/0xffff,proto=tcp",
+    "remove sw3 dst=10.0.0.0/8,dst_port=0x0040/0xffc0",
+    "remove sw1 dst=10.0.0.0/8,dst_port=0x0040/0xffc0",
+    "remove sw4 dst=10.0.0.0/8,dst_port=0x0040/0xffc0",
+];
+
+#[test]
+fn a_shortcut_and_an_expiry_drain_the_ops_they_used_to_return() {
+    let topo = small_topology();
+    let cfg = ControllerConfig::simulation();
+    let mut ctl = CentralController::new(&topo, cfg, policy());
+    for attrs in subscribers(4) {
+        ctl.put_subscriber(attrs);
+    }
+    let (home, imsi) = (BaseStationId(0), UeImsi(0));
+    let grant = ctl
+        .attach_ue(imsi, home, UeId(0), SimTime::ZERO)
+        .expect("attach");
+    let tags = ctl
+        .request_policy_path(home, ClauseId(5))
+        .expect("catch-all path");
+    let route = ctl.routed_path(home, ClauseId(5)).expect("routed");
+    let old_path: Vec<SwitchId> = route.hops.iter().map(|h| h.switch).collect();
+    let loc = cfg.scheme.encode(LocIp::new(home, UeId(0))).expect("loc");
+    let ip = grant.record.permanent_ip;
+    let tuple = FiveTuple {
+        src: ip,
+        dst: SERVER,
+        src_port: 40_000,
+        dst_port: 443,
+        proto: Protocol::Tcp,
+    };
+    let radio = topo.base_station(home).radio_port;
+    let flow = microflow_pair(&cfg.ports, &tags, loc, ip, radio, tuple, 0).expect("flow");
+    ctl.handoff(imsi, BaseStationId(3), UeId(0), &[flow], SimTime::ZERO)
+        .expect("handoff");
+    ctl.drain_ops();
+
+    let shortcut = |old_path: Vec<SwitchId>| Input::Shortcut {
+        imsi,
+        old_path,
+        downlink: flow.downlink_original,
+        now: SimTime::from_secs(1),
+    };
+    // no switch to meet at: refused, and nothing queued
+    assert!(ctl.apply(&shortcut(Vec::new())).is_err());
+    assert!(ctl.drain_ops().is_empty(), "a failed shortcut queued ops");
+    ctl.apply(&shortcut(old_path)).expect("shortcut");
+    let spliced: Vec<String> = ctl.drain_ops().iter().map(line).collect();
+    assert_eq!(spliced, SHORTCUT);
+    ctl.apply(&Input::Expire {
+        now: SimTime::from_secs(1_000),
+    })
+    .expect("expiry");
+    let expired: Vec<String> = ctl.drain_ops().iter().map(line).collect();
+    assert_eq!(expired, EXPIRY);
 }

@@ -21,7 +21,7 @@ use common::{
     reference_run_full, session_port_groups, subscribers, SERVER,
 };
 use softcell::controller::sharded::{ShardEvent, ShardEventKind, ShardedController};
-use softcell::controller::ControllerConfig;
+use softcell::controller::{ControllerConfig, Input};
 use softcell::topology::small_topology;
 use softcell::types::{BaseStationId, SimDuration, SimTime, UeImsi};
 
@@ -107,13 +107,15 @@ fn build_trace() -> Vec<ShardEvent> {
 fn interleave_sweep(shards: usize, sched_seeds: std::ops::Range<u64>) {
     let topo = small_topology();
     let events = build_trace();
-    let (reference, mut ref_ctl, mut ref_net) = reference_run_full(&topo, UES, &events);
+    let (reference, _, mut ref_ctl, mut ref_net) = reference_run_full(&topo, UES, &events);
     assert_sessions_refine(&topo, &ref_net, &session_port_groups(&events));
 
     // reference residue: everything the churn created expires cleanly
     let late = events.last().unwrap().time + SimDuration::from_secs(10_000);
-    let ops = ref_ctl.expire_transitions(late);
-    ref_net.apply_all(&ops).expect("reference expiry ops");
+    ref_ctl.apply(&Input::Expire { now: late }).expect("expiry");
+    ref_net
+        .apply_all(&ref_ctl.drain_ops())
+        .expect("reference expiry ops");
     for sw in ref_net.switches_mut() {
         sw.microflow.expire_idle(late);
     }
@@ -150,8 +152,11 @@ fn interleave_sweep(shards: usize, sched_seeds: std::ops::Range<u64>) {
         // reservations, transitions, tunnels or microflow entries, and
         // the expired fabric matches the reference byte-for-byte
         let mut net = materialize_net(&topo, &run);
-        let ops = run.engine.expire_transitions(late);
-        net.apply_all(&ops).expect("sharded expiry ops");
+        run.engine
+            .apply(&Input::Expire { now: late })
+            .expect("expiry");
+        net.apply_all(&run.engine.drain_ops())
+            .expect("sharded expiry ops");
         for sw in net.switches_mut() {
             sw.microflow.expire_idle(late);
         }

@@ -15,19 +15,21 @@
 //! permanent addresses included: the engine assigns them from its own
 //! pool under each attach's ticket, in trace order at any shard count.
 //! The reference itself is checked to give each attachment session's
-//! flows exactly one permanent address.
+//! flows exactly one permanent address, and the engine inputs it made
+//! are replayed through `CentralController::apply` on a fresh engine,
+//! which must reproduce its op batches and state byte for byte.
 
 mod common;
 
 use common::{
-    assert_sessions_refine, compare, materialize, policy, reference_run_full, session_port_groups,
-    subscribers, SERVER,
+    assert_replay_matches, assert_sessions_refine, compare, materialize, policy,
+    reference_run_full, session_port_groups, subscribers, SERVER,
 };
 use std::sync::mpsc;
 use std::time::Duration;
 
 use softcell::controller::sharded::{EventOutcome, ShardEvent, ShardEventKind, ShardedController};
-use softcell::controller::ControllerConfig;
+use softcell::controller::{ControllerConfig, Input};
 use softcell::topology::small_topology;
 use softcell::types::{BaseStationId, SimTime, UeImsi};
 use softcell::workload::{EventKind, EventStream, EventStreamConfig};
@@ -69,8 +71,10 @@ fn oracle(workload_seed: u64) {
     let stream = EventStream::generate(&EventStreamConfig::busy(4, UES, workload_seed));
     let events = convert(stream.events());
     assert!(!events.is_empty());
-    let (reference, _, ref_net) = reference_run_full(&topo, UES, &events);
+    let (reference, inputs, _, ref_net) = reference_run_full(&topo, UES, &events);
     assert!(reference.flow_stats.0 > 0, "workload produced flows");
+    assert!(inputs.iter().any(|i| matches!(i, Input::Handoff { .. })));
+    assert_replay_matches(&topo, UES, &inputs, &reference);
     assert_sessions_refine(&topo, &ref_net, &session_port_groups(&events));
 
     for shards in [1usize, 2, 4, 8, 16] {
