@@ -65,8 +65,9 @@ fn measure(domains: usize, clients: usize, duration: Duration) -> (Row, Snapshot
                         router
                             .route(Request::Attach {
                                 imsi: UeImsi(imsi),
+                                // a location of its own per IMSI
                                 bs: BaseStationId((imsi % 64) as u32),
-                                ue_id: UeId(0),
+                                ue_id: UeId((imsi / 64) as u16),
                                 now: SimTime::ZERO,
                                 reply: tx.clone(),
                                 trace: softcell_telemetry::ReqTrace::NONE,

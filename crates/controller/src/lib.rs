@@ -40,12 +40,12 @@
 //!   beside it, under the same ticket), batched flow-mod emission;
 //!   differentially verified
 //!   against the single-threaded controller (`tests/shard_oracle.rs`).
-//! * [`server`] — a threaded controller front-end processing
-//!   packet-in/classifier requests, used by the §6.2 micro-benchmarks.
-//! * [`wire`] — the southbound control channel front-end: serves
-//!   `softcell-ctlchan` connections against the worker pool, and
-//!   [`wire::ChannelController`], the framed-transport
-//!   [`agent::ControllerApi`] proxy agents run against.
+//! * [`server`] — the threaded front-end of the §6.2 micro-benchmarks:
+//!   N domains (a lock and a queue each) in front of one
+//!   [`CentralController`].
+//! * [`wire`] — serves `softcell-ctlchan` connections through the
+//!   server, and [`wire::ChannelController`], the agent's
+//!   [`agent::ControllerApi`] over a framed transport.
 //! * [`update`] — two-phase consistent updates (version stamping at the
 //!   ingress edge) for rule transitions.
 

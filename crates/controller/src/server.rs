@@ -4,41 +4,41 @@
 //! emulated switches (= local agents) flood packet-in events and the
 //! controller answers with packet classifiers, reaching 2.2 M
 //! requests/second with 15 threads. [`ControllerServer`] is the Rust
-//! analogue: N domains computing per-UE classifiers (attach handling)
-//! and policy-tag answers (path requests).
+//! analogue: N domains in front of one Algorithm-1 engine
+//! ([`CentralController`]), which holds every UE, address and path.
 //!
-//! A domain is a *lock*, not a thread. The one invariant: every piece
-//! of mutable front-end state lives in the domain its key routes to, one
-//! writer at a time. The [`RequestRouter`] sends every request to the
-//! domain owning its key — UE-scoped requests by [`shard_of_ue`],
-//! station-scoped ones by [`shard_of_station`] — and the routing thread
-//! serves it there and then when that domain is free: nothing queued
-//! ahead, nobody holding the lock. Otherwise the request waits in the
-//! domain's bounded queue, whose worker takes the same lock per request.
-//! Either way the answer is computed under the lock and delivered after
-//! it is released. The finite identifier spaces (policy tags, permanent
-//! addresses) are split statically: domain d of N draws from its own
-//! slice `[d·S/N, (d+1)·S/N)` of each, through an [`IdPool`] it owns.
-//! What stays shared is immutable (policy, subscriber base) or
-//! telemetry.
+//! A domain is a *lock* and a queue, not a thread. The [`RequestRouter`]
+//! sends every request to the domain owning its key — UE-scoped requests
+//! by [`shard_of_ue`], station-scoped ones by [`shard_of_station`] — and
+//! the routing thread serves it there and then when that domain is free:
+//! nothing queued ahead, nobody holding the lock. Otherwise the request
+//! waits in the domain's bounded queue, whose worker takes the same lock
+//! per request. Under the domain lock, a handler takes the engine lock
+//! for one engine call, then sleeps through the simulated install fence
+//! with only the domain held, so fences of different domains overlap.
+//! The answer leaves once the domain is released.
+//!
+//! No switch is connected to this front-end: the engine's shadow tables
+//! are the fabric model, and the rule ops an engine call queues are
+//! dropped.
 
-use std::net::Ipv4Addr;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
+use std::time::Duration;
 
 use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use parking_lot::{Mutex, MutexGuard};
 
 use softcell_policy::clause::ClauseId;
-use softcell_policy::{AppClassifier, ServicePolicy, SubscriberAttributes, UeClassifier};
+use softcell_policy::{ServicePolicy, SubscriberAttributes};
 use softcell_telemetry::{trace, Counter, Gauge, Histogram, Registry, ReqTrace, Stopwatch};
+use softcell_topology::CellularParams;
 use softcell_types::{
-    shard_of_station, shard_of_ue, BaseStationId, Error, IdPool, PolicyTag, Result, SimTime, UeId,
-    UeImsi,
+    shard_of_station, shard_of_ue, BaseStationId, Error, Result, SimTime, UeId, UeImsi,
 };
 
-use crate::core::AttachGrant;
+use crate::core::{AttachGrant, CentralController, ControllerConfig, PathTags};
 use crate::state::UeRecord;
 
 /// Default request-queue depth. Bounded so a flood of packet-in events
@@ -47,27 +47,15 @@ use crate::state::UeRecord;
 /// same way).
 pub const DEFAULT_QUEUE_DEPTH: usize = 4096;
 
-/// Base of the permanent-address pool wire attaches allocate from
-/// (100.64.0.0/10, matching [`crate::core::ControllerConfig::simulation`]).
-pub(crate) const PERMANENT_POOL_BASE: u32 = 0x6440_0000;
-
-/// Size of the permanent-address offset space the domains split.
-const PERMANENT_SPACE: u32 = 1 << 20;
-
-/// Size of the policy-tag space the domains split.
-const TAG_SPACE: u32 = 1024;
-
-/// Domain `d` of `n`'s static slice `[d·S/n, (d+1)·S/n)` of an id space
-/// of size `S`: its first id, and a pool over its width.
-fn slice(space: u32, d: usize, n: usize) -> (u32, IdPool) {
-    let bound = |i: usize| (u64::from(space) * i as u64 / n as u64) as u32;
-    (bound(d), IdPool::new(bound(d + 1) - bound(d)))
-}
+/// Most domains a server starts: each is a worker thread, and the count
+/// comes from a command line (`--shards`).
+const MAX_DOMAINS: usize = 1024;
 
 /// A request from a local agent.
 pub enum Request {
-    /// A UE attached over the wire, an upsert by IMSI: allocate (or keep)
-    /// its permanent address, record its location, return the grant.
+    /// A UE attached over the wire: the engine records it and answers
+    /// with its grant (an attach at the UE's own location returns its
+    /// live record).
     Attach {
         /// The subscriber.
         imsi: UeImsi,
@@ -82,8 +70,8 @@ pub enum Request {
         /// Trace context + enqueue stamp ([`ReqTrace::NONE`]: untraced).
         trace: ReqTrace,
     },
-    /// A UE detached over the wire: drop its record (returning it) and
-    /// release its permanent address to the owning domain's pool.
+    /// A UE detached over the wire: the engine drops its record and
+    /// returns it.
     Detach {
         /// The subscriber.
         imsi: UeImsi,
@@ -92,15 +80,15 @@ pub enum Request {
         /// Trace context + enqueue stamp.
         trace: ReqTrace,
     },
-    /// A tag-cache miss: return (installing if needed) the policy tag of
-    /// a (base station, clause) path.
+    /// A tag-cache miss: the tags of a (base station, clause) policy
+    /// path, installed by Algorithm 1 if it is new.
     PathTag {
         /// Origin station.
         bs: BaseStationId,
         /// The clause.
         clause: ClauseId,
         /// Where to send the answer.
-        reply: Sender<Result<PolicyTag>>,
+        reply: Sender<Result<PathTags>>,
         /// Trace context + enqueue stamp.
         trace: ReqTrace,
     },
@@ -195,33 +183,18 @@ struct DomainCell {
     pending: AtomicUsize,
 }
 
-/// One domain's state: its UE and path maps (routing gives it every
-/// IMSI and (bs, clause) key it is ever asked about, the lock one writer
-/// at a time) and its slices of the tag and permanent-address spaces.
+/// One domain: the lock its requests are served under. The state they
+/// change is the engine's; a domain holds only its metrics.
 struct Domain {
-    /// UE records registered over the wire front-end ([`crate::wire`]).
-    ues: std::collections::HashMap<UeImsi, UeRecord>,
-    /// (bs, clause) → tag. Path installation stand-in: allocate a tag and
-    /// record the path. (Algorithm 1 runs in [`crate::sharded`]; this
-    /// server measures request fan-in, the paper's bottleneck here.)
-    paths: std::collections::HashMap<(BaseStationId, ClauseId), PolicyTag>,
-    /// First tag of this domain's slice, and the pool over the slice.
-    tag_base: u32,
-    tags: IdPool,
-    /// First permanent-address offset of this domain's slice, and the
-    /// pool over the slice.
-    permanent_base: u32,
-    permanent: IdPool,
     shared: Arc<Shared>,
     wm: WorkerMetrics,
 }
 
-/// Controller state every domain reads: configuration (fixed at start)
-/// and telemetry.
+/// What every domain shares: the engine and telemetry.
 pub(crate) struct Shared {
-    policy: ServicePolicy,
-    apps: AppClassifier,
-    subscribers: std::collections::HashMap<UeImsi, SubscriberAttributes>,
+    /// The Algorithm-1 engine, taken under a domain lock for one engine
+    /// call and never held across a fence or a send.
+    pub(crate) controller: Mutex<CentralController>,
     /// This server's metric registry — per instance, so tests running
     /// many servers in parallel never see each other's numbers.
     pub(crate) telemetry: Arc<Registry>,
@@ -243,23 +216,23 @@ pub(crate) struct Shared {
     /// ([`crate::wire`]).
     pub(crate) batch_seq: AtomicU64,
     /// Simulated southbound install fence, in microseconds (benchmark
-    /// knob, default 0). When set, a worker blocks this long wherever
+    /// knob, default 0). When set, a handler blocks this long wherever
     /// the real controller would wait for a switch to ack a rule
-    /// install: per attach (the UE classifier lands at its access
-    /// station) and per path-tag miss (the path's rules land in the
-    /// fabric). Domains overlap these waits — the scaling a sharded
-    /// control plane buys when its bottleneck is fabric round trips,
-    /// not CPU.
+    /// install: per granted attach (the UE classifier lands at its
+    /// access station) and per path request that queued rule ops.
+    /// Domains overlap these waits — the scaling a sharded control plane
+    /// buys when its bottleneck is fabric round trips, not CPU.
     install_latency_us: AtomicU64,
 }
 
 impl Shared {
-    fn install_fence(&self) {
+    /// The simulated install fence: how long a handler sleeps (zero by
+    /// default, which does not sleep). A handler sleeps in its own body,
+    /// after [`Domain::call`], so the seq-block pass sees the engine
+    /// guard is gone.
+    fn fence(&self) -> Duration {
         // softcell-lint: allow(atomics-order) -- pure config knob: a stale read only mistimes the simulated fence
-        let us = self.install_latency_us.load(Ordering::Relaxed);
-        if us > 0 {
-            std::thread::sleep(std::time::Duration::from_micros(us));
-        }
+        Duration::from_micros(self.install_latency_us.load(Ordering::Relaxed))
     }
 }
 
@@ -271,25 +244,29 @@ pub struct ControllerServer {
 }
 
 impl ControllerServer {
-    /// Starts `shards` domains over the given policy and subscriber
-    /// base, one request queue ([`DEFAULT_QUEUE_DEPTH`]) and queue worker
-    /// each. Requests are submitted through the [`RequestRouter`]
-    /// ([`Self::router`]) so every key reaches its owning domain.
+    /// Starts `shards` domains, one request queue ([`DEFAULT_QUEUE_DEPTH`])
+    /// and queue worker each, in front of one engine over
+    /// `CellularParams::paper(4)` — 160 base stations, ids 0 to 159 —
+    /// with [`ControllerConfig::simulation`], `policy` and every
+    /// subscriber provisioned. Requests go through the [`RequestRouter`]
+    /// ([`Self::router`]). Refuses 0 and more than 1 024 domains.
     pub fn start_sharded(
         policy: ServicePolicy,
         subscribers: impl IntoIterator<Item = SubscriberAttributes>,
         shards: usize,
     ) -> Result<ControllerServer> {
-        if shards == 0 || shards > TAG_SPACE as usize {
-            // every domain needs at least one tag of its own
-            let msg = format!("server takes 1 to {TAG_SPACE} shards, got {shards}");
+        if shards == 0 || shards > MAX_DOMAINS {
+            let msg = format!("server takes 1 to {MAX_DOMAINS} shards, got {shards}");
             return Err(Error::Config(msg));
         }
+        let topo = CellularParams::paper(4).build()?;
+        let mut engine = CentralController::new(&topo, ControllerConfig::simulation(), policy);
+        subscribers
+            .into_iter()
+            .for_each(|attrs| engine.put_subscriber(attrs));
         let telemetry = Registry::new();
         let shared = Arc::new(Shared {
-            policy,
-            apps: AppClassifier::default(),
-            subscribers: subscribers.into_iter().map(|a| (a.imsi, a)).collect(),
+            controller: Mutex::new(engine),
             served: telemetry.counter("softcell_controller_packet_in_total"),
             active_connections: telemetry.gauge("softcell_controller_active_connections"),
             disconnects: telemetry.counter("softcell_controller_disconnects_total"),
@@ -303,15 +280,7 @@ impl ControllerServer {
         let mut workers = Vec::with_capacity(shards);
         for shard in 0..shards {
             let (tx, rx) = bounded::<Job>(DEFAULT_QUEUE_DEPTH);
-            let (tag_base, tags) = slice(TAG_SPACE, shard, shards);
-            let (permanent_base, permanent) = slice(PERMANENT_SPACE, shard, shards);
             let domain = Domain {
-                ues: std::collections::HashMap::new(),
-                paths: std::collections::HashMap::new(),
-                tag_base,
-                tags,
-                permanent_base,
-                permanent,
                 shared: Arc::clone(&shared),
                 wm: WorkerMetrics::new(&shared.telemetry, shard),
             };
@@ -330,7 +299,7 @@ impl ControllerServer {
 
     /// Sets the simulated per-install switch round trip the workers
     /// block on (benchmark knob; zero disables, the default).
-    pub fn set_install_latency(&self, d: std::time::Duration) {
+    pub fn set_install_latency(&self, d: Duration) {
         self.shared
             .install_latency_us
             // softcell-lint: allow(atomics-order) -- pure config knob: no reader orders other memory against it
@@ -488,64 +457,46 @@ fn run<R: Send + 'static>(
 }
 
 impl Domain {
+    /// Makes one engine call under the engine lock and drops the rule
+    /// ops it queued (see the module doc); says whether it queued any.
+    fn call<R>(&self, f: impl FnOnce(&mut CentralController) -> Result<R>) -> (Result<R>, bool) {
+        let mut engine = self.shared.controller.lock();
+        let out = f(&mut engine);
+        let queued = !engine.pending_ops.is_empty();
+        engine.pending_ops.clear();
+        (out, queued)
+    }
+
+    /// A granted attach always fences: its classifier lands at the
+    /// access station.
     fn attach(
-        &mut self,
+        &self,
         imsi: UeImsi,
         bs: BaseStationId,
         ue_id: UeId,
         now: SimTime,
     ) -> Result<AttachGrant> {
-        let unknown = || Error::NotFound(format!("unknown subscriber {imsi}"));
-        let attrs = self.shared.subscribers.get(&imsi).ok_or_else(unknown)?;
-        let classifier = UeClassifier::compile(&self.shared.policy, &self.shared.apps, attrs);
-        // permanent addresses never change (§3.1): a re-attach keeps the
-        // one first assigned
-        let permanent_ip = match self.ues.get(&imsi) {
-            Some(r) => r.permanent_ip,
-            // draw from this domain's slice — routing by imsi guarantees
-            // the matching detach releases to the same pool
-            None => {
-                let full = || Error::Exhausted("permanent-address space".into());
-                let off = self.permanent.allocate().ok_or_else(full)?;
-                Ipv4Addr::from(PERMANENT_POOL_BASE + 1 + self.permanent_base + off)
-            }
-        };
-        let record = UeRecord {
-            imsi,
-            permanent_ip,
-            bs,
-            ue_id,
-            since: now,
-        };
-        self.ues.insert(imsi, record);
-        // the classifier install at the access station fences
-        self.shared.install_fence();
-        Ok(AttachGrant { record, classifier })
+        let grant = self.call(|c| c.attach_ue(imsi, bs, ue_id, now)).0?;
+        std::thread::sleep(self.shared.fence());
+        Ok(grant)
     }
 
-    fn detach(&mut self, imsi: UeImsi) -> Result<UeRecord> {
-        let unknown = || Error::NotFound(format!("{imsi} not attached"));
-        let record = self.ues.remove(&imsi).ok_or_else(unknown)?;
-        let off = u32::from(record.permanent_ip) - PERMANENT_POOL_BASE - 1 - self.permanent_base;
-        self.permanent.release(off);
-        Ok(record)
+    fn detach(&self, imsi: UeImsi) -> Result<UeRecord> {
+        self.call(|c| c.detach_ue(imsi)).0
     }
 
-    fn path_tag(&mut self, bs: BaseStationId, clause: ClauseId) -> Result<PolicyTag> {
-        // this domain owns every (bs, clause) it is ever asked about, so
-        // the tag comes from its own slice
-        if let Some(t) = self.paths.get(&(bs, clause)) {
+    /// A path request fences, and counts as a cache miss, only when it
+    /// queued rule ops.
+    fn path_tag(&self, bs: BaseStationId, clause: ClauseId) -> Result<PathTags> {
+        let (tags, queued) = self.call(|c| c.request_policy_path(bs, clause));
+        let tags = tags?;
+        if queued {
+            self.wm.path_misses.inc();
+            std::thread::sleep(self.shared.fence());
+        } else {
             self.wm.path_hits.inc();
-            return Ok(*t);
         }
-        let full = || Error::Exhausted("policy-tag space".into());
-        let v = self.tags.allocate().ok_or_else(full)?;
-        self.wm.path_misses.inc();
-        let t = PolicyTag((self.tag_base + v) as u16);
-        self.paths.insert((bs, clause), t);
-        // the path's fabric rules fence
-        self.shared.install_fence();
-        Ok(t)
+        Ok(tags)
     }
 }
 
@@ -601,6 +552,9 @@ mod tests {
     use super::*;
     use crossbeam::channel::bounded;
 
+    /// The permitted clause a parked domain's path request names.
+    const PARK: ClauseId = ClauseId(0);
+
     fn subscribers(n: u64) -> Vec<SubscriberAttributes> {
         (0..n)
             .map(|i| SubscriberAttributes::default_home(UeImsi(i)))
@@ -616,16 +570,31 @@ mod tests {
         .unwrap()
     }
 
-    /// An attach of `imsi` at a station of its own, answered into `reply`.
+    /// An attach of `imsi` at a location of its own, answered into `reply`.
     fn attach(imsi: u64, reply: &Sender<Result<AttachGrant>>) -> Request {
         Request::Attach {
             imsi: UeImsi(imsi),
             bs: BaseStationId((imsi % 7) as u32),
-            ue_id: UeId(0),
+            ue_id: UeId((imsi / 7) as u16),
             now: SimTime::ZERO,
             reply: reply.clone(),
             trace: ReqTrace::NONE,
         }
+    }
+
+    fn path(bs: BaseStationId, clause: ClauseId, reply: &Sender<Result<PathTags>>) -> Request {
+        Request::PathTag {
+            bs,
+            clause,
+            reply: reply.clone(),
+            trace: ReqTrace::NONE,
+        }
+    }
+
+    /// The first station from 100 on that `shard` of `n` owns.
+    fn station_of(shard: usize, n: usize) -> BaseStationId {
+        let bs = (100..).find(|bs| shard_of_station(BaseStationId(*bs), n) == shard);
+        BaseStationId(bs.unwrap())
     }
 
     #[test]
@@ -655,20 +624,21 @@ mod tests {
         let ask = |bs: u32, clause: u16| {
             let (tx, rx) = bounded(1);
             router
-                .route(Request::PathTag {
-                    bs: BaseStationId(bs),
-                    clause: ClauseId(clause),
-                    reply: tx,
-                    trace: ReqTrace::NONE,
-                })
+                .route(path(BaseStationId(bs), ClauseId(clause), &tx))
                 .unwrap();
-            rx.recv().unwrap().unwrap()
+            rx.recv().unwrap()
         };
-        let t1 = ask(5, 0);
-        let t2 = ask(5, 0);
-        let t3 = ask(6, 0);
-        assert_eq!(t1, t2, "idempotent per (bs, clause)");
-        let _ = t3;
+        let t1 = ask(5, 0).unwrap();
+        assert_eq!(ask(5, 0).unwrap(), t1, "idempotent per (bs, clause)");
+        // the engine's answer: an installed path's own tags
+        let engine = server.shared.controller.lock();
+        let routed = engine.routed_path(BaseStationId(5), ClauseId(0));
+        assert!(routed.is_some(), "the path is installed");
+        drop(engine);
+        assert!(
+            matches!(ask(5, 1), Err(Error::InvalidState(_))),
+            "a denying clause has no path"
+        );
         server.shutdown();
     }
 
@@ -695,6 +665,10 @@ mod tests {
             c.join().unwrap();
         }
         assert_eq!(server.served(), 1000);
+        assert_eq!(
+            server.shared.controller.lock().state().attached_count(),
+            100
+        );
         server.shutdown();
     }
 
@@ -704,73 +678,37 @@ mod tests {
         assert_eq!(server.domains(), 4);
         let router = server.router();
 
-        // attach every subscriber through the router; addresses must be
-        // pairwise distinct even though four domains allocate them from
-        // their own slices
+        // attach every subscriber through the router; the engine's one
+        // pool gives pairwise distinct addresses whichever domain asks
         let (tx, rx) = bounded(1);
         let mut ips = std::collections::HashSet::new();
         for i in 0..32u64 {
-            router
-                .route(Request::Attach {
-                    imsi: UeImsi(i),
-                    bs: BaseStationId((i % 7) as u32),
-                    ue_id: softcell_types::UeId(0),
-                    now: SimTime::ZERO,
-                    reply: tx.clone(),
-                    trace: ReqTrace::NONE,
-                })
-                .unwrap();
+            router.route(attach(i, &tx)).unwrap();
             let grant = rx.recv().unwrap().unwrap();
             assert!(!grant.classifier.entries().is_empty());
             assert!(ips.insert(grant.record.permanent_ip), "duplicate address");
         }
 
-        // path tags are stable per (bs, clause) and distinct across keys
-        // within a domain
-        let (ttx, trx) = bounded(1);
-        let ask = |bs: u32, clause: u16| {
-            router
-                .route(Request::PathTag {
-                    bs: BaseStationId(bs),
-                    clause: ClauseId(clause),
-                    reply: ttx.clone(),
-                    trace: ReqTrace::NONE,
-                })
-                .unwrap();
-            trx.recv().unwrap().unwrap()
-        };
-        let t1 = ask(5, 0);
-        let t2 = ask(5, 0);
-        assert_eq!(t1, t2, "idempotent per (bs, clause)");
-        assert_ne!(ask(5, 1), t1, "distinct clause gets a distinct tag");
-
-        // detach releases records; a re-attach then gets a fresh address
+        // detach releases records; a second detach fails
         let (dtx, drx) = bounded(1);
-        router
-            .route(Request::Detach {
-                imsi: UeImsi(3),
-                reply: dtx.clone(),
-                trace: ReqTrace::NONE,
-            })
-            .unwrap();
+        let detach = || Request::Detach {
+            imsi: UeImsi(3),
+            reply: dtx.clone(),
+            trace: ReqTrace::NONE,
+        };
+        router.route(detach()).unwrap();
         let rec = drx.recv().unwrap().unwrap();
         assert!(ips.contains(&rec.permanent_ip));
-        router
-            .route(Request::Detach {
-                imsi: UeImsi(3),
-                reply: dtx.clone(),
-                trace: ReqTrace::NONE,
-            })
-            .unwrap();
+        router.route(detach()).unwrap();
         assert!(drx.recv().unwrap().is_err(), "double detach fails");
         server.shutdown();
     }
 
     #[test]
     fn sharded_addresses_stay_unique_under_churn() {
-        // attach/detach churn across many UEs drives the per-domain
-        // pools through release and reuse; no two concurrently attached
-        // UEs may ever share a permanent address
+        // attach/detach churn across many UEs drives the engine's pool
+        // through release and reuse; no two concurrently attached UEs
+        // may ever share a permanent address
         let server = server(256, 4);
         let router = server.router();
         let (atx, arx) = bounded(1);
@@ -791,16 +729,7 @@ mod tests {
                         live.remove(&i);
                     }
                 } else if !live.contains_key(&i) {
-                    router
-                        .route(Request::Attach {
-                            imsi: UeImsi(i),
-                            bs: BaseStationId((i % 5) as u32),
-                            ue_id: softcell_types::UeId(0),
-                            now: SimTime(round),
-                            reply: atx.clone(),
-                            trace: ReqTrace::NONE,
-                        })
-                        .unwrap();
+                    router.route(attach(i, &atx)).unwrap();
                     let grant = arx.recv().unwrap().unwrap();
                     let ip = grant.record.permanent_ip;
                     assert!(
@@ -843,23 +772,13 @@ mod tests {
         // thread that waited for room would wait for itself, for ever
         // (scripts/ci.sh runs this suite under `timeout`).
         let server = server(1, 2);
-        server.set_install_latency(std::time::Duration::from_millis(50));
+        server.set_install_latency(Duration::from_millis(50));
         let router = server.router();
-        let station = |shard| {
-            let bs = (100..).find(|bs| shard_of_station(BaseStationId(*bs), 2) == shard);
-            BaseStationId(bs.unwrap())
-        };
         let (tx, rx) = bounded(1);
-        let ask = |bs| Request::PathTag {
-            bs,
-            clause: ClauseId(99),
-            reply: tx.clone(),
-            trace: ReqTrace::NONE,
-        };
-        let parked = park_domain(&server, station(0), 0);
-        router.route(ask(station(0))).unwrap();
-        server.set_install_latency(std::time::Duration::from_millis(150));
-        router.route(ask(station(1))).unwrap();
+        let parked = park_domain(&server, station_of(0, 2), 0);
+        router.route(path(station_of(0, 2), PARK, &tx)).unwrap();
+        server.set_install_latency(Duration::from_millis(150));
+        router.route(path(station_of(1, 2), PARK, &tx)).unwrap();
         assert_eq!(rx.recv().unwrap().unwrap(), parked.join().unwrap());
         rx.recv().unwrap().unwrap();
         const QUEUED: &str = "softcell_controller_shard_queued_total";
@@ -894,12 +813,13 @@ mod tests {
     }
 
     #[test]
-    fn more_shards_than_tags_rejected() {
-        // a domain's static slice of the tag space must not be empty
+    fn more_shards_than_worker_threads_allowed_rejected() {
+        // one worker thread per domain: the bound is checked before any
+        // thread starts
         let err = ControllerServer::start_sharded(
             ServicePolicy::example_carrier_a(1),
             subscribers(1),
-            TAG_SPACE as usize + 1,
+            MAX_DOMAINS + 1,
         );
         assert!(matches!(err, Err(Error::Config(_))));
     }
@@ -911,29 +831,23 @@ mod tests {
             .get()
     }
 
-    /// Parks domain `shard` from another thread: a path-tag miss for
-    /// `bs`, served on that thread, asleep in the install fence with the
-    /// domain held. Returns once the miss is counted, which happens
-    /// under the lock just ahead of the fence.
+    /// Parks domain `shard` from another thread: a path request for
+    /// (`bs`, [`PARK`]), which must be new to the engine, served on that
+    /// thread, asleep in the install fence with the domain held. Returns
+    /// once the miss is counted, which happens under the domain lock just
+    /// ahead of the fence.
     fn park_domain(
         server: &ControllerServer,
         bs: BaseStationId,
         shard: usize,
-    ) -> std::thread::JoinHandle<PolicyTag> {
+    ) -> std::thread::JoinHandle<PathTags> {
         const MISSES: &str = "softcell_controller_path_cache_misses_total";
         let before = shard_counter(server, MISSES, shard);
         let router = server.router();
         assert_eq!(shard_of_station(bs, router.domains()), shard);
         let parked = std::thread::spawn(move || {
             let (tx, rx) = bounded(1);
-            router
-                .route(Request::PathTag {
-                    bs,
-                    clause: ClauseId(99),
-                    reply: tx,
-                    trace: ReqTrace::NONE,
-                })
-                .unwrap();
+            router.route(path(bs, PARK, &tx)).unwrap();
             rx.recv().unwrap().unwrap()
         });
         while shard_counter(server, MISSES, shard) == before {
@@ -945,15 +859,10 @@ mod tests {
     #[test]
     fn full_domain_queue_sheds_then_recovers() {
         let server = server(1, 1);
-        server.set_install_latency(std::time::Duration::from_millis(200));
+        server.set_install_latency(Duration::from_millis(200));
         let router = server.router();
         let (tx, rx) = bounded(DEFAULT_QUEUE_DEPTH + 1);
-        let ask = || Request::PathTag {
-            bs: BaseStationId(5),
-            clause: ClauseId(99),
-            reply: tx.clone(),
-            trace: ReqTrace::NONE,
-        };
+        let ask = || path(BaseStationId(5), PARK, &tx);
         // a second thread's miss holds the only domain through the
         // install fence; the worker takes the first request off the
         // queue and waits for the lock, and nothing drains the rest
@@ -968,9 +877,9 @@ mod tests {
         assert!(!router.try_route(ask()).unwrap(), "queue full: shed");
 
         // after the fence every accepted request is answered, all alike
-        let tag = parked.join().unwrap();
+        let tags = parked.join().unwrap();
         for _ in 0..=DEFAULT_QUEUE_DEPTH {
-            assert_eq!(rx.recv().unwrap().unwrap(), tag);
+            assert_eq!(rx.recv().unwrap().unwrap(), tags);
         }
         assert!(rx.try_recv().is_err(), "the shed request got no answer");
         let hwm = server
@@ -986,7 +895,7 @@ mod tests {
             "all but the parking miss queued"
         );
         assert!(router.try_route(ask()).unwrap(), "drained queue accepts");
-        assert_eq!(rx.recv().unwrap().unwrap(), tag);
+        assert_eq!(rx.recv().unwrap().unwrap(), tags);
         server.shutdown();
     }
 
@@ -997,25 +906,15 @@ mod tests {
         // held by a fenced miss while the whole sequence is routed).
         fn run(queued: bool) -> (Vec<String>, Vec<u64>) {
             let server = server(16, 2);
-            server.set_install_latency(std::time::Duration::from_millis(50));
+            server.set_install_latency(Duration::from_millis(50));
             let router = server.router();
             // two subscribers of one domain, so the second attach draws
-            // from the pool the first one's detach released into
+            // the address the first one's detach released
             let mut same = (0..16).filter(|i| shard_of_ue(UeImsi(*i), 2) == 0);
             let (ue_a, ue_b) = (same.next().unwrap(), same.next().unwrap());
-            let holders: Vec<BaseStationId> = (0..2)
-                .map(|shard| {
-                    let bs = (100..).find(|bs| shard_of_station(BaseStationId(*bs), 2) == shard);
-                    BaseStationId(bs.unwrap())
-                })
+            let mut held: Vec<_> = (0..2)
+                .map(|shard| park_domain(&server, station_of(shard, 2), shard))
                 .collect();
-            let hold = || -> Vec<_> {
-                let parked = holders.iter().enumerate();
-                parked
-                    .map(|(shard, bs)| park_domain(&server, *bs, shard))
-                    .collect()
-            };
-            let mut held = hold();
             if !queued {
                 held.drain(..).for_each(|h| h.join().map(drop).unwrap());
             }
@@ -1031,12 +930,7 @@ mod tests {
                 reply: atx.clone(),
                 trace: ReqTrace::NONE,
             };
-            let path = |bs: u32, clause: u16| Request::PathTag {
-                bs: BaseStationId(bs),
-                clause: ClauseId(clause),
-                reply: ttx.clone(),
-                trace: ReqTrace::NONE,
-            };
+            let path = |bs: u32, clause: u16| path(BaseStationId(bs), ClauseId(clause), &ttx);
             let detach = |imsi: u64| Request::Detach {
                 imsi: UeImsi(imsi),
                 reply: dtx.clone(),
@@ -1045,11 +939,12 @@ mod tests {
             let got_attach = || format!("{:?}", arx.recv().unwrap());
             let got_path = || format!("{:?}", trx.recv().unwrap());
             let got_detach = || format!("{:?}", drx.recv().unwrap());
-            let sequence: [(Request, &dyn Fn() -> String); 8] = [
+            let sequence: [(Request, &dyn Fn() -> String); 9] = [
                 (attach(ue_a, 3, 10), &got_attach),
-                (attach(ue_a, 4, 20), &got_attach),
+                (attach(ue_a, 3, 20), &got_attach),
+                (attach(ue_a, 4, 25), &got_attach),
                 (path(5, 0), &got_path),
-                (path(5, 1), &got_path),
+                (path(5, 2), &got_path),
                 (path(5, 0), &got_path),
                 (detach(ue_a), &got_detach),
                 (detach(ue_a), &got_detach),
@@ -1084,26 +979,30 @@ mod tests {
             let went_queued: u64 = (0..2)
                 .map(|s| shard_counter(&server, "softcell_controller_shard_queued_total", s))
                 .sum();
-            assert_eq!(went_queued, if queued { 8 } else { 0 });
+            assert_eq!(went_queued, if queued { 9 } else { 0 });
             server.shutdown();
             (answers, counts)
         }
         let (inline, queued) = (run(false), run(true));
         assert_eq!(inline, queued);
-        assert_eq!(inline.1[0], 10, "two holders and the sequence");
-        assert!(inline.0[6].contains("NotFound"), "double detach fails");
+        assert_eq!(inline.1[0], 11, "two holders and the sequence");
+        assert_eq!(
+            inline.0[1], inline.0[0],
+            "an attach in place returns the record"
+        );
+        assert!(
+            inline.0[2].contains("InvalidState"),
+            "an attach elsewhere fails"
+        );
+        assert_eq!(inline.0[5], inline.0[3], "a path's tags are stable");
+        assert!(inline.0[7].contains("NotFound"), "double detach fails");
         let ip = |answer: &str| -> Option<String> {
             let rest = answer.split("permanent_ip: ").nth(1)?;
             Some(rest.split(',').next()?.to_string())
         };
         assert!(ip(&inline.0[0]).is_some());
         assert_eq!(
-            ip(&inline.0[1]),
-            ip(&inline.0[0]),
-            "re-attach keeps the address"
-        );
-        assert_eq!(
-            ip(&inline.0[7]),
+            ip(&inline.0[8]),
             ip(&inline.0[0]),
             "released address is drawn again"
         );
@@ -1114,7 +1013,7 @@ mod tests {
         let tracer = Registry::global().tracer();
         tracer.set_sampling(1, softcell_telemetry::DEFAULT_SLOW_US);
         let server = server(1, 1);
-        server.set_install_latency(std::time::Duration::from_millis(50));
+        server.set_install_latency(Duration::from_millis(50));
         let router = server.router();
         let (tx, rx) = bounded(1);
         let traced = |held: bool| {

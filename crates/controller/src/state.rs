@@ -127,7 +127,10 @@ impl ControllerState {
 
     /// Records a UE attachment (or re-attachment after detach). The UE id
     /// comes from the local agent; the permanent address from this
-    /// state's pool. Returns the record.
+    /// state's pool. Returns the record. A UE already attached at exactly
+    /// `(bs, ue_id)` gets its live record back, unchanged (an agent
+    /// re-registering after a reconnect); anywhere else it is refused,
+    /// since a move is a handoff (§5.1).
     pub fn attach(
         &mut self,
         imsi: UeImsi,
@@ -137,6 +140,9 @@ impl ControllerState {
     ) -> Result<UeRecord> {
         self.subscriber(imsi)?;
         if let Some(existing) = self.ues.get(&imsi) {
+            if (existing.bs, existing.ue_id) == (bs, ue_id) {
+                return Ok(*existing);
+            }
             return Err(Error::InvalidState(format!(
                 "{imsi} already attached at {}",
                 existing.bs

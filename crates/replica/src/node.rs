@@ -809,10 +809,11 @@ impl<T: Transport> ReplicaNode<T> {
                 record: record(imsi, e),
                 classifier: None,
             },
-            // Same frame and one-tag end-to-end stand-in as the
-            // single-controller wire front-end. (leader seat, record
-            // index) is this cluster's (shard, seq): indices only grow,
-            // across leaders too.
+            // The wire front-end's frame, over this state machine's
+            // one-tag end-to-end stand-in (the engine replaces it in
+            // ROADMAP item 5; the server already answers from it).
+            // (leader seat, record index) is this cluster's (shard,
+            // seq): indices only grow, across leaders too.
             Applied::Path(bs, clause, tag) => Message::FlowModBatch {
                 shard: self.cfg.id.0 as u16,
                 seq: index as u32,

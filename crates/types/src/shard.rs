@@ -3,16 +3,11 @@
 //! SoftCell's control load is shardable by UE: every per-subscriber
 //! operation (attach, detach, microflow decisions) touches only that
 //! UE's state, so partitioning by a hash of the IMSI lets N worker
-//! shards run without coordination. Station-scoped front-end state (a
-//! `ControllerServer` domain's path-tag map) shards by a hash of the
-//! base-station id instead. The sharded engine's station id pools do
-//! not: every operation on them is ticketed, so they sit under the
-//! ticket beside the engine rather than on an owner shard.
-//!
-//! A `ControllerServer` domain's policy tags and permanent addresses
-//! come from its own static slice of each space (an
-//! [`IdPool`](crate::IdPool) per slice), so no identifier is shared
-//! between domains.
+//! shards run without coordination. Station-scoped requests (a
+//! `ControllerServer` path request) route by a hash of the base-station
+//! id instead. The sharded engine's station id pools do not shard:
+//! every operation on them is ticketed, so they sit under the ticket
+//! beside the engine rather than on an owner shard.
 
 use crate::fxhash::FxHasher;
 use crate::ids::{BaseStationId, UeImsi};

@@ -173,11 +173,9 @@ timeout 120 cargo run --release -q -p softcell-bench --bin tab2_agent_throughput
 python3 scripts/check_trace.py /tmp/softcell-trace.json
 
 # Wide-domain smoke: the same ControllerServer run with 16 front-end
-# domains — the domain locks and queues at their widest, each domain's
-# static slice of the tag and address spaces at its narrowest (64 tags,
-# 65 536 addresses). Its path requests never reach Algorithm 1 (a domain
-# hands out a tag from its own slice); the sharded engine is gated by the
-# shard oracle and interleaving sweep above and the metro_churn smoke.
+# domains, the domain locks and queues at their widest, all calling the
+# one engine behind its lock: fences of different domains must still
+# overlap while engine calls take turns.
 echo "==> 16-domain server smoke (120 s cap)"
 timeout 120 cargo run --release -q -p softcell-bench --bin tab2_agent_throughput -- \
   --quick --shards 16 --min-speedup 1.5

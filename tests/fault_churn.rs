@@ -226,8 +226,9 @@ fn wire_churn_converges_under_faults() {
 
     for (imsi, is_attached) in &attached {
         if *is_attached {
-            // attach is an idempotent upsert: the reply proves the server
-            // still has the UE, at the right station, with its first IP
+            // an attach in place returns the live record: the reply proves
+            // the server still has the UE, at the right station, with its
+            // first IP
             let ue = agent.ue(*imsi).expect("agent holds attached UE");
             let ue_id = ue.ue_id;
             let grant = ctl.attach_ue(*imsi, bs, ue_id, SimTime(1_001)).unwrap();
