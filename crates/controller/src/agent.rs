@@ -159,6 +159,13 @@ pub trait ControllerApi {
 
     /// Detaches a UE.
     fn detach_ue(&mut self, imsi: UeImsi) -> Result<UeRecord>;
+
+    /// Whether the last call got the controller's answer. A failed call
+    /// that did not (its exchange was lost) may or may not have been
+    /// applied. In process every call is answered.
+    fn answered(&self) -> bool {
+        true
+    }
 }
 
 impl ControllerApi for crate::core::CentralController {
@@ -257,6 +264,10 @@ pub struct LocalAgent {
     /// that used it has moved away and the location is still reserved
     /// for its old flows (§5.1).
     ids: IdPool,
+    /// Ids of attaches whose exchange was lost: the controller may hold
+    /// the UE there, so the id stays held and the UE's next attach
+    /// retries at it.
+    pub(crate) unanswered: FxHashMap<UeImsi, UeId>,
     /// Cached policy tags per clause — "the current policy tags" of §4.2.
     tag_cache: FxHashMap<ClauseId, PathTags>,
     stats: AgentStats,
@@ -280,6 +291,7 @@ impl LocalAgent {
             ues: FxHashMap::default(),
             by_permanent: FxHashMap::default(),
             ids: IdPool::new(scheme.max_ues_per_station()),
+            unanswered: FxHashMap::default(),
             tag_cache: FxHashMap::default(),
             stats: AgentStats::default(),
             microflow_idle: MICROFLOW_IDLE,
@@ -364,7 +376,10 @@ impl LocalAgent {
     }
 
     /// Handles a UE attach: assigns a local id, registers with the
-    /// controller, caches the classifier. Returns the new record.
+    /// controller, caches the classifier. Returns the new record. A
+    /// refused attach frees its id; a lost one keeps it, and the UE's
+    /// next attach retries there, where an attach the controller did
+    /// apply gets its live record back.
     pub fn handle_attach(
         &mut self,
         imsi: UeImsi,
@@ -374,11 +389,18 @@ impl LocalAgent {
         if self.ues.contains_key(&imsi) {
             return Err(Error::InvalidState(format!("{imsi} already attached")));
         }
-        let ue_id = self.reserve_ue_id()?;
+        let ue_id = match self.unanswered.remove(&imsi) {
+            Some(id) => id,
+            None => self.reserve_ue_id()?,
+        };
         let grant = match ctl.attach_ue(imsi, self.bs, ue_id, now) {
             Ok(g) => g,
-            Err(e) => {
+            Err(e) if ctl.answered() => {
                 self.release_ue_id(ue_id);
+                return Err(e);
+            }
+            Err(e) => {
+                self.unanswered.insert(imsi, ue_id);
                 return Err(e);
             }
         };
@@ -407,6 +429,9 @@ impl LocalAgent {
                 "record for {} adopted at {}",
                 record.bs, self.bs
             )));
+        }
+        if let Some(lost) = self.unanswered.remove(&record.imsi) {
+            self.release_ue_id(lost);
         }
         self.by_permanent.insert(record.permanent_ip, record.imsi);
         self.hold_ue_id(record.ue_id);

@@ -83,7 +83,8 @@ impl LocalAgent {
     /// the controller's answer for this base station; `reserved` the ids
     /// it still reserves here for in-transition flows (§5.1), held until
     /// [`CentralController::drain_released_locations`] hands them back.
-    /// Every other id is free again, the gaps between them included.
+    /// Ids of lost attaches stay held for their UEs' retries. Every
+    /// other id is free again, the gaps between them included.
     pub fn restart_from(
         &mut self,
         grants: Vec<(UeRecord, UeClassifier)>,
@@ -93,14 +94,17 @@ impl LocalAgent {
         let radio = self.radio_port();
         let scheme = *self.scheme();
         let ports = *self.ports();
+        let unanswered = std::mem::take(&mut self.unanswered);
         *self = LocalAgent::new(bs, radio, scheme, ports);
         // highest first, so the gaps come back ascending
         let mut held: Vec<UeId> = reserved.into_iter().collect();
+        held.extend(unanswered.values());
         held.extend(grants.iter().map(|(rec, _)| rec.ue_id));
         held.sort_unstable_by(|a, b| b.cmp(a));
         for id in held {
             self.hold_ue_id(id);
         }
+        self.unanswered = unanswered;
         let n = grants.len();
         for (rec, classifier) in grants {
             self.adopt(rec, classifier)?;
