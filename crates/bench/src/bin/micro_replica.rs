@@ -5,8 +5,8 @@
 //! replication techniques" over SoftCell's two state classes; this
 //! bench prices those techniques in our implementation. Two numbers:
 //!
-//! * **commit** — full `propose` round trip of one agent attach: apply
-//!   and append on the leader, ship to every live peer over the loopback
+//! * **commit** — full `propose` round trip of one agent attach: the
+//!   Algorithm-1 engine's attach and the append on the leader, ship to every live peer over the loopback
 //!   ctlchan mesh, each peer appends and applies, quorum ack. This is
 //!   the latency an attach/handoff/path request adds before its reply
 //!   (flow-mod release is commit-gated).
@@ -42,11 +42,15 @@ struct Output {
     rows: Vec<Row>,
 }
 
+/// Stations of the replicas' `paper(4)` topology.
+const STATIONS: u64 = 160;
+
+/// The `i`-th attach: a subscriber of its own, at a location of its own.
 fn op(i: u64) -> PacketIn {
     PacketIn::Attach {
         imsi: UeImsi(i),
-        bs: BaseStationId((i % 7) as u32),
-        ue_id: UeId(1),
+        bs: BaseStationId((i % STATIONS) as u32),
+        ue_id: UeId((i / STATIONS + 1) as u16),
         now: SimTime(i),
     }
 }
@@ -60,11 +64,14 @@ fn percentile(sorted: &[u64], p: f64) -> f64 {
 }
 
 fn bench_cluster(replicas: usize, quorum: usize, ops: u64) -> Row {
+    let subscribers: Vec<_> = (0..ops)
+        .map(|i| SubscriberAttributes::default_home(UeImsi(i)))
+        .collect();
     let cluster = Cluster::start(
         replicas,
         quorum,
         &ServicePolicy::example_carrier_a(1),
-        &[SubscriberAttributes::default_home(UeImsi(0))],
+        &subscribers,
         Duration::from_millis(400),
     )
     .expect("cluster start");

@@ -1070,8 +1070,9 @@ impl ShardedController {
         for attrs in subscribers {
             engine.put_subscriber(*attrs);
         }
-        // compiled here once per subscriber: the attaches and handoffs
-        // under the ticket hand out these same copies
+        // compiled once per plan, so each IMSI's entry shares its plan's
+        // table: the attaches and handoffs under the ticket hand out
+        // these same copies
         let classifiers: FxHashMap<UeImsi, UeClassifier> = subscribers
             .iter()
             .filter_map(|attrs| Some((attrs.imsi, engine.classifier_of(attrs.imsi).ok()?)))

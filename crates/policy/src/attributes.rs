@@ -65,7 +65,7 @@ pub enum DeviceType {
 }
 
 /// Everything the controller knows about one subscriber.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize)]
 pub struct SubscriberAttributes {
     /// Permanent subscriber identity.
     pub imsi: UeImsi,

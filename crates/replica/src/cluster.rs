@@ -22,8 +22,8 @@
 //! records reached only some of them and the initiator missed records
 //! others hold. The new view's leader is its first live seat. Agents
 //! detect leader death by probe failure and re-home ([`rehome_agent`])
-//! to it, replaying their state through the controller-side `resync`
-//! upsert.
+//! to it, replaying their UEs with `resync`: the engine answers an
+//! attach at a UE's own location with its live record.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -339,8 +339,9 @@ impl Drop for Cluster {
 
 /// Re-homes an agent whose controller died: looks up the leader of the
 /// (post-fail-over) membership view, reconnects there, and replays the
-/// agent's state with `resync` — the controller upserts every UE, so
-/// permanent IPs survive. Returns the new leader's seat.
+/// agent's UEs with `resync` — each attach at the UE's own location
+/// gets its live record back, so addresses survive. Returns the new
+/// leader's seat.
 pub fn rehome_agent(
     cluster: &Cluster,
     ctl: &mut ChannelController<Link>,
@@ -363,34 +364,21 @@ pub fn rehome_agent(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testkit::{attach, subscribers, SUBSCRIBERS};
+    use softcell_controller::core::PathTags;
     use softcell_ctlchan::{Message, PacketIn};
     use softcell_policy::clause::ClauseId;
     use softcell_types::{AddressingScheme, PortEmbedding, PortNo, UeId, UeImsi};
-
-    fn subs(n: u64) -> Vec<SubscriberAttributes> {
-        (0..n)
-            .map(|i| SubscriberAttributes::default_home(UeImsi(i)))
-            .collect()
-    }
 
     fn cluster(n: usize, quorum: usize) -> Cluster {
         Cluster::start(
             n,
             quorum,
             &ServicePolicy::example_carrier_a(1),
-            &subs(16),
+            &subscribers(),
             Duration::from_millis(400),
         )
         .unwrap()
-    }
-
-    fn attach_op(imsi: u64, bs: u32, now: u64) -> PacketIn {
-        PacketIn::Attach {
-            imsi: UeImsi(imsi),
-            bs: BaseStationId(bs),
-            ue_id: UeId(1),
-            now: SimTime(now),
-        }
     }
 
     fn agent_for(bs: BaseStationId) -> LocalAgent {
@@ -417,23 +405,53 @@ mod tests {
     #[test]
     fn quorum_commit_applies_on_all_replicas() {
         let c = cluster(3, 2);
-        let (index, _) = c.node(0).propose(attach_op(1, 0, 5)).unwrap();
+        let (index, _) = c.node(0).propose(attach(1)).unwrap();
         assert_eq!(index, 1);
         for seat in 0..3 {
             assert_eq!(c.node(seat).applied(), 1, "seat {seat}");
-            assert!(c.node(seat).state().ue(UeImsi(1)).is_some());
+            assert!(c.node(seat).ue(UeImsi(1)).is_some());
         }
         assert_one_log(&c, &[0, 1, 2]);
         assert_eq!(c.node(0).commit_index(), 1);
         // only the view's leader proposes
-        let err = c.node(1).propose(attach_op(2, 0, 6)).unwrap_err();
+        let err = c.node(1).propose(attach(2)).unwrap_err();
         assert!(err.to_string().contains("does not lead"), "got: {err}");
+    }
+
+    #[test]
+    fn refused_attaches_append_nothing() {
+        let c = cluster(3, 2);
+        c.node(0).propose(attach(1)).unwrap();
+        // an attach at another station while attached, and one by an
+        // IMSI nobody provisioned
+        let elsewhere = PacketIn::Attach {
+            imsi: UeImsi(1),
+            bs: BaseStationId(2),
+            ue_id: UeId(1),
+            now: SimTime(9),
+        };
+        let unknown = PacketIn::Attach {
+            imsi: UeImsi(SUBSCRIBERS),
+            bs: BaseStationId(0),
+            ue_id: UeId(1),
+            now: SimTime(9),
+        };
+        let before = c.node(0).log_bytes();
+        let err = c.node(0).propose(elsewhere).unwrap_err();
+        assert!(matches!(err, Error::InvalidState(_)), "got: {err}");
+        let err = c.node(0).propose(unknown).unwrap_err();
+        assert!(matches!(err, Error::NotFound(_)), "got: {err}");
+        for seat in 0..3 {
+            assert_eq!(c.node(seat).applied(), 1, "seat {seat}");
+            assert_eq!(c.node(seat).log_bytes(), before, "seat {seat}");
+            assert_eq!(c.node(seat).ue(UeImsi(1)).unwrap().bs, BaseStationId(1));
+        }
     }
 
     #[test]
     fn fenced_stale_leader_cannot_commit_or_release_flowmods() {
         let c = cluster(3, 2);
-        c.node(0).propose(attach_op(1, 0, 5)).unwrap();
+        c.node(0).propose(attach(1)).unwrap();
 
         // Partition seat 0 (alive, but unreachable) and fail it over.
         c.cut(0);
@@ -447,7 +465,7 @@ mod tests {
         let reg = Registry::global();
         let rejections = reg.counter("softcell_replica_stale_epoch_rejections_total");
         let before = rejections.get();
-        let err = c.node(0).propose(attach_op(2, 0, 9)).unwrap_err();
+        let err = c.node(0).propose(attach(2)).unwrap_err();
         assert!(
             err.to_string().contains("fenced"),
             "stale proposal must be fenced, got: {err}"
@@ -477,7 +495,7 @@ mod tests {
 
         // A second attempt is refused by the local fence alone (no
         // network round needed once the fence is raised).
-        let err2 = c.node(0).propose(attach_op(3, 0, 11)).unwrap_err();
+        let err2 = c.node(0).propose(attach(3)).unwrap_err();
         assert!(err2.to_string().contains("fenced"));
     }
 
@@ -486,8 +504,8 @@ mod tests {
         let c = cluster(3, 2);
         // Seat 2 misses two committed records while partitioned.
         c.cut(2);
-        c.node(0).propose(attach_op(1, 0, 5)).unwrap();
-        c.node(0).propose(attach_op(2, 3, 6)).unwrap();
+        c.node(0).propose(attach(1)).unwrap();
+        c.node(0).propose(attach(2)).unwrap();
         assert_eq!(c.node(2).applied(), 0, "partitioned");
         c.heal(2);
 
@@ -496,10 +514,10 @@ mod tests {
         let before = snapshots.get();
         // Seat 2 cannot append the next record behind entries it lacks,
         // so it is handed the leader's log and replays it.
-        c.node(0).propose(attach_op(3, 6, 7)).unwrap();
+        c.node(0).propose(attach(3)).unwrap();
         assert!(snapshots.get() > before, "log catch-up must run");
         assert_eq!(c.node(2).applied(), 3, "fully caught up");
-        assert!(c.node(2).state().ue(UeImsi(2)).is_some());
+        assert!(c.node(2).ue(UeImsi(2)).is_some());
         assert_one_log(&c, &[0, 1, 2]);
     }
 
@@ -521,15 +539,11 @@ mod tests {
         // Seat 2 is handed the log for the next record, and that record
         // commits with the stuck one beneath it.
         c.heal(2);
-        let (index, _) = c.node(0).propose(attach_op(1, 0, 9)).unwrap();
+        let (index, _) = c.node(0).propose(attach(1)).unwrap();
         assert_eq!(index, 2);
         assert_eq!(c.node(0).commit_index(), 2);
         assert_one_log(&c, &[0, 1, 2]);
-        assert!(c
-            .node(2)
-            .state()
-            .path(BaseStationId(3), ClauseId(0))
-            .is_some());
+        assert!(c.node(2).path(BaseStationId(3), ClauseId(0)).is_some());
     }
 
     #[test]
@@ -545,7 +559,7 @@ mod tests {
         // By the time the agent holds its grant, the attach is on every
         // replica (reply release is commit-gated).
         for seat in 0..3 {
-            let e = *c.node(seat).state().ue(UeImsi(4)).expect("replicated");
+            let e = c.node(seat).ue(UeImsi(4)).expect("replicated");
             assert_eq!(e.bs, bs);
             assert_eq!(e.permanent_ip, rec.permanent_ip, "seat {seat}");
         }
@@ -565,12 +579,12 @@ mod tests {
         assert_eq!(groups.len(), 1);
         assert!(groups[0].barrier);
         assert_eq!(groups[0].bs, bs);
-        let tag = groups[0].mods[0].tags.uplink_entry;
+        let tags = PathTags::from(groups[0].mods[0].tags);
         for seat in 0..3 {
-            let got = c.node(seat).state().path(bs, ClauseId(0));
-            assert_eq!(got, Some(tag), "path replicated to seat {seat}");
+            let got = c.node(seat).path(bs, ClauseId(0));
+            assert_eq!(got, Some(tags), "path replicated to seat {seat}");
         }
-        // Re-asking is one more input: the committed tag, a later seq.
+        // Re-asking is one more input: the committed tags, a later seq.
         let again = c.node(0).handle_agent(&path).unwrap();
         let Message::FlowModBatch {
             seq: seq2,
@@ -580,12 +594,12 @@ mod tests {
         else {
             panic!("expected FlowModBatch, got {again:?}");
         };
-        assert_eq!(groups2[0].mods[0].tags.uplink_entry, tag);
+        assert_eq!(PathTags::from(groups2[0].mods[0].tags), tags);
         assert!(seq2 > seq, "seq never runs backwards");
 
         agent.handle_detach(UeImsi(4), &mut ctl).unwrap();
         for seat in 0..3 {
-            assert!(c.node(seat).state().ue(UeImsi(4)).is_none(), "seat {seat}");
+            assert!(c.node(seat).ue(UeImsi(4)).is_none(), "seat {seat}");
         }
     }
 
@@ -624,11 +638,11 @@ mod tests {
         assert_eq!(new_home, successor, "re-home is deterministic");
         assert!(rehomes.get() > before);
 
-        // The resync re-attach upserted: same permanent IPs, one log.
+        // The resync re-attaches got the live records: same permanent
+        // IPs, one log.
         for seat in [1usize, 2] {
-            let state = c.node(seat).state();
-            let e5 = state.ue(UeImsi(5)).expect("ue5 survives");
-            let e6 = state.ue(UeImsi(6)).expect("ue6 survives");
+            let e5 = c.node(seat).ue(UeImsi(5)).expect("ue5 survives");
+            let e6 = c.node(seat).ue(UeImsi(6)).expect("ue6 survives");
             assert_eq!(e5.permanent_ip, r5.permanent_ip);
             assert_eq!(e6.permanent_ip, r6.permanent_ip);
         }
@@ -637,7 +651,7 @@ mod tests {
         agent
             .handle_attach(UeImsi(7), &mut ctl, SimTime(21))
             .unwrap();
-        assert!(c.node(successor.seat()).state().ue(UeImsi(7)).is_some());
+        assert!(c.node(successor.seat()).ue(UeImsi(7)).is_some());
     }
 
     #[test]
@@ -645,7 +659,7 @@ mod tests {
         let c = cluster(3, 2);
         // Seat 1 is cut while the leader commits a record on {0, 2}.
         c.cut(1);
-        c.node(0).propose(attach_op(1, 4, 5)).unwrap();
+        c.node(0).propose(attach(1)).unwrap();
         assert_eq!((c.node(1).applied(), c.node(2).applied()), (0, 1));
         c.heal(1);
 
@@ -657,7 +671,7 @@ mod tests {
         assert_eq!(view.leader(), Some(ControllerId(1)));
         for seat in [1usize, 2] {
             assert!(
-                c.node(seat).state().ue(UeImsi(1)).is_some(),
+                c.node(seat).ue(UeImsi(1)).is_some(),
                 "seat {seat} must keep the committed record"
             );
         }
@@ -667,10 +681,10 @@ mod tests {
     #[test]
     fn fail_over_without_a_quorum_exchange_keeps_committed_records() {
         let c = cluster(3, 2);
-        c.node(0).propose(attach_op(1, 0, 5)).unwrap();
+        c.node(0).propose(attach(1)).unwrap();
         // Seat 1 misses a record the leader commits with seat 2.
         c.cut(1);
-        let (index, _) = c.node(0).propose(attach_op(2, 0, 6)).unwrap();
+        let (index, _) = c.node(0).propose(attach(2)).unwrap();
         c.heal(1);
 
         // The leader dies while seat 2 is cut off: the fail-over on seat
@@ -681,19 +695,19 @@ mod tests {
         assert!(err.is_timeout(), "got: {err}");
         // ...and seat 1, which leads the new view, appends nothing until
         // its log has been exchanged with a quorum.
-        let err = c.node(1).propose(attach_op(3, 0, 7)).unwrap_err();
+        let err = c.node(1).propose(attach(3)).unwrap_err();
         assert!(err.to_string().contains("exchanged logs"), "got: {err}");
         assert_eq!(c.node(1).applied(), 1);
 
         // Seat 2 is back: the first proposal levels seat 1's log with
         // seat 2's, which holds the committed record, then appends.
         c.heal(2);
-        let (next, _) = c.node(1).propose(attach_op(3, 0, 7)).unwrap();
+        let (next, _) = c.node(1).propose(attach(3)).unwrap();
         assert_eq!(next, index + 1);
         for seat in [1usize, 2] {
-            let state = c.node(seat).state();
-            assert!(state.ue(UeImsi(2)).is_some(), "seat {seat} kept the record");
-            assert!(state.ue(UeImsi(3)).is_some(), "seat {seat}");
+            let node = c.node(seat);
+            assert!(node.ue(UeImsi(2)).is_some(), "seat {seat} kept the record");
+            assert!(node.ue(UeImsi(3)).is_some(), "seat {seat}");
         }
         assert_one_log(&c, &[1, 2]);
     }
@@ -706,10 +720,10 @@ mod tests {
         c.cut(2);
         let n = softcell_ctlchan::MAX_FRAME as u64 / 39 + 1;
         for i in 0..n {
-            c.node(0).propose(attach_op(i % 4, 0, i)).unwrap();
+            c.node(0).propose(attach(i % 4)).unwrap();
         }
         c.heal(2);
-        c.node(0).propose(attach_op(5, 1, n)).unwrap();
+        c.node(0).propose(attach(5)).unwrap();
         assert_eq!(c.node(2).applied(), n + 1, "caught up");
         assert_one_log(&c, &[0, 1, 2]);
         let image = c.node(2).log_bytes().len();
@@ -717,7 +731,7 @@ mod tests {
 
         c.kill(0);
         c.fail_over(&[ControllerId(0)]).unwrap();
-        c.node(1).propose(attach_op(6, 1, n + 1)).unwrap();
+        c.node(1).propose(attach(6)).unwrap();
         assert_one_log(&c, &[1, 2]);
     }
 
@@ -739,7 +753,7 @@ mod tests {
         agent
             .handle_attach(UeImsi(4), &mut ctl, SimTime(10))
             .unwrap();
-        assert!(c.node(1).state().ue(UeImsi(4)).is_some());
+        assert!(c.node(1).ue(UeImsi(4)).is_some());
     }
 
     #[test]
@@ -779,7 +793,7 @@ mod tests {
         // that view must not reject a record from a newer epoch.
         let v3 = Membership::from_parts(3, vec![true, true, true]).unwrap();
         c.node(0).adopt_membership(v3);
-        c.node(0).propose(attach_op(1, 0, 5)).unwrap();
+        c.node(0).propose(attach(1)).unwrap();
         for seat in 1..3 {
             assert_eq!(c.node(seat).applied(), 1, "seat {seat}");
             assert_eq!(

@@ -1,27 +1,30 @@
 //! The `kill -9` recovery drill for the replicated control plane.
 //!
 //! The scenario the replication design exists for: a three-controller
-//! cluster runs a handoff storm across three stations, the leader is
+//! cluster runs a storm of moves across three stations, the leader is
 //! killed mid-storm with no teardown, survivors fail over, every agent
-//! re-homes to the new leader, and the storm resumes. The drill demands
-//! *zero residue*: the survivors' logs must match the dead leader's
-//! frozen pre-kill log byte-for-byte, detached UEs must stay detached
-//! through the re-home replay, every surviving UE must keep its original
-//! permanent IP, a re-asked path must keep the tag committed before the
-//! kill, and `seq` must never decrease. `tests/recovery.rs` and the
-//! campaign's `controller-kill` overlay both run it.
+//! re-homes to the new leader, and the storm resumes. Until handoff
+//! joins the log, a move is a detach at one station and an attach at
+//! the next. The drill demands *zero residue*: the survivors' logs must
+//! match the dead leader's frozen pre-kill log byte-for-byte, detached
+//! UEs must stay detached through the re-home replay, every live UE
+//! must hold the address its last released attach carried, a re-asked
+//! path must get the tags committed before the kill, all five fields,
+//! and `seq` must never decrease. `tests/recovery.rs` and the campaign's
+//! `controller-kill` overlay both run it.
 
 use std::collections::HashMap;
+use std::net::Ipv4Addr;
 use std::time::Duration;
 
 use softcell_controller::agent::LocalAgent;
 use softcell_controller::wire::ChannelController;
-use softcell_ctlchan::{Message, PacketIn};
+use softcell_ctlchan::{Message, PacketIn, WirePathTags};
 use softcell_policy::clause::ClauseId;
 use softcell_policy::{ServicePolicy, SubscriberAttributes};
 use softcell_types::{
-    AddressingScheme, BaseStationId, ControllerId, Error, PolicyTag, PortEmbedding, PortNo, Result,
-    SimTime, UeImsi,
+    AddressingScheme, BaseStationId, ControllerId, Error, PortEmbedding, PortNo, Result, SimTime,
+    UeImsi,
 };
 
 use crate::cluster::{rehome_agent, Cluster, Link};
@@ -45,20 +48,26 @@ struct Cell {
     ctl: ChannelController<Link>,
 }
 
-/// Moves `imsi` from cell `from` to cell `to`: the source agent forgets
-/// it locally (radio-level departure), the target attaches it — the
-/// controller upsert keeps the permanent IP.
-fn handoff(cells: &mut [Cell], from: usize, to: usize, imsi: UeImsi, now: SimTime) -> Result<()> {
-    cells[from].agent.evict(imsi)?;
+/// Moves `imsi` from cell `from` to cell `to`: the source agent
+/// detaches it, the target attaches it. Returns the address the attach
+/// was granted.
+fn move_ue(
+    cells: &mut [Cell],
+    from: usize,
+    to: usize,
+    imsi: UeImsi,
+    now: SimTime,
+) -> Result<Ipv4Addr> {
+    let c = &mut cells[from];
+    c.agent.handle_detach(imsi, &mut c.ctl)?;
     let c = &mut cells[to];
-    c.agent.handle_attach(imsi, &mut c.ctl, now)?;
-    Ok(())
+    Ok(c.agent.handle_attach(imsi, &mut c.ctl, now)?.permanent_ip)
 }
 
 /// Asks `seat` for the clause-0 path of `bs` and checks the reply is the
 /// one flow-mod frame — a batch stamped with the answering seat, one
-/// barrier-fenced group for the station. Returns `(seq, tag)`.
-fn ask_path(cluster: &Cluster, seat: usize, bs: BaseStationId) -> Result<(u32, PolicyTag)> {
+/// barrier-fenced group for the station. Returns `(seq, tags)`.
+fn ask_path(cluster: &Cluster, seat: usize, bs: BaseStationId) -> Result<(u32, WirePathTags)> {
     let reply = cluster
         .node(seat)
         .handle_agent(&Message::PacketIn(PacketIn::PathRequest {
@@ -74,7 +83,7 @@ fn ask_path(cluster: &Cluster, seat: usize, bs: BaseStationId) -> Result<(u32, P
                 && groups[0].bs == bs
                 && groups[0].mods.len() == 1 =>
         {
-            Ok((*seq, groups[0].mods[0].tags.uplink_entry))
+            Ok((*seq, groups[0].mods[0].tags))
         }
         other => Err(diverged(format!(
             "seat {seat} answered a path request for {bs} with {other:?}"
@@ -130,19 +139,20 @@ pub fn controller_kill_drill() -> Result<()> {
     let mut seq = 0;
     let mut installed = Vec::new();
     for &bs in &bss {
-        let (s, tag) = ask_path(&cluster, leader, bs)?;
+        let (s, tags) = ask_path(&cluster, leader, bs)?;
         check(s > seq, || format!("seq {s} after {seq}"))?;
         seq = s;
-        installed.push(tag);
+        installed.push(tags);
     }
 
-    // Act two: a handoff ring (every UE moves one station over) plus a
+    // Act two: a ring of moves (every UE moves one station over) plus a
     // few permanent detaches, which the later re-home replay must NOT
     // resurrect.
     for i in 0..UES {
         clock += 1;
         let from = (i % 3) as usize;
-        handoff(&mut cells, from, (from + 1) % 3, UeImsi(i), SimTime(clock))?;
+        let ip = move_ue(&mut cells, from, (from + 1) % 3, UeImsi(i), SimTime(clock))?;
+        ip_of.insert(UeImsi(i), ip);
     }
     for imsi in DETACHED {
         let c = &mut cells[((imsi % 3) as usize + 1) % 3];
@@ -188,37 +198,38 @@ pub fn controller_kill_drill() -> Result<()> {
     for i in (0..UES).filter(|i| !DETACHED.contains(i)) {
         clock += 1;
         let from = ((i % 3) as usize + 1) % 3;
-        handoff(&mut cells, from, (from + 1) % 3, UeImsi(i), SimTime(clock))?;
+        let ip = move_ue(&mut cells, from, (from + 1) % 3, UeImsi(i), SimTime(clock))?;
+        ip_of.insert(UeImsi(i), ip);
     }
     // The successor answers with the tags committed before the kill —
     // installed paths are replicated slow state — and its seq continues
     // the dead leader's log.
-    for (&bs, &tag) in bss.iter().zip(&installed) {
+    for (&bs, &tags) in bss.iter().zip(&installed) {
         let (s, got) = ask_path(&cluster, successor.seat(), bs)?;
-        check(got == tag && s > seq, || {
+        check(got == tags && s > seq, || {
             format!(
-                "re-asked path of {bs} got {got:?} at seq {s}; committed {tag:?}, last seq {seq}"
+                "re-asked path of {bs} got {got:?} at seq {s}; committed {tags:?}, last seq {seq}"
             )
         })?;
         seq = s;
     }
 
-    // Zero residue on both survivors: one log, exactly the live UEs,
-    // original permanent IPs.
+    // Zero residue on both survivors: one log, exactly the live UEs, at
+    // the addresses their last attaches were granted.
     let log = cluster.node(survivors[0]).log_bytes();
     for &seat in &survivors {
-        check(cluster.node(seat).log_bytes() == log, || {
+        let node = cluster.node(seat);
+        check(node.log_bytes() == log, || {
             "survivors differ after the resumed storm".into()
         })?;
-        let state = cluster.node(seat).state();
-        let (ues, paths) = (state.ue_count(), state.path_count());
+        let (ues, paths) = (node.ue_count(), node.path_count());
         check(
             ues == UES as usize - DETACHED.len() && paths == bss.len(),
             || format!("seat {seat} holds {ues} UEs and {paths} paths"),
         )?;
         for i in 0..UES {
             let imsi = UeImsi(i);
-            let ip = state.ue(imsi).map(|e| e.permanent_ip);
+            let ip = node.ue(imsi).map(|e| e.permanent_ip);
             let want = (!DETACHED.contains(&i)).then(|| ip_of[&imsi]);
             check(ip == want, || {
                 format!("seat {seat}: {imsi} holds {ip:?}, expected {want:?}")

@@ -52,8 +52,9 @@ timeout 120 cargo test -q --release --test fault_churn
 echo "==> shard oracle + interleaving sweep + input replay (180 s cap)"
 timeout 180 cargo test -q --release --test shard_oracle --test shard_interleave --test input_replay
 
-# Replicated control-plane recovery drill: 3-controller cluster, the
-# leader killed -9 mid-handoff-storm. Gate: survivors' logs match the
+# Replicated control-plane recovery drill: 3-controller cluster, each
+# seat one Algorithm-1 engine, the leader killed -9 mid-storm of moves
+# (a detach and an attach each). Gate: survivors' logs match the
 # pre-kill log byte-for-byte, zero residue after agent re-homing,
 # recovery-time histogram exported; plus a seeded sweep of cut / heal /
 # kill / fail-over schedules. Time-capped because a quorum or fail-over

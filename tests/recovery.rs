@@ -1,7 +1,7 @@
 //! Recovery gates for the replicated control plane.
 //!
 //! * [`softcell_replica::controller_kill_drill`] — the leader killed
-//!   mid-handoff-storm, fail-over, agent re-homing, the storm resumed,
+//!   mid-storm of moves, fail-over, agent re-homing, the storm resumed,
 //!   and survivors checked byte-for-byte against the pre-kill log — then
 //!   what only this process's global registry shows: the recovery
 //!   duration lands in the exported telemetry report, and the lifecycle
@@ -10,7 +10,7 @@
 //!   random agent inputs mixed with cuts, heals, at most one kill and one
 //!   fail-over — a cut and the kill may overlap, so the fail-over may
 //!   reach no quorum. Every reply the cluster released must be in every
-//!   survivor's state, the survivors' logs must be byte-identical, and
+//!   survivor's engine, the survivors' logs must be byte-identical, and
 //!   nothing may panic. It is the reference for the one-log ordering.
 
 use std::collections::{HashMap, HashSet};
@@ -21,12 +21,13 @@ use std::time::Duration;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use softcell::controller::core::PathTags;
 use softcell_ctlchan::{Message, PacketIn};
 use softcell_policy::clause::ClauseId;
-use softcell_policy::ServicePolicy;
+use softcell_policy::{ServicePolicy, SubscriberAttributes};
 use softcell_replica::{controller_kill_drill, Cluster};
 use softcell_telemetry::Registry;
-use softcell_types::{BaseStationId, ControllerId, PolicyTag, SimTime, UeId, UeImsi};
+use softcell_types::{BaseStationId, ControllerId, SimTime, UeId, UeImsi};
 
 /// Held by each test: the sweep kills and fails over too, and its
 /// instants must not interleave with the drill's.
@@ -72,9 +73,10 @@ fn leader_kill_mid_handoff_storm_leaves_zero_residue() {
     );
 }
 
-/// Schedules swept, and steps in each.
+/// Schedules swept, steps in each, and the IMSIs they attach.
 const SEEDS: u64 = 32;
 const STEPS: u64 = 80;
+const UES: u64 = 12;
 
 /// What the replies a schedule released promised.
 #[derive(Default)]
@@ -85,7 +87,7 @@ struct Promised {
     /// IMSIs whose latest input was not released: it may still commit,
     /// so their state is not checked.
     unsure: HashSet<UeImsi>,
-    paths: HashMap<(BaseStationId, ClauseId), PolicyTag>,
+    paths: HashMap<(BaseStationId, ClauseId), PathTags>,
     /// The last released flow-mod `seq`.
     seq: u32,
 }
@@ -114,9 +116,10 @@ impl Promised {
                 self.unsure.remove(&imsi);
             }
             (PacketIn::PathRequest { bs, clause }, Message::FlowModBatch { seq, groups, .. }) => {
-                let tag = groups[0].mods[0].tags.uplink_entry;
-                let kept = *self.paths.entry((bs, clause)).or_insert(tag);
-                assert_eq!(kept, tag, "the path of {bs} keeps its tag");
+                // all five fields: both tag pairs, the port and the class
+                let tags = PathTags::from(groups[0].mods[0].tags);
+                let kept = *self.paths.entry((bs, clause)).or_insert(tags);
+                assert_eq!(kept, tags, "the path of {bs} keeps its tags");
                 assert!(seq > self.seq, "seq {seq} after {}", self.seq);
                 self.seq = seq;
             }
@@ -130,18 +133,22 @@ impl Promised {
         true
     }
 
-    /// Checks every released reply against `seat`'s state.
+    /// Checks every released reply against `seat`'s engine.
     fn check(&self, c: &Cluster, seat: usize, seed: u64) {
-        let state = c.node(seat).state();
+        let node = c.node(seat);
         for (imsi, want) in &self.ues {
             if !self.unsure.contains(imsi) {
-                let got = state.ue(*imsi).map(|e| (e.permanent_ip, e.bs));
+                let got = node.ue(*imsi).map(|e| (e.permanent_ip, e.bs));
                 assert_eq!(got, *want, "seed {seed}: seat {seat} lost {imsi}'s input");
             }
         }
-        for (&(bs, clause), tag) in &self.paths {
-            let got = state.path(bs, clause);
-            assert_eq!(got, Some(*tag), "seed {seed}: seat {seat} lost {bs}'s path");
+        for (&(bs, clause), tags) in &self.paths {
+            let got = node.path(bs, clause);
+            assert_eq!(
+                got,
+                Some(*tags),
+                "seed {seed}: seat {seat} lost {bs}'s path"
+            );
         }
     }
 }
@@ -159,11 +166,14 @@ fn fail_over(c: &Cluster, dead: usize) -> bool {
 /// and a kill may overlap, so a fail-over may reach no quorum; at most
 /// one fail-over runs before the settle.
 fn run_schedule(seed: u64) {
+    let subscribers: Vec<_> = (0..UES)
+        .map(|i| SubscriberAttributes::default_home(UeImsi(i)))
+        .collect();
     let c = Cluster::start(
         3,
         2,
         &ServicePolicy::example_carrier_a(1),
-        &[],
+        &subscribers,
         Duration::from_millis(200),
     )
     .expect("cluster starts");
@@ -203,13 +213,15 @@ fn run_schedule(seed: u64) {
             // an agent cannot reach a killed leader
             _ if view.leader().is_some_and(|l| c.is_killed(l.seat())) => {}
             _ => {
-                let imsi = UeImsi(rng.gen_range(0..12u64));
-                let bs = BaseStationId(rng.gen_range(0..4u32));
+                // each IMSI attaches at a location of its own
+                let i = rng.gen_range(0..UES);
+                let imsi = UeImsi(i);
+                let bs = BaseStationId((i % 4) as u32);
                 let pi = match rng.gen_range(0..3u32) {
                     0 => PacketIn::Attach {
                         imsi,
                         bs,
-                        ue_id: UeId(1),
+                        ue_id: UeId((i / 4 + 1) as u16),
                         now: SimTime(step),
                     },
                     1 => PacketIn::Detach { imsi },
