@@ -34,18 +34,22 @@
 //!   a fresh rule set, migrating the fabric.
 //! * [`failover`] — recovery of the unreplicated state: a controller
 //!   replica rebuilds UE locations from agents; agents refetch from the
-//!   controller (§5.2). Replication itself is `softcell-replica`.
+//!   controller (§5.2). Replication itself is the seat's ([`node`]).
 //! * [`sharded`] — the UE-partitioned controller core: N worker shards
 //!   over a ticket-sequenced shared path engine (station id pools
 //!   beside it, under the same ticket), batched flow-mod emission;
 //!   differentially verified
 //!   against the single-threaded controller (`tests/shard_oracle.rs`).
-//! * [`server`] — the threaded front-end of the §6.2 micro-benchmarks:
-//!   N domains (a lock and a queue each) in front of one
-//!   [`CentralController`].
+//! * [`server`] — the front-end, also the threaded server of the §6.2
+//!   micro-benchmarks: N domains (a lock and a queue each) in front of
+//!   one seat; every request is one proposal on it.
+//! * [`node`] — the seat: the log of agent inputs ([`log`]) and the
+//!   engine it replays to ([`store`]) behind one lock, quorum commit,
+//!   catch-up, fail-over and epoch fencing. A one-seat membership
+//!   commits on append; `softcell-replica` runs a cluster of servers.
 //! * [`wire`] — serves `softcell-ctlchan` connections through the
-//!   server, and [`wire::ChannelController`], the agent's
-//!   [`agent::ControllerApi`] over a framed transport.
+//!   server, the one reply shape, and [`wire::ChannelController`], the
+//!   agent's [`agent::ControllerApi`] over a framed transport.
 //! * [`update`] — two-phase consistent updates (version stamping at the
 //!   ingress edge) for rule transitions.
 
@@ -57,13 +61,16 @@ pub mod core;
 pub mod failover;
 pub mod input;
 pub mod install;
+pub mod log;
 pub mod mobility;
+pub mod node;
 pub mod offline;
 pub mod ops;
 pub mod server;
 pub mod shadow;
 pub mod sharded;
 pub mod state;
+pub mod store;
 pub mod update;
 pub mod wire;
 
@@ -71,7 +78,88 @@ pub use agent::LocalAgent;
 pub use core::{CentralController, ControllerConfig};
 pub use input::{Input, Output};
 pub use install::{InstallReport, PathInstaller, TagPolicy};
+pub use log::{Log, LogRecord};
+pub use node::{Committed, ReplicaConfig, ReplicaNode};
 pub use ops::RuleOp;
 pub use shadow::{Divergence, DivergenceKind, Entry, NextHop, ShadowSwitch, ShadowTables};
 pub use sharded::{ShardEvent, ShardEventKind, ShardedController, ShardedRun, ShardedStats};
 pub use state::ControllerState;
+pub use store::State;
+
+#[cfg(test)]
+mod testkit {
+    use std::time::Duration;
+
+    use rand::rngs::StdRng;
+    use rand::Rng;
+    use softcell_ctlchan::PacketIn;
+    use softcell_policy::clause::ClauseId;
+    use softcell_policy::{ServicePolicy, SubscriberAttributes};
+    use softcell_types::{BaseStationId, ControllerId, SimTime, UeId, UeImsi};
+
+    use crate::node::ReplicaConfig;
+
+    /// IMSIs `0..SUBSCRIBERS` are provisioned.
+    const SUBSCRIBERS: u64 = 64;
+
+    /// The clauses of `example_carrier_a(1)` whose paths install; clause
+    /// 1 denies.
+    const CLAUSES: [u16; 4] = [0, 2, 3, 5];
+
+    /// Seat `seat` of a quorum-1 configuration.
+    pub(crate) fn config(seat: u32) -> ReplicaConfig {
+        ReplicaConfig {
+            id: ControllerId(seat),
+            quorum: 1,
+            peer_deadline: Duration::from_millis(400),
+            policy: ServicePolicy::example_carrier_a(1),
+            subscribers: (0..SUBSCRIBERS)
+                .map(|i| (UeImsi(i), SubscriberAttributes::default_home(UeImsi(i))))
+                .collect(),
+        }
+    }
+
+    /// `imsi`'s attach at its own location: station `imsi % 4`, id
+    /// `imsi / 4 + 1`.
+    pub(crate) fn attach(imsi: u64) -> PacketIn {
+        PacketIn::Attach {
+            imsi: UeImsi(imsi),
+            bs: BaseStationId((imsi % 4) as u32),
+            ue_id: UeId((imsi / 4 + 1) as u16),
+            now: SimTime(imsi),
+        }
+    }
+
+    /// One input of a seeded mix: attaches at the subscriber's own
+    /// location, detaches, path requests over the four clauses that
+    /// install and the one that denies, and attaches the engine refuses
+    /// (an unknown IMSI; a second station, refused once the UE is
+    /// attached).
+    pub(crate) fn input(rng: &mut StdRng) -> PacketIn {
+        let imsi = rng.gen_range(0..32u64);
+        match rng.gen_range(0..20u32) {
+            0..=6 => attach(imsi),
+            7..=9 => PacketIn::Detach { imsi: UeImsi(imsi) },
+            10 => PacketIn::Attach {
+                imsi: UeImsi(imsi + SUBSCRIBERS),
+                bs: BaseStationId(0),
+                ue_id: UeId(99),
+                now: SimTime(imsi),
+            },
+            11 | 12 => PacketIn::Attach {
+                imsi: UeImsi(imsi),
+                bs: BaseStationId((imsi % 4 + 1) as u32),
+                ue_id: UeId(200),
+                now: SimTime(imsi),
+            },
+            13 => PacketIn::PathRequest {
+                bs: BaseStationId(rng.gen_range(0..8u32)),
+                clause: ClauseId(1),
+            },
+            _ => PacketIn::PathRequest {
+                bs: BaseStationId(rng.gen_range(0..8u32)),
+                clause: ClauseId(CLAUSES[rng.gen_range(0..4usize)]),
+            },
+        }
+    }
+}

@@ -1,26 +1,27 @@
-//! Threaded controller front-end for the §6.2 micro-benchmarks.
+//! The controller's front-end: the one place agents' requests enter a
+//! controller, and the threaded server of the §6.2 micro-benchmarks.
 //!
-//! The paper benchmarks its Floodlight-based controller with Cbench: 1000
-//! emulated switches (= local agents) flood packet-in events and the
-//! controller answers with packet classifiers, reaching 2.2 M
+//! The paper benchmarks its Floodlight-based controller with Cbench:
+//! 1000 emulated switches (= local agents) flood packet-in events and
+//! the controller answers with packet classifiers, reaching 2.2 M
 //! requests/second with 15 threads. [`ControllerServer`] is the Rust
-//! analogue: N domains in front of one Algorithm-1 engine
-//! ([`CentralController`]), which holds every UE, address and path.
+//! analogue: N domains in front of one seat ([`ReplicaNode`]), whose log
+//! and Algorithm-1 engine hold every UE, address and path. Every request
+//! is one [`ReplicaNode::propose`], answered once its record commits:
+//! on append for the one-seat membership of
+//! [`ControllerServer::start_sharded`], at quorum for a seat of
+//! `softcell-replica`'s cluster, which runs one server per seat.
 //!
 //! A domain is a *lock* and a queue, not a thread. The [`RequestRouter`]
 //! sends every request to the domain owning its key — UE-scoped requests
 //! by [`shard_of_ue`], station-scoped ones by [`shard_of_station`] — and
-//! the routing thread serves it there and then when that domain is free:
-//! nothing queued ahead, nobody holding the lock. Otherwise the request
-//! waits in the domain's bounded queue, whose worker takes the same lock
-//! per request. Under the domain lock, a handler takes the engine lock
-//! for one engine call, then sleeps through the simulated install fence
-//! with only the domain held, so fences of different domains overlap.
-//! The answer leaves once the domain is released.
-//!
-//! No switch is connected to this front-end: the engine's shadow tables
-//! are the fabric model, and the rule ops an engine call queues are
-//! dropped.
+//! the routing thread serves it there and then when that domain is free;
+//! otherwise it waits in the domain's bounded queue, whose worker takes
+//! the same lock. Under the domain lock a handler proposes, then sleeps
+//! through the simulated install fence holding the domain alone, so
+//! fences of different domains overlap. No switch is connected: the
+//! engine's shadow tables are the fabric model, and the rule ops a
+//! proposal queues are dropped.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -30,16 +31,16 @@ use std::time::Duration;
 use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use parking_lot::{Mutex, MutexGuard};
 
+use softcell_ctlchan::PacketIn;
 use softcell_policy::clause::ClauseId;
 use softcell_policy::{ServicePolicy, SubscriberAttributes};
 use softcell_telemetry::{trace, Counter, Gauge, Histogram, Registry, ReqTrace, Stopwatch};
-use softcell_topology::CellularParams;
 use softcell_types::{
-    shard_of_station, shard_of_ue, BaseStationId, Error, Result, SimTime, UeId, UeImsi,
+    shard_of_station, shard_of_ue, BaseStationId, ControllerId, Error, Membership, Result, SimTime,
+    UeId, UeImsi,
 };
 
-use crate::core::{AttachGrant, CentralController, ControllerConfig, PathTags};
-use crate::state::UeRecord;
+use crate::node::{Committed, ReplicaConfig, ReplicaNode};
 
 /// Default request-queue depth. Bounded so a flood of packet-in events
 /// exerts backpressure on agents instead of growing controller memory
@@ -51,7 +52,8 @@ pub const DEFAULT_QUEUE_DEPTH: usize = 4096;
 /// comes from a command line (`--shards`).
 const MAX_DOMAINS: usize = 1024;
 
-/// A request from a local agent.
+/// A request from a local agent: one packet-in, proposed on the seat.
+/// Every kind is answered with the committed record.
 pub enum Request {
     /// A UE attached over the wire: the engine records it and answers
     /// with its grant (an attach at the UE's own location returns its
@@ -66,7 +68,7 @@ pub enum Request {
         /// Attach time.
         now: SimTime,
         /// Where to send the answer.
-        reply: Sender<Result<AttachGrant>>,
+        reply: Sender<Result<Committed>>,
         /// Trace context + enqueue stamp ([`ReqTrace::NONE`]: untraced).
         trace: ReqTrace,
     },
@@ -76,7 +78,7 @@ pub enum Request {
         /// The subscriber.
         imsi: UeImsi,
         /// Where to send the answer.
-        reply: Sender<Result<UeRecord>>,
+        reply: Sender<Result<Committed>>,
         /// Trace context + enqueue stamp.
         trace: ReqTrace,
     },
@@ -88,15 +90,48 @@ pub enum Request {
         /// The clause.
         clause: ClauseId,
         /// Where to send the answer.
-        reply: Sender<Result<PathTags>>,
+        reply: Sender<Result<Committed>>,
         /// Trace context + enqueue stamp.
         trace: ReqTrace,
     },
 }
 
+impl Request {
+    /// The packet-in this request proposes, where its answer goes and
+    /// its trace.
+    fn into_parts(self) -> (PacketIn, Sender<Result<Committed>>, ReqTrace) {
+        match self {
+            Request::Attach {
+                imsi,
+                bs,
+                ue_id,
+                now,
+                reply,
+                trace,
+            } => {
+                let op = PacketIn::Attach {
+                    imsi,
+                    bs,
+                    ue_id,
+                    now,
+                };
+                (op, reply, trace)
+            }
+            Request::Detach { imsi, reply, trace } => (PacketIn::Detach { imsi }, reply, trace),
+            Request::PathTag {
+                bs,
+                clause,
+                reply,
+                trace,
+            } => (PacketIn::PathRequest { bs, clause }, reply, trace),
+        }
+    }
+}
+
 /// What waits in a domain's queue.
 enum Job {
-    Serve(Request),
+    /// A packet-in to propose, where its answer goes, and its trace.
+    Serve(PacketIn, Sender<Result<Committed>>, ReqTrace),
     /// The send of an answer a routing thread computed and found its
     /// reply channel full for: only the worker may block on it.
     Deliver(Box<dyn FnOnce() + Send>),
@@ -115,32 +150,35 @@ pub struct RequestRouter {
 }
 
 impl RequestRouter {
-    /// Number of domains this router spreads requests over.
-    pub fn domains(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// The domain a request belongs to.
-    pub fn shard_of(&self, req: &Request) -> usize {
+    /// The domain a packet-in belongs to.
+    pub fn shard_of(&self, op: &PacketIn) -> usize {
         let n = self.cells.len();
-        match req {
-            Request::Attach { imsi, .. } | Request::Detach { imsi, .. } => shard_of_ue(*imsi, n),
-            Request::PathTag { bs, .. } => shard_of_station(*bs, n),
+        match *op {
+            PacketIn::Attach { imsi, .. } | PacketIn::Detach { imsi } => shard_of_ue(imsi, n),
+            PacketIn::PathRequest { bs, .. } => shard_of_station(bs, n),
         }
     }
 
-    /// Serves `req` on the calling thread if its domain is free, else
+    /// Serves `op` on the calling thread if its domain is free, else
     /// enqueues it, waiting for room when `block`. `Ok(false)`: the
-    /// queue was full and `req` was shed.
-    fn submit(&self, req: Request, block: bool) -> Result<bool> {
-        let (queue, cell) = &self.cells[self.shard_of(&req)];
+    /// domain was busy and its queue full, so `op` was shed (the caller
+    /// must account for it — see the wire front-end's
+    /// `server_queue_rejected` counter); `Err`: the pool is gone.
+    pub(crate) fn submit(
+        &self,
+        op: PacketIn,
+        reply: Sender<Result<Committed>>,
+        trace: ReqTrace,
+        block: bool,
+    ) -> Result<bool> {
+        let (queue, cell) = &self.cells[self.shard_of(&op)];
         // free: nothing queued ahead (Acquire pairs with `worker_loop`'s
         // Release, after an answer is out), nobody holding the lock
         let idle = cell.pending.load(Ordering::Acquire) == 0;
         let (job, block) = match idle.then(|| cell.domain.try_lock()).flatten() {
-            None => (Job::Serve(req), block),
+            None => (Job::Serve(op, reply, trace), block),
             // no room in the reply channel: the worker's to send, never shed
-            Some(domain) => match serve(domain, req, false) {
+            Some(domain) => match serve(domain, op, reply, trace, false) {
                 None => return Ok(true),
                 Some(deliver) => (deliver, true),
             },
@@ -162,15 +200,8 @@ impl RequestRouter {
     /// if that domain is free, else enqueued, blocking while its queue
     /// is full.
     pub fn route(&self, req: Request) -> Result<()> {
-        self.submit(req, true).map(drop)
-    }
-
-    /// Non-blocking route: `Ok(true)` served or enqueued, `Ok(false)` the
-    /// owning domain is busy and its queue full, so the request was shed
-    /// (the caller must account for it — see the wire front-end's
-    /// `server_queue_rejected` counter), `Err` the pool is gone.
-    pub fn try_route(&self, req: Request) -> Result<bool> {
-        self.submit(req, false)
+        let (op, reply, trace) = req.into_parts();
+        self.submit(op, reply, trace, true).map(drop)
     }
 }
 
@@ -184,17 +215,18 @@ struct DomainCell {
 }
 
 /// One domain: the lock its requests are served under. The state they
-/// change is the engine's; a domain holds only its metrics.
+/// change is the seat's; a domain holds only its metrics.
 struct Domain {
     shared: Arc<Shared>,
     wm: WorkerMetrics,
 }
 
-/// What every domain shares: the engine and telemetry.
+/// What every domain shares: the seat and telemetry.
 pub(crate) struct Shared {
-    /// The Algorithm-1 engine, taken under a domain lock for one engine
-    /// call and never held across a fence or a send.
-    pub(crate) controller: Mutex<CentralController>,
+    /// The seat every request is proposed on: its log and the engine,
+    /// behind the seat's one lock, taken for one proposal and never held
+    /// across a fence or a send.
+    pub(crate) seat: Arc<ReplicaNode>,
     /// This server's metric registry — per instance, so tests running
     /// many servers in parallel never see each other's numbers.
     pub(crate) telemetry: Arc<Registry>,
@@ -212,9 +244,6 @@ pub(crate) struct Shared {
     /// ([`crate::wire`] front-end; the queue-full path replies with an
     /// error instead of discarding invisibly).
     pub(crate) queue_rejected: Arc<Counter>,
-    /// Ticket counter stamped onto `flow_mod_batch` replies
-    /// ([`crate::wire`]).
-    pub(crate) batch_seq: AtomicU64,
     /// Simulated southbound install fence, in microseconds (benchmark
     /// knob, default 0). When set, a handler blocks this long wherever
     /// the real controller would wait for a switch to ack a rule
@@ -227,52 +256,63 @@ pub(crate) struct Shared {
 
 impl Shared {
     /// The simulated install fence: how long a handler sleeps (zero by
-    /// default, which does not sleep). A handler sleeps in its own body,
-    /// after [`Domain::call`], so the seq-block pass sees the engine
-    /// guard is gone.
+    /// default, which does not sleep), after its proposal returned.
     fn fence(&self) -> Duration {
         // softcell-lint: allow(atomics-order) -- pure config knob: a stale read only mistimes the simulated fence
         Duration::from_micros(self.install_latency_us.load(Ordering::Relaxed))
     }
 }
 
-/// A running front-end: N domains, one queue worker each.
+/// A running front-end: N domains, one queue worker each, in front of
+/// one seat.
 pub struct ControllerServer {
     router: RequestRouter,
     workers: Vec<JoinHandle<()>>,
-    shared: Arc<Shared>,
+    /// What the domains share; the wire front-end ([`crate::wire`])
+    /// serves connections over it.
+    pub(crate) shared: Arc<Shared>,
 }
 
 impl ControllerServer {
     /// Starts `shards` domains, one request queue ([`DEFAULT_QUEUE_DEPTH`])
-    /// and queue worker each, in front of one engine over
-    /// `CellularParams::paper(4)` — 160 base stations, ids 0 to 159 —
-    /// with [`ControllerConfig::simulation`], `policy` and every
-    /// subscriber provisioned. Requests go through the [`RequestRouter`]
-    /// ([`Self::router`]). Refuses 0 and more than 1 024 domains.
+    /// and queue worker each, in front of a one-seat membership whose
+    /// engine runs over `CellularParams::paper(4)` — 160 base stations,
+    /// ids 0 to 159 — with `policy` and every subscriber provisioned.
+    /// Each record commits as it is appended. Requests go through the
+    /// [`RequestRouter`] ([`Self::router`]). Refuses 0 and more than
+    /// 1 024 domains.
     pub fn start_sharded(
         policy: ServicePolicy,
         subscribers: impl IntoIterator<Item = SubscriberAttributes>,
         shards: usize,
     ) -> Result<ControllerServer> {
+        let cfg = ReplicaConfig {
+            id: ControllerId(0),
+            quorum: 1,
+            peer_deadline: Duration::ZERO,
+            policy,
+            subscribers: subscribers.into_iter().map(|s| (s.imsi, s)).collect(),
+        };
+        let seat = ReplicaNode::new(cfg, Membership::bootstrap(1)?, vec![None])?;
+        ControllerServer::start(seat, shards)
+    }
+
+    /// Starts `shards` domains in front of `seat`, the one construction
+    /// path: [`Self::start_sharded`] is its one-seat case. Refuses 0 and
+    /// more than 1 024 domains.
+    pub fn start(seat: Arc<ReplicaNode>, shards: usize) -> Result<ControllerServer> {
         if shards == 0 || shards > MAX_DOMAINS {
             let msg = format!("server takes 1 to {MAX_DOMAINS} shards, got {shards}");
             return Err(Error::Config(msg));
         }
-        let topo = CellularParams::paper(4).build()?;
-        let mut engine = CentralController::new(&topo, ControllerConfig::simulation(), policy);
-        subscribers
-            .into_iter()
-            .for_each(|attrs| engine.put_subscriber(attrs));
         let telemetry = Registry::new();
         let shared = Arc::new(Shared {
-            controller: Mutex::new(engine),
+            seat,
             served: telemetry.counter("softcell_controller_packet_in_total"),
             active_connections: telemetry.gauge("softcell_controller_active_connections"),
             disconnects: telemetry.counter("softcell_controller_disconnects_total"),
             connection_errors: telemetry.counter("softcell_controller_connection_errors_total"),
             queue_rejected: telemetry.counter("softcell_controller_server_queue_rejected_total"),
-            batch_seq: AtomicU64::new(0),
             install_latency_us: AtomicU64::new(0),
             telemetry,
         });
@@ -296,7 +336,6 @@ impl ControllerServer {
             shared,
         })
     }
-
     /// Sets the simulated per-install switch round trip the workers
     /// block on (benchmark knob; zero disables, the default).
     pub fn set_install_latency(&self, d: Duration) {
@@ -312,14 +351,9 @@ impl ControllerServer {
         self.router.clone()
     }
 
-    /// Number of domains.
-    pub fn domains(&self) -> usize {
-        self.router.domains()
-    }
-
-    /// The shared state, for the wire front-end ([`crate::wire`]).
-    pub(crate) fn shared_state(&self) -> Arc<Shared> {
-        Arc::clone(&self.shared)
+    /// The seat this server proposes on.
+    pub fn seat(&self) -> &Arc<ReplicaNode> {
+        &self.shared.seat
     }
 
     /// This server's metric registry, for snapshot/export. Per instance:
@@ -412,21 +446,25 @@ impl WorkerMetrics {
 }
 
 /// Serves one request under `domain`'s lock: the per-kind span (the
-/// handler's own spans — install fences — nest in it via the
-/// thread-local context), the handler `f`, the counters. A request that
+/// handler's own spans — the proposal's — nest in it via the
+/// thread-local context), the proposal, the counters. A request that
 /// `waited` in the queue is counted as such and, when traced, closes
 /// the cross-thread queue_wait interval stamped at enqueue. The answer
 /// leaves once the domain is released, and only the worker waits for
 /// room in `reply`: a routing thread may be the one draining that
 /// channel, so it gets the send back as a job for the worker instead.
-fn run<R: Send + 'static>(
-    mut domain: MutexGuard<'_, Domain>,
-    kind: &'static str,
+fn serve(
+    domain: MutexGuard<'_, Domain>,
+    op: PacketIn,
+    reply: Sender<Result<Committed>>,
     rt: ReqTrace,
     waited: bool,
-    reply: Sender<R>,
-    f: impl FnOnce(&mut Domain) -> R,
 ) -> Option<Job> {
+    let kind = match op {
+        PacketIn::Attach { .. } => "handle_attach",
+        PacketIn::Detach { .. } => "handle_detach",
+        PacketIn::PathRequest { .. } => "handle_path_tag",
+    };
     let sw = Stopwatch::start();
     let tracer = Registry::global().tracer();
     let shard = domain.wm.shard;
@@ -439,7 +477,7 @@ fn run<R: Send + 'static>(
     }
     let mut sp = tracer.span_in(rt.ctx, kind);
     sp.set_shard(shard);
-    let out = f(&mut domain);
+    let out = domain.propose(op);
     // count before the answer leaves so a client that has it never
     // observes a stale served() total
     domain.shared.served.inc();
@@ -457,76 +495,30 @@ fn run<R: Send + 'static>(
 }
 
 impl Domain {
-    /// Makes one engine call under the engine lock and drops the rule
-    /// ops it queued (see the module doc); says whether it queued any.
-    fn call<R>(&self, f: impl FnOnce(&mut CentralController) -> Result<R>) -> (Result<R>, bool) {
-        let mut engine = self.shared.controller.lock();
-        let out = f(&mut engine);
-        let queued = !engine.pending_ops.is_empty();
-        engine.pending_ops.clear();
-        (out, queued)
-    }
-
-    /// A granted attach always fences: its classifier lands at the
-    /// access station.
-    fn attach(
-        &self,
-        imsi: UeImsi,
-        bs: BaseStationId,
-        ue_id: UeId,
-        now: SimTime,
-    ) -> Result<AttachGrant> {
-        let grant = self.call(|c| c.attach_ue(imsi, bs, ue_id, now)).0?;
-        std::thread::sleep(self.shared.fence());
-        Ok(grant)
-    }
-
-    fn detach(&self, imsi: UeImsi) -> Result<UeRecord> {
-        self.call(|c| c.detach_ue(imsi)).0
-    }
-
-    /// A path request fences, and counts as a cache miss, only when it
-    /// queued rule ops.
-    fn path_tag(&self, bs: BaseStationId, clause: ClauseId) -> Result<PathTags> {
-        let (tags, queued) = self.call(|c| c.request_policy_path(bs, clause));
-        let tags = tags?;
-        if queued {
-            self.wm.path_misses.inc();
+    /// Proposes `op` on the seat, then sleeps through the install fence
+    /// when the answer lands rules on a switch: a granted attach always
+    /// (its classifier lands at the access station), a path request
+    /// only when it queued rule ops, which is what makes it a cache
+    /// miss.
+    fn propose(&self, op: PacketIn) -> Result<Committed> {
+        let c = self.shared.seat.propose(op)?;
+        let fence = match op {
+            PacketIn::Attach { .. } => true,
+            PacketIn::Detach { .. } => false,
+            PacketIn::PathRequest { .. } => {
+                let counter = if c.queued {
+                    &self.wm.path_misses
+                } else {
+                    &self.wm.path_hits
+                };
+                counter.inc();
+                c.queued
+            }
+        };
+        if fence {
             std::thread::sleep(self.shared.fence());
-        } else {
-            self.wm.path_hits.inc();
         }
-        Ok(tags)
-    }
-}
-
-/// Serves `req` under its domain's lock, on whichever thread holds it.
-fn serve(domain: MutexGuard<'_, Domain>, req: Request, waited: bool) -> Option<Job> {
-    match req {
-        Request::Attach {
-            imsi,
-            bs,
-            ue_id,
-            now,
-            reply,
-            trace,
-        } => {
-            let f = |d: &mut Domain| d.attach(imsi, bs, ue_id, now);
-            run(domain, "handle_attach", trace, waited, reply, f)
-        }
-        Request::Detach { imsi, reply, trace } => {
-            let f = |d: &mut Domain| d.detach(imsi);
-            run(domain, "handle_detach", trace, waited, reply, f)
-        }
-        Request::PathTag {
-            bs,
-            clause,
-            reply,
-            trace,
-        } => {
-            let f = |d: &mut Domain| d.path_tag(bs, clause);
-            run(domain, "handle_path_tag", trace, waited, reply, f)
-        }
+        Ok(c)
     }
 }
 
@@ -534,11 +526,11 @@ fn serve(domain: MutexGuard<'_, Domain>, req: Request, waited: bool) -> Option<J
 fn worker_loop(rx: Receiver<Job>, cell: &DomainCell) {
     while let Ok(job) = rx.recv() {
         match job {
-            Job::Serve(req) => {
+            Job::Serve(op, reply, trace) => {
                 let domain = cell.domain.lock();
                 // requests still queued behind the one just taken
                 domain.wm.queue_hwm.record_max(rx.len() as u64);
-                serve(domain, req, true);
+                serve(domain, op, reply, trace, true);
             }
             Job::Deliver(send) => send(),
             Job::Shutdown => break,
@@ -550,6 +542,8 @@ fn worker_loop(rx: Receiver<Job>, cell: &DomainCell) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::core::{AttachGrant, PathTags};
+    use crate::input::Output;
     use crossbeam::channel::bounded;
 
     /// The permitted clause a parked domain's path request names.
@@ -559,6 +553,20 @@ mod tests {
         (0..n)
             .map(|i| SubscriberAttributes::default_home(UeImsi(i)))
             .collect()
+    }
+
+    fn grant(c: Committed) -> AttachGrant {
+        match c.out {
+            Output::Attached(grant) => grant,
+            other => panic!("an attach answered with {other:?}"),
+        }
+    }
+
+    fn tags(c: Committed) -> PathTags {
+        match c.out {
+            Output::Path(tags) => tags,
+            other => panic!("a path request answered with {other:?}"),
+        }
     }
 
     fn server(subs: u64, shards: usize) -> ControllerServer {
@@ -571,7 +579,7 @@ mod tests {
     }
 
     /// An attach of `imsi` at a location of its own, answered into `reply`.
-    fn attach(imsi: u64, reply: &Sender<Result<AttachGrant>>) -> Request {
+    fn attach(imsi: u64, reply: &Sender<Result<Committed>>) -> Request {
         Request::Attach {
             imsi: UeImsi(imsi),
             bs: BaseStationId((imsi % 7) as u32),
@@ -582,7 +590,7 @@ mod tests {
         }
     }
 
-    fn path(bs: BaseStationId, clause: ClauseId, reply: &Sender<Result<PathTags>>) -> Request {
+    fn path(bs: BaseStationId, clause: ClauseId, reply: &Sender<Result<Committed>>) -> Request {
         Request::PathTag {
             bs,
             clause,
@@ -602,7 +610,7 @@ mod tests {
         let server = server(10, 2);
         let (tx, rx) = bounded(1);
         server.router().route(attach(3, &tx)).unwrap();
-        let grant = rx.recv().unwrap().unwrap();
+        let grant = grant(rx.recv().unwrap().unwrap());
         assert!(!grant.classifier.entries().is_empty());
         assert_eq!(server.served(), 1);
         server.shutdown();
@@ -626,15 +634,15 @@ mod tests {
             router
                 .route(path(BaseStationId(bs), ClauseId(clause), &tx))
                 .unwrap();
-            rx.recv().unwrap()
+            rx.recv().unwrap().map(tags)
         };
         let t1 = ask(5, 0).unwrap();
         assert_eq!(ask(5, 0).unwrap(), t1, "idempotent per (bs, clause)");
         // the engine's answer: an installed path's own tags
-        let engine = server.shared.controller.lock();
-        let routed = engine.routed_path(BaseStationId(5), ClauseId(0));
-        assert!(routed.is_some(), "the path is installed");
-        drop(engine);
+        let routed = server
+            .seat()
+            .read(|c| c.routed_path(BaseStationId(5), ClauseId(0)).is_some());
+        assert!(routed, "the path is installed");
         assert!(
             matches!(ask(5, 1), Err(Error::InvalidState(_))),
             "a denying clause has no path"
@@ -653,9 +661,9 @@ mod tests {
                     let (tx, rx) = bounded(1);
                     for i in 0..250u64 {
                         let imsi = (c * 25 + i) % 100;
-                        let req = attach(imsi, &tx);
-                        assert_eq!(router.shard_of(&req), shard_of_ue(UeImsi(imsi), 4));
-                        router.route(req).unwrap();
+                        let op = PacketIn::Detach { imsi: UeImsi(imsi) };
+                        assert_eq!(router.shard_of(&op), shard_of_ue(UeImsi(imsi), 4));
+                        router.route(attach(imsi, &tx)).unwrap();
                         rx.recv().unwrap().unwrap();
                     }
                 })
@@ -665,17 +673,14 @@ mod tests {
             c.join().unwrap();
         }
         assert_eq!(server.served(), 1000);
-        assert_eq!(
-            server.shared.controller.lock().state().attached_count(),
-            100
-        );
+        assert_eq!(server.seat().read(|c| c.state().attached_count()), 100);
         server.shutdown();
     }
 
     #[test]
     fn sharded_server_routes_by_key_and_round_trips() {
         let server = server(32, 4);
-        assert_eq!(server.domains(), 4);
+        assert_eq!(server.router.cells.len(), 4);
         let router = server.router();
 
         // attach every subscriber through the router; the engine's one
@@ -684,7 +689,7 @@ mod tests {
         let mut ips = std::collections::HashSet::new();
         for i in 0..32u64 {
             router.route(attach(i, &tx)).unwrap();
-            let grant = rx.recv().unwrap().unwrap();
+            let grant = grant(rx.recv().unwrap().unwrap());
             assert!(!grant.classifier.entries().is_empty());
             assert!(ips.insert(grant.record.permanent_ip), "duplicate address");
         }
@@ -697,7 +702,9 @@ mod tests {
             trace: ReqTrace::NONE,
         };
         router.route(detach()).unwrap();
-        let rec = drx.recv().unwrap().unwrap();
+        let Output::Detached(rec) = drx.recv().unwrap().unwrap().out else {
+            panic!("a detach answers with the record")
+        };
         assert!(ips.contains(&rec.permanent_ip));
         router.route(detach()).unwrap();
         assert!(drx.recv().unwrap().is_err(), "double detach fails");
@@ -730,8 +737,7 @@ mod tests {
                     }
                 } else if !live.contains_key(&i) {
                     router.route(attach(i, &atx)).unwrap();
-                    let grant = arx.recv().unwrap().unwrap();
-                    let ip = grant.record.permanent_ip;
+                    let ip = grant(arx.recv().unwrap().unwrap()).record.permanent_ip;
                     assert!(
                         !live.values().any(|v| *v == ip),
                         "round {round}: {ip} live twice"
@@ -779,7 +785,7 @@ mod tests {
         router.route(path(station_of(0, 2), PARK, &tx)).unwrap();
         server.set_install_latency(Duration::from_millis(150));
         router.route(path(station_of(1, 2), PARK, &tx)).unwrap();
-        assert_eq!(rx.recv().unwrap().unwrap(), parked.join().unwrap());
+        assert_eq!(tags(rx.recv().unwrap().unwrap()), parked.join().unwrap());
         rx.recv().unwrap().unwrap();
         const QUEUED: &str = "softcell_controller_shard_queued_total";
         let queued = [0, 1].map(|shard| shard_counter(&server, QUEUED, shard));
@@ -844,11 +850,11 @@ mod tests {
         const MISSES: &str = "softcell_controller_path_cache_misses_total";
         let before = shard_counter(server, MISSES, shard);
         let router = server.router();
-        assert_eq!(shard_of_station(bs, router.domains()), shard);
+        assert_eq!(shard_of_station(bs, router.cells.len()), shard);
         let parked = std::thread::spawn(move || {
             let (tx, rx) = bounded(1);
             router.route(path(bs, PARK, &tx)).unwrap();
-            rx.recv().unwrap().unwrap()
+            tags(rx.recv().unwrap().unwrap())
         });
         while shard_counter(server, MISSES, shard) == before {
             std::thread::yield_now();
@@ -862,24 +868,30 @@ mod tests {
         server.set_install_latency(Duration::from_millis(200));
         let router = server.router();
         let (tx, rx) = bounded(DEFAULT_QUEUE_DEPTH + 1);
-        let ask = || path(BaseStationId(5), PARK, &tx);
+        let ask = || {
+            let op = PacketIn::PathRequest {
+                bs: BaseStationId(5),
+                clause: PARK,
+            };
+            router.submit(op, tx.clone(), ReqTrace::NONE, false)
+        };
         // a second thread's miss holds the only domain through the
         // install fence; the worker takes the first request off the
         // queue and waits for the lock, and nothing drains the rest
         let parked = park_domain(&server, BaseStationId(5), 0);
-        assert!(router.try_route(ask()).unwrap(), "busy domain: queued");
+        assert!(ask().unwrap(), "busy domain: queued");
         while !router.cells[0].0.is_empty() {
             std::thread::yield_now();
         }
         for i in 1..=DEFAULT_QUEUE_DEPTH {
-            assert!(router.try_route(ask()).unwrap(), "request {i} fits");
+            assert!(ask().unwrap(), "request {i} fits");
         }
-        assert!(!router.try_route(ask()).unwrap(), "queue full: shed");
+        assert!(!ask().unwrap(), "queue full: shed");
 
         // after the fence every accepted request is answered, all alike
-        let tags = parked.join().unwrap();
+        let parked_tags = parked.join().unwrap();
         for _ in 0..=DEFAULT_QUEUE_DEPTH {
-            assert_eq!(rx.recv().unwrap().unwrap(), tags);
+            assert_eq!(tags(rx.recv().unwrap().unwrap()), parked_tags);
         }
         assert!(rx.try_recv().is_err(), "the shed request got no answer");
         let hwm = server
@@ -894,8 +906,8 @@ mod tests {
             queued + 1,
             "all but the parking miss queued"
         );
-        assert!(router.try_route(ask()).unwrap(), "drained queue accepts");
-        assert_eq!(rx.recv().unwrap().unwrap(), tags);
+        assert!(ask().unwrap(), "drained queue accepts");
+        assert_eq!(tags(rx.recv().unwrap().unwrap()), parked_tags);
         server.shutdown();
     }
 
@@ -936,9 +948,14 @@ mod tests {
                 reply: dtx.clone(),
                 trace: ReqTrace::NONE,
             };
-            let got_attach = || format!("{:?}", arx.recv().unwrap());
-            let got_path = || format!("{:?}", trx.recv().unwrap());
-            let got_detach = || format!("{:?}", drx.recv().unwrap());
+            // the engine's answers: the records' indices follow the
+            // order the domains served them in, which the queues change
+            let got = |rx: &Receiver<Result<Committed>>| {
+                format!("{:?}", rx.recv().unwrap().map(|c| c.out))
+            };
+            let got_attach = || got(&arx);
+            let got_path = || got(&trx);
+            let got_detach = || got(&drx);
             let sequence: [(Request, &dyn Fn() -> String); 9] = [
                 (attach(ue_a, 3, 10), &got_attach),
                 (attach(ue_a, 3, 20), &got_attach),

@@ -1,10 +1,11 @@
 //! The controller's wire front-end and the agent's channel-backed proxy.
 //!
 //! [`ControllerServer::serve`] runs one connection's dispatch loop on its
-//! own thread: each packet-in becomes a domain [`Request`] (served on
-//! this very thread when the owning domain is free), and the engine's
-//! answer goes back under the request's xid as a classifier reply or a
-//! flow-mod batch. [`ChannelController`] is the other end: a
+//! own thread: each packet-in goes to its domain (served on this very
+//! thread when that domain is free), is proposed on the server's seat,
+//! and the committed answer goes back under the request's xid in its
+//! one reply shape (`reply`): a classifier reply or a flow-mod batch.
+//! [`ChannelController`] is the other end: a
 //! [`ControllerApi`] the unchanged [`crate::agent::LocalAgent`] runs
 //! against, in process, over a loopback queue or over TCP.
 
@@ -12,7 +13,7 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use crossbeam::channel::{bounded, Receiver};
+use crossbeam::channel::{bounded, Receiver, Sender};
 
 use softcell_ctlchan::{
     CtlChannel, Message, PacketIn, RetryPolicy, Transport, WireBatchGroup, WireClassifier,
@@ -21,11 +22,13 @@ use softcell_ctlchan::{
 use softcell_policy::clause::ClauseId;
 use softcell_policy::UeClassifier;
 use softcell_telemetry::{Registry, ReqTrace, TraceContext};
-use softcell_types::{shard_of_station, BaseStationId, Error, Result, SimTime, UeId, UeImsi};
+use softcell_types::{BaseStationId, Error, Result, SimTime, UeId, UeImsi};
 
 use crate::agent::ControllerApi;
 use crate::core::{AttachGrant, PathTags};
-use crate::server::{ControllerServer, Request, RequestRouter};
+use crate::input::Output;
+use crate::node::Committed;
+use crate::server::{ControllerServer, RequestRouter};
 use crate::state::UeRecord;
 
 impl From<UeRecord> for WireUeRecord {
@@ -91,19 +94,20 @@ pub fn classifier_from_wire(w: WireClassifier) -> UeClassifier {
 
 impl ControllerServer {
     /// Serves one agent connection over `transport` on a dedicated
-    /// thread, translating packet-in events to domain requests.
+    /// thread: each packet-in goes to its domain, is proposed on the
+    /// seat, and the committed answer goes back in the one reply shape.
     /// Returns when the agent disconnects. Spawn once per connection —
     /// concurrency across agents comes from one serve thread each, all
-    /// feeding the same domains.
+    /// feeding the same domains. This is the controller's one
+    /// agent-facing serve loop.
     pub fn serve<T: Transport + 'static>(&self, transport: T) -> JoinHandle<Result<()>> {
         let router = self.router();
-        let shared = self.shared_state();
+        let shared = Arc::clone(&self.shared);
+        let seat = shared.seat.id().0 as u16;
         std::thread::spawn(move || {
-            // One reply pair per kind, reused across requests: the serve
-            // loop keeps at most one request outstanding.
-            let (att_tx, att_rx) = bounded(1);
-            let (det_tx, det_rx) = bounded(1);
-            let (tag_tx, tag_rx) = bounded(1);
+            // One reply pair, reused across requests: the serve loop
+            // keeps at most one request outstanding.
+            let (tx, rx) = bounded(1);
             shared.active_connections.add(1);
             let served = {
                 let shared = Arc::clone(&shared);
@@ -114,74 +118,9 @@ impl ControllerServer {
                 let Message::PacketIn(pi) = msg else {
                     return None;
                 };
-                let reply = match *pi {
-                    PacketIn::Attach {
-                        imsi,
-                        bs,
-                        ue_id,
-                        now,
-                    } => (|| {
-                        let req = Request::Attach {
-                            imsi,
-                            bs,
-                            ue_id,
-                            now,
-                            reply: att_tx.clone(),
-                            trace: ReqTrace::at_enqueue(ctx),
-                        };
-                        let grant = route_packet_in(&router, &shared, req, &att_rx)?;
-                        Ok(Message::ClassifierReply {
-                            record: grant.record.into(),
-                            classifier: Some(classifier_to_wire(&grant.classifier)),
-                        })
-                    })(),
-                    PacketIn::PathRequest { bs, clause } => (|| {
-                        let req = Request::PathTag {
-                            bs,
-                            clause,
-                            reply: tag_tx.clone(),
-                            trace: ReqTrace::at_enqueue(ctx),
-                        };
-                        let tags = route_packet_in(&router, &shared, req, &tag_rx)?;
-                        let mods = vec![WireFlowMod {
-                            bs,
-                            clause,
-                            tags: tags.into(),
-                        }];
-                        // the ticketed, barrier-delimited batch form
-                        let shard = shard_of_station(bs, router.domains()) as u16;
-                        let mut batch_sp =
-                            Registry::global().tracer().span_in(ctx, "flow_mod_batch");
-                        batch_sp.set_shard(shard as usize);
-                        // AcqRel: the batch sequence number orders
-                        // flow-mod batches across serve threads, so
-                        // stamping it must not be reorderable against
-                        // the batch contents it numbers.
-                        let seq = shared.batch_seq.fetch_add(1, Ordering::AcqRel) as u32;
-                        batch_sp.set_label(u64::from(seq));
-                        Ok(Message::FlowModBatch {
-                            shard,
-                            seq,
-                            groups: vec![WireBatchGroup {
-                                bs,
-                                barrier: true,
-                                mods,
-                            }],
-                        })
-                    })(),
-                    PacketIn::Detach { imsi } => (|| {
-                        let req = Request::Detach {
-                            imsi,
-                            reply: det_tx.clone(),
-                            trace: ReqTrace::at_enqueue(ctx),
-                        };
-                        let record = route_packet_in(&router, &shared, req, &det_rx)?;
-                        Ok(Message::ClassifierReply {
-                            record: record.into(),
-                            classifier: None,
-                        })
-                    })(),
-                };
+                let trace = ReqTrace::at_enqueue(ctx);
+                let reply = route_packet_in(&router, &shared, *pi, tx.clone(), trace, &rx)
+                    .and_then(|c| reply(seat, *pi, c, ctx));
                 Some(reply.unwrap_or_else(|e| Message::from_error(&e)))
             });
             // Slot accounting: a dead agent frees its serve slot whether
@@ -198,18 +137,67 @@ impl ControllerServer {
     }
 }
 
+/// The one reply shape: the frame answering packet-in `op`, which
+/// `seat` committed as `c`. A grant is a classifier reply with the
+/// classifier, a detached record one without, and a path's tags the
+/// one flow-mod frame: a batch stamped `(seat, record index)` holding
+/// one barrier-fenced group for the station. Indices only grow, across
+/// leaders too, so one seat's batches arrive in rising `seq`.
+pub(crate) fn reply(
+    seat: u16,
+    op: PacketIn,
+    c: Committed,
+    ctx: TraceContext,
+) -> Result<Message<'static>> {
+    Ok(match (op, c.out) {
+        (_, Output::Attached(grant)) => Message::ClassifierReply {
+            record: grant.record.into(),
+            classifier: Some(classifier_to_wire(&grant.classifier)),
+        },
+        (_, Output::Detached(record)) => Message::ClassifierReply {
+            record: record.into(),
+            classifier: None,
+        },
+        (PacketIn::PathRequest { bs, clause }, Output::Path(tags)) => {
+            let seq = c.index as u32;
+            let mut batch_sp = Registry::global().tracer().span_in(ctx, "flow_mod_batch");
+            batch_sp.set_shard(usize::from(seat));
+            batch_sp.set_label(u64::from(seq));
+            Message::FlowModBatch {
+                shard: seat,
+                seq,
+                groups: vec![WireBatchGroup {
+                    bs,
+                    barrier: true,
+                    mods: vec![WireFlowMod {
+                        bs,
+                        clause,
+                        tags: tags.into(),
+                    }],
+                }],
+            }
+        }
+        (op, out) => {
+            let what = format!("{op:?} answered with {out:?}");
+            return Err(Error::InvalidState(what));
+        }
+    })
+}
+
 /// Routes a packet-in and takes its answer off the reply pair's `rx`,
 /// never waiting on a full domain queue: that sheds the request —
 /// counted in `server_queue_rejected` and answered with an error the
 /// agent can retry — instead of stalling this connection's barrier and
 /// echo traffic behind the backlog.
-fn route_packet_in<R>(
+fn route_packet_in(
     router: &RequestRouter,
     shared: &crate::server::Shared,
-    req: Request,
-    rx: &Receiver<Result<R>>,
-) -> Result<R> {
-    if router.try_route(req)? {
+    op: PacketIn,
+    reply: Sender<Result<Committed>>,
+    trace: ReqTrace,
+    rx: &Receiver<Result<Committed>>,
+) -> Result<Committed> {
+    if router.submit(op, reply, trace, false)? {
         let gone = |_| Error::InvalidState("controller worker pool gone".into());
         return rx.recv().map_err(gone)?;
     }
@@ -455,7 +443,7 @@ mod tests {
 
         // an attach elsewhere is a move, which is a handoff: refused,
         // and the engine is left as it was
-        let state = || serde_json::to_string(server.shared_state().controller.lock().state());
+        let state = || server.seat().read(|c| serde_json::to_string(c.state()));
         let before = state().unwrap();
         let err = ctl
             .attach_ue(UeImsi(1), BaseStationId(1), UeId(3), SimTime(60))
@@ -589,10 +577,13 @@ mod tests {
             }))
             .unwrap();
         let frame = softcell_ctlchan::Frame::new_checked(raw.as_slice()).unwrap();
-        let Message::FlowModBatch { shard, groups, .. } = frame.message().unwrap() else {
+        let Message::FlowModBatch { shard, seq, groups } = frame.message().unwrap() else {
             panic!("sharded server must answer flow_mod_batch");
         };
-        assert_eq!(shard as usize, shard_of_station(BaseStationId(0), 4));
+        // stamped (answering seat, record index): a one-seat server's
+        // seat is 0, and the request is its first record
+        assert_eq!((shard, seq), (0, 1));
+        assert_eq!(server.seat().applied(), 1);
         assert_eq!(groups.len(), 1);
         assert!(groups[0].barrier);
         assert_eq!(groups[0].bs, BaseStationId(0));
@@ -840,9 +831,8 @@ mod tests {
             .handle_attach(UeImsi(3), &mut ctl, SimTime(1))
             .is_err());
         assert!(!ctl.answered());
-        let shared = server.shared_state();
-        let held = shared.controller.lock().state().ue(UeImsi(3)).copied();
-        assert_eq!(held.map(|r| (r.bs, r.ue_id)), Ok((bs, UeId(2))));
+        let held = server.seat().ue(UeImsi(3));
+        assert_eq!(held.map(|r| (r.bs, r.ue_id)), Some((bs, UeId(2))));
 
         // the resync rebuilds the id pool, lowest free id first; the
         // retry still lands on id 2 and gets the live record
@@ -935,19 +925,18 @@ mod tests {
     #[test]
     fn a_wire_run_replays_through_one_engine() {
         // Two agents on two connections, driven in turn from this one
-        // thread, so the engine sees their calls in the order the
-        // wiretap logs them. Replayed through `apply` on a fresh engine,
-        // that log must give the same answers and the same engine.
+        // thread, so the seat's log holds their calls in the order the
+        // wiretap logs them.
         use crate::agent::LocalAgent;
-        use crate::core::{CentralController, ControllerConfig};
-        use crate::input::{Input, Output};
+        use crate::core::CentralController;
         use crate::install::Direction;
+        use crate::log::Log;
+        use crate::store::State;
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         use softcell_ctlchan::Frame;
         use softcell_dataplane::Switch;
         use softcell_packet::{build_flow_packet, FiveTuple, HeaderView, Protocol};
-        use softcell_topology::CellularParams;
         use softcell_types::{AddressingScheme, PortEmbedding, SwitchId};
 
         /// Subscribers per agent; the second agent's follow the first's.
@@ -1045,47 +1034,35 @@ mod tests {
         }
         assert!(calls.len() >= 200, "{} engine calls", calls.len());
 
-        let topo = CellularParams::paper(4).build().unwrap();
-        let mut engine = CentralController::new(&topo, ControllerConfig::simulation(), policy());
-        subscribers(2 * UES)
-            .into_iter()
-            .for_each(|attrs| engine.put_subscriber(attrs));
-        let (mut refused, mut clauses) = (0, std::collections::BTreeSet::new());
-        for (pi, reply) in &calls {
-            let out = engine.apply(&Input::Agent(*pi));
-            engine.drain_ops();
-            match (out, reply) {
-                (Err(e), reply) => {
-                    let served = reply.as_error().expect("the server refused it too");
-                    let variant = std::mem::discriminant;
-                    assert_eq!(variant(&e), variant(&served), "{pi:?}: {e:?} vs {served:?}");
-                    refused += 1;
-                }
-                (
-                    Ok(Output::Attached(grant)),
-                    Message::ClassifierReply {
-                        record,
-                        classifier: Some(c),
-                    },
-                ) => {
-                    assert_eq!(UeRecord::from(*record), grant.record);
-                    assert_eq!(classifier_to_wire(&grant.classifier), *c);
-                }
-                (
-                    Ok(Output::Detached(rec)),
-                    Message::ClassifierReply {
-                        record,
-                        classifier: None,
-                    },
-                ) => assert_eq!(UeRecord::from(*record), rec),
-                (Ok(Output::Path(tags)), Message::FlowModBatch { groups, .. }) => {
-                    let m = &groups[0].mods[0];
-                    assert_eq!(PathTags::from(m.tags), tags);
-                    clauses.insert(m.clause);
-                }
-                (out, reply) => panic!("{pi:?}: replayed {out:?}, served {reply:?}"),
+        // The seat's log holds exactly the answered packet-ins, in the
+        // order they were answered; replayed record by record through a
+        // fresh engine it gives every answer again, in its one reply
+        // shape, and every refusal, and it ends on the seat's engine.
+        let seat = server.seat();
+        let records = Log::decode(&seat.log_bytes(), seat.config()).unwrap();
+        let mut fresh = State::new(seat.config()).unwrap();
+        let (mut index, mut refused, mut clauses) = (0, 0, std::collections::BTreeSet::new());
+        for (pi, got) in &calls {
+            if let Some(served) = got.as_error() {
+                let e = fresh.apply(pi).unwrap_err();
+                let variant = std::mem::discriminant;
+                assert_eq!(variant(&e), variant(&served), "{pi:?}: {e:?} vs {served:?}");
+                refused += 1;
+                continue;
+            }
+            index += 1;
+            let record = records
+                .get(index)
+                .expect("an answered packet-in is a record");
+            assert_eq!(record.op, *pi, "record {index}");
+            let (out, queued) = fresh.apply(pi).unwrap();
+            let again = reply(0, *pi, Committed { index, out, queued }, TraceContext::NONE);
+            assert_eq!(again.unwrap(), *got, "record {index}");
+            if let PacketIn::PathRequest { clause, .. } = pi {
+                clauses.insert(*clause);
             }
         }
+        assert_eq!(index, records.last_index(), "every record was answered");
         assert!(refused >= 2, "the stranger and the attach elsewhere");
         assert!(clauses.len() >= 3, "path requests over {clauses:?}");
 
@@ -1098,9 +1075,10 @@ mod tests {
             let state = serde_json::to_string(c.state()).unwrap();
             (state, c.installer().tags_in_use(), rules)
         };
-        let shared = server.shared_state();
-        assert_eq!(fingerprint(&shared.controller.lock()), fingerprint(&engine));
-        drop(shared);
+        assert_eq!(seat.read(fingerprint), fingerprint(fresh.engine()));
+        assert_eq!(seat.image(), fresh.image());
+        let (_, replayed) = Log::replay(&seat.log_bytes(), seat.config()).unwrap();
+        assert_eq!(replayed.image(), fresh.image());
         server.shutdown();
     }
 }

@@ -112,6 +112,26 @@ pub trait Transport: Send {
     }
 }
 
+/// A boxed transport is one: a table of peers of different kinds is a
+/// `Vec` of `CtlChannel<Box<dyn Transport>>`.
+impl<T: Transport + ?Sized> Transport for Box<T> {
+    fn send(&mut self, frame: &[u8]) -> Result<()> {
+        (**self).send(frame)
+    }
+
+    fn recv(&mut self) -> Result<Option<Vec<u8>>> {
+        (**self).recv()
+    }
+
+    fn counters(&self) -> Arc<ChannelCounters> {
+        (**self).counters()
+    }
+
+    fn set_deadline(&mut self, deadline: Option<Duration>) -> Result<()> {
+        (**self).set_deadline(deadline)
+    }
+}
+
 /// How many frames a loopback direction buffers before `send` blocks —
 /// the same backpressure a TCP socket buffer provides.
 pub const LOOPBACK_DEPTH: usize = 4096;

@@ -1,18 +1,21 @@
 //! Cluster harness: killable links, fail-over, and agent re-homing.
 //!
-//! [`Cluster`] wires N [`ReplicaNode`]s into a full mesh of in-process
+//! [`Cluster`] runs N [`ControllerServer`]s, one per seat, and wires
+//! their seats ([`ReplicaNode`]) into a full mesh of in-process
 //! loopback links wrapped in [`Killable`]: every link watches the
-//! *kill switch* of both endpoint nodes, so flipping one node's switch
+//! *kill switch* of both endpoint seats, so flipping one seat's switch
 //! severs all its links at once — the in-process equivalent of
 //! `kill -9`, with no goodbye frames and no graceful teardown. The dead
-//! node's `Arc` state is frozen, which is exactly what the recovery
-//! test wants: a readable pre-kill oracle.
+//! seat's `Arc` state is frozen, which is exactly what the recovery
+//! test wants: a readable pre-kill oracle. Agents reach a seat through
+//! its server's serve loop, over a link that dies with the seat.
 //!
-//! Links can also be *cut* (partitioned): sends fail and delivery
+//! Peer links can also be *cut* (partitioned): sends fail and delivery
 //! stops, but the serve loops stay alive, so healing the cut restores
 //! the link. Cuts are how the fencing test isolates a leader without
 //! destroying it — the paper-level scenario of a controller that is
-//! alive but on the wrong side of a partition.
+//! alive but on the wrong side of a partition. A cut separates seats
+//! from one another, not from their agents.
 //!
 //! Fail-over ([`Cluster::fail_over`]) is deliberately deterministic:
 //! the initiating survivor advances the membership ring (epoch + 1),
@@ -33,13 +36,13 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 use softcell_controller::agent::LocalAgent;
+use softcell_controller::server::ControllerServer;
 use softcell_controller::wire::ChannelController;
-use softcell_ctlchan::{loopback_pair, ChannelCounters, Loopback, Transport};
+use softcell_controller::{ReplicaConfig, ReplicaNode};
+use softcell_ctlchan::{loopback_pair, ChannelCounters, CtlChannel, Loopback, Transport};
 use softcell_policy::{ServicePolicy, SubscriberAttributes};
 use softcell_telemetry::Registry;
 use softcell_types::{BaseStationId, ControllerId, Error, Membership, Result, SimTime};
-
-use crate::node::{ReplicaConfig, ReplicaNode};
 
 /// How often a blocked [`Killable`] recv re-checks its kill and cut
 /// flags.
@@ -140,16 +143,16 @@ pub type Link = Killable<Loopback>;
 
 /// An N-controller cluster over an in-process full mesh.
 pub struct Cluster {
-    nodes: Vec<Arc<ReplicaNode<Link>>>,
+    servers: Vec<ControllerServer>,
     kills: Vec<Arc<AtomicBool>>,
     cuts: Vec<Arc<AtomicBool>>,
     threads: Mutex<Vec<JoinHandle<Result<()>>>>,
 }
 
 impl Cluster {
-    /// Starts `n` controllers with the given commit quorum. Every node
-    /// gets the same policy and subscriber registry; seat 0 leads the
-    /// bootstrap view.
+    /// Starts `n` controllers — one server of one domain per seat — with
+    /// the given commit quorum. Every seat gets the same policy and
+    /// subscriber registry; seat 0 leads the bootstrap view.
     pub fn start(
         n: usize,
         quorum: usize,
@@ -182,11 +185,11 @@ impl Cluster {
             }
         }
 
-        let mut nodes = Vec::with_capacity(n);
+        let mut servers = Vec::with_capacity(n);
         for (i, ends) in client_ends.into_iter().enumerate() {
             let peers = ends
                 .into_iter()
-                .map(|t| t.map(softcell_ctlchan::CtlChannel::new))
+                .map(|t| t.map(|t| CtlChannel::new(Box::new(t) as Box<dyn Transport>)))
                 .collect();
             let cfg = ReplicaConfig {
                 id: ControllerId(i as u32),
@@ -195,29 +198,30 @@ impl Cluster {
                 policy: policy.clone(),
                 subscribers: subs.clone(),
             };
-            nodes.push(ReplicaNode::new(cfg, membership.clone(), peers)?);
+            let seat = ReplicaNode::new(cfg, membership.clone(), peers)?;
+            servers.push(ControllerServer::start(seat, 1)?);
         }
 
         let mut threads = Vec::with_capacity(server_ends.len());
         for (owner, transport) in server_ends {
-            threads.push(nodes[owner].serve_peer(transport));
+            threads.push(servers[owner].seat().serve_peer(transport));
         }
         Ok(Cluster {
-            nodes,
+            servers,
             kills,
             cuts,
             threads: Mutex::new(threads),
         })
     }
 
-    /// The node at `seat`.
-    pub fn node(&self, seat: usize) -> &Arc<ReplicaNode<Link>> {
-        &self.nodes[seat]
+    /// The seat of the server at `seat`.
+    pub fn node(&self, seat: usize) -> &Arc<ReplicaNode> {
+        self.servers[seat].seat()
     }
 
     /// Number of seats.
     pub fn seats(&self) -> usize {
-        self.nodes.len()
+        self.servers.len()
     }
 
     /// Whether `seat` has been killed.
@@ -251,15 +255,15 @@ impl Cluster {
     /// cut seat is alive but may be deposed; its older view must not
     /// route agents.
     pub fn membership(&self) -> Result<Membership> {
-        (0..self.nodes.len())
+        (0..self.seats())
             .filter(|&s| !self.is_killed(s))
-            .map(|s| self.nodes[s].membership())
+            .map(|s| self.node(s).membership())
             .max_by_key(Membership::epoch)
             .ok_or_else(|| Error::InvalidState("no live seat".into()))
     }
 
     fn first_live(&self) -> Option<usize> {
-        (0..self.nodes.len()).find(|&s| !self.is_killed(s))
+        (0..self.seats()).find(|&s| !self.is_killed(s))
     }
 
     /// Declares `dead` seats down and drives the deterministic
@@ -287,7 +291,7 @@ impl Cluster {
                 "initiator seat {initiator} is dead"
             )));
         }
-        let node = &self.nodes[initiator];
+        let node = self.node(initiator);
         let view = node.membership().advance(dead)?;
         node.adopt_membership(view.clone());
         node.broadcast_epoch_change()?;
@@ -299,21 +303,18 @@ impl Cluster {
         Ok(view)
     }
 
-    /// Opens an agent-facing transport to `seat`, spawning the serve
-    /// thread on the controller side. The link dies with the
-    /// controller.
+    /// Opens an agent-facing transport to `seat`, spawning its server's
+    /// serve thread on the controller side. The link dies with the
+    /// seat; a cut leaves it up.
     pub fn agent_transport(&self, seat: usize) -> Result<Link> {
         if self.is_killed(seat) {
             return Err(Error::InvalidState(format!("seat {seat} is dead")));
         }
         let (a, b) = loopback_pair();
         let watch_kills = vec![Arc::clone(&self.kills[seat])];
-        let watch_cuts = vec![Arc::clone(&self.cuts[seat])];
-        let server = Killable::new(b, watch_kills.clone(), watch_cuts.clone());
-        self.threads
-            .lock()
-            .push(self.nodes[seat].serve_agent(server));
-        Ok(Killable::new(a, watch_kills, watch_cuts))
+        let server = Killable::new(b, watch_kills.clone(), Vec::new());
+        self.threads.lock().push(self.servers[seat].serve(server));
+        Ok(Killable::new(a, watch_kills, Vec::new()))
     }
 
     /// Connects an agent proxy for `bs` to the current leader.
@@ -333,6 +334,9 @@ impl Drop for Cluster {
         }
         for t in self.threads.lock().drain(..) {
             let _ = t.join();
+        }
+        for server in self.servers.drain(..) {
+            server.shutdown();
         }
     }
 }
@@ -364,11 +368,17 @@ pub fn rehome_agent(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testkit::{attach, subscribers, SUBSCRIBERS};
+    use crate::testkit::{attach, input, subscribers, SUBSCRIBERS};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
     use softcell_controller::core::PathTags;
-    use softcell_ctlchan::{Message, PacketIn};
+    use softcell_controller::input::Output;
+    use softcell_controller::install::Direction;
+    use softcell_controller::{Log, State};
+    use softcell_ctlchan::{Frame, Message, PacketIn};
     use softcell_policy::clause::ClauseId;
     use softcell_types::{AddressingScheme, PortEmbedding, PortNo, UeId, UeImsi};
+    use std::mem::discriminant;
 
     fn cluster(n: usize, quorum: usize) -> Cluster {
         Cluster::start(
@@ -390,6 +400,21 @@ mod tests {
         )
     }
 
+    /// Sends `pi` over `chan` and returns the reply frame.
+    fn ask_over(chan: &mut CtlChannel<Link>, pi: PacketIn) -> Message<'static> {
+        let raw = chan.request(&Message::PacketIn(pi)).unwrap();
+        let frame = Frame::new_checked(raw.as_slice()).unwrap();
+        frame.message().unwrap().into_static()
+    }
+
+    /// Sends `pi` to `seat`'s server over a fresh agent connection and
+    /// returns the reply frame.
+    fn ask(c: &Cluster, seat: usize, pi: PacketIn) -> Message<'static> {
+        let mut chan = CtlChannel::new(c.agent_transport(seat).unwrap());
+        chan.hello(0).unwrap();
+        ask_over(&mut chan, pi)
+    }
+
     /// Every seat of `seats` holds the same log.
     fn assert_one_log(c: &Cluster, seats: &[usize]) {
         let log = c.node(seats[0]).log_bytes();
@@ -405,8 +430,7 @@ mod tests {
     #[test]
     fn quorum_commit_applies_on_all_replicas() {
         let c = cluster(3, 2);
-        let (index, _) = c.node(0).propose(attach(1)).unwrap();
-        assert_eq!(index, 1);
+        assert_eq!(c.node(0).propose(attach(1)).unwrap().index, 1);
         for seat in 0..3 {
             assert_eq!(c.node(seat).applied(), 1, "seat {seat}");
             assert!(c.node(seat).ue(UeImsi(1)).is_some());
@@ -481,13 +505,11 @@ mod tests {
         // The agent-facing path is equally dead: a path request on the
         // stale leader yields an error, never a flow-mod — commit-gated
         // release means a fenced leader cannot program the network.
-        let reply = c
-            .node(0)
-            .handle_agent(&Message::PacketIn(PacketIn::PathRequest {
-                bs: BaseStationId(3),
-                clause: ClauseId(0),
-            }))
-            .unwrap();
+        let path = PacketIn::PathRequest {
+            bs: BaseStationId(3),
+            clause: ClauseId(0),
+        };
+        let reply = ask(&c, 0, path);
         assert!(
             reply.as_error().is_some(),
             "fenced leader must not emit a flow-mod, got {reply:?}"
@@ -539,8 +561,7 @@ mod tests {
         // Seat 2 is handed the log for the next record, and that record
         // commits with the stuck one beneath it.
         c.heal(2);
-        let (index, _) = c.node(0).propose(attach(1)).unwrap();
-        assert_eq!(index, 2);
+        assert_eq!(c.node(0).propose(attach(1)).unwrap().index, 2);
         assert_eq!(c.node(0).commit_index(), 2);
         assert_one_log(&c, &[0, 1, 2]);
         assert!(c.node(2).path(BaseStationId(3), ClauseId(0)).is_some());
@@ -564,11 +585,11 @@ mod tests {
             assert_eq!(e.permanent_ip, rec.permanent_ip, "seat {seat}");
         }
 
-        let path = Message::PacketIn(PacketIn::PathRequest {
+        let path = PacketIn::PathRequest {
             bs,
             clause: ClauseId(0),
-        });
-        let reply = c.node(0).handle_agent(&path).unwrap();
+        };
+        let reply = ask_over(ctl.channel(), path);
         // the one flow-mod frame: (shard, seq) = (leader seat, the
         // record's index), one barrier-fenced group
         let Message::FlowModBatch { shard, seq, groups } = &reply else {
@@ -585,7 +606,7 @@ mod tests {
             assert_eq!(got, Some(tags), "path replicated to seat {seat}");
         }
         // Re-asking is one more input: the committed tags, a later seq.
-        let again = c.node(0).handle_agent(&path).unwrap();
+        let again = ask_over(ctl.channel(), path);
         let Message::FlowModBatch {
             seq: seq2,
             groups: groups2,
@@ -684,7 +705,7 @@ mod tests {
         c.node(0).propose(attach(1)).unwrap();
         // Seat 1 misses a record the leader commits with seat 2.
         c.cut(1);
-        let (index, _) = c.node(0).propose(attach(2)).unwrap();
+        let index = c.node(0).propose(attach(2)).unwrap().index;
         c.heal(1);
 
         // The leader dies while seat 2 is cut off: the fail-over on seat
@@ -702,8 +723,7 @@ mod tests {
         // Seat 2 is back: the first proposal levels seat 1's log with
         // seat 2's, which holds the committed record, then appends.
         c.heal(2);
-        let (next, _) = c.node(1).propose(attach(3)).unwrap();
-        assert_eq!(next, index + 1);
+        assert_eq!(c.node(1).propose(attach(3)).unwrap().index, index + 1);
         for seat in [1usize, 2] {
             let node = c.node(seat);
             assert!(node.ue(UeImsi(2)).is_some(), "seat {seat} kept the record");
@@ -801,6 +821,100 @@ mod tests {
                 3,
                 "seat {seat} fence raised by the accepted record"
             );
+        }
+    }
+
+    /// Whether two engine answers agree: the record and the classifier
+    /// entries of a grant, the detached record, all five path tags.
+    fn same(a: &Output, b: &Output) -> bool {
+        match (a, b) {
+            (Output::Attached(a), Output::Attached(b)) => {
+                a.record == b.record && a.classifier.entries() == b.classifier.entries()
+            }
+            (Output::Detached(a), Output::Detached(b)) => a == b,
+            (Output::Path(a), Output::Path(b)) => a == b,
+            _ => false,
+        }
+    }
+
+    /// What a run released: each committed answer by its index, and each
+    /// refused input with the index it was refused after.
+    #[derive(Default)]
+    struct Released {
+        answers: HashMap<u64, Output>,
+        refused: Vec<(u64, PacketIn, Error)>,
+    }
+
+    impl Released {
+        /// Proposes `n` seeded inputs on the view's leader.
+        fn run(&mut self, c: &Cluster, rng: &mut StdRng, n: usize) {
+            let leader = c.membership().unwrap().leader().unwrap().seat();
+            let node = c.node(leader);
+            for _ in 0..n {
+                let (op, before) = (input(rng), node.applied());
+                match node.propose(op) {
+                    Ok(done) => assert!(self.answers.insert(done.index, done.out).is_none()),
+                    Err(e) => {
+                        assert_eq!(node.applied(), before, "{op:?} refused with {e}, appended");
+                        self.refused.push((before, op, e));
+                    }
+                }
+            }
+        }
+    }
+
+    /// The replay gate: a seeded three-seat run through a cut, a heal
+    /// with catch-up, a kill and a fail-over. Each survivor's committed
+    /// records, fed through a fresh engine, give every released answer
+    /// and every refusal again, and the same engine.
+    #[test]
+    fn every_survivor_replays_to_the_answers_it_released() {
+        let c = cluster(3, 2);
+        let mut rng = StdRng::seed_from_u64(40);
+        let mut run = Released::default();
+        run.run(&c, &mut rng, 80);
+        c.cut(2);
+        run.run(&c, &mut rng, 40);
+        c.heal(2);
+        run.run(&c, &mut rng, 40);
+        c.kill(0);
+        c.fail_over(&[ControllerId(0)]).unwrap();
+        run.run(&c, &mut rng, 60);
+        let paths = run.answers.values();
+        assert!(paths.filter(|o| matches!(o, Output::Path(_))).count() > 20);
+        assert!(run.refused.len() > 20, "{} refused", run.refused.len());
+
+        for seat in [1, 2] {
+            let node = c.node(seat);
+            let log = Log::decode(&node.log_bytes(), node.config()).unwrap();
+            let mut fresh = State::new(node.config()).unwrap();
+            for index in 0..=log.last_index() {
+                if let Some(r) = log.get(index) {
+                    let (out, _) = fresh.apply(&r.op).unwrap();
+                    let released = run.answers.get(&index);
+                    assert!(released.is_none_or(|a| same(a, &out)), "index {index}");
+                }
+                for (_, op, err) in run.refused.iter().filter(|r| r.0 == index) {
+                    let got = fresh.apply(op).unwrap_err();
+                    assert_eq!(discriminant(&got), discriminant(err), "{op:?}: {got}");
+                }
+            }
+            assert!(run.answers.keys().all(|i| *i <= log.last_index()));
+
+            assert_eq!(node.image(), fresh.image(), "seat {seat}");
+            let fresh = fresh.engine();
+            for bs in (0..8).map(BaseStationId) {
+                for clause in [0, 1, 2, 3, 5].map(ClauseId) {
+                    assert_eq!(node.path(bs, clause), fresh.path_tags(bs, clause));
+                }
+            }
+            node.read(|mine| {
+                for dir in [Direction::Uplink, Direction::Downlink] {
+                    let mine = mine.installer().shadows(dir);
+                    assert!(fresh.installer().shadows(dir).diff(mine).is_empty());
+                    assert!(mine.diff(fresh.installer().shadows(dir)).is_empty());
+                }
+            });
         }
     }
 }

@@ -19,7 +19,7 @@ use std::time::Duration;
 
 use softcell_controller::agent::LocalAgent;
 use softcell_controller::wire::ChannelController;
-use softcell_ctlchan::{Message, PacketIn, WirePathTags};
+use softcell_ctlchan::{Frame, Message, PacketIn, WirePathTags};
 use softcell_policy::clause::ClauseId;
 use softcell_policy::{ServicePolicy, SubscriberAttributes};
 use softcell_types::{
@@ -64,17 +64,21 @@ fn move_ue(
     Ok(c.agent.handle_attach(imsi, &mut c.ctl, now)?.permanent_ip)
 }
 
-/// Asks `seat` for the clause-0 path of `bs` and checks the reply is the
-/// one flow-mod frame — a batch stamped with the answering seat, one
-/// barrier-fenced group for the station. Returns `(seq, tags)`.
-fn ask_path(cluster: &Cluster, seat: usize, bs: BaseStationId) -> Result<(u32, WirePathTags)> {
-    let reply = cluster
-        .node(seat)
-        .handle_agent(&Message::PacketIn(PacketIn::PathRequest {
-            bs,
-            clause: ClauseId(0),
-        }))
-        .ok_or_else(|| diverged("a path request went unanswered".into()))?;
+/// Asks for the clause-0 path of `bs` over `ctl`, which `seat` serves,
+/// and checks the reply is the one flow-mod frame — a batch stamped
+/// with the answering seat, one barrier-fenced group for the station.
+/// Returns `(seq, tags)`.
+fn ask_path(
+    ctl: &mut ChannelController<Link>,
+    seat: usize,
+    bs: BaseStationId,
+) -> Result<(u32, WirePathTags)> {
+    let ask = Message::PacketIn(PacketIn::PathRequest {
+        bs,
+        clause: ClauseId(0),
+    });
+    let raw = ctl.channel().request(&ask)?;
+    let reply = Frame::new_checked(raw.as_slice())?.message()?.into_static();
     match &reply {
         Message::FlowModBatch { shard, seq, groups }
             if usize::from(*shard) == seat
@@ -138,8 +142,8 @@ pub fn controller_kill_drill() -> Result<()> {
     }
     let mut seq = 0;
     let mut installed = Vec::new();
-    for &bs in &bss {
-        let (s, tags) = ask_path(&cluster, leader, bs)?;
+    for (cell, &bs) in cells.iter_mut().zip(&bss) {
+        let (s, tags) = ask_path(&mut cell.ctl, leader, bs)?;
         check(s > seq, || format!("seq {s} after {seq}"))?;
         seq = s;
         installed.push(tags);
@@ -204,8 +208,8 @@ pub fn controller_kill_drill() -> Result<()> {
     // The successor answers with the tags committed before the kill —
     // installed paths are replicated slow state — and its seq continues
     // the dead leader's log.
-    for (&bs, &tags) in bss.iter().zip(&installed) {
-        let (s, got) = ask_path(&cluster, successor.seat(), bs)?;
+    for ((cell, &bs), &tags) in cells.iter_mut().zip(&bss).zip(&installed) {
+        let (s, got) = ask_path(&mut cell.ctl, successor.seat(), bs)?;
         check(got == tags && s > seq, || {
             format!(
                 "re-asked path of {bs} got {got:?} at seq {s}; committed {tags:?}, last seq {seq}"
@@ -222,7 +226,8 @@ pub fn controller_kill_drill() -> Result<()> {
         check(node.log_bytes() == log, || {
             "survivors differ after the resumed storm".into()
         })?;
-        let (ues, paths) = (node.ue_count(), node.path_count());
+        let ues = node.read(|c| c.state().attached_count());
+        let paths = node.path_count();
         check(
             ues == UES as usize - DETACHED.len() && paths == bss.len(),
             || format!("seat {seat} holds {ues} UEs and {paths} paths"),

@@ -1,26 +1,18 @@
 //! Replicated control plane for SoftCell.
 //!
 //! The paper (§5) keeps one logically central controller and defers
-//! fault tolerance to "standard replication techniques". This crate is
-//! state-machine replication of that controller, the Algorithm-1 engine
-//! (`softcell_controller::CentralController`), over the agents' inputs:
+//! fault tolerance to "standard replication techniques". The controller
+//! crate already has the technique: every `ControllerServer` proposes
+//! each agent request on a seat (`softcell_controller::ReplicaNode`),
+//! which holds the log of the agents' inputs and the Algorithm-1 engine
+//! it replays to, ships records to its peers and releases a reply at
+//! quorum commit. A server on its own is a one-seat membership. This
+//! crate runs several:
 //!
-//! * **Log** ([`log`]) — every agent input, the ctlchan `PacketIn` it
-//!   sent, is a record `(epoch, index, op)` of one totally ordered log.
-//! * **State** ([`store`]) — every seat runs one engine and applies each
-//!   record to it in index order, so equal logs give equal engines and
-//!   the agent's reply is the engine's own answer.
-//! * **Replica nodes** ([`node`]) — one leader per membership view
-//!   appends and ships records over the ctlchan `Replicate` /
-//!   `ReplicateAck` frames and releases each reply at quorum commit;
-//!   epoch fencing; catch-up and fail-over hand logs over
-//!   `SnapshotTransfer` — the records older than the last thousand or so
-//!   folded into the engine's image — and the seat holding the
-//!   lower-ranked log adopts the other and replays it. A view's leader
-//!   proposes only after its log exchange reached a quorum.
-//! * **Cluster + re-homing** ([`cluster`]) — N controllers over an
-//!   in-process mesh, `kill -9`-style link severance for crash testing,
-//!   deterministic fail-over, and agent re-homing to the new leader with
+//! * **Cluster + re-homing** ([`cluster`]) — N servers, one per seat,
+//!   over an in-process mesh of peer links, `kill -9`-style link
+//!   severance and partitions for crash testing, deterministic
+//!   fail-over, and agent re-homing to the new leader's server with
 //!   `resync` replay.
 //! * **The `kill -9` drill** ([`drill`]) — the one recovery scenario,
 //!   run by the recovery test and the campaign's `controller-kill`
@@ -31,31 +23,21 @@
 
 pub mod cluster;
 pub mod drill;
-pub mod log;
-pub mod node;
-pub mod store;
 
 pub use cluster::{rehome_agent, Cluster, Killable, Link};
 pub use drill::controller_kill_drill;
-pub use log::LogRecord;
-pub use node::{ReplicaConfig, ReplicaNode};
-pub use store::State;
 
 #[cfg(test)]
 mod testkit {
-    //! What the crate's tests share: one configuration, and subscribers
-    //! that each attach at a location of their own.
-
-    use std::time::Duration;
+    //! What the crate's tests share: subscribers that each attach at a
+    //! location of their own, and a seeded input mix.
 
     use rand::rngs::StdRng;
     use rand::Rng;
     use softcell_ctlchan::PacketIn;
     use softcell_policy::clause::ClauseId;
-    use softcell_policy::{ServicePolicy, SubscriberAttributes};
-    use softcell_types::{BaseStationId, ControllerId, SimTime, UeId, UeImsi};
-
-    use crate::node::ReplicaConfig;
+    use softcell_policy::SubscriberAttributes;
+    use softcell_types::{BaseStationId, SimTime, UeId, UeImsi};
 
     /// IMSIs `0..SUBSCRIBERS` are provisioned.
     pub(crate) const SUBSCRIBERS: u64 = 64;
@@ -68,17 +50,6 @@ mod testkit {
         (0..SUBSCRIBERS)
             .map(|i| SubscriberAttributes::default_home(UeImsi(i)))
             .collect()
-    }
-
-    /// Seat `seat` of a quorum-1 configuration.
-    pub(crate) fn config(seat: u32) -> ReplicaConfig {
-        ReplicaConfig {
-            id: ControllerId(seat),
-            quorum: 1,
-            peer_deadline: Duration::from_millis(400),
-            policy: ServicePolicy::example_carrier_a(1),
-            subscribers: subscribers().into_iter().map(|s| (s.imsi, s)).collect(),
-        }
     }
 
     /// `imsi`'s attach at its own location: station `imsi % 4`, id

@@ -18,10 +18,11 @@ echo "==> softcell-analyzer (static analysis gate)"
 ./target/release/softcell-analyzer --root .
 
 # The southbound path's concurrency lives in four crates: the domain
-# locks and queues (controller), the serve loop and frame reader
-# (ctlchan), and the channel and lock stand-ins under them. A lost
-# wake-up or a lock held across a blocking send is a hang, not a red
-# assert, so these suites run first, optimised and time-capped.
+# locks and queues and the seat every domain proposes on (controller),
+# the serve loop and frame reader (ctlchan), and the channel and lock
+# stand-ins under them. A lost wake-up or a lock held across a blocking
+# send is a hang, not a red assert, so these suites run first, optimised
+# and time-capped.
 echo "==> controller / ctlchan / channel + lock shim suites (180 s cap)"
 timeout 180 cargo test -q --release \
   -p softcell-controller -p softcell-ctlchan -p crossbeam -p parking_lot
@@ -29,8 +30,10 @@ timeout 180 cargo test -q --release \
 # 64 requests each in flight over up to 15 domains, one reply slot per
 # client. A routing thread that waits on its own reply channel hangs it.
 timeout 60 ./target/release/micro_controller_throughput --quick > /dev/null
-# The one caller of a one-replica (quorum 1) cluster and of thousands of
-# back-to-back proposals: a quorum regression there is a hang.
+# Thousands of back-to-back proposals straight on the seats of 1-, 2-
+# and 4-seat clusters (every server is a one-seat membership; this is
+# the one caller of larger ones outside the tests): a quorum regression
+# there is a hang.
 timeout 60 ./target/release/micro_replica --quick > /dev/null
 
 echo "==> cargo test -q"
@@ -39,6 +42,8 @@ cargo test -q --workspace
 # Fault-injection churn (fixed seed, so deterministic) under a hard
 # wall-clock cap: a retry/reconnect regression shows up as a hang, and
 # the timeout turns that hang into a failure instead of a stuck CI job.
+# The wire drill ends by replaying the server seat's log through a
+# fresh engine: same image, and every answer the agent kept.
 echo "==> fault-injection churn (120 s cap)"
 timeout 120 cargo test -q --release --test fault_churn
 
@@ -53,8 +58,8 @@ echo "==> shard oracle + interleaving sweep + input replay (180 s cap)"
 timeout 180 cargo test -q --release --test shard_oracle --test shard_interleave --test input_replay
 
 # Replicated control-plane recovery drill: 3-controller cluster, each
-# seat one Algorithm-1 engine, the leader killed -9 mid-storm of moves
-# (a detach and an attach each). Gate: survivors' logs match the
+# seat a ControllerServer whose agents reach it through its serve loop,
+# the leader killed -9 mid-storm of moves (a detach and an attach each). Gate: survivors' logs match the
 # pre-kill log byte-for-byte, zero residue after agent re-homing,
 # recovery-time histogram exported; plus a seeded sweep of cut / heal /
 # kill / fail-over schedules. Time-capped because a quorum or fail-over
@@ -174,9 +179,9 @@ timeout 120 cargo run --release -q -p softcell-bench --bin tab2_agent_throughput
 python3 scripts/check_trace.py /tmp/softcell-trace.json
 
 # Wide-domain smoke: the same ControllerServer run with 16 front-end
-# domains, the domain locks and queues at their widest, all calling the
-# one engine behind its lock: fences of different domains must still
-# overlap while engine calls take turns.
+# domains, the domain locks and queues at their widest, all proposing on
+# the one seat, whose lock is the engine's: fences of different domains
+# must still overlap while proposals take turns.
 echo "==> 16-domain server smoke (120 s cap)"
 timeout 120 cargo run --release -q -p softcell-bench --bin tab2_agent_throughput -- \
   --quick --shards 16 --min-speedup 1.5

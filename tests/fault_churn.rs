@@ -8,7 +8,9 @@
 //!   the same xid (server-side dedup makes that safe); dead connections
 //!   are re-established and the agent's state resynced. At the end every
 //!   UE must be exactly where the agent believes it is, with its
-//!   first-assigned permanent address.
+//!   first-assigned permanent address, and the server seat's log,
+//!   replayed through a fresh engine, must give the seat's engine and
+//!   every attach and detach answer the agent was handed.
 //! * **Simulator churn** — random attach/handoff/detach over the full
 //!   data plane must leave no residue once everything detaches and
 //!   expires: no reserved locations, no tunnels, no leaked tags, no
@@ -22,18 +24,25 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use softcell::controller::agent::{ControllerApi, LocalAgent};
+use softcell::controller::core::{AttachGrant, PathTags};
+use softcell::controller::input::Output;
 use softcell::controller::server::ControllerServer;
+use softcell::controller::state::UeRecord;
 use softcell::controller::wire::ChannelController;
+use softcell::controller::{Log, State};
+use softcell::ctlchan::PacketIn;
 use softcell::ctlchan::{
     loopback_pair, FaultConfig, FaultStats, FaultTransport, Loopback, RetryPolicy, Transport,
 };
 use softcell::dataplane::Switch;
 use softcell::packet::{build_flow_packet, FiveTuple, HeaderView, Protocol};
+use softcell::policy::clause::ClauseId;
 use softcell::policy::{ServicePolicy, SubscriberAttributes};
 use softcell::sim::SimWorld;
 use softcell::topology::small_topology;
 use softcell::types::{
-    AddressingScheme, BaseStationId, PortEmbedding, PortNo, SimDuration, SimTime, SwitchId, UeImsi,
+    AddressingScheme, BaseStationId, PortEmbedding, PortNo, Result, SimDuration, SimTime, SwitchId,
+    UeId, UeImsi,
 };
 
 const SEED: u64 = 0xC0FF_EE03;
@@ -55,6 +64,41 @@ fn retry_policy() -> RetryPolicy {
         max_retries: 10,
         base_backoff: Duration::from_millis(1),
         max_backoff: Duration::from_millis(8),
+    }
+}
+
+/// The agent's controller over the wire, keeping every attach and
+/// detach answer it hands the agent, in order.
+struct Keeping<'a> {
+    ctl: &'a mut ChannelController<FaultTransport<Loopback>>,
+    kept: &'a mut Vec<UeRecord>,
+}
+
+impl ControllerApi for Keeping<'_> {
+    fn attach_ue(
+        &mut self,
+        imsi: UeImsi,
+        bs: BaseStationId,
+        ue_id: UeId,
+        now: SimTime,
+    ) -> Result<AttachGrant> {
+        let grant = self.ctl.attach_ue(imsi, bs, ue_id, now)?;
+        self.kept.push(grant.record);
+        Ok(grant)
+    }
+
+    fn request_policy_path(&mut self, bs: BaseStationId, clause: ClauseId) -> Result<PathTags> {
+        self.ctl.request_policy_path(bs, clause)
+    }
+
+    fn detach_ue(&mut self, imsi: UeImsi) -> Result<UeRecord> {
+        let rec = self.ctl.detach_ue(imsi)?;
+        self.kept.push(rec);
+        Ok(rec)
+    }
+
+    fn answered(&self) -> bool {
+        self.ctl.answered()
     }
 }
 
@@ -148,6 +192,8 @@ fn wire_churn_converges_under_faults() {
     let mut attached: HashMap<UeImsi, bool> = HashMap::new();
     let mut first_ip: HashMap<UeImsi, Ipv4Addr> = HashMap::new();
     let mut next_port = 40_000u16;
+    // every attach and detach answer the agent was handed
+    let mut kept = Vec::new();
 
     for round in 0..ROUNDS {
         let now = SimTime(u64::from(round));
@@ -157,8 +203,12 @@ fn wire_churn_converges_under_faults() {
         // two attempts: first may die on a fault, triggering
         // reconnect + resync, after which the op must succeed
         for attempt in 0..2 {
+            let mut keeping = Keeping {
+                ctl: &mut ctl,
+                kept: &mut kept,
+            };
             let result = if !is_attached && action < 6 {
-                agent.handle_attach(imsi, &mut ctl, now).map(|rec| {
+                agent.handle_attach(imsi, &mut keeping, now).map(|rec| {
                     attached.insert(imsi, true);
                     let ip = *first_ip.entry(imsi).or_insert(rec.permanent_ip);
                     assert_eq!(rec.permanent_ip, ip, "permanent address is forever");
@@ -176,10 +226,10 @@ fn wire_churn_converges_under_faults() {
                 };
                 let view = HeaderView::parse(&build_flow_packet(tuple, 64, 0, &[])).unwrap();
                 agent
-                    .handle_new_flow(&view, &mut ctl, &mut switch, now)
+                    .handle_new_flow(&view, &mut keeping, &mut switch, now)
                     .map(|_| ())
             } else if is_attached {
-                agent.handle_detach(imsi, &mut ctl).map(|_| {
+                agent.handle_detach(imsi, &mut keeping).map(|_| {
                     attached.insert(imsi, false);
                     // a later re-attach is a fresh registration and may
                     // receive a different permanent address
@@ -232,6 +282,7 @@ fn wire_churn_converges_under_faults() {
             let ue = agent.ue(*imsi).expect("agent holds attached UE");
             let ue_id = ue.ue_id;
             let grant = ctl.attach_ue(*imsi, bs, ue_id, SimTime(1_001)).unwrap();
+            kept.push(grant.record);
             assert_eq!(grant.record.permanent_ip, first_ip[imsi], "stable address");
             assert_eq!(grant.record.bs, bs);
         } else {
@@ -259,6 +310,46 @@ fn wire_churn_converges_under_faults() {
     assert!(server.disconnects() > 0);
     assert!(server.connection_errors() > 0, "torn frames were recorded");
     assert_eq!(server.active_connections(), 1, "exactly the live channel");
+
+    // The seat's log, replayed record by record through a fresh engine,
+    // ends on the seat's engine, and every attach and detach answer the
+    // agent was handed is the replayed engine's record for that UE, in
+    // the order the agent got them.
+    let seat = server.seat();
+    let bytes = seat.log_bytes();
+    let log = Log::decode(&bytes, seat.config()).unwrap();
+    assert!(
+        log.get(1).is_some(),
+        "the whole run is in the log, unfolded"
+    );
+    let mut fresh = State::new(seat.config()).unwrap();
+    let mut replayed: HashMap<UeImsi, Vec<UeRecord>> = HashMap::new();
+    for index in 1..=log.last_index() {
+        let op = log.get(index).unwrap().op;
+        let (out, _) = fresh.apply(&op).unwrap();
+        match (op, out) {
+            (PacketIn::Attach { imsi, .. }, Output::Attached(grant)) => {
+                replayed.entry(imsi).or_default().push(grant.record)
+            }
+            (PacketIn::Detach { imsi }, Output::Detached(rec)) => {
+                replayed.entry(imsi).or_default().push(rec)
+            }
+            _ => {}
+        }
+    }
+    assert_eq!(fresh.image(), seat.image(), "the replayed engine");
+    let (_, whole) = Log::replay(&bytes, seat.config()).unwrap();
+    assert_eq!(whole.image(), seat.image(), "the encoded log's engine");
+    assert!(kept.len() > 20, "{} answers kept", kept.len());
+    for imsi in (0..UES).map(UeImsi) {
+        let mut records = replayed.remove(&imsi).unwrap_or_default().into_iter();
+        for answer in kept.iter().filter(|r| r.imsi == imsi) {
+            assert!(
+                records.any(|r| r == *answer),
+                "{imsi}: {answer:?} is no record of the replay, in order"
+            );
+        }
+    }
 
     drop(ctl);
     let _ = live.join().unwrap();

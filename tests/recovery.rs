@@ -7,7 +7,8 @@
 //!   duration lands in the exported telemetry report, and the lifecycle
 //!   instants are in order.
 //! * A seeded schedule sweep: a 3-seat, quorum-2 cluster driven through
-//!   random agent inputs mixed with cuts, heals, at most one kill and one
+//!   random agent inputs — each sent to the leader's server over an
+//!   agent connection — mixed with cuts, heals, at most one kill and one
 //!   fail-over — a cut and the kill may overlap, so the fail-over may
 //!   reach no quorum. Every reply the cluster released must be in every
 //!   survivor's engine, the survivors' logs must be byte-identical, and
@@ -22,10 +23,10 @@ use std::time::Duration;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use softcell::controller::core::PathTags;
-use softcell_ctlchan::{Message, PacketIn};
+use softcell_ctlchan::{CtlChannel, Frame, Message, PacketIn};
 use softcell_policy::clause::ClauseId;
 use softcell_policy::{ServicePolicy, SubscriberAttributes};
-use softcell_replica::{controller_kill_drill, Cluster};
+use softcell_replica::{controller_kill_drill, Cluster, Link};
 use softcell_telemetry::Registry;
 use softcell_types::{BaseStationId, ControllerId, SimTime, UeId, UeImsi};
 
@@ -81,6 +82,8 @@ const UES: u64 = 12;
 /// What the replies a schedule released promised.
 #[derive(Default)]
 struct Promised {
+    /// The agent's connection to each seat's server it has sent to.
+    chans: HashMap<usize, CtlChannel<Link>>,
     /// `Some((address, station))` after a released attach, `None` after
     /// a released detach.
     ues: HashMap<UeImsi, Option<(Ipv4Addr, BaseStationId)>>,
@@ -93,15 +96,21 @@ struct Promised {
 }
 
 impl Promised {
-    /// Sends `pi` to the view's leader and records what its reply, if
-    /// released, promised. Returns whether it was released.
+    /// Sends `pi` to the view's leader, through its server, and records
+    /// what its reply, if released, promised. Returns whether it was
+    /// released.
     fn send(&mut self, c: &Cluster, pi: PacketIn) -> bool {
         let leader = c.membership().unwrap().leader().unwrap().seat();
-        let reply = c
-            .node(leader)
-            .handle_agent(&Message::PacketIn(pi))
+        let chan = self.chans.entry(leader).or_insert_with(|| {
+            let mut chan = CtlChannel::new(c.agent_transport(leader).unwrap());
+            chan.hello(0).unwrap();
+            chan
+        });
+        let raw = chan
+            .request(&Message::PacketIn(pi))
             .expect("agent inputs are answered");
-        match (pi, reply) {
+        let frame = Frame::new_checked(raw.as_slice()).unwrap();
+        match (pi, frame.message().unwrap()) {
             (PacketIn::Attach { imsi, bs, .. }, Message::ClassifierReply { record, .. }) => {
                 if let (false, Some(Some((ip, _)))) =
                     (self.unsure.contains(&imsi), self.ues.get(&imsi))
