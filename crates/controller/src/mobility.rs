@@ -9,22 +9,28 @@
 //!   packets of old flows still carry the old location-dependent address
 //!   and arrive at the old base station via the old policy path.
 //! * **Long-lived tunnels between base-station pairs** carry anchored
-//!   traffic onward: the old access switch rewrites the packet's tag
-//!   bits to a per-pair *tunnel tag* and the fabric forwards on that tag
-//!   alone, so the core holds no per-UE tunnel state.
+//!   traffic both ways: every switch between the two access switches
+//!   holds one downlink leg and one in-port-qualified uplink leg, both
+//!   matching only the per-pair *tunnel tag*, so the core holds no
+//!   per-UE state. The old access switch rewrites a downlink packet's
+//!   tag bits to the tunnel tag.
 //! * **Microflow rules are copied to the new access switch** so uplink
-//!   packets of old flows keep using the old address and tag; they ride
-//!   per-UE, input-port-qualified anchor rules back to the old access
-//!   switch and continue along the old path (triangle routing).
+//!   packets of old flows keep using the old address, under the tunnel
+//!   tag; they ride the tunnel's uplink legs back to the old access
+//!   switch, whose per-flow launch rule restores the original tag and
+//!   sends them along the old path (triangle routing).
 //! * **Shortcuts** splice long-lived downlink flows directly from a
 //!   switch on the old path to the new base station, with a soft
 //!   timeout.
 //!
-//! All transition state is transient (per-UE rules expire); the tunnels
-//! are shared by every UE moving between the pair and reference-counted
-//! against live transitions — when the last transition using a pair
-//! ends, the tunnel is garbage-collected and its tag returns to the
-//! pool.
+//! Per-UE and per-flow transition state — the redirect and launch rules
+//! at the anchor's access switch, the microflow copies at the new one —
+//! sits only at access switches and is transient (it expires with the
+//! transition); shortcut rules are the one per-flow state elsewhere.
+//! The tunnels are shared by every UE moving between the pair and
+//! reference-counted against live transitions — when the last
+//! transition using a pair ends, the tunnel is garbage-collected, both
+//! directions' legs come down and its tag returns to the pool.
 
 use std::net::Ipv4Addr;
 
@@ -74,9 +80,9 @@ pub struct HandoffPlan {
     pub new: UeRecord,
     /// Classifier for the new agent to adopt.
     pub classifier: UeClassifier,
-    /// Always empty: a handoff's fabric rule ops (tunnel legs, anchor
-    /// rules, the superseded transition's teardown) join the engine's
-    /// pending stream, drained by
+    /// Always empty: a handoff's fabric rule ops (tunnel legs, redirect
+    /// and launch rules, the superseded transition's teardown) join the
+    /// engine's pending stream, drained by
     /// [`drain_ops`](CentralController::drain_ops) like every other
     /// mutation's. The field stays because the frozen `perf/` harness
     /// reads it.
@@ -135,7 +141,8 @@ struct Tunnel {
     tag: PolicyTag,
     /// Switch sequence from the old access switch to the new one.
     path: Vec<SwitchId>,
-    /// Removals for the forward legs installed at creation.
+    /// Removals for the legs installed at creation: a downlink and an
+    /// uplink leg at every switch between the two access switches.
     teardown: Vec<RuleOp>,
     /// Live transitions referencing this tunnel.
     refs: usize,
@@ -222,6 +229,12 @@ impl MobilityManager {
     /// Number of UEs in transition.
     pub fn transitions_active(&self) -> usize {
         self.transitions.len()
+    }
+
+    /// The switch sequences of the live tunnels, each from the anchor's
+    /// access switch to the current one.
+    pub fn tunnel_paths(&self) -> impl Iterator<Item = &[SwitchId]> + '_ {
+        self.tunnels.values().map(|t| t.path.as_slice())
     }
 
     /// The raw tags the live tunnels hold.
@@ -336,8 +349,9 @@ impl CentralController {
         let topo = &self.topology().clone();
         let new_bs = new.bs;
 
-        // per anchor a redirect, a rule per tunnel hop and a launch rule
-        // per flow; a move without flows produces no rules at all
+        // per anchor a redirect and a launch rule per flow, and two legs
+        // per intermediate hop of a tunnel created; a move without flows
+        // produces no rules at all
         let room = flows.len() + if flows.is_empty() { 0 } else { 16 };
         let ops = &mut self.pending_ops;
         ops.reserve(prev.map_or(0, |p| p.teardown.len()) + room);
@@ -463,41 +477,7 @@ impl CentralController {
                 matcher: redirect_match,
             });
 
-            // 2. uplink anchor rules along the reverse tunnel path:
-            //    per-UE, input-port qualified, and scoped to the tunnel
-            //    tag — anchored uplink rides the tunnel under the tunnel
-            //    tag precisely so these rules can never capture the same
-            //    UE's traffic travelling its old policy path where the
-            //    two paths share a directed edge (a forwarding loop
-            //    found by the randomized churn test at k=4).
-            for i in (1..tunnel_path.len()).rev() {
-                let sw = tunnel_path[i];
-                if sw == new_access {
-                    continue; // microflow copies name their out-port
-                }
-                let from_new_side = tunnel_path[i + 1];
-                let towards_anchor = tunnel_path[i - 1];
-                let in_port = topo
-                    .port_towards(sw, from_new_side)
-                    .ok_or_else(|| Error::NotFound("tunnel hop unlinked".into()))?;
-                let out = topo
-                    .port_towards(sw, towards_anchor)
-                    .ok_or_else(|| Error::NotFound("tunnel hop unlinked".into()))?;
-                let m = Match::tag_and_prefix(Direction::Uplink, tunnel_tag, anchor_host, &ports)
-                    .from_port(in_port);
-                ops.push(RuleOp::Install {
-                    switch: sw,
-                    priority: MOBILITY_PRIORITY,
-                    matcher: m,
-                    action: Action::Forward(out),
-                });
-                draft.teardown.push(RuleOp::Remove {
-                    switch: sw,
-                    matcher: m,
-                });
-            }
-
-            // 3. launch rules at the anchor access: per flow, matching
+            // 2. launch rules at the anchor access: per flow, matching
             //    the exact tunnel-tagged source port and restoring the
             //    flow's *original* policy tag before forwarding onto the
             //    old path. (Per-flow state at an access switch is cheap
@@ -550,7 +530,7 @@ impl CentralController {
                 });
             }
 
-            // 4. microflow surgery: remove delivery at the departing
+            // 3. microflow surgery: remove delivery at the departing
             //    station, install copies at the new one
             let reverse_out = topo
                 .port_towards(new_access, tunnel_path[tunnel_path.len() - 2])
@@ -713,7 +693,7 @@ impl CentralController {
     }
 
     /// Drops one transition's reference on a tunnel. The last reference
-    /// garbage-collects it: the forward legs come down and the raw tag
+    /// garbage-collects it: both directions' legs come down and the raw tag
     /// returns to the pool, so base-station-pair churn cannot exhaust
     /// the tag space.
     fn release_tunnel_ref(&mut self, pair: StationPair) {
@@ -749,35 +729,56 @@ impl CentralController {
             .allocate_raw_tag()
             .ok_or_else(|| Error::Exhausted("no tag left for tunnel".into()))?;
 
-        // forward legs: tag rules (with the carrier-prefix guard — see
-        // ops::lower_delta) from each intermediate switch towards the
-        // new access switch
-        let m = Match::tag_and_prefix(
-            Direction::Downlink,
-            tag,
-            self.config().scheme.carrier(),
-            &self.config().ports,
-        );
-        let mut teardown = Vec::with_capacity(path.len());
-        for w in path.windows(2) {
-            let (sw, next) = (w[0], w[1]);
-            if sw == from_sw {
-                continue; // the per-UE redirect rule is the entry point
-            }
-            let Some(out) = topo.port_towards(sw, next) else {
+        // Two legs at each intermediate switch, tag rules with the
+        // carrier-prefix guard (see ops::lower_delta): the forward leg
+        // carries downlink towards the new access switch, the uplink leg
+        // carries anchored uplink back towards the anchor. The uplink
+        // leg is qualified by in-port and scoped to the tunnel tag, and
+        // the tag is what keeps it loop-free: anchored uplink rides the
+        // tunnel under the *tunnel* tag, so the leg never captures a
+        // UE's traffic travelling its old policy path, even where the
+        // two paths share a directed edge (a forwarding loop found by
+        // the randomized churn test at k=4). The end switches need no
+        // leg: the redirect and launch rules at the anchor and the
+        // microflow copies at the new access switch name their ports.
+        let carrier = self.config().scheme.carrier();
+        let ports = self.config().ports;
+        let down = Match::tag_and_prefix(Direction::Downlink, tag, carrier, &ports);
+        let up = Match::tag_and_prefix(Direction::Uplink, tag, carrier, &ports);
+        let mut teardown = Vec::with_capacity(2 * path.len().saturating_sub(2));
+        for w in path.windows(3) {
+            let (prev, sw, next) = (w[0], w[1], w[2]);
+            let (Some(to_new), Some(to_anchor)) =
+                (topo.port_towards(sw, next), topo.port_towards(sw, prev))
+            else {
                 self.installer.release_raw_tag(tag);
                 return Err(Error::NotFound("tunnel hop unlinked".into()));
             };
-            self.pending_ops.push(RuleOp::Install {
-                switch: sw,
-                priority: conventional_priority(&m),
-                matcher: m,
-                action: Action::Forward(out),
-            });
-            teardown.push(RuleOp::Remove {
-                switch: sw,
-                matcher: m,
-            });
+            let up = up.from_port(to_new);
+            self.pending_ops.extend([
+                RuleOp::Install {
+                    switch: sw,
+                    priority: conventional_priority(&down),
+                    matcher: down,
+                    action: Action::Forward(to_new),
+                },
+                RuleOp::Install {
+                    switch: sw,
+                    priority: MOBILITY_PRIORITY,
+                    matcher: up,
+                    action: Action::Forward(to_anchor),
+                },
+            ]);
+            teardown.extend([
+                RuleOp::Remove {
+                    switch: sw,
+                    matcher: down,
+                },
+                RuleOp::Remove {
+                    switch: sw,
+                    matcher: up,
+                },
+            ]);
         }
 
         let tunnel = Tunnel {
@@ -1349,6 +1350,64 @@ mod tests {
         use std::collections::HashMap;
 
         impl CentralController {
+            /// The (from → to) tunnel, created on first use: a raw tag,
+            /// then hop by hop from the anchor side a forward (downlink)
+            /// leg and a reverse (uplink) leg at every switch between
+            /// the two access switches.
+            fn tunnel_reference(
+                &mut self,
+                from: BaseStationId,
+                to: BaseStationId,
+                ops: &mut Vec<RuleOp>,
+            ) -> Result<()> {
+                if self.mobility.tunnels.contains_key(&(from, to)) {
+                    return Ok(());
+                }
+                let topo = self.topology().clone();
+                let ends = (topo.base_station(from), topo.base_station(to));
+                let path = self
+                    .paths
+                    .path(ends.0.access_switch, ends.1.access_switch)?;
+                let tag = self
+                    .installer
+                    .allocate_raw_tag()
+                    .ok_or_else(|| Error::Exhausted("no tag left for tunnel".into()))?;
+                let ports = self.config().ports;
+                let carrier = self.config().scheme.carrier();
+                let mut teardown = Vec::new();
+                for i in 1..path.len().saturating_sub(1) {
+                    let sw = path[i];
+                    let to_new = topo.port_towards(sw, path[i + 1]).expect("linked hop");
+                    let to_anchor = topo.port_towards(sw, path[i - 1]).expect("linked hop");
+                    let forward = Match::tag_and_prefix(Direction::Downlink, tag, carrier, &ports);
+                    let reverse = Match::tag_and_prefix(Direction::Uplink, tag, carrier, &ports)
+                        .from_port(to_new);
+                    for (matcher, priority, out) in [
+                        (forward, conventional_priority(&forward), to_new),
+                        (reverse, MOBILITY_PRIORITY, to_anchor),
+                    ] {
+                        ops.push(RuleOp::Install {
+                            switch: sw,
+                            priority,
+                            matcher,
+                            action: Action::Forward(out),
+                        });
+                        teardown.push(RuleOp::Remove {
+                            switch: sw,
+                            matcher,
+                        });
+                    }
+                }
+                let tunnel = Tunnel {
+                    tag,
+                    path,
+                    teardown,
+                    refs: 0,
+                };
+                self.mobility.tunnels.insert((from, to), tunnel);
+                Ok(())
+            }
+
             fn handoff_reference(
                 &mut self,
                 imsi: UeImsi,
@@ -1477,8 +1536,7 @@ mod tests {
                         continue;
                     }
                     let anchor_host = Ipv4Prefix::host(anchor_addr);
-                    self.ensure_tunnel(anchor, new_bs, &mut Vec::new())?;
-                    ops.append(&mut self.pending_ops);
+                    self.tunnel_reference(anchor, new_bs, &mut ops)?;
                     let tunnel = self.mobility().tunnels[&(anchor, new_bs)].clone();
                     if !used_tunnels.contains(&(anchor, new_bs)) {
                         used_tunnels.push((anchor, new_bs));
@@ -1512,48 +1570,7 @@ mod tests {
                         matcher: redirect_match,
                     });
 
-                    // 2. uplink anchor rules along the reverse tunnel path:
-                    //    per-UE, input-port qualified, and scoped to the tunnel
-                    //    tag — anchored uplink rides the tunnel under the tunnel
-                    //    tag precisely so these rules can never capture the same
-                    //    UE's traffic travelling its old policy path where the
-                    //    two paths share a directed edge (a forwarding loop
-                    //    found by the randomized churn test at k=4).
-                    for i in (1..tunnel_path.len()).rev() {
-                        let sw = tunnel_path[i];
-                        if sw == new_access {
-                            continue; // microflow copies name their out-port
-                        }
-                        let from_new_side = tunnel_path[i + 1];
-                        let towards_anchor = tunnel_path[i - 1];
-                        let in_port = self
-                            .topology()
-                            .port_towards(sw, from_new_side)
-                            .ok_or_else(|| Error::NotFound("tunnel hop unlinked".into()))?;
-                        let out = self
-                            .topology()
-                            .port_towards(sw, towards_anchor)
-                            .ok_or_else(|| Error::NotFound("tunnel hop unlinked".into()))?;
-                        let m = Match::tag_and_prefix(
-                            Direction::Uplink,
-                            tunnel_tag,
-                            anchor_host,
-                            &ports,
-                        )
-                        .from_port(in_port);
-                        ops.push(RuleOp::Install {
-                            switch: sw,
-                            priority: MOBILITY_PRIORITY,
-                            matcher: m,
-                            action: Action::Forward(out),
-                        });
-                        teardown.push(RuleOp::Remove {
-                            switch: sw,
-                            matcher: m,
-                        });
-                    }
-
-                    // 3. launch rules at the anchor access: per flow, matching
+                    // 2. launch rules at the anchor access: per flow, matching
                     //    the exact tunnel-tagged source port and restoring the
                     //    flow's *original* policy tag before forwarding onto the
                     //    old path. (Per-flow state at an access switch is cheap
@@ -1612,7 +1629,7 @@ mod tests {
                     }
                     launch_specs.insert(anchor_addr, specs);
 
-                    // 4. microflow surgery: remove delivery at the departing
+                    // 3. microflow surgery: remove delivery at the departing
                     //    station, install copies at the new one
                     let reverse_out = self
                         .topology()

@@ -393,14 +393,15 @@ fn allocations_per_operation_stay_within_budget() {
         // the engine's stream through a reused buffer into the shard's
         // one log. What is left is per run — each worker's first use of
         // its buffer and grouping scratch, and the doubling of its queue
-        // and log — and grows with log N. The parent took a handoff's
-        // ops out of its plan and the drained ones out of a fresh
-        // stream.
+        // and log — and grows with log N, and with the ops a ticket
+        // moves. The parent also logged each move's per-UE uplink rule
+        // at every hop of the tunnel; the tunnel's own uplink legs are
+        // logged once, with the move that builds it.
         (
             "16 handoff tickets, beyond the engine's own",
             sharded_handoff_allocations(16) - handoff_allocations(1, 16),
+            10,
             16,
-            18,
         ),
         // The hop list, allocated once at its final length: the first
         // pass sums the legs' lengths from the trees. The parent made a

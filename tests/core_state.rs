@@ -1,0 +1,322 @@
+//! Core switches hold no per-UE mobility state (paper §5.1).
+//!
+//! A moving UE's state stays at the access edge: its downlink redirect
+//! and its flows' launch rules at the anchor's access switch, its
+//! microflow copies at the new one. What the fabric between them holds
+//! belongs to a base-station-pair tunnel — one downlink and one uplink
+//! leg per switch, shared by every UE moving between the pair — so core
+//! tables do not grow with the number of UEs in transition.
+//!
+//! On `paper(4)` (160 stations, three layers), scripted and seeded
+//! random move sequences — A→B→C→A chains, returns to an anchor, moves
+//! inside a live transition, tunnels shared by several UEs and run both
+//! ways, shortcuts, detaches and expiries — are checked after every
+//! step:
+//!
+//! 1. no non-access switch holds a rule scoped to one address (`/32`),
+//!    apart from §5.1 shortcut rules, which are per-flow by design;
+//! 2. the rules at `MOBILITY_PRIORITY` on non-access switches are the
+//!    live tunnels' legs, one per non-access switch between a tunnel's
+//!    two access switches; and everywhere, the mobility rules not scoped
+//!    to one address are exactly those legs;
+//! 3. every live connection still round-trips (uplink and downlink
+//!    walked) through the middlebox instances it started with.
+
+use std::collections::HashMap;
+use std::net::Ipv4Addr;
+
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use softcell::controller::mobility::MOBILITY_PRIORITY;
+use softcell::dataplane::MicroflowAction;
+use softcell::packet::{build_flow_packet, FiveTuple, Protocol};
+use softcell::policy::{ServicePolicy, SubscriberAttributes};
+use softcell::sim::world::ConnId;
+use softcell::sim::{SimWorld, WalkOutcome};
+use softcell::topology::{CellularParams, SwitchRole, Topology};
+use softcell::types::{BaseStationId, Ipv4Prefix, SimDuration, SwitchId, UeImsi};
+
+const SERVER: Ipv4Addr = Ipv4Addr::new(93, 184, 216, 34);
+
+/// Shortcut rules sit above the tunnel redirect, per flow (§5.1).
+const SHORTCUT_PRIORITY: u16 = MOBILITY_PRIORITY + 100;
+
+/// Destination ports the flows use: web (firewall), video (firewall
+/// then transcoder) and the catch-all clause.
+const PORTS: [u16; 3] = [443, 554, 80];
+
+/// Stations the moves pick from on `paper(4)`: two in one access ring,
+/// and one in each of three other pods, so tunnels cross the
+/// aggregation and core layers, are shared by several UEs and run both
+/// ways between a pair.
+const STATIONS: [u32; 5] = [3, 7, 47, 88, 125];
+
+/// What the mobility rules on the fabric add up to after one step.
+#[derive(Debug, Default)]
+struct Legs {
+    /// `MOBILITY_PRIORITY` rules on non-access switches.
+    core: usize,
+    /// Shortcut rules on non-access switches.
+    shortcuts: usize,
+}
+
+/// Checks the three properties of the module doc; returns what the
+/// non-access switches held.
+fn check(w: &mut SimWorld<'_>, topo: &Topology, at: &str) -> Legs {
+    let access = |sw: &SwitchId| topo.switch(*sw).role == SwitchRole::Access;
+    let host = |p: Option<Ipv4Prefix>| p.is_some_and(|p| p.len() == 32);
+    let mut legs = Legs::default();
+    let mut unscoped_mobility = 0;
+    for node in topo.switches() {
+        for rule in w.net.switch(node.id).table.iter() {
+            let per_address = host(rule.matcher.src_prefix) || host(rule.matcher.dst_prefix);
+            if rule.priority == MOBILITY_PRIORITY && !per_address {
+                unscoped_mobility += 1;
+            }
+            if access(&node.id) {
+                continue;
+            }
+            if rule.priority == SHORTCUT_PRIORITY {
+                legs.shortcuts += 1;
+                continue;
+            }
+            assert!(
+                !per_address,
+                "{at}: core switch {} holds a per-UE rule {rule}",
+                node.id
+            );
+            if rule.priority == MOBILITY_PRIORITY {
+                legs.core += 1;
+            }
+        }
+    }
+    let (mut core_hops, mut all_hops) = (0, 0);
+    for path in w.controller.mobility().tunnel_paths() {
+        let middle = path
+            .get(1..path.len().saturating_sub(1))
+            .unwrap_or_default();
+        all_hops += middle.len();
+        core_hops += middle.iter().filter(|sw| !access(sw)).count();
+    }
+    assert_eq!(
+        legs.core, core_hops,
+        "{at}: core mobility rules are not one uplink leg per tunnel hop"
+    );
+    assert_eq!(
+        unscoped_mobility, all_hops,
+        "{at}: mobility rules not scoped to one address are not the tunnels' uplink legs"
+    );
+    w.assert_policy_consistency()
+        .unwrap_or_else(|e| panic!("{at}: {e}"));
+    legs
+}
+
+fn world(topo: &Topology, ues: u64) -> SimWorld<'_> {
+    let mut w = SimWorld::new(topo, ServicePolicy::example_carrier_a(1));
+    for i in 0..ues {
+        w.provision(SubscriberAttributes::default_home(UeImsi(i)));
+    }
+    w
+}
+
+/// Opens a flow on `port` and round-trips it.
+fn open(w: &mut SimWorld<'_>, imsi: UeImsi, port: u16) -> ConnId {
+    let c = w
+        .start_connection(imsi, SERVER, port, Protocol::Tcp)
+        .expect("connection");
+    w.round_trip(c).expect("first round trip");
+    c
+}
+
+#[test]
+fn scripted_moves_leave_no_per_ue_state_in_the_core() {
+    let topo = CellularParams::paper(4).build().unwrap();
+    let mut w = world(&topo, 3);
+    let [a, b, c, d] = [3, 47, 125, 7].map(BaseStationId);
+    let (ue0, ue1, ue2) = (UeImsi(0), UeImsi(1), UeImsi(2));
+    let mut step = 0;
+    let mut next = |what: &str| {
+        step += 1;
+        format!("step {step} ({what})")
+    };
+
+    w.attach(ue0, a).unwrap();
+    w.attach(ue1, a).unwrap();
+    w.attach(ue2, b).unwrap();
+    for port in PORTS {
+        open(&mut w, ue0, port);
+    }
+    let ue1_web = open(&mut w, ue1, PORTS[0]);
+    open(&mut w, ue2, PORTS[1]);
+    check(&mut w, &topo, &next("flows open, nobody moved"));
+
+    // ue1 rides the tunnel ue0 built; ue2 runs the pair the other way
+    w.handoff(ue0, b).unwrap();
+    let first = check(&mut w, &topo, &next("ue0 A→B"));
+    assert!(first.core > 0, "the A→B tunnel crosses the core");
+    w.handoff(ue1, b).unwrap();
+    let shared = check(&mut w, &topo, &next("ue1 A→B"));
+    assert_eq!(
+        shared.core, first.core,
+        "a second UE on the A→B tunnel adds no core rule"
+    );
+    w.handoff(ue2, a).unwrap();
+    check(&mut w, &topo, &next("ue2 B→A"));
+
+    // A→B→C→A for ue0, with a new flow anchored at each stop
+    open(&mut w, ue0, PORTS[2]);
+    w.handoff(ue0, c).unwrap();
+    check(&mut w, &topo, &next("ue0 B→C inside its transition"));
+    open(&mut w, ue0, PORTS[1]);
+    w.handoff(ue0, a).unwrap();
+    check(&mut w, &topo, &next("ue0 C→A, back at its first anchor"));
+
+    // a shortcut is per-flow by design; a ring-local move; a return
+    w.install_shortcut(ue1_web).unwrap();
+    let spliced = check(&mut w, &topo, &next("ue1 shortcut"));
+    assert!(spliced.shortcuts > 0, "the splice crosses the core");
+    w.handoff(ue1, d).unwrap();
+    check(&mut w, &topo, &next("ue1 B→D"));
+    w.handoff(ue1, a).unwrap();
+    check(&mut w, &topo, &next("ue1 D→A, home"));
+
+    // a detach ends one transition, expiry the rest: tunnels collected
+    w.detach(ue2).unwrap();
+    check(&mut w, &topo, &next("ue2 detached"));
+    w.advance(w.controller.mobility().transition_ttl + SimDuration::from_secs(1));
+    w.expire_transitions().unwrap();
+    let quiet = check(&mut w, &topo, &next("transitions expired"));
+    assert_eq!(w.controller.mobility().tunnel_count(), 0);
+    assert_eq!((quiet.core, quiet.shortcuts), (0, 0));
+}
+
+#[test]
+fn random_moves_leave_no_per_ue_state_in_the_core() {
+    const UES: u64 = 10;
+    let topo = CellularParams::paper(4).build().unwrap();
+    let (mut moves, mut peak, mut shared) = (0, 0, 0);
+    for seed in 0..4u64 {
+        let mut w = world(&topo, UES);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut conns: HashMap<UeImsi, Vec<ConnId>> = HashMap::new();
+        let station = |rng: &mut StdRng| BaseStationId(STATIONS[rng.gen_range(0..STATIONS.len())]);
+        for step in 0..120 {
+            let imsi = UeImsi(rng.gen_range(0..UES));
+            let at = w.controller.state().ue(imsi).map(|r| r.bs).ok();
+            let what = match (at, rng.gen_range(0..20)) {
+                (None, _) => {
+                    w.attach(imsi, station(&mut rng)).unwrap();
+                    "attach"
+                }
+                (Some(_), 0..=5) => {
+                    if conns.get(&imsi).map_or(0, Vec::len) < 6 {
+                        let port = PORTS[rng.gen_range(0..PORTS.len())];
+                        let c = open(&mut w, imsi, port);
+                        conns.entry(imsi).or_default().push(c);
+                    }
+                    "flow"
+                }
+                (Some(from), 6..=15) => {
+                    let to = station(&mut rng);
+                    if to != from {
+                        w.handoff(imsi, to).unwrap();
+                        moves += 1;
+                    }
+                    "handoff"
+                }
+                (Some(_), 16) => {
+                    // a splice may find no flow to cut: it then changes nothing
+                    if let Some(&c) = conns.get(&imsi).and_then(|l| l.last()) {
+                        let _ = w.install_shortcut(c);
+                    }
+                    "shortcut"
+                }
+                (Some(_), 17 | 18) => {
+                    w.detach(imsi).unwrap();
+                    conns.remove(&imsi);
+                    "detach"
+                }
+                (Some(_), _) => {
+                    // a quiet minute: idle flows and old transitions end
+                    w.advance(SimDuration::from_secs(61));
+                    let now = w.now();
+                    for sw in w.net.switches_mut() {
+                        sw.microflow.expire_idle(now);
+                    }
+                    w.retire_expired_flows();
+                    w.expire_transitions().unwrap();
+                    "quiet minute"
+                }
+            };
+            w.advance(SimDuration::from_secs(1));
+            let legs = check(&mut w, &topo, &format!("seed {seed} step {step} ({what})"));
+            peak = peak.max(legs.core);
+            let mobility = w.controller.mobility();
+            if mobility.tunnel_count() < mobility.transitions_active() {
+                shared += 1;
+            }
+        }
+    }
+    assert!(moves > 100, "the UEs moved ({moves} handoffs)");
+    assert!(peak > 0, "some tunnel crossed the core");
+    assert!(shared > 0, "some tunnel carried several UEs");
+}
+
+/// The one behaviour the per-tunnel uplink legs change, on purpose: an
+/// anchored uplink packet whose transition has ended while its tunnel
+/// lives on for another UE now rides the tunnel to the anchor's access
+/// switch, where no launch rule matches it and the table miss hands it
+/// to that station's agent. With per-UE reverse rules it stopped at the
+/// tunnel's first hop past the new access switch, whose rule was gone.
+#[test]
+fn a_stale_anchored_uplink_packet_stops_at_the_anchor() {
+    let topo = CellularParams::paper(4).build().unwrap();
+    let mut w = world(&topo, 2);
+    let [a, b] = [3, 125].map(BaseStationId);
+    let (ue0, ue1) = (UeImsi(0), UeImsi(1));
+    w.attach(ue0, a).unwrap();
+    w.attach(ue1, a).unwrap();
+    let c0 = open(&mut w, ue0, 443);
+    open(&mut w, ue1, 443);
+
+    // ue0's transition ends while ue1's keeps the A→B tunnel alive:
+    // with the 120 s soft timeout, ue0's ends at 120 s and ue1's at 220 s
+    assert_eq!(
+        w.controller.mobility().transition_ttl,
+        SimDuration::from_secs(120)
+    );
+    w.handoff(ue0, b).unwrap();
+    w.advance(SimDuration::from_secs(100));
+    w.handoff(ue1, b).unwrap();
+    w.advance(SimDuration::from_secs(30));
+    w.expire_transitions().unwrap();
+    assert_eq!(w.controller.mobility().transitions_active(), 1);
+    assert_eq!(w.controller.mobility().tunnel_count(), 1);
+
+    // ue0's carried uplink entry at B still sends into the tunnel
+    let (access_a, station_b) = (topo.base_station(a).access_switch, topo.base_station(b));
+    let tuple: FiveTuple = w.connection(c0).ue_tuple;
+    let entry = w.net.switch(station_b.access_switch).microflow.peek(&tuple);
+    assert!(matches!(
+        entry.map(|e| e.action),
+        Some(MicroflowAction::RewriteSrc { .. })
+    ));
+    let mut packet = build_flow_packet(tuple, 64, 0, b"stale");
+    let version = w.net.switch(station_b.access_switch).ingress_version;
+    let now = w.now();
+    let outcome = w
+        .net
+        .walk(
+            &topo,
+            &mut packet,
+            station_b.access_switch,
+            station_b.radio_port,
+            version,
+            now,
+        )
+        .unwrap();
+    assert!(
+        matches!(outcome, WalkOutcome::PuntedToAgent { switch, .. } if switch == access_a),
+        "the stale packet stops at the anchor's access switch: {outcome:?}"
+    );
+}

@@ -188,41 +188,46 @@ fn two_moves() -> [Vec<String>; 2] {
 }
 
 /// The first move's ops as a handoff that returned them in its plan
-/// gave them: its `plan.ops` followed by `drain_ops()`.
+/// gave them (its `plan.ops` followed by `drain_ops()`), with the
+/// uplink legs at the tunnel's three middle switches where its per-UE
+/// anchor rules were: the (0 → 3) tunnel, each middle switch's downlink
+/// leg beside its uplink leg, then the UE's redirect and one launch
+/// rule per flow at station 0's access switch.
 const FIRST_MOVE: [&str; 9] = [
     "install sw3 30008 dst=10.0.0.0/8,dst_port=0x0040/0xffc0 -> forward(p1)",
+    "install sw3 60000 in_port=p1,src=10.0.0.0/8,src_port=0x0040/0xffc0 -> forward(p3)",
     "install sw1 30008 dst=10.0.0.0/8,dst_port=0x0040/0xffc0 -> forward(p3)",
+    "install sw1 60000 in_port=p3,src=10.0.0.0/8,src_port=0x0040/0xffc0 -> forward(p2)",
     "install sw4 30008 dst=10.0.0.0/8,dst_port=0x0040/0xffc0 -> forward(p4)",
+    "install sw4 60000 in_port=p4,src=10.0.0.0/8,src_port=0x0040/0xffc0 -> forward(p1)",
     "install sw5 60000 dst=10.0.0.0/32 -> swap_tag(Dst,0x0040/0xffc0)->forward(p1)",
-    "install sw4 60000 in_port=p4,src=10.0.0.0/32,src_port=0x0040/0xffc0 -> forward(p1)",
-    "install sw1 60000 in_port=p3,src=10.0.0.0/32,src_port=0x0040/0xffc0 -> forward(p2)",
-    "install sw3 60000 in_port=p1,src=10.0.0.0/32,src_port=0x0040/0xffc0 -> forward(p3)",
     "install sw5 60000 in_port=p1,src=10.0.0.0/32,src_port=0x0040/0xffff -> swap_tag(Src,0x0000/0xffc0)->forward(p1)",
     "install sw5 60000 in_port=p1,src=10.0.0.0/32,src_port=0x0041/0xffff -> swap_tag(Src,0x0000/0xffc0)->forward(p1)",
 ];
 
 /// The second move's, the same way: the superseded transition's
-/// teardown, the (0 → 2) tunnel and rules, then the collected (0 → 3)
-/// tunnel's legs.
+/// teardown (its per-UE rules sit at station 0's access switch alone),
+/// the (0 → 2) tunnel and the UE's rules, then the collected (0 → 3)
+/// tunnel's legs, both directions.
 const SECOND_MOVE: [&str; 18] = [
     "remove sw5 dst=10.0.0.0/32",
-    "remove sw4 in_port=p4,src=10.0.0.0/32,src_port=0x0040/0xffc0",
-    "remove sw1 in_port=p3,src=10.0.0.0/32,src_port=0x0040/0xffc0",
-    "remove sw3 in_port=p1,src=10.0.0.0/32,src_port=0x0040/0xffc0",
     "remove sw5 in_port=p1,src=10.0.0.0/32,src_port=0x0040/0xffff",
     "remove sw5 in_port=p1,src=10.0.0.0/32,src_port=0x0041/0xffff",
     "install sw3 30008 dst=10.0.0.0/8,dst_port=0x0080/0xffc0 -> forward(p1)",
+    "install sw3 60000 in_port=p1,src=10.0.0.0/8,src_port=0x0080/0xffc0 -> forward(p3)",
     "install sw1 30008 dst=10.0.0.0/8,dst_port=0x0080/0xffc0 -> forward(p3)",
+    "install sw1 60000 in_port=p3,src=10.0.0.0/8,src_port=0x0080/0xffc0 -> forward(p2)",
     "install sw4 30008 dst=10.0.0.0/8,dst_port=0x0080/0xffc0 -> forward(p3)",
+    "install sw4 60000 in_port=p3,src=10.0.0.0/8,src_port=0x0080/0xffc0 -> forward(p1)",
     "install sw5 60000 dst=10.0.0.0/32 -> swap_tag(Dst,0x0080/0xffc0)->forward(p1)",
-    "install sw4 60000 in_port=p3,src=10.0.0.0/32,src_port=0x0080/0xffc0 -> forward(p1)",
-    "install sw1 60000 in_port=p3,src=10.0.0.0/32,src_port=0x0080/0xffc0 -> forward(p2)",
-    "install sw3 60000 in_port=p1,src=10.0.0.0/32,src_port=0x0080/0xffc0 -> forward(p3)",
     "install sw5 60000 in_port=p1,src=10.0.0.0/32,src_port=0x0080/0xffff -> swap_tag(Src,0x0000/0xffc0)->forward(p1)",
     "install sw5 60000 in_port=p1,src=10.0.0.0/32,src_port=0x0081/0xffff -> swap_tag(Src,0x0000/0xffc0)->forward(p1)",
     "remove sw3 dst=10.0.0.0/8,dst_port=0x0040/0xffc0",
+    "remove sw3 in_port=p1,src=10.0.0.0/8,src_port=0x0040/0xffc0",
     "remove sw1 dst=10.0.0.0/8,dst_port=0x0040/0xffc0",
+    "remove sw1 in_port=p3,src=10.0.0.0/8,src_port=0x0040/0xffc0",
     "remove sw4 dst=10.0.0.0/8,dst_port=0x0040/0xffc0",
+    "remove sw4 in_port=p4,src=10.0.0.0/8,src_port=0x0040/0xffc0",
 ];
 
 #[test]
@@ -233,24 +238,26 @@ fn a_handoff_drains_the_ops_its_plan_used_to_carry() {
 }
 
 /// The rule ops that `install_shortcut` and `expire_transitions`
-/// returned before they queued them: one UE with a live flow moves
-/// from station 0 to 3, a shortcut splices its downlink, and then its
-/// transition expires.
+/// returned before they queued them, with the tunnel's uplink legs
+/// where the UE's per-UE anchor rules were: one UE with a live flow
+/// moves from station 0 to 3, a shortcut splices its downlink, and then
+/// its transition expires — its redirect, launch rule and shortcut
+/// first, then the collected tunnel's legs, both directions.
 const SHORTCUT: [&str; 2] = [
     "install sw1 60100 dst=10.0.0.0/32,dst_port=0x0000/0xffff,proto=tcp -> forward(p3)",
     "install sw4 60100 dst=10.0.0.0/32,dst_port=0x0000/0xffff,proto=tcp -> forward(p4)",
 ];
 const EXPIRY: [&str; 10] = [
     "remove sw5 dst=10.0.0.0/32",
-    "remove sw4 in_port=p4,src=10.0.0.0/32,src_port=0x0040/0xffc0",
-    "remove sw1 in_port=p3,src=10.0.0.0/32,src_port=0x0040/0xffc0",
-    "remove sw3 in_port=p1,src=10.0.0.0/32,src_port=0x0040/0xffc0",
     "remove sw5 in_port=p1,src=10.0.0.0/32,src_port=0x0040/0xffff",
     "remove sw1 dst=10.0.0.0/32,dst_port=0x0000/0xffff,proto=tcp",
     "remove sw4 dst=10.0.0.0/32,dst_port=0x0000/0xffff,proto=tcp",
     "remove sw3 dst=10.0.0.0/8,dst_port=0x0040/0xffc0",
+    "remove sw3 in_port=p1,src=10.0.0.0/8,src_port=0x0040/0xffc0",
     "remove sw1 dst=10.0.0.0/8,dst_port=0x0040/0xffc0",
+    "remove sw1 in_port=p3,src=10.0.0.0/8,src_port=0x0040/0xffc0",
     "remove sw4 dst=10.0.0.0/8,dst_port=0x0040/0xffc0",
+    "remove sw4 in_port=p4,src=10.0.0.0/8,src_port=0x0040/0xffc0",
 ];
 
 #[test]
