@@ -106,7 +106,7 @@ use crate::shadow::{Entry, NextHop, ShadowDelta, ShadowSwitch, ShadowTables};
 /// end-to-end simulator installs both.
 pub use softcell_dataplane::matcher::Direction;
 
-/// Counter bumped when a raw tunnel tag is released more times than it
+/// Counter bumped when a raw mobility tag is released more times than it
 /// was allocated (see [`PathInstaller::release_raw_tag`]).
 pub const TAG_RELEASE_UNDERFLOW: &str = "softcell_controller_tag_release_underflow_total";
 
@@ -526,21 +526,23 @@ impl PathInstaller {
         self.tags.allocated()
     }
 
-    /// Allocates a tag outside the policy-path machinery (base-station
-    /// tunnels, §5.1). Returns `None` when the tag space is exhausted.
+    /// Allocates a tag outside the policy-path machinery (a station's
+    /// mobility tag, §5.1). Returns `None` when the tag space is
+    /// exhausted.
     pub fn allocate_raw_tag(&mut self) -> Option<PolicyTag> {
         self.tags.allocate().map(|t| PolicyTag(t as u16))
     }
 
-    /// Holds a raw tag allocated elsewhere: a live tunnel's, across the
-    /// offline pass's fresh installer.
+    /// Holds a raw tag allocated elsewhere: a station's mobility tag,
+    /// across the offline pass's fresh installer.
     pub(crate) fn adopt_raw_tag(&mut self, tag: PolicyTag) {
         self.tags.adopt(u32::from(tag.0));
     }
 
     /// Returns a raw tag to the pool (tunnel garbage collection).
     ///
-    /// Raw tags are refcounted by their tunnel owners, so an unbalanced
+    /// A station's mobility tag is refcounted by the live tunnels that
+    /// end at the station (`MobilityManager`), so an unbalanced
     /// release here means a corrupted refcount upstream — freeing the
     /// tag anyway could hand a tag still carrying traffic to a new path.
     /// Debug builds assert; release builds saturate (the release is

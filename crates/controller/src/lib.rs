@@ -28,7 +28,8 @@
 //!   UE-ID allocation, microflow rule installation, controller escalation
 //!   on cache miss.
 //! * [`mobility`] — policy consistency under handoff: base-station
-//!   tunnels, microflow-rule copying, shortcut paths (§5.1).
+//!   tunnels on per-destination trees under one mobility tag per
+//!   station, microflow-rule copying, shortcut paths (§5.1).
 //! * [`offline`] — the §3.2 offline recompute: replay every installed
 //!   path record through the online install routine, in key order, into
 //!   a fresh rule set, migrating the fabric.

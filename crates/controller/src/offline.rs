@@ -13,9 +13,10 @@
 //! chain-index hits and lets contiguous station prefixes merge as they
 //! arrive — and the m2m paths after them. The pass emits a migration
 //! (full removals of the old rule set, installs of the new one). Before
-//! the replay the fresh installer holds the tags of the live §5.1
-//! tunnels: their rules are not the installer's and stay up across the
-//! pass, and their tags go back to the pool when their transitions end.
+//! the replay the fresh installer holds the mobility tags of the
+//! stations that end live §5.1 tunnels: their rules are not the
+//! installer's and stay up across the pass, and each tag goes back to
+//! the pool when the last tunnel at its station is collected.
 //!
 //! This also closes the dynamic-removal story: dropping a policy path is
 //! "forget it, recompute" — exactly the paper's suggested division of
@@ -68,7 +69,7 @@ impl CentralController {
         let mut ops = removals(topo, &cfg, &self.installer)?;
 
         let mut fresh = PathInstaller::new(topo, cfg.scheme, cfg.tag_policy);
-        let mut held: Vec<PolicyTag> = self.mobility().tunnel_tags().collect();
+        let mut held: Vec<PolicyTag> = self.mobility().station_tags().map(|(_, tag)| tag).collect();
         held.sort_unstable();
         for tag in held {
             fresh.adopt_raw_tag(tag);

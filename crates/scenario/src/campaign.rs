@@ -586,13 +586,10 @@ impl Driver<'_> {
         Ok(())
     }
 
-    /// Pins the residue baseline. A live tunnel's tag is not part of it:
-    /// the tag goes back to the pool when the tunnel's last transition
-    /// expires, and the offline pass keeps holding it across a recovery.
+    /// Pins the residue baseline (its tags: [`tag_baseline`]).
     fn rebaseline(&mut self, w: &SimWorld) {
         self.baseline_rules = w.net.total_rules();
-        let tunnels = w.controller.mobility().tunnel_count();
-        self.baseline_tags = w.controller.installer().tags_in_use() - tunnels;
+        self.baseline_tags = tag_baseline(w);
     }
 
     // ---- overlay schedule -----------------------------------------
@@ -1066,10 +1063,46 @@ fn fnv1a_hex(s: &str) -> String {
     format!("{h:016x}")
 }
 
+/// The tags in use less the mobility tags, one per station that ends a
+/// live tunnel: each goes back to the pool when the last tunnel at its
+/// station is collected, and the offline pass keeps holding it across a
+/// recovery.
+fn tag_baseline(w: &SimWorld) -> usize {
+    let ctl = &w.controller;
+    ctl.installer().tags_in_use() - ctl.mobility().mobility_tags()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::overlay::overlays_for;
+
+    #[test]
+    fn the_tag_baseline_holds_while_tunnels_outnumber_tagged_stations() {
+        // A→B, A→C, B→C and C→A: four live tunnels over three stations'
+        // mobility tags
+        let topo = softcell_topology::small_topology();
+        let mut w = SimWorld::new(&topo, ServicePolicy::example_carrier_a(1));
+        let [a, b, c] = [0, 1, 2].map(BaseStationId);
+        let moves = [(a, b), (a, c), (b, c), (c, a)];
+        for (i, &(from, _)) in moves.iter().enumerate() {
+            let imsi = UeImsi(i as u64);
+            w.provision(SubscriberAttributes::default_home(imsi));
+            w.attach(imsi, from).unwrap();
+            let conn = w
+                .start_connection(imsi, INTERNET, 443, Protocol::Tcp)
+                .unwrap();
+            w.round_trip(conn).unwrap();
+        }
+        let baseline = tag_baseline(&w);
+        assert_eq!(baseline, w.controller.installer().tags_in_use());
+        for (i, &(_, to)) in moves.iter().enumerate() {
+            w.handoff(UeImsi(i as u64), to).unwrap();
+        }
+        let mobility = w.controller.mobility();
+        assert_eq!((mobility.tunnel_count(), mobility.mobility_tags()), (4, 3));
+        assert_eq!(tag_baseline(&w), baseline);
+    }
 
     /// A fast sub-small config for unit tests.
     fn tiny(name: &str) -> CampaignConfig {

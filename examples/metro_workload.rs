@@ -108,10 +108,11 @@ fn main() {
     );
 
     println!(
-        "  controller: {} policy paths installed, {} tags in use, {} tunnels, {} transitions",
+        "  controller: {} policy paths installed, {} tags in use, {} tunnels over {} mobility tags, {} transitions",
         world.controller.installer().paths_installed(),
         world.controller.installer().tags_in_use(),
         world.controller.mobility().tunnel_count(),
+        world.controller.mobility().mobility_tags(),
         world.controller.mobility().transitions_active(),
     );
     println!("  fabric rules installed: {}", world.net.total_rules());

@@ -48,8 +48,9 @@ fn main() {
     // the UE moves to bs3 — the far side of the network
     world.handoff(UeImsi(7), BaseStationId(3)).expect("handoff");
     println!(
-        "handoff complete: {} tunnels live, {} UEs in transition",
+        "handoff complete: {} tunnels live over {} mobility tags, {} UEs in transition",
         world.controller.mobility().tunnel_count(),
+        world.controller.mobility().mobility_tags(),
         world.controller.mobility().transitions_active()
     );
 

@@ -115,14 +115,15 @@ assert got == want, f"fabric_forward walks moved: {got}, want {want}"
 print(f"fabric_forward walks ok: {got}")
 PY
 # And the fabric the write path builds: the seed-7 metro_churn smoke
-# above must have left 1 768 rules over 913 tags. Its flow tables are
+# above must have left 1 272 rules over 166 tags. Its flow tables are
 # written by pushes and swap-removals and sorted only for lookups, so a
 # write that lost or doubled a rule would move the count, and so would
-# a per-UE mobility rule back in the core (tests/core_state.rs).
+# a per-UE mobility rule back in the core or a tunnel leg or tag kept
+# per station pair instead of per destination (tests/core_state.rs).
 python3 - /tmp/softcell-perf-metro_churn.json <<'PY'
 import json, sys
 result = json.load(open(sys.argv[1]))
-want = {"rules_total": 1768, "tags_used": 913}
+want = {"rules_total": 1272, "tags_used": 166}
 got = {name: result["metrics"][name]["value"] for name in want}
 assert got == want, f"metro_churn fabric moved: {got}, want {want}"
 print(f"metro_churn fabric ok: {got}")
@@ -132,7 +133,7 @@ PY
 # heap allocations of a UE's first handoff with 0 / 1 / 8 carried flows
 # and of a second handoff with 8 that supersedes a live transition (the
 # plan's vectors; the ops join the engine's one stream, planning buffers
-# are reused), of agent tag-cache hits, of sharded cache-hit flows (a
+# are reused), of collecting a tunnel (none), of agent tag-cache hits, of sharded cache-hit flows (a
 # flow's entries inline in its outcome), of 16 handoff tickets on a
 # 2-shard run beyond the engine's own handoffs (a ticket's ops go into
 # the shard's one log), of
@@ -148,8 +149,10 @@ timeout 60 cargo test -q --release --test alloc_budget
 # paper §5.1): on paper(4), scripted and seeded random move chains —
 # A→B→C→A, returns to an anchor, moves inside a live transition, shared
 # tunnels, shortcuts, detaches, expiries — are checked after every step.
-# No non-access switch holds a /32 rule but a shortcut's, its mobility
-# rules are exactly one uplink leg per live tunnel hop, and every live
+# No non-access switch holds a /32 rule but a shortcut's; the tunnel
+# legs are exactly the union of the live per-destination trees, one next
+# hop per (switch, tag, direction); the tags beside the policy paths'
+# are one per station that ends a live tunnel; and every live
 # connection still round-trips through its middleboxes.
 echo "==> core switches hold no per-UE mobility state (60 s cap)"
 timeout 60 cargo test -q --release --test core_state

@@ -1,7 +1,8 @@
 //! Heap-allocation budgets for the operations a mobility-heavy
 //! signalling mix is made of: a cache-hit flow on the sharded engine, a
-//! tag-cache hit at a local agent, a handoff at the central controller,
-//! and the ticket a handoff takes on the sharded engine; for the two
+//! tag-cache hit at a local agent, a handoff at the central controller
+//! (and the tunnel a move collects, which must allocate nothing), and
+//! the ticket a handoff takes on the sharded engine; for the two
 //! halves of a tag-cache miss, routing a policy path and installing it
 //! through Algorithm 1; and for cloning the topology every engine holds.
 //!
@@ -188,6 +189,40 @@ fn second_handoff_allocations(k: u16) -> u64 {
     assert_eq!(plan.unwrap().carried_flows.len(), usize::from(k));
     assert_eq!(ctl.mobility().tunnel_count(), 2);
     n
+}
+
+/// What collecting a tunnel allocates: a UE with one flow moves station
+/// 0 → 3 and back, and the return drops the last reference on (0 → 3) —
+/// less the same return while another UE's move keeps the tunnel up
+/// (and where the first run's other UE moves to station 2 instead, so
+/// the engine's maps hold as many UEs, reservations and transitions).
+/// A first tunnel, to station 1, is collected before either: the tag
+/// pool's free list grows once, not with every tag a drop returns.
+fn tunnel_drop_allocations() -> i64 {
+    let (home, away) = (BaseStationId(0), BaseStationId(3));
+    let returning = |keep: bool| {
+        let (mut ctl, flows_of) = handoff_fixture();
+        let warm = flows_of(&mut ctl, 2, 1);
+        ctl.handoff(UeImsi(2), BaseStationId(1), UeId(2), &warm, SimTime::ZERO)
+            .unwrap();
+        ctl.detach_ue(UeImsi(2)).unwrap();
+        let other = if keep { away } else { BaseStationId(2) };
+        let warm = flows_of(&mut ctl, 1, 1);
+        ctl.handoff(UeImsi(1), other, UeId(1), &warm, SimTime::ZERO)
+            .unwrap();
+        let flows = flows_of(&mut ctl, 0, 1);
+        let plan = ctl
+            .handoff(UeImsi(0), away, UeId(0), &flows, SimTime::ZERO)
+            .unwrap();
+        let moved: Vec<FlowRecord> = plan.carried_records().collect();
+        ctl.drain_ops();
+        let (n, plan) =
+            allocations(|| ctl.handoff(UeImsi(0), home, UeId(0), &moved, SimTime::ZERO));
+        assert_eq!(plan.unwrap().carried_flows.len(), 1);
+        assert_eq!(ctl.mobility().tunnel_count(), 1);
+        n as i64
+    };
+    returning(false) - returning(true)
 }
 
 /// 32 tag-cache hits of one UE at a `LocalAgent`, after the miss that
@@ -426,6 +461,11 @@ fn allocations_per_operation_stay_within_budget() {
     for (what, n, budget, parent) in measured {
         println!("{what}: {n} allocations (budget {budget}, parent {parent})");
     }
+    // Collecting a tunnel allocates nothing: its leg removals land in
+    // the stream's room, and its leg and station-tag maps only shrink.
+    let dropped = tunnel_drop_allocations();
+    println!("dropping a tunnel: {dropped} allocations beyond the move");
+    assert_eq!(dropped, 0, "dropping a tunnel allocates");
     for (what, n, budget, parent) in measured {
         assert!(n <= budget, "{what}: {n} allocations, budget {budget}");
         assert!(budget < parent, "{what}: the budget is the improvement");

@@ -3,9 +3,12 @@
 //! A moving UE's state stays at the access edge: its downlink redirect
 //! and its flows' launch rules at the anchor's access switch, its
 //! microflow copies at the new one. What the fabric between them holds
-//! belongs to a base-station-pair tunnel — one downlink and one uplink
-//! leg per switch, shared by every UE moving between the pair — so core
-//! tables do not grow with the number of UEs in transition.
+//! belongs to per-destination trees: anchored downlink rides the current
+//! station's mobility tag along the path to it, anchored uplink the
+//! anchor's tag along the path back, and a switch holds one leg per
+//! (destination, direction), shared by every tunnel that crosses it — so
+//! core tables grow neither with the UEs in transition nor with the
+//! station pairs they move between.
 //!
 //! On `paper(4)` (160 stations, three layers), scripted and seeded
 //! random move sequences — A→B→C→A chains, returns to an anchor, moves
@@ -15,26 +18,32 @@
 //!
 //! 1. no non-access switch holds a rule scoped to one address (`/32`),
 //!    apart from §5.1 shortcut rules, which are per-flow by design;
-//! 2. the rules at `MOBILITY_PRIORITY` on non-access switches are the
-//!    live tunnels' legs, one per non-access switch between a tunnel's
-//!    two access switches; and everywhere, the mobility rules not scoped
-//!    to one address are exactly those legs;
+//! 2. the tunnel legs are exactly the union of the live trees: a leg for
+//!    each switch between the two access switches of a live tunnel's
+//!    downlink path (matching its current station's tag) and of its
+//!    uplink path (its anchor's tag), one next hop per (switch, tag,
+//!    direction) — every `MOBILITY_PRIORITY` rule not scoped to one
+//!    address is such an uplink leg — and `tags_in_use` less the policy
+//!    paths' tags is the number of stations that end a live tunnel;
 //! 3. every live connection still round-trips (uplink and downlink
 //!    walked) through the middlebox instances it started with.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::net::Ipv4Addr;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use softcell::controller::mobility::MOBILITY_PRIORITY;
-use softcell::dataplane::MicroflowAction;
+use softcell::dataplane::matcher::Direction;
+use softcell::dataplane::{Action, Match, MicroflowAction};
 use softcell::packet::{build_flow_packet, FiveTuple, Protocol};
 use softcell::policy::{ServicePolicy, SubscriberAttributes};
 use softcell::sim::world::ConnId;
 use softcell::sim::{SimWorld, WalkOutcome};
 use softcell::topology::{CellularParams, SwitchRole, Topology};
-use softcell::types::{BaseStationId, Ipv4Prefix, SimDuration, SwitchId, UeImsi};
+use softcell::types::{
+    BaseStationId, Ipv4Prefix, PolicyTag, PortNo, SimDuration, SwitchId, UeImsi,
+};
 
 const SERVER: Ipv4Addr = Ipv4Addr::new(93, 184, 216, 34);
 
@@ -60,18 +69,75 @@ struct Legs {
     shortcuts: usize,
 }
 
-/// Checks the three properties of the module doc; returns what the
+/// Checks the three properties of the module doc, `policy_tags` being
+/// what the policy paths opened so far hold; returns what the
 /// non-access switches held.
-fn check(w: &mut SimWorld<'_>, topo: &Topology, at: &str) -> Legs {
+fn check(w: &mut SimWorld<'_>, topo: &Topology, policy_tags: usize, at: &str) -> Legs {
     let access = |sw: &SwitchId| topo.switch(*sw).role == SwitchRole::Access;
     let host = |p: Option<Ipv4Prefix>| p.is_some_and(|p| p.len() == 32);
+    let ctl = &w.controller;
+    let (ports, carrier) = (ctl.config().ports, ctl.config().scheme.carrier());
+    let mobility = ctl.mobility();
+
+    // the tags: one per station that ends a live tunnel
+    let tag_of: HashMap<BaseStationId, PolicyTag> = mobility.station_tags().collect();
+    let ends: HashSet<BaseStationId> = mobility
+        .tunnels()
+        .flat_map(|(ends, ..)| [ends.0, ends.1])
+        .collect();
+    assert_eq!(
+        tag_of.keys().copied().collect::<HashSet<_>>(),
+        ends,
+        "{at}: the tagged stations are not the ends of the live tunnels"
+    );
+    assert_eq!(
+        ctl.installer().tags_in_use() - policy_tags,
+        ends.len(),
+        "{at}: the tags beside the policy paths' are not one per tunnel end"
+    );
+
+    // the trees: a leg at each middle hop of each live path, one next
+    // hop per (switch, tag, direction)
+    let mut trees: HashMap<(SwitchId, PolicyTag, Direction), PortNo> = HashMap::new();
+    for ((anchor, current), down, up) in mobility.tunnels() {
+        for (path, tag, dir) in [
+            (down, tag_of[&current], Direction::Downlink),
+            (up, tag_of[&anchor], Direction::Uplink),
+        ] {
+            for hop in path.windows(3) {
+                let out = topo.port_towards(hop[1], hop[2]).expect("linked hop");
+                let had = trees.insert((hop[1], tag, dir), out);
+                assert!(
+                    had.is_none_or(|o| o == out),
+                    "{at}: two live paths leave {} under {tag} ({dir:?}) on different ports",
+                    hop[1]
+                );
+            }
+        }
+    }
+    let leg_matchers: Vec<(Match, (PolicyTag, Direction))> = (tag_of.values())
+        .flat_map(|&tag| [Direction::Downlink, Direction::Uplink].map(|dir| (tag, dir)))
+        .map(|(tag, dir)| (Match::tag_and_prefix(dir, tag, carrier, &ports), (tag, dir)))
+        .collect();
+
     let mut legs = Legs::default();
-    let mut unscoped_mobility = 0;
+    let mut fabric: HashMap<(SwitchId, PolicyTag, Direction), PortNo> = HashMap::new();
     for node in topo.switches() {
         for rule in w.net.switch(node.id).table.iter() {
             let per_address = host(rule.matcher.src_prefix) || host(rule.matcher.dst_prefix);
-            if rule.priority == MOBILITY_PRIORITY && !per_address {
-                unscoped_mobility += 1;
+            let leg = leg_matchers.iter().find(|(m, _)| *m == rule.matcher);
+            if rule.priority == MOBILITY_PRIORITY && !per_address || leg.is_some() {
+                let Some(&(_, (tag, dir))) = leg else {
+                    panic!("{at}: {} holds {rule}, a leg of no live tree", node.id)
+                };
+                let Action::Forward(out) = rule.action else {
+                    panic!("{at}: leg {rule} at {} does not forward", node.id)
+                };
+                assert!(
+                    fabric.insert((node.id, tag, dir), out).is_none(),
+                    "{at}: {} holds two legs under {tag} ({dir:?})",
+                    node.id
+                );
             }
             if access(&node.id) {
                 continue;
@@ -90,22 +156,7 @@ fn check(w: &mut SimWorld<'_>, topo: &Topology, at: &str) -> Legs {
             }
         }
     }
-    let (mut core_hops, mut all_hops) = (0, 0);
-    for path in w.controller.mobility().tunnel_paths() {
-        let middle = path
-            .get(1..path.len().saturating_sub(1))
-            .unwrap_or_default();
-        all_hops += middle.len();
-        core_hops += middle.iter().filter(|sw| !access(sw)).count();
-    }
-    assert_eq!(
-        legs.core, core_hops,
-        "{at}: core mobility rules are not one uplink leg per tunnel hop"
-    );
-    assert_eq!(
-        unscoped_mobility, all_hops,
-        "{at}: mobility rules not scoped to one address are not the tunnels' uplink legs"
-    );
+    assert_eq!(fabric, trees, "{at}: the legs are not the live trees");
     w.assert_policy_consistency()
         .unwrap_or_else(|e| panic!("{at}: {e}"));
     legs
@@ -119,12 +170,15 @@ fn world(topo: &Topology, ues: u64) -> SimWorld<'_> {
     w
 }
 
-/// Opens a flow on `port` and round-trips it.
-fn open(w: &mut SimWorld<'_>, imsi: UeImsi, port: u16) -> ConnId {
+/// Opens a flow on `port` and round-trips it, adding the tags a policy
+/// path it needed took to `policy_tags`: a flow takes no mobility tag.
+fn open(w: &mut SimWorld<'_>, policy_tags: &mut usize, imsi: UeImsi, port: u16) -> ConnId {
+    let before = w.controller.installer().tags_in_use();
     let c = w
         .start_connection(imsi, SERVER, port, Protocol::Tcp)
         .expect("connection");
     w.round_trip(c).expect("first round trip");
+    *policy_tags += w.controller.installer().tags_in_use() - before;
     c
 }
 
@@ -132,6 +186,7 @@ fn open(w: &mut SimWorld<'_>, imsi: UeImsi, port: u16) -> ConnId {
 fn scripted_moves_leave_no_per_ue_state_in_the_core() {
     let topo = CellularParams::paper(4).build().unwrap();
     let mut w = world(&topo, 3);
+    let mut policy = 0;
     let [a, b, c, d] = [3, 47, 125, 7].map(BaseStationId);
     let (ue0, ue1, ue2) = (UeImsi(0), UeImsi(1), UeImsi(2));
     let mut step = 0;
@@ -144,48 +199,71 @@ fn scripted_moves_leave_no_per_ue_state_in_the_core() {
     w.attach(ue1, a).unwrap();
     w.attach(ue2, b).unwrap();
     for port in PORTS {
-        open(&mut w, ue0, port);
+        open(&mut w, &mut policy, ue0, port);
     }
-    let ue1_web = open(&mut w, ue1, PORTS[0]);
-    open(&mut w, ue2, PORTS[1]);
-    check(&mut w, &topo, &next("flows open, nobody moved"));
+    let ue1_web = open(&mut w, &mut policy, ue1, PORTS[0]);
+    open(&mut w, &mut policy, ue2, PORTS[1]);
+    check(&mut w, &topo, policy, &next("flows open, nobody moved"));
 
     // ue1 rides the tunnel ue0 built; ue2 runs the pair the other way
     w.handoff(ue0, b).unwrap();
-    let first = check(&mut w, &topo, &next("ue0 A→B"));
+    let first = check(&mut w, &topo, policy, &next("ue0 A→B"));
     assert!(first.core > 0, "the A→B tunnel crosses the core");
     w.handoff(ue1, b).unwrap();
-    let shared = check(&mut w, &topo, &next("ue1 A→B"));
+    let shared = check(&mut w, &topo, policy, &next("ue1 A→B"));
     assert_eq!(
         shared.core, first.core,
         "a second UE on the A→B tunnel adds no core rule"
     );
     w.handoff(ue2, a).unwrap();
-    check(&mut w, &topo, &next("ue2 B→A"));
+    check(&mut w, &topo, policy, &next("ue2 B→A"));
+    assert_eq!(
+        w.controller.mobility().mobility_tags(),
+        2,
+        "the pair's two tunnels share its two stations' tags"
+    );
 
     // A→B→C→A for ue0, with a new flow anchored at each stop
-    open(&mut w, ue0, PORTS[2]);
+    open(&mut w, &mut policy, ue0, PORTS[2]);
     w.handoff(ue0, c).unwrap();
-    check(&mut w, &topo, &next("ue0 B→C inside its transition"));
-    open(&mut w, ue0, PORTS[1]);
+    check(
+        &mut w,
+        &topo,
+        policy,
+        &next("ue0 B→C inside its transition"),
+    );
+    assert_eq!(
+        (
+            w.controller.mobility().tunnel_count(),
+            w.controller.mobility().mobility_tags()
+        ),
+        (4, 3),
+        "A→B, B→A, A→C and B→C over three stations' tags"
+    );
+    open(&mut w, &mut policy, ue0, PORTS[1]);
     w.handoff(ue0, a).unwrap();
-    check(&mut w, &topo, &next("ue0 C→A, back at its first anchor"));
+    check(
+        &mut w,
+        &topo,
+        policy,
+        &next("ue0 C→A, back at its first anchor"),
+    );
 
     // a shortcut is per-flow by design; a ring-local move; a return
     w.install_shortcut(ue1_web).unwrap();
-    let spliced = check(&mut w, &topo, &next("ue1 shortcut"));
+    let spliced = check(&mut w, &topo, policy, &next("ue1 shortcut"));
     assert!(spliced.shortcuts > 0, "the splice crosses the core");
     w.handoff(ue1, d).unwrap();
-    check(&mut w, &topo, &next("ue1 B→D"));
+    check(&mut w, &topo, policy, &next("ue1 B→D"));
     w.handoff(ue1, a).unwrap();
-    check(&mut w, &topo, &next("ue1 D→A, home"));
+    check(&mut w, &topo, policy, &next("ue1 D→A, home"));
 
     // a detach ends one transition, expiry the rest: tunnels collected
     w.detach(ue2).unwrap();
-    check(&mut w, &topo, &next("ue2 detached"));
+    check(&mut w, &topo, policy, &next("ue2 detached"));
     w.advance(w.controller.mobility().transition_ttl + SimDuration::from_secs(1));
     w.expire_transitions().unwrap();
-    let quiet = check(&mut w, &topo, &next("transitions expired"));
+    let quiet = check(&mut w, &topo, policy, &next("transitions expired"));
     assert_eq!(w.controller.mobility().tunnel_count(), 0);
     assert_eq!((quiet.core, quiet.shortcuts), (0, 0));
 }
@@ -197,6 +275,7 @@ fn random_moves_leave_no_per_ue_state_in_the_core() {
     let (mut moves, mut peak, mut shared) = (0, 0, 0);
     for seed in 0..4u64 {
         let mut w = world(&topo, UES);
+        let mut policy = 0;
         let mut rng = StdRng::seed_from_u64(seed);
         let mut conns: HashMap<UeImsi, Vec<ConnId>> = HashMap::new();
         let station = |rng: &mut StdRng| BaseStationId(STATIONS[rng.gen_range(0..STATIONS.len())]);
@@ -211,7 +290,7 @@ fn random_moves_leave_no_per_ue_state_in_the_core() {
                 (Some(_), 0..=5) => {
                     if conns.get(&imsi).map_or(0, Vec::len) < 6 {
                         let port = PORTS[rng.gen_range(0..PORTS.len())];
-                        let c = open(&mut w, imsi, port);
+                        let c = open(&mut w, &mut policy, imsi, port);
                         conns.entry(imsi).or_default().push(c);
                     }
                     "flow"
@@ -249,7 +328,12 @@ fn random_moves_leave_no_per_ue_state_in_the_core() {
                 }
             };
             w.advance(SimDuration::from_secs(1));
-            let legs = check(&mut w, &topo, &format!("seed {seed} step {step} ({what})"));
+            let legs = check(
+                &mut w,
+                &topo,
+                policy,
+                &format!("seed {seed} step {step} ({what})"),
+            );
             peak = peak.max(legs.core);
             let mobility = w.controller.mobility();
             if mobility.tunnel_count() < mobility.transitions_active() {
@@ -262,22 +346,24 @@ fn random_moves_leave_no_per_ue_state_in_the_core() {
     assert!(shared > 0, "some tunnel carried several UEs");
 }
 
-/// The one behaviour the per-tunnel uplink legs change, on purpose: an
+/// The one behaviour the shared uplink legs change, on purpose: an
 /// anchored uplink packet whose transition has ended while its tunnel
-/// lives on for another UE now rides the tunnel to the anchor's access
-/// switch, where no launch rule matches it and the table miss hands it
-/// to that station's agent. With per-UE reverse rules it stopped at the
-/// tunnel's first hop past the new access switch, whose rule was gone.
+/// lives on for another UE rides the anchor's tree to the anchor's
+/// access switch, where no launch rule matches it and the table miss
+/// hands it to that station's agent. With per-UE reverse rules it
+/// stopped at the tunnel's first hop past the new access switch, whose
+/// rule was gone.
 #[test]
 fn a_stale_anchored_uplink_packet_stops_at_the_anchor() {
     let topo = CellularParams::paper(4).build().unwrap();
     let mut w = world(&topo, 2);
+    let mut policy = 0;
     let [a, b] = [3, 125].map(BaseStationId);
     let (ue0, ue1) = (UeImsi(0), UeImsi(1));
     w.attach(ue0, a).unwrap();
     w.attach(ue1, a).unwrap();
-    let c0 = open(&mut w, ue0, 443);
-    open(&mut w, ue1, 443);
+    let c0 = open(&mut w, &mut policy, ue0, 443);
+    open(&mut w, &mut policy, ue1, 443);
 
     // ue0's transition ends while ue1's keeps the A→B tunnel alive:
     // with the 120 s soft timeout, ue0's ends at 120 s and ue1's at 220 s

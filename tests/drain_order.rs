@@ -141,7 +141,8 @@ fn line(op: &RuleOp) -> String {
 /// move's ops are read off `drain_ops`: the first builds the (0 → 3)
 /// tunnel; the second supersedes the live transition (its teardown
 /// comes first), builds the (0 → 2) tunnel, and drops the last
-/// reference on (0 → 3), whose legs come down last.
+/// reference on (0 → 3), whose legs the (0 → 2) tunnel does not share
+/// come down last.
 fn two_moves() -> [Vec<String>; 2] {
     let topo = small_topology();
     let cfg = ControllerConfig::simulation();
@@ -188,46 +189,46 @@ fn two_moves() -> [Vec<String>; 2] {
 }
 
 /// The first move's ops as a handoff that returned them in its plan
-/// gave them (its `plan.ops` followed by `drain_ops()`), with the
-/// uplink legs at the tunnel's three middle switches where its per-UE
-/// anchor rules were: the (0 → 3) tunnel, each middle switch's downlink
-/// leg beside its uplink leg, then the UE's redirect and one launch
-/// rule per flow at station 0's access switch.
+/// gave them (its `plan.ops` followed by `drain_ops()`), the tunnel's
+/// legs on per-destination trees: the (0 → 3) tunnel takes station 0's
+/// mobility tag (0x0040) and station 3's (0x0080), installs a downlink
+/// leg under station 3's tag at each middle switch of the path from
+/// station 0, then an uplink leg under station 0's tag at each middle
+/// switch of the path back (no in-port: the tree gives the leg one next
+/// hop), then the UE's redirect and one launch rule per flow at station
+/// 0's access switch, whose in-port is the uplink path's last hop.
 const FIRST_MOVE: [&str; 9] = [
-    "install sw3 30008 dst=10.0.0.0/8,dst_port=0x0040/0xffc0 -> forward(p1)",
-    "install sw3 60000 in_port=p1,src=10.0.0.0/8,src_port=0x0040/0xffc0 -> forward(p3)",
-    "install sw1 30008 dst=10.0.0.0/8,dst_port=0x0040/0xffc0 -> forward(p3)",
-    "install sw1 60000 in_port=p3,src=10.0.0.0/8,src_port=0x0040/0xffc0 -> forward(p2)",
-    "install sw4 30008 dst=10.0.0.0/8,dst_port=0x0040/0xffc0 -> forward(p4)",
-    "install sw4 60000 in_port=p4,src=10.0.0.0/8,src_port=0x0040/0xffc0 -> forward(p1)",
-    "install sw5 60000 dst=10.0.0.0/32 -> swap_tag(Dst,0x0040/0xffc0)->forward(p1)",
+    "install sw3 30008 dst=10.0.0.0/8,dst_port=0x0080/0xffc0 -> forward(p1)",
+    "install sw1 30008 dst=10.0.0.0/8,dst_port=0x0080/0xffc0 -> forward(p3)",
+    "install sw4 30008 dst=10.0.0.0/8,dst_port=0x0080/0xffc0 -> forward(p4)",
+    "install sw4 60000 src=10.0.0.0/8,src_port=0x0040/0xffc0 -> forward(p1)",
+    "install sw1 60000 src=10.0.0.0/8,src_port=0x0040/0xffc0 -> forward(p2)",
+    "install sw3 60000 src=10.0.0.0/8,src_port=0x0040/0xffc0 -> forward(p3)",
+    "install sw5 60000 dst=10.0.0.0/32 -> swap_tag(Dst,0x0080/0xffc0)->forward(p1)",
     "install sw5 60000 in_port=p1,src=10.0.0.0/32,src_port=0x0040/0xffff -> swap_tag(Src,0x0000/0xffc0)->forward(p1)",
     "install sw5 60000 in_port=p1,src=10.0.0.0/32,src_port=0x0041/0xffff -> swap_tag(Src,0x0000/0xffc0)->forward(p1)",
 ];
 
 /// The second move's, the same way: the superseded transition's
 /// teardown (its per-UE rules sit at station 0's access switch alone),
-/// the (0 → 2) tunnel and the UE's rules, then the collected (0 → 3)
-/// tunnel's legs, both directions.
-const SECOND_MOVE: [&str; 18] = [
+/// the (0 → 2) tunnel — station 2's new tag (0x00c0) and its downlink
+/// legs; its uplink path back to station 0 crosses the legs the (0 → 3)
+/// tunnel installed, which it shares — and the UE's rules, then the
+/// collected (0 → 3) tunnel's downlink legs. Its uplink legs stay up
+/// for (0 → 2), and so does station 0's tag.
+const SECOND_MOVE: [&str; 12] = [
     "remove sw5 dst=10.0.0.0/32",
     "remove sw5 in_port=p1,src=10.0.0.0/32,src_port=0x0040/0xffff",
     "remove sw5 in_port=p1,src=10.0.0.0/32,src_port=0x0041/0xffff",
-    "install sw3 30008 dst=10.0.0.0/8,dst_port=0x0080/0xffc0 -> forward(p1)",
-    "install sw3 60000 in_port=p1,src=10.0.0.0/8,src_port=0x0080/0xffc0 -> forward(p3)",
-    "install sw1 30008 dst=10.0.0.0/8,dst_port=0x0080/0xffc0 -> forward(p3)",
-    "install sw1 60000 in_port=p3,src=10.0.0.0/8,src_port=0x0080/0xffc0 -> forward(p2)",
-    "install sw4 30008 dst=10.0.0.0/8,dst_port=0x0080/0xffc0 -> forward(p3)",
-    "install sw4 60000 in_port=p3,src=10.0.0.0/8,src_port=0x0080/0xffc0 -> forward(p1)",
-    "install sw5 60000 dst=10.0.0.0/32 -> swap_tag(Dst,0x0080/0xffc0)->forward(p1)",
-    "install sw5 60000 in_port=p1,src=10.0.0.0/32,src_port=0x0080/0xffff -> swap_tag(Src,0x0000/0xffc0)->forward(p1)",
-    "install sw5 60000 in_port=p1,src=10.0.0.0/32,src_port=0x0081/0xffff -> swap_tag(Src,0x0000/0xffc0)->forward(p1)",
-    "remove sw3 dst=10.0.0.0/8,dst_port=0x0040/0xffc0",
-    "remove sw3 in_port=p1,src=10.0.0.0/8,src_port=0x0040/0xffc0",
-    "remove sw1 dst=10.0.0.0/8,dst_port=0x0040/0xffc0",
-    "remove sw1 in_port=p3,src=10.0.0.0/8,src_port=0x0040/0xffc0",
-    "remove sw4 dst=10.0.0.0/8,dst_port=0x0040/0xffc0",
-    "remove sw4 in_port=p4,src=10.0.0.0/8,src_port=0x0040/0xffc0",
+    "install sw3 30008 dst=10.0.0.0/8,dst_port=0x00c0/0xffc0 -> forward(p1)",
+    "install sw1 30008 dst=10.0.0.0/8,dst_port=0x00c0/0xffc0 -> forward(p3)",
+    "install sw4 30008 dst=10.0.0.0/8,dst_port=0x00c0/0xffc0 -> forward(p3)",
+    "install sw5 60000 dst=10.0.0.0/32 -> swap_tag(Dst,0x00c0/0xffc0)->forward(p1)",
+    "install sw5 60000 in_port=p1,src=10.0.0.0/32,src_port=0x0040/0xffff -> swap_tag(Src,0x0000/0xffc0)->forward(p1)",
+    "install sw5 60000 in_port=p1,src=10.0.0.0/32,src_port=0x0041/0xffff -> swap_tag(Src,0x0000/0xffc0)->forward(p1)",
+    "remove sw3 dst=10.0.0.0/8,dst_port=0x0080/0xffc0",
+    "remove sw1 dst=10.0.0.0/8,dst_port=0x0080/0xffc0",
+    "remove sw4 dst=10.0.0.0/8,dst_port=0x0080/0xffc0",
 ];
 
 #[test]
@@ -238,11 +239,12 @@ fn a_handoff_drains_the_ops_its_plan_used_to_carry() {
 }
 
 /// The rule ops that `install_shortcut` and `expire_transitions`
-/// returned before they queued them, with the tunnel's uplink legs
-/// where the UE's per-UE anchor rules were: one UE with a live flow
-/// moves from station 0 to 3, a shortcut splices its downlink, and then
-/// its transition expires — its redirect, launch rule and shortcut
-/// first, then the collected tunnel's legs, both directions.
+/// returned before they queued them, with the tunnel's legs on
+/// per-destination trees: one UE with a live flow moves from station 0
+/// to 3, a shortcut splices its downlink, and then its transition
+/// expires — its redirect, launch rule and shortcut first, then the
+/// collected tunnel's legs, the downlink ones towards station 3 and
+/// then the uplink ones towards station 0, each in its path's order.
 const SHORTCUT: [&str; 2] = [
     "install sw1 60100 dst=10.0.0.0/32,dst_port=0x0000/0xffff,proto=tcp -> forward(p3)",
     "install sw4 60100 dst=10.0.0.0/32,dst_port=0x0000/0xffff,proto=tcp -> forward(p4)",
@@ -252,12 +254,12 @@ const EXPIRY: [&str; 10] = [
     "remove sw5 in_port=p1,src=10.0.0.0/32,src_port=0x0040/0xffff",
     "remove sw1 dst=10.0.0.0/32,dst_port=0x0000/0xffff,proto=tcp",
     "remove sw4 dst=10.0.0.0/32,dst_port=0x0000/0xffff,proto=tcp",
-    "remove sw3 dst=10.0.0.0/8,dst_port=0x0040/0xffc0",
-    "remove sw3 in_port=p1,src=10.0.0.0/8,src_port=0x0040/0xffc0",
-    "remove sw1 dst=10.0.0.0/8,dst_port=0x0040/0xffc0",
-    "remove sw1 in_port=p3,src=10.0.0.0/8,src_port=0x0040/0xffc0",
-    "remove sw4 dst=10.0.0.0/8,dst_port=0x0040/0xffc0",
-    "remove sw4 in_port=p4,src=10.0.0.0/8,src_port=0x0040/0xffc0",
+    "remove sw3 dst=10.0.0.0/8,dst_port=0x0080/0xffc0",
+    "remove sw1 dst=10.0.0.0/8,dst_port=0x0080/0xffc0",
+    "remove sw4 dst=10.0.0.0/8,dst_port=0x0080/0xffc0",
+    "remove sw4 src=10.0.0.0/8,src_port=0x0040/0xffc0",
+    "remove sw1 src=10.0.0.0/8,src_port=0x0040/0xffc0",
+    "remove sw3 src=10.0.0.0/8,src_port=0x0040/0xffc0",
 ];
 
 #[test]
