@@ -92,7 +92,7 @@ pub struct QuiesceStats {
     pub reserved: u64,
     /// Active mobility transitions (must be 0).
     pub transitions: u64,
-    /// Live tunnel tags (must be 0).
+    /// Live tunnels (must be 0).
     pub tunnels: u64,
     /// Fabric rules minus the post-warmup baseline (must be 0).
     pub rules_delta: i64,
