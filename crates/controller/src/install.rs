@@ -526,24 +526,24 @@ impl PathInstaller {
         self.tags.allocated()
     }
 
-    /// Allocates a tag outside the policy-path machinery (a station's
-    /// mobility tag, §5.1). Returns `None` when the tag space is
+    /// Allocates a tag outside the policy-path machinery (the mobility
+    /// tag, §5.1). Returns `None` when the tag space is
     /// exhausted.
     pub fn allocate_raw_tag(&mut self) -> Option<PolicyTag> {
         self.tags.allocate().map(|t| PolicyTag(t as u16))
     }
 
-    /// Holds a raw tag allocated elsewhere: a station's mobility tag,
-    /// across the offline pass's fresh installer.
+    /// Holds a raw tag allocated elsewhere: the mobility tag, across the
+    /// offline pass's fresh installer.
     pub(crate) fn adopt_raw_tag(&mut self, tag: PolicyTag) {
         self.tags.adopt(u32::from(tag.0));
     }
 
     /// Returns a raw tag to the pool (tunnel garbage collection).
     ///
-    /// A station's mobility tag is refcounted by the live tunnels that
-    /// end at the station (`MobilityManager`), so an unbalanced
-    /// release here means a corrupted refcount upstream — freeing the
+    /// The mobility tag is held while any tunnel lives
+    /// (`MobilityManager`), so an unbalanced release here means
+    /// corrupted tunnel bookkeeping upstream — freeing the
     /// tag anyway could hand a tag still carrying traffic to a new path.
     /// Debug builds assert; release builds saturate (the release is
     /// dropped) and bump [`TAG_RELEASE_UNDERFLOW`].

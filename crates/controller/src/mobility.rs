@@ -10,19 +10,22 @@
 //!   and arrive at the old base station via the old policy path.
 //! * **Long-lived tunnels between base-station pairs** carry anchored
 //!   traffic both ways, and their fabric state names where traffic goes,
-//!   not which pair sent it (Algorithm 1's idea, §3). Every station that
-//!   ends a live tunnel holds one *mobility tag* t(S). Anchored downlink
-//!   towards the UE's current station S rides t(S) along the path from
-//!   the anchor A; anchored uplink rides t(A) along the path from S back
-//!   to A. A path to a station walks the shortest-path tree rooted at
-//!   that station's access switch, so every switch between two access
+//!   not which pair sent it (Algorithm 1's idea, §3, on the hierarchical
+//!   location-dependent addresses of §4.1). While any tunnel lives, the
+//!   network holds one *mobility tag* t_M, never a policy tag. Anchored
+//!   downlink towards the UE's current station S carries t_M and the
+//!   UE's LocIP at S along the path from the anchor A; anchored uplink
+//!   carries t_M and the anchor LocIP along the path from S back to A.
+//!   A path to a station walks the shortest-path tree rooted at that
+//!   station's access switch, so every switch between two access
 //!   switches holds at most one *leg* per (destination station,
-//!   direction) — a rule matching only the destination's mobility tag,
-//!   with exactly one next hop — shared by every tunnel that crosses it.
-//!   The core holds no per-UE and no per-pair state. The old access
-//!   switch rewrites a downlink packet's tag bits to t(S).
+//!   direction) — a rule matching t_M and the destination station's
+//!   LocIP prefix, with exactly one next hop — shared by every tunnel
+//!   that crosses it. The core holds no per-UE and no per-pair state.
+//!   The old access switch rewrites a downlink packet's destination to
+//!   the UE's LocIP at S and its tag bits to t_M.
 //! * **Microflow rules are copied to the new access switch** so uplink
-//!   packets of old flows keep using the old address, under t(A); they
+//!   packets of old flows keep using the old address, under t_M; they
 //!   ride A's tree back to the old access switch, whose per-flow launch
 //!   rule restores the original tag and sends them along the old path
 //!   (triangle routing).
@@ -36,10 +39,9 @@
 //! transition); shortcut rules are the one per-flow state elsewhere.
 //! A tunnel is shared by every UE moving between its pair and
 //! reference-counted against live transitions; it holds a reference on
-//! each leg along its two paths and on both its stations' tags. When the
-//! last transition using a pair ends, the tunnel is garbage-collected:
-//! the legs no other tunnel crosses come down, and a station tag no
-//! other tunnel ends at returns to the pool.
+//! each leg along its two paths. When the last transition using a pair
+//! ends, the tunnel is garbage-collected: the legs no other tunnel
+//! crosses come down, and with the last tunnel t_M returns to the pool.
 
 use std::net::Ipv4Addr;
 
@@ -70,11 +72,12 @@ pub const MOBILITY_PRIORITY: u16 = 60_000;
 pub struct FlowRecord {
     /// The uplink five-tuple as the UE sends it (permanent source).
     pub uplink: FiveTuple,
-    /// The downlink five-tuple as it currently arrives from the fabric
-    /// (possibly re-keyed under a station's mobility tag by an earlier
-    /// move).
+    /// The downlink five-tuple as it currently arrives from the fabric:
+    /// after an earlier move, re-keyed to the UE's LocIP at its current
+    /// station under the mobility tag.
     pub downlink: FiveTuple,
-    /// The downlink tuple as originally keyed at the anchor station.
+    /// The downlink tuple as originally keyed at the anchor station; its
+    /// destination names the anchor.
     pub downlink_original: FiveTuple,
     /// The uplink microflow action at the old access switch.
     pub up_action: MicroflowAction,
@@ -101,7 +104,10 @@ pub struct HandoffPlan {
     /// Downlink microflow entries to remove at the *old* access switch
     /// (their traffic is redirected into the tunnel instead).
     pub old_microflow_removals: Vec<FiveTuple>,
-    /// Microflow entries to install at the *new* access switch.
+    /// Microflow entries to install at the *new* access switch: per
+    /// tunneled flow an uplink copy sending under the mobility tag, and
+    /// a downlink copy keyed by the UE's LocIP there and the mobility
+    /// tag (flows back at their anchor keep their original keys).
     pub new_microflow_installs: Vec<(FiveTuple, MicroflowAction)>,
     /// The carried flows — the new agent records these so a *further*
     /// handoff can move them again (anchoring survives chains of moves).
@@ -150,8 +156,8 @@ type LaunchSpec = (u16, PolicyTag, PortNo);
 
 /// A base-station-pair tunnel: the two paths its anchored traffic
 /// takes. Long-lived while any transition uses it; garbage-collected
-/// (its references on legs and station tags dropped) once the last
-/// referencing transition ends, so churn cannot exhaust the tag space.
+/// (its references on legs dropped) once the last referencing
+/// transition ends.
 #[derive(Clone, Debug, PartialEq)]
 struct Tunnel {
     /// Downlink: the anchor's access switch to the current one, on the
@@ -195,7 +201,7 @@ struct Transition {
     /// entry a spec, grouped by anchor in address order. Needed to
     /// re-anchor the same flows after a further move, and to restore
     /// the original tag when anchored uplink traffic (which rides the
-    /// anchor's tree under its *mobility* tag) is launched back onto its
+    /// anchor's tree under the *mobility* tag) is launched back onto its
     /// old policy path. Keyed by anchor *address*: a UE revisiting a
     /// station can hold a different local id there.
     launch_specs: Vec<(Ipv4Addr, LaunchSpec)>,
@@ -231,9 +237,9 @@ impl Transition {
 #[derive(Debug)]
 pub struct MobilityManager {
     tunnels: FxHashMap<StationPair, Tunnel>,
-    /// The mobility tag of every station that ends a live tunnel, in
-    /// either role, and the number of those tunnels.
-    station_tags: FxHashMap<BaseStationId, (PolicyTag, usize)>,
+    /// The mobility tag t_M, held while any tunnel lives: taken with the
+    /// first tunnel, returned with the last.
+    tag: Option<PolicyTag>,
     /// The installed legs: each one's removal and the number of live
     /// tunnels whose paths cross it.
     legs: FxHashMap<LegKey, (RuleOp, usize)>,
@@ -251,7 +257,7 @@ impl Default for MobilityManager {
     fn default() -> Self {
         MobilityManager {
             tunnels: FxHashMap::default(),
-            station_tags: FxHashMap::default(),
+            tag: None,
             legs: FxHashMap::default(),
             transitions: FxHashMap::default(),
             draft: Default::default(),
@@ -264,12 +270,6 @@ impl MobilityManager {
     /// Number of live tunnels.
     pub fn tunnel_count(&self) -> usize {
         self.tunnels.len()
-    }
-
-    /// Number of mobility tags held: one per station that ends a live
-    /// tunnel.
-    pub fn mobility_tags(&self) -> usize {
-        self.station_tags.len()
     }
 
     /// Number of UEs in transition.
@@ -286,45 +286,21 @@ impl MobilityManager {
         (self.tunnels.iter()).map(|(pair, t)| (*pair, t.path.as_slice(), t.up.as_slice()))
     }
 
-    /// The mobility tag of each station that ends a live tunnel.
-    pub fn station_tags(&self) -> impl Iterator<Item = (BaseStationId, PolicyTag)> + '_ {
-        self.station_tags.iter().map(|(bs, (tag, _))| (*bs, *tag))
+    /// The mobility tag t_M, `None` while no tunnel lives.
+    pub fn mobility_tag(&self) -> Option<PolicyTag> {
+        self.tag
     }
 
-    /// `bs`'s mobility tag; `bs` ends a live tunnel.
-    fn tag_of(&self, bs: BaseStationId) -> PolicyTag {
-        self.station_tags[&bs].0
-    }
-
-    /// Takes a reference on `bs`'s mobility tag, allocating it for the
-    /// station's first tunnel.
-    fn hold_station_tag(
-        &mut self,
-        bs: BaseStationId,
-        installer: &mut PathInstaller,
-    ) -> Result<PolicyTag> {
-        if let Some((tag, refs)) = self.station_tags.get_mut(&bs) {
-            *refs += 1;
-            return Ok(*tag);
+    /// t_M, allocated for the first tunnel.
+    fn hold_tag(&mut self, installer: &mut PathInstaller) -> Result<PolicyTag> {
+        if let Some(tag) = self.tag {
+            return Ok(tag);
         }
         let tag = installer
             .allocate_raw_tag()
             .ok_or_else(|| Error::Exhausted("no tag left for tunnel".into()))?;
-        self.station_tags.insert(bs, (tag, 1));
+        self.tag = Some(tag);
         Ok(tag)
-    }
-
-    /// Drops a reference on `bs`'s mobility tag; the last one returns
-    /// the tag to the pool.
-    fn release_station_tag(&mut self, bs: BaseStationId, installer: &mut PathInstaller) {
-        let Some((tag, refs)) = self.station_tags.get_mut(&bs) else {
-            return;
-        };
-        *refs -= 1;
-        if *refs == 0 {
-            installer.release_raw_tag(*tag);
-            self.station_tags.remove(&bs);
-        }
     }
 
     /// Takes a reference on a leg, queueing its install for the first.
@@ -360,7 +336,7 @@ impl CentralController {
     /// fabric rule ops on the engine's pending stream (see
     /// [`drain_ops`](Self::drain_ops)) and returns the rest of the plan.
     /// Flows are grouped by their **anchor** station (the one their
-    /// location-dependent address decodes to — where they originally
+    /// original location-dependent address decodes to — where they
     /// started), so chains of moves keep working: downlink traffic always
     /// arrives at the anchor via the old policy path and is tunneled from
     /// there straight to the UE's *current* station. `flows` is the
@@ -369,10 +345,10 @@ impl CentralController {
     /// All-or-nothing: everything that can fail runs before anything is
     /// recorded. The previous transition is lifted out while the plan
     /// that supersedes it is built; a failure puts it back, drops the
-    /// tunnels the attempt created (returning the legs and station tags
-    /// they took) and takes the attempt's ops off the stream, so the UE,
-    /// its reservations, its transition, the pending ops and the tag
-    /// pool are as they were.
+    /// tunnels the attempt created (returning the legs they took, and
+    /// t_M if they were the only ones) and takes the attempt's ops off
+    /// the stream, so the UE, its reservations, its transition, the
+    /// pending ops and the tag pool are as they were.
     ///
     /// Planning writes into buffers the mobility manager reuses and
     /// commits into the superseded transition's vectors, so the plan's
@@ -488,17 +464,22 @@ impl CentralController {
         let mut new_microflow_installs = Vec::with_capacity(flows.len() * 2);
         let mut carried_flows = Vec::with_capacity(flows.len());
 
-        // Flows are handled by anchor LocIP (the downlink destination),
-        // in address order: each distinct location-dependent address
-        // needs its own redirect/launch rules, even when two addresses
-        // share a station (a UE that revisited the station under a
-        // different local id).
+        // Flows are handled by anchor LocIP (the original downlink
+        // destination), in address order: each distinct
+        // location-dependent address needs its own redirect/launch
+        // rules, even when two addresses share a station (a UE that
+        // revisited the station under a different local id).
         let old_loc_addr = scheme.encode(softcell_types::LocIp::new(old.bs, old.ue_id))?;
-        let anchors = || flows.iter().map(|f| f.downlink.dst);
+        let new_loc_addr = scheme.encode(softcell_types::LocIp::new(new.bs, new.ue_id))?;
+        let anchors = || flows.iter().map(|f| f.downlink_original.dst);
         let mut next_anchor = anchors().min();
         while let Some(anchor_addr) = next_anchor {
             next_anchor = anchors().filter(|a| *a > anchor_addr).min();
-            let group = || flows.iter().filter(move |f| f.downlink.dst == anchor_addr);
+            let group = || {
+                flows
+                    .iter()
+                    .filter(move |f| f.downlink_original.dst == anchor_addr)
+            };
             let anchor_loc = scheme.decode(anchor_addr)?;
             let anchor = anchor_loc.base_station;
             // Returning to the anchor *station* (same or fresh local id —
@@ -555,15 +536,12 @@ impl CentralController {
                 continue;
             }
             let anchor_host = Ipv4Prefix::host(anchor_addr);
-            self.ensure_tunnel(anchor, new_bs, created)?;
+            let tag = self.ensure_tunnel(anchor, new_bs, created)?;
             if !draft.tunnels.contains(&(anchor, new_bs)) {
                 draft.tunnels.push((anchor, new_bs));
             }
             let ops = &mut self.pending_ops;
-            let mobility = &self.mobility;
-            let Tunnel { path, up, .. } = &mobility.tunnels[&(anchor, new_bs)];
-            // downlink rides the new station's tag, uplink the anchor's
-            let (down_tag, up_tag) = (mobility.tag_of(new_bs), mobility.tag_of(anchor));
+            let Tunnel { path, up, .. } = &self.mobility.tunnels[&(anchor, new_bs)];
             let anchor_access = path[0];
             debug_assert_eq!(*path.last().expect("two ends"), new_access);
             let hop = |sw, next| {
@@ -572,17 +550,18 @@ impl CentralController {
             };
 
             // 1. anchor access: redirect the UE's downlink into the
-            //    tunnel — one per-UE rule matching the anchor LocIP host
-            let (tvalue, tmask) = ports.tag_match(down_tag);
+            //    tunnel — one per-UE rule matching the anchor LocIP host,
+            //    readdressing it to the UE's LocIP at its new station
+            //    under the mobility tag
             let redirect_match = Match::prefix(Direction::Downlink, anchor_host);
             ops.push(RuleOp::Install {
                 switch: anchor_access,
                 priority: MOBILITY_PRIORITY,
                 matcher: redirect_match,
-                action: Action::RewritePortBitsForward {
-                    field: tag_field(Direction::Downlink),
-                    value: tvalue,
-                    mask: tmask,
+                action: Action::RedirectDstForward {
+                    addr: new_loc_addr,
+                    value: ports.tag_match(tag).0,
+                    tag_bits: ports.tag_bits(),
                     out: hop(anchor_access, path[1])?,
                 },
             });
@@ -592,7 +571,7 @@ impl CentralController {
             });
 
             // 2. launch rules at the anchor access: per flow, matching
-            //    the exact anchor-tagged source port arriving off the
+            //    the exact mobility-tagged source port arriving off the
             //    uplink path and restoring the flow's *original* policy
             //    tag before forwarding onto the old path. (Per-flow state
             //    at an access switch is cheap and transient — §5.1 copies
@@ -621,7 +600,7 @@ impl CentralController {
             }
             let launch_in = hop(anchor_access, up[up.len() - 2])?;
             for &(_, (slot, orig_tag, out)) in &draft.launch_specs[first..] {
-                let tunneled_src = ports.encode(up_tag, slot)?;
+                let tunneled_src = ports.encode(tag, slot)?;
                 let (ovalue, omask) = ports.tag_match(orig_tag);
                 let m = Match {
                     src_prefix: Some(anchor_host),
@@ -652,8 +631,8 @@ impl CentralController {
             for f in group() {
                 old_microflow_removals.push(f.downlink);
 
-                // uplink copy: the anchor LocIP with the *anchor's* tag
-                // in the source port (the launch rule at the anchor swaps
+                // uplink copy: the anchor LocIP with the mobility tag in
+                // the source port (the launch rule at the anchor swaps
                 // the original tag back), out along the uplink path
                 if let MicroflowAction::RewriteSrc {
                     addr, port, dscp, ..
@@ -664,20 +643,20 @@ impl CentralController {
                         f.uplink,
                         MicroflowAction::RewriteSrc {
                             addr,
-                            port: ports.encode(up_tag, slot)?,
+                            port: ports.encode(tag, slot)?,
                             out: up_out,
                             dscp,
                         },
                     ));
                 }
 
-                // downlink copy: re-keyed under the new station's tag
-                // (slot bits survive); delivery restores the permanent
-                // endpoint
+                // downlink copy: re-keyed as the redirect leaves it — the
+                // UE's LocIP here and the mobility tag (slot bits
+                // survive); delivery restores the permanent endpoint
                 let (_, slot) = ports.decode(f.downlink.dst_port);
-                let tunneled_port = ports.encode(down_tag, slot)?;
                 let rekeyed = FiveTuple {
-                    dst_port: tunneled_port,
+                    dst: new_loc_addr,
+                    dst_port: ports.encode(tag, slot)?,
                     ..f.downlink
                 };
                 if let MicroflowAction::RewriteDst { addr, port, .. } = f.down_action {
@@ -808,8 +787,7 @@ impl CentralController {
     }
 
     /// Drops one transition's reference on a tunnel. The last reference
-    /// garbage-collects it (see [`drop_tunnel`](Self::drop_tunnel)), so
-    /// base-station-pair churn cannot exhaust the tag space.
+    /// garbage-collects it (see [`drop_tunnel`](Self::drop_tunnel)).
     fn release_tunnel_ref(&mut self, pair: StationPair) {
         let Some(t) = self.mobility.tunnels.get_mut(&pair) else {
             return;
@@ -822,33 +800,36 @@ impl CentralController {
 
     /// Removes a tunnel: it drops its references on the legs along its
     /// two paths, queueing the removal of each leg no other tunnel
-    /// crosses, and on its two stations' tags, returning each tag no
-    /// other tunnel ends at to the pool.
+    /// crosses; the last tunnel returns t_M to the pool.
     fn drop_tunnel(&mut self, pair: StationPair) {
-        let Some(t) = self.mobility.tunnels.remove(&pair) else {
+        let mobility = &mut self.mobility;
+        let Some(t) = mobility.tunnels.remove(&pair) else {
             return;
         };
         for (key, _) in t.legs(pair) {
-            self.mobility.release_leg(key, &mut self.pending_ops);
+            mobility.release_leg(key, &mut self.pending_ops);
         }
-        for bs in [pair.0, pair.1] {
-            self.mobility.release_station_tag(bs, &mut self.installer);
+        if mobility.tunnels.is_empty() {
+            if let Some(tag) = mobility.tag.take() {
+                self.installer.release_raw_tag(tag);
+            }
         }
     }
 
     /// Ensures the (from → to) tunnel exists, listing the pair in
-    /// `created` on first creation. A new tunnel takes a reference on
-    /// both stations' mobility tags — allocating a station's on its
-    /// first tunnel — and on the legs along its two paths, queueing the
-    /// install of each leg no other tunnel crosses yet.
+    /// `created` on first creation, and returns t_M. A new tunnel holds
+    /// t_M — the first allocates it — and takes a reference on the legs
+    /// along its two paths, queueing the install of each leg no other
+    /// tunnel crosses yet.
     fn ensure_tunnel(
         &mut self,
         from: BaseStationId,
         to: BaseStationId,
         created: &mut Vec<StationPair>,
-    ) -> Result<()> {
+    ) -> Result<PolicyTag> {
         if self.mobility().tunnels.contains_key(&(from, to)) {
-            return Ok(());
+            // held by that tunnel: no allocation
+            return self.mobility.hold_tag(&mut self.installer);
         }
         let topo = &self.topology().clone();
         let from_sw = topo.base_station(from).access_switch;
@@ -858,30 +839,26 @@ impl CentralController {
             up: self.paths.path(to_sw, from_sw)?,
             refs: 0,
         };
-        let carrier = self.config().scheme.carrier();
-        let ports = self.config().ports;
+        let (scheme, ports) = (self.config().scheme, self.config().ports);
+        let (from_prefix, to_prefix) = (
+            scheme.base_station_prefix(from)?,
+            scheme.base_station_prefix(to)?,
+        );
         let mobility = &mut self.mobility;
-        let up_tag = mobility.hold_station_tag(from, &mut self.installer)?;
-        let down_tag = match mobility.hold_station_tag(to, &mut self.installer) {
-            Ok(tag) => tag,
-            Err(e) => {
-                mobility.release_station_tag(from, &mut self.installer);
-                return Err(e);
-            }
-        };
+        let tag = mobility.hold_tag(&mut self.installer)?;
 
-        // Legs are tag rules with the carrier-prefix guard (see
-        // ops::lower_delta). A path to a station walks the tree rooted
-        // at its access switch, so a switch's leg towards a station has
-        // one next hop whichever tunnel installed it, and needs no
-        // in-port. The destination's mobility tag is what keeps a leg
-        // loop-free: anchored traffic rides the tree under that tag, so
-        // no leg captures a UE's traffic travelling its old policy path,
-        // even where the two share a directed edge (a forwarding loop
-        // the randomized churn test found at k=4 for address-only
-        // rules).
-        let down = Match::tag_and_prefix(Direction::Downlink, down_tag, carrier, &ports);
-        let up = Match::tag_and_prefix(Direction::Uplink, up_tag, carrier, &ports);
+        // A leg matches t_M and its destination station's LocIP prefix:
+        // downlink legs the current station's in the destination
+        // address, uplink legs the anchor's in the source. A path to a
+        // station walks the tree rooted at its access switch, so a
+        // switch's leg towards a station has one next hop whichever
+        // tunnel installed it, and needs no in-port. The tag is what
+        // keeps a leg loop-free: t_M is never a policy tag, so no leg
+        // captures a UE's traffic travelling its old policy path, even
+        // where the two share a directed edge (a forwarding loop the
+        // randomized churn test found at k=4 for address-only rules).
+        let down = Match::tag_and_prefix(Direction::Downlink, tag, to_prefix, &ports);
+        let up = Match::tag_and_prefix(Direction::Uplink, tag, from_prefix, &ports);
         for (key @ (sw, _, dir), next) in tunnel.legs((from, to)) {
             let out = (topo.port_towards(sw, next)).expect("shortest paths step along links");
             let (priority, matcher) = match dir {
@@ -892,7 +869,7 @@ impl CentralController {
         }
         mobility.tunnels.insert((from, to), tunnel);
         created.push((from, to));
-        Ok(())
+        Ok(tag)
     }
 }
 
@@ -1044,7 +1021,7 @@ mod tests {
     }
 
     #[test]
-    fn downlink_copy_is_rekeyed_under_the_new_stations_tag() {
+    fn downlink_copy_is_rekeyed_to_the_new_locip_under_the_mobility_tag() {
         let topo = small_topology();
         let mut ctl = controller(&topo);
         let grant = ctl
@@ -1055,23 +1032,31 @@ mod tests {
             .unwrap();
         let flow = sample_flow(&ctl, tags, grant.record.permanent_ip, UeId(0));
         let plan = ctl
-            .handoff(UeImsi(0), BaseStationId(2), UeId(0), &[flow], SimTime::ZERO)
+            .handoff(UeImsi(0), BaseStationId(2), UeId(1), &[flow], SimTime::ZERO)
             .unwrap();
-        let ports = ctl.config().ports;
-        let down_copy = plan
+        let (ports, scheme) = (ctl.config().ports, ctl.config().scheme);
+        let (down_copy, _) = plan
             .new_microflow_installs
             .iter()
-            .find(|(t, _)| t.dst == flow.downlink.dst)
+            .find(|(_, a)| matches!(a, MicroflowAction::RewriteDst { .. }))
             .unwrap();
-        let (tag, slot) = ports.decode(down_copy.0.dst_port);
+        let here = softcell_types::LocIp::new(BaseStationId(2), UeId(1));
+        assert_eq!(
+            down_copy.dst,
+            scheme.encode(here).unwrap(),
+            "keyed by the UE's LocIP at the new station"
+        );
+        let (tag, slot) = ports.decode(down_copy.dst_port);
         assert_ne!(tag, tags.downlink_final);
         assert_eq!(
-            tag,
-            ctl.mobility().tag_of(BaseStationId(2)),
-            "tag bits now carry the new station's mobility tag"
+            Some(tag),
+            ctl.mobility().mobility_tag(),
+            "tag bits now carry the mobility tag"
         );
         let (_, orig_slot) = ports.decode(flow.downlink.dst_port);
         assert_eq!(slot, orig_slot, "flow slot bits survive the tunnel");
+        assert_eq!(plan.carried_flows[0].downlink, *down_copy);
+        assert_eq!(plan.carried_flows[0].downlink_original, flow.downlink);
     }
 
     #[test]
@@ -1191,13 +1176,12 @@ mod tests {
     }
 
     #[test]
-    fn tunnel_gc_survives_more_pairs_than_tags() {
+    fn tags_return_to_baseline_once_every_tunnel_is_collected() {
         // regression: tunnels allocated a raw tag per base-station pair
         // and never freed it, so handoff churn across enough distinct
-        // pairs exhausted the tag space. Leave exactly TWO free tags — a
-        // first tunnel takes both its stations' mobility tags — and
-        // churn through three pairs: only garbage collection makes
-        // every round's tunnel allocation succeed.
+        // pairs exhausted the tag space. Leave exactly ONE free tag —
+        // the mobility tag — and churn through three pairs: every
+        // round's tunnel takes it, and collecting the tunnel returns it.
         let topo = small_topology();
         let mut ctl = controller(&topo);
         let grant = ctl
@@ -1207,7 +1191,7 @@ mod tests {
             .request_policy_path(BaseStationId(0), ClauseId(5))
             .unwrap();
         let capacity = usize::from(ctl.config().tag_policy.capacity);
-        while ctl.installer().tags_in_use() < capacity - 2 {
+        while ctl.installer().tags_in_use() < capacity - 1 {
             ctl.installer.allocate_raw_tag().unwrap();
         }
         let baseline = ctl.installer().tags_in_use();
@@ -1216,13 +1200,12 @@ mod tests {
         for round in 0..6u32 {
             let target = BaseStationId(1 + round % 3);
             // the flow anchors at station 0, where the UE sits: the
-            // handoff builds the (0 → target) tunnel with the last two
-            // tags, station 0's and the target's
+            // handoff builds the (0 → target) tunnel with the last tag
             ctl.handoff(UeImsi(0), target, UeId(0), &[flow], now)
                 .unwrap_or_else(|e| panic!("round {round}: tag leak? {e}"));
             assert_eq!(ctl.mobility().tunnel_count(), 1);
-            assert_eq!(ctl.mobility().mobility_tags(), 2);
-            assert_eq!(ctl.installer().tags_in_use(), baseline + 2);
+            assert!(ctl.mobility().mobility_tag().is_some());
+            assert_eq!(ctl.installer().tags_in_use(), baseline + 1);
             now += softcell_types::SimDuration::from_secs(1_000);
             ctl.drain_ops();
             ctl.expire_transitions(now);
@@ -1233,7 +1216,8 @@ mod tests {
             );
             assert_eq!(ctl.mobility().tunnel_count(), 0, "tunnel collected");
             assert!(ctl.mobility().legs.is_empty(), "legs collected");
-            assert_eq!(ctl.installer().tags_in_use(), baseline, "tags returned");
+            assert_eq!(ctl.mobility().mobility_tag(), None);
+            assert_eq!(ctl.installer().tags_in_use(), baseline, "tag returned");
             // move home (no live flows: lightweight, no tunnel) for the
             // next round, and expire that transition's reservation too
             ctl.handoff(UeImsi(0), BaseStationId(0), UeId(0), &[], now)
@@ -1288,7 +1272,7 @@ mod tests {
             ctl.state().reserved_count(),
             ctl.mobility().transitions.clone(),
             ctl.mobility().tunnels.clone(),
-            ctl.mobility().station_tags.clone(),
+            ctl.mobility().tag,
             ctl.mobility().legs.clone(),
             ctl.installer().tags_in_use(),
         )
@@ -1298,8 +1282,8 @@ mod tests {
     fn failed_handoff_changes_nothing() {
         // regression: `handoff` moved the UE and dropped its previous
         // transition *before* the steps that can fail, so running out of
-        // tunnel tags left the UE recorded at the new station with its
-        // old transition's teardown ops and tunnel references lost
+        // tags left the UE recorded at the new station with its old
+        // transition's teardown ops and tunnel references lost
         let topo = small_topology();
         let mut ctl = controller(&topo);
         let grant = ctl
@@ -1328,37 +1312,54 @@ mod tests {
         assert_eq!(ctl.mobility().transitions_active(), 0);
         assert!(before == snapshot(&ctl, UeImsi(0)), "{before:?}");
 
-        // a retry after two tags are freed — station 0's and station
-        // 3's — succeeds
-        for _ in 0..2 {
-            ctl.installer.release_raw_tag(hoard.pop().unwrap());
-        }
+        // a retry after one tag — the mobility tag — is freed succeeds
+        ctl.installer.release_raw_tag(hoard.pop().unwrap());
         let plan = ctl
             .handoff(UeImsi(0), BaseStationId(3), UeId(0), &[flow], SimTime::ZERO)
             .unwrap();
-        let moved: Vec<FlowRecord> = plan.carried_records().collect();
+        let mut moved: Vec<FlowRecord> = plan.carried_records().collect();
 
         // a previous transition: it survives a failed second move whole —
-        // its tunnel keeps its reference and its teardown still comes;
-        // station 0 holds its tag, but station 2 finds none
+        // its tunnel keeps its reference and its teardown still comes.
+        // The move also carries a flow anchored at station 1 that no
+        // transition recorded: the (0 → 2) and (1 → 2) tunnels it
+        // builds under the held tag come down again
+        let scheme = ctl.config().scheme;
+        let stray_loc = softcell_types::LocIp::new(BaseStationId(1), UeId(0));
+        let stray_down = FiveTuple {
+            dst: scheme.encode(stray_loc).unwrap(),
+            src_port: 444,
+            ..flow.downlink
+        };
+        moved.push(FlowRecord {
+            uplink: FiveTuple {
+                src_port: 50_001,
+                ..flow.uplink
+            },
+            downlink: stray_down,
+            downlink_original: stray_down,
+            ..flow
+        });
         let before = snapshot(&ctl, UeImsi(0));
+        let pending = ctl.pending_ops.clone();
         let err = ctl
             .handoff(UeImsi(0), BaseStationId(2), UeId(0), &moved, SimTime::ZERO)
             .unwrap_err();
-        assert!(matches!(err, Error::Exhausted(_)), "{err}");
+        assert!(matches!(err, Error::InvalidState(_)), "{err}");
         assert!(before == snapshot(&ctl, UeImsi(0)), "{before:?}");
+        assert_eq!(ctl.pending_ops, pending);
         assert_eq!(ctl.mobility().transitions_active(), 1);
         assert_eq!(ctl.mobility().tunnel_count(), 1);
         assert!(ctl.expire_transitions(SimTime::from_secs(500)) > 0);
         assert_eq!(ctl.mobility().tunnel_count(), 0);
+        assert_eq!(ctl.mobility().mobility_tag(), None);
     }
 
     #[test]
-    fn a_first_tunnel_needs_both_its_stations_tags() {
-        // a UE's first tunnel takes the anchor's and the new station's
-        // mobility tags: with one free tag the handoff fails whole — the
-        // tag it took comes back, no leg is held and the ops queued
-        // before it end the stream again
+    fn a_first_tunnel_needs_the_mobility_tag() {
+        // the network's first tunnel takes the mobility tag: with no
+        // free tag the handoff fails whole — no tag is held, no leg is
+        // held and the ops queued before it end the stream again
         let topo = small_topology();
         let mut ctl = controller(&topo);
         let grants: Vec<_> = (0..2u16)
@@ -1376,8 +1377,8 @@ mod tests {
         });
         let capacity = usize::from(ctl.config().tag_policy.capacity);
         let mut hoard = Vec::new();
-        while ctl.installer().tags_in_use() < capacity - 1 {
-            hoard.push(ctl.installer.allocate_raw_tag().unwrap());
+        while let Some(tag) = ctl.installer.allocate_raw_tag() {
+            hoard.push(tag);
         }
         let pending = ctl.pending_ops.clone();
         assert!(!pending.is_empty(), "the policy path's installs");
@@ -1389,19 +1390,19 @@ mod tests {
         assert!(before == snapshot(&ctl, UeImsi(0)), "{before:?}");
         assert_eq!(ctl.pending_ops, pending);
         assert!(ctl.mobility().legs.is_empty());
-        assert_eq!(ctl.installer().tags_in_use(), capacity - 1);
+        assert_eq!(ctl.mobility().mobility_tag(), None);
+        assert_eq!(ctl.installer().tags_in_use(), capacity);
 
-        // with two free tags it succeeds; a second tunnel from the same
-        // anchor then needs only its new station's tag
+        // with one free tag it succeeds; a second tunnel, between other
+        // stations, then needs no tag at all
         ctl.installer.release_raw_tag(hoard.pop().unwrap());
         ctl.handoff(UeImsi(0), BaseStationId(3), UeId(0), &[f0], SimTime::ZERO)
             .unwrap();
         assert_eq!(ctl.installer().tags_in_use(), capacity);
-        ctl.installer.release_raw_tag(hoard.pop().unwrap());
         ctl.handoff(UeImsi(1), BaseStationId(2), UeId(1), &[f1], SimTime::ZERO)
             .unwrap();
         assert_eq!(ctl.mobility().tunnel_count(), 2);
-        assert_eq!(ctl.mobility().mobility_tags(), 3);
+        assert!(ctl.mobility().mobility_tag().is_some());
         assert_eq!(ctl.installer().tags_in_use(), capacity);
     }
 
@@ -1517,9 +1518,8 @@ mod tests {
         use std::collections::HashMap;
 
         impl CentralController {
-            /// The (from → to) tunnel, created on first use: a reference
-            /// on the anchor's mobility tag, then on the new station's,
-            /// each allocated for its station's first tunnel; then hop by
+            /// The (from → to) tunnel, created on first use: the
+            /// mobility tag, allocated for the first tunnel; then hop by
             /// hop a reference on the downlink leg towards the new
             /// station at every switch between the two access switches,
             /// and on the uplink leg towards the anchor at every switch
@@ -1541,25 +1541,25 @@ mod tests {
                 let up = self
                     .paths
                     .path(ends.1.access_switch, ends.0.access_switch)?;
-                let mut tag_of = HashMap::new();
-                for bs in [from, to] {
-                    let tag = match self.mobility.station_tags.get(&bs) {
-                        Some(&(tag, _)) => tag,
-                        None => self
-                            .installer
-                            .allocate_raw_tag()
-                            .ok_or_else(|| Error::Exhausted("no tag left for tunnel".into()))?,
-                    };
-                    self.mobility.station_tags.entry(bs).or_insert((tag, 0)).1 += 1;
-                    tag_of.insert(bs, tag);
-                }
                 let ports = self.config().ports;
-                let carrier = self.config().scheme.carrier();
-                for (hops, dest, dir) in [
-                    (&path, to, Direction::Downlink),
-                    (&up, from, Direction::Uplink),
+                let scheme = self.config().scheme;
+                let prefix_of = [
+                    scheme.base_station_prefix(from)?,
+                    scheme.base_station_prefix(to)?,
+                ];
+                let tag = match self.mobility.tag {
+                    Some(tag) => tag,
+                    None => self
+                        .installer
+                        .allocate_raw_tag()
+                        .ok_or_else(|| Error::Exhausted("no tag left for tunnel".into()))?,
+                };
+                self.mobility.tag = Some(tag);
+                for (hops, dest, prefix, dir) in [
+                    (&path, to, prefix_of[1], Direction::Downlink),
+                    (&up, from, prefix_of[0], Direction::Uplink),
                 ] {
-                    let matcher = Match::tag_and_prefix(dir, tag_of[&dest], carrier, &ports);
+                    let matcher = Match::tag_and_prefix(dir, tag, prefix, &ports);
                     let priority = match dir {
                         Direction::Downlink => conventional_priority(&matcher),
                         Direction::Uplink => MOBILITY_PRIORITY,
@@ -1633,13 +1633,14 @@ mod tests {
                 // the location we are moving to is live again, not reserved
                 reserved_locs.retain(|loc| *loc != (new.bs, new.ue_id));
 
-                // group flows by their anchor LocIP (the downlink destination):
-                // each distinct location-dependent address needs its own
-                // redirect/launch rules, even when two addresses share a station
-                // (a UE that revisited the station under a different local id)
+                // group flows by their anchor LocIP (the original downlink
+                // destination): each distinct location-dependent address
+                // needs its own redirect/launch rules, even when two
+                // addresses share a station (a UE that revisited the
+                // station under a different local id)
                 let mut groups: Vec<(std::net::Ipv4Addr, Vec<&FlowRecord>)> = Vec::new();
                 for f in flows {
-                    let anchor_addr = f.downlink.dst;
+                    let anchor_addr = f.downlink_original.dst;
                     match groups.iter_mut().find(|(a, _)| *a == anchor_addr) {
                         Some((_, g)) => g.push(f),
                         None => groups.push((anchor_addr, vec![f])),
@@ -1659,6 +1660,7 @@ mod tests {
                 let mut used_tunnels: Vec<(BaseStationId, BaseStationId)> = Vec::new();
 
                 let old_loc_addr = scheme.encode(softcell_types::LocIp::new(old.bs, old.ue_id))?;
+                let new_loc_addr = scheme.encode(softcell_types::LocIp::new(new.bs, new.ue_id))?;
                 for (anchor_addr, group) in groups {
                     let anchor_loc = scheme.decode(anchor_addr)?;
                     let anchor = anchor_loc.base_station;
@@ -1727,15 +1729,13 @@ mod tests {
                     if !used_tunnels.contains(&(anchor, new_bs)) {
                         used_tunnels.push((anchor, new_bs));
                     }
-                    let down_tag = self.mobility.station_tags[&new_bs].0;
-                    let up_tag = self.mobility.station_tags[&anchor].0;
+                    let tag = self.mobility.tag.expect("held by the tunnel");
                     let tunnel_path = tunnel.path.clone();
                     let anchor_access = tunnel_path[0];
                     debug_assert_eq!(*tunnel_path.last().expect("two ends"), new_access);
 
                     // 1. anchor access: redirect the UE's downlink into the
                     //    tunnel — one per-UE rule matching the anchor LocIP host
-                    let (tvalue, tmask) = ports.tag_match(down_tag);
                     let redirect_match = Match::prefix(Direction::Downlink, anchor_host);
                     let out = self
                         .topology()
@@ -1745,10 +1745,10 @@ mod tests {
                         switch: anchor_access,
                         priority: MOBILITY_PRIORITY,
                         matcher: redirect_match,
-                        action: Action::RewritePortBitsForward {
-                            field: tag_field(Direction::Downlink),
-                            value: tvalue,
-                            mask: tmask,
+                        action: Action::RedirectDstForward {
+                            addr: new_loc_addr,
+                            value: ports.tag_match(tag).0,
+                            tag_bits: ports.tag_bits(),
                             out,
                         },
                     });
@@ -1790,7 +1790,7 @@ mod tests {
                         .port_towards(anchor_access, tunnel.up[tunnel.up.len() - 2])
                         .expect("linked hop");
                     for &(slot, orig_tag, out) in &specs {
-                        let tunneled_src = ports.encode(up_tag, slot)?;
+                        let tunneled_src = ports.encode(tag, slot)?;
                         let (ovalue, omask) = ports.tag_match(orig_tag);
                         let m = Match {
                             src_prefix: Some(anchor_host),
@@ -1825,7 +1825,7 @@ mod tests {
                     for f in &group {
                         old_microflow_removals.push(f.downlink);
 
-                        // uplink copy: the anchor LocIP with the anchor's tag in
+                        // uplink copy: the anchor LocIP with the mobility tag in
                         // the source port (the launch rule at the anchor swaps
                         // the original tag back), out along the uplink path
                         if let MicroflowAction::RewriteSrc {
@@ -1837,20 +1837,20 @@ mod tests {
                                 f.uplink,
                                 MicroflowAction::RewriteSrc {
                                     addr,
-                                    port: ports.encode(up_tag, slot)?,
+                                    port: ports.encode(tag, slot)?,
                                     out: reverse_out,
                                     dscp,
                                 },
                             ));
                         }
 
-                        // downlink copy: re-keyed under the new station's tag
-                        // (slot bits survive); delivery restores the permanent
-                        // endpoint
+                        // downlink copy: re-keyed to the UE's LocIP here under
+                        // the mobility tag (slot bits survive); delivery
+                        // restores the permanent endpoint
                         let (_, slot) = ports.decode(f.downlink.dst_port);
-                        let tunneled_port = ports.encode(down_tag, slot)?;
                         let rekeyed = FiveTuple {
-                            dst_port: tunneled_port,
+                            dst: new_loc_addr,
+                            dst_port: ports.encode(tag, slot)?,
                             ..f.downlink
                         };
                         if let MicroflowAction::RewriteDst { addr, port, .. } = f.down_action {
@@ -2020,7 +2020,7 @@ mod tests {
                     prop_assert_eq!(&plan.carried_flows, &reference.carried_flows);
                     prop_assert_eq!(&new.mobility().transitions, &old.mobility().transitions);
                     prop_assert_eq!(&new.mobility().tunnels, &old.mobility().tunnels);
-                    prop_assert_eq!(&new.mobility().station_tags, &old.mobility().station_tags);
+                    prop_assert_eq!(new.mobility().tag, old.mobility().tag);
                     prop_assert_eq!(&new.mobility().legs, &old.mobility().legs);
                     prop_assert_eq!(new.installer().tags_in_use(), old.installer().tags_in_use());
                     prop_assert_eq!(new.state().reserved_count(), old.state().reserved_count());

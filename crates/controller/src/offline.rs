@@ -13,10 +13,10 @@
 //! chain-index hits and lets contiguous station prefixes merge as they
 //! arrive — and the m2m paths after them. The pass emits a migration
 //! (full removals of the old rule set, installs of the new one). Before
-//! the replay the fresh installer holds the mobility tags of the
-//! stations that end live §5.1 tunnels: their rules are not the
-//! installer's and stay up across the pass, and each tag goes back to
-//! the pool when the last tunnel at its station is collected.
+//! the replay the fresh installer holds the mobility tag while any §5.1
+//! tunnel lives: the tunnels' rules are not the installer's and stay up
+//! across the pass, and the tag goes back to the pool when the last
+//! tunnel is collected.
 //!
 //! This also closes the dynamic-removal story: dropping a policy path is
 //! "forget it, recompute" — exactly the paper's suggested division of
@@ -30,7 +30,7 @@
 //! [`crate::update::TwoPhaseUpdate`].
 
 use softcell_topology::Topology;
-use softcell_types::{PolicyTag, Result, SwitchId};
+use softcell_types::{Result, SwitchId};
 
 use crate::core::{install_path, CentralController, ControllerConfig};
 use crate::install::{Direction, PathInstaller};
@@ -69,9 +69,7 @@ impl CentralController {
         let mut ops = removals(topo, &cfg, &self.installer)?;
 
         let mut fresh = PathInstaller::new(topo, cfg.scheme, cfg.tag_policy);
-        let mut held: Vec<PolicyTag> = self.mobility().station_tags().map(|(_, tag)| tag).collect();
-        held.sort_unstable();
-        for tag in held {
+        if let Some(tag) = self.mobility().mobility_tag() {
             fresh.adopt_raw_tag(tag);
         }
         let mut records: Vec<_> = self.installed.iter_mut().collect();

@@ -1435,7 +1435,7 @@ mod tests {
             attach(0, b, 1),
             flow(1, a, 0, 40_000, 443),
             flow(1, b, 1, 40_001, 443),
-            handoff,                    // needs mobility tags: none is left
+            handoff,                    // needs the mobility tag: none is left
             flow(3, a, 0, 40_002, 443), // never left station 0: served there
             flow(4, a, 3, 40_003, 443), // and is not at station 3
             flow(5, b, 1, 40_004, 443),

@@ -176,9 +176,11 @@ impl MicroflowTable {
         self.entries.remove(tuple)
     }
 
-    /// Expires idle entries; returns the expired five-tuples (the local
-    /// agent tells the controller so shortcut paths can be torn down,
-    /// paper §5.1).
+    /// Expires idle entries; returns the expired five-tuples. Paper §5.1
+    /// has the local agent report these so the controller can end a
+    /// transition once its old flows are gone, but no controller input
+    /// carries them yet: callers drop the list, and transitions end on
+    /// their own soft timeout (`MobilityManager::transition_ttl`).
     pub fn expire_idle(&mut self, now: SimTime) -> Vec<FiveTuple> {
         let dead: Vec<FiveTuple> = self
             .entries

@@ -67,6 +67,23 @@ pub enum Action {
         /// Output port.
         out: PortNo,
     },
+    /// Rewrite the destination address and the destination port's tag
+    /// bits, keeping its low (flow slot) bits, then forward — the §5.1
+    /// redirect of anchored downlink traffic towards the UE's current
+    /// station. The new port is `(port & !mask) | value`, `mask` being
+    /// the port's top `tag_bits` bits (a width, not a mask, keeps the
+    /// action inside ten bytes).
+    RedirectDstForward {
+        /// New destination address (the UE's LocIP at its current
+        /// station).
+        addr: Ipv4Addr,
+        /// The tag bits to write, in place.
+        value: u16,
+        /// Width of the tag field at the top of the port.
+        tag_bits: u8,
+        /// Output port.
+        out: PortNo,
+    },
     /// Punt to the local agent / controller (packet-in).
     ToController,
     /// Drop (access-control action).
@@ -81,7 +98,8 @@ impl Action {
             | Action::RewriteSrcForward { out: p, .. }
             | Action::RewriteDstForward { out: p, .. }
             | Action::SetDscpForward { out: p, .. }
-            | Action::RewritePortBitsForward { out: p, .. } => Some(*p),
+            | Action::RewritePortBitsForward { out: p, .. }
+            | Action::RedirectDstForward { out: p, .. } => Some(*p),
             Action::ToController | Action::Drop => None,
         }
     }
@@ -111,10 +129,27 @@ impl fmt::Display for Action {
                     "swap_tag({field:?},{value:#06x}/{mask:#06x})->forward({out})"
                 )
             }
+            Action::RedirectDstForward {
+                addr,
+                value,
+                tag_bits,
+                out,
+            } => {
+                let mask = top_bits(*tag_bits);
+                write!(
+                    f,
+                    "redirect_dst({addr},{value:#06x}/{mask:#06x})->forward({out})"
+                )
+            }
             Action::ToController => write!(f, "to_controller"),
             Action::Drop => write!(f, "drop"),
         }
     }
+}
+
+/// A 16-bit mask of the top `n` bits (all of them from 16 on).
+pub(crate) fn top_bits(n: u8) -> u16 {
+    !u16::MAX.checked_shr(n.into()).unwrap_or(0)
 }
 
 /// A prioritized flow rule.

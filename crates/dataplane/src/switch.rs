@@ -25,7 +25,7 @@ use softcell_types::{PortNo, Result, SimDuration, SimTime, SwitchId};
 
 use crate::matcher::LookupKey;
 use crate::microflow::{MicroflowAction, MicroflowTable};
-use crate::rule::{Action, PortField};
+use crate::rule::{top_bits, Action, PortField};
 use crate::table::FlowTable;
 
 /// Where a processed packet goes.
@@ -197,6 +197,17 @@ fn apply_rule(buffer: &mut [u8], view: &mut HeaderView, action: Action) -> Resul
             let mut ip = Ipv4Packet::new_checked(&mut buffer[..])?;
             set_port(&mut ip, view, field, (old & !mask) | (value & mask))?;
             ip.fill_checksum();
+            Ok(ForwardDecision::Out(out))
+        }
+        Action::RedirectDstForward {
+            addr,
+            value,
+            tag_bits,
+            out,
+        } => {
+            let mask = top_bits(tag_bits);
+            let port = (view.tuple.dst_port & !mask) | (value & mask);
+            rewrite_endpoint(buffer, view, PortField::Dst, addr, port, None)?;
             Ok(ForwardDecision::Out(out))
         }
         Action::ToController => Ok(ForwardDecision::ToController),
@@ -412,6 +423,50 @@ mod tests {
         let (tag, slot) = e.decode(view.src_port());
         assert_eq!(tag, PolicyTag(7), "tag swapped");
         assert_eq!(slot, 9, "flow slot preserved");
+    }
+
+    #[test]
+    fn redirect_rewrites_address_and_tag_bits_keeping_the_slot() {
+        let e = PortEmbedding::default_embedding();
+        let (value, mask) = e.tag_match(PolicyTag(5));
+        let current = Ipv4Addr::new(10, 0, 3, 7);
+        let redirect = Action::RedirectDstForward {
+            addr: current,
+            value,
+            tag_bits: e.tag_bits(),
+            out: PortNo(6),
+        };
+        assert_eq!(redirect.out_port(), Some(PortNo(6)));
+        assert_eq!(
+            redirect.to_string(),
+            format!("redirect_dst(10.0.3.7,{value:#06x}/{mask:#06x})->forward(p6)")
+        );
+        let anchor = Ipv4Addr::new(10, 0, 0, 1);
+        for proto in [Protocol::Tcp, Protocol::Udp] {
+            let mut core = Switch::fabric(SwitchId(1));
+            let m = Match::prefix(Direction::Downlink, Ipv4Prefix::host(anchor));
+            core.table.install(100, m, redirect).unwrap();
+            let tuple = FiveTuple {
+                src: Ipv4Addr::new(8, 8, 8, 8),
+                dst: anchor,
+                src_port: 443,
+                dst_port: e.encode(PolicyTag(3), 9).unwrap(),
+                proto,
+            };
+            let mut buf = build_flow_packet(tuple, 64, 0, b"x");
+            let d = core.process(&mut buf, PortNo(1), 0, SimTime::ZERO).unwrap();
+            assert_eq!(d, ForwardDecision::Out(PortNo(6)), "{proto:?}");
+            let view = HeaderView::parse(&buf).unwrap();
+            assert_eq!(view.tuple.dst, current, "{proto:?}: address rewritten");
+            assert_eq!(
+                e.decode(view.dst_port()),
+                (PolicyTag(5), 9),
+                "{proto:?}: tag bits replaced, slot bits kept"
+            );
+            assert_eq!(view.tuple.proto, proto);
+            assert_eq!((view.tuple.src, view.src_port()), (tuple.src, 443));
+            assert!(Ipv4Packet::new_checked(&buf[..]).unwrap().verify_checksum());
+        }
     }
 
     #[test]

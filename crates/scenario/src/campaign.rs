@@ -1063,13 +1063,13 @@ fn fnv1a_hex(s: &str) -> String {
     format!("{h:016x}")
 }
 
-/// The tags in use less the mobility tags, one per station that ends a
-/// live tunnel: each goes back to the pool when the last tunnel at its
-/// station is collected, and the offline pass keeps holding it across a
-/// recovery.
+/// The tags in use less the mobility tag, held while any tunnel lives:
+/// it goes back to the pool when the last tunnel is collected, and the
+/// offline pass keeps holding it across a recovery.
 fn tag_baseline(w: &SimWorld) -> usize {
     let ctl = &w.controller;
-    ctl.installer().tags_in_use() - ctl.mobility().mobility_tags()
+    let mobility = usize::from(ctl.mobility().mobility_tag().is_some());
+    ctl.installer().tags_in_use() - mobility
 }
 
 #[cfg(test)]
@@ -1078,9 +1078,9 @@ mod tests {
     use crate::overlay::overlays_for;
 
     #[test]
-    fn the_tag_baseline_holds_while_tunnels_outnumber_tagged_stations() {
-        // A→B, A→C, B→C and C→A: four live tunnels over three stations'
-        // mobility tags
+    fn the_tag_baseline_holds_while_tunnels_share_the_mobility_tag() {
+        // A→B, A→C, B→C and C→A: four live tunnels under the one
+        // mobility tag
         let topo = softcell_topology::small_topology();
         let mut w = SimWorld::new(&topo, ServicePolicy::example_carrier_a(1));
         let [a, b, c] = [0, 1, 2].map(BaseStationId);
@@ -1100,7 +1100,8 @@ mod tests {
             w.handoff(UeImsi(i as u64), to).unwrap();
         }
         let mobility = w.controller.mobility();
-        assert_eq!((mobility.tunnel_count(), mobility.mobility_tags()), (4, 3));
+        let held = usize::from(mobility.mobility_tag().is_some());
+        assert_eq!((mobility.tunnel_count(), held), (4, 1));
         assert_eq!(tag_baseline(&w), baseline);
     }
 

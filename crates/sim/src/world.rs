@@ -1181,8 +1181,8 @@ mod tests {
     /// Regression: the offline pass replayed the paths into an installer
     /// with an empty tag pool, so a live tunnel's tag was free in it: a
     /// replayed path could take it, and the tunnel, once its transition
-    /// expired, released a tag it no longer held. A tunnel holds both its
-    /// stations' mobility tags.
+    /// expired, released a tag it no longer held. Live tunnels hold the
+    /// one mobility tag.
     #[test]
     fn offline_pass_keeps_live_tunnel_tags_held() {
         use softcell_policy::clause::ClauseId;
@@ -1217,12 +1217,12 @@ mod tests {
         assert!(outcome.rules_after < outcome.rules_before, "{outcome:?}");
         assert_eq!(
             outcome.tags_after,
-            path_tags + 2,
-            "the tunnel's two stations' mobility tags are held"
+            path_tags + 1,
+            "the mobility tag is held"
         );
-        assert_eq!(w.controller.installer().tags_in_use(), path_tags + 2);
+        assert_eq!(w.controller.installer().tags_in_use(), path_tags + 1);
 
-        // a second tunnel sharing a station takes one tag more
+        // a second tunnel takes no tag more
         w.attach(UeImsi(1), BaseStationId(0)).unwrap();
         let c = w
             .start_connection(UeImsi(1), SERVER, 443, Protocol::Tcp)
@@ -1230,13 +1230,13 @@ mod tests {
         w.round_trip(c).unwrap();
         w.handoff(UeImsi(1), BaseStationId(2)).unwrap();
         assert_eq!(w.controller.mobility().tunnel_count(), 2);
-        assert_eq!(w.controller.installer().tags_in_use(), path_tags + 3);
+        assert_eq!(w.controller.installer().tags_in_use(), path_tags + 1);
 
         let ttl = w.controller.mobility().transition_ttl;
         w.advance(ttl + SimDuration::from_secs(1));
         w.expire_transitions().unwrap();
         assert_eq!(w.controller.mobility().tunnel_count(), 0);
-        assert_eq!(w.controller.mobility().mobility_tags(), 0);
+        assert_eq!(w.controller.mobility().mobility_tag(), None);
         assert_eq!(w.controller.installer().tags_in_use(), path_tags);
 
         let c = w

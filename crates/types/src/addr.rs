@@ -232,6 +232,11 @@ impl PortEmbedding {
         PortEmbedding { tag_bits: 10 }
     }
 
+    /// Width of the tag field at the top of the port.
+    pub const fn tag_bits(&self) -> u8 {
+        self.tag_bits
+    }
+
     /// Number of distinct tags representable.
     pub const fn max_tags(&self) -> u16 {
         1 << self.tag_bits

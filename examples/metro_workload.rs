@@ -108,11 +108,11 @@ fn main() {
     );
 
     println!(
-        "  controller: {} policy paths installed, {} tags in use, {} tunnels over {} mobility tags, {} transitions",
+        "  controller: {} policy paths installed, {} tags in use, {} tunnels under one mobility tag ({}), {} transitions",
         world.controller.installer().paths_installed(),
         world.controller.installer().tags_in_use(),
         world.controller.mobility().tunnel_count(),
-        world.controller.mobility().mobility_tags(),
+        (world.controller.mobility().mobility_tag()).map_or("none".into(), |t| t.to_string()),
         world.controller.mobility().transitions_active(),
     );
     println!("  fabric rules installed: {}", world.net.total_rules());

@@ -48,9 +48,9 @@ fn main() {
     // the UE moves to bs3 — the far side of the network
     world.handoff(UeImsi(7), BaseStationId(3)).expect("handoff");
     println!(
-        "handoff complete: {} tunnels live over {} mobility tags, {} UEs in transition",
+        "handoff complete: {} tunnels live under one mobility tag ({}), {} UEs in transition",
         world.controller.mobility().tunnel_count(),
-        world.controller.mobility().mobility_tags(),
+        (world.controller.mobility().mobility_tag()).map_or("none".into(), |t| t.to_string()),
         world.controller.mobility().transitions_active()
     );
 

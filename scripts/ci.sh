@@ -115,15 +115,16 @@ assert got == want, f"fabric_forward walks moved: {got}, want {want}"
 print(f"fabric_forward walks ok: {got}")
 PY
 # And the fabric the write path builds: the seed-7 metro_churn smoke
-# above must have left 1 272 rules over 166 tags. Its flow tables are
-# written by pushes and swap-removals and sorted only for lookups, so a
-# write that lost or doubled a rule would move the count, and so would
-# a per-UE mobility rule back in the core or a tunnel leg or tag kept
-# per station pair instead of per destination (tests/core_state.rs).
+# above must have left 1 272 rules over 7 tags (its policy paths' and
+# the one mobility tag). Its flow tables are written by pushes and
+# swap-removals and sorted only for lookups, so a write that lost or
+# doubled a rule would move the count, and so would a per-UE mobility
+# rule back in the core, a tunnel leg kept per station pair instead of
+# per destination, or a mobility tag per station (tests/core_state.rs).
 python3 - /tmp/softcell-perf-metro_churn.json <<'PY'
 import json, sys
 result = json.load(open(sys.argv[1]))
-want = {"rules_total": 1272, "tags_used": 166}
+want = {"rules_total": 1272, "tags_used": 7}
 got = {name: result["metrics"][name]["value"] for name in want}
 assert got == want, f"metro_churn fabric moved: {got}, want {want}"
 print(f"metro_churn fabric ok: {got}")
@@ -151,9 +152,12 @@ timeout 60 cargo test -q --release --test alloc_budget
 # tunnels, shortcuts, detaches, expiries — are checked after every step.
 # No non-access switch holds a /32 rule but a shortcut's; the tunnel
 # legs are exactly the union of the live per-destination trees, one next
-# hop per (switch, tag, direction); the tags beside the policy paths'
-# are one per station that ends a live tunnel; and every live
-# connection still round-trips through its middleboxes.
+# hop per (switch, destination station, direction); the tag beside the
+# policy paths' is the one mobility tag, held while any tunnel lives;
+# and every live connection still round-trips through its middleboxes.
+# A last scenario runs Figure 7's k = 8 network (1 280 stations) with
+# 1 100 UEs moved at once: a tag per station ending a tunnel would run
+# out of the 1 024 tags there and refuse moves.
 echo "==> core switches hold no per-UE mobility state (60 s cap)"
 timeout 60 cargo test -q --release --test core_state
 

@@ -3,12 +3,14 @@
 //! A moving UE's state stays at the access edge: its downlink redirect
 //! and its flows' launch rules at the anchor's access switch, its
 //! microflow copies at the new one. What the fabric between them holds
-//! belongs to per-destination trees: anchored downlink rides the current
-//! station's mobility tag along the path to it, anchored uplink the
-//! anchor's tag along the path back, and a switch holds one leg per
-//! (destination, direction), shared by every tunnel that crosses it — so
-//! core tables grow neither with the UEs in transition nor with the
-//! station pairs they move between.
+//! belongs to per-destination trees: anchored downlink rides the one
+//! mobility tag and the UE's LocIP at its current station along the path
+//! to it, anchored uplink the mobility tag and the anchor LocIP along
+//! the path back, and a switch holds one leg per (destination station,
+//! direction) — matching the mobility tag and that station's LocIP
+//! prefix — shared by every tunnel that crosses it. So core tables grow
+//! neither with the UEs in transition nor with the station pairs they
+//! move between, and the tag space does not grow with the stations.
 //!
 //! On `paper(4)` (160 stations, three layers), scripted and seeded
 //! random move sequences — A→B→C→A chains, returns to an anchor, moves
@@ -20,15 +22,21 @@
 //!    apart from §5.1 shortcut rules, which are per-flow by design;
 //! 2. the tunnel legs are exactly the union of the live trees: a leg for
 //!    each switch between the two access switches of a live tunnel's
-//!    downlink path (matching its current station's tag) and of its
-//!    uplink path (its anchor's tag), one next hop per (switch, tag,
-//!    direction) — every `MOBILITY_PRIORITY` rule not scoped to one
-//!    address is such an uplink leg — and `tags_in_use` less the policy
-//!    paths' tags is the number of stations that end a live tunnel;
+//!    downlink path (matching its current station's prefix) and of its
+//!    uplink path (its anchor's prefix), one next hop per (switch,
+//!    destination station, direction) — every `MOBILITY_PRIORITY` rule
+//!    not scoped to one address is such an uplink leg — and
+//!    `tags_in_use` less the policy paths' tags is 1 while any tunnel
+//!    lives, else 0;
 //! 3. every live connection still round-trips (uplink and downlink
 //!    walked) through the middlebox instances it started with.
+//!
+//! A last gate runs Figure 7's largest network, `paper(8)` (1 280
+//! stations): 1 100 UEs each move to the next station with a live
+//! connection, so 1 100 tunnels live at once — more than the tag space
+//! holds tags.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 use rand::rngs::StdRng;
@@ -41,9 +49,7 @@ use softcell::policy::{ServicePolicy, SubscriberAttributes};
 use softcell::sim::world::ConnId;
 use softcell::sim::{SimWorld, WalkOutcome};
 use softcell::topology::{CellularParams, SwitchRole, Topology};
-use softcell::types::{
-    BaseStationId, Ipv4Prefix, PolicyTag, PortNo, SimDuration, SwitchId, UeImsi,
-};
+use softcell::types::{BaseStationId, Ipv4Prefix, PortNo, SimDuration, SwitchId, UeImsi};
 
 const SERVER: Ipv4Addr = Ipv4Addr::new(93, 184, 216, 34);
 
@@ -76,66 +82,71 @@ fn check(w: &mut SimWorld<'_>, topo: &Topology, policy_tags: usize, at: &str) ->
     let access = |sw: &SwitchId| topo.switch(*sw).role == SwitchRole::Access;
     let host = |p: Option<Ipv4Prefix>| p.is_some_and(|p| p.len() == 32);
     let ctl = &w.controller;
-    let (ports, carrier) = (ctl.config().ports, ctl.config().scheme.carrier());
+    let (ports, scheme) = (ctl.config().ports, ctl.config().scheme);
     let mobility = ctl.mobility();
 
-    // the tags: one per station that ends a live tunnel
-    let tag_of: HashMap<BaseStationId, PolicyTag> = mobility.station_tags().collect();
-    let ends: HashSet<BaseStationId> = mobility
-        .tunnels()
-        .flat_map(|(ends, ..)| [ends.0, ends.1])
-        .collect();
+    // the tag: one, held while any tunnel lives
+    let tunnels = mobility.tunnel_count();
     assert_eq!(
-        tag_of.keys().copied().collect::<HashSet<_>>(),
-        ends,
-        "{at}: the tagged stations are not the ends of the live tunnels"
+        mobility.mobility_tag().is_some(),
+        tunnels > 0,
+        "{at}: the mobility tag is held without live tunnels, or missing with them"
     );
     assert_eq!(
         ctl.installer().tags_in_use() - policy_tags,
-        ends.len(),
-        "{at}: the tags beside the policy paths' are not one per tunnel end"
+        usize::from(tunnels > 0),
+        "{at}: the tags beside the policy paths' are not the one mobility tag"
     );
 
     // the trees: a leg at each middle hop of each live path, one next
-    // hop per (switch, tag, direction)
-    let mut trees: HashMap<(SwitchId, PolicyTag, Direction), PortNo> = HashMap::new();
+    // hop per (switch, destination station, direction)
+    let mut trees: HashMap<(SwitchId, BaseStationId, Direction), PortNo> = HashMap::new();
     for ((anchor, current), down, up) in mobility.tunnels() {
-        for (path, tag, dir) in [
-            (down, tag_of[&current], Direction::Downlink),
-            (up, tag_of[&anchor], Direction::Uplink),
+        for (path, dest, dir) in [
+            (down, current, Direction::Downlink),
+            (up, anchor, Direction::Uplink),
         ] {
             for hop in path.windows(3) {
                 let out = topo.port_towards(hop[1], hop[2]).expect("linked hop");
-                let had = trees.insert((hop[1], tag, dir), out);
+                let had = trees.insert((hop[1], dest, dir), out);
                 assert!(
                     had.is_none_or(|o| o == out),
-                    "{at}: two live paths leave {} under {tag} ({dir:?}) on different ports",
+                    "{at}: two live paths leave {} towards {dest} ({dir:?}) on different ports",
                     hop[1]
                 );
             }
         }
     }
-    let leg_matchers: Vec<(Match, (PolicyTag, Direction))> = (tag_of.values())
-        .flat_map(|&tag| [Direction::Downlink, Direction::Uplink].map(|dir| (tag, dir)))
-        .map(|(tag, dir)| (Match::tag_and_prefix(dir, tag, carrier, &ports), (tag, dir)))
+    // every leg the mobility tag could form, towards any station
+    let leg_matchers: HashMap<Match, (BaseStationId, Direction)> = (mobility.mobility_tag())
+        .into_iter()
+        .flat_map(|tag| {
+            topo.base_stations().iter().flat_map(move |bs| {
+                let prefix = scheme.base_station_prefix(bs.id).expect("station prefix");
+                [Direction::Downlink, Direction::Uplink].map(|dir| {
+                    let m = Match::tag_and_prefix(dir, tag, prefix, &ports);
+                    (m, (bs.id, dir))
+                })
+            })
+        })
         .collect();
 
     let mut legs = Legs::default();
-    let mut fabric: HashMap<(SwitchId, PolicyTag, Direction), PortNo> = HashMap::new();
+    let mut fabric: HashMap<(SwitchId, BaseStationId, Direction), PortNo> = HashMap::new();
     for node in topo.switches() {
         for rule in w.net.switch(node.id).table.iter() {
             let per_address = host(rule.matcher.src_prefix) || host(rule.matcher.dst_prefix);
-            let leg = leg_matchers.iter().find(|(m, _)| *m == rule.matcher);
+            let leg = leg_matchers.get(&rule.matcher);
             if rule.priority == MOBILITY_PRIORITY && !per_address || leg.is_some() {
-                let Some(&(_, (tag, dir))) = leg else {
+                let Some(&(dest, dir)) = leg else {
                     panic!("{at}: {} holds {rule}, a leg of no live tree", node.id)
                 };
                 let Action::Forward(out) = rule.action else {
                     panic!("{at}: leg {rule} at {} does not forward", node.id)
                 };
                 assert!(
-                    fabric.insert((node.id, tag, dir), out).is_none(),
-                    "{at}: {} holds two legs under {tag} ({dir:?})",
+                    fabric.insert((node.id, dest, dir), out).is_none(),
+                    "{at}: {} holds two legs towards {dest} ({dir:?})",
                     node.id
                 );
             }
@@ -218,9 +229,9 @@ fn scripted_moves_leave_no_per_ue_state_in_the_core() {
     w.handoff(ue2, a).unwrap();
     check(&mut w, &topo, policy, &next("ue2 B→A"));
     assert_eq!(
-        w.controller.mobility().mobility_tags(),
+        w.controller.mobility().tunnel_count(),
         2,
-        "the pair's two tunnels share its two stations' tags"
+        "the pair's two tunnels, under the one mobility tag"
     );
 
     // A→B→C→A for ue0, with a new flow anchored at each stop
@@ -233,12 +244,9 @@ fn scripted_moves_leave_no_per_ue_state_in_the_core() {
         &next("ue0 B→C inside its transition"),
     );
     assert_eq!(
-        (
-            w.controller.mobility().tunnel_count(),
-            w.controller.mobility().mobility_tags()
-        ),
-        (4, 3),
-        "A→B, B→A, A→C and B→C over three stations' tags"
+        w.controller.mobility().tunnel_count(),
+        4,
+        "A→B, B→A, A→C and B→C, under the one mobility tag"
     );
     open(&mut w, &mut policy, ue0, PORTS[1]);
     w.handoff(ue0, a).unwrap();
@@ -405,4 +413,35 @@ fn a_stale_anchored_uplink_packet_stops_at_the_anchor() {
         matches!(outcome, WalkOutcome::PuntedToAgent { switch, .. } if switch == access_a),
         "the stale packet stops at the anchor's access switch: {outcome:?}"
     );
+}
+
+/// Figure 7's largest network, `paper(8)` (1 280 stations), with 1 100
+/// UEs in transition at once: UE i attaches at station i, opens one
+/// connection, moves to station i + 1 and round-trips there, so 1 100
+/// tunnels live together. A tag per station ending a tunnel would need
+/// 1 101 tags of the 1 024 the port embedding holds, and refuse moves
+/// from UE 1 022 on; the one mobility tag refuses none.
+#[test]
+fn figure7_scale_moves_fit_one_mobility_tag() {
+    const UES: u32 = 1_100;
+    let topo = CellularParams::paper(8).build().unwrap();
+    assert!(topo.base_stations().len() > UES as usize);
+    let mut w = world(&topo, u64::from(UES));
+    let mut policy = 0;
+    for i in 0..UES {
+        let imsi = UeImsi(i.into());
+        w.attach(imsi, BaseStationId(i)).unwrap();
+        let c = open(&mut w, &mut policy, imsi, PORTS[0]);
+        w.handoff(imsi, BaseStationId(i + 1))
+            .unwrap_or_else(|e| panic!("UE {i}'s handoff refused: {e}"));
+        w.round_trip(c)
+            .unwrap_or_else(|e| panic!("UE {i} after its move: {e}"));
+    }
+    assert_eq!(w.controller.mobility().tunnel_count(), UES as usize);
+    assert_eq!(
+        w.controller.installer().tags_in_use(),
+        policy + 1,
+        "the policy paths' tags and the one mobility tag"
+    );
+    check(&mut w, &topo, policy, "paper(8), 1 100 UEs moved");
 }

@@ -190,45 +190,48 @@ fn two_moves() -> [Vec<String>; 2] {
 
 /// The first move's ops as a handoff that returned them in its plan
 /// gave them (its `plan.ops` followed by `drain_ops()`), the tunnel's
-/// legs on per-destination trees: the (0 → 3) tunnel takes station 0's
-/// mobility tag (0x0040) and station 3's (0x0080), installs a downlink
-/// leg under station 3's tag at each middle switch of the path from
-/// station 0, then an uplink leg under station 0's tag at each middle
-/// switch of the path back (no in-port: the tree gives the leg one next
-/// hop), then the UE's redirect and one launch rule per flow at station
-/// 0's access switch, whose in-port is the uplink path's last hop.
+/// legs on per-destination trees: the (0 → 3) tunnel takes the mobility
+/// tag (0x0040), installs a downlink leg matching it and station 3's
+/// prefix (10.0.6.0/23) at each middle switch of the path from station
+/// 0, then an uplink leg matching it and station 0's prefix at each
+/// middle switch of the path back (no in-port: the tree gives the leg
+/// one next hop), then at station 0's access switch the UE's redirect,
+/// readdressing its downlink to its LocIP at station 3 (10.0.6.0), and
+/// one launch rule per flow, whose in-port is the uplink path's last
+/// hop.
 const FIRST_MOVE: [&str; 9] = [
-    "install sw3 30008 dst=10.0.0.0/8,dst_port=0x0080/0xffc0 -> forward(p1)",
-    "install sw1 30008 dst=10.0.0.0/8,dst_port=0x0080/0xffc0 -> forward(p3)",
-    "install sw4 30008 dst=10.0.0.0/8,dst_port=0x0080/0xffc0 -> forward(p4)",
-    "install sw4 60000 src=10.0.0.0/8,src_port=0x0040/0xffc0 -> forward(p1)",
-    "install sw1 60000 src=10.0.0.0/8,src_port=0x0040/0xffc0 -> forward(p2)",
-    "install sw3 60000 src=10.0.0.0/8,src_port=0x0040/0xffc0 -> forward(p3)",
-    "install sw5 60000 dst=10.0.0.0/32 -> swap_tag(Dst,0x0080/0xffc0)->forward(p1)",
+    "install sw3 30023 dst=10.0.6.0/23,dst_port=0x0040/0xffc0 -> forward(p1)",
+    "install sw1 30023 dst=10.0.6.0/23,dst_port=0x0040/0xffc0 -> forward(p3)",
+    "install sw4 30023 dst=10.0.6.0/23,dst_port=0x0040/0xffc0 -> forward(p4)",
+    "install sw4 60000 src=10.0.0.0/23,src_port=0x0040/0xffc0 -> forward(p1)",
+    "install sw1 60000 src=10.0.0.0/23,src_port=0x0040/0xffc0 -> forward(p2)",
+    "install sw3 60000 src=10.0.0.0/23,src_port=0x0040/0xffc0 -> forward(p3)",
+    "install sw5 60000 dst=10.0.0.0/32 -> redirect_dst(10.0.6.0,0x0040/0xffc0)->forward(p1)",
     "install sw5 60000 in_port=p1,src=10.0.0.0/32,src_port=0x0040/0xffff -> swap_tag(Src,0x0000/0xffc0)->forward(p1)",
     "install sw5 60000 in_port=p1,src=10.0.0.0/32,src_port=0x0041/0xffff -> swap_tag(Src,0x0000/0xffc0)->forward(p1)",
 ];
 
 /// The second move's, the same way: the superseded transition's
 /// teardown (its per-UE rules sit at station 0's access switch alone),
-/// the (0 → 2) tunnel — station 2's new tag (0x00c0) and its downlink
-/// legs; its uplink path back to station 0 crosses the legs the (0 → 3)
-/// tunnel installed, which it shares — and the UE's rules, then the
-/// collected (0 → 3) tunnel's downlink legs. Its uplink legs stay up
-/// for (0 → 2), and so does station 0's tag.
+/// the (0 → 2) tunnel — its downlink legs towards station 2's prefix
+/// under the held tag; its uplink path back to station 0 crosses the
+/// legs the (0 → 3) tunnel installed, which it shares — and the UE's
+/// rules, the redirect now readdressing to 10.0.4.0, then the collected
+/// (0 → 3) tunnel's downlink legs. Its uplink legs stay up for
+/// (0 → 2), and so does the mobility tag.
 const SECOND_MOVE: [&str; 12] = [
     "remove sw5 dst=10.0.0.0/32",
     "remove sw5 in_port=p1,src=10.0.0.0/32,src_port=0x0040/0xffff",
     "remove sw5 in_port=p1,src=10.0.0.0/32,src_port=0x0041/0xffff",
-    "install sw3 30008 dst=10.0.0.0/8,dst_port=0x00c0/0xffc0 -> forward(p1)",
-    "install sw1 30008 dst=10.0.0.0/8,dst_port=0x00c0/0xffc0 -> forward(p3)",
-    "install sw4 30008 dst=10.0.0.0/8,dst_port=0x00c0/0xffc0 -> forward(p3)",
-    "install sw5 60000 dst=10.0.0.0/32 -> swap_tag(Dst,0x00c0/0xffc0)->forward(p1)",
+    "install sw3 30023 dst=10.0.4.0/23,dst_port=0x0040/0xffc0 -> forward(p1)",
+    "install sw1 30023 dst=10.0.4.0/23,dst_port=0x0040/0xffc0 -> forward(p3)",
+    "install sw4 30023 dst=10.0.4.0/23,dst_port=0x0040/0xffc0 -> forward(p3)",
+    "install sw5 60000 dst=10.0.0.0/32 -> redirect_dst(10.0.4.0,0x0040/0xffc0)->forward(p1)",
     "install sw5 60000 in_port=p1,src=10.0.0.0/32,src_port=0x0040/0xffff -> swap_tag(Src,0x0000/0xffc0)->forward(p1)",
     "install sw5 60000 in_port=p1,src=10.0.0.0/32,src_port=0x0041/0xffff -> swap_tag(Src,0x0000/0xffc0)->forward(p1)",
-    "remove sw3 dst=10.0.0.0/8,dst_port=0x0080/0xffc0",
-    "remove sw1 dst=10.0.0.0/8,dst_port=0x0080/0xffc0",
-    "remove sw4 dst=10.0.0.0/8,dst_port=0x0080/0xffc0",
+    "remove sw3 dst=10.0.6.0/23,dst_port=0x0040/0xffc0",
+    "remove sw1 dst=10.0.6.0/23,dst_port=0x0040/0xffc0",
+    "remove sw4 dst=10.0.6.0/23,dst_port=0x0040/0xffc0",
 ];
 
 #[test]
@@ -254,12 +257,12 @@ const EXPIRY: [&str; 10] = [
     "remove sw5 in_port=p1,src=10.0.0.0/32,src_port=0x0040/0xffff",
     "remove sw1 dst=10.0.0.0/32,dst_port=0x0000/0xffff,proto=tcp",
     "remove sw4 dst=10.0.0.0/32,dst_port=0x0000/0xffff,proto=tcp",
-    "remove sw3 dst=10.0.0.0/8,dst_port=0x0080/0xffc0",
-    "remove sw1 dst=10.0.0.0/8,dst_port=0x0080/0xffc0",
-    "remove sw4 dst=10.0.0.0/8,dst_port=0x0080/0xffc0",
-    "remove sw4 src=10.0.0.0/8,src_port=0x0040/0xffc0",
-    "remove sw1 src=10.0.0.0/8,src_port=0x0040/0xffc0",
-    "remove sw3 src=10.0.0.0/8,src_port=0x0040/0xffc0",
+    "remove sw3 dst=10.0.6.0/23,dst_port=0x0040/0xffc0",
+    "remove sw1 dst=10.0.6.0/23,dst_port=0x0040/0xffc0",
+    "remove sw4 dst=10.0.6.0/23,dst_port=0x0040/0xffc0",
+    "remove sw4 src=10.0.0.0/23,src_port=0x0040/0xffc0",
+    "remove sw1 src=10.0.0.0/23,src_port=0x0040/0xffc0",
+    "remove sw3 src=10.0.0.0/23,src_port=0x0040/0xffc0",
 ];
 
 #[test]

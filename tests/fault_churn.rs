@@ -449,7 +449,7 @@ fn sim_churn_leaves_no_fabric_residue() {
     assert_eq!(
         w.controller.installer().tags_in_use(),
         baseline_tags,
-        "mobility tags leaked"
+        "the mobility tag leaked"
     );
     assert_eq!(w.net.total_rules(), baseline_rules, "fabric rules leaked");
     let microflows: usize = (0..topo.switches().len())
