@@ -17,11 +17,16 @@
 //!   UE's LocIP at S along the path from the anchor A; anchored uplink
 //!   carries t_M and the anchor LocIP along the path from S back to A.
 //!   A path to a station walks the shortest-path tree rooted at that
-//!   station's access switch, so every switch between two access
-//!   switches holds at most one *leg* per (destination station,
-//!   direction) — a rule matching t_M and the destination station's
-//!   LocIP prefix, with exactly one next hop — shared by every tunnel
-//!   that crosses it. The core holds no per-UE and no per-pair state.
+//!   station's access switch. Every switch between two access switches
+//!   sorts the stations into *blocks*: the largest aligned blocks of
+//!   station ids whose every station it reaches through one next hop,
+//!   each on its own tree. It holds at most one *leg* per (block,
+//!   direction) — a rule matching t_M and the block's LocIP prefix, with
+//!   exactly one next hop — shared by every tunnel that crosses it
+//!   towards any station of the block. Blocks depend on the topology
+//!   alone; a switch's blocks partition the stations it is not the
+//!   access switch of, so its legs never overlap. The core holds no
+//!   per-UE and no per-pair state.
 //!   The old access switch rewrites a downlink packet's destination to
 //!   the UE's LocIP at S and its tag bits to t_M.
 //! * **Microflow rules are copied to the new access switch** so uplink
@@ -37,11 +42,14 @@
 //! at the anchor's access switch, the microflow copies at the new one —
 //! sits only at access switches and is transient (it expires with the
 //! transition); shortcut rules are the one per-flow state elsewhere.
-//! A tunnel is shared by every UE moving between its pair and
+//! A move inside a live transition supersedes it: the old transition's
+//! rules come down but for those the new one installs unchanged, which
+//! stay up. A tunnel is shared by every UE moving between its pair and
 //! reference-counted against live transitions; it holds a reference on
-//! each leg along its two paths. When the last transition using a pair
-//! ends, the tunnel is garbage-collected: the legs no other tunnel
-//! crosses come down, and with the last tunnel t_M returns to the pool.
+//! the leg at each middle hop of its two paths. When the last
+//! transition using a pair ends, the tunnel is garbage-collected: the
+//! legs no other tunnel crosses come down, and with the last tunnel
+//! t_M returns to the pool.
 
 use std::net::Ipv4Addr;
 
@@ -145,9 +153,9 @@ impl HandoffPlan {
 /// The stations a tunnel joins: `(anchor, current)`.
 type StationPair = (BaseStationId, BaseStationId);
 
-/// A tunnel leg: the switch holding it, the station its tree leads to
-/// and the direction it carries.
-type LegKey = (SwitchId, BaseStationId, Direction);
+/// A tunnel leg: the switch holding it, the LocIP prefix of the block
+/// of stations it leads to and the direction it carries.
+type LegKey = (SwitchId, Ipv4Prefix, Direction);
 
 /// How an anchored flow is launched back onto its old policy path:
 /// `(flow slot, original policy tag, original out-port at the anchor's
@@ -170,26 +178,30 @@ struct Tunnel {
     refs: usize,
 }
 
+/// A middle hop of a tunnel: the switch, the station its path leads
+/// to, the direction and the switch it forwards to.
+type TunnelHop = (SwitchId, BaseStationId, Direction, SwitchId);
+
 impl Tunnel {
-    /// The legs this tunnel holds a reference on, each with the switch
-    /// it forwards to: one at every switch between the two access
-    /// switches of each path, the downlink ones first. The end switches
-    /// need no leg: the redirect and launch rules at the anchor and the
-    /// microflow copies at the new access switch name their ports.
-    fn legs(
-        &self,
-        (anchor, current): StationPair,
-    ) -> impl Iterator<Item = (LegKey, SwitchId)> + '_ {
-        let leg = |dest, dir| move |w: &[SwitchId]| ((w[1], dest, dir), w[2]);
-        let down = self.path.windows(3).map(leg(current, Direction::Downlink));
-        down.chain(self.up.windows(3).map(leg(anchor, Direction::Uplink)))
+    /// The hops whose legs this tunnel holds a reference on: every
+    /// switch between the two access switches of each path, the
+    /// downlink ones first. The end switches need no leg: the redirect
+    /// and launch rules at the anchor and the microflow copies at the
+    /// new access switch name their ports.
+    fn hops(&self, (anchor, current): StationPair) -> impl Iterator<Item = TunnelHop> + '_ {
+        let hop = |dest, dir| move |w: &[SwitchId]| (w[1], dest, dir, w[2]);
+        let down = self.path.windows(3).map(hop(current, Direction::Downlink));
+        down.chain(self.up.windows(3).map(hop(anchor, Direction::Uplink)))
     }
 }
 
 /// Per-UE transition state, expiring after a soft timeout.
 #[derive(Clone, Debug, Default, PartialEq)]
 struct Transition {
-    teardown: Vec<RuleOp>,
+    /// The per-UE rules this transition installed, as installed: the
+    /// redirect and launch rules at each anchor's access switch, and
+    /// any shortcut's. Their removal is its teardown.
+    rules: Vec<RuleOp>,
     /// Every location this UE's anchored flows still occupy; all are
     /// released when the transition expires.
     reserved_locs: Vec<(BaseStationId, UeId)>,
@@ -209,7 +221,7 @@ struct Transition {
 
 impl Transition {
     fn clear(&mut self) {
-        self.teardown.clear();
+        self.rules.clear();
         self.reserved_locs.clear();
         self.tunnels.clear();
         self.launch_specs.clear();
@@ -218,7 +230,7 @@ impl Transition {
     /// Overwrites this transition with `other`, reusing its vectors:
     /// they grow only past the largest earlier move of the UE.
     fn refill(&mut self, other: &Transition) {
-        self.teardown.clone_from(&other.teardown);
+        self.rules.clone_from(&other.rules);
         self.reserved_locs.clone_from(&other.reserved_locs);
         self.tunnels.clone_from(&other.tunnels);
         self.deadline = other.deadline;
@@ -243,6 +255,10 @@ pub struct MobilityManager {
     /// The installed legs: each one's removal and the number of live
     /// tunnels whose paths cross it.
     legs: FxHashMap<LegKey, (RuleOp, usize)>,
+    /// The block prefix of each (switch, destination station) a tunnel
+    /// has crossed (see [`CentralController::leg_block`]): fixed by the
+    /// topology, so computed once.
+    blocks: FxHashMap<(SwitchId, BaseStationId), Ipv4Prefix>,
     transitions: FxHashMap<UeImsi, Transition>,
     /// The transition the next handoff plans, and the tunnels it
     /// creates (removed again if it fails): buffers kept from move to
@@ -259,6 +275,7 @@ impl Default for MobilityManager {
             tunnels: FxHashMap::default(),
             tag: None,
             legs: FxHashMap::default(),
+            blocks: FxHashMap::default(),
             transitions: FxHashMap::default(),
             draft: Default::default(),
             transition_ttl: softcell_types::SimDuration::from_secs(120),
@@ -392,6 +409,7 @@ impl CentralController {
                 draft.deadline = new.since + self.mobility().transition_ttl;
                 let transition = match prev {
                     Some(mut t) => {
+                        self.supersede(&t, &draft, mark);
                         for &pair in &t.tunnels {
                             self.release_tunnel_ref(pair);
                         }
@@ -439,15 +457,16 @@ impl CentralController {
 
         // per anchor a redirect and a launch rule per flow, and a leg
         // per intermediate hop of a tunnel created where no other tunnel
-        // holds one; a move without flows produces no rules at all
+        // holds one; a move without flows produces no rules at all. The
+        // room holds the superseded transition's removals too, queued
+        // once the plan stands (`supersede`)
         let room = flows.len() + if flows.is_empty() { 0 } else { 16 };
         let ops = &mut self.pending_ops;
-        ops.reserve(prev.map_or(0, |p| p.teardown.len()) + room);
+        ops.reserve(prev.map_or(0, |p| p.rules.len()) + room);
 
-        // 0. a previous transition's per-UE rules are superseded: tear
-        //    them down now (the anchors get fresh rules below)
+        // 0. a previous transition's locations stay reserved; its per-UE
+        //    rules are superseded by the ones planned below
         if let Some(prev) = prev {
-            ops.extend_from_slice(&prev.teardown);
             draft.reserved_locs.extend_from_slice(&prev.reserved_locs);
         }
         let reserved_locs = &mut draft.reserved_locs;
@@ -553,22 +572,19 @@ impl CentralController {
             //    tunnel — one per-UE rule matching the anchor LocIP host,
             //    readdressing it to the UE's LocIP at its new station
             //    under the mobility tag
-            let redirect_match = Match::prefix(Direction::Downlink, anchor_host);
-            ops.push(RuleOp::Install {
+            let redirect = RuleOp::Install {
                 switch: anchor_access,
                 priority: MOBILITY_PRIORITY,
-                matcher: redirect_match,
+                matcher: Match::prefix(Direction::Downlink, anchor_host),
                 action: Action::RedirectDstForward {
                     addr: new_loc_addr,
                     value: ports.tag_match(tag).0,
                     tag_bits: ports.tag_bits(),
                     out: hop(anchor_access, path[1])?,
                 },
-            });
-            draft.teardown.push(RuleOp::Remove {
-                switch: anchor_access,
-                matcher: redirect_match,
-            });
+            };
+            ops.push(redirect);
+            draft.rules.push(redirect);
 
             // 2. launch rules at the anchor access: per flow, matching
             //    the exact mobility-tagged source port arriving off the
@@ -602,27 +618,24 @@ impl CentralController {
             for &(_, (slot, orig_tag, out)) in &draft.launch_specs[first..] {
                 let tunneled_src = ports.encode(tag, slot)?;
                 let (ovalue, omask) = ports.tag_match(orig_tag);
-                let m = Match {
-                    src_prefix: Some(anchor_host),
-                    src_port: Some((tunneled_src, u16::MAX)),
-                    in_port: Some(launch_in),
-                    ..Match::ANY
-                };
-                ops.push(RuleOp::Install {
+                let launch = RuleOp::Install {
                     switch: anchor_access,
                     priority: MOBILITY_PRIORITY,
-                    matcher: m,
+                    matcher: Match {
+                        src_prefix: Some(anchor_host),
+                        src_port: Some((tunneled_src, u16::MAX)),
+                        in_port: Some(launch_in),
+                        ..Match::ANY
+                    },
                     action: Action::RewritePortBitsForward {
                         field: tag_field(Direction::Uplink),
                         value: ovalue,
                         mask: omask,
                         out,
                     },
-                });
-                draft.teardown.push(RuleOp::Remove {
-                    switch: anchor_access,
-                    matcher: m,
-                });
+                };
+                ops.push(launch);
+                draft.rules.push(launch);
             }
 
             // 3. microflow surgery: remove delivery at the departing
@@ -716,7 +729,6 @@ impl CentralController {
 
         let host = Ipv4Prefix::host(downlink.dst);
         let mut ops = Vec::new();
-        let mut teardown = Vec::new();
         for w in splice.windows(2) {
             let (sw, next) = (w[0], w[1]);
             if sw == new_access {
@@ -738,15 +750,11 @@ impl CentralController {
                 matcher: m,
                 action: Action::Forward(out),
             });
-            teardown.push(RuleOp::Remove {
-                switch: sw,
-                matcher: m,
-            });
         }
 
         let ttl = self.mobility.transition_ttl;
         if let Some(t) = self.mobility.transitions.get_mut(&imsi) {
-            t.teardown.extend(teardown);
+            t.rules.extend_from_slice(&ops);
             t.deadline = t.deadline.max(now + ttl);
         }
         self.pending_ops.extend(ops);
@@ -760,7 +768,7 @@ impl CentralController {
         let Some(t) = self.mobility.transitions.remove(&imsi) else {
             return;
         };
-        self.pending_ops.extend(t.teardown);
+        (self.pending_ops).extend(t.rules.iter().map(RuleOp::removal));
         for (bs, ue_id) in t.reserved_locs {
             if self.state.release_location(bs, ue_id) {
                 self.released_locations.push((bs, ue_id));
@@ -806,14 +814,76 @@ impl CentralController {
         let Some(t) = mobility.tunnels.remove(&pair) else {
             return;
         };
-        for (key, _) in t.legs(pair) {
-            mobility.release_leg(key, &mut self.pending_ops);
+        for (sw, dest, dir, _) in t.hops(pair) {
+            // memoised when the tunnel took its reference
+            if let Some(&block) = mobility.blocks.get(&(sw, dest)) {
+                mobility.release_leg((sw, block, dir), &mut self.pending_ops);
+            }
         }
         if mobility.tunnels.is_empty() {
             if let Some(tag) = mobility.tag.take() {
                 self.installer.release_raw_tag(tag);
             }
         }
+    }
+
+    /// Queues the teardown of `prev`, the transition a planned move
+    /// supersedes, where the move's ops begin (`mark`): the removal of
+    /// each of its rules that `next` does not hold unchanged (same
+    /// switch, priority, matcher and action). Such a rule stays up, and
+    /// its re-install leaves the stream. In place: the removals fill the
+    /// room the plan reserved and rotate to the front.
+    fn supersede(&mut self, prev: &Transition, next: &Transition, mark: usize) {
+        let ops = &mut self.pending_ops;
+        let mut kept = mark;
+        for at in mark..ops.len() {
+            let op = ops[at];
+            if !prev.rules.contains(&op) {
+                ops[kept] = op;
+                kept += 1;
+            }
+        }
+        ops.truncate(kept);
+        let changed = prev.rules.iter().filter(|r| !next.rules.contains(r));
+        ops.extend(changed.map(RuleOp::removal));
+        let removals = ops.len() - kept;
+        ops[mark..].rotate_right(removals);
+    }
+
+    /// The LocIP prefix of the block of stations that shares `dest`'s
+    /// leg at `sw`: the largest aligned block of station ids around
+    /// `dest` whose every station `sw` reaches through the same next
+    /// hop, each on its own per-destination tree. A station whose
+    /// access switch is `sw` has no next hop there, so no block covers
+    /// it, and `None` is returned for one. Blocks depend on the topology
+    /// alone: each is computed once, from the trees' parent pointers.
+    fn leg_block(&mut self, sw: SwitchId, dest: BaseStationId) -> Option<Ipv4Prefix> {
+        if let Some(&block) = self.mobility.blocks.get(&(sw, dest)) {
+            return Some(block);
+        }
+        let scheme = self.config().scheme;
+        let topo = self.topology().clone();
+        let stations = topo.base_stations();
+        let paths = &mut self.paths;
+        let mut next_of = |bs: u32| {
+            let root = stations.get(bs as usize)?.access_switch;
+            paths.tree(root).next_hop(sw)
+        };
+        let next = next_of(dest.0)?;
+        let (max_shift, count) = (scheme.max_base_stations().trailing_zeros(), stations.len());
+        let mut shift = 0;
+        while shift < max_shift {
+            // the other half of the block one size up
+            let sibling = ((dest.0 >> shift) ^ 1) << shift;
+            let end = (sibling + (1 << shift)).min(count as u32);
+            if !(sibling..end).all(|bs| next_of(bs) == Some(next)) {
+                break;
+            }
+            shift += 1;
+        }
+        let block = scheme.station_block(dest, shift as u8).ok()?;
+        self.mobility.blocks.insert((sw, dest), block);
+        Some(block)
     }
 
     /// Ensures the (from → to) tunnel exists, listing the pair in
@@ -839,34 +909,33 @@ impl CentralController {
             up: self.paths.path(to_sw, from_sw)?,
             refs: 0,
         };
-        let (scheme, ports) = (self.config().scheme, self.config().ports);
-        let (from_prefix, to_prefix) = (
-            scheme.base_station_prefix(from)?,
-            scheme.base_station_prefix(to)?,
-        );
-        let mobility = &mut self.mobility;
-        let tag = mobility.hold_tag(&mut self.installer)?;
+        let ports = self.config().ports;
+        let tag = self.mobility.hold_tag(&mut self.installer)?;
 
-        // A leg matches t_M and its destination station's LocIP prefix:
-        // downlink legs the current station's in the destination
-        // address, uplink legs the anchor's in the source. A path to a
-        // station walks the tree rooted at its access switch, so a
-        // switch's leg towards a station has one next hop whichever
-        // tunnel installed it, and needs no in-port. The tag is what
-        // keeps a leg loop-free: t_M is never a policy tag, so no leg
-        // captures a UE's traffic travelling its old policy path, even
-        // where the two share a directed edge (a forwarding loop the
-        // randomized churn test found at k=4 for address-only rules).
-        let down = Match::tag_and_prefix(Direction::Downlink, tag, to_prefix, &ports);
-        let up = Match::tag_and_prefix(Direction::Uplink, tag, from_prefix, &ports);
-        for (key @ (sw, _, dir), next) in tunnel.legs((from, to)) {
+        // A leg matches t_M and the LocIP prefix of its destination
+        // station's block (see `leg_block`): downlink legs the current
+        // station's in the destination address, uplink legs the
+        // anchor's in the source. A path to a station walks the tree
+        // rooted at its access switch, and every station of a block
+        // leaves the switch through one next hop, so a leg has one next
+        // hop whichever tunnel installed it, and needs no in-port. The
+        // tag is what keeps a leg loop-free: t_M is never a policy tag,
+        // so no leg captures a UE's traffic travelling its old policy
+        // path, even where the two share a directed edge (a forwarding
+        // loop the randomized churn test found at k=4 for address-only
+        // rules).
+        for (sw, dest, dir, next) in tunnel.hops((from, to)) {
+            let block = (self.leg_block(sw, dest)).expect("a middle hop has a next hop");
             let out = (topo.port_towards(sw, next)).expect("shortest paths step along links");
-            let (priority, matcher) = match dir {
-                Direction::Downlink => (conventional_priority(&down), down),
-                Direction::Uplink => (MOBILITY_PRIORITY, up),
+            let matcher = Match::tag_and_prefix(dir, tag, block, &ports);
+            let priority = match dir {
+                Direction::Downlink => conventional_priority(&matcher),
+                Direction::Uplink => MOBILITY_PRIORITY,
             };
-            mobility.hold_leg(key, (priority, matcher, out), &mut self.pending_ops);
+            let install = (priority, matcher, out);
+            (self.mobility).hold_leg((sw, block, dir), install, &mut self.pending_ops);
         }
+        let mobility = &mut self.mobility;
         mobility.tunnels.insert((from, to), tunnel);
         created.push((from, to));
         Ok(tag)
@@ -1263,6 +1332,55 @@ mod tests {
         }
     }
 
+    #[test]
+    fn blocks_partition_the_stations_by_next_hop() {
+        // At every switch of paper(4) (its access switches carry transit
+        // legs round their rings) and every non-access switch of
+        // paper(8): the blocks partition the stations the switch is not
+        // the access switch of, every station of a block leaves the
+        // switch through one next hop on its own tree, and each block is
+        // the largest aligned one that does.
+        for k in [4, 8] {
+            let topo = softcell_topology::CellularParams::paper(k).build().unwrap();
+            let mut ctl = controller(&topo);
+            let scheme = ctl.config().scheme;
+            let stations = topo.base_stations();
+            let last_station = stations.len() - 1;
+            let station_of = |addr| scheme.decode(addr).unwrap().base_station.index();
+            let transit = |n: &&softcell_topology::SwitchNode| {
+                k == 4 || n.role != softcell_topology::SwitchRole::Access
+            };
+            for sw in topo.switches().iter().filter(transit).map(|n| n.id) {
+                let next: Vec<Option<SwitchId>> = (stations.iter())
+                    .map(|bs| ctl.paths.tree(bs.access_switch).next_hop(sw))
+                    .collect();
+                let mut s = 0;
+                while s <= last_station {
+                    let Some(block) = ctl.leg_block(sw, BaseStationId(s as u32)) else {
+                        assert_eq!(stations[s].access_switch, sw, "{sw}: station {s}");
+                        s += 1;
+                        continue;
+                    };
+                    let (first, last) = (station_of(block.first()), station_of(block.last()));
+                    assert_eq!(first, s, "{sw}: {block} overlaps the block before it");
+                    for m in first..=last.min(last_station) {
+                        assert_eq!(next[m], next[s], "{sw}: station {m} leaves {block} apart");
+                        let of_m = ctl.leg_block(sw, BaseStationId(m as u32));
+                        assert_eq!(of_m, Some(block), "{sw}: station {m} in two blocks");
+                    }
+                    if let Some(up) = block.parent().filter(|p| scheme.carrier().covers(p)) {
+                        let (first, last) = (station_of(up.first()), station_of(up.last()));
+                        assert!(
+                            (first..=last.min(last_station)).any(|m| next[m] != next[s]),
+                            "{sw}: {block} is not the largest block around station {s}"
+                        );
+                    }
+                    s = last + 1;
+                }
+            }
+        }
+    }
+
     /// Controller state a handoff can touch, for before/after comparison.
     fn snapshot(ctl: &CentralController, imsi: UeImsi) -> impl PartialEq + std::fmt::Debug {
         let rec = *ctl.state().ue(imsi).unwrap();
@@ -1518,12 +1636,39 @@ mod tests {
         use std::collections::HashMap;
 
         impl CentralController {
+            /// The LocIP prefix of the block `dest` shares a leg with at
+            /// `sw`, found from path vectors: the aligned block around
+            /// `dest` grows while every station in it has a path from
+            /// `sw` with the same second switch.
+            fn block_reference(&mut self, sw: SwitchId, dest: BaseStationId) -> Result<Ipv4Prefix> {
+                let topo = self.topology().clone();
+                let scheme = self.config().scheme;
+                let stations = topo.base_stations();
+                let bits = scheme.max_base_stations().trailing_zeros();
+                let mut next_of = |s: usize| {
+                    let path = self.paths.path(sw, stations[s].access_switch).ok()?;
+                    path.get(1).copied()
+                };
+                let next = next_of(dest.index());
+                let mut shift = 0;
+                while u32::from(shift) < bits {
+                    let size = 1 << (shift + 1);
+                    let first = dest.index() / size * size;
+                    if !(first..(first + size).min(stations.len())).all(|s| next_of(s) == next) {
+                        break;
+                    }
+                    shift += 1;
+                }
+                scheme.station_block(dest, shift)
+            }
+
             /// The (from → to) tunnel, created on first use: the
             /// mobility tag, allocated for the first tunnel; then hop by
             /// hop a reference on the downlink leg towards the new
-            /// station at every switch between the two access switches,
-            /// and on the uplink leg towards the anchor at every switch
-            /// on the way back, a leg installed by its first reference.
+            /// station's block at every switch between the two access
+            /// switches, and on the uplink leg towards the anchor's block
+            /// at every switch on the way back, a leg installed by its
+            /// first reference.
             fn tunnel_reference(
                 &mut self,
                 from: BaseStationId,
@@ -1542,11 +1687,6 @@ mod tests {
                     .paths
                     .path(ends.1.access_switch, ends.0.access_switch)?;
                 let ports = self.config().ports;
-                let scheme = self.config().scheme;
-                let prefix_of = [
-                    scheme.base_station_prefix(from)?,
-                    scheme.base_station_prefix(to)?,
-                ];
                 let tag = match self.mobility.tag {
                     Some(tag) => tag,
                     None => self
@@ -1555,22 +1695,25 @@ mod tests {
                         .ok_or_else(|| Error::Exhausted("no tag left for tunnel".into()))?,
                 };
                 self.mobility.tag = Some(tag);
-                for (hops, dest, prefix, dir) in [
-                    (&path, to, prefix_of[1], Direction::Downlink),
-                    (&up, from, prefix_of[0], Direction::Uplink),
+                for (hops, dest, dir) in [
+                    (&path, to, Direction::Downlink),
+                    (&up, from, Direction::Uplink),
                 ] {
-                    let matcher = Match::tag_and_prefix(dir, tag, prefix, &ports);
-                    let priority = match dir {
-                        Direction::Downlink => conventional_priority(&matcher),
-                        Direction::Uplink => MOBILITY_PRIORITY,
-                    };
                     for i in 1..hops.len().saturating_sub(1) {
                         let sw = hops[i];
+                        let block = self.block_reference(sw, dest)?;
+                        // where the engine's tunnel drop looks it up
+                        self.mobility.blocks.insert((sw, dest), block);
+                        let matcher = Match::tag_and_prefix(dir, tag, block, &ports);
+                        let priority = match dir {
+                            Direction::Downlink => conventional_priority(&matcher),
+                            Direction::Uplink => MOBILITY_PRIORITY,
+                        };
                         let out = topo.port_towards(sw, hops[i + 1]).expect("linked hop");
                         let leg = self
                             .mobility
                             .legs
-                            .entry((sw, dest, dir))
+                            .entry((sw, block, dir))
                             .or_insert_with(|| {
                                 ops.push(RuleOp::Install {
                                     switch: sw,
@@ -1611,16 +1754,20 @@ mod tests {
                 let ports = self.config().ports;
 
                 let mut ops: Vec<RuleOp> = Vec::new();
-                let mut teardown: Vec<RuleOp> = Vec::new();
+                let mut rules: Vec<RuleOp> = Vec::new();
 
                 // 0. a previous transition's per-UE rules are superseded: tear
-                //    them down now (the anchors get fresh rules below)
+                //    them down now (the anchors get fresh rules below; the
+                //    ones that come back unchanged are taken out again once
+                //    the new rules are known)
                 let prev = self.mobility.transitions.remove(&imsi);
                 let mut prev_launch_specs: HashMap<Ipv4Addr, Vec<LaunchSpec>> = HashMap::new();
                 let mut reserved_locs: Vec<(BaseStationId, UeId)> = Vec::new();
                 let mut prev_tunnels: Vec<(BaseStationId, BaseStationId)> = Vec::new();
+                let mut prev_rules: Vec<RuleOp> = Vec::new();
                 if let Some(prev) = prev {
-                    ops.extend(prev.teardown);
+                    ops.extend(prev.rules.iter().map(RuleOp::removal));
+                    prev_rules = prev.rules;
                     for (addr, spec) in prev.launch_specs {
                         prev_launch_specs.entry(addr).or_default().push(spec);
                     }
@@ -1741,7 +1888,7 @@ mod tests {
                         .topology()
                         .port_towards(anchor_access, tunnel_path[1])
                         .ok_or_else(|| Error::NotFound("tunnel first hop unlinked".into()))?;
-                    ops.push(RuleOp::Install {
+                    let redirect = RuleOp::Install {
                         switch: anchor_access,
                         priority: MOBILITY_PRIORITY,
                         matcher: redirect_match,
@@ -1751,11 +1898,9 @@ mod tests {
                             tag_bits: ports.tag_bits(),
                             out,
                         },
-                    });
-                    teardown.push(RuleOp::Remove {
-                        switch: anchor_access,
-                        matcher: redirect_match,
-                    });
+                    };
+                    ops.push(redirect);
+                    rules.push(redirect);
 
                     // 2. launch rules at the anchor access: per flow, matching
                     //    the exact tunnel-tagged source port and restoring the
@@ -1798,7 +1943,7 @@ mod tests {
                             in_port: Some(tunnel_in),
                             ..Match::ANY
                         };
-                        ops.push(RuleOp::Install {
+                        let launch = RuleOp::Install {
                             switch: anchor_access,
                             priority: MOBILITY_PRIORITY,
                             matcher: m,
@@ -1808,11 +1953,9 @@ mod tests {
                                 mask: omask,
                                 out,
                             },
-                        });
-                        teardown.push(RuleOp::Remove {
-                            switch: anchor_access,
-                            matcher: m,
-                        });
+                        };
+                        ops.push(launch);
+                        rules.push(launch);
                     }
                     launch_specs.insert(anchor_addr, specs);
 
@@ -1871,6 +2014,13 @@ mod tests {
                     }
                 }
 
+                // a superseded rule installed again unchanged stays up:
+                // neither its removal nor its re-install is queued
+                for kept in prev_rules.iter().filter(|r| rules.contains(r)) {
+                    let removal = kept.removal();
+                    ops.retain(|op| op != kept && *op != removal);
+                }
+
                 // take the new transition's tunnel references *before* dropping
                 // the previous transition's, so a pair both transitions use is
                 // never torn down and immediately recreated
@@ -1883,7 +2033,7 @@ mod tests {
                 self.mobility.transitions.insert(
                     imsi,
                     Transition {
-                        teardown,
+                        rules,
                         reserved_locs,
                         tunnels: used_tunnels,
                         deadline: now + ttl,

@@ -50,6 +50,16 @@ impl RuleOp {
             RuleOp::Install { switch, .. } | RuleOp::Remove { switch, .. } => *switch,
         }
     }
+
+    /// The removal of the rule this op names: its matcher on its switch.
+    pub fn removal(&self) -> RuleOp {
+        match *self {
+            RuleOp::Install {
+                switch, matcher, ..
+            }
+            | RuleOp::Remove { switch, matcher } => RuleOp::Remove { switch, matcher },
+        }
+    }
 }
 
 /// A barrier-delimited batch of operations for one switch.

@@ -192,6 +192,12 @@ impl BfsTree {
         (d != u32::MAX).then_some(d)
     }
 
+    /// The switch after `from` on its way to the root (its parent
+    /// pointer): `None` at the root or where the root is unreachable.
+    pub fn next_hop(&self, from: SwitchId) -> Option<SwitchId> {
+        self.parent[from.index()]
+    }
+
     /// The switch sequence `from .. root` inclusive, or `None` if
     /// unreachable.
     pub fn path_to_root(&self, from: SwitchId) -> Option<Vec<SwitchId>> {

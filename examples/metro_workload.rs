@@ -5,19 +5,68 @@
 //! full SoftCell deployment on the three-layer k=4 topology (160 base
 //! stations), and reports what the control plane actually did: cache
 //! hit ratios at the local agents (the Table-2 quantity), policy paths
-//! and tags installed, switch table occupancy, and the mobility
-//! machinery's activity.
+//! and tags installed, switch table occupancy by band (policy paths,
+//! mobility legs by direction, shortcuts, and the per-UE redirect and
+//! launch rules of UEs in transition), and the mobility machinery's
+//! activity.
 //!
 //! Run with: `cargo run --release --example metro_workload`
 
+use softcell::controller::mobility::MOBILITY_PRIORITY;
+use softcell::dataplane::matcher::Direction;
+use softcell::dataplane::Match;
 use softcell::packet::Protocol;
 use softcell::policy::{ServicePolicy, SubscriberAttributes};
 use softcell::sim::SimWorld;
-use softcell::topology::CellularParams;
-use softcell::types::UeImsi;
+use softcell::topology::{CellularParams, SwitchRole, Topology};
+use softcell::types::{Ipv4Prefix, UeImsi};
 use softcell::workload::{EventKind, EventStream, EventStreamConfig};
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
+
+/// Flow-table rules by band.
+#[derive(Default)]
+struct Bands {
+    /// Policy-path rules (Algorithm 1's).
+    policy: usize,
+    /// Mobility legs: the mobility tag and a station block's prefix.
+    legs_down: usize,
+    legs_up: usize,
+    /// §5.1 shortcut rules, per flow.
+    shortcuts: usize,
+    /// The redirect and launch rules of UEs in transition.
+    per_ue: usize,
+}
+
+/// The rules of the non-access switches' tables and of the access
+/// switches', by band.
+fn rule_bands(topo: &Topology, world: &SimWorld<'_>) -> [Bands; 2] {
+    let ctl = &world.controller;
+    let (tag, ports) = (ctl.mobility().mobility_tag(), ctl.config().ports);
+    let is_leg = |dir, prefix: Option<Ipv4Prefix>, m: &Match| {
+        (tag.zip(prefix)).is_some_and(|(t, p)| Match::tag_and_prefix(dir, t, p, &ports) == *m)
+    };
+    let mut bands = [Bands::default(), Bands::default()];
+    for node in topo.switches() {
+        let at = &mut bands[usize::from(node.role == SwitchRole::Access)];
+        for rule in world.net.switch(node.id).table.iter() {
+            let m = &rule.matcher;
+            let band = if is_leg(Direction::Downlink, m.dst_prefix, m) {
+                &mut at.legs_down
+            } else if is_leg(Direction::Uplink, m.src_prefix, m) {
+                &mut at.legs_up
+            } else if rule.priority == MOBILITY_PRIORITY + 100 {
+                &mut at.shortcuts
+            } else if rule.priority == MOBILITY_PRIORITY {
+                &mut at.per_ue
+            } else {
+                &mut at.policy
+            };
+            *band += 1;
+        }
+    }
+    bands
+}
 
 fn main() {
     // the network: k=4 → 160 base stations, 33 fabric switches
@@ -116,6 +165,18 @@ fn main() {
         world.controller.mobility().transitions_active(),
     );
     println!("  fabric rules installed: {}", world.net.total_rules());
+    let switches = ["core switches", "access switches"];
+    for (at, bands) in switches.iter().zip(rule_bands(&topo, &world)) {
+        println!(
+            "    {at}: {} policy, {} mobility legs ({} downlink, {} uplink), {} shortcut, {} per-UE mobility",
+            bands.policy,
+            bands.legs_down + bands.legs_up,
+            bands.legs_down,
+            bands.legs_up,
+            bands.shortcuts,
+            bands.per_ue,
+        );
+    }
     println!(
         "  middlebox packets observed: {}",
         world.net.middleboxes.total_packets()

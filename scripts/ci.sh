@@ -115,16 +115,17 @@ assert got == want, f"fabric_forward walks moved: {got}, want {want}"
 print(f"fabric_forward walks ok: {got}")
 PY
 # And the fabric the write path builds: the seed-7 metro_churn smoke
-# above must have left 1 272 rules over 7 tags (its policy paths' and
+# above must have left 933 rules over 7 tags (its policy paths' and
 # the one mobility tag). Its flow tables are written by pushes and
 # swap-removals and sorted only for lookups, so a write that lost or
 # doubled a rule would move the count, and so would a per-UE mobility
-# rule back in the core, a tunnel leg kept per station pair instead of
-# per destination, or a mobility tag per station (tests/core_state.rs).
+# rule back in the core, a tunnel leg kept per station pair or per
+# destination station instead of per station block, or a mobility tag
+# per station (tests/core_state.rs).
 python3 - /tmp/softcell-perf-metro_churn.json <<'PY'
 import json, sys
 result = json.load(open(sys.argv[1]))
-want = {"rules_total": 1272, "tags_used": 7}
+want = {"rules_total": 933, "tags_used": 7}
 got = {name: result["metrics"][name]["value"] for name in want}
 assert got == want, f"metro_churn fabric moved: {got}, want {want}"
 print(f"metro_churn fabric ok: {got}")
@@ -151,8 +152,8 @@ timeout 60 cargo test -q --release --test alloc_budget
 # A→B→C→A, returns to an anchor, moves inside a live transition, shared
 # tunnels, shortcuts, detaches, expiries — are checked after every step.
 # No non-access switch holds a /32 rule but a shortcut's; the tunnel
-# legs are exactly the union of the live per-destination trees, one next
-# hop per (switch, destination station, direction); the tag beside the
+# legs are exactly the blocks of the live per-destination trees, one
+# next hop per (switch, station block, direction); the tag beside the
 # policy paths' is the one mobility tag, held while any tunnel lives;
 # and every live connection still round-trips through its middleboxes.
 # A last scenario runs Figure 7's k = 8 network (1 280 stations) with

@@ -6,11 +6,14 @@
 //! belongs to per-destination trees: anchored downlink rides the one
 //! mobility tag and the UE's LocIP at its current station along the path
 //! to it, anchored uplink the mobility tag and the anchor LocIP along
-//! the path back, and a switch holds one leg per (destination station,
-//! direction) — matching the mobility tag and that station's LocIP
-//! prefix — shared by every tunnel that crosses it. So core tables grow
-//! neither with the UEs in transition nor with the station pairs they
-//! move between, and the tag space does not grow with the stations.
+//! the path back. A switch sorts the stations into blocks — the largest
+//! aligned blocks of station ids whose every station it reaches through
+//! one next hop, each on its own tree — and holds one leg per (block,
+//! direction), matching the mobility tag and the block's LocIP prefix,
+//! shared by every tunnel that crosses it towards any station of the
+//! block. So core tables grow neither with the UEs in transition nor
+//! with the station pairs they move between, and the tag space does not
+//! grow with the stations.
 //!
 //! On `paper(4)` (160 stations, three layers), scripted and seeded
 //! random move sequences — A→B→C→A chains, returns to an anchor, moves
@@ -20,14 +23,15 @@
 //!
 //! 1. no non-access switch holds a rule scoped to one address (`/32`),
 //!    apart from §5.1 shortcut rules, which are per-flow by design;
-//! 2. the tunnel legs are exactly the union of the live trees: a leg for
-//!    each switch between the two access switches of a live tunnel's
-//!    downlink path (matching its current station's prefix) and of its
-//!    uplink path (its anchor's prefix), one next hop per (switch,
-//!    destination station, direction) — every `MOBILITY_PRIORITY` rule
-//!    not scoped to one address is such an uplink leg — and
-//!    `tags_in_use` less the policy paths' tags is 1 while any tunnel
-//!    lives, else 0;
+//! 2. the tunnel legs are exactly the blocks of the live trees: a leg
+//!    for each switch between the two access switches of a live
+//!    tunnel's downlink path (matching the block of its current station
+//!    there) and of its uplink path (its anchor's block), one next hop
+//!    per (switch, block, direction) — every `MOBILITY_PRIORITY` rule
+//!    not scoped to one address is such an uplink leg. The blocks are
+//!    computed here from shortest paths, not read from the controller.
+//!    And `tags_in_use` less the policy paths' tags is 1 while any
+//!    tunnel lives, else 0;
 //! 3. every live connection still round-trips (uplink and downlink
 //!    walked) through the middlebox instances it started with.
 //!
@@ -48,8 +52,10 @@ use softcell::packet::{build_flow_packet, FiveTuple, Protocol};
 use softcell::policy::{ServicePolicy, SubscriberAttributes};
 use softcell::sim::world::ConnId;
 use softcell::sim::{SimWorld, WalkOutcome};
-use softcell::topology::{CellularParams, SwitchRole, Topology};
-use softcell::types::{BaseStationId, Ipv4Prefix, PortNo, SimDuration, SwitchId, UeImsi};
+use softcell::topology::{CellularParams, ShortestPaths, SwitchRole, Topology};
+use softcell::types::{
+    AddressingScheme, BaseStationId, Ipv4Prefix, PortNo, SimDuration, SwitchId, UeImsi,
+};
 
 const SERVER: Ipv4Addr = Ipv4Addr::new(93, 184, 216, 34);
 
@@ -75,10 +81,55 @@ struct Legs {
     shortcuts: usize,
 }
 
+/// The stations' blocks at each switch, found from shortest paths: a
+/// switch's block of a station is the largest aligned block of station
+/// ids around it whose every station's path from the switch takes the
+/// same second switch (a block holds no station of the switch's own).
+struct Blocks {
+    topo: Topology,
+    paths: ShortestPaths,
+    /// Per switch, each station's second switch on the path to it.
+    next: HashMap<SwitchId, Vec<Option<SwitchId>>>,
+}
+
+impl Blocks {
+    fn new(topo: &Topology) -> Blocks {
+        Blocks {
+            topo: topo.clone(),
+            paths: ShortestPaths::new(topo),
+            next: HashMap::new(),
+        }
+    }
+
+    /// The LocIP prefix of `dest`'s block at `sw`.
+    fn of(&mut self, sw: SwitchId, dest: BaseStationId, scheme: &AddressingScheme) -> Ipv4Prefix {
+        let Blocks { topo, paths, next } = self;
+        let next = next.entry(sw).or_insert_with(|| {
+            let stations = topo.base_stations().iter();
+            let mut second = |access| paths.path(sw, access).ok()?.get(1).copied();
+            stations.map(|bs| second(bs.access_switch)).collect()
+        });
+        let (d, bits) = (dest.index(), scheme.max_base_stations().trailing_zeros());
+        let mut shift = 0;
+        while u32::from(shift) < bits {
+            let size = 1 << (shift + 1);
+            let first = d / size * size;
+            if !(first..(first + size).min(next.len())).all(|s| next[s] == next[d]) {
+                break;
+            }
+            shift += 1;
+        }
+        scheme
+            .station_block(dest, shift)
+            .expect("a station's block")
+    }
+}
+
 /// Checks the three properties of the module doc, `policy_tags` being
 /// what the policy paths opened so far hold; returns what the
 /// non-access switches held.
-fn check(w: &mut SimWorld<'_>, topo: &Topology, policy_tags: usize, at: &str) -> Legs {
+fn check(w: &mut SimWorld<'_>, blocks: &mut Blocks, policy_tags: usize, at: &str) -> Legs {
+    let topo = &blocks.topo.clone();
     let access = |sw: &SwitchId| topo.switch(*sw).role == SwitchRole::Access;
     let host = |p: Option<Ipv4Prefix>| p.is_some_and(|p| p.len() == 32);
     let ctl = &w.controller;
@@ -99,8 +150,8 @@ fn check(w: &mut SimWorld<'_>, topo: &Topology, policy_tags: usize, at: &str) ->
     );
 
     // the trees: a leg at each middle hop of each live path, one next
-    // hop per (switch, destination station, direction)
-    let mut trees: HashMap<(SwitchId, BaseStationId, Direction), PortNo> = HashMap::new();
+    // hop per (switch, block of the destination there, direction)
+    let mut trees: HashMap<(SwitchId, Ipv4Prefix, Direction), PortNo> = HashMap::new();
     for ((anchor, current), down, up) in mobility.tunnels() {
         for (path, dest, dir) in [
             (down, current, Direction::Downlink),
@@ -108,45 +159,47 @@ fn check(w: &mut SimWorld<'_>, topo: &Topology, policy_tags: usize, at: &str) ->
         ] {
             for hop in path.windows(3) {
                 let out = topo.port_towards(hop[1], hop[2]).expect("linked hop");
-                let had = trees.insert((hop[1], dest, dir), out);
+                let block = blocks.of(hop[1], dest, &scheme);
+                let had = trees.insert((hop[1], block, dir), out);
                 assert!(
                     had.is_none_or(|o| o == out),
-                    "{at}: two live paths leave {} towards {dest} ({dir:?}) on different ports",
+                    "{at}: two live paths leave {} towards {block} ({dir:?}) on different ports",
                     hop[1]
                 );
             }
         }
     }
-    // every leg the mobility tag could form, towards any station
-    let leg_matchers: HashMap<Match, (BaseStationId, Direction)> = (mobility.mobility_tag())
+    // a leg: a rule matching the mobility tag and a prefix of its
+    // direction's address, and nothing else
+    let leg_of = |m: &Match| {
+        let tag = mobility.mobility_tag()?;
+        [
+            (Direction::Downlink, m.dst_prefix),
+            (Direction::Uplink, m.src_prefix),
+        ]
         .into_iter()
-        .flat_map(|tag| {
-            topo.base_stations().iter().flat_map(move |bs| {
-                let prefix = scheme.base_station_prefix(bs.id).expect("station prefix");
-                [Direction::Downlink, Direction::Uplink].map(|dir| {
-                    let m = Match::tag_and_prefix(dir, tag, prefix, &ports);
-                    (m, (bs.id, dir))
-                })
-            })
+        .find_map(|(dir, prefix)| {
+            let prefix = prefix?;
+            (Match::tag_and_prefix(dir, tag, prefix, &ports) == *m).then_some((prefix, dir))
         })
-        .collect();
+    };
 
     let mut legs = Legs::default();
-    let mut fabric: HashMap<(SwitchId, BaseStationId, Direction), PortNo> = HashMap::new();
+    let mut fabric: HashMap<(SwitchId, Ipv4Prefix, Direction), PortNo> = HashMap::new();
     for node in topo.switches() {
         for rule in w.net.switch(node.id).table.iter() {
             let per_address = host(rule.matcher.src_prefix) || host(rule.matcher.dst_prefix);
-            let leg = leg_matchers.get(&rule.matcher);
+            let leg = leg_of(&rule.matcher);
             if rule.priority == MOBILITY_PRIORITY && !per_address || leg.is_some() {
-                let Some(&(dest, dir)) = leg else {
+                let Some((block, dir)) = leg else {
                     panic!("{at}: {} holds {rule}, a leg of no live tree", node.id)
                 };
                 let Action::Forward(out) = rule.action else {
                     panic!("{at}: leg {rule} at {} does not forward", node.id)
                 };
                 assert!(
-                    fabric.insert((node.id, dest, dir), out).is_none(),
-                    "{at}: {} holds two legs towards {dest} ({dir:?})",
+                    fabric.insert((node.id, block, dir), out).is_none(),
+                    "{at}: {} holds two legs towards {block} ({dir:?})",
                     node.id
                 );
             }
@@ -167,7 +220,10 @@ fn check(w: &mut SimWorld<'_>, topo: &Topology, policy_tags: usize, at: &str) ->
             }
         }
     }
-    assert_eq!(fabric, trees, "{at}: the legs are not the live trees");
+    assert_eq!(
+        fabric, trees,
+        "{at}: the legs are not the blocks of the live trees"
+    );
     w.assert_policy_consistency()
         .unwrap_or_else(|e| panic!("{at}: {e}"));
     legs
@@ -196,6 +252,7 @@ fn open(w: &mut SimWorld<'_>, policy_tags: &mut usize, imsi: UeImsi, port: u16) 
 #[test]
 fn scripted_moves_leave_no_per_ue_state_in_the_core() {
     let topo = CellularParams::paper(4).build().unwrap();
+    let mut blocks = Blocks::new(&topo);
     let mut w = world(&topo, 3);
     let mut policy = 0;
     let [a, b, c, d] = [3, 47, 125, 7].map(BaseStationId);
@@ -214,20 +271,25 @@ fn scripted_moves_leave_no_per_ue_state_in_the_core() {
     }
     let ue1_web = open(&mut w, &mut policy, ue1, PORTS[0]);
     open(&mut w, &mut policy, ue2, PORTS[1]);
-    check(&mut w, &topo, policy, &next("flows open, nobody moved"));
+    check(
+        &mut w,
+        &mut blocks,
+        policy,
+        &next("flows open, nobody moved"),
+    );
 
     // ue1 rides the tunnel ue0 built; ue2 runs the pair the other way
     w.handoff(ue0, b).unwrap();
-    let first = check(&mut w, &topo, policy, &next("ue0 A→B"));
+    let first = check(&mut w, &mut blocks, policy, &next("ue0 A→B"));
     assert!(first.core > 0, "the A→B tunnel crosses the core");
     w.handoff(ue1, b).unwrap();
-    let shared = check(&mut w, &topo, policy, &next("ue1 A→B"));
+    let shared = check(&mut w, &mut blocks, policy, &next("ue1 A→B"));
     assert_eq!(
         shared.core, first.core,
         "a second UE on the A→B tunnel adds no core rule"
     );
     w.handoff(ue2, a).unwrap();
-    check(&mut w, &topo, policy, &next("ue2 B→A"));
+    check(&mut w, &mut blocks, policy, &next("ue2 B→A"));
     assert_eq!(
         w.controller.mobility().tunnel_count(),
         2,
@@ -239,7 +301,7 @@ fn scripted_moves_leave_no_per_ue_state_in_the_core() {
     w.handoff(ue0, c).unwrap();
     check(
         &mut w,
-        &topo,
+        &mut blocks,
         policy,
         &next("ue0 B→C inside its transition"),
     );
@@ -252,26 +314,26 @@ fn scripted_moves_leave_no_per_ue_state_in_the_core() {
     w.handoff(ue0, a).unwrap();
     check(
         &mut w,
-        &topo,
+        &mut blocks,
         policy,
         &next("ue0 C→A, back at its first anchor"),
     );
 
     // a shortcut is per-flow by design; a ring-local move; a return
     w.install_shortcut(ue1_web).unwrap();
-    let spliced = check(&mut w, &topo, policy, &next("ue1 shortcut"));
+    let spliced = check(&mut w, &mut blocks, policy, &next("ue1 shortcut"));
     assert!(spliced.shortcuts > 0, "the splice crosses the core");
     w.handoff(ue1, d).unwrap();
-    check(&mut w, &topo, policy, &next("ue1 B→D"));
+    check(&mut w, &mut blocks, policy, &next("ue1 B→D"));
     w.handoff(ue1, a).unwrap();
-    check(&mut w, &topo, policy, &next("ue1 D→A, home"));
+    check(&mut w, &mut blocks, policy, &next("ue1 D→A, home"));
 
     // a detach ends one transition, expiry the rest: tunnels collected
     w.detach(ue2).unwrap();
-    check(&mut w, &topo, policy, &next("ue2 detached"));
+    check(&mut w, &mut blocks, policy, &next("ue2 detached"));
     w.advance(w.controller.mobility().transition_ttl + SimDuration::from_secs(1));
     w.expire_transitions().unwrap();
-    let quiet = check(&mut w, &topo, policy, &next("transitions expired"));
+    let quiet = check(&mut w, &mut blocks, policy, &next("transitions expired"));
     assert_eq!(w.controller.mobility().tunnel_count(), 0);
     assert_eq!((quiet.core, quiet.shortcuts), (0, 0));
 }
@@ -280,6 +342,7 @@ fn scripted_moves_leave_no_per_ue_state_in_the_core() {
 fn random_moves_leave_no_per_ue_state_in_the_core() {
     const UES: u64 = 10;
     let topo = CellularParams::paper(4).build().unwrap();
+    let mut blocks = Blocks::new(&topo);
     let (mut moves, mut peak, mut shared) = (0, 0, 0);
     for seed in 0..4u64 {
         let mut w = world(&topo, UES);
@@ -338,7 +401,7 @@ fn random_moves_leave_no_per_ue_state_in_the_core() {
             w.advance(SimDuration::from_secs(1));
             let legs = check(
                 &mut w,
-                &topo,
+                &mut blocks,
                 policy,
                 &format!("seed {seed} step {step} ({what})"),
             );
@@ -425,6 +488,7 @@ fn a_stale_anchored_uplink_packet_stops_at_the_anchor() {
 fn figure7_scale_moves_fit_one_mobility_tag() {
     const UES: u32 = 1_100;
     let topo = CellularParams::paper(8).build().unwrap();
+    let mut blocks = Blocks::new(&topo);
     assert!(topo.base_stations().len() > UES as usize);
     let mut w = world(&topo, u64::from(UES));
     let mut policy = 0;
@@ -443,5 +507,5 @@ fn figure7_scale_moves_fit_one_mobility_tag() {
         policy + 1,
         "the policy paths' tags and the one mobility tag"
     );
-    check(&mut w, &topo, policy, "paper(8), 1 100 UEs moved");
+    check(&mut w, &mut blocks, policy, "paper(8), 1 100 UEs moved");
 }

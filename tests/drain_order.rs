@@ -20,8 +20,9 @@
 //!
 //! A second test pins a handoff's place in that stream: its ops join
 //! the pending stream in the order its plan used to return them, the
-//! superseded transition's teardown first and a collected tunnel's legs
-//! last. A third pins a shortcut's and an expiry's: each input's ops
+//! superseded transition's teardown first (less the rules the move
+//! installs again unchanged, which stay up) and a collected tunnel's
+//! legs last. A third pins a shortcut's and an expiry's: each input's ops
 //! are what the engine's methods used to return instead of queueing.
 
 mod common;
@@ -139,10 +140,10 @@ fn line(op: &RuleOp) -> String {
 
 /// A UE with two live flows moves twice, station 0 → 3 → 2, and each
 /// move's ops are read off `drain_ops`: the first builds the (0 → 3)
-/// tunnel; the second supersedes the live transition (its teardown
-/// comes first), builds the (0 → 2) tunnel, and drops the last
-/// reference on (0 → 3), whose legs the (0 → 2) tunnel does not share
-/// come down last.
+/// tunnel; the second supersedes the live transition (the removal of
+/// its rules that change comes first), builds the (0 → 2) tunnel, and
+/// drops the last reference on (0 → 3), whose legs the (0 → 2) tunnel
+/// does not share come down last.
 fn two_moves() -> [Vec<String>; 2] {
     let topo = small_topology();
     let cfg = ControllerConfig::simulation();
@@ -190,47 +191,44 @@ fn two_moves() -> [Vec<String>; 2] {
 
 /// The first move's ops as a handoff that returned them in its plan
 /// gave them (its `plan.ops` followed by `drain_ops()`), the tunnel's
-/// legs on per-destination trees: the (0 → 3) tunnel takes the mobility
-/// tag (0x0040), installs a downlink leg matching it and station 3's
-/// prefix (10.0.6.0/23) at each middle switch of the path from station
-/// 0, then an uplink leg matching it and station 0's prefix at each
-/// middle switch of the path back (no in-port: the tree gives the leg
-/// one next hop), then at station 0's access switch the UE's redirect,
-/// readdressing its downlink to its LocIP at station 3 (10.0.6.0), and
-/// one launch rule per flow, whose in-port is the uplink path's last
-/// hop.
+/// legs keyed by station block: the (0 → 3) tunnel takes the mobility
+/// tag (0x0040), installs a downlink leg matching it at each middle
+/// switch of the path from station 0, then an uplink leg at each middle
+/// switch of the path back (no in-port: every station of a block leaves
+/// the switch through one next hop), then at station 0's access switch
+/// the UE's redirect, readdressing its downlink to its LocIP at station
+/// 3 (10.0.6.0), and one launch rule per flow, whose in-port is the
+/// uplink path's last hop. A leg's prefix is its block's: sw3 and sw1
+/// reach stations 2 and 3 through one next hop, so their downlink legs
+/// match both (10.0.4.0/22), and sw4 and sw1 reach stations 0 and 1
+/// through one, so their uplink legs match 10.0.0.0/22; sw4 splits
+/// stations 2 and 3, and sw3 stations 0 and 1, so theirs match one
+/// station's /23.
 const FIRST_MOVE: [&str; 9] = [
-    "install sw3 30023 dst=10.0.6.0/23,dst_port=0x0040/0xffc0 -> forward(p1)",
-    "install sw1 30023 dst=10.0.6.0/23,dst_port=0x0040/0xffc0 -> forward(p3)",
+    "install sw3 30022 dst=10.0.4.0/22,dst_port=0x0040/0xffc0 -> forward(p1)",
+    "install sw1 30022 dst=10.0.4.0/22,dst_port=0x0040/0xffc0 -> forward(p3)",
     "install sw4 30023 dst=10.0.6.0/23,dst_port=0x0040/0xffc0 -> forward(p4)",
-    "install sw4 60000 src=10.0.0.0/23,src_port=0x0040/0xffc0 -> forward(p1)",
-    "install sw1 60000 src=10.0.0.0/23,src_port=0x0040/0xffc0 -> forward(p2)",
+    "install sw4 60000 src=10.0.0.0/22,src_port=0x0040/0xffc0 -> forward(p1)",
+    "install sw1 60000 src=10.0.0.0/22,src_port=0x0040/0xffc0 -> forward(p2)",
     "install sw3 60000 src=10.0.0.0/23,src_port=0x0040/0xffc0 -> forward(p3)",
     "install sw5 60000 dst=10.0.0.0/32 -> redirect_dst(10.0.6.0,0x0040/0xffc0)->forward(p1)",
     "install sw5 60000 in_port=p1,src=10.0.0.0/32,src_port=0x0040/0xffff -> swap_tag(Src,0x0000/0xffc0)->forward(p1)",
     "install sw5 60000 in_port=p1,src=10.0.0.0/32,src_port=0x0041/0xffff -> swap_tag(Src,0x0000/0xffc0)->forward(p1)",
 ];
 
-/// The second move's, the same way: the superseded transition's
-/// teardown (its per-UE rules sit at station 0's access switch alone),
-/// the (0 → 2) tunnel — its downlink legs towards station 2's prefix
-/// under the held tag; its uplink path back to station 0 crosses the
-/// legs the (0 → 3) tunnel installed, which it shares — and the UE's
-/// rules, the redirect now readdressing to 10.0.4.0, then the collected
-/// (0 → 3) tunnel's downlink legs. Its uplink legs stay up for
-/// (0 → 2), and so does the mobility tag.
-const SECOND_MOVE: [&str; 12] = [
+/// The second move's, the same way. The superseded transition's rules
+/// sit at station 0's access switch alone, and only its redirect
+/// changes (it now readdresses to 10.0.4.0): its removal comes first,
+/// while the launch rules, which the new transition installs unchanged,
+/// stay up and are neither removed nor installed again. The (0 → 2)
+/// tunnel shares the /22 legs at sw3 and sw1 and the whole uplink path
+/// with (0 → 3), so it installs only sw4's leg towards station 2; then
+/// the new redirect, then the collected (0 → 3) tunnel's one leg no
+/// other tunnel holds. The mobility tag stays.
+const SECOND_MOVE: [&str; 4] = [
     "remove sw5 dst=10.0.0.0/32",
-    "remove sw5 in_port=p1,src=10.0.0.0/32,src_port=0x0040/0xffff",
-    "remove sw5 in_port=p1,src=10.0.0.0/32,src_port=0x0041/0xffff",
-    "install sw3 30023 dst=10.0.4.0/23,dst_port=0x0040/0xffc0 -> forward(p1)",
-    "install sw1 30023 dst=10.0.4.0/23,dst_port=0x0040/0xffc0 -> forward(p3)",
     "install sw4 30023 dst=10.0.4.0/23,dst_port=0x0040/0xffc0 -> forward(p3)",
     "install sw5 60000 dst=10.0.0.0/32 -> redirect_dst(10.0.4.0,0x0040/0xffc0)->forward(p1)",
-    "install sw5 60000 in_port=p1,src=10.0.0.0/32,src_port=0x0040/0xffff -> swap_tag(Src,0x0000/0xffc0)->forward(p1)",
-    "install sw5 60000 in_port=p1,src=10.0.0.0/32,src_port=0x0041/0xffff -> swap_tag(Src,0x0000/0xffc0)->forward(p1)",
-    "remove sw3 dst=10.0.6.0/23,dst_port=0x0040/0xffc0",
-    "remove sw1 dst=10.0.6.0/23,dst_port=0x0040/0xffc0",
     "remove sw4 dst=10.0.6.0/23,dst_port=0x0040/0xffc0",
 ];
 
@@ -242,12 +240,12 @@ fn a_handoff_drains_the_ops_its_plan_used_to_carry() {
 }
 
 /// The rule ops that `install_shortcut` and `expire_transitions`
-/// returned before they queued them, with the tunnel's legs on
-/// per-destination trees: one UE with a live flow moves from station 0
-/// to 3, a shortcut splices its downlink, and then its transition
-/// expires — its redirect, launch rule and shortcut first, then the
-/// collected tunnel's legs, the downlink ones towards station 3 and
-/// then the uplink ones towards station 0, each in its path's order.
+/// returned before they queued them, with the tunnel's legs keyed by
+/// station block: one UE with a live flow moves from station 0 to 3, a
+/// shortcut splices its downlink, and then its transition expires — its
+/// redirect, launch rule and shortcut first, then the collected
+/// tunnel's legs, the downlink ones towards station 3's blocks and then
+/// the uplink ones towards station 0's, each in its path's order.
 const SHORTCUT: [&str; 2] = [
     "install sw1 60100 dst=10.0.0.0/32,dst_port=0x0000/0xffff,proto=tcp -> forward(p3)",
     "install sw4 60100 dst=10.0.0.0/32,dst_port=0x0000/0xffff,proto=tcp -> forward(p4)",
@@ -257,11 +255,11 @@ const EXPIRY: [&str; 10] = [
     "remove sw5 in_port=p1,src=10.0.0.0/32,src_port=0x0040/0xffff",
     "remove sw1 dst=10.0.0.0/32,dst_port=0x0000/0xffff,proto=tcp",
     "remove sw4 dst=10.0.0.0/32,dst_port=0x0000/0xffff,proto=tcp",
-    "remove sw3 dst=10.0.6.0/23,dst_port=0x0040/0xffc0",
-    "remove sw1 dst=10.0.6.0/23,dst_port=0x0040/0xffc0",
+    "remove sw3 dst=10.0.4.0/22,dst_port=0x0040/0xffc0",
+    "remove sw1 dst=10.0.4.0/22,dst_port=0x0040/0xffc0",
     "remove sw4 dst=10.0.6.0/23,dst_port=0x0040/0xffc0",
-    "remove sw4 src=10.0.0.0/23,src_port=0x0040/0xffc0",
-    "remove sw1 src=10.0.0.0/23,src_port=0x0040/0xffc0",
+    "remove sw4 src=10.0.0.0/22,src_port=0x0040/0xffc0",
+    "remove sw1 src=10.0.0.0/22,src_port=0x0040/0xffc0",
     "remove sw3 src=10.0.0.0/23,src_port=0x0040/0xffc0",
 ];
 
