@@ -34,6 +34,8 @@ struct Row {
     median_rules: usize,
     total_rules: usize,
     expressive: bool,
+    /// Paths the finished tables deliver (Algorithm 1's row only).
+    delivered: Option<usize>,
 }
 
 #[derive(Serialize)]
@@ -107,16 +109,31 @@ fn main() {
         )
     };
 
-    // 1. Algorithm 1
-    let (alg1, secs) = timed(|| {
+    // 1. Algorithm 1, then every path walked through its finished tables
+    let (ins, secs) = timed(|| {
         let mut ins = PathInstaller::new(&topo, scheme, TagPolicy::default());
-        for p in &paths {
-            ins.install_path(p, Direction::Downlink).expect("install");
-        }
-        ins.shadows(Direction::Downlink).rule_counts()
+        let tags: Vec<_> = (paths.iter())
+            .map(|p| {
+                ins.install_path(p, Direction::Downlink)
+                    .expect("install")
+                    .entry_tag()
+            })
+            .collect();
+        (ins, tags)
     });
     eprintln!("algorithm 1 in {secs:.1}s");
-    let (a_max, a_med, a_tot) = fabric_stats(&alg1);
+    let (ins, tags) = ins;
+    let tables = ins.shadows(Direction::Downlink);
+    let delivers = |(p, &tag): (&PolicyPath, _)| {
+        let prefix = scheme
+            .base_station_prefix(p.origin)
+            .expect("station prefix");
+        let mut chain = p.middleboxes();
+        chain.reverse();
+        tables.delivers(gw, tag, prefix, p.access_switch(), &chain)
+    };
+    let a_delivered = paths.iter().zip(&tags).filter(|&x| delivers(x)).count();
+    let (a_max, a_med, a_tot) = fabric_stats(&tables.rule_counts());
 
     // 2. flat tags
     let mut flat = FlatTagBaseline::new(&topo);
@@ -144,6 +161,7 @@ fn main() {
             median_rules: a_med,
             total_rules: a_tot,
             expressive: true,
+            delivered: Some(a_delivered),
         },
         Row {
             system: "flat tag per path".into(),
@@ -151,6 +169,7 @@ fn main() {
             median_rules: f_med,
             total_rules: f_tot,
             expressive: true,
+            delivered: None,
         },
         Row {
             system: "per-flow rules (x10)".into(),
@@ -158,6 +177,7 @@ fn main() {
             median_rules: pf_med,
             total_rules: pf_tot,
             expressive: true,
+            delivered: None,
         },
         Row {
             system: "location-only routing".into(),
@@ -165,6 +185,7 @@ fn main() {
             median_rules: l_med,
             total_rules: l_tot,
             expressive: false,
+            delivered: None,
         },
     ];
 
@@ -172,7 +193,14 @@ fn main() {
         "\n== Aggregation ablation (k={k}, {} paths) ==",
         paths.len()
     );
-    let mut t = TextTable::new(&["system", "max/switch", "median", "total", "policies?"]);
+    let mut t = TextTable::new(&[
+        "system",
+        "max/switch",
+        "median",
+        "total",
+        "policies?",
+        "delivered",
+    ]);
     for r in &rows {
         t.row(&[
             r.system.clone(),
@@ -180,6 +208,7 @@ fn main() {
             r.median_rules.to_string(),
             r.total_rules.to_string(),
             if r.expressive { "yes" } else { "NO" }.to_string(),
+            r.delivered.map_or("-".into(), |d| d.to_string()),
         ]);
     }
     t.print();

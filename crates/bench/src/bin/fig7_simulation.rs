@@ -47,7 +47,17 @@ fn base(quick: bool) -> Figure7Config {
 fn print_rows(title: &str, rows: &[Figure7Result]) {
     println!("\n== {title} ==");
     let mut t = TextTable::new(&[
-        "k", "stations", "clauses", "m", "paths", "median", "max", "mean", "tags", "swaps",
+        "k",
+        "stations",
+        "clauses",
+        "m",
+        "paths",
+        "median",
+        "max",
+        "mean",
+        "tags",
+        "swaps",
+        "delivered",
     ]);
     for r in rows {
         t.row(&[
@@ -61,6 +71,7 @@ fn print_rows(title: &str, rows: &[Figure7Result]) {
             format!("{:.1}", r.mean_rules),
             r.tags_used.to_string(),
             r.swap_rules.to_string(),
+            r.delivered.to_string(),
         ]);
     }
     t.print();

@@ -71,12 +71,18 @@
 //! Per segment at most `MAX_CANDIDATES` (8) tags are costed,
 //! each front to back, one probe per decision: per table one lookup and
 //! one longest-prefix walk ([`ShadowSwitch::probe`]; a link arrival may
-//! consult its qualified table and the unqualified one). The argmin is
+//! consult its qualified table and the unqualified one; a last-leg
+//! decision that no tag rule answers, the location stage's binary
+//! search). A candidate's cost is its new rules, then on the downlink
+//! its writes (the slots its record holds: rules, location entries and
+//! deferral records) — of two tags that add no rule there, the one that
+//! changes nothing wins, so a station keeps to the tags it holds. The
+//! argmin is
 //! a branch-and-bound with three cuts, all exact because a candidate
 //! replaces the best only by costing strictly less and a running cost
 //! only grows:
 //!
-//! 1. the search ends at the first candidate that costs nothing;
+//! 1. the search ends at the first candidate that writes nothing;
 //! 2. a candidate is abandoned at the decision where its running cost
 //!    reaches the best so far;
 //! 3. a tag claimed by the origin station is abandoned at the first
@@ -98,7 +104,7 @@ use softcell_types::{
     SwitchId,
 };
 
-use crate::shadow::{Entry, NextHop, ShadowDelta, ShadowSwitch, ShadowTables};
+use crate::shadow::{Entry, NextHop, Probe, ShadowDelta, ShadowSwitch, ShadowTables};
 
 /// The direction a rule set serves (re-exported from the data plane's
 /// matcher so controller and switch agree on field selection). Figure 7
@@ -138,6 +144,24 @@ struct Decision {
     /// Must be input-port qualified: the switch is entered from different
     /// links with different next hops within this segment.
     qualified: bool,
+    /// On the downlink's last leg: past the last middlebox's host switch,
+    /// towards the station.
+    last_leg: bool,
+}
+
+impl Decision {
+    /// The switch this decision forwards to when the location stage can
+    /// carry its traffic: a plain forward from an unqualified slot,
+    /// neither port-qualified, nor a middlebox return (whose table may
+    /// take a default), nor the swap junction (whose rule rewrites the
+    /// tag). On the last leg such a decision may defer to the stage.
+    fn plain_forward(&self, is_swap: bool) -> Option<SwitchId> {
+        let unqualified = !self.qualified && !matches!(self.arrival, Arrival::FromMb(_));
+        match self.want {
+            Want::ToSwitch(next) if unqualified && !is_swap => Some(next),
+            _ => None,
+        }
+    }
 }
 
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -216,9 +240,24 @@ fn push_chain_slot(slot: &mut Vec<PolicyTag>, tag: PolicyTag) {
     }
 }
 
-/// A rule the commit must write: the decision's index in its segment and
-/// the table the rule goes to.
-type Slot = (usize, Entry);
+/// Where the commit writes a decision.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum Target {
+    /// A tag rule in this table.
+    Table(Entry),
+    /// A new location-stage entry sending the prefix to this switch; the
+    /// tag's unqualified table records that it deferred.
+    Location(SwitchId),
+    /// Nothing new: the location stage sends the prefix to this switch
+    /// already. The tag's unqualified table records that it deferred (a
+    /// table that has recorded it needs no write), which changes no
+    /// forwarding.
+    Deferral(SwitchId),
+}
+
+/// A write the commit must make: the decision's index in its segment and
+/// where it goes.
+type Slot = (usize, Target);
 
 /// Buffers an install reuses from the last one.
 #[derive(Default)]
@@ -230,6 +269,8 @@ struct Scratch {
     /// previous kept decision on its switch (0: none), and whether a
     /// later pass repeated it (a swap there would alter that pass too).
     kept: Vec<(usize, u32, bool)>,
+    /// The tags a segment costs.
+    candidates: Vec<PolicyTag>,
     /// The records of the candidate being costed and of the best so far.
     costing: Vec<Slot>,
     best: Vec<Slot>,
@@ -356,6 +397,17 @@ struct Costing<'a> {
 }
 
 impl Costing<'_> {
+    /// A candidate's writes, the second part of its cost: its record's
+    /// slots on the downlink, where the location stage makes many tags
+    /// free on a last leg; none on the uplink, which has no stage, so
+    /// its first free candidate wins.
+    fn writes(&self, record: &[Slot]) -> usize {
+        match self.dir {
+            Direction::Downlink => record.len(),
+            Direction::Uplink => 0,
+        }
+    }
+
     /// Another segment's tag — sharing it would recreate the ambiguity
     /// segmentation removes — the forced entry tag, which segment 0
     /// takes though it is planned last, or a refused tag.
@@ -366,44 +418,75 @@ impl Costing<'_> {
     }
 }
 
-/// Where a decision's rule would be written and what writing it costs
-/// (`None` inside: infeasible), or `None` when the switch already
-/// forwards the decision's traffic to `nh`.
+/// Where a decision's write goes and what it costs in rules (`None`
+/// inside: infeasible), or `None` when the switch already forwards the
+/// decision's traffic to `nh` by a tag rule.
 ///
 /// Middlebox returns are always port-qualified; loop-marked decisions
 /// and decisions whose arrival already has a qualified table for this
 /// tag must be qualified too (an unqualified rule would be shadowed).
 /// Until such a rule exists the switch answers from the unqualified
 /// table, honoring the qualified-over-unqualified priority.
+///
+/// The location stage (§7 item 11 in DESIGN.md) takes part for a plain
+/// forward ([`Decision::plain_forward`]) that no tag rule answers:
+///
+/// * where the tag has deferred on this switch before, its unqualified
+///   table takes no default, so the stage's answer holds: the decision
+///   is in place when that answer is its next hop;
+/// * on the last leg, the decision defers to the stage when its arrival
+///   has no qualified table for the tag and the stage answers its next
+///   hop or nothing — a new entry, or only the tag's deferral record.
 fn rule_slot(
     sw: &ShadowSwitch,
     d: &Decision,
     tag: PolicyTag,
     prefix: Ipv4Prefix,
     nh: NextHop,
-) -> Option<(Entry, Option<usize>)> {
-    let plain = |entry| {
-        let p = sw.probe(entry, tag, prefix, nh);
-        (entry, p.current, p.cost)
+    is_swap: bool,
+) -> Option<(Target, Option<usize>)> {
+    let forward = d.plain_forward(is_swap);
+    let table =
+        |entry, current, cost| (current != Some(nh)).then_some((Target::Table(entry), cost));
+    // the stage's answer where it holds for this tag
+    let settled = || {
+        let deferred = forward.filter(|_| sw.has_deferred(tag));
+        deferred
+            .and_then(|_| sw.location(prefix))
+            .map(NextHop::Switch)
     };
-    let (entry, current, cost) = match d.arrival {
-        Arrival::External => plain(Entry::Ingress),
-        Arrival::FromMb(mb) => plain(Entry::FromMb(mb)),
+    let unqualified = |u: Probe| {
+        if let (Some(next), None) = (forward.filter(|_| d.last_leg), u.current) {
+            match sw.probe_location(prefix, next) {
+                (None, cost) => return Some((Target::Location(next), Some(cost))),
+                // the table records its deferral once
+                (Some(at), _) if at == next => {
+                    return (!sw.has_deferred(tag)).then_some((Target::Deferral(next), Some(0)));
+                }
+                (Some(_), _) => {}
+            }
+        }
+        table(Entry::Ingress, u.current.or_else(settled), u.cost)
+    };
+    match d.arrival {
+        Arrival::External => unqualified(sw.probe(Entry::Ingress, tag, prefix, nh)),
+        Arrival::FromMb(mb) => {
+            let m = sw.probe(Entry::FromMb(mb), tag, prefix, nh);
+            table(Entry::FromMb(mb), m.current, m.cost)
+        }
         Arrival::FromSwitch(prev) => {
             let q = sw.probe(Entry::FromSwitch(prev), tag, prefix, nh);
             if q.current.is_some() {
-                (Entry::FromSwitch(prev), q.current, q.cost)
+                return table(Entry::FromSwitch(prev), q.current, q.cost);
+            }
+            let u = sw.probe(Entry::Ingress, tag, prefix, nh);
+            if d.qualified || q.present {
+                table(Entry::FromSwitch(prev), u.current.or_else(settled), q.cost)
             } else {
-                let u = sw.probe(Entry::Ingress, tag, prefix, nh);
-                if d.qualified || q.present {
-                    (Entry::FromSwitch(prev), u.current, q.cost)
-                } else {
-                    (Entry::Ingress, u.current, u.cost)
-                }
+                unqualified(u)
             }
         }
-    };
-    (current != Some(nh)).then_some((entry, cost))
+    }
 }
 
 /// Applies a segment plan to one direction's tables: its record's
@@ -423,36 +506,50 @@ fn commit_segment(
     for (i, d) in plan.decisions.iter().enumerate() {
         let (nh, is_swap) = wanted(plan.decisions, i, plan.swap_to);
         // `Some(None)`: the plan found this decision already in place
-        let planned = (record.as_mut()).map(|r| r.next_if(|s| s.0 == i).map(|&(_, entry)| entry));
+        let planned = (record.as_mut()).map(|r| r.next_if(|s| s.0 == i).map(|&(_, target)| target));
         let stale = matches!(d.arrival, Arrival::External | Arrival::FromSwitch(_))
             && written.contains(&d.sw);
-        let entry = match planned {
+        let target = match planned {
             Some(planned) if !stale => planned,
             _ => {
                 #[cfg(test)]
                 tests::COMMIT_PROBES.with(|n| n.set(n.get() + 1));
-                rule_slot(tables.switch(d.sw), d, plan.tag, prefix, nh).map(|(entry, _)| entry)
+                let sw = tables.switch(d.sw);
+                rule_slot(sw, d, plan.tag, prefix, nh, is_swap).map(|(target, _)| target)
             }
         };
-        let Some(entry) = entry else {
+        let Some(target) = target else {
             continue;
         };
-        if entry == Entry::Ingress {
+        if target == Target::Table(Entry::Ingress) {
             written.push(d.sw);
         }
-        (tables.switch_mut(d.sw)).write_probed(entry, plan.tag, prefix, nh, |delta| {
-            match delta {
-                ShadowDelta::SetDefault { .. } | ShadowDelta::AddPrefix { .. } => {
-                    net += 1;
-                    swaps += usize::from(is_swap);
-                }
-                // emitted before the add of the merge that consumed it
-                ShadowDelta::RemovePrefix { .. } => net -= 1,
-            }
+        let sw = tables.switch_mut(d.sw);
+        let emit = |delta| {
+            let rules = delta_rules(&delta);
+            net += rules;
+            swaps += usize::from(is_swap && rules > 0);
             last_deltas.push((d.sw, delta));
-        });
+        };
+        match target {
+            Target::Table(entry) => sw.write_probed(entry, plan.tag, prefix, nh, emit),
+            Target::Location(next) | Target::Deferral(next) => {
+                sw.defer(plan.tag, prefix, next, emit)
+            }
+        }
     }
     (net, swaps)
+}
+
+/// A delta's change to the rule count: +1 for a rule added, -1 for one
+/// removed (a merge emits its removals before its add).
+fn delta_rules(delta: &ShadowDelta) -> isize {
+    match delta {
+        ShadowDelta::SetDefault { .. }
+        | ShadowDelta::AddPrefix { .. }
+        | ShadowDelta::AddLocation { .. } => 1,
+        ShadowDelta::RemovePrefix { .. } | ShadowDelta::RemoveLocation { .. } => -1,
+    }
 }
 
 /// The next hop decision `i` of a segment must forward to, and whether
@@ -765,14 +862,16 @@ impl PathInstaller {
             // any tag is: a tag the station claimed before this path only
             // unchanged. A refusal makes the round trip re-plan its uplink.
             let claimed = (self.claimed.get(&job.origin)).is_some_and(|c| c.contains(&tag));
-            if (self.segment_cost(job, tag, usize::MAX, claimed, &mut scratch.best)).is_none() {
+            let unbounded = (usize::MAX, usize::MAX);
+            if (self.segment_cost(job, tag, unbounded, claimed, &mut scratch.best)).is_none() {
                 return Err(Error::InvalidState(format!(
                     "forced entry tag {tag} conflicts with existing rules"
                 )));
             }
             return Ok((tag, Some(scratch.best.clone())));
         }
-        let candidates = self.candidates(job);
+        let mut candidates = std::mem::take(&mut scratch.candidates);
+        self.candidates(job, &mut candidates);
         #[cfg(test)]
         let argmin = if tests::EXHAUSTIVE.with(std::cell::Cell::get) {
             Self::best_candidate_exhaustive
@@ -782,6 +881,7 @@ impl PathInstaller {
         #[cfg(not(test))]
         let argmin = Self::best_candidate;
         let best = argmin(self, job, &candidates, scratch);
+        scratch.candidates = candidates;
 
         let fresh_cost = job.seg.decisions.len() + usize::from(job.swap_to.is_some());
         // fresh tags previewed before this one: the uplink ahead's, then
@@ -816,14 +916,14 @@ impl PathInstaller {
     /// chain-index slot (most recent first), then the tags present at
     /// its gateway-side switch — the busiest rule table on the path and
     /// a cheap, high-yield sample of the paper's candTag set.
-    fn candidates(&self, job: &Costing) -> Vec<PolicyTag> {
-        let mut candidates: Vec<PolicyTag> = Vec::with_capacity(MAX_CANDIDATES);
+    fn candidates(&self, job: &Costing, candidates: &mut Vec<PolicyTag>) {
+        candidates.clear();
         if let Some(slot) = self.chain_index.get(&job.key) {
             candidates.extend_from_slice(slot);
         }
         // the pushes the commit will replay, seen by later segments first
         for p in job.planned.iter().filter(|p| p.chain_key == job.key) {
-            push_chain_slot(&mut candidates, p.tag);
+            push_chain_slot(candidates, p.tag);
         }
         candidates.reverse();
         if candidates.len() < MAX_CANDIDATES {
@@ -839,7 +939,6 @@ impl PathInstaller {
             }
         }
         candidates.truncate(MAX_CANDIDATES);
-        candidates
     }
 
     /// The argmin of [`PathInstaller::segment_cost`] over `candidates`,
@@ -859,12 +958,14 @@ impl PathInstaller {
             if job.excluded(t) {
                 continue;
             }
-            let limit = best.map_or(usize::MAX, |(cost, _)| cost);
+            let limit = best.map_or((usize::MAX, usize::MAX), |(cost, _)| {
+                (cost, job.writes(&scratch.best))
+            });
             let claimed = self.is_claimed(job, t);
             if let Some(cost) = self.segment_cost(job, t, limit, claimed, &mut scratch.costing) {
                 best = Some((cost, t));
                 std::mem::swap(&mut scratch.costing, &mut scratch.best);
-                if cost == 0 {
+                if (cost, job.writes(&scratch.best)) == (0, 0) {
                     break;
                 }
             }
@@ -894,7 +995,7 @@ impl PathInstaller {
         &self,
         job: &Costing,
         tag: PolicyTag,
-        limit: usize,
+        limit: (usize, usize),
         claimed: bool,
         record: &mut Vec<Slot>,
     ) -> Option<usize> {
@@ -902,23 +1003,27 @@ impl PathInstaller {
         let tables = self.shadows(job.dir);
         let mut cost = 0usize;
         for (i, d) in job.seg.decisions.iter().enumerate() {
-            let (nh, _) = wanted(&job.seg.decisions, i, job.swap_to);
+            let (nh, is_swap) = wanted(&job.seg.decisions, i, job.swap_to);
             #[cfg(test)]
             tests::PROBES.with(|n| n.set(n.get() + 1));
             // A correct answer from a higher-priority qualified table, or
             // from the table we'd write to, costs nothing.
-            let Some((entry, rule_cost)) = rule_slot(tables.switch(d.sw), d, tag, job.prefix, nh)
-            else {
+            let sw = tables.switch(d.sw);
+            let Some((target, rule_cost)) = rule_slot(sw, d, tag, job.prefix, nh, is_swap) else {
                 continue;
             };
-            if claimed {
+            // a deferral the location stage answers already changes no
+            // forwarding: only its record is written
+            if !matches!(target, Target::Deferral(_)) {
+                if claimed {
+                    return None;
+                }
+                cost += rule_cost?;
+            }
+            record.push((i, target));
+            if (cost, job.writes(record)) >= limit {
                 return None;
             }
-            cost += rule_cost?;
-            if cost >= limit {
-                return None;
-            }
-            record.push((i, entry));
         }
         Some(cost)
     }
@@ -993,26 +1098,30 @@ fn build_decisions(path: &PolicyPath, dir: Direction) -> Vec<Decision> {
         (h.switch, h.mb_after)
     };
 
+    // The downlink's last leg: the hops past the last middlebox's.
+    let last_mb = (0..=last_idx).rev().find(|&i| hop(i).1.is_some());
     let mut decisions = Vec::with_capacity(path.hops.len() + 4);
     let mut arrival = Arrival::External;
-    let mut decide = |sw, arrival, want| {
+    let mut decide = |sw, arrival, want, last_leg| {
         decisions.push(Decision {
             sw,
             arrival,
             want,
             qualified: false,
+            last_leg,
         });
     };
     for i in 0..=last_idx {
         let (sw, mb) = hop(i);
+        let last_leg = dir == Direction::Downlink && last_mb.is_none_or(|m| i > m);
         if let Some(mb) = mb {
-            decide(sw, arrival, Want::ToMb(mb));
+            decide(sw, arrival, Want::ToMb(mb), false);
             arrival = Arrival::FromMb(mb);
         }
         if i < last_idx {
             let next = hop(i + 1).0;
             if next != sw {
-                decide(sw, arrival, Want::ToSwitch(next));
+                decide(sw, arrival, Want::ToSwitch(next), last_leg);
                 arrival = Arrival::FromSwitch(sw);
             }
             // same switch twice in a row = chained middleboxes; the next
@@ -1020,7 +1129,7 @@ fn build_decisions(path: &PolicyPath, dir: Direction) -> Vec<Decision> {
         } else if dir == Direction::Uplink {
             // Last hop: uplink exits to the Internet; downlink delivery
             // at the access switch is the microflow rule's job.
-            decide(sw, arrival, Want::Exit);
+            decide(sw, arrival, Want::Exit, false);
         }
     }
 
@@ -1060,10 +1169,12 @@ impl PathInstaller {
             if changes != 0 && self.is_claimed(job, t) {
                 continue;
             }
-            if best.map(|(c, _)| cost < c).unwrap_or(true) {
+            // fewer rules, or as many with fewer writes
+            let key = (cost, job.writes(&scratch.costing));
+            if best.is_none_or(|(c, _)| key < (c, job.writes(&scratch.best))) {
                 best = Some((cost, t));
                 std::mem::swap(&mut scratch.costing, &mut scratch.best);
-                if cost == 0 && changes == 0 {
+                if key == (0, 0) {
                     break;
                 }
             }
@@ -1072,7 +1183,8 @@ impl PathInstaller {
     }
 
     /// (new rules, decisions whose forwarding would change), `None` =
-    /// infeasible; `record` gets the slot of every change.
+    /// infeasible; `record` gets the slot of every change and of every
+    /// deferral.
     fn segment_cost_unbounded(
         &self,
         job: &Costing,
@@ -1085,8 +1197,39 @@ impl PathInstaller {
         let mut cost = 0usize;
         let mut changes = 0usize;
         for (i, d) in job.seg.decisions.iter().enumerate() {
-            let (nh, _) = wanted(&job.seg.decisions, i, job.swap_to);
+            let (nh, is_swap) = wanted(&job.seg.decisions, i, job.swap_to);
             let sw = self.shadows(job.dir).switch(d.sw);
+            // a plain forward no tag table answers: in place where the
+            // tag deferred here and the stage agrees; on the last leg,
+            // deferred when no qualified table stands in the way and the
+            // stage agrees or is silent
+            let q = match d.arrival {
+                Arrival::FromSwitch(prev) => Some(Entry::FromSwitch(prev)),
+                _ => None,
+            };
+            let answered = q.and_then(|q| sw.next_hop(q, tag, prefix)).is_some()
+                || sw.next_hop(Entry::Ingress, tag, prefix).is_some();
+            if let Some(next) = d.plain_forward(is_swap).filter(|_| !answered) {
+                let stage = sw.location(prefix);
+                if stage == Some(next) && sw.has_deferred(tag) {
+                    continue;
+                }
+                let qualified = q.is_some_and(|q| sw.has_table(q, tag));
+                match stage {
+                    _ if qualified || !d.last_leg => {}
+                    Some(at) if at == next => {
+                        record.push((i, Target::Deferral(next)));
+                        continue;
+                    }
+                    Some(_) => {}
+                    None => {
+                        changes += 1;
+                        cost += sw.location_cost(prefix, next);
+                        record.push((i, Target::Location(next)));
+                        continue;
+                    }
+                }
+            }
             let (entry, current) = match d.arrival {
                 Arrival::FromMb(mb) => {
                     let e = Entry::FromMb(mb);
@@ -1111,7 +1254,7 @@ impl PathInstaller {
             }
             changes += 1;
             cost += sw.rule_cost(entry, tag, prefix, nh)?;
-            record.push((i, entry));
+            record.push((i, Target::Table(entry)));
         }
         Some((cost, changes))
     }
@@ -1168,19 +1311,21 @@ mod tests {
             let (nh, is_swap) = wanted(plan.decisions, i, plan.swap_to);
             let sw = tables.switch_mut(d.sw);
             COMMIT_PROBES.with(|n| n.set(n.get() + 1));
-            let Some((entry, _)) = rule_slot(sw, d, plan.tag, prefix, nh) else {
+            let Some((target, _)) = rule_slot(sw, d, plan.tag, prefix, nh, is_swap) else {
                 continue;
             };
-            sw.install_with(entry, plan.tag, prefix, nh, |delta| {
-                match delta {
-                    ShadowDelta::SetDefault { .. } | ShadowDelta::AddPrefix { .. } => {
-                        net += 1;
-                        swaps += usize::from(is_swap);
-                    }
-                    ShadowDelta::RemovePrefix { .. } => net -= 1,
-                }
+            let emit = |delta| {
+                let rules = delta_rules(&delta);
+                net += rules;
+                swaps += usize::from(is_swap && rules > 0);
                 last_deltas.push((d.sw, delta));
-            });
+            };
+            match target {
+                Target::Table(entry) => sw.install_with(entry, plan.tag, prefix, nh, emit),
+                Target::Location(next) | Target::Deferral(next) => {
+                    sw.defer(plan.tag, prefix, next, emit)
+                }
+            }
         }
         (net, swaps)
     }
@@ -1278,15 +1423,21 @@ mod tests {
         let rep = ins.install_path(&path, Direction::Downlink).unwrap();
         assert_eq!(rep.segment_tags.len(), 1);
         assert_eq!(rep.swap_rules, 0);
-        assert!(rep.new_rules >= 3, "gateway + firewall host (2 legs) + agg");
-        // all rules are Type 2 defaults: occupancy check
-        let mut t1 = 0;
+        assert_eq!(rep.new_rules, 4, "gateway + firewall host (2 legs) + agg");
+        // Type 2 defaults up to the firewall, the location stage after
+        // it: occupancy check
         let shadows = ins.shadows(Direction::Downlink);
+        let (mut t1, mut t2, mut t3) = (0, 0, 0);
         for sw in 0..topo.switch_count() {
-            let (p1, _) = shadows.switch(SwitchId(sw as u32)).occupancy();
-            t1 += p1;
+            let (p1, p2, p3) = shadows.switch(SwitchId(sw as u32)).occupancy();
+            (t1, t2, t3) = (t1 + p1, t2 + p2, t3 + p3);
         }
         assert_eq!(t1, 0, "single path needs no Type 1 overrides");
+        assert_eq!(
+            (t2, t3),
+            (3, 1),
+            "the aggregation switch's last leg is Type 3"
+        );
     }
 
     #[test]
@@ -1399,6 +1550,7 @@ mod tests {
             arrival: Arrival::FromSwitch(SwitchId(from)),
             want: Want::ToSwitch(SwitchId(to)),
             qualified: false,
+            last_leg: false,
         };
         let decisions = vec![
             d(7, 3, 8), // junction, first pass: to 8
@@ -1425,6 +1577,7 @@ mod tests {
             arrival: Arrival::FromSwitch(SwitchId(from)),
             want: Want::ToSwitch(SwitchId(to)),
             qualified: false,
+            last_leg: false,
         };
         let decisions = vec![
             d(5, 1, 7), // unique: feeds the junction
@@ -1449,18 +1602,21 @@ mod tests {
                 arrival: Arrival::FromSwitch(SwitchId(3)),
                 want: Want::ToSwitch(SwitchId(8)),
                 qualified: false,
+                last_leg: false,
             },
             Decision {
                 sw: SwitchId(8),
                 arrival: Arrival::FromSwitch(SwitchId(7)),
                 want: Want::ToSwitch(SwitchId(7)),
                 qualified: false,
+                last_leg: false,
             },
             Decision {
                 sw: SwitchId(7),
                 arrival: Arrival::FromSwitch(SwitchId(8)),
                 want: Want::ToSwitch(SwitchId(9)),
                 qualified: false,
+                last_leg: false,
             },
         ];
         let segs = split_both(10, &decisions);
@@ -1683,6 +1839,65 @@ mod tests {
         )
     }
 
+    /// Random middlebox chains from random stations, installed in seeded
+    /// random orders on `paper(2)` and `paper(4)`: each path draws its
+    /// own instances (Figure 7's per-station choice), so the last
+    /// middlebox's host, and with it where the last leg starts, differs
+    /// from path to path. After every install, every path installed so
+    /// far must still deliver through the downlink tables — the location
+    /// stage's deferrals included, which a later path of the same tag
+    /// must not capture.
+    #[test]
+    fn every_earlier_path_still_delivers() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        for (k, installs, seeds) in [(2, 80, 0..8), (4, 150, 8..11)] {
+            let topo = CellularParams::paper(k).build().unwrap();
+            let (stations, mbs) = (topo.base_stations().len() as u32, topo.middlebox_count());
+            let gw = topo.default_gateway().switch;
+            let scheme = AddressingScheme::default_scheme();
+            let (mut stages, mut located) = (0, 0);
+            for seed in seeds {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let mut ins = installer(&topo);
+                // (station, entry tag, the chain as the downlink meets it)
+                let mut live: Vec<(BaseStationId, PolicyTag, Vec<MiddleboxId>)> = Vec::new();
+                for n in 0..installs {
+                    let bs = BaseStationId(rng.gen_range(0..stations));
+                    let mut chain: Vec<MiddleboxId> = Vec::new();
+                    while chain.len() < rng.gen_range(1..5) {
+                        let mb = MiddleboxId(rng.gen_range(0..mbs) as u32);
+                        if !chain.contains(&mb) {
+                            chain.push(mb);
+                        }
+                    }
+                    let path = route_ids(&topo, bs.0, &chain).unwrap();
+                    let report = ins.install_path(&path, Direction::Downlink).unwrap();
+                    let deltas = ins.last_deltas(Direction::Downlink);
+                    located += (deltas.iter())
+                        .filter(|(_, d)| matches!(d, ShadowDelta::AddLocation { .. }))
+                        .count();
+                    chain.reverse();
+                    live.push((bs, report.entry_tag(), chain));
+                    let tables = ins.shadows(Direction::Downlink);
+                    for (i, (bs, tag, chain)) in live.iter().enumerate() {
+                        let prefix = scheme.base_station_prefix(*bs).unwrap();
+                        let access = topo.base_station(*bs).access_switch;
+                        assert!(
+                            tables.delivers(gw, *tag, prefix, access, chain),
+                            "paper({k}), seed {seed}: path {i} ({bs}, tag {tag}) broke at install {n}"
+                        );
+                    }
+                }
+                stages += (0..topo.switch_count())
+                    .map(|sw| ins.shadows(Direction::Downlink).switch(SwitchId(sw as u32)))
+                    .filter(|sw| sw.occupancy().2 > 0)
+                    .count();
+            }
+            assert!(located > 0 && stages > 0, "paper({k}): no path deferred");
+        }
+    }
+
     #[test]
     fn raw_tag_release_is_guarded() {
         let topo = small_topology();
@@ -1791,6 +2006,7 @@ mod tests {
                 arrival,
                 want,
                 qualified: false,
+                last_leg: false,
             }
         }
 

@@ -82,7 +82,9 @@ pub use install::{InstallReport, PathInstaller, TagPolicy};
 pub use log::{Log, LogRecord};
 pub use node::{Committed, ReplicaConfig, ReplicaNode};
 pub use ops::RuleOp;
-pub use shadow::{Divergence, DivergenceKind, Entry, NextHop, ShadowSwitch, ShadowTables};
+pub use shadow::{
+    Divergence, DivergenceKind, Entry, NextHop, RuleSlot, ShadowSwitch, ShadowTables,
+};
 pub use sharded::{ShardEvent, ShardEventKind, ShardedController, ShardedRun, ShardedStats};
 pub use state::ControllerState;
 pub use store::State;

@@ -343,7 +343,7 @@ mod tests {
     use proptest::prelude::*;
     use softcell_ctlchan::{Message, HEADER_LEN};
     use softcell_policy::clause::ClauseId;
-    use softcell_types::{BaseStationId, SimTime, UeId, UeImsi};
+    use softcell_types::{BaseStationId, SimTime, SwitchId, UeId, UeImsi};
 
     const OPS: [PacketIn; 3] = [
         PacketIn::Attach {
@@ -474,6 +474,39 @@ mod tests {
         assert_eq!(long.entries.len() as u64, KEEP);
         // the rank reads without the image: a cut one still ranks
         assert_eq!(Log::rank_of(&buf[..buf.len() - 1]).unwrap(), (3, n));
+    }
+
+    #[test]
+    fn a_seat_restored_from_a_folded_log_holds_the_same_tables() {
+        use crate::install::Direction;
+        let cfg = config(0);
+        let mut state = State::new(&cfg).unwrap();
+        let mut log = Log::new(&state);
+        // every station's path of each clause, over and over: the log
+        // folds, and the tables hold policy rules and location entries
+        let clauses = [0, 1, 2, 3, 5].map(ClauseId);
+        for index in 1..=2 * KEEP + 7 {
+            let i = index as usize;
+            let bs = BaseStationId((i % 4) as u32);
+            let op = PacketIn::PathRequest {
+                bs,
+                clause: clauses[i / 4 % clauses.len()],
+            };
+            let record = LogRecord {
+                epoch: 3,
+                index,
+                op,
+            };
+            let _ = state.apply(&record.op);
+            log.push(record, &state);
+        }
+        assert_eq!(log.entries.len() as u64, KEEP + 7, "folded");
+        let (_, restored) = Log::replay(&log.encode(), &cfg).unwrap();
+        let tables = |s: &State| s.engine().installer().shadows(Direction::Downlink).clone();
+        let (ours, theirs) = (tables(&state), tables(&restored));
+        assert!((0..ours.len()).any(|sw| ours.switch(SwitchId(sw as u32)).occupancy().2 > 0));
+        assert_eq!(ours.diff(&theirs), vec![]);
+        assert_eq!(theirs.diff(&ours), vec![]);
     }
 
     #[test]

@@ -35,7 +35,6 @@ use softcell_types::{Result, SwitchId};
 use crate::core::{install_path, CentralController, ControllerConfig};
 use crate::install::{Direction, PathInstaller};
 use crate::ops::{lower_delta, RuleOp};
-use crate::shadow::ShadowDelta;
 
 /// Before/after accounting of one offline pass.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -126,16 +125,7 @@ fn removals(
     for dir in [Direction::Uplink, Direction::Downlink] {
         let shadows = installer.shadows(dir);
         for sw in (0..shadows.len() as u32).map(SwitchId) {
-            for (entry, tag, prefix, nh) in shadows.switch(sw).iter_rules() {
-                let delta = match prefix {
-                    Some(prefix) => ShadowDelta::AddPrefix {
-                        entry,
-                        tag,
-                        prefix,
-                        nh,
-                    },
-                    None => ShadowDelta::SetDefault { entry, tag, nh },
-                };
+            for delta in shadows.switch(sw).iter_rules() {
                 let (RuleOp::Install { matcher, .. } | RuleOp::Remove { matcher, .. }) =
                     lower_delta(topo, &cfg.ports, carrier, dir, sw, &delta)?;
                 ops.push(RuleOp::Remove {

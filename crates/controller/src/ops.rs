@@ -277,6 +277,20 @@ pub fn lower_delta(
             switch: sw,
             matcher: build_match(entry, *tag, Some(*prefix))?,
         }),
+        // Type 3: the block alone, below every tag rule
+        ShadowDelta::AddLocation { block, next } => {
+            let matcher = Match::prefix(m_dir, *block);
+            Ok(RuleOp::Install {
+                switch: sw,
+                priority: conventional_priority(&matcher),
+                matcher,
+                action: action(&NextHop::Switch(*next))?,
+            })
+        }
+        ShadowDelta::RemoveLocation { block } => Ok(RuleOp::Remove {
+            switch: sw,
+            matcher: Match::prefix(m_dir, *block),
+        }),
     }
 }
 

@@ -14,7 +14,19 @@
 //!   two rules if and only if their location prefixes are contiguous");
 //! * separate tables per [`Entry`] context, because a rule for traffic
 //!   returning from a middlebox matches on the input port (§3.1
-//!   footnote) and therefore lives in its own namespace.
+//!   footnote) and therefore lives in its own namespace;
+//! * a **location stage** below every tag rule — Type 3 (prefix-only,
+//!   LPM) rules of §7 — keyed by aligned station-prefix blocks and
+//!   tag-agnostic: downlink traffic of any tag that no tag rule matches
+//!   follows it. Algorithm 1 leaves a path's last leg to it
+//!   ([`ShadowSwitch::defer`]). Its entries are immutable: one is only
+//!   added, or merged with an aligned sibling carrying the same next
+//!   hop, so what it answers never changes. A tag whose unqualified
+//!   table has deferred a prefix takes no Type 2 default on that switch
+//!   from then on, which would capture the deferred traffic. A Type 1
+//!   rule covers only the prefixes written to it, and the deferred
+//!   prefix's station claims the tag, so no later path writes one over
+//!   it (`install.rs`).
 //!
 //! The shadow is the controller's source of truth; deltas stream to the
 //! physical switches through [`crate::ops`].
@@ -148,11 +160,17 @@ pub struct ShadowSwitch {
     /// Tags in first-installation order — candidate enumeration must be
     /// deterministic for reproducible experiments.
     tag_order: Vec<PolicyTag>,
+    /// The location stage: disjoint blocks, in address order, each with
+    /// the switch its traffic goes to next.
+    location: Vec<(Ipv4Prefix, SwitchId)>,
+    /// Tags whose unqualified table has left a prefix to the location
+    /// stage, sorted: they take no Type 2 default here.
+    deferred: Vec<PolicyTag>,
     rule_count: usize,
 }
 
 /// A change the shadow applied, to be mirrored on the physical switch.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
 pub enum ShadowDelta {
     /// A Type 2 (tag-only) rule appeared.
     SetDefault {
@@ -183,6 +201,19 @@ pub enum ShadowDelta {
         /// Matched prefix.
         prefix: Ipv4Prefix,
     },
+    /// A Type 3 (location-only) rule appeared: traffic for `block` that
+    /// no tag rule matches goes to `next`, whatever its tag.
+    AddLocation {
+        /// Matched station-prefix block.
+        block: Ipv4Prefix,
+        /// Next switch.
+        next: SwitchId,
+    },
+    /// A Type 3 rule disappeared, merged into its parent block.
+    RemoveLocation {
+        /// Matched station-prefix block.
+        block: Ipv4Prefix,
+    },
 }
 
 /// How one rule slot disagrees between a shadow and a replica of it.
@@ -207,8 +238,39 @@ pub enum DivergenceKind {
     },
 }
 
-/// One rule-level disagreement found by [`ShadowSwitch::diff`]. A
-/// `prefix` of `None` names the tag's Type 2 default rule.
+impl DivergenceKind {
+    /// How one slot's next hops disagree, if they do.
+    fn of(expected: Option<NextHop>, found: Option<NextHop>) -> Option<DivergenceKind> {
+        match (expected, found) {
+            (Some(e), Some(f)) if e != f => Some(DivergenceKind::Mismatch {
+                expected: e,
+                found: f,
+            }),
+            (Some(e), None) => Some(DivergenceKind::Missing { expected: e }),
+            (None, Some(f)) => Some(DivergenceKind::Extra { found: f }),
+            _ => None,
+        }
+    }
+}
+
+/// A rule's place in a switch's shadow.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
+pub enum RuleSlot {
+    /// A tag rule: the Type 1 rule for `prefix`, or the tag's Type 2
+    /// default when `prefix` is `None`.
+    Tag {
+        /// Rule context.
+        entry: Entry,
+        /// Tag.
+        tag: PolicyTag,
+        /// Matched prefix, or `None` for the tag default.
+        prefix: Option<Ipv4Prefix>,
+    },
+    /// The location stage's (Type 3) rule for a block.
+    Location(Ipv4Prefix),
+}
+
+/// One rule-level disagreement found by [`ShadowSwitch::diff`].
 ///
 /// Replica divergence must be *reported*, never silently absorbed: a
 /// replica whose log replay reconstructed different forwarding state
@@ -216,12 +278,8 @@ pub enum DivergenceKind {
 /// recovery path asserts `diff` is empty before promoting.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
 pub struct Divergence {
-    /// Rule context the disagreement lives in.
-    pub entry: Entry,
-    /// Tag the disagreement lives under.
-    pub tag: PolicyTag,
-    /// Disagreeing prefix rule, or `None` for the tag default.
-    pub prefix: Option<Ipv4Prefix>,
+    /// The rule the two sides disagree on.
+    pub slot: RuleSlot,
     /// What kind of disagreement.
     pub kind: DivergenceKind,
 }
@@ -249,8 +307,8 @@ impl ShadowSwitch {
         ShadowSwitch::default()
     }
 
-    /// Total rules this switch would hold (Type 1 + Type 2) — the
-    /// quantity Figure 7 reports.
+    /// Total rules this switch would hold (Type 1 + Type 2 + Type 3) —
+    /// the quantity Figure 7 reports.
     pub fn rule_count(&self) -> usize {
         self.rule_count
     }
@@ -259,6 +317,121 @@ impl ShadowSwitch {
     /// does with `tag`-tagged traffic for `prefix` arriving via `entry`.
     pub fn next_hop(&self, entry: Entry, tag: PolicyTag, prefix: Ipv4Prefix) -> Option<NextHop> {
         self.tables.get(&table_key(entry, tag))?.lookup(prefix)
+    }
+
+    /// What the switch's pipeline does with `tag`-tagged traffic for
+    /// `prefix` arriving via `entry`: the arrival's qualified table, then
+    /// the unqualified one, then the location stage.
+    pub fn resolve(&self, entry: Entry, tag: PolicyTag, prefix: Ipv4Prefix) -> Option<NextHop> {
+        let qualified = match entry {
+            Entry::Ingress => None,
+            _ => self.next_hop(entry, tag, prefix),
+        };
+        qualified
+            .or_else(|| self.next_hop(Entry::Ingress, tag, prefix))
+            .or_else(|| self.location(prefix).map(NextHop::Switch))
+    }
+
+    /// Whether `(Ingress, tag)` has left a prefix to the location stage.
+    pub(crate) fn has_deferred(&self, tag: PolicyTag) -> bool {
+        self.deferred.binary_search(&tag).is_ok()
+    }
+
+    /// Where the location stage sends traffic for `prefix`, if anywhere.
+    pub fn location(&self, prefix: Ipv4Prefix) -> Option<SwitchId> {
+        let at = self.location_at(prefix);
+        self.covering(at, prefix)
+    }
+
+    /// The index of the first location entry above `prefix`. The
+    /// entries are disjoint and in address order, so the one before it
+    /// is the only one that can cover `prefix`.
+    fn location_at(&self, prefix: Ipv4Prefix) -> usize {
+        self.location.partition_point(|&(block, _)| block <= prefix)
+    }
+
+    /// The next hop of the entry just below index `at`, if it covers
+    /// `prefix`.
+    fn covering(&self, at: usize, prefix: Ipv4Prefix) -> Option<SwitchId> {
+        let &(block, next) = self.location.get(at.checked_sub(1)?)?;
+        block.covers(&prefix).then_some(next)
+    }
+
+    /// The location stage's answer for `prefix` and, when it has none,
+    /// the rule cost of an entry sending it to `next`: 0 when the entry
+    /// merges into its sibling block, 1 otherwise. One binary search:
+    /// the sibling sits just below or just above `prefix`.
+    pub(crate) fn probe_location(
+        &self,
+        prefix: Ipv4Prefix,
+        next: SwitchId,
+    ) -> (Option<SwitchId>, usize) {
+        let at = self.location_at(prefix);
+        if let Some(answer) = self.covering(at, prefix) {
+            return (Some(answer), 0);
+        }
+        let merges = prefix.sibling().is_some_and(|sib| {
+            let near = [at.checked_sub(1), Some(at)];
+            near.into_iter()
+                .flatten()
+                .any(|k| self.location.get(k) == Some(&(sib, next)))
+        });
+        (None, usize::from(!merges))
+    }
+
+    /// Leaves `tag`'s unqualified traffic for `prefix` to the location
+    /// stage, which sends it to `next`: records that `(Ingress, tag)`
+    /// deferred (it takes no Type 2 default from now on), and unless the
+    /// stage answers `prefix` already, adds its entry, merged upward with
+    /// aligned sibling blocks that carry the same next hop. Hands each
+    /// delta to `emit` in application order.
+    ///
+    /// # Panics
+    /// Debug-panics when the unqualified table answers `prefix` or the
+    /// stage answers it otherwise — the planner must have checked both.
+    pub(crate) fn defer(
+        &mut self,
+        tag: PolicyTag,
+        prefix: Ipv4Prefix,
+        next: SwitchId,
+        mut emit: impl FnMut(ShadowDelta),
+    ) {
+        debug_assert!(
+            self.next_hop(Entry::Ingress, tag, prefix).is_none(),
+            "deferral of a prefix tag {tag} answers ({prefix})"
+        );
+        if let Err(at) = self.deferred.binary_search(&tag) {
+            self.deferred.insert(at, tag);
+            // the tag's traffic passes here, so it is a candidate for
+            // paths here, as if it had a rule
+            if !self.tag_order.contains(&tag) {
+                self.tag_order.push(tag);
+            }
+        }
+        let mut at = self.location_at(prefix);
+        if let Some(answer) = self.covering(at, prefix) {
+            debug_assert_eq!(
+                answer, next,
+                "the location stage answers {prefix} otherwise"
+            );
+            return;
+        }
+        let mut block = prefix;
+        while let Some(sib) = block.sibling() {
+            let below = sib < block;
+            let k = if below { at.wrapping_sub(1) } else { at };
+            if self.location.get(k) != Some(&(sib, next)) {
+                break;
+            }
+            self.location.remove(k);
+            self.rule_count -= 1;
+            emit(ShadowDelta::RemoveLocation { block: sib });
+            at -= usize::from(below);
+            block = block.parent().expect("sibling exists, so parent does");
+        }
+        self.location.insert(at, (block, next));
+        self.rule_count += 1;
+        emit(ShadowDelta::AddLocation { block, next });
     }
 
     /// `getNextHop` and `canAggregate` of Algorithm 1 in one table lookup
@@ -355,7 +528,13 @@ impl ShadowSwitch {
         // middlebox can arrive there). A default in a FromSwitch table
         // would capture *every* prefix arriving on that link, hijacking
         // paths that relied on unqualified rules.
-        let default_ok = !matches!(entry, Entry::FromSwitch(_));
+        // Nor in an Ingress table that has left a prefix to the location
+        // stage: the default would capture that traffic.
+        let default_ok = match entry {
+            Entry::Ingress => self.deferred.binary_search(&tag).is_err(),
+            Entry::FromMb(_) => true,
+            Entry::FromSwitch(_) => false,
+        };
         if default_ok && table.default.is_none() && table.prefixes.is_empty() {
             table.default = Some(nh);
             self.rule_count += 1;
@@ -412,36 +591,39 @@ impl ShadowSwitch {
     }
 
     /// Tags present on this switch (the per-switch contribution to
-    /// `candTag`), in deterministic first-installed order, most recent
-    /// first (recent tags are the likeliest reuse candidates).
+    /// `candTag`): those with a rule here and those that left a prefix
+    /// to the location stage here, in deterministic first-installed
+    /// order, most recent first (recent tags are the likeliest reuse
+    /// candidates).
     pub fn tags(&self) -> impl Iterator<Item = PolicyTag> + '_ {
         self.tag_order.iter().rev().copied()
     }
 
-    /// Iterates every installed rule as `(entry, tag, prefix, next_hop)`
-    /// — `prefix = None` for Type 2 defaults. Order is unspecified; used
-    /// for full-table lowering (offline recompute migrations).
-    pub fn iter_rules(
-        &self,
-    ) -> impl Iterator<Item = (Entry, PolicyTag, Option<Ipv4Prefix>, NextHop)> + '_ {
-        self.tables.iter().flat_map(|(&key, table)| {
+    /// Iterates every installed rule as the delta that installs it
+    /// ([`ShadowDelta::SetDefault`], [`ShadowDelta::AddPrefix`] or
+    /// [`ShadowDelta::AddLocation`]). Order is unspecified; used for
+    /// full-table lowering (offline recompute migrations).
+    pub fn iter_rules(&self) -> impl Iterator<Item = ShadowDelta> + '_ {
+        let tag_rules = self.tables.iter().flat_map(|(&key, table)| {
             let (entry, tag) = unpack_key(key);
-            table
-                .default
-                .iter()
-                .map(move |nh| (entry, tag, None, *nh))
-                .chain(
-                    table
-                        .prefixes
-                        .iter()
-                        .map(move |(p, nh)| (entry, tag, Some(*p), *nh)),
-                )
-        })
+            let default =
+                (table.default.iter()).map(move |&nh| ShadowDelta::SetDefault { entry, tag, nh });
+            let prefixes = table.prefixes.iter();
+            default.chain(prefixes.map(move |(&prefix, &nh)| ShadowDelta::AddPrefix {
+                entry,
+                tag,
+                prefix,
+                nh,
+            }))
+        });
+        let location = self.location.iter();
+        tag_rules.chain(location.map(|&(block, next)| ShadowDelta::AddLocation { block, next }))
     }
 
     /// Compares this (authoritative) shadow against a `replica` of it,
     /// reporting every rule-level disagreement in deterministic
-    /// `(entry, tag, prefix)` order. Empty iff the two shadows encode
+    /// [`RuleSlot`] order: tag rules by `(entry, tag, prefix)`, then the
+    /// location stage by block. Empty iff the two shadows encode
     /// identical forwarding behaviour rule-for-rule.
     pub fn diff(&self, replica: &ShadowSwitch) -> Vec<Divergence> {
         let mut keys: Vec<u64> = self
@@ -478,35 +660,42 @@ impl ShadowSwitch {
                     None => theirs.default,
                     Some(p) => theirs.prefixes.get(&p).copied(),
                 };
-                let kind = match (expected, found) {
-                    (Some(e), Some(f)) if e != f => DivergenceKind::Mismatch {
-                        expected: e,
-                        found: f,
-                    },
-                    (Some(e), None) => DivergenceKind::Missing { expected: e },
-                    (None, Some(f)) => DivergenceKind::Extra { found: f },
-                    _ => continue,
-                };
-                out.push(Divergence {
-                    entry,
-                    tag,
-                    prefix,
-                    kind,
-                });
+                if let Some(kind) = DivergenceKind::of(expected, found) {
+                    let slot = RuleSlot::Tag { entry, tag, prefix };
+                    out.push(Divergence { slot, kind });
+                }
+            }
+        }
+        let mut blocks: Vec<Ipv4Prefix> = (self.location.iter())
+            .chain(&replica.location)
+            .map(|&(block, _)| block)
+            .collect();
+        blocks.sort_unstable();
+        blocks.dedup();
+        let next = |stage: &[(Ipv4Prefix, SwitchId)], block| {
+            let at = stage.binary_search_by_key(&block, |&(b, _)| b).ok()?;
+            Some(NextHop::Switch(stage[at].1))
+        };
+        for block in blocks {
+            let (expected, found) = (next(&self.location, block), next(&replica.location, block));
+            if let Some(kind) = DivergenceKind::of(expected, found) {
+                let slot = RuleSlot::Location(block);
+                out.push(Divergence { slot, kind });
             }
         }
         out
     }
 
-    /// Per-type occupancy: `(type1_prefix_rules, type2_default_rules)`.
-    pub fn occupancy(&self) -> (usize, usize) {
+    /// Per-type occupancy: `(type1_prefix_rules, type2_default_rules,
+    /// type3_location_rules)`.
+    pub fn occupancy(&self) -> (usize, usize, usize) {
         let mut t1 = 0;
         let mut t2 = 0;
         for t in self.tables.values() {
             t1 += t.prefixes.len();
             t2 += usize::from(t.default.is_some());
         }
-        (t1, t2)
+        (t1, t2, self.location.len())
     }
 }
 
@@ -547,6 +736,52 @@ impl ShadowTables {
     /// Rule counts of every switch — the Figure 7 measurement.
     pub fn rule_counts(&self) -> Vec<usize> {
         self.switches.iter().map(|s| s.rule_count()).collect()
+    }
+
+    /// Whether traffic entering switch `from` from outside the fabric
+    /// with `tag`, for `prefix`, reaches switch `to` through exactly the
+    /// middleboxes of `chain`, in order, as the tables forward it: each
+    /// switch's pipeline ([`ShadowSwitch::resolve`]), following tag
+    /// swaps. A miss, an exit, a middlebox out of turn or a walk longer
+    /// than `chain.len() + 1` loop-free legs (a forwarding loop) fails.
+    pub fn delivers(
+        &self,
+        from: SwitchId,
+        mut tag: PolicyTag,
+        prefix: Ipv4Prefix,
+        to: SwitchId,
+        chain: &[MiddleboxId],
+    ) -> bool {
+        let (mut at, mut entry, mut passed) = (from, Entry::Ingress, 0);
+        let steps = (chain.len() + 1) * (self.switches.len() + 1);
+        for _ in 0..steps {
+            if at == to && passed == chain.len() {
+                return true;
+            }
+            let (mb, next) = match self.switch(at).resolve(entry, tag, prefix) {
+                Some(NextHop::Switch(next)) => (None, next),
+                Some(NextHop::Middlebox(mb)) => (Some(mb), at),
+                Some(NextHop::SwapTag(to, next)) => {
+                    tag = to;
+                    (None, next)
+                }
+                Some(NextHop::SwapTagMb(to, mb)) => {
+                    tag = to;
+                    (Some(mb), at)
+                }
+                Some(NextHop::Uplink) | None => return false,
+            };
+            entry = match mb {
+                Some(mb) if chain.get(passed) == Some(&mb) => {
+                    passed += 1;
+                    Entry::FromMb(mb)
+                }
+                Some(_) => return false,
+                None => Entry::FromSwitch(at),
+            };
+            at = next;
+        }
+        false
     }
 
     /// Compares this (authoritative) network shadow against a `replica`,
@@ -627,6 +862,14 @@ impl ShadowSwitch {
         }
     }
 
+    /// The rule cost of a location entry sending `prefix` to `next`
+    /// where the stage does not answer it: 0 when it merges with its
+    /// sibling block.
+    pub(crate) fn location_cost(&self, prefix: Ipv4Prefix, next: SwitchId) -> usize {
+        let merges = (prefix.sibling()).is_some_and(|sib| self.location.contains(&(sib, next)));
+        usize::from(!merges)
+    }
+
     /// Whether any rule exists for `(entry, tag)`.
     pub(crate) fn has_table(&self, entry: Entry, tag: PolicyTag) -> bool {
         self.tables
@@ -665,7 +908,7 @@ mod tests {
         assert_eq!(s.rule_count(), 1);
         // every prefix under the tag now follows the default
         assert_eq!(s.next_hop(IN, T, p("10.0.8.0/23")), Some(NH1));
-        assert_eq!(s.occupancy(), (0, 1));
+        assert_eq!(s.occupancy(), (0, 1, 0));
     }
 
     #[test]
@@ -685,7 +928,7 @@ mod tests {
         assert_eq!(s.rule_count(), 2);
         assert_eq!(s.next_hop(IN, T, p("10.0.8.0/23")), Some(NH2));
         assert_eq!(s.next_hop(IN, T, p("10.0.0.0/23")), Some(NH1));
-        assert_eq!(s.occupancy(), (1, 1));
+        assert_eq!(s.occupancy(), (1, 1, 0));
     }
 
     #[test]
@@ -807,6 +1050,87 @@ mod tests {
         assert_eq!(s.next_hop(IN, T, p("10.0.1.0/24")), Some(NH1));
     }
 
+    #[test]
+    fn deferral_adds_location_entries_that_merge_upward() {
+        let mut s = ShadowSwitch::new();
+        let (a, b) = (SwitchId(10), SwitchId(20));
+        let mut deltas = Vec::new();
+        s.defer(T, p("10.0.0.0/23"), a, |d| deltas.push(d));
+        assert_eq!(
+            deltas,
+            vec![ShadowDelta::AddLocation {
+                block: p("10.0.0.0/23"),
+                next: a
+            }]
+        );
+        // its sibling with the same next hop merges for free; with
+        // another it costs a rule
+        assert_eq!(s.probe_location(p("10.0.2.0/23"), a), (None, 0));
+        assert_eq!(s.probe_location(p("10.0.2.0/23"), b), (None, 1));
+        deltas.clear();
+        s.defer(PolicyTag(2), p("10.0.2.0/23"), a, |d| deltas.push(d));
+        assert_eq!(
+            deltas,
+            vec![
+                ShadowDelta::RemoveLocation {
+                    block: p("10.0.0.0/23")
+                },
+                ShadowDelta::AddLocation {
+                    block: p("10.0.0.0/22"),
+                    next: a
+                },
+            ]
+        );
+        // a covered prefix is answered, for any tag, and costs nothing
+        assert_eq!(s.probe_location(p("10.0.2.0/23"), a), (Some(a), 0));
+        assert_eq!(
+            s.resolve(IN, PolicyTag(7), p("10.0.2.0/23")),
+            Some(NextHop::Switch(a))
+        );
+        deltas.clear();
+        s.defer(PolicyTag(3), p("10.0.2.0/23"), a, |d| deltas.push(d));
+        assert!(deltas.is_empty(), "an answered prefix adds no entry");
+        // the sibling block above, at a /22, merges the pair to a /21
+        s.defer(T, p("10.0.6.0/23"), a, |_| {});
+        s.defer(T, p("10.0.4.0/23"), a, |_| {});
+        assert_eq!(s.occupancy(), (0, 0, 1));
+        assert_eq!(s.location(p("10.0.6.0/23")), Some(a));
+        assert_eq!(s.location(p("10.0.8.0/23")), None);
+        assert_eq!(s.rule_count(), 1);
+    }
+
+    #[test]
+    fn a_deferring_table_takes_no_default() {
+        let mut s = ShadowSwitch::new();
+        let mb = Entry::FromMb(MiddleboxId(3));
+        s.defer(T, p("10.0.0.0/23"), SwitchId(10), |_| {});
+        // the tag's first unqualified rule is a Type 1 rule, so the
+        // deferred prefix still falls through to the location stage
+        let d = s.install(IN, T, p("10.0.8.0/23"), NH2);
+        assert!(matches!(d[..], [ShadowDelta::AddPrefix { .. }]), "{d:?}");
+        assert_eq!(s.resolve(IN, T, p("10.0.0.0/23")), Some(NH1));
+        // other tags and other tables keep their defaults
+        let d = s.install(IN, PolicyTag(2), p("10.0.8.0/23"), NH2);
+        assert!(matches!(d[..], [ShadowDelta::SetDefault { .. }]), "{d:?}");
+        let d = s.install(mb, T, p("10.0.8.0/23"), NH2);
+        assert!(matches!(d[..], [ShadowDelta::SetDefault { .. }]), "{d:?}");
+        assert_eq!(s.occupancy(), (1, 2, 1));
+    }
+
+    #[test]
+    fn resolve_follows_the_pipeline() {
+        let mut s = ShadowSwitch::new();
+        let from = Entry::FromSwitch(SwitchId(5));
+        s.defer(T, p("10.0.0.0/23"), SwitchId(10), |_| {});
+        assert_eq!(s.resolve(from, T, p("10.0.0.0/23")), Some(NH1));
+        s.install(IN, PolicyTag(2), p("10.0.0.0/23"), NH2);
+        assert_eq!(s.resolve(from, PolicyTag(2), p("10.0.0.0/23")), Some(NH2));
+        s.install(from, PolicyTag(2), p("10.0.0.0/23"), NH3);
+        assert_eq!(s.resolve(from, PolicyTag(2), p("10.0.0.0/23")), Some(NH3));
+        assert_eq!(s.resolve(IN, PolicyTag(2), p("10.0.0.0/23")), Some(NH2));
+        assert_eq!(s.resolve(IN, T, p("10.0.8.0/23")), None);
+    }
+
     mod properties {
         use super::*;
         use proptest::prelude::*;
@@ -899,18 +1223,20 @@ mod tests {
             /// rule-for-rule — so a consumer of the op stream (physical
             /// switches, replicas) converges on exactly the aggregated
             /// state a from-scratch recomputation would build, merges and
-            /// cascades included.
+            /// cascades included, the location stage's too.
             #[test]
             fn prop_delta_stream_reconstructs_tables(installs in arb_installs()) {
                 use std::collections::HashMap;
                 let mut shadow = ShadowSwitch::new();
-                // (entry, tag) -> (default, prefix rules): no aggregation
-                // logic of its own, it just obeys the deltas
+                // (entry, tag) -> (default, prefix rules), and the
+                // location stage: no aggregation logic of their own, they
+                // just obey the deltas
                 type MirrorSlot = (Option<NextHop>, HashMap<Ipv4Prefix, NextHop>);
                 let mut mirror: HashMap<(Entry, PolicyTag), MirrorSlot> = HashMap::new();
+                let mut stage: HashMap<Ipv4Prefix, SwitchId> = HashMap::new();
                 for (station, hop) in installs {
-                    // spread across entries and tags so namespace
-                    // separation is exercised too
+                    // spread across entries, tags and the location stage
+                    // so namespace separation is exercised too
                     let entry = if station % 2 == 0 {
                         IN
                     } else {
@@ -918,11 +1244,16 @@ mod tests {
                     };
                     let tag = if station % 3 == 0 { PolicyTag(9) } else { T };
                     let prefix = Ipv4Prefix::from_bits(0x0A00_0000 | (station << 9), 23);
-                    let nh = NextHop::Switch(SwitchId(hop as u32));
-                    if shadow.probe(entry, tag, prefix, nh).cost.is_none() {
-                        continue;
+                    let next = SwitchId(u32::from(hop));
+                    let nh = NextHop::Switch(next);
+                    let mut deltas = Vec::new();
+                    let stage_agrees = shadow.location(prefix).is_none_or(|n| n == next);
+                    if station % 4 == 2 && stage_agrees && shadow.next_hop(IN, tag, prefix).is_none() {
+                        shadow.defer(tag, prefix, next, |d| deltas.push(d));
+                    } else if shadow.probe(entry, tag, prefix, nh).cost.is_some() {
+                        deltas = shadow.install(entry, tag, prefix, nh);
                     }
-                    for delta in shadow.install(entry, tag, prefix, nh) {
+                    for delta in deltas {
                         match delta {
                             ShadowDelta::SetDefault { entry, tag, nh } => {
                                 mirror.entry((entry, tag)).or_default().0 = Some(nh);
@@ -942,28 +1273,33 @@ mod tests {
                                      {:?}/{:?}/{}", entry, tag, prefix
                                 );
                             }
+                            ShadowDelta::AddLocation { block, next } => {
+                                prop_assert!(stage.insert(block, next).is_none());
+                            }
+                            ShadowDelta::RemoveLocation { block } => {
+                                prop_assert!(stage.remove(&block).is_some());
+                            }
                         }
                     }
                 }
-                let mut live: Vec<(Entry, PolicyTag, Option<Ipv4Prefix>, NextHop)> =
-                    shadow.iter_rules().collect();
-                let mut replayed: Vec<(Entry, PolicyTag, Option<Ipv4Prefix>, NextHop)> = mirror
+                let mut live: Vec<ShadowDelta> = shadow.iter_rules().collect();
+                let mut replayed: Vec<ShadowDelta> = mirror
                     .iter()
                     .flat_map(|(&(entry, tag), (default, prefixes))| {
                         default
                             .iter()
-                            .map(move |nh| (entry, tag, None, *nh))
-                            .chain(
-                                prefixes
-                                    .iter()
-                                    .map(move |(p, nh)| (entry, tag, Some(*p), *nh)),
-                            )
+                            .map(move |&nh| ShadowDelta::SetDefault { entry, tag, nh })
+                            .chain(prefixes.iter().map(move |(&prefix, &nh)| {
+                                ShadowDelta::AddPrefix { entry, tag, prefix, nh }
+                            }))
                             .collect::<Vec<_>>()
                     })
+                    .chain(stage.iter().map(|(&block, &next)| ShadowDelta::AddLocation { block, next }))
                     .collect();
                 live.sort_unstable();
                 replayed.sort_unstable();
                 prop_assert_eq!(live, replayed, "delta replay diverged from the table");
+                prop_assert_eq!(shadow.rule_count(), shadow.iter_rules().count());
             }
 
             /// The fused probe is the composition it replaced
@@ -1014,6 +1350,46 @@ mod tests {
                     }
                 }
             }
+
+            /// The location stage is immutable: a prefix it answers keeps
+            /// its answer through every later deferral, whatever merges
+            /// it makes; and its probe forecasts a deferral's rule count,
+            /// exactly without a merge and as an upper bound with one.
+            #[test]
+            fn prop_location_answers_never_change(
+                defers in proptest::collection::vec((0u32..64, 0u32..3), 1..120),
+            ) {
+                let prefix = |station: u32| Ipv4Prefix::from_bits(0x0A00_0000 | (station << 9), 23);
+                let mut s = ShadowSwitch::new();
+                let mut answered: Vec<(u32, SwitchId)> = Vec::new();
+                for (station, hop) in defers {
+                    let next = SwitchId(hop);
+                    let (answer, cost) = s.probe_location(prefix(station), next);
+                    prop_assert_eq!(answer, s.location(prefix(station)));
+                    if answer.is_none() {
+                        prop_assert_eq!(cost, s.location_cost(prefix(station), next));
+                    }
+                    if answer.is_some_and(|a| a != next) {
+                        continue;
+                    }
+                    let before = s.rule_count() as i64;
+                    let mut merges = 0;
+                    s.defer(T, prefix(station), next, |d| {
+                        merges += usize::from(matches!(d, ShadowDelta::RemoveLocation { .. }));
+                    });
+                    let added = s.rule_count() as i64 - before;
+                    match (answer, merges) {
+                        (Some(_), _) => prop_assert_eq!(added, 0),
+                        (None, 0) => prop_assert_eq!(added, cost as i64),
+                        (None, _) => prop_assert!(added <= 0 && added <= cost as i64),
+                    }
+                    answered.push((station, next));
+                    for &(st, n) in &answered {
+                        prop_assert_eq!(s.location(prefix(st)), Some(n), "station {}", st);
+                    }
+                }
+                prop_assert_eq!(s.occupancy().2, s.rule_count());
+            }
         }
     }
 
@@ -1057,25 +1433,31 @@ mod tests {
             report,
             vec![
                 Divergence {
-                    entry: IN,
-                    tag: T,
-                    prefix: Some(p("10.1.0.0/24")),
+                    slot: RuleSlot::Tag {
+                        entry: IN,
+                        tag: T,
+                        prefix: Some(p("10.1.0.0/24"))
+                    },
                     kind: DivergenceKind::Mismatch {
                         expected: NH2,
                         found: NH3
                     },
                 },
                 Divergence {
-                    entry: IN,
-                    tag: T,
-                    prefix: Some(p("10.9.0.0/24")),
+                    slot: RuleSlot::Tag {
+                        entry: IN,
+                        tag: T,
+                        prefix: Some(p("10.9.0.0/24"))
+                    },
                     kind: DivergenceKind::Extra { found: NH2 },
                 },
                 // the mb install landed as the tag's Type 2 default
                 Divergence {
-                    entry: mb,
-                    tag: T,
-                    prefix: None,
+                    slot: RuleSlot::Tag {
+                        entry: mb,
+                        tag: T,
+                        prefix: None
+                    },
                     kind: DivergenceKind::Missing { expected: NH2 },
                 },
             ],
@@ -1087,7 +1469,8 @@ mod tests {
         assert_eq!(reverse.len(), 3);
         assert!(reverse
             .iter()
-            .any(|d| matches!(d.kind, DivergenceKind::Extra { found: NH2 }) && d.entry == mb));
+            .any(|d| matches!(d.kind, DivergenceKind::Extra { found: NH2 })
+                && matches!(d.slot, RuleSlot::Tag { entry, .. } if entry == mb)));
     }
 
     #[test]
@@ -1098,12 +1481,43 @@ mod tests {
         assert_eq!(
             primary.diff(&replica),
             vec![Divergence {
-                entry: IN,
-                tag: T,
-                prefix: None,
+                slot: RuleSlot::Tag {
+                    entry: IN,
+                    tag: T,
+                    prefix: None
+                },
                 kind: DivergenceKind::Missing { expected: NH1 },
             }]
         );
+    }
+
+    #[test]
+    fn location_divergence_is_reported() {
+        let mut primary = ShadowSwitch::new();
+        primary.defer(T, p("10.0.0.0/23"), SwitchId(10), |_| {});
+        primary.defer(T, p("10.0.4.0/23"), SwitchId(10), |_| {});
+        let mut replica = ShadowSwitch::new();
+        replica.defer(T, p("10.0.0.0/23"), SwitchId(10), |_| {});
+        replica.defer(T, p("10.0.4.0/23"), SwitchId(20), |_| {});
+        replica.defer(T, p("10.0.8.0/23"), SwitchId(10), |_| {});
+        let at = |block: &str, kind| Divergence {
+            slot: RuleSlot::Location(p(block)),
+            kind,
+        };
+        assert_eq!(
+            primary.diff(&replica),
+            vec![
+                at(
+                    "10.0.4.0/23",
+                    DivergenceKind::Mismatch {
+                        expected: NH1,
+                        found: NH2
+                    }
+                ),
+                at("10.0.8.0/23", DivergenceKind::Extra { found: NH1 }),
+            ]
+        );
+        assert_eq!(ShadowSwitch::new().diff(&ShadowSwitch::new()), vec![]);
     }
 
     #[test]

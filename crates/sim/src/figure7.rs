@@ -90,6 +90,11 @@ pub struct Figure7Result {
     pub tags_used: usize,
     /// Tag-swap rules installed (loop disambiguation).
     pub swap_rules: usize,
+    /// Installed paths the finished tables deliver: traffic entering the
+    /// gateway with the path's entry tag reaches the station's access
+    /// switch through the path's middleboxes, in order
+    /// ([`ShadowTables::delivers`](softcell_controller::ShadowTables::delivers)).
+    pub delivered: usize,
 }
 
 /// Runs one Figure 7 configuration.
@@ -116,35 +121,42 @@ pub fn run_on(topo: &Topology, config: Figure7Config) -> Result<Figure7Result> {
         },
     );
     let mut sp = ShortestPaths::new(topo);
-    let mut rng = StdRng::seed_from_u64(config.seed);
     let gw = topo.default_gateway().switch;
-    let kinds: Vec<MiddleboxKind> = MiddleboxKind::enumerate(topo.middlebox_kinds().count());
     let stations = topo.base_stations().len();
 
-    let mut paths_installed = 0usize;
     let mut swap_rules = 0usize;
-    for _clause in 0..config.n_clauses {
-        let clause_instances = random_chain(&mut rng, topo, &kinds, config.m_chain);
-        let clause_kinds = random_kinds(&mut rng, &kinds, config.m_chain);
-        for bs in 0..stations {
-            let origin = BaseStationId(bs as u32);
-            let instances = match config.choice {
-                InstanceChoice::NearestPerStation => {
-                    nearest_chain(topo, &mut sp, origin, &clause_kinds)
-                }
-                InstanceChoice::PerClause => clause_instances.clone(),
-                InstanceChoice::PerStation => random_chain(&mut rng, topo, &kinds, config.m_chain),
-            };
-            let path = sp.route_policy_path(origin, &instances, gw)?;
-            let report = installer.install_path(&path, Direction::Downlink)?;
-            swap_rules += report.swap_rules;
-            paths_installed += 1;
-        }
-    }
+    // each path's entry tag, in install order, for the delivery walk
+    let mut entry_tags = Vec::with_capacity(config.n_clauses * stations);
+    each_path(topo, &mut sp, &config, |sp, origin, instances| {
+        let path = sp.route_policy_path(origin, instances, gw)?;
+        let report = installer.install_path(&path, Direction::Downlink)?;
+        swap_rules += report.swap_rules;
+        entry_tags.push(report.entry_tag());
+        Ok(())
+    })?;
+    let paths_installed = entry_tags.len();
+
+    // every path against the finished tables: later paths must not have
+    // redirected earlier ones
+    let shadows = installer.shadows(Direction::Downlink);
+    let mut tags = entry_tags.into_iter();
+    let mut delivered = 0usize;
+    let mut chain = Vec::with_capacity(config.m_chain);
+    each_path(topo, &mut sp, &config, |_, origin, instances| {
+        let tag = tags.next().expect("one entry tag per installed path");
+        let (access, prefix) = (
+            topo.base_station(origin).access_switch,
+            scheme.base_station_prefix(origin)?,
+        );
+        // the downlink meets the chain back to front
+        chain.clear();
+        chain.extend(instances.iter().rev());
+        delivered += usize::from(shadows.delivers(gw, tag, prefix, access, &chain));
+        Ok(())
+    })?;
 
     // statistics over fabric switches (aggregation + core + gateway) —
     // access switches are software and are reported separately
-    let shadows = installer.shadows(Direction::Downlink);
     let mut fabric: Vec<usize> = Vec::new();
     let mut all_max = 0usize;
     let mut total = 0usize;
@@ -172,7 +184,42 @@ pub fn run_on(topo: &Topology, config: Figure7Config) -> Result<Figure7Result> {
         total_rules: total,
         tags_used: installer.tags_in_use(),
         swap_rules,
+        delivered,
     })
+}
+
+/// Calls `f` with every path of a configuration, in install order: its
+/// station and middlebox instances. Every call makes the same draws, so
+/// a second pass meets the paths the first installed.
+fn each_path(
+    topo: &Topology,
+    sp: &mut ShortestPaths,
+    config: &Figure7Config,
+    mut f: impl FnMut(&mut ShortestPaths, BaseStationId, &[MiddleboxId]) -> Result<()>,
+) -> Result<()> {
+    let mut rng = StdRng::seed_from_u64(config.seed);
+    let kinds: Vec<MiddleboxKind> = MiddleboxKind::enumerate(topo.middlebox_kinds().count());
+    for _clause in 0..config.n_clauses {
+        let clause_instances = random_chain(&mut rng, topo, &kinds, config.m_chain);
+        let clause_kinds = random_kinds(&mut rng, &kinds, config.m_chain);
+        for bs in 0..topo.base_stations().len() {
+            let origin = BaseStationId(bs as u32);
+            let drawn;
+            let instances = match config.choice {
+                InstanceChoice::PerClause => &clause_instances,
+                InstanceChoice::NearestPerStation => {
+                    drawn = nearest_chain(topo, sp, origin, &clause_kinds);
+                    &drawn
+                }
+                InstanceChoice::PerStation => {
+                    drawn = random_chain(&mut rng, topo, &kinds, config.m_chain);
+                    &drawn
+                }
+            };
+            f(sp, origin, instances)?;
+        }
+    }
+    Ok(())
 }
 
 /// An addressing scheme wide enough for the topology's station count.
@@ -336,6 +383,23 @@ mod tests {
             per_station.total_rules,
             shared.total_rules
         );
+    }
+
+    #[test]
+    fn every_choice_delivers_every_path() {
+        // the walk's second pass must draw the instances the install did
+        for choice in [
+            InstanceChoice::PerClause,
+            InstanceChoice::NearestPerStation,
+            InstanceChoice::PerStation,
+        ] {
+            let r = run(Figure7Config {
+                choice,
+                ..tiny(6, 3)
+            })
+            .unwrap();
+            assert_eq!(r.delivered, r.paths_installed, "{choice:?}");
+        }
     }
 
     #[test]

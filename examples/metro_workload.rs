@@ -5,15 +5,16 @@
 //! full SoftCell deployment on the three-layer k=4 topology (160 base
 //! stations), and reports what the control plane actually did: cache
 //! hit ratios at the local agents (the Table-2 quantity), policy paths
-//! and tags installed, switch table occupancy by band (policy paths,
-//! mobility legs by direction, shortcuts, and the per-UE redirect and
-//! launch rules of UEs in transition), and the mobility machinery's
+//! and tags installed, switch table occupancy by band (policy paths'
+//! tag rules, the location stage's Type 3 rules that carry their last
+//! legs, mobility legs by direction, shortcuts, and the per-UE redirect
+//! and launch rules of UEs in transition), and the mobility machinery's
 //! activity.
 //!
 //! Run with: `cargo run --release --example metro_workload`
 
 use softcell::controller::mobility::MOBILITY_PRIORITY;
-use softcell::dataplane::matcher::Direction;
+use softcell::dataplane::matcher::{Direction, RuleType};
 use softcell::dataplane::Match;
 use softcell::packet::Protocol;
 use softcell::policy::{ServicePolicy, SubscriberAttributes};
@@ -27,8 +28,11 @@ use std::net::Ipv4Addr;
 /// Flow-table rules by band.
 #[derive(Default)]
 struct Bands {
-    /// Policy-path rules (Algorithm 1's).
+    /// Policy-path tag rules (Algorithm 1's Types 1 and 2).
     policy: usize,
+    /// The location stage: Type 3 rules, one station block each, that
+    /// carry every tag's last leg.
+    location: usize,
     /// Mobility legs: the mobility tag and a station block's prefix.
     legs_down: usize,
     legs_up: usize,
@@ -59,6 +63,8 @@ fn rule_bands(topo: &Topology, world: &SimWorld<'_>) -> [Bands; 2] {
                 &mut at.shortcuts
             } else if rule.priority == MOBILITY_PRIORITY {
                 &mut at.per_ue
+            } else if RuleType::of(m) == RuleType::PrefixOnly {
+                &mut at.location
             } else {
                 &mut at.policy
             };
@@ -168,8 +174,9 @@ fn main() {
     let switches = ["core switches", "access switches"];
     for (at, bands) in switches.iter().zip(rule_bands(&topo, &world)) {
         println!(
-            "    {at}: {} policy, {} mobility legs ({} downlink, {} uplink), {} shortcut, {} per-UE mobility",
+            "    {at}: {} policy, {} location (Type 3), {} mobility legs ({} downlink, {} uplink), {} shortcut, {} per-UE mobility",
             bands.policy,
+            bands.location,
             bands.legs_down + bands.legs_up,
             bands.legs_down,
             bands.legs_up,

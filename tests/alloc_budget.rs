@@ -443,12 +443,13 @@ fn allocations_per_operation_stay_within_budget() {
         // vector per leg and regrew the hop list.
         ("route a five-middlebox chain", route_allocations(), 1, 9),
         // The per-path vectors left (decisions, segments, a segment's
-        // decisions, candidates, plans, a reused tag's record, the
-        // report's tags) and the tables growing. Decomposition's index
-        // and the two costing records are reused between installs; the
-        // parent also allocated a scan list, the excluded tags and the
-        // chain-index pushes per path.
-        ("240 cold install_path calls", installs, 2228, 2700),
+        // decisions, plans, a reused tag's record, the report's tags)
+        // and the tables growing, the location stage's included.
+        // Decomposition's index, the candidate list and the two costing
+        // records are reused between installs; the parent also
+        // allocated the candidate list per segment, and a tag rule on
+        // the last leg where the location stage now answers.
+        ("240 cold install_path calls", installs, 1909, 2228),
         // A reference-count bump: the graph is shared, not copied. The
         // parent deep-copied its vectors and maps.
         (

@@ -10,6 +10,11 @@
 //! round trip). A downlink installed under the uplink's exit tag that
 //! redirected another path of the station holding that tag failed four
 //! of the fifteen combinations, forty flows each.
+//!
+//! Then the §3.2 offline pass re-installs every path in a fresh
+//! installer, its downlinks' last legs in a fresh location stage. Its
+//! migration retires the tags the open connections carry, so every UE
+//! reconnects, and the new connections must keep their paths apart too.
 
 use std::net::Ipv4Addr;
 
@@ -34,21 +39,35 @@ fn policy(subset: &[usize]) -> ServicePolicy {
 }
 
 /// One connection per clause of `subset` per station, each round-tripped
-/// once as it is opened; then the consistency check and its second pass.
+/// once as it is opened; then the consistency check and its second pass;
+/// then the offline pass, a new connection per UE, and the check again.
 fn run(subset: &[usize]) -> Result<()> {
     let topo = CellularParams::paper(4).build()?;
     let mut world = SimWorld::new(&topo, policy(subset));
-    for bs in 0..topo.base_stations().len() {
-        for &i in subset {
-            let imsi = UeImsi((bs * CLAUSES + i) as u64);
-            let mut attrs = SubscriberAttributes::default_home(imsi);
-            attrs.provider = Provider::Partner(i as u16 + 1);
-            world.provision(attrs);
-            world.attach(imsi, BaseStationId(bs as u32))?;
-            let server = Ipv4Addr::new(93, 184, 216, 34);
-            let id = world.start_connection(imsi, server, 443, Protocol::Tcp)?;
-            world.round_trip(id)?;
-        }
+    let ues = || {
+        let stations = 0..topo.base_stations().len();
+        stations.flat_map(|bs| subset.iter().map(move |&i| (bs, i)))
+    };
+    let connect = |world: &mut SimWorld<'_>, imsi, bs| -> Result<()> {
+        world.attach(imsi, BaseStationId(bs as u32))?;
+        let server = Ipv4Addr::new(93, 184, 216, 34);
+        let id = world.start_connection(imsi, server, 443, Protocol::Tcp)?;
+        world.round_trip(id)
+    };
+    for (bs, i) in ues() {
+        let imsi = UeImsi((bs * CLAUSES + i) as u64);
+        let mut attrs = SubscriberAttributes::default_home(imsi);
+        attrs.provider = Provider::Partner(i as u16 + 1);
+        world.provision(attrs);
+        connect(&mut world, imsi, bs)?;
+    }
+    world.assert_policy_consistency()?;
+
+    world.apply_reoptimization()?;
+    for (bs, i) in ues() {
+        let imsi = UeImsi((bs * CLAUSES + i) as u64);
+        world.detach(imsi)?;
+        connect(&mut world, imsi, bs)?;
     }
     world.assert_policy_consistency()
 }
