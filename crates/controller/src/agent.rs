@@ -20,10 +20,10 @@
 //! [`IdPool`] of local UE ids (the low bits of LocIP), [`FlowSlots`]
 //! (the per-UE flow slots embedded in the source port) and
 //! [`microflow_pair`] (the two access-switch entries of a flow).
-//! [`LocalAgent`] runs them against its `Switch`; the sharded
-//! controller ([`crate::sharded`]) runs the same three — station id
-//! pools under the ticket, slots and flow pairs on the UE's shard —
-//! which is why the two can never disagree about an id or a slot.
+//! [`LocalAgent`] runs them against its `Switch`; the trace driver
+//! ([`crate::sharded`]) runs the same three — station id pools beside
+//! its engine, slots and flow pairs per UE — which is why the two can
+//! never disagree about an id or a slot.
 
 use std::net::Ipv4Addr;
 

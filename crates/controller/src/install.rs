@@ -35,7 +35,7 @@
 //! candidate index and the per-station claimed-tag sets. Algorithm 1
 //! runs once per (clause, station) path — local agents ask only on a
 //! tag-cache miss (§4.2) — so it runs wherever its owner runs: the
-//! single-threaded controller, or the sharded engine under its ticket.
+//! controller, whichever driver feeds it.
 //! Nothing here locks.
 //!
 //! An install plans first and commits second, once per path. Planning

@@ -36,11 +36,11 @@
 //! * [`failover`] — recovery of the unreplicated state: a controller
 //!   replica rebuilds UE locations from agents; agents refetch from the
 //!   controller (§5.2). Replication itself is the seat's ([`node`]).
-//! * [`sharded`] — the UE-partitioned controller core: N worker shards
-//!   over a ticket-sequenced shared path engine (station id pools
-//!   beside it, under the same ticket), batched flow-mod emission;
-//!   differentially verified
-//!   against the single-threaded controller (`tests/shard_oracle.rs`).
+//! * [`sharded`] — the trace driver: one loop feeding a signalling
+//!   trace, in order, to one engine, with the stations' agent state
+//!   (id pools, flow slots) beside it and the rule ops grouped per
+//!   switch; differentially verified against a driver built from real
+//!   local agents (`tests/shard_oracle.rs`).
 //! * [`server`] — the front-end, also the threaded server of the §6.2
 //!   micro-benchmarks: N domains (a lock and a queue each) in front of
 //!   one seat; every request is one proposal on it.

@@ -10,8 +10,8 @@
 //! may be regrouped per switch as long as each switch's ops keep their
 //! order. `SwitchGrouper` is the one routine that does it: it appends
 //! a stream to a flat log, switch by switch. [`batch_by_switch`] cuts a
-//! whole drain into owned [`SwitchBatch`]es with it, and the sharded
-//! controller groups every ticket's ops into its shard's log with it.
+//! whole drain into owned [`SwitchBatch`]es with it, and the trace
+//! driver groups every event's ops into its run's log with it.
 
 use softcell_dataplane::matcher::{conventional_priority, Direction};
 use softcell_dataplane::{Action, Match, PortField};
@@ -65,8 +65,8 @@ impl RuleOp {
 /// A barrier-delimited batch of operations for one switch.
 ///
 /// The `flow_mod_batch` wire message groups a drained op stream per
-/// target switch (the sharded controller's borrowed views of its shard
-/// logs follow the same rules). Within one batch the ops keep
+/// target switch (the trace driver's borrowed views of its run's log
+/// follow the same rules). Within one batch the ops keep
 /// their original relative order (the per-switch ordering invariant of
 /// [`crate::core::CentralController::drain_ops`]), and every batch ends
 /// with a barrier: a switch must fully apply the batch before touching
@@ -86,8 +86,7 @@ pub struct SwitchBatch {
 /// The one grouping routine: appends an op stream to a flat log with
 /// each switch's ops together, in stream order, the switches in order
 /// of first appearance. [`batch_by_switch`] groups a whole drain with
-/// it; the sharded controller groups each ticket's ops into its shard's
-/// log. Kept between streams, so its scratch is allocated once.
+/// it; the trace driver groups each event's ops into its run's log. Kept between streams, so its scratch is allocated once.
 #[derive(Debug, Default)]
 pub(crate) struct SwitchGrouper {
     /// The stream's switches, first appearance first, each with its
@@ -96,7 +95,7 @@ pub(crate) struct SwitchGrouper {
     /// Per op, the next op of the same switch ([`CHAIN_END`] if none).
     next: Vec<usize>,
     /// switch -> group, built only once a stream touches more than
-    /// [`SCANNED_GROUPS`] switches (one ticket's ops touch a handful; a
+    /// [`SCANNED_GROUPS`] switches (one event's ops touch a handful; a
     /// whole run's drain touches hundreds, where the scan was visible)
     index: softcell_types::FxHashMap<SwitchId, usize>,
 }
@@ -487,14 +486,14 @@ mod tests {
 
     #[test]
     fn a_reused_grouper_groups_each_stream_on_its_own() {
-        // one log across many "tickets", as a shard keeps it: every
-        // ticket's groups are the batches of that ticket alone, also
+        // one log across many events, as a trace run keeps it: every
+        // event's groups are the batches of that event alone, also
         // after a stream wide enough to build the index
         let rm = |sw: u32| RuleOp::Remove {
             switch: SwitchId(sw),
             matcher: Match::ANY,
         };
-        let tickets = vec![
+        let streams = vec![
             scrambled(3),
             vec![],
             scrambled(200),
@@ -503,13 +502,13 @@ mod tests {
             vec![rm(1)],
         ];
         let (mut grouper, mut log) = (SwitchGrouper::default(), Vec::new());
-        for ticket in &tickets {
+        for stream in &streams {
             let mut groups = Vec::new();
             let start = log.len();
-            grouper.group(ticket, &mut log, |switch, range| {
+            grouper.group(stream, &mut log, |switch, range| {
                 groups.push((switch, range))
             });
-            assert_eq!(log.len() - start, ticket.len(), "every op logged once");
+            assert_eq!(log.len() - start, stream.len(), "every op logged once");
             let batches: Vec<SwitchBatch> = groups
                 .into_iter()
                 .map(|(switch, range)| SwitchBatch {
@@ -517,7 +516,7 @@ mod tests {
                     ops: log[range].to_vec(),
                 })
                 .collect();
-            assert_eq!(batches, batch_by_switch(ticket.clone()));
+            assert_eq!(batches, batch_by_switch(stream.clone()));
         }
     }
 

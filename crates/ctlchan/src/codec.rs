@@ -280,7 +280,7 @@ pub mod msg_type {
     /// The counters.
     pub const STATS_REPLY: u8 = 10;
     /// Controller → agent: barrier-delimited per-station groups of
-    /// tag-cache programming entries from one sharded-controller ticket.
+    /// tag-cache programming entries from one committed record.
     pub const FLOW_MOD_BATCH: u8 = 11;
     /// Controller → controller: one replicated-log record shipped for
     /// quorum acknowledgement.
@@ -566,14 +566,14 @@ pub enum Message<'a> {
         /// The compiled classifier (absent on detach replies).
         classifier: Option<WireClassifier>,
     },
-    /// Ticket-stamped, barrier-delimited per-station groups of
-    /// tag-cache entries emitted by one sharded-controller ticket.
-    /// `(shard, seq)` orders batches globally: receivers apply batches
-    /// in ascending `seq` regardless of which shard's worker sent them.
+    /// Stamped, barrier-delimited per-station groups of tag-cache
+    /// entries emitted for one committed record. `(shard, seq)` is the
+    /// answering seat and the record's index: indices only grow, so one
+    /// seat's batches arrive in ascending `seq`.
     FlowModBatch {
-        /// Worker shard that emitted the batch.
+        /// Seat that answered.
         shard: u16,
-        /// Global ticket number of the coordinated event.
+        /// Log index of the record the batch answers.
         seq: u32,
         /// Per-station groups in emission order.
         groups: Vec<WireBatchGroup>,

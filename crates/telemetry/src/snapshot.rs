@@ -104,7 +104,7 @@ pub struct SpanSample {
     pub span_id: u64,
     /// Parent span id (0 for roots).
     pub parent: u64,
-    /// Segment name, e.g. `"ticket_wait"`.
+    /// Segment name, e.g. `"serve_frame"`.
     pub kind: String,
     /// Microseconds since the process trace epoch.
     pub start_us: u64,

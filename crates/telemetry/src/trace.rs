@@ -118,7 +118,7 @@ pub struct SpanRecord {
     pub span_id: u64,
     /// Parent span id (0 for roots).
     pub parent: u64,
-    /// Static segment name, e.g. `"ticket_wait"`.
+    /// Static segment name, e.g. `"serve_frame"`.
     pub kind: &'static str,
     /// Microseconds since the process trace epoch.
     pub start_us: u64,

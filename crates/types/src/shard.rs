@@ -5,9 +5,7 @@
 //! UE's state, so partitioning by a hash of the IMSI lets N worker
 //! shards run without coordination. Station-scoped requests (a
 //! `ControllerServer` path request) route by a hash of the base-station
-//! id instead. The sharded engine's station id pools do not shard:
-//! every operation on them is ticketed, so they sit under the ticket
-//! beside the engine rather than on an owner shard.
+//! id instead.
 
 use crate::fxhash::FxHasher;
 use crate::ids::{BaseStationId, UeImsi};

@@ -47,15 +47,17 @@ cargo test -q --workspace
 echo "==> fault-injection churn (120 s cap)"
 timeout 120 cargo test -q --release --test fault_churn
 
-# Sharded-controller differential oracle + seeded interleavings, also
-# time-capped: a ticket that is never handed on, or tags that are never
-# published, is a deadlock, and the timeout surfaces it as a red build.
-# With them, tests/input_replay.rs: seeded input logs replayed through
+# Trace-driver differential oracle (tests/shard_oracle.rs): two seeded
+# busy traces and a handoff-heavy one through `ShardedController::run`
+# and through a reference built from real local agents must leave
+# byte-identical fabric, microflow tables and state, and the handoff
+# trace no residue once every UE detaches and everything expires. With
+# it, tests/input_replay.rs: seeded input logs replayed through
 # `CentralController::apply` on a fresh engine give byte-identical
 # outputs, rule ops and state (the oracle replays its reference's the
 # same way).
-echo "==> shard oracle + interleaving sweep + input replay (180 s cap)"
-timeout 180 cargo test -q --release --test shard_oracle --test shard_interleave --test input_replay
+echo "==> trace-driver oracle + input replay (180 s cap)"
+timeout 180 cargo test -q --release --test shard_oracle --test input_replay
 
 # Replicated control-plane recovery drill: 3-controller cluster, each
 # seat a ControllerServer whose agents reach it through its serve loop,
@@ -77,7 +79,7 @@ timeout 180 cargo test -q --release --test recovery
 # rule, tag or swap counts differ between iterations). A correctness
 # smoke, not a timing gate: a shared host cannot gate 2 s timings, but
 # every operation of a run is verified, so a forwarding, flow-setup,
-# sharded-engine or tag-selection bug fails here. `--locked`: perf/'s lock
+# trace-driver or tag-selection bug fails here. `--locked`: perf/'s lock
 # file is frozen with the harness, so a dependency edge changed in a crate
 # it builds against fails here instead of silently rewriting that file.
 echo "==> softcell-perf build + unit tests + fabric_forward / wire_flow_setup / metro_churn / path_install_storm smokes (300 s cap)"
@@ -149,16 +151,16 @@ PY
 # heap allocations of a UE's first handoff with 0 / 1 / 8 carried flows
 # and of a second handoff with 8 that supersedes a live transition (the
 # plan's vectors; the ops join the engine's one stream, planning buffers
-# are reused), of collecting a tunnel (none), of agent tag-cache hits, of sharded cache-hit flows (a
-# flow's entries inline in its outcome), of 16 handoff tickets on a
-# 2-shard run beyond the engine's own handoffs (a ticket's ops go into
-# the shard's one log), of
+# are reused), of collecting a tunnel (none), of agent tag-cache hits, of
+# the trace driver's cache-hit flows (a flow's entries inline in its
+# outcome) and of its 16 handoffs beyond the engine's own (a move's ops
+# grouped straight into the run's one log), of
 # routing a five-middlebox chain (one hop list), of 240 cold
 # Algorithm 1 installs and of a topology clone (a shared handle: none),
 # counted by a test-only global allocator on fixed scenarios. Counts repeat exactly, so unlike the timings above this
 # *is* a gate on a shared host: a change that brings back a per-event
 # compile, clone or regrowing vector fails it.
-echo "==> allocation budget: handoff / second handoff / agent hit / sharded hit / handoff ticket / route / install / topology clone (60 s cap)"
+echo "==> allocation budget: handoff / second handoff / agent hit / driver hit / driver handoff / route / install / topology clone (60 s cap)"
 timeout 60 cargo test -q --release --test alloc_budget
 
 # Core switches hold no per-UE mobility state (tests/core_state.rs,

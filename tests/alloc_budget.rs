@@ -1,8 +1,8 @@
 //! Heap-allocation budgets for the operations a mobility-heavy
-//! signalling mix is made of: a cache-hit flow on the sharded engine, a
+//! signalling mix is made of: a cache-hit flow on the trace driver, a
 //! tag-cache hit at a local agent, a handoff at the central controller
 //! (and the tunnel a move collects, which must allocate nothing), and
-//! the ticket a handoff takes on the sharded engine; for the two
+//! what the trace driver adds to a handoff; for the two
 //! halves of a tag-cache miss, routing a policy path and installing it
 //! through Algorithm 1; and for cloning the topology every engine holds.
 //!
@@ -13,8 +13,8 @@
 //! before the change that set the budget — before the event path
 //! stopped recompiling classifiers, cloning tunnels and regrowing its
 //! vectors, before a handoff's ops joined the engine's one stream and
-//! its planning buffers were reused, before a sharded flow's entries
-//! moved inline and a ticket's ops into its shard's one log, or before
+//! its planning buffers were reused, before a driver flow's entries
+//! moved inline and the driver's worker threads went, or before
 //! routing walked its trees
 //! straight into one hop list and Algorithm 1 stopped keeping a scan
 //! list and a copy of its plans' tags and chain pushes per path. A change
@@ -276,8 +276,9 @@ fn flow(imsi: u64, src_port: u16) -> ShardEvent {
     event(imsi, kind)
 }
 
-/// Allocations of a 2-shard run of `events` plus `extra` minus those of
-/// the same run without `extra`, and the difference in `stats` by `stat`.
+/// Allocations of a trace-driver run of `events` plus `extra` minus
+/// those of the same run without `extra`, and the difference in `stats`
+/// by `stat`.
 fn sharded_extra_allocations(
     events: &[ShardEvent],
     extra: &[ShardEvent],
@@ -288,7 +289,7 @@ fn sharded_extra_allocations(
         .map(|i| SubscriberAttributes::default_home(UeImsi(i)))
         .collect();
     let run = |events: &[ShardEvent]| {
-        let sc = ShardedController::new(&topo, ControllerConfig::simulation(), 2);
+        let sc = ShardedController::new(&topo, ControllerConfig::simulation(), 1);
         let (n, run) =
             allocations(|| sc.run(ServicePolicy::example_carrier_a(1), &subscribers, events));
         assert_eq!(run.stats.skipped, 0);
@@ -301,7 +302,7 @@ fn sharded_extra_allocations(
 }
 
 /// `ues` UEs attached at station 0, each with its first flow there (the
-/// ticketed demand for the path).
+/// first of them demands the path).
 fn attached_with_a_flow(ues: u64) -> Vec<ShardEvent> {
     let bs = BaseStationId(0);
     (0..ues)
@@ -310,8 +311,8 @@ fn attached_with_a_flow(ues: u64) -> Vec<ShardEvent> {
         .collect()
 }
 
-/// 400 cache-hit flows (8 UEs × 50) through a 2-shard
-/// `ShardedController`: a run with them minus the same run without.
+/// 400 cache-hit flows (8 UEs × 50) through `ShardedController`: a run
+/// with them minus the same run without.
 fn sharded_hit_allocations() -> u64 {
     let hits: Vec<ShardEvent> = (0..400)
         .map(|i| flow(u64::from(i % 8), 40_000 + i))
@@ -322,7 +323,7 @@ fn sharded_hit_allocations() -> u64 {
     n
 }
 
-/// `n` handoff tickets through a 2-shard `ShardedController`, each a UE
+/// `n` handoffs through `ShardedController`, each a UE
 /// with one flow moving station 0 → 3 after another UE's move built the
 /// tunnel — the scenario `handoff_allocations(1)` times on the engine
 /// alone: a run with them minus the same run without.
@@ -414,29 +415,26 @@ fn allocations_per_operation_stay_within_budget() {
         ),
         // the flow list, the slot words and the microflow table growing
         ("32 agent tag-cache hits", agent_hit_allocations(), 9, 12),
-        // the per-UE flow lists and the shard queues growing: a flow's
-        // entries sit inline in its outcome (the parent allocated a
-        // vector for them), and a worker sizes its outcomes to its queue
+        // the per-UE flow lists growing: a flow's entries sit inline in
+        // its outcome, and the outcomes are sized to the trace. The
+        // parent also grew each worker's event queue.
         (
             "400 sharded cache-hit flows",
             sharded_hit_allocations(),
+            32,
             42,
-            452,
         ),
-        // What 16 handoff tickets on 2 shards allocate beyond the engine's
-        // own 16 handoffs. Nothing per ticket: a ticket's ops move from
-        // the engine's stream through a reused buffer into the shard's
-        // one log. What is left is per run — each worker's first use of
-        // its buffer and grouping scratch, and the doubling of its queue
-        // and log — and grows with log N, and with the ops a ticket
-        // moves. The parent also logged each move's per-UE uplink rule
-        // at every hop of the tunnel; the tunnel's own uplink legs are
-        // logged once, with the move that builds it.
+        // What the driver allocates for 16 handoffs beyond the engine's
+        // own. Nothing per move: its ops are grouped straight from the
+        // engine's stream into the run's one log. What is left is the
+        // log and its group list doubling, and grows with log N and
+        // with the ops a move queues. The parent also doubled each
+        // worker thread's queue, log and ticket buffer.
         (
-            "16 handoff tickets, beyond the engine's own",
+            "16 driver handoffs, beyond the engine's own",
             sharded_handoff_allocations(16) - handoff_allocations(1, 16),
+            3,
             10,
-            16,
         ),
         // The hop list, allocated once at its final length: the first
         // pass sums the legs' lengths from the trees. The parent made a

@@ -1,9 +1,8 @@
-//! Shared harness for the sharded-controller differential tests: a
-//! single-threaded reference driver (real `CentralController` + real
-//! per-station `LocalAgent`s, applied the way the simulator applies
-//! them) that records the engine inputs it makes, a materializer
-//! replaying a `ShardedRun` onto a fresh data plane, and verbatim state
-//! dumps for byte-level comparison.
+//! Shared harness for the trace-driver differential tests: a reference
+//! driver (real `CentralController` + real per-station `LocalAgent`s,
+//! applied the way the simulator applies them) that records the engine
+//! inputs it makes, a materializer replaying a `ShardedRun` onto a fresh
+//! data plane, and verbatim state dumps for byte-level comparison.
 #![allow(dead_code)]
 
 use std::collections::{BTreeSet, HashMap};
@@ -315,8 +314,8 @@ pub fn reference_run_full(
     (dump, inputs, ctl, net)
 }
 
-/// Replays a sharded run's merged batch stream and per-event outcomes
-/// onto a fresh data plane.
+/// Replays a run's op log and per-event outcomes onto a fresh data
+/// plane.
 ///
 /// The same forty lines as `materialize` in
 /// `perf/src/workloads/metro_churn.rs`. That copy is the frozen reference
@@ -325,22 +324,12 @@ pub fn reference_run_full(
 /// stream-shape asserts and may follow the API.
 pub fn materialize_net(topo: &Topology, run: &ShardedRun<'_>) -> PhysicalNetwork {
     let mut net = PhysicalNetwork::new(topo);
-    for log in &run.shard_logs {
-        let mut last = None;
-        for (seq, batch) in log.batches() {
-            assert!(
-                last.is_none_or(|p| p <= seq),
-                "per-shard logs are ticket-ascending"
-            );
-            assert!(!batch.ops.is_empty(), "no empty group is logged");
-            last = Some(seq);
-        }
-    }
     for batch in run.merged_batches() {
+        assert!(!batch.ops.is_empty(), "no empty group is logged");
         for op in batch.ops {
             assert_eq!(op.switch(), batch.switch, "batch is single-switch");
         }
-        net.apply_all(batch.ops).expect("sharded fabric ops");
+        net.apply_all(batch.ops).expect("logged fabric ops");
     }
     for out in &run.outcomes {
         match out {
@@ -351,7 +340,7 @@ pub fn materialize_net(topo: &Topology, run: &ShardedRun<'_>) -> PhysicalNetwork
                     net.switch_mut(d.access)
                         .microflow
                         .install(*t, *a, deadline)
-                        .expect("sharded microflow install");
+                        .expect("flow microflow install");
                 }
             }
             EventOutcome::HandedOff(h) => {
@@ -363,7 +352,7 @@ pub fn materialize_net(topo: &Topology, run: &ShardedRun<'_>) -> PhysicalNetwork
                     net.switch_mut(h.new_access)
                         .microflow
                         .install(*t, *a, deadline)
-                        .expect("sharded handoff copy");
+                        .expect("handoff microflow copy");
                 }
             }
             _ => {}
@@ -372,7 +361,7 @@ pub fn materialize_net(topo: &Topology, run: &ShardedRun<'_>) -> PhysicalNetwork
     net
 }
 
-/// Materializes and dumps a sharded run.
+/// Materializes and dumps a run.
 pub fn materialize(topo: &Topology, run: &ShardedRun<'_>) -> RunDump {
     let net = materialize_net(topo, run);
     RunDump {
@@ -397,22 +386,22 @@ pub fn materialize(topo: &Topology, run: &ShardedRun<'_>) -> RunDump {
 }
 
 /// Asserts two dumps are identical, permanent addresses included.
-pub fn compare(reference: &RunDump, sharded: &RunDump, label: &str) {
+pub fn compare(reference: &RunDump, run: &RunDump, label: &str) {
     assert_eq!(
-        reference.fabric, sharded.fabric,
+        reference.fabric, run.fabric,
         "{label}: fabric flow tables must be byte-identical (rule ids included)"
     );
     assert_eq!(
-        reference.microflow, sharded.microflow,
+        reference.microflow, run.microflow,
         "{label}: microflow tables must match"
     );
-    assert_eq!(reference.state, sharded.state, "{label}: controller state");
+    assert_eq!(reference.state, run.state, "{label}: controller state");
     assert!(
-        reference.batches == sharded.batches,
-        "{label}: the merged op stream must equal the single-threaded drain, op for op"
+        reference.batches == run.batches,
+        "{label}: the op log must equal the reference's drains, op for op"
     );
     assert_eq!(
-        reference.flow_stats, sharded.flow_stats,
+        reference.flow_stats, run.flow_stats,
         "{label}: flow / cache-hit / cache-miss / denied counters"
     );
 }

@@ -1,40 +1,41 @@
-//! Differential oracle for the sharded controller core.
+//! Differential oracle for the trace driver (`ShardedController`).
 //!
-//! The same seeded workload is driven through two implementations:
+//! The same trace is driven through two implementations:
 //!
 //! * **reference** — the single-threaded `CentralController` with one
 //!   real `LocalAgent` per base station, applied to a `PhysicalNetwork`
 //!   exactly the way the simulator does it;
-//! * **sharded** — `ShardedController` at 1, 2, 4, 8 and 16 shards, whose
-//!   ticket-stamped batch streams and per-event outcomes are replayed
-//!   onto a fresh `PhysicalNetwork`.
+//! * **driver** — `ShardedController::run`, whose op log and per-event
+//!   outcomes are replayed onto a fresh `PhysicalNetwork`.
 //!
 //! The final fabric flow tables must be **byte-identical** (rule ids
-//! included: the merged batch stream reproduces the exact global op
-//! order), and so must the microflow tables and controller state,
-//! permanent addresses included: the engine assigns them from its own
-//! pool under each attach's ticket, in trace order at any shard count.
+//! included: the log reproduces the exact op order), and so must the
+//! microflow tables and controller state, permanent addresses included.
 //! The reference itself is checked to give each attachment session's
 //! flows exactly one permanent address, and the engine inputs it made
 //! are replayed through `CentralController::apply` on a fresh engine,
 //! which must reproduce its op batches and state byte for byte.
+//!
+//! The inputs are two seeded busy traces and a handoff-heavy one, whose
+//! UEs bounce between two stations; after it, detaching every UE and
+//! expiring transitions and idle microflows must leave no location
+//! reservation, tunnel or microflow entry behind.
 
 mod common;
 
 use common::{
-    assert_replay_matches, assert_sessions_refine, compare, materialize, policy,
-    reference_run_full, session_port_groups, subscribers, SERVER,
+    assert_replay_matches, assert_sessions_refine, compare, fabric_dump, materialize,
+    materialize_net, policy, reference_run_full, session_port_groups, subscribers, SERVER,
 };
-use std::sync::mpsc;
-use std::time::Duration;
 
-use softcell::controller::sharded::{EventOutcome, ShardEvent, ShardEventKind, ShardedController};
-use softcell::controller::{ControllerConfig, Input};
+use softcell::controller::sharded::{
+    EventOutcome, ShardEvent, ShardEventKind, ShardedController, ShardedRun,
+};
+use softcell::controller::{CentralController, ControllerConfig, Input};
+use softcell::sim::PhysicalNetwork;
 use softcell::topology::small_topology;
-use softcell::types::{BaseStationId, SimTime, UeImsi};
+use softcell::types::{BaseStationId, SimDuration, SimTime, UeImsi};
 use softcell::workload::{EventKind, EventStream, EventStreamConfig};
-
-const UES: u64 = 24;
 
 /// Converts the generated trace, giving every flow a globally-unique
 /// source port (40000 + event index) — the flow identity the session
@@ -66,65 +67,159 @@ fn convert(events: &[softcell::workload::TraceEvent]) -> Vec<ShardEvent> {
         .collect()
 }
 
-fn oracle(workload_seed: u64) {
+/// Drives `events` of `ues` subscribers through the reference and the
+/// driver on `small_topology()` and asserts they agree. Returns the
+/// reference's live engine and network, and the driver's run, for
+/// follow-up checks.
+fn oracle(
+    ues: u64,
+    events: &[ShardEvent],
+) -> (CentralController, PhysicalNetwork, ShardedRun<'static>) {
     let topo = small_topology();
+    let (reference, inputs, ref_ctl, ref_net) = reference_run_full(&topo, ues, events);
+    assert!(reference.flow_stats.0 > 0, "the trace has flows");
+    assert!(inputs.iter().any(|i| matches!(i, Input::Handoff { .. })));
+    assert_replay_matches(&topo, ues, &inputs, &reference);
+    assert_sessions_refine(&topo, &ref_net, &session_port_groups(events));
+
+    let sc = ShardedController::new(&topo, ControllerConfig::simulation(), 1);
+    let run = sc.run(policy(), &subscribers(ues), events);
+    assert_eq!(run.stats.skipped, 0, "a clean trace skips no event");
+    assert_eq!(run.outcomes.len(), events.len());
+    assert!(!run.merged_batches().is_empty());
+    // the log is compared with the reference's op for op
+    compare(&reference, &materialize(&topo, &run), "driver");
+    let s = run.stats;
+    assert_eq!(
+        s.coordinated,
+        s.attaches + s.detaches + s.handoffs + s.flow_demands,
+        "every event that asked the engine to change something is accounted for"
+    );
+    assert_eq!(
+        s.flow_demands, s.cache_misses,
+        "every demand installed its path"
+    );
+    (ref_ctl, ref_net, run)
+}
+
+fn seeded(workload_seed: u64) {
+    const UES: u64 = 24;
     let stream = EventStream::generate(&EventStreamConfig::busy(4, UES, workload_seed));
     let events = convert(stream.events());
     assert!(!events.is_empty());
-    let (reference, inputs, _, ref_net) = reference_run_full(&topo, UES, &events);
-    assert!(reference.flow_stats.0 > 0, "workload produced flows");
-    assert!(inputs.iter().any(|i| matches!(i, Input::Handoff { .. })));
-    assert_replay_matches(&topo, UES, &inputs, &reference);
-    assert_sessions_refine(&topo, &ref_net, &session_port_groups(&events));
-
-    for shards in [1usize, 2, 4, 8, 16] {
-        let sc = ShardedController::new(&topo, ControllerConfig::simulation(), shards)
-            .with_sched_seed(workload_seed.wrapping_mul(31) + shards as u64);
-        let run = sc.run(policy(), &subscribers(UES), &events);
-        assert_eq!(
-            run.stats.skipped, 0,
-            "{shards} shards: clean trace must not skip events"
-        );
-        assert_eq!(run.outcomes.len(), events.len());
-        assert!(!run.merged_batches().is_empty());
-        // the merged stream is compared with the reference's op for op
-        let dump = materialize(&topo, &run);
-        compare(&reference, &dump, &format!("{shards} shards"));
-        // ticketed flow demands are exactly the coordinated flow events
-        // (per-UE tickets: a later UE may re-demand a key its waiter peers
-        // already resolved, so demands can exceed cache misses)
-        assert_eq!(
-            run.stats.coordinated,
-            run.stats.attaches + run.stats.detaches + run.stats.handoffs + run.stats.flow_demands,
-            "{shards} shards: every coordinated event is accounted for"
-        );
-        assert!(
-            run.stats.flow_demands >= run.stats.cache_misses,
-            "{shards} shards: every cache miss rode a ticketed demand"
-        );
-    }
+    oracle(UES, &events);
 }
 
 #[test]
 fn sharded_controller_matches_single_threaded_oracle() {
-    oracle(7);
+    seeded(7);
 }
 
 #[test]
 fn sharded_controller_matches_oracle_second_seed() {
-    oracle(1913);
+    seeded(1913);
+}
+
+/// A handoff-heavy trace: every UE attaches at one end of a station
+/// pair, opens flows, bounces to the other end and back, then detaches.
+/// Half the UEs start at each end, so both stations' id pools take
+/// arrivals and departures at once.
+fn bouncing_trace(ues: u64) -> Vec<ShardEvent> {
+    let (a, b) = (BaseStationId(0), BaseStationId(1));
+    let mut events = Vec::new();
+    let mut t = 0u64;
+    let mut port = 40_000u16;
+    let mut push = |imsi: u64, kind: ShardEventKind| {
+        t += 1;
+        events.push(ShardEvent {
+            time: SimTime(t),
+            imsi: UeImsi(imsi),
+            kind,
+        });
+    };
+    let mut flow = |bs, dst_port| {
+        let src_port = port;
+        port += 1;
+        ShardEventKind::NewFlow {
+            bs,
+            dst: SERVER,
+            src_port,
+            dst_port,
+            udp: false,
+        }
+    };
+    for imsi in 0..ues {
+        let (home, away) = if imsi % 2 == 0 { (a, b) } else { (b, a) };
+        push(imsi, ShardEventKind::Attach { bs: home });
+        push(imsi, flow(home, 443));
+        push(imsi, flow(home, 443));
+        push(
+            imsi,
+            ShardEventKind::Handoff {
+                from: home,
+                to: away,
+            },
+        );
+        push(imsi, flow(away, 80));
+        push(
+            imsi,
+            ShardEventKind::Handoff {
+                from: away,
+                to: home,
+            },
+        );
+    }
+    // the detaches after all the churn
+    for imsi in 0..ues {
+        let home = if imsi % 2 == 0 { a } else { b };
+        push(imsi, ShardEventKind::Detach { bs: home });
+    }
+    events
 }
 
 #[test]
-fn events_at_a_station_the_topology_lacks_are_skipped_at_every_shard_count() {
+fn a_handoff_heavy_trace_matches_the_oracle_and_leaves_no_residue() {
+    const UES: u64 = 8;
+    let topo = small_topology();
+    let events = bouncing_trace(UES);
+    let (mut ref_ctl, mut ref_net, mut run) = oracle(UES, &events);
+    assert_eq!(run.stats.handoffs, 2 * UES, "every handoff completed");
+
+    // the same expiry discipline as fault_churn on both sides: no
+    // leaked reservations, transitions, tunnels or microflow entries,
+    // and the expired fabrics byte-identical
+    let late = events.last().unwrap().time + SimDuration::from_secs(10_000);
+    let mut net = materialize_net(&topo, &run);
+    for (ctl, net) in [(&mut ref_ctl, &mut ref_net), (&mut run.engine, &mut net)] {
+        ctl.apply(&Input::Expire { now: late }).expect("expiry");
+        net.apply_all(&ctl.drain_ops()).expect("expiry ops");
+        for sw in net.switches_mut() {
+            sw.microflow.expire_idle(late);
+        }
+        assert_eq!(ctl.state().attached_count(), 0);
+        assert_eq!(ctl.state().reserved_count(), 0, "leaked reservations");
+        assert_eq!(ctl.mobility().transitions_active(), 0, "leaked transitions");
+        assert_eq!(ctl.mobility().tunnel_count(), 0, "leaked tunnels");
+        let micro: usize = topo
+            .switches()
+            .iter()
+            .map(|s| net.switch(s.id).microflow.len())
+            .sum();
+        assert_eq!(micro, 0, "leaked microflow entries");
+    }
+    assert_eq!(
+        fabric_dump(&topo, &net),
+        fabric_dump(&topo, &ref_net),
+        "expired fabric diverged"
+    );
+}
+
+#[test]
+fn events_at_a_missing_station_are_skipped_and_a_refused_handoff_leaves_the_ue_served() {
     // An attach at a missing station used to succeed, and the UE's first
-    // flow then panicked the worker on the station lookup: one shard
-    // panicked the run, two left the other worker waiting forever for the
-    // dead one's ticket. A refused handoff leaves its UE where the
-    // pre-pass did not expect it, and a flow there for a path nobody
-    // demanded used to wait forever at any shard count. The run goes on
-    // a thread of its own, so a hang fails here instead of stalling the
-    // suite.
+    // flow then panicked on the station lookup. A refused handoff leaves
+    // its UE where it was, and the UE's next flow there is served: the
+    // engine routes its path on demand.
     let (missing, home) = (BaseStationId(9999), BaseStationId(0));
     let event = |t, imsi, kind| ShardEvent {
         time: SimTime(t),
@@ -152,29 +247,23 @@ fn events_at_a_station_the_topology_lacks_are_skipped_at_every_shard_count() {
         ),
         event(4, 2, flow(home)),
     ];
-    for shards in [1usize, 2, 4] {
-        let (tx, rx) = mpsc::channel();
-        let events = events.clone();
-        std::thread::spawn(move || {
-            let topo = small_topology();
-            let sc = ShardedController::new(&topo, ControllerConfig::simulation(), shards);
-            let run = sc.run(policy(), &subscribers(4), &events);
-            let _ = tx.send((run.outcomes, run.stats));
-        });
-        let (outcomes, stats) = rx
-            .recv_timeout(Duration::from_secs(60))
-            .unwrap_or_else(|e| panic!("{shards} shards: the run panicked or hung ({e})"));
-        let skipped = |i: usize, why: &str| {
-            assert!(
-                matches!(&outcomes[i], EventOutcome::Skipped { reason } if reason.contains(why)),
-                "{shards} shards, event {i}: {:?}",
-                outcomes[i]
-            );
-        };
-        skipped(0, "attach failed: not found: base station bs9999");
-        skipped(1, "not attached at bs9999");
-        skipped(3, "handoff failed: not found: base station bs9999");
-        skipped(4, "no earlier event demanded the path");
-        assert_eq!((stats.attaches, stats.handoffs, stats.skipped), (1, 0, 4));
-    }
+    let topo = small_topology();
+    let sc = ShardedController::new(&topo, ControllerConfig::simulation(), 1);
+    let run = sc.run(policy(), &subscribers(4), &events);
+    let skipped = |i: usize, why: &str| {
+        assert!(
+            matches!(&run.outcomes[i], EventOutcome::Skipped { reason } if reason.contains(why)),
+            "event {i}: {:?}",
+            run.outcomes[i]
+        );
+    };
+    skipped(0, "attach failed: not found: base station bs9999");
+    skipped(1, "not attached at bs9999");
+    skipped(3, "handoff failed: not found: base station bs9999");
+    let EventOutcome::Flow(served) = &run.outcomes[4] else {
+        panic!("served at the station it never left: {:?}", run.outcomes[4]);
+    };
+    assert!(served.bs == home && !served.cache_hit);
+    let s = run.stats;
+    assert_eq!((s.attaches, s.handoffs, s.skipped), (1, 0, 3));
 }
