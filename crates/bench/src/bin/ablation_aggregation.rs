@@ -18,11 +18,13 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::Serialize;
-use softcell_bench::{is_quick, maybe_dump_json, maybe_dump_telemetry, timed, TextTable};
+use softcell_bench::{
+    is_quick, maybe_dump_json, maybe_dump_telemetry, print_rule_classes, timed, TextTable,
+};
 use softcell_controller::install::Direction;
-use softcell_controller::{PathInstaller, TagPolicy};
+use softcell_controller::{PathInstaller, RuleClasses, TagPolicy};
 use softcell_sim::baseline::{per_flow_estimate, FlatTagBaseline, LocationOnlyBaseline};
-use softcell_sim::figure7::scheme_for;
+use softcell_sim::figure7::{rule_classes, scheme_for};
 use softcell_telemetry::Registry;
 use softcell_topology::{CellularParams, PolicyPath, ShortestPaths, SwitchRole};
 use softcell_types::{BaseStationId, MiddleboxId, MiddleboxKind};
@@ -46,6 +48,9 @@ struct Output {
     m: usize,
     paths: usize,
     rows: Vec<Row>,
+    /// Algorithm 1's rules by class: the fullest fabric switch's, then
+    /// the network's.
+    classes: [RuleClasses; 2],
 }
 
 fn main() {
@@ -134,6 +139,7 @@ fn main() {
     };
     let a_delivered = paths.iter().zip(&tags).filter(|&x| delivers(x)).count();
     let (a_max, a_med, a_tot) = fabric_stats(&tables.rule_counts());
+    let (classes_max, classes_total) = rule_classes(&topo, tables);
 
     // 2. flat tags
     let mut flat = FlatTagBaseline::new(&topo);
@@ -212,6 +218,10 @@ fn main() {
         ]);
     }
     t.print();
+    print_rule_classes(&[
+        ("Algorithm 1: max switch".into(), classes_max),
+        ("Algorithm 1: network".into(), classes_total),
+    ]);
 
     maybe_dump_json(
         &args,
@@ -222,6 +232,7 @@ fn main() {
             m,
             paths: paths.len(),
             rows,
+            classes: [classes_max, classes_total],
         },
     );
     maybe_dump_telemetry(&args, &Registry::global().snapshot());

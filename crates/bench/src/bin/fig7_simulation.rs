@@ -20,7 +20,9 @@
 //! (this reproduction runs on one core); `--full` runs every point.
 
 use serde::Serialize;
-use softcell_bench::{is_quick, maybe_dump_json, maybe_dump_telemetry, timed, TextTable};
+use softcell_bench::{
+    is_quick, maybe_dump_json, maybe_dump_telemetry, print_rule_classes, timed, TextTable,
+};
 use softcell_sim::figure7::{run, run_on, Figure7Config, InstanceChoice};
 use softcell_sim::Figure7Result;
 use softcell_telemetry::Registry;
@@ -75,6 +77,17 @@ fn print_rows(title: &str, rows: &[Figure7Result]) {
         ]);
     }
     t.print();
+    let classes = rows.iter().flat_map(|r| {
+        let at = format!(
+            "k={} n={} m={}",
+            r.config.k, r.config.n_clauses, r.config.m_chain
+        );
+        [
+            (format!("{at}: max switch"), r.classes_max),
+            (format!("{at}: network"), r.classes_total),
+        ]
+    });
+    print_rule_classes(&classes.collect::<Vec<_>>());
 }
 
 fn sweep_a(quick: bool, full: bool) -> Vec<Figure7Result> {

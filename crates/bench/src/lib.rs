@@ -70,6 +70,36 @@ impl TextTable {
     }
 }
 
+/// Prints labelled rule-class splits (Figure 7's max switch and
+/// network, `RuleClasses`) as one table.
+pub fn print_rule_classes(rows: &[(String, softcell_controller::RuleClasses)]) {
+    let mut t = TextTable::new(&[
+        "rules of",
+        "T1 unqualified",
+        "T1 from-mb",
+        "T1 port-qualified",
+        "goto-stage",
+        "T2",
+        "T3",
+        "swaps",
+        "total",
+    ]);
+    for (label, c) in rows {
+        t.row(&[
+            label.clone(),
+            c.unqualified.to_string(),
+            c.from_mb.to_string(),
+            c.port_qualified.to_string(),
+            c.goto_stage.to_string(),
+            c.type2.to_string(),
+            c.type3.to_string(),
+            c.swaps.to_string(),
+            c.total().to_string(),
+        ]);
+    }
+    t.print();
+}
+
 /// Times a closure, returning (result, seconds).
 pub fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
     let start = Instant::now();

@@ -41,10 +41,15 @@ pub struct ControllerConfig {
 impl ControllerConfig {
     /// A ready-to-use configuration for end-to-end simulation.
     pub fn simulation() -> Self {
+        let ports = PortEmbedding::default_embedding();
         ControllerConfig {
             scheme: AddressingScheme::default_scheme(),
-            ports: PortEmbedding::default_embedding(),
-            tag_policy: TagPolicy { capacity: 1024 }, // the Fig. 4 embodiment: 10 tag bits
+            ports,
+            // every tag the packet's tag field carries: 2^10 in the
+            // Fig. 4 embodiment
+            tag_policy: TagPolicy {
+                capacity: ports.max_tags(),
+            },
             permanent_pool: Ipv4Prefix::from_bits(0x6440_0000, 10), // 100.64/10
         }
     }
@@ -497,6 +502,16 @@ mod tests {
             c.put_subscriber(SubscriberAttributes::default_home(UeImsi(i)));
         }
         c
+    }
+
+    #[test]
+    fn the_simulation_pool_is_the_tag_field() {
+        let cfg = ControllerConfig::simulation();
+        assert_eq!(cfg.tag_policy.capacity, cfg.ports.max_tags());
+        assert_eq!(
+            cfg.tag_policy.capacity, 1024,
+            "the Fig. 4 embodiment's 10 bits"
+        );
     }
 
     #[test]

@@ -59,9 +59,12 @@
 //! and the decisions of a fresh tag, which were never probed. Nothing
 //! else can go stale: a `(switch, arrival)` pair occurs once per
 //! segment, so a qualified table is read and written by one decision;
-//! a path's segments carry distinct tags; the two directions write
-//! separate tables; nothing else writes between plan and commit. So the
-//! deltas are those of re-probing every decision (a test reference).
+//! a switch's location stage is written only by a last-leg decision,
+//! the last of its segment on that switch (a last leg is a shortest
+//! path, which enters no switch twice); a path's segments carry
+//! distinct tags; the two directions write separate tables; nothing
+//! else writes between plan and commit. So the deltas are those of
+//! re-probing every decision (a test reference).
 //!
 //! # Planning cost model
 //!
@@ -144,8 +147,8 @@ struct Decision {
     /// Must be input-port qualified: the switch is entered from different
     /// links with different next hops within this segment.
     qualified: bool,
-    /// On the downlink's last leg: past the last middlebox's host switch,
-    /// towards the station.
+    /// On the downlink's last leg: the last middlebox's return and the
+    /// decisions past its host switch, towards the station.
     last_leg: bool,
 }
 
@@ -157,8 +160,16 @@ impl Decision {
     /// tag). On the last leg such a decision may defer to the stage.
     fn plain_forward(&self, is_swap: bool) -> Option<SwitchId> {
         let unqualified = !self.qualified && !matches!(self.arrival, Arrival::FromMb(_));
+        self.forward(is_swap).filter(|_| unqualified)
+    }
+
+    /// The switch this decision forwards to, unless it diverts into a
+    /// middlebox, exits or is the swap junction: on the last leg, a
+    /// qualified table may continue at the location stage
+    /// ([`NextHop::Location`]) where the stage sends the prefix there.
+    fn forward(&self, is_swap: bool) -> Option<SwitchId> {
         match self.want {
-            Want::ToSwitch(next) if unqualified && !is_swap => Some(next),
+            Want::ToSwitch(next) if !is_swap => Some(next),
             _ => None,
         }
     }
@@ -253,6 +264,13 @@ enum Target {
     /// table that has recorded it needs no write), which changes no
     /// forwarding.
     Deferral(SwitchId),
+    /// A [`NextHop::Location`] rule in this qualified table, after a new
+    /// location-stage entry sending the prefix to the given switch
+    /// unless the stage does already.
+    Goto(Entry, Option<SwitchId>),
+    /// Only a new location-stage entry sending the prefix to this switch:
+    /// the qualified table continues at the stage already.
+    Stage(SwitchId),
 }
 
 /// A write the commit must make: the decision's index in its segment and
@@ -437,6 +455,14 @@ impl Costing<'_> {
 /// * on the last leg, the decision defers to the stage when its arrival
 ///   has no qualified table for the tag and the stage answers its next
 ///   hop or nothing — a new entry, or only the tag's deferral record.
+///
+/// A qualified table (a port-qualified arrival or a middlebox return)
+/// reads a [`NextHop::Location`] answer through the stage. On the last
+/// leg, where the stage sends the prefix to the decision's next hop or
+/// nowhere yet, its write continues at the stage ([`Target::Goto`],
+/// with the stage's new entry; only the entry, [`Target::Stage`], where
+/// the table continues there already), as an unqualified decision
+/// defers; off the last leg it writes the concrete rule.
 fn rule_slot(
     sw: &ShadowSwitch,
     d: &Decision,
@@ -455,6 +481,34 @@ fn rule_slot(
             .and_then(|_| sw.location(prefix))
             .map(NextHop::Switch)
     };
+    // a qualified table's write, or `None` where it forwards as wanted:
+    // on the last leg, where the stage sends the prefix to the next hop
+    // or nowhere yet, a goto-stage rule and the stage's entry
+    let qualified = |entry, current: Option<NextHop>, cost: Option<usize>| {
+        let goto = current == Some(NextHop::Location);
+        let current = match goto {
+            true => sw.location(prefix).map(NextHop::Switch),
+            false => current,
+        };
+        if current == Some(nh) {
+            return None;
+        }
+        if let Some(next) = d.forward(is_swap).filter(|_| d.last_leg) {
+            match sw.probe_location(prefix, next) {
+                (None, located) if goto => return Some((Target::Stage(next), Some(located))),
+                // `located` is 0 where the stage answers already
+                (answer, located) if answer.is_none_or(|at| at == next) => {
+                    let locate = answer.is_none().then_some(next);
+                    let rule = sw.probe(entry, tag, prefix, NextHop::Location).cost;
+                    if let Some(rule) = rule {
+                        return Some((Target::Goto(entry, locate), Some(rule + located)));
+                    }
+                }
+                _ => {}
+            }
+        }
+        Some((Target::Table(entry), cost))
+    };
     let unqualified = |u: Probe| {
         if let (Some(next), None) = (forward.filter(|_| d.last_leg), u.current) {
             match sw.probe_location(prefix, next) {
@@ -472,16 +526,16 @@ fn rule_slot(
         Arrival::External => unqualified(sw.probe(Entry::Ingress, tag, prefix, nh)),
         Arrival::FromMb(mb) => {
             let m = sw.probe(Entry::FromMb(mb), tag, prefix, nh);
-            table(Entry::FromMb(mb), m.current, m.cost)
+            qualified(Entry::FromMb(mb), m.current, m.cost)
         }
         Arrival::FromSwitch(prev) => {
             let q = sw.probe(Entry::FromSwitch(prev), tag, prefix, nh);
             if q.current.is_some() {
-                return table(Entry::FromSwitch(prev), q.current, q.cost);
+                return qualified(Entry::FromSwitch(prev), q.current, q.cost);
             }
             let u = sw.probe(Entry::Ingress, tag, prefix, nh);
             if d.qualified || q.present {
-                table(Entry::FromSwitch(prev), u.current.or_else(settled), q.cost)
+                qualified(Entry::FromSwitch(prev), u.current.or_else(settled), q.cost)
             } else {
                 unqualified(u)
             }
@@ -533,6 +587,14 @@ fn commit_segment(
         };
         match target {
             Target::Table(entry) => sw.write_probed(entry, plan.tag, prefix, nh, emit),
+            Target::Goto(entry, locate) => {
+                let mut emit = emit;
+                if let Some(next) = locate {
+                    sw.locate(prefix, next, &mut emit);
+                }
+                sw.write_probed(entry, plan.tag, prefix, NextHop::Location, emit)
+            }
+            Target::Stage(next) => sw.locate(prefix, next, emit),
             Target::Location(next) | Target::Deferral(next) => {
                 sw.defer(plan.tag, prefix, next, emit)
             }
@@ -1121,6 +1183,8 @@ fn build_decisions(path: &PolicyPath, dir: Direction) -> Vec<Decision> {
         if i < last_idx {
             let next = hop(i + 1).0;
             if next != sw {
+                // the last middlebox's return starts the last leg
+                let last_leg = last_leg || (dir == Direction::Downlink && last_mb == Some(i));
                 decide(sw, arrival, Want::ToSwitch(next), last_leg);
                 arrival = Arrival::FromSwitch(sw);
             }
@@ -1230,10 +1294,16 @@ impl PathInstaller {
                     }
                 }
             }
+            // a qualified table's `Location` answer is the stage's
+            let stage = |answer| match answer {
+                Some(NextHop::Location) => sw.location(prefix).map(NextHop::Switch),
+                answer => answer,
+            };
+            let goto = |entry| sw.next_hop(entry, tag, prefix) == Some(NextHop::Location);
             let (entry, current) = match d.arrival {
                 Arrival::FromMb(mb) => {
                     let e = Entry::FromMb(mb);
-                    (e, sw.next_hop(e, tag, prefix))
+                    (e, stage(sw.next_hop(e, tag, prefix)))
                 }
                 Arrival::FromSwitch(prev) => {
                     let q = Entry::FromSwitch(prev);
@@ -1242,9 +1312,10 @@ impl PathInstaller {
                     } else {
                         Entry::Ingress
                     };
-                    let current = sw
-                        .next_hop(q, tag, prefix)
-                        .or_else(|| sw.next_hop(Entry::Ingress, tag, prefix));
+                    let current = match sw.next_hop(q, tag, prefix) {
+                        None => sw.next_hop(Entry::Ingress, tag, prefix),
+                        answer => stage(answer),
+                    };
                     (e, current)
                 }
                 Arrival::External => (Entry::Ingress, sw.next_hop(Entry::Ingress, tag, prefix)),
@@ -1253,6 +1324,30 @@ impl PathInstaller {
                 continue;
             }
             changes += 1;
+            // on the last leg a qualified table continues at the stage
+            // where it sends the prefix to the next hop or nowhere yet
+            let qualified = entry != Entry::Ingress;
+            if let Some(next) = d.forward(is_swap).filter(|_| d.last_leg && qualified) {
+                let rule = sw.rule_cost(entry, tag, prefix, NextHop::Location);
+                match sw.location(prefix) {
+                    None if goto(entry) => {
+                        cost += sw.location_cost(prefix, next);
+                        record.push((i, Target::Stage(next)));
+                        continue;
+                    }
+                    None if rule.is_some() => {
+                        cost += rule? + sw.location_cost(prefix, next);
+                        record.push((i, Target::Goto(entry, Some(next))));
+                        continue;
+                    }
+                    Some(at) if at == next && rule.is_some() => {
+                        cost += rule?;
+                        record.push((i, Target::Goto(entry, None)));
+                        continue;
+                    }
+                    _ => {}
+                }
+            }
             cost += sw.rule_cost(entry, tag, prefix, nh)?;
             record.push((i, Target::Table(entry)));
         }
@@ -1263,6 +1358,7 @@ impl PathInstaller {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shadow::RuleClasses;
     use softcell_topology::{small_topology, CellularParams, ShortestPaths};
     use softcell_types::MiddleboxKind;
     use std::cell::Cell;
@@ -1322,6 +1418,14 @@ mod tests {
             };
             match target {
                 Target::Table(entry) => sw.install_with(entry, plan.tag, prefix, nh, emit),
+                Target::Goto(entry, locate) => {
+                    let mut emit = emit;
+                    if let Some(next) = locate {
+                        sw.locate(prefix, next, &mut emit);
+                    }
+                    sw.install_with(entry, plan.tag, prefix, NextHop::Location, emit)
+                }
+                Target::Stage(next) => sw.locate(prefix, next, emit),
                 Target::Location(next) | Target::Deferral(next) => {
                     sw.defer(plan.tag, prefix, next, emit)
                 }
@@ -1423,20 +1527,36 @@ mod tests {
         let rep = ins.install_path(&path, Direction::Downlink).unwrap();
         assert_eq!(rep.segment_tags.len(), 1);
         assert_eq!(rep.swap_rules, 0);
-        assert_eq!(rep.new_rules, 4, "gateway + firewall host (2 legs) + agg");
-        // Type 2 defaults up to the firewall, the location stage after
-        // it: occupancy check
-        let shadows = ins.shadows(Direction::Downlink);
-        let (mut t1, mut t2, mut t3) = (0, 0, 0);
-        for sw in 0..topo.switch_count() {
-            let (p1, p2, p3) = shadows.switch(SwitchId(sw as u32)).occupancy();
-            (t1, t2, t3) = (t1 + p1, t2 + p2, t3 + p3);
-        }
-        assert_eq!(t1, 0, "single path needs no Type 1 overrides");
         assert_eq!(
-            (t2, t3),
-            (3, 1),
-            "the aggregation switch's last leg is Type 3"
+            rep.new_rules, 5,
+            "gateway + firewall host (2 legs and a stage entry) + agg"
+        );
+        // Type 2 defaults up to the firewall, the location stage after
+        // it, which the firewall's return continues at: occupancy check
+        let shadows = ins.shadows(Direction::Downlink);
+        let mut c = RuleClasses::default();
+        for sw in 0..topo.switch_count() {
+            c += shadows.switch(SwitchId(sw as u32)).classes();
+        }
+        let type1 = c.unqualified + c.from_mb + c.port_qualified;
+        assert_eq!(type1, 0, "single path needs no Type 1 overrides");
+        assert_eq!(
+            (c.type2, c.goto_stage, c.type3),
+            (2, 1, 2),
+            "the firewall host's and the aggregation switch's last leg is Type 3"
+        );
+        let fw = topo.middlebox(topo.instances_of(MiddleboxKind::Firewall)[0]);
+        let c1 = ins.shadows(Direction::Downlink).switch(fw.switch);
+        assert!(
+            c1.iter_rules().any(|d| matches!(
+                d,
+                ShadowDelta::SetDefault {
+                    entry: Entry::FromMb(_),
+                    nh: NextHop::Location,
+                    ..
+                }
+            )),
+            "the firewall's return continues at the stage"
         );
     }
 
@@ -1891,7 +2011,7 @@ mod tests {
                 }
                 stages += (0..topo.switch_count())
                     .map(|sw| ins.shadows(Direction::Downlink).switch(SwitchId(sw as u32)))
-                    .filter(|sw| sw.occupancy().2 > 0)
+                    .filter(|sw| sw.classes().type3 > 0)
                     .count();
             }
             assert!(located > 0 && stages > 0, "paper({k}): no path deferred");

@@ -83,7 +83,7 @@ pub use log::{Log, LogRecord};
 pub use node::{Committed, ReplicaConfig, ReplicaNode};
 pub use ops::RuleOp;
 pub use shadow::{
-    Divergence, DivergenceKind, Entry, NextHop, RuleSlot, ShadowSwitch, ShadowTables,
+    Divergence, DivergenceKind, Entry, NextHop, RuleClasses, RuleSlot, ShadowSwitch, ShadowTables,
 };
 pub use sharded::{ShardEvent, ShardEventKind, ShardedController, ShardedRun, ShardedStats};
 pub use state::ControllerState;

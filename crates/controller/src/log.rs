@@ -504,7 +504,7 @@ mod tests {
         let (_, restored) = Log::replay(&log.encode(), &cfg).unwrap();
         let tables = |s: &State| s.engine().installer().shadows(Direction::Downlink).clone();
         let (ours, theirs) = (tables(&state), tables(&restored));
-        assert!((0..ours.len()).any(|sw| ours.switch(SwitchId(sw as u32)).occupancy().2 > 0));
+        assert!((0..ours.len()).any(|sw| ours.switch(SwitchId(sw as u32)).classes().type3 > 0));
         assert_eq!(ours.diff(&theirs), vec![]);
         assert_eq!(theirs.diff(&ours), vec![]);
     }

@@ -245,6 +245,8 @@ pub fn lower_delta(
                     out: topo.middlebox(*mb).port,
                 }
             }
+            // one rule, whatever next hops the stage gives its prefixes
+            NextHop::Location => Action::GotoLocation,
         })
     };
 

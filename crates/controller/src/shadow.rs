@@ -26,7 +26,13 @@
 //!   from then on, which would capture the deferred traffic. A Type 1
 //!   rule covers only the prefixes written to it, and the deferred
 //!   prefix's station claims the tag, so no later path writes one over
-//!   it (`install.rs`).
+//!   it (`install.rs`);
+//! * **goto-stage rules** in qualified tables — [`NextHop::Location`]
+//!   sends traffic arriving that way to the location stage, past the
+//!   unqualified table, whatever next hop the stage gives its prefix.
+//!   A port-qualified table's only permitted default is this one, taken
+//!   while the tag's unqualified table is empty: every earlier path of
+//!   the tag arriving on that link followed the stage already.
 //!
 //! The shadow is the controller's source of truth; deltas stream to the
 //! physical switches through [`crate::ops`].
@@ -69,6 +75,12 @@ pub enum NextHop {
     /// Rewrite the packet's tag, then divert into a middlebox on this
     /// switch (swap landing directly on a middlebox leg).
     SwapTagMb(PolicyTag, MiddleboxId),
+    /// Continue at the location stage, past the unqualified tag table:
+    /// the traffic goes where the stage sends its prefix (OpenFlow 1.3's
+    /// goto-table). Only a qualified table holds it; one value stands
+    /// for every next hop the stage gives, so prefixes bound for
+    /// different switches share its rules.
+    Location,
 }
 
 /// Per-(entry, tag) forwarding state.
@@ -99,6 +111,11 @@ impl TagTable {
             }
             p = p.parent()?;
         }
+    }
+
+    /// Whether the table holds no rule.
+    fn is_empty(&self) -> bool {
+        self.default.is_none() && self.prefixes.is_empty()
     }
 
     fn lookup(&self, prefix: Ipv4Prefix) -> Option<NextHop> {
@@ -321,15 +338,17 @@ impl ShadowSwitch {
 
     /// What the switch's pipeline does with `tag`-tagged traffic for
     /// `prefix` arriving via `entry`: the arrival's qualified table, then
-    /// the unqualified one, then the location stage.
+    /// the unqualified one, then the location stage — which a qualified
+    /// [`NextHop::Location`] answer goes to directly. Never `Location`.
     pub fn resolve(&self, entry: Entry, tag: PolicyTag, prefix: Ipv4Prefix) -> Option<NextHop> {
         let qualified = match entry {
             Entry::Ingress => None,
             _ => self.next_hop(entry, tag, prefix),
         };
-        qualified
-            .or_else(|| self.next_hop(Entry::Ingress, tag, prefix))
-            .or_else(|| self.location(prefix).map(NextHop::Switch))
+        match qualified.or_else(|| self.next_hop(Entry::Ingress, tag, prefix)) {
+            Some(NextHop::Location) | None => self.location(prefix).map(NextHop::Switch),
+            answer => answer,
+        }
     }
 
     /// Whether `(Ingress, tag)` has left a prefix to the location stage.
@@ -394,7 +413,7 @@ impl ShadowSwitch {
         tag: PolicyTag,
         prefix: Ipv4Prefix,
         next: SwitchId,
-        mut emit: impl FnMut(ShadowDelta),
+        emit: impl FnMut(ShadowDelta),
     ) {
         debug_assert!(
             self.next_hop(Entry::Ingress, tag, prefix).is_none(),
@@ -408,6 +427,22 @@ impl ShadowSwitch {
                 self.tag_order.push(tag);
             }
         }
+        self.locate(prefix, next, emit);
+    }
+
+    /// Unless the location stage answers `prefix` already, adds its entry
+    /// sending it to `next`, merged upward with aligned sibling blocks
+    /// that carry the same next hop. Hands each delta to `emit` in
+    /// application order.
+    ///
+    /// # Panics
+    /// Debug-panics when the stage answers `prefix` otherwise.
+    pub(crate) fn locate(
+        &mut self,
+        prefix: Ipv4Prefix,
+        next: SwitchId,
+        mut emit: impl FnMut(ShadowDelta),
+    ) {
         let mut at = self.location_at(prefix);
         if let Some(answer) = self.covering(at, prefix) {
             debug_assert_eq!(
@@ -447,7 +482,7 @@ impl ShadowSwitch {
             Some(t) => {
                 let (current, cost) = t.probe(prefix, nh);
                 Probe {
-                    present: t.default.is_some() || !t.prefixes.is_empty(),
+                    present: !t.is_empty(),
                     current,
                     cost,
                 }
@@ -511,6 +546,27 @@ impl ShadowSwitch {
             },
             "write of a conflicting or present rule (tag {tag}, {prefix})"
         );
+        // A Type 2 (tag-only) default is only safe in tables that cannot
+        // shadow other traffic: the unqualified Ingress table (defaults
+        // there are the aggregation win of Fig. 3c) and middlebox-return
+        // tables (only traffic this controller itself diverted into the
+        // middlebox can arrive there). A default in a FromSwitch table
+        // would capture *every* prefix arriving on that link, hijacking
+        // paths that relied on unqualified rules.
+        // Nor in an Ingress table that has left a prefix to the location
+        // stage: the default would capture that traffic.
+        // A FromSwitch table may take one default, `Location`, while the
+        // tag's unqualified table holds no rule: every earlier path of the
+        // tag arriving on that link follows the stage already (or a rule
+        // of this table), and does after it too.
+        let default_ok = match entry {
+            Entry::Ingress => self.deferred.binary_search(&tag).is_err(),
+            Entry::FromMb(_) => true,
+            Entry::FromSwitch(_) => {
+                let unqualified = self.tables.get(&table_key(Entry::Ingress, tag));
+                nh == NextHop::Location && unqualified.is_none_or(TagTable::is_empty)
+            }
+        };
         let table = match self.tables.entry(table_key(entry, tag)) {
             MapEntry::Occupied(e) => e.into_mut(),
             MapEntry::Vacant(e) => {
@@ -521,21 +577,7 @@ impl ShadowSwitch {
                 e.insert(TagTable::default())
             }
         };
-        // A Type 2 (tag-only) default is only safe in tables that cannot
-        // shadow other traffic: the unqualified Ingress table (defaults
-        // there are the aggregation win of Fig. 3c) and middlebox-return
-        // tables (only traffic this controller itself diverted into the
-        // middlebox can arrive there). A default in a FromSwitch table
-        // would capture *every* prefix arriving on that link, hijacking
-        // paths that relied on unqualified rules.
-        // Nor in an Ingress table that has left a prefix to the location
-        // stage: the default would capture that traffic.
-        let default_ok = match entry {
-            Entry::Ingress => self.deferred.binary_search(&tag).is_err(),
-            Entry::FromMb(_) => true,
-            Entry::FromSwitch(_) => false,
-        };
-        if default_ok && table.default.is_none() && table.prefixes.is_empty() {
+        if default_ok && table.is_empty() {
             table.default = Some(nh);
             self.rule_count += 1;
             emit(ShadowDelta::SetDefault { entry, tag, nh });
@@ -686,16 +728,83 @@ impl ShadowSwitch {
         out
     }
 
-    /// Per-type occupancy: `(type1_prefix_rules, type2_default_rules,
-    /// type3_location_rules)`.
-    pub fn occupancy(&self) -> (usize, usize, usize) {
-        let mut t1 = 0;
-        let mut t2 = 0;
-        for t in self.tables.values() {
-            t1 += t.prefixes.len();
-            t2 += usize::from(t.default.is_some());
+    /// The switch's rules by class ([`RuleClasses`]).
+    pub fn classes(&self) -> RuleClasses {
+        let mut c = RuleClasses {
+            type3: self.location.len(),
+            ..RuleClasses::default()
+        };
+        for (&key, table) in &self.tables {
+            let (entry, _) = unpack_key(key);
+            let type1 = match entry {
+                Entry::Ingress => &mut c.unqualified,
+                Entry::FromMb(_) => &mut c.from_mb,
+                Entry::FromSwitch(_) => &mut c.port_qualified,
+            };
+            for &nh in table.prefixes.values() {
+                match nh {
+                    NextHop::Location => c.goto_stage += 1,
+                    _ => *type1 += 1,
+                }
+            }
+            match table.default {
+                Some(NextHop::Location) => c.goto_stage += 1,
+                Some(_) => c.type2 += 1,
+                None => {}
+            }
+            let rules = table.prefixes.values().chain(&table.default);
+            c.swaps += rules
+                .filter(|nh| matches!(nh, NextHop::SwapTag(..) | NextHop::SwapTagMb(..)))
+                .count();
         }
-        (t1, t2, self.location.len())
+        c
+    }
+}
+
+/// One switch's rules, or a sum of them, split by class: Type 1 rules by
+/// the entry they match on, goto-stage rules ([`NextHop::Location`],
+/// Type 1 or Type 2), the other Type 2 defaults and Type 3 location
+/// entries. These partition the rules; `swaps` counts the tag-swap rules
+/// among the Type 1 and Type 2 ones.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize)]
+pub struct RuleClasses {
+    /// Type 1 rules of unqualified tables.
+    pub unqualified: usize,
+    /// Type 1 rules of middlebox-return tables.
+    pub from_mb: usize,
+    /// Type 1 rules of input-port-qualified tables (§3.2 loops).
+    pub port_qualified: usize,
+    /// Rules that continue at the location stage.
+    pub goto_stage: usize,
+    /// Type 2 (tag-only) defaults but goto-stage ones.
+    pub type2: usize,
+    /// Type 3 location-stage entries.
+    pub type3: usize,
+    /// Tag-swap rules, counted in their class too.
+    pub swaps: usize,
+}
+
+impl RuleClasses {
+    /// Every rule once.
+    pub fn total(&self) -> usize {
+        self.unqualified
+            + self.from_mb
+            + self.port_qualified
+            + self.goto_stage
+            + self.type2
+            + self.type3
+    }
+}
+
+impl std::ops::AddAssign for RuleClasses {
+    fn add_assign(&mut self, o: RuleClasses) {
+        self.unqualified += o.unqualified;
+        self.from_mb += o.from_mb;
+        self.port_qualified += o.port_qualified;
+        self.goto_stage += o.goto_stage;
+        self.type2 += o.type2;
+        self.type3 += o.type3;
+        self.swaps += o.swaps;
     }
 }
 
@@ -769,7 +878,7 @@ impl ShadowTables {
                     tag = to;
                     (Some(mb), at)
                 }
-                Some(NextHop::Uplink) | None => return false,
+                Some(NextHop::Uplink | NextHop::Location) | None => return false,
             };
             entry = match mb {
                 Some(mb) if chain.get(passed) == Some(&mb) => {
@@ -874,7 +983,7 @@ impl ShadowSwitch {
     pub(crate) fn has_table(&self, entry: Entry, tag: PolicyTag) -> bool {
         self.tables
             .get(&table_key(entry, tag))
-            .map(|t| t.default.is_some() || !t.prefixes.is_empty())
+            .map(|t| !t.is_empty())
             .unwrap_or(false)
     }
 }
@@ -893,6 +1002,16 @@ mod tests {
     const NH2: NextHop = NextHop::Switch(SwitchId(20));
     const NH3: NextHop = NextHop::Switch(SwitchId(30));
 
+    /// (Type 1, Type 2, Type 3) rules that are not goto-stage ones.
+    fn occupancy(s: &ShadowSwitch) -> (usize, usize, usize) {
+        let c = s.classes();
+        (
+            c.unqualified + c.from_mb + c.port_qualified,
+            c.type2,
+            c.type3,
+        )
+    }
+
     #[test]
     fn first_install_becomes_type2_default() {
         let mut s = ShadowSwitch::new();
@@ -908,7 +1027,7 @@ mod tests {
         assert_eq!(s.rule_count(), 1);
         // every prefix under the tag now follows the default
         assert_eq!(s.next_hop(IN, T, p("10.0.8.0/23")), Some(NH1));
-        assert_eq!(s.occupancy(), (0, 1, 0));
+        assert_eq!(occupancy(&s), (0, 1, 0));
     }
 
     #[test]
@@ -928,7 +1047,7 @@ mod tests {
         assert_eq!(s.rule_count(), 2);
         assert_eq!(s.next_hop(IN, T, p("10.0.8.0/23")), Some(NH2));
         assert_eq!(s.next_hop(IN, T, p("10.0.0.0/23")), Some(NH1));
-        assert_eq!(s.occupancy(), (1, 1, 0));
+        assert_eq!(occupancy(&s), (1, 1, 0));
     }
 
     #[test]
@@ -967,7 +1086,7 @@ mod tests {
         s.install(IN, T, p("10.1.3.0/24"), NH2); // -> /23 -> /22
         assert_eq!(s.rule_count(), before - 1, "cascade merges two levels");
         assert_eq!(s.next_hop(IN, T, p("10.1.2.0/24")), Some(NH2));
-        assert_eq!(s.occupancy().0, 1, "a single /22 remains");
+        assert_eq!(occupancy(&s).0, 1, "a single /22 remains");
     }
 
     #[test]
@@ -1093,7 +1212,7 @@ mod tests {
         // the sibling block above, at a /22, merges the pair to a /21
         s.defer(T, p("10.0.6.0/23"), a, |_| {});
         s.defer(T, p("10.0.4.0/23"), a, |_| {});
-        assert_eq!(s.occupancy(), (0, 0, 1));
+        assert_eq!(occupancy(&s), (0, 0, 1));
         assert_eq!(s.location(p("10.0.6.0/23")), Some(a));
         assert_eq!(s.location(p("10.0.8.0/23")), None);
         assert_eq!(s.rule_count(), 1);
@@ -1114,7 +1233,7 @@ mod tests {
         assert!(matches!(d[..], [ShadowDelta::SetDefault { .. }]), "{d:?}");
         let d = s.install(mb, T, p("10.0.8.0/23"), NH2);
         assert!(matches!(d[..], [ShadowDelta::SetDefault { .. }]), "{d:?}");
-        assert_eq!(s.occupancy(), (1, 2, 1));
+        assert_eq!(occupancy(&s), (1, 2, 1));
     }
 
     #[test]
@@ -1129,6 +1248,88 @@ mod tests {
         assert_eq!(s.resolve(from, PolicyTag(2), p("10.0.0.0/23")), Some(NH3));
         assert_eq!(s.resolve(IN, PolicyTag(2), p("10.0.0.0/23")), Some(NH2));
         assert_eq!(s.resolve(IN, T, p("10.0.8.0/23")), None);
+    }
+
+    #[test]
+    fn a_qualified_table_continues_at_the_stage() {
+        let mut s = ShadowSwitch::new();
+        let (from, goto) = (Entry::FromSwitch(SwitchId(5)), NextHop::Location);
+        s.defer(PolicyTag(2), p("10.0.0.0/23"), SwitchId(10), |_| {});
+        // the tag's unqualified table is empty: the goto is the default,
+        // and every prefix arriving that way follows the stage
+        let d = s.install(from, T, p("10.0.0.0/23"), goto);
+        assert!(
+            matches!(
+                d[..],
+                [ShadowDelta::SetDefault {
+                    nh: NextHop::Location,
+                    ..
+                }]
+            ),
+            "{d:?}"
+        );
+        assert_eq!(s.resolve(from, T, p("10.0.0.0/23")), Some(NH1));
+        assert_eq!(
+            s.resolve(from, T, p("10.0.8.0/23")),
+            None,
+            "the stage is silent"
+        );
+        // a concrete rule overrides it for its prefix
+        s.install(from, T, p("10.0.8.0/23"), NH2);
+        assert_eq!(s.resolve(from, T, p("10.0.8.0/23")), Some(NH2));
+        // it skips the unqualified table, which still serves other links
+        s.install(IN, T, p("10.0.0.0/23"), NH3);
+        assert_eq!(s.resolve(from, T, p("10.0.0.0/23")), Some(NH1));
+        assert_eq!(
+            s.resolve(Entry::FromSwitch(SwitchId(6)), T, p("10.0.0.0/23")),
+            Some(NH3)
+        );
+        // with a rule in the unqualified table, a goto is a Type 1 rule,
+        // which merges with its sibling like any other
+        let other = Entry::FromSwitch(SwitchId(6));
+        let d = s.install(other, T, p("10.0.0.0/23"), goto);
+        assert!(matches!(d[..], [ShadowDelta::AddPrefix { .. }]), "{d:?}");
+        assert_eq!(s.probe(other, T, p("10.0.2.0/23"), goto).current, None);
+        s.install(other, T, p("10.0.2.0/23"), goto);
+        assert_eq!(s.next_hop(other, T, p("10.0.0.0/22")), Some(goto));
+        let classes = s.classes();
+        assert_eq!(classes.goto_stage, 2);
+        assert_eq!(
+            (classes.port_qualified, classes.type2, classes.type3),
+            (1, 1, 1)
+        );
+        assert_eq!(classes.total(), s.rule_count());
+        // a replica that forwards concretely diverges
+        let mut replica = s.clone();
+        replica.install(from, T, p("10.0.0.0/23"), NH1);
+        let slot = RuleSlot::Tag {
+            entry: from,
+            tag: T,
+            prefix: Some(p("10.0.0.0/23")),
+        };
+        assert_eq!(
+            s.diff(&replica),
+            vec![Divergence {
+                slot,
+                kind: DivergenceKind::Extra { found: NH1 }
+            }]
+        );
+    }
+
+    #[test]
+    fn delivery_walks_through_a_goto() {
+        let mut t = ShadowTables::new(3);
+        let (a, b, c) = (SwitchId(0), SwitchId(1), SwitchId(2));
+        t.switch_mut(a)
+            .install(IN, T, p("10.0.0.0/23"), NextHop::Switch(b));
+        t.switch_mut(b)
+            .install(Entry::FromSwitch(a), T, p("10.0.0.0/23"), NextHop::Location);
+        assert!(
+            !t.delivers(a, T, p("10.0.0.0/23"), c, &[]),
+            "a silent stage drops"
+        );
+        t.switch_mut(b).locate(p("10.0.0.0/23"), c, |_| {});
+        assert!(t.delivers(a, T, p("10.0.0.0/23"), c, &[]));
     }
 
     mod properties {
@@ -1246,6 +1447,11 @@ mod tests {
                     let prefix = Ipv4Prefix::from_bits(0x0A00_0000 | (station << 9), 23);
                     let next = SwitchId(u32::from(hop));
                     let nh = NextHop::Switch(next);
+                    // and goto-stage rules, in a port-qualified table
+                    let (entry, nh) = match station % 8 {
+                        5 => (Entry::FromSwitch(SwitchId(4)), NextHop::Location),
+                        _ => (entry, nh),
+                    };
                     let mut deltas = Vec::new();
                     let stage_agrees = shadow.location(prefix).is_none_or(|n| n == next);
                     if station % 4 == 2 && stage_agrees && shadow.next_hop(IN, tag, prefix).is_none() {
@@ -1388,7 +1594,7 @@ mod tests {
                         prop_assert_eq!(s.location(prefix(st)), Some(n), "station {}", st);
                     }
                 }
-                prop_assert_eq!(s.occupancy().2, s.rule_count());
+                prop_assert_eq!(occupancy(&s).2, s.rule_count());
             }
         }
     }

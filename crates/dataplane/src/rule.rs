@@ -84,6 +84,12 @@ pub enum Action {
         /// Output port.
         out: PortNo,
     },
+    /// Continue at the location stage: the lookup resumes at the first
+    /// matching unqualified prefix-only (Type 3) rule below this one,
+    /// skipping the tag rules between — OpenFlow 1.3's goto-table, the
+    /// stage boundary of §7's pipeline. A port-qualified tag rule with
+    /// this action sends its traffic where the location stage does.
+    GotoLocation,
     /// Punt to the local agent / controller (packet-in).
     ToController,
     /// Drop (access-control action).
@@ -100,7 +106,7 @@ impl Action {
             | Action::SetDscpForward { out: p, .. }
             | Action::RewritePortBitsForward { out: p, .. }
             | Action::RedirectDstForward { out: p, .. } => Some(*p),
-            Action::ToController | Action::Drop => None,
+            Action::GotoLocation | Action::ToController | Action::Drop => None,
         }
     }
 }
@@ -141,6 +147,7 @@ impl fmt::Display for Action {
                     "redirect_dst({addr},{value:#06x}/{mask:#06x})->forward({out})"
                 )
             }
+            Action::GotoLocation => write!(f, "goto_location"),
             Action::ToController => write!(f, "to_controller"),
             Action::Drop => write!(f, "drop"),
         }

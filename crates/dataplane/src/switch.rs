@@ -5,7 +5,9 @@
 //! 1. **microflow table** (exact five-tuple) — populated by the local
 //!    agent on access switches; performs the §4.1 rewrites;
 //! 2. **flow table** (prioritized wildcard rules) — the fabric rules
-//!    Algorithm 1 installs;
+//!    Algorithm 1 installs; a port-qualified rule may continue at the
+//!    location stage ([`Action::GotoLocation`]), which
+//!    [`FlowTable::lookup`] resolves to the stage rule it lands on;
 //! 3. **miss** — access switches punt to the local agent (packet-in),
 //!    core switches drop.
 //!
@@ -211,7 +213,9 @@ fn apply_rule(buffer: &mut [u8], view: &mut HeaderView, action: Action) -> Resul
             Ok(ForwardDecision::Out(out))
         }
         Action::ToController => Ok(ForwardDecision::ToController),
-        Action::Drop => Ok(ForwardDecision::Drop),
+        // `FlowTable::lookup` continues past a goto rule, so none arrives
+        // here; one that did would name no port
+        Action::GotoLocation | Action::Drop => Ok(ForwardDecision::Drop),
     }
 }
 

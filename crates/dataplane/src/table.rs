@@ -68,6 +68,12 @@ fn rank(rule: &FlowRule) -> (Reverse<u16>, RuleId) {
     (Reverse(rule.priority), rule.id)
 }
 
+/// Whether a rule is in the location stage an [`Action::GotoLocation`]
+/// rule continues at: prefix-only (§7's Type 3) and not port-qualified.
+fn in_stage(m: &Match) -> bool {
+    m.in_port.is_none() && RuleType::of(m) == RuleType::PrefixOnly
+}
+
 /// Occupancy statistics by rule type.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize)]
 pub struct TableStats {
@@ -147,17 +153,31 @@ impl FlowTable {
         removed
     }
 
-    /// Finds the highest-priority matching rule without bumping counters.
+    /// Finds the rule a lookup applies without bumping counters: the
+    /// highest-priority matching rule, or where that is an
+    /// [`Action::GotoLocation`] rule, the highest-priority matching
+    /// location-stage rule ranked below it.
     pub fn peek(&self, key: &LookupKey) -> Option<&FlowRule> {
-        self.rules
-            .iter()
-            .filter(|r| r.matcher.matches(key))
-            .min_by_key(|r| rank(r))
+        let first = |after: Option<&FlowRule>, stage: bool| {
+            let below = |r: &&FlowRule| after.is_none_or(|a| rank(r) > rank(a));
+            (self.rules.iter())
+                .filter(below)
+                .filter(|r| (!stage || in_stage(&r.matcher)) && r.matcher.matches(key))
+                .min_by_key(|r| rank(r))
+        };
+        let hit = first(None, false)?;
+        match hit.action {
+            Action::GotoLocation => first(Some(hit), true),
+            _ => Some(hit),
+        }
     }
 
-    /// Looks up a packet, bumping the winning rule's counter: the key is
-    /// packed once and the compiled column scanned, after sorting the
-    /// columns and compiling it if a write cleared it.
+    /// Looks up a packet, bumping the counter of each rule it applies:
+    /// the key is packed once and the compiled column scanned, after
+    /// sorting the columns and compiling it if a write cleared it. A hit
+    /// on an [`Action::GotoLocation`] rule resumes the scan below it at
+    /// the first matching location-stage rule, and a miss there is the
+    /// table's miss.
     pub fn lookup(&mut self, key: &LookupKey) -> Option<FlowRule> {
         if self.compiled.is_empty() {
             self.sort();
@@ -176,7 +196,13 @@ impl FlowTable {
             self.rules.iter().position(|r| r.matcher.matches(key)),
             "compiled scan and `Match::matches` disagree on {key:?}"
         );
-        let pos = pos?;
+        let mut pos = pos?;
+        if let Action::GotoLocation = self.rules[pos].action {
+            self.hits[pos] += 1;
+            let mut below = (self.compiled[pos + 1..].iter()).zip(&self.rules[pos + 1..]);
+            let stage = |(e, r): (&TcamEntry, &FlowRule)| e.matches(&words) && in_stage(&r.matcher);
+            pos += 1 + below.position(stage)?;
+        }
         self.hits[pos] += 1;
         Some(self.rules[pos])
     }
@@ -308,6 +334,41 @@ mod tests {
         let other_port = e.encode(PolicyTag(9), 0).unwrap();
         let k = key_to(Ipv4Addr::new(10, 0, 0, 5), other_port);
         assert_eq!(t.lookup(&k).unwrap().action, Action::Forward(PortNo(3)));
+    }
+
+    #[test]
+    fn goto_location_skips_the_tag_rules_below_it() {
+        let e = PortEmbedding::default_embedding();
+        let pref: Ipv4Prefix = "10.0.0.0/23".parse().unwrap();
+        let mut t = FlowTable::new();
+        let install = |t: &mut FlowTable, m: Match, action| {
+            t.install(conventional_priority(&m), m, action).unwrap()
+        };
+        let goto =
+            Match::tag_and_prefix(Direction::Downlink, PolicyTag(4), pref, &e).from_port(PortNo(1));
+        let tagged = Match::tag(Direction::Downlink, PolicyTag(4), &e);
+        let goto_id = install(&mut t, goto, Action::GotoLocation);
+        install(&mut t, tagged, Action::Forward(PortNo(2)));
+        // a qualified location rule is not the stage
+        let qualified_stage = Match::prefix(Direction::Downlink, pref).from_port(PortNo(1));
+        install(&mut t, qualified_stage, Action::Forward(PortNo(7)));
+        let tagged_port = e.encode(PolicyTag(4), 0).unwrap();
+        let from = |in_port| LookupKey {
+            in_port: PortNo(in_port),
+            ..key_to(Ipv4Addr::new(10, 0, 0, 5), tagged_port)
+        };
+        // the stage is silent: the goto's lookup misses
+        assert_eq!(t.lookup(&from(1)), None);
+        assert!(t.peek(&from(1)).is_none());
+        let stage = Match::prefix(Direction::Downlink, pref);
+        let stage_id = install(&mut t, stage, Action::Forward(PortNo(3)));
+        for hit in [t.peek(&from(1)).copied(), t.lookup(&from(1))] {
+            assert_eq!(hit.map(|r| r.id), Some(stage_id));
+        }
+        assert_eq!((t.counter(goto_id), t.counter(stage_id)), (2, 1));
+        // another arrival takes the tag rule
+        let k = from(2);
+        assert_eq!(t.lookup(&k).unwrap().action, Action::Forward(PortNo(2)));
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //! columns stay unordered between lookups. `iter()` is priority
 //! descending, ties by `RuleId` ascending; `peek` and `lookup` return
 //! the first match in that order under [`Match::matches`] (the
-//! reference for the compiled words `lookup` scans); hit counters follow
+//! reference for the compiled words `lookup` scans) — or, where that is
+//! an [`Action::GotoLocation`] rule, the first matching unqualified
+//! prefix-only rule after it, none being a miss; hit counters follow
 //! rule *ids* (the model is keyed by id) however a re-sort moves rules
 //! underneath them; and the private fingerprint column stays in step
 //! with the rules (seen from outside: every installed matcher is still
@@ -17,7 +19,7 @@
 use std::net::Ipv4Addr;
 
 use proptest::prelude::*;
-use softcell_dataplane::matcher::Direction;
+use softcell_dataplane::matcher::{Direction, RuleType};
 use softcell_dataplane::{Action, FlowRule, FlowTable, LookupKey, Match, RuleId};
 use softcell_packet::{build_flow_packet, FiveTuple, HeaderView, Protocol};
 use softcell_types::{Ipv4Prefix, PolicyTag, PortEmbedding, PortNo};
@@ -151,12 +153,25 @@ impl Model {
         gone
     }
 
-    /// The first match in priority order, counted when `hit`.
+    /// The first match in priority order or, past a goto-stage rule,
+    /// the first location-stage match after it; each rule passed counted
+    /// when `hit`.
     fn lookup(&mut self, key: &LookupKey, hit: bool) -> Option<FlowRule> {
-        let (rule, hits) = self
+        let at = self
             .rules
-            .iter_mut()
-            .find(|(r, _)| r.matcher.matches(key))?;
+            .iter()
+            .position(|(r, _)| r.matcher.matches(key))?;
+        self.rules[at].1 += u64::from(hit);
+        let (rule, _) = self.rules[at];
+        if rule.action != Action::GotoLocation {
+            return Some(rule);
+        }
+        let stage = |r: &FlowRule| {
+            r.matcher.in_port.is_none()
+                && RuleType::of(&r.matcher) == RuleType::PrefixOnly
+                && r.matcher.matches(key)
+        };
+        let (rule, hits) = self.rules[at + 1..].iter_mut().find(|(r, _)| stage(r))?;
         *hits += u64::from(hit);
         Some(*rule)
     }
@@ -230,7 +245,11 @@ proptest! {
             match op {
                 0..=2 => {
                     let (priority, matcher) = (PRIORITIES[b as usize % 3], matcher(a));
-                    let action = Action::Forward(PortNo(b as u16));
+                    // one rule in five continues at the location stage
+                    let action = match b % 5 {
+                        0 => Action::GotoLocation,
+                        _ => Action::Forward(PortNo(b as u16)),
+                    };
                     let id = table.install(priority, matcher, action).unwrap();
                     prop_assert_eq!(id, RuleId(issued), "ids are issued in install order");
                     issued += 1;

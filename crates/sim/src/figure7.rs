@@ -9,14 +9,17 @@
 //! over the resulting path stream; report the maximum and median switch
 //! flow-table size.
 //!
-//! Instance interpretation (the paper's wording is ambiguous): the
-//! default, [`InstanceChoice::NearestPerStation`], draws `m` random
-//! *kinds* per clause and lets each station use the nearest instance of
-//! each kind — matching Fig. 3(c)'s regional dispatch and the
-//! controller's own latency-minimizing selection (§2.2). Two
-//! alternatives are implemented for sensitivity analysis: shared random
-//! instances per clause ([`InstanceChoice::PerClause`]) and fully random
-//! per station ([`InstanceChoice::PerStation`]).
+//! Instance interpretation (the paper's wording is ambiguous, and there
+//! is no default): `fig7_simulation`, the ablation and the pinned
+//! `figure7_counts` point all run [`InstanceChoice::PerClause`], `m`
+//! random instances drawn once per clause and shared by every station
+//! — "a policy path traverses m randomly chosen middlebox instances".
+//! Two alternatives are kept for sensitivity analysis:
+//! [`InstanceChoice::NearestPerStation`] draws `m` random *kinds* per
+//! clause and lets each station use the nearest instance of each kind
+//! (Fig. 3(c)'s regional dispatch, the controller's latency-minimizing
+//! selection of §2.2), and [`InstanceChoice::PerStation`] draws fresh
+//! instances per station.
 //!
 //! Paper reference points: n=1000, m=5, k=8 → median 1214 / max 1697
 //! rules; table size grows linearly in `n` (slope < 2) and in `m`, and
@@ -27,7 +30,7 @@ use rand::{Rng, SeedableRng};
 use serde::Serialize;
 
 use softcell_controller::install::Direction;
-use softcell_controller::{PathInstaller, TagPolicy};
+use softcell_controller::{PathInstaller, RuleClasses, ShadowTables, TagPolicy};
 use softcell_topology::{CellularParams, ShortestPaths, SwitchRole, Topology};
 use softcell_types::{
     AddressingScheme, BaseStationId, Ipv4Prefix, MiddleboxId, MiddleboxKind, Result,
@@ -38,13 +41,12 @@ use softcell_types::{
 pub enum InstanceChoice {
     /// Each clause names `m` random middlebox *kinds*; every station
     /// uses the nearest instance of each kind, walked greedily from its
-    /// access switch (the default — it matches Fig. 3(c)'s regional
-    /// dispatch, clause traffic of AS1/AS2 to Transcoder1 and AS3/AS4 to
-    /// Transcoder2, and the controller's own latency-minimizing
-    /// selection of §2.2).
+    /// access switch (Fig. 3(c)'s regional dispatch, clause traffic of
+    /// AS1/AS2 to Transcoder1 and AS3/AS4 to Transcoder2, and the
+    /// controller's own latency-minimizing selection of §2.2).
     NearestPerStation,
     /// `m` concrete instances drawn once per clause, shared by all
-    /// stations network-wide.
+    /// stations network-wide: what every Figure 7 row runs.
     PerClause,
     /// Fresh random instances per (clause, station) — a stress variant.
     PerStation,
@@ -95,6 +97,25 @@ pub struct Figure7Result {
     /// switch through the path's middleboxes, in order
     /// ([`ShadowTables::delivers`](softcell_controller::ShadowTables::delivers)).
     pub delivered: usize,
+    /// The rules of the fabric switch holding `max_rules`, by class.
+    pub classes_max: RuleClasses,
+    /// Every switch's rules, by class.
+    pub classes_total: RuleClasses,
+}
+
+/// The rule classes of the fullest fabric switch (aggregation, core or
+/// gateway; the first of equals) and of the whole network.
+pub fn rule_classes(topo: &Topology, shadows: &ShadowTables) -> (RuleClasses, RuleClasses) {
+    let mut total = RuleClasses::default();
+    let mut max = RuleClasses::default();
+    for sw in topo.switches() {
+        let classes = shadows.switch(sw.id).classes();
+        total += classes;
+        if sw.role != SwitchRole::Access && classes.total() > max.total() {
+            max = classes;
+        }
+    }
+    (max, total)
 }
 
 /// Runs one Figure 7 configuration.
@@ -172,6 +193,7 @@ pub fn run_on(topo: &Topology, config: Figure7Config) -> Result<Figure7Result> {
     let median_rules = fabric[fabric.len() / 2];
     let max_rules = *fabric.last().unwrap_or(&0);
     let mean_rules = fabric.iter().sum::<usize>() as f64 / fabric.len().max(1) as f64;
+    let (classes_max, classes_total) = rule_classes(topo, shadows);
 
     Ok(Figure7Result {
         config,
@@ -185,6 +207,8 @@ pub fn run_on(topo: &Topology, config: Figure7Config) -> Result<Figure7Result> {
         tags_used: installer.tags_in_use(),
         swap_rules,
         delivered,
+        classes_max,
+        classes_total,
     })
 }
 

@@ -5,7 +5,10 @@
 //! must agree with the port-table walker packet for packet.
 //!
 //! The reference parses the bytes at every hop, as `Switch::process`
-//! does; `walk` parses once and carries the view, and in a debug build
+//! does, and picks the flow-table rule the obvious way too: the first
+//! match in priority order or, past a goto-stage rule, the first
+//! matching unqualified prefix-only rule after it. The switch must do
+//! what that rule says. `walk` parses once and carries the view, and in a debug build
 //! asserts after every hop that the view equals a parse of the bytes.
 //! `every_rewrite_keeps_the_carried_view_in_step` makes each kind of
 //! rewrite happen on some hop and keys the next hop's rule on the
@@ -14,7 +17,11 @@
 use std::net::Ipv4Addr;
 
 use softcell_controller::ControllerConfig;
-use softcell_dataplane::{Action, ForwardDecision, Match, MicroflowAction, PortField};
+use softcell_dataplane::switch::PipelineKind;
+use softcell_dataplane::{
+    Action, FlowRule, ForwardDecision, LookupKey, Match, MicroflowAction, PortField, RuleType,
+    Switch,
+};
 use softcell_packet::{build_flow_packet, FiveTuple, HeaderView, Ipv4Packet, Protocol};
 use softcell_policy::{BillingPlan, DeviceType, Provider, ServicePolicy, SubscriberAttributes};
 use softcell_sim::world::ConnId;
@@ -34,9 +41,33 @@ const APPS: [(u16, Protocol); 5] = [
     (5060, Protocol::Udp),
 ];
 
+/// What `switch` must decide for a packet its microflow table misses:
+/// the action of the first flow-table rule the key matches in priority
+/// order — past a goto-stage rule, of the first unqualified prefix-only
+/// rule after it that the key matches — or the pipeline's miss.
+fn reference_decision(switch: &Switch, key: &LookupKey) -> ForwardDecision {
+    let mut rules = switch.table.iter().filter(|r| r.matcher.matches(key));
+    let stage = |r: &&FlowRule| {
+        r.matcher.in_port.is_none() && RuleType::of(&r.matcher) == RuleType::PrefixOnly
+    };
+    let rule = match rules.next() {
+        Some(r) if r.action == Action::GotoLocation => rules.find(stage),
+        first => first,
+    };
+    match rule.map(|r| r.action) {
+        Some(Action::ToController) => ForwardDecision::ToController,
+        Some(action) => action
+            .out_port()
+            .map_or(ForwardDecision::Drop, ForwardDecision::Out),
+        None if switch.kind == PipelineKind::Access => ForwardDecision::ToController,
+        None => ForwardDecision::Drop,
+    }
+}
+
 /// The walker as it was before the port table. Runs the real switch
 /// pipelines of `net` but records middlebox traversals in its own
-/// `tracker`, and returns the trail beside the outcome.
+/// `tracker`, and returns the trail beside the outcome; every
+/// flow-table decision must be [`reference_decision`]'s.
 #[allow(clippy::too_many_arguments)]
 fn reference_walk(
     net: &mut PhysicalNetwork,
@@ -54,7 +85,20 @@ fn reference_walk(
     let outcome = (|| {
         for _ in 0..net.max_hops {
             trail.push(sw);
-            let out = match net.switch_mut(sw).process(buffer, port, version, now)? {
+            let key = LookupKey {
+                in_port: port,
+                view: HeaderView::parse(buffer)?,
+                version,
+            };
+            let switch = net.switch(sw);
+            let edge = switch.kind == PipelineKind::Access;
+            let expected = (!edge || switch.microflow.peek(&key.view.tuple).is_none())
+                .then(|| reference_decision(switch, &key));
+            let decision = net.switch_mut(sw).process(buffer, port, version, now)?;
+            if let Some(expected) = expected {
+                assert_eq!(decision, expected, "{sw} decided otherwise than its rules");
+            }
+            let out = match decision {
                 ForwardDecision::ToController => {
                     return Ok(WalkOutcome::PuntedToAgent {
                         switch: sw,
@@ -249,6 +293,11 @@ fn walkers_agree_on(topo: &Topology, subscribers: u64, apps: &[(u16, Protocol)])
 
     let seen = &w.net.middleboxes;
     assert!(seen.total_packets() > 0, "no walk crossed a middlebox");
+    let continued = topo.switches().iter().any(|sw| {
+        let table = &w.net.switch(sw.id).table;
+        (table.iter()).any(|r| r.action == Action::GotoLocation && table.counter(r.id) > 0)
+    });
+    assert!(continued, "no walk continued at a location stage");
     assert_eq!(seen.total_packets(), reference.total_packets());
     for &id in &conns {
         let key = w.connection(id).key.unwrap();

@@ -7,9 +7,10 @@
 //!
 //! Only a change that means to re-baseline Figure 7 may edit the
 //! numbers below, and it re-runs `fig7_simulation` and the ablation and
-//! records what moved in EXPERIMENTS.md. The location stage (§7's
-//! Type 3 rules on each path's last leg) is the latest: median 159 →
-//! 65, total 43 190 → 13 549.
+//! records what moved in EXPERIMENTS.md. Goto-stage rules (a
+//! port-qualified last leg or the last middlebox's return continuing at
+//! §7's Type 3 location stage) are the latest: max 1 726 → 1 434, total
+//! 13 549 → 11 860, swap rules 13 175 → 12 995.
 //!
 //! Counts alone would pass tables made small by making them wrong, so
 //! every installed path must also still deliver once all are in: walked
@@ -38,9 +39,12 @@ fn a_small_figure7_point_keeps_its_counts() {
         r.swap_rules,
     );
     // (paths, median, max, total rules, tags, swap rules)
-    assert_eq!(counts, (32_400, 65, 1_726, 13_549, 72, 13_175));
+    assert_eq!(counts, (32_400, 65, 1_434, 11_860, 72, 12_995));
     assert_eq!(
         r.delivered, r.paths_installed,
         "every installed path delivers"
     );
+    // the class split partitions the rules it splits
+    assert_eq!(r.classes_total.total(), r.total_rules);
+    assert_eq!(r.classes_max.total(), r.max_rules);
 }

@@ -15,9 +15,15 @@
 //! installer, its downlinks' last legs in a fresh location stage. Its
 //! migration retires the tags the open connections carry, so every UE
 //! reconnects, and the new connections must keep their paths apart too.
+//!
+//! With all four clauses, last legs that re-enter a switch on another
+//! link, and last middleboxes' returns, continue at the location stage:
+//! the test finds their goto-stage rules in the physical tables, and the
+//! round trips walk through them.
 
 use std::net::Ipv4Addr;
 
+use softcell::dataplane::{Action, FlowRule};
 use softcell::packet::Protocol;
 use softcell::policy::clause::{Clause, ServiceAction};
 use softcell::policy::{Predicate, Provider, ServicePolicy, SubscriberAttributes};
@@ -41,7 +47,10 @@ fn policy(subset: &[usize]) -> ServicePolicy {
 /// One connection per clause of `subset` per station, each round-tripped
 /// once as it is opened; then the consistency check and its second pass;
 /// then the offline pass, a new connection per UE, and the check again.
-fn run(subset: &[usize]) -> Result<()> {
+/// Returns the goto-stage rules of the physical tables that packets
+/// went through by each check, as (port-qualified by a link, by a
+/// middlebox's return).
+fn run(subset: &[usize]) -> Result<Vec<(usize, usize)>> {
     let topo = CellularParams::paper(4).build()?;
     let mut world = SimWorld::new(&topo, policy(subset));
     let ues = || {
@@ -54,6 +63,24 @@ fn run(subset: &[usize]) -> Result<()> {
         let id = world.start_connection(imsi, server, 443, Protocol::Tcp)?;
         world.round_trip(id)
     };
+    // the goto-stage rules of the physical tables a packet hit, by arrival
+    let gotos = |world: &SimWorld<'_>| {
+        let (mut link, mut middlebox) = (0, 0);
+        for sw in topo.switches() {
+            let table = &world.net.switch(sw.id).table;
+            let hit = |r: &&FlowRule| table.counter(r.id) > 0;
+            for rule in table
+                .iter()
+                .filter(|r| r.action == Action::GotoLocation)
+                .filter(hit)
+            {
+                let from_mb = (topo.middleboxes().iter())
+                    .any(|m| m.switch == sw.id && Some(m.port) == rule.matcher.in_port);
+                *if from_mb { &mut middlebox } else { &mut link } += 1;
+            }
+        }
+        (link, middlebox)
+    };
     for (bs, i) in ues() {
         let imsi = UeImsi((bs * CLAUSES + i) as u64);
         let mut attrs = SubscriberAttributes::default_home(imsi);
@@ -62,6 +89,7 @@ fn run(subset: &[usize]) -> Result<()> {
         connect(&mut world, imsi, bs)?;
     }
     world.assert_policy_consistency()?;
+    let mut seen = vec![gotos(&world)];
 
     world.apply_reoptimization()?;
     for (bs, i) in ues() {
@@ -69,7 +97,18 @@ fn run(subset: &[usize]) -> Result<()> {
         world.detach(imsi)?;
         connect(&mut world, imsi, bs)?;
     }
-    world.assert_policy_consistency()
+    world.assert_policy_consistency()?;
+    seen.push(gotos(&world));
+    Ok(seen)
+}
+
+#[test]
+fn qualified_last_legs_continue_at_the_stage_in_the_physical_tables() {
+    let seen = run(&[0, 1, 2, 3]).expect("all four clauses");
+    for (link, middlebox) in seen {
+        assert!(link > 0, "no packet continued at the stage from a link");
+        assert!(middlebox > 0, "no middlebox return continued at the stage");
+    }
 }
 
 #[test]
