@@ -12,9 +12,12 @@
 //!    sibling, one otherwise, infeasible on exact conflict. Pick the
 //!    argmin; allocate a fresh tag when no candidate is usable.
 //! 2. **Installation.** Lay down the rules, aggregating where possible:
-//!    a tag's first rule at a switch is a Type 2 (tag-only) default; a
-//!    divergent next hop becomes a Type 1 (tag+prefix) override;
-//!    contiguous same-next-hop prefixes merge into their parent.
+//!    a table's first rule is a Type 2 (tag-only) default wherever only
+//!    paths planned from that table reach it (a port-qualified table
+//!    too, while nothing else of its tag crosses the switch:
+//!    [`ShadowSwitch::write_probed`]); a divergent next hop becomes a
+//!    Type 1 (tag+prefix) override; contiguous same-next-hop prefixes
+//!    merge into their parent.
 //! 3. **Loops.** A path that re-enters a switch through *different*
 //!    links is disambiguated by input port; re-entry through the *same*
 //!    link splits the path into segments with distinct tags joined by a
@@ -107,7 +110,7 @@ use softcell_types::{
     SwitchId,
 };
 
-use crate::shadow::{Entry, NextHop, Probe, ShadowDelta, ShadowSwitch, ShadowTables};
+use crate::shadow::{Entry, NextHop, Probe, ShadowDelta, ShadowSwitch, ShadowTables, Walk};
 
 /// The direction a rule set serves (re-exported from the data plane's
 /// matcher so controller and switch agree on field selection). Figure 7
@@ -484,7 +487,8 @@ fn rule_slot(
     // a qualified table's write, or `None` where it forwards as wanted:
     // on the last leg, where the stage sends the prefix to the next hop
     // or nowhere yet, a goto-stage rule and the stage's entry
-    let qualified = |entry, current: Option<NextHop>, cost: Option<usize>| {
+    // `q` is the table's one walk, which prices both next hops
+    let qualified = |entry, q: Walk, current: Option<NextHop>| {
         let goto = current == Some(NextHop::Location);
         let current = match goto {
             true => sw.location(prefix).map(NextHop::Switch),
@@ -499,15 +503,14 @@ fn rule_slot(
                 // `located` is 0 where the stage answers already
                 (answer, located) if answer.is_none_or(|at| at == next) => {
                     let locate = answer.is_none().then_some(next);
-                    let rule = sw.probe(entry, tag, prefix, NextHop::Location).cost;
-                    if let Some(rule) = rule {
+                    if let Some(rule) = q.cost(NextHop::Location) {
                         return Some((Target::Goto(entry, locate), Some(rule + located)));
                     }
                 }
                 _ => {}
             }
         }
-        Some((Target::Table(entry), cost))
+        Some((Target::Table(entry), q.cost(nh)))
     };
     let unqualified = |u: Probe| {
         if let (Some(next), None) = (forward.filter(|_| d.last_leg), u.current) {
@@ -525,17 +528,17 @@ fn rule_slot(
     match d.arrival {
         Arrival::External => unqualified(sw.probe(Entry::Ingress, tag, prefix, nh)),
         Arrival::FromMb(mb) => {
-            let m = sw.probe(Entry::FromMb(mb), tag, prefix, nh);
-            qualified(Entry::FromMb(mb), m.current, m.cost)
+            let m = sw.walk(Entry::FromMb(mb), tag, prefix);
+            qualified(Entry::FromMb(mb), m, m.current())
         }
         Arrival::FromSwitch(prev) => {
-            let q = sw.probe(Entry::FromSwitch(prev), tag, prefix, nh);
-            if q.current.is_some() {
-                return qualified(Entry::FromSwitch(prev), q.current, q.cost);
+            let q = sw.walk(Entry::FromSwitch(prev), tag, prefix);
+            if let Some(current) = q.current() {
+                return qualified(Entry::FromSwitch(prev), q, Some(current));
             }
             let u = sw.probe(Entry::Ingress, tag, prefix, nh);
-            if d.qualified || q.present {
-                qualified(Entry::FromSwitch(prev), u.current.or_else(settled), q.cost)
+            if d.qualified || q.present() {
+                qualified(Entry::FromSwitch(prev), q, u.current.or_else(settled))
             } else {
                 unqualified(u)
             }

@@ -109,8 +109,10 @@ pub struct HandoffPlan {
     /// mutation's. The field stays because the frozen `perf/` harness
     /// reads it.
     pub ops: Vec<RuleOp>,
-    /// Downlink microflow entries to remove at the *old* access switch
-    /// (their traffic is redirected into the tunnel instead).
+    /// Microflow entries to remove at the *old* access switch, per flow
+    /// its downlink entry (the traffic is redirected into the tunnel
+    /// instead) and its uplink entry (keyed by the UE's source there,
+    /// which no packet carries once the UE has left).
     pub old_microflow_removals: Vec<FiveTuple>,
     /// Microflow entries to install at the *new* access switch: per
     /// tunneled flow an uplink copy sending under the mobility tag, and
@@ -479,7 +481,7 @@ impl CentralController {
 
         let new_access = topo.base_station(new_bs).access_switch;
         let new_radio = topo.base_station(new_bs).radio_port;
-        let mut old_microflow_removals = Vec::with_capacity(flows.len());
+        let mut old_microflow_removals = Vec::with_capacity(flows.len() * 2);
         let mut new_microflow_installs = Vec::with_capacity(flows.len() * 2);
         let mut carried_flows = Vec::with_capacity(flows.len());
 
@@ -512,6 +514,7 @@ impl CentralController {
                 })?;
                 for f in group() {
                     old_microflow_removals.push(f.downlink);
+                    old_microflow_removals.push(f.uplink);
                     if let MicroflowAction::RewriteSrc {
                         addr, port, dscp, ..
                     } = f.up_action
@@ -643,6 +646,7 @@ impl CentralController {
             let up_out = hop(new_access, up[1])?;
             for f in group() {
                 old_microflow_removals.push(f.downlink);
+                old_microflow_removals.push(f.uplink);
 
                 // uplink copy: the anchor LocIP with the mobility tag in
                 // the source port (the launch rule at the anchor swaps
@@ -1031,7 +1035,12 @@ mod tests {
             .unwrap();
         assert_eq!(plan.old.bs, BaseStationId(0));
         assert_eq!(plan.new.bs, BaseStationId(3));
-        assert_eq!(plan.old_microflow_removals, vec![flow.downlink]);
+        // both of the flow's entries leave the old access switch: its
+        // uplink entry is keyed by the UE's source there
+        assert_eq!(
+            plan.old_microflow_removals,
+            vec![flow.downlink, flow.uplink]
+        );
         // uplink + downlink copies at the new access switch
         assert_eq!(plan.new_microflow_installs.len(), 2);
         assert!(plan.ops.is_empty(), "the ops join the engine's stream");
@@ -1797,7 +1806,7 @@ mod tests {
 
                 let new_access = self.topology().base_station(new_bs).access_switch;
                 let new_radio = self.topology().base_station(new_bs).radio_port;
-                let mut old_microflow_removals = Vec::with_capacity(flows.len());
+                let mut old_microflow_removals = Vec::with_capacity(flows.len() * 2);
                 let mut new_microflow_installs = Vec::with_capacity(flows.len() * 2);
                 let mut carried_flows = Vec::with_capacity(flows.len());
                 let mut launch_specs: HashMap<
@@ -1828,6 +1837,7 @@ mod tests {
                                 })?;
                         for f in &group {
                             old_microflow_removals.push(f.downlink);
+                            old_microflow_removals.push(f.uplink);
                             if let MicroflowAction::RewriteSrc {
                                 addr, port, dscp, ..
                             } = f.up_action
@@ -1967,6 +1977,7 @@ mod tests {
                         .ok_or_else(|| Error::NotFound("tunnel last hop unlinked".into()))?;
                     for f in &group {
                         old_microflow_removals.push(f.downlink);
+                        old_microflow_removals.push(f.uplink);
 
                         // uplink copy: the anchor LocIP with the mobility tag in
                         // the source port (the launch rule at the anchor swaps

@@ -30,9 +30,13 @@
 //! * **goto-stage rules** in qualified tables — [`NextHop::Location`]
 //!   sends traffic arriving that way to the location stage, past the
 //!   unqualified table, whatever next hop the stage gives its prefix.
-//!   A port-qualified table's only permitted default is this one, taken
-//!   while the tag's unqualified table is empty: every earlier path of
-//!   the tag arriving on that link followed the stage already.
+//!
+//! A table takes a Type 2 default only where every packet of its tag
+//! that reaches it belongs to a path the planner reads from that table
+//! ([`ShadowSwitch::write_probed`]): an unqualified table whose tag has
+//! not deferred here, a middlebox-return table, and a port-qualified
+//! table while the tag's unqualified table is empty — a concrete
+//! default only where the tag has not deferred here either.
 //!
 //! The shadow is the controller's source of truth; deltas stream to the
 //! physical switches through [`crate::ops`].
@@ -124,12 +128,16 @@ impl TagTable {
             .or(self.default)
     }
 
-    /// `lookup(prefix)` and the rule cost of making it answer `nh`, from
-    /// one longest-prefix walk.
-    fn probe(&self, prefix: Ipv4Prefix, nh: NextHop) -> (Option<NextHop>, Option<usize>) {
-        let hit = self.longest_match(prefix);
+    /// The rule cost of making the table answer `nh` for `prefix`, whose
+    /// longest Type 1 match is `hit`.
+    fn cost(
+        &self,
+        prefix: Ipv4Prefix,
+        hit: Option<(Ipv4Prefix, NextHop)>,
+        nh: NextHop,
+    ) -> Option<usize> {
         let current = hit.map(|(_, cur)| cur).or(self.default);
-        let cost = match (current, hit) {
+        match (current, hit) {
             (Some(cur), _) if cur == nh => Some(0),
             // an exact-prefix rule sends this traffic elsewhere, and
             // nothing more specific can override it
@@ -142,8 +150,37 @@ impl TagTable {
                     .is_some_and(|sib| self.prefixes.get(&sib) == Some(&nh));
                 Some(usize::from(!merges))
             }
-        };
-        (current, cost)
+        }
+    }
+}
+
+/// One `(entry, tag)` table's longest-prefix walk for one prefix: what
+/// the table answers there now, priced for any wanted next hop without
+/// a second lookup or walk ([`ShadowSwitch::walk`]).
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Walk<'a> {
+    table: Option<&'a TagTable>,
+    prefix: Ipv4Prefix,
+    hit: Option<(Ipv4Prefix, NextHop)>,
+}
+
+impl Walk<'_> {
+    /// Whether the table holds any rule.
+    pub(crate) fn present(&self) -> bool {
+        self.table.is_some_and(|t| !t.is_empty())
+    }
+
+    /// `getNextHop`: what the table does with the prefix now.
+    pub(crate) fn current(&self) -> Option<NextHop> {
+        self.hit.map(|(_, nh)| nh).or(self.table?.default)
+    }
+
+    /// The rule cost of making the table answer `nh` (see [`Probe`]).
+    pub(crate) fn cost(&self, nh: NextHop) -> Option<usize> {
+        match self.table {
+            None => Some(1),
+            Some(t) => t.cost(self.prefix, self.hit, nh),
+        }
     }
 }
 
@@ -473,20 +510,22 @@ impl ShadowSwitch {
     /// and one longest-prefix walk: what `(entry, tag)` does with `prefix`
     /// now, and what making it forward to `nh` would cost.
     pub fn probe(&self, entry: Entry, tag: PolicyTag, prefix: Ipv4Prefix, nh: NextHop) -> Probe {
-        match self.tables.get(&table_key(entry, tag)) {
-            None => Probe {
-                present: false,
-                current: None,
-                cost: Some(1),
-            },
-            Some(t) => {
-                let (current, cost) = t.probe(prefix, nh);
-                Probe {
-                    present: !t.is_empty(),
-                    current,
-                    cost,
-                }
-            }
+        let walk = self.walk(entry, tag, prefix);
+        Probe {
+            present: walk.present(),
+            current: walk.current(),
+            cost: walk.cost(nh),
+        }
+    }
+
+    /// The table lookup and longest-prefix walk of a probe, kept so that
+    /// it prices more than one next hop.
+    pub(crate) fn walk(&self, entry: Entry, tag: PolicyTag, prefix: Ipv4Prefix) -> Walk<'_> {
+        let table = self.tables.get(&table_key(entry, tag));
+        Walk {
+            table,
+            prefix,
+            hit: table.and_then(|t| t.longest_match(prefix)),
         }
     }
 
@@ -546,25 +585,29 @@ impl ShadowSwitch {
             },
             "write of a conflicting or present rule (tag {tag}, {prefix})"
         );
-        // A Type 2 (tag-only) default is only safe in tables that cannot
-        // shadow other traffic: the unqualified Ingress table (defaults
-        // there are the aggregation win of Fig. 3c) and middlebox-return
-        // tables (only traffic this controller itself diverted into the
-        // middlebox can arrive there). A default in a FromSwitch table
-        // would capture *every* prefix arriving on that link, hijacking
-        // paths that relied on unqualified rules.
-        // Nor in an Ingress table that has left a prefix to the location
-        // stage: the default would capture that traffic.
-        // A FromSwitch table may take one default, `Location`, while the
-        // tag's unqualified table holds no rule: every earlier path of the
-        // tag arriving on that link follows the stage already (or a rule
-        // of this table), and does after it too.
+        // A Type 2 (tag-only) default captures every packet of its tag
+        // that reaches the table, so a table may take one only where each
+        // such packet belongs to a path the planner reads from that table.
+        // Every path of a tag that crosses a switch leaves a rule of the
+        // tag there or a deferral record, and `rule_slot` reads a link
+        // arrival's qualified table first, so a later path arriving that
+        // way writes its override in the table. Hence:
+        // - Ingress, unless the tag has left a prefix to the location
+        //   stage here (the default would capture that traffic);
+        // - FromMb always: only traffic the controller itself diverted
+        //   into the middlebox returns there;
+        // - FromSwitch while the tag's unqualified table holds no rule:
+        //   every earlier path of the tag arriving on that link followed
+        //   the stage (this table is empty until now). A `Location`
+        //   default keeps them there; a concrete one only where there
+        //   are none, the tag not having deferred here.
+        let deferred = self.deferred.binary_search(&tag).is_ok();
         let default_ok = match entry {
-            Entry::Ingress => self.deferred.binary_search(&tag).is_err(),
+            Entry::Ingress => !deferred,
             Entry::FromMb(_) => true,
             Entry::FromSwitch(_) => {
                 let unqualified = self.tables.get(&table_key(Entry::Ingress, tag));
-                nh == NextHop::Location && unqualified.is_none_or(TagTable::is_empty)
+                unqualified.is_none_or(TagTable::is_empty) && (nh == NextHop::Location || !deferred)
             }
         };
         let table = match self.tables.entry(table_key(entry, tag)) {
@@ -1313,6 +1356,117 @@ mod tests {
                 slot,
                 kind: DivergenceKind::Extra { found: NH1 }
             }]
+        );
+    }
+
+    #[test]
+    fn a_qualified_table_takes_a_default_where_no_other_path_of_its_tag_crosses() {
+        let mut s = ShadowSwitch::new();
+        let from = Entry::FromSwitch(SwitchId(5));
+        // nothing else of the tag crosses the switch: a concrete default
+        let d = s.install(from, T, p("10.0.0.0/23"), NH1);
+        assert_eq!(
+            d,
+            vec![ShadowDelta::SetDefault {
+                entry: from,
+                tag: T,
+                nh: NH1
+            }]
+        );
+        assert_eq!(s.resolve(from, T, p("10.0.8.0/23")), Some(NH1));
+        assert_eq!(s.classes().type2, 1);
+    }
+
+    #[test]
+    fn a_qualified_table_refuses_a_default_where_other_paths_of_its_tag_cross() {
+        let from = Entry::FromSwitch(SwitchId(5));
+        // the unqualified table holds a rule: traffic of the tag arriving
+        // on the link may follow it, so every default is refused
+        let mut s = ShadowSwitch::new();
+        s.install(IN, T, p("10.0.4.0/23"), NH3);
+        let d = s.install(from, T, p("10.0.0.0/23"), NH1);
+        assert!(matches!(d[..], [ShadowDelta::AddPrefix { .. }]), "{d:?}");
+        let d = s.install(from, PolicyTag(2), p("10.0.0.0/23"), NH1);
+        assert!(matches!(d[..], [ShadowDelta::SetDefault { .. }]), "{d:?}");
+        let d = s.install(
+            Entry::FromSwitch(SwitchId(6)),
+            T,
+            p("10.0.0.0/23"),
+            NextHop::Location,
+        );
+        assert!(matches!(d[..], [ShadowDelta::AddPrefix { .. }]), "{d:?}");
+        assert_eq!(s.resolve(from, T, p("10.0.4.0/23")), Some(NH3));
+        // the tag has deferred here: its deferred traffic may arrive on
+        // the link, so only a default that keeps it at the stage is taken
+        let mut s = ShadowSwitch::new();
+        s.defer(T, p("10.0.4.0/23"), SwitchId(10), |_| {});
+        let d = s.install(from, T, p("10.0.0.0/23"), NH2);
+        assert!(matches!(d[..], [ShadowDelta::AddPrefix { .. }]), "{d:?}");
+        assert_eq!(s.resolve(from, T, p("10.0.4.0/23")), Some(NH1));
+        let other = Entry::FromSwitch(SwitchId(6));
+        let d = s.install(other, T, p("10.0.0.0/23"), NextHop::Location);
+        assert!(
+            matches!(
+                d[..],
+                [ShadowDelta::SetDefault {
+                    nh: NextHop::Location,
+                    ..
+                }]
+            ),
+            "{d:?}"
+        );
+        assert_eq!(s.resolve(other, T, p("10.0.4.0/23")), Some(NH1));
+    }
+
+    #[test]
+    fn a_later_path_overrides_a_qualified_default_and_both_deliver() {
+        let mut t = ShadowTables::new(4);
+        let (a, b, c, d) = (SwitchId(0), SwitchId(1), SwitchId(2), SwitchId(3));
+        let (first, later) = (p("10.0.0.0/23"), p("10.0.8.0/23"));
+        // the first path, a -> b -> c, lays a default at a and a
+        // concrete default in b's table for arrivals from a
+        t.switch_mut(a).install(IN, T, first, NextHop::Switch(b));
+        let deltas = t
+            .switch_mut(b)
+            .install(Entry::FromSwitch(a), T, first, NextHop::Switch(c));
+        assert!(
+            matches!(deltas[..], [ShadowDelta::SetDefault { .. }]),
+            "{deltas:?}"
+        );
+        // a later path of the tag, a -> b -> d: `rule_slot` reads the
+        // link's qualified table first, which answers c, so the override
+        // goes there, a Type 1 rule; an unqualified rule would be shadowed
+        assert_eq!(
+            t.switch(b)
+                .probe(Entry::FromSwitch(a), T, later, NextHop::Switch(d)),
+            Probe {
+                present: true,
+                current: Some(NextHop::Switch(c)),
+                cost: Some(1)
+            }
+        );
+        assert_eq!(t.switch(a).next_hop(IN, T, later), Some(NextHop::Switch(b)));
+        let deltas = t
+            .switch_mut(b)
+            .install(Entry::FromSwitch(a), T, later, NextHop::Switch(d));
+        assert_eq!(
+            deltas,
+            vec![ShadowDelta::AddPrefix {
+                entry: Entry::FromSwitch(a),
+                tag: T,
+                prefix: later,
+                nh: NextHop::Switch(d)
+            }]
+        );
+        assert!(t.delivers(a, T, first, c, &[]));
+        assert!(t.delivers(a, T, later, d, &[]));
+        let mut unqualified = t.clone();
+        unqualified
+            .switch_mut(b)
+            .install(IN, T, p("10.0.16.0/23"), NextHop::Switch(d));
+        assert!(
+            !unqualified.delivers(a, T, p("10.0.16.0/23"), d, &[]),
+            "the qualified default captures it"
         );
     }
 

@@ -834,7 +834,7 @@ mod tests {
         let EventOutcome::HandedOff(h) = &run.outcomes[2] else {
             panic!("handoff outcome expected, got {:?}", run.outcomes[2]);
         };
-        assert_eq!(h.removals.len(), 1, "downlink moved away");
+        assert_eq!(h.removals.len(), 2, "downlink and uplink moved away");
         assert_eq!(h.installs.len(), 2, "uplink + downlink copies");
         assert_eq!(
             run.engine.state().ue(UeImsi(0)).unwrap().bs,

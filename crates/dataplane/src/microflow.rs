@@ -40,8 +40,6 @@ pub enum MicroflowAction {
         /// Radio-facing output port.
         out: PortNo,
     },
-    /// Forward unchanged (e.g. tunnel legs between base stations).
-    Forward(PortNo),
     /// Drop (access control decided at classification time).
     Drop,
 }

@@ -163,7 +163,6 @@ fn apply_microflow(
             rewrite_endpoint(buffer, view, PortField::Dst, addr, port, None)?;
             Ok(ForwardDecision::Out(out))
         }
-        MicroflowAction::Forward(out) => Ok(ForwardDecision::Out(out)),
         MicroflowAction::Drop => Ok(ForwardDecision::Drop),
     }
 }

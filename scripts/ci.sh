@@ -117,7 +117,7 @@ assert got == want, f"fabric_forward walks moved: {got}, want {want}"
 print(f"fabric_forward walks ok: {got}")
 PY
 # And the fabric the write path builds: the seed-7 metro_churn smoke
-# above must have left 871 rules over 7 tags (its policy paths' and
+# above must have left 867 rules over 7 tags (its policy paths' and
 # the one mobility tag). Its flow tables are written by pushes and
 # swap-removals and sorted only for lookups, so a write that lost or
 # doubled a rule would move the count, and so would a per-UE mobility
@@ -125,27 +125,30 @@ PY
 # destination station instead of per station block, a mobility tag
 # per station (tests/core_state.rs), or a last leg written as tag
 # rules instead of left to the location stage (Type 3) or continuing
-# at it from a port-qualified table (goto-stage).
+# at it from a port-qualified table (goto-stage), or a port-qualified
+# table refused the Type 2 default it may take.
 python3 - /tmp/softcell-perf-metro_churn.json <<'PY'
 import json, sys
 result = json.load(open(sys.argv[1]))
-want = {"rules_total": 871, "tags_used": 7}
+want = {"rules_total": 867, "tags_used": 7}
 got = {name: result["metrics"][name]["value"] for name in want}
 assert got == want, f"metro_churn fabric moved: {got}, want {want}"
 print(f"metro_churn fabric ok: {got}")
 PY
 # Beside it, Algorithm 1 alone: the seed-7 path_install_storm smoke
-# must have left 10 028 shadow rules over 122 tags. The downlink's last
+# must have left 7 136 shadow rules over 124 tags. The downlink's last
 # legs are Type 3 location entries shared by every tag (the parent of
-# that stage left 67 864), and port-qualified tables and middlebox
-# returns continue at them with one goto-stage rule where they used to
-# hold a rule per prefix (15 030 before), so a last leg written once per
-# tag again, a deferral or goto refused, or a tag choice that moved
-# shows here.
+# that stage left 67 864), port-qualified tables and middlebox returns
+# continue at them with one goto-stage rule where they used to hold a
+# rule per prefix (15 030 before), and a port-qualified table that
+# nothing else of its tag reaches takes a Type 2 default where it held
+# a Type 1 rule per prefix (10 028 before). So a last leg written once
+# per tag again, a deferral, goto or default refused, or a tag choice
+# that moved shows here.
 python3 - /tmp/softcell-perf-path_install_storm.json <<'PY'
 import json, sys
 result = json.load(open(sys.argv[1]))
-want = {"rules_total": 10028, "tags_used": 122}
+want = {"rules_total": 7136, "tags_used": 124}
 got = {name: result["metrics"][name]["value"] for name in want}
 assert got == want, f"path_install_storm tables moved: {got}, want {want}"
 print(f"path_install_storm tables ok: {got}")

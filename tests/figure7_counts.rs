@@ -7,10 +7,11 @@
 //!
 //! Only a change that means to re-baseline Figure 7 may edit the
 //! numbers below, and it re-runs `fig7_simulation` and the ablation and
-//! records what moved in EXPERIMENTS.md. Goto-stage rules (a
-//! port-qualified last leg or the last middlebox's return continuing at
-//! §7's Type 3 location stage) are the latest: max 1 726 → 1 434, total
-//! 13 549 → 11 860, swap rules 13 175 → 12 995.
+//! records what moved in EXPERIMENTS.md. Type 2 defaults in
+//! port-qualified tables (taken where nothing else of the tag crosses
+//! the switch: its unqualified table is empty and it has not deferred
+//! there) are the latest: median 65 → 61, max 1 434 → 688, total
+//! 11 860 → 7 485, swap rules 12 995 → 3 523.
 //!
 //! Counts alone would pass tables made small by making them wrong, so
 //! every installed path must also still deliver once all are in: walked
@@ -39,7 +40,7 @@ fn a_small_figure7_point_keeps_its_counts() {
         r.swap_rules,
     );
     // (paths, median, max, total rules, tags, swap rules)
-    assert_eq!(counts, (32_400, 65, 1_434, 11_860, 72, 12_995));
+    assert_eq!(counts, (32_400, 61, 688, 7_485, 72, 3_523));
     assert_eq!(
         r.delivered, r.paths_installed,
         "every installed path delivers"
