@@ -5,18 +5,25 @@
 //! happens-before decision — such sites carry an in-place
 //! `softcell-lint: allow(atomics-order) -- pure counter …` suppression
 //! so the exception is visible in diffs.
+//!
+//! A listed file that matches no scanned source is itself a finding: a
+//! module that moved or went would otherwise drop out of the audit
+//! without a word.
 
 use crate::config::Config;
 use crate::lexer::TokKind;
 use crate::parse::FileModel;
 use crate::{Finding, CHECK_ATOMICS};
 
+const MANIFEST_PATH: &str = "analysis/atomics.toml";
+
+/// Whether the manifest entry `file` names the source at `path`.
+fn audits(file: &str, path: &str) -> bool {
+    path == file || path.ends_with(file)
+}
+
 pub fn scan_file(model: &FileModel, cfg: &Config, findings: &mut Vec<Finding>) {
-    if !cfg
-        .atomics_files
-        .iter()
-        .any(|f| model.path == *f || model.path.ends_with(f))
-    {
+    if !cfg.atomics_files.iter().any(|f| audits(f, &model.path)) {
         return;
     }
     for func in &model.funcs {
@@ -36,6 +43,20 @@ pub fn scan_file(model: &FileModel, cfg: &Config, findings: &mut Vec<Finding>) {
                     ));
                 }
             }
+        }
+    }
+}
+
+/// Reports every listed file that no scanned source matches.
+pub fn unmatched_entries(models: &[FileModel], cfg: &Config, findings: &mut Vec<Finding>) {
+    for file in &cfg.atomics_files {
+        if !models.iter().any(|m| audits(file, &m.path)) {
+            findings.push(Finding::new(
+                CHECK_ATOMICS,
+                MANIFEST_PATH,
+                1,
+                format!("`{file}` matches no scanned source"),
+            ));
         }
     }
 }

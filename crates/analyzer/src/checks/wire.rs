@@ -4,11 +4,18 @@
 //! frames must surface as `Error::Malformed`, never as a controller
 //! abort (the controller is the single point of failure for a metro
 //! deployment — DESIGN.md §9/§12).
+//!
+//! A scope whose `file` matches no scanned source, or a `functions`
+//! pattern that matches no non-test function of that file, is itself a
+//! finding: a renamed or moved function would otherwise leave the scope
+//! without a word.
 
-use crate::config::Config;
+use crate::config::{glob_match, Config};
 use crate::lexer::{TokKind, Token};
 use crate::parse::FileModel;
 use crate::{Finding, CHECK_WIRE_PANIC};
+
+const MANIFEST_PATH: &str = "analysis/wire_paths.toml";
 
 /// Macros that abort. `debug_assert*` is deliberately absent: it
 /// compiles out of release builds and is the sanctioned way to state
@@ -44,6 +51,36 @@ pub fn scan_file(model: &FileModel, cfg: &Config, findings: &mut Vec<Finding>) {
             continue;
         }
         scan_body(model, &func.qual, func.body.clone(), findings);
+    }
+}
+
+/// Reports every scope file that no scanned source matches, and every
+/// `functions` pattern that no non-test function of its file matches.
+pub fn unmatched_entries(models: &[FileModel], cfg: &Config, findings: &mut Vec<Finding>) {
+    let stale = |msg: String| Finding::new(CHECK_WIRE_PANIC, MANIFEST_PATH, 1, msg);
+    for scope in &cfg.wire_scopes {
+        let file = &scope.file;
+        let files: Vec<_> = models
+            .iter()
+            .filter(|m| scope.matches_file(&m.path))
+            .collect();
+        if files.is_empty() {
+            findings.push(stale(format!(
+                "scope file `{file}` matches no scanned source"
+            )));
+            continue;
+        }
+        for pat in &scope.functions {
+            let funcs = files.iter().flat_map(|m| &m.funcs);
+            if !funcs
+                .filter(|f| !f.is_test)
+                .any(|f| glob_match(pat, &f.qual))
+            {
+                findings.push(stale(format!(
+                    "pattern `{pat}` matches no non-test function of `{file}`"
+                )));
+            }
+        }
     }
 }
 

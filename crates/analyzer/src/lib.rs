@@ -116,6 +116,8 @@ pub fn analyze_models(models: &[FileModel], cfg: &Config) -> Analysis {
         checks::telemetry::collect_sites(model, &mut sites);
         suppression_hygiene(model, &mut findings);
     }
+    checks::wire::unmatched_entries(models, cfg, &mut findings);
+    checks::atomics::unmatched_entries(models, cfg, &mut findings);
     checks::locks::validate_edges(&edges, cfg, &mut findings);
     let observed_metrics = checks::telemetry::validate(&sites, cfg, &mut findings);
 

@@ -170,6 +170,50 @@ fn span_guard_flags_manual_pairs_only() {
 }
 
 #[test]
+fn manifest_entries_that_match_nothing_are_findings() {
+    let cfg = Config {
+        wire_scopes: vec![
+            WireScope {
+                file: "stale_entries.rs".into(),
+                functions: vec!["decode".into(), "renamed".into(), "probe".into()],
+            },
+            WireScope {
+                file: "moved_away.rs".into(),
+                functions: vec!["decode".into()],
+            },
+        ],
+        atomics_files: vec!["stale_entries.rs".into(), "moved_away.rs".into()],
+        lock_order: Vec::new(),
+        sequencer_locks: Vec::new(),
+        metrics_manifest: Some(MetricsManifest::default()),
+    };
+    let analysis = analyze_paths(&fixtures_root(), &["stale_entries.rs".into()], &cfg);
+    let got: Vec<(&str, &str, &str)> = analysis
+        .unsuppressed()
+        .map(|f| (f.check, f.file.as_str(), f.msg.as_str()))
+        .collect();
+    let named = |check: &str, file: &str, entry: &str| {
+        got.iter()
+            .filter(|(c, f, m)| *c == check && *f == file && m.contains(entry))
+            .count()
+            == 1
+    };
+    assert_eq!(got.len(), 4, "{got:?}");
+    assert!(named(
+        "atomics-order",
+        "analysis/atomics.toml",
+        "`moved_away.rs`"
+    ));
+    assert!(named(
+        "wire-panic",
+        "analysis/wire_paths.toml",
+        "`moved_away.rs`"
+    ));
+    assert!(named("wire-panic", "analysis/wire_paths.toml", "`renamed`"));
+    assert!(named("wire-panic", "analysis/wire_paths.toml", "`probe`"));
+}
+
+#[test]
 fn metrics_manifest_drift_both_directions() {
     let model = FileModel::parse(
         "m.rs",

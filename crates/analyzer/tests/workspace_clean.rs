@@ -6,7 +6,7 @@
 use std::path::PathBuf;
 
 use softcell_analyzer::analyze_root;
-use softcell_analyzer::config::{glob_match, Config};
+use softcell_analyzer::config::Config;
 use softcell_analyzer::lexer::Token;
 use softcell_analyzer::parse::FileModel;
 
@@ -81,9 +81,10 @@ fn sole_callee(body: &[Token]) -> Option<&str> {
         .then(|| name.ident())?
 }
 
-/// A `wire_paths.toml` scope protects nothing if it names no function,
-/// or names a wrapper whose callee — the code that actually reads the
-/// peer's bytes — is out of scope.
+/// A `wire_paths.toml` scope protects nothing if it names a wrapper
+/// whose callee — the code that actually reads the peer's bytes — is
+/// out of scope. (A pattern that names no function at all is the
+/// analyzer's own finding, which the test above fails on.)
 #[test]
 fn wire_scopes_name_the_functions_that_read_the_wire() {
     let root = repo_root();
@@ -93,13 +94,6 @@ fn wire_scopes_name_the_functions_that_read_the_wire() {
             .unwrap_or_else(|e| panic!("{}: {e}", scope.file));
         let model = FileModel::parse(&scope.file, &src);
         let live: Vec<_> = model.funcs.iter().filter(|f| !f.is_test).collect();
-        for pat in &scope.functions {
-            assert!(
-                live.iter().any(|f| glob_match(pat, &f.qual)),
-                "{}: pattern {pat:?} matches no non-test function",
-                scope.file
-            );
-        }
         for func in live.iter().filter(|f| scope.matches_fn(&f.qual)) {
             let Some(callee) = sole_callee(&model.tokens[func.body.clone()]) else {
                 continue;

@@ -23,7 +23,7 @@ use serde::Serialize;
 use softcell_bench::{
     is_quick, maybe_dump_json, maybe_dump_telemetry, print_rule_classes, timed, TextTable,
 };
-use softcell_sim::figure7::{run, run_on, Figure7Config, InstanceChoice};
+use softcell_sim::figure7::{run, run_on, Figure7Config};
 use softcell_sim::Figure7Result;
 use softcell_telemetry::Registry;
 use softcell_topology::CellularParams;
@@ -40,7 +40,6 @@ fn base(quick: bool) -> Figure7Config {
         k: if quick { 4 } else { 8 },
         n_clauses: if quick { 100 } else { 1000 },
         m_chain: 5,
-        choice: InstanceChoice::PerClause,
         seed: 2013,
         tag_capacity: u16::MAX,
     }

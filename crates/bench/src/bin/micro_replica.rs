@@ -22,7 +22,7 @@ use serde::Serialize;
 use softcell_bench::{arg_value, is_quick, maybe_dump_json, TextTable};
 use softcell_ctlchan::PacketIn;
 use softcell_policy::{ServicePolicy, SubscriberAttributes};
-use softcell_replica::Cluster;
+use softcell_scenario::Cluster;
 use softcell_types::{BaseStationId, SimTime, UeId, UeImsi};
 
 #[derive(Serialize)]

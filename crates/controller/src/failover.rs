@@ -1,8 +1,9 @@
 //! Control-plane failure handling (paper §5.2).
 //!
 //! The controller's slow-changing state (policy, subscriber attributes,
-//! policy paths) is replicated with strong consistency — that is
-//! `softcell-replica`'s quorum log, not this module. The fast-moving
+//! policy paths) is replicated with strong consistency — that is the
+//! seat's quorum log ([`crate::node`] over [`crate::log`]), not this
+//! module. The fast-moving
 //! state, UE location, is *not* synchronously replicated: "upon a
 //! controller failure, a replica can correctly rebuild the UE location
 //! state by querying local agents", which works because "a UE only

@@ -47,7 +47,8 @@
 //! * [`node`] — the seat: the log of agent inputs ([`log`]) and the
 //!   engine it replays to ([`store`]) behind one lock, quorum commit,
 //!   catch-up, fail-over and epoch fencing. A one-seat membership
-//!   commits on append; `softcell-replica` runs a cluster of servers.
+//!   commits on append; `softcell-scenario`'s `Cluster` harness runs a
+//!   cluster of servers.
 //! * [`wire`] — serves `softcell-ctlchan` connections through the
 //!   server, the one reply shape, and [`wire::ChannelController`], the
 //!   agent's [`agent::ControllerApi`] over a framed transport.

@@ -10,7 +10,8 @@
 //! is one [`ReplicaNode::propose`], answered once its record commits:
 //! on append for the one-seat membership of
 //! [`ControllerServer::start_sharded`], at quorum for a seat of
-//! `softcell-replica`'s cluster, which runs one server per seat.
+//! `softcell-scenario`'s `Cluster` harness, which runs one server per
+//! seat.
 //!
 //! A domain is a *lock* and a queue, not a thread. The [`RequestRouter`]
 //! sends every request to the domain owning its key — UE-scoped requests

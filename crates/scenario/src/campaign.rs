@@ -768,7 +768,7 @@ impl Driver<'_> {
     /// running). Non-convergence is a campaign violation.
     fn controller_kill(&mut self, w: &mut SimWorld) {
         self.overlay.controller_kills += 1;
-        match softcell_replica::controller_kill_drill() {
+        match crate::controller_kill_drill() {
             Ok(()) => self.overlay.drills_converged += 1,
             Err(e) => self.violate(w, "replica-convergence", "controller-kill", e.to_string()),
         }

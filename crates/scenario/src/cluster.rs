@@ -24,7 +24,7 @@
 //! so all survivors end on one log, even if the dead leader's final
 //! records reached only some of them and the initiator missed records
 //! others hold. The new view's leader is its first live seat. Agents
-//! detect leader death by probe failure and re-home ([`rehome_agent`])
+//! detect leader death by probe failure and re-home (`rehome_agent`)
 //! to it, replaying their UEs with `resync`: the engine answers an
 //! attach at a UE's own location with its live record.
 
@@ -64,7 +64,11 @@ pub struct Killable<T: Transport> {
 
 impl<T: Transport> Killable<T> {
     /// Wraps `inner`, watching the given kill switches and cut flags.
-    pub fn new(inner: T, kills: Vec<Arc<AtomicBool>>, cuts: Vec<Arc<AtomicBool>>) -> Killable<T> {
+    pub(crate) fn new(
+        inner: T,
+        kills: Vec<Arc<AtomicBool>>,
+        cuts: Vec<Arc<AtomicBool>>,
+    ) -> Killable<T> {
         Killable {
             inner,
             kills,
@@ -346,7 +350,7 @@ impl Drop for Cluster {
 /// agent's UEs with `resync` — each attach at the UE's own location
 /// gets its live record back, so addresses survive. Returns the new
 /// leader's seat.
-pub fn rehome_agent(
+pub(crate) fn rehome_agent(
     cluster: &Cluster,
     ctl: &mut ChannelController<Link>,
     agent: &mut LocalAgent,

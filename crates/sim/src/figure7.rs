@@ -9,17 +9,9 @@
 //! over the resulting path stream; report the maximum and median switch
 //! flow-table size.
 //!
-//! Instance interpretation (the paper's wording is ambiguous, and there
-//! is no default): `fig7_simulation`, the ablation and the pinned
-//! `figure7_counts` point all run [`InstanceChoice::PerClause`], `m`
-//! random instances drawn once per clause and shared by every station
-//! — "a policy path traverses m randomly chosen middlebox instances".
-//! Two alternatives are kept for sensitivity analysis:
-//! [`InstanceChoice::NearestPerStation`] draws `m` random *kinds* per
-//! clause and lets each station use the nearest instance of each kind
-//! (Fig. 3(c)'s regional dispatch, the controller's latency-minimizing
-//! selection of §2.2), and [`InstanceChoice::PerStation`] draws fresh
-//! instances per station.
+//! Instances: each clause draws `m` random middlebox instances once,
+//! and every station's path through that clause shares them — "a
+//! policy path traverses m randomly chosen middlebox instances".
 //!
 //! Paper reference points: n=1000, m=5, k=8 → median 1214 / max 1697
 //! rules; table size grows linearly in `n` (slope < 2) and in `m`, and
@@ -32,25 +24,7 @@ use serde::Serialize;
 use softcell_controller::install::Direction;
 use softcell_controller::{PathInstaller, RuleClasses, ShadowTables, TagPolicy};
 use softcell_topology::{CellularParams, ShortestPaths, SwitchRole, Topology};
-use softcell_types::{
-    AddressingScheme, BaseStationId, Ipv4Prefix, MiddleboxId, MiddleboxKind, Result,
-};
-
-/// How middlebox instances are assigned to a clause's paths.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize)]
-pub enum InstanceChoice {
-    /// Each clause names `m` random middlebox *kinds*; every station
-    /// uses the nearest instance of each kind, walked greedily from its
-    /// access switch (Fig. 3(c)'s regional dispatch, clause traffic of
-    /// AS1/AS2 to Transcoder1 and AS3/AS4 to Transcoder2, and the
-    /// controller's own latency-minimizing selection of §2.2).
-    NearestPerStation,
-    /// `m` concrete instances drawn once per clause, shared by all
-    /// stations network-wide: what every Figure 7 row runs.
-    PerClause,
-    /// Fresh random instances per (clause, station) — a stress variant.
-    PerStation,
-}
+use softcell_types::{AddressingScheme, BaseStationId, Ipv4Prefix, MiddleboxId, Result};
 
 /// One Figure 7 data point's configuration.
 #[derive(Clone, Copy, Debug, Serialize)]
@@ -61,8 +35,6 @@ pub struct Figure7Config {
     pub n_clauses: usize,
     /// Middleboxes per policy path.
     pub m_chain: usize,
-    /// Instance assignment mode.
-    pub choice: InstanceChoice,
     /// RNG seed.
     pub seed: u64,
     /// Tag space available to the installer.
@@ -130,9 +102,9 @@ pub fn run_on(topo: &Topology, config: Figure7Config) -> Result<Figure7Result> {
     // Dense, cluster-contiguous station numbering (the generator's
     // default) is the best-aggregating assignment: sibling merges work
     // across cluster and pod boundaries. Padding stations to
-    // power-of-two blocks (see [`aligned_prefixes`]) looks attractive
-    // but *defeats* aggregation — measured 30x worse hot-switch tables —
-    // because the padding gaps leave sibling pairs forever incomplete.
+    // power-of-two blocks looks attractive but *defeats* aggregation —
+    // measured 30x worse hot-switch tables (EXPERIMENTS.md) — because
+    // the padding gaps leave sibling pairs forever incomplete.
     let scheme = scheme_for(topo)?;
     let mut installer = PathInstaller::new(
         topo,
@@ -148,7 +120,7 @@ pub fn run_on(topo: &Topology, config: Figure7Config) -> Result<Figure7Result> {
     let mut swap_rules = 0usize;
     // each path's entry tag, in install order, for the delivery walk
     let mut entry_tags = Vec::with_capacity(config.n_clauses * stations);
-    each_path(topo, &mut sp, &config, |sp, origin, instances| {
+    each_path(topo, &config, |origin, instances| {
         let path = sp.route_policy_path(origin, instances, gw)?;
         let report = installer.install_path(&path, Direction::Downlink)?;
         swap_rules += report.swap_rules;
@@ -163,7 +135,7 @@ pub fn run_on(topo: &Topology, config: Figure7Config) -> Result<Figure7Result> {
     let mut tags = entry_tags.into_iter();
     let mut delivered = 0usize;
     let mut chain = Vec::with_capacity(config.m_chain);
-    each_path(topo, &mut sp, &config, |_, origin, instances| {
+    each_path(topo, &config, |origin, instances| {
         let tag = tags.next().expect("one entry tag per installed path");
         let (access, prefix) = (
             topo.base_station(origin).access_switch,
@@ -217,30 +189,23 @@ pub fn run_on(topo: &Topology, config: Figure7Config) -> Result<Figure7Result> {
 /// a second pass meets the paths the first installed.
 fn each_path(
     topo: &Topology,
-    sp: &mut ShortestPaths,
     config: &Figure7Config,
-    mut f: impl FnMut(&mut ShortestPaths, BaseStationId, &[MiddleboxId]) -> Result<()>,
+    mut f: impl FnMut(BaseStationId, &[MiddleboxId]) -> Result<()>,
 ) -> Result<()> {
     let mut rng = StdRng::seed_from_u64(config.seed);
-    let kinds: Vec<MiddleboxKind> = MiddleboxKind::enumerate(topo.middlebox_kinds().count());
+    let kinds = topo.middlebox_kinds().count();
     for _clause in 0..config.n_clauses {
-        let clause_instances = random_chain(&mut rng, topo, &kinds, config.m_chain);
-        let clause_kinds = random_kinds(&mut rng, &kinds, config.m_chain);
+        let instances = random_chain(&mut rng, topo, config.m_chain);
+        // A discarded draw of `m` distinct kinds (a partial Fisher–Yates
+        // over the kinds): a deleted nearest-instance mode drew them
+        // here, and every recorded Figure 7 row and the `figure7_counts`
+        // pins come from the RNG stream with this draw in it. Dropping
+        // it would move them all.
+        for i in 0..config.m_chain.min(kinds) {
+            rng.gen_range(i..kinds);
+        }
         for bs in 0..topo.base_stations().len() {
-            let origin = BaseStationId(bs as u32);
-            let drawn;
-            let instances = match config.choice {
-                InstanceChoice::PerClause => &clause_instances,
-                InstanceChoice::NearestPerStation => {
-                    drawn = nearest_chain(topo, sp, origin, &clause_kinds);
-                    &drawn
-                }
-                InstanceChoice::PerStation => {
-                    drawn = random_chain(&mut rng, topo, &kinds, config.m_chain);
-                    &drawn
-                }
-            };
-            f(sp, origin, instances)?;
+            f(BaseStationId(bs as u32), &instances)?;
         }
     }
     Ok(())
@@ -255,83 +220,7 @@ pub fn scheme_for(topo: &Topology) -> Result<AddressingScheme> {
     )
 }
 
-/// Power-of-two-padded station prefixes — kept as a documented
-/// *negative result*. The intuition (paper §3.1's "operators align IP
-/// prefixes with the topology") suggests padding each cluster/pod to a
-/// power-of-two id block so every dispatch level is one prefix; in
-/// practice the padding gaps mean sibling pairs never complete and
-/// upward merging stalls at the sub-cluster level, measuring ~30x worse
-/// hot-switch tables than dense cluster-contiguous numbering (which is
-/// itself topology-aligned — the generator numbers stations in cluster
-/// and pod order). See EXPERIMENTS.md.
-pub fn aligned_prefixes(params: &CellularParams) -> Result<(AddressingScheme, Vec<Ipv4Prefix>)> {
-    let cluster_stride = params.bs_per_cluster.next_power_of_two();
-    let clusters_per_pod = (params.k / 2) * (params.k / 2);
-    let pod_stride = (clusters_per_pod * cluster_stride).next_power_of_two();
-    let id_space = params.k * pod_stride;
-
-    // the padded id space needs more station bits; UE-id width is not
-    // exercised by the rule-count experiments, so give it the minimum
-    let carrier = Ipv4Prefix::from_bits(0x0A00_0000, 8);
-    let bs_bits = (usize::BITS - (id_space.max(2) - 1).leading_zeros()) as u8;
-    let ue_bits = 32 - carrier.len() - bs_bits;
-    let scheme = AddressingScheme::new(carrier, bs_bits, ue_bits)?;
-
-    let mut prefixes = Vec::with_capacity(params.base_station_count());
-    for bs in 0..params.base_station_count() {
-        let cluster = bs / params.bs_per_cluster;
-        let pos = bs % params.bs_per_cluster;
-        let pod = cluster / clusters_per_pod;
-        let cluster_in_pod = cluster % clusters_per_pod;
-        let padded = pod * pod_stride + cluster_in_pod * cluster_stride + pos;
-        prefixes.push(scheme.base_station_prefix(softcell_types::BaseStationId(padded as u32))?);
-    }
-    Ok((scheme, prefixes))
-}
-
-/// `m` random distinct middlebox kinds.
-fn random_kinds(rng: &mut StdRng, kinds: &[MiddleboxKind], m: usize) -> Vec<MiddleboxKind> {
-    let m = m.min(kinds.len());
-    let mut idx: Vec<usize> = (0..kinds.len()).collect();
-    for i in 0..m {
-        let j = rng.gen_range(i..idx.len());
-        idx.swap(i, j);
-    }
-    idx[..m].iter().map(|&i| kinds[i]).collect()
-}
-
-/// The greedy nearest-instance chain for one station: for each kind in
-/// order, the instance closest to the current path cursor.
-fn nearest_chain(
-    topo: &Topology,
-    sp: &mut ShortestPaths,
-    origin: BaseStationId,
-    kinds: &[MiddleboxKind],
-) -> Vec<MiddleboxId> {
-    let mut cursor = topo.base_station(origin).access_switch;
-    kinds
-        .iter()
-        .map(|&kind| {
-            let mb = *topo
-                .instances_of(kind)
-                .iter()
-                .min_by_key(|&&mb| {
-                    sp.distance(cursor, topo.middlebox(mb).switch)
-                        .unwrap_or(u32::MAX)
-                })
-                .expect("every kind is deployed");
-            cursor = topo.middlebox(mb).switch;
-            mb
-        })
-        .collect()
-}
-
-fn random_chain(
-    rng: &mut StdRng,
-    topo: &Topology,
-    _kinds: &[MiddleboxKind],
-    m: usize,
-) -> Vec<MiddleboxId> {
+fn random_chain(rng: &mut StdRng, topo: &Topology, m: usize) -> Vec<MiddleboxId> {
     // "A policy path traverses m randomly chosen middlebox instances"
     // (§6.3): m distinct instances drawn from the full deployment.
     let total = topo.middlebox_count();
@@ -355,7 +244,6 @@ mod tests {
             k: 4,
             n_clauses: n,
             m_chain: m,
-            choice: InstanceChoice::PerClause,
             seed: 7,
             tag_capacity: u16::MAX,
         }
@@ -394,39 +282,6 @@ mod tests {
     }
 
     #[test]
-    fn per_station_choice_costs_more() {
-        let shared = run(tiny(10, 3)).unwrap();
-        let per_station = run(Figure7Config {
-            choice: InstanceChoice::PerStation,
-            ..tiny(10, 3)
-        })
-        .unwrap();
-        assert!(
-            per_station.total_rules > shared.total_rules,
-            "random per-station instances defeat sharing: {} vs {}",
-            per_station.total_rules,
-            shared.total_rules
-        );
-    }
-
-    #[test]
-    fn every_choice_delivers_every_path() {
-        // the walk's second pass must draw the instances the install did
-        for choice in [
-            InstanceChoice::PerClause,
-            InstanceChoice::NearestPerStation,
-            InstanceChoice::PerStation,
-        ] {
-            let r = run(Figure7Config {
-                choice,
-                ..tiny(6, 3)
-            })
-            .unwrap();
-            assert_eq!(r.delivered, r.paths_installed, "{choice:?}");
-        }
-    }
-
-    #[test]
     fn deterministic_per_seed() {
         let a = run(tiny(5, 3)).unwrap();
         let b = run(tiny(5, 3)).unwrap();
@@ -435,29 +290,11 @@ mod tests {
     }
 
     #[test]
-    fn aligned_prefixes_are_disjoint_and_cluster_blocked() {
-        let params = CellularParams::paper(4);
-        let (scheme, prefixes) = aligned_prefixes(&params).unwrap();
-        assert_eq!(prefixes.len(), params.base_station_count());
-        // pairwise disjoint (spot-check adjacent and cross-cluster pairs)
-        for w in prefixes.windows(2) {
-            assert!(!w[0].overlaps(&w[1]), "{} overlaps {}", w[0], w[1]);
-        }
-        // the first cluster occupies a 16-id block: station 0 and the
-        // first station of cluster 2 differ in the block bits
-        let span0 = prefixes[0].network();
-        let span_next = prefixes[params.bs_per_cluster].network();
-        assert_ne!(span0, span_next);
-        let _ = scheme;
-    }
-
-    #[test]
     fn chain_has_distinct_instances() {
         let topo = CellularParams::paper(4).build().unwrap();
-        let kinds: Vec<MiddleboxKind> = MiddleboxKind::enumerate(topo.middlebox_kinds().count());
         let mut rng = StdRng::seed_from_u64(1);
         for _ in 0..50 {
-            let chain = random_chain(&mut rng, &topo, &kinds, 3);
+            let chain = random_chain(&mut rng, &topo, 3);
             let mut c = chain.clone();
             c.sort();
             c.dedup();

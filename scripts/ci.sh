@@ -31,9 +31,9 @@ timeout 180 cargo test -q --release \
 # client. A routing thread that waits on its own reply channel hangs it.
 timeout 60 ./target/release/micro_controller_throughput --quick > /dev/null
 # Thousands of back-to-back proposals straight on the seats of 1-, 2-
-# and 4-seat clusters (every server is a one-seat membership; this is
-# the one caller of larger ones outside the tests): a quorum regression
-# there is a hang.
+# and 4-seat clusters (softcell-scenario's `Cluster`; every server is a
+# one-seat membership, and this is the one caller of larger ones outside
+# the tests): a quorum regression there is a hang.
 timeout 60 ./target/release/micro_replica --quick > /dev/null
 
 echo "==> cargo test -q"
@@ -59,15 +59,19 @@ timeout 120 cargo test -q --release --test fault_churn
 echo "==> trace-driver oracle + input replay (180 s cap)"
 timeout 180 cargo test -q --release --test shard_oracle --test input_replay
 
-# Replicated control-plane recovery drill: 3-controller cluster, each
-# seat a ControllerServer whose agents reach it through its serve loop,
-# the leader killed -9 mid-storm of moves (a detach and an attach each). Gate: survivors' logs match the
-# pre-kill log byte-for-byte, zero residue after agent re-homing,
-# recovery-time histogram exported; plus a seeded sweep of cut / heal /
-# kill / fail-over schedules. Time-capped because a quorum or fail-over
+# Replicated control-plane recovery drill (softcell-scenario's `drill`
+# over its `Cluster`): 3-controller cluster, each seat a
+# ControllerServer whose agents reach it through its serve loop, the
+# leader killed -9 mid-storm of moves (a detach and an attach each).
+# Gate: survivors' logs match the pre-kill log byte-for-byte, zero
+# residue after agent re-homing, recovery-time histogram exported; plus
+# a seeded sweep of cut / heal / kill / fail-over schedules. Beside it,
+# the cluster's own quorum, fencing, snapshot and fail-over unit tests
+# (`cluster::tests`). Time-capped because a quorum or fail-over
 # regression shows up as a stall.
-echo "==> replicated recovery drill (180 s cap)"
+echo "==> replicated recovery drill + cluster unit tests (180 s cap each)"
 timeout 180 cargo test -q --release --test recovery
+timeout 180 cargo test -q --release -p softcell-scenario --lib cluster::tests
 
 # The performance yardstick (perf/, its own workspace and lock file, so
 # the steps above never compile it): build it offline against the crates

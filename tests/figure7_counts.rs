@@ -18,7 +18,7 @@
 //! through the finished tables from the gateway, it reaches its station
 //! through its middleboxes.
 
-use softcell::sim::figure7::{run, Figure7Config, InstanceChoice};
+use softcell::sim::figure7::{run, Figure7Config};
 
 #[test]
 fn a_small_figure7_point_keeps_its_counts() {
@@ -26,7 +26,6 @@ fn a_small_figure7_point_keeps_its_counts() {
         k: 6,
         n_clauses: 60,
         m_chain: 5,
-        choice: InstanceChoice::PerClause,
         seed: 2013,
         tag_capacity: u16::MAX,
     })

@@ -1,6 +1,6 @@
 //! Recovery gates for the replicated control plane.
 //!
-//! * [`softcell_replica::controller_kill_drill`] — the leader killed
+//! * [`softcell_scenario::controller_kill_drill`] — the leader killed
 //!   mid-storm of moves, fail-over, agent re-homing, the storm resumed,
 //!   and survivors checked byte-for-byte against the pre-kill log — then
 //!   what only this process's global registry shows: the recovery
@@ -26,7 +26,7 @@ use softcell::controller::core::PathTags;
 use softcell_ctlchan::{CtlChannel, Frame, Message, PacketIn};
 use softcell_policy::clause::ClauseId;
 use softcell_policy::{ServicePolicy, SubscriberAttributes};
-use softcell_replica::{controller_kill_drill, Cluster, Link};
+use softcell_scenario::{controller_kill_drill, Cluster, Link};
 use softcell_telemetry::Registry;
 use softcell_types::{BaseStationId, ControllerId, SimTime, UeId, UeImsi};
 
